@@ -139,6 +139,13 @@ fn check_artifact(path: &str) -> ! {
             problems.push(format!("missing key '{key}'"));
         }
     }
+    if let Some(machine) = doc.get("machine") {
+        // Which lane implementation the edge kernels ran on.
+        match machine.get("isa").and_then(Json::as_str) {
+            Some("avx2" | "portable") => {}
+            _ => problems.push("'machine.isa' missing or not avx2/portable".to_string()),
+        }
+    }
     if let Some(exec) = doc.get("exec") {
         // The scheme that actually ran must be concrete (Auto resolved).
         match exec.get("mode").and_then(Json::as_str) {
@@ -232,6 +239,12 @@ fn main() {
     let run_secs = prof.run_seconds();
     let snap = telemetry::snapshot();
     let counters = snap.merged_counters();
+
+    println!(
+        "machine: edge kernels ran on {} lanes; roofline envelope is the modeled {}\n",
+        fun3d_simd::active_isa(),
+        machine.name
+    );
 
     // ---- (a) per-kernel profile with achieved GB/s and intensity ----
     let mut kernel_table = Table::new(
@@ -564,6 +577,7 @@ fn main() {
             "machine",
             Json::obj(vec![
                 ("name", Json::str(machine.name)),
+                ("isa", Json::str(fun3d_simd::active_isa())),
                 ("stream_gbs", Json::num(machine.stream_gbs)),
                 ("peak_gflops", Json::num(machine.peak_gflops())),
             ]),

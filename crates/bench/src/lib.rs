@@ -32,11 +32,17 @@ pub struct Cli {
 impl Cli {
     /// Parses `std::env::args`, with a per-experiment default preset.
     pub fn parse(default_mesh: MeshPreset) -> Cli {
+        Cli::parse_from(default_mesh, std::env::args())
+    }
+
+    /// [`Cli::parse`] over an explicit argument list (program name
+    /// first), for binaries that strip their own flags beforehand.
+    pub fn parse_from(default_mesh: MeshPreset, args: impl Iterator<Item = String>) -> Cli {
         let mut cli = Cli {
             mesh: default_mesh,
             reps: 3,
         };
-        let args: Vec<String> = std::env::args().collect();
+        let args: Vec<String> = args.collect();
         let mut i = 1;
         while i < args.len() {
             match args[i].as_str() {

@@ -138,7 +138,9 @@ enum PrecondMode {
 }
 
 struct AppPrecond {
-    factors: IluFactors,
+    /// Shared with the serve tier's cross-request factor cache: a seeded
+    /// or captured first build is the same allocation, never a copy.
+    factors: Arc<IluFactors>,
     mode: PrecondMode,
     timers: Rc<RefCell<PhaseTimers>>,
     scratch: RefCell<Vec<f64>>,
@@ -427,7 +429,8 @@ impl Fun3dApp {
     }
 
     /// Captures the first build's factors for [`Fun3dApp::first_factors`]
-    /// (off by default — it keeps an extra copy of the factors alive).
+    /// (off by default — it keeps the first factors alive past the next
+    /// rebuild).
     pub fn capture_first_factors(&mut self, on: bool) {
         self.capture_first = on;
     }
@@ -635,7 +638,7 @@ impl PtcProblem for Fun3dApp {
             if self.capture_first {
                 self.first_factors = Some(Arc::clone(&seed));
             }
-            (*seed).clone()
+            seed
         } else {
             self.node.q.copy_from_slice(u);
             {
@@ -651,11 +654,15 @@ impl PtcProblem for Fun3dApp {
             }
             let t = std::time::Instant::now();
             let _span = telemetry::span("ilu");
-            let f = ilu::factor(&self.jac, &self.ilu_pattern, ilu::TempBuffer::Compressed);
+            let f = Arc::new(ilu::factor(
+                &self.jac,
+                &self.ilu_pattern,
+                ilu::TempBuffer::Compressed,
+            ));
             telemetry::record_kernel("ilu", crate::counts::ilu_factor(&f));
             self.timers.borrow_mut().add("ilu", t.elapsed());
             if first_build && self.capture_first {
-                self.first_factors = Some(Arc::new(f.clone()));
+                self.first_factors = Some(Arc::clone(&f));
             }
             f
         };

@@ -22,9 +22,17 @@
 //! | [`tiled`] | — (color-major tile order) | scratch-pad AoS | 4-edge batch | — |
 //! | [`tiled_pooled`] | inter-tile coloring, tiles of a color in parallel | scratch-pad AoS | 4-edge batch | — |
 //!
-//! The SIMD batch follows the paper's restructuring exactly: the
-//! dependency-free compute runs one edge per lane into a temporary
-//! buffer; results are committed with scalar writes afterward.
+//! The SIMD batch follows the paper's restructuring: the dependency-free
+//! compute runs one edge per lane; the four per-edge fluxes are then
+//! transposed in registers and committed edge by edge, in edge order.
+//! The batch steps ([`edge_flux_simd`], the transposing gathers, the
+//! commit) are written once, generic over [`fun3d_simd::Simd`]; every
+//! SIMD driver instantiates them for the portable lanes and, behind a
+//! `#[target_feature(enable = "avx2")]` entry, for AVX2, and picks one
+//! per call with [`Isa::detect`]. The two instantiations are bitwise
+//! identical (no FMA, no reassociation), so which one ran never shows in
+//! a result. The `*_on` entry points take the [`Isa`] from the caller;
+//! the equivalence tests and the Fig. 6a bench use them to run both.
 //!
 //! The tiled variants go beyond the paper (ROADMAP item 2): vertex data
 //! of a cache-sized [`EdgeTiling`] tile is staged once into a dense
@@ -36,9 +44,9 @@
 //! pool with no atomics and no replicated work, separated by barriers.
 
 use crate::euler;
-use crate::geom::{EdgeGeom, NodeAos, NodeSoa, TiledGeom};
+use crate::geom::{EdgeGeom, NodeAos, NodeSoa, TiledGeom, VertexRows};
 use fun3d_partition::{EdgeTiling, OwnerWritesPlan, Tile};
-use fun3d_simd::{aos_load_transpose, prefetch_l1, prefetch_l2, F64x4};
+use fun3d_simd::{aos_load_transpose, prefetch_l1, prefetch_l2, with_lanes, Isa, Simd};
 use fun3d_threads::{available_cores, chunk_range, AtomicF64View, SpinBarrier, ThreadPool};
 
 /// Prefetch distance in edges. Tuned: the `prefetch_dist` microbench
@@ -109,144 +117,234 @@ pub fn serial_aos(geom: &EdgeGeom, node: &NodeAos, beta: f64, res: &mut [f64]) {
     }
 }
 
-/// Vectorized per-edge physics: one edge per SIMD lane.
+/// Flux of one side's state, one edge per lane.
 #[inline(always)]
-fn edge_flux_simd(
-    qa: &[F64x4; 4],
-    qb: &[F64x4; 4],
-    ga: &[F64x4; 12],
-    gb: &[F64x4; 12],
-    n: &[F64x4; 3],
-    r: &[F64x4; 3],
+fn flux_of<S: Simd>(n: &[S::V; 3], q: &[S::V; 4], beta: S::V) -> [S::V; 4] {
+    let theta = n[0] * q[1] + n[1] * q[2] + n[2] * q[3];
+    [
+        theta * beta,
+        q[1] * theta + n[0] * q[0],
+        q[2] * theta + n[1] * q[0],
+        q[3] * theta + n[2] * q[0],
+    ]
+}
+
+/// `A(qm) · x`, one edge per lane (`theta` is Θ at the mean state).
+#[inline(always)]
+fn amul<S: Simd>(
+    n: &[S::V; 3],
+    qm: &[S::V; 4],
+    theta: S::V,
+    x: &[S::V; 4],
+    beta: S::V,
+) -> [S::V; 4] {
+    let th_x = n[0] * x[1] + n[1] * x[2] + n[2] * x[3];
+    [
+        th_x * beta,
+        x[0] * n[0] + x[1] * theta + qm[1] * th_x,
+        x[0] * n[1] + x[2] * theta + qm[2] * th_x,
+        x[0] * n[2] + x[3] * theta + qm[3] * th_x,
+    ]
+}
+
+/// Vectorized per-edge physics: one edge per SIMD lane. Output `[c]` is
+/// flux component `c` of the four edges.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn edge_flux_simd<S: Simd>(
+    s: S,
+    qa: &[S::V; 4],
+    qb: &[S::V; 4],
+    ga: &[S::V; 12],
+    gb: &[S::V; 12],
+    n: &[S::V; 3],
+    r: &[S::V; 3],
     beta: f64,
-) -> [F64x4; 4] {
+) -> [S::V; 4] {
+    let (half, beta) = (s.splat(0.5), s.splat(beta));
     // reconstruction
-    let mut ql = [F64x4::zero(); 4];
-    let mut qr = [F64x4::zero(); 4];
+    let mut ql = *qa;
+    let mut qr = *qb;
     for c in 0..4 {
         let da = ga[c * 3] * r[0] + ga[c * 3 + 1] * r[1] + ga[c * 3 + 2] * r[2];
         let db = gb[c * 3] * r[0] + gb[c * 3 + 1] * r[1] + gb[c * 3 + 2] * r[2];
-        ql[c] = qa[c] + da * 0.5;
-        qr[c] = qb[c] - db * 0.5;
+        ql[c] = qa[c] + da * half;
+        qr[c] = qb[c] - db * half;
     }
     // fluxes at both sides
-    let flux_of = |q: &[F64x4; 4]| -> [F64x4; 4] {
-        let theta = n[0] * q[1] + n[1] * q[2] + n[2] * q[3];
-        [
-            theta * beta,
-            q[1] * theta + n[0] * q[0],
-            q[2] * theta + n[1] * q[0],
-            q[3] * theta + n[2] * q[0],
-        ]
-    };
-    let fl = flux_of(&ql);
-    let fr = flux_of(&qr);
+    let fl = flux_of::<S>(n, &ql, beta);
+    let fr = flux_of::<S>(n, &qr, beta);
     // mean state and wave structure
     let qm = [
-        (ql[0] + qr[0]) * 0.5,
-        (ql[1] + qr[1]) * 0.5,
-        (ql[2] + qr[2]) * 0.5,
-        (ql[3] + qr[3]) * 0.5,
+        (ql[0] + qr[0]) * half,
+        (ql[1] + qr[1]) * half,
+        (ql[2] + qr[2]) * half,
+        (ql[3] + qr[3]) * half,
     ];
     let theta = n[0] * qm[1] + n[1] * qm[2] + n[2] * qm[3];
     let s2 = n[0] * n[0] + n[1] * n[1] + n[2] * n[2];
-    let c = (theta * theta + s2 * beta).sqrt();
+    let c = s.sqrt(theta * theta + s2 * beta);
     // |A| polynomial coefficients per lane
     let m2 = theta + c;
     let m3 = theta - c;
-    let c2inv = F64x4::splat(1.0) / (c * c);
-    let l1 = theta.abs() * c2inv * -1.0;
-    let l2 = m2.abs() * c2inv * 0.5;
-    let l3 = m3.abs() * c2inv * 0.5;
+    let c2inv = s.splat(1.0) / (c * c);
+    let l1 = s.abs(theta) * c2inv * s.splat(-1.0);
+    let l2 = s.abs(m2) * c2inv * half;
+    let l3 = s.abs(m3) * c2inv * half;
     let pa = l1 + l2 + l3;
     let pb = -(l1 * (m2 + m3) + l2 * (theta + m3) + l3 * (theta + m2));
     let pd = l1 * m2 * m3 + l2 * theta * m3 + l3 * theta * m2;
     // A(qm) * x applied twice, lane-wise
     let dq = [qr[0] - ql[0], qr[1] - ql[1], qr[2] - ql[2], qr[3] - ql[3]];
-    let amul = |x: &[F64x4; 4]| -> [F64x4; 4] {
-        let th_x = n[0] * x[1] + n[1] * x[2] + n[2] * x[3];
-        let theta_full = theta; // Θ at mean state
-        [
-            th_x * beta,
-            x[0] * n[0] + x[1] * theta_full + qm[1] * th_x,
-            x[0] * n[1] + x[2] * theta_full + qm[2] * th_x,
-            x[0] * n[2] + x[3] * theta_full + qm[3] * th_x,
-        ]
-    };
-    let adq = amul(&dq);
-    let aadq = amul(&adq);
-    let mut out = [F64x4::zero(); 4];
+    let adq = amul::<S>(n, &qm, theta, &dq, beta);
+    let aadq = amul::<S>(n, &qm, theta, &adq, beta);
+    let mut out = dq;
     for k in 0..4 {
         let diss = pa * aadq[k] + pb * adq[k] + pd * dq[k];
-        out[k] = (fl[k] + fr[k] - diss) * 0.5;
+        out[k] = (fl[k] + fr[k] - diss) * half;
     }
     out
 }
 
-/// Gathers the SIMD-transposed state and gradient of four vertices.
+/// The `a` endpoints and the `b` endpoints of a 4-edge batch.
 #[inline(always)]
-fn gather4(node: &NodeAos, idx: [usize; 4]) -> ([F64x4; 4], [F64x4; 12]) {
-    let q: [F64x4; 4] = aos_load_transpose::<4>(&node.q, 4, idx);
-    let g: [F64x4; 12] = aos_load_transpose::<12>(&node.grad, 12, idx);
-    (q, g)
+fn split4(e: [(usize, usize); 4]) -> ([usize; 4], [usize; 4]) {
+    (
+        [e[0].0, e[1].0, e[2].0, e[3].0],
+        [e[0].1, e[1].1, e[2].1, e[3].1],
+    )
 }
 
-/// Processes edges `[k0, k0+4)` as one SIMD batch into `fout`.
+/// Requests the state and gradient of both endpoints of edge `k` into L1.
 #[inline(always)]
-fn simd_batch(geom: &EdgeGeom, node: &NodeAos, beta: f64, k0: usize, fout: &mut [[f64; 4]; 4]) {
-    let ia = [
-        geom.edges[k0][0] as usize,
-        geom.edges[k0 + 1][0] as usize,
-        geom.edges[k0 + 2][0] as usize,
-        geom.edges[k0 + 3][0] as usize,
-    ];
-    let ib = [
-        geom.edges[k0][1] as usize,
-        geom.edges[k0 + 1][1] as usize,
-        geom.edges[k0 + 2][1] as usize,
-        geom.edges[k0 + 3][1] as usize,
-    ];
-    let (qa, ga) = gather4(node, ia);
-    let (qb, gb) = gather4(node, ib);
+fn prefetch_nodes(geom: &EdgeGeom, node: &NodeAos, k: usize) {
+    let (a, b) = geom.endpoints(k);
+    prefetch_l1(&node.q, a * 4);
+    prefetch_l1(&node.q, b * 4);
+    prefetch_l1(&node.grad, a * 12);
+    prefetch_l1(&node.grad, b * 12);
+}
+
+/// One edge-geometry stream at the edges `ks`, one edge per lane.
+#[inline(always)]
+fn edge_lanes<S: Simd>(s: S, f: &[f64], ks: [usize; 4]) -> S::V {
+    if ks[1] == ks[0] + 1 && ks[2] == ks[0] + 2 && ks[3] == ks[0] + 3 {
+        s.load(&f[ks[0]..ks[0] + 4])
+    } else {
+        s.load(&[f[ks[0]], f[ks[1]], f[ks[2]], f[ks[3]]])
+    }
+}
+
+/// One SIMD batch over the edges `ks` (geometry indices): gathers the
+/// endpoints `ia`/`ib` from `q`/`grad` with in-register transposes,
+/// computes one edge per lane, and returns the flux of edge `lane` as
+/// `rows[lane]`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn flux_batch<S: Simd>(
+    s: S,
+    geom: &EdgeGeom,
+    ks: [usize; 4],
+    q: &[f64],
+    grad: &[f64],
+    ia: [usize; 4],
+    ib: [usize; 4],
+    beta: f64,
+) -> [S::V; 4] {
+    let qa = aos_load_transpose::<S, 4>(s, q, ia);
+    let qb = aos_load_transpose::<S, 4>(s, q, ib);
+    let ga = aos_load_transpose::<S, 12>(s, grad, ia);
+    let gb = aos_load_transpose::<S, 12>(s, grad, ib);
     let n = [
-        F64x4::from_slice(&geom.nx[k0..k0 + 4]),
-        F64x4::from_slice(&geom.ny[k0..k0 + 4]),
-        F64x4::from_slice(&geom.nz[k0..k0 + 4]),
+        edge_lanes(s, &geom.nx, ks),
+        edge_lanes(s, &geom.ny, ks),
+        edge_lanes(s, &geom.nz, ks),
     ];
     let r = [
-        F64x4::from_slice(&geom.rx[k0..k0 + 4]),
-        F64x4::from_slice(&geom.ry[k0..k0 + 4]),
-        F64x4::from_slice(&geom.rz[k0..k0 + 4]),
+        edge_lanes(s, &geom.rx, ks),
+        edge_lanes(s, &geom.ry, ks),
+        edge_lanes(s, &geom.rz, ks),
     ];
-    let f = edge_flux_simd(&qa, &qb, &ga, &gb, &n, &r, beta);
+    s.transpose(edge_flux_simd(s, &qa, &qb, &ga, &gb, &n, &r, beta))
+}
+
+/// Commits a batch in edge order (later edges may share vertices with
+/// earlier ones): `res[a] += rows[lane]` and `res[b] -= rows[lane]` for
+/// the endpoints the edge's mask selects (bit 0 = `a`, bit 1 = `b`).
+///
+/// # Safety
+/// The caller has exclusive access to the `res` rows of every selected
+/// endpoint (see [`VertexRows::row`]).
+#[inline(always)]
+unsafe fn commit<S: Simd>(
+    s: S,
+    res: VertexRows,
+    wa: [usize; 4],
+    wb: [usize; 4],
+    masks: [u8; 4],
+    rows: [S::V; 4],
+) {
     for lane in 0..4 {
-        for c in 0..4 {
-            fout[lane][c] = f[c][lane];
+        if masks[lane] & 1 != 0 {
+            // SAFETY: exclusive per the caller's contract.
+            let ra = unsafe { res.row(wa[lane] * 4, 4) };
+            s.store(s.load(ra) + rows[lane], ra);
+        }
+        if masks[lane] & 2 != 0 {
+            // SAFETY: exclusive per the caller's contract.
+            let rb = unsafe { res.row(wb[lane] * 4, 4) };
+            s.store(s.load(rb) - rows[lane], rb);
         }
     }
 }
 
-/// Serial SIMD variant: 4-edge batches, compute into a temporary, scalar
-/// write-out; scalar tail loop.
-pub fn serial_aos_simd(geom: &EdgeGeom, node: &NodeAos, beta: f64, res: &mut [f64]) {
-    assert_eq!(res.len(), node.n * 4);
-    let ne = geom.nedges();
-    let nbatch = ne / 4 * 4;
-    let mut fout = [[0.0f64; 4]; 4];
-    let mut k = 0;
-    while k < nbatch {
-        simd_batch(geom, node, beta, k, &mut fout);
-        for lane in 0..4 {
-            let e = geom.edges[k + lane];
-            let (a, b) = (e[0] as usize, e[1] as usize);
-            for c in 0..4 {
-                res[a * 4 + c] += fout[lane][c];
-                res[b * 4 + c] -= fout[lane][c];
-            }
+/// One edge, scalar: the remainder of every SIMD driver's edge count
+/// modulo 4, and the scalar owner-writes loop body. Gathers `(ia, ib)`
+/// from `q`/`grad`, writes the `res` rows of `(wa, wb)` that `mask`
+/// selects.
+///
+/// # Safety
+/// Same exclusivity contract on `res` as [`commit`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn scalar_edge(
+    geom: &EdgeGeom,
+    k: usize,
+    q: &[f64],
+    grad: &[f64],
+    (ia, ib): (usize, usize),
+    beta: f64,
+    res: VertexRows,
+    (wa, wb): (usize, usize),
+    mask: u8,
+) {
+    let qa: [f64; 4] = q[ia * 4..ia * 4 + 4].try_into().unwrap();
+    let qb: [f64; 4] = q[ib * 4..ib * 4 + 4].try_into().unwrap();
+    let ga = &grad[ia * 12..ia * 12 + 12];
+    let gb = &grad[ib * 12..ib * 12 + 12];
+    let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
+    let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
+    let f = edge_flux(&qa, &qb, ga, gb, &n, &r, beta);
+    if mask & 1 != 0 {
+        // SAFETY: exclusive per the caller's contract.
+        let ra = unsafe { res.row(wa * 4, 4) };
+        for c in 0..4 {
+            ra[c] += f[c];
         }
-        k += 4;
     }
-    scalar_tail(geom, node, beta, res, nbatch, ne);
+    if mask & 2 != 0 {
+        // SAFETY: exclusive per the caller's contract.
+        let rb = unsafe { res.row(wb * 4, 4) };
+        for c in 0..4 {
+            rb[c] -= f[c];
+        }
+    }
+}
+
+/// Serial SIMD variant: 4-edge batches, in-register write-out; scalar
+/// tail loop.
+pub fn serial_aos_simd(geom: &EdgeGeom, node: &NodeAos, beta: f64, res: &mut [f64]) {
+    serial_aos_simd_on(Isa::detect(), geom, node, beta, res, None);
 }
 
 /// SIMD + software prefetch: node data of edges `PREFETCH_DIST` ahead is
@@ -264,59 +362,63 @@ pub fn serial_aos_simd_prefetch_dist(
     res: &mut [f64],
     dist: usize,
 ) {
-    assert_eq!(res.len(), node.n * 4);
-    let ne = geom.nedges();
-    let nbatch = ne / 4 * 4;
-    let mut fout = [[0.0f64; 4]; 4];
-    let mut k = 0;
-    while k < nbatch {
-        let pk = k + dist;
-        if pk + 4 <= ne {
-            for lane in 0..4 {
-                let e = geom.edges[pk + lane];
-                prefetch_l1(&node.q, e[0] as usize * 4);
-                prefetch_l1(&node.q, e[1] as usize * 4);
-                prefetch_l1(&node.grad, e[0] as usize * 12);
-                prefetch_l1(&node.grad, e[1] as usize * 12);
-            }
-            prefetch_l2(&geom.nx, pk);
-            prefetch_l2(&geom.edges, pk);
-        }
-        simd_batch(geom, node, beta, k, &mut fout);
-        for lane in 0..4 {
-            let e = geom.edges[k + lane];
-            let (a, b) = (e[0] as usize, e[1] as usize);
-            for c in 0..4 {
-                res[a * 4 + c] += fout[lane][c];
-                res[b * 4 + c] -= fout[lane][c];
-            }
-        }
-        k += 4;
-    }
-    scalar_tail(geom, node, beta, res, nbatch, ne);
+    serial_aos_simd_on(Isa::detect(), geom, node, beta, res, Some(dist));
 }
 
-#[inline]
-fn scalar_tail(
+/// The serial SIMD driver on the lanes `isa` names, prefetching
+/// `prefetch` edges ahead (`None`: no prefetch).
+pub fn serial_aos_simd_on(
+    isa: Isa,
     geom: &EdgeGeom,
     node: &NodeAos,
     beta: f64,
     res: &mut [f64],
-    from: usize,
-    to: usize,
+    prefetch: Option<usize>,
 ) {
-    for k in from..to {
-        let e = geom.edges[k];
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        let qa = node.state(a);
-        let qb = node.state(b);
-        let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-        let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
-        let f = edge_flux(&qa, &qb, node.gradient(a), node.gradient(b), &n, &r, beta);
-        for c in 0..4 {
-            res[a * 4 + c] += f[c];
-            res[b * 4 + c] -= f[c];
+    assert_eq!(res.len(), node.n * 4);
+    let res = VertexRows::new(res);
+    // SAFETY: `res` views an exclusively borrowed slice and this is the
+    // only thread.
+    with_lanes!(
+        isa,
+        unsafe serial_simd(geom: &EdgeGeom, node: &NodeAos, beta: f64, res: VertexRows, prefetch: Option<usize>)
+    );
+}
+
+/// # Safety
+/// The caller has exclusive access to all of `res`.
+#[inline(always)]
+unsafe fn serial_simd<S: Simd>(
+    s: S,
+    geom: &EdgeGeom,
+    node: &NodeAos,
+    beta: f64,
+    res: VertexRows,
+    prefetch: Option<usize>,
+) {
+    let ne = geom.nedges();
+    let nbatch = ne / 4 * 4;
+    for k in (0..nbatch).step_by(4) {
+        if let Some(dist) = prefetch {
+            let pk = k + dist;
+            if pk + 4 <= ne {
+                for lane in 0..4 {
+                    prefetch_nodes(geom, node, pk + lane);
+                }
+                prefetch_l2(&geom.nx, pk);
+                prefetch_l2(&geom.edges, pk);
+            }
         }
+        let ks = [k, k + 1, k + 2, k + 3];
+        let (ia, ib) = split4(ks.map(|k| geom.endpoints(k)));
+        let rows = flux_batch(s, geom, ks, &node.q, &node.grad, ia, ib, beta);
+        // SAFETY: all of `res` is ours per the caller's contract.
+        unsafe { commit(s, res, ia, ib, [3; 4], rows) };
+    }
+    for k in nbatch..ne {
+        let e = geom.endpoints(k);
+        // SAFETY: as above.
+        unsafe { scalar_edge(geom, k, &node.q, &node.grad, e, beta, res, e, 3) };
     }
 }
 
@@ -355,42 +457,34 @@ pub fn owner_writes(
 ) {
     assert_eq!(res.len(), node.n * 4);
     assert_eq!(pool.size(), plan.nthreads());
-    let rp = SendPtr(res.as_mut_ptr());
+    let res = VertexRows::new(res);
     pool.run(|tid| {
-        let rp = &rp;
-        let edges = &plan.edges_of[tid];
-        let masks = &plan.writes_of[tid];
-        for (idx, &eid) in edges.iter().enumerate() {
+        for (&eid, &mask) in plan.edges_of[tid].iter().zip(&plan.writes_of[tid]) {
             let k = eid as usize;
-            let e = geom.edges[k];
-            let (a, b) = (e[0] as usize, e[1] as usize);
-            let qa = node.state(a);
-            let qb = node.state(b);
-            let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-            let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
-            let f = edge_flux(&qa, &qb, node.gradient(a), node.gradient(b), &n, &r, beta);
-            let mask = masks[idx];
+            let e = geom.endpoints(k);
             // SAFETY: owner-only writes — vertex a (resp. b) is written
             // only by the thread owning it, per the plan's write masks.
-            unsafe {
-                if mask & 1 != 0 {
-                    for c in 0..4 {
-                        *rp.0.add(a * 4 + c) += f[c];
-                    }
-                }
-                if mask & 2 != 0 {
-                    for c in 0..4 {
-                        *rp.0.add(b * 4 + c) -= f[c];
-                    }
-                }
-            }
+            unsafe { scalar_edge(geom, k, &node.q, &node.grad, e, beta, res, e, mask) };
         }
     });
 }
 
 /// Owner-only-writes with the full single-thread optimization stack:
-/// 4-edge SIMD batches, temporary-buffer write-out, software prefetch.
+/// 4-edge SIMD batches, in-register write-out, software prefetch.
 pub fn owner_writes_opt(
+    pool: &ThreadPool,
+    plan: &OwnerWritesPlan,
+    geom: &EdgeGeom,
+    node: &NodeAos,
+    beta: f64,
+    res: &mut [f64],
+) {
+    owner_writes_opt_on(Isa::detect(), pool, plan, geom, node, beta, res);
+}
+
+/// [`owner_writes_opt`] on the lanes `isa` names.
+pub fn owner_writes_opt_on(
+    isa: Isa,
     pool: &ThreadPool,
     plan: &OwnerWritesPlan,
     geom: &EdgeGeom,
@@ -400,115 +494,64 @@ pub fn owner_writes_opt(
 ) {
     assert_eq!(res.len(), node.n * 4);
     assert_eq!(pool.size(), plan.nthreads());
-    let rp = SendPtr(res.as_mut_ptr());
+    let res = VertexRows::new(res);
     pool.run(|tid| {
-        let rp = &rp;
-        let edges = &plan.edges_of[tid];
-        let masks = &plan.writes_of[tid];
-        let ne = edges.len();
-        let nbatch = ne / 4 * 4;
-        let mut fout = [[0.0f64; 4]; 4];
-        let mut i = 0;
-        while i < nbatch {
-            // prefetch ahead within this thread's edge list
-            let pi = i + PREFETCH_DIST;
-            if pi + 4 <= ne {
-                for lane in 0..4 {
-                    let e = geom.edges[edges[pi + lane] as usize];
-                    prefetch_l1(&node.q, e[0] as usize * 4);
-                    prefetch_l1(&node.q, e[1] as usize * 4);
-                    prefetch_l1(&node.grad, e[0] as usize * 12);
-                    prefetch_l1(&node.grad, e[1] as usize * 12);
-                }
-            }
-            // gather the 4 (possibly non-consecutive) edges of the batch
-            let ks = [
-                edges[i] as usize,
-                edges[i + 1] as usize,
-                edges[i + 2] as usize,
-                edges[i + 3] as usize,
-            ];
-            let ia = [
-                geom.edges[ks[0]][0] as usize,
-                geom.edges[ks[1]][0] as usize,
-                geom.edges[ks[2]][0] as usize,
-                geom.edges[ks[3]][0] as usize,
-            ];
-            let ib = [
-                geom.edges[ks[0]][1] as usize,
-                geom.edges[ks[1]][1] as usize,
-                geom.edges[ks[2]][1] as usize,
-                geom.edges[ks[3]][1] as usize,
-            ];
-            let (qa, ga) = gather4(node, ia);
-            let (qb, gb) = gather4(node, ib);
-            let n = [
-                F64x4([geom.nx[ks[0]], geom.nx[ks[1]], geom.nx[ks[2]], geom.nx[ks[3]]]),
-                F64x4([geom.ny[ks[0]], geom.ny[ks[1]], geom.ny[ks[2]], geom.ny[ks[3]]]),
-                F64x4([geom.nz[ks[0]], geom.nz[ks[1]], geom.nz[ks[2]], geom.nz[ks[3]]]),
-            ];
-            let r = [
-                F64x4([geom.rx[ks[0]], geom.rx[ks[1]], geom.rx[ks[2]], geom.rx[ks[3]]]),
-                F64x4([geom.ry[ks[0]], geom.ry[ks[1]], geom.ry[ks[2]], geom.ry[ks[3]]]),
-                F64x4([geom.rz[ks[0]], geom.rz[ks[1]], geom.rz[ks[2]], geom.rz[ks[3]]]),
-            ];
-            let f = edge_flux_simd(&qa, &qb, &ga, &gb, &n, &r, beta);
-            for lane in 0..4 {
-                for c in 0..4 {
-                    fout[lane][c] = f[c][lane];
-                }
-            }
-            // scalar write-out, owner-only
-            for lane in 0..4 {
-                let mask = masks[i + lane];
-                // SAFETY: owner-only writes per the plan.
-                unsafe {
-                    if mask & 1 != 0 {
-                        for c in 0..4 {
-                            *rp.0.add(ia[lane] * 4 + c) += fout[lane][c];
-                        }
-                    }
-                    if mask & 2 != 0 {
-                        for c in 0..4 {
-                            *rp.0.add(ib[lane] * 4 + c) -= fout[lane][c];
-                        }
-                    }
-                }
-            }
-            i += 4;
-        }
-        // scalar tail
-        for idx in nbatch..ne {
-            let k = edges[idx] as usize;
-            let e = geom.edges[k];
-            let (a, b) = (e[0] as usize, e[1] as usize);
-            let qa = node.state(a);
-            let qb = node.state(b);
-            let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-            let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
-            let f = edge_flux(&qa, &qb, node.gradient(a), node.gradient(b), &n, &r, beta);
-            let mask = masks[idx];
-            // SAFETY: owner-only writes per the plan.
-            unsafe {
-                if mask & 1 != 0 {
-                    for c in 0..4 {
-                        *rp.0.add(a * 4 + c) += f[c];
-                    }
-                }
-                if mask & 2 != 0 {
-                    for c in 0..4 {
-                        *rp.0.add(b * 4 + c) -= f[c];
-                    }
-                }
-            }
-        }
+        let (edges, masks) = (&plan.edges_of[tid][..], &plan.writes_of[tid][..]);
+        // SAFETY: owner-only writes — the plan's masks select, for each
+        // vertex, the one thread that owns it.
+        with_lanes!(
+            isa,
+            unsafe owner_simd(edges: &[u32], masks: &[u8], geom: &EdgeGeom, node: &NodeAos, beta: f64, res: VertexRows)
+        );
     });
 }
 
-struct SendPtr(*mut f64);
-// SAFETY: threads write disjoint vertex slots per the owner-writes plan.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+/// One thread's share of [`owner_writes_opt`]: its plan `edges` with the
+/// aligned write `masks`.
+///
+/// # Safety
+/// The caller has exclusive access to the `res` rows of every endpoint
+/// the masks select.
+#[inline(always)]
+unsafe fn owner_simd<S: Simd>(
+    s: S,
+    edges: &[u32],
+    masks: &[u8],
+    geom: &EdgeGeom,
+    node: &NodeAos,
+    beta: f64,
+    res: VertexRows,
+) {
+    let ne = edges.len();
+    let nbatch = ne / 4 * 4;
+    for i in (0..nbatch).step_by(4) {
+        // prefetch ahead within this thread's edge list
+        let pi = i + PREFETCH_DIST;
+        if pi + 4 <= ne {
+            for lane in 0..4 {
+                prefetch_nodes(geom, node, edges[pi + lane] as usize);
+            }
+        }
+        // the 4 (possibly non-consecutive) edges of the batch
+        let ks = [
+            edges[i] as usize,
+            edges[i + 1] as usize,
+            edges[i + 2] as usize,
+            edges[i + 3] as usize,
+        ];
+        let (ia, ib) = split4(ks.map(|k| geom.endpoints(k)));
+        let rows = flux_batch(s, geom, ks, &node.q, &node.grad, ia, ib, beta);
+        let m = [masks[i], masks[i + 1], masks[i + 2], masks[i + 3]];
+        // SAFETY: the masked rows are ours per the caller's contract.
+        unsafe { commit(s, res, ia, ib, m, rows) };
+    }
+    for i in nbatch..ne {
+        let k = edges[i] as usize;
+        let e = geom.endpoints(k);
+        // SAFETY: as above.
+        unsafe { scalar_edge(geom, k, &node.q, &node.grad, e, beta, res, e, masks[i]) };
+    }
+}
 
 /// How a tile's vertex data reaches the compute loop.
 ///
@@ -566,215 +609,136 @@ impl TileScratch {
     }
 }
 
-/// One tile of the flux kernel: stage → compute (4-edge SIMD batches on
-/// the scratch pad, local indices), accumulating into the global
-/// residual (exclusive per the coloring, cache-resident for the tile).
+/// One tile of the flux kernel: 4-edge SIMD batches over the tile's
+/// contiguous edge range, accumulating into the global residual
+/// (exclusive per the coloring, cache-resident for the tile).
 ///
 /// `geom` is the tile-ordered geometry ([`TiledGeom`]) and `start` the
 /// tile's offset in it: the loop walks `start..start+len` sequentially,
-/// so every geometry array is a pure stream — the scratch-pad gathers
-/// are the only indexed accesses left, and they hit L1.
+/// so every geometry array is a pure stream.
+///
+/// With a `scratch` pad ([`TileExec::Staged`]) the tile's unique vertices
+/// are first copied into it and the gathers go through the tile's local
+/// remap, so they hit L1. Without one ([`TileExec::Direct`]) the gathers
+/// go straight to the global arrays — the tile's L2-sized working set is
+/// staged by the hardware on first touch — with node data
+/// [`PREFETCH_DIST`] ahead prefetched to L1 (the streaming kernels'
+/// idiom) to cover the first-touch latency. Identical arithmetic in
+/// identical edge order — staging copies values exactly — so the two
+/// modes are bitwise identical.
 ///
 /// # Safety
-/// The caller must guarantee exclusive access to the `res` slots of this
+/// The caller must guarantee exclusive access to the `res` rows of this
 /// tile's vertices for the duration of the call. The tiled drivers get
 /// this from the inter-tile coloring: tiles of one color are
 /// vertex-disjoint, and colors are separated by barriers.
-unsafe fn tile_flux(
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_flux<S: Simd>(
+    s: S,
     tile: &Tile,
     start: usize,
     geom: &EdgeGeom,
     node: &NodeAos,
     beta: f64,
-    scratch: &mut TileScratch,
-    res: *mut f64,
+    scratch: Option<&mut TileScratch>,
+    res: VertexRows,
 ) {
-    // Stage: one contiguous copy per unique vertex (slots are sorted by
-    // global id, so the global side of the copy is quasi-sequential).
-    for (l, &v) in tile.verts.iter().enumerate() {
-        let v = v as usize;
-        scratch.q[l * 4..l * 4 + 4].copy_from_slice(&node.q[v * 4..v * 4 + 4]);
-        scratch.grad[l * 12..l * 12 + 12].copy_from_slice(&node.grad[v * 12..v * 12 + 12]);
-    }
-    // Compute: the serial_aos_simd batch structure, gathers redirected
-    // through the local remap — everything the inner loop touches except
-    // the (sequential) edge geometry stream and the residual lines is
-    // scratch-pad resident.
+    let (q, grad, local) = match scratch {
+        Some(pad) => {
+            // Stage: one contiguous copy per unique vertex (slots are
+            // sorted by global id, so the global side of the copy is
+            // quasi-sequential).
+            for (l, &v) in tile.verts.iter().enumerate() {
+                let v = v as usize;
+                pad.q[l * 4..l * 4 + 4].copy_from_slice(&node.q[v * 4..v * 4 + 4]);
+                pad.grad[l * 12..l * 12 + 12].copy_from_slice(&node.grad[v * 12..v * 12 + 12]);
+            }
+            (&pad.q[..], &pad.grad[..], Some(&tile.local[..]))
+        }
+        None => (&node.q[..], &node.grad[..], None),
+    };
+    // Where edge `i` of the tile gathers from: scratch slots or, with no
+    // pad, the global vertices it also writes to.
+    let gather = |i: usize, global: (usize, usize)| match local {
+        Some(l) => (l[i][0] as usize, l[i][1] as usize),
+        None => global,
+    };
     let ne = tile.edges.len();
     let nbatch = ne / 4 * 4;
-    let mut fout = [[0.0f64; 4]; 4];
-    let mut i = 0;
-    while i < nbatch {
+    for i in (0..nbatch).step_by(4) {
         let k = start + i;
-        let ia = [
-            tile.local[i][0] as usize,
-            tile.local[i + 1][0] as usize,
-            tile.local[i + 2][0] as usize,
-            tile.local[i + 3][0] as usize,
-        ];
-        let ib = [
-            tile.local[i][1] as usize,
-            tile.local[i + 1][1] as usize,
-            tile.local[i + 2][1] as usize,
-            tile.local[i + 3][1] as usize,
-        ];
-        let qa: [F64x4; 4] = aos_load_transpose::<4>(&scratch.q, 4, ia);
-        let ga: [F64x4; 12] = aos_load_transpose::<12>(&scratch.grad, 12, ia);
-        let qb: [F64x4; 4] = aos_load_transpose::<4>(&scratch.q, 4, ib);
-        let gb: [F64x4; 12] = aos_load_transpose::<12>(&scratch.grad, 12, ib);
-        let n = [
-            F64x4(geom.nx[k..k + 4].try_into().unwrap()),
-            F64x4(geom.ny[k..k + 4].try_into().unwrap()),
-            F64x4(geom.nz[k..k + 4].try_into().unwrap()),
-        ];
-        let r = [
-            F64x4(geom.rx[k..k + 4].try_into().unwrap()),
-            F64x4(geom.ry[k..k + 4].try_into().unwrap()),
-            F64x4(geom.rz[k..k + 4].try_into().unwrap()),
-        ];
-        let f = edge_flux_simd(&qa, &qb, &ga, &gb, &n, &r, beta);
-        for lane in 0..4 {
-            for c in 0..4 {
-                fout[lane][c] = f[c][lane];
+        if local.is_none() && k + PREFETCH_DIST + 4 <= start + ne {
+            for lane in 0..4 {
+                prefetch_nodes(geom, node, k + PREFETCH_DIST + lane);
             }
         }
-        for lane in 0..4 {
-            // Exclusive res access for this tile's vertices per the
-            // caller's coloring contract.
-            let e = geom.edges[k + lane];
-            let (a, b) = (e[0] as usize, e[1] as usize);
-            for c in 0..4 {
-                *res.add(a * 4 + c) += fout[lane][c];
-                *res.add(b * 4 + c) -= fout[lane][c];
-            }
-        }
-        i += 4;
+        let ks = [k, k + 1, k + 2, k + 3];
+        let w = ks.map(|k| geom.endpoints(k));
+        let (ia, ib) = split4([
+            gather(i, w[0]),
+            gather(i + 1, w[1]),
+            gather(i + 2, w[2]),
+            gather(i + 3, w[3]),
+        ]);
+        let (wa, wb) = split4(w);
+        let rows = flux_batch(s, geom, ks, q, grad, ia, ib, beta);
+        // SAFETY: exclusive res access for this tile's vertices per the
+        // caller's coloring contract.
+        unsafe { commit(s, res, wa, wb, [3; 4], rows) };
     }
-    // scalar tail on the scratch pad
-    for idx in nbatch..ne {
-        let k = start + idx;
-        let (la, lb) = (tile.local[idx][0] as usize, tile.local[idx][1] as usize);
-        let qa: [f64; 4] = scratch.q[la * 4..la * 4 + 4].try_into().unwrap();
-        let qb: [f64; 4] = scratch.q[lb * 4..lb * 4 + 4].try_into().unwrap();
-        let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-        let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
-        let f = edge_flux(
-            &qa,
-            &qb,
-            &scratch.grad[la * 12..la * 12 + 12],
-            &scratch.grad[lb * 12..lb * 12 + 12],
-            &n,
-            &r,
-            beta,
-        );
-        let e = geom.edges[k];
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        for c in 0..4 {
-            *res.add(a * 4 + c) += f[c];
-            *res.add(b * 4 + c) -= f[c];
-        }
+    for i in nbatch..ne {
+        let k = start + i;
+        let w = geom.endpoints(k);
+        // SAFETY: as above.
+        unsafe { scalar_edge(geom, k, q, grad, gather(i, w), beta, res, w, 3) };
     }
 }
 
-/// One tile of the flux kernel, [`TileExec::Direct`] mode: the same
-/// 4-edge SIMD batches over the same tile-ordered edge range, but the
-/// vertex gathers go straight to the global arrays — the tile's
-/// L2-sized working set is staged by the hardware on first touch. Node
-/// data [`PREFETCH_DIST`] ahead is prefetched to L1 (the streaming
-/// kernels' idiom) to cover the first-touch latency.
-///
-/// Bitwise identical to [`tile_flux`]: identical arithmetic, identical
-/// edge order — staging copies values exactly.
+/// One worker's share of the tiled kernel: for each color, its chunk of
+/// the color's tiles, then the barrier that orders colors. The serial
+/// driver is the `nt = 1` case with no barrier.
 ///
 /// # Safety
-/// Same exclusivity contract on `res` as [`tile_flux`].
-unsafe fn tile_flux_direct(
-    ntile_edges: usize,
-    start: usize,
+/// Every thread of the region calls this with the same arguments but its
+/// own `tid`, and nothing else touches `res` meanwhile: same-color tiles
+/// are vertex-disjoint and the barrier orders colors, so each `res` row
+/// has one writer at a time.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tiled_worker<S: Simd>(
+    s: S,
+    (tid, nt): (usize, usize),
+    barrier: Option<&SpinBarrier>,
+    tiling: &EdgeTiling,
     geom: &EdgeGeom,
     node: &NodeAos,
     beta: f64,
-    res: *mut f64,
+    exec: TileExec,
+    res: VertexRows,
 ) {
-    let ne = ntile_edges;
-    let nbatch = ne / 4 * 4;
-    let mut fout = [[0.0f64; 4]; 4];
-    let mut i = 0;
-    while i < nbatch {
-        let k = start + i;
-        let pi = k + PREFETCH_DIST;
-        if pi + 4 <= start + ne {
-            for lane in 0..4 {
-                let e = geom.edges[pi + lane];
-                prefetch_l1(&node.q, e[0] as usize * 4);
-                prefetch_l1(&node.q, e[1] as usize * 4);
-                prefetch_l1(&node.grad, e[0] as usize * 12);
-                prefetch_l1(&node.grad, e[1] as usize * 12);
-            }
+    let mut scratch = (exec == TileExec::Staged).then(|| TileScratch::new(tiling.max_tile_verts()));
+    for class in &tiling.color_tiles {
+        for &t in &class[chunk_range(class.len(), nt, tid)] {
+            let t = t as usize;
+            let start = tiling.tile_start[t] as usize;
+            // SAFETY: this tile's vertices are ours until the barrier
+            // (see the function's contract).
+            unsafe {
+                tile_flux(
+                    s,
+                    &tiling.tiles[t],
+                    start,
+                    geom,
+                    node,
+                    beta,
+                    scratch.as_mut(),
+                    res,
+                )
+            };
         }
-        let ia = [
-            geom.edges[k][0] as usize,
-            geom.edges[k + 1][0] as usize,
-            geom.edges[k + 2][0] as usize,
-            geom.edges[k + 3][0] as usize,
-        ];
-        let ib = [
-            geom.edges[k][1] as usize,
-            geom.edges[k + 1][1] as usize,
-            geom.edges[k + 2][1] as usize,
-            geom.edges[k + 3][1] as usize,
-        ];
-        let qa: [F64x4; 4] = aos_load_transpose::<4>(&node.q, 4, ia);
-        let ga: [F64x4; 12] = aos_load_transpose::<12>(&node.grad, 12, ia);
-        let qb: [F64x4; 4] = aos_load_transpose::<4>(&node.q, 4, ib);
-        let gb: [F64x4; 12] = aos_load_transpose::<12>(&node.grad, 12, ib);
-        let n = [
-            F64x4(geom.nx[k..k + 4].try_into().unwrap()),
-            F64x4(geom.ny[k..k + 4].try_into().unwrap()),
-            F64x4(geom.nz[k..k + 4].try_into().unwrap()),
-        ];
-        let r = [
-            F64x4(geom.rx[k..k + 4].try_into().unwrap()),
-            F64x4(geom.ry[k..k + 4].try_into().unwrap()),
-            F64x4(geom.rz[k..k + 4].try_into().unwrap()),
-        ];
-        let f = edge_flux_simd(&qa, &qb, &ga, &gb, &n, &r, beta);
-        for lane in 0..4 {
-            for c in 0..4 {
-                fout[lane][c] = f[c][lane];
-            }
-        }
-        for lane in 0..4 {
-            // Exclusive res access per the caller's coloring contract.
-            let (a, b) = (ia[lane], ib[lane]);
-            for c in 0..4 {
-                *res.add(a * 4 + c) += fout[lane][c];
-                *res.add(b * 4 + c) -= fout[lane][c];
-            }
-        }
-        i += 4;
-    }
-    // scalar tail
-    for idx in nbatch..ne {
-        let k = start + idx;
-        let e = geom.edges[k];
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        let qa: [f64; 4] = node.q[a * 4..a * 4 + 4].try_into().unwrap();
-        let qb: [f64; 4] = node.q[b * 4..b * 4 + 4].try_into().unwrap();
-        let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-        let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
-        let f = edge_flux(
-            &qa,
-            &qb,
-            &node.grad[a * 12..a * 12 + 12],
-            &node.grad[b * 12..b * 12 + 12],
-            &n,
-            &r,
-            beta,
-        );
-        for c in 0..4 {
-            *res.add(a * 4 + c) += f[c];
-            *res.add(b * 4 + c) -= f[c];
+        if let Some(barrier) = barrier {
+            barrier.wait();
         }
     }
 }
@@ -792,32 +756,39 @@ pub fn tiled(
     exec: TileExec,
     res: &mut [f64],
 ) {
+    tiled_on(Isa::detect(), tiling, geom, node, beta, exec, res);
+}
+
+/// [`tiled`] on the lanes `isa` names.
+pub fn tiled_on(
+    isa: Isa,
+    tiling: &EdgeTiling,
+    geom: &TiledGeom,
+    node: &NodeAos,
+    beta: f64,
+    exec: TileExec,
+    res: &mut [f64],
+) {
     assert_eq!(res.len(), node.n * 4);
     let geom = geom.geom();
     assert_eq!(tiling.nedges, geom.nedges());
-    let mut scratch =
-        (exec == TileExec::Staged).then(|| TileScratch::new(tiling.max_tile_verts()));
-    let rp = res.as_mut_ptr();
-    for class in &tiling.color_tiles {
-        for &t in class {
-            let t = t as usize;
-            let start = tiling.tile_start[t] as usize;
-            // SAFETY: single-threaded — trivially exclusive.
-            unsafe {
-                match &mut scratch {
-                    Some(s) => tile_flux(&tiling.tiles[t], start, geom, node, beta, s, rp),
-                    None => tile_flux_direct(
-                        tiling.tiles[t].edges.len(),
-                        start,
-                        geom,
-                        node,
-                        beta,
-                        rp,
-                    ),
-                }
-            };
-        }
-    }
+    let res = VertexRows::new(res);
+    let (worker, barrier) = ((0, 1), None);
+    // SAFETY: `res` views an exclusively borrowed slice and this is the
+    // only thread.
+    with_lanes!(
+        isa,
+        unsafe tiled_worker(
+            worker: (usize, usize),
+            barrier: Option<&SpinBarrier>,
+            tiling: &EdgeTiling,
+            geom: &EdgeGeom,
+            node: &NodeAos,
+            beta: f64,
+            exec: TileExec,
+            res: VertexRows
+        )
+    );
 }
 
 /// Tiled flux on the persistent pool: one region for the whole kernel;
@@ -833,49 +804,52 @@ pub fn tiled_pooled(
     exec: TileExec,
     res: &mut [f64],
 ) {
-    assert_eq!(res.len(), node.n * 4);
-    assert_eq!(tiling.nedges, geom.geom().nedges());
+    tiled_pooled_on(Isa::detect(), pool, tiling, geom, node, beta, exec, res);
+}
+
+/// [`tiled_pooled`] on the lanes `isa` names.
+#[allow(clippy::too_many_arguments)]
+pub fn tiled_pooled_on(
+    isa: Isa,
+    pool: &ThreadPool,
+    tiling: &EdgeTiling,
+    geom: &TiledGeom,
+    node: &NodeAos,
+    beta: f64,
+    exec: TileExec,
+    res: &mut [f64],
+) {
     let nt = pool.size();
     // Oversubscribed pool (more workers than schedulable cores): the
     // per-color barriers would each cost scheduler round-trips instead
     // of spins, dwarfing the kernel. The serial driver produces the
     // bitwise-identical result (same color-major order), so use it.
     if nt > available_cores() {
-        return tiled(tiling, geom, node, beta, exec, res);
+        return tiled_on(isa, tiling, geom, node, beta, exec, res);
     }
-    let barrier = SpinBarrier::new(nt);
-    let max_verts = tiling.max_tile_verts();
-    let rp = SendPtr(res.as_mut_ptr());
-    let pg = geom.geom();
+    assert_eq!(res.len(), node.n * 4);
+    let geom = geom.geom();
+    assert_eq!(tiling.nedges, geom.nedges());
+    let spin = SpinBarrier::new(nt);
+    let barrier = Some(&spin);
+    let res = VertexRows::new(res);
     pool.run(|tid| {
-        let rp = &rp;
-        let mut scratch =
-            (exec == TileExec::Staged).then(|| TileScratch::new(max_verts));
-        for class in &tiling.color_tiles {
-            for &t in &class[chunk_range(class.len(), nt, tid)] {
-                let t = t as usize;
-                let start = tiling.tile_start[t] as usize;
-                // SAFETY: same-color tiles are vertex-disjoint and the
-                // barrier below orders colors, so each res slot has one
-                // writer at a time.
-                unsafe {
-                    match &mut scratch {
-                        Some(s) => {
-                            tile_flux(&tiling.tiles[t], start, pg, node, beta, s, rp.0)
-                        }
-                        None => tile_flux_direct(
-                            tiling.tiles[t].edges.len(),
-                            start,
-                            pg,
-                            node,
-                            beta,
-                            rp.0,
-                        ),
-                    }
-                };
-            }
-            barrier.wait();
-        }
+        let worker = (tid, nt);
+        // SAFETY: every pool thread runs this with its own `tid` and the
+        // shared barrier, and `res` is exclusively borrowed for the region.
+        with_lanes!(
+            isa,
+            unsafe tiled_worker(
+                worker: (usize, usize),
+                barrier: Option<&SpinBarrier>,
+                tiling: &EdgeTiling,
+                geom: &EdgeGeom,
+                node: &NodeAos,
+                beta: f64,
+                exec: TileExec,
+                res: VertexRows
+            )
+        );
     });
 }
 

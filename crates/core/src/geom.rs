@@ -62,6 +62,12 @@ impl EdgeGeom {
         self.edges.len()
     }
 
+    /// Endpoints `(a, b)` of edge `k`.
+    #[inline(always)]
+    pub(crate) fn endpoints(&self, k: usize) -> (usize, usize) {
+        (self.edges[k][0] as usize, self.edges[k][1] as usize)
+    }
+
     /// Flops per edge of the optimized Roe flux kernel (counted once,
     /// used by the machine model's roofline).
     pub const FLUX_FLOPS_PER_EDGE: f64 = 345.0;
@@ -104,6 +110,48 @@ impl TiledGeom {
     #[inline]
     pub fn geom(&self) -> &EdgeGeom {
         &self.0
+    }
+}
+
+/// Raw view of a per-vertex output array (the residual, the gradient)
+/// for the drivers whose write exclusivity the borrow checker cannot see:
+/// owner-only writes across threads and vertex-disjoint colored tiles.
+#[derive(Clone, Copy)]
+pub(crate) struct VertexRows<'a> {
+    ptr: *mut f64,
+    len: usize,
+    _data: std::marker::PhantomData<&'a mut [f64]>,
+}
+
+// SAFETY: the view is a pointer and a length into a buffer borrowed for
+// `'a`; all access goes through `row`, whose caller vouches that no two
+// threads touch the same range.
+unsafe impl Send for VertexRows<'_> {}
+// SAFETY: as above.
+unsafe impl Sync for VertexRows<'_> {}
+
+impl<'a> VertexRows<'a> {
+    pub(crate) fn new(data: &'a mut [f64]) -> Self {
+        VertexRows {
+            ptr: data.as_mut_ptr(),
+            len: data.len(),
+            _data: std::marker::PhantomData,
+        }
+    }
+
+    /// The `w` doubles starting at `at` (bounds-checked).
+    ///
+    /// # Safety
+    /// While the returned slice lives, nothing else reads or writes that
+    /// range: the caller owns those vertices (owner-writes plan, tile
+    /// coloring) or is the only thread.
+    #[inline(always)]
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn row(&self, at: usize, w: usize) -> &mut [f64] {
+        assert!(at + w <= self.len);
+        // SAFETY: in bounds by the assert; exclusive by the caller's
+        // contract.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(at), w) }
     }
 }
 

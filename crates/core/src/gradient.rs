@@ -8,44 +8,84 @@
 
 use crate::bc::BcData;
 use crate::flux::TileExec;
-use crate::geom::{EdgeGeom, NodeAos, TiledGeom};
+use crate::geom::{EdgeGeom, NodeAos, TiledGeom, VertexRows};
 use fun3d_partition::{EdgeTiling, OwnerWritesPlan, Tile};
+use fun3d_simd::{with_lanes, Isa, Simd};
 use fun3d_threads::{chunk_range, SpinBarrier, ThreadPool};
+
+/// One edge of the Green-Gauss loop: `grad[a][c][d] += qf[c]·s[d]` and
+/// `grad[b][c][d] -= qf[c]·s[d]` with `qf = ½(q_a + q_b)`, as three
+/// 4-lane updates of each endpoint's 12 contiguous gradient entries
+/// (entry `3c + d` pairs `qf[c]` with `s[d]`). The same products and sums
+/// as the scalar double loop, so bitwise what it computes.
+///
+/// Gathers the state of `(ia, ib)` from `q`, writes the `grad` rows of
+/// `(wa, wb)` that `mask` selects (bit 0 = `a`, bit 1 = `b`).
+///
+/// # Safety
+/// The caller has exclusive access to the selected `grad` rows (see
+/// [`VertexRows::row`]).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn grad_edge<S: Simd>(
+    s: S,
+    geom: &EdgeGeom,
+    k: usize,
+    q: &[f64],
+    (ia, ib): (usize, usize),
+    grad: VertexRows,
+    (wa, wb): (usize, usize),
+    mask: u8,
+) {
+    let qf = (s.load(&q[ia * 4..ia * 4 + 4]) + s.load(&q[ib * 4..ib * 4 + 4])) * s.splat(0.5);
+    let qf = s.to_array(qf);
+    let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
+    let w = [
+        s.load(&[qf[0], qf[0], qf[0], qf[1]]) * s.load(&[n[0], n[1], n[2], n[0]]),
+        s.load(&[qf[1], qf[1], qf[2], qf[2]]) * s.load(&[n[1], n[2], n[0], n[1]]),
+        s.load(&[qf[2], qf[3], qf[3], qf[3]]) * s.load(&[n[2], n[0], n[1], n[2]]),
+    ];
+    if mask & 1 != 0 {
+        // SAFETY: exclusive per the caller's contract.
+        let ga = unsafe { grad.row(wa * 12, 12) };
+        for j in 0..3 {
+            s.store(s.load(&ga[4 * j..]) + w[j], &mut ga[4 * j..]);
+        }
+    }
+    if mask & 2 != 0 {
+        // SAFETY: exclusive per the caller's contract.
+        let gb = unsafe { grad.row(wb * 12, 12) };
+        for j in 0..3 {
+            s.store(s.load(&gb[4 * j..]) - w[j], &mut gb[4 * j..]);
+        }
+    }
+}
 
 /// Serial Green-Gauss gradients: reads `node.q`, writes `node.grad`
 /// (comp-major 12 per vertex), using dual volumes `vol`.
 pub fn green_gauss(geom: &EdgeGeom, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
-    let n = node.n;
-    assert_eq!(vol.len(), n);
+    green_gauss_on(Isa::detect(), geom, bc, vol, node);
+}
+
+/// [`green_gauss`] on the lanes `isa` names.
+pub fn green_gauss_on(isa: Isa, geom: &EdgeGeom, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
+    assert_eq!(vol.len(), node.n);
     node.grad.iter_mut().for_each(|x| *x = 0.0);
-    for (k, e) in geom.edges.iter().enumerate() {
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        let s = [geom.nx[k], geom.ny[k], geom.nz[k]];
-        for c in 0..4 {
-            let qf = 0.5 * (node.q[a * 4 + c] + node.q[b * 4 + c]);
-            for d in 0..3 {
-                node.grad[a * 12 + c * 3 + d] += qf * s[d];
-                node.grad[b * 12 + c * 3 + d] -= qf * s[d];
-            }
-        }
-    }
-    // boundary closure
-    for i in 0..bc.len() {
-        let v = bc.vertex[i] as usize;
-        let nb = [bc.nx[i], bc.ny[i], bc.nz[i]];
-        for c in 0..4 {
-            let qv = node.q[v * 4 + c];
-            for d in 0..3 {
-                node.grad[v * 12 + c * 3 + d] += qv * nb[d];
-            }
-        }
-    }
-    // divide by dual volume
-    for v in 0..n {
-        let inv = 1.0 / vol[v];
-        for f in 0..12 {
-            node.grad[v * 12 + f] *= inv;
-        }
+    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
+    // SAFETY: `grad` views an exclusively borrowed slice and this is the
+    // only thread.
+    with_lanes!(isa, unsafe serial_grad(geom: &EdgeGeom, q: &[f64], grad: VertexRows));
+    gradient_epilogue(bc, vol, node);
+}
+
+/// # Safety
+/// The caller has exclusive access to all of `grad`.
+#[inline(always)]
+unsafe fn serial_grad<S: Simd>(s: S, geom: &EdgeGeom, q: &[f64], grad: VertexRows) {
+    for k in 0..geom.nedges() {
+        let e = geom.endpoints(k);
+        // SAFETY: all of `grad` is ours per the caller's contract.
+        unsafe { grad_edge(s, geom, k, q, e, grad, e, 3) };
     }
 }
 
@@ -59,63 +99,56 @@ pub fn green_gauss_threaded(
     vol: &[f64],
     node: &mut NodeAos,
 ) {
-    let n = node.n;
-    assert_eq!(vol.len(), n);
-    assert_eq!(pool.size(), plan.nthreads());
-    node.grad.iter_mut().for_each(|x| *x = 0.0);
-    let q = std::mem::take(&mut node.q); // read-only during the region
-    {
-        let gp = SendPtr(node.grad.as_mut_ptr());
-        pool.run(|tid| {
-            let gp = &gp;
-            let edges = &plan.edges_of[tid];
-            let masks = &plan.writes_of[tid];
-            for (idx, &eid) in edges.iter().enumerate() {
-                let k = eid as usize;
-                let e = geom.edges[k];
-                let (a, b) = (e[0] as usize, e[1] as usize);
-                let s = [geom.nx[k], geom.ny[k], geom.nz[k]];
-                let mask = masks[idx];
-                for c in 0..4 {
-                    let qf = 0.5 * (q[a * 4 + c] + q[b * 4 + c]);
-                    for d in 0..3 {
-                        // SAFETY: owner-only writes per plan masks.
-                        unsafe {
-                            if mask & 1 != 0 {
-                                *gp.0.add(a * 12 + c * 3 + d) += qf * s[d];
-                            }
-                            if mask & 2 != 0 {
-                                *gp.0.add(b * 12 + c * 3 + d) -= qf * s[d];
-                            }
-                        }
-                    }
-                }
-            }
-        });
-    }
-    node.q = q;
-    for i in 0..bc.len() {
-        let v = bc.vertex[i] as usize;
-        let nb = [bc.nx[i], bc.ny[i], bc.nz[i]];
-        for c in 0..4 {
-            let qv = node.q[v * 4 + c];
-            for d in 0..3 {
-                node.grad[v * 12 + c * 3 + d] += qv * nb[d];
-            }
-        }
-    }
-    for v in 0..n {
-        let inv = 1.0 / vol[v];
-        for f in 0..12 {
-            node.grad[v * 12 + f] *= inv;
-        }
-    }
+    green_gauss_threaded_on(Isa::detect(), pool, plan, geom, bc, vol, node);
 }
 
-struct SendPtr(*mut f64);
-// SAFETY: disjoint writes per the owner-writes plan.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+/// [`green_gauss_threaded`] on the lanes `isa` names.
+pub fn green_gauss_threaded_on(
+    isa: Isa,
+    pool: &ThreadPool,
+    plan: &OwnerWritesPlan,
+    geom: &EdgeGeom,
+    bc: &BcData,
+    vol: &[f64],
+    node: &mut NodeAos,
+) {
+    assert_eq!(vol.len(), node.n);
+    assert_eq!(pool.size(), plan.nthreads());
+    node.grad.iter_mut().for_each(|x| *x = 0.0);
+    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
+    pool.run(|tid| {
+        let (edges, masks) = (&plan.edges_of[tid][..], &plan.writes_of[tid][..]);
+        // SAFETY: owner-only writes — the plan's masks select, for each
+        // vertex, the one thread that owns it.
+        with_lanes!(
+            isa,
+            unsafe owner_grad(edges: &[u32], masks: &[u8], geom: &EdgeGeom, q: &[f64], grad: VertexRows)
+        );
+    });
+    gradient_epilogue(bc, vol, node);
+}
+
+/// One thread's share of [`green_gauss_threaded`].
+///
+/// # Safety
+/// The caller has exclusive access to the `grad` rows of every endpoint
+/// the masks select.
+#[inline(always)]
+unsafe fn owner_grad<S: Simd>(
+    s: S,
+    edges: &[u32],
+    masks: &[u8],
+    geom: &EdgeGeom,
+    q: &[f64],
+    grad: VertexRows,
+) {
+    for (&eid, &mask) in edges.iter().zip(masks) {
+        let k = eid as usize;
+        let e = geom.endpoints(k);
+        // SAFETY: the masked rows are ours per the caller's contract.
+        unsafe { grad_edge(s, geom, k, q, e, grad, e, mask) };
+    }
+}
 
 /// Per-worker scratch pad for the tiled gradient edge loop: staged state
 /// (4/vertex), local-indexed — the reuse-heavy read side. The gradient
@@ -134,69 +167,82 @@ impl GradScratch {
     }
 }
 
-/// One tile of the gradient edge loop: stage q, accumulate the edge
+/// One tile of the gradient edge loop, accumulating the edge
 /// contributions into the global grad (exclusive per the coloring).
+/// `geom` is tile-ordered ([`TiledGeom`]): this tile's edges are the
+/// contiguous range starting at `start`, walked sequentially. With a
+/// `scratch` pad ([`TileExec::Staged`]) the tile's states are staged into
+/// it and gathered through the local remap; without one
+/// ([`TileExec::Direct`]) they are gathered straight from the global
+/// array (the tile working set is L2-sized; hardware stages it on first
+/// touch). Same edge range, same arithmetic: bitwise identical.
 ///
 /// # Safety
 /// Caller guarantees exclusive `grad` access for this tile's vertices
 /// (inter-tile coloring + barriers, as in the flux kernel).
-unsafe fn tile_grad(
+#[inline(always)]
+unsafe fn tile_grad<S: Simd>(
+    s: S,
     tile: &Tile,
     start: usize,
     geom: &EdgeGeom,
     q: &[f64],
-    scratch: &mut GradScratch,
-    grad: *mut f64,
+    scratch: Option<&mut GradScratch>,
+    grad: VertexRows,
 ) {
-    for (l, &v) in tile.verts.iter().enumerate() {
-        let v = v as usize;
-        scratch.q[l * 4..l * 4 + 4].copy_from_slice(&q[v * 4..v * 4 + 4]);
-    }
-    // `geom` is tile-ordered ([`TiledGeom`]): this tile's edges are the
-    // contiguous range starting at `start`, walked sequentially.
-    for idx in 0..tile.edges.len() {
-        let k = start + idx;
-        let (la, lb) = (tile.local[idx][0] as usize, tile.local[idx][1] as usize);
-        let e = geom.edges[k];
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        let s = [geom.nx[k], geom.ny[k], geom.nz[k]];
-        for c in 0..4 {
-            let qf = 0.5 * (scratch.q[la * 4 + c] + scratch.q[lb * 4 + c]);
-            for d in 0..3 {
-                // Exclusive grad access per the caller's coloring contract.
-                *grad.add(a * 12 + c * 3 + d) += qf * s[d];
-                *grad.add(b * 12 + c * 3 + d) -= qf * s[d];
+    let staged = match scratch {
+        Some(pad) => {
+            for (l, &v) in tile.verts.iter().enumerate() {
+                let v = v as usize;
+                pad.q[l * 4..l * 4 + 4].copy_from_slice(&q[v * 4..v * 4 + 4]);
             }
+            Some(&pad.q[..])
         }
+        None => None,
+    };
+    for i in 0..tile.edges.len() {
+        let k = start + i;
+        let w = geom.endpoints(k);
+        let (src, e) = match staged {
+            Some(pad) => (pad, (tile.local[i][0] as usize, tile.local[i][1] as usize)),
+            None => (q, w),
+        };
+        // SAFETY: exclusive grad access per the caller's coloring contract.
+        unsafe { grad_edge(s, geom, k, src, e, grad, w, 3) };
     }
 }
 
-/// One tile of the gradient edge loop, [`TileExec::Direct`] mode: same
-/// edge range, same arithmetic, state gathered straight from the global
-/// array (the tile working set is L2-sized; hardware stages it on first
-/// touch). Bitwise identical to [`tile_grad`].
+/// One worker's share of the tiled gradient edge loop (see
+/// `flux::tiled_worker`): per color, its chunk of the color's tiles,
+/// then the barrier. The serial driver is `nt = 1` with no barrier.
 ///
 /// # Safety
-/// Same exclusivity contract on `grad` as [`tile_grad`].
-unsafe fn tile_grad_direct(
-    ntile_edges: usize,
-    start: usize,
+/// Every thread of the region calls this with the same arguments but its
+/// own `tid`, and nothing else touches `grad` meanwhile.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn grad_worker<S: Simd>(
+    s: S,
+    (tid, nt): (usize, usize),
+    barrier: Option<&SpinBarrier>,
+    tiling: &EdgeTiling,
     geom: &EdgeGeom,
     q: &[f64],
-    grad: *mut f64,
+    exec: TileExec,
+    grad: VertexRows,
 ) {
-    for idx in 0..ntile_edges {
-        let k = start + idx;
-        let e = geom.edges[k];
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        let s = [geom.nx[k], geom.ny[k], geom.nz[k]];
-        for c in 0..4 {
-            let qf = 0.5 * (q[a * 4 + c] + q[b * 4 + c]);
-            for d in 0..3 {
-                // Exclusive grad access per the caller's coloring contract.
-                *grad.add(a * 12 + c * 3 + d) += qf * s[d];
-                *grad.add(b * 12 + c * 3 + d) -= qf * s[d];
-            }
+    let mut scratch =
+        (exec == TileExec::Staged).then(|| GradScratch::new(tiling.max_tile_verts()));
+    for class in &tiling.color_tiles {
+        for &t in &class[chunk_range(class.len(), nt, tid)] {
+            let t = t as usize;
+            let start = tiling.tile_start[t] as usize;
+            // SAFETY: same-color tiles are vertex-disjoint; the barrier
+            // orders colors.
+            unsafe { tile_grad(s, &tiling.tiles[t], start, geom, q, scratch.as_mut(), grad) };
+        }
+        if let Some(barrier) = barrier {
+            barrier.wait();
         }
     }
 }
@@ -215,35 +261,39 @@ pub fn green_gauss_tiled(
     exec: TileExec,
     node: &mut NodeAos,
 ) {
-    let n = node.n;
-    assert_eq!(vol.len(), n);
+    green_gauss_tiled_on(Isa::detect(), tiling, geom, bc, vol, exec, node);
+}
+
+/// [`green_gauss_tiled`] on the lanes `isa` names.
+pub fn green_gauss_tiled_on(
+    isa: Isa,
+    tiling: &EdgeTiling,
+    geom: &TiledGeom,
+    bc: &BcData,
+    vol: &[f64],
+    exec: TileExec,
+    node: &mut NodeAos,
+) {
+    assert_eq!(vol.len(), node.n);
     let geom = geom.geom();
     assert_eq!(tiling.nedges, geom.nedges());
     node.grad.iter_mut().for_each(|x| *x = 0.0);
-    let mut scratch =
-        (exec == TileExec::Staged).then(|| GradScratch::new(tiling.max_tile_verts()));
-    let gp = node.grad.as_mut_ptr();
-    let q = std::mem::take(&mut node.q);
-    for class in &tiling.color_tiles {
-        for &t in class {
-            let t = t as usize;
-            let start = tiling.tile_start[t] as usize;
-            // SAFETY: single-threaded — trivially exclusive.
-            unsafe {
-                match &mut scratch {
-                    Some(s) => tile_grad(&tiling.tiles[t], start, geom, &q, s, gp),
-                    None => tile_grad_direct(
-                        tiling.tiles[t].edges.len(),
-                        start,
-                        geom,
-                        &q,
-                        gp,
-                    ),
-                }
-            };
-        }
-    }
-    node.q = q;
+    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
+    let (worker, barrier) = ((0, 1), None);
+    // SAFETY: `grad` views an exclusively borrowed slice and this is the
+    // only thread.
+    with_lanes!(
+        isa,
+        unsafe grad_worker(
+            worker: (usize, usize),
+            barrier: Option<&SpinBarrier>,
+            tiling: &EdgeTiling,
+            geom: &EdgeGeom,
+            q: &[f64],
+            exec: TileExec,
+            grad: VertexRows
+        )
+    );
     gradient_epilogue(bc, vol, node);
 }
 
@@ -259,54 +309,53 @@ pub fn green_gauss_tiled_pooled(
     exec: TileExec,
     node: &mut NodeAos,
 ) {
-    let n = node.n;
-    assert_eq!(vol.len(), n);
-    assert_eq!(tiling.nedges, geom.geom().nedges());
+    green_gauss_tiled_pooled_on(Isa::detect(), pool, tiling, geom, bc, vol, exec, node);
+}
+
+/// [`green_gauss_tiled_pooled`] on the lanes `isa` names.
+#[allow(clippy::too_many_arguments)]
+pub fn green_gauss_tiled_pooled_on(
+    isa: Isa,
+    pool: &ThreadPool,
+    tiling: &EdgeTiling,
+    geom: &TiledGeom,
+    bc: &BcData,
+    vol: &[f64],
+    exec: TileExec,
+    node: &mut NodeAos,
+) {
     let nt = pool.size();
     // Oversubscribed pool: the per-color barriers would cost scheduler
     // round-trips; the serial driver is bitwise identical (same
     // color-major order), so use it (see `flux::tiled_pooled`).
     if nt > fun3d_threads::available_cores() {
-        return green_gauss_tiled(tiling, geom, bc, vol, exec, node);
+        return green_gauss_tiled_on(isa, tiling, geom, bc, vol, exec, node);
     }
+    assert_eq!(vol.len(), node.n);
+    let pg = geom.geom();
+    assert_eq!(tiling.nedges, pg.nedges());
     node.grad.iter_mut().for_each(|x| *x = 0.0);
-    let barrier = SpinBarrier::new(nt);
-    let max_verts = tiling.max_tile_verts();
-    let q = std::mem::take(&mut node.q); // read-only during the region
-    {
-        let gp = SendPtr(node.grad.as_mut_ptr());
-        let q = &q;
-        let pg = geom.geom();
-        pool.run(|tid| {
-            let gp = &gp;
-            let mut scratch =
-                (exec == TileExec::Staged).then(|| GradScratch::new(max_verts));
-            for class in &tiling.color_tiles {
-                for &t in &class[chunk_range(class.len(), nt, tid)] {
-                    let t = t as usize;
-                    let start = tiling.tile_start[t] as usize;
-                    // SAFETY: same-color tiles are vertex-disjoint; the
-                    // barrier orders colors.
-                    unsafe {
-                        match &mut scratch {
-                            Some(s) => {
-                                tile_grad(&tiling.tiles[t], start, pg, q, s, gp.0)
-                            }
-                            None => tile_grad_direct(
-                                tiling.tiles[t].edges.len(),
-                                start,
-                                pg,
-                                q,
-                                gp.0,
-                            ),
-                        }
-                    };
-                }
-                barrier.wait();
-            }
-        });
-    }
-    node.q = q;
+    let spin = SpinBarrier::new(nt);
+    let barrier = Some(&spin);
+    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
+    pool.run(|tid| {
+        let worker = (tid, nt);
+        // SAFETY: every pool thread runs this with its own `tid` and the
+        // shared barrier, and `grad` is exclusively borrowed for the
+        // region.
+        with_lanes!(
+            isa,
+            unsafe grad_worker(
+                worker: (usize, usize),
+                barrier: Option<&SpinBarrier>,
+                tiling: &EdgeTiling,
+                pg: &EdgeGeom,
+                q: &[f64],
+                exec: TileExec,
+                grad: VertexRows
+            )
+        );
+    });
     gradient_epilogue(bc, vol, node);
 }
 

@@ -14,10 +14,11 @@
 //!   layouts (SoA and AoS) of the paper's data-structure study;
 //! * [`flux`] — the edge-based flux kernel in every optimization variant:
 //!   scalar/SoA baseline, atomics, owner-writes replication (natural or
-//!   METIS partitions), AoS node data, 4-edge SIMD batching with scalar
-//!   write-out, and software prefetching;
+//!   METIS partitions), AoS node data, 4-edge SIMD batching (portable or
+//!   AVX2 lanes, detected per call) with in-register write-out, and
+//!   software prefetching;
 //! * [`gradient`] — Green-Gauss nodal gradients (edge-based, the paper's
-//!   "Grad" kernel) serial and threaded;
+//!   "Grad" kernel) serial and threaded, on the same lanes;
 //! * [`jacobian`] — first-order (more diffusive, sparser) flux Jacobian
 //!   assembled into 4×4-block BCSR for the Schwarz/ILU preconditioner;
 //! * [`bc`] — slip-wall, symmetry and far-field boundary fluxes and their
@@ -39,4 +40,6 @@ pub mod limiter;
 
 pub use app::{Fun3dApp, OptConfig};
 pub use euler::{FlowConditions, NVARS};
+/// Which lane implementation the edge kernels run on in this process.
+pub use fun3d_simd::active_isa;
 pub use geom::{EdgeGeom, NodeAos, NodeSoa, TiledGeom};

@@ -23,8 +23,9 @@
 //! Live observability (either transport):
 //!
 //! * the in-band request `{"cmd":"stats"}` answers one JSON line with
-//!   live per-tenant latency percentiles, queue/inflight gauges, cache
-//!   hit rate, and the full metrics snapshot;
+//!   the lane implementation the edge kernels run on (`"isa"`: `avx2` or
+//!   `portable`), live per-tenant latency percentiles, queue/inflight
+//!   gauges, cache hit rate, and the full metrics snapshot;
 //! * `--metrics-socket PATH` serves the metrics plane out-of-band: a
 //!   client connects, sends one line (`prom` for Prometheus text
 //!   exposition, anything else for the JSON snapshot), and reads the

@@ -724,9 +724,11 @@ fn record_stage_metrics(
 
 impl Service {
     /// One-line strict-JSON answer to the `{"cmd":"stats"}` admin
-    /// request: service counters, per-tenant live p50/p99 (from the
-    /// in-process histograms, not a bench log), cache hit rate, and the
-    /// full `fun3d.metrics.v1` snapshot for machine consumers.
+    /// request: the lane implementation the edge kernels run on
+    /// (`"avx2"` | `"portable"` — a latency difference between two hosts
+    /// should name its cause), service counters, per-tenant live p50/p99
+    /// (from the in-process histograms, not a bench log), cache hit rate,
+    /// and the full `fun3d.metrics.v1` snapshot for machine consumers.
     pub fn stats_json(&self) -> Json {
         let stats = self.stats();
         let snap = metrics::snapshot();
@@ -752,6 +754,7 @@ impl Service {
         Json::obj(vec![
             ("ok", Json::Bool(true)),
             ("kind", Json::str("stats")),
+            ("isa", Json::str(fun3d_core::active_isa())),
             ("completed", Json::num(stats.completed as f64)),
             ("rejected", Json::num(stats.rejected as f64)),
             ("queue_depth", Json::num(snap.gauge("serve.queue_depth") as f64)),
@@ -920,6 +923,11 @@ mod tests {
         let doc = svc.stats_json();
         let parsed = Json::parse(&doc.render()).expect("stats render is valid JSON");
         assert_eq!(parsed.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(
+            parsed.get("isa").and_then(Json::as_str),
+            Some(fun3d_core::active_isa()),
+            "the reply names the lanes the kernels run on"
+        );
         assert!(parsed.get("completed").and_then(Json::as_f64).unwrap() >= 2.0);
         let tenant = parsed
             .get("tenants")

@@ -1,66 +1,43 @@
-//! AoS / SoA gather and scatter helpers for vertex data.
+//! AoS gather and AoS / SoA conversion helpers for vertex data.
 //!
 //! The paper's data-structure study (Section V.A, "Data structures"): edge
 //! data is streamed and therefore kept as Structure-of-Arrays, while *node*
 //! data — whose 4 state variables per vertex are consumed together — is
 //! kept as (multiple) Array-of-Structures so one vector load grabs a whole
-//! vertex and the lane transpose happens in registers. These helpers are
-//! the building blocks both layouts use in the SIMD flux kernels.
+//! vertex and the lane transpose happens in registers.
 
-use crate::vec4::F64x4;
+use crate::isa::Simd;
 
-/// Gathers one field (`field < stride`) for four vertices stored AoS
-/// (`data[v * stride + field]`), producing one SIMD lane per vertex.
-#[inline]
-pub fn aos_gather4(data: &[f64], stride: usize, field: usize, idx: [usize; 4]) -> F64x4 {
-    F64x4([
-        data[idx[0] * stride + field],
-        data[idx[1] * stride + field],
-        data[idx[2] * stride + field],
-        data[idx[3] * stride + field],
-    ])
-}
-
-/// Loads all `N` fields of four AoS vertices and transposes them so that
-/// output `[f]` holds field `f` of the four vertices. This models the
-/// "vector load + register permutation" access the paper prefers: 4 vector
-/// loads (one per vertex) instead of `N` gathers.
-#[inline]
-pub fn aos_load_transpose<const N: usize>(
+/// Loads all `N` fields (`N` a multiple of 4) of four AoS vertices
+/// (`data[v * N + f]`) and transposes them so that output `[f]` holds
+/// field `f` of the four vertices, one vertex per lane. This is the
+/// "vector load + register permutation" access the paper prefers: `N`
+/// vector loads and `N / 4` in-register 4×4 transposes instead of `4 N`
+/// scalar gathers.
+#[inline(always)]
+pub fn aos_load_transpose<S: Simd, const N: usize>(
+    s: S,
     data: &[f64],
-    stride: usize,
     idx: [usize; 4],
-) -> [F64x4; N] {
-    debug_assert!(N <= stride);
-    let mut out = [F64x4::zero(); N];
-    for lane in 0..4 {
-        let base = idx[lane] * stride;
-        let v = &data[base..base + N];
-        for (f, o) in out.iter_mut().enumerate() {
-            o.0[lane] = v[f];
-        }
+) -> [S::V; N] {
+    const { assert!(N.is_multiple_of(4)) };
+    let rows = [
+        &data[idx[0] * N..][..N],
+        &data[idx[1] * N..][..N],
+        &data[idx[2] * N..][..N],
+        &data[idx[3] * N..][..N],
+    ];
+    let mut out = [s.splat(0.0); N];
+    for j in (0..N).step_by(4) {
+        let t = s.transpose([
+            s.load(&rows[0][j..]),
+            s.load(&rows[1][j..]),
+            s.load(&rows[2][j..]),
+            s.load(&rows[3][j..]),
+        ]);
+        out[j..j + 4].copy_from_slice(&t);
     }
     out
-}
-
-/// Gathers one SoA field array at four indices.
-#[inline]
-pub fn soa_gather4(field: &[f64], idx: [usize; 4]) -> F64x4 {
-    F64x4([field[idx[0]], field[idx[1]], field[idx[2]], field[idx[3]]])
-}
-
-/// Scatter-adds four lane values into an AoS field at four indices.
-///
-/// This is the scalar "write-out" phase of the paper's SIMD restructuring:
-/// the compute runs vectorized into temporaries and results are committed
-/// with scalar stores, eliminating intra-batch dependences. Indices may
-/// repeat; later lanes accumulate on earlier ones, matching sequential
-/// edge-order semantics.
-#[inline]
-pub fn aos_scatter_add4(data: &mut [f64], stride: usize, field: usize, idx: [usize; 4], v: F64x4) {
-    for lane in 0..4 {
-        data[idx[lane] * stride + field] += v.0[lane];
-    }
 }
 
 /// Converts an SoA set of `nf` field slices (each `n` long) into a single
@@ -97,49 +74,17 @@ pub fn aos_to_soa(data: &[f64], stride: usize) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn aos_fixture() -> Vec<f64> {
-        // 5 vertices, 3 fields: data[v*3+f] = 100*v + f
-        let mut d = vec![0.0; 15];
-        for v in 0..5 {
-            for f in 0..3 {
-                d[v * 3 + f] = (100 * v + f) as f64;
-            }
-        }
-        d
-    }
+    use crate::{F64x4, Portable};
 
     #[test]
-    fn gather_aos_field() {
-        let d = aos_fixture();
-        let g = aos_gather4(&d, 3, 2, [0, 2, 4, 1]);
-        assert_eq!(g.0, [2.0, 202.0, 402.0, 102.0]);
-    }
-
-    #[test]
-    fn load_transpose_matches_gather() {
-        let d = aos_fixture();
+    fn load_transpose_puts_one_vertex_per_lane() {
+        // 5 vertices, 8 fields: data[v*8+f] = 100*v + f
+        let d: Vec<f64> = (0..40).map(|i| (100 * (i / 8) + i % 8) as f64).collect();
         let idx = [3, 1, 4, 0];
-        let t: [F64x4; 3] = aos_load_transpose(&d, 3, idx);
-        for f in 0..3 {
-            assert_eq!(t[f], aos_gather4(&d, 3, f, idx));
+        let t: [F64x4; 8] = aos_load_transpose(Portable, &d, idx);
+        for f in 0..8 {
+            assert_eq!(t[f].0, idx.map(|v| d[v * 8 + f]), "field {f}");
         }
-    }
-
-    #[test]
-    fn gather_soa() {
-        let f: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let g = soa_gather4(&f, [9, 0, 5, 5]);
-        assert_eq!(g.0, [9.0, 0.0, 5.0, 5.0]);
-    }
-
-    #[test]
-    fn scatter_add_accumulates_duplicates() {
-        let mut d = vec![0.0; 12]; // 4 vertices, stride 3
-        aos_scatter_add4(&mut d, 3, 1, [0, 2, 0, 3], F64x4([1.0, 2.0, 3.0, 4.0]));
-        assert_eq!(d[0 * 3 + 1], 4.0); // lanes 0 and 2 both hit vertex 0
-        assert_eq!(d[2 * 3 + 1], 2.0);
-        assert_eq!(d[3 * 3 + 1], 4.0);
     }
 
     #[test]

@@ -1,75 +1,20 @@
-//! The 4-lane f64 SIMD value type.
+//! The portable 4-lane f64 vector type.
 
 use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// Four `f64` lanes with 32-byte alignment (one AVX register).
+/// Four `f64` lanes as a 32-byte-aligned array: the vector type of the
+/// [`Portable`](crate::Portable) implementation.
 ///
-/// All arithmetic is lane-wise. The loops in each operator are trivially
-/// vectorizable; with `-C target-feature=+avx` (or `target-cpu=native` on
-/// an AVX machine) LLVM emits single packed instructions.
+/// All arithmetic is lane-wise scalar IEEE arithmetic. LLVM packs some of
+/// it and scalarizes most of it on baseline x86-64, so this is the
+/// reference and the fallback, not the fast path: kernels reach packed
+/// instructions through [`Avx2`](crate::Avx2), never through compiler
+/// flags. Lanes are constructed through [`Simd`](crate::Simd) methods.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 #[repr(C, align(32))]
 pub struct F64x4(pub [f64; 4]);
 
 impl F64x4 {
-    /// All lanes zero.
-    #[inline]
-    pub fn zero() -> Self {
-        F64x4([0.0; 4])
-    }
-
-    /// All lanes equal to `x`.
-    #[inline]
-    pub fn splat(x: f64) -> Self {
-        F64x4([x; 4])
-    }
-
-    /// Loads four consecutive doubles from a slice.
-    #[inline]
-    pub fn from_slice(xs: &[f64]) -> Self {
-        F64x4([xs[0], xs[1], xs[2], xs[3]])
-    }
-
-    /// Stores the four lanes into the first four elements of `out`.
-    #[inline]
-    pub fn write_to(self, out: &mut [f64]) {
-        out[..4].copy_from_slice(&self.0);
-    }
-
-    /// Lane-wise fused-style multiply-add `self * a + b`.
-    ///
-    /// Written as `mul_add`-free `a*b+c` so it vectorizes without requiring
-    /// FMA hardware; the paper's Ivy Bridge machine has no FMA either (it
-    /// issues mul and add to two separate pipes).
-    #[inline]
-    pub fn mul_add(self, a: F64x4, b: F64x4) -> F64x4 {
-        let mut out = [0.0; 4];
-        for i in 0..4 {
-            out[i] = self.0[i] * a.0[i] + b.0[i];
-        }
-        F64x4(out)
-    }
-
-    /// Lane-wise square root.
-    #[inline]
-    pub fn sqrt(self) -> F64x4 {
-        let mut out = [0.0; 4];
-        for i in 0..4 {
-            out[i] = self.0[i].sqrt();
-        }
-        F64x4(out)
-    }
-
-    /// Lane-wise absolute value.
-    #[inline]
-    pub fn abs(self) -> F64x4 {
-        let mut out = [0.0; 4];
-        for i in 0..4 {
-            out[i] = self.0[i].abs();
-        }
-        F64x4(out)
-    }
-
     /// Lane-wise maximum.
     #[inline]
     pub fn max(self, o: F64x4) -> F64x4 {
@@ -94,12 +39,6 @@ impl F64x4 {
     #[inline]
     pub fn hsum(self) -> f64 {
         (self.0[0] + self.0[1]) + (self.0[2] + self.0[3])
-    }
-
-    /// The lanes as an array.
-    #[inline]
-    pub fn to_array(self) -> [f64; 4] {
-        self.0
     }
 }
 
@@ -196,33 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn mul_add_matches_scalar() {
-        let a = F64x4([1.0, 2.0, 3.0, 4.0]);
-        let b = F64x4::splat(0.5);
-        let c = F64x4::splat(1.0);
-        let r = a.mul_add(b, c);
-        for i in 0..4 {
-            assert_eq!(r[i], a[i] * 0.5 + 1.0);
-        }
-    }
-
-    #[test]
-    fn sqrt_abs_minmax() {
-        let a = F64x4([4.0, 9.0, 16.0, 25.0]);
-        assert_eq!(a.sqrt().0, [2.0, 3.0, 4.0, 5.0]);
+    fn minmax_hsum() {
         let b = F64x4([-1.0, 2.0, -3.0, 4.0]);
-        assert_eq!(b.abs().0, [1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(b.max(F64x4::zero()).0, [0.0, 2.0, 0.0, 4.0]);
-        assert_eq!(b.min(F64x4::zero()).0, [-1.0, 0.0, -3.0, 0.0]);
-    }
-
-    #[test]
-    fn hsum_and_roundtrip() {
-        let a = F64x4([1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.hsum(), 10.0);
-        let mut buf = [0.0; 4];
-        a.write_to(&mut buf);
-        assert_eq!(F64x4::from_slice(&buf), a);
+        assert_eq!(b.max(F64x4::default()).0, [0.0, 2.0, 0.0, 4.0]);
+        assert_eq!(b.min(F64x4::default()).0, [-1.0, 0.0, -3.0, 0.0]);
+        assert_eq!(F64x4([1.0, 2.0, 3.0, 4.0]).hsum(), 10.0);
     }
 
     #[test]
@@ -233,10 +150,10 @@ mod tests {
 
     #[test]
     fn assign_ops() {
-        let mut a = F64x4::splat(1.0);
-        a += F64x4::splat(2.0);
-        a -= F64x4::splat(0.5);
-        a *= F64x4::splat(2.0);
+        let mut a = F64x4([1.0; 4]);
+        a += F64x4([2.0; 4]);
+        a -= F64x4([0.5; 4]);
+        a *= F64x4([2.0; 4]);
         assert_eq!(a.0, [5.0; 4]);
     }
 }

@@ -5,9 +5,13 @@
 //! per row (ILU). Blocks are stored row-major. Each op has a scalar and a
 //! SIMD ([`fun3d_simd::F64x4`]) variant; the SIMD variants vectorize
 //! *within* the block, as the paper does ("vectorization is done within a
-//! block").
+//! block"). They stay on the [`Portable`] lanes: TRSV at application size
+//! is bound by L3 bandwidth, not by the block arithmetic (3.75 ns/block
+//! with L2-resident factors, 6.6 ns/block at 3 549 vertices), and the
+//! intrinsic port tried when the edge kernels moved to `Avx2` was slower
+//! (8.5 ns/block; figures from that change's sizing runs).
 
-use fun3d_simd::F64x4;
+use fun3d_simd::{F64x4, Portable, Simd};
 
 /// Block dimension: 4 unknowns per vertex (p, u, v, w).
 pub const BLOCK_DIM: usize = 4;
@@ -54,9 +58,9 @@ pub fn matvec_sub_simd(a: &Block4, x: &[f64; 4], y: &mut [f64; 4]) {
     // Treat y as one SIMD register of the 4 row results: y_r = Σ_c a[r][c]x[c].
     // Column c of a (strided) times x[c]: gather columns once.
     let col = |c: usize| F64x4([a[c], a[4 + c], a[8 + c], a[12 + c]]);
-    let mut acc = F64x4::from_slice(y);
+    let mut acc = Portable.load(y);
     acc = acc - (col(0) * x[0] + col(1) * x[1] + col(2) * x[2] + col(3) * x[3]);
-    acc.write_to(y);
+    Portable.store(acc, y);
 }
 
 /// `c -= a * b` (block·block multiply-subtract, scalar).
@@ -79,12 +83,12 @@ pub fn matmul_sub(a: &Block4, b: &Block4, c: &mut Block4) {
 #[inline]
 pub fn matmul_sub_simd(a: &Block4, b: &Block4, c: &mut Block4) {
     for i in 0..4 {
-        let mut acc = F64x4::from_slice(&c[i * 4..i * 4 + 4]);
+        let mut acc = Portable.load(&c[i * 4..i * 4 + 4]);
         for k in 0..4 {
-            let brow = F64x4::from_slice(&b[k * 4..k * 4 + 4]);
+            let brow = Portable.load(&b[k * 4..k * 4 + 4]);
             acc = acc - brow * a[i * 4 + k];
         }
-        acc.write_to(&mut c[i * 4..i * 4 + 4]);
+        Portable.store(acc, &mut c[i * 4..i * 4 + 4]);
     }
 }
 

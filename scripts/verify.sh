@@ -143,6 +143,16 @@ fi
 cargo run --release --offline -q -p fun3d-bench --bin tiled_flux -- --check target/experiments/tiled_flux.json
 echo "ok: tiled kernels agree with the serial reference; artifact parsable"
 
+echo "== SIMD flux kernel speed floor (fig6a_flux_opts --check) =="
+# The vectorized flux kernel is only worth its name while it compiles
+# to packed code: with AVX2 detected, serial_aos_simd must be at least
+# 1.3x both the scalar serial_aos and its own portable-lane
+# instantiation (interleaved rounds, per-variant minimum, like the
+# tiled gate above). Without AVX2 the check passes with a notice.
+cargo run --release --offline -q -p fun3d-bench --bin fig6a_flux_opts -- \
+    --mesh small --reps 20 --check
+echo "ok: SIMD flux kernel clears its speed floor (or runs on portable lanes)"
+
 echo "== perf history + scaling gate (perf_regress) =="
 # Detector self-check first: a synthetic history with an injected 3x
 # slowdown AND a synthetic mesh where threads run slower than serial

@@ -6,6 +6,11 @@
 //! order), and the two execution modes — scratch-pad `Staged` and
 //! gather-in-place `Direct` — are bitwise interchangeable.
 //!
+//! Both lane instantiations of the tile bodies, `Portable` and `Avx2`,
+//! are run in both execution modes and must agree bit for bit (skipped
+//! with a notice where AVX2 is not detected); the random budgets make
+//! tile edge counts of every residue modulo the 4-edge batch.
+//!
 //! Runs on the in-tree `fun3d_util::proptest_mini` harness; failures
 //! print a `FUN3D_PROP_SEED` that replays deterministically.
 
@@ -15,6 +20,7 @@ use fun3d_core::{flux, gradient, FlowConditions, TiledGeom};
 use fun3d_mesh::generator::ChannelSpec;
 use fun3d_mesh::DualMesh;
 use fun3d_partition::{EdgeTiling, TilingConfig};
+use fun3d_simd::Isa;
 use fun3d_threads::ThreadPool;
 use fun3d_util::{prop_assert, prop_assert_eq, prop_cases};
 
@@ -52,6 +58,16 @@ fn close(a: &[f64], b: &[f64], tol: f64) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The two lane instantiations to hold against each other, or a skip
+/// notice on a host that executes only one.
+fn lane_pair() -> Option<(Isa, Isa)> {
+    let avx2 = Isa::avx2();
+    if avx2.is_none() {
+        eprintln!("skipped: AVX2 not detected on this host, Portable is the only lane instantiation");
+    }
+    avx2.map(|avx2| (Isa::portable(), avx2))
 }
 
 prop_cases! {
@@ -97,6 +113,17 @@ prop_cases! {
             flux::tiled_pooled(&pool, &tiling, &tg, &fix.node, 1.0, exec, &mut pooled);
             prop_assert_eq!(&staged, &pooled, "pooled must be bitwise equal to serial");
         }
+
+        // Portable and Avx2 lanes, either exec mode: the same bits.
+        if let Some((portable, avx2)) = lane_pair() {
+            for isa in [portable, avx2] {
+                for exec in [TileExec::Staged, TileExec::Direct] {
+                    let mut r = vec![0.0; n4];
+                    flux::tiled_on(isa, &tiling, &tg, &fix.node, 1.0, exec, &mut r);
+                    prop_assert_eq!(&staged, &r, "{} lanes, {exec:?}", isa.name());
+                }
+            }
+        }
     }
 
     fn tiled_gradient_agrees_with_serial(g, cases = 10) {
@@ -132,6 +159,18 @@ prop_cases! {
                 &pool, &tiling, &tg, &fix.bc, &fix.vol, exec, &mut pooled,
             );
             prop_assert_eq!(&staged.grad, &pooled.grad, "pooled gradient bitwise");
+        }
+
+        if let Some((portable, avx2)) = lane_pair() {
+            for isa in [portable, avx2] {
+                for exec in [TileExec::Staged, TileExec::Direct] {
+                    let mut r = fix.node.clone();
+                    gradient::green_gauss_tiled_on(
+                        isa, &tiling, &tg, &fix.bc, &fix.vol, exec, &mut r,
+                    );
+                    prop_assert_eq!(&staged.grad, &r.grad, "{} lanes, {exec:?}", isa.name());
+                }
+            }
         }
     }
 }
