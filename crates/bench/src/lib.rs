@@ -126,7 +126,8 @@ impl KernelFixture {
 pub fn jacobian_fixture(fix: &KernelFixture, dt: f64) -> fun3d_sparse::Bcsr4 {
     let bc = fix.bc();
     let mut jac = fun3d_sparse::Bcsr4::from_edges(fix.mesh.nvertices(), &fix.geom.edges);
-    fun3d_core::jacobian::assemble(&fix.geom, &bc, &fix.node, &fix.cond, &mut jac);
+    let slots = fun3d_core::jacobian::JacobianSlots::new(&jac, &fix.geom.edges);
+    fun3d_core::jacobian::assemble(&fix.geom, &bc, &fix.node, &fix.cond, &slots, &mut jac);
     let n = jac.dim();
     let mut shift = vec![0.0; n];
     for v in 0..fix.mesh.nvertices() {
@@ -136,7 +137,7 @@ pub fn jacobian_fixture(fix: &KernelFixture, dt: f64) -> fun3d_sparse::Bcsr4 {
             shift[v * 4 + c] = vdt;
         }
     }
-    fun3d_core::jacobian::add_time_diagonal(&mut jac, &shift);
+    fun3d_core::jacobian::add_time_diagonal(&slots, &mut jac, &shift);
     jac
 }
 

@@ -27,6 +27,7 @@ use fun3d_core::euler::{self, FlowConditions};
 use fun3d_core::geom::EdgeGeom;
 use fun3d_mesh::{DualMesh, Mesh};
 use fun3d_sparse::{trsv, Bcsr4, IluFactors};
+use std::cell::RefCell;
 
 /// Immutable global inputs shared (read-only) by all ranks.
 pub struct GlobalSetup {
@@ -82,6 +83,8 @@ pub struct RankApp<'a> {
     /// Jacobian rows for owned vertices (local columns).
     jac: Bcsr4,
     factors: Option<IluFactors>,
+    /// Forward-sweep result of `apply_precond`, owned-unknowns long.
+    trsv_scratch: RefCell<Vec<f64>>,
 }
 
 impl<'a> RankApp<'a> {
@@ -159,6 +162,7 @@ impl<'a> RankApp<'a> {
             vol,
             jac,
             factors: None,
+            trsv_scratch: RefCell::new(vec![0.0; nowned * 4]),
         }
     }
 
@@ -355,8 +359,7 @@ impl<'a> RankApp<'a> {
 
     fn apply_precond(&self, r: &[f64], z: &mut [f64]) {
         let f = self.factors.as_ref().expect("preconditioner built");
-        let x = trsv::solve(f, r);
-        z.copy_from_slice(&x);
+        trsv::solve_into(f, r, &mut self.trsv_scratch.borrow_mut(), z);
     }
 }
 

@@ -13,6 +13,7 @@
 use crate::comm::Comm;
 use crate::decompose::Subdomain;
 use fun3d_sparse::{ilu, trsv, Bcsr4, IluFactors};
+use std::cell::RefCell;
 
 /// Halo exchange with an arbitrary per-vertex stride: sends owned
 /// boundary values, fills ghost slots.
@@ -113,6 +114,8 @@ pub struct DistSystem {
     pub a: Bcsr4,
     /// Block-Jacobi ILU of the owned-owned block.
     pub precond: IluFactors,
+    /// Forward-sweep result of `apply_precond`, owned-unknowns long.
+    trsv_scratch: RefCell<Vec<f64>>,
 }
 
 impl DistSystem {
@@ -120,7 +123,13 @@ impl DistSystem {
     pub fn new(aglob: &Bcsr4, sub: Subdomain, fill: usize) -> DistSystem {
         let a = localize_matrix(aglob, &sub);
         let precond = local_ilu(&a, &sub, fill);
-        DistSystem { sub, a, precond }
+        let trsv_scratch = RefCell::new(vec![0.0; sub.nowned() * 4]);
+        DistSystem {
+            sub,
+            a,
+            precond,
+            trsv_scratch,
+        }
     }
 
     /// Owned scalar dimension.
@@ -139,8 +148,13 @@ impl DistSystem {
 
     /// Applies the local ILU to the owned part of `r`.
     pub fn apply_precond(&self, r: &[f64], z: &mut [f64]) {
-        let x = trsv::solve(&self.precond, &r[..self.nowned()]);
-        z[..self.nowned()].copy_from_slice(&x);
+        let n = self.nowned();
+        trsv::solve_into(
+            &self.precond,
+            &r[..n],
+            &mut self.trsv_scratch.borrow_mut(),
+            &mut z[..n],
+        );
     }
 }
 

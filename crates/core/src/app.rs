@@ -14,7 +14,9 @@ use fun3d_partition::{
 use fun3d_solver::precond::Preconditioner;
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
 use fun3d_solver::{ExecMode, FluxScheme};
-use fun3d_sparse::{ilu, levels, p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pProgress, P2pSchedule};
+use fun3d_sparse::{
+    ilu, levels, p2p, trsv, Bcsr4, IluFactors, IluSymbolic, LevelSchedule, P2pProgress, P2pSchedule,
+};
 use fun3d_threads::{TeamMember, TeamSlice, ThreadPool};
 use fun3d_util::telemetry;
 use fun3d_util::PhaseTimers;
@@ -241,7 +243,11 @@ pub struct Fun3dApp {
     node: NodeAos,
     vol: Vec<f64>,
     jac: Bcsr4,
+    /// Where `jacobian::assemble` adds each edge's and vertex's blocks.
+    jac_slots: jacobian::JacobianSlots,
     ilu_pattern: Vec<Vec<u32>>,
+    /// The static half of every factorization of `jac` on `ilu_pattern`.
+    ilu_symbolic: IluSymbolic,
     pool: Option<Arc<ThreadPool>>,
     plan: Option<OwnerWritesPlan>,
     tiling: Option<EdgeTiling>,
@@ -315,7 +321,9 @@ impl Fun3dApp {
         let node = NodeAos::zeros(nv);
         let vol = dual.vol.clone();
         let jac = Bcsr4::from_edges(nv, &geom.edges);
+        let jac_slots = jacobian::JacobianSlots::new(&jac, &geom.edges);
         let ilu_pattern = ilu::symbolic_iluk(&jac, cfg.ilu_fill);
+        let ilu_symbolic = IluSymbolic::new(&jac, &ilu_pattern);
 
         // Residual-path scheme: env override > config; Auto weighs the
         // node working set against the private L2 of the cores in use.
@@ -386,7 +394,9 @@ impl Fun3dApp {
             node,
             vol,
             jac,
+            jac_slots,
             ilu_pattern,
+            ilu_symbolic,
             pool,
             plan,
             tiling,
@@ -490,6 +500,36 @@ impl Fun3dApp {
     /// The cached ILU fill pattern.
     pub fn ilu_pattern(&self) -> &[Vec<u32>] {
         &self.ilu_pattern
+    }
+
+    /// Points the preconditioner at `factors`, building its schedule
+    /// bindings and scratch on the solve's first build only.
+    fn install_factors(&mut self, factors: Arc<IluFactors>) {
+        if let Some(p) = &mut self.precond {
+            p.factors = factors;
+            return;
+        }
+        let mode = match self.cfg.ilu_parallel {
+            IluParallel::Serial => PrecondMode::Serial,
+            IluParallel::Levels => PrecondMode::Levels {
+                pool: self.pool.clone().expect("levels mode needs threads"),
+                fwd: self.lvl_fwd.clone().unwrap(),
+                bwd: self.lvl_bwd.clone().unwrap(),
+            },
+            IluParallel::P2p => PrecondMode::P2p {
+                pool: self.pool.clone().expect("p2p mode needs threads"),
+                fwd: self.p2p_fwd.clone().unwrap(),
+                bwd: self.p2p_bwd.clone().unwrap(),
+                fwd_progress: P2pProgress::new(self.cfg.nthreads),
+                bwd_progress: P2pProgress::new(self.cfg.nthreads),
+            },
+        };
+        self.precond = Some(AppPrecond {
+            factors,
+            mode,
+            timers: Rc::clone(&self.timers),
+            scratch: RefCell::new(vec![0.0; self.nunknowns()]),
+        });
     }
 
     fn run_flux(&mut self, r: &mut [f64]) {
@@ -629,7 +669,7 @@ impl PtcProblem for Fun3dApp {
         self.precond_age = 0;
         let first_build = self.precond.is_none();
         let seed = if first_build { self.factor_seed.take() } else { None };
-        let factors = if let Some(seed) = seed {
+        if let Some(seed) = seed {
             // Seeded first build: the factors are a pure function of the
             // problem key at dt0 (see `factor_seed`), so adopt them and
             // skip both the Jacobian assembly and the factorization.
@@ -638,55 +678,55 @@ impl PtcProblem for Fun3dApp {
             if self.capture_first {
                 self.first_factors = Some(Arc::clone(&seed));
             }
-            seed
-        } else {
-            self.node.q.copy_from_slice(u);
-            {
-                let t = std::time::Instant::now();
-                let _span = telemetry::span("jacobian");
-                telemetry::record_kernel(
-                    "jacobian",
-                    crate::counts::jacobian(self.geom.nedges(), self.node.n),
-                );
-                jacobian::assemble(&self.geom, &self.bc, &self.node, &self.cond, &mut self.jac);
-                jacobian::add_time_diagonal(&mut self.jac, time_diag);
-                self.timers.borrow_mut().add("jacobian", t.elapsed());
-            }
+            self.install_factors(seed);
+            return;
+        }
+        self.node.q.copy_from_slice(u);
+        {
             let t = std::time::Instant::now();
-            let _span = telemetry::span("ilu");
-            let f = Arc::new(ilu::factor(
-                &self.jac,
-                &self.ilu_pattern,
-                ilu::TempBuffer::Compressed,
-            ));
-            telemetry::record_kernel("ilu", crate::counts::ilu_factor(&f));
-            self.timers.borrow_mut().add("ilu", t.elapsed());
-            if first_build && self.capture_first {
-                self.first_factors = Some(Arc::clone(&f));
+            let _span = telemetry::span("jacobian");
+            telemetry::record_kernel(
+                "jacobian",
+                crate::counts::jacobian(self.geom.nedges(), self.node.n),
+            );
+            jacobian::assemble(
+                &self.geom,
+                &self.bc,
+                &self.node,
+                &self.cond,
+                &self.jac_slots,
+                &mut self.jac,
+            );
+            jacobian::add_time_diagonal(&self.jac_slots, &mut self.jac, time_diag);
+            self.timers.borrow_mut().add("jacobian", t.elapsed());
+        }
+        let t = std::time::Instant::now();
+        let _span = telemetry::span("ilu");
+        // Refactor into the factors the preconditioner already owns when
+        // nobody else holds them. A seed adopted from, or a first build
+        // captured for, the serve factor cache is shared — the cache must
+        // never see a refactor — so that one rebuild allocates.
+        let owned = self
+            .precond
+            .as_mut()
+            .and_then(|p| Arc::get_mut(&mut p.factors));
+        match owned {
+            Some(f) => self.ilu_symbolic.refactor(&self.jac, f),
+            None => {
+                let f = Arc::new(self.ilu_symbolic.factor(&self.jac));
+                if first_build && self.capture_first {
+                    self.first_factors = Some(Arc::clone(&f));
+                }
+                self.install_factors(f);
             }
-            f
-        };
-        let mode = match self.cfg.ilu_parallel {
-            IluParallel::Serial => PrecondMode::Serial,
-            IluParallel::Levels => PrecondMode::Levels {
-                pool: self.pool.clone().expect("levels mode needs threads"),
-                fwd: self.lvl_fwd.clone().unwrap(),
-                bwd: self.lvl_bwd.clone().unwrap(),
-            },
-            IluParallel::P2p => PrecondMode::P2p {
-                pool: self.pool.clone().expect("p2p mode needs threads"),
-                fwd: self.p2p_fwd.clone().unwrap(),
-                bwd: self.p2p_bwd.clone().unwrap(),
-                fwd_progress: P2pProgress::new(self.cfg.nthreads),
-                bwd_progress: P2pProgress::new(self.cfg.nthreads),
-            },
-        };
-        self.precond = Some(AppPrecond {
-            factors,
-            mode,
-            timers: Rc::clone(&self.timers),
-            scratch: RefCell::new(vec![0.0; self.nunknowns()]),
-        });
+        }
+        let f = &self
+            .precond
+            .as_ref()
+            .expect("factors installed above")
+            .factors;
+        telemetry::record_kernel("ilu", crate::counts::ilu_factor(f));
+        self.timers.borrow_mut().add("ilu", t.elapsed());
     }
 
     fn preconditioner(&self) -> &dyn Preconditioner {
@@ -921,12 +961,49 @@ mod tests {
         assert_eq!(u1, u_ref);
         assert_eq!(s1.res_history, s_ref.res_history);
         let seed = app.first_factors().expect("first factors captured");
+        assert!(
+            s1.time_steps > 2,
+            "test premise: rebuilds followed the captured build"
+        );
+
+        // The serve cache must never see a refactor. (3) A captured
+        // first build is shared, so the rebuilds that followed it in the
+        // solve above went to other storage: it still holds what a solve
+        // stopped right after its first build captures.
+        let bits = |f: &IluFactors| -> Vec<u64> {
+            let values = f.l.blocks.iter().chain(&f.u.blocks).chain(&f.dinv);
+            values.map(|x| x.to_bits()).collect()
+        };
+        let mut one_step = build(OptConfig::baseline());
+        one_step.capture_first_factors(true);
+        one_step.run(&PtcConfig {
+            max_steps: 1,
+            ..solve_config()
+        });
+        let first_only = one_step.first_factors().expect("first factors captured");
+        assert_eq!(one_step.profile().calls("ilu"), 1);
+        assert_eq!(
+            bits(&seed),
+            bits(&first_only),
+            "a later rebuild wrote into captured factors"
+        );
 
         app.reset_for_reuse();
-        app.set_factor_seed(Some(seed));
+        app.set_factor_seed(Some(Arc::clone(&seed)));
         let (u2, s2) = app.run(&solve_config());
         assert_eq!(u2, u_ref, "seeded reuse must be bitwise identical");
         assert_eq!(s2.res_history, s_ref.res_history);
+        // (4) Nor may a seeded solve's rebuilds touch the seed it adopted.
+        assert_eq!(
+            bits(&seed),
+            bits(&first_only),
+            "a rebuild wrote into the adopted seed"
+        );
+        // After the one rebuild that had to allocate, the solve refactors
+        // in place: the factors it ends with are its own.
+        let last = &app.precond.as_ref().expect("preconditioner built").factors;
+        assert!(!Arc::ptr_eq(last, &seed));
+        assert_eq!(Arc::strong_count(last), 1);
         assert_eq!(
             app.profile().calls("ilu") + 1,
             fresh_factor_calls,

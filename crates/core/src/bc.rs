@@ -101,8 +101,9 @@ pub fn farfield_flux(q: &[f64; 4], qinf: &[f64; 4], n: &[f64; 3], beta: f64) -> 
 }
 
 /// Adds the boundary flux Jacobian `∂F_bnd/∂q_v` into the diagonal blocks
-/// of the assembled (first-order) Jacobian.
-pub fn jacobian(bc: &BcData, node: &NodeAos, cond: &FlowConditions, jac: &mut Bcsr4) {
+/// of the assembled (first-order) Jacobian; `diag[v]` is the storage
+/// position of row `v`'s diagonal block.
+pub fn jacobian(bc: &BcData, node: &NodeAos, cond: &FlowConditions, diag: &[u32], jac: &mut Bcsr4) {
     for i in 0..bc.len() {
         let v = bc.vertex[i] as usize;
         let n = [bc.nx[i], bc.ny[i], bc.nz[i]];
@@ -135,7 +136,7 @@ pub fn jacobian(bc: &BcData, node: &NodeAos, cond: &FlowConditions, jac: &mut Bc
                 b
             }
         };
-        jac.add_block(v, v as u32, &block);
+        jac.add_block_at(diag[v] as usize, &block);
     }
 }
 
@@ -216,7 +217,7 @@ mod tests {
             nz: vec![n[2]],
             tag: vec![BcTag::FarField],
         };
-        jacobian(&bc, &node, &cond, &mut jac);
+        jacobian(&bc, &node, &cond, &[0], &mut jac);
         let b = jac.block(0);
         let f0 = farfield_flux(&q, &cond.qinf, &n, cond.beta);
         let h = 1e-6;

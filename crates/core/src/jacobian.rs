@@ -13,20 +13,69 @@ use crate::euler::{self, FlowConditions};
 use crate::geom::{EdgeGeom, NodeAos};
 use fun3d_sparse::Bcsr4;
 
+/// Where assembly adds its blocks, looked up once per mesh pattern: the
+/// storage positions `[ab, ba]` of every edge `(a, b)`'s off-diagonal
+/// blocks and the diagonal position of every row. Assembly then runs
+/// without a single search.
+pub struct JacobianSlots {
+    edge: Vec<[u32; 2]>,
+    diag: Vec<u32>,
+}
+
+impl JacobianSlots {
+    /// Looks up the positions of `edges` in `jac` (the mesh pattern from
+    /// [`Bcsr4::from_edges`]). Each row keeps one cursor below and one
+    /// above its diagonal; on a sorted edge list every off-diagonal block
+    /// is the next one under its cursor, and any other order falls back
+    /// to [`Bcsr4::find`] block by block.
+    pub fn new(jac: &Bcsr4, edges: &[[u32; 2]]) -> JacobianSlots {
+        assert!(
+            jac.nblocks() <= u32::MAX as usize,
+            "too many blocks for u32 slots"
+        );
+        let diag: Vec<u32> = (0..jac.nrows())
+            .map(|r| jac.find(r, r as u32).expect("diagonal block") as u32)
+            .collect();
+        let mut below: Vec<usize> = jac.row_ptr[..jac.nrows()].to_vec();
+        let mut above: Vec<usize> = diag.iter().map(|&d| d as usize + 1).collect();
+        let mut slot = |row: u32, col: u32| -> u32 {
+            let cursor = if col < row { &mut below } else { &mut above };
+            let k = cursor[row as usize];
+            if k < jac.row_ptr[row as usize + 1] && jac.col_idx[k] == col {
+                cursor[row as usize] += 1;
+                return k as u32;
+            }
+            jac.find(row as usize, col)
+                .expect("edge block missing from sparsity pattern") as u32
+        };
+        let edge = edges.iter().map(|&[a, b]| [slot(a, b), slot(b, a)]).collect();
+        JacobianSlots { edge, diag }
+    }
+
+    /// Storage position of each row's diagonal block.
+    pub fn diag(&self) -> &[u32] {
+        &self.diag
+    }
+}
+
 /// Assembles the first-order Jacobian of the spatial residual, including
 /// boundary contributions, into `jac` (pattern must be the mesh pattern
-/// from [`Bcsr4::from_edges`]). Values are overwritten.
+/// from [`Bcsr4::from_edges`], `slots` built from it). Values are
+/// overwritten.
 pub fn assemble(
     geom: &EdgeGeom,
     bc: &BcData,
     node: &NodeAos,
     cond: &FlowConditions,
+    slots: &JacobianSlots,
     jac: &mut Bcsr4,
 ) {
+    assert_eq!(slots.edge.len(), geom.edges.len());
     jac.zero_values();
     let beta = cond.beta;
-    for (k, e) in geom.edges.iter().enumerate() {
+    for (k, (e, &[ab, ba])) in geom.edges.iter().zip(&slots.edge).enumerate() {
         let (a, b) = (e[0] as usize, e[1] as usize);
+        let (aa, bb) = (slots.diag[a], slots.diag[b]);
         let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
         let qa = node.state(a);
         let qb = node.state(b);
@@ -46,8 +95,8 @@ pub fn assemble(
             db[d * 4 + d] -= 0.5 * lam;
         }
         // res[a] += F* ; res[b] -= F*
-        jac.add_block(a, a as u32, &da);
-        jac.add_block(a, b as u32, &db);
+        jac.add_block_at(aa as usize, &da);
+        jac.add_block_at(ab as usize, &db);
         let neg = |m: &[f64; 16]| {
             let mut o = *m;
             for x in o.iter_mut() {
@@ -55,20 +104,19 @@ pub fn assemble(
             }
             o
         };
-        jac.add_block(b, a as u32, &neg(&da));
-        jac.add_block(b, b as u32, &neg(&db));
+        jac.add_block_at(ba as usize, &neg(&da));
+        jac.add_block_at(bb as usize, &neg(&db));
     }
-    bc::jacobian(bc, node, cond, jac);
+    bc::jacobian(bc, node, cond, &slots.diag, jac);
 }
 
 /// Adds the pseudo-time term `diag(shift)` (one scalar per unknown) onto
 /// the diagonal blocks.
-pub fn add_time_diagonal(jac: &mut Bcsr4, shift: &[f64]) {
+pub fn add_time_diagonal(slots: &JacobianSlots, jac: &mut Bcsr4, shift: &[f64]) {
     assert_eq!(shift.len(), jac.dim());
-    for r in 0..jac.nrows() {
-        let k = jac.find(r, r as u32).expect("diagonal block");
+    for (r, &k) in slots.diag.iter().enumerate() {
         for d in 0..4 {
-            jac.blocks[k * 16 + d * 4 + d] += shift[r * 4 + d];
+            jac.blocks[k as usize * 16 + d * 4 + d] += shift[r * 4 + d];
         }
     }
 }
@@ -110,7 +158,7 @@ mod tests {
     use fun3d_mesh::DualMesh;
     use fun3d_util::Rng64;
 
-    fn setup() -> (EdgeGeom, BcData, NodeAos, Bcsr4) {
+    fn setup() -> (EdgeGeom, BcData, NodeAos, JacobianSlots, Bcsr4) {
         let mesh = MeshPreset::Tiny.build();
         let dual = DualMesh::build(&mesh);
         let geom = EdgeGeom::build(&mesh, &dual);
@@ -122,8 +170,31 @@ mod tests {
         for x in node.q.iter_mut() {
             *x += rng.range_f64(-0.1, 0.1);
         }
-        let jac = Bcsr4::from_edges(mesh.nvertices(), &mesh.edges());
-        (geom, bc, node, jac)
+        let jac = Bcsr4::from_edges(mesh.nvertices(), &geom.edges);
+        let slots = JacobianSlots::new(&jac, &geom.edges);
+        (geom, bc, node, slots, jac)
+    }
+
+    #[test]
+    fn slots_are_the_searched_positions_for_any_edge_order() {
+        // The generator's edge order, the sorted order the cursors are
+        // built for, the reverse, and flipped orientations: every slot
+        // must be what `find` returns.
+        let (geom, _, _, _, jac) = setup();
+        let mut sorted = geom.edges.clone();
+        sorted.sort_unstable();
+        let reversed: Vec<[u32; 2]> = sorted.iter().rev().copied().collect();
+        let flipped: Vec<[u32; 2]> = sorted.iter().map(|&[a, b]| [b, a]).collect();
+        for edges in [&geom.edges, &sorted, &reversed, &flipped] {
+            let slots = JacobianSlots::new(&jac, edges);
+            for (&[a, b], got) in edges.iter().zip(&slots.edge) {
+                let want = [(a, b), (b, a)].map(|(r, c)| jac.find(r as usize, c).unwrap() as u32);
+                assert_eq!(*got, want, "edge ({a}, {b})");
+            }
+            for (r, &k) in slots.diag().iter().enumerate() {
+                assert_eq!(jac.find(r, r as u32), Some(k as usize));
+            }
+        }
     }
 
     #[test]
@@ -132,9 +203,9 @@ mod tests {
         // first-order residual *with the dissipation coefficients λ
         // frozen at the base state* (the standard approximation). Build
         // that frozen residual explicitly and finite-difference it.
-        let (geom, bc, node, mut jac) = setup();
+        let (geom, bc, node, slots, mut jac) = setup();
         let cond = FlowConditions::default();
-        assemble(&geom, &bc, &node, &cond, &mut jac);
+        assemble(&geom, &bc, &node, &cond, &slots, &mut jac);
         let beta = cond.beta;
 
         // Freeze per-edge and per-boundary-entry λ at the base state.
@@ -235,25 +306,25 @@ mod tests {
         // Without boundaries, interior edge contributions are equal and
         // opposite: the column sums over each edge pair cancel. Check the
         // assembled matrix has bounded entries and correct pattern reuse.
-        let (geom, bc, node, mut jac) = setup();
+        let (geom, bc, node, slots, mut jac) = setup();
         let cond = FlowConditions::default();
-        assemble(&geom, &bc, &node, &cond, &mut jac);
+        assemble(&geom, &bc, &node, &cond, &slots, &mut jac);
         assert!(jac.blocks.iter().all(|x| x.is_finite()));
         // reassembly must give identical values (zeroing works)
         let snapshot = jac.blocks.clone();
-        assemble(&geom, &bc, &node, &cond, &mut jac);
+        assemble(&geom, &bc, &node, &cond, &slots, &mut jac);
         assert_eq!(snapshot, jac.blocks);
     }
 
     #[test]
     fn time_diagonal_added_once_per_unknown() {
-        let (geom, bc, node, mut jac) = setup();
+        let (geom, bc, node, slots, mut jac) = setup();
         let cond = FlowConditions::default();
-        assemble(&geom, &bc, &node, &cond, &mut jac);
+        assemble(&geom, &bc, &node, &cond, &slots, &mut jac);
         let before = jac.blocks.clone();
         let n = jac.dim();
         let shift: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        add_time_diagonal(&mut jac, &shift);
+        add_time_diagonal(&slots, &mut jac, &shift);
         for r in 0..jac.nrows() {
             let k = jac.find(r, r as u32).unwrap();
             for d in 0..4 {
@@ -269,11 +340,11 @@ mod tests {
     fn diagonal_dominance_improves_with_time_term() {
         // A large V/Δt shift must make the matrix strongly diagonally
         // dominant (this is what makes early PTC steps easy to solve).
-        let (geom, bc, node, mut jac) = setup();
+        let (geom, bc, node, slots, mut jac) = setup();
         let cond = FlowConditions::default();
-        assemble(&geom, &bc, &node, &cond, &mut jac);
+        assemble(&geom, &bc, &node, &cond, &slots, &mut jac);
         let n = jac.dim();
-        add_time_diagonal(&mut jac, &vec![1e3; n]);
+        add_time_diagonal(&slots, &mut jac, &vec![1e3; n]);
         let d = jac.to_dense();
         for i in 0..n {
             let diag = d[i * n + i].abs();

@@ -139,7 +139,8 @@ impl<T: ?Sized> AssertTeamSafe<'_, T> {
     }
 }
 
-/// Workspace-owning GMRES solver (buffers reused across calls).
+/// Workspace-owning GMRES solver (buffers reused across calls): nothing
+/// is allocated per iteration or per restart cycle.
 pub struct Gmres {
     /// Configuration.
     pub config: GmresConfig,
@@ -147,18 +148,42 @@ pub struct Gmres {
     h: Vec<f64>, // Hessenberg, column-major (restart+1) x restart
     work: Vec<f64>,
     work2: Vec<f64>,
+    /// Least-squares right-hand side, `restart + 1`.
+    g: Vec<f64>,
+    /// Givens cosines and sines, `restart` each.
+    cs: Vec<f64>,
+    sn: Vec<f64>,
+    /// Back-substituted correction coefficients, `restart`.
+    y: Vec<f64>,
+    /// Gram-Schmidt coefficients of the current iteration: one
+    /// [`Gmres::coeff_stride`]-wide slot per thread (serial and per-op
+    /// use the first), so team threads never share a cache line.
+    coeffs: Vec<f64>,
 }
 
 impl Gmres {
     /// Creates a solver for vectors of length `n`.
     pub fn new(n: usize, config: GmresConfig) -> Self {
+        let restart = config.restart;
         Gmres {
             config,
-            basis: (0..config.restart + 1).map(|_| vec![0.0; n]).collect(),
-            h: vec![0.0; (config.restart + 1) * config.restart],
+            basis: (0..restart + 1).map(|_| vec![0.0; n]).collect(),
+            h: vec![0.0; (restart + 1) * restart],
             work: vec![0.0; n],
             work2: vec![0.0; n],
+            g: vec![0.0; restart + 1],
+            cs: vec![0.0; restart],
+            sn: vec![0.0; restart],
+            y: vec![0.0; restart],
+            coeffs: vec![0.0; Self::coeff_stride(restart)],
         }
+    }
+
+    /// Width of one thread's coefficient slot: the `restart + 1`
+    /// coefficients plus the fused `<w, w>`, rounded up to whole cache
+    /// lines.
+    fn coeff_stride(restart: usize) -> usize {
+        (restart + 2).div_ceil(8) * 8
     }
 
     /// Solves `A x = b` with left preconditioning, starting from the
@@ -267,10 +292,9 @@ impl Gmres {
                 None => vecops::div_into(&mut self.basis[0], &self.work2, beta),
                 Some(p) => vecops::par::div_into(p, &mut self.basis[0], &self.work2, beta),
             }
-            let mut g = vec![0.0; restart + 1];
+            let (g, cs, sn) = (&mut self.g, &mut self.cs, &mut self.sn);
+            g.fill(0.0);
             g[0] = beta;
-            let mut cs = vec![0.0; restart];
-            let mut sn = vec![0.0; restart];
             let mut k_done = 0usize;
             let mut finished: Option<GmresOutcome> = None;
             let mut res = beta;
@@ -290,64 +314,45 @@ impl Gmres {
                 // classical Gram-Schmidt: h[0..=k] = V^T w, w -= V h.
                 // In single-reduction mode, <w,w> joins the same fused
                 // mdot and the new norm comes from Pythagoras.
-                let hkk = {
-                    let refs: Vec<&[f64]> =
-                        self.basis[..=k].iter().map(|v| v.as_slice()).collect();
-                    if self.config.single_reduction {
-                        let mut fused: Vec<&[f64]> = refs.clone();
-                        fused.push(&self.work2);
-                        let mut out = vec![0.0; k + 2];
-                        match pool {
-                            None => vecops::mdot(&self.work2, &fused, &mut out),
-                            Some(p) => vecops::par::mdot(p, &self.work2, &fused, &mut out),
-                        }
+                let basis = &self.basis[..=k];
+                let fused = usize::from(self.config.single_reduction);
+                let out = &mut self.coeffs[..k + 1 + fused];
+                match pool {
+                    None => vecops::mdot(&self.work2, basis, out),
+                    Some(p) => vecops::par::mdot(p, &self.work2, basis, out),
+                }
+                reductions += 1;
+                // `<w, w>` when fused (read only then).
+                let ww = out[k + fused];
+                let coeffs = &mut out[..k + 1];
+                self.h[k * (restart + 1)..][..k + 1].copy_from_slice(coeffs);
+                let h2: f64 = coeffs.iter().map(|c| c * c).sum();
+                coeffs.iter_mut().for_each(|c| *c = -*c);
+                match pool {
+                    None => vecops::maxpy(&mut self.work2, coeffs, basis),
+                    Some(p) => vecops::par::maxpy(p, &mut self.work2, coeffs, basis),
+                }
+                let hkk = if self.config.single_reduction {
+                    let mut hkk2 = ww - h2;
+                    // Pythagoras holds only as far as the basis is
+                    // orthonormal; one-pass CGS loses orthogonality
+                    // exactly when the update cancels strongly, so
+                    // fall back to a direct norm whenever less than
+                    // 1% of ‖w‖² survives (one extra reduction on
+                    // those iterations — still fewer on net).
+                    if hkk2 < 1e-2 * ww {
+                        hkk2 = match pool {
+                            None => vecops::dot(&self.work2, &self.work2),
+                            Some(p) => vecops::par::dot(p, &self.work2, &self.work2),
+                        };
                         reductions += 1;
-                        let ww = out.pop().unwrap();
-                        let coeffs = out;
-                        let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
-                        match pool {
-                            None => vecops::maxpy(&mut self.work2, &neg, &refs),
-                            Some(p) => vecops::par::maxpy(p, &mut self.work2, &neg, &refs),
-                        }
-                        for (i, c) in coeffs.iter().enumerate() {
-                            self.h[k * (restart + 1) + i] = *c;
-                        }
-                        let h2: f64 = coeffs.iter().map(|c| c * c).sum();
-                        let mut hkk2 = ww - h2;
-                        // Pythagoras holds only as far as the basis is
-                        // orthonormal; one-pass CGS loses orthogonality
-                        // exactly when the update cancels strongly, so
-                        // fall back to a direct norm whenever less than
-                        // 1% of ‖w‖² survives (one extra reduction on
-                        // those iterations — still fewer on net).
-                        if hkk2 < 1e-2 * ww {
-                            hkk2 = match pool {
-                                None => vecops::dot(&self.work2, &self.work2),
-                                Some(p) => vecops::par::dot(p, &self.work2, &self.work2),
-                            };
-                            reductions += 1;
-                        }
-                        hkk2.max(0.0).sqrt()
-                    } else {
-                        let mut coeffs = vec![0.0; k + 1];
-                        match pool {
-                            None => vecops::mdot(&self.work2, &refs, &mut coeffs),
-                            Some(p) => vecops::par::mdot(p, &self.work2, &refs, &mut coeffs),
-                        }
-                        reductions += 1;
-                        let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
-                        match pool {
-                            None => vecops::maxpy(&mut self.work2, &neg, &refs),
-                            Some(p) => vecops::par::maxpy(p, &mut self.work2, &neg, &refs),
-                        }
-                        for (i, c) in coeffs.iter().enumerate() {
-                            self.h[k * (restart + 1) + i] = *c;
-                        }
-                        reductions += 1;
-                        match pool {
-                            None => vecops::norm2(&self.work2),
-                            Some(p) => vecops::par::norm2(p, &self.work2),
-                        }
+                    }
+                    hkk2.max(0.0).sqrt()
+                } else {
+                    reductions += 1;
+                    match pool {
+                        None => vecops::norm2(&self.work2),
+                        Some(p) => vecops::par::norm2(p, &self.work2),
                     }
                 };
                 self.h[k * (restart + 1) + k + 1] = hkk;
@@ -355,11 +360,10 @@ impl Gmres {
                 if hkk <= 1e-14 * res.max(1.0) {
                     finished = Some(GmresOutcome::Breakdown);
                 } else {
-                    let (head, tail) = self.basis.split_at_mut(k + 1);
-                    let _ = head;
+                    let next = &mut self.basis[k + 1];
                     match pool {
-                        None => vecops::div_into(&mut tail[0], &self.work2, hkk),
-                        Some(p) => vecops::par::div_into(p, &mut tail[0], &self.work2, hkk),
+                        None => vecops::div_into(next, &self.work2, hkk),
+                        Some(p) => vecops::par::div_into(p, next, &self.work2, hkk),
                     }
                 }
                 // apply existing Givens rotations to column k
@@ -393,22 +397,12 @@ impl Gmres {
 
             // back-substitute y from the triangularized Hessenberg
             let kk = k_done;
-            let mut y = vec![0.0; kk];
-            for i in (0..kk).rev() {
-                let mut acc = g[i];
-                for j in i + 1..kk {
-                    acc -= self.h[j * (restart + 1) + i] * y[j];
-                }
-                y[i] = acc / self.h[i * (restart + 1) + i];
-            }
+            let y = &mut self.y[..kk];
+            back_substitute(&self.h, restart + 1, g, y);
             // x += V y
-            {
-                let refs: Vec<&[f64]> =
-                    self.basis[..kk].iter().map(|v| v.as_slice()).collect();
-                match pool {
-                    None => vecops::maxpy(x, &y, &refs),
-                    Some(p) => vecops::par::maxpy(p, x, &y, &refs),
-                }
+            match pool {
+                None => vecops::maxpy(x, y, &self.basis[..kk]),
+                Some(p) => vecops::par::maxpy(p, x, y, &self.basis[..kk]),
             }
 
             match finished {
@@ -470,17 +464,22 @@ impl Gmres {
 
         // Borrow-erased views shared with the region closures. From here
         // on, these buffers are touched only through the views: by the
-        // team inside regions, by the main thread between them.
+        // team inside regions, by the main thread between them. The
+        // basis is the exception: a region borrows the vectors it reads
+        // (`&self.basis[..=k]`) and erases only the one it writes.
         let x_s = TeamSlice::new(x);
         let b_s = TeamSlice::from_raw(b.as_ptr() as *mut f64, n);
         let work_s = TeamSlice::new(&mut self.work);
         let work2_s = TeamSlice::new(&mut self.work2);
-        let basis_s: Vec<TeamSlice> = self.basis.iter_mut().map(|v| TeamSlice::new(v)).collect();
         // Region → main-thread mailbox: beta / Gram-Schmidt coefficients
         // in [0..restart+1), h_{k+1,k} at [restart+1], extra-reduction
         // flag at [restart+2]. Leader-written, read between regions.
         let mut cell = vec![0.0f64; restart + 3];
         let cell_s = TeamSlice::new(&mut cell);
+        // One coefficient slot per thread (see the field).
+        let stride = Self::coeff_stride(restart);
+        self.coeffs.resize(nt * stride, 0.0);
+        let coeffs_s = TeamSlice::new(&mut self.coeffs);
 
         let a_sync = AssertTeamSafe(a);
         let m_sync = AssertTeamSafe(m);
@@ -502,6 +501,7 @@ impl Gmres {
                 }
             }
             let r0_in = residual0;
+            let basis_first = TeamSlice::new(&mut self.basis[0]);
             pool.run(|tid| {
                 // SAFETY: one member per tid per region.
                 let tm = unsafe { team.member(tid) };
@@ -524,7 +524,7 @@ impl Gmres {
                 // main thread re-derives the same decision below.
                 let r0v = if r0_in.is_nan() { beta } else { r0_in };
                 if !(beta <= atol || beta <= rtol * r0v) {
-                    team_ops::div_into(&tm, basis_s[0], work2_s, beta);
+                    team_ops::div_into(&tm, basis_first, work2_s, beta);
                 }
             });
             let beta = cell[0];
@@ -554,10 +554,9 @@ impl Gmres {
                     exec,
                 };
             }
-            let mut g = vec![0.0; restart + 1];
+            let (g, cs, sn) = (&mut self.g, &mut self.cs, &mut self.sn);
+            g.fill(0.0);
             g[0] = beta;
-            let mut cs = vec![0.0; restart];
-            let mut sn = vec![0.0; restart];
             let mut k_done = 0usize;
             let mut finished: Option<GmresOutcome> = None;
             let mut res = beta;
@@ -570,47 +569,43 @@ impl Gmres {
                 total_iters += 1;
                 if hybrid {
                     // SAFETY: no region active.
-                    unsafe {
-                        let vk = basis_s[k].slice(0..n);
-                        let ws = work_s.slice_mut(0..n);
-                        a.apply(vk, ws);
-                    }
+                    unsafe { a.apply(&self.basis[k], work_s.slice_mut(0..n)) };
                 }
                 // One region: w = M⁻¹ A v_k, CGS orthogonalization, new
                 // basis vector. Reduced scalars are identical on every
                 // thread, so all branches are uniform across the team.
                 let res_in = res;
-                let basis_prefix = &basis_s[..=k];
-                let basis_next = basis_s[k + 1];
+                let (basis_prefix, basis_rest) = self.basis.split_at_mut(k + 1);
+                let basis_prefix: &[Vec<f64>] = basis_prefix;
+                let basis_next = TeamSlice::new(&mut basis_rest[0]);
                 pool.run(|tid| {
+                    // SAFETY: one member per tid per region.
                     let tm = unsafe { team.member(tid) };
                     if !hybrid {
-                        // SAFETY: v_k published at the previous region's
-                        // close; trait contract for concurrency.
-                        unsafe { a_sync.get().apply_team(&tm, basis_prefix[k], work_s) };
+                        let v_k = TeamSlice::from_raw(basis_prefix[k].as_ptr() as *mut f64, n);
+                        // SAFETY: v_k is only read (it sits in the shared
+                        // prefix); trait contract for concurrency.
+                        unsafe { a_sync.get().apply_team(&tm, v_k, work_s) };
                         tm.barrier();
                     }
                     // SAFETY: work published (barrier above or region
                     // entry in hybrid mode).
                     unsafe { m_sync.get().apply_team(&tm, work_s, work2_s) };
+                    // SAFETY: slot `tid` is this thread's alone.
+                    let slot = unsafe { coeffs_s.slice_mut(tid * stride..(tid + 1) * stride) };
+                    let out = &mut slot[..k + 1 + usize::from(single)];
+                    team_ops::mdot(&tm, work2_s, basis_prefix, out);
+                    // `<w, w>` when fused (read only then).
+                    let ww = out[k + usize::from(single)];
+                    let coeffs = &mut out[..k + 1];
+                    if tid == 0 {
+                        // SAFETY: leader-only mailbox write.
+                        unsafe { cell_s.slice_mut(0..k + 1).copy_from_slice(coeffs) };
+                    }
+                    let h2: f64 = coeffs.iter().map(|c| c * c).sum();
+                    coeffs.iter_mut().for_each(|c| *c = -*c);
+                    team_ops::maxpy(&tm, work2_s, coeffs, basis_prefix);
                     let (hkk, extra) = if single {
-                        let mut list: Vec<TeamSlice> = basis_prefix.to_vec();
-                        list.push(work2_s);
-                        let mut out = vec![0.0; k + 2];
-                        team_ops::mdot(&tm, work2_s, &list, &mut out);
-                        let ww = out[k + 1];
-                        let coeffs = &out[..k + 1];
-                        let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
-                        team_ops::maxpy(&tm, work2_s, &neg, basis_prefix);
-                        if tid == 0 {
-                            // SAFETY: leader-only mailbox write.
-                            unsafe {
-                                for (i, c) in coeffs.iter().enumerate() {
-                                    cell_s.set(i, *c);
-                                }
-                            }
-                        }
-                        let h2: f64 = coeffs.iter().map(|c| c * c).sum();
                         let mut hkk2 = ww - h2;
                         let mut extra = 0.0;
                         if hkk2 < 1e-2 * ww {
@@ -619,20 +614,7 @@ impl Gmres {
                         }
                         (hkk2.max(0.0).sqrt(), extra)
                     } else {
-                        let mut coeffs = vec![0.0; k + 1];
-                        team_ops::mdot(&tm, work2_s, basis_prefix, &mut coeffs);
-                        let neg: Vec<f64> = coeffs.iter().map(|c| -c).collect();
-                        team_ops::maxpy(&tm, work2_s, &neg, basis_prefix);
-                        let hkk = team_ops::norm2(&tm, work2_s);
-                        if tid == 0 {
-                            // SAFETY: leader-only mailbox write.
-                            unsafe {
-                                for (i, c) in coeffs.iter().enumerate() {
-                                    cell_s.set(i, *c);
-                                }
-                            }
-                        }
-                        (hkk, 0.0)
+                        (team_ops::norm2(&tm, work2_s), 0.0)
                     };
                     if tid == 0 {
                         // SAFETY: leader-only mailbox write.
@@ -651,9 +633,7 @@ impl Gmres {
                 } else {
                     reductions += 1;
                 }
-                for i in 0..=k {
-                    self.h[k * (restart + 1) + i] = cell[i];
-                }
+                self.h[k * (restart + 1)..][..k + 1].copy_from_slice(&cell[..k + 1]);
                 let hkk = cell[restart + 1];
                 self.h[k * (restart + 1) + k + 1] = hkk;
                 k_done = k + 1;
@@ -690,20 +670,15 @@ impl Gmres {
 
             // back-substitution on the main thread
             let kk = k_done;
-            let mut y = vec![0.0; kk];
-            for i in (0..kk).rev() {
-                let mut acc = g[i];
-                for j in i + 1..kk {
-                    acc -= self.h[j * (restart + 1) + i] * y[j];
-                }
-                y[i] = acc / self.h[i * (restart + 1) + i];
-            }
+            let y = &mut self.y[..kk];
+            back_substitute(&self.h, restart + 1, g, y);
             // x += V y — one region.
             if kk > 0 {
-                let basis_used = &basis_s[..kk];
+                let (y, basis_used) = (&*y, &self.basis[..kk]);
                 pool.run(|tid| {
+                    // SAFETY: one member per tid per region.
                     let tm = unsafe { team.member(tid) };
-                    team_ops::maxpy(&tm, x_s, &y, basis_used);
+                    team_ops::maxpy(&tm, x_s, y, basis_used);
                 });
             }
 
@@ -735,6 +710,19 @@ impl Gmres {
                 }
             }
         }
+    }
+}
+
+/// Solves the triangularized `y.len()`-column Hessenberg system `H y = g`
+/// (`h` column-major with `ld` rows per column).
+fn back_substitute(h: &[f64], ld: usize, g: &[f64], y: &mut [f64]) {
+    let kk = y.len();
+    for i in (0..kk).rev() {
+        let mut acc = g[i];
+        for j in i + 1..kk {
+            acc -= h[j * ld + i] * y[j];
+        }
+        y[i] = acc / h[i * ld + i];
     }
 }
 

@@ -132,12 +132,15 @@ impl<F: Fn(&[f64], &mut [f64])> LinearOperator for FdJacobian<'_, F> {
         }
         (self.residual)(up, rp);
         let inv_eps = 1.0 / eps;
-        for i in 0..n {
-            y[i] = (rp[i] - self.r0[i]) * inv_eps;
-        }
-        if !self.shift.is_empty() {
+        // One pass either way; with a shift, element i is the difference
+        // quotient rounded, then the rounded product added to it.
+        if self.shift.is_empty() {
             for i in 0..n {
-                y[i] += self.shift[i] * v[i];
+                y[i] = (rp[i] - self.r0[i]) * inv_eps;
+            }
+        } else {
+            for i in 0..n {
+                y[i] = (rp[i] - self.r0[i]) * inv_eps + self.shift[i] * v[i];
             }
         }
     }

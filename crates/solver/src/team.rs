@@ -8,36 +8,58 @@
 //! barrier phases through the team's [`TreeReduce`]).
 //!
 //! Bitwise contract: each op partitions `0..n` with the same
-//! [`chunk_range`](fun3d_threads::chunk_range) as `vecops::par`, runs the
-//! identical per-element accumulation loop, and combines per-thread
-//! partials in thread order — so at a fixed thread count every result is
-//! bit-for-bit equal to the corresponding `vecops::par` call. That is
-//! what lets the persistent-region GMRES reproduce the per-op GMRES
-//! history exactly.
+//! [`chunk_range`](fun3d_threads::chunk_range) as `vecops::par`, calls
+//! the same serial op or chunk kernel of [`crate::vecops`] on its chunk,
+//! and combines per-thread partials in thread order — so at a fixed
+//! thread count every result is bit-for-bit equal to the corresponding
+//! `vecops::par` call. That is what lets the persistent-region GMRES
+//! reproduce the per-op GMRES history exactly.
 //!
 //! Synchronization contract (callers): elementwise ops (`axpy`, `waxpy`,
 //! `maxpy`, `scale_into`, `copy`) do **not** barrier — each thread only
 //! touches its own chunk, and a barrier is required before any op that
 //! reads another thread's chunk (SpMV, dot). Reductions (`dot`, `norm2`,
 //! `mdot`) barrier internally and return the same value on every thread.
+//! Vectors a region only reads (the Krylov basis) are passed as plain
+//! shared borrows; [`TeamSlice`] is for the ones some thread writes.
+//!
+//! [`TreeReduce`]: fun3d_threads::TreeReduce
 
+use crate::vecops;
+use fun3d_simd::Isa;
 use fun3d_threads::{TeamMember, TeamSlice};
+
+/// This thread's chunk of `v`, to read.
+///
+/// # Safety
+/// No thread writes the chunk while the borrow lives: the caller ordered
+/// all earlier writes before the call (barrier or region entry).
+unsafe fn chunk<'a>(tm: &TeamMember, v: &'a TeamSlice) -> &'a [f64] {
+    // SAFETY: in bounds by `chunk_range`; unwritten per the contract.
+    unsafe { v.slice(tm.chunk(v.len())) }
+}
+
+/// This thread's chunk of `v`, to write.
+///
+/// # Safety
+/// As [`chunk`], and no thread reads the chunk either: it is this
+/// thread's alone until the next barrier.
+#[allow(clippy::mut_from_ref)]
+unsafe fn chunk_mut<'a>(tm: &TeamMember, v: &'a TeamSlice) -> &'a mut [f64] {
+    // SAFETY: in bounds by `chunk_range`, which hands every index to
+    // exactly one thread; exclusive per the contract.
+    unsafe { v.slice_mut(tm.chunk(v.len())) }
+}
 
 /// Team `<x, y>`: chunk-local partial + deterministic thread-order
 /// combine. Returns the same bits on every thread; synchronizes (2
 /// barrier phases).
 pub fn dot(tm: &TeamMember, x: TeamSlice, y: TeamSlice) -> f64 {
     assert_eq!(x.len(), y.len());
-    let r = tm.chunk(x.len());
-    let mut acc = 0.0;
     // SAFETY: reads of both vectors; caller ordered all writes before
     // this call (barrier), and no thread writes during it.
-    unsafe {
-        for i in r {
-            acc += x.get(i) * y.get(i);
-        }
-    }
-    tm.sum(acc)
+    let partial = unsafe { vecops::dot_chunk(Isa::detect(), chunk(tm, &x), chunk(tm, &y)) };
+    tm.sum(partial)
 }
 
 /// Team 2-norm (synchronizes; identical on every thread).
@@ -45,88 +67,52 @@ pub fn norm2(tm: &TeamMember, x: TeamSlice) -> f64 {
     dot(tm, x, x).sqrt()
 }
 
-/// Team multi-dot: `out[k] = <x, ys[k]>` in a single pass over this
-/// thread's chunk of `x`, then ONE tree combine for all `k` components
-/// (2 barrier phases total). `out` is thread-local storage; after the
-/// call every thread holds identical values. Requires `ys.len() <=` the
-/// team's reduction width.
-pub fn mdot(tm: &TeamMember, x: TeamSlice, ys: &[TeamSlice], out: &mut [f64]) {
-    assert_eq!(ys.len(), out.len());
-    let k = ys.len();
-    if k == 0 {
+/// Team multi-dot: `out[j] = <x, ys[j]>` in a single pass over this
+/// thread's chunk of `x` per block of vectors, then ONE tree combine for
+/// all components (2 barrier phases total). `out` is thread-local
+/// storage, sized as for [`vecops::mdot`] and no wider than the team's
+/// reduction width; after the call every thread holds identical values.
+pub fn mdot(tm: &TeamMember, x: TeamSlice, ys: &[Vec<f64>], out: &mut [f64]) {
+    if out.is_empty() {
         return;
     }
-    for y in ys {
-        assert_eq!(y.len(), x.len());
-    }
-    let r = tm.chunk(x.len());
-    let mut accs = vec![0.0f64; k];
+    vecops::assert_lens(x.len(), ys);
+    let lo = tm.chunk(x.len()).start;
     // SAFETY: reads only; caller ordered writes before the call.
-    unsafe {
-        for i in r {
-            let xi = x.get(i);
-            for (acc, y) in accs.iter_mut().zip(ys) {
-                *acc += xi * y.get(i);
-            }
-        }
-    }
-    tm.sums(&accs, out);
+    let x = unsafe { chunk(tm, &x) };
+    vecops::mdot_chunk(Isa::detect(), x, ys, lo, out);
+    tm.sums_in_place(out);
 }
 
 /// Team `y += a*x` on this thread's chunk. No barrier.
 pub fn axpy(tm: &TeamMember, y: TeamSlice, a: f64, x: TeamSlice) {
     assert_eq!(y.len(), x.len());
-    let r = tm.chunk(y.len());
     // SAFETY: chunk-disjoint writes; x reads ordered by caller.
-    unsafe {
-        for i in r {
-            y.set(i, y.get(i) + a * x.get(i));
-        }
-    }
+    unsafe { vecops::axpy(chunk_mut(tm, &y), a, chunk(tm, &x)) }
 }
 
 /// Team `w = a*x + y` on this thread's chunk. No barrier.
 pub fn waxpy(tm: &TeamMember, w: TeamSlice, a: f64, x: TeamSlice, y: TeamSlice) {
     assert!(w.len() == x.len() && x.len() == y.len());
-    let r = tm.chunk(w.len());
     // SAFETY: chunk-disjoint writes; reads ordered by caller.
-    unsafe {
-        for i in r {
-            w.set(i, a * x.get(i) + y.get(i));
-        }
-    }
+    unsafe { vecops::waxpy(chunk_mut(tm, &w), a, chunk(tm, &x), chunk(tm, &y)) }
 }
 
 /// Team `y += Σ_k alpha[k]·xs[k]` on this thread's chunk, `y` traversed
 /// once. No barrier.
-pub fn maxpy(tm: &TeamMember, y: TeamSlice, alpha: &[f64], xs: &[TeamSlice]) {
-    assert_eq!(alpha.len(), xs.len());
-    for x in xs {
-        assert_eq!(x.len(), y.len());
-    }
-    let r = tm.chunk(y.len());
+pub fn maxpy(tm: &TeamMember, y: TeamSlice, alpha: &[f64], xs: &[Vec<f64>]) {
+    vecops::assert_lens(y.len(), xs);
+    let lo = tm.chunk(y.len()).start;
     // SAFETY: chunk-disjoint writes; reads ordered by caller.
-    unsafe {
-        for i in r {
-            let mut acc = y.get(i);
-            for (a, x) in alpha.iter().zip(xs) {
-                acc += a * x.get(i);
-            }
-            y.set(i, acc);
-        }
-    }
+    let y = unsafe { chunk_mut(tm, &y) };
+    vecops::maxpy_chunk(Isa::detect(), y, lo, alpha, xs);
 }
 
 /// Team `w = b - w` in place on this thread's chunk. No barrier.
 pub fn bsub(tm: &TeamMember, w: TeamSlice, b: TeamSlice) {
     assert_eq!(w.len(), b.len());
-    let r = tm.chunk(w.len());
     // SAFETY: chunk-disjoint read-modify-write.
-    unsafe {
-        for i in r {
-            w.set(i, b.get(i) - w.get(i));
-        }
-    }
+    unsafe { vecops::bsub(chunk_mut(tm, &w), chunk(tm, &b)) }
 }
 
 /// Team `dst = src / s` elementwise on this thread's chunk (division,
@@ -134,44 +120,33 @@ pub fn bsub(tm: &TeamMember, w: TeamSlice, b: TeamSlice) {
 /// per-op paths). No barrier.
 pub fn div_into(tm: &TeamMember, dst: TeamSlice, src: TeamSlice, s: f64) {
     assert_eq!(dst.len(), src.len());
-    let r = tm.chunk(dst.len());
     // SAFETY: chunk-disjoint writes.
-    unsafe {
-        for i in r {
-            dst.set(i, src.get(i) / s);
-        }
-    }
+    unsafe { vecops::div_into(chunk_mut(tm, &dst), chunk(tm, &src), s) }
 }
 
 /// Team `dst = a * src` on this thread's chunk. No barrier.
 pub fn scale_into(tm: &TeamMember, dst: TeamSlice, a: f64, src: TeamSlice) {
     assert_eq!(dst.len(), src.len());
-    let r = tm.chunk(dst.len());
     // SAFETY: chunk-disjoint writes; reads ordered by caller.
-    unsafe {
-        for i in r {
-            dst.set(i, a * src.get(i));
-        }
+    let (dst, src) = unsafe { (chunk_mut(tm, &dst), chunk(tm, &src)) };
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = a * s;
     }
 }
 
 /// Team copy `dst = src` on this thread's chunk. No barrier.
 pub fn copy(tm: &TeamMember, dst: TeamSlice, src: TeamSlice) {
     assert_eq!(dst.len(), src.len());
-    let r = tm.chunk(dst.len());
     // SAFETY: chunk-disjoint writes; reads ordered by caller.
-    unsafe {
-        for i in r {
-            dst.set(i, src.get(i));
-        }
-    }
+    unsafe { chunk_mut(tm, &dst).copy_from_slice(chunk(tm, &src)) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vecops;
+    use crate::vecops::tests::{random_vectors, same, VECTOR_COUNTS};
     use fun3d_threads::{Team, ThreadPool};
+    use fun3d_util::{prop_assert, prop_cases};
     use std::sync::Mutex;
 
     fn vecs(n: usize) -> (Vec<f64>, Vec<f64>) {
@@ -180,54 +155,59 @@ mod tests {
         (x, y)
     }
 
-    #[test]
-    fn team_dot_matches_par_dot_bitwise() {
-        for nt in [1usize, 2, 4] {
-            let pool = ThreadPool::new(nt);
-            let team = Team::new(nt, 4);
-            let (mut x, mut y) = vecs(997);
-            let want = vecops::par::dot(&pool, &x, &y);
-            let xs = TeamSlice::new(&mut x);
-            let ys = TeamSlice::new(&mut y);
-            let got = Mutex::new(vec![0.0; nt]);
-            pool.run(|tid| {
-                let tm = unsafe { team.member(tid) };
-                let d = dot(&tm, xs, ys);
-                got.lock().unwrap()[tid] = d;
-            });
-            for &g in got.lock().unwrap().iter() {
-                assert_eq!(g.to_bits(), want.to_bits(), "nt={nt}");
-            }
-        }
-    }
+    prop_cases! {
+        fn team_reductions_match_par_bitwise(g, cases = 12) {
+            // PerOp ≡ Team at every thread count, and both ≡ serial at
+            // one thread: dot, norm2, and mdot for every vector-count
+            // residue, with and without the fused <x, x>.
+            let seed = g.u64();
+            let n = g.usize_range(0, 1100);
+            for nt in [1usize, 2, 3] {
+                let pool = ThreadPool::new(nt);
+                let team = Team::new(nt, 33);
+                let mut vs = random_vectors(seed, 33, n, 0);
+                let (ys, rest) = vs.split_at_mut(31);
+                let (x, y) = (&rest[0].clone(), &rest[1].clone());
+                let (xs, y_s) = (TeamSlice::new(&mut rest[0]), TeamSlice::new(&mut rest[1]));
 
-    #[test]
-    fn team_mdot_matches_par_mdot_bitwise() {
-        let nt = 3;
-        let pool = ThreadPool::new(nt);
-        let team = Team::new(nt, 8);
-        let n = 1001;
-        let (mut x, _) = vecs(n);
-        let mut ys: Vec<Vec<f64>> = (0..5)
-            .map(|k| (0..n).map(|i| ((i + 3 * k) as f64 * 0.07).sin()).collect())
-            .collect();
-        let refs: Vec<&[f64]> = ys.iter().map(|v| v.as_slice()).collect();
-        let mut want = vec![0.0; refs.len()];
-        vecops::par::mdot(&pool, &x, &refs, &mut want);
+                for k in VECTOR_COUNTS {
+                    for fused in [0, 1] {
+                        let mut want = vec![0.0; k + fused];
+                        vecops::par::mdot(&pool, x, &ys[..k], &mut want);
+                        let got = Mutex::new(vec![Vec::new(); nt]);
+                        pool.run(|tid| {
+                            // SAFETY: one member per tid per region.
+                            let tm = unsafe { team.member(tid) };
+                            let mut out = vec![0.0; k + fused];
+                            mdot(&tm, xs, &ys[..k], &mut out);
+                            got.lock().unwrap()[tid] = out;
+                        });
+                        for out in got.lock().unwrap().iter() {
+                            prop_assert!(same(out, &want), "mdot nt={nt} n={n} k={k} fused={fused}");
+                        }
+                        if nt == 1 {
+                            let mut serial = vec![0.0; k + fused];
+                            vecops::mdot(x, &ys[..k], &mut serial);
+                            prop_assert!(same(&serial, &want), "serial mdot n={n} k={k} fused={fused}");
+                        }
+                    }
+                }
 
-        let xs = TeamSlice::new(&mut x);
-        let yslices: Vec<TeamSlice> = ys.iter_mut().map(|v| TeamSlice::new(v)).collect();
-        let got = Mutex::new(vec![0.0; want.len()]);
-        pool.run(|tid| {
-            let tm = unsafe { team.member(tid) };
-            let mut out = vec![0.0; yslices.len()];
-            mdot(&tm, xs, &yslices, &mut out);
-            if tid == 0 {
-                got.lock().unwrap().copy_from_slice(&out);
+                let want = [vecops::par::dot(&pool, x, y), vecops::par::norm2(&pool, x)];
+                let got = Mutex::new(vec![[0.0; 2]; nt]);
+                pool.run(|tid| {
+                    // SAFETY: one member per tid per region.
+                    let tm = unsafe { team.member(tid) };
+                    let d = [dot(&tm, xs, y_s), norm2(&tm, xs)];
+                    got.lock().unwrap()[tid] = d;
+                });
+                for d in got.lock().unwrap().iter() {
+                    prop_assert!(same(d, &want), "dot/norm2 nt={nt} n={n}");
+                }
+                if nt == 1 {
+                    prop_assert!(same(&[vecops::dot(x, y), vecops::norm2(x)], &want), "serial dot n={n}");
+                }
             }
-        });
-        for (k, (&g, &w)) in got.lock().unwrap().iter().zip(&want).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "component {k}");
         }
     }
 
@@ -244,9 +224,14 @@ mod tests {
         vecops::waxpy(&mut w_ref, 1.3, &x, &y);
         let mut y_axpy = y.clone();
         vecops::axpy(&mut y_axpy, -0.7, &x);
+        let basis = [x.clone(), w_ref.clone()];
         let mut y_maxpy = y.clone();
-        vecops::maxpy(&mut y_maxpy, &[0.2, -0.4], &[&x, &w_ref.clone()]);
+        vecops::maxpy(&mut y_maxpy, &[0.2, -0.4], &basis);
         let scale_ref: Vec<f64> = x.iter().map(|&v| 2.5 * v).collect();
+        let mut b_ref = y.clone();
+        vecops::bsub(&mut b_ref, &x);
+        let mut d_ref = vec![0.0; n];
+        vecops::div_into(&mut d_ref, &x, 7.0);
 
         let mut xb = x.clone();
         let mut yb = y.clone();
@@ -254,23 +239,34 @@ mod tests {
         let mut ab = y.clone();
         let mut mb = y.clone();
         let mut sb = vec![0.0; n];
+        let mut bb = y.clone();
+        let mut db = vec![0.0; n];
+        let mut cb = vec![0.0; n];
         let xs = TeamSlice::new(&mut xb);
         let ys = TeamSlice::new(&mut yb);
         let ws = TeamSlice::new(&mut wb);
         let as_ = TeamSlice::new(&mut ab);
         let ms = TeamSlice::new(&mut mb);
         let ss = TeamSlice::new(&mut sb);
+        let bs = TeamSlice::new(&mut bb);
+        let ds = TeamSlice::new(&mut db);
+        let cs = TeamSlice::new(&mut cb);
         pool.run(|tid| {
             let tm = unsafe { team.member(tid) };
             waxpy(&tm, ws, 1.3, xs, ys);
             axpy(&tm, as_, -0.7, xs);
-            tm.barrier(); // ws fully written before maxpy reads it
-            maxpy(&tm, ms, &[0.2, -0.4], &[xs, ws]);
+            maxpy(&tm, ms, &[0.2, -0.4], &basis);
             scale_into(&tm, ss, 2.5, xs);
+            bsub(&tm, bs, xs);
+            div_into(&tm, ds, xs, 7.0);
+            copy(&tm, cs, xs);
         });
         assert_eq!(wb, w_ref);
         assert_eq!(ab, y_axpy);
         assert_eq!(mb, y_maxpy);
         assert_eq!(sb, scale_ref);
+        assert_eq!(bb, b_ref);
+        assert_eq!(db, d_ref);
+        assert_eq!(cb, x);
     }
 }

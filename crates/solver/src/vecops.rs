@@ -6,8 +6,50 @@
 //! thread-parallel in stock PETSc; it replaces them with threaded,
 //! vectorized implementations. Both forms live here so the application
 //! can run in "stock" and "optimized" configurations.
+//!
+//! # One kernel per primitive
+//!
+//! `dot`, `mdot` and `maxpy` each have exactly one accumulation loop, a
+//! *chunk kernel* over a contiguous index range, generic over
+//! [`fun3d_simd::Simd`] and run on the lanes [`Isa::detect`] picks. The
+//! serial functions call it on `0..n`; [`par`] and
+//! [`crate::team`] call the same kernel on each thread's
+//! [`chunk_range`](fun3d_threads::chunk_range) and add the per-thread
+//! partials in thread order, starting from `+0.0`.
+//!
+//! # Reduction order inside a chunk
+//!
+//! With `i` counted from the start of the chunk of length `m` and
+//! `m4 = 4·⌊m/4⌋`:
+//!
+//! * **`dot`** keeps four 4-lane accumulators, all starting at `+0.0`.
+//!   Element `i < m4` is added to lane `i mod 4` of accumulator
+//!   `(i mod 16) div 4`, in increasing `i`. The accumulators combine as
+//!   `(A0 + A1) + (A2 + A3)` lane by lane, the lanes as
+//!   `(l0 + l1) + (l2 + l3)`, and the products of elements `m4..m` are
+//!   added last, in increasing `i`. `norm2` is `sqrt(dot(x, x))`.
+//! * **`mdot`** keeps one 4-lane accumulator per vector `yⱼ` and reads
+//!   `x` once per block of four vectors: element `i < m4` is added to
+//!   lane `i mod 4` in increasing `i`, the lanes combine as
+//!   `(l0 + l1) + (l2 + l3)`, the tail is added last. Component `j`
+//!   depends on `x`, `yⱼ` and the chunk bounds only — not on the other
+//!   vectors of the call. It is *not* the bits of `dot(x, yⱼ)`.
+//! * **`maxpy`** has no reduction: element `i` is
+//!   `acc = y[i]; acc += α₀·x₀[i]; …; acc += αₖ·xₖ[i]`, every product
+//!   rounded before its addition, 16 elements at a time — the bits of
+//!   the textbook scalar loop.
+//!
+//! There is no fused multiply-add and nothing reassociates, so a result's
+//! bits depend on the vectors and the chunk bounds only. Hence:
+//!
+//! * `Avx2` ≡ `Portable`, bit for bit (a NaN result may differ in its
+//!   payload, never in being NaN);
+//! * serial ≡ [`par`] ≡ [`crate::team`] at one thread (a chunk partial is
+//!   never `-0.0`, so adding it to `+0.0` changes nothing);
+//! * [`par`] ≡ [`crate::team`] at every thread count.
 
-use fun3d_threads::ThreadPool;
+use fun3d_simd::{with_lanes, Isa, Simd};
+use fun3d_threads::{TeamSlice, ThreadPool};
 
 /// `w = a*x + y` (PETSc `VecWAXPY`).
 pub fn waxpy(w: &mut [f64], a: f64, x: &[f64], y: &[f64]) {
@@ -25,34 +67,20 @@ pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
-/// `y += Σ_k alpha[k] * xs[k]` (PETSc `VecMAXPY`), cache-blocked over the
-/// vectors so `y` is traversed once.
-pub fn maxpy(y: &mut [f64], alpha: &[f64], xs: &[&[f64]]) {
-    assert_eq!(alpha.len(), xs.len());
-    for x in xs {
-        assert_eq!(x.len(), y.len());
-    }
-    for i in 0..y.len() {
-        let mut acc = y[i];
-        for (a, x) in alpha.iter().zip(xs) {
-            acc += a * x[i];
-        }
-        y[i] = acc;
-    }
+/// `y += Σ_k alpha[k] * xs[k]` (PETSc `VecMAXPY`): `y` is read and written
+/// once, whatever the number of vectors.
+pub fn maxpy(y: &mut [f64], alpha: &[f64], xs: &[Vec<f64>]) {
+    assert_lens(y.len(), xs);
+    maxpy_chunk(Isa::detect(), y, 0, alpha, xs);
 }
 
-/// `out[k] = <x, ys[k]>` (PETSc `VecMDot`), single pass over `x`.
-pub fn mdot(x: &[f64], ys: &[&[f64]], out: &mut [f64]) {
-    assert_eq!(ys.len(), out.len());
-    out.iter_mut().for_each(|o| *o = 0.0);
-    for (k, y) in ys.iter().enumerate() {
-        assert_eq!(y.len(), x.len());
-        let mut acc = 0.0;
-        for i in 0..x.len() {
-            acc += x[i] * y[i];
-        }
-        out[k] = acc;
-    }
+/// `out[j] = <x, ys[j]>` (PETSc `VecMDot`): `x` is read once per block of
+/// four vectors. `out` may be one longer than `ys`; the extra last
+/// component is then `<x, x>` (the norm single-reduction GMRES fuses into
+/// the same reduction).
+pub fn mdot(x: &[f64], ys: &[Vec<f64>], out: &mut [f64]) {
+    assert_lens(x.len(), ys);
+    mdot_chunk(Isa::detect(), x, ys, 0, out);
 }
 
 /// `w = b - w` in place (residual formation step).
@@ -74,8 +102,7 @@ pub fn div_into(dst: &mut [f64], src: &[f64], s: f64) {
 
 /// `<x, y>` (PETSc `VecDot`).
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
+    dot_chunk(Isa::detect(), x, y)
 }
 
 /// 2-norm (PETSc `VecNorm` with `NORM_2`).
@@ -106,102 +133,218 @@ pub fn scatter_add(dst: &mut [f64], idx: &[u32], src: &[f64]) {
     }
 }
 
-/// Threaded variants (the paper's optimized replacements). Each splits the
-/// index space statically across the pool.
+/// Every vector of a multi-vector op must be as long as the first operand.
+pub(crate) fn assert_lens(n: usize, vs: &[Vec<f64>]) {
+    for v in vs {
+        assert_eq!(v.len(), n, "vector length differs from the first operand's");
+    }
+}
+
+/// Elements per `dot`/`maxpy` strip: four 4-lane vectors.
+const STRIP: usize = 16;
+/// Vectors per `mdot` block: one 4-lane accumulator each.
+const MDOT_BLOCK: usize = 4;
+
+/// `(l0 + l1) + (l2 + l3)`: the one lane combine of every reduction.
+#[inline(always)]
+fn lane_sum<S: Simd>(s: S, v: S::V) -> f64 {
+    let l = s.to_array(v);
+    (l[0] + l[1]) + (l[2] + l[3])
+}
+
+/// The `dot` chunk kernel: `<x, y>` over one chunk, in the order the
+/// module docs fix.
+pub(crate) fn dot_chunk(isa: Isa, x: &[f64], y: &[f64]) -> f64 {
+    /// # Safety
+    /// None; `with_lanes!` takes kernel bodies, which are unsafe.
+    #[inline(always)]
+    unsafe fn body<S: Simd>(s: S, x: &[f64], y: &[f64], out: &mut f64) {
+        let m4 = x.len() / 4 * 4;
+        let mut acc = [s.splat(0.0); STRIP / 4];
+        let (mut xs, mut ys) = (x[..m4].chunks_exact(STRIP), y[..m4].chunks_exact(STRIP));
+        for (xc, yc) in xs.by_ref().zip(ys.by_ref()) {
+            for (a, acc) in acc.iter_mut().enumerate() {
+                *acc = *acc + s.load(&xc[a * 4..]) * s.load(&yc[a * 4..]);
+            }
+        }
+        // The last, short strip fills accumulators 0, 1, 2 in turn.
+        let (xr, yr) = (xs.remainder(), ys.remainder());
+        for (acc, (xg, yg)) in acc
+            .iter_mut()
+            .zip(xr.chunks_exact(4).zip(yr.chunks_exact(4)))
+        {
+            *acc = *acc + s.load(xg) * s.load(yg);
+        }
+        let mut sum = lane_sum(s, (acc[0] + acc[1]) + (acc[2] + acc[3]));
+        for (a, b) in x[m4..].iter().zip(&y[m4..]) {
+            sum += a * b;
+        }
+        *out = sum;
+    }
+    assert_eq!(x.len(), y.len());
+    let mut sum = 0.0;
+    let out = &mut sum;
+    // SAFETY: `body` has no contract of its own (it is all safe code).
+    with_lanes!(isa, unsafe body(x: &[f64], y: &[f64], out: &mut f64));
+    sum
+}
+
+/// The `mdot` chunk kernel: `out[j] = <x, ys[j][lo..lo + x.len()]>`, with
+/// `x` already cut to the chunk, in the order the module docs fix. When
+/// `out` is one longer than `ys`, the last component is `<x, x>`.
+pub(crate) fn mdot_chunk(isa: Isa, x: &[f64], ys: &[Vec<f64>], lo: usize, out: &mut [f64]) {
+    /// # Safety
+    /// None; `with_lanes!` takes kernel bodies, which are unsafe.
+    #[inline(always)]
+    unsafe fn body<S: Simd>(s: S, x: &[f64], ys: &[Vec<f64>], lo: usize, out: &mut [f64]) {
+        let m4 = x.len() / 4 * 4;
+        let vector = |j: usize| {
+            if j < ys.len() {
+                &ys[j][lo..lo + x.len()]
+            } else {
+                x
+            }
+        };
+        for (b, out) in out.chunks_mut(MDOT_BLOCK).enumerate() {
+            // A short last block repeats its last vector; the surplus
+            // accumulators are dropped, so no component sees the padding.
+            let y: [&[f64]; MDOT_BLOCK] =
+                std::array::from_fn(|a| vector(b * MDOT_BLOCK + a.min(out.len() - 1)));
+            let mut acc = [s.splat(0.0); MDOT_BLOCK];
+            for i in (0..m4).step_by(4) {
+                let xv = s.load(&x[i..]);
+                for (acc, y) in acc.iter_mut().zip(&y) {
+                    *acc = *acc + xv * s.load(&y[i..]);
+                }
+            }
+            for (out, (acc, y)) in out.iter_mut().zip(acc.into_iter().zip(&y)) {
+                let mut sum = lane_sum(s, acc);
+                for (a, b) in x[m4..].iter().zip(&y[m4..]) {
+                    sum += a * b;
+                }
+                *out = sum;
+            }
+        }
+    }
+    assert!(
+        out.len() == ys.len() || out.len() == ys.len() + 1,
+        "mdot: {} results for {} vectors",
+        out.len(),
+        ys.len()
+    );
+    // SAFETY: `body` has no contract of its own (it is all safe code).
+    with_lanes!(
+        isa,
+        unsafe body(x: &[f64], ys: &[Vec<f64>], lo: usize, out: &mut [f64])
+    );
+}
+
+/// The `maxpy` chunk kernel: `y[i] += Σ_k alpha[k]·xs[k][lo + i]`, with
+/// `y` already cut to the chunk, in the per-element order the module docs
+/// fix.
+pub(crate) fn maxpy_chunk(isa: Isa, y: &mut [f64], lo: usize, alpha: &[f64], xs: &[Vec<f64>]) {
+    /// # Safety
+    /// None; `with_lanes!` takes kernel bodies, which are unsafe.
+    #[inline(always)]
+    unsafe fn body<S: Simd>(s: S, y: &mut [f64], lo: usize, alpha: &[f64], xs: &[Vec<f64>]) {
+        let m4 = y.len() / 4 * 4;
+        let mut i = 0;
+        while i < m4 {
+            // A full strip, or what is left of the last one.
+            let width = (m4 - i).min(STRIP);
+            let mut acc = [s.splat(0.0); STRIP / 4];
+            for (a, acc) in acc.iter_mut().enumerate().take(width / 4) {
+                *acc = s.load(&y[i + a * 4..]);
+            }
+            for (&alpha, x) in alpha.iter().zip(xs) {
+                let (av, x) = (s.splat(alpha), &x[lo + i..lo + i + width]);
+                for (acc, xg) in acc.iter_mut().zip(x.chunks_exact(4)) {
+                    *acc = *acc + av * s.load(xg);
+                }
+            }
+            for (a, acc) in acc.into_iter().enumerate().take(width / 4) {
+                s.store(acc, &mut y[i + a * 4..]);
+            }
+            i += width;
+        }
+        for (i, yi) in y.iter_mut().enumerate().skip(m4) {
+            let mut acc = *yi;
+            for (a, x) in alpha.iter().zip(xs) {
+                acc += a * x[lo + i];
+            }
+            *yi = acc;
+        }
+    }
+    assert_eq!(alpha.len(), xs.len());
+    // SAFETY: `body` has no contract of its own (it is all safe code).
+    with_lanes!(
+        isa,
+        unsafe body(y: &mut [f64], lo: usize, alpha: &[f64], xs: &[Vec<f64>])
+    );
+}
+
+/// Threaded variants (the paper's optimized replacements): one pool
+/// region per call, the index space split statically across the pool,
+/// each thread running the serial op or chunk kernel on its range.
 pub mod par {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    struct SendPtr(*mut f64);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
+    /// Runs `op(range, chunk of dst)` on every thread's chunk of `dst`.
+    fn for_chunks_mut(
+        pool: &ThreadPool,
+        dst: &mut [f64],
+        op: impl Fn(std::ops::Range<usize>, &mut [f64]) + Send + Sync,
+    ) {
+        let view = TeamSlice::new(dst);
+        pool.parallel_for(view.len(), |_tid, r| {
+            // SAFETY: `parallel_for` hands every index to exactly one
+            // thread, so the chunks are disjoint, and `dst` stays
+            // uniquely borrowed until the region has completed.
+            op(r.clone(), unsafe { view.slice_mut(r) })
+        });
+    }
 
     /// Threaded `w = a*x + y`.
     pub fn waxpy(pool: &ThreadPool, w: &mut [f64], a: f64, x: &[f64], y: &[f64]) {
         assert!(w.len() == x.len() && x.len() == y.len());
-        let wp = SendPtr(w.as_mut_ptr());
-        pool.parallel_for(x.len(), |_tid, r| {
-            let wp = &wp;
-            for i in r {
-                // SAFETY: ranges are disjoint per thread.
-                unsafe { *wp.0.add(i) = a * x[i] + y[i] };
-            }
-        });
+        for_chunks_mut(pool, w, |r, w| super::waxpy(w, a, &x[r.clone()], &y[r]));
     }
 
     /// Threaded `y += a*x`.
     pub fn axpy(pool: &ThreadPool, y: &mut [f64], a: f64, x: &[f64]) {
         assert_eq!(y.len(), x.len());
-        let yp = SendPtr(y.as_mut_ptr());
-        pool.parallel_for(x.len(), |_tid, r| {
-            let yp = &yp;
-            for i in r {
-                // SAFETY: disjoint ranges.
-                unsafe { *yp.0.add(i) += a * x[i] };
-            }
-        });
+        for_chunks_mut(pool, y, |r, y| super::axpy(y, a, &x[r]));
     }
 
     /// Threaded `y += Σ alpha[k] xs[k]`.
-    pub fn maxpy(pool: &ThreadPool, y: &mut [f64], alpha: &[f64], xs: &[&[f64]]) {
+    pub fn maxpy(pool: &ThreadPool, y: &mut [f64], alpha: &[f64], xs: &[Vec<f64>]) {
         assert_eq!(alpha.len(), xs.len());
-        let yp = SendPtr(y.as_mut_ptr());
-        pool.parallel_for(y.len(), |_tid, r| {
-            let yp = &yp;
-            for i in r {
-                let mut acc = unsafe { *yp.0.add(i) };
-                for (a, x) in alpha.iter().zip(xs) {
-                    acc += a * x[i];
-                }
-                // SAFETY: disjoint ranges.
-                unsafe { *yp.0.add(i) = acc };
-            }
-        });
+        assert_lens(y.len(), xs);
+        let isa = Isa::detect();
+        for_chunks_mut(pool, y, |r, y| maxpy_chunk(isa, y, r.start, alpha, xs));
     }
 
     /// Threaded `w = b - w` in place.
     pub fn bsub(pool: &ThreadPool, w: &mut [f64], b: &[f64]) {
         assert_eq!(w.len(), b.len());
-        let wp = SendPtr(w.as_mut_ptr());
-        pool.parallel_for(w.len(), |_tid, r| {
-            let wp = &wp;
-            for i in r {
-                // SAFETY: disjoint ranges.
-                unsafe { *wp.0.add(i) = b[i] - *wp.0.add(i) };
-            }
-        });
+        for_chunks_mut(pool, w, |r, w| super::bsub(w, &b[r]));
     }
 
     /// Threaded `dst = src / s` elementwise.
     pub fn div_into(pool: &ThreadPool, dst: &mut [f64], src: &[f64], s: f64) {
         assert_eq!(dst.len(), src.len());
-        let dp = SendPtr(dst.as_mut_ptr());
-        pool.parallel_for(src.len(), |_tid, r| {
-            let dp = &dp;
-            for i in r {
-                // SAFETY: disjoint ranges.
-                unsafe { *dp.0.add(i) = src[i] / s };
-            }
-        });
+        for_chunks_mut(pool, dst, |r, dst| super::div_into(dst, &src[r], s));
     }
 
     /// Threaded dot product with deterministic per-thread partials
     /// combined in thread order.
     pub fn dot(pool: &ThreadPool, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len());
-        let nt = pool.size();
-        let partials: Vec<AtomicU64> = (0..nt).map(|_| AtomicU64::new(0)).collect();
-        pool.parallel_for(x.len(), |tid, r| {
-            let mut acc = 0.0;
-            for i in r {
-                acc += x[i] * y[i];
-            }
-            partials[tid].store(acc.to_bits(), Ordering::Relaxed);
+        let mut out = [0.0];
+        reduce(pool, x.len(), &mut out, |r, partial| {
+            partial[0] = dot_chunk(Isa::detect(), &x[r.clone()], &y[r]);
         });
-        partials
-            .iter()
-            .map(|p| f64::from_bits(p.load(Ordering::Relaxed)))
-            .sum()
+        out[0]
     }
 
     /// Threaded 2-norm.
@@ -209,50 +352,122 @@ pub mod par {
         dot(pool, x, x).sqrt()
     }
 
-    /// Threaded multi-dot: ONE region for all `ys.len()` products (not one
-    /// region per vector). Each thread makes a single pass over its chunk
-    /// of `x`, accumulating all K partials; partials are combined in
-    /// thread order, so each component is bitwise identical to a
-    /// per-vector [`dot`] call at the same thread count.
-    pub fn mdot(pool: &ThreadPool, x: &[f64], ys: &[&[f64]], out: &mut [f64]) {
-        assert_eq!(ys.len(), out.len());
-        let k = ys.len();
-        if k == 0 {
+    /// Threaded multi-dot: ONE region for all the products (not one
+    /// region per vector), each thread running the `mdot` kernel on its
+    /// chunk of `x`. `out` is sized as for [`super::mdot`].
+    pub fn mdot(pool: &ThreadPool, x: &[f64], ys: &[Vec<f64>], out: &mut [f64]) {
+        if out.is_empty() {
             return;
         }
-        for y in ys {
-            assert_eq!(y.len(), x.len());
-        }
-        let nt = pool.size();
-        let partials: Vec<AtomicU64> = (0..nt * k).map(|_| AtomicU64::new(0)).collect();
-        pool.parallel_for(x.len(), |tid, r| {
-            let mut accs = vec![0.0f64; k];
-            for i in r {
-                let xi = x[i];
-                for (acc, y) in accs.iter_mut().zip(ys) {
-                    *acc += xi * y[i];
-                }
-            }
-            for (kk, acc) in accs.iter().enumerate() {
-                partials[tid * k + kk].store(acc.to_bits(), Ordering::Relaxed);
-            }
+        assert_lens(x.len(), ys);
+        reduce(pool, x.len(), out, |r, partials| {
+            mdot_chunk(Isa::detect(), &x[r.clone()], ys, r.start, partials);
         });
-        for (kk, o) in out.iter_mut().enumerate() {
-            *o = (0..nt)
-                .map(|t| f64::from_bits(partials[t * k + kk].load(Ordering::Relaxed)))
-                .sum();
+    }
+
+    /// One region over `0..n`: every thread fills its own `out.len()`
+    /// partials, which are then added in thread order from `+0.0` — the
+    /// order [`fun3d_threads::TreeReduce`] uses, so [`crate::team`]
+    /// reproduces the bits.
+    fn reduce(
+        pool: &ThreadPool,
+        n: usize,
+        out: &mut [f64],
+        chunk: impl Fn(std::ops::Range<usize>, &mut [f64]) + Send + Sync,
+    ) {
+        let k = out.len();
+        let mut partials = vec![0.0; pool.size() * k];
+        let slots = TeamSlice::new(&mut partials);
+        pool.parallel_for(n, |tid, r| {
+            // SAFETY: slot `tid` is written by thread `tid` alone, and
+            // read only after the region has completed.
+            chunk(r, unsafe { slots.slice_mut(tid * k..(tid + 1) * k) })
+        });
+        for (j, out) in out.iter_mut().enumerate() {
+            *out = partials
+                .chunks_exact(k)
+                .fold(0.0, |acc, slot| acc + slot[j]);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use fun3d_util::{prop_assert, prop_cases, Rng64};
 
     fn vecs(n: usize) -> (Vec<f64>, Vec<f64>) {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).cos()).collect();
         (x, y)
+    }
+
+    /// Vector counts covering an empty call, a short block, a full block,
+    /// a block plus one, and GMRES(30)'s last iteration.
+    pub(crate) const VECTOR_COUNTS: [usize; 6] = [0, 1, 3, 4, 5, 31];
+
+    /// Lane values that separate a packed op from its scalar form if
+    /// anything does (as `tests/kernel_equivalence.rs` uses).
+    const SPECIAL_LANES: [f64; 13] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -2.2e-308,
+        f64::MIN_POSITIVE,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1e300,
+        -1e300,
+        1e-300,
+        1.0,
+        -3.0,
+    ];
+
+    /// `count` vectors of length `n` in `[-1, 1)`, every `special`-th
+    /// element (0 = none) replaced by a special lane value.
+    pub(crate) fn random_vectors(
+        seed: u64,
+        count: usize,
+        n: usize,
+        special: usize,
+    ) -> Vec<Vec<f64>> {
+        let mut rng = Rng64::new(seed);
+        (0..count)
+            .map(|_| {
+                (0..n)
+                    .map(|_| {
+                        let v = rng.range_f64(-1.0, 1.0);
+                        if special > 0 && rng.below(special) == 0 {
+                            SPECIAL_LANES[rng.below(SPECIAL_LANES.len())]
+                        } else {
+                            v
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Same bits — or both NaN, whose payload is the one thing two lane
+    /// implementations may disagree on.
+    pub(crate) fn same(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
+    /// The parent's `maxpy`: the textbook scalar loop the kernel must
+    /// reproduce bit for bit.
+    fn scalar_maxpy(y: &mut [f64], alpha: &[f64], xs: &[Vec<f64>]) {
+        for i in 0..y.len() {
+            let mut acc = y[i];
+            for (a, x) in alpha.iter().zip(xs) {
+                acc += a * x[i];
+            }
+            y[i] = acc;
+        }
     }
 
     #[test]
@@ -282,7 +497,7 @@ mod tests {
         let (x, y) = vecs(23);
         let z: Vec<f64> = (0..23).map(|i| i as f64).collect();
         let mut a = z.clone();
-        maxpy(&mut a, &[0.5, -1.5], &[&x, &y]);
+        maxpy(&mut a, &[0.5, -1.5], &[x.clone(), y.clone()]);
         let mut b = z;
         axpy(&mut b, 0.5, &x);
         axpy(&mut b, -1.5, &y);
@@ -294,11 +509,14 @@ mod tests {
     #[test]
     fn mdot_and_norm() {
         let (x, y) = vecs(11);
-        let mut out = [0.0; 2];
-        mdot(&x, &[&x, &y], &mut out);
+        let mut out = [0.0; 3];
+        mdot(&x, &[x.clone(), y.clone()], &mut out);
         assert!((out[0] - dot(&x, &x)).abs() < 1e-14);
         assert!((out[1] - dot(&x, &y)).abs() < 1e-14);
         assert!((norm2(&x) - out[0].sqrt()).abs() < 1e-14);
+        // the optional extra component is <x, x>, with the bits of a
+        // listed copy of x
+        assert_eq!(out[2].to_bits(), out[0].to_bits());
     }
 
     #[test]
@@ -311,6 +529,123 @@ mod tests {
         let mut dst = vec![0.0; 4];
         scatter_add(&mut dst, &idx, &buf);
         assert_eq!(dst, vec![10.0, 0.0, 30.0, 40.0]);
+    }
+
+    prop_cases! {
+        fn lane_implementations_agree_bitwise(g, cases = 12) {
+            let Some(avx2) = Isa::avx2() else {
+                eprintln!("skipped: AVX2 not detected on this host, Portable is the only lane implementation");
+                return Ok(());
+            };
+            let seed = g.u64();
+            let lo = g.usize_range(0, 9);
+            // every length residue modulo the 16-element strip, thrice
+            for n in 0..48 {
+                for special in [0, 5] {
+                    let vs = random_vectors(seed ^ n as u64, 33, lo + n + 3, special);
+                    let (x, y0) = (&vs[31][lo..lo + n], &vs[32]);
+                    let alpha = &random_vectors(seed, 1, 31, special)[0];
+                    let d = [Isa::portable(), avx2].map(|isa| dot_chunk(isa, x, &vs[0][lo..lo + n]));
+                    prop_assert!(same(&d[..1], &d[1..]), "dot n={n} special={special}: {d:?}");
+                    for k in VECTOR_COUNTS {
+                        for fused in [0, 1] {
+                            let out = [Isa::portable(), avx2].map(|isa| {
+                                let mut out = vec![0.0; k + fused];
+                                mdot_chunk(isa, x, &vs[..k], lo, &mut out);
+                                out
+                            });
+                            prop_assert!(same(&out[0], &out[1]), "mdot n={n} k={k} fused={fused} special={special}");
+                        }
+                        let y = [Isa::portable(), avx2].map(|isa| {
+                            let mut y = y0[..n].to_vec();
+                            maxpy_chunk(isa, &mut y, lo, &alpha[..k], &vs[..k]);
+                            y
+                        });
+                        prop_assert!(same(&y[0], &y[1]), "maxpy n={n} k={k} special={special}");
+                    }
+                }
+            }
+        }
+
+        fn maxpy_is_the_scalar_loop_bitwise(g, cases = 12) {
+            let seed = g.u64();
+            let nt = g.usize_range(1, 5);
+            let pool = ThreadPool::new(nt);
+            for n in (0..40).chain([1003]) {
+                for k in VECTOR_COUNTS {
+                    for special in [0, 5] {
+                        let vs = random_vectors(seed ^ (n * 64 + k) as u64, k + 1, n, special);
+                        let (xs, y0) = (&vs[..k], &vs[k]);
+                        let alpha = &random_vectors(seed, 1, k, special)[0];
+                        let mut want = y0.clone();
+                        scalar_maxpy(&mut want, alpha, xs);
+                        let mut got = y0.clone();
+                        maxpy(&mut got, alpha, xs);
+                        prop_assert!(same(&want, &got), "serial n={n} k={k} special={special}");
+                        let mut got = y0.clone();
+                        par::maxpy(&pool, &mut got, alpha, xs);
+                        prop_assert!(same(&want, &got), "par nt={nt} n={n} k={k} special={special}");
+                    }
+                }
+            }
+        }
+
+        fn dot_is_within_the_forward_error_bound(g, cases = 24) {
+            let seed = g.u64();
+            let n = g.usize_range(0, 5000);
+            let vs = random_vectors(seed, 2, n, 0);
+            // Neumaier-compensated sum of the products as the reference.
+            let (mut sum, mut comp, mut abs_sum) = (0.0f64, 0.0f64, 0.0f64);
+            for (a, b) in vs[0].iter().zip(&vs[1]) {
+                let p = a * b;
+                let t = sum + p;
+                comp += if sum.abs() >= p.abs() { (sum - t) + p } else { (p - t) + sum };
+                sum = t;
+                abs_sum += p.abs();
+            }
+            let reference = sum + comp;
+            let bound = n as f64 * f64::EPSILON * abs_sum;
+            let mut fused = [0.0; 2];
+            mdot(&vs[0], &vs[1..], &mut fused);
+            for got in [dot(&vs[0], &vs[1]), fused[0]] {
+                prop_assert!((got - reference).abs() <= bound, "n={n}: {got} vs {reference} (bound {bound:e})");
+            }
+        }
+
+        fn par_reductions_are_thread_order_sums_of_chunk_kernels(g, cases = 12) {
+            let seed = g.u64();
+            let nt = g.usize_range(1, 5);
+            let n = g.usize_range(0, 1200);
+            let pool = ThreadPool::new(nt);
+            let isa = Isa::detect();
+            let vs = random_vectors(seed, 7, n, 0);
+            let (x, ys) = (&vs[6], &vs[..5]);
+            let chunks: Vec<_> = (0..nt).map(|t| fun3d_threads::chunk_range(n, nt, t)).collect();
+            // dot
+            let want = chunks
+                .iter()
+                .fold(0.0, |acc, r| acc + dot_chunk(isa, &x[r.clone()], &ys[0][r.clone()]));
+            prop_assert!(same(&[want], &[par::dot(&pool, x, &ys[0])]), "dot nt={nt} n={n}");
+            // mdot, with the fused <x, x>; ONE region, not one per vector
+            let mut want = vec![0.0; 6];
+            for r in &chunks {
+                let mut partial = vec![0.0; 6];
+                mdot_chunk(isa, &x[r.clone()], ys, r.start, &mut partial);
+                want.iter_mut().zip(&partial).for_each(|(w, p)| *w += p);
+            }
+            let mut got = vec![0.0; 6];
+            let before = pool.regions_launched();
+            par::mdot(&pool, x, ys, &mut got);
+            prop_assert!(pool.regions_launched() - before == 1, "one region");
+            prop_assert!(same(&want, &got), "mdot nt={nt} n={n}");
+            if nt == 1 {
+                // Serial ≡ PerOp at one thread.
+                let mut serial = vec![0.0; 6];
+                mdot(x, ys, &mut serial);
+                prop_assert!(same(&serial, &got), "mdot serial vs nt=1");
+                prop_assert!(same(&[dot(x, &ys[0])], &[par::dot(&pool, x, &ys[0])]), "dot serial vs nt=1");
+            }
+        }
     }
 
     #[test]
@@ -329,48 +664,31 @@ mod tests {
         let mut yp = y.clone();
         par::axpy(&pool, &mut yp, -0.3, &x);
         assert_eq!(ys, yp);
+        // bsub, div_into
+        let mut bs = y.clone();
+        bsub(&mut bs, &x);
+        let mut bp = y.clone();
+        par::bsub(&pool, &mut bp, &x);
+        assert_eq!(bs, bp);
+        let mut ds = vec![0.0; x.len()];
+        div_into(&mut ds, &x, 3.0);
+        let mut dp = vec![0.0; x.len()];
+        par::div_into(&pool, &mut dp, &x, 3.0);
+        assert_eq!(ds, dp);
         // dot / norm: deterministic partials summed in fixed order;
         // may differ from serial by rounding only.
         let ds = dot(&x, &y);
         let dp = par::dot(&pool, &x, &y);
         assert!((ds - dp).abs() < 1e-12 * x.len() as f64);
-        // maxpy
-        let mut ms = y.clone();
-        maxpy(&mut ms, &[0.2, 0.4], &[&x, &y.clone()]);
-        let mut mp = y.clone();
-        par::maxpy(&pool, &mut mp, &[0.2, 0.4], &[&x, &y.clone()]);
-        for i in 0..x.len() {
-            assert!((ms[i] - mp[i]).abs() < 1e-14);
-        }
+        assert!((norm2(&x) - par::norm2(&pool, &x)).abs() < 1e-12);
         // mdot
+        let both = [x.clone(), y.clone()];
         let mut outs = [0.0; 2];
-        mdot(&x, &[&x, &y], &mut outs);
+        mdot(&x, &both, &mut outs);
         let mut outp = [0.0; 2];
-        par::mdot(&pool, &x, &[&x, &y], &mut outp);
+        par::mdot(&pool, &x, &both, &mut outp);
         for k in 0..2 {
             assert!((outs[k] - outp[k]).abs() < 1e-11);
-        }
-    }
-
-    #[test]
-    fn parallel_mdot_single_region_matches_per_vector_dot_bitwise() {
-        // The fused mdot must produce, component by component, exactly
-        // the bits of a per-vector par::dot at the same thread count …
-        let pool = ThreadPool::new(4);
-        let n = 1003;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let ys: Vec<Vec<f64>> = (0..5)
-            .map(|k| (0..n).map(|i| (i as f64 * 0.11 + k as f64).cos()).collect())
-            .collect();
-        let refs: Vec<&[f64]> = ys.iter().map(|v| v.as_slice()).collect();
-        let mut fused = vec![0.0; refs.len()];
-        let before = pool.regions_launched();
-        par::mdot(&pool, &x, &refs, &mut fused);
-        // … and do it in ONE region, not one per vector.
-        assert_eq!(pool.regions_launched() - before, 1);
-        for (k, y) in refs.iter().enumerate() {
-            let d = par::dot(&pool, &x, y);
-            assert_eq!(fused[k].to_bits(), d.to_bits(), "component {k}");
         }
     }
 
@@ -385,11 +703,10 @@ mod tests {
         let ys: Vec<Vec<f64>> = (0..4)
             .map(|k| (0..n).map(|i| ((i + k) % 5) as f64).collect())
             .collect();
-        let refs: Vec<&[f64]> = ys.iter().map(|v| v.as_slice()).collect();
-        let mut serial = vec![0.0; refs.len()];
-        mdot(&x, &refs, &mut serial);
-        let mut par_out = vec![0.0; refs.len()];
-        par::mdot(&pool, &x, &refs, &mut par_out);
+        let mut serial = vec![0.0; ys.len()];
+        mdot(&x, &ys, &mut serial);
+        let mut par_out = vec![0.0; ys.len()];
+        par::mdot(&pool, &x, &ys, &mut par_out);
         assert_eq!(serial, par_out);
     }
 

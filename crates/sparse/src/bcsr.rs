@@ -108,10 +108,14 @@ impl Bcsr4 {
         let k = self
             .find(row, col)
             .expect("block missing from sparsity pattern");
-        for (dst, src) in self.blocks[k * BLOCK_LEN..(k + 1) * BLOCK_LEN]
-            .iter_mut()
-            .zip(b)
-        {
+        self.add_block_at(k, b);
+    }
+
+    /// Adds a whole block into storage position `k` (as [`Bcsr4::find`]
+    /// returns it) — for callers that looked their positions up once.
+    #[inline]
+    pub fn add_block_at(&mut self, k: usize, b: &Block4) {
+        for (dst, src) in self.block_mut(k).iter_mut().zip(b) {
             *dst += src;
         }
     }

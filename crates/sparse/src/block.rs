@@ -3,13 +3,16 @@
 //! The recurrences' inner kernels are 4×4 matrix · 4-vector products
 //! (TRSV) and 4×4 matrix·matrix multiply-subtracts plus one 4×4 inversion
 //! per row (ILU). Blocks are stored row-major. Each op has a scalar and a
-//! SIMD ([`fun3d_simd::F64x4`]) variant; the SIMD variants vectorize
-//! *within* the block, as the paper does ("vectorization is done within a
-//! block"). They stay on the [`Portable`] lanes: TRSV at application size
-//! is bound by L3 bandwidth, not by the block arithmetic (3.75 ns/block
-//! with L2-resident factors, 6.6 ns/block at 3 549 vertices), and the
-//! intrinsic port tried when the edge kernels moved to `Avx2` was slower
-//! (8.5 ns/block; figures from that change's sizing runs).
+//! SIMD variant; the SIMD variants vectorize *within* the block, as the
+//! paper does ("vectorization is done within a block"). The TRSV ones
+//! stay on the [`Portable`] lanes: TRSV at application size is bound by L3
+//! bandwidth, not by the block arithmetic (3.75 ns/block with L2-resident
+//! factors, 6.6 ns/block at 3 549 vertices), and the intrinsic port tried
+//! when the edge kernels moved to `Avx2` was slower (8.5 ns/block; figures
+//! from that change's sizing runs). The ILU's block·block ops
+//! ([`matmul_lanes`], [`matmul_sub_lanes`]) are generic over [`Simd`]:
+//! the numeric factorization is arithmetic-bound (32 packed operations
+//! per update) and runs them on the detected lanes.
 
 use fun3d_simd::{F64x4, Portable, Simd};
 
@@ -82,13 +85,46 @@ pub fn matmul_sub(a: &Block4, b: &Block4, c: &mut Block4) {
 /// `c -= a * b` vectorized over the rows of `b`.
 #[inline]
 pub fn matmul_sub_simd(a: &Block4, b: &Block4, c: &mut Block4) {
+    matmul_sub_lanes(Portable, a, b, c);
+}
+
+/// `c -= a * b` on the lanes of `s`, one row of `c` per vector: entry
+/// `(i, j)` subtracts `a[i][k]·b[k][j]` for `k` ascending, each product
+/// rounded before its subtraction — the same bits on every [`Simd`].
+#[inline(always)]
+pub fn matmul_sub_lanes<S: Simd>(s: S, a: &Block4, b: &Block4, c: &mut Block4) {
+    let brow = [
+        s.load(&b[0..4]),
+        s.load(&b[4..8]),
+        s.load(&b[8..12]),
+        s.load(&b[12..16]),
+    ];
     for i in 0..4 {
-        let mut acc = Portable.load(&c[i * 4..i * 4 + 4]);
+        let mut acc = s.load(&c[i * 4..i * 4 + 4]);
         for k in 0..4 {
-            let brow = Portable.load(&b[k * 4..k * 4 + 4]);
-            acc = acc - brow * a[i * 4 + k];
+            acc = acc - brow[k] * s.splat(a[i * 4 + k]);
         }
-        Portable.store(acc, &mut c[i * 4..i * 4 + 4]);
+        s.store(acc, &mut c[i * 4..i * 4 + 4]);
+    }
+}
+
+/// `c = a * b` on the lanes of `s`: entry `(i, j)` sums `a[i][k]·b[k][j]`
+/// for `k` ascending from `+0.0`, as [`matmul`] does, so the two agree
+/// bit for bit on every [`Simd`].
+#[inline(always)]
+pub fn matmul_lanes<S: Simd>(s: S, a: &Block4, b: &Block4, c: &mut Block4) {
+    let brow = [
+        s.load(&b[0..4]),
+        s.load(&b[4..8]),
+        s.load(&b[8..12]),
+        s.load(&b[12..16]),
+    ];
+    for i in 0..4 {
+        let mut acc = s.splat(0.0);
+        for k in 0..4 {
+            acc = acc + brow[k] * s.splat(a[i * 4 + k]);
+        }
+        s.store(acc, &mut c[i * 4..i * 4 + 4]);
     }
 }
 

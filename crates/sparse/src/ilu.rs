@@ -13,21 +13,60 @@
 //! * L and U are stored separately in the order the solves traverse them.
 //!
 //! The paper's algorithmic optimization for threading is also here: the
-//! per-row working buffer can be **compressed** ([`TempBuffer::Compressed`])
-//! — indexed through the static pattern of the row instead of a full
-//! n-wide scratch array — shrinking the per-thread working set.
+//! per-row working buffer is **compressed** ([`TempBuffer::Compressed`])
+//! — one block per pattern entry of the row instead of a full n-wide
+//! scratch array of blocks — shrinking the per-thread working set.
+//!
+//! # Symbolic once, numeric many
+//!
+//! A pseudo-transient solve refactors the same pattern every time step,
+//! so the factorization is split the way PETSc splits
+//! `MatILUFactorSymbolic` from `MatLUFactorNumeric`:
+//!
+//! * [`IluSymbolic`] is everything that depends only on the pair
+//!   (pattern of A, ILU pattern): the L and U `row_ptr`/`col_idx`, and for
+//!   every pattern slot the block of A that seeds it (or none, for
+//!   fill). It is built by merging the two sorted rows — never by
+//!   search — and it is where a malformed pattern panics, naming the row
+//!   and the fault.
+//! * The numeric core streams over that structure: scatter the A row into
+//!   the packed row buffer, eliminate, copy the L and U slots out. The
+//!   4×4 multiply and multiply-subtract run on [`fun3d_simd::Simd`] lanes
+//!   picked by [`Isa::detect`], in the per-entry operation order of the
+//!   [`TempBuffer::Full`] reference and without fused multiply-add, so
+//!   the factors are that reference's **bit for bit** on either lane
+//!   implementation.
+//!
+//! [`factor`] keeps the one-shot form (structure, then numeric, into fresh
+//! storage); [`TempBuffer::Full`] keeps the structure-per-call,
+//! search-per-entry code as Fig. 7a's "before" and as the tests' bitwise
+//! reference.
+//!
+//! **Reuse rule.** [`IluSymbolic::refactor`] writes into factors that
+//! already exist and overwrites every value, so its result does not
+//! depend on what they held. Whoever owns factors *exclusively* may
+//! refactor into them — that removes an allocate / first-touch / free
+//! cycle the size of the factors per time step. Factors reachable from
+//! anywhere else must not be refactored: the application shares its
+//! first-build factors with the serve tier's cross-request cache through
+//! an `Arc`, and a cached entry that changed under a later time step
+//! would seed other requests with the wrong preconditioner. So the
+//! application asks `Arc::get_mut`: unique → refactor in place, shared →
+//! factor into a fresh allocation (which is unique from then on).
 
 use crate::bcsr::Bcsr4;
 use crate::block::{self, Block4, BLOCK_LEN, ZERO_BLOCK};
+use fun3d_simd::{with_lanes, Isa, Simd};
 
 /// Which working buffer the numeric factorization uses; both produce
 /// identical factors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TempBuffer {
-    /// One block slot per matrix row (large stride, big working set).
+    /// One block slot per matrix row (large stride, big working set); the
+    /// structure is rebuilt and A searched on every call. The reference.
     Full,
-    /// One block slot per pattern entry of the current row, mapped through
-    /// binary search on the static pattern (the paper's optimization).
+    /// One block slot per pattern entry of the current row (the paper's
+    /// optimization), on an [`IluSymbolic`] structure: the production path.
     Compressed,
 }
 
@@ -140,14 +179,245 @@ pub fn symbolic_iluk(a: &Bcsr4, fill: usize) -> Vec<Vec<u32>> {
     pattern
 }
 
+/// Marks a pattern slot that no block of A seeds (fill: starts at zero).
+const NO_SEED: u32 = u32::MAX;
+
+/// The static half of a factorization: everything that depends only on
+/// the pair (pattern of A, ILU pattern), built once by merging the two
+/// sorted rows — no search — and reused by every numeric factorization
+/// of a matrix with that pattern (see the module docs).
+#[derive(Clone, Debug)]
+pub struct IluSymbolic {
+    /// The patterns of L and U. Row `i` of the ILU pattern is its L
+    /// columns, `i`, its U columns; its slots are numbered in that order.
+    l_row_ptr: Vec<usize>,
+    l_col_idx: Vec<u32>,
+    u_row_ptr: Vec<usize>,
+    u_col_idx: Vec<u32>,
+    /// Per pattern slot, rows back to back, the block of A that seeds
+    /// it, or [`NO_SEED`].
+    seed: Vec<u32>,
+    /// Block count of the A pattern the seeds index into.
+    a_nblocks: usize,
+    /// Longest pattern row: the size of the packed row buffer.
+    max_row: usize,
+}
+
+impl IluSymbolic {
+    /// Builds the structure for factoring matrices with `a`'s pattern on
+    /// `pattern` (from [`symbolic_iluk`], or A's own rows for ILU(0)).
+    ///
+    /// # Panics
+    /// Naming the row and the fault, when a pattern row is not strictly
+    /// ascending, reaches past the matrix, lacks the diagonal, or lacks a
+    /// column of A.
+    pub fn new(a: &Bcsr4, pattern: &[Vec<u32>]) -> IluSymbolic {
+        let n = a.nrows();
+        assert_eq!(
+            pattern.len(),
+            n,
+            "ILU pattern has {} rows, A has {n}",
+            pattern.len()
+        );
+        assert!(
+            a.nblocks() < NO_SEED as usize,
+            "A has too many blocks for u32 seeds"
+        );
+        let slots: usize = pattern.iter().map(Vec::len).sum();
+        let mut sym = IluSymbolic {
+            l_row_ptr: Vec::with_capacity(n + 1),
+            l_col_idx: Vec::with_capacity(slots / 2),
+            u_row_ptr: Vec::with_capacity(n + 1),
+            u_col_idx: Vec::with_capacity(slots / 2),
+            seed: Vec::with_capacity(slots),
+            a_nblocks: a.nblocks(),
+            max_row: 0,
+        };
+        sym.l_row_ptr.push(0);
+        sym.u_row_ptr.push(0);
+        for (i, row) in pattern.iter().enumerate() {
+            assert!(
+                row.windows(2).all(|w| w[0] < w[1]),
+                "ILU pattern row {i} is not strictly ascending"
+            );
+            assert!(
+                row.last().is_none_or(|&c| (c as usize) < n),
+                "ILU pattern row {i} reaches past the matrix"
+            );
+            let a_cols = &a.col_idx[a.row_ptr[i]..a.row_ptr[i + 1]];
+            let (mut ak, mut has_diagonal) = (0, false);
+            for &c in row {
+                if let Some(&missing) = a_cols.get(ak).filter(|&&ac| ac < c) {
+                    panic!("ILU pattern row {i} lacks column {missing} of A");
+                }
+                if a_cols.get(ak) == Some(&c) {
+                    sym.seed.push((a.row_ptr[i] + ak) as u32);
+                    ak += 1;
+                } else {
+                    sym.seed.push(NO_SEED);
+                }
+                match (c as usize).cmp(&i) {
+                    std::cmp::Ordering::Less => sym.l_col_idx.push(c),
+                    std::cmp::Ordering::Equal => has_diagonal = true,
+                    std::cmp::Ordering::Greater => sym.u_col_idx.push(c),
+                }
+            }
+            if let Some(&missing) = a_cols.get(ak) {
+                panic!("ILU pattern row {i} lacks column {missing} of A");
+            }
+            assert!(has_diagonal, "ILU pattern row {i} lacks the diagonal");
+            sym.l_row_ptr.push(sym.l_col_idx.len());
+            sym.u_row_ptr.push(sym.u_col_idx.len());
+            sym.max_row = sym.max_row.max(row.len());
+        }
+        sym
+    }
+
+    /// Number of block rows.
+    pub fn nrows(&self) -> usize {
+        self.l_row_ptr.len() - 1
+    }
+
+    /// Factors `a` into freshly allocated storage.
+    pub fn factor(&self, a: &Bcsr4) -> IluFactors {
+        let with_pattern = |row_ptr: &[usize], col_idx: &[u32]| Bcsr4 {
+            row_ptr: row_ptr.to_vec(),
+            col_idx: col_idx.to_vec(),
+            blocks: vec![0.0; col_idx.len() * BLOCK_LEN],
+        };
+        let mut f = IluFactors {
+            l: with_pattern(&self.l_row_ptr, &self.l_col_idx),
+            u: with_pattern(&self.u_row_ptr, &self.u_col_idx),
+            dinv: vec![0.0; self.nrows() * BLOCK_LEN],
+        };
+        self.refactor(a, &mut f);
+        f
+    }
+
+    /// Factors `a` into `f`, overwriting every value it holds; `f` must
+    /// come from this structure's [`IluSymbolic::factor`]. The result does
+    /// not depend on what `f` held before.
+    pub fn refactor(&self, a: &Bcsr4, f: &mut IluFactors) {
+        self.refactor_on(Isa::detect(), a, f);
+    }
+
+    /// [`IluSymbolic::refactor`] on a chosen lane implementation (they
+    /// agree bit for bit; the tests hold them against each other).
+    pub fn refactor_on(&self, isa: Isa, a: &Bcsr4, f: &mut IluFactors) {
+        assert!(
+            a.nrows() == self.nrows() && a.nblocks() == self.a_nblocks,
+            "matrix does not have the pattern this structure was built for"
+        );
+        assert!(
+            f.l.row_ptr == self.l_row_ptr
+                && f.l.col_idx == self.l_col_idx
+                && f.u.row_ptr == self.u_row_ptr
+                && f.u.col_idx == self.u_col_idx
+                && f.dinv.len() == self.nrows() * BLOCK_LEN,
+            "factors were not allocated by this structure"
+        );
+        let sym = self;
+        // SAFETY: `numeric` has no contract of its own (it is all safe
+        // code); `with_lanes!` only takes `unsafe fn` bodies.
+        with_lanes!(isa, unsafe numeric(sym: &IluSymbolic, a: &Bcsr4, f: &mut IluFactors));
+    }
+}
+
+fn block_at(blocks: &[f64], k: usize) -> &Block4 {
+    blocks[k * BLOCK_LEN..(k + 1) * BLOCK_LEN]
+        .try_into()
+        .expect("a block is BLOCK_LEN doubles")
+}
+
+fn block_at_mut(blocks: &mut [f64], k: usize) -> &mut Block4 {
+    (&mut blocks[k * BLOCK_LEN..(k + 1) * BLOCK_LEN])
+        .try_into()
+        .expect("a block is BLOCK_LEN doubles")
+}
+
+/// The numeric core: one pass over the static structure. Row `i` is
+/// eliminated in a packed buffer with one block per pattern slot, so the
+/// L slots, the diagonal and the U slots leave it as three copies; the
+/// only matrix-wide scratch is `slot_of`, one `u32` per column mapping
+/// the current row's columns to their packed slots.
+///
+/// Arithmetic order is that of the [`TempBuffer::Full`] reference, entry
+/// by entry: `L_ik = w_k·D_k⁻¹` sums k ascending from zero, every update
+/// `w_j −= L_ik·U_kj` subtracts k ascending, pivots ascend, and there is
+/// no fused multiply-add — so the factors are the reference's bits on
+/// either lane implementation.
+///
+/// # Safety
+/// None; `with_lanes!` takes kernel bodies, which are unsafe.
+#[inline(always)]
+unsafe fn numeric<S: Simd>(s: S, sym: &IluSymbolic, a: &Bcsr4, f: &mut IluFactors) {
+    let IluFactors { l, u, dinv } = f;
+    let mut packed = vec![0.0; sym.max_row * BLOCK_LEN];
+    let mut slot_of = vec![NO_SEED; sym.nrows()];
+    for i in 0..sym.nrows() {
+        let (l_lo, u_lo) = (l.row_ptr[i], u.row_ptr[i]);
+        let pivots = &l.col_idx[l_lo..l.row_ptr[i + 1]];
+        let upper = &u.col_idx[u_lo..u.row_ptr[i + 1]];
+        let (nlower, diagonal) = (pivots.len(), i as u32);
+        let columns = || pivots.iter().chain([&diagonal]).chain(upper);
+        let first_slot = l_lo + u_lo + i;
+        let w = &mut packed[..(nlower + 1 + upper.len()) * BLOCK_LEN];
+        for (dst, &seed) in w.chunks_exact_mut(BLOCK_LEN).zip(&sym.seed[first_slot..]) {
+            match seed {
+                NO_SEED => dst.fill(0.0),
+                k => dst.copy_from_slice(a.block(k as usize)),
+            }
+        }
+        for (slot, &c) in columns().enumerate() {
+            slot_of[c as usize] = slot as u32;
+        }
+        for (sk, &k) in pivots.iter().enumerate() {
+            let k = k as usize;
+            let mut lik = ZERO_BLOCK;
+            block::matmul_lanes(s, block_at(w, sk), block_at(dinv, k), &mut lik);
+            *block_at_mut(w, sk) = lik;
+            for t in u.row_ptr[k]..u.row_ptr[k + 1] {
+                let sj = slot_of[u.col_idx[t] as usize];
+                if sj != NO_SEED {
+                    let wj = block_at_mut(w, sj as usize);
+                    block::matmul_sub_lanes(s, &lik, block_at(&u.blocks, t), wj);
+                }
+            }
+        }
+        for &c in columns() {
+            slot_of[c as usize] = NO_SEED;
+        }
+        let (lower, rest) = w.split_at(nlower * BLOCK_LEN);
+        let (diag, upper) = rest.split_at(BLOCK_LEN);
+        l.blocks[l_lo * BLOCK_LEN..][..lower.len()].copy_from_slice(lower);
+        u.blocks[u_lo * BLOCK_LEN..][..upper.len()].copy_from_slice(upper);
+        let inv = block::invert(block_at(diag, 0))
+            .expect("singular pivot block in ILU (matrix not diagonally dominant?)");
+        *block_at_mut(dinv, i) = inv;
+    }
+}
+
 /// Numeric block ILU factorization on the given pattern (use
 /// [`symbolic_iluk`] or A's own pattern for ILU(0)). Each pattern row must
 /// be sorted, contain the diagonal, and include all of A's columns.
+///
+/// The one-shot form: [`TempBuffer::Compressed`] builds an
+/// [`IluSymbolic`] and runs the numeric core once; keep the structure and
+/// call [`IluSymbolic::refactor`] to factor the same pattern repeatedly.
 pub fn factor(a: &Bcsr4, pattern: &[Vec<u32>], buffer: TempBuffer) -> IluFactors {
+    match buffer {
+        TempBuffer::Compressed => IluSymbolic::new(a, pattern).factor(a),
+        TempBuffer::Full => factor_full(a, pattern),
+    }
+}
+
+/// The [`TempBuffer::Full`] factorization: structure rebuilt on every
+/// call, A found by search, one block slot per matrix column. Kept as
+/// Fig. 7a's "before" and as the reference the numeric core is tested
+/// against bit for bit.
+fn factor_full(a: &Bcsr4, pattern: &[Vec<u32>]) -> IluFactors {
     let n = a.nrows();
     assert_eq!(pattern.len(), n);
-
-    // Split pattern into L and U parts up front (they become the outputs).
     let lcols: Vec<Vec<u32>> = pattern
         .iter()
         .enumerate()
@@ -162,211 +432,61 @@ pub fn factor(a: &Bcsr4, pattern: &[Vec<u32>], buffer: TempBuffer) -> IluFactors
     let mut u = Bcsr4::from_pattern(&ucols);
     let mut dinv = vec![0.0f64; n * BLOCK_LEN];
 
-    let mut scratch = RowScratch::new(n, buffer);
-    for i in 0..n {
-        factor_row(a, pattern, &mut l, &mut u, &mut dinv, i, &mut scratch);
+    let mut full = vec![0.0f64; n * BLOCK_LEN];
+    // Epoch stamps marking the columns valid in the current row.
+    let mut stamp = vec![0u32; n];
+    for (i, row) in pattern.iter().enumerate() {
+        let epoch = i as u32 + 1;
+        // load A row i (fill entries start at zero)
+        for &c in row {
+            let cu = c as usize;
+            stamp[cu] = epoch;
+            let dst = block_at_mut(&mut full, cu);
+            match a.find(i, c) {
+                Some(k) => *dst = *a.block(k),
+                None => *dst = ZERO_BLOCK,
+            }
+        }
+        // eliminate with pivots k < i (ascending; row is sorted)
+        for &k in row.iter().take_while(|&&c| (c as usize) < i) {
+            let ku = k as usize;
+            // L_ik = w_k * dinv_k
+            let lik = block::matmul(block_at(&full, ku), block_at(&dinv, ku));
+            *block_at_mut(&mut full, ku) = lik;
+            // w_j -= L_ik * U_kj for j in U(k) ∩ pattern(i)
+            for t in u.row_ptr[ku]..u.row_ptr[ku + 1] {
+                let j = u.col_idx[t] as usize;
+                if stamp[j] == epoch {
+                    block::matmul_sub_simd(
+                        &lik,
+                        block_at(&u.blocks, t),
+                        block_at_mut(&mut full, j),
+                    );
+                }
+            }
+        }
+        // store L, D^{-1}, U
+        let (mut lk, mut uk) = (l.row_ptr[i], u.row_ptr[i]);
+        for &c in row {
+            let b = block_at(&full, c as usize);
+            match (c as usize).cmp(&i) {
+                std::cmp::Ordering::Less => {
+                    *block_at_mut(&mut l.blocks, lk) = *b;
+                    lk += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let inv = block::invert(b)
+                        .expect("singular pivot block in ILU (matrix not diagonally dominant?)");
+                    *block_at_mut(&mut dinv, i) = inv;
+                }
+                std::cmp::Ordering::Greater => {
+                    *block_at_mut(&mut u.blocks, uk) = *b;
+                    uk += 1;
+                }
+            }
+        }
     }
     IluFactors { l, u, dinv }
-}
-
-/// Working storage for one row's elimination, reusable across rows (and
-/// allocated per thread in the parallel factorization).
-pub struct RowScratch {
-    mode: TempBuffer,
-    /// Full mode: one block per matrix column.
-    full: Vec<f64>,
-    /// Full mode: epoch stamps marking valid columns.
-    stamp: Vec<u32>,
-    epoch: u32,
-    /// Compressed mode: one block per pattern entry of the current row.
-    packed: Vec<f64>,
-}
-
-impl RowScratch {
-    /// Creates scratch for a matrix with `n` block rows.
-    pub fn new(n: usize, mode: TempBuffer) -> Self {
-        match mode {
-            TempBuffer::Full => RowScratch {
-                mode,
-                full: vec![0.0; n * BLOCK_LEN],
-                stamp: vec![0; n],
-                epoch: 0,
-                packed: Vec::new(),
-            },
-            TempBuffer::Compressed => RowScratch {
-                mode,
-                full: Vec::new(),
-                stamp: Vec::new(),
-                epoch: 0,
-                packed: Vec::new(),
-            },
-        }
-    }
-
-    /// Bytes of scratch memory this mode actually touches for a row with
-    /// `row_len` pattern entries in a matrix with `n` rows — the working-
-    /// set quantity the paper's optimization shrinks.
-    pub fn touched_bytes(&self, n: usize, row_len: usize) -> usize {
-        match self.mode {
-            TempBuffer::Full => n * BLOCK_LEN * 8 + n * 4,
-            TempBuffer::Compressed => row_len * BLOCK_LEN * 8,
-        }
-    }
-}
-
-/// Eliminates one row. Exposed (crate-visible via the parallel module) so
-/// the level-scheduled and P2P factorization drivers can share it.
-pub(crate) fn factor_row(
-    a: &Bcsr4,
-    pattern: &[Vec<u32>],
-    l: &mut Bcsr4,
-    u: &mut Bcsr4,
-    dinv: &mut [f64],
-    i: usize,
-    scratch: &mut RowScratch,
-) {
-    let row = &pattern[i];
-    match scratch.mode {
-        TempBuffer::Full => {
-            scratch.epoch += 1;
-            let epoch = scratch.epoch;
-            // load A row i (fill entries start at zero)
-            for &c in row {
-                let cu = c as usize;
-                scratch.stamp[cu] = epoch;
-                let dst = &mut scratch.full[cu * BLOCK_LEN..(cu + 1) * BLOCK_LEN];
-                match a.find(i, c) {
-                    Some(k) => dst.copy_from_slice(a.block(k)),
-                    None => dst.copy_from_slice(&ZERO_BLOCK),
-                }
-            }
-            // eliminate with pivots k < i (ascending; row is sorted)
-            for &k in row.iter().take_while(|&&c| (c as usize) < i) {
-                let ku = k as usize;
-                // L_ik = w_k * dinv_k
-                let wk: Block4 = scratch.full[ku * BLOCK_LEN..(ku + 1) * BLOCK_LEN]
-                    .try_into()
-                    .unwrap();
-                let dk: &Block4 = dinv[ku * BLOCK_LEN..(ku + 1) * BLOCK_LEN]
-                    .try_into()
-                    .unwrap();
-                let lik = block::matmul(&wk, dk);
-                scratch.full[ku * BLOCK_LEN..(ku + 1) * BLOCK_LEN].copy_from_slice(&lik);
-                // w_j -= L_ik * U_kj for j in U(k) ∩ pattern(i)
-                for t in u.row_ptr[ku]..u.row_ptr[ku + 1] {
-                    let j = u.col_idx[t] as usize;
-                    if scratch.stamp[j] == epoch {
-                        let ukj: Block4 = u.blocks[t * BLOCK_LEN..(t + 1) * BLOCK_LEN]
-                            .try_into()
-                            .unwrap();
-                        let wj: &mut Block4 = (&mut scratch.full
-                            [j * BLOCK_LEN..(j + 1) * BLOCK_LEN])
-                            .try_into()
-                            .unwrap();
-                        block::matmul_sub_simd(&lik, &ukj, wj);
-                    }
-                }
-            }
-            // store L, D^{-1}, U
-            store_row_from(
-                |c: u32| -> Block4 {
-                    scratch.full[c as usize * BLOCK_LEN..(c as usize + 1) * BLOCK_LEN]
-                        .try_into()
-                        .unwrap()
-                },
-                row,
-                l,
-                u,
-                dinv,
-                i,
-            );
-        }
-        TempBuffer::Compressed => {
-            // packed slot s holds block for column row[s]
-            let slots = row.len();
-            scratch.packed.resize(slots * BLOCK_LEN, 0.0);
-            for (s, &c) in row.iter().enumerate() {
-                let dst = &mut scratch.packed[s * BLOCK_LEN..(s + 1) * BLOCK_LEN];
-                match a.find(i, c) {
-                    Some(k) => dst.copy_from_slice(a.block(k)),
-                    None => dst.copy_from_slice(&ZERO_BLOCK),
-                }
-            }
-            let diag_pos = row
-                .binary_search(&(i as u32))
-                .expect("pattern row must contain the diagonal");
-            for s in 0..diag_pos {
-                let ku = row[s] as usize;
-                let wk: Block4 = scratch.packed[s * BLOCK_LEN..(s + 1) * BLOCK_LEN]
-                    .try_into()
-                    .unwrap();
-                let dk: &Block4 = dinv[ku * BLOCK_LEN..(ku + 1) * BLOCK_LEN]
-                    .try_into()
-                    .unwrap();
-                let lik = block::matmul(&wk, dk);
-                scratch.packed[s * BLOCK_LEN..(s + 1) * BLOCK_LEN].copy_from_slice(&lik);
-                for t in u.row_ptr[ku]..u.row_ptr[ku + 1] {
-                    let j = u.col_idx[t];
-                    // static mapping: binary search the row pattern
-                    if let Ok(sj) = row.binary_search(&j) {
-                        let ukj: Block4 = u.blocks[t * BLOCK_LEN..(t + 1) * BLOCK_LEN]
-                            .try_into()
-                            .unwrap();
-                        let wj: &mut Block4 = (&mut scratch.packed
-                            [sj * BLOCK_LEN..(sj + 1) * BLOCK_LEN])
-                            .try_into()
-                            .unwrap();
-                        block::matmul_sub_simd(&lik, &ukj, wj);
-                    }
-                }
-            }
-            let packed = std::mem::take(&mut scratch.packed);
-            store_row_from(
-                |c: u32| -> Block4 {
-                    let s = row.binary_search(&c).unwrap();
-                    packed[s * BLOCK_LEN..(s + 1) * BLOCK_LEN].try_into().unwrap()
-                },
-                row,
-                l,
-                u,
-                dinv,
-                i,
-            );
-            scratch.packed = packed;
-        }
-    }
-}
-
-fn store_row_from(
-    get: impl Fn(u32) -> Block4,
-    row: &[u32],
-    l: &mut Bcsr4,
-    u: &mut Bcsr4,
-    dinv: &mut [f64],
-    i: usize,
-) {
-    let mut lk = l.row_ptr[i];
-    let mut uk = u.row_ptr[i];
-    for &c in row {
-        let b = get(c);
-        match (c as usize).cmp(&i) {
-            std::cmp::Ordering::Less => {
-                l.blocks[lk * BLOCK_LEN..(lk + 1) * BLOCK_LEN].copy_from_slice(&b);
-                lk += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let inv = block::invert(&b)
-                    .expect("singular pivot block in ILU (matrix not diagonally dominant?)");
-                dinv[i * BLOCK_LEN..(i + 1) * BLOCK_LEN].copy_from_slice(&inv);
-            }
-            std::cmp::Ordering::Greater => {
-                u.blocks[uk * BLOCK_LEN..(uk + 1) * BLOCK_LEN].copy_from_slice(&b);
-                uk += 1;
-            }
-        }
-    }
-    debug_assert_eq!(lk, l.row_ptr[i + 1]);
-    debug_assert_eq!(uk, u.row_ptr[i + 1]);
 }
 
 /// Convenience: ILU(0) with the compressed buffer.
@@ -430,6 +550,98 @@ mod tests {
         assert_eq!(f1.l.blocks, f2.l.blocks);
         assert_eq!(f1.u.blocks, f2.u.blocks);
         assert_eq!(f1.dinv, f2.dinv);
+    }
+
+    fn same_factors(a: &IluFactors, b: &IluFactors) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        a.l.row_ptr == b.l.row_ptr
+            && a.l.col_idx == b.l.col_idx
+            && a.u.row_ptr == b.u.row_ptr
+            && a.u.col_idx == b.u.col_idx
+            && bits(&a.l.blocks) == bits(&b.l.blocks)
+            && bits(&a.u.blocks) == bits(&b.u.blocks)
+            && bits(&a.dinv) == bits(&b.dinv)
+    }
+
+    fun3d_util::prop_cases! {
+        fn numeric_core_is_the_full_buffer_reference_bitwise(g, cases = 16) {
+            // Random scrambled meshes × fill levels: the one-shot form, a
+            // fresh factorization on a kept structure, a refactorization
+            // over deliberately dirty storage, a second matrix through the
+            // same storage, and both lane implementations — all the bits
+            // of `TempBuffer::Full`.
+            let seed = g.u64();
+            let fill = g.usize_range(0, 3);
+            let dims = [g.usize_range(3, 7), g.usize_range(3, 6), g.usize_range(3, 6)];
+            let mut spec = fun3d_mesh::generator::ChannelSpec::with_resolution(dims[0], dims[1], dims[2]);
+            spec.seed = seed;
+            let mesh = spec.build();
+            let mut a = Bcsr4::from_edges(mesh.nvertices(), &mesh.edges());
+            a.fill_diag_dominant(seed);
+            let pattern = symbolic_iluk(&a, fill);
+            let reference = factor(&a, &pattern, TempBuffer::Full);
+            let one_shot = factor(&a, &pattern, TempBuffer::Compressed);
+            fun3d_util::prop_assert!(same_factors(&reference, &one_shot), "one shot, fill {fill}");
+
+            let sym = IluSymbolic::new(&a, &pattern);
+            let mut kept = sym.factor(&a);
+            fun3d_util::prop_assert!(same_factors(&reference, &kept), "kept structure, fill {fill}");
+            let mut b = a.clone();
+            b.fill_diag_dominant(seed ^ 0x5EED);
+            let reference_b = factor(&b, &pattern, TempBuffer::Full);
+            let lanes = [Some(Isa::portable()), Isa::avx2()];
+            for isa in lanes.into_iter().flatten() {
+                for (matrix, want) in [(&a, &reference), (&b, &reference_b), (&a, &reference)] {
+                    for dirt in [f64::NAN, 1e300] {
+                        kept.l.blocks.fill(dirt);
+                        kept.u.blocks.fill(-dirt);
+                        kept.dinv.fill(dirt);
+                        sym.refactor_on(isa, matrix, &mut kept);
+                        fun3d_util::prop_assert!(
+                            same_factors(want, &kept),
+                            "refactor over dirty storage, {} lanes, fill {fill}",
+                            isa.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn pattern_of(a: &Bcsr4) -> Vec<Vec<u32>> {
+        (0..a.nrows())
+            .map(|r| a.col_idx[a.row_ptr[r]..a.row_ptr[r + 1]].to_vec())
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "ILU pattern row 2 lacks the diagonal")]
+    fn structure_build_names_a_missing_diagonal() {
+        let a = tridiag(5, 1);
+        let mut pattern = pattern_of(&a);
+        pattern[2].retain(|&c| c != 2);
+        // the diagonal is a column of A too: take it out of A's row as well
+        let mut cols = pattern_of(&a);
+        cols[2].retain(|&c| c != 2);
+        IluSymbolic::new(&Bcsr4::from_pattern(&cols), &pattern);
+    }
+
+    #[test]
+    #[should_panic(expected = "ILU pattern row 3 lacks column 4 of A")]
+    fn structure_build_names_a_missing_column_of_a() {
+        let a = tridiag(5, 1);
+        let mut pattern = pattern_of(&a);
+        pattern[3].retain(|&c| c != 4);
+        IluSymbolic::new(&a, &pattern);
+    }
+
+    #[test]
+    #[should_panic(expected = "factors were not allocated by this structure")]
+    fn refactor_rejects_foreign_factors() {
+        let a = mesh_matrix(5);
+        let sym0 = IluSymbolic::new(&a, &symbolic_iluk(&a, 0));
+        let sym1 = IluSymbolic::new(&a, &symbolic_iluk(&a, 1));
+        sym0.refactor(&a, &mut sym1.factor(&a));
     }
 
     #[test]

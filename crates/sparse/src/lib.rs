@@ -10,8 +10,9 @@
 //!
 //! * [`ilu`] — ILU(0) and ILU(k) factorization with the fill pattern
 //!   computed symbolically, diagonal blocks inverted and stored (PETSc's
-//!   layout optimization [17]), and the paper's compressed-temporary-
-//!   buffer optimization;
+//!   layout optimization [17]), the paper's compressed-temporary-buffer
+//!   optimization, and a static structure built once per pattern that
+//!   every numeric refactorization streams over;
 //! * [`trsv`] — block forward/backward substitution;
 //! * [`levels`] — level scheduling (Anderson & Saad [24], Naumov [25]):
 //!   execute the dependency DAG level by level with a barrier per level;
@@ -34,7 +35,7 @@ pub mod trsv;
 pub use bcsr::Bcsr4;
 pub use block::{Block4, BLOCK_DIM, BLOCK_LEN};
 pub use dag::DagStats;
-pub use ilu::{IluFactors, TempBuffer};
+pub use ilu::{IluFactors, IluSymbolic, TempBuffer};
 pub use levels::LevelSchedule;
 pub use p2p::{P2pProgress, P2pSchedule};
 

@@ -180,16 +180,24 @@ impl TreeReduce {
     /// Every thread of the team must call this with the same `k =
     /// partials.len()`; the call synchronizes through `barrier` twice.
     pub fn combine(&self, tid: usize, barrier: &SpinBarrier, partials: &[f64], out: &mut [f64]) {
-        let k = partials.len();
+        assert_eq!(out.len(), partials.len());
+        out.copy_from_slice(partials);
+        self.combine_in_place(tid, barrier, out);
+    }
+
+    /// [`TreeReduce::combine`] with the partials replaced by the sums:
+    /// `vals` goes in holding this thread's partials and comes out
+    /// holding the thread-order sums.
+    pub fn combine_in_place(&self, tid: usize, barrier: &SpinBarrier, vals: &mut [f64]) {
+        let k = vals.len();
         assert!(k <= self.width, "combine of {k} > width {}", self.width);
-        assert_eq!(out.len(), k);
         assert!(tid < self.nt);
         // SAFETY: slot `tid` is this thread's alone until the barrier.
         // The slot's tag cell brackets the write so model builds check
         // the per-slot happens-before the barrier is supposed to supply.
         self.slot_tags[tid].with_mut(|_| unsafe {
             let slots = &mut *self.slots.get();
-            slots[tid * self.stride..tid * self.stride + k].copy_from_slice(partials);
+            slots[tid * self.stride..tid * self.stride + k].copy_from_slice(vals);
         });
         if barrier.wait() {
             // Fan-in leader: thread-order sum per component.
@@ -214,7 +222,7 @@ impl TreeReduce {
         // after this read in each thread's program order.
         self.result_tag.with(|_| unsafe {
             let result = &*self.result.get();
-            out.copy_from_slice(&result[..k]);
+            vals.copy_from_slice(&result[..k]);
         });
     }
 
@@ -328,6 +336,14 @@ impl<'a> TeamMember<'a> {
         self.team
             .reduce
             .combine(self.tid, &self.team.barrier, partials, out)
+    }
+
+    /// [`TeamMember::sums`] in place: `vals` goes in holding this
+    /// thread's partials and comes out holding the sums.
+    pub fn sums_in_place(&self, vals: &mut [f64]) {
+        self.team
+            .reduce
+            .combine_in_place(self.tid, &self.team.barrier, vals)
     }
 
     /// Broadcasts `value` from thread `root` to every thread (two

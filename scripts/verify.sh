@@ -153,6 +153,16 @@ cargo run --release --offline -q -p fun3d-bench --bin fig6a_flux_opts -- \
     --mesh small --reps 20 --check
 echo "ok: SIMD flux kernel clears its speed floor (or runs on portable lanes)"
 
+echo "== symbolic-once ILU speed floor (fig7a_recurrence_opts --check) =="
+# Refactoring in place on a structure built once must be at least 2x the
+# full-buffer reference, which rebuilds the structure, searches A and
+# allocates the factors on every call (same interleaved-rounds,
+# per-variant-minimum measurement as the gate above): a numeric core
+# that searches or allocates per factorization again fails here.
+cargo run --release --offline -q -p fun3d-bench --bin fig7a_recurrence_opts -- \
+    --mesh small --reps 20 --check
+echo "ok: in-place numeric ILU clears its speed floor"
+
 echo "== perf history + scaling gate (perf_regress) =="
 # Detector self-check first: a synthetic history with an injected 3x
 # slowdown AND a synthetic mesh where threads run slower than serial
