@@ -23,7 +23,7 @@
 
 use fun3d_solver::precond::{Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem};
-use fun3d_solver::{Anomaly, ExecMode};
+use fun3d_solver::Anomaly;
 use fun3d_sparse::Bcsr4;
 use fun3d_threads::ThreadPool;
 use fun3d_util::telemetry::flight;
@@ -49,7 +49,7 @@ fn fail(msg: &str) -> ! {
 }
 
 /// The ΨTC test problem: `f(u) = A u − b` on the tiny mesh, ILU(0)
-/// preconditioned, region-per-op threading on a 2-worker pool — small
+/// preconditioned, persistent-region GMRES on a 2-worker pool — small
 /// enough to run in milliseconds, real enough to exercise every flight
 /// event source (solve, steps, GMRES, regions).
 struct DemoProblem {
@@ -123,9 +123,6 @@ impl PtcProblem for DemoProblem {
     }
     fn solver_pool(&self) -> Option<Arc<ThreadPool>> {
         Some(Arc::clone(&self.pool))
-    }
-    fn exec_mode(&self) -> ExecMode {
-        ExecMode::PerOp
     }
 }
 

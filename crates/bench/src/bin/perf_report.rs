@@ -149,7 +149,7 @@ fn check_artifact(path: &str) -> ! {
     if let Some(exec) = doc.get("exec") {
         // The scheme that actually ran must be concrete (Auto resolved).
         match exec.get("mode").and_then(Json::as_str) {
-            Some("serial" | "per-op" | "team") => {}
+            Some("serial" | "team") => {}
             _ => problems.push("'exec.mode' missing or not a concrete scheme".to_string()),
         }
         if exec.get("solve_id").and_then(Json::as_f64).is_none() {

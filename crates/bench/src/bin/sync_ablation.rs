@@ -5,8 +5,11 @@
 //! rendezvous) for *every* vector op, SpMV, and triangular sweep;
 //! persistent-SPMD-region GMRES runs each Arnoldi iteration inside ONE
 //! region with spin-barrier phases and tree reductions inside. The two
-//! paths are bitwise identical at a fixed thread count, so any timing
-//! difference is pure synchronization cost — the shared-memory analogue
+//! run the same operations — `GmresExec::PerOp` is the team backend with
+//! one region per operation, kept in the solver for this bench and the
+//! bitwise tests only, no longer a mode an application can select — so
+//! they are bitwise identical at a fixed thread count and any timing
+//! difference is pure synchronization cost: the shared-memory analogue
 //! of the paper's collectives discussion (the `MPI_Allreduce`-bound
 //! vector ops of Table 3).
 //!
@@ -14,8 +17,9 @@
 //! (tiny → medium → large covers ~10³–10⁵·4 unknowns), because the
 //! thread-scaling story inverts with problem size — below the
 //! sync-cost crossover, every parallel scheme loses to plain serial
-//! execution. For each mesh it runs four modes (`serial`, `per-op`,
-//! `team`, and the adaptive `auto` policy) at each thread count and
+//! execution. For each mesh it runs the production modes (`serial`,
+//! `team`, and the adaptive `auto` policy) and the `per-op` reference at
+//! each thread count and
 //! reports every row's speedup against the nt=1 **serial** baseline, so
 //! absolute slowdowns are visible (a per-op-relative speedup would mask
 //! them).

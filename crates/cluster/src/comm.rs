@@ -245,6 +245,15 @@ impl Comm {
     }
 }
 
+/// What `fun3d_solver` completes its inner products with when the
+/// unknowns are spread over ranks.
+impl fun3d_solver::SumReduce for Comm {
+    fn sum(&self, partial: &mut [f64]) {
+        let total = self.allreduce_sum(partial);
+        partial.copy_from_slice(&total);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

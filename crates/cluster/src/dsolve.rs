@@ -4,15 +4,23 @@
 //! Each rank owns the matrix rows of its subdomain's vertices; matrix
 //! columns reference owned + ghost vertices, and a halo exchange
 //! refreshes ghost values before every matrix application (PETSc's
-//! `VecScatter`). Inner products allreduce over ranks. The preconditioner
-//! is one ILU per rank on the owned-owned diagonal block — single-level
-//! additive Schwarz with zero overlap, whose convergence degradation with
-//! rank count is exactly the effect the paper reports (+30% iterations at
-//! 256 nodes, Section VI.B.3).
+//! `VecScatter`). The preconditioner is one ILU per rank on the
+//! owned-owned diagonal block — single-level additive Schwarz with zero
+//! overlap, whose convergence degradation with rank count is exactly the
+//! effect the paper reports (+30% iterations at 256 nodes, Section
+//! VI.B.3).
+//!
+//! There is no Krylov loop here: a rank's rows are a
+//! [`LinearOperator`] whose [`reducer`](LinearOperator::reducer) is the
+//! communicator ([`DistSystem::on`]), its block ILU is the solver's
+//! [`SerialIlu`], and [`gmres`] hands both to
+//! [`fun3d_solver::Gmres`] — the code one process runs, with every inner
+//! product completed by an allreduce.
 
 use crate::comm::Comm;
 use crate::decompose::Subdomain;
-use fun3d_sparse::{ilu, trsv, Bcsr4, IluFactors};
+use fun3d_solver::{Gmres, GmresConfig, GmresOutcome, LinearOperator, Reducer, SerialIlu};
+use fun3d_sparse::Bcsr4;
 use std::cell::RefCell;
 
 /// Halo exchange with an arbitrary per-vertex stride: sends owned
@@ -80,30 +88,44 @@ pub fn localize_matrix(aglob: &Bcsr4, sub: &Subdomain) -> Bcsr4 {
     local
 }
 
-/// Extracts the owned-owned diagonal block and factors it with ILU(fill).
-pub fn local_ilu(local: &Bcsr4, sub: &Subdomain, fill: usize) -> IluFactors {
-    let nowned = sub.nowned();
-    let cols: Vec<Vec<u32>> = (0..nowned)
-        .map(|r| {
-            local.col_idx[local.row_ptr[r]..local.row_ptr[r + 1]]
-                .iter()
-                .copied()
-                .filter(|&c| (c as usize) < nowned)
-                .collect()
-        })
-        .collect();
-    let mut diag = Bcsr4::from_pattern(&cols);
-    for r in 0..nowned {
-        for k in local.row_ptr[r]..local.row_ptr[r + 1] {
-            let c = local.col_idx[k];
-            if (c as usize) < nowned {
-                let dk = diag.find(r, c).unwrap();
-                diag.blocks[dk * 16..(dk + 1) * 16]
-                    .copy_from_slice(&local.blocks[k * 16..(k + 1) * 16]);
-            }
-        }
+/// The owned-owned diagonal block of a rank's local rows — what its
+/// Schwarz ILU factors. The pattern and the position each block is
+/// copied from are found once; [`OwnedBlock::refresh`] then only copies
+/// values.
+pub struct OwnedBlock {
+    diag: Bcsr4,
+    /// Storage position in the local matrix of each block of `diag`.
+    src: Vec<usize>,
+}
+
+impl OwnedBlock {
+    /// Finds the blocks of `local`'s first `nowned` rows whose column is
+    /// owned too.
+    pub fn new(local: &Bcsr4, nowned: usize) -> OwnedBlock {
+        // `from_pattern` stores each row's columns in the order given, so
+        // block `i` of the pattern is the `i`-th position pushed here.
+        let mut src = Vec::new();
+        let cols: Vec<Vec<u32>> = (0..nowned)
+            .map(|r| {
+                let first = src.len();
+                src.extend(
+                    (local.row_ptr[r]..local.row_ptr[r + 1])
+                        .filter(|&k| (local.col_idx[k] as usize) < nowned),
+                );
+                src[first..].iter().map(|&k| local.col_idx[k]).collect()
+            })
+            .collect();
+        let diag = Bcsr4::from_pattern(&cols);
+        OwnedBlock { diag, src }
     }
-    ilu::iluk(&diag, fill)
+
+    /// The block with `local`'s current values.
+    pub fn refresh(&mut self, local: &Bcsr4) -> &Bcsr4 {
+        for (dst, &k) in self.diag.blocks.chunks_exact_mut(16).zip(&self.src) {
+            dst.copy_from_slice(&local.blocks[k * 16..(k + 1) * 16]);
+        }
+        &self.diag
+    }
 }
 
 /// One rank's distributed linear-system context.
@@ -113,23 +135,15 @@ pub struct DistSystem {
     /// Local matrix rows (owned rows, owned+ghost columns).
     pub a: Bcsr4,
     /// Block-Jacobi ILU of the owned-owned block.
-    pub precond: IluFactors,
-    /// Forward-sweep result of `apply_precond`, owned-unknowns long.
-    trsv_scratch: RefCell<Vec<f64>>,
+    pub precond: SerialIlu,
 }
 
 impl DistSystem {
     /// Builds from the global matrix and a subdomain.
     pub fn new(aglob: &Bcsr4, sub: Subdomain, fill: usize) -> DistSystem {
         let a = localize_matrix(aglob, &sub);
-        let precond = local_ilu(&a, &sub, fill);
-        let trsv_scratch = RefCell::new(vec![0.0; sub.nowned() * 4]);
-        DistSystem {
-            sub,
-            a,
-            precond,
-            trsv_scratch,
-        }
+        let precond = SerialIlu::new(OwnedBlock::new(&a, sub.nowned()).refresh(&a), fill);
+        DistSystem { sub, a, precond }
     }
 
     /// Owned scalar dimension.
@@ -137,36 +151,44 @@ impl DistSystem {
         self.sub.nowned() * 4
     }
 
-    /// Distributed matvec: halo-exchange `x` (length nlocal·4, owned part
-    /// significant), then `y_owned = A_local · x_local`.
-    pub fn spmv(&self, comm: &Comm, x: &mut [f64], y: &mut [f64]) {
-        halo_exchange(comm, &self.sub, x);
-        let mut full = vec![0.0; self.sub.nlocal() * 4];
-        self.a.spmv(x, &mut full);
-        y.copy_from_slice(&full[..self.nowned()]);
-    }
-
-    /// Applies the local ILU to the owned part of `r`.
-    pub fn apply_precond(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.nowned();
-        trsv::solve_into(
-            &self.precond,
-            &r[..n],
-            &mut self.trsv_scratch.borrow_mut(),
-            &mut z[..n],
-        );
+    /// This rank's rows as the operator of a solve over `comm`.
+    pub fn on<'a>(&'a self, comm: &'a Comm) -> RankRows<'a> {
+        let nlocal = self.sub.nlocal() * 4;
+        RankRows {
+            comm,
+            sys: self,
+            local: RefCell::new((vec![0.0; nlocal], vec![0.0; nlocal])),
+        }
     }
 }
 
-/// Distributed dot product over owned entries.
-pub fn ddot(comm: &Comm, x: &[f64], y: &[f64]) -> f64 {
-    let local: f64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
-    comm.allreduce_sum(&[local])[0]
+/// A [`DistSystem`]'s rows bound to a communicator: the distributed
+/// matvec over owned vectors, with inner products completed by `comm`.
+pub struct RankRows<'a> {
+    comm: &'a Comm,
+    sys: &'a DistSystem,
+    /// Owned + ghost copies of the operand and of the product.
+    local: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
-/// Distributed 2-norm over owned entries.
-pub fn dnorm2(comm: &Comm, x: &[f64]) -> f64 {
-    ddot(comm, x, x).sqrt()
+impl LinearOperator for RankRows<'_> {
+    fn dim(&self) -> usize {
+        self.sys.nowned()
+    }
+
+    /// Halo-exchanges `x`, then `y = A_local · x_local` on the owned rows.
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        let n = self.dim();
+        let (xl, yl) = &mut *self.local.borrow_mut();
+        xl[..n].copy_from_slice(x);
+        halo_exchange(self.comm, &self.sys.sub, xl);
+        self.sys.a.spmv(xl, yl);
+        y.copy_from_slice(&yl[..n]);
+    }
+
+    fn reducer(&self) -> Reducer<'_> {
+        Some(self.comm)
+    }
 }
 
 /// Result of a distributed GMRES solve (per rank; identical on all).
@@ -191,123 +213,17 @@ pub fn gmres(
     rtol: f64,
     max_iters: usize,
 ) -> DistSolveResult {
-    let n = sys.nowned();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    let nlocal = sys.sub.nlocal() * 4;
-    let mut xfull = vec![0.0; nlocal];
-    let mut w = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut basis: Vec<Vec<f64>> = (0..restart + 1).map(|_| vec![0.0; n]).collect();
-    let mut h = vec![0.0; (restart + 1) * restart];
-
-    let mut total = 0usize;
-    let mut res0 = f64::NAN;
-    loop {
-        // r = M⁻¹(b − A x)
-        xfull[..n].copy_from_slice(x);
-        sys.spmv(comm, &mut xfull, &mut w);
-        for i in 0..n {
-            w[i] = b[i] - w[i];
-        }
-        sys.apply_precond(&w, &mut z);
-        let beta = dnorm2(comm, &z[..n]);
-        if res0.is_nan() {
-            res0 = beta;
-        }
-        if beta <= rtol * res0 || beta == 0.0 {
-            return DistSolveResult {
-                iterations: total,
-                residual: beta,
-                converged: true,
-            };
-        }
-        for i in 0..n {
-            basis[0][i] = z[i] / beta;
-        }
-        let mut g = vec![0.0; restart + 1];
-        g[0] = beta;
-        let mut cs = vec![0.0; restart];
-        let mut sn = vec![0.0; restart];
-        let mut kdone = 0usize;
-        let mut res = beta;
-        let mut converged = false;
-
-        for k in 0..restart {
-            if total >= max_iters {
-                break;
-            }
-            total += 1;
-            xfull[..n].copy_from_slice(&basis[k]);
-            sys.spmv(comm, &mut xfull, &mut w);
-            sys.apply_precond(&w, &mut z);
-            // CGS with one fused allreduce (VecMDot semantics)
-            let mut dots_local = vec![0.0; k + 1];
-            for (j, vj) in basis[..=k].iter().enumerate() {
-                dots_local[j] = z[..n].iter().zip(vj).map(|(a, b)| a * b).sum();
-            }
-            let dots = comm.allreduce_sum(&dots_local);
-            for (j, vj) in basis[..=k].iter().enumerate() {
-                for i in 0..n {
-                    z[i] -= dots[j] * vj[i];
-                }
-                h[k * (restart + 1) + j] = dots[j];
-            }
-            let hnorm = dnorm2(comm, &z[..n]);
-            h[k * (restart + 1) + k + 1] = hnorm;
-            kdone = k + 1;
-            if hnorm > 1e-14 * res.max(1.0) {
-                for i in 0..n {
-                    basis[k + 1][i] = z[i] / hnorm;
-                }
-            }
-            let col = &mut h[k * (restart + 1)..(k + 1) * (restart + 1)];
-            for i in 0..k {
-                let t = cs[i] * col[i] + sn[i] * col[i + 1];
-                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
-                col[i] = t;
-            }
-            let denom = (col[k] * col[k] + col[k + 1] * col[k + 1]).sqrt();
-            let (c, s) = if col[k + 1] == 0.0 {
-                (1.0, 0.0)
-            } else {
-                (col[k] / denom, col[k + 1] / denom)
-            };
-            cs[k] = c;
-            sn[k] = s;
-            col[k] = c * col[k] + s * col[k + 1];
-            col[k + 1] = 0.0;
-            let t = c * g[k] + s * g[k + 1];
-            g[k + 1] = -s * g[k] + c * g[k + 1];
-            g[k] = t;
-            res = g[k + 1].abs();
-            if res <= rtol * res0 || hnorm <= 1e-14 * res.max(1.0) {
-                converged = true;
-                break;
-            }
-        }
-
-        // form update
-        let mut y = vec![0.0; kdone];
-        for i in (0..kdone).rev() {
-            let mut acc = g[i];
-            for j in i + 1..kdone {
-                acc -= h[j * (restart + 1) + i] * y[j];
-            }
-            y[i] = acc / h[i * (restart + 1) + i];
-        }
-        for (j, vj) in basis[..kdone].iter().enumerate() {
-            for i in 0..n {
-                x[i] += y[j] * vj[i];
-            }
-        }
-        if converged || total >= max_iters {
-            return DistSolveResult {
-                iterations: total,
-                residual: res,
-                converged,
-            };
-        }
+    let config = GmresConfig {
+        restart,
+        rtol,
+        max_iters,
+        ..Default::default()
+    };
+    let res = Gmres::new(sys.nowned(), config).solve(&sys.on(comm), &sys.precond, b, x);
+    DistSolveResult {
+        iterations: res.iterations,
+        residual: res.residual,
+        converged: res.outcome != GmresOutcome::MaxIterations,
     }
 }
 

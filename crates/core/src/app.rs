@@ -11,12 +11,10 @@ use fun3d_partition::{
     natural_partition, partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan,
     TilingConfig,
 };
-use fun3d_solver::precond::Preconditioner;
+use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
 use fun3d_solver::{ExecMode, FluxScheme};
-use fun3d_sparse::{
-    ilu, levels, p2p, trsv, Bcsr4, IluFactors, IluSymbolic, LevelSchedule, P2pProgress, P2pSchedule,
-};
+use fun3d_sparse::{ilu, Bcsr4, IluFactors, IluSymbolic, LevelSchedule, P2pSchedule};
 use fun3d_threads::{TeamMember, TeamSlice, ThreadPool};
 use fun3d_util::telemetry;
 use fun3d_util::PhaseTimers;
@@ -64,12 +62,9 @@ pub struct OptConfig {
     /// scheme; exact for linear fields at all vertices) instead of
     /// edge-midpoint Green-Gauss.
     pub use_lsq_gradients: bool,
-    /// Linear-solve execution scheme: serial, region-per-op, persistent
-    /// SPMD team regions, or `Auto` (pick per solve from the machine
-    /// model + measured sync costs). All schemes are numerically
-    /// identical at a fixed thread count; they differ only in how much
-    /// fork-join and barrier synchronization they pay, which is what the
-    /// paper's synchronization analysis targets.
+    /// Linear-solve execution scheme: serial, persistent SPMD team
+    /// regions, or `Auto` (pick per solve from the machine model +
+    /// measured sync costs).
     pub exec: ExecMode,
     /// Residual-path edge-kernel scheme: streaming (the paper's
     /// kernels), cache-blocked tiling with scratch-pad staging, or
@@ -91,7 +86,7 @@ impl OptConfig {
             use_limiter: false,
             ilu_lag: 1,
             use_lsq_gradients: false,
-            exec: ExecMode::PerOp,
+            exec: ExecMode::Serial,
             flux: FluxScheme::Stream,
         }
     }
@@ -112,7 +107,7 @@ impl OptConfig {
             use_limiter: false,
             ilu_lag: 1,
             use_lsq_gradients: false,
-            // Let the policy model pick serial/per-op/team per solve:
+            // Let the policy model pick serial/team per solve:
             // hard-coding team mode here is exactly the thread-scaling
             // inversion on small meshes (sync cost > parallel payoff).
             exec: ExecMode::Auto,
@@ -123,102 +118,58 @@ impl OptConfig {
     }
 }
 
-enum PrecondMode {
+/// The forward and backward sweep schedules of `OptConfig::ilu_parallel`,
+/// built once per application: every preconditioner of every solve shares
+/// them.
+enum TrsvSchedules {
     Serial,
-    Levels {
-        pool: Arc<ThreadPool>,
-        fwd: Arc<LevelSchedule>,
-        bwd: Arc<LevelSchedule>,
-    },
-    P2p {
-        pool: Arc<ThreadPool>,
-        fwd: Arc<P2pSchedule>,
-        bwd: Arc<P2pSchedule>,
-        fwd_progress: P2pProgress,
-        bwd_progress: P2pProgress,
-    },
+    Levels(Arc<LevelSchedule>, Arc<LevelSchedule>),
+    P2p(Arc<P2pSchedule>, Arc<P2pSchedule>),
 }
 
+/// The entries `(i, c)` of a factor pattern that `keep(c, i)` selects: its
+/// strict lower or strict upper half.
+fn pattern_half(pattern: &[Vec<u32>], keep: impl Fn(usize, usize) -> bool) -> Bcsr4 {
+    let row = |(i, row): (usize, &Vec<u32>)| -> Vec<u32> {
+        row.iter().copied().filter(|&c| keep(c as usize, i)).collect()
+    };
+    Bcsr4::from_pattern(&pattern.iter().enumerate().map(row).collect::<Vec<_>>())
+}
+
+/// The application's preconditioner: the solver's ILU preconditioner
+/// under the per-kernel timers and telemetry of the profile.
 struct AppPrecond {
-    /// Shared with the serve tier's cross-request factor cache: a seeded
-    /// or captured first build is the same allocation, never a copy.
-    factors: Arc<IluFactors>,
-    mode: PrecondMode,
+    /// Its factors are shared with the serve tier's cross-request factor
+    /// cache: a seeded or captured first build is the same allocation,
+    /// never a copy.
+    ilu: SerialIlu,
     timers: Rc<RefCell<PhaseTimers>>,
-    scratch: RefCell<Vec<f64>>,
 }
 
 impl Preconditioner for AppPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         let t = std::time::Instant::now();
         let _span = telemetry::span("trsv");
-        telemetry::record_kernel("trsv", crate::counts::trsv(&self.factors));
-        match &self.mode {
-            PrecondMode::Serial => {
-                let mut scratch = self.scratch.borrow_mut();
-                trsv::solve_into(&self.factors, r, &mut scratch, z);
-            }
-            PrecondMode::Levels { pool, fwd, bwd } => {
-                let x = levels::solve_levels(&self.factors, r, pool, fwd, bwd);
-                z.copy_from_slice(&x);
-            }
-            PrecondMode::P2p { pool, fwd, bwd, .. } => {
-                let x = p2p::solve_p2p(&self.factors, r, pool, fwd, bwd);
-                z.copy_from_slice(&x);
-            }
-        }
+        telemetry::record_kernel("trsv", crate::counts::trsv(&self.ilu.factors));
+        self.ilu.apply(r, z);
         self.timers.borrow_mut().add("trsv", t.elapsed());
     }
 
     fn dim(&self) -> usize {
-        self.factors.nrows() * 4
+        self.ilu.dim()
     }
 
     unsafe fn apply_team(&self, tm: &TeamMember, r: TeamSlice, z: TeamSlice) {
-        let (tid, nt) = (tm.tid(), tm.nthreads());
         // Timers/telemetry are leader-only: the main thread is parked in
         // `pool.run` while the region executes, so the leader has
         // exclusive use of the (non-Sync) Rc/RefCell state.
-        let t = (tid == 0).then(|| {
-            telemetry::record_kernel("trsv", crate::counts::trsv(&self.factors));
-            std::time::Instant::now()
+        let t = (tm.tid() == 0).then(|| {
+            telemetry::record_kernel("trsv", crate::counts::trsv(&self.ilu.factors));
+            (std::time::Instant::now(), telemetry::span("trsv"))
         });
-        match &self.mode {
-            PrecondMode::Serial => {
-                if tid == 0 {
-                    let _span = telemetry::span("trsv");
-                    let mut scratch = self.scratch.borrow_mut();
-                    // SAFETY: leader-only access between barriers.
-                    let rs = unsafe { r.slice(0..r.len()) };
-                    let zs = unsafe { z.slice_mut(0..z.len()) };
-                    trsv::solve_into(&self.factors, rs, &mut scratch, zs);
-                }
-                tm.barrier();
-            }
-            PrecondMode::Levels { fwd, bwd, .. } => {
-                // Forward r -> z, then backward in place (each level ends
-                // with a barrier, which also publishes the final z).
-                levels::forward_levels_team(&self.factors, r, z, tid, nt, fwd, tm.team().barrier());
-                levels::backward_levels_team(&self.factors, z, z, tid, nt, bwd, tm.team().barrier());
-            }
-            PrecondMode::P2p {
-                fwd,
-                bwd,
-                fwd_progress,
-                bwd_progress,
-                ..
-            } => {
-                assert_eq!(nt, fwd_progress.nthreads());
-                fwd_progress.reset_mine(tid);
-                bwd_progress.reset_mine(tid);
-                tm.barrier(); // publish resets (and r)
-                p2p::forward_p2p_team(&self.factors, r, z, tid, fwd, fwd_progress);
-                tm.barrier(); // fwd/bwd ownership partitions differ
-                p2p::backward_p2p_team(&self.factors, z, z, tid, bwd, bwd_progress);
-                tm.barrier(); // publish z
-            }
-        }
-        if let Some(t) = t {
+        // SAFETY: the caller's contract is passed through unchanged.
+        unsafe { self.ilu.apply_team(tm, r, z) };
+        if let Some((t, _span)) = t {
             self.timers.borrow_mut().add("trsv", t.elapsed());
         }
     }
@@ -255,10 +206,7 @@ pub struct Fun3dApp {
     tiled_geom: Option<TiledGeom>,
     /// Staged vs direct tile execution, decided once per solve.
     tile_exec: flux::TileExec,
-    lvl_fwd: Option<Arc<LevelSchedule>>,
-    lvl_bwd: Option<Arc<LevelSchedule>>,
-    p2p_fwd: Option<Arc<P2pSchedule>>,
-    p2p_bwd: Option<Arc<P2pSchedule>>,
+    schedules: TrsvSchedules,
     precond: Option<AppPrecond>,
     lsq: Option<gradient::LsqGradient>,
     /// Residual evaluations performed (flux kernel invocations).
@@ -347,36 +295,21 @@ impl Fun3dApp {
         });
 
         // Schedules depend only on the static factor patterns.
-        let (lvl_fwd, lvl_bwd, p2p_fwd, p2p_bwd) = if pool.is_some() {
-            let lcols: Vec<Vec<u32>> = ilu_pattern
-                .iter()
-                .enumerate()
-                .map(|(i, row)| row.iter().copied().filter(|&c| (c as usize) < i).collect())
-                .collect();
-            let ucols: Vec<Vec<u32>> = ilu_pattern
-                .iter()
-                .enumerate()
-                .map(|(i, row)| row.iter().copied().filter(|&c| (c as usize) > i).collect())
-                .collect();
-            let l = Bcsr4::from_pattern(&lcols);
-            let u = Bcsr4::from_pattern(&ucols);
-            match cfg.ilu_parallel {
-                IluParallel::Serial => (None, None, None, None),
-                IluParallel::Levels => (
-                    Some(Arc::new(LevelSchedule::forward(&l))),
-                    Some(Arc::new(LevelSchedule::backward(&u))),
-                    None,
-                    None,
-                ),
-                IluParallel::P2p => (
-                    None,
-                    None,
-                    Some(Arc::new(P2pSchedule::forward(&l, cfg.nthreads))),
-                    Some(Arc::new(P2pSchedule::backward(&u, cfg.nthreads))),
-                ),
+        let schedules = match cfg.ilu_parallel {
+            IluParallel::Serial => TrsvSchedules::Serial,
+            mode => {
+                assert!(pool.is_some(), "a threaded triangular solve needs threads");
+                let l = pattern_half(&ilu_pattern, |c, i| c < i);
+                let u = pattern_half(&ilu_pattern, |c, i| c > i);
+                if mode == IluParallel::Levels {
+                    let (fwd, bwd) = (LevelSchedule::forward(&l), LevelSchedule::backward(&u));
+                    TrsvSchedules::Levels(Arc::new(fwd), Arc::new(bwd))
+                } else {
+                    let fwd = P2pSchedule::forward(&l, cfg.nthreads);
+                    let bwd = P2pSchedule::backward(&u, cfg.nthreads);
+                    TrsvSchedules::P2p(Arc::new(fwd), Arc::new(bwd))
+                }
             }
-        } else {
-            (None, None, None, None)
         };
 
         let lsq = cfg
@@ -402,10 +335,7 @@ impl Fun3dApp {
             tiling,
             tiled_geom,
             tile_exec,
-            lvl_fwd,
-            lvl_bwd,
-            p2p_fwd,
-            p2p_bwd,
+            schedules,
             precond: None,
             lsq,
             residual_evals: 0,
@@ -506,29 +436,18 @@ impl Fun3dApp {
     /// bindings and scratch on the solve's first build only.
     fn install_factors(&mut self, factors: Arc<IluFactors>) {
         if let Some(p) = &mut self.precond {
-            p.factors = factors;
+            p.ilu.factors = factors;
             return;
         }
-        let mode = match self.cfg.ilu_parallel {
-            IluParallel::Serial => PrecondMode::Serial,
-            IluParallel::Levels => PrecondMode::Levels {
-                pool: self.pool.clone().expect("levels mode needs threads"),
-                fwd: self.lvl_fwd.clone().unwrap(),
-                bwd: self.lvl_bwd.clone().unwrap(),
-            },
-            IluParallel::P2p => PrecondMode::P2p {
-                pool: self.pool.clone().expect("p2p mode needs threads"),
-                fwd: self.p2p_fwd.clone().unwrap(),
-                bwd: self.p2p_bwd.clone().unwrap(),
-                fwd_progress: P2pProgress::new(self.cfg.nthreads),
-                bwd_progress: P2pProgress::new(self.cfg.nthreads),
-            },
+        let pool = || self.pool.clone().expect("checked with the schedules");
+        let mode = match &self.schedules {
+            TrsvSchedules::Serial => IluApply::Serial,
+            TrsvSchedules::Levels(fwd, bwd) => IluApply::levels(pool(), fwd.clone(), bwd.clone()),
+            TrsvSchedules::P2p(fwd, bwd) => IluApply::p2p(pool(), fwd.clone(), bwd.clone()),
         };
         self.precond = Some(AppPrecond {
-            factors,
-            mode,
+            ilu: SerialIlu::from_factors(factors, mode),
             timers: Rc::clone(&self.timers),
-            scratch: RefCell::new(vec![0.0; self.nunknowns()]),
         });
     }
 
@@ -647,13 +566,7 @@ impl PtcProblem for Fun3dApp {
     }
 
     fn time_diag(&self, dt: f64, out: &mut [f64]) {
-        for v in 0..self.node.n {
-            let vdt = self.vol[v] / dt;
-            out[v * 4] = vdt / self.cond.beta;
-            out[v * 4 + 1] = vdt;
-            out[v * 4 + 2] = vdt;
-            out[v * 4 + 3] = vdt;
-        }
+        jacobian::time_diagonal(&self.vol, self.cond.beta, dt, out);
     }
 
     fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64]) {
@@ -709,7 +622,7 @@ impl PtcProblem for Fun3dApp {
         let owned = self
             .precond
             .as_mut()
-            .and_then(|p| Arc::get_mut(&mut p.factors));
+            .and_then(|p| Arc::get_mut(&mut p.ilu.factors));
         match owned {
             Some(f) => self.ilu_symbolic.refactor(&self.jac, f),
             None => {
@@ -724,6 +637,7 @@ impl PtcProblem for Fun3dApp {
             .precond
             .as_ref()
             .expect("factors installed above")
+            .ilu
             .factors;
         telemetry::record_kernel("ilu", crate::counts::ilu_factor(f));
         self.timers.borrow_mut().add("ilu", t.elapsed());
@@ -1001,7 +915,7 @@ mod tests {
         );
         // After the one rebuild that had to allocate, the solve refactors
         // in place: the factors it ends with are its own.
-        let last = &app.precond.as_ref().expect("preconditioner built").factors;
+        let last = &app.precond.as_ref().expect("preconditioner built").ilu.factors;
         assert!(!Arc::ptr_eq(last, &seed));
         assert_eq!(Arc::strong_count(last), 1);
         assert_eq!(
@@ -1012,24 +926,24 @@ mod tests {
     }
 
     #[test]
-    fn team_regions_match_per_op_bitwise() {
-        // Persistent-region GMRES vs region-per-op GMRES at the same
-        // thread count: identical chunking and thread-order reductions
-        // make the whole nonlinear solve bitwise reproducible.
-        for ilu_parallel in [IluParallel::Levels, IluParallel::P2p] {
-            let run = |exec: ExecMode| {
-                let mut cfg = OptConfig::optimized(2);
-                cfg.ilu_parallel = ilu_parallel;
-                cfg.exec = exec;
-                let mut app = build(cfg);
-                app.run(&solve_config())
-            };
-            let (u_per_op, s_per_op) = run(ExecMode::PerOp);
-            let (u_team, s_team) = run(ExecMode::Team);
-            assert!(s_per_op.converged && s_team.converged);
-            assert_eq!(s_per_op.res_history, s_team.res_history, "{ilu_parallel:?}");
-            assert_eq!(u_per_op, u_team, "{ilu_parallel:?}");
-            assert_eq!(s_per_op.linear_iters, s_team.linear_iters);
-        }
+    fn team_solve_is_independent_of_the_trsv_schedule() {
+        // Level-scheduled and P2P sweeps are both bitwise the serial
+        // sweep, and the vector kernels depend on the thread count only:
+        // the whole nonlinear solve in persistent regions is bitwise
+        // reproducible across the two threaded preconditioner paths.
+        let run = |ilu_parallel: IluParallel| {
+            let mut cfg = OptConfig::optimized(2);
+            cfg.ilu_parallel = ilu_parallel;
+            cfg.exec = ExecMode::Team;
+            let mut app = build(cfg);
+            app.run(&solve_config())
+        };
+        let (u_levels, s_levels) = run(IluParallel::Levels);
+        let (u_p2p, s_p2p) = run(IluParallel::P2p);
+        assert!(s_levels.converged && s_p2p.converged);
+        assert_eq!(s_levels.exec, "team");
+        assert_eq!(s_levels.res_history, s_p2p.res_history);
+        assert_eq!(u_levels, u_p2p);
+        assert_eq!(s_levels.linear_iters, s_p2p.linear_iters);
     }
 }

@@ -13,7 +13,7 @@ use fun3d_sparse::Bcsr4;
 
 /// SoA per-(vertex, tag) boundary data: the aggregated outward normals
 /// from the dual metrics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BcData {
     /// Vertex of each entry.
     pub vertex: Vec<u32>,

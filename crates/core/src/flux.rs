@@ -496,17 +496,58 @@ pub fn owner_writes_opt_on(
     assert_eq!(pool.size(), plan.nthreads());
     let res = VertexRows::new(res);
     pool.run(|tid| {
-        let (edges, masks) = (&plan.edges_of[tid][..], &plan.writes_of[tid][..]);
+        let (edges, masks) = (&plan.edges_of[tid], &plan.writes_of[tid]);
         // SAFETY: owner-only writes — the plan's masks select, for each
         // vertex, the one thread that owns it.
-        with_lanes!(
-            isa,
-            unsafe owner_simd(edges: &[u32], masks: &[u8], geom: &EdgeGeom, node: &NodeAos, beta: f64, res: VertexRows)
-        );
+        unsafe { owner_share(isa, edges, masks, geom, node, beta, res) };
     });
 }
 
-/// One thread's share of [`owner_writes_opt`]: its plan `edges` with the
+/// The masked flux loop of a single owner: a rank's subdomain is one
+/// owner of an owner-writes plan, so this is a thread's share of
+/// [`owner_writes_opt`] — the same 4-edge SIMD batches and prefetch —
+/// with all of `res` to itself. Walks `edges` (indices into `geom`) in
+/// order and adds each flux to the rows of the endpoints its mask selects
+/// (bit 0 = `a`, bit 1 = `b`); what the masks leave out (ghosts) is read,
+/// never written.
+pub fn owner_flux(
+    edges: &[u32],
+    masks: &[u8],
+    geom: &EdgeGeom,
+    node: &NodeAos,
+    beta: f64,
+    res: &mut [f64],
+) {
+    assert_eq!(res.len(), node.n * 4);
+    let res = VertexRows::new(res);
+    // SAFETY: `res` views an exclusively borrowed slice and this is the
+    // only thread.
+    unsafe { owner_share(Isa::detect(), edges, masks, geom, node, beta, res) };
+}
+
+/// One owner's share of the masked loop on the lanes `isa` names.
+///
+/// # Safety
+/// The caller has exclusive access to the `res` rows of every endpoint
+/// the masks select.
+unsafe fn owner_share(
+    isa: Isa,
+    edges: &[u32],
+    masks: &[u8],
+    geom: &EdgeGeom,
+    node: &NodeAos,
+    beta: f64,
+    res: VertexRows,
+) {
+    assert_eq!(edges.len(), masks.len());
+    // SAFETY: the caller's contract is the body's.
+    with_lanes!(
+        isa,
+        unsafe owner_simd(edges: &[u32], masks: &[u8], geom: &EdgeGeom, node: &NodeAos, beta: f64, res: VertexRows)
+    );
+}
+
+/// The lane-generic body of [`owner_share`]: an owner's `edges` with the
 /// aligned write `masks`.
 ///
 /// # Safety

@@ -117,18 +117,61 @@ pub fn green_gauss_threaded_on(
     node.grad.iter_mut().for_each(|x| *x = 0.0);
     let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
     pool.run(|tid| {
-        let (edges, masks) = (&plan.edges_of[tid][..], &plan.writes_of[tid][..]);
+        let (edges, masks) = (&plan.edges_of[tid], &plan.writes_of[tid]);
         // SAFETY: owner-only writes — the plan's masks select, for each
         // vertex, the one thread that owns it.
-        with_lanes!(
-            isa,
-            unsafe owner_grad(edges: &[u32], masks: &[u8], geom: &EdgeGeom, q: &[f64], grad: VertexRows)
-        );
+        unsafe { owner_share(isa, edges, masks, geom, q, grad) };
     });
     gradient_epilogue(bc, vol, node);
 }
 
-/// One thread's share of [`green_gauss_threaded`].
+/// Green-Gauss gradients of a single owner: a rank's subdomain is one
+/// owner of an owner-writes plan, so this is [`green_gauss_threaded`]
+/// with one share — `edges` (indices into `geom`) walked in order, each
+/// contribution added to the endpoints its mask selects (bit 0 = `a`,
+/// bit 1 = `b`) — followed by the same boundary closure and volume
+/// division. `bc` lists the owner's boundary vertices only; vertices no
+/// mask selects (ghosts) come out zero, for the caller's halo exchange
+/// to fill.
+pub fn green_gauss_owner(
+    edges: &[u32],
+    masks: &[u8],
+    geom: &EdgeGeom,
+    bc: &BcData,
+    vol: &[f64],
+    node: &mut NodeAos,
+) {
+    assert_eq!(vol.len(), node.n);
+    node.grad.iter_mut().for_each(|x| *x = 0.0);
+    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
+    // SAFETY: `grad` views an exclusively borrowed slice and this is the
+    // only thread.
+    unsafe { owner_share(Isa::detect(), edges, masks, geom, q, grad) };
+    gradient_epilogue(bc, vol, node);
+}
+
+/// One owner's share of the masked edge loop on the lanes `isa` names.
+///
+/// # Safety
+/// The caller has exclusive access to the `grad` rows of every endpoint
+/// the masks select.
+unsafe fn owner_share(
+    isa: Isa,
+    edges: &[u32],
+    masks: &[u8],
+    geom: &EdgeGeom,
+    q: &[f64],
+    grad: VertexRows,
+) {
+    assert_eq!(edges.len(), masks.len());
+    // SAFETY: the caller's contract is the body's.
+    with_lanes!(
+        isa,
+        unsafe owner_grad(edges: &[u32], masks: &[u8], geom: &EdgeGeom, q: &[f64], grad: VertexRows)
+    );
+}
+
+/// The lane-generic body of [`owner_share`].
 ///
 /// # Safety
 /// The caller has exclusive access to the `grad` rows of every endpoint

@@ -110,6 +110,16 @@ pub fn assemble(
     bc::jacobian(bc, node, cond, &slots.diag, jac);
 }
 
+/// The pseudo-time diagonal `V_v/Δt` of the vertices `out` covers (four
+/// unknowns each; the pressure row carries the artificial-compressibility
+/// `1/β`).
+pub fn time_diagonal(vol: &[f64], beta: f64, dt: f64, out: &mut [f64]) {
+    for (o, vol) in out.chunks_exact_mut(4).zip(vol) {
+        let vdt = vol / dt;
+        o.copy_from_slice(&[vdt / beta, vdt, vdt, vdt]);
+    }
+}
+
 /// Adds the pseudo-time term `diag(shift)` (one scalar per unknown) onto
 /// the diagonal blocks.
 pub fn add_time_diagonal(slots: &JacobianSlots, jac: &mut Bcsr4, shift: &[f64]) {

@@ -7,29 +7,40 @@
 //! least-squares update so the residual norm is available every iteration
 //! without forming the solution.
 //!
-//! Three execution modes ([`GmresExec`]):
+//! # One control flow, two step backends
 //!
-//! * **Serial** — stock single-threaded vector ops (the baseline).
-//! * **PerOp** — region-per-op threading: every vector op, SpMV, and
-//!   triangular sweep launches its own pool region (how "parallelize the
-//!   kernels one by one" naturally composes, and what the paper's
-//!   fork-join overhead measurements are about).
-//! * **Team** — persistent SPMD regions: each Arnoldi iteration (SpMV →
-//!   preconditioner → orthogonalization → basis update) runs inside
-//!   **one** region, with [`SpinBarrier`](fun3d_threads::SpinBarrier)
-//!   phases instead of region boundaries and tree reductions instead of
-//!   per-op rendezvous.
+//! Restart, Givens rotations, convergence control and back-substitution
+//! are written once, in [`drive`], over the three vector-sized steps of a
+//! cycle ([`Steps`]: cycle start, Arnoldi step, solution update). Two
+//! backends implement the steps ([`GmresExec`]):
 //!
-//! PerOp and Team share identical chunking and thread-order reductions,
-//! so at a fixed thread count they produce bitwise-identical iterates and
-//! residual histories — the persistent-region restructuring changes only
-//! synchronization cost, not numerics.
+//! * **Serial** — the [`crate::vecops`] kernels on the calling thread.
+//!   This is also the distributed backend: every inner product is
+//!   completed by the operator's [`reducer`](LinearOperator::reducer)
+//!   (nothing for one process, an allreduce for ranks), so a rank layer
+//!   drives this same code instead of owning a copy.
+//! * **Team** — persistent SPMD regions: each step is a list of
+//!   operations ([`Op`]: SpMV → preconditioner → orthogonalization →
+//!   basis update) that every thread of **one** pool region executes on
+//!   its chunk, with [`SpinBarrier`](fun3d_threads::SpinBarrier) phases
+//!   instead of region boundaries and tree reductions instead of per-op
+//!   rendezvous.
+//!
+//! [`GmresExec::PerOp`] runs the Team backend's operations one region
+//! each — the fork-join scheme the paper measures against. It is not a
+//! production mode ([`ExecMode`](crate::policy::ExecMode) cannot select
+//! it): `sync_ablation` uses it as the "before" of the synchronization
+//! ablation and the tests as Team's bitwise reference. The two launch the
+//! same kernels on the same chunks, so at a fixed thread count they
+//! produce bitwise-identical iterates and residual histories — the
+//! persistent-region restructuring changes only synchronization cost, not
+//! numerics.
 
-use crate::op::LinearOperator;
+use crate::op::{reduce_sum, reduced_dot, reduced_norm2, LinearOperator};
 use crate::precond::Preconditioner;
 use crate::team as team_ops;
 use crate::vecops;
-use fun3d_threads::{Team, TeamSlice, ThreadPool};
+use fun3d_threads::{Team, TeamMember, TeamSlice, ThreadPool};
 
 /// GMRES parameters.
 #[derive(Clone, Copy, Debug)]
@@ -68,17 +79,19 @@ impl Default for GmresConfig {
 pub enum GmresExec<'p> {
     /// Single-threaded vector ops.
     Serial,
-    /// Region-per-op threading on the given pool.
-    PerOp(&'p ThreadPool),
     /// Persistent SPMD regions on the given pool: one region per Arnoldi
     /// iteration.
     Team(&'p ThreadPool),
-    /// Pick Serial / PerOp / Team per solve from the machine model plus
-    /// the measured sync costs of this pool
+    /// Pick Serial / Team per solve from the machine model plus the
+    /// measured sync costs of this pool
     /// ([`AutoPolicy`](crate::policy::AutoPolicy)): serial below the
     /// size where the pool's threads can amortize region-launch and
-    /// barrier cost, the cheapest parallel scheme above it.
+    /// barrier cost, team above it.
     Auto(&'p ThreadPool),
+    /// The Team backend with one region per operation: the fork-join
+    /// reference of the synchronization ablation and of the bitwise
+    /// tests, not a production mode.
+    PerOp(&'p ThreadPool),
 }
 
 /// Why GMRES stopped.
@@ -106,15 +119,84 @@ pub struct GmresResult {
     /// Initial preconditioned residual norm.
     pub residual0: f64,
     /// Global reductions performed (dot-product/norm rounds — what an
-    /// `MPI_Allreduce` would be in the distributed setting). Standard
+    /// `MPI_Allreduce` is in the distributed setting). Standard
     /// CGS-GMRES performs 2 per iteration; single-reduction mode 1.
     pub reductions: usize,
     /// Per-iteration Givens residual norms, in iteration order across
     /// restarts. Execution-path equivalence is asserted on this.
     pub history: Vec<f64>,
-    /// The concrete execution scheme that ran (`"serial"`, `"per-op"`,
-    /// `"team"`) — for [`GmresExec::Auto`], whichever the policy chose.
+    /// The concrete execution scheme that ran (`"serial"`, `"team"`, or
+    /// `"per-op"` for the ablation reference) — for [`GmresExec::Auto`],
+    /// whichever the policy chose.
     pub exec: &'static str,
+}
+
+impl GmresConfig {
+    /// The outcome a residual norm `res` stops the solve with, if any.
+    fn met(&self, res: f64, residual0: f64) -> Option<GmresOutcome> {
+        if res <= self.atol {
+            Some(GmresOutcome::ConvergedAtol)
+        } else if res <= self.rtol * residual0 {
+            Some(GmresOutcome::ConvergedRtol)
+        } else {
+            None
+        }
+    }
+
+    /// [`GmresConfig::met`] for the residual norm `beta` of a cycle
+    /// start, which is also the reference norm on the first cycle
+    /// (`residual0` still NaN).
+    fn met_at_start(&self, beta: f64, residual0: f64) -> bool {
+        let r0 = if residual0.is_nan() { beta } else { residual0 };
+        self.met(beta, r0).is_some()
+    }
+}
+
+/// Arnoldi produced (numerically) the zero vector: nothing to normalize.
+fn breakdown(hkk: f64, res: f64) -> bool {
+    hkk <= 1e-14 * res.max(1.0)
+}
+
+/// `h_{k+1,k} = ‖w⊥‖` and whether it cost a reduction of its own beyond
+/// the fused one. Unfused (`None`) it is the direct norm, `direct_sq`
+/// being `<w⊥, w⊥>`. Fused, `(‖w‖², Σᵢ hᵢ²)` give it by Pythagoras —
+/// which holds only as far as the basis is orthonormal, and one-pass CGS
+/// loses orthogonality exactly when the update cancels strongly, so
+/// whenever less than 1% of `‖w‖²` survives it falls back to the direct
+/// norm (one extra reduction on those iterations — still fewer on net).
+fn next_norm(fused: Option<(f64, f64)>, direct_sq: impl FnOnce() -> f64) -> (f64, bool) {
+    let Some((ww, h2)) = fused else {
+        return (direct_sq().sqrt(), false);
+    };
+    let mut hkk2 = ww - h2;
+    let extra = hkk2 < 1e-2 * ww;
+    if extra {
+        hkk2 = direct_sq();
+    }
+    (hkk2.max(0.0).sqrt(), extra)
+}
+
+/// The vector-sized steps of a GMRES cycle: what an execution scheme
+/// implements and [`drive`] sequences. The basis `v_0..` and the iterate
+/// `x` live behind the implementation.
+trait Steps {
+    /// The scheme's name, for [`GmresResult::exec`].
+    fn name(&self) -> &'static str;
+
+    /// Cycle start: `r = M⁻¹(b − A x)`. Returns `β = ‖r‖` and, unless `β`
+    /// already meets the tolerances against `residual0` (NaN on the
+    /// first cycle), leaves `v_0 = r/β`.
+    fn start(&mut self, residual0: f64) -> f64;
+
+    /// Arnoldi step `k`: `w = M⁻¹ A v_k`, orthogonalized against
+    /// `v_0..=v_k` by classical Gram-Schmidt. Writes the `k + 1`
+    /// coefficients to `h[..=k]` and returns [`next_norm`]'s pair for
+    /// `w⊥`; unless that norm is a [`breakdown`] against the current
+    /// residual norm `res`, leaves `v_{k+1} = w⊥/‖w⊥‖`.
+    fn arnoldi(&mut self, k: usize, res: f64, h: &mut [f64]) -> (f64, bool);
+
+    /// Solution update `x += Σⱼ y[j]·v_j`.
+    fn update(&mut self, y: &[f64]);
 }
 
 /// Shared-reference wrapper asserting team-call safety for trait objects
@@ -145,20 +227,27 @@ pub struct Gmres {
     /// Configuration.
     pub config: GmresConfig,
     basis: Vec<Vec<f64>>,
-    h: Vec<f64>, // Hessenberg, column-major (restart+1) x restart
     work: Vec<f64>,
     work2: Vec<f64>,
-    /// Least-squares right-hand side, `restart + 1`.
+    /// Gram-Schmidt scratch of the current iteration: one
+    /// [`Gmres::slot_len`]-wide slot per thread (serial uses the first),
+    /// so team threads never share a cache line.
+    slots: Vec<f64>,
+    ls: LeastSquares,
+}
+
+/// The Hessenberg least-squares problem of one cycle, triangularized by
+/// Givens rotations as the columns arrive.
+struct LeastSquares {
+    /// Hessenberg, column-major `(restart + 1) × restart`.
+    h: Vec<f64>,
+    /// Right-hand side, `restart + 1`.
     g: Vec<f64>,
     /// Givens cosines and sines, `restart` each.
     cs: Vec<f64>,
     sn: Vec<f64>,
     /// Back-substituted correction coefficients, `restart`.
     y: Vec<f64>,
-    /// Gram-Schmidt coefficients of the current iteration: one
-    /// [`Gmres::coeff_stride`]-wide slot per thread (serial and per-op
-    /// use the first), so team threads never share a cache line.
-    coeffs: Vec<f64>,
 }
 
 impl Gmres {
@@ -168,22 +257,25 @@ impl Gmres {
         Gmres {
             config,
             basis: (0..restart + 1).map(|_| vec![0.0; n]).collect(),
-            h: vec![0.0; (restart + 1) * restart],
             work: vec![0.0; n],
             work2: vec![0.0; n],
-            g: vec![0.0; restart + 1],
-            cs: vec![0.0; restart],
-            sn: vec![0.0; restart],
-            y: vec![0.0; restart],
-            coeffs: vec![0.0; Self::coeff_stride(restart)],
+            slots: vec![0.0; Self::slot_len(restart)],
+            ls: LeastSquares {
+                h: vec![0.0; (restart + 1) * restart],
+                g: vec![0.0; restart + 1],
+                cs: vec![0.0; restart],
+                sn: vec![0.0; restart],
+                y: vec![0.0; restart],
+            },
         }
     }
 
-    /// Width of one thread's coefficient slot: the `restart + 1`
-    /// coefficients plus the fused `<w, w>`, rounded up to whole cache
-    /// lines.
-    fn coeff_stride(restart: usize) -> usize {
-        (restart + 2).div_ceil(8) * 8
+    /// Width of one thread's slot: the Gram-Schmidt products (`restart +
+    /// 1` coefficients plus the fused `<w, w>`), their negations for the
+    /// update, and the step's two scalar results, rounded up to whole
+    /// cache lines.
+    fn slot_len(restart: usize) -> usize {
+        (2 * (restart + 2) + 2).div_ceil(8) * 8
     }
 
     /// Solves `A x = b` with left preconditioning, starting from the
@@ -208,508 +300,442 @@ impl Gmres {
         x: &mut [f64],
         exec: GmresExec,
     ) -> GmresResult {
-        match exec {
-            GmresExec::Serial => self.solve_seq(a, m, b, x, None),
-            GmresExec::PerOp(pool) => self.solve_seq(a, m, b, x, Some(pool)),
-            GmresExec::Team(pool) => self.solve_team(a, m, b, x, pool),
+        let n = b.len();
+        assert_eq!(a.dim(), n);
+        assert_eq!(x.len(), n);
+        let (pool, per_op) = match exec {
+            GmresExec::Serial => (None, false),
+            GmresExec::Team(pool) => (Some(pool), false),
+            GmresExec::PerOp(pool) => (Some(pool), true),
             GmresExec::Auto(pool) => {
-                let decision =
-                    crate::policy::AutoPolicy::for_pool(pool).decision(b.len(), pool.size());
-                decision.record(b.len(), pool.size());
-                match decision.mode {
-                    crate::policy::ExecMode::Serial => self.solve_seq(a, m, b, x, None),
-                    crate::policy::ExecMode::PerOp => self.solve_seq(a, m, b, x, Some(pool)),
-                    _ => self.solve_team(a, m, b, x, pool),
-                }
+                let decision = crate::policy::AutoPolicy::for_pool(pool).decision(n, pool.size());
+                decision.record(n, pool.size());
+                let team = decision.mode != crate::policy::ExecMode::Serial;
+                (team.then_some(pool), false)
+            }
+        };
+        let config = self.config;
+        let Gmres {
+            basis,
+            work,
+            work2,
+            slots,
+            ls,
+            ..
+        } = self;
+        match pool {
+            None => {
+                let mut steps = SerialSteps {
+                    a,
+                    m,
+                    b,
+                    x,
+                    basis,
+                    work,
+                    work2,
+                    slot: &mut slots[..Self::slot_len(config.restart)],
+                    config,
+                };
+                drive(&config, ls, &mut steps)
+            }
+            Some(pool) => {
+                assert!(
+                    a.reducer().is_none(),
+                    "threaded GMRES completes its sums inside one process"
+                );
+                let slot_len = Self::slot_len(config.restart);
+                slots.resize(pool.size() * slot_len, 0.0);
+                // Borrow-erased views shared with the region closures.
+                // From here on these buffers are touched only through the
+                // views: by the team inside regions, by this thread
+                // between them.
+                let regions = Regions {
+                    pool,
+                    team: Team::new(pool.size(), config.restart + 2),
+                    per_op,
+                    a: AssertTeamSafe(a),
+                    m: AssertTeamSafe(m),
+                    x: TeamSlice::new(x),
+                    b: TeamSlice::from_raw(b.as_ptr() as *mut f64, n),
+                    work: TeamSlice::new(work),
+                    work2: TeamSlice::new(work2),
+                    slots: TeamSlice::new(slots),
+                    slot_len,
+                    config,
+                };
+                drive(&config, ls, &mut TeamSteps { regions, basis })
             }
         }
     }
+}
 
-    /// Serial and region-per-op paths: one control flow, ops dispatched
-    /// per call site (`pool: None` = serial).
-    fn solve_seq(
-        &mut self,
-        a: &dyn LinearOperator,
-        m: &dyn Preconditioner,
-        b: &[f64],
-        x: &mut [f64],
-        pool: Option<&ThreadPool>,
-    ) -> GmresResult {
-        let n = b.len();
-        assert_eq!(a.dim(), n);
-        assert_eq!(x.len(), n);
-        let restart = self.config.restart;
-        let exec = if pool.is_some() { "per-op" } else { "serial" };
+/// The GMRES control flow: restart cycles, the Givens-rotated
+/// least-squares problem, convergence control and the back-substituted
+/// update, over the [`Steps`] of an execution scheme. Scalar recurrences
+/// run here, on the calling thread, between the steps.
+fn drive(config: &GmresConfig, ls: &mut LeastSquares, steps: &mut impl Steps) -> GmresResult {
+    let ld = config.restart + 1;
+    let LeastSquares { h, g, cs, sn, y } = ls;
+    let mut out = GmresResult {
+        outcome: GmresOutcome::MaxIterations,
+        iterations: 0,
+        residual: f64::NAN,
+        residual0: f64::NAN,
+        reductions: 0,
+        history: Vec::new(),
+        exec: steps.name(),
+    };
+    loop {
+        let beta = steps.start(out.residual0);
+        out.reductions += 1;
+        if out.residual0.is_nan() {
+            out.residual0 = beta;
+        }
+        out.residual = beta;
+        if let Some(outcome) = config.met(beta, out.residual0) {
+            out.outcome = outcome;
+            return out;
+        }
+        g.fill(0.0);
+        g[0] = beta;
+        let mut kk = 0usize;
+        let mut finished: Option<GmresOutcome> = None;
 
-        let mut total_iters = 0usize;
-        let mut reductions = 0usize;
-        let mut residual0 = f64::NAN;
-        let mut history = Vec::new();
+        for k in 0..config.restart {
+            if out.iterations >= config.max_iters {
+                finished = Some(GmresOutcome::MaxIterations);
+                break;
+            }
+            out.iterations += 1;
+            let col = &mut h[k * ld..(k + 1) * ld];
+            let (hkk, extra) = steps.arnoldi(k, out.residual, col);
+            // The fused products, plus the norm's own round unless fused.
+            out.reductions += 1 + usize::from(extra || !config.single_reduction);
+            col[k + 1] = hkk;
+            kk = k + 1;
+            if breakdown(hkk, out.residual) {
+                finished = Some(GmresOutcome::Breakdown);
+            }
+            // apply existing Givens rotations to column k
+            for i in 0..k {
+                let t = cs[i] * col[i] + sn[i] * col[i + 1];
+                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
+                col[i] = t;
+            }
+            // new rotation to kill col[k+1]
+            let (c, s) = givens(col[k], col[k + 1]);
+            cs[k] = c;
+            sn[k] = s;
+            col[k] = c * col[k] + s * col[k + 1];
+            col[k + 1] = 0.0;
+            let t = c * g[k] + s * g[k + 1];
+            g[k + 1] = -s * g[k] + c * g[k + 1];
+            g[k] = t;
+            out.residual = g[k + 1].abs();
+            out.history.push(out.residual);
 
-        loop {
-            // r = M^{-1} (b - A x)
-            match pool {
-                None => a.apply(x, &mut self.work),
-                Some(p) => a.apply_parallel(p, x, &mut self.work),
+            if let Some(outcome) = config.met(out.residual, out.residual0) {
+                finished = Some(outcome);
             }
-            match pool {
-                None => vecops::bsub(&mut self.work, b),
-                Some(p) => vecops::par::bsub(p, &mut self.work, b),
-            }
-            m.apply(&self.work, &mut self.work2);
-            let beta = match pool {
-                None => vecops::norm2(&self.work2),
-                Some(p) => vecops::par::norm2(p, &self.work2),
-            };
-            reductions += 1;
-            if residual0.is_nan() {
-                residual0 = beta;
-            }
-            if beta <= self.config.atol {
-                return GmresResult {
-                    outcome: GmresOutcome::ConvergedAtol,
-                    iterations: total_iters,
-                    residual: beta,
-                    residual0,
-                    reductions,
-                    history,
-                    exec,
-                };
-            }
-            if beta <= self.config.rtol * residual0 {
-                return GmresResult {
-                    outcome: GmresOutcome::ConvergedRtol,
-                    iterations: total_iters,
-                    residual: beta,
-                    residual0,
-                    reductions,
-                    history,
-                    exec,
-                };
-            }
-            // v1 = r/beta
-            match pool {
-                None => vecops::div_into(&mut self.basis[0], &self.work2, beta),
-                Some(p) => vecops::par::div_into(p, &mut self.basis[0], &self.work2, beta),
-            }
-            let (g, cs, sn) = (&mut self.g, &mut self.cs, &mut self.sn);
-            g.fill(0.0);
-            g[0] = beta;
-            let mut k_done = 0usize;
-            let mut finished: Option<GmresOutcome> = None;
-            let mut res = beta;
-
-            for k in 0..restart {
-                if total_iters >= self.config.max_iters {
-                    finished = Some(GmresOutcome::MaxIterations);
-                    break;
-                }
-                total_iters += 1;
-                // w = M^{-1} A v_k
-                match pool {
-                    None => a.apply(&self.basis[k], &mut self.work),
-                    Some(p) => a.apply_parallel(p, &self.basis[k], &mut self.work),
-                }
-                m.apply(&self.work, &mut self.work2);
-                // classical Gram-Schmidt: h[0..=k] = V^T w, w -= V h.
-                // In single-reduction mode, <w,w> joins the same fused
-                // mdot and the new norm comes from Pythagoras.
-                let basis = &self.basis[..=k];
-                let fused = usize::from(self.config.single_reduction);
-                let out = &mut self.coeffs[..k + 1 + fused];
-                match pool {
-                    None => vecops::mdot(&self.work2, basis, out),
-                    Some(p) => vecops::par::mdot(p, &self.work2, basis, out),
-                }
-                reductions += 1;
-                // `<w, w>` when fused (read only then).
-                let ww = out[k + fused];
-                let coeffs = &mut out[..k + 1];
-                self.h[k * (restart + 1)..][..k + 1].copy_from_slice(coeffs);
-                let h2: f64 = coeffs.iter().map(|c| c * c).sum();
-                coeffs.iter_mut().for_each(|c| *c = -*c);
-                match pool {
-                    None => vecops::maxpy(&mut self.work2, coeffs, basis),
-                    Some(p) => vecops::par::maxpy(p, &mut self.work2, coeffs, basis),
-                }
-                let hkk = if self.config.single_reduction {
-                    let mut hkk2 = ww - h2;
-                    // Pythagoras holds only as far as the basis is
-                    // orthonormal; one-pass CGS loses orthogonality
-                    // exactly when the update cancels strongly, so
-                    // fall back to a direct norm whenever less than
-                    // 1% of ‖w‖² survives (one extra reduction on
-                    // those iterations — still fewer on net).
-                    if hkk2 < 1e-2 * ww {
-                        hkk2 = match pool {
-                            None => vecops::dot(&self.work2, &self.work2),
-                            Some(p) => vecops::par::dot(p, &self.work2, &self.work2),
-                        };
-                        reductions += 1;
-                    }
-                    hkk2.max(0.0).sqrt()
-                } else {
-                    reductions += 1;
-                    match pool {
-                        None => vecops::norm2(&self.work2),
-                        Some(p) => vecops::par::norm2(p, &self.work2),
-                    }
-                };
-                self.h[k * (restart + 1) + k + 1] = hkk;
-                k_done = k + 1;
-                if hkk <= 1e-14 * res.max(1.0) {
-                    finished = Some(GmresOutcome::Breakdown);
-                } else {
-                    let next = &mut self.basis[k + 1];
-                    match pool {
-                        None => vecops::div_into(next, &self.work2, hkk),
-                        Some(p) => vecops::par::div_into(p, next, &self.work2, hkk),
-                    }
-                }
-                // apply existing Givens rotations to column k
-                let col = &mut self.h[k * (restart + 1)..(k + 1) * (restart + 1)];
-                for i in 0..k {
-                    let t = cs[i] * col[i] + sn[i] * col[i + 1];
-                    col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
-                    col[i] = t;
-                }
-                // new rotation to kill col[k+1]
-                let (c, s) = givens(col[k], col[k + 1]);
-                cs[k] = c;
-                sn[k] = s;
-                col[k] = c * col[k] + s * col[k + 1];
-                col[k + 1] = 0.0;
-                let t = c * g[k] + s * g[k + 1];
-                g[k + 1] = -s * g[k] + c * g[k + 1];
-                g[k] = t;
-                res = g[k + 1].abs();
-                history.push(res);
-
-                if res <= self.config.atol {
-                    finished = Some(GmresOutcome::ConvergedAtol);
-                } else if res <= self.config.rtol * residual0 {
-                    finished = Some(GmresOutcome::ConvergedRtol);
-                }
-                if finished.is_some() {
-                    break;
-                }
-            }
-
-            // back-substitute y from the triangularized Hessenberg
-            let kk = k_done;
-            let y = &mut self.y[..kk];
-            back_substitute(&self.h, restart + 1, g, y);
-            // x += V y
-            match pool {
-                None => vecops::maxpy(x, y, &self.basis[..kk]),
-                Some(p) => vecops::par::maxpy(p, x, y, &self.basis[..kk]),
-            }
-
-            match finished {
-                Some(outcome) => {
-                    return GmresResult {
-                        outcome,
-                        iterations: total_iters,
-                        residual: res,
-                        residual0,
-                        reductions,
-                        history,
-                        exec,
-                    }
-                }
-                None => {
-                    if total_iters >= self.config.max_iters {
-                        return GmresResult {
-                            outcome: GmresOutcome::MaxIterations,
-                            iterations: total_iters,
-                            residual: res,
-                            residual0,
-                            reductions,
-                            history,
-                            exec,
-                        };
-                    }
-                    // restart
-                }
+            if finished.is_some() {
+                break;
             }
         }
+
+        // x += V y, with y back-substituted from the triangularized
+        // Hessenberg.
+        if kk > 0 {
+            let y = &mut y[..kk];
+            back_substitute(h, ld, g, y);
+            steps.update(y);
+        }
+        if finished.is_none() && out.iterations >= config.max_iters {
+            finished = Some(GmresOutcome::MaxIterations);
+        }
+        if let Some(outcome) = finished {
+            out.outcome = outcome;
+            return out;
+        }
+        // restart
+    }
+}
+
+/// The serial step backend, which is also the distributed one: every
+/// sum is completed by the operator's reducer.
+struct SerialSteps<'a> {
+    a: &'a dyn LinearOperator,
+    m: &'a dyn Preconditioner,
+    b: &'a [f64],
+    x: &'a mut [f64],
+    basis: &'a mut [Vec<f64>],
+    work: &'a mut [f64],
+    work2: &'a mut [f64],
+    slot: &'a mut [f64],
+    config: GmresConfig,
+}
+
+impl Steps for SerialSteps<'_> {
+    fn name(&self) -> &'static str {
+        "serial"
     }
 
-    /// Persistent-SPMD path: one pool region per Arnoldi iteration (plus
-    /// one at cycle start and one for the solution update per restart
-    /// cycle), barrier phases inside. Operators that are not
-    /// `team_capable` are applied by the main thread *between* regions
-    /// (hybrid mode — matrix-free operators launch their own regions).
-    ///
-    /// Scalar recurrences (Givens rotations, Hessenberg bookkeeping,
-    /// convergence control) stay on the main thread between regions;
-    /// regions hand back the reduced scalars through a mailbox buffer.
-    fn solve_team(
-        &mut self,
-        a: &dyn LinearOperator,
-        m: &dyn Preconditioner,
-        b: &[f64],
-        x: &mut [f64],
-        pool: &ThreadPool,
-    ) -> GmresResult {
-        let n = b.len();
-        assert_eq!(a.dim(), n);
-        assert_eq!(x.len(), n);
-        let restart = self.config.restart;
-        let nt = pool.size();
-        let team = Team::new(nt, restart + 2);
-        let hybrid = !a.team_capable();
+    fn start(&mut self, residual0: f64) -> f64 {
+        self.a.apply(self.x, self.work);
+        vecops::bsub(self.work, self.b);
+        self.m.apply(self.work, self.work2);
+        let beta = reduced_norm2(self.a.reducer(), self.work2);
+        if !self.config.met_at_start(beta, residual0) {
+            vecops::div_into(&mut self.basis[0], self.work2, beta);
+        }
+        beta
+    }
+
+    fn arnoldi(&mut self, k: usize, res: f64, h: &mut [f64]) -> (f64, bool) {
+        self.a.apply(&self.basis[k], self.work);
+        self.m.apply(self.work, self.work2);
+        // h[0..=k] = V^T w, w -= V h. In single-reduction mode <w, w>
+        // joins the same fused mdot.
         let single = self.config.single_reduction;
-        let (atol, rtol) = (self.config.atol, self.config.rtol);
-
-        // Borrow-erased views shared with the region closures. From here
-        // on, these buffers are touched only through the views: by the
-        // team inside regions, by the main thread between them. The
-        // basis is the exception: a region borrows the vectors it reads
-        // (`&self.basis[..=k]`) and erases only the one it writes.
-        let x_s = TeamSlice::new(x);
-        let b_s = TeamSlice::from_raw(b.as_ptr() as *mut f64, n);
-        let work_s = TeamSlice::new(&mut self.work);
-        let work2_s = TeamSlice::new(&mut self.work2);
-        // Region → main-thread mailbox: beta / Gram-Schmidt coefficients
-        // in [0..restart+1), h_{k+1,k} at [restart+1], extra-reduction
-        // flag at [restart+2]. Leader-written, read between regions.
-        let mut cell = vec![0.0f64; restart + 3];
-        let cell_s = TeamSlice::new(&mut cell);
-        // One coefficient slot per thread (see the field).
-        let stride = Self::coeff_stride(restart);
-        self.coeffs.resize(nt * stride, 0.0);
-        let coeffs_s = TeamSlice::new(&mut self.coeffs);
-
-        let a_sync = AssertTeamSafe(a);
-        let m_sync = AssertTeamSafe(m);
-
-        let exec = "team";
-        let mut total_iters = 0usize;
-        let mut reductions = 0usize;
-        let mut residual0 = f64::NAN;
-        let mut history = Vec::new();
-
-        loop {
-            // Cycle start: r = M^{-1}(b - A x), beta, v1 — one region.
-            if hybrid {
-                // SAFETY: no region is active; main thread owns the views.
-                unsafe {
-                    let xs = x_s.slice(0..n);
-                    let ws = work_s.slice_mut(0..n);
-                    a.apply(xs, ws);
-                }
-            }
-            let r0_in = residual0;
-            let basis_first = TeamSlice::new(&mut self.basis[0]);
-            pool.run(|tid| {
-                // SAFETY: one member per tid per region.
-                let tm = unsafe { team.member(tid) };
-                if !hybrid {
-                    // SAFETY: trait contract — team_capable() holds.
-                    unsafe { a_sync.get().apply_team(&tm, x_s, work_s) };
-                    tm.barrier();
-                }
-                team_ops::bsub(&tm, work_s, b_s);
-                tm.barrier();
-                // SAFETY: r (work) published by the barrier above.
-                unsafe { m_sync.get().apply_team(&tm, work_s, work2_s) };
-                let beta = team_ops::norm2(&tm, work2_s);
-                if tid == 0 {
-                    // SAFETY: leader-only write, read after the region.
-                    unsafe { cell_s.set(0, beta) };
-                }
-                // Every thread holds identical beta (deterministic tree
-                // reduce), so the convergence branch is uniform; the
-                // main thread re-derives the same decision below.
-                let r0v = if r0_in.is_nan() { beta } else { r0_in };
-                if !(beta <= atol || beta <= rtol * r0v) {
-                    team_ops::div_into(&tm, basis_first, work2_s, beta);
-                }
-            });
-            let beta = cell[0];
-            reductions += 1;
-            if residual0.is_nan() {
-                residual0 = beta;
-            }
-            if beta <= atol {
-                return GmresResult {
-                    outcome: GmresOutcome::ConvergedAtol,
-                    iterations: total_iters,
-                    residual: beta,
-                    residual0,
-                    reductions,
-                    history,
-                    exec,
-                };
-            }
-            if beta <= rtol * residual0 {
-                return GmresResult {
-                    outcome: GmresOutcome::ConvergedRtol,
-                    iterations: total_iters,
-                    residual: beta,
-                    residual0,
-                    reductions,
-                    history,
-                    exec,
-                };
-            }
-            let (g, cs, sn) = (&mut self.g, &mut self.cs, &mut self.sn);
-            g.fill(0.0);
-            g[0] = beta;
-            let mut k_done = 0usize;
-            let mut finished: Option<GmresOutcome> = None;
-            let mut res = beta;
-
-            for k in 0..restart {
-                if total_iters >= self.config.max_iters {
-                    finished = Some(GmresOutcome::MaxIterations);
-                    break;
-                }
-                total_iters += 1;
-                if hybrid {
-                    // SAFETY: no region active.
-                    unsafe { a.apply(&self.basis[k], work_s.slice_mut(0..n)) };
-                }
-                // One region: w = M⁻¹ A v_k, CGS orthogonalization, new
-                // basis vector. Reduced scalars are identical on every
-                // thread, so all branches are uniform across the team.
-                let res_in = res;
-                let (basis_prefix, basis_rest) = self.basis.split_at_mut(k + 1);
-                let basis_prefix: &[Vec<f64>] = basis_prefix;
-                let basis_next = TeamSlice::new(&mut basis_rest[0]);
-                pool.run(|tid| {
-                    // SAFETY: one member per tid per region.
-                    let tm = unsafe { team.member(tid) };
-                    if !hybrid {
-                        let v_k = TeamSlice::from_raw(basis_prefix[k].as_ptr() as *mut f64, n);
-                        // SAFETY: v_k is only read (it sits in the shared
-                        // prefix); trait contract for concurrency.
-                        unsafe { a_sync.get().apply_team(&tm, v_k, work_s) };
-                        tm.barrier();
-                    }
-                    // SAFETY: work published (barrier above or region
-                    // entry in hybrid mode).
-                    unsafe { m_sync.get().apply_team(&tm, work_s, work2_s) };
-                    // SAFETY: slot `tid` is this thread's alone.
-                    let slot = unsafe { coeffs_s.slice_mut(tid * stride..(tid + 1) * stride) };
-                    let out = &mut slot[..k + 1 + usize::from(single)];
-                    team_ops::mdot(&tm, work2_s, basis_prefix, out);
-                    // `<w, w>` when fused (read only then).
-                    let ww = out[k + usize::from(single)];
-                    let coeffs = &mut out[..k + 1];
-                    if tid == 0 {
-                        // SAFETY: leader-only mailbox write.
-                        unsafe { cell_s.slice_mut(0..k + 1).copy_from_slice(coeffs) };
-                    }
-                    let h2: f64 = coeffs.iter().map(|c| c * c).sum();
-                    coeffs.iter_mut().for_each(|c| *c = -*c);
-                    team_ops::maxpy(&tm, work2_s, coeffs, basis_prefix);
-                    let (hkk, extra) = if single {
-                        let mut hkk2 = ww - h2;
-                        let mut extra = 0.0;
-                        if hkk2 < 1e-2 * ww {
-                            hkk2 = team_ops::dot(&tm, work2_s, work2_s);
-                            extra = 1.0;
-                        }
-                        (hkk2.max(0.0).sqrt(), extra)
-                    } else {
-                        (team_ops::norm2(&tm, work2_s), 0.0)
-                    };
-                    if tid == 0 {
-                        // SAFETY: leader-only mailbox write.
-                        unsafe {
-                            cell_s.set(restart + 1, hkk);
-                            cell_s.set(restart + 2, extra);
-                        }
-                    }
-                    if !(hkk <= 1e-14 * res_in.max(1.0)) {
-                        team_ops::div_into(&tm, basis_next, work2_s, hkk);
-                    }
-                });
-                reductions += 1;
-                if single {
-                    reductions += cell[restart + 2] as usize;
-                } else {
-                    reductions += 1;
-                }
-                self.h[k * (restart + 1)..][..k + 1].copy_from_slice(&cell[..k + 1]);
-                let hkk = cell[restart + 1];
-                self.h[k * (restart + 1) + k + 1] = hkk;
-                k_done = k + 1;
-                if hkk <= 1e-14 * res.max(1.0) {
-                    finished = Some(GmresOutcome::Breakdown);
-                }
-                // apply existing Givens rotations to column k
-                let col = &mut self.h[k * (restart + 1)..(k + 1) * (restart + 1)];
-                for i in 0..k {
-                    let t = cs[i] * col[i] + sn[i] * col[i + 1];
-                    col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
-                    col[i] = t;
-                }
-                let (c, s) = givens(col[k], col[k + 1]);
-                cs[k] = c;
-                sn[k] = s;
-                col[k] = c * col[k] + s * col[k + 1];
-                col[k + 1] = 0.0;
-                let t = c * g[k] + s * g[k + 1];
-                g[k + 1] = -s * g[k] + c * g[k + 1];
-                g[k] = t;
-                res = g[k + 1].abs();
-                history.push(res);
-
-                if res <= atol {
-                    finished = Some(GmresOutcome::ConvergedAtol);
-                } else if res <= rtol * residual0 {
-                    finished = Some(GmresOutcome::ConvergedRtol);
-                }
-                if finished.is_some() {
-                    break;
-                }
-            }
-
-            // back-substitution on the main thread
-            let kk = k_done;
-            let y = &mut self.y[..kk];
-            back_substitute(&self.h, restart + 1, g, y);
-            // x += V y — one region.
-            if kk > 0 {
-                let (y, basis_used) = (&*y, &self.basis[..kk]);
-                pool.run(|tid| {
-                    // SAFETY: one member per tid per region.
-                    let tm = unsafe { team.member(tid) };
-                    team_ops::maxpy(&tm, x_s, y, basis_used);
-                });
-            }
-
-            match finished {
-                Some(outcome) => {
-                    return GmresResult {
-                        outcome,
-                        iterations: total_iters,
-                        residual: res,
-                        residual0,
-                        reductions,
-                        history,
-                        exec,
-                    }
-                }
-                None => {
-                    if total_iters >= self.config.max_iters {
-                        return GmresResult {
-                            outcome: GmresOutcome::MaxIterations,
-                            iterations: total_iters,
-                            residual: res,
-                            residual0,
-                            reductions,
-                            history,
-                            exec,
-                        };
-                    }
-                    // restart
-                }
-            }
+        let (basis, next) = self.basis.split_at_mut(k + 1);
+        let out = &mut self.slot[..k + 1 + usize::from(single)];
+        vecops::mdot(self.work2, basis, out);
+        reduce_sum(self.a.reducer(), out);
+        let ww = out[k + usize::from(single)];
+        let coeffs = &mut out[..k + 1];
+        h[..k + 1].copy_from_slice(coeffs);
+        let h2: f64 = coeffs.iter().map(|c| c * c).sum();
+        coeffs.iter_mut().for_each(|c| *c = -*c);
+        vecops::maxpy(self.work2, coeffs, basis);
+        let direct_sq = || reduced_dot(self.a.reducer(), self.work2, self.work2);
+        let (hkk, extra) = next_norm(single.then_some((ww, h2)), direct_sq);
+        if !breakdown(hkk, res) {
+            vecops::div_into(&mut next[0], self.work2, hkk);
         }
+        (hkk, extra)
+    }
+
+    fn update(&mut self, y: &[f64]) {
+        vecops::maxpy(self.x, y, &self.basis[..y.len()]);
+    }
+}
+
+/// One operation of the threaded step backend: what every thread of a
+/// region executes on its chunk ([`Regions::exec`]). The vectors of the
+/// basis an operation reads or writes travel in it; the other buffers are
+/// the persistent views of [`Regions`].
+#[derive(Clone, Copy)]
+enum Op<'s> {
+    /// `work = A src`, for operators that can run inside a region.
+    Apply(TeamSlice),
+    /// `work = b − work`.
+    Bsub,
+    /// `work2 = M⁻¹ work`.
+    Precondition,
+    /// `β = ‖work2‖`, and `dst = work2/β` unless `β` already meets the
+    /// tolerances against `residual0`.
+    Beta { residual0: f64, dst: TeamSlice },
+    /// The products of `work2` with the basis vectors given (and with
+    /// itself, when fused) into the thread's slot, and their negations
+    /// beside them.
+    Mdot(&'s [Vec<f64>]),
+    /// `work2 −= Σⱼ slot[j]·vⱼ` over the basis vectors given.
+    Maxpy(&'s [Vec<f64>]),
+    /// [`next_norm`] of `work2` after step `k`'s update, into the slot,
+    /// and `dst = work2/‖work2‖` unless that is a breakdown against
+    /// `res`.
+    Hkk { k: usize, res: f64, dst: TeamSlice },
+    /// `x += Σⱼ y[j]·vⱼ`.
+    Update(&'s [f64], &'s [Vec<f64>]),
+}
+
+/// The threaded step backend's shared state: the pool, the team, and the
+/// persistent buffers as views every thread of a region may hold.
+///
+/// A thread's slot is `[products | negated products | β or h_{k+1,k} |
+/// extra-reduction flag]`; reductions leave identical values in every
+/// thread's slot, and between regions the calling thread reads slot 0.
+struct Regions<'a> {
+    pool: &'a ThreadPool,
+    team: Team,
+    /// One region per operation (the fork-join reference) instead of one
+    /// per step.
+    per_op: bool,
+    a: AssertTeamSafe<'a, dyn LinearOperator + 'a>,
+    m: AssertTeamSafe<'a, dyn Preconditioner + 'a>,
+    x: TeamSlice,
+    b: TeamSlice,
+    work: TeamSlice,
+    work2: TeamSlice,
+    slots: TeamSlice,
+    slot_len: usize,
+    config: GmresConfig,
+}
+
+impl Regions<'_> {
+    /// Offset of the negated products in a slot.
+    fn negated(&self) -> usize {
+        self.config.restart + 2
+    }
+
+    /// Offset of the step's scalar result (`β` or `h_{k+1,k}`) in a slot;
+    /// the extra-reduction flag follows it.
+    fn scalar(&self) -> usize {
+        2 * (self.config.restart + 2)
+    }
+
+    /// Runs `ops` in every thread of the pool: one region for all of
+    /// them, or one region each for the fork-join reference.
+    fn run(&self, ops: &[Op]) {
+        // SAFETY (both arms): one member per tid per region.
+        if self.per_op {
+            for &op in ops {
+                self.pool
+                    .run(|tid| self.exec(&unsafe { self.team.member(tid) }, op));
+            }
+        } else {
+            self.pool.run(|tid| {
+                let tm = unsafe { self.team.member(tid) };
+                ops.iter().for_each(|&op| self.exec(&tm, op));
+            });
+        }
+    }
+
+    /// `work = A src` for operators that cannot run inside a region
+    /// (matrix-free ones launch their own): applied here, by the calling
+    /// thread between regions (hybrid mode). Returns how many leading
+    /// [`Op::Apply`]s of the step that makes redundant.
+    fn apply_between_regions(&self, src: TeamSlice) -> usize {
+        let a = self.a.get();
+        if a.team_capable() {
+            return 0;
+        }
+        let work = self.work;
+        // SAFETY: no region is active; this thread owns the views.
+        unsafe { a.apply(src.slice(0..src.len()), work.slice_mut(0..work.len())) };
+        1
+    }
+
+    /// Slot 0 after a region: the values every thread holds.
+    fn results(&self) -> &[f64] {
+        // SAFETY: no region is active, so nothing writes the slots.
+        unsafe { self.slots.slice(0..self.slot_len) }
+    }
+
+    /// This thread's share of `op`. Reduced scalars are identical on
+    /// every thread, so all branches are uniform across the team.
+    fn exec(&self, tm: &TeamMember, op: Op) {
+        let (work, work2) = (self.work, self.work2);
+        let mine = tm.tid() * self.slot_len..(tm.tid() + 1) * self.slot_len;
+        // SAFETY: slot `tid` is this thread's alone.
+        let slot = unsafe { self.slots.slice_mut(mine) };
+        match op {
+            Op::Apply(src) => {
+                // SAFETY: `src` is published (region entry) and only
+                // read; trait contract for concurrency, team_capable()
+                // checked by `apply_between_regions`.
+                unsafe { self.a.get().apply_team(tm, src, work) };
+                tm.barrier();
+            }
+            Op::Bsub => {
+                team_ops::bsub(tm, work, self.b);
+                tm.barrier();
+            }
+            // SAFETY: `work` is published by the barrier that ends the
+            // operation before, or by region entry.
+            Op::Precondition => unsafe { self.m.get().apply_team(tm, work, work2) },
+            Op::Beta { residual0, dst } => {
+                let beta = team_ops::norm2(tm, work2);
+                slot[self.scalar()] = beta;
+                if !self.config.met_at_start(beta, residual0) {
+                    team_ops::div_into(tm, dst, work2, beta);
+                }
+            }
+            Op::Mdot(basis) => {
+                let len = basis.len() + usize::from(self.config.single_reduction);
+                let (out, negated) = slot.split_at_mut(self.negated());
+                team_ops::mdot(tm, work2, basis, &mut out[..len]);
+                for (n, c) in negated.iter_mut().zip(&out[..basis.len()]) {
+                    *n = -*c;
+                }
+            }
+            Op::Maxpy(basis) => {
+                let coeffs = &slot[self.negated()..][..basis.len()];
+                team_ops::maxpy(tm, work2, coeffs, basis);
+            }
+            Op::Hkk { k, res, dst } => {
+                let fused = self.config.single_reduction.then(|| {
+                    let h2: f64 = slot[..k + 1].iter().map(|c| c * c).sum();
+                    (slot[k + 1], h2)
+                });
+                let (hkk, extra) = next_norm(fused, || team_ops::dot(tm, work2, work2));
+                slot[self.scalar()] = hkk;
+                slot[self.scalar() + 1] = f64::from(u8::from(extra));
+                if !breakdown(hkk, res) {
+                    team_ops::div_into(tm, dst, work2, hkk);
+                }
+            }
+            Op::Update(y, basis) => team_ops::maxpy(tm, self.x, y, basis),
+        }
+    }
+}
+
+/// The threaded step backend: every step is one list of [`Op`]s, run by
+/// [`Regions::run`] in one pool region (Team) or one region each (the
+/// per-op reference).
+struct TeamSteps<'a> {
+    regions: Regions<'a>,
+    basis: &'a mut [Vec<f64>],
+}
+
+/// A vector a region only reads, as the view [`Op::Apply`] takes.
+fn read_only(v: &[f64]) -> TeamSlice {
+    TeamSlice::from_raw(v.as_ptr() as *mut f64, v.len())
+}
+
+impl Steps for TeamSteps<'_> {
+    fn name(&self) -> &'static str {
+        if self.regions.per_op {
+            "per-op"
+        } else {
+            "team"
+        }
+    }
+
+    fn start(&mut self, residual0: f64) -> f64 {
+        let r = &self.regions;
+        let dst = TeamSlice::new(&mut self.basis[0]);
+        let ops = [
+            Op::Apply(r.x),
+            Op::Bsub,
+            Op::Precondition,
+            Op::Beta { residual0, dst },
+        ];
+        r.run(&ops[r.apply_between_regions(r.x)..]);
+        r.results()[r.scalar()]
+    }
+
+    fn arnoldi(&mut self, k: usize, res: f64, h: &mut [f64]) -> (f64, bool) {
+        let r = &self.regions;
+        // The region borrows the vectors it reads and erases only the
+        // one it writes.
+        let (basis, next) = self.basis.split_at_mut(k + 1);
+        let (basis, dst) = (&*basis, TeamSlice::new(&mut next[0]));
+        let v_k = read_only(&basis[k]);
+        let ops = [
+            Op::Apply(v_k),
+            Op::Precondition,
+            Op::Mdot(basis),
+            Op::Maxpy(basis),
+            Op::Hkk { k, res, dst },
+        ];
+        r.run(&ops[r.apply_between_regions(v_k)..]);
+        let slot = r.results();
+        h[..k + 1].copy_from_slice(&slot[..k + 1]);
+        (slot[r.scalar()], slot[r.scalar() + 1] != 0.0)
+    }
+
+    fn update(&mut self, y: &[f64]) {
+        self.regions.run(&[Op::Update(y, &self.basis[..y.len()])]);
     }
 }
 
@@ -974,70 +1000,48 @@ mod tests {
     }
 
     #[test]
-    fn team_matches_per_op_bitwise_identity_precond() {
+    fn team_matches_per_op_reference_and_serial_at_one_thread() {
+        // One table: thread count × preconditioner × reduction mode. The
+        // persistent regions must reproduce, bit for bit, the same
+        // operations run one region each — and at one thread both are the
+        // serial solve. Histories, iterates and reduction counts.
         let a = mesh_matrix(81);
         let n = a.dim();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
-        let cfg = GmresConfig {
-            rtol: 1e-8,
-            max_iters: 400,
-            ..Default::default()
-        };
-        for nt in [1usize, 2, 4] {
-            let pool = ThreadPool::new(nt);
-            let m = IdentityPrecond(n);
-            let (rp, xp) = solve_mode(&a, &m, &b, cfg, GmresExec::PerOp(&pool));
-            let (rt, xt) = solve_mode(&a, &m, &b, cfg, GmresExec::Team(&pool));
-            assert_eq!(rp.iterations, rt.iterations, "nt={nt}");
-            assert_eq!(rp.history, rt.history, "nt={nt}: residual history must be identical");
-            assert_eq!(xp, xt, "nt={nt}: iterates must be bitwise identical");
-            assert_eq!(rp.reductions, rt.reductions, "nt={nt}");
-        }
-    }
-
-    #[test]
-    fn team_matches_per_op_bitwise_ilu_levels_and_p2p() {
-        let a = mesh_matrix(82);
-        let n = a.dim();
-        let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) - 5.0).collect();
-        let cfg = GmresConfig {
-            rtol: 1e-9,
-            max_iters: 300,
-            ..Default::default()
-        };
-        for nt in [2usize, 4] {
-            let pool = std::sync::Arc::new(ThreadPool::new(nt));
-            for mode in ["levels", "p2p"] {
-                let ilu = match mode {
-                    "levels" => SerialIlu::new(&a, 0).with_levels(pool.clone()),
-                    _ => SerialIlu::new(&a, 0).with_p2p(pool.clone()),
-                };
-                let (rp, xp) = solve_mode(&a, &ilu, &b, cfg, GmresExec::PerOp(&pool));
-                let (rt, xt) = solve_mode(&a, &ilu, &b, cfg, GmresExec::Team(&pool));
-                assert_eq!(rp.history, rt.history, "nt={nt} {mode}");
-                assert_eq!(xp, xt, "nt={nt} {mode}");
+        let b: Vec<f64> = (0..n)
+            .map(|i| ((i % 11) as f64) - 5.0 + (i as f64 * 0.31).sin())
+            .collect();
+        for single_reduction in [false, true] {
+            let cfg = GmresConfig {
+                rtol: 1e-9,
+                max_iters: 400,
+                single_reduction,
+                ..Default::default()
+            };
+            for nt in [1usize, 2, 3, 4, 7] {
+                let pool = std::sync::Arc::new(ThreadPool::new(nt));
+                for precond in ["identity", "levels", "p2p"] {
+                    let m: Box<dyn Preconditioner> = match precond {
+                        "identity" => Box::new(IdentityPrecond(n)),
+                        "levels" => Box::new(SerialIlu::new(&a, 0).with_levels(pool.clone())),
+                        _ => Box::new(SerialIlu::new(&a, 0).with_p2p(pool.clone())),
+                    };
+                    let case = format!("nt={nt} {precond} single={single_reduction}");
+                    let (rt, xt) = solve_mode(&a, &*m, &b, cfg, GmresExec::Team(&pool));
+                    let mut references = vec![GmresExec::PerOp(&pool)];
+                    if nt == 1 {
+                        references.push(GmresExec::Serial);
+                    }
+                    for reference in references {
+                        let (rr, xr) = solve_mode(&a, &*m, &b, cfg, reference);
+                        assert_eq!(rr.history, rt.history, "{case} vs {}", rr.exec);
+                        assert_eq!(xr, xt, "{case} vs {}: iterates", rr.exec);
+                        assert_eq!(rr.iterations, rt.iterations, "{case} vs {}", rr.exec);
+                        assert_eq!(rr.reductions, rt.reductions, "{case} vs {}", rr.exec);
+                        assert_eq!(rr.outcome, rt.outcome, "{case} vs {}", rr.exec);
+                    }
+                }
             }
         }
-    }
-
-    #[test]
-    fn team_single_reduction_matches_per_op() {
-        let a = mesh_matrix(83);
-        let n = a.dim();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos()).collect();
-        let cfg = GmresConfig {
-            rtol: 1e-8,
-            max_iters: 400,
-            single_reduction: true,
-            ..Default::default()
-        };
-        let pool = ThreadPool::new(3);
-        let m = IdentityPrecond(n);
-        let (rp, xp) = solve_mode(&a, &m, &b, cfg, GmresExec::PerOp(&pool));
-        let (rt, xt) = solve_mode(&a, &m, &b, cfg, GmresExec::Team(&pool));
-        assert_eq!(rp.history, rt.history);
-        assert_eq!(xp, xt);
-        assert_eq!(rp.reductions, rt.reductions);
     }
 
     #[test]
@@ -1076,7 +1080,7 @@ mod tests {
         let u = vec![0.0; n];
         let mut r0 = vec![0.0; n];
         residual(&u, &mut r0);
-        let jac = crate::op::FdJacobian::new(residual, &u, &r0, &[]);
+        let jac = crate::op::FdJacobian::new(residual, &u, &r0, &[], None);
         assert!(!jac.team_capable());
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.41).sin()).collect();
         let cfg = GmresConfig {
@@ -1133,7 +1137,6 @@ mod tests {
             let (ra, xa) = solve_mode(&a, &m, &b, cfg, GmresExec::Auto(&pool));
             let concrete = match ra.exec {
                 "serial" => GmresExec::Serial,
-                "per-op" => GmresExec::PerOp(&pool),
                 "team" => GmresExec::Team(&pool),
                 other => panic!("Auto reported unknown exec {other:?}"),
             };

@@ -8,17 +8,21 @@
 //! implements each layer:
 //!
 //! * [`vecops`] — the PETSc vector primitives by name (`VecWAXPY`,
-//!   `VecMAXPY`, `VecMDot`, `VecNorm`, scatters), serial and threaded;
-//!   the paper calls out that these are *not* threaded in stock PETSc and
-//!   optimizes them (Section VI.A);
+//!   `VecMAXPY`, `VecMDot`, `VecNorm`, scatters); the paper calls out
+//!   that these are *not* threaded in stock PETSc and optimizes them
+//!   (Section VI.A) — the threaded forms are [`team`];
 //! * [`op`] — linear operators: assembled BCSR or finite-difference
-//!   matrix-free Jacobian with a pseudo-time diagonal shift;
+//!   matrix-free Jacobian with a pseudo-time diagonal shift, and
+//!   [`SumReduce`], the hook a rank layer completes inner products
+//!   through (the whole of what a distributed caller adds to this crate);
 //! * [`precond`] — identity, global ILU, and block-Jacobi (zero-overlap
 //!   additive Schwarz) ILU preconditioners with serial, level-scheduled
 //!   and P2P-synchronized application;
 //! * [`gmres`] — left-preconditioned GMRES(m) with classical Gram-Schmidt
-//!   (PETSc's default KSP for this code) and Givens least squares, in
-//!   serial, region-per-op, and persistent-SPMD-region execution modes;
+//!   (PETSc's default KSP for this code) and Givens least squares: one
+//!   control flow over a serial and a persistent-SPMD-region step
+//!   backend (region-per-op execution survives as the ablation
+//!   reference);
 //! * [`team`] — the in-region vector primitives those persistent regions
 //!   are built from (barrier phases + tree reductions, no fork-join);
 //! * [`ptc`] — pseudo-transient continuation with switched evolution
@@ -38,7 +42,7 @@ pub mod vecops;
 pub use anomaly::{Anomaly, AnomalyConfig, AnomalyDetector};
 pub use factor_cache::{CacheStats, KeyedCache};
 pub use gmres::{Gmres, GmresConfig, GmresExec, GmresOutcome, GmresResult};
-pub use op::{FdJacobian, LinearOperator, ShiftedOperator};
+pub use op::{FdJacobian, LinearOperator, Reducer, ShiftedOperator, SumReduce};
 pub use policy::{AutoPolicy, Decision, ExecMode, FluxScheme};
 pub use precond::{BlockJacobiIlu, IdentityPrecond, IluApply, Preconditioner, SerialIlu};
 pub use ptc::{PtcConfig, PtcProblem, PtcStats};

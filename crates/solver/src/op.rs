@@ -1,20 +1,56 @@
-//! Linear operators for the Krylov solver.
+//! Linear operators for the Krylov solver, and the one seam a
+//! distributed caller needs: [`SumReduce`].
 
+use crate::vecops;
 use fun3d_sparse::Bcsr4;
-use fun3d_threads::{TeamMember, TeamSlice, ThreadPool};
+use fun3d_threads::{TeamMember, TeamSlice};
+
+/// Completes a sum whose terms are spread over processes: on entry
+/// `partial` holds this process's terms, on return the totals, the same
+/// bits on every process (an `MPI_Allreduce`).
+pub trait SumReduce {
+    /// Replaces each element of `partial` by its sum over all processes.
+    fn sum(&self, partial: &mut [f64]);
+}
+
+/// How the inner products of a vector space are completed: `None` when
+/// this process holds the whole vector, which leaves every result as the
+/// local kernel computed it.
+pub type Reducer<'a> = Option<&'a dyn SumReduce>;
+
+/// Completes `partial` over the processes of `reduce`.
+pub(crate) fn reduce_sum(reduce: Reducer, partial: &mut [f64]) {
+    if let Some(r) = reduce {
+        r.sum(partial);
+    }
+}
+
+/// `<x, y>` of vectors whose rows are spread over the processes of
+/// `reduce`.
+pub(crate) fn reduced_dot(reduce: Reducer, x: &[f64], y: &[f64]) -> f64 {
+    let mut d = [vecops::dot(x, y)];
+    reduce_sum(reduce, &mut d);
+    d[0]
+}
+
+/// `‖x‖₂` of such a vector.
+pub(crate) fn reduced_norm2(reduce: Reducer, x: &[f64]) -> f64 {
+    reduced_dot(reduce, x, x).sqrt()
+}
 
 /// Anything that can apply `y = A x`.
 pub trait LinearOperator {
-    /// Scalar dimension of the operator.
+    /// Scalar dimension of the operator (of this process's rows).
     fn dim(&self) -> usize;
 
     /// Applies the operator: `y = A x`.
     fn apply(&self, x: &[f64], y: &mut [f64]);
 
-    /// Region-per-op threaded apply (one pool region). Defaults to the
-    /// serial apply; assembled operators override with a parallel SpMV.
-    fn apply_parallel(&self, _pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        self.apply(x, y);
+    /// The reduction that completes inner products of this operator's
+    /// vectors. Operators whose rows are spread over processes return
+    /// theirs; the default is one process.
+    fn reducer(&self) -> Reducer<'_> {
+        None
     }
 
     /// True when [`LinearOperator::apply_team`] is implemented, i.e. the
@@ -50,10 +86,6 @@ impl LinearOperator for Bcsr4 {
         self.spmv(x, y);
     }
 
-    fn apply_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        self.spmv_parallel(pool, x, y);
-    }
-
     fn team_capable(&self) -> bool {
         true
     }
@@ -80,23 +112,33 @@ pub struct FdJacobian<'a, F: Fn(&[f64], &mut [f64])> {
     r0: &'a [f64],
     /// Pseudo-time diagonal (`V_i/Δt` per unknown), empty for none.
     shift: &'a [f64],
+    /// Completes the norms of `u` and of every direction `v`.
+    reduce: Reducer<'a>,
     unorm: f64,
     /// Scratch for the perturbed state and residual.
     scratch: std::cell::RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
 impl<'a, F: Fn(&[f64], &mut [f64])> FdJacobian<'a, F> {
-    /// Creates the operator. `shift` must be empty or `u.len()` long.
-    pub fn new(residual: F, u: &'a [f64], r0: &'a [f64], shift: &'a [f64]) -> Self {
+    /// Creates the operator. `shift` must be empty or `u.len()` long;
+    /// `reduce` is the reduction of the space `u` lives in.
+    pub fn new(
+        residual: F,
+        u: &'a [f64],
+        r0: &'a [f64],
+        shift: &'a [f64],
+        reduce: Reducer<'a>,
+    ) -> Self {
         assert_eq!(u.len(), r0.len());
         assert!(shift.is_empty() || shift.len() == u.len());
-        let unorm = crate::vecops::norm2(u);
+        let unorm = reduced_norm2(reduce, u);
         let n = u.len();
         FdJacobian {
             residual,
             u,
             r0,
             shift,
+            reduce,
             unorm,
             scratch: std::cell::RefCell::new((vec![0.0; n], vec![0.0; n])),
         }
@@ -115,11 +157,15 @@ impl<F: Fn(&[f64], &mut [f64])> LinearOperator for FdJacobian<'_, F> {
         self.u.len()
     }
 
+    fn reducer(&self) -> Reducer<'_> {
+        self.reduce
+    }
+
     fn apply(&self, v: &[f64], y: &mut [f64]) {
         let n = self.u.len();
         assert_eq!(v.len(), n);
         assert_eq!(y.len(), n);
-        let vnorm = crate::vecops::norm2(v);
+        let vnorm = reduced_norm2(self.reduce, v);
         if vnorm == 0.0 {
             y.iter_mut().for_each(|x| *x = 0.0);
             return;
@@ -162,15 +208,6 @@ impl LinearOperator for ShiftedOperator<'_> {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.a.spmv(x, y);
-        if !self.shift.is_empty() {
-            for i in 0..y.len() {
-                y[i] += self.shift[i] * x[i];
-            }
-        }
-    }
-
-    fn apply_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        self.a.spmv_parallel(pool, x, y);
         if !self.shift.is_empty() {
             for i in 0..y.len() {
                 y[i] += self.shift[i] * x[i];
@@ -222,7 +259,7 @@ mod tests {
         let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut r0 = vec![0.0; n];
         residual(&u, &mut r0);
-        let jac = FdJacobian::new(residual, &u, &r0, &[]);
+        let jac = FdJacobian::new(residual, &u, &r0, &[], None);
         let v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
         let mut jv = vec![0.0; n];
         jac.apply(&v, &mut jv);
@@ -249,7 +286,7 @@ mod tests {
         let u = vec![1.0, 2.0, -3.0, 0.5];
         let mut r0 = vec![0.0; 4];
         residual(&u, &mut r0);
-        let jac = FdJacobian::new(residual, &u, &r0, &[]);
+        let jac = FdJacobian::new(residual, &u, &r0, &[], None);
         let v = vec![1.0, 1.0, 1.0, 1.0];
         let mut jv = vec![0.0; 4];
         jac.apply(&v, &mut jv);
@@ -272,7 +309,7 @@ mod tests {
         let mut r0 = vec![0.0; n];
         residual(&u, &mut r0);
         let shift: Vec<f64> = (0..n).map(|i| 10.0 + i as f64).collect();
-        let jac = FdJacobian::new(residual, &u, &r0, &shift);
+        let jac = FdJacobian::new(residual, &u, &r0, &shift, None);
         let v: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0) * 0.1).collect();
         let mut jv = vec![0.0; n];
         jac.apply(&v, &mut jv);
@@ -294,7 +331,7 @@ mod tests {
         let u = vec![1.0; n];
         let mut r0 = vec![0.0; n];
         residual(&u, &mut r0);
-        let jac = FdJacobian::new(residual, &u, &r0, &[]);
+        let jac = FdJacobian::new(residual, &u, &r0, &[], None);
         let v = vec![0.0; n];
         let mut jv = vec![1.0; n];
         jac.apply(&v, &mut jv);

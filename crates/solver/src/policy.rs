@@ -9,9 +9,12 @@
 //! scheme: memory-bound work time from the `crates/machine` bandwidth
 //! ramp, synchronization time from the *measured* region-launch and
 //! barrier-phase costs (`fun3d_threads::SyncCosts`), and picks whichever
-//! of Serial / PerOp / Team minimizes the modeled iteration time.
+//! of Serial / Team minimizes the modeled iteration time. (Region-per-op
+//! threading launches ~8 regions per iteration where Team launches ~1.25
+//! and never won a recorded run; it survives only as the ablation
+//! reference [`GmresExec::PerOp`](crate::gmres::GmresExec).)
 //!
-//! `FUN3D_EXEC=serial|per-op|team|auto` overrides whatever the
+//! `FUN3D_EXEC=serial|team|auto` overrides whatever the
 //! application configured (read where the solve is launched, see
 //! [`ExecMode::from_env`]).
 
@@ -21,17 +24,15 @@ use fun3d_util::telemetry::flight;
 use std::sync::Mutex;
 
 /// Solver execution scheme, as configured (Auto resolves to one of the
-/// three concrete schemes per solve).
+/// two concrete schemes per solve).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Single-threaded vector ops.
     Serial,
-    /// Region-per-op threading.
-    PerOp,
     /// Persistent SPMD regions (one region per Arnoldi iteration).
     Team,
-    /// Pick Serial / PerOp / Team per solve from the machine model plus
-    /// measured sync costs.
+    /// Pick Serial / Team per solve from the machine model plus measured
+    /// sync costs.
     Auto,
 }
 
@@ -40,17 +41,15 @@ impl ExecMode {
     pub fn name(self) -> &'static str {
         match self {
             ExecMode::Serial => "serial",
-            ExecMode::PerOp => "per-op",
             ExecMode::Team => "team",
             ExecMode::Auto => "auto",
         }
     }
 
-    /// Parses `serial|per-op|team|auto` (also accepts `perop`/`per_op`).
+    /// Parses `serial|team|auto`.
     pub fn parse(s: &str) -> Option<ExecMode> {
         match s.trim().to_ascii_lowercase().as_str() {
             "serial" => Some(ExecMode::Serial),
-            "per-op" | "perop" | "per_op" => Some(ExecMode::PerOp),
             "team" => Some(ExecMode::Team),
             "auto" => Some(ExecMode::Auto),
             _ => None,
@@ -133,10 +132,6 @@ impl FluxScheme {
     }
 }
 
-/// Regions a region-per-op GMRES iteration launches (SpMV + bsub + mdot
-/// + maxpy + norm + div, preconditioner sweeps riding along): measured
-/// ~7.3–7.9 on the gated meshes; the model rounds up.
-pub const PER_OP_REGIONS_PER_ITER: f64 = 8.0;
 /// Regions a persistent-region iteration launches (one per Arnoldi step
 /// plus the amortized cycle-start and solution-update regions).
 pub const TEAM_REGIONS_PER_ITER: f64 = 1.25;
@@ -200,13 +195,11 @@ impl AutoPolicy {
             / (self.machine.bandwidth_at(threads) * 1e9)
     }
 
-    /// Modeled per-iteration synchronization cost of each parallel
-    /// scheme, seconds: (per-op, team).
-    fn sync_s(&self) -> (f64, f64) {
-        let per_op = PER_OP_REGIONS_PER_ITER * self.region_launch_s;
-        let team = TEAM_REGIONS_PER_ITER * self.region_launch_s
-            + TEAM_BARRIERS_PER_ITER * self.barrier_phase_s;
-        (per_op, team)
+    /// Modeled per-iteration synchronization cost of team execution,
+    /// seconds.
+    fn sync_s(&self) -> f64 {
+        TEAM_REGIONS_PER_ITER * self.region_launch_s
+            + TEAM_BARRIERS_PER_ITER * self.barrier_phase_s
     }
 
     /// Picks the execution scheme for a solve of `unknowns` unknowns on
@@ -232,30 +225,22 @@ impl AutoPolicy {
                 crossover: None,
             };
         }
-        let par_work = self.work_s(unknowns, nt_eff);
-        let (sync_per_op, sync_team) = self.sync_s();
-        let per_op = par_work + sync_per_op;
-        let team = par_work + sync_team;
-        let (best, best_t) = if team <= per_op {
-            (ExecMode::Team, team)
-        } else {
-            (ExecMode::PerOp, per_op)
-        };
-        let mode = if best_t * PARALLEL_MARGIN < serial_s {
-            best
+        let team_s = self.work_s(unknowns, nt_eff) + self.sync_s();
+        let mode = if team_s * PARALLEL_MARGIN < serial_s {
+            ExecMode::Team
         } else {
             ExecMode::Serial
         };
         Decision {
             mode,
             serial_s,
-            parallel_s: best_t,
+            parallel_s: team_s,
             crossover: self.crossover_unknowns(nt),
         }
     }
 
-    /// The problem size (unknowns) above which the best parallel scheme
-    /// beats serial at `nt` threads, or `None` when it never does (e.g.
+    /// The problem size (unknowns) above which team execution beats
+    /// serial at `nt` threads, or `None` when it never does (e.g.
     /// one effective core: the bandwidth ramp is flat, so the sync cost
     /// is never amortized). Solves `m·(work(n)/ramp + sync) =
     /// work(n)` for `n` — both sides are linear in `n`.
@@ -267,8 +252,7 @@ impl AutoPolicy {
         let c = self.work_bytes_per_unknown;
         let bw1 = self.machine.bandwidth_at(1) * 1e9;
         let bwt = self.machine.bandwidth_at(nt_eff) * 1e9;
-        let (sync_per_op, sync_team) = self.sync_s();
-        let sync = sync_per_op.min(sync_team);
+        let sync = self.sync_s();
         let denom = c * (1.0 / bw1 - PARALLEL_MARGIN / bwt);
         if denom <= 0.0 {
             return None;
@@ -284,8 +268,8 @@ pub struct Decision {
     pub mode: ExecMode,
     /// Modeled serial iteration seconds.
     pub serial_s: f64,
-    /// Modeled best-parallel iteration seconds (work + sync; infinite
-    /// when parallelism is excluded by construction).
+    /// Modeled team iteration seconds (work + sync; infinite when
+    /// parallelism is excluded by construction).
     pub parallel_s: f64,
     /// Modeled crossover size, when one exists.
     pub crossover: Option<usize>,
@@ -297,7 +281,6 @@ impl Decision {
     pub fn record(&self, unknowns: usize, nt: usize) {
         let chosen = match self.mode {
             ExecMode::Serial => flight::ExecTag::Serial,
-            ExecMode::PerOp => flight::ExecTag::PerOp,
             ExecMode::Team | ExecMode::Auto => flight::ExecTag::Team,
         };
         flight::emit(flight::EventKind::PolicyDecision {
@@ -360,23 +343,9 @@ mod tests {
     #[test]
     fn large_problems_run_team() {
         let p = policy(100e-6, 20e-6);
-        // barrier phases are cheap relative to 8 launches per iteration,
-        // so the persistent-region scheme wins once parallelism pays.
+        // sync cost is amortized once the memory-bound work is large.
         assert_eq!(p.choose(361_608, 4), ExecMode::Team);
         assert_eq!(p.choose(1_000_000, 8), ExecMode::Team);
-    }
-
-    #[test]
-    fn per_op_team_crossover_at_modeled_ratio() {
-        // Team sync = 1.25·L + 6·B, per-op sync = 8·L: team wins iff
-        // B < (8 − 1.25)/6 · L = 1.125·L. Probe both sides of the ratio
-        // at a size where parallelism clearly pays.
-        let n = 500_000;
-        let l = 50e-6;
-        let cheap_barrier = policy(l, 0.5 * l);
-        assert_eq!(cheap_barrier.choose(n, 4), ExecMode::Team);
-        let dear_barrier = policy(l, 2.0 * l);
-        assert_eq!(dear_barrier.choose(n, 4), ExecMode::PerOp);
     }
 
     #[test]
@@ -413,11 +382,14 @@ mod tests {
 
     #[test]
     fn mode_names_round_trip() {
-        for m in [ExecMode::Serial, ExecMode::PerOp, ExecMode::Team, ExecMode::Auto] {
+        for m in [ExecMode::Serial, ExecMode::Team, ExecMode::Auto] {
             assert_eq!(ExecMode::parse(m.name()), Some(m));
         }
-        assert_eq!(ExecMode::parse("PER_OP"), Some(ExecMode::PerOp));
-        assert_eq!(ExecMode::parse("nope"), None);
+        assert_eq!(ExecMode::parse(" TEAM "), Some(ExecMode::Team));
+        // Region-per-op threading left production: no spelling selects it.
+        for gone in ["per-op", "perop", "per_op", "nope"] {
+            assert_eq!(ExecMode::parse(gone), None);
+        }
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! application can run serially, level-scheduled, or with P2P sparsified
 //! synchronization — the three strategies of Fig. 7.
 
-use fun3d_sparse::{ilu, levels, p2p, Bcsr4, IluFactors, LevelSchedule, P2pProgress, P2pSchedule};
-use fun3d_threads::{TeamMember, TeamSlice, ThreadPool};
+use fun3d_sparse::{
+    ilu, levels, p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pProgress, P2pSchedule,
+};
+use fun3d_threads::{SpinBarrier, TeamMember, TeamSlice, ThreadPool};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Anything that can apply `z = M⁻¹ r`.
 pub trait Preconditioner {
@@ -62,91 +66,139 @@ impl Preconditioner for IdentityPrecond {
     }
 }
 
-/// How an ILU triangular solve is parallelized.
+/// How an ILU triangular solve is parallelized. The schedules are
+/// shared (`Arc`): they depend on the factor pattern only, so a caller
+/// that refactors keeps them across preconditioners.
 pub enum IluApply {
     /// Single-threaded sweeps.
     Serial,
     /// Level-scheduled with a barrier per level.
     Levels {
         /// Executing pool.
-        pool: std::sync::Arc<ThreadPool>,
+        pool: Arc<ThreadPool>,
         /// Forward-sweep schedule.
-        fwd: LevelSchedule,
+        fwd: Arc<LevelSchedule>,
         /// Backward-sweep schedule.
-        bwd: LevelSchedule,
+        bwd: Arc<LevelSchedule>,
+        /// The level barrier of the pooled sweeps (team applies use the
+        /// team's own).
+        barrier: SpinBarrier,
     },
     /// Sparsified point-to-point synchronization.
     P2p {
         /// Executing pool.
-        pool: std::sync::Arc<ThreadPool>,
+        pool: Arc<ThreadPool>,
         /// Forward-sweep schedule.
-        fwd: P2pSchedule,
+        fwd: Arc<P2pSchedule>,
         /// Backward-sweep schedule.
-        bwd: P2pSchedule,
-        /// Reusable forward-sweep progress counters (team applies).
+        bwd: Arc<P2pSchedule>,
+        /// Reusable forward-sweep progress counters.
         fwd_progress: P2pProgress,
-        /// Reusable backward-sweep progress counters (team applies).
+        /// Reusable backward-sweep progress counters.
         bwd_progress: P2pProgress,
     },
 }
 
-/// A single global ILU preconditioner.
-pub struct SerialIlu {
-    /// The factors.
-    pub factors: IluFactors,
-    /// Application strategy.
-    pub apply_mode: IluApply,
-}
-
-impl SerialIlu {
-    /// Factors `a` with ILU(`fill`), serial application.
-    pub fn new(a: &Bcsr4, fill: usize) -> Self {
-        SerialIlu {
-            factors: ilu::iluk(a, fill),
-            apply_mode: IluApply::Serial,
+impl IluApply {
+    /// Level-scheduled application on `pool`.
+    pub fn levels(pool: Arc<ThreadPool>, fwd: Arc<LevelSchedule>, bwd: Arc<LevelSchedule>) -> Self {
+        let barrier = SpinBarrier::new(pool.size());
+        IluApply::Levels {
+            pool,
+            fwd,
+            bwd,
+            barrier,
         }
     }
 
-    /// Upgrades the application strategy to level scheduling.
-    pub fn with_levels(mut self, pool: std::sync::Arc<ThreadPool>) -> Self {
-        let fwd = LevelSchedule::forward(&self.factors.l);
-        let bwd = LevelSchedule::backward(&self.factors.u);
-        self.apply_mode = IluApply::Levels { pool, fwd, bwd };
-        self
-    }
-
-    /// Upgrades the application strategy to P2P synchronization.
-    pub fn with_p2p(mut self, pool: std::sync::Arc<ThreadPool>) -> Self {
+    /// P2P-synchronized application on `pool`, whose size the schedules
+    /// were built for.
+    pub fn p2p(pool: Arc<ThreadPool>, fwd: Arc<P2pSchedule>, bwd: Arc<P2pSchedule>) -> Self {
         let nt = pool.size();
-        let fwd = P2pSchedule::forward(&self.factors.l, nt);
-        let bwd = P2pSchedule::backward(&self.factors.u, nt);
-        self.apply_mode = IluApply::P2p {
+        assert_eq!(nt, fwd.nthreads());
+        assert_eq!(nt, bwd.nthreads());
+        IluApply::P2p {
             pool,
             fwd,
             bwd,
             fwd_progress: P2pProgress::new(nt),
             bwd_progress: P2pProgress::new(nt),
-        };
+        }
+    }
+}
+
+/// A single ILU preconditioner over the rows this process owns: global
+/// for one process, the zero-overlap Schwarz block of a rank.
+pub struct SerialIlu {
+    /// The factors; shared so that a caller may hand out, adopt or
+    /// refactor them (`Arc::get_mut`) without copying.
+    pub factors: Arc<IluFactors>,
+    /// Application strategy.
+    pub apply_mode: IluApply,
+    /// Forward-sweep result of [`Preconditioner::apply`].
+    scratch: RefCell<Vec<f64>>,
+}
+
+impl SerialIlu {
+    /// Factors `a` with ILU(`fill`), serial application.
+    pub fn new(a: &Bcsr4, fill: usize) -> Self {
+        SerialIlu::from_factors(Arc::new(ilu::iluk(a, fill)), IluApply::Serial)
+    }
+
+    /// A preconditioner applying existing factors.
+    pub fn from_factors(factors: Arc<IluFactors>, apply_mode: IluApply) -> Self {
+        let scratch = RefCell::new(vec![0.0; factors.nrows() * 4]);
+        SerialIlu {
+            factors,
+            apply_mode,
+            scratch,
+        }
+    }
+
+    /// Upgrades the application strategy to level scheduling.
+    pub fn with_levels(mut self, pool: Arc<ThreadPool>) -> Self {
+        let fwd = Arc::new(LevelSchedule::forward(&self.factors.l));
+        let bwd = Arc::new(LevelSchedule::backward(&self.factors.u));
+        self.apply_mode = IluApply::levels(pool, fwd, bwd);
+        self
+    }
+
+    /// Upgrades the application strategy to P2P synchronization.
+    pub fn with_p2p(mut self, pool: Arc<ThreadPool>) -> Self {
+        let nt = pool.size();
+        let fwd = Arc::new(P2pSchedule::forward(&self.factors.l, nt));
+        let bwd = Arc::new(P2pSchedule::backward(&self.factors.u, nt));
+        self.apply_mode = IluApply::p2p(pool, fwd, bwd);
         self
     }
 }
 
 impl Preconditioner for SerialIlu {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
+        let (f, scratch) = (&*self.factors, &mut self.scratch.borrow_mut()[..]);
         match &self.apply_mode {
-            IluApply::Serial => {
-                let mut y = vec![0.0; r.len()];
-                fun3d_sparse::trsv::forward(&self.factors, r, &mut y);
-                fun3d_sparse::trsv::backward(&self.factors, &y, z);
-            }
-            IluApply::Levels { pool, fwd, bwd } => {
-                let x = levels::solve_levels(&self.factors, r, pool, fwd, bwd);
-                z.copy_from_slice(&x);
-            }
-            IluApply::P2p { pool, fwd, bwd, .. } => {
-                let x = p2p::solve_p2p(&self.factors, r, pool, fwd, bwd);
-                z.copy_from_slice(&x);
-            }
+            IluApply::Serial => trsv::solve_into(f, r, scratch, z),
+            IluApply::Levels {
+                pool,
+                fwd,
+                bwd,
+                barrier,
+            } => levels::solve_levels_into(f, r, pool, fwd, bwd, barrier, scratch, z),
+            IluApply::P2p {
+                pool,
+                fwd,
+                bwd,
+                fwd_progress,
+                bwd_progress,
+            } => p2p::solve_p2p_into(
+                f,
+                r,
+                pool,
+                (fwd, fwd_progress),
+                (bwd, bwd_progress),
+                scratch,
+                z,
+            ),
         }
     }
 
@@ -160,8 +212,9 @@ impl Preconditioner for SerialIlu {
             // No threaded sweep available: leader applies serially.
             IluApply::Serial => {
                 if tid == 0 {
-                    // SAFETY: r published (contract); z untouched by the
-                    // other threads until the barrier.
+                    // SAFETY: r published (contract); z, and the scratch
+                    // `apply` borrows, are untouched by the other threads
+                    // until the barrier.
                     unsafe {
                         let rs = r.slice(0..r.len());
                         let zs = z.slice_mut(0..z.len());
@@ -273,7 +326,7 @@ impl Preconditioner for BlockJacobiIlu {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         for (local, range) in self.locals.iter().zip(&self.ranges) {
             let s = range.start * 4..range.end * 4;
-            let x = fun3d_sparse::trsv::solve(local, &r[s.clone()]);
+            let x = trsv::solve(local, &r[s.clone()]);
             z[s].copy_from_slice(&x);
         }
     }
@@ -353,21 +406,28 @@ mod tests {
 
     #[test]
     fn threaded_applications_match_serial() {
+        // Twice through each preconditioner: the second application runs
+        // on the scratch, barrier and progress counters the first left
+        // behind.
         let a = mesh_matrix(64);
         let n = a.dim();
-        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).cos()).collect();
         let serial = SerialIlu::new(&a, 1);
-        let mut z0 = vec![0.0; n];
-        serial.apply(&r, &mut z0);
-        let pool = std::sync::Arc::new(ThreadPool::new(3));
+        let pool = Arc::new(ThreadPool::new(3));
         let lv = SerialIlu::new(&a, 1).with_levels(pool.clone());
-        let mut z1 = vec![0.0; n];
-        lv.apply(&r, &mut z1);
-        assert_eq!(z0, z1, "level-scheduled apply differs");
         let pp = SerialIlu::new(&a, 1).with_p2p(pool);
-        let mut z2 = vec![0.0; n];
-        pp.apply(&r, &mut z2);
-        assert_eq!(z0, z2, "p2p apply differs");
+        for pass in 0..2 {
+            let r: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.13 + pass as f64).cos())
+                .collect();
+            let mut z0 = vec![0.0; n];
+            serial.apply(&r, &mut z0);
+            let mut z1 = vec![0.0; n];
+            lv.apply(&r, &mut z1);
+            assert_eq!(z0, z1, "level-scheduled apply differs (pass {pass})");
+            let mut z2 = vec![0.0; n];
+            pp.apply(&r, &mut z2);
+            assert_eq!(z0, z2, "p2p apply differs (pass {pass})");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::anomaly::{Anomaly, AnomalyConfig, AnomalyDetector};
 use crate::gmres::{Gmres, GmresConfig, GmresExec};
-use crate::op::FdJacobian;
+use crate::op::{reduce_sum, reduced_norm2, FdJacobian, Reducer};
 use crate::policy::ExecMode;
 use crate::precond::Preconditioner;
 use crate::vecops;
@@ -48,15 +48,24 @@ pub trait PtcProblem {
         None
     }
 
-    /// How GMRES executes when a pool is available: region-per-op,
-    /// persistent SPMD regions (one region per Arnoldi iteration — the
+    /// How GMRES executes when a pool is available: serially,
+    /// in persistent SPMD regions (one region per Arnoldi iteration — the
     /// FD Jacobian is matrix-free and launches its own regions, so the
     /// operator apply stays between regions, hybrid mode), or
     /// [`ExecMode::Auto`] to pick per solve from the machine model plus
     /// measured sync costs. Ignored without a pool (always serial).
-    /// `FUN3D_EXEC=serial|per-op|team|auto` overrides this at run time.
+    /// `FUN3D_EXEC=serial|team|auto` overrides this at run time.
     fn exec_mode(&self) -> ExecMode {
-        ExecMode::PerOp
+        ExecMode::Team
+    }
+
+    /// The reduction that completes sums over the unknowns: problems
+    /// whose unknowns are spread over processes (`dim` then counts this
+    /// process's) return theirs, and every norm the driver, the
+    /// finite-difference Jacobian and GMRES take goes through it, so all
+    /// processes step identically. Default: one process.
+    fn reducer(&self) -> Reducer<'_> {
+        None
     }
 }
 
@@ -113,9 +122,9 @@ pub struct PtcStats {
     pub res_history: Vec<f64>,
     /// True when the tolerance was met.
     pub converged: bool,
-    /// The concrete scheme the last linear solve ran (`"serial"`,
-    /// `"per-op"`, `"team"`) — with [`ExecMode::Auto`], whatever the
-    /// policy picked. `"serial"` when no linear solve ran.
+    /// The concrete scheme the last linear solve ran (`"serial"` or
+    /// `"team"`) — with [`ExecMode::Auto`], whatever the policy picked.
+    /// `"serial"` when no linear solve ran.
     pub exec: &'static str,
     /// Flight-recorder id of this solve (every event the solve emitted
     /// carries it).
@@ -155,7 +164,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
     let barriers0 = fun3d_threads::barrier::total_crossings();
 
     problem.residual(u, &mut r);
-    let res0 = vecops::norm2(&r);
+    let res0 = reduced_norm2(problem.reducer(), &r);
     let mut res = res0;
     let mut stats = PtcStats {
         time_steps: 0,
@@ -205,11 +214,10 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
                     // `problem` is live; calls are strictly sequential.
                     unsafe { (*prob_ptr).residual(x, out) };
                 };
-                let jac = FdJacobian::new(residual_fn, u, &r, &shift);
+                let jac = FdJacobian::new(residual_fn, u, &r, &shift, problem.reducer());
                 let _gmres_span = telemetry::span("ptc.gmres");
                 let exec = match (pool.as_deref(), mode) {
                     (None, _) | (Some(_), ExecMode::Serial) => GmresExec::Serial,
-                    (Some(p), ExecMode::PerOp) => GmresExec::PerOp(p),
                     (Some(p), ExecMode::Team) => GmresExec::Team(p),
                     (Some(p), ExecMode::Auto) => GmresExec::Auto(p),
                 };
@@ -238,7 +246,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
             problem.residual(u, &mut r);
         }
 
-        res = vecops::norm2(&r);
+        res = reduced_norm2(problem.reducer(), &r);
         stats.time_steps = step + 1;
         stats.res_history.push(res);
         telemetry::series_push("ptc.residual", (step + 1) as f64, res);
@@ -264,7 +272,12 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         // NaN/Inf residual is a divergence anomaly, and blow-up /
         // stagnation / budget overruns abort too — each with a flight
         // dump naming the trigger, so the black box survives the failure.
-        if let Some(anomaly) = detector.observe(step + 1, res, t0.elapsed().as_secs_f64()) {
+        // The clock is summed over processes like every other number a
+        // decision rests on: ranks that disagreed on an abort would leave
+        // each other waiting in the next collective.
+        let mut elapsed = [t0.elapsed().as_secs_f64()];
+        reduce_sum(problem.reducer(), &mut elapsed);
+        if let Some(anomaly) = detector.observe(step + 1, res, elapsed[0]) {
             flight::emit(flight::EventKind::Anomaly {
                 trigger: anomaly.trigger(),
                 step: anomaly.step() as u64,

@@ -1,19 +1,21 @@
-//! Team (persistent-region) vector primitives.
+//! Team (in-region) vector primitives: the threaded forms of
+//! [`crate::vecops`].
 //!
-//! Per-op threading launches one pool region per vector operation; at
-//! solver scale the region launches and their implicit full-pool
-//! rendezvous dominate (the paper's fork-join overhead). These variants
-//! instead run **inside** an already-open SPMD region: every thread
-//! executes its static chunk, and only the reductions synchronize (two
-//! barrier phases through the team's [`TreeReduce`]).
+//! Launching one pool region per vector operation makes the region
+//! launches and their implicit full-pool rendezvous dominate at solver
+//! scale (the paper's fork-join overhead). These variants instead run
+//! **inside** an already-open SPMD region: every thread executes its
+//! static chunk, and only the reductions synchronize (two barrier phases
+//! through the team's [`TreeReduce`]). A region-per-op call is the same
+//! kernel run in a region of its own.
 //!
-//! Bitwise contract: each op partitions `0..n` with the same
-//! [`chunk_range`](fun3d_threads::chunk_range) as `vecops::par`, calls
-//! the same serial op or chunk kernel of [`crate::vecops`] on its chunk,
-//! and combines per-thread partials in thread order — so at a fixed
-//! thread count every result is bit-for-bit equal to the corresponding
-//! `vecops::par` call. That is what lets the persistent-region GMRES
-//! reproduce the per-op GMRES history exactly.
+//! Bitwise contract: each op partitions `0..n` by
+//! [`chunk_range`](fun3d_threads::chunk_range), calls the serial op or
+//! chunk kernel of [`crate::vecops`] on its chunk, and combines
+//! per-thread partials in thread order from `+0.0` — so a result's bits
+//! depend on the vectors and the thread count only, not on which region
+//! the op ran in. That is what lets the persistent-region GMRES
+//! reproduce the region-per-op history exactly.
 //!
 //! Synchronization contract (callers): elementwise ops (`axpy`, `waxpy`,
 //! `maxpy`, `scale_into`, `copy`) do **not** barrier — each thread only
@@ -116,8 +118,8 @@ pub fn bsub(tm: &TeamMember, w: TeamSlice, b: TeamSlice) {
 }
 
 /// Team `dst = src / s` elementwise on this thread's chunk (division,
-/// not reciprocal-multiply, to round identically to the serial and
-/// per-op paths). No barrier.
+/// not reciprocal-multiply, to round identically to the serial path).
+/// No barrier.
 pub fn div_into(tm: &TeamMember, dst: TeamSlice, src: TeamSlice, s: f64) {
     assert_eq!(dst.len(), src.len());
     // SAFETY: chunk-disjoint writes.
@@ -156,15 +158,19 @@ mod tests {
     }
 
     prop_cases! {
-        fn team_reductions_match_par_bitwise(g, cases = 12) {
-            // PerOp ≡ Team at every thread count, and both ≡ serial at
-            // one thread: dot, norm2, and mdot for every vector-count
-            // residue, with and without the fused <x, x>.
+        fn team_reductions_are_thread_order_sums_of_chunk_kernels(g, cases = 12) {
+            // At every thread count dot, norm2 and mdot (every
+            // vector-count residue, with and without the fused <x, x>)
+            // are the chunk kernels' partials added in thread order from
+            // +0.0, identical on every thread; at one thread that is the
+            // serial result. maxpy is the serial result at every count.
             let seed = g.u64();
             let n = g.usize_range(0, 1100);
+            let isa = Isa::detect();
             for nt in [1usize, 2, 3] {
                 let pool = ThreadPool::new(nt);
                 let team = Team::new(nt, 33);
+                let chunks: Vec<_> = (0..nt).map(|t| fun3d_threads::chunk_range(n, nt, t)).collect();
                 let mut vs = random_vectors(seed, 33, n, 0);
                 let (ys, rest) = vs.split_at_mut(31);
                 let (x, y) = (&rest[0].clone(), &rest[1].clone());
@@ -173,7 +179,11 @@ mod tests {
                 for k in VECTOR_COUNTS {
                     for fused in [0, 1] {
                         let mut want = vec![0.0; k + fused];
-                        vecops::par::mdot(&pool, x, &ys[..k], &mut want);
+                        for r in &chunks {
+                            let mut partial = vec![0.0; k + fused];
+                            vecops::mdot_chunk(isa, &x[r.clone()], &ys[..k], r.start, &mut partial);
+                            want.iter_mut().zip(&partial).for_each(|(w, p)| *w += p);
+                        }
                         let got = Mutex::new(vec![Vec::new(); nt]);
                         pool.run(|tid| {
                             // SAFETY: one member per tid per region.
@@ -191,9 +201,25 @@ mod tests {
                             prop_assert!(same(&serial, &want), "serial mdot n={n} k={k} fused={fused}");
                         }
                     }
+                    let alpha = &random_vectors(seed ^ 1, 1, k, 0)[0];
+                    let mut want = y.clone();
+                    vecops::maxpy(&mut want, alpha, &ys[..k]);
+                    let mut got = y.clone();
+                    let got_s = TeamSlice::new(&mut got);
+                    pool.run(|tid| {
+                        // SAFETY: one member per tid per region.
+                        let tm = unsafe { team.member(tid) };
+                        maxpy(&tm, got_s, alpha, &ys[..k]);
+                    });
+                    prop_assert!(same(&got, &want), "maxpy nt={nt} n={n} k={k}");
                 }
 
-                let want = [vecops::par::dot(&pool, x, y), vecops::par::norm2(&pool, x)];
+                let partial = |a: &[f64], b: &[f64]| {
+                    chunks
+                        .iter()
+                        .fold(0.0, |acc, r| acc + vecops::dot_chunk(isa, &a[r.clone()], &b[r.clone()]))
+                };
+                let want = [partial(x, y), partial(x, x).sqrt()];
                 let got = Mutex::new(vec![[0.0; 2]; nt]);
                 pool.run(|tid| {
                     // SAFETY: one member per tid per region.

@@ -1,21 +1,22 @@
-//! PETSc-named vector primitives, serial and threaded.
+//! PETSc-named vector primitives.
 //!
 //! The paper finds that after optimizing the main kernels, the PETSc
 //! native vector primitives (`VecMAXPY`, `VecWAXPY`, `VecMDOT`, `VecNorm`)
 //! and `VecScatter` become a significant fraction of runtime and are not
 //! thread-parallel in stock PETSc; it replaces them with threaded,
-//! vectorized implementations. Both forms live here so the application
-//! can run in "stock" and "optimized" configurations.
+//! vectorized implementations. The serial forms live here; the threaded
+//! ones are [`crate::team`], which runs the same kernels on each thread's
+//! chunk inside a pool region.
 //!
 //! # One kernel per primitive
 //!
 //! `dot`, `mdot` and `maxpy` each have exactly one accumulation loop, a
 //! *chunk kernel* over a contiguous index range, generic over
 //! [`fun3d_simd::Simd`] and run on the lanes [`Isa::detect`] picks. The
-//! serial functions call it on `0..n`; [`par`] and
-//! [`crate::team`] call the same kernel on each thread's
-//! [`chunk_range`](fun3d_threads::chunk_range) and add the per-thread
-//! partials in thread order, starting from `+0.0`.
+//! serial functions call it on `0..n`; [`crate::team`] calls the same
+//! kernel on each thread's [`chunk_range`](fun3d_threads::chunk_range)
+//! and adds the per-thread partials in thread order, starting from
+//! `+0.0`.
 //!
 //! # Reduction order inside a chunk
 //!
@@ -44,12 +45,12 @@
 //!
 //! * `Avx2` ≡ `Portable`, bit for bit (a NaN result may differ in its
 //!   payload, never in being NaN);
-//! * serial ≡ [`par`] ≡ [`crate::team`] at one thread (a chunk partial is
-//!   never `-0.0`, so adding it to `+0.0` changes nothing);
-//! * [`par`] ≡ [`crate::team`] at every thread count.
+//! * serial ≡ [`crate::team`] at one thread (a chunk partial is never
+//!   `-0.0`, so adding it to `+0.0` changes nothing);
+//! * [`crate::team`] gives the same bits whether an operation runs in a
+//!   region of its own or as one phase of a longer region.
 
 use fun3d_simd::{with_lanes, Isa, Simd};
-use fun3d_threads::{TeamSlice, ThreadPool};
 
 /// `w = a*x + y` (PETSc `VecWAXPY`).
 pub fn waxpy(w: &mut [f64], a: f64, x: &[f64], y: &[f64]) {
@@ -283,114 +284,6 @@ pub(crate) fn maxpy_chunk(isa: Isa, y: &mut [f64], lo: usize, alpha: &[f64], xs:
     );
 }
 
-/// Threaded variants (the paper's optimized replacements): one pool
-/// region per call, the index space split statically across the pool,
-/// each thread running the serial op or chunk kernel on its range.
-pub mod par {
-    use super::*;
-
-    /// Runs `op(range, chunk of dst)` on every thread's chunk of `dst`.
-    fn for_chunks_mut(
-        pool: &ThreadPool,
-        dst: &mut [f64],
-        op: impl Fn(std::ops::Range<usize>, &mut [f64]) + Send + Sync,
-    ) {
-        let view = TeamSlice::new(dst);
-        pool.parallel_for(view.len(), |_tid, r| {
-            // SAFETY: `parallel_for` hands every index to exactly one
-            // thread, so the chunks are disjoint, and `dst` stays
-            // uniquely borrowed until the region has completed.
-            op(r.clone(), unsafe { view.slice_mut(r) })
-        });
-    }
-
-    /// Threaded `w = a*x + y`.
-    pub fn waxpy(pool: &ThreadPool, w: &mut [f64], a: f64, x: &[f64], y: &[f64]) {
-        assert!(w.len() == x.len() && x.len() == y.len());
-        for_chunks_mut(pool, w, |r, w| super::waxpy(w, a, &x[r.clone()], &y[r]));
-    }
-
-    /// Threaded `y += a*x`.
-    pub fn axpy(pool: &ThreadPool, y: &mut [f64], a: f64, x: &[f64]) {
-        assert_eq!(y.len(), x.len());
-        for_chunks_mut(pool, y, |r, y| super::axpy(y, a, &x[r]));
-    }
-
-    /// Threaded `y += Σ alpha[k] xs[k]`.
-    pub fn maxpy(pool: &ThreadPool, y: &mut [f64], alpha: &[f64], xs: &[Vec<f64>]) {
-        assert_eq!(alpha.len(), xs.len());
-        assert_lens(y.len(), xs);
-        let isa = Isa::detect();
-        for_chunks_mut(pool, y, |r, y| maxpy_chunk(isa, y, r.start, alpha, xs));
-    }
-
-    /// Threaded `w = b - w` in place.
-    pub fn bsub(pool: &ThreadPool, w: &mut [f64], b: &[f64]) {
-        assert_eq!(w.len(), b.len());
-        for_chunks_mut(pool, w, |r, w| super::bsub(w, &b[r]));
-    }
-
-    /// Threaded `dst = src / s` elementwise.
-    pub fn div_into(pool: &ThreadPool, dst: &mut [f64], src: &[f64], s: f64) {
-        assert_eq!(dst.len(), src.len());
-        for_chunks_mut(pool, dst, |r, dst| super::div_into(dst, &src[r], s));
-    }
-
-    /// Threaded dot product with deterministic per-thread partials
-    /// combined in thread order.
-    pub fn dot(pool: &ThreadPool, x: &[f64], y: &[f64]) -> f64 {
-        assert_eq!(x.len(), y.len());
-        let mut out = [0.0];
-        reduce(pool, x.len(), &mut out, |r, partial| {
-            partial[0] = dot_chunk(Isa::detect(), &x[r.clone()], &y[r]);
-        });
-        out[0]
-    }
-
-    /// Threaded 2-norm.
-    pub fn norm2(pool: &ThreadPool, x: &[f64]) -> f64 {
-        dot(pool, x, x).sqrt()
-    }
-
-    /// Threaded multi-dot: ONE region for all the products (not one
-    /// region per vector), each thread running the `mdot` kernel on its
-    /// chunk of `x`. `out` is sized as for [`super::mdot`].
-    pub fn mdot(pool: &ThreadPool, x: &[f64], ys: &[Vec<f64>], out: &mut [f64]) {
-        if out.is_empty() {
-            return;
-        }
-        assert_lens(x.len(), ys);
-        reduce(pool, x.len(), out, |r, partials| {
-            mdot_chunk(Isa::detect(), &x[r.clone()], ys, r.start, partials);
-        });
-    }
-
-    /// One region over `0..n`: every thread fills its own `out.len()`
-    /// partials, which are then added in thread order from `+0.0` — the
-    /// order [`fun3d_threads::TreeReduce`] uses, so [`crate::team`]
-    /// reproduces the bits.
-    fn reduce(
-        pool: &ThreadPool,
-        n: usize,
-        out: &mut [f64],
-        chunk: impl Fn(std::ops::Range<usize>, &mut [f64]) + Send + Sync,
-    ) {
-        let k = out.len();
-        let mut partials = vec![0.0; pool.size() * k];
-        let slots = TeamSlice::new(&mut partials);
-        pool.parallel_for(n, |tid, r| {
-            // SAFETY: slot `tid` is written by thread `tid` alone, and
-            // read only after the region has completed.
-            chunk(r, unsafe { slots.slice_mut(tid * k..(tid + 1) * k) })
-        });
-        for (j, out) in out.iter_mut().enumerate() {
-            *out = partials
-                .chunks_exact(k)
-                .fold(0.0, |acc, slot| acc + slot[j]);
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -569,8 +462,6 @@ pub(crate) mod tests {
 
         fn maxpy_is_the_scalar_loop_bitwise(g, cases = 12) {
             let seed = g.u64();
-            let nt = g.usize_range(1, 5);
-            let pool = ThreadPool::new(nt);
             for n in (0..40).chain([1003]) {
                 for k in VECTOR_COUNTS {
                     for special in [0, 5] {
@@ -582,9 +473,6 @@ pub(crate) mod tests {
                         let mut got = y0.clone();
                         maxpy(&mut got, alpha, xs);
                         prop_assert!(same(&want, &got), "serial n={n} k={k} special={special}");
-                        let mut got = y0.clone();
-                        par::maxpy(&pool, &mut got, alpha, xs);
-                        prop_assert!(same(&want, &got), "par nt={nt} n={n} k={k} special={special}");
                     }
                 }
             }
@@ -611,111 +499,5 @@ pub(crate) mod tests {
                 prop_assert!((got - reference).abs() <= bound, "n={n}: {got} vs {reference} (bound {bound:e})");
             }
         }
-
-        fn par_reductions_are_thread_order_sums_of_chunk_kernels(g, cases = 12) {
-            let seed = g.u64();
-            let nt = g.usize_range(1, 5);
-            let n = g.usize_range(0, 1200);
-            let pool = ThreadPool::new(nt);
-            let isa = Isa::detect();
-            let vs = random_vectors(seed, 7, n, 0);
-            let (x, ys) = (&vs[6], &vs[..5]);
-            let chunks: Vec<_> = (0..nt).map(|t| fun3d_threads::chunk_range(n, nt, t)).collect();
-            // dot
-            let want = chunks
-                .iter()
-                .fold(0.0, |acc, r| acc + dot_chunk(isa, &x[r.clone()], &ys[0][r.clone()]));
-            prop_assert!(same(&[want], &[par::dot(&pool, x, &ys[0])]), "dot nt={nt} n={n}");
-            // mdot, with the fused <x, x>; ONE region, not one per vector
-            let mut want = vec![0.0; 6];
-            for r in &chunks {
-                let mut partial = vec![0.0; 6];
-                mdot_chunk(isa, &x[r.clone()], ys, r.start, &mut partial);
-                want.iter_mut().zip(&partial).for_each(|(w, p)| *w += p);
-            }
-            let mut got = vec![0.0; 6];
-            let before = pool.regions_launched();
-            par::mdot(&pool, x, ys, &mut got);
-            prop_assert!(pool.regions_launched() - before == 1, "one region");
-            prop_assert!(same(&want, &got), "mdot nt={nt} n={n}");
-            if nt == 1 {
-                // Serial ≡ PerOp at one thread.
-                let mut serial = vec![0.0; 6];
-                mdot(x, ys, &mut serial);
-                prop_assert!(same(&serial, &got), "mdot serial vs nt=1");
-                prop_assert!(same(&[dot(x, &ys[0])], &[par::dot(&pool, x, &ys[0])]), "dot serial vs nt=1");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_variants_match_serial() {
-        let pool = ThreadPool::new(4);
-        let (x, y) = vecs(1001);
-        // waxpy
-        let mut ws = vec![0.0; x.len()];
-        waxpy(&mut ws, 1.7, &x, &y);
-        let mut wp = vec![0.0; x.len()];
-        par::waxpy(&pool, &mut wp, 1.7, &x, &y);
-        assert_eq!(ws, wp);
-        // axpy
-        let mut ys = y.clone();
-        axpy(&mut ys, -0.3, &x);
-        let mut yp = y.clone();
-        par::axpy(&pool, &mut yp, -0.3, &x);
-        assert_eq!(ys, yp);
-        // bsub, div_into
-        let mut bs = y.clone();
-        bsub(&mut bs, &x);
-        let mut bp = y.clone();
-        par::bsub(&pool, &mut bp, &x);
-        assert_eq!(bs, bp);
-        let mut ds = vec![0.0; x.len()];
-        div_into(&mut ds, &x, 3.0);
-        let mut dp = vec![0.0; x.len()];
-        par::div_into(&pool, &mut dp, &x, 3.0);
-        assert_eq!(ds, dp);
-        // dot / norm: deterministic partials summed in fixed order;
-        // may differ from serial by rounding only.
-        let ds = dot(&x, &y);
-        let dp = par::dot(&pool, &x, &y);
-        assert!((ds - dp).abs() < 1e-12 * x.len() as f64);
-        assert!((norm2(&x) - par::norm2(&pool, &x)).abs() < 1e-12);
-        // mdot
-        let both = [x.clone(), y.clone()];
-        let mut outs = [0.0; 2];
-        mdot(&x, &both, &mut outs);
-        let mut outp = [0.0; 2];
-        par::mdot(&pool, &x, &both, &mut outp);
-        for k in 0..2 {
-            assert!((outs[k] - outp[k]).abs() < 1e-11);
-        }
-    }
-
-    #[test]
-    fn parallel_mdot_exact_on_integer_data() {
-        // Integer-valued doubles with small products: every partial sum is
-        // exact, so the fused parallel mdot must equal the serial mdot
-        // exactly regardless of association.
-        let pool = ThreadPool::new(3);
-        let n = 512;
-        let x: Vec<f64> = (0..n).map(|i| ((i % 7) as f64) - 3.0).collect();
-        let ys: Vec<Vec<f64>> = (0..4)
-            .map(|k| (0..n).map(|i| ((i + k) % 5) as f64).collect())
-            .collect();
-        let mut serial = vec![0.0; ys.len()];
-        mdot(&x, &ys, &mut serial);
-        let mut par_out = vec![0.0; ys.len()];
-        par::mdot(&pool, &x, &ys, &mut par_out);
-        assert_eq!(serial, par_out);
-    }
-
-    #[test]
-    fn parallel_dot_deterministic_across_runs() {
-        let pool = ThreadPool::new(3);
-        let (x, y) = vecs(997);
-        let a = par::dot(&pool, &x, &y);
-        let b = par::dot(&pool, &x, &y);
-        assert_eq!(a, b, "fixed-order reduction must be deterministic");
     }
 }

@@ -1,7 +1,7 @@
 //! Block compressed sparse row storage (4×4 blocks).
 
 use crate::block::{self, Block4, BLOCK_DIM, BLOCK_LEN, ZERO_BLOCK};
-use fun3d_threads::{TeamSlice, ThreadPool};
+use fun3d_threads::TeamSlice;
 
 /// A square block-sparse matrix with 4×4 blocks (PETSc's BAIJ/"BCSR").
 ///
@@ -140,9 +140,7 @@ impl Bcsr4 {
         }
     }
 
-    /// Row-range slice of the SpMV, writing through a raw pointer. The
-    /// single arithmetic body shared by `spmv_parallel` and `spmv_team`,
-    /// so the two are bitwise identical at equal chunking.
+    /// Row-range slice of the SpMV, writing through a raw pointer.
     ///
     /// # Safety
     /// Rows in `range` must be written by exactly this caller, and `y`
@@ -159,24 +157,9 @@ impl Bcsr4 {
         }
     }
 
-    /// Threaded block SpMV: rows split statically over the pool. Rows are
-    /// written disjointly, so no synchronization is needed.
-    pub fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.dim());
-        assert_eq!(y.len(), self.dim());
-        let nrows = self.nrows();
-        let y_ptr = SendPtr(y.as_mut_ptr());
-        pool.parallel_for(nrows, |_tid, range| {
-            let y_ptr = &y_ptr;
-            // SAFETY: each row index r is visited by exactly one thread
-            // (ranges are disjoint), so writes never overlap.
-            unsafe { self.spmv_rows(range, x, y_ptr.0) };
-        });
-    }
-
     /// SpMV slice for one member of an already-running SPMD region: this
-    /// thread computes its static chunk of rows (the same chunking as
-    /// `spmv_parallel`, hence bitwise-identical results). Synchronization
+    /// thread computes its static chunk of rows, each with the arithmetic
+    /// of [`Bcsr4::spmv`], hence bitwise-identical results. Synchronization
     /// is the caller's: `x` must be fully published (barrier) before the
     /// call, and a barrier must separate the call from any cross-chunk
     /// read of `y`.
@@ -246,11 +229,6 @@ impl Bcsr4 {
 /// Zero block constant re-exported for pattern builders.
 pub const EMPTY_BLOCK: Block4 = ZERO_BLOCK;
 
-struct SendPtr(*mut f64);
-// SAFETY: used only with disjoint index ranges per thread.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spmv_matches_serial() {
+    fn team_spmv_matches_serial() {
         let a = Bcsr4::from_edges(
             64,
             &(0..63).map(|i| [i as u32, i as u32 + 1]).collect::<Vec<_>>(),
@@ -307,11 +285,13 @@ mod tests {
         let n = a.dim();
         let x: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
         a.spmv(&x, &mut y1);
-        let pool = ThreadPool::new(4);
-        a.spmv_parallel(&pool, &x, &mut y2);
-        assert_eq!(y1, y2, "parallel SpMV must be bitwise identical");
+        for nt in [1usize, 3, 4] {
+            let mut y2 = vec![0.0; n];
+            let view = TeamSlice::new(&mut y2);
+            fun3d_threads::ThreadPool::new(nt).run(|tid| a.spmv_team(tid, nt, &x, view));
+            assert_eq!(y1, y2, "team SpMV must be bitwise identical at nt={nt}");
+        }
     }
 
     #[test]

@@ -202,7 +202,26 @@ pub fn backward_levels(
     pool.run(|tid| backward_levels_team(f, yp, xp, tid, nt, sched, barrier));
 }
 
-/// Full level-scheduled preconditioner application.
+/// Full level-scheduled preconditioner application `x = (LU)⁻¹ b` into
+/// caller-provided buffers, as [`crate::trsv::solve_into`]: `scratch`
+/// receives the forward sweep, and `barrier` (one party per pool thread)
+/// is reused by both sweeps, so nothing is allocated per application.
+#[allow(clippy::too_many_arguments)]
+pub fn solve_levels_into(
+    f: &IluFactors,
+    b: &[f64],
+    pool: &ThreadPool,
+    fwd: &LevelSchedule,
+    bwd: &LevelSchedule,
+    barrier: &SpinBarrier,
+    scratch: &mut [f64],
+    x: &mut [f64],
+) {
+    forward_levels(f, b, scratch, pool, fwd, barrier);
+    backward_levels(f, scratch, x, pool, bwd, barrier);
+}
+
+/// [`solve_levels_into`] with fresh buffers and a fresh barrier.
 pub fn solve_levels(
     f: &IluFactors,
     b: &[f64],
@@ -212,9 +231,8 @@ pub fn solve_levels(
 ) -> Vec<f64> {
     let barrier = SpinBarrier::new(pool.size());
     let mut y = vec![0.0; b.len()];
-    forward_levels(f, b, &mut y, pool, fwd, &barrier);
     let mut x = vec![0.0; b.len()];
-    backward_levels(f, &y, &mut x, pool, bwd, &barrier);
+    solve_levels_into(f, b, pool, fwd, bwd, &barrier, &mut y, &mut x);
     x
 }
 

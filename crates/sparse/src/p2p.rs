@@ -215,6 +215,12 @@ impl P2pProgress {
         self.counters[tid].store(0, Ordering::Relaxed);
     }
 
+    /// Resets every counter. Call between regions: the launch of the
+    /// sweep's region orders the stores before its first wait.
+    pub fn reset(&self) {
+        (0..self.nthreads()).for_each(|tid| self.reset_mine(tid));
+    }
+
     /// Acquire-spins until producer `pt`'s counter passes `pos`.
     fn wait_for(&self, pt: usize, pos: usize) {
         let target = pos + 1;
@@ -300,37 +306,59 @@ pub fn backward_p2p_team(
     }
 }
 
-/// Executes a P2P-scheduled forward sweep.
+/// Executes a P2P-scheduled forward sweep on `progress` counters the
+/// caller keeps between sweeps (zeroed here, before the region starts).
 pub fn forward_p2p(
     f: &IluFactors,
     b: &[f64],
     y: &mut [f64],
     pool: &ThreadPool,
     sched: &P2pSchedule,
+    progress: &P2pProgress,
 ) {
     assert_eq!(pool.size(), sched.nthreads());
-    let progress = P2pProgress::new(sched.nthreads());
+    progress.reset();
     let bp = TeamSlice::from_raw(b.as_ptr() as *mut f64, b.len());
     let yp = TeamSlice::new(y);
-    pool.run(|tid| forward_p2p_team(f, bp, yp, tid, sched, &progress));
+    pool.run(|tid| forward_p2p_team(f, bp, yp, tid, sched, progress));
 }
 
-/// Executes a P2P-scheduled backward sweep.
+/// Executes a P2P-scheduled backward sweep; `progress` as in
+/// [`forward_p2p`].
 pub fn backward_p2p(
     f: &IluFactors,
     y: &[f64],
     x: &mut [f64],
     pool: &ThreadPool,
     sched: &P2pSchedule,
+    progress: &P2pProgress,
 ) {
     assert_eq!(pool.size(), sched.nthreads());
-    let progress = P2pProgress::new(sched.nthreads());
+    progress.reset();
     let yp = TeamSlice::from_raw(y.as_ptr() as *mut f64, y.len());
     let xp = TeamSlice::new(x);
-    pool.run(|tid| backward_p2p_team(f, yp, xp, tid, sched, &progress));
+    pool.run(|tid| backward_p2p_team(f, yp, xp, tid, sched, progress));
 }
 
-/// Full P2P preconditioner application.
+/// Full P2P preconditioner application `x = (LU)⁻¹ b` into
+/// caller-provided buffers, as [`crate::trsv::solve_into`]: `scratch`
+/// receives the forward sweep and each sweep reuses its `progress`
+/// counters, so nothing is allocated per application.
+#[allow(clippy::too_many_arguments)]
+pub fn solve_p2p_into(
+    f: &IluFactors,
+    b: &[f64],
+    pool: &ThreadPool,
+    (fwd, fwd_progress): (&P2pSchedule, &P2pProgress),
+    (bwd, bwd_progress): (&P2pSchedule, &P2pProgress),
+    scratch: &mut [f64],
+    x: &mut [f64],
+) {
+    forward_p2p(f, b, scratch, pool, fwd, fwd_progress);
+    backward_p2p(f, scratch, x, pool, bwd, bwd_progress);
+}
+
+/// [`solve_p2p_into`] with fresh buffers and fresh progress counters.
 pub fn solve_p2p(
     f: &IluFactors,
     b: &[f64],
@@ -338,10 +366,11 @@ pub fn solve_p2p(
     fwd: &P2pSchedule,
     bwd: &P2pSchedule,
 ) -> Vec<f64> {
+    let fwd = (fwd, &P2pProgress::new(fwd.nthreads()));
+    let bwd = (bwd, &P2pProgress::new(bwd.nthreads()));
     let mut y = vec![0.0; b.len()];
-    forward_p2p(f, b, &mut y, pool, fwd);
     let mut x = vec![0.0; b.len()];
-    backward_p2p(f, &y, &mut x, pool, bwd);
+    solve_p2p_into(f, b, pool, fwd, bwd, &mut y, &mut x);
     x
 }
 

@@ -14,9 +14,9 @@
 //! thread deposits its partial into its own slot, the fan-in combines the
 //! slots in thread order (0, 1, …, nt−1), and the result is fanned out
 //! through a broadcast cell. The combine order never depends on arrival
-//! order, so repeated runs agree bit-for-bit — the same contract as the
-//! per-op `vecops::par` reductions, which is what makes the persistent-
-//! region and region-per-op solver paths produce identical histories.
+//! order, so repeated runs agree bit-for-bit, whichever region a
+//! reduction runs in — which is what makes the persistent-region solver
+//! path and its region-per-op reference produce identical histories.
 
 use crate::barrier::SpinBarrier;
 use crate::sync_shim::ShimCell;

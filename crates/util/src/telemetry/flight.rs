@@ -992,11 +992,33 @@ thread_local! {
     static SOLVE: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Rings of exited threads the registry keeps for later dumps. A process
+/// that spawns threads for as long as it runs (a rank universe per solve)
+/// would otherwise grow by one ring per thread ever started.
+const EXITED_RINGS_KEPT: usize = 32;
+
+/// Drops the oldest rings whose thread has exited — the registry holds
+/// the last reference — beyond the newest `keep` of them. Rings of live
+/// threads always stay.
+fn prune_exited(rings: &mut Vec<Arc<FlightRing>>, keep: usize) {
+    let exited = |ring: &Arc<FlightRing>| Arc::strong_count(ring) == 1;
+    let mut surplus = rings.iter().filter(|r| exited(r)).count().saturating_sub(keep);
+    rings.retain(|ring| {
+        let drop = surplus > 0 && exited(ring);
+        surplus -= usize::from(drop);
+        !drop
+    });
+}
+
 fn with_ring<R>(f: impl FnOnce(&FlightRing) -> R) -> R {
     RING.with(|slot| {
         let ring = slot.get_or_init(|| {
             let ring = Arc::new(FlightRing::new(ring_capacity()));
-            registry().lock().unwrap().push(Arc::clone(&ring));
+            let mut rings = registry().lock().unwrap();
+            // Only a new thread prunes: a dump taken right after a team of
+            // threads exits still sees every one of them.
+            prune_exited(&mut rings, EXITED_RINGS_KEPT);
+            rings.push(Arc::clone(&ring));
             ring
         });
         f(ring)
@@ -1487,6 +1509,24 @@ mod tests {
         assert_eq!(EventKind::decode(999, [7; PAYLOAD_WORDS]), None);
         // Corrupt exec tag inside a known kind: also skipped, not garbage.
         assert_eq!(EventKind::decode(4, [99, 0, 0, 0, 0, 0]), None);
+    }
+
+    #[test]
+    fn registry_keeps_live_rings_and_the_newest_exited_ones() {
+        // A live thread's slot holds a second reference to its ring:
+        // rings 1, 4 and 6 here. The other five threads have exited.
+        let mut rings: Vec<Arc<FlightRing>> =
+            (0..8).map(|_| Arc::new(FlightRing::new(2))).collect();
+        let ids: Vec<*const FlightRing> = rings.iter().map(Arc::as_ptr).collect();
+        let _live: Vec<Arc<FlightRing>> = [1, 4, 6].iter().map(|&i| Arc::clone(&rings[i])).collect();
+        prune_exited(&mut rings, 2);
+        let left = |rings: &[Arc<FlightRing>]| -> Vec<usize> {
+            let index = |r| ids.iter().position(|&p| p == Arc::as_ptr(r)).unwrap();
+            rings.iter().map(index).collect()
+        };
+        assert_eq!(left(&rings), [1, 4, 5, 6, 7], "oldest exited rings go first");
+        prune_exited(&mut rings, 2);
+        assert_eq!(left(&rings), [1, 4, 5, 6, 7], "within the bound nothing goes");
     }
 
     #[test]

@@ -6,7 +6,11 @@
 #    root's path-only [workspace.dependencies]). Any version/git/registry
 #    dependency would break the offline build, so it fails the guard
 #    before cargo even runs.
-# 2. Build + test with `--offline` and an empty-registry assumption.
+#    A second, structural guard beside it: the rank layer may hold no
+#    copy of the solver's Krylov control flow or of the core's edge
+#    physics.
+# 2. Build + test with `--offline` and an empty-registry assumption, the
+#    solver/cluster/core/sparse crates' own suites included.
 # 3. Model-check the sync substrate: the fun3d-check suite plus the
 #    protocol models compiled under `--cfg fun3d_check`, under a fixed
 #    schedule budget; any data race / deadlock / livelock fails. The
@@ -38,11 +42,62 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
+echo "== guard: one Krylov control flow, no edge physics in the rank layer =="
+# The rank layer solves through fun3d_solver and computes through
+# fun3d_core; a copy of either creeping back in fails here, before cargo
+# runs. The argument is the root of the tree to check, so the guard can be
+# negative-tested on canary trees below.
+structure_guard() {
+    local root=$1 bad=0
+    if grep -rn 'roe_flux' "$root/crates/cluster/src"; then
+        echo "  crates/cluster/src calls the Roe flux: use fun3d_core::flux::owner_flux"
+        bad=1
+    fi
+    if grep -rniE 'givens|\bsn\[' "$root/crates/cluster/src"; then
+        echo "  crates/cluster/src holds a Givens rotation: solve through fun3d_solver::Gmres"
+        bad=1
+    fi
+    local defs
+    defs=$(grep -rn 'fn givens' "$root/crates" --include='*.rs' | wc -l)
+    if [ "$defs" -ne 1 ]; then
+        echo "  $defs definitions of 'fn givens' under crates/ (want exactly one, in solver/src/gmres.rs)"
+        bad=1
+    fi
+    return $bad
+}
+if ! structure_guard .; then
+    echo "FAIL: a second Krylov loop or edge kernel has been forked"
+    exit 1
+fi
+# Negative canaries: each of the three forks must trip the guard.
+CANARY=target/verify_guard
+for fork in roe_flux rotation second_givens; do
+    rm -rf "$CANARY"
+    mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src"
+    echo 'fn givens(a: f64, b: f64) -> (f64, f64) { (a, b) }' > "$CANARY/crates/solver/src/gmres.rs"
+    case $fork in
+        roe_flux) echo 'let f = euler::roe_flux(&ql, &qr, &n, beta);' > "$CANARY/crates/cluster/src/fork.rs" ;;
+        rotation) echo 'let t = cs[i] * col[i] + sn[i] * col[i + 1];' > "$CANARY/crates/cluster/src/fork.rs" ;;
+        second_givens) echo 'fn givens(a: f64, b: f64) -> (f64, f64) { (b, a) }' > "$CANARY/crates/solver/src/fork.rs" ;;
+    esac
+    if structure_guard "$CANARY" >/dev/null; then
+        echo "FAIL: the structure guard accepted a forked $fork"
+        exit 1
+    fi
+done
+rm -rf "$CANARY"
+echo "ok: one fn givens, no Roe flux or rotation in crates/cluster/src; canaries rejected"
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
 echo "== cargo test -q --offline =="
 cargo test -q --offline
+
+echo "== cargo test: solver, cluster, core, sparse suites =="
+# The root package's tests above do not run the crates' own; these four
+# hold the solver control flow, the rank layer and the kernels it shares.
+cargo test -q --offline -p fun3d-solver -p fun3d-cluster -p fun3d-core -p fun3d-sparse
 
 echo "== model check: fun3d-check self-tests =="
 # Fixed schedule budget so the exhaustive searches are deterministic in
@@ -112,10 +167,10 @@ done
 echo "ok: flight dumps provoked, validated, and renderable; clean run left none"
 
 echo "== sync_ablation across mesh sizes (execution-policy ablation) =="
-# Serial / region-per-op / persistent-region / adaptive GMRES on a
-# quick two-point size trajectory: the run itself asserts per-op and
-# team are bitwise identical and that auto matches whatever scheme it
-# selected; --check validates the artifact, the structural claim
+# Serial / persistent-region / adaptive GMRES, plus the region-per-op
+# reference, on a quick two-point size trajectory: the run itself asserts
+# per-op and team are bitwise identical and that auto matches whatever
+# scheme it selected; --check validates the artifact, the structural claim
 # (regions/iteration collapses to ~1 in team mode), and the per-mesh
 # scaling section (serial-anchored speedups + crossover verdicts).
 cargo run --release --offline -q -p fun3d-bench --bin sync_ablation -- \
