@@ -9,26 +9,133 @@
 //! every call — the reference), the one-shot compressed form, and the
 //! numeric core on a structure built once, into fresh storage and in
 //! place — so the cost of allocating and first touching the factors
-//! reads apart from the arithmetic. Modeled rows charge the paper
-//! machine with the *real* schedules built from the real factor patterns
-//! (level widths, P2P wait counts, critical path).
+//! reads apart from the arithmetic. When the host has at least two cores
+//! a second *measured* table sets the P2P sweeps and the team
+//! refactorization at T = min(nproc, 4) beside their serial forms. Modeled
+//! rows charge the paper machine with the *real* schedules built from the
+//! real factor patterns (level widths, P2P loads and wait counts, and the
+//! P2P schedule's own makespan as its critical path).
 //!
-//! `--check` runs the host measurement only and exits non-zero when the
-//! in-place numeric core is not at least 2× the full-buffer reference
-//! (the guard `scripts/verify.sh` runs, so symbolic-once cannot silently
-//! turn back into symbolic-every-time).
+//! `--check` (the guard `scripts/verify.sh` runs) measures and exits
+//! non-zero when
+//! * the in-place numeric core is not at least 2× the full-buffer
+//!   reference (symbolic-once has turned back into symbolic-every-time);
+//! * the two-thread P2P schedule allows less than 1.5× on either sweep —
+//!   a property of the schedule, whatever the host — or the contiguous row
+//!   assignment `fun3d_sparse::p2p` once built is *not* caught by that
+//!   same test (the negative canary);
+//! * on a host with at least two cores, the P2P application at T = 2 is
+//!   slower than the serial one (best of the rounds each, a round being a
+//!   burst of back-to-back applications).
 
+use fun3d_bench::model::{p2p_sweep_time, RecurrenceBlocks};
 use fun3d_bench::{emit, fmt_x, jacobian_fixture, KernelFixture};
 use fun3d_machine::{kernels, MachineSpec, RecurrenceCosts};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_sparse::ilu::{self, IluSymbolic};
-use fun3d_sparse::{trsv, DagStats, LevelSchedule, P2pSchedule, TempBuffer};
+use fun3d_sparse::{p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pSchedule, Pattern, TempBuffer};
+use fun3d_threads::{available_cores, ThreadPool};
 use fun3d_util::report::{fmt_g, Table};
 
 /// `--check` floor for the in-place numeric core over the full-buffer
 /// reference. The parent's compressed factorization sat at ≈ 1× (it
 /// rebuilt the structure per call too); the core measures 4× on Small.
 const REFACTOR_SPEEDUP_FLOOR: f64 = 2.0;
+
+/// `--check` floor for `total work / makespan` of the two-thread
+/// schedules. Level-interleaved ownership measures 1.9–2.0 on Small; the
+/// contiguous chunks it replaced, 1.00 at every thread count.
+const SCHEDULE_BOUND_FLOOR: f64 = 1.5;
+
+/// Per-variant minimum over `reps` rounds of one sample each, after a
+/// warm-up round (as fig6a does): drift on a shared host only adds time.
+fn best_of<const N: usize>(reps: usize, mut variants: [Box<dyn FnMut() + '_>; N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for round in 0..=reps {
+        for (t_min, run) in best.iter_mut().zip(variants.iter_mut()) {
+            let t0 = std::time::Instant::now();
+            run();
+            if round > 0 {
+                *t_min = t_min.min(t0.elapsed().as_secs_f64());
+            }
+        }
+    }
+    best
+}
+
+/// The `--check` schedule test: both sweeps' bounds against the floor.
+fn bounds_clear_floor(sweeps: [(&P2pSchedule, &[usize]); 2]) -> Result<[f64; 2], [f64; 2]> {
+    let bounds = sweeps.map(|(sched, blocks)| sched.speedup_bound(blocks));
+    if bounds.iter().all(|&b| b >= SCHEDULE_BOUND_FLOOR) {
+        Ok(bounds)
+    } else {
+        Err(bounds)
+    }
+}
+
+/// The row assignment `fun3d_sparse::p2p` built before levels decided
+/// ownership: the sweep order cut into `nthreads` contiguous chunks of
+/// near-equal block count. Kept here as the canary of `--check`.
+fn contiguous_programs(
+    order: impl Iterator<Item = u32>,
+    blocks: &[usize],
+    nthreads: usize,
+) -> Vec<Vec<u32>> {
+    let total: usize = blocks.iter().sum();
+    let mut programs = vec![Vec::new(); nthreads];
+    let mut dealt = 0usize;
+    for r in order {
+        programs[(dealt * nthreads / total).min(nthreads - 1)].push(r);
+        dealt += blocks[r as usize];
+    }
+    programs
+}
+
+/// Applications per timed sample of [`measure_team`]. Inside GMRES the
+/// sweeps come back to back; a lone sample after the serial variants'
+/// milliseconds would time how deep the idle pool had dozed off instead.
+const BURST: usize = 8;
+
+/// Seconds of (serial TRSV, P2P TRSV, serial refactorization, team
+/// refactorization) at `nt` threads: best of `reps` rounds, each sample a
+/// burst of [`BURST`] calls.
+fn measure_team(
+    reps: usize,
+    sym: &IluSymbolic,
+    jac: &Bcsr4,
+    factors: &IluFactors,
+    b: &[f64],
+    nt: usize,
+) -> [f64; 4] {
+    let pool = ThreadPool::new(nt);
+    let fwd = P2pSchedule::forward(sym.l_pattern(), nt);
+    let bwd = P2pSchedule::backward(sym.u_pattern(), nt);
+    let (fp, bp, ip) = (fwd.progress(), bwd.progress(), fwd.progress());
+    let (mut y, mut x) = (vec![0.0; b.len()], vec![0.0; b.len()]);
+    let (mut ys, mut xs) = (y.clone(), x.clone());
+    let (mut serial_f, mut team_f) = (factors.clone(), factors.clone());
+    fn burst<'a>(mut call: impl FnMut() + 'a) -> Box<dyn FnMut() + 'a> {
+        Box::new(move || (0..BURST).for_each(|_| call()))
+    }
+    let times = best_of(
+        reps,
+        [
+            burst(|| trsv::solve_into(factors, b, &mut ys, &mut xs)),
+            burst(|| {
+                p2p::solve_p2p_into(factors, b, &pool, (&fwd, &fp), (&bwd, &bp), &mut y, &mut x)
+            }),
+            burst(|| sym.refactor(jac, &mut serial_f)),
+            burst(|| sym.refactor_team(jac, &mut team_f, &pool, &fwd, &ip)),
+        ],
+    )
+    .map(|t| t / BURST as f64);
+    assert_eq!(x, xs, "P2P application differs from the serial one");
+    assert_eq!(
+        team_f.dinv, serial_f.dinv,
+        "team refactorization differs from the serial one"
+    );
+    times
+}
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
@@ -45,41 +152,30 @@ fn main() {
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
 
     // ---- host-measured single-thread options ------------------------
-    // One sample of every variant per round, per-variant minimum over
-    // the rounds (as fig6a does): drift on a shared host only adds time.
     let mut reused = factors.clone();
-    let mut variants: [Box<dyn FnMut() + '_>; 6] = [
-        Box::new(|| {
-            drop(std::hint::black_box(ilu::factor(
-                &jac,
-                &pattern,
-                TempBuffer::Full,
-            )))
-        }),
-        Box::new(|| {
-            drop(std::hint::black_box(ilu::factor(
-                &jac,
-                &pattern,
-                TempBuffer::Compressed,
-            )))
-        }),
-        Box::new(|| drop(std::hint::black_box(IluSymbolic::new(&jac, &pattern)))),
-        Box::new(|| drop(std::hint::black_box(sym.factor(&jac)))),
-        Box::new(|| sym.refactor(&jac, std::hint::black_box(&mut reused))),
-        Box::new(|| drop(std::hint::black_box(trsv::solve(&factors, &b)))),
-    ];
-    let mut best = [f64::INFINITY; 6];
-    for round in 0..=cli.reps {
-        for (t_min, run) in best.iter_mut().zip(variants.iter_mut()) {
-            let t0 = std::time::Instant::now();
-            run();
-            // round 0 is the warm-up
-            if round > 0 {
-                *t_min = t_min.min(t0.elapsed().as_secs_f64());
-            }
-        }
-    }
-    drop(variants);
+    let best = best_of(
+        cli.reps,
+        [
+            Box::new(|| {
+                drop(std::hint::black_box(ilu::factor(
+                    &jac,
+                    &pattern,
+                    TempBuffer::Full,
+                )))
+            }),
+            Box::new(|| {
+                drop(std::hint::black_box(ilu::factor(
+                    &jac,
+                    &pattern,
+                    TempBuffer::Compressed,
+                )))
+            }),
+            Box::new(|| drop(std::hint::black_box(IluSymbolic::new(&jac, &pattern)))),
+            Box::new(|| drop(std::hint::black_box(sym.factor(&jac)))),
+            Box::new(|| sym.refactor(&jac, std::hint::black_box(&mut reused))),
+            Box::new(|| drop(std::hint::black_box(trsv::solve(&factors, &b)))),
+        ],
+    );
     let [t_full, t_oneshot, t_structure, t_fresh, t_inplace, t_trsv] = best;
     let mut host = Table::new(
         "Fig. 7a (host-measured, serial): ILU/TRSV single-thread options",
@@ -106,19 +202,108 @@ fn main() {
         fmt_g(t_inplace),
         fmt_x(t_full / t_inplace),
     ]);
-    host.row(&["TRSV (fwd+bwd, stored D^-1)".into(), fmt_g(t_trsv), "-".into()]);
+    host.row(&[
+        "TRSV (fwd+bwd, stored D^-1)".into(),
+        fmt_g(t_trsv),
+        "-".into(),
+    ]);
     emit("fig7a_recurrence_host", &host);
 
+    // ---- host-measured team recurrences ------------------------------
+    let cores = available_cores();
+    let team = cores.min(4);
+    let team_times = (cores >= 2).then(|| measure_team(cli.reps, &sym, &jac, &factors, &b, team));
+    if let Some([t_serial, t_p2p, t_refactor, t_refactor_team]) = team_times {
+        let mut measured = Table::new(
+            &format!(
+                "Fig. 7a (measured on this host, {cores} cores): team recurrences at T = {team}"
+            ),
+            &["kernel", "strategy", "seconds", "speedup vs serial"],
+        );
+        let mut row = |kernel: &str, strategy: &str, t: f64, serial: f64| {
+            measured.row(&[kernel.into(), strategy.into(), fmt_g(t), fmt_x(serial / t)]);
+        };
+        row("TRSV", "serial", t_serial, t_serial);
+        row("TRSV", "P2P, level-interleaved", t_p2p, t_serial);
+        row("ILU refactor", "serial", t_refactor, t_refactor);
+        row(
+            "ILU refactor",
+            "team, forward P2P schedule",
+            t_refactor_team,
+            t_refactor,
+        );
+        emit("fig7a_recurrence_measured", &measured);
+    } else {
+        println!("(one core: the measured team rows are not printed)");
+    }
+
+    let blocks = RecurrenceBlocks::of(&factors);
+    let (l, u): (Pattern, Pattern) = ((&factors.l).into(), (&factors.u).into());
+
     if check {
+        let mut failures = Vec::new();
         let speedup = t_full / t_inplace;
         if speedup >= REFACTOR_SPEEDUP_FLOOR {
             println!("fig7a --check: in-place numeric ILU core is {speedup:.2}x the full-buffer reference: ok");
         } else {
-            eprintln!(
-                "fig7a --check: FAIL: in-place numeric ILU core is {speedup:.2}x the full-buffer \
-                 reference (floor {REFACTOR_SPEEDUP_FLOOR}x): the structure is being rebuilt, \
-                 searched or reallocated per factorization again"
-            );
+            failures.push(format!(
+                "in-place numeric ILU core is {speedup:.2}x the full-buffer reference (floor \
+                 {REFACTOR_SPEEDUP_FLOOR}x): the structure is being rebuilt, searched or \
+                 reallocated per factorization again"
+            ));
+        }
+
+        let (fwd, bwd) = (P2pSchedule::forward(l, 2), P2pSchedule::backward(u, 2));
+        match bounds_clear_floor([(&fwd, &blocks.fwd), (&bwd, &blocks.bwd)]) {
+            Ok([f, b]) => {
+                println!("fig7a --check: two-thread schedule bound {f:.2} fwd / {b:.2} bwd: ok")
+            }
+            Err([f, b]) => failures.push(format!(
+                "two-thread schedule bound {f:.2} fwd / {b:.2} bwd is below \
+                 {SCHEDULE_BOUND_FLOOR}: the threads run one after another"
+            )),
+        }
+        let n = factors.nrows() as u32;
+        let chunked = [
+            P2pSchedule::from_programs(l, &contiguous_programs(0..n, &blocks.fwd, 2)),
+            P2pSchedule::from_programs(u, &contiguous_programs((0..n).rev(), &blocks.bwd, 2)),
+        ];
+        match bounds_clear_floor([(&chunked[0], &blocks.fwd), (&chunked[1], &blocks.bwd)]) {
+            Err([f, b]) => println!(
+                "fig7a --check: contiguous-chunk canary caught (bound {f:.2} fwd / {b:.2} bwd): ok"
+            ),
+            Ok(_) => {
+                failures.push("the contiguous-chunk canary passed the schedule-bound test".into())
+            }
+        }
+
+        // The table above is the T = 2 measurement unless the host has
+        // more cores than that.
+        let at_two = team_times.map(|times| match team {
+            2 => times,
+            _ => measure_team(cli.reps, &sym, &jac, &factors, &b, 2),
+        });
+        if let Some([t_serial, t_p2p, ..]) = at_two {
+            if t_p2p <= t_serial {
+                println!(
+                    "fig7a --check: P2P TRSV at T=2 is {:.2}x the serial sweep: ok",
+                    t_serial / t_p2p
+                );
+            } else {
+                failures.push(format!(
+                    "P2P TRSV at T=2 takes {} s, the serial sweep {} s: two threads lose to one",
+                    fmt_g(t_p2p),
+                    fmt_g(t_serial)
+                ));
+            }
+        } else {
+            println!("fig7a --check: one core, measured T=2 gate skipped");
+        }
+
+        for failure in &failures {
+            eprintln!("fig7a --check: FAIL: {failure}");
+        }
+        if !failures.is_empty() {
             std::process::exit(1);
         }
         return;
@@ -130,102 +315,55 @@ fn main() {
     let threads = machine.cores * machine.smt;
 
     // Real schedules from the real factor patterns.
-    let lvl_f = LevelSchedule::forward(&factors.l);
-    let lvl_b = LevelSchedule::backward(&factors.u);
-    let p2p_f = P2pSchedule::forward(&factors.l, threads);
-    let p2p_b = P2pSchedule::backward(&factors.u, threads);
-
-    let blocks_of_row_fwd: Vec<usize> = (0..factors.nrows())
-        .map(|r| factors.l.row_ptr[r + 1] - factors.l.row_ptr[r] + 1)
-        .collect();
-    let blocks_of_row_bwd: Vec<usize> = (0..factors.nrows())
-        .map(|r| factors.u.row_ptr[r + 1] - factors.u.row_ptr[r] + 1)
-        .collect();
+    let lvl_f = LevelSchedule::forward(l);
+    let lvl_b = LevelSchedule::backward(u);
+    let p2p_f = P2pSchedule::forward(l, threads);
+    let p2p_b = P2pSchedule::backward(u, threads);
     let level_weights = |s: &LevelSchedule, blocks: &[usize]| -> Vec<Vec<usize>> {
         s.rows
             .iter()
             .map(|rows| rows.iter().map(|&r| blocks[r as usize]).collect())
             .collect()
     };
-    let p2p_loads = |s: &P2pSchedule, blocks: &[usize]| -> (Vec<usize>, Vec<usize>) {
-        let loads = s
-            .tasks
-            .iter()
-            .map(|t| t.iter().map(|task| blocks[task.row as usize]).sum())
-            .collect();
-        let waits = s
-            .tasks
-            .iter()
-            .map(|t| t.iter().map(|task| task.waits.len()).sum())
-            .collect();
-        (loads, waits)
-    };
-    let dag = DagStats::for_trsv(&factors.l, &factors.u);
-    let critical_blocks = dag.critical_flops / 32.0;
 
     // TRSV: serial, level-scheduled, p2p
-    let total_blocks: usize =
-        blocks_of_row_fwd.iter().sum::<usize>() + blocks_of_row_bwd.iter().sum::<usize>();
+    let total_blocks: usize = blocks.fwd.iter().sum::<usize>() + blocks.bwd.iter().sum::<usize>();
     let trsv_serial = machine.seconds(total_blocks as f64 * costs.trsv_cycles_per_block);
-    let trsv_level = kernels::level_sched_time(
-        &machine,
-        threads,
-        &level_weights(&lvl_f, &blocks_of_row_fwd),
-        costs.trsv_cycles_per_block,
-        costs.trsv_bytes_per_block,
-    ) + kernels::level_sched_time(
-        &machine,
-        threads,
-        &level_weights(&lvl_b, &blocks_of_row_bwd),
-        costs.trsv_cycles_per_block,
-        costs.trsv_bytes_per_block,
-    );
-    let (fw_loads, fw_waits) = p2p_loads(&p2p_f, &blocks_of_row_fwd);
-    let (bw_loads, bw_waits) = p2p_loads(&p2p_b, &blocks_of_row_bwd);
-    let trsv_p2p = kernels::p2p_time(
-        &machine,
-        &fw_loads,
-        &fw_waits,
-        critical_blocks / 2.0,
-        costs.trsv_cycles_per_block,
-        costs.trsv_bytes_per_block,
-    ) + kernels::p2p_time(
-        &machine,
-        &bw_loads,
-        &bw_waits,
-        critical_blocks / 2.0,
-        costs.trsv_cycles_per_block,
-        costs.trsv_bytes_per_block,
-    );
+    let trsv_levels = |s: &LevelSchedule, blocks: &[usize]| {
+        kernels::level_sched_time(
+            &machine,
+            threads,
+            &level_weights(s, blocks),
+            costs.trsv_cycles_per_block,
+            costs.trsv_bytes_per_block,
+        )
+    };
+    let trsv_level = trsv_levels(&lvl_f, &blocks.fwd) + trsv_levels(&lvl_b, &blocks.bwd);
+    let trsv_sweep = |s: &P2pSchedule, blocks: &[usize]| {
+        p2p_sweep_time(
+            &machine,
+            s,
+            blocks,
+            costs.trsv_cycles_per_block,
+            costs.trsv_bytes_per_block,
+        )
+    };
+    let trsv_p2p = trsv_sweep(&p2p_f, &blocks.fwd) + trsv_sweep(&p2p_b, &blocks.bwd);
 
     // ILU: same DAG as the forward sweep, heavier per-block work.
-    let ilu_blocks_of_row: Vec<usize> = (0..factors.nrows())
-        .map(|r| {
-            let low = factors.l.row_ptr[r + 1] - factors.l.row_ptr[r];
-            let updates: usize = factors.l.col_idx
-                [factors.l.row_ptr[r]..factors.l.row_ptr[r + 1]]
-                .iter()
-                .map(|&k| factors.u.row_ptr[k as usize + 1] - factors.u.row_ptr[k as usize])
-                .sum();
-            low + updates + 1
-        })
-        .collect();
-    let ilu_total: usize = ilu_blocks_of_row.iter().sum();
+    let ilu_total: usize = blocks.ilu.iter().sum();
     let ilu_serial = machine.seconds(ilu_total as f64 * costs.ilu_cycles_per_block);
     let ilu_level = kernels::level_sched_time(
         &machine,
         threads,
-        &level_weights(&lvl_f, &ilu_blocks_of_row),
+        &level_weights(&lvl_f, &blocks.ilu),
         costs.ilu_cycles_per_block,
         costs.ilu_bytes_per_block,
     );
-    let (ilu_loads, ilu_waits) = p2p_loads(&p2p_f, &ilu_blocks_of_row);
-    let ilu_dag = DagStats::for_ilu(&pattern);
-    let ilu_p2p = kernels::p2p_time(
+    let ilu_p2p = p2p_sweep_time(
         &machine,
-        &ilu_loads,
-        &ilu_waits,
-        ilu_dag.critical_flops / 128.0,
+        &p2p_f,
+        &blocks.ilu,
         costs.ilu_cycles_per_block,
         costs.ilu_bytes_per_block,
     );
@@ -234,7 +372,12 @@ fn main() {
         "Fig. 7a (modeled Xeon E5-2690v2, 10c/20t): parallel strategies",
         &["kernel", "strategy", "modeled seconds", "speedup vs serial"],
     );
-    model.row(&["TRSV".into(), "serial".into(), fmt_g(trsv_serial), fmt_x(1.0)]);
+    model.row(&[
+        "TRSV".into(),
+        "serial".into(),
+        fmt_g(trsv_serial),
+        fmt_x(1.0),
+    ]);
     model.row(&[
         "TRSV".into(),
         "level scheduling".into(),
@@ -263,12 +406,23 @@ fn main() {
     emit("fig7a_recurrence_model", &model);
 
     println!(
-        "\nschedule stats: {} fwd levels (avg width {:.1}), P2P waits {} of {} raw cross deps ({:.0}% sparsified)",
+        "\nschedule stats: {} fwd / {} bwd levels (avg width {:.1} / {:.1})",
         lvl_f.nlevels(),
+        lvl_b.nlevels(),
         lvl_f.avg_width(),
-        p2p_f.nwaits,
-        p2p_f.raw_cross_deps,
-        100.0 * p2p_f.sparsification_ratio()
+        lvl_b.avg_width(),
     );
+    for nt in [2usize, 4, 20] {
+        let (f, b) = (P2pSchedule::forward(l, nt), P2pSchedule::backward(u, nt));
+        println!(
+            "  nt={nt:<2} bound {:.2} fwd / {:.2} bwd; waits {} of {} raw cross deps fwd, {} of {} bwd",
+            f.speedup_bound(&blocks.fwd),
+            b.speedup_bound(&blocks.bwd),
+            f.nwaits(),
+            f.raw_cross_deps,
+            b.nwaits(),
+            b.raw_cross_deps,
+        );
+    }
     println!("paper: ILU 9.4x, TRSV 3.2x at 10 cores / 20 threads");
 }

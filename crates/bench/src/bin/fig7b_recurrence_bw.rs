@@ -5,10 +5,11 @@
 //! around 4 cores; ILU scales to ~8 cores and achieves lower efficiency
 //! (irregular access); level scheduling trails P2P everywhere.
 
+use fun3d_bench::model::{p2p_sweep_time, RecurrenceBlocks};
 use fun3d_bench::{emit, jacobian_fixture, KernelFixture, THREAD_SWEEP};
 use fun3d_machine::{kernels, MachineSpec, RecurrenceCosts};
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_sparse::{ilu, DagStats, LevelSchedule, P2pSchedule, TempBuffer};
+use fun3d_sparse::{ilu, LevelSchedule, P2pSchedule, TempBuffer};
 use fun3d_util::report::Table;
 
 fn main() {
@@ -20,33 +21,18 @@ fn main() {
     let machine = MachineSpec::xeon_e5_2690v2();
     let costs = RecurrenceCosts::default();
 
-    let fwd_blocks: Vec<usize> = (0..factors.nrows())
-        .map(|r| factors.l.row_ptr[r + 1] - factors.l.row_ptr[r] + 1)
-        .collect();
-    let bwd_blocks: Vec<usize> = (0..factors.nrows())
-        .map(|r| factors.u.row_ptr[r + 1] - factors.u.row_ptr[r] + 1)
-        .collect();
+    let RecurrenceBlocks {
+        fwd: fwd_blocks,
+        bwd: bwd_blocks,
+        ilu: ilu_blocks,
+    } = RecurrenceBlocks::of(&factors);
     let trsv_bytes =
         (fwd_blocks.iter().sum::<usize>() + bwd_blocks.iter().sum::<usize>()) as f64
             * costs.trsv_bytes_per_block;
-
-    let ilu_blocks: Vec<usize> = (0..factors.nrows())
-        .map(|r| {
-            let low = factors.l.row_ptr[r + 1] - factors.l.row_ptr[r];
-            let updates: usize = factors.l.col_idx
-                [factors.l.row_ptr[r]..factors.l.row_ptr[r + 1]]
-                .iter()
-                .map(|&k| factors.u.row_ptr[k as usize + 1] - factors.u.row_ptr[k as usize])
-                .sum();
-            low + updates + 1
-        })
-        .collect();
     let ilu_bytes = ilu_blocks.iter().sum::<usize>() as f64 * costs.ilu_bytes_per_block;
 
     let lvl_f = LevelSchedule::forward(&factors.l);
     let lvl_b = LevelSchedule::backward(&factors.u);
-    let dag = DagStats::for_trsv(&factors.l, &factors.u);
-    let ilu_dag = DagStats::for_ilu(&pattern);
 
     let level_weights = |s: &LevelSchedule, blocks: &[usize]| -> Vec<Vec<usize>> {
         s.rows
@@ -70,19 +56,6 @@ fn main() {
         let threads = cores * machine.smt;
         let p2p_f = P2pSchedule::forward(&factors.l, threads);
         let p2p_b = P2pSchedule::backward(&factors.u, threads);
-        let p2p_loads = |s: &P2pSchedule, blocks: &[usize]| -> (Vec<usize>, Vec<usize>) {
-            (
-                s.tasks
-                    .iter()
-                    .map(|t| t.iter().map(|task| blocks[task.row as usize]).sum())
-                    .collect(),
-                s.tasks
-                    .iter()
-                    .map(|t| t.iter().map(|task| task.waits.len()).sum())
-                    .collect(),
-            )
-        };
-
         let t_lvl = kernels::level_sched_time(
             &machine,
             threads,
@@ -96,23 +69,17 @@ fn main() {
             costs.trsv_cycles_per_block,
             costs.trsv_bytes_per_block,
         );
-        let (fl, fw) = p2p_loads(&p2p_f, &fwd_blocks);
-        let (bl, bw) = p2p_loads(&p2p_b, &bwd_blocks);
-        let t_p2p = kernels::p2p_time(
-            &machine,
-            &fl,
-            &fw,
-            dag.critical_flops / 64.0,
-            costs.trsv_cycles_per_block,
-            costs.trsv_bytes_per_block,
-        ) + kernels::p2p_time(
-            &machine,
-            &bl,
-            &bw,
-            dag.critical_flops / 64.0,
-            costs.trsv_cycles_per_block,
-            costs.trsv_bytes_per_block,
-        );
+        // P2P rows: the real schedules' loads, waits and makespan.
+        let trsv_sweep = |sched: &P2pSchedule, blocks: &[usize]| {
+            p2p_sweep_time(
+                &machine,
+                sched,
+                blocks,
+                costs.trsv_cycles_per_block,
+                costs.trsv_bytes_per_block,
+            )
+        };
+        let t_p2p = trsv_sweep(&p2p_f, &fwd_blocks) + trsv_sweep(&p2p_b, &bwd_blocks);
         let t_ilu_lvl = kernels::level_sched_time(
             &machine,
             threads,
@@ -120,12 +87,10 @@ fn main() {
             costs.ilu_cycles_per_block,
             costs.ilu_bytes_per_block,
         );
-        let (il, iw) = p2p_loads(&p2p_f, &ilu_blocks);
-        let t_ilu_p2p = kernels::p2p_time(
+        let t_ilu_p2p = p2p_sweep_time(
             &machine,
-            &il,
-            &iw,
-            ilu_dag.critical_flops / 128.0,
+            &p2p_f,
+            &ilu_blocks,
             costs.ilu_cycles_per_block,
             costs.ilu_bytes_per_block,
         );

@@ -5,7 +5,63 @@
 use crate::{jacobian_fixture, KernelFixture};
 use fun3d_machine::{kernels, EdgeLoopCosts, MachineSpec, RecurrenceCosts};
 use fun3d_partition::{partition_graph, MultilevelConfig, OwnerWritesPlan};
-use fun3d_sparse::{ilu, DagStats, P2pSchedule, TempBuffer};
+use fun3d_sparse::{ilu, IluFactors, P2pSchedule, TempBuffer};
+
+/// Blocks each row of the three recurrences touches on given factors:
+/// the work the modelled schedules are charged with, row by row.
+pub struct RecurrenceBlocks {
+    /// Forward sweep: the row's `L` blocks and its right-hand side.
+    pub fwd: Vec<usize>,
+    /// Backward sweep: the row's `U` blocks and its inverted diagonal.
+    pub bwd: Vec<usize>,
+    /// Factorization: one product per `L` block, one per `U` block of
+    /// each pivot row, and the diagonal inversion.
+    pub ilu: Vec<usize>,
+}
+
+impl RecurrenceBlocks {
+    pub fn of(f: &IluFactors) -> RecurrenceBlocks {
+        let len = |m: &fun3d_sparse::Bcsr4, r: usize| m.row_ptr[r + 1] - m.row_ptr[r];
+        let rows = 0..f.nrows();
+        let ilu_row = |r: usize| {
+            let pivots = &f.l.col_idx[f.l.row_ptr[r]..f.l.row_ptr[r + 1]];
+            let updates: usize = pivots.iter().map(|&k| len(&f.u, k as usize)).sum();
+            pivots.len() + updates + 1
+        };
+        RecurrenceBlocks {
+            fwd: rows.clone().map(|r| len(&f.l, r) + 1).collect(),
+            bwd: rows.clone().map(|r| len(&f.u, r) + 1).collect(),
+            ilu: rows.map(ilu_row).collect(),
+        }
+    }
+}
+
+/// Modelled time of one P2P sweep of `sched` whose row `r` touches
+/// `blocks[r]` blocks: the per-thread loads and waits of the real
+/// schedule, and as the critical-path term the schedule's **own
+/// makespan** — the DAG's critical path is a bound no row assignment need
+/// reach, and charging it let a schedule that ran its threads one after
+/// another model a 20-thread speed-up.
+pub fn p2p_sweep_time(
+    machine: &MachineSpec,
+    sched: &P2pSchedule,
+    blocks: &[usize],
+    cycles_per_block: f64,
+    bytes_per_block: f64,
+) -> f64 {
+    let threads = 0..sched.nthreads();
+    let load = |t: usize| sched.program(t).iter().map(|&r| blocks[r as usize]).sum();
+    let loads: Vec<usize> = threads.clone().map(load).collect();
+    let waits: Vec<usize> = threads.map(|t| sched.nwaits_of(t)).collect();
+    kernels::p2p_time(
+        machine,
+        &loads,
+        &waits,
+        sched.makespan(blocks) as f64,
+        cycles_per_block,
+        bytes_per_block,
+    )
+}
 
 /// Modeled speedups of every kernel class at `cores` (20 SMT threads on
 /// 10 cores etc.), from real plans/schedules of the given fixture.
@@ -69,67 +125,20 @@ pub fn model_speedups_fill(
     let factors = ilu::factor(&jac, &pattern, TempBuffer::Compressed);
     let p2p_f = P2pSchedule::forward(&factors.l, threads);
     let p2p_b = P2pSchedule::backward(&factors.u, threads);
-    let fwd_blocks: Vec<usize> = (0..factors.nrows())
-        .map(|r| factors.l.row_ptr[r + 1] - factors.l.row_ptr[r] + 1)
-        .collect();
-    let bwd_blocks: Vec<usize> = (0..factors.nrows())
-        .map(|r| factors.u.row_ptr[r + 1] - factors.u.row_ptr[r] + 1)
-        .collect();
-    let loads = |s: &P2pSchedule, blocks: &[usize]| -> (Vec<usize>, Vec<usize>) {
-        (
-            s.tasks
-                .iter()
-                .map(|t| t.iter().map(|task| blocks[task.row as usize]).sum())
-                .collect(),
-            s.tasks
-                .iter()
-                .map(|t| t.iter().map(|task| task.waits.len()).sum())
-                .collect(),
-        )
-    };
-    let dag = DagStats::for_trsv(&factors.l, &factors.u);
-    let total_blocks =
-        (fwd_blocks.iter().sum::<usize>() + bwd_blocks.iter().sum::<usize>()) as f64;
+    let blocks = RecurrenceBlocks::of(&factors);
+    let total_blocks = (blocks.fwd.iter().sum::<usize>() + blocks.bwd.iter().sum::<usize>()) as f64;
     let trsv_serial = machine.seconds(total_blocks * rc.trsv_cycles_per_block);
-    let (fl, fw) = loads(&p2p_f, &fwd_blocks);
-    let (bl, bw) = loads(&p2p_b, &bwd_blocks);
-    let trsv_par = kernels::p2p_time(
-        machine,
-        &fl,
-        &fw,
-        dag.critical_flops / 64.0,
-        rc.trsv_cycles_per_block,
-        rc.trsv_bytes_per_block,
-    ) + kernels::p2p_time(
-        machine,
-        &bl,
-        &bw,
-        dag.critical_flops / 64.0,
-        rc.trsv_cycles_per_block,
-        rc.trsv_bytes_per_block,
-    );
-    let trsv = trsv_serial / trsv_par;
+    let trsv_sweep = |sched: &P2pSchedule, blocks: &[usize]| {
+        p2p_sweep_time(machine, sched, blocks, rc.trsv_cycles_per_block, rc.trsv_bytes_per_block)
+    };
+    let trsv = trsv_serial / (trsv_sweep(&p2p_f, &blocks.fwd) + trsv_sweep(&p2p_b, &blocks.bwd));
 
-    let ilu_blocks: Vec<usize> = (0..factors.nrows())
-        .map(|r| {
-            let low = factors.l.row_ptr[r + 1] - factors.l.row_ptr[r];
-            let updates: usize = factors.l.col_idx
-                [factors.l.row_ptr[r]..factors.l.row_ptr[r + 1]]
-                .iter()
-                .map(|&k| factors.u.row_ptr[k as usize + 1] - factors.u.row_ptr[k as usize])
-                .sum();
-            low + updates + 1
-        })
-        .collect();
-    let ilu_dag = DagStats::for_ilu(&pattern);
     let ilu_serial =
-        machine.seconds(ilu_blocks.iter().sum::<usize>() as f64 * rc.ilu_cycles_per_block);
-    let (il, iw) = loads(&p2p_f, &ilu_blocks);
-    let ilu_par = kernels::p2p_time(
+        machine.seconds(blocks.ilu.iter().sum::<usize>() as f64 * rc.ilu_cycles_per_block);
+    let ilu_par = p2p_sweep_time(
         machine,
-        &il,
-        &iw,
-        ilu_dag.critical_flops / 128.0,
+        &p2p_f,
+        &blocks.ilu,
         rc.ilu_cycles_per_block,
         rc.ilu_bytes_per_block,
     );

@@ -14,22 +14,22 @@ use fun3d_partition::{
 use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
 use fun3d_solver::{ExecMode, FluxScheme};
-use fun3d_sparse::{ilu, Bcsr4, IluFactors, IluSymbolic, LevelSchedule, P2pSchedule};
-use fun3d_threads::{TeamMember, TeamSlice, ThreadPool};
+use fun3d_sparse::{ilu, Bcsr4, IluFactors, IluSymbolic, P2pSchedule};
+use fun3d_threads::{P2pProgress, TeamMember, TeamSlice, ThreadPool};
 use fun3d_util::telemetry;
 use fun3d_util::PhaseTimers;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// How the ILU triangular solves are parallelized.
+/// How the ILU recurrences — the triangular solves and the numeric
+/// refactorization — are parallelized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IluParallel {
     /// Serial sweeps (the baseline).
     Serial,
-    /// Level scheduling with barriers.
-    Levels,
-    /// Sparsified point-to-point synchronization.
+    /// Level-interleaved row ownership with sparsified point-to-point
+    /// synchronization.
     P2p,
 }
 
@@ -118,22 +118,14 @@ impl OptConfig {
     }
 }
 
-/// The forward and backward sweep schedules of `OptConfig::ilu_parallel`,
-/// built once per application: every preconditioner of every solve shares
-/// them.
-enum TrsvSchedules {
-    Serial,
-    Levels(Arc<LevelSchedule>, Arc<LevelSchedule>),
-    P2p(Arc<P2pSchedule>, Arc<P2pSchedule>),
-}
-
-/// The entries `(i, c)` of a factor pattern that `keep(c, i)` selects: its
-/// strict lower or strict upper half.
-fn pattern_half(pattern: &[Vec<u32>], keep: impl Fn(usize, usize) -> bool) -> Bcsr4 {
-    let row = |(i, row): (usize, &Vec<u32>)| -> Vec<u32> {
-        row.iter().copied().filter(|&c| keep(c as usize, i)).collect()
-    };
-    Bcsr4::from_pattern(&pattern.iter().enumerate().map(row).collect::<Vec<_>>())
+/// What `IluParallel::P2p` runs on, built once per application from the
+/// factor patterns: every preconditioner of every solve shares the sweep
+/// schedules, and every refactorization runs the forward one.
+struct P2pSchedules {
+    fwd: Arc<P2pSchedule>,
+    bwd: Arc<P2pSchedule>,
+    /// The refactorization's progress counters (`ilu.p2p.blocked_*.t0`, …).
+    ilu_progress: P2pProgress,
 }
 
 /// The application's preconditioner: the solver's ILU preconditioner
@@ -206,7 +198,7 @@ pub struct Fun3dApp {
     tiled_geom: Option<TiledGeom>,
     /// Staged vs direct tile execution, decided once per solve.
     tile_exec: flux::TileExec,
-    schedules: TrsvSchedules,
+    schedules: Option<P2pSchedules>,
     precond: Option<AppPrecond>,
     lsq: Option<gradient::LsqGradient>,
     /// Residual evaluations performed (flux kernel invocations).
@@ -295,22 +287,16 @@ impl Fun3dApp {
         });
 
         // Schedules depend only on the static factor patterns.
-        let schedules = match cfg.ilu_parallel {
-            IluParallel::Serial => TrsvSchedules::Serial,
-            mode => {
-                assert!(pool.is_some(), "a threaded triangular solve needs threads");
-                let l = pattern_half(&ilu_pattern, |c, i| c < i);
-                let u = pattern_half(&ilu_pattern, |c, i| c > i);
-                if mode == IluParallel::Levels {
-                    let (fwd, bwd) = (LevelSchedule::forward(&l), LevelSchedule::backward(&u));
-                    TrsvSchedules::Levels(Arc::new(fwd), Arc::new(bwd))
-                } else {
-                    let fwd = P2pSchedule::forward(&l, cfg.nthreads);
-                    let bwd = P2pSchedule::backward(&u, cfg.nthreads);
-                    TrsvSchedules::P2p(Arc::new(fwd), Arc::new(bwd))
-                }
+        let schedules = (cfg.ilu_parallel == IluParallel::P2p).then(|| {
+            assert!(pool.is_some(), "a threaded triangular solve needs threads");
+            let fwd = P2pSchedule::forward(ilu_symbolic.l_pattern(), cfg.nthreads);
+            let bwd = P2pSchedule::backward(ilu_symbolic.u_pattern(), cfg.nthreads);
+            P2pSchedules {
+                ilu_progress: fwd.progress().attributed("ilu.p2p", "t"),
+                fwd: Arc::new(fwd),
+                bwd: Arc::new(bwd),
             }
-        };
+        });
 
         let lsq = cfg
             .use_lsq_gradients
@@ -439,11 +425,13 @@ impl Fun3dApp {
             p.ilu.factors = factors;
             return;
         }
-        let pool = || self.pool.clone().expect("checked with the schedules");
         let mode = match &self.schedules {
-            TrsvSchedules::Serial => IluApply::Serial,
-            TrsvSchedules::Levels(fwd, bwd) => IluApply::levels(pool(), fwd.clone(), bwd.clone()),
-            TrsvSchedules::P2p(fwd, bwd) => IluApply::p2p(pool(), fwd.clone(), bwd.clone()),
+            None => IluApply::Serial,
+            Some(s) => IluApply::p2p(
+                self.pool.clone().expect("checked with the schedules"),
+                s.fwd.clone(),
+                s.bwd.clone(),
+            ),
         };
         self.precond = Some(AppPrecond {
             ilu: SerialIlu::from_factors(factors, mode),
@@ -623,10 +611,20 @@ impl PtcProblem for Fun3dApp {
             .precond
             .as_mut()
             .and_then(|p| Arc::get_mut(&mut p.ilu.factors));
+        // With P2P schedules the team factors, each thread the rows of its
+        // forward-sweep program: the same factors, bit for bit.
+        let (sym, jac) = (&self.ilu_symbolic, &self.jac);
+        let team = self.schedules.as_ref().zip(self.pool.as_deref());
+        let refactor = |f: &mut IluFactors| match team {
+            Some((s, pool)) => sym.refactor_team(jac, f, pool, &s.fwd, &s.ilu_progress),
+            None => sym.refactor(jac, f),
+        };
         match owned {
-            Some(f) => self.ilu_symbolic.refactor(&self.jac, f),
+            Some(f) => refactor(f),
             None => {
-                let f = Arc::new(self.ilu_symbolic.factor(&self.jac));
+                let mut f = sym.allocate();
+                refactor(&mut f);
+                let f = Arc::new(f);
                 if first_build && self.capture_first {
                     self.first_factors = Some(Arc::clone(&f));
                 }
@@ -849,15 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn level_scheduled_config_converges() {
-        let mut cfg = OptConfig::optimized(2);
-        cfg.ilu_parallel = IluParallel::Levels;
-        let mut app = build(cfg);
-        let (_, stats) = app.run(&solve_config());
-        assert!(stats.converged);
-    }
-
-    #[test]
     fn reuse_and_factor_seed_are_bitwise_identical() {
         // The serve tier's two reuse layers, pinned at the app level:
         // (1) a reset instance re-solves bitwise-identically to a fresh
@@ -926,11 +915,12 @@ mod tests {
     }
 
     #[test]
-    fn team_solve_is_independent_of_the_trsv_schedule() {
-        // Level-scheduled and P2P sweeps are both bitwise the serial
-        // sweep, and the vector kernels depend on the thread count only:
-        // the whole nonlinear solve in persistent regions is bitwise
-        // reproducible across the two threaded preconditioner paths.
+    fn team_solve_is_independent_of_the_recurrence_schedule() {
+        // P2P sweeps are bitwise the serial sweep, the team
+        // refactorization is bitwise the serial one, and the vector
+        // kernels depend on the thread count only: the whole nonlinear
+        // solve in persistent regions is bitwise reproducible across the
+        // serial and the threaded preconditioner paths.
         let run = |ilu_parallel: IluParallel| {
             let mut cfg = OptConfig::optimized(2);
             cfg.ilu_parallel = ilu_parallel;
@@ -938,12 +928,28 @@ mod tests {
             let mut app = build(cfg);
             app.run(&solve_config())
         };
-        let (u_levels, s_levels) = run(IluParallel::Levels);
+        let (u_serial, s_serial) = run(IluParallel::Serial);
         let (u_p2p, s_p2p) = run(IluParallel::P2p);
-        assert!(s_levels.converged && s_p2p.converged);
-        assert_eq!(s_levels.exec, "team");
-        assert_eq!(s_levels.res_history, s_p2p.res_history);
-        assert_eq!(u_levels, u_p2p);
-        assert_eq!(s_levels.linear_iters, s_p2p.linear_iters);
+        assert!(s_serial.converged && s_p2p.converged);
+        assert_eq!(s_p2p.exec, "team");
+        assert_eq!(s_serial.res_history, s_p2p.res_history);
+        assert_eq!(u_serial, u_p2p);
+        assert_eq!(s_serial.linear_iters, s_p2p.linear_iters);
+        // The P2P run registered where its blocked waits are counted:
+        // per sweep direction and thread for the applications, per thread
+        // for the refactorization.
+        let names: Vec<String> = telemetry::metrics::snapshot()
+            .counters
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        for counter in [
+            "trsv.p2p.blocked_waits.fwd.t0",
+            "trsv.p2p.blocked_ns.bwd.t1",
+            "ilu.p2p.blocked_waits.t1",
+            "ilu.p2p.blocked_ns.t0",
+        ] {
+            assert!(names.iter().any(|n| n == counter), "{counter} not registered");
+        }
     }
 }

@@ -139,9 +139,11 @@ pub fn level_sched_time(
 
 /// Time for a P2P-scheduled sweep: the slowest thread's block work plus
 /// its wait costs, floored by aggregate bandwidth time. The paper's gain
-/// comes from replacing `nlevels` barriers with `nwaits` cheap flag
-/// spins and from nnz-balanced chunking; a small critical-path term
-/// models the serialization the DAG still imposes.
+/// comes from replacing `nlevels` barriers with `nwaits` cheap counter
+/// spins and from block-balanced row ownership; `critical_path_blocks`
+/// is the serialization that ownership still imposes — the schedule's own
+/// makespan in blocks (`P2pSchedule::makespan`), not the DAG's critical
+/// path, which no particular schedule need reach.
 pub fn p2p_time(
     m: &MachineSpec,
     per_thread_blocks: &[usize],

@@ -7,10 +7,8 @@
 //! application can run serially, level-scheduled, or with P2P sparsified
 //! synchronization — the three strategies of Fig. 7.
 
-use fun3d_sparse::{
-    ilu, levels, p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pProgress, P2pSchedule,
-};
-use fun3d_threads::{SpinBarrier, TeamMember, TeamSlice, ThreadPool};
+use fun3d_sparse::{ilu, levels, p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pSchedule};
+use fun3d_threads::{P2pProgress, SpinBarrier, TeamMember, TeamSlice, ThreadPool};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -92,9 +90,9 @@ pub enum IluApply {
         fwd: Arc<P2pSchedule>,
         /// Backward-sweep schedule.
         bwd: Arc<P2pSchedule>,
-        /// Reusable forward-sweep progress counters.
+        /// Forward-sweep progress counters, never reset.
         fwd_progress: P2pProgress,
-        /// Reusable backward-sweep progress counters.
+        /// Backward-sweep progress counters, never reset.
         bwd_progress: P2pProgress,
     },
 }
@@ -112,17 +110,19 @@ impl IluApply {
     }
 
     /// P2P-synchronized application on `pool`, whose size the schedules
-    /// were built for.
+    /// were built for. Waits that block are counted and timed per thread
+    /// and sweep direction (`trsv.p2p.blocked_waits.fwd.t0`, …
+    /// `trsv.p2p.blocked_ns.bwd.t1`, …).
     pub fn p2p(pool: Arc<ThreadPool>, fwd: Arc<P2pSchedule>, bwd: Arc<P2pSchedule>) -> Self {
         let nt = pool.size();
         assert_eq!(nt, fwd.nthreads());
         assert_eq!(nt, bwd.nthreads());
         IluApply::P2p {
+            fwd_progress: fwd.progress().attributed("trsv.p2p", "fwd.t"),
+            bwd_progress: bwd.progress().attributed("trsv.p2p", "bwd.t"),
             pool,
             fwd,
             bwd,
-            fwd_progress: P2pProgress::new(nt),
-            bwd_progress: P2pProgress::new(nt),
         }
     }
 }
@@ -234,10 +234,10 @@ impl Preconditioner for SerialIlu {
                 levels::forward_levels_team(&self.factors, r, z, tid, nt, fwd, barrier);
                 levels::backward_levels_team(&self.factors, z, z, tid, nt, bwd, barrier);
             }
-            // P2P sweeps: reset own counters, publish the resets with a
-            // barrier, sweep; barrier between the sweeps because forward
+            // P2P sweeps on counters that continue from the last
+            // application's. A barrier between the sweeps because forward
             // ownership and backward ownership partition the rows
-            // differently, and after, to publish z.
+            // differently, and one after, to publish z.
             IluApply::P2p {
                 fwd,
                 bwd,
@@ -246,9 +246,6 @@ impl Preconditioner for SerialIlu {
                 ..
             } => {
                 assert_eq!(nt, fwd.nthreads());
-                fwd_progress.reset_mine(tid);
-                bwd_progress.reset_mine(tid);
-                tm.barrier();
                 p2p::forward_p2p_team(&self.factors, r, z, tid, fwd, fwd_progress);
                 tm.barrier();
                 p2p::backward_p2p_team(&self.factors, z, z, tid, bwd, bwd_progress);
@@ -407,8 +404,8 @@ mod tests {
     #[test]
     fn threaded_applications_match_serial() {
         // Twice through each preconditioner: the second application runs
-        // on the scratch, barrier and progress counters the first left
-        // behind.
+        // on the scratch, the barrier and the progress counters where the
+        // first left them.
         let a = mesh_matrix(64);
         let n = a.dim();
         let serial = SerialIlu::new(&a, 1);

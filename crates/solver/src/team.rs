@@ -17,8 +17,8 @@
 //! the op ran in. That is what lets the persistent-region GMRES
 //! reproduce the region-per-op history exactly.
 //!
-//! Synchronization contract (callers): elementwise ops (`axpy`, `waxpy`,
-//! `maxpy`, `scale_into`, `copy`) do **not** barrier — each thread only
+//! Synchronization contract (callers): elementwise ops (`maxpy`, `bsub`,
+//! `div_into`, `copy`) do **not** barrier — each thread only
 //! touches its own chunk, and a barrier is required before any op that
 //! reads another thread's chunk (SpMV, dot). Reductions (`dot`, `norm2`,
 //! `mdot`) barrier internally and return the same value on every thread.
@@ -86,20 +86,6 @@ pub fn mdot(tm: &TeamMember, x: TeamSlice, ys: &[Vec<f64>], out: &mut [f64]) {
     tm.sums_in_place(out);
 }
 
-/// Team `y += a*x` on this thread's chunk. No barrier.
-pub fn axpy(tm: &TeamMember, y: TeamSlice, a: f64, x: TeamSlice) {
-    assert_eq!(y.len(), x.len());
-    // SAFETY: chunk-disjoint writes; x reads ordered by caller.
-    unsafe { vecops::axpy(chunk_mut(tm, &y), a, chunk(tm, &x)) }
-}
-
-/// Team `w = a*x + y` on this thread's chunk. No barrier.
-pub fn waxpy(tm: &TeamMember, w: TeamSlice, a: f64, x: TeamSlice, y: TeamSlice) {
-    assert!(w.len() == x.len() && x.len() == y.len());
-    // SAFETY: chunk-disjoint writes; reads ordered by caller.
-    unsafe { vecops::waxpy(chunk_mut(tm, &w), a, chunk(tm, &x), chunk(tm, &y)) }
-}
-
 /// Team `y += Σ_k alpha[k]·xs[k]` on this thread's chunk, `y` traversed
 /// once. No barrier.
 pub fn maxpy(tm: &TeamMember, y: TeamSlice, alpha: &[f64], xs: &[Vec<f64>]) {
@@ -124,16 +110,6 @@ pub fn div_into(tm: &TeamMember, dst: TeamSlice, src: TeamSlice, s: f64) {
     assert_eq!(dst.len(), src.len());
     // SAFETY: chunk-disjoint writes.
     unsafe { vecops::div_into(chunk_mut(tm, &dst), chunk(tm, &src), s) }
-}
-
-/// Team `dst = a * src` on this thread's chunk. No barrier.
-pub fn scale_into(tm: &TeamMember, dst: TeamSlice, a: f64, src: TeamSlice) {
-    assert_eq!(dst.len(), src.len());
-    // SAFETY: chunk-disjoint writes; reads ordered by caller.
-    let (dst, src) = unsafe { (chunk_mut(tm, &dst), chunk(tm, &src)) };
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = a * s;
-    }
 }
 
 /// Team copy `dst = src` on this thread's chunk. No barrier.
@@ -246,51 +222,32 @@ mod tests {
         let (x, y) = vecs(n);
 
         // serial references
-        let mut w_ref = vec![0.0; n];
-        vecops::waxpy(&mut w_ref, 1.3, &x, &y);
-        let mut y_axpy = y.clone();
-        vecops::axpy(&mut y_axpy, -0.7, &x);
-        let basis = [x.clone(), w_ref.clone()];
+        let basis = [x.clone(), y.iter().map(|v| 1.3 * v).collect()];
         let mut y_maxpy = y.clone();
         vecops::maxpy(&mut y_maxpy, &[0.2, -0.4], &basis);
-        let scale_ref: Vec<f64> = x.iter().map(|&v| 2.5 * v).collect();
         let mut b_ref = y.clone();
         vecops::bsub(&mut b_ref, &x);
         let mut d_ref = vec![0.0; n];
         vecops::div_into(&mut d_ref, &x, 7.0);
 
         let mut xb = x.clone();
-        let mut yb = y.clone();
-        let mut wb = vec![0.0; n];
-        let mut ab = y.clone();
         let mut mb = y.clone();
-        let mut sb = vec![0.0; n];
         let mut bb = y.clone();
         let mut db = vec![0.0; n];
         let mut cb = vec![0.0; n];
         let xs = TeamSlice::new(&mut xb);
-        let ys = TeamSlice::new(&mut yb);
-        let ws = TeamSlice::new(&mut wb);
-        let as_ = TeamSlice::new(&mut ab);
         let ms = TeamSlice::new(&mut mb);
-        let ss = TeamSlice::new(&mut sb);
         let bs = TeamSlice::new(&mut bb);
         let ds = TeamSlice::new(&mut db);
         let cs = TeamSlice::new(&mut cb);
         pool.run(|tid| {
             let tm = unsafe { team.member(tid) };
-            waxpy(&tm, ws, 1.3, xs, ys);
-            axpy(&tm, as_, -0.7, xs);
             maxpy(&tm, ms, &[0.2, -0.4], &basis);
-            scale_into(&tm, ss, 2.5, xs);
             bsub(&tm, bs, xs);
             div_into(&tm, ds, xs, 7.0);
             copy(&tm, cs, xs);
         });
-        assert_eq!(wb, w_ref);
-        assert_eq!(ab, y_axpy);
         assert_eq!(mb, y_maxpy);
-        assert_eq!(sb, scale_ref);
         assert_eq!(bb, b_ref);
         assert_eq!(db, d_ref);
         assert_eq!(cb, x);

@@ -52,14 +52,6 @@
 
 use fun3d_simd::{with_lanes, Isa, Simd};
 
-/// `w = a*x + y` (PETSc `VecWAXPY`).
-pub fn waxpy(w: &mut [f64], a: f64, x: &[f64], y: &[f64]) {
-    assert!(w.len() == x.len() && x.len() == y.len());
-    for i in 0..w.len() {
-        w[i] = a * x[i] + y[i];
-    }
-}
-
 /// `y += a*x` (PETSc `VecAXPY`).
 pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     assert_eq!(y.len(), x.len());
@@ -360,16 +352,6 @@ pub(crate) mod tests {
                 acc += a * x[i];
             }
             y[i] = acc;
-        }
-    }
-
-    #[test]
-    fn waxpy_formula() {
-        let (x, y) = vecs(17);
-        let mut w = vec![0.0; 17];
-        waxpy(&mut w, 2.0, &x, &y);
-        for i in 0..17 {
-            assert!((w[i] - (2.0 * x[i] + y[i])).abs() < 1e-15);
         }
     }
 

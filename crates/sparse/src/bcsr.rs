@@ -19,6 +19,41 @@ pub struct Bcsr4 {
     pub blocks: Vec<f64>,
 }
 
+/// The index half of a block CSR matrix — which block columns each row
+/// holds — borrowed from whoever owns it: a [`Bcsr4`] (`Pattern::from`)
+/// or a factorization's static structure
+/// ([`IluSymbolic::l_pattern`](crate::IluSymbolic::l_pattern)). The
+/// schedules of a triangular sweep depend on nothing else.
+#[derive(Clone, Copy, Debug)]
+pub struct Pattern<'a> {
+    /// Row pointers, length `nrows + 1`.
+    pub row_ptr: &'a [usize],
+    /// Column indices, rows back to back.
+    pub col_idx: &'a [u32],
+}
+
+impl<'a> Pattern<'a> {
+    /// Number of rows.
+    pub fn nrows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    /// The columns of row `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &'a [u32] {
+        &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]]
+    }
+}
+
+impl<'a> From<&'a Bcsr4> for Pattern<'a> {
+    fn from(m: &'a Bcsr4) -> Pattern<'a> {
+        Pattern {
+            row_ptr: &m.row_ptr,
+            col_idx: &m.col_idx,
+        }
+    }
+}
+
 impl Bcsr4 {
     /// Builds a zero matrix with the given pattern. `cols_of_row[r]` must
     /// be sorted ascending and unique.

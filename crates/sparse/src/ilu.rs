@@ -37,6 +37,15 @@
 //!   the factors are that reference's **bit for bit** on either lane
 //!   implementation.
 //!
+//! * The core is written per row ([`factor_row`]) and run by two loops:
+//!   the serial one, every row in order, and the team one
+//!   ([`IluSymbolic::refactor_team`]), in which each thread of a pool
+//!   factors the rows of its program in the forward sweep's P2P schedule
+//!   ([`crate::p2p`]) — row `i` reads exactly the rows its `L` pattern
+//!   names, which is the forward sweep's dependency DAG. A row's
+//!   arithmetic does not depend on which loop or thread runs it, so the
+//!   team's factors are the serial ones bit for bit at any thread count.
+//!
 //! [`factor`] keeps the one-shot form (structure, then numeric, into fresh
 //! storage); [`TempBuffer::Full`] keeps the structure-per-call,
 //! search-per-entry code as Fig. 7a's "before" and as the tests' bitwise
@@ -54,9 +63,12 @@
 //! application asks `Arc::get_mut`: unique → refactor in place, shared →
 //! factor into a fresh allocation (which is unique from then on).
 
-use crate::bcsr::Bcsr4;
+use crate::bcsr::{Bcsr4, Pattern};
 use crate::block::{self, Block4, BLOCK_LEN, ZERO_BLOCK};
+use crate::p2p::P2pSchedule;
 use fun3d_simd::{with_lanes, Isa, Simd};
+use fun3d_threads::{P2pProgress, ThreadPool};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which working buffer the numeric factorization uses; both produce
 /// identical factors.
@@ -278,18 +290,43 @@ impl IluSymbolic {
         self.l_row_ptr.len() - 1
     }
 
+    /// The pattern of `L`: what the forward sweep's and the
+    /// factorization's schedules are built from.
+    pub fn l_pattern(&self) -> Pattern<'_> {
+        Pattern {
+            row_ptr: &self.l_row_ptr,
+            col_idx: &self.l_col_idx,
+        }
+    }
+
+    /// The pattern of `U`: what the backward sweep's schedule is built
+    /// from.
+    pub fn u_pattern(&self) -> Pattern<'_> {
+        Pattern {
+            row_ptr: &self.u_row_ptr,
+            col_idx: &self.u_col_idx,
+        }
+    }
+
+    /// Zeroed factors with this structure's patterns, for
+    /// [`IluSymbolic::refactor`] or [`IluSymbolic::refactor_team`] to
+    /// fill.
+    pub fn allocate(&self) -> IluFactors {
+        let with_pattern = |p: Pattern| Bcsr4 {
+            row_ptr: p.row_ptr.to_vec(),
+            col_idx: p.col_idx.to_vec(),
+            blocks: vec![0.0; p.col_idx.len() * BLOCK_LEN],
+        };
+        IluFactors {
+            l: with_pattern(self.l_pattern()),
+            u: with_pattern(self.u_pattern()),
+            dinv: vec![0.0; self.nrows() * BLOCK_LEN],
+        }
+    }
+
     /// Factors `a` into freshly allocated storage.
     pub fn factor(&self, a: &Bcsr4) -> IluFactors {
-        let with_pattern = |row_ptr: &[usize], col_idx: &[u32]| Bcsr4 {
-            row_ptr: row_ptr.to_vec(),
-            col_idx: col_idx.to_vec(),
-            blocks: vec![0.0; col_idx.len() * BLOCK_LEN],
-        };
-        let mut f = IluFactors {
-            l: with_pattern(&self.l_row_ptr, &self.l_col_idx),
-            u: with_pattern(&self.u_row_ptr, &self.u_col_idx),
-            dinv: vec![0.0; self.nrows() * BLOCK_LEN],
-        };
+        let mut f = self.allocate();
         self.refactor(a, &mut f);
         f
     }
@@ -304,6 +341,70 @@ impl IluSymbolic {
     /// [`IluSymbolic::refactor`] on a chosen lane implementation (they
     /// agree bit for bit; the tests hold them against each other).
     pub fn refactor_on(&self, isa: Isa, a: &Bcsr4, f: &mut IluFactors) {
+        let (sym, out) = (self, self.values_of(a, f));
+        // SAFETY: `out` points into `f`, which this call borrows
+        // exclusively and `values_of` has checked against the structure;
+        // the serial loop finishes every row before the next one reads it.
+        with_lanes!(isa, unsafe numeric(sym: &IluSymbolic, a: &Bcsr4, out: FactorValues));
+    }
+
+    /// [`IluSymbolic::refactor`] by the threads of `pool`: every thread
+    /// factors the rows of its program in `forward` — the forward sweep's
+    /// schedule, built from [`IluSymbolic::l_pattern`] for `pool.size()`
+    /// threads — and waits where that schedule waits, since row `i` of the
+    /// factorization reads exactly the rows its `L` pattern names. Each
+    /// row's arithmetic is the serial loop's, so the factors are
+    /// [`IluSymbolic::refactor`]'s bit for bit at any thread count.
+    /// `progress` comes from `forward.progress()` and is kept between
+    /// calls.
+    pub fn refactor_team(
+        &self,
+        a: &Bcsr4,
+        f: &mut IluFactors,
+        pool: &ThreadPool,
+        forward: &P2pSchedule,
+        progress: &P2pProgress,
+    ) {
+        self.refactor_team_on(Isa::detect(), a, f, pool, forward, progress);
+    }
+
+    /// [`IluSymbolic::refactor_team`] on a chosen lane implementation.
+    pub fn refactor_team_on(
+        &self,
+        isa: Isa,
+        a: &Bcsr4,
+        f: &mut IluFactors,
+        pool: &ThreadPool,
+        forward: &P2pSchedule,
+        progress: &P2pProgress,
+    ) {
+        assert_eq!(pool.size(), forward.nthreads());
+        let covered: usize = (0..forward.nthreads()).map(|t| forward.program(t).len()).sum();
+        assert_eq!(covered, self.nrows(), "schedule is not this pattern's");
+        let (sym, out) = (self, self.values_of(a, f));
+        // A singular pivot must not stop its thread — the others would
+        // wait on its rows for ever — so the first one is kept for after
+        // the region.
+        let singular = AtomicUsize::new(usize::MAX);
+        let singular = &singular;
+        pool.run(|tid| {
+            // SAFETY: `out` as in `refactor_on`. The programs partition
+            // the rows, so each row's values have one writer; a row runs
+            // after its waits, which cover every row of another thread
+            // its L pattern names (`P2pSchedule::from_programs`), and
+            // after the rows of its own program it reads.
+            with_lanes!(isa, unsafe numeric_team(
+                sym: &IluSymbolic, a: &Bcsr4, out: FactorValues, tid: usize,
+                forward: &P2pSchedule, progress: &P2pProgress, singular: &AtomicUsize
+            ));
+        });
+        let row = singular.load(Ordering::Relaxed);
+        assert!(row == usize::MAX, "{SINGULAR_PIVOT} (row {row})");
+    }
+
+    /// Checks `a` and `f` against this structure and returns where `f`'s
+    /// values live.
+    fn values_of(&self, a: &Bcsr4, f: &mut IluFactors) -> FactorValues {
         assert!(
             a.nrows() == self.nrows() && a.nblocks() == self.a_nblocks,
             "matrix does not have the pattern this structure was built for"
@@ -313,15 +414,37 @@ impl IluSymbolic {
                 && f.l.col_idx == self.l_col_idx
                 && f.u.row_ptr == self.u_row_ptr
                 && f.u.col_idx == self.u_col_idx
+                && f.l.blocks.len() == self.l_col_idx.len() * BLOCK_LEN
+                && f.u.blocks.len() == self.u_col_idx.len() * BLOCK_LEN
                 && f.dinv.len() == self.nrows() * BLOCK_LEN,
             "factors were not allocated by this structure"
         );
-        let sym = self;
-        // SAFETY: `numeric` has no contract of its own (it is all safe
-        // code); `with_lanes!` only takes `unsafe fn` bodies.
-        with_lanes!(isa, unsafe numeric(sym: &IluSymbolic, a: &Bcsr4, f: &mut IluFactors));
+        FactorValues {
+            l: f.l.blocks.as_mut_ptr(),
+            u: f.u.blocks.as_mut_ptr(),
+            dinv: f.dinv.as_mut_ptr(),
+        }
     }
 }
+
+const SINGULAR_PIVOT: &str = "singular pivot block in ILU (matrix not diagonally dominant?)";
+
+/// The value arrays of the factors being computed (`L` blocks, `U`
+/// blocks, inverted diagonals), as addresses: the team loop's threads
+/// write disjoint rows of one allocation and read rows other threads
+/// finished.
+#[derive(Clone, Copy)]
+struct FactorValues {
+    l: *mut f64,
+    u: *mut f64,
+    dinv: *mut f64,
+}
+
+// SAFETY: three addresses. Everything done through them happens in
+// `factor_row`, whose contract says which rows a thread may touch when.
+unsafe impl Send for FactorValues {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for FactorValues {}
 
 fn block_at(blocks: &[f64], k: usize) -> &Block4 {
     blocks[k * BLOCK_LEN..(k + 1) * BLOCK_LEN]
@@ -335,66 +458,136 @@ fn block_at_mut(blocks: &mut [f64], k: usize) -> &mut Block4 {
         .expect("a block is BLOCK_LEN doubles")
 }
 
-/// The numeric core: one pass over the static structure. Row `i` is
-/// eliminated in a packed buffer with one block per pattern slot, so the
-/// L slots, the diagonal and the U slots leave it as three copies; the
-/// only matrix-wide scratch is `slot_of`, one `u32` per column mapping
-/// the current row's columns to their packed slots.
+/// The numeric core, one row of it: row `i` is eliminated in `packed`, a
+/// buffer with one block per pattern slot, so the L slots, the diagonal
+/// and the U slots leave it as three copies; the only matrix-wide scratch
+/// is `slot_of`, one `u32` per column (all [`NO_SEED`] between rows)
+/// mapping the current row's columns to their packed slots. Returns
+/// whether the pivot block could be inverted; if not, the row's inverted
+/// diagonal is left as it was.
 ///
 /// Arithmetic order is that of the [`TempBuffer::Full`] reference, entry
 /// by entry: `L_ik = w_k·D_k⁻¹` sums k ascending from zero, every update
 /// `w_j −= L_ik·U_kj` subtracts k ascending, pivots ascend, and there is
 /// no fused multiply-add — so the factors are the reference's bits on
-/// either lane implementation.
+/// either lane implementation, in whatever order and on whatever thread
+/// the rows run.
 ///
 /// # Safety
-/// None; `with_lanes!` takes kernel bodies, which are unsafe.
+/// `out` holds the value arrays of factors with `sym`'s patterns. During
+/// the call nobody else accesses row `i`'s L blocks, U blocks or inverted
+/// diagonal, and the U blocks and inverted diagonal of every row that `L`
+/// row `i` names are finished, visible to this thread, and not written.
 #[inline(always)]
-unsafe fn numeric<S: Simd>(s: S, sym: &IluSymbolic, a: &Bcsr4, f: &mut IluFactors) {
-    let IluFactors { l, u, dinv } = f;
-    let mut packed = vec![0.0; sym.max_row * BLOCK_LEN];
-    let mut slot_of = vec![NO_SEED; sym.nrows()];
-    for i in 0..sym.nrows() {
-        let (l_lo, u_lo) = (l.row_ptr[i], u.row_ptr[i]);
-        let pivots = &l.col_idx[l_lo..l.row_ptr[i + 1]];
-        let upper = &u.col_idx[u_lo..u.row_ptr[i + 1]];
-        let (nlower, diagonal) = (pivots.len(), i as u32);
-        let columns = || pivots.iter().chain([&diagonal]).chain(upper);
-        let first_slot = l_lo + u_lo + i;
-        let w = &mut packed[..(nlower + 1 + upper.len()) * BLOCK_LEN];
-        for (dst, &seed) in w.chunks_exact_mut(BLOCK_LEN).zip(&sym.seed[first_slot..]) {
-            match seed {
-                NO_SEED => dst.fill(0.0),
-                k => dst.copy_from_slice(a.block(k as usize)),
-            }
+unsafe fn factor_row<S: Simd>(
+    s: S,
+    sym: &IluSymbolic,
+    a: &Bcsr4,
+    out: FactorValues,
+    i: usize,
+    packed: &mut [f64],
+    slot_of: &mut [u32],
+) -> bool {
+    // SAFETY (all three): in bounds by `values_of`'s checks; the caller
+    // vouches for the aliasing.
+    let finished_u = |t: usize| unsafe { &*(out.u.add(t * BLOCK_LEN) as *const Block4) };
+    let finished_dinv = |k: usize| unsafe { &*(out.dinv.add(k * BLOCK_LEN) as *const Block4) };
+    let store = |dst: *mut f64, at: usize, src: &[f64]| unsafe {
+        std::ptr::copy_nonoverlapping(src.as_ptr(), dst.add(at * BLOCK_LEN), src.len())
+    };
+
+    let (l_lo, u_lo) = (sym.l_row_ptr[i], sym.u_row_ptr[i]);
+    let pivots = &sym.l_col_idx[l_lo..sym.l_row_ptr[i + 1]];
+    let upper = &sym.u_col_idx[u_lo..sym.u_row_ptr[i + 1]];
+    let (nlower, diagonal) = (pivots.len(), i as u32);
+    let columns = || pivots.iter().chain([&diagonal]).chain(upper);
+    let first_slot = l_lo + u_lo + i;
+    let w = &mut packed[..(nlower + 1 + upper.len()) * BLOCK_LEN];
+    for (dst, &seed) in w.chunks_exact_mut(BLOCK_LEN).zip(&sym.seed[first_slot..]) {
+        match seed {
+            NO_SEED => dst.fill(0.0),
+            k => dst.copy_from_slice(a.block(k as usize)),
         }
-        for (slot, &c) in columns().enumerate() {
-            slot_of[c as usize] = slot as u32;
-        }
-        for (sk, &k) in pivots.iter().enumerate() {
-            let k = k as usize;
-            let mut lik = ZERO_BLOCK;
-            block::matmul_lanes(s, block_at(w, sk), block_at(dinv, k), &mut lik);
-            *block_at_mut(w, sk) = lik;
-            for t in u.row_ptr[k]..u.row_ptr[k + 1] {
-                let sj = slot_of[u.col_idx[t] as usize];
-                if sj != NO_SEED {
-                    let wj = block_at_mut(w, sj as usize);
-                    block::matmul_sub_lanes(s, &lik, block_at(&u.blocks, t), wj);
-                }
-            }
-        }
-        for &c in columns() {
-            slot_of[c as usize] = NO_SEED;
-        }
-        let (lower, rest) = w.split_at(nlower * BLOCK_LEN);
-        let (diag, upper) = rest.split_at(BLOCK_LEN);
-        l.blocks[l_lo * BLOCK_LEN..][..lower.len()].copy_from_slice(lower);
-        u.blocks[u_lo * BLOCK_LEN..][..upper.len()].copy_from_slice(upper);
-        let inv = block::invert(block_at(diag, 0))
-            .expect("singular pivot block in ILU (matrix not diagonally dominant?)");
-        *block_at_mut(dinv, i) = inv;
     }
+    for (slot, &c) in columns().enumerate() {
+        slot_of[c as usize] = slot as u32;
+    }
+    for (sk, &k) in pivots.iter().enumerate() {
+        let k = k as usize;
+        let mut lik = ZERO_BLOCK;
+        block::matmul_lanes(s, block_at(w, sk), finished_dinv(k), &mut lik);
+        *block_at_mut(w, sk) = lik;
+        for t in sym.u_row_ptr[k]..sym.u_row_ptr[k + 1] {
+            let sj = slot_of[sym.u_col_idx[t] as usize];
+            if sj != NO_SEED {
+                let wj = block_at_mut(w, sj as usize);
+                block::matmul_sub_lanes(s, &lik, finished_u(t), wj);
+            }
+        }
+    }
+    for &c in columns() {
+        slot_of[c as usize] = NO_SEED;
+    }
+    let (lower, rest) = w.split_at(nlower * BLOCK_LEN);
+    let (diag, upper) = rest.split_at(BLOCK_LEN);
+    store(out.l, l_lo, lower);
+    store(out.u, u_lo, upper);
+    let inverse = block::invert(block_at(diag, 0));
+    if let Some(inverse) = &inverse {
+        store(out.dinv, i, inverse);
+    }
+    inverse.is_some()
+}
+
+/// The scratch of [`factor_row`]: the packed row buffer and `slot_of`.
+fn row_scratch(sym: &IluSymbolic) -> (Vec<f64>, Vec<u32>) {
+    (vec![0.0; sym.max_row * BLOCK_LEN], vec![NO_SEED; sym.nrows()])
+}
+
+/// The serial numeric core: every row in order.
+///
+/// # Safety
+/// `out` holds the value arrays of factors with `sym`'s patterns, which
+/// nobody else accesses during the call.
+#[inline(always)]
+unsafe fn numeric<S: Simd>(s: S, sym: &IluSymbolic, a: &Bcsr4, out: FactorValues) {
+    let (mut packed, mut slot_of) = row_scratch(sym);
+    for i in 0..sym.nrows() {
+        // SAFETY: the caller's exclusivity; rows below i are finished.
+        let invertible = unsafe { factor_row(s, sym, a, out, i, &mut packed, &mut slot_of) };
+        assert!(invertible, "{SINGULAR_PIVOT}");
+    }
+}
+
+/// One thread's share of the team numeric core: the rows of program `tid`
+/// of the forward schedule, each after its waits, on scratch of its own.
+/// The smallest row with a singular pivot is left in `singular`.
+///
+/// # Safety
+/// `out` as for [`numeric`], shared with the team's other threads only:
+/// they run this function concurrently, each under its own `tid`, on the
+/// same `forward` (built from `sym`'s `L` pattern) and `progress`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn numeric_team<S: Simd>(
+    s: S,
+    sym: &IluSymbolic,
+    a: &Bcsr4,
+    out: FactorValues,
+    tid: usize,
+    forward: &P2pSchedule,
+    progress: &P2pProgress,
+    singular: &AtomicUsize,
+) {
+    let (mut packed, mut slot_of) = row_scratch(sym);
+    forward.run_program(tid, progress, |i| {
+        // SAFETY: row i is this program's alone, and the rows its L
+        // pattern names were published before the waits returned (or
+        // ran earlier in this program).
+        if !unsafe { factor_row(s, sym, a, out, i, &mut packed, &mut slot_of) } {
+            singular.fetch_min(i, Ordering::Relaxed);
+        }
+    });
 }
 
 /// Numeric block ILU factorization on the given pattern (use

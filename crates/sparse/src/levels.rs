@@ -9,7 +9,7 @@
 //! exactly what [`crate::p2p`] improves on.
 
 use crate::ilu::IluFactors;
-use crate::{block, Bcsr4};
+use crate::{block, Pattern};
 use fun3d_threads::{chunk_range, SpinBarrier, TeamSlice, ThreadPool};
 
 /// Rows grouped by DAG level.
@@ -22,57 +22,45 @@ pub struct LevelSchedule {
 impl LevelSchedule {
     /// Builds the schedule for the forward solve: row `i` depends on the
     /// columns of `L` row `i`.
-    pub fn forward(l: &Bcsr4) -> LevelSchedule {
-        Self::from_deps(l.nrows(), |i| {
-            l.col_idx[l.row_ptr[i]..l.row_ptr[i + 1]].iter().copied()
-        })
+    pub fn forward<'a>(l: impl Into<Pattern<'a>>) -> LevelSchedule {
+        let l = l.into();
+        Self::build(l, 0..l.nrows(), |dep, row| dep < row)
     }
 
     /// Builds the schedule for the backward solve: row `i` depends on the
     /// columns of `U` row `i` (all greater than `i`; levels count from the
     /// last row).
-    pub fn backward(u: &Bcsr4) -> LevelSchedule {
-        let n = u.nrows();
-        // Compute on the reversed index space.
-        let sched = Self::from_deps(n, |i| {
-            let orig = n - 1 - i;
-            u.col_idx[u.row_ptr[orig]..u.row_ptr[orig + 1]]
-                .iter()
-                .map(move |&c| (n - 1 - c as usize) as u32)
-        });
-        // Map back to original row ids.
-        LevelSchedule {
-            rows: sched
-                .rows
-                .into_iter()
-                .map(|lvl| {
-                    let mut v: Vec<u32> =
-                        lvl.into_iter().map(|r| (n - 1 - r as usize) as u32).collect();
-                    v.sort_unstable();
-                    v
-                })
-                .collect(),
-        }
+    pub fn backward<'a>(u: impl Into<Pattern<'a>>) -> LevelSchedule {
+        let u = u.into();
+        Self::build(u, (0..u.nrows()).rev(), |dep, row| dep > row)
     }
 
-    fn from_deps<I>(n: usize, deps: impl Fn(usize) -> I) -> LevelSchedule
-    where
-        I: Iterator<Item = u32>,
-    {
+    /// `order` is the serial sweep's row order, in which every row comes
+    /// after the rows it reads (`precedes(dep, row)`).
+    fn build(
+        pattern: Pattern,
+        order: impl Iterator<Item = usize>,
+        precedes: impl Fn(usize, usize) -> bool,
+    ) -> LevelSchedule {
+        let n = pattern.nrows();
         let mut level = vec![0u32; n];
-        let mut maxlevel = 0u32;
-        for i in 0..n {
+        let mut width: Vec<usize> = Vec::new();
+        for i in order {
             let mut lv = 0u32;
-            for d in deps(i) {
-                debug_assert!((d as usize) < i, "dependency must precede the row");
+            for &d in pattern.row(i) {
+                debug_assert!(precedes(d as usize, i), "dependency must precede the row");
                 lv = lv.max(level[d as usize] + 1);
             }
             level[i] = lv;
-            maxlevel = maxlevel.max(lv);
+            // A row sits at most one level above the deepest so far.
+            if lv as usize == width.len() {
+                width.push(0);
+            }
+            width[lv as usize] += 1;
         }
-        let mut rows = vec![Vec::new(); maxlevel as usize + 1];
-        for i in 0..n {
-            rows[level[i] as usize].push(i as u32);
+        let mut rows: Vec<Vec<u32>> = width.iter().map(|&w| Vec::with_capacity(w)).collect();
+        for (i, &lv) in level.iter().enumerate() {
+            rows[lv as usize].push(i as u32);
         }
         LevelSchedule { rows }
     }
@@ -239,7 +227,7 @@ pub fn solve_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ilu, trsv};
+    use crate::{ilu, trsv, Bcsr4};
 
     fn mesh_factors(seed: u64) -> (Bcsr4, IluFactors) {
         let m = fun3d_mesh::generator::MeshPreset::Tiny.build();

@@ -17,8 +17,11 @@
 //! * [`levels`] — level scheduling (Anderson & Saad [24], Naumov [25]):
 //!   execute the dependency DAG level by level with a barrier per level;
 //! * [`p2p`] — sparsified point-to-point synchronization (Park et al.
-//!   [26]): approximate transitive reduction of cross-thread dependency
-//!   edges, then spin on per-row done-flags instead of barriers;
+//!   [26]): the levels decide which thread owns a row, an approximate
+//!   transitive reduction of the cross-thread dependency edges decides
+//!   which rows wait, and the waits are on per-thread progress counters
+//!   instead of barriers; drives the triangular sweeps and the numeric
+//!   ILU refactorization;
 //! * [`dag`] — the paper's *available parallelism* metric: total flops
 //!   divided by flops along the critical path (Table II: 248× for ILU-0
 //!   vs 60× for ILU-1 on Mesh-C).
@@ -32,12 +35,12 @@ pub mod levels;
 pub mod p2p;
 pub mod trsv;
 
-pub use bcsr::Bcsr4;
+pub use bcsr::{Bcsr4, Pattern};
 pub use block::{Block4, BLOCK_DIM, BLOCK_LEN};
 pub use dag::DagStats;
 pub use ilu::{IluFactors, IluSymbolic, TempBuffer};
 pub use levels::LevelSchedule;
-pub use p2p::{P2pProgress, P2pSchedule};
+pub use p2p::P2pSchedule;
 
 /// Dense helpers shared by tests in this crate and by the solver crate's
 /// reference checks.

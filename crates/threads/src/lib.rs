@@ -15,8 +15,9 @@
 //! * static range chunking ([`chunk_range`]) for "basic partitioning",
 //! * a spinning sense-reversing [`SpinBarrier`] for level-scheduled sparse
 //!   recurrences (barrier after each level),
-//! * point-to-point synchronization cells ([`p2p::DoneFlags`]) for the
-//!   sparsified-synchronization TRSV/ILU of Park et al. [26],
+//! * per-thread progress counters ([`P2pProgress`]) — the one hand-off
+//!   primitive of the sparsified-synchronization TRSV/ILU of Park et al.
+//!   [26]: single-writer, one cache line each, never reset,
 //! * atomic `f64` accumulation ([`atomicf64`]) for the
 //!   "basic partitioning with atomics" edge-loop strategy,
 //! * a cfg-switched synchronization shim ([`sync_shim`]) — std atomics
@@ -36,7 +37,7 @@ pub mod team;
 pub use atomicf64::AtomicF64View;
 pub use barrier::SpinBarrier;
 pub use lease::{PoolLease, PoolSet};
-pub use p2p::DoneFlags;
+pub use p2p::{P2pProgress, P2pSweep};
 pub use pool::{adaptive_spin_default, Bell, JobPtr, ThreadPool};
 pub use probe::SyncCosts;
 pub use team::{Team, TeamMember, TeamSlice, TreeReduce};

@@ -1,113 +1,185 @@
-//! Point-to-point completion flags.
+//! Point-to-point progress counters.
 //!
-//! The sparsified-synchronization triangular solver (Park et al. [26],
-//! used by the paper for both TRSV and ILU) replaces per-level barriers
-//! with fine-grained dependencies: a consumer row spins until each of its
-//! (sparsified) producer rows has published completion. [`DoneFlags`] is
-//! that mechanism — one epoch-tagged flag per task, `publish` with Release
-//! and `wait_for` with Acquire so the produced data is visible.
+//! The sparsified-synchronization recurrences (Park et al. [26], used by
+//! the paper for both TRSV and ILU) replace per-level barriers with
+//! fine-grained hand-offs: every thread runs an ordered program of rows
+//! and publishes how many it has finished; a consumer row waits until its
+//! producer thread's count passes the row it reads. [`P2pProgress`] is
+//! that mechanism and nothing else — which thread runs which row, and
+//! which waits survive sparsification, is the schedule's business
+//! (`fun3d_sparse::p2p`).
+//!
+//! What a hand-off costs:
+//!
+//! * **one counter per thread, alone on its cache lines.** A counter has
+//!   exactly one writer, so publishing is a plain `store(Release)`, not a
+//!   locked read-modify-write, and a thread spinning on one producer never
+//!   touches the line another producer is publishing through;
+//! * **counters are monotone across sweeps.** Every sweep advances every
+//!   counter by the same `stride` (an upper bound on the rows one thread
+//!   publishes per sweep), so a sweep starts from wherever the last one
+//!   ended: no reset, hence no barrier to publish a reset;
+//! * **a wait that finds its producer already past is one `Acquire`
+//!   load.** One that blocks re-reads for a bounded number of turns (a
+//!   hand-off between two running threads lands within that), then pauses
+//!   between reads, then yields the core — on an oversubscribed host the
+//!   producer may need it. Only blocked waits are counted and timed
+//!   ([`P2pProgress::attributed`]).
 
-use crate::sync_shim::{spin_hint, yield_now, AtomicU64, Ordering};
+use crate::sync_shim::{spin_hint, yield_now, AtomicUsize, Ordering};
+use fun3d_util::telemetry::metrics::{self, Counter};
+use std::sync::Arc;
 
-/// One completion flag per task, tagged with an epoch so the structure is
-/// reusable across solves without clearing (clearing would itself need a
-/// barrier).
-///
-/// Epoch wraparound: a flag last published at epoch `e` still holds `e`
-/// arbitrarily many epochs later, so if the epoch counter ever wrapped
-/// back to `e`, that stale flag would satisfy a waiter for work that has
-/// not run. [`DoneFlags::next_epoch`] therefore resets every flag when
-/// the counter wraps — an O(n) event once per 2⁶⁴ solves, i.e. never in
-/// practice, but the guard makes the aliasing impossible rather than
-/// merely implausible.
-pub struct DoneFlags {
-    flags: Vec<AtomicU64>,
-    epoch: u64,
+/// Re-reads of a blocked wait before it starts pausing between reads.
+/// Model builds skip this tier: there every read is a scheduling point
+/// and only the checker's own spin hint lets the producer run.
+const PLAIN_SPINS: u32 = if cfg!(fun3d_check) { 0 } else { 64 };
+/// Reads (plain ones included) before a blocked wait yields the core
+/// between reads: a few tens of microseconds of pausing.
+const PAUSE_SPINS: u32 = if cfg!(fun3d_check) { 0 } else { 1024 };
+
+/// One producer's count of published rows. The alignment keeps two
+/// producers' counters out of each other's cache line and out of the
+/// adjacent line the hardware prefetcher pairs with it.
+#[repr(align(128))]
+struct Slot {
+    done: AtomicUsize,
 }
 
-impl DoneFlags {
-    /// Creates flags for `n` tasks, all unpublished.
-    pub fn new(n: usize) -> Self {
-        DoneFlags {
-            flags: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            epoch: 1,
+/// The registry counters one thread's blocked waits are flushed into.
+struct Blocked {
+    waits: Arc<Counter>,
+    ns: Arc<Counter>,
+}
+
+/// Per-thread progress counters for programs of at most `stride` rows per
+/// thread and sweep, reusable for any number of sweeps without a reset.
+pub struct P2pProgress {
+    slots: Box<[Slot]>,
+    stride: usize,
+    blocked: Option<Box<[Blocked]>>,
+}
+
+impl P2pProgress {
+    /// Counters for `nthreads` producers, none of which publishes more
+    /// than `stride` rows in one sweep.
+    pub fn new(nthreads: usize, stride: usize) -> P2pProgress {
+        let slot = || Slot {
+            done: AtomicUsize::new(0),
+        };
+        P2pProgress {
+            slots: (0..nthreads).map(|_| slot()).collect(),
+            stride: stride.max(1),
+            blocked: None,
         }
     }
 
-    /// Test constructor: like [`DoneFlags::new`] but starting at an
-    /// arbitrary epoch, so wraparound behaviour is exercisable without
-    /// 2⁶⁴ calls to `next_epoch`.
-    pub fn with_start_epoch(n: usize, epoch: u64) -> Self {
-        assert!(epoch >= 1, "epoch 0 is the never-published flag value");
-        DoneFlags {
-            flags: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            epoch,
+    /// Flushes every sweep's blocked waits into the metrics registry as
+    /// the counters `{family}.blocked_waits.{lane}{tid}` and
+    /// `{family}.blocked_ns.{lane}{tid}` (e.g. `trsv.p2p.blocked_ns.fwd.t1`).
+    pub fn attributed(mut self, family: &str, lane: &str) -> P2pProgress {
+        let blocked = |tid| Blocked {
+            waits: metrics::counter(&format!("{family}.blocked_waits.{lane}{tid}")),
+            ns: metrics::counter(&format!("{family}.blocked_ns.{lane}{tid}")),
+        };
+        self.blocked = Some((0..self.nthreads()).map(blocked).collect());
+        self
+    }
+
+    /// Number of producer threads.
+    pub fn nthreads(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Starts thread `tid`'s part of a sweep. Every thread of the team
+    /// takes part in every sweep, each under its own `tid`; the sweep ends
+    /// when the handle is dropped.
+    pub fn begin(&self, tid: usize) -> P2pSweep<'_> {
+        // Relaxed: the only writer of this counter is this thread.
+        let base = self.slots[tid].done.load(Ordering::Relaxed);
+        debug_assert_eq!(base % self.stride, 0, "a sweep was left unfinished");
+        P2pSweep {
+            progress: self,
+            tid,
+            base,
+            published: 0,
+            blocked_waits: 0,
+            blocked_ns: 0,
+        }
+    }
+}
+
+/// One thread's part of one sweep over a [`P2pProgress`].
+pub struct P2pSweep<'a> {
+    progress: &'a P2pProgress,
+    tid: usize,
+    /// Every counter's value when this sweep started (`sweeps × stride`).
+    base: usize,
+    published: usize,
+    blocked_waits: u64,
+    blocked_ns: u64,
+}
+
+impl P2pSweep<'_> {
+    /// Returns once producer `pt` has published more than `pos` rows of
+    /// this sweep; everything it wrote before publishing them is visible.
+    #[inline]
+    pub fn wait(&mut self, pt: usize, pos: usize) {
+        let (cell, target) = (&self.progress.slots[pt].done, self.base + pos + 1);
+        // Acquire: pairs with the producer's Release store in `publish`
+        // (or in the drop that ends its sweep), so the rows it finished
+        // before that store are visible after this load.
+        if cell.load(Ordering::Acquire) < target {
+            self.wait_blocked(cell, target);
         }
     }
 
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// True when there are no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-
-    /// Starts a new solve: all tasks become unpublished in O(1).
-    /// Requires external synchronization (call between parallel regions).
-    pub fn next_epoch(&mut self) {
-        if self.epoch == u64::MAX {
-            // Wraparound: flags published in bygone epochs must not alias
-            // the restarted counter. `&mut self` (plus the documented
-            // between-regions contract) means no concurrent waiter exists,
-            // so plain Relaxed stores suffice.
-            for f in &self.flags {
-                f.store(0, Ordering::Relaxed);
-            }
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-    }
-
-    /// Current epoch (used by tests).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Marks task `i` complete for the current epoch (Release: makes the
-    /// task's writes visible to waiters).
-    #[inline]
-    pub fn publish(&self, i: usize) {
-        // Release: publishes the producer task's data writes to any
-        // consumer whose Acquire load in `is_done`/`wait_for` observes
-        // this epoch value — the edge replacing a per-level barrier.
-        self.flags[i].store(self.epoch, Ordering::Release);
-    }
-
-    /// True if task `i` has completed in the current epoch.
-    #[inline]
-    pub fn is_done(&self, i: usize) -> bool {
-        // Acquire: pairs with `publish`'s Release store, so observing the
-        // current epoch also makes the producer's writes visible.
-        self.flags[i].load(Ordering::Acquire) == self.epoch
-    }
-
-    /// Spins until task `i` completes in the current epoch.
-    #[inline]
-    pub fn wait_for(&self, i: usize) {
-        let mut spins = 0u32;
-        // Acquire: same pairing as `is_done` — the loop exit is the
-        // consumer's entitlement to read the producer row's results.
-        while self.flags[i].load(Ordering::Acquire) != self.epoch {
-            spins = spins.wrapping_add(1);
-            if spins % 64 == 0 {
+    #[cold]
+    fn wait_blocked(&mut self, cell: &AtomicUsize, target: usize) {
+        let t0 = std::time::Instant::now();
+        let mut reads = 0u32;
+        // Acquire: as in `wait`.
+        while cell.load(Ordering::Acquire) < target {
+            if reads >= PAUSE_SPINS {
                 yield_now();
-            } else {
+            } else if reads >= PLAIN_SPINS {
                 spin_hint();
             }
+            reads = reads.saturating_add(1);
+        }
+        self.blocked_waits += 1;
+        self.blocked_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Publishes one more finished row of this thread's program.
+    #[inline]
+    pub fn publish(&mut self) {
+        self.published += 1;
+        debug_assert!(self.published <= self.progress.stride);
+        // Release: makes the row's writes visible to a waiter whose
+        // Acquire load sees this count. A store, not an RMW: this thread
+        // is the counter's only writer.
+        self.progress.slots[self.tid]
+            .done
+            .store(self.base + self.published, Ordering::Release);
+    }
+}
+
+impl Drop for P2pSweep<'_> {
+    /// Ends the sweep: the counter moves to the next multiple of the
+    /// stride, where the next sweep starts. Also reached by a thread
+    /// unwinding out of its program, which releases whoever waits on it
+    /// instead of leaving them spinning.
+    fn drop(&mut self) {
+        let p = self.progress;
+        // Release: a program shorter than the stride ends here, and a
+        // waiter may observe this store instead of the last `publish`.
+        p.slots[self.tid]
+            .done
+            .store(self.base + p.stride, Ordering::Release);
+        if let (Some(blocked), true) = (&p.blocked, self.blocked_waits > 0) {
+            blocked[self.tid].waits.add(self.blocked_waits);
+            blocked[self.tid].ns.add(self.blocked_ns);
         }
     }
 }
@@ -115,94 +187,91 @@ impl DoneFlags {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync_shim::ShimCell;
     use crate::ThreadPool;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn publish_then_done() {
-        let flags = DoneFlags::new(4);
-        assert!(!flags.is_done(2));
-        flags.publish(2);
-        assert!(flags.is_done(2));
-        assert!(!flags.is_done(0));
+    fn counters_sit_on_their_own_cache_lines() {
+        let p = P2pProgress::new(3, 4);
+        let at = |t: usize| &p.slots[t].done as *const _ as usize;
+        assert_eq!(at(0) % 128, 0);
+        assert!(at(1) - at(0) >= 128 && at(2) - at(1) >= 128);
     }
 
-    #[test]
-    fn epoch_reset_clears_all() {
-        let mut flags = DoneFlags::new(3);
-        flags.publish(0);
-        flags.publish(1);
-        flags.publish(2);
-        flags.next_epoch();
-        assert!(!flags.is_done(0));
-        assert!(!flags.is_done(1));
-        assert!(!flags.is_done(2));
-        flags.publish(1);
-        assert!(flags.is_done(1));
-    }
-
-    #[test]
-    fn epoch_wraparound_does_not_alias_stale_flags() {
-        // A flag published at the final epoch must not read as done after
-        // the counter wraps — and, the sharper aliasing case, a flag
-        // published at some epoch `e` long ago must not read as done when
-        // the wrapped counter climbs back to `e`.
-        let mut flags = DoneFlags::with_start_epoch(3, u64::MAX - 1);
-        flags.publish(0); // holds MAX - 1
-        flags.next_epoch(); // epoch = MAX
-        assert!(!flags.is_done(0), "stale flag from the previous epoch");
-        flags.publish(1); // holds MAX
-        flags.next_epoch(); // wraps: reset + epoch = 1
-        assert_eq!(flags.epoch(), 1);
-        assert!(!flags.is_done(0), "pre-wrap flag must not survive the wrap");
-        assert!(!flags.is_done(1), "final-epoch flag must not survive the wrap");
-        // Without the reset, task 0's ghost value (MAX - 1) would come
-        // back to life when the counter reached MAX - 1 again; after the
-        // reset the structure behaves exactly like a fresh one.
-        flags.publish(2);
-        assert!(flags.is_done(2));
-        flags.next_epoch();
-        assert_eq!(flags.epoch(), 2);
-        assert!(!flags.is_done(2));
-    }
-
-    #[test]
-    fn wait_for_sees_producer_writes() {
-        // Producer writes data then publishes; consumer waits then reads.
-        let pool = ThreadPool::new(2);
-        let flags = DoneFlags::new(1);
-        let data = AtomicUsize::new(0);
-        let observed = AtomicUsize::new(0);
-        pool.run(|tid| {
-            if tid == 0 {
-                data.store(42, Ordering::Relaxed);
-                flags.publish(0);
-            } else {
-                flags.wait_for(0);
-                observed.store(data.load(Ordering::Relaxed), Ordering::SeqCst);
-            }
-        });
-        assert_eq!(observed.load(Ordering::SeqCst), 42);
-    }
-
-    #[test]
-    fn chain_of_dependencies() {
-        // Task i waits for i-1; order of completion must be 0..n.
-        let n = 8;
-        let pool = ThreadPool::new(4);
-        let flags = DoneFlags::new(n);
-        let order = std::sync::Mutex::new(Vec::new());
-        pool.run(|tid| {
-            // Static cyclic assignment of tasks to threads.
-            for task in (0..n).filter(|t| t % 4 == tid) {
-                if task > 0 {
-                    flags.wait_for(task - 1);
+    /// A chain through `n` rows dealt round-robin to `nt` threads, run
+    /// `sweeps` times over the same counters: row `r` adds one to what
+    /// row `r − 1` left in *this* sweep, so the last row of sweep `s` must
+    /// read `100 s + n`.
+    fn chain(nt: usize, n: usize, sweeps: usize) {
+        let pool = ThreadPool::new(nt);
+        let progress = P2pProgress::new(nt, n.div_ceil(nt));
+        let rows: Vec<ShimCell<usize>> = (0..n).map(|_| ShimCell::new(0)).collect();
+        for s in 0..sweeps {
+            pool.run(|tid| {
+                let mut sweep = progress.begin(tid);
+                for r in (tid..n).step_by(nt) {
+                    let mut before = 100 * s;
+                    if r > 0 {
+                        sweep.wait((r - 1) % nt, (r - 1) / nt);
+                        // SAFETY: row r − 1 was published; its owner
+                        // writes it once per sweep, before publishing.
+                        before = rows[r - 1].with(|p| unsafe { *p });
+                    }
+                    // SAFETY: row r is this thread's alone.
+                    rows[r].with_mut(|p| unsafe { *p = before + 1 });
+                    sweep.publish();
                 }
-                order.lock().unwrap().push(task);
-                flags.publish(task);
+            });
+            // SAFETY: the region has ended.
+            assert_eq!(rows[n - 1].with(|p| unsafe { *p }), 100 * s + n);
+        }
+    }
+
+    #[test]
+    fn chained_rows_hand_off_in_order_across_sweeps() {
+        chain(2, 9, 3);
+        chain(4, 16, 2);
+    }
+
+    #[test]
+    fn oversubscribed_chain_reaches_the_yield() {
+        // More threads than this host has cores, and empty programs
+        // (7 threads, 5 rows): a blocked wait must give the core away.
+        chain(7, 5, 2);
+        chain(7, 40, 2);
+    }
+
+    #[test]
+    fn blocked_waits_are_attributed_and_free_waits_are_not() {
+        metrics::set_enabled(true);
+        let progress = P2pProgress::new(2, 1).attributed("test.p2p", "t");
+        let pool = ThreadPool::new(2);
+        let gate = crate::SpinBarrier::new(2);
+        // The slow path, entered directly so that the test does not hinge
+        // on thread 1 losing a race: one blocked wait, however long.
+        pool.run(|tid| {
+            let mut sweep = progress.begin(tid);
+            if tid == 0 {
+                sweep.publish();
+            } else {
+                let target = sweep.base + 1;
+                sweep.wait_blocked(&progress.slots[0].done, target);
             }
         });
-        let order = order.into_inner().unwrap();
-        assert_eq!(order, (0..n).collect::<Vec<_>>());
+        // The fast path: published before anyone looks.
+        pool.run(|tid| {
+            let mut sweep = progress.begin(tid);
+            if tid == 0 {
+                sweep.publish();
+            }
+            gate.wait();
+            if tid == 1 {
+                sweep.wait(0, 0);
+            }
+        });
+        let value = |name: &str| metrics::counter(name).value();
+        assert_eq!(value("test.p2p.blocked_waits.t1"), 1);
+        assert!(value("test.p2p.blocked_ns.t1") > 0);
+        assert_eq!(value("test.p2p.blocked_waits.t0"), 0);
     }
 }

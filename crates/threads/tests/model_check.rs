@@ -18,7 +18,7 @@ use fun3d_check::{explore, thread, Config, FailureKind};
 use fun3d_threads::sync_shim::{
     spin_hint, AtomicBool, AtomicU64, AtomicUsize, Ordering, ShimCell,
 };
-use fun3d_threads::{AtomicF64View, Bell, DoneFlags, SpinBarrier, Team};
+use fun3d_threads::{AtomicF64View, Bell, P2pProgress, SpinBarrier, Team};
 use std::sync::Arc;
 
 /// Exhaustive exploration budget shared by every protocol model. The
@@ -228,42 +228,60 @@ fn barrier_relaxed_sense_store_is_caught() {
     assert_race(report);
 }
 
-// ---- protocol 3: P2P completion flags (p2p.rs DoneFlags) ----
+// ---- protocol 3: P2P progress counters (p2p.rs P2pProgress) ----
 
+/// Two threads, three rows in a chain (row 0 and row 2 on the root
+/// thread, row 1 on the spawned one), swept twice over the same counters
+/// with neither a reset nor a barrier in between: the second sweep's
+/// waits must not be satisfied by the first sweep's counts, and a thread
+/// that runs ahead into the second sweep must not disturb the one still
+/// in the first. Each sweep writes its own cells, as a forward and a
+/// backward sweep write different vectors.
 #[test]
-fn doneflags_publish_wait_hands_off_data() {
-    // The sparsified-sync dependency edge: producer writes row data and
-    // publishes; consumer waits and reads. Exactly the paper's
-    // level-free triangular-solve handshake.
+fn p2p_progress_hands_rows_off_across_two_sweeps() {
     let report = explore(&cfg(), || {
-        let flags = Arc::new(DoneFlags::new(1));
-        let row = Arc::new(ShimCell::new(0u64));
-        let (f2, r2) = (Arc::clone(&flags), Arc::clone(&row));
-        let producer = thread::spawn(move || {
-            r2.with_mut(|p| unsafe { *p = 7 });
-            f2.publish(0);
+        let progress = Arc::new(P2pProgress::new(2, 2));
+        let rows: Arc<Vec<ShimCell<u64>>> = Arc::new((0..6).map(|_| ShimCell::new(0)).collect());
+        let (p2, r2) = (Arc::clone(&progress), Arc::clone(&rows));
+        let other = thread::spawn(move || {
+            for s in 0..2 {
+                let mut sweep = p2.begin(1);
+                sweep.wait(0, 0);
+                let r0 = r2[3 * s].with(|p| unsafe { *p });
+                assert_eq!(r0, 10 * s as u64 + 1, "row 1 ran before row 0 of its sweep");
+                r2[3 * s + 1].with_mut(|p| unsafe { *p = r0 + 1 });
+                sweep.publish();
+            }
         });
-        flags.wait_for(0);
-        row.with(|p| assert_eq!(unsafe { *p }, 7, "consumer saw unpublished row"));
-        producer.join();
+        for s in 0..2 {
+            let mut sweep = progress.begin(0);
+            rows[3 * s].with_mut(|p| unsafe { *p = 10 * s as u64 + 1 });
+            sweep.publish();
+            sweep.wait(1, 0);
+            let r1 = rows[3 * s + 1].with(|p| unsafe { *p });
+            assert_eq!(r1, 10 * s as u64 + 2, "row 2 ran before row 1 of its sweep");
+            rows[3 * s + 2].with_mut(|p| unsafe { *p = r1 + 1 });
+            sweep.publish();
+        }
+        other.join();
     });
     assert_clean(report);
 }
 
 #[test]
-fn doneflags_relaxed_publish_is_caught() {
-    // Mutant skeleton of `DoneFlags::publish`: the epoch-tagged flag
-    // store is Relaxed, so the consumer's wait_for loop exit carries no
-    // view of the producer's row write.
+fn p2p_progress_relaxed_publish_is_caught() {
+    // Mutant skeleton of `P2pSweep::publish`: the count is stored
+    // Relaxed, so the consumer's wait exit carries no view of the
+    // producer's row write.
     let report = explore(&cfg(), || {
-        let flag = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicUsize::new(0));
         let row = Arc::new(ShimCell::new(0u64));
-        let (f2, r2) = (Arc::clone(&flag), Arc::clone(&row));
+        let (d2, r2) = (Arc::clone(&done), Arc::clone(&row));
         let producer = thread::spawn(move || {
             r2.with_mut(|p| unsafe { *p = 7 });
-            f2.store(1, Ordering::Relaxed); // BUG: publish uses Release
+            d2.store(1, Ordering::Relaxed); // BUG: publish uses Release
         });
-        while flag.load(Ordering::Acquire) != 1 {
+        while done.load(Ordering::Acquire) < 1 {
             spin_hint();
         }
         row.with(|p| unsafe { *p });

@@ -208,15 +208,22 @@ cargo run --release --offline -q -p fun3d-bench --bin fig6a_flux_opts -- \
     --mesh small --reps 20 --check
 echo "ok: SIMD flux kernel clears its speed floor (or runs on portable lanes)"
 
-echo "== symbolic-once ILU speed floor (fig7a_recurrence_opts --check) =="
+echo "== recurrence gates: symbolic-once ILU floor, P2P schedule bound (fig7a_recurrence_opts --check) =="
 # Refactoring in place on a structure built once must be at least 2x the
 # full-buffer reference, which rebuilds the structure, searches A and
 # allocates the factors on every call (same interleaved-rounds,
 # per-variant-minimum measurement as the gate above): a numeric core
 # that searches or allocates per factorization again fails here.
+# The same run holds the P2P schedule to what it is for: at two threads
+# total work / makespan must be >= 1.5 on both sweeps (a property of the
+# schedule, so gated on every host), the contiguous row assignment the
+# schedule once used must trip that same test (negative canary, built
+# inside the binary), and - only where nproc >= 2, as every
+# thread-scaling key - the measured P2P application at T=2 must not be
+# slower than the serial sweep.
 cargo run --release --offline -q -p fun3d-bench --bin fig7a_recurrence_opts -- \
     --mesh small --reps 20 --check
-echo "ok: in-place numeric ILU clears its speed floor"
+echo "ok: in-place numeric ILU clears its floor; the P2P schedule runs in parallel and its canary is caught"
 
 echo "== perf history + scaling gate (perf_regress) =="
 # Detector self-check first: a synthetic history with an injected 3x

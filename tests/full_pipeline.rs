@@ -36,9 +36,9 @@ fn every_configuration_converges_to_the_same_flow() {
         ("optimized-2t", OptConfig::optimized(2)),
         ("optimized-4t", OptConfig::optimized(4)),
     ];
-    let mut lvl = OptConfig::optimized(2);
-    lvl.ilu_parallel = IluParallel::Levels;
-    configs.push(("levels-2t", lvl));
+    let mut serial_trsv = OptConfig::optimized(2);
+    serial_trsv.ilu_parallel = IluParallel::Serial;
+    configs.push(("serial-trsv-2t", serial_trsv));
     let mut serial_simd = OptConfig::baseline();
     serial_simd.use_simd = true;
     serial_simd.use_prefetch = true;
