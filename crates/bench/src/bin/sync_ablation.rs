@@ -19,21 +19,33 @@
 //! sync-cost crossover, every parallel scheme loses to plain serial
 //! execution. For each mesh it runs the production modes (`serial`,
 //! `team`, and the adaptive `auto` policy) and the `per-op` reference at
-//! each thread count and
-//! reports every row's speedup against the nt=1 **serial** baseline, so
-//! absolute slowdowns are visible (a per-op-relative speedup would mask
-//! them).
+//! each thread count and reports every row's speedup against the
+//! **serial** solve, so absolute slowdowns are visible (a per-op-relative
+//! speedup would mask them). The threaded rows apply the ILU factors through the P2P
+//! schedule, the recurrence the application runs.
+//!
+//! Each thread count is measured in interleaved rounds (as `fig6a` and
+//! `fig7a` are): one solve of serial, per-op, team and auto per round
+//! after a warm-up round, so host drift lands on every mode alike, and a
+//! row's speedup is its best round against the serial solve's best round
+//! *of the same rounds*.
 //!
 //! Emits, per mesh / thread count / mode:
 //!
-//! * median and MAD of the per-GMRES-iteration wall time, total wall
-//!   seconds, and the per-config wall budget;
+//! * best, median and MAD of the per-GMRES-iteration wall time, total
+//!   wall seconds, and the per-config wall budget;
 //! * pool regions launched per GMRES iteration;
 //! * `speedup_vs_nt1_serial` (absolute, serial-anchored);
 //!
-//! plus a per-mesh `scaling` section (best-mode speedup vs nt=1 and the
+//! plus a per-mesh `scaling` section (best-mode speedup vs serial and the
 //! modeled crossover size) and writes
 //! `target/experiments/sync_ablation.json`.
+//!
+//! `--check <file>` validates an artifact and holds it to the
+//! speedup-vs-threads rule: above the modeled crossover, threads > 1 must
+//! beat serial. The rule judges only rows whose thread count fits the
+//! recorded `machine.effective_cores`; an oversubscribed row says nothing
+//! about the solver.
 //!
 //! Usage: `sync_ablation [--meshes a,b,c] [--threads 1,2,4] [--reps n]
 //! [--check <file>]`
@@ -43,6 +55,7 @@ use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::{AutoPolicy, Gmres, GmresConfig, GmresExec, SerialIlu};
 use fun3d_threads::ThreadPool;
 use fun3d_util::report::{experiments_dir, fmt_g, write_json, Table};
+use fun3d_util::stats::{mad, median};
 use fun3d_util::telemetry::json::Json;
 use std::sync::Arc;
 
@@ -112,16 +125,6 @@ fn parse_args() -> Args {
     out
 }
 
-/// (median, MAD) of a sample set; MAD is reported in the same units.
-fn median_mad(samples: &mut [f64]) -> (f64, f64) {
-    assert!(!samples.is_empty());
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let med = samples[samples.len() / 2];
-    let mut dev: Vec<f64> = samples.iter().map(|s| (s - med).abs()).collect();
-    dev.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (med, dev[dev.len() / 2])
-}
-
 /// Per-config wall budget, seconds: room for `reps` solves of a
 /// memory-bound system this size on a ~few-GB/s core, with a floor for
 /// tiny fixtures. Overruns are reported (and recorded), not fatal —
@@ -138,8 +141,12 @@ struct ModeResult {
     exec: &'static str,
     threads: usize,
     iterations: usize,
+    /// Fastest round, the statistic every speedup is taken from.
+    best_iter_s: f64,
     median_iter_s: f64,
     mad_iter_s: f64,
+    /// Serial solve's best round of the same rounds over `best_iter_s`.
+    speedup_vs_serial: f64,
     regions_per_iter: f64,
     wall_s: f64,
     budget_s: f64,
@@ -175,82 +182,110 @@ fn run_mesh(mesh: MeshPreset, threads: &[usize], reps: usize) -> MeshReport {
     };
     let budget_s = wall_budget_s(n, reps);
 
-    let mut rows: Vec<ModeResult> = Vec::new();
-    let mut run = |mode: &'static str, nt: usize, pool: Option<&Arc<ThreadPool>>, ilu: &SerialIlu| {
-        let mut samples = Vec::with_capacity(reps);
-        let mut iterations = 0usize;
-        let mut regions_per_iter = 0.0f64;
-        let mut history = Vec::new();
-        let mut exec_name = "serial";
-        let wall = std::time::Instant::now();
-        for _ in 0..reps {
-            let mut x = vec![0.0; n];
-            let mut gmres = Gmres::new(n, cfg);
-            let exec = match (mode, pool) {
-                ("serial", _) | (_, None) => GmresExec::Serial,
-                ("per-op", Some(p)) => GmresExec::PerOp(p),
-                ("team", Some(p)) => GmresExec::Team(p),
-                (_, Some(p)) => GmresExec::Auto(p),
-            };
-            let regions_before = pool.map_or(0, |p| p.regions_launched());
-            let t = std::time::Instant::now();
-            let res = gmres.solve_with(&jac, ilu, &b, &mut x, exec);
-            let secs = t.elapsed().as_secs_f64();
-            let regions = pool.map_or(0, |p| p.regions_launched()) - regions_before;
-            iterations = res.iterations;
-            samples.push(secs / res.iterations.max(1) as f64);
-            regions_per_iter = regions as f64 / res.iterations.max(1) as f64;
-            exec_name = res.exec;
-            history = res.history;
-        }
-        let wall_s = wall.elapsed().as_secs_f64();
-        if wall_s > budget_s {
-            eprintln!(
-                "warning: {} {mode}@{nt}t took {wall_s:.1}s, over its {budget_s:.1}s budget",
-                mesh.name()
-            );
-        }
-        let (median_iter_s, mad_iter_s) = median_mad(&mut samples);
-        rows.push(ModeResult {
-            mode,
-            exec: exec_name,
-            threads: nt,
-            iterations,
-            median_iter_s,
-            mad_iter_s,
-            regions_per_iter,
-            wall_s,
-            budget_s,
-            history,
-        });
+    // One timed solve of `mode`; returns (seconds per iteration, regions
+    // per iteration, result).
+    let solve = |mode: &str, pool: Option<&Arc<ThreadPool>>, ilu: &SerialIlu| {
+        let mut x = vec![0.0; n];
+        let mut gmres = Gmres::new(n, cfg);
+        let exec = match (mode, pool) {
+            ("serial", _) | (_, None) => GmresExec::Serial,
+            ("per-op", Some(p)) => GmresExec::PerOp(p),
+            ("team", Some(p)) => GmresExec::Team(p),
+            (_, Some(p)) => GmresExec::Auto(p),
+        };
+        let regions_before = pool.map_or(0, |p| p.regions_launched());
+        let t = std::time::Instant::now();
+        let res = gmres.solve_with(&jac, ilu, &b, &mut x, exec);
+        let secs = t.elapsed().as_secs_f64();
+        let regions = pool.map_or(0, |p| p.regions_launched()) - regions_before;
+        let iters = res.iterations.max(1) as f64;
+        (secs / iters, regions as f64 / iters, res)
     };
 
-    // The absolute baseline: plain serial execution, no pool at all.
     let serial_ilu = SerialIlu::new(&jac, 1);
-    run("serial", 1, None, &serial_ilu);
+    let mut rows: Vec<ModeResult> = Vec::new();
     let mut scaling: Vec<ScalingRow> = Vec::new();
-    let mut crossovers: Vec<(usize, Option<usize>)> = Vec::new();
     for &nt in threads {
         let pool = Arc::new(ThreadPool::new(nt));
-        // Warm the policy's calibration cache before the timed reps:
-        // the probe is a one-time per-process cost, not a per-solve
-        // cost, and must not pollute the auto row's median.
+        // Warm the policy's calibration cache before the timed rounds:
+        // the probe is a one-time per-process cost, not a per-solve cost.
         let policy = AutoPolicy::for_pool(&pool);
-        let ilu = SerialIlu::new(&jac, 1).with_levels(pool.clone());
-        for mode in ["per-op", "team"] {
-            run(mode, nt, Some(&pool), &ilu);
-        }
+        let ilu = SerialIlu::new(&jac, 1).with_p2p(pool.clone());
         // The auto row models a size-aware application: when the policy
         // resolves to serial, the pooled preconditioner is dropped too
-        // (level-scheduled and serial sweeps are bitwise identical, so
-        // the cross-mode history checks still hold).
+        // (P2P and serial sweeps are bitwise identical, so the cross-mode
+        // history checks still hold).
         let auto_ilu = if policy.choose(n, nt) == fun3d_solver::ExecMode::Serial {
             &serial_ilu
         } else {
             &ilu
         };
-        run("auto", nt, Some(&pool), auto_ilu);
-        crossovers.push((nt, policy.crossover_unknowns(nt)));
+        // The serial solve rides every thread count's rounds as the
+        // baseline of that count's speedups; its own row comes from nt=1.
+        let variants = [
+            ("serial", None, &serial_ilu),
+            ("per-op", Some(&pool), &ilu),
+            ("team", Some(&pool), &ilu),
+            ("auto", Some(&pool), auto_ilu),
+        ];
+        let mut samples: [Vec<f64>; 4] = Default::default();
+        let mut walls = [0.0f64; 4];
+        let mut last = Vec::new();
+        for round in 0..=reps {
+            last.clear();
+            for (v, &(mode, pool, ilu)) in variants.iter().enumerate() {
+                let wall = std::time::Instant::now();
+                let (per_iter, regions_per_iter, res) = solve(mode, pool, ilu);
+                // round 0 is the warm-up
+                if round > 0 {
+                    samples[v].push(per_iter);
+                    walls[v] += wall.elapsed().as_secs_f64();
+                }
+                last.push((regions_per_iter, res));
+            }
+        }
+        let best = |v: usize| samples[v].iter().copied().fold(f64::INFINITY, f64::min);
+        for (v, (&(mode, _, _), (regions_per_iter, res))) in variants.iter().zip(last).enumerate() {
+            if mode == "serial" && nt != 1 {
+                continue;
+            }
+            if walls[v] > budget_s {
+                eprintln!(
+                    "warning: {} {mode}@{nt}t took {:.1}s, over its {budget_s:.1}s budget",
+                    mesh.name(),
+                    walls[v]
+                );
+            }
+            rows.push(ModeResult {
+                mode,
+                exec: res.exec,
+                threads: nt,
+                iterations: res.iterations,
+                best_iter_s: best(v),
+                median_iter_s: median(&samples[v]),
+                mad_iter_s: mad(&samples[v]),
+                speedup_vs_serial: best(0) / best(v),
+                regions_per_iter,
+                wall_s: walls[v],
+                budget_s,
+                history: res.history,
+            });
+        }
+        if nt > 1 {
+            let fastest = rows
+                .iter()
+                .filter(|r| r.threads == nt)
+                .max_by(|a, b| a.speedup_vs_serial.total_cmp(&b.speedup_vs_serial))
+                .unwrap();
+            let crossover = policy.crossover_unknowns(nt);
+            scaling.push(ScalingRow {
+                threads: nt,
+                speedup_vs_nt1: fastest.speedup_vs_serial,
+                best_mode: fastest.mode,
+                crossover_unknowns: crossover,
+                above_crossover: crossover.is_some_and(|c| n >= c),
+            });
+        }
     }
 
     // Sanity 1: per-op and team must agree bitwise at each thread count
@@ -284,29 +319,6 @@ fn run_mesh(mesh: MeshPreset, threads: &[usize], reps: usize) -> MeshReport {
         );
     }
 
-    // The scaling rows: best mode at nt vs best mode at the nt=1
-    // baseline (serial included), per thread count.
-    let best_at = |nt: usize| {
-        rows.iter()
-            .filter(|r| r.threads == nt)
-            .min_by(|a, b| a.median_iter_s.partial_cmp(&b.median_iter_s).unwrap())
-            .unwrap()
-    };
-    let best1 = best_at(1).median_iter_s;
-    for &(nt, crossover) in &crossovers {
-        if nt == 1 {
-            continue;
-        }
-        let best = best_at(nt);
-        scaling.push(ScalingRow {
-            threads: nt,
-            speedup_vs_nt1: best1 / best.median_iter_s,
-            best_mode: best.mode,
-            crossover_unknowns: crossover,
-            above_crossover: crossover.is_some_and(|c| n >= c),
-        });
-    }
-
     MeshReport {
         mesh,
         unknowns: n,
@@ -315,7 +327,8 @@ fn run_mesh(mesh: MeshPreset, threads: &[usize], reps: usize) -> MeshReport {
     }
 }
 
-/// `--check` mode: the artifact rot guard run by scripts/verify.sh.
+/// `--check` mode: the artifact rot guard and the speedup-vs-threads
+/// rule, run by scripts/verify.sh.
 fn check_artifact(path: &str) -> ! {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("check failed: cannot read {path}: {e}");
@@ -325,22 +338,7 @@ fn check_artifact(path: &str) -> ! {
         eprintln!("check failed: {path} is not valid JSON: {e}");
         std::process::exit(1);
     });
-    let mut problems = Vec::new();
-    for key in ["reps", "thread_counts", "machine", "meshes"] {
-        if doc.get(key).is_none() {
-            problems.push(format!("missing key '{key}'"));
-        }
-    }
-    let meshes = doc.get("meshes").and_then(Json::as_arr);
-    match meshes {
-        None => problems.push("'meshes' is not an array".to_string()),
-        Some(ms) if ms.is_empty() => problems.push("'meshes' array is empty".to_string()),
-        Some(ms) => {
-            for m in ms {
-                check_mesh(m, &mut problems);
-            }
-        }
-    }
+    let problems = check_doc(&doc);
     if problems.is_empty() {
         println!("{path}: OK");
         std::process::exit(0);
@@ -351,7 +349,35 @@ fn check_artifact(path: &str) -> ! {
     std::process::exit(1);
 }
 
-fn check_mesh(m: &Json, problems: &mut Vec<String>) {
+/// Everything wrong with an artifact; empty when it passes.
+fn check_doc(doc: &Json) -> Vec<String> {
+    let mut problems = Vec::new();
+    for key in ["reps", "thread_counts", "machine", "meshes"] {
+        if doc.get(key).is_none() {
+            problems.push(format!("missing key '{key}'"));
+        }
+    }
+    let cores = doc
+        .get("machine")
+        .and_then(|m| m.get("effective_cores"))
+        .and_then(Json::as_f64);
+    if !matches!(cores, Some(c) if c >= 1.0) {
+        problems.push("missing/non-positive 'machine.effective_cores'".to_string());
+    }
+    let meshes = doc.get("meshes").and_then(Json::as_arr);
+    match meshes {
+        None => problems.push("'meshes' is not an array".to_string()),
+        Some(ms) if ms.is_empty() => problems.push("'meshes' array is empty".to_string()),
+        Some(ms) => {
+            for m in ms {
+                check_mesh(m, cores.unwrap_or(0.0), &mut problems);
+            }
+        }
+    }
+    problems
+}
+
+fn check_mesh(m: &Json, cores: f64, problems: &mut Vec<String>) {
     let name = m
         .get("mesh")
         .and_then(Json::as_str)
@@ -437,7 +463,10 @@ fn check_mesh(m: &Json, problems: &mut Vec<String>) {
         problems.push(format!("{name}: no team rows"));
     }
     // The scaling section: one row per parallel thread count with a
-    // positive best-mode speedup and the crossover verdict.
+    // positive best-mode speedup and the crossover verdict, held to the
+    // speedup-vs-threads rule: above the modeled crossover, threads > 1
+    // must beat serial. Only rows that fit the recorded cores are
+    // judged; an oversubscribed pool measures the scheduler.
     match m.get("scaling").and_then(Json::as_arr) {
         None => problems.push(format!("{name}: 'scaling' is not an array")),
         Some(rows) => {
@@ -447,9 +476,23 @@ fn check_mesh(m: &Json, problems: &mut Vec<String>) {
             for r in rows {
                 let t = r.get("threads").and_then(Json::as_f64);
                 let s = r.get("speedup_vs_nt1").and_then(Json::as_f64);
-                let above = matches!(r.get("above_crossover"), Some(Json::Bool(_)));
-                match (t, s) {
-                    (Some(_), Some(s)) if s > 0.0 && above => {}
+                let above = match r.get("above_crossover") {
+                    Some(Json::Bool(above)) => Some(*above),
+                    _ => None,
+                };
+                match (t, s, above) {
+                    (Some(t), Some(s), Some(above)) if s > 0.0 => {
+                        if t > cores {
+                            println!(
+                                "{name}: {t} threads on {cores} cores ({s:.2}x): not judged"
+                            );
+                        } else if above && s <= 1.0 {
+                            problems.push(format!(
+                                "{name}: {t} threads not faster than serial above the \
+                                 crossover (speedup {s:.2}x, the thread-scaling inversion)"
+                            ));
+                        }
+                    }
                     _ => problems.push(format!("{name}: malformed scaling row")),
                 }
             }
@@ -484,40 +527,36 @@ fn main() {
                 "mode",
                 "exec",
                 "iters",
-                "s/iter (median)",
+                "s/iter (best)",
+                "median",
                 "MAD",
                 "regions/iter",
-                "vs nt1 serial",
+                "vs serial",
             ],
         );
-        let serial_med = rep
-            .rows
-            .iter()
-            .find(|r| r.mode == "serial")
-            .expect("serial baseline row")
-            .median_iter_s;
         let mut configs_json = Vec::new();
         for r in &rep.rows {
-            let speedup_vs_serial = serial_med / r.median_iter_s;
             table.row(&[
                 r.threads.to_string(),
                 r.mode.to_string(),
                 r.exec.to_string(),
                 r.iterations.to_string(),
+                fmt_g(r.best_iter_s),
                 fmt_g(r.median_iter_s),
                 fmt_g(r.mad_iter_s),
                 format!("{:.2}", r.regions_per_iter),
-                format!("{speedup_vs_serial:.2}x"),
+                format!("{:.2}x", r.speedup_vs_serial),
             ]);
             configs_json.push(Json::obj(vec![
                 ("threads", Json::num(r.threads as f64)),
                 ("mode", Json::str(r.mode)),
                 ("exec", Json::str(r.exec)),
                 ("iterations", Json::num(r.iterations as f64)),
+                ("best_iter_seconds", Json::num(r.best_iter_s)),
                 ("median_iter_seconds", Json::num(r.median_iter_s)),
                 ("mad_iter_seconds", Json::num(r.mad_iter_s)),
                 ("regions_per_iter", Json::num(r.regions_per_iter)),
-                ("speedup_vs_nt1_serial", Json::num(speedup_vs_serial)),
+                ("speedup_vs_nt1_serial", Json::num(r.speedup_vs_serial)),
                 ("wall_seconds", Json::num(r.wall_s)),
                 ("wall_budget_seconds", Json::num(r.budget_s)),
             ]));
@@ -594,5 +633,70 @@ fn main() {
     match write_json(&dir, "sync_ablation", &summary) {
         Ok(p) => println!("[json summary written to {}]", p.display()),
         Err(e) => eprintln!("warning: could not write json summary: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal valid artifact: one mesh, serial + per-op/team rows at
+    /// `threads`, and one scaling row with the given verdict.
+    fn artifact(cores: usize, threads: usize, speedup: f64, above: bool) -> Json {
+        let config = |mode: &str, t: usize, rpi: f64| {
+            Json::obj(vec![
+                ("threads", Json::num(t as f64)),
+                ("mode", Json::str(mode)),
+                ("regions_per_iter", Json::num(rpi)),
+                ("median_iter_seconds", Json::num(1e-3)),
+                ("speedup_vs_nt1_serial", Json::num(speedup)),
+                ("wall_budget_seconds", Json::num(10.0)),
+            ])
+        };
+        Json::obj(vec![
+            ("reps", Json::num(3.0)),
+            ("thread_counts", Json::Arr(vec![Json::num(1.0), Json::num(threads as f64)])),
+            ("machine", Json::obj(vec![("effective_cores", Json::num(cores as f64))])),
+            (
+                "meshes",
+                Json::Arr(vec![Json::obj(vec![
+                    ("mesh", Json::str("canary")),
+                    ("unknowns", Json::num(500_000.0)),
+                    (
+                        "configs",
+                        Json::Arr(vec![
+                            config("serial", 1, 0.0),
+                            config("per-op", threads, 5.3),
+                            config("team", threads, 1.1),
+                        ]),
+                    ),
+                    (
+                        "scaling",
+                        Json::Arr(vec![Json::obj(vec![
+                            ("threads", Json::num(threads as f64)),
+                            ("speedup_vs_nt1", Json::num(speedup)),
+                            ("best_mode", Json::str("team")),
+                            ("crossover_unknowns", Json::num(50_000.0)),
+                            ("above_crossover", Json::Bool(above)),
+                        ])]),
+                    ),
+                ])]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn scaling_rule_judges_only_rows_that_fit_the_cores() {
+        // The inversion canary: slower than serial above the crossover, on
+        // a host with the cores to run it.
+        let problems = check_doc(&artifact(4, 4, 0.7, true));
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("thread-scaling inversion"), "{problems:?}");
+        // The same row from an oversubscribed host is not evidence.
+        assert!(check_doc(&artifact(2, 4, 0.7, true)).is_empty());
+        // Healthy above the crossover; slow below it, where parallel
+        // execution is not modeled to win.
+        assert!(check_doc(&artifact(4, 4, 1.8, true)).is_empty());
+        assert!(check_doc(&artifact(4, 4, 0.7, false)).is_empty());
     }
 }

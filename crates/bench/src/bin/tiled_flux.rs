@@ -21,8 +21,7 @@
 //! tiling), and the `xSTREAM` column is the floor ratio the roofline
 //! validator reads.
 //!
-//! Writes `target/experiments/tiled_flux.json` (shape-marked with
-//! `"kind": "tiled_flux"` for `perf_regress --append`); `--check <file>`
+//! Writes `target/experiments/tiled_flux.json`; `--check <file>`
 //! validates a previously written artifact (the rot guard run by
 //! `scripts/verify.sh`).
 //!

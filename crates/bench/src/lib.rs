@@ -143,8 +143,7 @@ pub fn jacobian_fixture(fix: &KernelFixture, dt: f64) -> fun3d_sparse::Bcsr4 {
 
 /// Median seconds of `reps` measured runs of `f` (after one warm-up).
 pub fn measure(reps: usize, f: impl FnMut()) -> f64 {
-    let times = fun3d_util::stats::measure_secs(reps, f);
-    fun3d_util::Summary::of(&times).unwrap().median
+    fun3d_util::stats::median(&fun3d_util::stats::measure_secs(reps, f))
 }
 
 /// Prints the table and writes `<name>.csv` under `target/experiments`.

@@ -312,6 +312,7 @@ mod tests {
             (r#"{"tenant":"t","mesh":"tiny","max_steps":0.5}"#, "max_steps"),
             (r#"{"tenant":"t","mesh":"tiny","ilu_lag":0}"#, "ilu_lag"),
             (r#"{"tenant":"","mesh":"tiny"}"#, "tenant"),
+            (r#"{"tenant":"a","mesh":"tiny","tenant":"b"}"#, "duplicate key \"tenant\""),
         ] {
             let err = SolveRequest::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");

@@ -9,6 +9,7 @@
 //! measure-then-choose loop FASTEST-3D runs at node level).
 
 use crate::{SpinBarrier, ThreadPool};
+use fun3d_util::stats::median;
 use fun3d_util::telemetry::metrics;
 use std::time::Instant;
 
@@ -59,8 +60,8 @@ impl SyncCosts {
             *p = (t0.elapsed().as_secs_f64() / PHASES as f64).max(0.0);
         }
 
-        let region_launch_s = median(&mut launch);
-        let gross_phase = median(&mut phase);
+        let region_launch_s = median(&launch);
+        let gross_phase = median(&phase);
         let barrier_phase_s =
             (gross_phase - region_launch_s / PHASES as f64).max(1e-9);
         let costs = SyncCosts { region_launch_s, barrier_phase_s };
@@ -99,11 +100,6 @@ impl SyncCosts {
             barrier_phase_s: (phase.quantile(0.5) / 1e9).max(1e-9),
         })
     }
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 /// CPU time consumed by the whole process, nanoseconds

@@ -12,7 +12,6 @@
 
 pub mod aligned;
 pub mod microbench;
-pub mod perfdb;
 pub mod proptest_mini;
 pub mod report;
 pub mod rng;

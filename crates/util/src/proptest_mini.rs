@@ -224,7 +224,10 @@ where
     let mut budget = SHRINK_BUDGET;
     loop {
         let mut improved = false;
-        for lane in 0..current.draws.len() {
+        // The bound is re-read every lane: an accepted candidate replaces
+        // `current`, and a failure on a different path may draw fewer values.
+        let mut lane = 0;
+        while lane < current.draws.len() {
             for candidate in current.draws[lane].shrink_candidates() {
                 if budget == 0 {
                     return current;
@@ -238,6 +241,7 @@ where
                     break;
                 }
             }
+            lane += 1;
         }
         if !improved {
             return current;
@@ -535,6 +539,26 @@ mod tests {
             run_with(seed, &prop, &[]).is_some(),
             "reported seed {seed:#x} does not reproduce"
         );
+    }
+
+    #[test]
+    fn shrinking_survives_a_failure_that_draws_fewer_values() {
+        // The draw count depends on the first draw, so halving `n` is
+        // accepted with a shorter draw list than the one being walked.
+        let prop = |g: &mut Gen| {
+            let n = g.usize_range(0, 64);
+            let drawn = (0..n).map(|_| g.u64()).count();
+            if drawn >= 8 {
+                Err(format!("{drawn} values drawn"))
+            } else {
+                Ok(())
+            }
+        };
+        let msg = catch_unwind(AssertUnwindSafe(|| check("draw_count_varies", 64, &prop)))
+            .expect_err("property must fail within 64 cases");
+        let msg = msg.downcast_ref::<String>().expect("string panic").clone();
+        assert!(msg.contains("values drawn"), "the property's own message is lost:\n{msg}");
+        assert!(msg.contains("replay: FUN3D_PROP_SEED=0x"), "no replay line in:\n{msg}");
     }
 
     #[test]

@@ -1389,8 +1389,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex as StdMutex;
 
-    /// Dump-config mutations are process-global; tests touching them
-    /// serialize here.
+    /// The enable flag and the dump config are process-global: tests that
+    /// change either, or that emit through the global recorder and expect
+    /// to find their events, serialize here.
     static DUMP_LOCK: StdMutex<()> = StdMutex::new(());
 
     fn all_kinds() -> Vec<EventKind> {
@@ -1572,6 +1573,7 @@ mod tests {
 
     #[test]
     fn emit_snapshot_merge_and_solve_tagging() {
+        let _g = DUMP_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let id = begin_solve(700, 2);
         emit(EventKind::PtcStep {
             step: 1,
@@ -1610,6 +1612,7 @@ mod tests {
 
     #[test]
     fn cross_thread_snapshot_merges_time_ordered() {
+        let _g = DUMP_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let id = begin_solve(64, 2);
         std::thread::spawn(move || {
             set_rank(5);

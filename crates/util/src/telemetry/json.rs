@@ -200,6 +200,23 @@ fn render_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// A key that occurs twice in `pairs`; [`Json::get`] would answer for the
+/// first occurrence only. The pairwise scan is for the handful of keys a
+/// wire request carries; longer objects sort a list of references, so a
+/// hostile line cannot make the check quadratic.
+fn duplicate_key(pairs: &[(String, Json)]) -> Option<&str> {
+    if pairs.len() <= 16 {
+        return pairs
+            .iter()
+            .enumerate()
+            .find(|(i, (k, _))| pairs[..*i].iter().any(|(seen, _)| seen == k))
+            .map(|(_, (k, _))| k.as_str());
+    }
+    let mut keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -298,6 +315,12 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    if let Some(key) = duplicate_key(&pairs) {
+                        return Err(format!(
+                            "duplicate key \"{key}\" in the object ending at byte {}",
+                            self.pos
+                        ));
+                    }
                     return Ok(Json::Obj(pairs));
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
@@ -426,6 +449,28 @@ mod tests {
         assert!(Json::parse("123 456").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_duplicate_keys_by_name() {
+        let err = Json::parse(r#"{"tenant":"a","mesh":"tiny","tenant":"b"}"#).unwrap_err();
+        assert!(err.contains("duplicate key \"tenant\""), "{err}");
+        // Nested objects are checked too; equal keys in *different*
+        // objects are not duplicates.
+        let err = Json::parse(r#"{"a":{"k":1,"k":2}}"#).unwrap_err();
+        assert!(err.contains("\"k\""), "{err}");
+        assert!(Json::parse(r#"[{"k":1},{"k":2}]"#).is_ok());
+        // Past the pairwise-scan size the sorted check takes over.
+        let wide = |last: usize| {
+            let keys: Vec<String> = (0..40)
+                .chain([last])
+                .map(|i| format!("\"k{i}\":{i}"))
+                .collect();
+            format!("{{{}}}", keys.join(","))
+        };
+        assert!(Json::parse(&wide(40)).is_ok());
+        let err = Json::parse(&wide(7)).unwrap_err();
+        assert!(err.contains("duplicate key \"k7\""), "{err}");
     }
 
     #[test]

@@ -628,6 +628,11 @@ mod tests {
                 .collect();
             let nthreads = g.usize_range(1, 4);
 
+            // The worker threads record through the global level: hold it
+            // at the default against the Off/Spans tests of this binary.
+            let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+            set_level(Level::Counters);
+
             // serial reference
             let mut serial = CounterMap::new();
             for (n, c) in &recs {
