@@ -9,8 +9,9 @@
 //! statistically robust *ratios* between variants are what matters —
 //! hence median/MAD rather than mean/stddev.
 
+use fun3d_core::bc::BcData;
 use fun3d_core::geom::NodeSoa;
-use fun3d_core::{flux, EdgeGeom, FlowConditions, NodeAos};
+use fun3d_core::{flux, gradient, EdgeGeom, Exec, FlowConditions, Isa, NodeAos, TileExec, Traversal};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_mesh::DualMesh;
 use fun3d_partition::{partition_graph, MultilevelConfig};
@@ -19,6 +20,21 @@ use fun3d_sparse::{csr::Csr, ilu, trsv, Bcsr4, TempBuffer};
 use fun3d_util::microbench::{BatchSize, Bench};
 use fun3d_util::telemetry::{self, KernelCounts, Level};
 use fun3d_util::Rng64;
+
+/// The flux kernel's lane body on the detected lanes.
+fn lanes() -> Option<Isa> {
+    Some(Isa::detect())
+}
+
+/// The streaming traversal prefetching `dist` edges ahead.
+fn stream_ahead(geom: &EdgeGeom, dist: usize) -> Traversal<'_> {
+    Traversal::Stream { geom, prefetch: Some(dist) }
+}
+
+/// Green-Gauss over `walk` on this thread.
+fn green_gauss(walk: Traversal, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
+    gradient::green_gauss(Isa::detect(), Exec::Caller, walk, bc, vol, node);
+}
 
 fn fixture() -> (EdgeGeom, NodeAos, NodeSoa) {
     let mut mesh = MeshPreset::Small.build();
@@ -33,7 +49,7 @@ fn fixture() -> (EdgeGeom, NodeAos, NodeSoa) {
         *x += rng.range_f64(-0.05, 0.05);
     }
     let bc = fun3d_core::bc::BcData::build(&dual);
-    fun3d_core::gradient::green_gauss(&geom, &bc, &dual.vol, &mut node);
+    green_gauss(Traversal::stream(&geom), &bc, &dual.vol, &mut node);
     let soa = NodeSoa::from_aos(&node);
     (geom, node, soa)
 }
@@ -60,14 +76,14 @@ fn bench_flux(c: &mut Bench) {
     g.bench_function("serial_aos_simd", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::serial_aos_simd(&geom, &node, 1.0, res),
+            |res| flux::run(lanes(), Exec::Caller, Traversal::stream(&geom), &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });
     g.bench_function("serial_aos_simd_prefetch", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::serial_aos_simd_prefetch(&geom, &node, 1.0, res),
+            |res| flux::run(lanes(), Exec::Caller, stream_ahead(&geom, flux::PREFETCH_DIST), &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });
@@ -87,7 +103,7 @@ fn bench_prefetch_dist(c: &mut Bench) {
         g.bench_function(&format!("dist_{dist}"), |b| {
             b.iter_batched_ref(
                 || vec![0.0; n4],
-                |res| flux::serial_aos_simd_prefetch_dist(&geom, &node, 1.0, res, dist),
+                |res| flux::run(lanes(), Exec::Caller, stream_ahead(&geom, dist), &node, 1.0, res),
                 BatchSize::LargeInput,
             )
         });
@@ -101,7 +117,6 @@ fn bench_prefetch_dist(c: &mut Bench) {
 /// order. The spread between them is the staging overhead this host's
 /// LLC residency makes visible.
 fn bench_tiled(c: &mut Bench) {
-    use fun3d_core::flux::TileExec;
     let (geom, node, _) = fixture();
     let n4 = node.n * 4;
     let tiling = fun3d_partition::EdgeTiling::build(
@@ -110,19 +125,20 @@ fn bench_tiled(c: &mut Bench) {
         &fun3d_partition::TilingConfig::for_machine(&fun3d_machine::MachineSpec::host()),
     );
     let tg = fun3d_core::TiledGeom::new(&tiling, &geom);
+    let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tg, mode };
     let mut g = c.group("flux_tiled");
     g.sample_size(20);
     g.bench_function("direct", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::tiled(&tiling, &tg, &node, 1.0, TileExec::Direct, res),
+            |res| flux::run(lanes(), Exec::Caller, tiles(TileExec::Direct), &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });
     g.bench_function("staged", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::tiled(&tiling, &tg, &node, 1.0, TileExec::Staged, res),
+            |res| flux::run(lanes(), Exec::Caller, tiles(TileExec::Staged), &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });
@@ -138,39 +154,21 @@ fn bench_tiled(c: &mut Bench) {
     g.bench_function("serial", |b| {
         b.iter_batched_ref(
             || node.clone(),
-            |n| fun3d_core::gradient::green_gauss(&geom, &bc, &dual.vol, n),
+            |n| green_gauss(Traversal::stream(&geom), &bc, &dual.vol, n),
             BatchSize::LargeInput,
         )
     });
     g.bench_function("direct", |b| {
         b.iter_batched_ref(
             || node.clone(),
-            |n| {
-                fun3d_core::gradient::green_gauss_tiled(
-                    &tiling,
-                    &tg,
-                    &bc,
-                    &dual.vol,
-                    TileExec::Direct,
-                    n,
-                )
-            },
+            |n| green_gauss(tiles(TileExec::Direct), &bc, &dual.vol, n),
             BatchSize::LargeInput,
         )
     });
     g.bench_function("staged", |b| {
         b.iter_batched_ref(
             || node.clone(),
-            |n| {
-                fun3d_core::gradient::green_gauss_tiled(
-                    &tiling,
-                    &tg,
-                    &bc,
-                    &dual.vol,
-                    TileExec::Staged,
-                    n,
-                )
-            },
+            |n| green_gauss(tiles(TileExec::Staged), &bc, &dual.vol, n),
             BatchSize::LargeInput,
         )
     });

@@ -17,7 +17,9 @@
 //! sizes, which are exact counts.
 
 use fun3d_bench::{emit, fmt_x, jacobian_fixture, measure, KernelFixture};
-use fun3d_core::{flux, EdgeGeom, Fun3dApp, FlowConditions, NodeAos, OptConfig};
+use fun3d_core::{
+    flux, gradient, EdgeGeom, Exec, FlowConditions, Fun3dApp, Isa, NodeAos, OptConfig, Traversal,
+};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_mesh::DualMesh;
 use fun3d_solver::gmres::{Gmres, GmresConfig};
@@ -39,7 +41,8 @@ fn flux_time_on(mesh: &fun3d_mesh::Mesh, reps: usize) -> f64 {
         *x += rng.range_f64(-0.05, 0.05);
     }
     let bc = fun3d_core::bc::BcData::build(&dual);
-    fun3d_core::gradient::green_gauss(&geom, &bc, &dual.vol, &mut node);
+    let walk = Traversal::stream(&geom);
+    gradient::green_gauss(Isa::detect(), Exec::Caller, walk, &bc, &dual.vol, &mut node);
     let mut res = vec![0.0; node.n * 4];
     measure(reps, || {
         res.iter_mut().for_each(|x| *x = 0.0);
@@ -206,13 +209,9 @@ fn main() {
         for dist in [0usize, 4, 8, 16, 32, 64] {
             let t = measure(cli.reps, || {
                 res.iter_mut().for_each(|x| *x = 0.0);
-                flux::serial_aos_simd_prefetch_dist(
-                    &geom,
-                    &fix.node,
-                    fix.cond.beta,
-                    &mut res,
-                    dist,
-                );
+                let walk = Traversal::Stream { geom: &geom, prefetch: Some(dist) };
+                let lanes = Some(Isa::detect());
+                flux::run(lanes, Exec::Caller, walk, &fix.node, fix.cond.beta, &mut res);
             });
             t7.row(&[dist.to_string(), fmt_g(t)]);
         }

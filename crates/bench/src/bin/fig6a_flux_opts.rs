@@ -15,13 +15,13 @@
 //!   owner-writes plan (20-thread METIS partition of this mesh).
 //!
 //! `--check` runs the host measurement only and exits non-zero when AVX2
-//! is detected and `serial_aos_simd` is not at least 1.3× both
+//! is detected and the lane body on the stream is not at least 1.3× both
 //! `serial_aos` and its own portable-lane instantiation (the guard
 //! `scripts/verify.sh` runs, so the vectorized kernel cannot silently
 //! fall back to scalarized code).
 
 use fun3d_bench::{emit, fmt_x, KernelFixture};
-use fun3d_core::{counts, flux};
+use fun3d_core::{counts, flux, Exec, TileExec, Traversal};
 use fun3d_core::geom::NodeSoa;
 use fun3d_machine::{kernels, EdgeLoopCosts, MachineSpec};
 use fun3d_mesh::generator::MeshPreset;
@@ -58,8 +58,12 @@ fn main() {
         &TilingConfig::for_machine(&MachineSpec::host()),
     );
     let tgeom = fun3d_core::TiledGeom::new(&tiling, &fix.geom);
-    let texec = flux::TileExec::auto(&MachineSpec::host(), fix.mesh.nvertices());
+    let texec = TileExec::auto(&MachineSpec::host(), fix.mesh.nvertices());
     let isa = Isa::detect();
+    let stream = Traversal::stream(&fix.geom);
+    let ahead = Traversal::Stream { geom: &fix.geom, prefetch: Some(flux::PREFETCH_DIST) };
+    let tiles = Traversal::Tiled { tiling: &tiling, geom: &tgeom, mode: texec };
+    let lanes = |isa: Isa, walk, r: &mut [f64]| flux::run(Some(isa), Exec::Caller, walk, &fix.node, beta, r);
 
     // ---- host measurements (serial variants) -----------------------
     // One sample of every variant per round and the per-variant minimum
@@ -70,10 +74,10 @@ fn main() {
     let variants: [Variant; 6] = [
         Box::new(|r| flux::serial_soa(&fix.geom, &soa, beta, r)),
         Box::new(|r| flux::serial_aos(&fix.geom, &fix.node, beta, r)),
-        Box::new(|r| flux::serial_aos_simd_on(Isa::portable(), &fix.geom, &fix.node, beta, r, None)),
-        Box::new(|r| flux::serial_aos_simd_on(isa, &fix.geom, &fix.node, beta, r, None)),
-        Box::new(|r| flux::serial_aos_simd_prefetch(&fix.geom, &fix.node, beta, r)),
-        Box::new(|r| flux::tiled(&tiling, &tgeom, &fix.node, beta, texec, r)),
+        Box::new(|r| lanes(Isa::portable(), stream, r)),
+        Box::new(|r| lanes(isa, stream, r)),
+        Box::new(|r| lanes(isa, ahead, r)),
+        Box::new(|r| lanes(isa, tiles, r)),
     ];
     let mut best = [f64::INFINITY; 6];
     for round in 0..=cli.reps {
@@ -138,12 +142,12 @@ fn main() {
             println!("fig6a --check: {} lanes, no speed floor applies", isa.name());
         } else if vs_scalar.min(vs_portable) >= SIMD_SPEEDUP_FLOOR {
             println!(
-                "fig6a --check: serial_aos_simd on avx2 lanes is {vs_scalar:.2}x serial_aos \
+                "fig6a --check: the streamed lane body on avx2 lanes is {vs_scalar:.2}x serial_aos \
                  and {vs_portable:.2}x its portable lanes: ok"
             );
         } else {
             eprintln!(
-                "fig6a --check: FAIL: serial_aos_simd on avx2 lanes is {vs_scalar:.2}x serial_aos \
+                "fig6a --check: FAIL: the streamed lane body on avx2 lanes is {vs_scalar:.2}x serial_aos \
                  and {vs_portable:.2}x its portable lanes (floor {SIMD_SPEEDUP_FLOOR}x for both): \
                  the SIMD kernel is not compiling to packed code"
             );

@@ -8,7 +8,7 @@
 //!
 //! * `flux_serial_best` — the best streaming serial variant
 //!   (AoS + SIMD + prefetch), the single-thread baseline;
-//! * `flux_owner` — `owner_writes_opt` on a METIS plan, the strongest
+//! * `flux_owner` — the lane body on a METIS owner-writes plan, the strongest
 //!   pre-existing threaded strategy, at each thread count;
 //! * `flux_tiled` — the tiled kernel (serial at nt=1, pooled with
 //!   inter-tile coloring at nt>1) at each thread count.
@@ -29,7 +29,7 @@
 //! [--check <json>]`
 
 use fun3d_bench::{emit, KernelFixture};
-use fun3d_core::{counts, flux};
+use fun3d_core::{counts, flux, Exec, Isa, TileExec, Traversal};
 use fun3d_core::geom::NodeSoa;
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
@@ -185,7 +185,7 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
     };
     let tiling = EdgeTiling::build(nv, &fix.geom.edges, &tcfg);
     let tgeom = fun3d_core::TiledGeom::new(&tiling, &fix.geom);
-    let texec = flux::TileExec::auto(machine, nv);
+    let texec = TileExec::auto(machine, nv);
     let quality = TileQuality::of(&tiling);
     let graph = fun3d_mesh::Graph::from_edges(nv, &fix.geom.edges);
 
@@ -210,7 +210,7 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
         })
         .collect();
     let mut variants = vec![Variant::SerialBest, Variant::Tiled(1)];
-    if texec == flux::TileExec::Direct {
+    if texec == TileExec::Direct {
         // auto picked direct gathers (LLC-resident host): also time
         // forced staging so the copy's cost stays on the record.
         variants.push(Variant::TiledStaged);
@@ -221,25 +221,25 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
     }
 
     let mut res = vec![0.0; n4];
+    let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tgeom, mode };
+    let pool_of = |nt: usize| pools.iter().find(|p| p.0 == nt).unwrap();
     let exec = |v: Variant, res: &mut [f64]| {
         res.iter_mut().for_each(|x| *x = 0.0);
-        match v {
-            Variant::SerialBest => {
-                flux::serial_aos_simd_prefetch(&fix.geom, &fix.node, beta, res)
-            }
+        let (exec, walk) = match v {
+            Variant::SerialBest => (
+                Exec::Caller,
+                Traversal::Stream { geom: &fix.geom, prefetch: Some(flux::PREFETCH_DIST) },
+            ),
             Variant::Owner(nt) => {
-                let (_, pool, plan) = pools.iter().find(|p| p.0 == nt).unwrap();
-                flux::owner_writes_opt(pool, plan, &fix.geom, &fix.node, beta, res);
+                let (_, pool, plan) = pool_of(nt);
+                (Exec::Pool(pool), Traversal::owner(&fix.geom, plan))
             }
-            Variant::Tiled(1) => flux::tiled(&tiling, &tgeom, &fix.node, beta, texec, res),
-            Variant::Tiled(nt) => {
-                let (_, pool, _) = pools.iter().find(|p| p.0 == nt).unwrap();
-                flux::tiled_pooled(pool, &tiling, &tgeom, &fix.node, beta, texec, res);
-            }
-            Variant::TiledStaged => {
-                flux::tiled(&tiling, &tgeom, &fix.node, beta, flux::TileExec::Staged, res)
-            }
-        }
+            Variant::Tiled(1) => (Exec::Caller, tiles(texec)),
+            // As the application: the pool only while its barriers can spin.
+            Variant::Tiled(nt) => (Exec::unless_oversubscribed(&pool_of(nt).1), tiles(texec)),
+            Variant::TiledStaged => (Exec::Caller, tiles(TileExec::Staged)),
+        };
+        flux::run(Some(Isa::detect()), exec, walk, &fix.node, beta, res);
     };
 
     // ---- equivalence before timing (doubles as warm-up) ------------
@@ -287,8 +287,8 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
         nvertices: nv,
         quality,
         exec: match texec {
-            flux::TileExec::Staged => "staged",
-            flux::TileExec::Direct => "direct",
+            TileExec::Staged => "staged",
+            TileExec::Direct => "direct",
         },
         rows,
     }

@@ -105,7 +105,9 @@ impl KernelFixture {
         }
         // realistic gradients via one Green-Gauss pass
         let bc = fun3d_core::bc::BcData::build(&dual);
-        fun3d_core::gradient::green_gauss(&geom, &bc, &dual.vol, &mut node);
+        let walk = fun3d_core::Traversal::stream(&geom);
+        let (isa, exec) = (fun3d_core::Isa::detect(), fun3d_core::Exec::Caller);
+        fun3d_core::gradient::green_gauss(isa, exec, walk, &bc, &dual.vol, &mut node);
         KernelFixture {
             mesh,
             dual,

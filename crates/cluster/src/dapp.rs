@@ -9,9 +9,9 @@
 //! [`reducer`](PtcProblem::reducer) is the communicator, so
 //! [`fun3d_solver::ptc::solve`] drives it like any other:
 //!
-//! * residual: halo-exchange state → [`gradient::green_gauss_owner`]
-//!   (owner-only writes) → halo-exchange gradients →
-//!   [`flux::owner_flux`] → local boundary fluxes;
+//! * residual: halo-exchange state → [`gradient::green_gauss`] on the
+//!   rank's one owner-writes share → halo-exchange gradients →
+//!   [`flux::run`] on the same share → local boundary fluxes;
 //! * Jacobian: first-order assembly of the *owned rows* (columns span
 //!   owned + ghost), pseudo-time shift, per-rank ILU of the owned-owned
 //!   block (zero-overlap additive Schwarz), refactored in place on a
@@ -32,7 +32,7 @@ use crate::dsolve::{halo_exchange, halo_exchange_stride, OwnedBlock};
 use fun3d_core::bc::{self, BcData};
 use fun3d_core::euler::{self, FlowConditions};
 use fun3d_core::geom::{EdgeGeom, NodeAos};
-use fun3d_core::{flux, gradient, jacobian};
+use fun3d_core::{flux, gradient, jacobian, Exec, Isa, Traversal};
 use fun3d_mesh::{DualMesh, Mesh};
 use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
@@ -198,28 +198,20 @@ impl<'a> RankApp<'a> {
         let n = self.nowned4();
         assert_eq!(u.len(), n);
         assert_eq!(r.len(), n);
-        let masks = &self.sub.write_masks;
+        // A rank is one owner: a single share, walked on this thread.
+        let walk = Traversal::Owner {
+            geom: &self.geom,
+            edges: std::slice::from_ref(&self.edge_ids),
+            masks: std::slice::from_ref(&self.sub.write_masks),
+        };
+        let isa = Isa::detect();
         self.node.q[..n].copy_from_slice(u);
         halo_exchange(comm, &self.sub, &mut self.node.q);
-        gradient::green_gauss_owner(
-            &self.edge_ids,
-            masks,
-            &self.geom,
-            &self.bc,
-            &self.vol,
-            &mut self.node,
-        );
+        gradient::green_gauss(isa, Exec::Caller, walk, &self.bc, &self.vol, &mut self.node);
         halo_exchange_stride(comm, &self.sub, &mut self.node.grad, 12);
         self.res.fill(0.0);
         let beta = self.setup.cond.beta;
-        flux::owner_flux(
-            &self.edge_ids,
-            masks,
-            &self.geom,
-            &self.node,
-            beta,
-            &mut self.res,
-        );
+        flux::run(Some(isa), Exec::Caller, walk, &self.node, beta, &mut self.res);
         bc::residual(&self.bc, &self.node, &self.setup.cond, &mut self.res);
         r.copy_from_slice(&self.res[..n]);
     }

@@ -2,6 +2,7 @@
 //! per-kernel profiling and selectable optimization level.
 
 use crate::bc::{self, BcData};
+use crate::edge_loop::{Exec, TileExec, Traversal, PREFETCH_DIST};
 use crate::euler::FlowConditions;
 use crate::geom::{EdgeGeom, NodeAos, TiledGeom};
 use crate::{flux, gradient, jacobian};
@@ -13,6 +14,7 @@ use fun3d_partition::{
 };
 use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
+use fun3d_simd::Isa;
 use fun3d_solver::{ExecMode, FluxScheme};
 use fun3d_sparse::{ilu, Bcsr4, IluFactors, IluSymbolic, P2pSchedule};
 use fun3d_threads::{P2pProgress, TeamMember, TeamSlice, ThreadPool};
@@ -39,10 +41,9 @@ pub enum IluParallel {
 pub struct OptConfig {
     /// Worker threads (1 = serial execution everywhere).
     pub nthreads: usize,
-    /// Use the SIMD edge-batched flux kernel.
+    /// Run the flux kernel's lane body (4-edge SIMD batches, with software
+    /// prefetch where the traversal streams) instead of the scalar one.
     pub use_simd: bool,
-    /// Use software prefetching in the flux kernel.
-    pub use_prefetch: bool,
     /// Partition vertices with the multilevel (METIS-like) partitioner
     /// instead of natural contiguous ranges.
     pub metis_partition: bool,
@@ -79,7 +80,6 @@ impl OptConfig {
         OptConfig {
             nthreads: 1,
             use_simd: false,
-            use_prefetch: false,
             metis_partition: false,
             ilu_fill: 1,
             ilu_parallel: IluParallel::Serial,
@@ -96,7 +96,6 @@ impl OptConfig {
         OptConfig {
             nthreads,
             use_simd: true,
-            use_prefetch: true,
             metis_partition: true,
             ilu_fill: 1,
             ilu_parallel: if nthreads > 1 {
@@ -115,6 +114,34 @@ impl OptConfig {
             // whose node working set actually misses cache.
             flux: FluxScheme::Auto,
         }
+    }
+}
+
+/// A tiling with the geometry permuted for it and the way its tiles
+/// execute, decided once per application.
+struct Tiles {
+    tiling: EdgeTiling,
+    geom: TiledGeom,
+    mode: TileExec,
+}
+
+/// The residual path's edge traversal and where it runs, from what
+/// [`Fun3dApp::with_pool`] resolved: tiles if the scheme is tiled (on the
+/// pool only while its barriers can spin), else the owner-writes plan on
+/// the pool, else the prefetching stream on the calling thread.
+fn edge_walk<'a>(
+    geom: &'a EdgeGeom,
+    pool: Option<&'a ThreadPool>,
+    plan: &'a Option<OwnerWritesPlan>,
+    tiles: &'a Option<Tiles>,
+) -> (Exec<'a>, Traversal<'a>) {
+    match (tiles, pool, plan) {
+        (Some(Tiles { tiling, geom, mode }), pool, _) => (
+            pool.map_or(Exec::Caller, Exec::unless_oversubscribed),
+            Traversal::Tiled { tiling, geom, mode: *mode },
+        ),
+        (None, Some(pool), Some(plan)) => (Exec::Pool(pool), Traversal::owner(geom, plan)),
+        _ => (Exec::Caller, Traversal::Stream { geom, prefetch: Some(PREFETCH_DIST) }),
     }
 }
 
@@ -193,11 +220,10 @@ pub struct Fun3dApp {
     ilu_symbolic: IluSymbolic,
     pool: Option<Arc<ThreadPool>>,
     plan: Option<OwnerWritesPlan>,
-    tiling: Option<EdgeTiling>,
-    /// Tile-ordered geometry for the tiled kernels (Some iff `tiling`).
-    tiled_geom: Option<TiledGeom>,
-    /// Staged vs direct tile execution, decided once per solve.
-    tile_exec: flux::TileExec,
+    /// What the residual path walks when its scheme resolved to tiled.
+    tiles: Option<Tiles>,
+    /// The lanes the edge kernels run on.
+    isa: Isa,
     schedules: Option<P2pSchedules>,
     precond: Option<AppPrecond>,
     lsq: Option<gradient::LsqGradient>,
@@ -271,10 +297,14 @@ impl Fun3dApp {
         let scheme = FluxScheme::from_env()
             .unwrap_or(cfg.flux)
             .resolve(&machine, nv, cfg.nthreads);
-        let tiling = (scheme == FluxScheme::Tiled)
-            .then(|| EdgeTiling::build(nv, &geom.edges, &TilingConfig::for_machine(&machine)));
-        let tiled_geom = tiling.as_ref().map(|tl| TiledGeom::new(tl, &geom));
-        let tile_exec = flux::TileExec::auto(&machine, nv);
+        let tiles = (scheme == FluxScheme::Tiled).then(|| {
+            let tiling = EdgeTiling::build(nv, &geom.edges, &TilingConfig::for_machine(&machine));
+            Tiles {
+                geom: TiledGeom::new(&tiling, &geom),
+                tiling,
+                mode: TileExec::auto(&machine, nv),
+            }
+        });
 
         let plan = pool.as_ref().map(|_| {
             let part = if cfg.metis_partition {
@@ -318,9 +348,8 @@ impl Fun3dApp {
             ilu_symbolic,
             pool,
             plan,
-            tiling,
-            tiled_geom,
-            tile_exec,
+            tiles,
+            isa: Isa::detect(),
             schedules,
             precond: None,
             lsq,
@@ -405,7 +434,7 @@ impl Fun3dApp {
     /// The edge tiling the residual path resolved to (None when the
     /// scheme resolved to streaming).
     pub fn tiling(&self) -> Option<&EdgeTiling> {
-        self.tiling.as_ref()
+        self.tiles.as_ref().map(|t| &t.tiling)
     }
 
     /// The assembled Jacobian (valid after a `build_preconditioner`).
@@ -444,46 +473,15 @@ impl Fun3dApp {
         let _span = telemetry::span("flux");
         telemetry::record_kernel(
             "flux",
-            match &self.tiling {
-                Some(tl) => crate::counts::flux_tiled(self.geom.nedges(), tl.vertex_slots()),
+            match &self.tiles {
+                Some(t) => crate::counts::flux_tiled(self.geom.nedges(), t.tiling.vertex_slots()),
                 None => crate::counts::flux(self.geom.nedges()),
             },
         );
         r.iter_mut().for_each(|x| *x = 0.0);
-        match (&self.tiling, &self.pool, &self.plan) {
-            (Some(tiling), Some(pool), _) => {
-                let tg = self.tiled_geom.as_ref().expect("tiled_geom built with tiling");
-                flux::tiled_pooled(
-                    pool,
-                    tiling,
-                    tg,
-                    &self.node,
-                    self.cond.beta,
-                    self.tile_exec,
-                    r,
-                );
-            }
-            (Some(tiling), None, _) => {
-                let tg = self.tiled_geom.as_ref().expect("tiled_geom built with tiling");
-                flux::tiled(tiling, tg, &self.node, self.cond.beta, self.tile_exec, r);
-            }
-            (None, Some(pool), Some(plan)) => {
-                if self.cfg.use_simd {
-                    flux::owner_writes_opt(pool, plan, &self.geom, &self.node, self.cond.beta, r);
-                } else {
-                    flux::owner_writes(pool, plan, &self.geom, &self.node, self.cond.beta, r);
-                }
-            }
-            _ => {
-                if self.cfg.use_simd && self.cfg.use_prefetch {
-                    flux::serial_aos_simd_prefetch(&self.geom, &self.node, self.cond.beta, r);
-                } else if self.cfg.use_simd {
-                    flux::serial_aos_simd(&self.geom, &self.node, self.cond.beta, r);
-                } else {
-                    flux::serial_aos(&self.geom, &self.node, self.cond.beta, r);
-                }
-            }
-        }
+        let (exec, walk) = edge_walk(&self.geom, self.pool.as_deref(), &self.plan, &self.tiles);
+        let lanes = self.cfg.use_simd.then_some(self.isa);
+        flux::run(lanes, exec, walk, &self.node, self.cond.beta, r);
         bc::residual(&self.bc, &self.node, &self.cond, r);
         self.timers.borrow_mut().add("flux", t.elapsed());
     }
@@ -502,11 +500,11 @@ impl PtcProblem for Fun3dApp {
             let _span = telemetry::span("gradient");
             telemetry::record_kernel(
                 "gradient",
-                match &self.tiling {
-                    Some(tl) if self.lsq.is_none() => crate::counts::gradient_tiled(
+                match &self.tiles {
+                    Some(t) if self.lsq.is_none() => crate::counts::gradient_tiled(
                         self.geom.nedges(),
                         self.node.n,
-                        tl.vertex_slots(),
+                        t.tiling.vertex_slots(),
                     ),
                     _ => crate::counts::gradient(self.geom.nedges(), self.node.n),
                 },
@@ -514,34 +512,9 @@ impl PtcProblem for Fun3dApp {
             if let Some(lsq) = &self.lsq {
                 lsq.evaluate(&mut self.node);
             } else {
-                match (&self.tiling, &self.pool, &self.plan) {
-                    (Some(tiling), Some(pool), _) => gradient::green_gauss_tiled_pooled(
-                        pool,
-                        tiling,
-                        self.tiled_geom.as_ref().expect("tiled_geom built with tiling"),
-                        &self.bc,
-                        &self.vol,
-                        self.tile_exec,
-                        &mut self.node,
-                    ),
-                    (Some(tiling), None, _) => gradient::green_gauss_tiled(
-                        tiling,
-                        self.tiled_geom.as_ref().expect("tiled_geom built with tiling"),
-                        &self.bc,
-                        &self.vol,
-                        self.tile_exec,
-                        &mut self.node,
-                    ),
-                    (None, Some(pool), Some(plan)) => gradient::green_gauss_threaded(
-                        pool,
-                        plan,
-                        &self.geom,
-                        &self.bc,
-                        &self.vol,
-                        &mut self.node,
-                    ),
-                    _ => gradient::green_gauss(&self.geom, &self.bc, &self.vol, &mut self.node),
-                }
+                let (exec, walk) =
+                    edge_walk(&self.geom, self.pool.as_deref(), &self.plan, &self.tiles);
+                gradient::green_gauss(self.isa, exec, walk, &self.bc, &self.vol, &mut self.node);
             }
             if self.cfg.use_limiter {
                 // Venkatakrishnan (smooth) rather than Barth–Jespersen:

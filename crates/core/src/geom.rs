@@ -62,12 +62,6 @@ impl EdgeGeom {
         self.edges.len()
     }
 
-    /// Endpoints `(a, b)` of edge `k`.
-    #[inline(always)]
-    pub(crate) fn endpoints(&self, k: usize) -> (usize, usize) {
-        (self.edges[k][0] as usize, self.edges[k][1] as usize)
-    }
-
     /// Flops per edge of the optimized Roe flux kernel (counted once,
     /// used by the machine model's roofline).
     pub const FLUX_FLOPS_PER_EDGE: f64 = 345.0;

@@ -1,5 +1,7 @@
 //! Green-Gauss nodal gradients — the paper's "Grad" kernel (13% of the
-//! baseline profile), an edge-based loop like the flux kernel.
+//! baseline profile), an edge-based loop like the flux kernel and run by
+//! the same traversals ([`crate::edge_loop`]) — and the least-squares
+//! alternative.
 //!
 //! `∇q_v = (1/V_v) [ Σ_edges ±s_e · ½(q_a + q_b) + Σ_bnd n_b · q_v ]`
 //!
@@ -7,403 +9,82 @@
 //! constant field exactly zero.
 
 use crate::bc::BcData;
-use crate::flux::TileExec;
-use crate::geom::{EdgeGeom, NodeAos, TiledGeom, VertexRows};
-use fun3d_partition::{EdgeTiling, OwnerWritesPlan, Tile};
-use fun3d_simd::{with_lanes, Isa, Simd};
-use fun3d_threads::{chunk_range, SpinBarrier, ThreadPool};
+use crate::edge_loop::{self, EdgeBody, Exec, Reads, Traversal};
+use crate::geom::{NodeAos, VertexRows};
+use fun3d_simd::{Isa, Simd};
 
-/// One edge of the Green-Gauss loop: `grad[a][c][d] += qf[c]·s[d]` and
+/// The Green-Gauss edge body: `grad[a][c][d] += qf[c]·s[d]` and
 /// `grad[b][c][d] -= qf[c]·s[d]` with `qf = ½(q_a + q_b)`, as three
 /// 4-lane updates of each endpoint's 12 contiguous gradient entries
 /// (entry `3c + d` pairs `qf[c]` with `s[d]`). The same products and sums
-/// as the scalar double loop, so bitwise what it computes.
-///
-/// Gathers the state of `(ia, ib)` from `q`, writes the `grad` rows of
-/// `(wa, wb)` that `mask` selects (bit 0 = `a`, bit 1 = `b`).
-///
-/// # Safety
-/// The caller has exclusive access to the selected `grad` rows (see
-/// [`VertexRows::row`]).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn grad_edge<S: Simd>(
-    s: S,
-    geom: &EdgeGeom,
-    k: usize,
-    q: &[f64],
-    (ia, ib): (usize, usize),
-    grad: VertexRows,
-    (wa, wb): (usize, usize),
-    mask: u8,
-) {
-    let qf = (s.load(&q[ia * 4..ia * 4 + 4]) + s.load(&q[ib * 4..ib * 4 + 4])) * s.splat(0.5);
-    let qf = s.to_array(qf);
-    let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-    let w = [
-        s.load(&[qf[0], qf[0], qf[0], qf[1]]) * s.load(&[n[0], n[1], n[2], n[0]]),
-        s.load(&[qf[1], qf[1], qf[2], qf[2]]) * s.load(&[n[1], n[2], n[0], n[1]]),
-        s.load(&[qf[2], qf[3], qf[3], qf[3]]) * s.load(&[n[2], n[0], n[1], n[2]]),
-    ];
-    if mask & 1 != 0 {
-        // SAFETY: exclusive per the caller's contract.
-        let ga = unsafe { grad.row(wa * 12, 12) };
-        for j in 0..3 {
-            s.store(s.load(&ga[4 * j..]) + w[j], &mut ga[4 * j..]);
-        }
-    }
-    if mask & 2 != 0 {
-        // SAFETY: exclusive per the caller's contract.
-        let gb = unsafe { grad.row(wb * 12, 12) };
-        for j in 0..3 {
-            s.store(s.load(&gb[4 * j..]) - w[j], &mut gb[4 * j..]);
-        }
-    }
-}
+/// as the scalar double loop, so bitwise what it computes — on either
+/// lane instantiation, which is why there is no scalar twin.
+#[derive(Clone, Copy)]
+struct GreenGauss;
 
-/// Serial Green-Gauss gradients: reads `node.q`, writes `node.grad`
-/// (comp-major 12 per vertex), using dual volumes `vol`.
-pub fn green_gauss(geom: &EdgeGeom, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
-    green_gauss_on(Isa::detect(), geom, bc, vol, node);
-}
+impl EdgeBody for GreenGauss {
+    const ROW: usize = 12;
 
-/// [`green_gauss`] on the lanes `isa` names.
-pub fn green_gauss_on(isa: Isa, geom: &EdgeGeom, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
-    assert_eq!(vol.len(), node.n);
-    node.grad.iter_mut().for_each(|x| *x = 0.0);
-    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
-    // SAFETY: `grad` views an exclusively borrowed slice and this is the
-    // only thread.
-    with_lanes!(isa, unsafe serial_grad(geom: &EdgeGeom, q: &[f64], grad: VertexRows));
-    gradient_epilogue(bc, vol, node);
-}
-
-/// # Safety
-/// The caller has exclusive access to all of `grad`.
-#[inline(always)]
-unsafe fn serial_grad<S: Simd>(s: S, geom: &EdgeGeom, q: &[f64], grad: VertexRows) {
-    for k in 0..geom.nedges() {
-        let e = geom.endpoints(k);
-        // SAFETY: all of `grad` is ours per the caller's contract.
-        unsafe { grad_edge(s, geom, k, q, e, grad, e, 3) };
-    }
-}
-
-/// Threaded Green-Gauss with owner-only writes (same plan as the flux
-/// kernel). Bitwise-identical to [`green_gauss`].
-pub fn green_gauss_threaded(
-    pool: &ThreadPool,
-    plan: &OwnerWritesPlan,
-    geom: &EdgeGeom,
-    bc: &BcData,
-    vol: &[f64],
-    node: &mut NodeAos,
-) {
-    green_gauss_threaded_on(Isa::detect(), pool, plan, geom, bc, vol, node);
-}
-
-/// [`green_gauss_threaded`] on the lanes `isa` names.
-pub fn green_gauss_threaded_on(
-    isa: Isa,
-    pool: &ThreadPool,
-    plan: &OwnerWritesPlan,
-    geom: &EdgeGeom,
-    bc: &BcData,
-    vol: &[f64],
-    node: &mut NodeAos,
-) {
-    assert_eq!(vol.len(), node.n);
-    assert_eq!(pool.size(), plan.nthreads());
-    node.grad.iter_mut().for_each(|x| *x = 0.0);
-    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
-    pool.run(|tid| {
-        let (edges, masks) = (&plan.edges_of[tid], &plan.writes_of[tid]);
-        // SAFETY: owner-only writes — the plan's masks select, for each
-        // vertex, the one thread that owns it.
-        unsafe { owner_share(isa, edges, masks, geom, q, grad) };
-    });
-    gradient_epilogue(bc, vol, node);
-}
-
-/// Green-Gauss gradients of a single owner: a rank's subdomain is one
-/// owner of an owner-writes plan, so this is [`green_gauss_threaded`]
-/// with one share — `edges` (indices into `geom`) walked in order, each
-/// contribution added to the endpoints its mask selects (bit 0 = `a`,
-/// bit 1 = `b`) — followed by the same boundary closure and volume
-/// division. `bc` lists the owner's boundary vertices only; vertices no
-/// mask selects (ghosts) come out zero, for the caller's halo exchange
-/// to fill.
-pub fn green_gauss_owner(
-    edges: &[u32],
-    masks: &[u8],
-    geom: &EdgeGeom,
-    bc: &BcData,
-    vol: &[f64],
-    node: &mut NodeAos,
-) {
-    assert_eq!(vol.len(), node.n);
-    node.grad.iter_mut().for_each(|x| *x = 0.0);
-    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
-    // SAFETY: `grad` views an exclusively borrowed slice and this is the
-    // only thread.
-    unsafe { owner_share(Isa::detect(), edges, masks, geom, q, grad) };
-    gradient_epilogue(bc, vol, node);
-}
-
-/// One owner's share of the masked edge loop on the lanes `isa` names.
-///
-/// # Safety
-/// The caller has exclusive access to the `grad` rows of every endpoint
-/// the masks select.
-unsafe fn owner_share(
-    isa: Isa,
-    edges: &[u32],
-    masks: &[u8],
-    geom: &EdgeGeom,
-    q: &[f64],
-    grad: VertexRows,
-) {
-    assert_eq!(edges.len(), masks.len());
-    // SAFETY: the caller's contract is the body's.
-    with_lanes!(
-        isa,
-        unsafe owner_grad(edges: &[u32], masks: &[u8], geom: &EdgeGeom, q: &[f64], grad: VertexRows)
-    );
-}
-
-/// The lane-generic body of [`owner_share`].
-///
-/// # Safety
-/// The caller has exclusive access to the `grad` rows of every endpoint
-/// the masks select.
-#[inline(always)]
-unsafe fn owner_grad<S: Simd>(
-    s: S,
-    edges: &[u32],
-    masks: &[u8],
-    geom: &EdgeGeom,
-    q: &[f64],
-    grad: VertexRows,
-) {
-    for (&eid, &mask) in edges.iter().zip(masks) {
-        let k = eid as usize;
-        let e = geom.endpoints(k);
-        // SAFETY: the masked rows are ours per the caller's contract.
-        unsafe { grad_edge(s, geom, k, q, e, grad, e, mask) };
-    }
-}
-
-/// Per-worker scratch pad for the tiled gradient edge loop: staged state
-/// (4/vertex), local-indexed — the reuse-heavy read side. The gradient
-/// accumulates directly in the global array (exclusive per the coloring,
-/// cache-resident for the tile's lifetime).
-pub struct GradScratch {
-    q: Vec<f64>,
-}
-
-impl GradScratch {
-    /// Scratch for up to `max_verts` staged vertices.
-    pub fn new(max_verts: usize) -> GradScratch {
-        GradScratch {
-            q: vec![0.0; max_verts * 4],
-        }
-    }
-}
-
-/// One tile of the gradient edge loop, accumulating the edge
-/// contributions into the global grad (exclusive per the coloring).
-/// `geom` is tile-ordered ([`TiledGeom`]): this tile's edges are the
-/// contiguous range starting at `start`, walked sequentially. With a
-/// `scratch` pad ([`TileExec::Staged`]) the tile's states are staged into
-/// it and gathered through the local remap; without one
-/// ([`TileExec::Direct`]) they are gathered straight from the global
-/// array (the tile working set is L2-sized; hardware stages it on first
-/// touch). Same edge range, same arithmetic: bitwise identical.
-///
-/// # Safety
-/// Caller guarantees exclusive `grad` access for this tile's vertices
-/// (inter-tile coloring + barriers, as in the flux kernel).
-#[inline(always)]
-unsafe fn tile_grad<S: Simd>(
-    s: S,
-    tile: &Tile,
-    start: usize,
-    geom: &EdgeGeom,
-    q: &[f64],
-    scratch: Option<&mut GradScratch>,
-    grad: VertexRows,
-) {
-    let staged = match scratch {
-        Some(pad) => {
-            for (l, &v) in tile.verts.iter().enumerate() {
-                let v = v as usize;
-                pad.q[l * 4..l * 4 + 4].copy_from_slice(&q[v * 4..v * 4 + 4]);
+    #[inline(always)]
+    unsafe fn edge<S: Simd>(
+        self,
+        s: S,
+        src: Reads,
+        k: usize,
+        (ia, ib): (usize, usize),
+        grad: VertexRows,
+        mask: u8,
+    ) {
+        let q = src.q;
+        let (wa, wb) = src.endpoints(k);
+        let qf = (s.load(&q[ia * 4..ia * 4 + 4]) + s.load(&q[ib * 4..ib * 4 + 4])) * s.splat(0.5);
+        let qf = s.to_array(qf);
+        let n = [src.n[0][k], src.n[1][k], src.n[2][k]];
+        let w = [
+            s.load(&[qf[0], qf[0], qf[0], qf[1]]) * s.load(&[n[0], n[1], n[2], n[0]]),
+            s.load(&[qf[1], qf[1], qf[2], qf[2]]) * s.load(&[n[1], n[2], n[0], n[1]]),
+            s.load(&[qf[2], qf[3], qf[3], qf[3]]) * s.load(&[n[2], n[0], n[1], n[2]]),
+        ];
+        if mask & 1 != 0 {
+            // SAFETY: exclusive per the caller's contract.
+            let ga = unsafe { grad.row(wa * 12, 12) };
+            for j in 0..3 {
+                s.store(s.load(&ga[4 * j..]) + w[j], &mut ga[4 * j..]);
             }
-            Some(&pad.q[..])
         }
-        None => None,
-    };
-    for i in 0..tile.edges.len() {
-        let k = start + i;
-        let w = geom.endpoints(k);
-        let (src, e) = match staged {
-            Some(pad) => (pad, (tile.local[i][0] as usize, tile.local[i][1] as usize)),
-            None => (q, w),
-        };
-        // SAFETY: exclusive grad access per the caller's coloring contract.
-        unsafe { grad_edge(s, geom, k, src, e, grad, w, 3) };
-    }
-}
-
-/// One worker's share of the tiled gradient edge loop (see
-/// `flux::tiled_worker`): per color, its chunk of the color's tiles,
-/// then the barrier. The serial driver is `nt = 1` with no barrier.
-///
-/// # Safety
-/// Every thread of the region calls this with the same arguments but its
-/// own `tid`, and nothing else touches `grad` meanwhile.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn grad_worker<S: Simd>(
-    s: S,
-    (tid, nt): (usize, usize),
-    barrier: Option<&SpinBarrier>,
-    tiling: &EdgeTiling,
-    geom: &EdgeGeom,
-    q: &[f64],
-    exec: TileExec,
-    grad: VertexRows,
-) {
-    let mut scratch =
-        (exec == TileExec::Staged).then(|| GradScratch::new(tiling.max_tile_verts()));
-    for class in &tiling.color_tiles {
-        for &t in &class[chunk_range(class.len(), nt, tid)] {
-            let t = t as usize;
-            let start = tiling.tile_start[t] as usize;
-            // SAFETY: same-color tiles are vertex-disjoint; the barrier
-            // orders colors.
-            unsafe { tile_grad(s, &tiling.tiles[t], start, geom, q, scratch.as_mut(), grad) };
-        }
-        if let Some(barrier) = barrier {
-            barrier.wait();
+        if mask & 2 != 0 {
+            // SAFETY: exclusive per the caller's contract.
+            let gb = unsafe { grad.row(wb * 12, 12) };
+            for j in 0..3 {
+                s.store(s.load(&gb[4 * j..]) - w[j], &mut gb[4 * j..]);
+            }
         }
     }
 }
 
-/// Tiled Green-Gauss, serial driver: the edge loop runs tile-by-tile in
-/// color-major order on a scratch pad (see [`crate::flux::tiled`]); the
-/// boundary closure and volume division are the serial epilogue shared
-/// with [`green_gauss`]. Bitwise identical to [`green_gauss_tiled_pooled`]
-/// at every thread count; matches [`green_gauss`] to rounding (the tile
-/// order permutes the per-vertex accumulation).
-pub fn green_gauss_tiled(
-    tiling: &EdgeTiling,
-    geom: &TiledGeom,
-    bc: &BcData,
-    vol: &[f64],
-    exec: TileExec,
-    node: &mut NodeAos,
-) {
-    green_gauss_tiled_on(Isa::detect(), tiling, geom, bc, vol, exec, node);
-}
-
-/// [`green_gauss_tiled`] on the lanes `isa` names.
-pub fn green_gauss_tiled_on(
+/// Green-Gauss gradients: reads `node.q`, writes `node.grad` (comp-major
+/// 12 per vertex) — the edge loop over `walk` on `exec` on the lanes
+/// `isa` names, then the boundary closure over `bc` and the division by
+/// the dual volumes `vol`. `Stream` and `Owner` are bitwise identical at
+/// any thread count; `Tiled` matches them to rounding (the tile order
+/// permutes each vertex's accumulation). On a single `Owner` share — a
+/// rank — `bc` lists the owner's boundary vertices only, and vertices no
+/// mask selects (ghosts) come out zero, for the halo exchange to fill.
+pub fn green_gauss(
     isa: Isa,
-    tiling: &EdgeTiling,
-    geom: &TiledGeom,
+    exec: Exec,
+    walk: Traversal,
     bc: &BcData,
     vol: &[f64],
-    exec: TileExec,
     node: &mut NodeAos,
 ) {
     assert_eq!(vol.len(), node.n);
-    let geom = geom.geom();
-    assert_eq!(tiling.nedges, geom.nedges());
     node.grad.iter_mut().for_each(|x| *x = 0.0);
-    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
-    let (worker, barrier) = ((0, 1), None);
-    // SAFETY: `grad` views an exclusively borrowed slice and this is the
-    // only thread.
-    with_lanes!(
-        isa,
-        unsafe grad_worker(
-            worker: (usize, usize),
-            barrier: Option<&SpinBarrier>,
-            tiling: &EdgeTiling,
-            geom: &EdgeGeom,
-            q: &[f64],
-            exec: TileExec,
-            grad: VertexRows
-        )
-    );
+    edge_loop::run(isa, exec, walk, GreenGauss, &node.q, &[], &mut node.grad);
     gradient_epilogue(bc, vol, node);
 }
 
-/// Tiled Green-Gauss on the persistent pool: one region, colors chunked
-/// over workers with a barrier between colors (see
-/// [`crate::flux::tiled_pooled`]).
-pub fn green_gauss_tiled_pooled(
-    pool: &ThreadPool,
-    tiling: &EdgeTiling,
-    geom: &TiledGeom,
-    bc: &BcData,
-    vol: &[f64],
-    exec: TileExec,
-    node: &mut NodeAos,
-) {
-    green_gauss_tiled_pooled_on(Isa::detect(), pool, tiling, geom, bc, vol, exec, node);
-}
-
-/// [`green_gauss_tiled_pooled`] on the lanes `isa` names.
-#[allow(clippy::too_many_arguments)]
-pub fn green_gauss_tiled_pooled_on(
-    isa: Isa,
-    pool: &ThreadPool,
-    tiling: &EdgeTiling,
-    geom: &TiledGeom,
-    bc: &BcData,
-    vol: &[f64],
-    exec: TileExec,
-    node: &mut NodeAos,
-) {
-    let nt = pool.size();
-    // Oversubscribed pool: the per-color barriers would cost scheduler
-    // round-trips; the serial driver is bitwise identical (same
-    // color-major order), so use it (see `flux::tiled_pooled`).
-    if nt > fun3d_threads::available_cores() {
-        return green_gauss_tiled_on(isa, tiling, geom, bc, vol, exec, node);
-    }
-    assert_eq!(vol.len(), node.n);
-    let pg = geom.geom();
-    assert_eq!(tiling.nedges, pg.nedges());
-    node.grad.iter_mut().for_each(|x| *x = 0.0);
-    let spin = SpinBarrier::new(nt);
-    let barrier = Some(&spin);
-    let (q, grad) = (&node.q[..], VertexRows::new(&mut node.grad));
-    pool.run(|tid| {
-        let worker = (tid, nt);
-        // SAFETY: every pool thread runs this with its own `tid` and the
-        // shared barrier, and `grad` is exclusively borrowed for the
-        // region.
-        with_lanes!(
-            isa,
-            unsafe grad_worker(
-                worker: (usize, usize),
-                barrier: Option<&SpinBarrier>,
-                tiling: &EdgeTiling,
-                pg: &EdgeGeom,
-                q: &[f64],
-                exec: TileExec,
-                grad: VertexRows
-            )
-        );
-    });
-    gradient_epilogue(bc, vol, node);
-}
-
-/// Boundary closure + dual-volume division shared by every Green-Gauss
-/// driver.
+/// Boundary closure + dual-volume division.
 fn gradient_epilogue(bc: &BcData, vol: &[f64], node: &mut NodeAos) {
     for i in 0..bc.len() {
         let v = bc.vertex[i] as usize;
@@ -542,9 +223,17 @@ fn invert3(a: &[f64; 9]) -> Option<[f64; 9]> {
 mod tests {
     use super::*;
     use crate::bc::BcData;
+    use crate::edge_loop::TileExec;
+    use crate::geom::{EdgeGeom, TiledGeom};
     use fun3d_mesh::generator::MeshPreset;
     use fun3d_mesh::DualMesh;
-    use fun3d_partition::{partition_graph, MultilevelConfig, OwnerWritesPlan};
+    use fun3d_partition::{partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan};
+    use fun3d_threads::ThreadPool;
+
+    /// The serial streaming kernel on the detected lanes.
+    fn serial(geom: &EdgeGeom, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
+        green_gauss(Isa::detect(), Exec::Caller, Traversal::stream(geom), bc, vol, node);
+    }
 
     fn setup() -> (EdgeGeom, BcData, Vec<f64>, NodeAos) {
         let mesh = MeshPreset::Tiny.build();
@@ -560,7 +249,7 @@ mod tests {
     fn constant_field_has_zero_gradient() {
         let (geom, bc, vol, mut node) = setup();
         node.set_freestream(&[0.7, 1.0, -0.5, 0.25]);
-        green_gauss(&geom, &bc, &vol, &mut node);
+        serial(&geom, &bc, &vol, &mut node);
         let max = node.grad.iter().map(|x| x.abs()).fold(0.0, f64::max);
         assert!(max < 1e-10, "constant field gradient {max}");
     }
@@ -584,7 +273,7 @@ mod tests {
             node.q[vtx * 4 + 2] = c.y;
             node.q[vtx * 4 + 3] = c.z;
         }
-        green_gauss(&geom, &bc, &vol, &mut node);
+        serial(&geom, &bc, &vol, &mut node);
         let expect = [
             [2.0, -1.0, 3.0],
             [1.0, 0.0, 0.0],
@@ -684,7 +373,7 @@ mod tests {
             *x = ((i * 53) % 23) as f64 * 0.07 - 0.8;
         }
         let mut serial = node.clone();
-        green_gauss(&geom, &bc, &vol, &mut serial);
+        self::serial(&geom, &bc, &vol, &mut serial);
         for budget in [1usize, 4096, usize::MAX] {
             let tiling = EdgeTiling::build(
                 node.n,
@@ -692,8 +381,10 @@ mod tests {
                 &fun3d_partition::TilingConfig::with_target_bytes(budget),
             );
             let tg = TiledGeom::new(&tiling, &geom);
+            let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tg, mode };
+            let isa = Isa::detect();
             let mut t = node.clone();
-            green_gauss_tiled(&tiling, &tg, &bc, &vol, TileExec::Staged, &mut t);
+            green_gauss(isa, Exec::Caller, tiles(TileExec::Staged), &bc, &vol, &mut t);
             for i in 0..t.grad.len() {
                 assert!(
                     (t.grad[i] - serial.grad[i]).abs() <= 1e-11 * (1.0 + serial.grad[i].abs()),
@@ -705,7 +396,7 @@ mod tests {
             // Direct execution skips the scratch pad but runs the same
             // arithmetic in the same order: bitwise equal to staged.
             let mut d = node.clone();
-            green_gauss_tiled(&tiling, &tg, &bc, &vol, TileExec::Direct, &mut d);
+            green_gauss(isa, Exec::Caller, tiles(TileExec::Direct), &bc, &vol, &mut d);
             assert_eq!(t.grad, d.grad, "budget {budget}: direct vs staged");
         }
     }
@@ -722,13 +413,15 @@ mod tests {
             &fun3d_partition::TilingConfig::with_target_bytes(4096),
         );
         let tg = TiledGeom::new(&tiling, &geom);
+        let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tg, mode };
+        let isa = Isa::detect();
         let mut serial = node.clone();
-        green_gauss_tiled(&tiling, &tg, &bc, &vol, TileExec::Staged, &mut serial);
+        green_gauss(isa, Exec::Caller, tiles(TileExec::Staged), &bc, &vol, &mut serial);
         for exec in [TileExec::Staged, TileExec::Direct] {
             for nt in [1usize, 2, 4] {
                 let pool = ThreadPool::new(nt);
                 let mut par = node.clone();
-                green_gauss_tiled_pooled(&pool, &tiling, &tg, &bc, &vol, exec, &mut par);
+                green_gauss(isa, Exec::Pool(&pool), tiles(exec), &bc, &vol, &mut par);
                 assert_eq!(serial.grad, par.grad, "{exec:?} nt={nt}");
             }
         }
@@ -741,14 +434,15 @@ mod tests {
             *x = ((i * 37) % 19) as f64 * 0.1 - 0.9;
         }
         let mut serial = node.clone();
-        green_gauss(&geom, &bc, &vol, &mut serial);
+        self::serial(&geom, &bc, &vol, &mut serial);
         let graph = fun3d_mesh::Graph::from_edges(node.n, &geom.edges);
         for nt in [1usize, 3] {
             let part = partition_graph(&graph, nt, &MultilevelConfig::default());
             let plan = OwnerWritesPlan::build(&geom.edges, &part, nt);
             let pool = ThreadPool::new(nt);
             let mut par = node.clone();
-            green_gauss_threaded(&pool, &plan, &geom, &bc, &vol, &mut par);
+            let walk = Traversal::owner(&geom, &plan);
+            green_gauss(Isa::detect(), Exec::Pool(&pool), walk, &bc, &vol, &mut par);
             assert_eq!(serial.grad, par.grad, "nt={nt}");
         }
     }

@@ -131,36 +131,6 @@ pub fn add_time_diagonal(slots: &JacobianSlots, jac: &mut Bcsr4, shift: &[f64]) 
     }
 }
 
-/// First-order residual matching the assembled Jacobian (used by tests to
-/// verify the assembly is the exact derivative of *this* function):
-/// Rusanov flux without reconstruction, plus boundary fluxes.
-pub fn first_order_residual(
-    geom: &EdgeGeom,
-    bc: &BcData,
-    node: &NodeAos,
-    cond: &FlowConditions,
-    res: &mut [f64],
-) {
-    res.iter_mut().for_each(|x| *x = 0.0);
-    let beta = cond.beta;
-    for (k, e) in geom.edges.iter().enumerate() {
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-        let qa = node.state(a);
-        let qb = node.state(b);
-        let fa = euler::flux(&qa, &n, beta);
-        let fb = euler::flux(&qb, &n, beta);
-        let lam = euler::spectral_radius(&qa, &n, beta)
-            .max(euler::spectral_radius(&qb, &n, beta));
-        for c in 0..4 {
-            let f = 0.5 * (fa[c] + fb[c]) - 0.5 * lam * (qb[c] - qa[c]);
-            res[a * 4 + c] += f;
-            res[b * 4 + c] -= f;
-        }
-    }
-    bc::residual(bc, node, cond, res);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,13 +12,15 @@
 //! * [`geom`] — the SoA edge-geometry arrays the kernels stream
 //!   (dual-face normals and across-edge deltas), and both node-data
 //!   layouts (SoA and AoS) of the paper's data-structure study;
-//! * [`flux`] — the edge-based flux kernel in every optimization variant:
-//!   scalar/SoA baseline, atomics, owner-writes replication (natural or
-//!   METIS partitions), AoS node data, 4-edge SIMD batching (portable or
-//!   AVX2 lanes, detected per call) with in-register write-out, and
-//!   software prefetching;
+//! * [`edge_loop`] — how edges are walked: the streaming, owner-writes
+//!   and tiled traversals, each written once, on the calling thread or a
+//!   pool region;
+//! * [`flux`] — the edge-based flux kernel: the Roe flux as the lane
+//!   (4-edge SIMD batch, portable or AVX2) and scalar bodies those
+//!   traversals run, plus the plain SoA/AoS baselines and the atomics
+//!   variant that stand outside them;
 //! * [`gradient`] — Green-Gauss nodal gradients (edge-based, the paper's
-//!   "Grad" kernel) serial and threaded, on the same lanes;
+//!   "Grad" kernel) as a third body, and least-squares gradients;
 //! * [`jacobian`] — first-order (more diffusive, sparser) flux Jacobian
 //!   assembled into 4×4-block BCSR for the Schwarz/ILU preconditioner;
 //! * [`bc`] — slip-wall, symmetry and far-field boundary fluxes and their
@@ -31,6 +33,7 @@
 pub mod app;
 pub mod bc;
 pub mod counts;
+pub mod edge_loop;
 pub mod euler;
 pub mod flux;
 pub mod geom;
@@ -39,7 +42,9 @@ pub mod jacobian;
 pub mod limiter;
 
 pub use app::{Fun3dApp, OptConfig};
+pub use edge_loop::{Exec, TileExec, Traversal};
 pub use euler::{FlowConditions, NVARS};
-/// Which lane implementation the edge kernels run on in this process.
-pub use fun3d_simd::active_isa;
+/// Which lane implementation the edge kernels run on in this process, and
+/// the type their entry points take it as.
+pub use fun3d_simd::{active_isa, Isa};
 pub use geom::{EdgeGeom, NodeAos, NodeSoa, TiledGeom};

@@ -162,9 +162,16 @@ pub fn apply_venkatakrishnan(geom: &EdgeGeom, node: &mut NodeAos, k_eps: f64) ->
 mod tests {
     use super::*;
     use crate::bc::BcData;
+    use crate::edge_loop::{Exec, Traversal};
     use crate::gradient;
     use fun3d_mesh::generator::MeshPreset;
     use fun3d_mesh::DualMesh;
+    use fun3d_simd::Isa;
+
+    fn green_gauss(geom: &EdgeGeom, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
+        let walk = Traversal::stream(geom);
+        gradient::green_gauss(Isa::detect(), Exec::Caller, walk, bc, vol, node);
+    }
 
     fn setup() -> (EdgeGeom, BcData, Vec<f64>, NodeAos) {
         let mesh = MeshPreset::Tiny.build();
@@ -185,7 +192,7 @@ mod tests {
             node.q[v * 4] = 0.001 * v as f64;
             node.q[v * 4 + 1] = 1.0;
         }
-        gradient::green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&geom, &bc, &vol, &mut node);
         let before = node.grad.clone();
         let phi = apply_barth_jespersen(&geom, &mut node);
         let untouched = phi.iter().filter(|&&p| p >= 1.0 - 1e-12).count();
@@ -213,7 +220,7 @@ mod tests {
         for x in node.q.iter_mut() {
             *x = rng.range_f64(-1.0, 1.0);
         }
-        gradient::green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&geom, &bc, &vol, &mut node);
         let phi = apply_barth_jespersen(&geom, &mut node);
         assert!(phi.iter().all(|&p| (0.0..=1.0).contains(&p)));
         // a rough random field must trigger limiting somewhere
@@ -229,7 +236,7 @@ mod tests {
         for x in node.q.iter_mut() {
             *x = rng.range_f64(-2.0, 2.0);
         }
-        gradient::green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&geom, &bc, &vol, &mut node);
         apply_barth_jespersen(&geom, &mut node);
 
         // recompute ranges
@@ -271,7 +278,7 @@ mod tests {
         for x in node.q.iter_mut() {
             *x = rng.range_f64(-1.0, 1.0);
         }
-        gradient::green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&geom, &bc, &vol, &mut node);
         let mut node_bj = node.clone();
         let phi_v = apply_venkatakrishnan(&geom, &mut node, 0.3);
         let phi_b = apply_barth_jespersen(&geom, &mut node_bj);
@@ -293,7 +300,7 @@ mod tests {
             node.q[v * 4] = 1e-4 * v as f64;
             node.q[v * 4 + 1] = 1.0;
         }
-        gradient::green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&geom, &bc, &vol, &mut node);
         let phi = apply_venkatakrishnan(&geom, &mut node, 0.3);
         let mean = phi.iter().sum::<f64>() / phi.len() as f64;
         assert!(mean > 0.6, "over-limiting a smooth field: mean φ = {mean}");
@@ -303,7 +310,7 @@ mod tests {
     fn constant_field_is_fixed_point() {
         let (geom, bc, vol, mut node) = setup();
         node.set_freestream(&[0.3, 1.0, 0.0, 0.0]);
-        gradient::green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&geom, &bc, &vol, &mut node);
         let phi = apply_barth_jespersen(&geom, &mut node);
         // constant field: zero gradients, zero reconstruction deltas —
         // the limiter must not produce NaNs or zero out anything.

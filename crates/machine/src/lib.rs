@@ -32,6 +32,6 @@ pub mod kernels;
 pub mod network;
 pub mod spec;
 
-pub use kernels::{EdgeLoopCosts, RecurrenceCosts};
+pub use kernels::{EdgeLoopCosts, RecurrenceCosts, RESIDUAL_BYTES_PER_VERTEX};
 pub use network::NetworkSpec;
 pub use spec::MachineSpec;

@@ -23,13 +23,8 @@
 //! already staged — those edges are free: they add reuse without adding
 //! working set.
 
-use fun3d_machine::MachineSpec;
-
-/// Bytes of scratch-pad payload staged per unique vertex of a tile:
-/// 4 state components + 12 gradient components + 4 residual accumulators,
-/// all f64 (the flux kernel's per-vertex footprint; the gradient kernel
-/// stages less and so fits a fortiori).
-pub const TILE_BYTES_PER_VERTEX: usize = (4 + 12 + 4) * 8;
+// A tile keeps the residual path's whole per-vertex working set live.
+use fun3d_machine::{MachineSpec, RESIDUAL_BYTES_PER_VERTEX as TILE_BYTES_PER_VERTEX};
 
 /// Tiler parameters.
 #[derive(Clone, Copy, Debug)]

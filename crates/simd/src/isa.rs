@@ -261,21 +261,23 @@ pub fn active_isa() -> &'static str {
 /// `#[inline(always)]` (as must be everything it calls that touches
 /// lanes) compiles to packed instructions there and to baseline code for
 /// [`Portable`]. Arguments are `name: Type` pairs naming variables in
-/// scope; the body returns `()`.
+/// scope; the body returns `()`. A body with further type parameters
+/// names those its argument types mention, with their bounds, after its
+/// name: `unsafe body<B: Trait>(x: B)`.
 ///
 /// Kernel bodies write through raw views, hence the mandatory `unsafe`:
 /// the invocation needs a `// SAFETY:` comment discharging the body's
 /// contract, exactly as a direct call would.
 #[macro_export]
 macro_rules! with_lanes {
-    ($isa:expr, unsafe $body:ident($($arg:ident: $ty:ty),* $(,)?)) => {
+    ($isa:expr, unsafe $body:ident $(<$($g:ident: $bound:path),+>)? ($($arg:ident: $ty:ty),* $(,)?)) => {
         match $isa {
             $crate::Isa::Portable(s) => unsafe { $body(s, $($arg),*) },
             #[cfg(target_arch = "x86_64")]
             $crate::Isa::Avx2(s) => {
                 #[target_feature(enable = "avx2")]
                 #[allow(clippy::too_many_arguments)]
-                unsafe fn avx2_entry(s: $crate::Avx2, $($arg: $ty),*) {
+                unsafe fn avx2_entry$(<$($g: $bound),+>)?(s: $crate::Avx2, $($arg: $ty),*) {
                     unsafe { $body(s, $($arg),*) }
                 }
                 // An `Avx2` value exists only after

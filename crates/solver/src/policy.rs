@@ -18,7 +18,7 @@
 //! application configured (read where the solve is launched, see
 //! [`ExecMode::from_env`]).
 
-use fun3d_machine::MachineSpec;
+use fun3d_machine::{MachineSpec, RESIDUAL_BYTES_PER_VERTEX};
 use fun3d_threads::{SyncCosts, ThreadPool};
 use fun3d_util::telemetry::flight;
 use std::sync::Mutex;
@@ -69,19 +69,13 @@ pub enum FluxScheme {
     /// The paper's streaming kernels: serial SIMD+prefetch at one
     /// thread, owner-writes replication on the pool.
     Stream,
-    /// Cache-blocked tiles with scratch-pad staging and inter-tile
-    /// coloring (`flux::tiled` / `tiled_pooled`).
+    /// Cache-blocked tiles, scratch-staged or direct, with inter-tile
+    /// coloring (`fun3d_core`'s `Traversal::Tiled`).
     Tiled,
     /// Resolve Stream vs Tiled per mesh from the machine model (see
     /// [`FluxScheme::resolve`]).
     Auto,
 }
-
-/// Staged residual-path bytes per vertex (state 4 + gradient 12 +
-/// residual 4 doubles) — the working set the tiling decision weighs
-/// against the private L2. Mirrors `fun3d_partition::tiling`'s
-/// `TILE_BYTES_PER_VERTEX`.
-pub const RESIDUAL_BYTES_PER_VERTEX: usize = (4 + 12 + 4) * 8;
 
 impl FluxScheme {
     /// Canonical name (the form [`FluxScheme::parse`] accepts).

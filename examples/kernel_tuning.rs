@@ -1,13 +1,16 @@
 //! Kernel tuning walk-through: the paper's Section V optimizations, one
 //! at a time, on the edge-based flux kernel — with live verification
-//! that every variant produces the same residual.
+//! that every variant produces the same residual. Each row past the two
+//! plain baselines is one call of `flux::run`: a body (scalar, or SIMD
+//! lanes) on a traversal (`Stream`, `Owner`) on a context (this thread,
+//! the pool).
 //!
 //! ```sh
 //! cargo run --release --example kernel_tuning
 //! ```
 
 use fun3d_core::geom::NodeSoa;
-use fun3d_core::{flux, EdgeGeom, FlowConditions, NodeAos};
+use fun3d_core::{flux, gradient, EdgeGeom, Exec, FlowConditions, Isa, NodeAos, Traversal};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_mesh::DualMesh;
 use fun3d_partition::{natural_partition, partition_graph, MultilevelConfig, OwnerWritesPlan};
@@ -52,7 +55,8 @@ fn main() {
         *x += rng.range_f64(-0.05, 0.05);
     }
     let bc = fun3d_core::bc::BcData::build(&dual);
-    fun3d_core::gradient::green_gauss(&geom, &bc, &dual.vol, &mut node);
+    let (isa, stream) = (Isa::detect(), Traversal::stream(&geom));
+    gradient::green_gauss(isa, Exec::Caller, stream, &bc, &dual.vol, &mut node);
     let soa = NodeSoa::from_aos(&node);
     let n4 = node.n * 4;
     println!(
@@ -76,13 +80,16 @@ fn main() {
     time_variant(
         "AoS + SIMD 4-edge batching",
         Some(&reference),
-        |res| flux::serial_aos_simd(&geom, &node, cond.beta, res),
+        |res| flux::run(Some(isa), Exec::Caller, stream, &node, cond.beta, res),
         n4,
     );
     time_variant(
         "AoS + SIMD + software prefetch",
         Some(&reference),
-        |res| flux::serial_aos_simd_prefetch(&geom, &node, cond.beta, res),
+        |res| {
+            let ahead = Traversal::Stream { geom: &geom, prefetch: Some(flux::PREFETCH_DIST) };
+            flux::run(Some(isa), Exec::Caller, ahead, &node, cond.beta, res)
+        },
         n4,
     );
 
@@ -104,7 +111,10 @@ fn main() {
     time_variant(
         "threaded: owner-writes (natural split)",
         Some(&reference),
-        |res| flux::owner_writes(&pool, &nat_plan, &geom, &node, cond.beta, res),
+        |res| {
+            let walk = Traversal::owner(&geom, &nat_plan);
+            flux::run(None, Exec::Pool(&pool), walk, &node, cond.beta, res)
+        },
         n4,
     );
     let graph = fun3d_mesh::Graph::from_edges(node.n, &geom.edges);
@@ -120,7 +130,10 @@ fn main() {
     time_variant(
         "threaded: owner-writes (multilevel) + SIMD",
         Some(&reference),
-        |res| flux::owner_writes_opt(&pool, &ml_plan, &geom, &node, cond.beta, res),
+        |res| {
+            let walk = Traversal::owner(&geom, &ml_plan);
+            flux::run(Some(isa), Exec::Pool(&pool), walk, &node, cond.beta, res)
+        },
         n4,
     );
 }

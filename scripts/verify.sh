@@ -7,9 +7,10 @@
 #  1. Guards, before cargo runs: every dependency in every manifest is an
 #     in-tree path dependency (an offline build needs nothing else); the
 #     rank layer holds no copy of the solver's Krylov control flow or of
-#     the core's edge physics; the perf-history stack that `benchmark/`
-#     replaced has not come back. Each structural guard is negative-tested
-#     on canary trees.
+#     the core's edge physics; edges are walked in one file of the core
+#     and nowhere in the rank layer; the perf-history stack that
+#     `benchmark/` replaced has not come back. Each structural guard is
+#     negative-tested on canary trees.
 #  2. `cargo build --release` and `cargo test -q`, offline. The root
 #     manifest's default-members make both cover every crate.
 #  3. Model check of the sync substrate: the fun3d-check suite plus the
@@ -51,7 +52,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, no edge physics in the rank layer, one ledger =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in the rank layer, one ledger =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -59,10 +60,18 @@ echo "== guard: one Krylov control flow, no edge physics in the rank layer, one 
 # benchmark/ is the one ledger: the history stack it replaced is named on
 # the next line and nowhere else under crates/ or scripts/.
 OLD_LEDGER='perfdb\|perf_regress\|FUN3D_PERF_GATE'
+TRAVERSAL='pool\.run\(|SpinBarrier|chunk_range|color_tiles'
 structure_guard() {
     local root=$1 bad=0
     if grep -rn 'roe_flux' "$root/crates/cluster/src"; then
-        echo "  crates/cluster/src calls the Roe flux: use fun3d_core::flux::owner_flux"
+        echo "  crates/cluster/src calls the Roe flux: use fun3d_core::flux::run on the rank's Owner share"
+        bad=1
+    fi
+    # How edges are walked - regions, barriers, chunking, colour classes -
+    # is crates/core/src/edge_loop.rs and nothing else (atomics is a
+    # parallel_for and stays its own function); the rank layer calls it.
+    if grep -rnE "$TRAVERSAL" "$root/crates/core/src" "$root/crates/cluster/src" --exclude=edge_loop.rs; then
+        echo "  traversal control flow outside crates/core/src/edge_loop.rs: add a Traversal there, not a loop here"
         bad=1
     fi
     if grep -rniE 'givens|\bsn\[' "$root/crates/cluster/src"; then
@@ -82,20 +91,23 @@ structure_guard() {
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge kernel or performance ledger has been forked"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel or performance ledger has been forked"
     exit 1
 fi
-# Negative canaries: each of the four forks must trip the guard.
+# Negative canaries: each of the six forks must trip the guard.
 CANARY=target/verify_guard
-for fork in roe_flux rotation second_givens second_ledger; do
+for fork in roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop; do
     rm -rf "$CANARY"
-    mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/scripts"
+    mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" "$CANARY/scripts"
+    echo 'for class in &tiling.color_tiles { pool.run(|tid| chunk_range(class.len(), nt, tid)); }' > "$CANARY/crates/core/src/edge_loop.rs"
     echo 'fn givens(a: f64, b: f64) -> (f64, f64) { (a, b) }' > "$CANARY/crates/solver/src/gmres.rs"
     case $fork in
         roe_flux) echo 'let f = euler::roe_flux(&ql, &qr, &n, beta);' > "$CANARY/crates/cluster/src/fork.rs" ;;
         rotation) echo 'let t = cs[i] * col[i] + sn[i] * col[i + 1];' > "$CANARY/crates/cluster/src/fork.rs" ;;
         second_givens) echo 'fn givens(a: f64, b: f64) -> (f64, f64) { (b, a) }' > "$CANARY/crates/solver/src/fork.rs" ;;
         second_ledger) echo "# judged by: $OLD_LEDGER" > "$CANARY/scripts/snapshot.sh" ;;
+        second_edge_loop) echo 'pool.run(|tid| tile_flux(&tiling.tiles[tid]));' > "$CANARY/crates/core/src/flux.rs" ;;
+        rank_edge_loop) echo 'for &t in &class[chunk_range(class.len(), nt, tid)] {}' > "$CANARY/crates/cluster/src/fork.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -103,7 +115,7 @@ for fork in roe_flux rotation second_givens second_ledger; do
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, no Roe flux or rotation in crates/cluster/src, one ledger; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation or edge loop in crates/cluster/src, one ledger; canaries rejected"
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.
@@ -219,9 +231,9 @@ echo "ok: tiled kernels agree with the serial reference; artifact parsable"
 
 echo "== SIMD flux kernel speed floor (fig6a_flux_opts --check) =="
 # The vectorized flux kernel is only worth its name while it compiles
-# to packed code: with AVX2 detected, serial_aos_simd must be at least
-# 1.3x both the scalar serial_aos and its own portable-lane
-# instantiation (interleaved rounds, per-variant minimum, like the
+# to packed code: with AVX2 detected, the lane body on the stream - the
+# generic driver inlined into its AVX2 entry - must be at least 1.3x both
+# the scalar serial_aos and its own portable-lane instantiation (interleaved rounds, per-variant minimum, like the
 # tiled gate above). Without AVX2 the check passes with a notice.
 cargo run --release --offline -q -p fun3d-bench --bin fig6a_flux_opts -- \
     --mesh small --reps 20 --check

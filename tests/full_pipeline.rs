@@ -41,7 +41,6 @@ fn every_configuration_converges_to_the_same_flow() {
     configs.push(("serial-trsv-2t", serial_trsv));
     let mut serial_simd = OptConfig::baseline();
     serial_simd.use_simd = true;
-    serial_simd.use_prefetch = true;
     configs.push(("serial+simd", serial_simd));
     let mut natural = OptConfig::optimized(3);
     natural.metis_partition = false;

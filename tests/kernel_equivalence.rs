@@ -18,7 +18,9 @@ use fun3d_core::bc::BcData;
 use fun3d_core::{flux, gradient, FlowConditions};
 use fun3d_mesh::generator::ChannelSpec;
 use fun3d_mesh::DualMesh;
+use fun3d_core::{euler, Exec, TileExec, TiledGeom, Traversal};
 use fun3d_partition::{natural_partition, partition_graph, MultilevelConfig, OwnerWritesPlan};
+use fun3d_partition::{EdgeTiling, TilingConfig};
 use fun3d_simd::{with_lanes, Isa, Simd};
 use fun3d_threads::ThreadPool;
 use fun3d_util::{prop_assert, prop_assert_eq, prop_cases};
@@ -53,7 +55,7 @@ fn random_fixture(seed: u64, jitter: f64, amp: f64, drop: usize) -> Fixture {
         *x += rng.range_f64(-amp, amp);
     }
     let bc = BcData::build(&dual);
-    gradient::green_gauss(&geom, &bc, &dual.vol, &mut node);
+    gradient::green_gauss(Isa::detect(), flux::Exec::Caller, flux::Traversal::stream(&geom), &bc, &dual.vol, &mut node);
     Fixture { geom, node, bc, vol: dual.vol }
 }
 
@@ -163,6 +165,100 @@ fn close(a: &[f64], b: &[f64], tol: f64) -> Result<(), String> {
     Ok(())
 }
 
+/// One row of the traversal table: a traversal on a context on a lane
+/// instantiation. `family` names rows that must agree bit for bit with
+/// each other whatever the kernel: one tiling's rows, and the rows that
+/// add a vertex's edges in edge order. `lists` names the edge lists an
+/// edge-order row batches four at a time — all edges in order, or a
+/// plan's shares — which is what the lane flux's bits also depend on
+/// (the edges left over in a list's scalar tail are the list's).
+struct Row<'a> {
+    family: &'static str,
+    lists: String,
+    name: String,
+    isa: Isa,
+    exec: Exec<'a>,
+    walk: Traversal<'a>,
+}
+
+impl Row<'_> {
+    fn label(&self) -> String {
+        format!("{} on {} lanes", self.name, self.isa.name())
+    }
+
+    /// The flux kernel's accumulated edge fluxes, before any boundary term.
+    fn flux(&self, lanes: bool, node: &NodeAos) -> Vec<f64> {
+        let mut r = vec![0.0; node.n * 4];
+        flux::run(lanes.then_some(self.isa), self.exec, self.walk, node, 1.0, &mut r);
+        r
+    }
+
+    fn gradient(&self, fix: &Fixture) -> Vec<f64> {
+        let mut out = fix.node.clone();
+        gradient::green_gauss(self.isa, self.exec, self.walk, &fix.bc, &fix.vol, &mut out);
+        out.grad
+    }
+}
+
+/// The traversal table both the determinism matrix and the physics
+/// oracles run through: traversal in {stream, stream + prefetch, owner on
+/// a natural plan, owner on a multilevel plan, tiled staged, tiled direct}
+/// x lanes in {portable, avx2 when detected} x nt in {1, 2, 3, 4, 7}.
+/// The first row of each family is its (portable, one thread) row. Pool
+/// rows run the real region — barrier path included — at every nt,
+/// oversubscribed or not.
+fn each_row(
+    geom: &EdgeGeom,
+    nv: usize,
+    budget: usize,
+    mut check: impl FnMut(&Row) -> Result<(), String>,
+) -> Result<(), String> {
+    let lanes: Vec<Isa> = std::iter::once(Isa::portable()).chain(Isa::avx2()).collect();
+    let tiling = EdgeTiling::build(nv, &geom.edges, &TilingConfig::with_target_bytes(budget));
+    let tg = TiledGeom::new(&tiling, geom);
+    let tiled = |mode| Traversal::Tiled { tiling: &tiling, geom: &tg, mode };
+    let modes = [TileExec::Staged, TileExec::Direct];
+    let graph = fun3d_mesh::Graph::from_edges(nv, &geom.edges);
+    for &isa in &lanes {
+        for prefetch in [None, Some(flux::PREFETCH_DIST)] {
+            let walk = Traversal::Stream { geom, prefetch };
+            let (lists, name) = ("all edges".to_string(), format!("stream, prefetch {prefetch:?}"));
+            check(&Row { family: "edge order", lists, name, isa, exec: Exec::Caller, walk })?;
+        }
+        for mode in modes {
+            let (lists, name) = (String::new(), format!("tiled {mode:?}, calling thread"));
+            check(&Row { family: "tiled", lists, name, isa, exec: Exec::Caller, walk: tiled(mode) })?;
+        }
+    }
+    for nt in [1usize, 2, 3, 4, 7] {
+        let pool = ThreadPool::new(nt);
+        let exec = Exec::Pool(&pool);
+        let natural = natural_partition(nv, nt);
+        let multilevel = partition_graph(&graph, nt, &MultilevelConfig::default());
+        for (name, part) in [("natural", &natural), ("multilevel", &multilevel)] {
+            let owners = OwnerWritesPlan::build(&geom.edges, part, nt);
+            // One owner's share is every edge, in order.
+            let lists = if nt == 1 { "all edges".to_string() } else { format!("{name} nt={nt}") };
+            for &isa in &lanes {
+                let (lists, name) = (lists.clone(), format!("owner {name} nt={nt}"));
+                let walk = Traversal::owner(geom, &owners);
+                check(&Row { family: "edge order", lists, name, isa, exec, walk })?;
+            }
+        }
+        for &isa in &lanes {
+            for mode in modes {
+                let (lists, name) = (String::new(), format!("tiled {mode:?}, pool nt={nt}"));
+                check(&Row { family: "tiled", lists, name, isa, exec, walk: tiled(mode) })?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Tile budgets from single-edge tiles to one tile, so tile edge counts of
+/// every residue modulo the 4-edge batch occur.
+const BUDGETS: [usize; 4] = [1, 2048, 64 * 1024, usize::MAX];
+
 prop_cases! {
     fn all_flux_variants_agree(g, cases = 12) {
         let seed = g.u64();
@@ -182,12 +278,12 @@ prop_cases! {
 
         // SIMD batching
         let mut r = vec![0.0; n4];
-        flux::serial_aos_simd(&geom, &node, 1.0, &mut r);
+        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::stream(&geom), &node, 1.0, &mut r);
         prop_assert!(close(&reference, &r, 1e-12).is_ok());
 
         // SIMD + prefetch
         let mut r = vec![0.0; n4];
-        flux::serial_aos_simd_prefetch(&geom, &node, 1.0, &mut r);
+        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Stream { geom: &geom, prefetch: Some(flux::PREFETCH_DIST) }, &node, 1.0, &mut r);
         prop_assert!(close(&reference, &r, 1e-12).is_ok());
 
         // threaded variants
@@ -198,7 +294,7 @@ prop_cases! {
 
         let nat = OwnerWritesPlan::build(&geom.edges, &natural_partition(node.n, nthreads), nthreads);
         let mut r = vec![0.0; n4];
-        flux::owner_writes(&pool, &nat, &geom, &node, 1.0, &mut r);
+        flux::run(None, flux::Exec::Pool(&pool), flux::Traversal::owner(&geom, &nat), &node, 1.0, &mut r);
         prop_assert_eq!(&reference, &r, "owner-writes must be bitwise identical");
 
         let graph = fun3d_mesh::Graph::from_edges(node.n, &geom.edges);
@@ -208,7 +304,7 @@ prop_cases! {
             nthreads,
         );
         let mut r = vec![0.0; n4];
-        flux::owner_writes_opt(&pool, &ml, &geom, &node, 1.0, &mut r);
+        flux::run(Some(Isa::detect()), flux::Exec::Pool(&pool), flux::Traversal::owner(&geom, &ml), &node, 1.0, &mut r);
         prop_assert!(close(&reference, &r, 1e-12).is_ok());
     }
 
@@ -247,16 +343,16 @@ prop_cases! {
         let oracle = scalar_green_gauss(&fix);
         for isa in [portable, avx2] {
             let mut out = node.clone();
-            gradient::green_gauss_on(isa, geom, &fix.bc, &fix.vol, &mut out);
+            gradient::green_gauss(isa, flux::Exec::Caller, flux::Traversal::stream(geom), &fix.bc, &fix.vol, &mut out);
             prop_assert_eq!(&oracle, &out.grad, "{} Green-Gauss vs the scalar loop", isa.name());
         }
 
         // Serial flux, without and with prefetch.
         let mut serial = vec![0.0; n4];
-        flux::serial_aos_simd_on(portable, geom, node, 1.0, &mut serial, None);
+        flux::run(Some(portable), flux::Exec::Caller, flux::Traversal::stream(geom), node, 1.0, &mut serial);
         for prefetch in [None, Some(flux::PREFETCH_DIST)] {
             let mut r = vec![0.0; n4];
-            flux::serial_aos_simd_on(avx2, geom, node, 1.0, &mut r, prefetch);
+            flux::run(Some(avx2), flux::Exec::Caller, flux::Traversal::Stream { geom, prefetch }, node, 1.0, &mut r);
             prop_assert_eq!(&serial, &r, "serial flux, {} edges, prefetch {prefetch:?}", geom.nedges());
         }
 
@@ -270,16 +366,119 @@ prop_cases! {
                 nt,
             );
             let mut want = vec![0.0; n4];
-            flux::owner_writes_opt_on(portable, &pool, &plan, geom, node, 1.0, &mut want);
+            flux::run(Some(portable), flux::Exec::Pool(&pool), flux::Traversal::owner(geom, &plan), node, 1.0, &mut want);
             let mut got = vec![0.0; n4];
-            flux::owner_writes_opt_on(avx2, &pool, &plan, geom, node, 1.0, &mut got);
+            flux::run(Some(avx2), flux::Exec::Pool(&pool), flux::Traversal::owner(geom, &plan), node, 1.0, &mut got);
             prop_assert_eq!(&want, &got, "owner-writes flux nt={nt}");
             for isa in [portable, avx2] {
                 let mut out = node.clone();
-                gradient::green_gauss_threaded_on(isa, &pool, &plan, geom, &fix.bc, &fix.vol, &mut out);
+                gradient::green_gauss(isa, flux::Exec::Pool(&pool), flux::Traversal::owner(geom, &plan), &fix.bc, &fix.vol, &mut out);
                 prop_assert_eq!(&oracle, &out.grad, "{} owner-writes gradient nt={nt}", isa.name());
             }
         }
+    }
+
+    fn determinism_matrix(g, cases = 6) {
+        // kernel x traversal x lanes x nt, every row against its family's
+        // (portable, one thread) row and against the scalar oracles.
+        let seed = g.u64();
+        let jitter = g.f64_range(0.0, 0.3);
+        let amp = g.f64_range(0.0, 0.4);
+        let drop = g.usize_range(0, 4);
+        let budget = BUDGETS[g.usize_range(0, 4)];
+        let fix = random_fixture(seed, jitter, amp, drop);
+        let flux_oracle = scalar_reference(&fix.geom, &fix.node);
+        let grad_oracle = scalar_green_gauss(&fix);
+        // What each family's first row computed, per kernel; for the lane
+        // flux in edge order, per set of edge lists.
+        let mut first = std::collections::HashMap::new();
+        each_row(&fix.geom, fix.node.n, budget, |row| {
+            let label = row.label();
+            let kernels = [
+                ("flux, lane body", row.flux(true, &fix.node), &flux_oracle),
+                ("flux, scalar body", row.flux(false, &fix.node), &flux_oracle),
+                ("gradient", row.gradient(&fix), &grad_oracle),
+            ];
+            for (kernel, got, oracle) in kernels {
+                let lane_flux_in_edge_order = kernel == "flux, lane body" && row.family == "edge order";
+                let lists = if lane_flux_in_edge_order { row.lists.clone() } else { String::new() };
+                let want = first.entry((kernel, row.family, lists)).or_insert_with(|| got.clone());
+                prop_assert_eq!(&*want, &got, "{kernel}: {label} differs from its family's first row");
+                if row.family == "edge order" && !lane_flux_in_edge_order {
+                    prop_assert_eq!(oracle, &got, "{kernel}: {label} differs from the scalar oracle");
+                }
+                let near = close(oracle, &got, 1e-12);
+                prop_assert!(near.is_ok(), "{kernel}: {label} vs the scalar oracle: {near:?}");
+            }
+            Ok(())
+        })?;
+    }
+
+    fn edge_fluxes_sum_to_zero_on_every_traversal(g, cases = 6) {
+        // Discrete conservation: an edge adds its flux to one endpoint and
+        // subtracts it from the other, so before the boundary terms the
+        // residual sums to zero per component — unless a traversal skips
+        // or doubles a write. Judged against the sum of the magnitudes
+        // added, computed here from the physics alone.
+        let seed = g.u64();
+        let jitter = g.f64_range(0.0, 0.3);
+        let amp = g.f64_range(0.0, 0.4);
+        let drop = g.usize_range(0, 4);
+        let budget = BUDGETS[g.usize_range(0, 4)];
+        let fix = random_fixture(seed, jitter, amp, drop);
+        let (geom, node) = (&fix.geom, &fix.node);
+        let mut added = [0.0f64; 4];
+        for (k, e) in geom.edges.iter().enumerate() {
+            let (a, b) = (e[0] as usize, e[1] as usize);
+            let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
+            let (mut ql, mut qr) = (node.state(a), node.state(b));
+            for c in 0..4 {
+                let slope = |g: &[f64]| g[c * 3] * r[0] + g[c * 3 + 1] * r[1] + g[c * 3 + 2] * r[2];
+                ql[c] += 0.5 * slope(node.gradient(a));
+                qr[c] -= 0.5 * slope(node.gradient(b));
+            }
+            let f = euler::roe_flux(&ql, &qr, &[geom.nx[k], geom.ny[k], geom.nz[k]], 1.0);
+            for c in 0..4 {
+                added[c] += 2.0 * f[c].abs();
+            }
+        }
+        each_row(geom, node.n, budget, |row| {
+            for lanes in [true, false] {
+                let res = row.flux(lanes, node);
+                for c in 0..4 {
+                    let sum: f64 = res.iter().skip(c).step_by(4).sum();
+                    prop_assert!(
+                        sum.abs() <= 1e-12 * added[c],
+                        "{} (lane body: {lanes}): component {c} sums to {sum:e} of {:e} added",
+                        row.label(),
+                        added[c]
+                    );
+                }
+            }
+            Ok(())
+        })?;
+    }
+
+    fn constant_state_has_zero_gradient_on_every_traversal(g, cases = 6) {
+        // The closure identity of the median dual: the edge normals around
+        // a vertex and its boundary normals sum to zero, so a constant
+        // state has zero Green-Gauss gradient at every vertex, boundary
+        // included — unless a traversal skips or doubles a write.
+        let mut spec = ChannelSpec::with_resolution(g.usize_range(4, 8), g.usize_range(3, 6), 4);
+        spec.seed = g.u64();
+        spec.jitter = g.f64_range(0.0, 0.3);
+        let budget = BUDGETS[g.usize_range(0, 4)];
+        let mesh = spec.build();
+        let dual = DualMesh::build(&mesh);
+        let geom = EdgeGeom::build(&mesh, &dual);
+        let mut node = NodeAos::zeros(mesh.nvertices());
+        node.set_freestream(&[0.7, 1.0, -0.5, 0.25]);
+        let fix = Fixture { geom, node, bc: BcData::build(&dual), vol: dual.vol };
+        each_row(&fix.geom, fix.node.n, budget, |row| {
+            let max = row.gradient(&fix).iter().map(|x| x.abs()).fold(0.0, f64::max);
+            prop_assert!(max < 1e-10, "{}: constant field gradient {max:e}", row.label());
+            Ok(())
+        })?;
     }
 
     fn triangular_solve_strategies_agree(g, cases = 12) {

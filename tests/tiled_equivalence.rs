@@ -46,7 +46,7 @@ fn random_fixture(seed: u64, jitter: f64, amp: f64) -> Fixture {
         *x += rng.range_f64(-amp, amp);
     }
     let bc = fun3d_core::bc::BcData::build(&dual);
-    gradient::green_gauss(&geom, &bc, &dual.vol, &mut node);
+    gradient::green_gauss(Isa::detect(), flux::Exec::Caller, flux::Traversal::stream(&geom), &bc, &dual.vol, &mut node);
     Fixture { geom, node, bc, vol: dual.vol }
 }
 
@@ -96,13 +96,13 @@ prop_cases! {
         // Serial tiled, staged exec: ULP-level agreement with the
         // streaming reference (edge order is permuted, so not bitwise).
         let mut staged = vec![0.0; n4];
-        flux::tiled(&tiling, &tg, &fix.node, 1.0, TileExec::Staged, &mut staged);
+        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: TileExec::Staged }, &fix.node, 1.0, &mut staged);
         prop_assert!(close(&reference, &staged, 1e-11).is_ok());
 
         // Direct exec runs the same arithmetic in the same order
         // without the scratch copy: bitwise equal to staged.
         let mut direct = vec![0.0; n4];
-        flux::tiled(&tiling, &tg, &fix.node, 1.0, TileExec::Direct, &mut direct);
+        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: TileExec::Direct }, &fix.node, 1.0, &mut direct);
         prop_assert_eq!(&staged, &direct, "staged vs direct must be bitwise equal");
 
         // Pooled tiled: the inter-tile coloring pins the accumulation
@@ -110,7 +110,7 @@ prop_cases! {
         let pool = ThreadPool::new(nthreads);
         for exec in [TileExec::Staged, TileExec::Direct] {
             let mut pooled = vec![0.0; n4];
-            flux::tiled_pooled(&pool, &tiling, &tg, &fix.node, 1.0, exec, &mut pooled);
+            flux::run(Some(Isa::detect()), flux::Exec::Pool(&pool), flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: exec }, &fix.node, 1.0, &mut pooled);
             prop_assert_eq!(&staged, &pooled, "pooled must be bitwise equal to serial");
         }
 
@@ -119,7 +119,7 @@ prop_cases! {
             for isa in [portable, avx2] {
                 for exec in [TileExec::Staged, TileExec::Direct] {
                     let mut r = vec![0.0; n4];
-                    flux::tiled_on(isa, &tiling, &tg, &fix.node, 1.0, exec, &mut r);
+                    flux::run(Some(isa), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: exec }, &fix.node, 1.0, &mut r);
                     prop_assert_eq!(&staged, &r, "{} lanes, {exec:?}", isa.name());
                 }
             }
@@ -135,7 +135,7 @@ prop_cases! {
 
         let fix = random_fixture(seed, jitter, amp);
         let mut reference = fix.node.clone();
-        gradient::green_gauss(&fix.geom, &fix.bc, &fix.vol, &mut reference);
+        gradient::green_gauss(Isa::detect(), flux::Exec::Caller, flux::Traversal::stream(&fix.geom), &fix.bc, &fix.vol, &mut reference);
 
         let tiling = EdgeTiling::build(
             fix.node.n,
@@ -145,18 +145,18 @@ prop_cases! {
         let tg = TiledGeom::new(&tiling, &fix.geom);
 
         let mut staged = fix.node.clone();
-        gradient::green_gauss_tiled(&tiling, &tg, &fix.bc, &fix.vol, TileExec::Staged, &mut staged);
+        gradient::green_gauss(Isa::detect(), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: TileExec::Staged }, &fix.bc, &fix.vol, &mut staged);
         prop_assert!(close(&reference.grad, &staged.grad, 1e-11).is_ok());
 
         let mut direct = fix.node.clone();
-        gradient::green_gauss_tiled(&tiling, &tg, &fix.bc, &fix.vol, TileExec::Direct, &mut direct);
+        gradient::green_gauss(Isa::detect(), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: TileExec::Direct }, &fix.bc, &fix.vol, &mut direct);
         prop_assert_eq!(&staged.grad, &direct.grad, "staged vs direct gradient");
 
         let pool = ThreadPool::new(nthreads);
         for exec in [TileExec::Staged, TileExec::Direct] {
             let mut pooled = fix.node.clone();
-            gradient::green_gauss_tiled_pooled(
-                &pool, &tiling, &tg, &fix.bc, &fix.vol, exec, &mut pooled,
+            gradient::green_gauss(
+                Isa::detect(), flux::Exec::Pool(&pool), flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: exec }, &fix.bc, &fix.vol, &mut pooled,
             );
             prop_assert_eq!(&staged.grad, &pooled.grad, "pooled gradient bitwise");
         }
@@ -165,8 +165,8 @@ prop_cases! {
             for isa in [portable, avx2] {
                 for exec in [TileExec::Staged, TileExec::Direct] {
                     let mut r = fix.node.clone();
-                    gradient::green_gauss_tiled_on(
-                        isa, &tiling, &tg, &fix.bc, &fix.vol, exec, &mut r,
+                    gradient::green_gauss(
+                        isa, flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: exec }, &fix.bc, &fix.vol, &mut r,
                     );
                     prop_assert_eq!(&staged.grad, &r.grad, "{} lanes, {exec:?}", isa.name());
                 }
