@@ -9,7 +9,12 @@
 //! every call — the reference), the one-shot compressed form, and the
 //! numeric core on a structure built once, into fresh storage and in
 //! place — so the cost of allocating and first touching the factors
-//! reads apart from the arithmetic. When the host has at least two cores
+//! reads apart from the arithmetic; and the serial preconditioner
+//! application on three storage formats — row-major `f64` blocks (the
+//! solver's own until the factors moved to single precision; a reference
+//! kept in [`fun3d_bench::trsv_reference`]), the same values column-major,
+//! and the production column-major `f32` — so that layout and precision
+//! read apart. When the host has at least two cores
 //! a second *measured* table sets the P2P sweeps and the team
 //! refactorization at T = min(nproc, 4) beside their serial forms. Modeled
 //! rows charge the paper machine with the *real* schedules built from the
@@ -26,9 +31,13 @@
 //!   same test (the negative canary);
 //! * on a host with at least two cores, the P2P application at T = 2 is
 //!   slower than the serial one (best of the rounds each, a round being a
-//!   burst of back-to-back applications).
+//!   burst of back-to-back applications);
+//! * the production serial application is not at least 1.25× the
+//!   row-major `f64` reference (the factors are no longer stored the way
+//!   the sweeps load them, or no longer in single precision).
 
 use fun3d_bench::model::{p2p_sweep_time, RecurrenceBlocks};
+use fun3d_bench::trsv_reference::{F64Factors, Layout};
 use fun3d_bench::{emit, fmt_x, jacobian_fixture, KernelFixture};
 use fun3d_machine::{kernels, MachineSpec, RecurrenceCosts};
 use fun3d_mesh::generator::MeshPreset;
@@ -46,6 +55,11 @@ const REFACTOR_SPEEDUP_FLOOR: f64 = 2.0;
 /// schedules. Level-interleaved ownership measures 1.9–2.0 on Small; the
 /// contiguous chunks it replaced, 1.00 at every thread count.
 const SCHEDULE_BOUND_FLOOR: f64 = 1.5;
+
+/// `--check` floor for the production serial application over the
+/// row-major `f64` reference: 1.8–2.0× measured on Small (1.3× of it
+/// layout), 2.3–2.4× on Medium.
+const STORAGE_SPEEDUP_FLOOR: f64 = 1.25;
 
 /// Per-variant minimum over `reps` rounds of one sample each, after a
 /// warm-up round (as fig6a does): drift on a shared host only adds time.
@@ -96,6 +110,11 @@ fn contiguous_programs(
 /// milliseconds would time how deep the idle pool had dozed off instead.
 const BURST: usize = 8;
 
+/// One timed sample: [`BURST`] back-to-back calls.
+fn burst<'a>(mut call: impl FnMut() + 'a) -> Box<dyn FnMut() + 'a> {
+    Box::new(move || (0..BURST).for_each(|_| call()))
+}
+
 /// Seconds of (serial TRSV, P2P TRSV, serial refactorization, team
 /// refactorization) at `nt` threads: best of `reps` rounds, each sample a
 /// burst of [`BURST`] calls.
@@ -114,9 +133,6 @@ fn measure_team(
     let (mut y, mut x) = (vec![0.0; b.len()], vec![0.0; b.len()]);
     let (mut ys, mut xs) = (y.clone(), x.clone());
     let (mut serial_f, mut team_f) = (factors.clone(), factors.clone());
-    fn burst<'a>(mut call: impl FnMut() + 'a) -> Box<dyn FnMut() + 'a> {
-        Box::new(move || (0..BURST).for_each(|_| call()))
-    }
     let times = best_of(
         reps,
         [
@@ -209,6 +225,43 @@ fn main() {
     ]);
     emit("fig7a_recurrence_host", &host);
 
+    // ---- the serial application on three storage formats --------------
+    let row_major = F64Factors::of(&factors, Layout::RowMajor);
+    let column_major = F64Factors::of(&factors, Layout::ColumnMajor);
+    let (mut y, mut x) = (vec![0.0; n], vec![0.0; n]);
+    let (mut y_rm, mut x_rm, mut y_cm, mut x_cm) = (y.clone(), x.clone(), y.clone(), x.clone());
+    let formats = best_of(
+        cli.reps,
+        [
+            burst(|| row_major.solve_into(&b, &mut y_rm, &mut x_rm)),
+            burst(|| column_major.solve_into(&b, &mut y_cm, &mut x_cm)),
+            burst(|| trsv::solve_into(&factors, &b, &mut y, &mut x)),
+        ],
+    )
+    .map(|t| t / BURST as f64);
+    assert!(x == x_rm && x == x_cm, "a reference format solves to other bits");
+    let nblocks = (factors.l.nblocks() + factors.u.nblocks()) as f64;
+    let mut storage = Table::new(
+        "Fig. 7a (host-measured, serial): one application, three factor storage formats",
+        &["blocks stored as", "B/block", "seconds", "ns/block", "GB/s", "speedup"],
+    );
+    let rows = [
+        ("row-major f64 (reference)", 16 * 8 + 4, row_major.sweep_bytes()),
+        ("column-major f64 (reference)", 16 * 8 + 4, column_major.sweep_bytes()),
+        ("column-major f32 (production)", IluFactors::SWEEP_BYTES_PER_BLOCK, factors.sweep_bytes()),
+    ];
+    for ((name, per_block, bytes), t) in rows.into_iter().zip(formats) {
+        storage.row(&[
+            name.into(),
+            per_block.to_string(),
+            fmt_g(t),
+            format!("{:.2}", t * 1e9 / nblocks),
+            format!("{:.1}", bytes as f64 / t / 1e9),
+            fmt_x(formats[0] / t),
+        ]);
+    }
+    emit("fig7a_recurrence_storage", &storage);
+
     // ---- host-measured team recurrences ------------------------------
     let cores = available_cores();
     let team = cores.min(4);
@@ -277,6 +330,16 @@ fn main() {
             }
         }
 
+        let storage_speedup = formats[0] / formats[2];
+        if storage_speedup >= STORAGE_SPEEDUP_FLOOR {
+            println!("fig7a --check: production TRSV is {storage_speedup:.2}x the row-major f64 reference: ok");
+        } else {
+            failures.push(format!(
+                "production TRSV is {storage_speedup:.2}x the row-major f64 reference (floor \
+                 {STORAGE_SPEEDUP_FLOOR}x): the factors are not stored the way the sweeps load them"
+            ));
+        }
+
         // The table above is the T = 2 measurement unless the host has
         // more cores than that.
         let at_two = team_times.map(|times| match team {
@@ -311,7 +374,7 @@ fn main() {
 
     // ---- modeled parallel strategies on the paper machine ----------
     let machine = MachineSpec::xeon_e5_2690v2();
-    let costs = RecurrenceCosts::default();
+    let costs = RecurrenceCosts::for_block_bytes(fun3d_sparse::FACTOR_BLOCK_BYTES);
     let threads = machine.cores * machine.smt;
 
     // Real schedules from the real factor patterns.

@@ -19,7 +19,7 @@ fn main() {
     let pattern = ilu::symbolic_iluk(&jac, 1);
     let factors = ilu::factor(&jac, &pattern, TempBuffer::Compressed);
     let machine = MachineSpec::xeon_e5_2690v2();
-    let costs = RecurrenceCosts::default();
+    let costs = RecurrenceCosts::for_block_bytes(fun3d_sparse::FACTOR_BLOCK_BYTES);
 
     let RecurrenceBlocks {
         fwd: fwd_blocks,

@@ -13,6 +13,7 @@
 
 pub mod model;
 pub mod multinode;
+pub mod trsv_reference;
 
 use fun3d_core::{Fun3dApp, FlowConditions};
 use fun3d_mesh::generator::MeshPreset;

@@ -5,7 +5,7 @@
 use crate::{jacobian_fixture, KernelFixture};
 use fun3d_machine::{kernels, EdgeLoopCosts, MachineSpec, RecurrenceCosts};
 use fun3d_partition::{partition_graph, MultilevelConfig, OwnerWritesPlan};
-use fun3d_sparse::{ilu, IluFactors, P2pSchedule, TempBuffer};
+use fun3d_sparse::{ilu, IluFactors, P2pSchedule, Pattern, TempBuffer};
 
 /// Blocks each row of the three recurrences touches on given factors:
 /// the work the modelled schedules are charged with, row by row.
@@ -21,16 +21,15 @@ pub struct RecurrenceBlocks {
 
 impl RecurrenceBlocks {
     pub fn of(f: &IluFactors) -> RecurrenceBlocks {
-        let len = |m: &fun3d_sparse::Bcsr4, r: usize| m.row_ptr[r + 1] - m.row_ptr[r];
+        let (l, u): (Pattern, Pattern) = ((&f.l).into(), (&f.u).into());
         let rows = 0..f.nrows();
         let ilu_row = |r: usize| {
-            let pivots = &f.l.col_idx[f.l.row_ptr[r]..f.l.row_ptr[r + 1]];
-            let updates: usize = pivots.iter().map(|&k| len(&f.u, k as usize)).sum();
-            pivots.len() + updates + 1
+            let updates: usize = l.row(r).iter().map(|&k| u.row(k as usize).len()).sum();
+            l.row(r).len() + updates + 1
         };
         RecurrenceBlocks {
-            fwd: rows.clone().map(|r| len(&f.l, r) + 1).collect(),
-            bwd: rows.clone().map(|r| len(&f.u, r) + 1).collect(),
+            fwd: rows.clone().map(|r| l.row(r).len() + 1).collect(),
+            bwd: rows.clone().map(|r| u.row(r).len() + 1).collect(),
             ilu: rows.map(ilu_row).collect(),
         }
     }
@@ -92,7 +91,7 @@ pub fn model_speedups_fill(
     fill: usize,
 ) -> KernelSpeedups {
     let costs = EdgeLoopCosts::default();
-    let rc = RecurrenceCosts::default();
+    let rc = RecurrenceCosts::for_block_bytes(fun3d_sparse::FACTOR_BLOCK_BYTES);
     let threads = cores * machine.smt;
     let ne = fix.geom.nedges();
     let graph = fun3d_mesh::Graph::from_edges(fix.mesh.nvertices(), &fix.geom.edges);

@@ -284,7 +284,7 @@ pub fn simulate_point(
     let ranks = load.ranks.len();
     assert_eq!(ranks, nodes * cfg.ranks_per_node(), "workload/rank mismatch");
     let edge_costs = EdgeLoopCosts::default();
-    let rec_costs = RecurrenceCosts::default();
+    let rec_costs = RecurrenceCosts::for_block_bytes(fun3d_sparse::FACTOR_BLOCK_BYTES);
     let cycles_per_edge = match cfg.style {
         ExecStyle::Baseline => edge_costs.scalar_soa,
         ExecStyle::Optimized | ExecStyle::Hybrid => edge_costs.simd_prefetch,

@@ -846,7 +846,7 @@ mod tests {
         // first build is shared, so the rebuilds that followed it in the
         // solve above went to other storage: it still holds what a solve
         // stopped right after its first build captures.
-        let bits = |f: &IluFactors| -> Vec<u64> {
+        let bits = |f: &IluFactors| -> Vec<u32> {
             let values = f.l.blocks.iter().chain(&f.u.blocks).chain(&f.dinv);
             values.map(|x| x.to_bits()).collect()
         };

@@ -14,15 +14,17 @@
 //! GB/s" above STREAM indicates cache residency, not a broken model.
 
 use crate::geom::EdgeGeom;
-use fun3d_sparse::IluFactors;
+use fun3d_sparse::{IluFactors, FACTOR_BLOCK_BYTES};
 use fun3d_util::telemetry::KernelCounts;
 
 /// Bytes of a 4-component state block.
 const STATE_BYTES: u64 = 4 * 8;
 /// Bytes of a 12-entry gradient block.
 const GRAD_BYTES: u64 = 12 * 8;
-/// Bytes of one 4×4 Jacobian block.
+/// Bytes of one 4×4 Jacobian block (`f64`).
 const BLOCK_BYTES: u64 = 16 * 8;
+/// Bytes of one stored factor block: the format's own constant.
+const FACTOR_BYTES: u64 = FACTOR_BLOCK_BYTES as u64;
 
 /// Flux kernel model for one evaluation over `nedges` edges.
 ///
@@ -115,12 +117,14 @@ pub fn jacobian(nedges: usize, nrows: usize) -> KernelCounts {
 ///
 /// Each L block triggers one 4×4 inverse-diagonal multiply (~128 flops)
 /// plus a row-combine pass over the matching U row; modeled as touching
-/// every stored block a small constant number of times.
+/// every stored block a small constant number of times: the matrix block
+/// that seeds it (`f64`) and one finished factor block read, then the
+/// stored block written.
 pub fn ilu_factor(f: &IluFactors) -> KernelCounts {
     let nblocks = (f.l.nblocks() + f.u.nblocks()) as u64;
     let nrows = f.nrows() as u64;
-    let reads = 2 * nblocks * BLOCK_BYTES + nrows * BLOCK_BYTES;
-    let writes = nblocks * BLOCK_BYTES + nrows * BLOCK_BYTES;
+    let reads = nblocks * (BLOCK_BYTES + FACTOR_BYTES) + nrows * BLOCK_BYTES;
+    let writes = (nblocks + nrows) * FACTOR_BYTES;
     // block-block multiply-accumulate: 4×4×4 fused multiply-adds
     let flops = nblocks * 128 + nrows * 128;
     KernelCounts::once(nrows, reads, writes, flops)
@@ -194,7 +198,18 @@ mod tests {
         let fac = ilu_factor(&f);
         let sweep = trsv(&f);
         assert_eq!(fac.items, f.nrows() as u64);
-        assert!(sweep.bytes() as usize > f.sweep_bytes());
         assert!(fac.bytes() > sweep.bytes(), "factorization moves more than a sweep");
+        assert!(sweep.bytes() as usize > f.sweep_bytes());
+        // The sweep model follows the stored format: 64 B of `f32` values
+        // and a 4 B column index per block; per row a 64 B inverted
+        // diagonal and the two sweeps' four passes over 32 B vector rows.
+        let (nblocks, nrows) = (f.l.nblocks() + f.u.nblocks(), f.nrows());
+        assert_eq!((IluFactors::SWEEP_BYTES_PER_BLOCK, IluFactors::SWEEP_BYTES_PER_ROW), (68, 192));
+        assert_eq!(f.sweep_bytes(), nblocks * 68 + nrows * 192);
+        assert_eq!(
+            f.sweep_bytes() - nrows * 4 * 32,
+            (f.l.blocks.len() + f.u.blocks.len() + f.dinv.len()) * 4 + nblocks * 4,
+            "beside the vectors, the model counts exactly the bytes the factors store"
+        );
     }
 }

@@ -92,21 +92,27 @@ pub struct RecurrenceCosts {
     pub trsv_cycles_per_block: f64,
     /// Cycles per block op in the ILU factorization (matmul-heavy).
     pub ilu_cycles_per_block: f64,
-    /// DRAM bytes per block touched by TRSV (streaming; a 4×4 block is
-    /// 128 B plus index + vector traffic).
+    /// DRAM bytes per block touched by TRSV (streaming: the stored block
+    /// plus its index and its share of the vector traffic).
     pub trsv_bytes_per_block: f64,
     /// DRAM bytes per block op of ILU (some reuse across a row's
     /// updates).
     pub ilu_bytes_per_block: f64,
 }
 
-impl Default for RecurrenceCosts {
-    fn default() -> Self {
+impl RecurrenceCosts {
+    /// The costs for factors whose stored block takes
+    /// `factor_block_bytes` (`fun3d_sparse::FACTOR_BLOCK_BYTES` — this
+    /// crate sits below the sparse one): per block the TRSV streams the
+    /// block, its 4-byte column index and about 18 bytes of vectors; the
+    /// factorization about 42 bytes of working row on top of the block.
+    pub fn for_block_bytes(factor_block_bytes: usize) -> Self {
+        let block = factor_block_bytes as f64;
         RecurrenceCosts {
             trsv_cycles_per_block: 40.0,
             ilu_cycles_per_block: 150.0,
-            trsv_bytes_per_block: 150.0,
-            ilu_bytes_per_block: 170.0,
+            trsv_bytes_per_block: block + 4.0 + 18.0,
+            ilu_bytes_per_block: block + 42.0,
         }
     }
 }

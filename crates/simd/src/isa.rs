@@ -35,6 +35,9 @@ pub trait Simd: Copy {
     fn splat(self, x: f64) -> Self::V;
     /// The first four elements of `xs` (panics if there are fewer).
     fn load(self, xs: &[f64]) -> Self::V;
+    /// The first four elements of `xs`, widened to `f64` (panics if there
+    /// are fewer). Every `f32` is an `f64`, so the conversion is exact.
+    fn load_f32(self, xs: &[f32]) -> Self::V;
     /// Writes the lanes to the first four elements of `out` (panics if
     /// there are fewer).
     fn store(self, v: Self::V, out: &mut [f64]);
@@ -62,6 +65,10 @@ impl Simd for Portable {
     #[inline(always)]
     fn load(self, xs: &[f64]) -> F64x4 {
         F64x4([xs[0], xs[1], xs[2], xs[3]])
+    }
+    #[inline(always)]
+    fn load_f32(self, xs: &[f32]) -> F64x4 {
+        F64x4([xs[0], xs[1], xs[2], xs[3]].map(f64::from))
     }
     #[inline(always)]
     fn store(self, v: F64x4, out: &mut [f64]) {
@@ -128,6 +135,13 @@ mod avx2 {
             // SAFETY: `self` proves AVX; the four doubles read are inside
             // `xs` by the assert, and `loadu` has no alignment demand.
             M256d(unsafe { _mm256_loadu_pd(xs.as_ptr()) })
+        }
+        #[inline(always)]
+        fn load_f32(self, xs: &[f32]) -> M256d {
+            assert!(xs.len() >= 4);
+            // SAFETY: `self` proves AVX; the four floats read are inside
+            // `xs` by the assert, and `loadu` has no alignment demand.
+            M256d(unsafe { _mm256_cvtps_pd(_mm_loadu_ps(xs.as_ptr())) })
         }
         #[inline(always)]
         fn store(self, v: M256d, out: &mut [f64]) {
@@ -304,6 +318,8 @@ mod tests {
         ]);
         let mut stored = [0.0; 5];
         s.store(a, &mut stored);
+        // 0.1f32 is not 0.1f64: widening keeps the f32's value.
+        let widened = s.load_f32(&[0.1, -2.5, f32::MAX, f32::MIN_POSITIVE, 9.0]);
         vec![
             s.to_array(a + b),
             s.to_array(a - b),
@@ -315,6 +331,7 @@ mod tests {
             s.to_array(t[0]),
             s.to_array(t[3]),
             stored[..4].try_into().unwrap(),
+            s.to_array(widened),
         ]
     }
 
@@ -331,6 +348,9 @@ mod tests {
         assert_eq!(r[7], [0.0, 10.0, 20.0, 30.0]);
         assert_eq!(r[8], [3.0, 13.0, 23.0, 33.0]);
         assert_eq!(r[9], [1.0, -2.0, 3.0, -4.0]);
+        let exact = [0.1f32, -2.5, f32::MAX, f32::MIN_POSITIVE].map(f64::from);
+        assert_eq!(r[10], exact);
+        assert_ne!(r[10][0], 0.1f64);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! application can run serially, level-scheduled, or with P2P sparsified
 //! synchronization — the three strategies of Fig. 7.
 
-use fun3d_sparse::{ilu, levels, p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pSchedule};
+use fun3d_sparse::{
+    ilu, levels, p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pSchedule, Sweep,
+};
 use fun3d_threads::{P2pProgress, SpinBarrier, TeamMember, TeamSlice, ThreadPool};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -231,8 +233,9 @@ impl Preconditioner for SerialIlu {
             // published on return.
             IluApply::Levels { fwd, bwd, .. } => {
                 let barrier = tm.team().barrier();
-                levels::forward_levels_team(&self.factors, r, z, tid, nt, fwd, barrier);
-                levels::backward_levels_team(&self.factors, z, z, tid, nt, bwd, barrier);
+                let f = &self.factors;
+                levels::sweep_levels_team(Sweep::Forward, f, r, z, tid, nt, fwd, barrier);
+                levels::sweep_levels_team(Sweep::Backward, f, z, z, tid, nt, bwd, barrier);
             }
             // P2P sweeps on counters that continue from the last
             // application's. A barrier between the sweeps because forward
@@ -246,9 +249,9 @@ impl Preconditioner for SerialIlu {
                 ..
             } => {
                 assert_eq!(nt, fwd.nthreads());
-                p2p::forward_p2p_team(&self.factors, r, z, tid, fwd, fwd_progress);
+                p2p::sweep_p2p_team(Sweep::Forward, &self.factors, r, z, tid, fwd, fwd_progress);
                 tm.barrier();
-                p2p::backward_p2p_team(&self.factors, z, z, tid, bwd, bwd_progress);
+                p2p::sweep_p2p_team(Sweep::Backward, &self.factors, z, z, tid, bwd, bwd_progress);
                 tm.barrier();
             }
         }

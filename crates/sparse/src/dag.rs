@@ -6,7 +6,7 @@
 //! the longest dependency path." Table II reports 248× for ILU-0 and 60×
 //! for ILU-1 on Mesh-C.
 
-use crate::Bcsr4;
+use crate::Pattern;
 
 /// Flop counts per 4×4 block operation.
 const MATVEC_FLOPS: f64 = 32.0; // 16 mul + 16 add
@@ -72,25 +72,18 @@ impl DagStats {
 
     /// Stats for the forward+backward triangular solve of the factors:
     /// row work = one matvec per off-diagonal block + one diagonal apply.
-    pub fn for_trsv(l: &Bcsr4, u: &Bcsr4) -> DagStats {
+    pub fn for_trsv<'a>(l: impl Into<Pattern<'a>>, u: impl Into<Pattern<'a>>) -> DagStats {
+        let (l, u): (Pattern, Pattern) = (l.into(), u.into());
         let fwd = Self::compute(
             l.nrows(),
-            |i| l.col_idx[l.row_ptr[i]..l.row_ptr[i + 1]].iter().copied(),
-            |i| MATVEC_FLOPS * (l.row_ptr[i + 1] - l.row_ptr[i]) as f64,
+            |i| l.row(i).iter().copied(),
+            |i| MATVEC_FLOPS * l.row(i).len() as f64,
         );
         let n = u.nrows();
         let bwd = Self::compute(
             n,
-            |i| {
-                let orig = n - 1 - i;
-                u.col_idx[u.row_ptr[orig]..u.row_ptr[orig + 1]]
-                    .iter()
-                    .map(move |&c| (n - 1 - c as usize) as u32)
-            },
-            |i| {
-                let orig = n - 1 - i;
-                MATVEC_FLOPS * (u.row_ptr[orig + 1] - u.row_ptr[orig]) as f64 + MATVEC_FLOPS
-            },
+            |i| u.row(n - 1 - i).iter().map(move |&c| (n - 1 - c as usize) as u32),
+            |i| MATVEC_FLOPS * u.row(n - 1 - i).len() as f64 + MATVEC_FLOPS,
         );
         DagStats {
             total_flops: fwd.total_flops + bwd.total_flops,

@@ -7,10 +7,20 @@
 //! between convergence (fewer iterations with fill) and available
 //! parallelism (shorter dependency chains without).
 //!
-//! Two PETSc layout optimizations from the paper are reproduced:
+//! Three PETSc layout optimizations from the paper and its lineage are
+//! reproduced:
 //! * diagonal blocks are **inverted during factorization** and stored, so
 //!   the backward solve multiplies instead of solving per row [17];
-//! * L and U are stored separately in the order the solves traverse them.
+//! * L and U are stored separately in the order the solves traverse them;
+//! * the factors are **stored in single precision, column-major**
+//!   ([`crate::block::FactorBlock`]) — a block is stored the way its hot
+//!   loop, the triangular sweep, loads it, and single precision is storage
+//!   only: the factorization eliminates each row in an `f64` buffer and
+//!   rounds once, when the row's `L`, `U` and `D⁻¹` leave it
+//!   ([`crate::block::narrow`]); later rows and the sweeps read the stored
+//!   (rounded) values back, widened exactly, and compute in `f64`. A value
+//!   that does not fit an `f32` (or a NaN) is never stored: the row is
+//!   reported exactly as one whose pivot block cannot be inverted.
 //!
 //! The paper's algorithmic optimization for threading is also here: the
 //! per-row working buffer is **compressed** ([`TempBuffer::Compressed`])
@@ -30,7 +40,7 @@
 //!   search — and it is where a malformed pattern panics, naming the row
 //!   and the fault.
 //! * The numeric core streams over that structure: scatter the A row into
-//!   the packed row buffer, eliminate, copy the L and U slots out. The
+//!   the packed row buffer, eliminate, narrow the L and U slots out. The
 //!   4×4 multiply and multiply-subtract run on [`fun3d_simd::Simd`] lanes
 //!   picked by [`Isa::detect`], in the per-entry operation order of the
 //!   [`TempBuffer::Full`] reference and without fused multiply-add, so
@@ -64,8 +74,9 @@
 //! factor into a fresh allocation (which is unique from then on).
 
 use crate::bcsr::{Bcsr4, Pattern};
-use crate::block::{self, Block4, BLOCK_LEN, ZERO_BLOCK};
-use crate::p2p::P2pSchedule;
+use crate::block::{self, Block4, FactorBlock, BLOCK_LEN, FACTOR_BLOCK_BYTES, ZERO_BLOCK};
+use crate::p2p::{P2pSchedule, Program};
+use crate::trsv::RowOrder;
 use fun3d_simd::{with_lanes, Isa, Simd};
 use fun3d_threads::{P2pProgress, ThreadPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,20 +93,62 @@ pub enum TempBuffer {
     Compressed,
 }
 
+/// One triangle of the factors: a strictly lower or strictly upper block
+/// CSR matrix whose values are stored [`FactorBlock`]s.
+#[derive(Clone, Debug)]
+pub struct Triangle {
+    /// Block-row pointers, length `nrows + 1`.
+    pub row_ptr: Vec<usize>,
+    /// Block-column indices, ascending within each row.
+    pub col_idx: Vec<u32>,
+    /// Block values, 16 `f32` per block, column-major.
+    pub blocks: Vec<f32>,
+}
+
+impl Triangle {
+    /// Number of stored blocks.
+    pub fn nblocks(&self) -> usize {
+        self.col_idx.len()
+    }
+
+    /// Block `k` (position in `col_idx`).
+    #[inline]
+    pub fn block(&self, k: usize) -> &FactorBlock {
+        factor_block_at(&self.blocks, k)
+    }
+}
+
+impl<'a> From<&'a Triangle> for Pattern<'a> {
+    fn from(t: &'a Triangle) -> Pattern<'a> {
+        Pattern {
+            row_ptr: &t.row_ptr,
+            col_idx: &t.col_idx,
+        }
+    }
+}
+
 /// The result of a block ILU factorization.
 #[derive(Clone, Debug)]
 pub struct IluFactors {
     /// Strictly-lower blocks of each row (unit diagonal implied), stored
     /// in forward-solve order.
-    pub l: Bcsr4,
-    /// Strictly-upper blocks of each row, stored row-major (the backward
-    /// solve walks rows in reverse).
-    pub u: Bcsr4,
-    /// Inverted diagonal blocks, 16 doubles per row.
-    pub dinv: Vec<f64>,
+    pub l: Triangle,
+    /// Strictly-upper blocks of each row, stored in row order (the
+    /// backward solve walks rows in reverse).
+    pub u: Triangle,
+    /// Inverted diagonal blocks, one [`FactorBlock`] per row.
+    pub dinv: Vec<f32>,
 }
 
 impl IluFactors {
+    /// Bytes one sweep streams per stored `L` or `U` block: its values and
+    /// its column index.
+    pub const SWEEP_BYTES_PER_BLOCK: usize = FACTOR_BLOCK_BYTES + std::mem::size_of::<u32>();
+    /// Bytes one forward + backward application touches per row beside its
+    /// blocks: the inverted diagonal, and in each of the two sweeps a
+    /// four-`f64` row of the input vector and one of the output.
+    pub const SWEEP_BYTES_PER_ROW: usize = FACTOR_BLOCK_BYTES + 4 * 4 * std::mem::size_of::<f64>();
+
     /// Number of block rows.
     pub fn nrows(&self) -> usize {
         self.dinv.len() / BLOCK_LEN
@@ -103,15 +156,16 @@ impl IluFactors {
 
     /// The inverted diagonal block of row `r`.
     #[inline]
-    pub fn dinv_block(&self, r: usize) -> &Block4 {
-        self.dinv[r * BLOCK_LEN..(r + 1) * BLOCK_LEN]
-            .try_into()
-            .unwrap()
+    pub fn dinv_block(&self, r: usize) -> &FactorBlock {
+        factor_block_at(&self.dinv, r)
     }
 
-    /// Bytes touched by one forward+backward solve sweep (for Fig. 7b).
+    /// Bytes one forward + backward application touches (for Fig. 7b):
+    /// every stored block with its column index and every inverted
+    /// diagonal, once, and the four vector passes of the two sweeps.
     pub fn sweep_bytes(&self) -> usize {
-        self.l.sweep_bytes() + self.u.sweep_bytes() + self.dinv.len() * 8
+        (self.l.nblocks() + self.u.nblocks()) * Self::SWEEP_BYTES_PER_BLOCK
+            + self.nrows() * Self::SWEEP_BYTES_PER_ROW
     }
 }
 
@@ -312,7 +366,7 @@ impl IluSymbolic {
     /// [`IluSymbolic::refactor`] or [`IluSymbolic::refactor_team`] to
     /// fill.
     pub fn allocate(&self) -> IluFactors {
-        let with_pattern = |p: Pattern| Bcsr4 {
+        let with_pattern = |p: Pattern| Triangle {
             row_ptr: p.row_ptr.to_vec(),
             col_idx: p.col_idx.to_vec(),
             blocks: vec![0.0; p.col_idx.len() * BLOCK_LEN],
@@ -427,7 +481,10 @@ impl IluSymbolic {
     }
 }
 
-const SINGULAR_PIVOT: &str = "singular pivot block in ILU (matrix not diagonally dominant?)";
+/// What a row that cannot be stored is reported as: its pivot block has no
+/// inverse, or one of its values is a NaN or beyond the `f32` range.
+const SINGULAR_PIVOT: &str =
+    "singular pivot block or non-finite factor value in ILU (matrix not diagonally dominant?)";
 
 /// The value arrays of the factors being computed (`L` blocks, `U`
 /// blocks, inverted diagonals), as addresses: the team loop's threads
@@ -435,9 +492,9 @@ const SINGULAR_PIVOT: &str = "singular pivot block in ILU (matrix not diagonally
 /// finished.
 #[derive(Clone, Copy)]
 struct FactorValues {
-    l: *mut f64,
-    u: *mut f64,
-    dinv: *mut f64,
+    l: *mut f32,
+    u: *mut f32,
+    dinv: *mut f32,
 }
 
 // SAFETY: three addresses. Everything done through them happens in
@@ -445,6 +502,12 @@ struct FactorValues {
 unsafe impl Send for FactorValues {}
 // SAFETY: as for `Send`.
 unsafe impl Sync for FactorValues {}
+
+fn factor_block_at(blocks: &[f32], k: usize) -> &FactorBlock {
+    blocks[k * BLOCK_LEN..(k + 1) * BLOCK_LEN]
+        .try_into()
+        .expect("a block is BLOCK_LEN values")
+}
 
 fn block_at(blocks: &[f64], k: usize) -> &Block4 {
     blocks[k * BLOCK_LEN..(k + 1) * BLOCK_LEN]
@@ -459,19 +522,21 @@ fn block_at_mut(blocks: &mut [f64], k: usize) -> &mut Block4 {
 }
 
 /// The numeric core, one row of it: row `i` is eliminated in `packed`, a
-/// buffer with one block per pattern slot, so the L slots, the diagonal
-/// and the U slots leave it as three copies; the only matrix-wide scratch
-/// is `slot_of`, one `u32` per column (all [`NO_SEED`] between rows)
-/// mapping the current row's columns to their packed slots. Returns
-/// whether the pivot block could be inverted; if not, the row's inverted
-/// diagonal is left as it was.
+/// buffer with one column-major `f64` block per pattern slot, so the L
+/// slots and the U slots leave it as two narrowing copies and the inverted
+/// diagonal as a third; the only matrix-wide scratch is `slot_of`, one
+/// `u32` per column (all [`NO_SEED`] between rows) mapping the current
+/// row's columns to their packed slots. Returns whether the row could be
+/// stored — its pivot block inverted and every value of its `L`, `U` and
+/// `D⁻¹` finite as an `f32`; if not, the row's stored values are left as
+/// they were.
 ///
 /// Arithmetic order is that of the [`TempBuffer::Full`] reference, entry
 /// by entry: `L_ik = w_k·D_k⁻¹` sums k ascending from zero, every update
-/// `w_j −= L_ik·U_kj` subtracts k ascending, pivots ascend, and there is
-/// no fused multiply-add — so the factors are the reference's bits on
-/// either lane implementation, in whatever order and on whatever thread
-/// the rows run.
+/// `w_j −= L_ik·U_kj` subtracts k ascending, pivots ascend, finished rows
+/// are read back as stored (rounded), and there is no fused multiply-add
+/// — so the factors are the reference's bits on either lane
+/// implementation, in whatever order and on whatever thread the rows run.
 ///
 /// # Safety
 /// `out` holds the value arrays of factors with `sym`'s patterns. During
@@ -490,10 +555,11 @@ unsafe fn factor_row<S: Simd>(
 ) -> bool {
     // SAFETY (all three): in bounds by `values_of`'s checks; the caller
     // vouches for the aliasing.
-    let finished_u = |t: usize| unsafe { &*(out.u.add(t * BLOCK_LEN) as *const Block4) };
-    let finished_dinv = |k: usize| unsafe { &*(out.dinv.add(k * BLOCK_LEN) as *const Block4) };
-    let store = |dst: *mut f64, at: usize, src: &[f64]| unsafe {
-        std::ptr::copy_nonoverlapping(src.as_ptr(), dst.add(at * BLOCK_LEN), src.len())
+    let finished_u = |t: usize| unsafe { &*(out.u.add(t * BLOCK_LEN) as *const FactorBlock) };
+    let finished_dinv = |k: usize| unsafe { &*(out.dinv.add(k * BLOCK_LEN) as *const FactorBlock) };
+    let store = |dst: *mut f32, at: usize, src: &[f64]| unsafe {
+        let dst = std::slice::from_raw_parts_mut(dst.add(at * BLOCK_LEN), src.len());
+        block::narrow(src, dst)
     };
 
     let (l_lo, u_lo) = (sym.l_row_ptr[i], sym.u_row_ptr[i]);
@@ -506,7 +572,7 @@ unsafe fn factor_row<S: Simd>(
     for (dst, &seed) in w.chunks_exact_mut(BLOCK_LEN).zip(&sym.seed[first_slot..]) {
         match seed {
             NO_SEED => dst.fill(0.0),
-            k => dst.copy_from_slice(a.block(k as usize)),
+            k => dst.copy_from_slice(&block::transpose(a.block(k as usize))),
         }
     }
     for (slot, &c) in columns().enumerate() {
@@ -515,13 +581,13 @@ unsafe fn factor_row<S: Simd>(
     for (sk, &k) in pivots.iter().enumerate() {
         let k = k as usize;
         let mut lik = ZERO_BLOCK;
-        block::matmul_lanes(s, block_at(w, sk), finished_dinv(k), &mut lik);
+        block::factor_matmul(s, block_at(w, sk), finished_dinv(k), &mut lik);
         *block_at_mut(w, sk) = lik;
         for t in sym.u_row_ptr[k]..sym.u_row_ptr[k + 1] {
             let sj = slot_of[sym.u_col_idx[t] as usize];
             if sj != NO_SEED {
                 let wj = block_at_mut(w, sj as usize);
-                block::matmul_sub_lanes(s, &lik, finished_u(t), wj);
+                block::factor_matmul_sub(s, &lik, finished_u(t), wj);
             }
         }
     }
@@ -530,13 +596,21 @@ unsafe fn factor_row<S: Simd>(
     }
     let (lower, rest) = w.split_at(nlower * BLOCK_LEN);
     let (diag, upper) = rest.split_at(BLOCK_LEN);
-    store(out.l, l_lo, lower);
-    store(out.u, u_lo, upper);
-    let inverse = block::invert(block_at(diag, 0));
-    if let Some(inverse) = &inverse {
-        store(out.dinv, i, inverse);
+    let inverse = invert_column_major(block_at(diag, 0));
+    let storable = block::narrows(lower) && block::narrows(upper) && inverse.is_some();
+    if let Some(inverse) = inverse.filter(|_| storable) {
+        store(out.l, l_lo, lower);
+        store(out.u, u_lo, upper);
+        store(out.dinv, i, &inverse);
     }
-    inverse.is_some()
+    storable
+}
+
+/// The inverse of a column-major pivot block, column-major: `None` when
+/// the block is numerically singular or its inverse does not fit `f32`.
+fn invert_column_major(d: &Block4) -> Option<Block4> {
+    let inverse = block::invert(&block::transpose(d))?;
+    block::narrows(&inverse).then(|| block::transpose(&inverse))
 }
 
 /// The scratch of [`factor_row`]: the packed row buffer and `slot_of`.
@@ -554,14 +628,14 @@ unsafe fn numeric<S: Simd>(s: S, sym: &IluSymbolic, a: &Bcsr4, out: FactorValues
     let (mut packed, mut slot_of) = row_scratch(sym);
     for i in 0..sym.nrows() {
         // SAFETY: the caller's exclusivity; rows below i are finished.
-        let invertible = unsafe { factor_row(s, sym, a, out, i, &mut packed, &mut slot_of) };
-        assert!(invertible, "{SINGULAR_PIVOT}");
+        let stored = unsafe { factor_row(s, sym, a, out, i, &mut packed, &mut slot_of) };
+        assert!(stored, "{SINGULAR_PIVOT} (row {i})");
     }
 }
 
 /// One thread's share of the team numeric core: the rows of program `tid`
 /// of the forward schedule, each after its waits, on scratch of its own.
-/// The smallest row with a singular pivot is left in `singular`.
+/// The smallest row that could not be stored is left in `singular`.
 ///
 /// # Safety
 /// `out` as for [`numeric`], shared with the team's other threads only:
@@ -580,7 +654,7 @@ unsafe fn numeric_team<S: Simd>(
     singular: &AtomicUsize,
 ) {
     let (mut packed, mut slot_of) = row_scratch(sym);
-    forward.run_program(tid, progress, |i| {
+    Program(forward, tid, progress).each_row(|i| {
         // SAFETY: row i is this program's alone, and the rows its L
         // pattern names were published before the waits returned (or
         // ran earlier in this program).
@@ -605,25 +679,30 @@ pub fn factor(a: &Bcsr4, pattern: &[Vec<u32>], buffer: TempBuffer) -> IluFactors
 }
 
 /// The [`TempBuffer::Full`] factorization: structure rebuilt on every
-/// call, A found by search, one block slot per matrix column. Kept as
-/// Fig. 7a's "before" and as the reference the numeric core is tested
-/// against bit for bit.
+/// call, A found by search, one row-major block slot per matrix column,
+/// scalar block arithmetic. Kept as Fig. 7a's "before" and as the
+/// reference the numeric core is tested against bit for bit — it rounds
+/// a row when the row is stored and reads stored rows back, as the core
+/// does.
 fn factor_full(a: &Bcsr4, pattern: &[Vec<u32>]) -> IluFactors {
     let n = a.nrows();
     assert_eq!(pattern.len(), n);
-    let lcols: Vec<Vec<u32>> = pattern
-        .iter()
-        .enumerate()
-        .map(|(i, row)| row.iter().copied().filter(|&c| (c as usize) < i).collect())
-        .collect();
-    let ucols: Vec<Vec<u32>> = pattern
-        .iter()
-        .enumerate()
-        .map(|(i, row)| row.iter().copied().filter(|&c| (c as usize) > i).collect())
-        .collect();
-    let mut l = Bcsr4::from_pattern(&lcols);
-    let mut u = Bcsr4::from_pattern(&ucols);
-    let mut dinv = vec![0.0f64; n * BLOCK_LEN];
+    let triangle = |keep: fn(usize, usize) -> bool| {
+        let rows = pattern.iter().enumerate();
+        let kept = rows.map(|(i, row)| row.iter().copied().filter(|&c| keep(c as usize, i)).collect());
+        let m = Bcsr4::from_pattern(&kept.collect::<Vec<Vec<u32>>>());
+        Triangle {
+            blocks: vec![0.0; m.blocks.len()],
+            row_ptr: m.row_ptr,
+            col_idx: m.col_idx,
+        }
+    };
+    let (mut l, mut u) = (triangle(|c, i| c < i), triangle(|c, i| c > i));
+    let mut dinv = vec![0.0f32; n * BLOCK_LEN];
+    // Row-major in, column-major `f32` out.
+    let pack = |b: &Block4, dst: &mut [f32], k: usize| {
+        block::narrow(&block::transpose(b), &mut dst[k * BLOCK_LEN..(k + 1) * BLOCK_LEN])
+    };
 
     let mut full = vec![0.0f64; n * BLOCK_LEN];
     // Epoch stamps marking the columns valid in the current row.
@@ -644,36 +723,40 @@ fn factor_full(a: &Bcsr4, pattern: &[Vec<u32>]) -> IluFactors {
         for &k in row.iter().take_while(|&&c| (c as usize) < i) {
             let ku = k as usize;
             // L_ik = w_k * dinv_k
-            let lik = block::matmul(block_at(&full, ku), block_at(&dinv, ku));
+            let lik = block::matmul(block_at(&full, ku), &block::widen(factor_block_at(&dinv, ku)));
             *block_at_mut(&mut full, ku) = lik;
             // w_j -= L_ik * U_kj for j in U(k) ∩ pattern(i)
             for t in u.row_ptr[ku]..u.row_ptr[ku + 1] {
                 let j = u.col_idx[t] as usize;
                 if stamp[j] == epoch {
-                    block::matmul_sub_simd(
-                        &lik,
-                        block_at(&u.blocks, t),
-                        block_at_mut(&mut full, j),
-                    );
+                    let (ukj, wj) = (block::widen(u.block(t)), block_at_mut(&mut full, j));
+                    for (at, w) in wj.iter_mut().enumerate() {
+                        for k in 0..4 {
+                            *w -= lik[at / 4 * 4 + k] * ukj[k * 4 + at % 4];
+                        }
+                    }
                 }
             }
         }
         // store L, D^{-1}, U
+        let inverse = block::invert(block_at(&full, i)).filter(|inv| block::narrows(inv));
+        let storable = row
+            .iter()
+            .all(|&c| c as usize == i || block::narrows(block_at(&full, c as usize)));
+        let inverse = inverse.filter(|_| storable);
+        let inverse = inverse.unwrap_or_else(|| panic!("{SINGULAR_PIVOT} (row {i})"));
+        pack(&inverse, &mut dinv, i);
         let (mut lk, mut uk) = (l.row_ptr[i], u.row_ptr[i]);
         for &c in row {
             let b = block_at(&full, c as usize);
             match (c as usize).cmp(&i) {
                 std::cmp::Ordering::Less => {
-                    *block_at_mut(&mut l.blocks, lk) = *b;
+                    pack(b, &mut l.blocks, lk);
                     lk += 1;
                 }
-                std::cmp::Ordering::Equal => {
-                    let inv = block::invert(b)
-                        .expect("singular pivot block in ILU (matrix not diagonally dominant?)");
-                    *block_at_mut(&mut dinv, i) = inv;
-                }
+                std::cmp::Ordering::Equal => {}
                 std::cmp::Ordering::Greater => {
-                    *block_at_mut(&mut u.blocks, uk) = *b;
+                    pack(b, &mut u.blocks, uk);
                     uk += 1;
                 }
             }
@@ -716,6 +799,15 @@ mod tests {
         a
     }
 
+    /// How far a solve with factors that are the exact LU may sit from the
+    /// `f64` solution `x`: the factors are stored in `f32`, so each entry
+    /// of `L`, `U` and `D⁻¹` carries a relative error of up to half an
+    /// `f32::EPSILON`. 8 × `f32::EPSILON` × the solution's scale is 16–20
+    /// times what these well-conditioned systems measure (0.41–0.49).
+    fn stored_exactly(x: &[f64]) -> f64 {
+        8.0 * f64::from(f32::EPSILON) * x.iter().fold(0.0, |m: f64, v| m.max(v.abs()))
+    }
+
     #[test]
     fn ilu0_on_tridiagonal_is_exact_lu() {
         // A tridiagonal (block) matrix suffers no fill, so ILU(0) is the
@@ -727,8 +819,9 @@ mod tests {
         let mut b = vec![0.0; n];
         a.spmv(&xref, &mut b);
         let x = trsv::solve(&f, &b);
+        let tol = stored_exactly(&xref);
         for i in 0..n {
-            assert!((x[i] - xref[i]).abs() < 1e-8, "i={i}: {} vs {}", x[i], xref[i]);
+            assert!((x[i] - xref[i]).abs() < tol, "i={i}: {} vs {}", x[i], xref[i]);
         }
     }
 
@@ -746,7 +839,7 @@ mod tests {
     }
 
     fn same_factors(a: &IluFactors, b: &IluFactors) -> bool {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         a.l.row_ptr == b.l.row_ptr
             && a.l.col_idx == b.l.col_idx
             && a.u.row_ptr == b.u.row_ptr
@@ -785,7 +878,7 @@ mod tests {
             let lanes = [Some(Isa::portable()), Isa::avx2()];
             for isa in lanes.into_iter().flatten() {
                 for (matrix, want) in [(&a, &reference), (&b, &reference_b), (&a, &reference)] {
-                    for dirt in [f64::NAN, 1e300] {
+                    for dirt in [f32::NAN, 1e30] {
                         kept.l.blocks.fill(dirt);
                         kept.u.blocks.fill(-dirt);
                         kept.dinv.fill(dirt);
@@ -889,8 +982,9 @@ mod tests {
         let mut b = vec![0.0; n];
         a.spmv(&xref, &mut b);
         let x = trsv::solve(&f, &b);
+        let tol = stored_exactly(&xref);
         for i in 0..n {
-            assert!((x[i] - xref[i]).abs() < 1e-7, "i={i}");
+            assert!((x[i] - xref[i]).abs() < tol, "i={i}");
         }
     }
 
@@ -933,8 +1027,9 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
         let x1 = trsv::solve(&f, &b);
         let x2 = dense::solve(&a.to_dense(), &b, n);
+        let tol = stored_exactly(&x2);
         for i in 0..n {
-            assert!((x1[i] - x2[i]).abs() < 1e-9, "i={i}: {} vs {}", x1[i], x2[i]);
+            assert!((x1[i] - x2[i]).abs() < tol, "i={i}: {} vs {}", x1[i], x2[i]);
         }
     }
 }

@@ -9,7 +9,9 @@
 //! exactly what [`crate::p2p`] improves on.
 
 use crate::ilu::IluFactors;
-use crate::{block, Pattern};
+use crate::trsv::{self, RowOrder, Sweep};
+use crate::Pattern;
+use fun3d_simd::Isa;
 use fun3d_threads::{chunk_range, SpinBarrier, TeamSlice, ThreadPool};
 
 /// Rows grouped by DAG level.
@@ -87,107 +89,43 @@ impl LevelSchedule {
     }
 }
 
-/// Forward-solve slice for one member of an already-running SPMD region:
-/// a barrier per level, each level's rows chunked statically over the
-/// team. `b` and `y` may alias (in-place solve): row `i` reads `b[i]`
-/// before writing `y[i]`, and each row is owned by exactly one thread.
-pub fn forward_levels_team(
+/// Thread `tid`'s rows of a level-scheduled sweep: its static chunk of
+/// each level, a barrier after each level.
+struct LevelShare<'a>(&'a LevelSchedule, usize, usize, &'a SpinBarrier);
+
+impl RowOrder for LevelShare<'_> {
+    #[inline(always)]
+    fn each_row(&self, mut row: impl FnMut(usize)) {
+        let &LevelShare(sched, tid, nthreads, barrier) = self;
+        for lvl in &sched.rows {
+            for &i in &lvl[chunk_range(lvl.len(), nthreads, tid)] {
+                row(i as usize);
+            }
+            barrier.wait();
+        }
+    }
+}
+
+/// One sweep's slice for one member of an already-running SPMD region: a
+/// barrier per level, each level's rows chunked statically over the team.
+/// `src` and `dst` may alias (in-place sweep): row `i`'s input is read
+/// before its output is stored, and each row is owned by exactly one
+/// thread.
+#[allow(clippy::too_many_arguments)]
+pub fn sweep_levels_team(
+    sweep: Sweep,
     f: &IluFactors,
-    b: TeamSlice,
-    y: TeamSlice,
+    src: TeamSlice,
+    dst: TeamSlice,
     tid: usize,
     nthreads: usize,
     sched: &LevelSchedule,
     barrier: &SpinBarrier,
 ) {
-    for lvl in &sched.rows {
-        let r = chunk_range(lvl.len(), nthreads, tid);
-        for &i in &lvl[r] {
-            let i = i as usize;
-            // SAFETY: row i is owned by this thread; b[i] is not written
-            // by anyone during the sweep (if b aliases y, row i's input
-            // is read before its output is stored).
-            let mut acc: [f64; 4] = unsafe { *(b.as_ptr().add(i * 4) as *const [f64; 4]) };
-            for k in f.l.row_ptr[i]..f.l.row_ptr[i + 1] {
-                let j = f.l.col_idx[k] as usize;
-                // SAFETY: row j is in an earlier level; its write
-                // happened before the barrier we crossed.
-                let xj: &[f64; 4] = unsafe { &*(y.as_ptr().add(j * 4) as *const [f64; 4]) };
-                block::matvec_sub_simd(f.l.block(k), xj, &mut acc);
-            }
-            // SAFETY: each row is owned by exactly one thread.
-            unsafe { std::ptr::copy_nonoverlapping(acc.as_ptr(), y.as_ptr().add(i * 4), 4) };
-        }
-        barrier.wait();
-    }
-}
-
-/// Backward-solve slice for one member of an already-running SPMD
-/// region. `y` and `x` may alias (in-place solve): row `i`'s input is
-/// read before its output is stored, and dependency rows `j > i` hold
-/// finished `x` values by the time row `i` runs.
-pub fn backward_levels_team(
-    f: &IluFactors,
-    y: TeamSlice,
-    x: TeamSlice,
-    tid: usize,
-    nthreads: usize,
-    sched: &LevelSchedule,
-    barrier: &SpinBarrier,
-) {
-    for lvl in &sched.rows {
-        let r = chunk_range(lvl.len(), nthreads, tid);
-        for &i in &lvl[r] {
-            let i = i as usize;
-            // SAFETY: row ownership as in the forward sweep.
-            let mut acc: [f64; 4] = unsafe { *(y.as_ptr().add(i * 4) as *const [f64; 4]) };
-            for k in f.u.row_ptr[i]..f.u.row_ptr[i + 1] {
-                let j = f.u.col_idx[k] as usize;
-                // SAFETY: dependency row finished in an earlier level.
-                let xj: &[f64; 4] = unsafe { &*(x.as_ptr().add(j * 4) as *const [f64; 4]) };
-                block::matvec_sub_simd(f.u.block(k), xj, &mut acc);
-            }
-            let mut out = [0.0f64; 4];
-            block::matvec_acc(f.dinv_block(i), &acc, &mut out);
-            // SAFETY: unique row ownership.
-            unsafe { std::ptr::copy_nonoverlapping(out.as_ptr(), x.as_ptr().add(i * 4), 4) };
-        }
-        barrier.wait();
-    }
-}
-
-/// Parallel forward solve using level scheduling with a barrier per level.
-pub fn forward_levels(
-    f: &IluFactors,
-    b: &[f64],
-    y: &mut [f64],
-    pool: &ThreadPool,
-    sched: &LevelSchedule,
-    barrier: &SpinBarrier,
-) {
-    assert_eq!(barrier.parties(), pool.size());
-    let nt = pool.size();
-    // The team entry only reads b; the TeamSlice cast discards constness
-    // but no write ever goes through it.
-    let bp = TeamSlice::from_raw(b.as_ptr() as *mut f64, b.len());
-    let yp = TeamSlice::new(y);
-    pool.run(|tid| forward_levels_team(f, bp, yp, tid, nt, sched, barrier));
-}
-
-/// Parallel backward solve using level scheduling with a barrier per level.
-pub fn backward_levels(
-    f: &IluFactors,
-    y: &[f64],
-    x: &mut [f64],
-    pool: &ThreadPool,
-    sched: &LevelSchedule,
-    barrier: &SpinBarrier,
-) {
-    assert_eq!(barrier.parties(), pool.size());
-    let nt = pool.size();
-    let yp = TeamSlice::from_raw(y.as_ptr() as *mut f64, y.len());
-    let xp = TeamSlice::new(x);
-    pool.run(|tid| backward_levels_team(f, yp, xp, tid, nt, sched, barrier));
+    let share = LevelShare(sched, tid, nthreads, barrier);
+    // SAFETY: each row is owned by exactly one thread, and the rows it
+    // reads sit in earlier levels, written before a barrier it crossed.
+    unsafe { trsv::run_rows(Isa::detect(), sweep, f, src, dst, &share) }
 }
 
 /// Full level-scheduled preconditioner application `x = (LU)⁻¹ b` into
@@ -205,8 +143,16 @@ pub fn solve_levels_into(
     scratch: &mut [f64],
     x: &mut [f64],
 ) {
-    forward_levels(f, b, scratch, pool, fwd, barrier);
-    backward_levels(f, scratch, x, pool, bwd, barrier);
+    assert_eq!(barrier.parties(), pool.size());
+    let b = trsv::read_only(b);
+    let y = TeamSlice::new(scratch);
+    let x = TeamSlice::new(x);
+    let nt = pool.size();
+    // The forward sweep's last barrier publishes y to the backward one.
+    pool.run(|tid| {
+        sweep_levels_team(Sweep::Forward, f, b, y, tid, nt, fwd, barrier);
+        sweep_levels_team(Sweep::Backward, f, y, x, tid, nt, bwd, barrier);
+    });
 }
 
 /// [`solve_levels_into`] with fresh buffers and a fresh barrier.

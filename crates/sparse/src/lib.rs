@@ -11,9 +11,12 @@
 //! * [`ilu`] — ILU(0) and ILU(k) factorization with the fill pattern
 //!   computed symbolically, diagonal blocks inverted and stored (PETSc's
 //!   layout optimization [17]), the paper's compressed-temporary-buffer
-//!   optimization, and a static structure built once per pattern that
-//!   every numeric refactorization streams over;
-//! * [`trsv`] — block forward/backward substitution;
+//!   optimization, a static structure built once per pattern that every
+//!   numeric refactorization streams over, and the factors stored the way
+//!   the sweeps load them: column-major `f32` blocks ([`block`]'s layout
+//!   rule — single precision is storage only, all arithmetic is `f64`);
+//! * [`trsv`] — block forward/backward substitution: the one forward and
+//!   the one backward row that every sweep below runs;
 //! * [`levels`] — level scheduling (Anderson & Saad [24], Naumov [25]):
 //!   execute the dependency DAG level by level with a barrier per level;
 //! * [`p2p`] — sparsified point-to-point synchronization (Park et al.
@@ -33,14 +36,17 @@ pub mod dag;
 pub mod ilu;
 pub mod levels;
 pub mod p2p;
+#[cfg(test)]
+mod storage_tests;
 pub mod trsv;
 
 pub use bcsr::{Bcsr4, Pattern};
-pub use block::{Block4, BLOCK_DIM, BLOCK_LEN};
+pub use block::{Block4, FactorBlock, BLOCK_DIM, BLOCK_LEN, FACTOR_BLOCK_BYTES};
 pub use dag::DagStats;
-pub use ilu::{IluFactors, IluSymbolic, TempBuffer};
+pub use ilu::{IluFactors, IluSymbolic, TempBuffer, Triangle};
 pub use levels::LevelSchedule;
 pub use p2p::P2pSchedule;
+pub use trsv::Sweep;
 
 /// Dense helpers shared by tests in this crate and by the solver crate's
 /// reference checks.

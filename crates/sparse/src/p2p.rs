@@ -33,9 +33,10 @@
 //! ([`crate::IluSymbolic::refactor_team`]): row `i` of the factorization
 //! reads exactly the rows its `L` pattern names.
 
-use crate::block;
 use crate::ilu::IluFactors;
+use crate::trsv::{self, RowOrder, Sweep};
 use crate::{LevelSchedule, Pattern};
+use fun3d_simd::Isa;
 use fun3d_threads::{P2pProgress, TeamSlice, ThreadPool};
 
 /// A P2P schedule for one triangular sweep direction, stored flat: the
@@ -177,25 +178,6 @@ impl P2pSchedule {
         P2pProgress::new(self.nthreads(), longest.unwrap_or(0))
     }
 
-    /// Runs thread `tid`'s program as one sweep over `progress`: each
-    /// row after its waits, published when `row` returns.
-    #[inline(always)]
-    pub(crate) fn run_program(
-        &self,
-        tid: usize,
-        progress: &P2pProgress,
-        mut row: impl FnMut(usize),
-    ) {
-        let mut sweep = progress.begin(tid);
-        for s in self.prog_ptr[tid]..self.prog_ptr[tid + 1] {
-            for &(pt, pos) in self.waits_of_slot(s) {
-                sweep.wait(pt as usize, pos as usize);
-            }
-            row(self.rows[s] as usize);
-            sweep.publish();
-        }
-    }
-
     /// The time the sweep takes when row `r` costs `weights[r]`, a wait
     /// that finds its producer done costs nothing and every thread runs
     /// whenever it is not waiting: a replay of the programs and waits
@@ -278,90 +260,41 @@ fn level_interleaved(
     programs
 }
 
-/// P2P forward sweep slice for one member of an already-running SPMD
+/// Thread `tid`'s program of a schedule as one sweep over `progress`:
+/// each row after its waits, published when `row` returns.
+pub(crate) struct Program<'a>(pub &'a P2pSchedule, pub usize, pub &'a P2pProgress);
+
+impl RowOrder for Program<'_> {
+    #[inline(always)]
+    fn each_row(&self, mut row: impl FnMut(usize)) {
+        let &Program(sched, tid, progress) = self;
+        let mut sweep = progress.begin(tid);
+        for s in sched.prog_ptr[tid]..sched.prog_ptr[tid + 1] {
+            for &(pt, pos) in sched.waits_of_slot(s) {
+                sweep.wait(pt as usize, pos as usize);
+            }
+            row(sched.rows[s] as usize);
+            sweep.publish();
+        }
+    }
+}
+
+/// One P2P sweep's slice for one member of an already-running SPMD
 /// region; `progress` comes from [`P2pSchedule::progress`] and is never
-/// reset. `b` and `y` may alias: row `i`'s input is read before its
+/// reset. `src` and `dst` may alias: row `i`'s input is read before its
 /// output is stored.
-pub fn forward_p2p_team(
+pub fn sweep_p2p_team(
+    sweep: Sweep,
     f: &IluFactors,
-    b: TeamSlice,
-    y: TeamSlice,
+    src: TeamSlice,
+    dst: TeamSlice,
     tid: usize,
     sched: &P2pSchedule,
     progress: &P2pProgress,
 ) {
-    sched.run_program(tid, progress, |i| {
-        // SAFETY: row i is owned by this thread; b[i] is never written
-        // during the sweep (in-place aliasing reads before the store).
-        let mut acc: [f64; 4] = unsafe { *(b.as_ptr().add(i * 4) as *const [f64; 4]) };
-        for k in f.l.row_ptr[i]..f.l.row_ptr[i + 1] {
-            let j = f.l.col_idx[k] as usize;
-            // SAFETY: producer write ordered by the Acquire wait before
-            // this row (or same-thread program order).
-            let xj: &[f64; 4] = unsafe { &*(y.as_ptr().add(j * 4) as *const [f64; 4]) };
-            block::matvec_sub_simd(f.l.block(k), xj, &mut acc);
-        }
-        // SAFETY: each row written by exactly one thread.
-        unsafe { std::ptr::copy_nonoverlapping(acc.as_ptr(), y.as_ptr().add(i * 4), 4) };
-    });
-}
-
-/// P2P backward sweep slice for one member of an already-running SPMD
-/// region. Same contract as [`forward_p2p_team`].
-pub fn backward_p2p_team(
-    f: &IluFactors,
-    y: TeamSlice,
-    x: TeamSlice,
-    tid: usize,
-    sched: &P2pSchedule,
-    progress: &P2pProgress,
-) {
-    sched.run_program(tid, progress, |i| {
-        // SAFETY: row ownership as in the forward sweep.
-        let mut acc: [f64; 4] = unsafe { *(y.as_ptr().add(i * 4) as *const [f64; 4]) };
-        for k in f.u.row_ptr[i]..f.u.row_ptr[i + 1] {
-            let j = f.u.col_idx[k] as usize;
-            // SAFETY: ordered by the Acquire wait or program order.
-            let xj: &[f64; 4] = unsafe { &*(x.as_ptr().add(j * 4) as *const [f64; 4]) };
-            block::matvec_sub_simd(f.u.block(k), xj, &mut acc);
-        }
-        let mut out = [0.0f64; 4];
-        block::matvec_acc(f.dinv_block(i), &acc, &mut out);
-        // SAFETY: unique row ownership.
-        unsafe { std::ptr::copy_nonoverlapping(out.as_ptr(), x.as_ptr().add(i * 4), 4) };
-    });
-}
-
-/// Executes a P2P-scheduled forward sweep on `progress` counters the
-/// caller keeps between sweeps.
-pub fn forward_p2p(
-    f: &IluFactors,
-    b: &[f64],
-    y: &mut [f64],
-    pool: &ThreadPool,
-    sched: &P2pSchedule,
-    progress: &P2pProgress,
-) {
-    assert_eq!(pool.size(), sched.nthreads());
-    let bp = TeamSlice::from_raw(b.as_ptr() as *mut f64, b.len());
-    let yp = TeamSlice::new(y);
-    pool.run(|tid| forward_p2p_team(f, bp, yp, tid, sched, progress));
-}
-
-/// Executes a P2P-scheduled backward sweep; `progress` as in
-/// [`forward_p2p`].
-pub fn backward_p2p(
-    f: &IluFactors,
-    y: &[f64],
-    x: &mut [f64],
-    pool: &ThreadPool,
-    sched: &P2pSchedule,
-    progress: &P2pProgress,
-) {
-    assert_eq!(pool.size(), sched.nthreads());
-    let yp = TeamSlice::from_raw(y.as_ptr() as *mut f64, y.len());
-    let xp = TeamSlice::new(x);
-    pool.run(|tid| backward_p2p_team(f, yp, xp, tid, sched, progress));
+    // SAFETY: each row is run by exactly one thread, after the waits
+    // (Acquire) or the program order that finish the rows it reads.
+    unsafe { trsv::run_rows(Isa::detect(), sweep, f, src, dst, &Program(sched, tid, progress)) }
 }
 
 /// Full P2P preconditioner application `x = (LU)⁻¹ b` into
@@ -378,8 +311,14 @@ pub fn solve_p2p_into(
     scratch: &mut [f64],
     x: &mut [f64],
 ) {
-    forward_p2p(f, b, scratch, pool, fwd, fwd_progress);
-    backward_p2p(f, scratch, x, pool, bwd, bwd_progress);
+    assert_eq!(pool.size(), fwd.nthreads());
+    assert_eq!(pool.size(), bwd.nthreads());
+    let b = trsv::read_only(b);
+    let y = TeamSlice::new(scratch);
+    let x = TeamSlice::new(x);
+    // Two regions: the sweeps partition the rows differently.
+    pool.run(|tid| sweep_p2p_team(Sweep::Forward, f, b, y, tid, fwd, fwd_progress));
+    pool.run(|tid| sweep_p2p_team(Sweep::Backward, f, y, x, tid, bwd, bwd_progress));
 }
 
 /// [`solve_p2p_into`] with fresh buffers and fresh progress counters.
@@ -401,6 +340,7 @@ pub fn solve_p2p(
 mod tests {
     use super::*;
     use crate::ilu::{self, IluSymbolic};
+    use crate::storage_tests::factor_bits;
     use crate::{trsv, Bcsr4};
     use fun3d_mesh::generator::{ChannelSpec, MeshPreset};
     use fun3d_mesh::{reorder, Mesh};
@@ -542,13 +482,6 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn factor_bits(f: &IluFactors) -> Vec<u64> {
-        [&f.l.blocks, &f.u.blocks, &f.dinv]
-            .into_iter()
-            .flat_map(|v| bits(v))
-            .collect()
-    }
-
     /// P2P TRSV and the team refactorization against the serial ones on
     /// `a` with ILU(`fill`) at `nt` threads, both lane implementations,
     /// twice through the same counters. `Err` names the first difference.
@@ -569,9 +502,9 @@ mod tests {
         let mut team = sym.allocate();
         for pass in 0..2 {
             for isa in [Some(Isa::portable()), Isa::avx2()].into_iter().flatten() {
-                team.l.blocks.fill(f64::NAN);
-                team.u.blocks.fill(f64::NAN);
-                team.dinv.fill(f64::NAN);
+                team.l.blocks.fill(f32::NAN);
+                team.u.blocks.fill(f32::NAN);
+                team.dinv.fill(f32::NAN);
                 sym.refactor_team_on(isa, a, &mut team, &pool, &fwd, &ilu_progress);
                 if factor_bits(&team) != factor_bits(&serial) {
                     return Err(format!("team refactor, {} lanes, pass {pass}", isa.name()));
@@ -669,5 +602,50 @@ mod tests {
         // The counters were left where the next sweep starts.
         sym.refactor_team(&a, &mut f, &pool, &fwd, &progress);
         assert_eq!(factor_bits(&f), factor_bits(&sym.factor(&a)));
+    }
+
+    #[test]
+    fn a_value_that_does_not_fit_f32_is_reported_like_a_singular_pivot_and_never_stored() {
+        // Finite in f64, not in f32 (the matrix scaled by 1e40), and a NaN:
+        // all three factorizations name the first row they cannot store,
+        // and the in-place ones leave the factors they were given finite.
+        let a = rcm_matrix(MeshPreset::Tiny.build(), 46);
+        let pattern = ilu::symbolic_iluk(&a, 1);
+        let sym = IluSymbolic::new(&a, &pattern);
+        let clean = sym.factor(&a);
+        let mut huge = a.clone();
+        huge.blocks.iter_mut().for_each(|v| *v *= 1e40);
+        let mut nan = a.clone();
+        let in_row_7 = nan.row_ptr[7];
+        nan.blocks[in_row_7 * 16 + 5] = f64::NAN;
+        let pool = ThreadPool::new(3);
+        let fwd = P2pSchedule::forward(sym.l_pattern(), 3);
+        let progress = fwd.progress();
+        let message_of = |run: &mut dyn FnMut()| -> String {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            *outcome.expect_err("must panic").downcast::<String>().expect("a message")
+        };
+        for (bad, row) in [(&huge, "(row 0)"), (&nan, "(row 7)")] {
+            let (mut serial, mut team) = (clean.clone(), clean.clone());
+            let messages = [
+                message_of(&mut || sym.refactor(bad, &mut serial)),
+                message_of(&mut || sym.refactor_team(bad, &mut team, &pool, &fwd, &progress)),
+                message_of(&mut || drop(ilu::factor(bad, &pattern, ilu::TempBuffer::Full))),
+            ];
+            for message in messages {
+                assert!(
+                    message.contains("non-finite factor value") && message.contains(row),
+                    "{message}"
+                );
+            }
+            for f in [&serial, &team] {
+                let values = f.l.blocks.iter().chain(&f.u.blocks).chain(&f.dinv);
+                assert!(values.clone().all(|v| v.is_finite()), "a non-finite value was stored");
+            }
+        }
+        // The counters were left where the next sweep starts.
+        let mut f = sym.allocate();
+        sym.refactor_team(&a, &mut f, &pool, &fwd, &progress);
+        assert_eq!(factor_bits(&f), factor_bits(&clean));
     }
 }

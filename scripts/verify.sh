@@ -9,8 +9,10 @@
 #     rank layer holds no copy of the solver's Krylov control flow or of
 #     the core's edge physics; edges are walked in one file of the core
 #     and nowhere in the rank layer; the perf-history stack that
-#     `benchmark/` replaced has not come back. Each structural guard is
-#     negative-tested on canary trees.
+#     `benchmark/` replaced has not come back; the ILU factors have one
+#     storage format, one block-vector kernel and one forward and one
+#     backward row. Each structural guard is negative-tested on canary
+#     trees.
 #  2. `cargo build --release` and `cargo test -q`, offline. The root
 #     manifest's default-members make both cover every crate.
 #  3. Model check of the sync substrate: the fun3d-check suite plus the
@@ -23,7 +25,8 @@
 #     rows that fit this host's cores.
 #  7. tiled_flux: tiled kernels equal the serial reference.
 #  8. fig6a --check: SIMD flux speed floor.
-#  9. fig7a --check: in-place ILU floor, P2P schedule bound and canary.
+#  9. fig7a --check: in-place ILU floor, factor-storage floor, P2P schedule
+#     bound and canary, measured P2P at T=2.
 # 10. Serve tier: NDJSON smoke, load_gen --check and its negative canary.
 # 11. Live metrics plane: stats command, metrics socket, metrics_view.
 set -euo pipefail
@@ -52,7 +55,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in the rank layer, one ledger =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in the rank layer, one ledger, one factor format =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -88,20 +91,69 @@ structure_guard() {
         echo "  a second performance ledger: record and judge numbers through benchmark/ only"
         bad=1
     fi
+    # The factors have one storage format - column-major f32 blocks, the
+    # way the sweeps load them - touched in one place: the widening load
+    # and the block-vector product are crates/sparse/src/block.rs, the
+    # forward and the backward row are written once (trsv.rs, the only
+    # caller of that product), the type takes no parameter, and nothing
+    # outside crates/bench (Fig. 7a's reference rows) keeps factor values
+    # as f64.
+    local sparse="$root/crates/sparse/src"
+    if grep -rl 'load_f32' "$sparse" | grep -v '/block\.rs$'; then
+        echo "  the widening block load outside crates/sparse/src/block.rs"
+        bad=1
+    fi
+    if grep -rl 'factor_matvec' "$sparse" | grep -v '/block\.rs$\|/trsv\.rs$'; then
+        echo "  the sweeps' block-vector product is called outside crates/sparse/src/trsv.rs: run rows through trsv::run_rows"
+        bad=1
+    fi
+    for row in forward_row backward_row; do
+        defs=$(grep -rn "fn $row" "$sparse" | wc -l)
+        if [ "$defs" -ne 1 ]; then
+            echo "  $defs definitions of 'fn $row' under crates/sparse/src (want exactly one, in trsv.rs)"
+            bad=1
+        fi
+    done
+    if grep -rnE 'IluFactors *<' "$root/crates" --include='*.rs'; then
+        echo "  IluFactors takes a parameter: one representation, no precision or layout knob"
+        bad=1
+    fi
+    if grep -rnE '(dinv|blocks): *(Vec<f64>|\*mut f64)' "$sparse/ilu.rs" \
+        || grep -rnE 'dinv: *(Vec<f64>|\*mut f64)' "$root/crates" --include='*.rs' --exclude-dir=bench; then
+        echo "  factor values kept as f64 outside crates/bench: the factors are stored as f32 (fun3d_sparse::FactorBlock)"
+        bad=1
+    fi
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel or performance ledger has been forked"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, performance ledger or factor format has been forked"
     exit 1
 fi
-# Negative canaries: each of the six forks must trip the guard.
+# Negative canaries: each of the ten forks must trip the guard, and the
+# tree they are planted in must pass without them.
 CANARY=target/verify_guard
-for fork in roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop; do
+for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
+    widening_load_in_a_sweep second_forward_row generic_factors f64_factors; do
     rm -rf "$CANARY"
-    mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" "$CANARY/scripts"
+    mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
+        "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src" "$CANARY/scripts"
     echo 'for class in &tiling.color_tiles { pool.run(|tid| chunk_range(class.len(), nt, tid)); }' > "$CANARY/crates/core/src/edge_loop.rs"
     echo 'fn givens(a: f64, b: f64) -> (f64, f64) { (a, b) }' > "$CANARY/crates/solver/src/gmres.rs"
+    echo 'pub fn factor_matvec<S: Simd>(s: S, a: &FactorBlock) -> S::V { s.load_f32(&a[0..4]) }' > "$CANARY/crates/sparse/src/block.rs"
+    printf 'unsafe fn forward_row() { block::factor_matvec(s, a) }\nunsafe fn backward_row() {}\n' > "$CANARY/crates/sparse/src/trsv.rs"
+    printf 'pub struct IluFactors {\n    pub dinv: Vec<f32>,\n}\n' > "$CANARY/crates/sparse/src/ilu.rs"
+    echo 'struct F64Factors { dinv: Vec<f64> }' > "$CANARY/crates/bench/src/trsv_reference.rs"
     case $fork in
+        none)
+            if ! structure_guard "$CANARY"; then
+                echo "FAIL: the structure guard rejects its own canary tree before any fork is planted"
+                exit 1
+            fi
+            continue ;;
+        widening_load_in_a_sweep) echo 'let col = Portable.load_f32(&f.l.block(k)[0..4]);' > "$CANARY/crates/sparse/src/levels.rs" ;;
+        second_forward_row) echo 'unsafe fn forward_row() { block::factor_matvec(s, a) }' > "$CANARY/crates/sparse/src/p2p.rs" ;;
+        generic_factors) echo 'pub struct IluFactors<T> { pub dinv: Vec<T> }' > "$CANARY/crates/sparse/src/ilu.rs" ;;
+        f64_factors) echo 'struct Factors { dinv: Vec<f64> }' > "$CANARY/crates/solver/src/fork.rs" ;;
         roe_flux) echo 'let f = euler::roe_flux(&ql, &qr, &n, beta);' > "$CANARY/crates/cluster/src/fork.rs" ;;
         rotation) echo 'let t = cs[i] * col[i] + sn[i] * col[i + 1];' > "$CANARY/crates/cluster/src/fork.rs" ;;
         second_givens) echo 'fn givens(a: f64, b: f64) -> (f64, f64) { (b, a) }' > "$CANARY/crates/solver/src/fork.rs" ;;
@@ -115,7 +167,7 @@ for fork in roe_flux rotation second_givens second_ledger second_edge_loop rank_
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation or edge loop in crates/cluster/src, one ledger; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation or edge loop in crates/cluster/src, one ledger, one factor format and one row kernel; canaries rejected"
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.
@@ -249,12 +301,14 @@ echo "== recurrence gates: symbolic-once ILU floor, P2P schedule bound (fig7a_re
 # total work / makespan must be >= 1.5 on both sweeps (a property of the
 # schedule, so gated on every host), the contiguous row assignment the
 # schedule once used must trip that same test (negative canary, built
-# inside the binary), and - only where nproc >= 2, as every
-# thread-scaling key - the measured P2P application at T=2 must not be
-# slower than the serial sweep.
+# inside the binary), the production serial application must be at least
+# 1.25x the row-major f64 reference kept in crates/bench (the factors are
+# stored the way the sweeps load them, in single precision), and - only
+# where nproc >= 2, as every thread-scaling key - the measured P2P
+# application at T=2 must not be slower than the serial sweep.
 cargo run --release --offline -q -p fun3d-bench --bin fig7a_recurrence_opts -- \
     --mesh small --reps 20 --check
-echo "ok: in-place numeric ILU clears its floor; the P2P schedule runs in parallel and its canary is caught"
+echo "ok: in-place numeric ILU and the factor storage clear their floors; the P2P schedule runs in parallel and its canary is caught"
 
 echo "== serve tier (fun3d-serve + load_gen) =="
 # Service smoke over the NDJSON stdin transport: two good requests (the

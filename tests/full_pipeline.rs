@@ -103,3 +103,33 @@ fn ilu0_vs_ilu1_tradeoff_runs() {
     let (_, s1) = solve(c1);
     assert!(s0.converged && s1.converged);
 }
+
+#[test]
+fn single_precision_factor_storage_keeps_the_iteration_counts() {
+    // The factors are stored in `f32` (arithmetic stays `f64`); what that
+    // rounding costs the Krylov solver is recorded, not assumed. The
+    // counts on the right are what the last commit with `f64` factors
+    // produced for the same solves (Tiny mesh, `rtol = 1e-8`, `dt0 = 2`);
+    // the solve must converge in as many time steps and within ±10 % of
+    // the linear iterations.
+    for (fill, f64_steps, f64_iters) in [(0usize, 5usize, 113usize), (1, 5, 101)] {
+        let mut cfg = OptConfig::baseline();
+        cfg.ilu_fill = fill;
+        let mut mesh = MeshPreset::Tiny.build();
+        Fun3dApp::rcm_reorder(&mut mesh);
+        let mut app = Fun3dApp::new(mesh, FlowConditions::default(), cfg);
+        let (_, stats) = app.run(&PtcConfig {
+            rtol: 1e-8,
+            ..ptc()
+        });
+        assert!(stats.converged, "ILU({fill}) did not converge");
+        println!("ILU({fill}): {} steps, {} linear iterations", stats.time_steps, stats.linear_iters);
+        assert_eq!(stats.time_steps, f64_steps, "ILU({fill}) time steps");
+        let (lo, hi) = (f64_iters * 9 / 10, f64_iters * 11 / 10);
+        assert!(
+            (lo..=hi).contains(&stats.linear_iters),
+            "ILU({fill}): {} linear iterations, {f64_iters} with f64 factors",
+            stats.linear_iters
+        );
+    }
+}
