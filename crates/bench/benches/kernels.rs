@@ -9,9 +9,10 @@
 //! statistically robust *ratios* between variants are what matters —
 //! hence median/MAD rather than mean/stddev.
 
-use fun3d_core::bc::BcData;
 use fun3d_core::geom::NodeSoa;
-use fun3d_core::{flux, gradient, EdgeGeom, Exec, FlowConditions, Isa, NodeAos, TileExec, Traversal};
+use fun3d_core::{
+    flux, gradient, EdgeGeom, Exec, FlowConditions, HalfEdges, Isa, NodeAos, TileExec, Traversal,
+};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_mesh::DualMesh;
 use fun3d_partition::{partition_graph, MultilevelConfig};
@@ -31,12 +32,12 @@ fn stream_ahead(geom: &EdgeGeom, dist: usize) -> Traversal<'_> {
     Traversal::Stream { geom, prefetch: Some(dist) }
 }
 
-/// Green-Gauss over `walk` on this thread.
-fn green_gauss(walk: Traversal, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
-    gradient::green_gauss(Isa::detect(), Exec::Caller, walk, bc, vol, node);
+/// Green-Gauss on this thread.
+fn green_gauss(adj: &HalfEdges, node: &mut NodeAos) {
+    gradient::green_gauss(Isa::detect(), Exec::Caller, adj, node);
 }
 
-fn fixture() -> (EdgeGeom, NodeAos, NodeSoa) {
+fn fixture() -> (EdgeGeom, HalfEdges, NodeAos, NodeSoa) {
     let mut mesh = MeshPreset::Small.build();
     fun3d_core::Fun3dApp::rcm_reorder(&mut mesh);
     let dual = DualMesh::build(&mesh);
@@ -49,13 +50,14 @@ fn fixture() -> (EdgeGeom, NodeAos, NodeSoa) {
         *x += rng.range_f64(-0.05, 0.05);
     }
     let bc = fun3d_core::bc::BcData::build(&dual);
-    green_gauss(Traversal::stream(&geom), &bc, &dual.vol, &mut node);
+    let adj = HalfEdges::build(&geom, &bc, &dual.vol);
+    green_gauss(&adj, &mut node);
     let soa = NodeSoa::from_aos(&node);
-    (geom, node, soa)
+    (geom, adj, node, soa)
 }
 
 fn bench_flux(c: &mut Bench) {
-    let (geom, node, soa) = fixture();
+    let (geom, _, node, soa) = fixture();
     let n4 = node.n * 4;
     let mut g = c.group("flux");
     g.sample_size(20);
@@ -95,7 +97,7 @@ fn bench_flux(c: &mut Bench) {
 /// [`flux::PREFETCH_DIST`]; the sweep documents how flat (or not) the
 /// optimum is on this host.
 fn bench_prefetch_dist(c: &mut Bench) {
-    let (geom, node, _) = fixture();
+    let (geom, _, node, _) = fixture();
     let n4 = node.n * 4;
     let mut g = c.group("prefetch_dist");
     g.sample_size(20);
@@ -111,21 +113,21 @@ fn bench_prefetch_dist(c: &mut Bench) {
     g.finish();
 }
 
-/// Tiled (cache-blocked) edge kernels against their streaming
-/// counterparts, in both execution modes: `staged` pays the scratch-pad
-/// copy, `direct` gathers straight from the global arrays in tile
-/// order. The spread between them is the staging overhead this host's
-/// LLC residency makes visible.
+/// The tiled (cache-blocked) flux kernel in both execution modes (its
+/// streaming counterparts are the `flux` group): `staged` pays the
+/// scratch-pad copy, `direct` gathers straight from the global arrays in
+/// tile order. The spread between them is the staging overhead this
+/// host's LLC residency makes visible.
 fn bench_tiled(c: &mut Bench) {
-    let (geom, node, _) = fixture();
+    let (geom, _, node, _) = fixture();
     let n4 = node.n * 4;
     let tiling = fun3d_partition::EdgeTiling::build(
         node.n,
-        &geom.edges,
+        geom.edges(),
         &fun3d_partition::TilingConfig::for_machine(&fun3d_machine::MachineSpec::host()),
     );
-    let tg = fun3d_core::TiledGeom::new(&tiling, &geom);
-    let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tg, mode };
+    let tg = fun3d_core::TiledGeom::new(tiling, &geom);
+    let tiles = |mode| Traversal::Tiled { geom: &tg, mode };
     let mut g = c.group("flux_tiled");
     g.sample_size(20);
     g.bench_function("direct", |b| {
@@ -143,34 +145,15 @@ fn bench_tiled(c: &mut Bench) {
         )
     });
     g.finish();
+}
 
-    // Gradient needs the bc/vol fixture the flux path doesn't carry.
-    let mut mesh = MeshPreset::Small.build();
-    fun3d_core::Fun3dApp::rcm_reorder(&mut mesh);
-    let dual = DualMesh::build(&mesh);
-    let bc = fun3d_core::bc::BcData::build(&dual);
-    let mut g = c.group("gradient_tiled");
+/// The Green-Gauss gather, which has one form whatever the flux walks.
+fn bench_gradient(c: &mut Bench) {
+    let (_, adj, node, _) = fixture();
+    let mut g = c.group("gradient");
     g.sample_size(20);
-    g.bench_function("serial", |b| {
-        b.iter_batched_ref(
-            || node.clone(),
-            |n| green_gauss(Traversal::stream(&geom), &bc, &dual.vol, n),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("direct", |b| {
-        b.iter_batched_ref(
-            || node.clone(),
-            |n| green_gauss(tiles(TileExec::Direct), &bc, &dual.vol, n),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("staged", |b| {
-        b.iter_batched_ref(
-            || node.clone(),
-            |n| green_gauss(tiles(TileExec::Staged), &bc, &dual.vol, n),
-            BatchSize::LargeInput,
-        )
+    g.bench_function("green_gauss", |b| {
+        b.iter_batched_ref(|| node.clone(), |n| green_gauss(&adj, n), BatchSize::LargeInput)
     });
     g.finish();
 }
@@ -288,7 +271,7 @@ fn bench_vecops(c: &mut Bench) {
 /// and versus the default `counters` level. The off/uninstrumented pair
 /// is the <2% acceptance claim; compare their medians in the CSV.
 fn bench_telemetry_overhead(c: &mut Bench) {
-    let (geom, node, _) = fixture();
+    let (geom, _, node, _) = fixture();
     let n4 = node.n * 4;
     let nedges = geom.nedges();
     let mut g = c.group("telemetry");
@@ -341,7 +324,7 @@ fn bench_telemetry_overhead(c: &mut Bench) {
 /// criterion `crates/util/tests/flight_overhead.rs` gates.
 fn bench_flight_overhead(c: &mut Bench) {
     use fun3d_util::telemetry::flight;
-    let (geom, node, _) = fixture();
+    let (geom, _, node, _) = fixture();
     let n4 = node.n * 4;
     let mut g = c.group("flight");
     g.sample_size(20);
@@ -400,7 +383,7 @@ fn bench_flight_overhead(c: &mut Bench) {
 /// acceptance criterion `crates/util/tests/metrics_overhead.rs` gates.
 fn bench_metrics_overhead(c: &mut Bench) {
     use fun3d_util::telemetry::metrics;
-    let (geom, node, _) = fixture();
+    let (geom, _, node, _) = fixture();
     let n4 = node.n * 4;
     let h = metrics::histogram("bench.flux_ns");
     let mut g = c.group("metrics");
@@ -437,7 +420,7 @@ fn bench_sampler_overhead(c: &mut Bench) {
     // performs (seqlock push/pop) costs a few uncontended atomic stores,
     // and a running sampler adds nothing to the instrumented thread.
     // Compare spans at Full with the sampler off and on.
-    let (geom, node, _) = fixture();
+    let (geom, _, node, _) = fixture();
     let n4 = node.n * 4;
     let mut g = c.group("sampler");
     g.sample_size(20);
@@ -492,6 +475,7 @@ fn main() {
     bench_flux(&mut c);
     bench_prefetch_dist(&mut c);
     bench_tiled(&mut c);
+    bench_gradient(&mut c);
     bench_recurrences(&mut c);
     bench_spmv(&mut c);
     bench_vecops(&mut c);

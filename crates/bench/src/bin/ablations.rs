@@ -41,8 +41,8 @@ fn flux_time_on(mesh: &fun3d_mesh::Mesh, reps: usize) -> f64 {
         *x += rng.range_f64(-0.05, 0.05);
     }
     let bc = fun3d_core::bc::BcData::build(&dual);
-    let walk = Traversal::stream(&geom);
-    gradient::green_gauss(Isa::detect(), Exec::Caller, walk, &bc, &dual.vol, &mut node);
+    let adj = fun3d_core::HalfEdges::build(&geom, &bc, &dual.vol);
+    gradient::green_gauss(Isa::detect(), Exec::Caller, &adj, &mut node);
     let mut res = vec![0.0; node.n * 4];
     measure(reps, || {
         res.iter_mut().for_each(|x| *x = 0.0);
@@ -165,16 +165,8 @@ fn main() {
         let sorted = EdgeGeom::build(&fix.mesh, &dual);
         let mut rng = Rng64::new(99);
         let perm = rng.permutation(sorted.nedges());
-        let shuffle = |v: &Vec<f64>| -> Vec<f64> { perm.iter().map(|&i| v[i]).collect() };
-        let shuffled = EdgeGeom {
-            edges: perm.iter().map(|&i| sorted.edges[i]).collect(),
-            nx: shuffle(&sorted.nx),
-            ny: shuffle(&sorted.ny),
-            nz: shuffle(&sorted.nz),
-            rx: shuffle(&sorted.rx),
-            ry: shuffle(&sorted.ry),
-            rz: shuffle(&sorted.rz),
-        };
+        let perm: Vec<u32> = perm.into_iter().map(|i| i as u32).collect();
+        let shuffled = sorted.try_select(&perm).expect("a permutation of the edge ids");
         let mut res = vec![0.0; fix.node.n * 4];
         let t_sorted = measure(cli.reps, || {
             res.iter_mut().for_each(|x| *x = 0.0);

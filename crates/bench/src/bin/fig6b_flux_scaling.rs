@@ -27,7 +27,7 @@ fn main() {
     let fix = KernelFixture::new(cli.mesh);
     let machine = MachineSpec::xeon_e5_2690v2();
     let costs = EdgeLoopCosts::default();
-    let graph = fun3d_mesh::Graph::from_edges(fix.mesh.nvertices(), &fix.geom.edges);
+    let graph = fun3d_mesh::Graph::from_edges(fix.mesh.nvertices(), fix.geom.edges());
     let ne = fix.geom.nedges();
 
     let serial =
@@ -38,7 +38,7 @@ fn main() {
     // traffic the model charges per edge.
     let tiling = EdgeTiling::build(
         fix.mesh.nvertices(),
-        &fix.geom.edges,
+        fix.geom.edges(),
         &TilingConfig::for_machine(&machine),
     );
     let tiled_bytes = costs.dram_bytes_per_edge
@@ -72,20 +72,20 @@ fn main() {
         );
         // Natural owner-writes.
         let nat_plan = OwnerWritesPlan::build(
-            &fix.geom.edges,
+            fix.geom.edges(),
             &natural_partition(fix.mesh.nvertices(), threads),
             threads,
         );
-        let nat: Vec<usize> = nat_plan.edges_of.iter().map(Vec::len).collect();
+        let nat: Vec<usize> = nat_plan.edges_of().iter().map(Vec::len).collect();
         let t_nat =
             kernels::edge_loop_time(&machine, &nat, costs.scalar_aos, costs.dram_bytes_per_edge, 0.0);
         // METIS owner-writes.
         let ml_plan = OwnerWritesPlan::build(
-            &fix.geom.edges,
+            fix.geom.edges(),
             &partition_graph(&graph, threads, &MultilevelConfig::default()),
             threads,
         );
-        let ml: Vec<usize> = ml_plan.edges_of.iter().map(Vec::len).collect();
+        let ml: Vec<usize> = ml_plan.edges_of().iter().map(Vec::len).collect();
         let t_ml =
             kernels::edge_loop_time(&machine, &ml, costs.scalar_aos, costs.dram_bytes_per_edge, 0.0);
         // Tiled: color classes split across threads, reuse-shrunk traffic.

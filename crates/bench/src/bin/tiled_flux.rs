@@ -183,11 +183,12 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
         Some(kib) => TilingConfig::with_target_bytes(kib * 1024),
         None => TilingConfig::for_machine(machine),
     };
-    let tiling = EdgeTiling::build(nv, &fix.geom.edges, &tcfg);
-    let tgeom = fun3d_core::TiledGeom::new(&tiling, &fix.geom);
+    let tiling = EdgeTiling::build(nv, fix.geom.edges(), &tcfg);
+    let tgeom = fun3d_core::TiledGeom::new(tiling, &fix.geom);
+    let tiling = tgeom.tiling();
     let texec = TileExec::auto(machine, nv);
-    let quality = TileQuality::of(&tiling);
-    let graph = fun3d_mesh::Graph::from_edges(nv, &fix.geom.edges);
+    let quality = TileQuality::of(tiling);
+    let graph = fun3d_mesh::Graph::from_edges(nv, fix.geom.edges());
 
     // The Fig. 6 convention: one numerator (streaming-model bytes) for
     // every variant, so GB/s ranks variants by wall time alone and
@@ -202,7 +203,7 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
         .filter(|&&nt| nt >= 2)
         .map(|&nt| {
             let plan = OwnerWritesPlan::build(
-                &fix.geom.edges,
+                fix.geom.edges(),
                 &partition_graph(&graph, nt, &MultilevelConfig::default()),
                 nt,
             );
@@ -221,7 +222,7 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
     }
 
     let mut res = vec![0.0; n4];
-    let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tgeom, mode };
+    let tiles = |mode| Traversal::Tiled { geom: &tgeom, mode };
     let pool_of = |nt: usize| pools.iter().find(|p| p.0 == nt).unwrap();
     let exec = |v: Variant, res: &mut [f64]| {
         res.iter_mut().for_each(|x| *x = 0.0);

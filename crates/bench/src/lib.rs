@@ -11,6 +11,7 @@
 //! prints an aligned table to stdout and mirrors it to
 //! `target/experiments/<name>.csv`.
 
+pub mod flux_reference;
 pub mod model;
 pub mod multinode;
 pub mod trsv_reference;
@@ -85,6 +86,9 @@ pub struct KernelFixture {
     pub dual: DualMesh,
     /// Edge geometry.
     pub geom: fun3d_core::EdgeGeom,
+    /// The mesh's half-edges, boundary closure included: what the
+    /// gradient kernel gathers over.
+    pub adj: fun3d_core::HalfEdges,
     /// AoS node state with gradients populated.
     pub node: fun3d_core::NodeAos,
     /// Flow conditions.
@@ -106,13 +110,14 @@ impl KernelFixture {
         }
         // realistic gradients via one Green-Gauss pass
         let bc = fun3d_core::bc::BcData::build(&dual);
-        let walk = fun3d_core::Traversal::stream(&geom);
+        let adj = fun3d_core::HalfEdges::build(&geom, &bc, &dual.vol);
         let (isa, exec) = (fun3d_core::Isa::detect(), fun3d_core::Exec::Caller);
-        fun3d_core::gradient::green_gauss(isa, exec, walk, &bc, &dual.vol, &mut node);
+        fun3d_core::gradient::green_gauss(isa, exec, &adj, &mut node);
         KernelFixture {
             mesh,
             dual,
             geom,
+            adj,
             node,
             cond,
         }
@@ -128,8 +133,8 @@ impl KernelFixture {
 /// the matrix the ILU/TRSV experiments factor.
 pub fn jacobian_fixture(fix: &KernelFixture, dt: f64) -> fun3d_sparse::Bcsr4 {
     let bc = fix.bc();
-    let mut jac = fun3d_sparse::Bcsr4::from_edges(fix.mesh.nvertices(), &fix.geom.edges);
-    let slots = fun3d_core::jacobian::JacobianSlots::new(&jac, &fix.geom.edges);
+    let mut jac = fun3d_sparse::Bcsr4::from_edges(fix.mesh.nvertices(), fix.geom.edges());
+    let slots = fun3d_core::jacobian::JacobianSlots::new(&jac, fix.geom.edges());
     fun3d_core::jacobian::assemble(&fix.geom, &bc, &fix.node, &fix.cond, &slots, &mut jac);
     let n = jac.dim();
     let mut shift = vec![0.0; n];

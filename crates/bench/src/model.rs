@@ -94,13 +94,13 @@ pub fn model_speedups_fill(
     let rc = RecurrenceCosts::for_block_bytes(fun3d_sparse::FACTOR_BLOCK_BYTES);
     let threads = cores * machine.smt;
     let ne = fix.geom.nedges();
-    let graph = fun3d_mesh::Graph::from_edges(fix.mesh.nvertices(), &fix.geom.edges);
+    let graph = fun3d_mesh::Graph::from_edges(fix.mesh.nvertices(), fix.geom.edges());
     let plan = OwnerWritesPlan::build(
-        &fix.geom.edges,
+        fix.geom.edges(),
         &partition_graph(&graph, threads, &MultilevelConfig::default()),
         threads,
     );
-    let per_thread: Vec<usize> = plan.edges_of.iter().map(Vec::len).collect();
+    let per_thread: Vec<usize> = plan.edges_of().iter().map(Vec::len).collect();
 
     let edge_speedup = |serial_cyc: f64, par_cyc: f64| -> f64 {
         let t0 =

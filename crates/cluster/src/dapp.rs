@@ -4,14 +4,16 @@
 //! through real message passing — with the kernels and the solver of the
 //! shared-memory application, not copies of them. A rank is one owner of
 //! an owner-writes plan, so between its halo exchanges it calls the
-//! core's masked edge kernels on an `EdgeGeom`/`NodeAos`/`BcData` in
-//! local numbering; and it is a [`PtcProblem`] whose
+//! core's kernels on an `EdgeGeom`/`NodeAos`/`BcData` in local numbering
+//! (the masked flux loop over its one share, the gradient gather over the
+//! half-edges of its owned vertices); and it is a [`PtcProblem`] whose
 //! [`reducer`](PtcProblem::reducer) is the communicator, so
 //! [`fun3d_solver::ptc::solve`] drives it like any other:
 //!
-//! * residual: halo-exchange state → [`gradient::green_gauss`] on the
-//!   rank's one owner-writes share → halo-exchange gradients →
-//!   [`flux::run`] on the same share → local boundary fluxes;
+//! * residual: halo-exchange state → [`gradient::green_gauss`] over the
+//!   owned vertices' half-edges → halo-exchange gradients →
+//!   [`flux::run`] on the rank's one owner-writes share → local boundary
+//!   fluxes;
 //! * Jacobian: first-order assembly of the *owned rows* (columns span
 //!   owned + ghost), pseudo-time shift, per-rank ILU of the owned-owned
 //!   block (zero-overlap additive Schwarz), refactored in place on a
@@ -31,9 +33,10 @@ use crate::decompose::{Decomposition, Subdomain};
 use crate::dsolve::{halo_exchange, halo_exchange_stride, OwnedBlock};
 use fun3d_core::bc::{self, BcData};
 use fun3d_core::euler::{self, FlowConditions};
-use fun3d_core::geom::{EdgeGeom, NodeAos};
+use fun3d_core::geom::{EdgeGeom, HalfEdges, NodeAos, GRAD_ROW};
 use fun3d_core::{flux, gradient, jacobian, Exec, Isa, Traversal};
 use fun3d_mesh::{DualMesh, Mesh};
+use fun3d_partition::OwnerWritesPlan;
 use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
 use fun3d_solver::{GmresConfig, Reducer};
@@ -62,7 +65,7 @@ impl GlobalSetup {
         let dual = DualMesh::build(&mesh);
         let geom = EdgeGeom::build(&mesh, &dual);
         let bc = BcData::build(&dual);
-        let decomp = Decomposition::build(mesh.nvertices(), &geom.edges, nranks);
+        let decomp = Decomposition::build(mesh.nvertices(), geom.edges(), nranks);
         GlobalSetup {
             mesh,
             dual,
@@ -83,8 +86,12 @@ pub struct RankApp<'a> {
     /// The subdomain's edges in local vertex numbering. Endpoint order is
     /// the global edge's, so `a < b` need not hold locally.
     geom: EdgeGeom,
-    /// `0..nedges`: a rank is one owner and walks all of its edges.
-    edge_ids: Vec<u32>,
+    /// A rank is one owner: a plan of one share, every local edge in
+    /// order under the subdomain's write masks.
+    plan: OwnerWritesPlan,
+    /// The half-edges of the owned vertices (ghost gradients arrive by
+    /// halo exchange).
+    adj: HalfEdges,
     /// Boundary entries of owned vertices, local numbering.
     bc: BcData,
     /// Dual volumes of the local vertices (owned, then ghosts).
@@ -111,16 +118,20 @@ impl<'a> RankApp<'a> {
     pub fn new(setup: &'a GlobalSetup, rank: usize) -> RankApp<'a> {
         let sub = setup.decomp.subdomains[rank].clone();
         let (nowned, nlocal) = (sub.nowned(), sub.nlocal());
+        // The subdomain's indices are checked here, once: local endpoints
+        // against the local vertex count, edge ids against the edge list.
         let pick = |src: &[f64]| sub.edge_gids.iter().map(|&g| src[g as usize]).collect();
-        let geom = EdgeGeom {
-            edges: sub.edges.clone(),
-            nx: pick(&setup.geom.nx),
-            ny: pick(&setup.geom.ny),
-            nz: pick(&setup.geom.nz),
-            rx: pick(&setup.geom.rx),
-            ry: pick(&setup.geom.ry),
-            rz: pick(&setup.geom.rz),
-        };
+        let geom = EdgeGeom::try_new(
+            nlocal,
+            sub.edges.clone(),
+            setup.geom.normals().map(pick),
+            setup.geom.deltas().map(pick),
+        )
+        .unwrap_or_else(|e| panic!("rank {rank}: local edge geometry: {e}"));
+        let every_edge: Vec<u32> = (0..sub.edges.len() as u32).collect();
+        let masks = sub.write_masks.clone();
+        let plan = OwnerWritesPlan::try_from_shares(&sub.edges, vec![every_edge], vec![masks])
+            .unwrap_or_else(|e| panic!("rank {rank}: owner-writes share: {e}"));
         // `owned` ascends, and local ids count along it.
         let mut bc = BcData::default();
         for i in 0..setup.bc.len() {
@@ -134,6 +145,8 @@ impl<'a> RankApp<'a> {
         }
         let local_gids = sub.owned.iter().chain(&sub.ghosts);
         let vol: Vec<f64> = local_gids.map(|&g| setup.dual.vol[g as usize]).collect();
+        let adj = HalfEdges::try_build(&geom, &bc, &vol, nowned)
+            .unwrap_or_else(|e| panic!("rank {rank}: half-edges: {e}"));
         // Jacobian pattern: owned rows over their local-edge neighbors;
         // ghost rows stay empty so that local columns are valid.
         let mut cols: Vec<Vec<u32>> = (0..nlocal as u32)
@@ -166,9 +179,10 @@ impl<'a> RankApp<'a> {
 
         RankApp {
             setup,
-            edge_ids: (0..sub.edges.len() as u32).collect(),
             sub,
             geom,
+            plan,
+            adj,
             bc,
             vol,
             node: NodeAos::zeros(nlocal),
@@ -199,16 +213,12 @@ impl<'a> RankApp<'a> {
         assert_eq!(u.len(), n);
         assert_eq!(r.len(), n);
         // A rank is one owner: a single share, walked on this thread.
-        let walk = Traversal::Owner {
-            geom: &self.geom,
-            edges: std::slice::from_ref(&self.edge_ids),
-            masks: std::slice::from_ref(&self.sub.write_masks),
-        };
+        let walk = Traversal::owner(&self.geom, &self.plan);
         let isa = Isa::detect();
         self.node.q[..n].copy_from_slice(u);
         halo_exchange(comm, &self.sub, &mut self.node.q);
-        gradient::green_gauss(isa, Exec::Caller, walk, &self.bc, &self.vol, &mut self.node);
-        halo_exchange_stride(comm, &self.sub, &mut self.node.grad, 12);
+        gradient::green_gauss(isa, Exec::Caller, &self.adj, &mut self.node);
+        halo_exchange_stride(comm, &self.sub, &mut self.node.grad, GRAD_ROW);
         self.res.fill(0.0);
         let beta = self.setup.cond.beta;
         flux::run(Some(isa), Exec::Caller, walk, &self.node, beta, &mut self.res);
@@ -229,7 +239,7 @@ impl<'a> RankApp<'a> {
         self.jac.zero_values();
         for (k, (le, &mask)) in self.sub.edges.iter().zip(&self.sub.write_masks).enumerate() {
             let (a, b) = (le[0] as usize, le[1] as usize);
-            let n = [self.geom.nx[k], self.geom.ny[k], self.geom.nz[k]];
+            let n = [self.geom.nx()[k], self.geom.ny()[k], self.geom.nz()[k]];
             let (qa, qb) = (self.node.state(a), self.node.state(b));
             let lam =
                 euler::spectral_radius(&qa, &n, beta).max(euler::spectral_radius(&qb, &n, beta));

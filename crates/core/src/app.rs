@@ -4,7 +4,7 @@
 use crate::bc::{self, BcData};
 use crate::edge_loop::{Exec, TileExec, Traversal, PREFETCH_DIST};
 use crate::euler::FlowConditions;
-use crate::geom::{EdgeGeom, NodeAos, TiledGeom};
+use crate::geom::{EdgeGeom, HalfEdges, NodeAos, TiledGeom};
 use crate::{flux, gradient, jacobian};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::{reorder, DualMesh, Mesh};
@@ -117,15 +117,14 @@ impl OptConfig {
     }
 }
 
-/// A tiling with the geometry permuted for it and the way its tiles
+/// A tiling with the geometry permuted for it, and the way its tiles
 /// execute, decided once per application.
 struct Tiles {
-    tiling: EdgeTiling,
     geom: TiledGeom,
     mode: TileExec,
 }
 
-/// The residual path's edge traversal and where it runs, from what
+/// The flux kernel's edge traversal and where it runs, from what
 /// [`Fun3dApp::with_pool`] resolved: tiles if the scheme is tiled (on the
 /// pool only while its barriers can spin), else the owner-writes plan on
 /// the pool, else the prefetching stream on the calling thread.
@@ -136,9 +135,9 @@ fn edge_walk<'a>(
     tiles: &'a Option<Tiles>,
 ) -> (Exec<'a>, Traversal<'a>) {
     match (tiles, pool, plan) {
-        (Some(Tiles { tiling, geom, mode }), pool, _) => (
+        (Some(Tiles { geom, mode }), pool, _) => (
             pool.map_or(Exec::Caller, Exec::unless_oversubscribed),
-            Traversal::Tiled { tiling, geom, mode: *mode },
+            Traversal::Tiled { geom, mode: *mode },
         ),
         (None, Some(pool), Some(plan)) => (Exec::Pool(pool), Traversal::owner(geom, plan)),
         _ => (Exec::Caller, Traversal::Stream { geom, prefetch: Some(PREFETCH_DIST) }),
@@ -212,6 +211,8 @@ pub struct Fun3dApp {
     pub timers: Rc<RefCell<PhaseTimers>>,
     node: NodeAos,
     vol: Vec<f64>,
+    /// What the gradient kernels gather over.
+    adj: HalfEdges,
     jac: Bcsr4,
     /// Where `jacobian::assemble` adds each edge's and vertex's blocks.
     jac_slots: jacobian::JacobianSlots,
@@ -286,8 +287,9 @@ impl Fun3dApp {
         let nv = mesh.nvertices();
         let node = NodeAos::zeros(nv);
         let vol = dual.vol.clone();
-        let jac = Bcsr4::from_edges(nv, &geom.edges);
-        let jac_slots = jacobian::JacobianSlots::new(&jac, &geom.edges);
+        let adj = HalfEdges::build(&geom, &bc, &vol);
+        let jac = Bcsr4::from_edges(nv, geom.edges());
+        let jac_slots = jacobian::JacobianSlots::new(&jac, geom.edges());
         let ilu_pattern = ilu::symbolic_iluk(&jac, cfg.ilu_fill);
         let ilu_symbolic = IluSymbolic::new(&jac, &ilu_pattern);
 
@@ -298,22 +300,21 @@ impl Fun3dApp {
             .unwrap_or(cfg.flux)
             .resolve(&machine, nv, cfg.nthreads);
         let tiles = (scheme == FluxScheme::Tiled).then(|| {
-            let tiling = EdgeTiling::build(nv, &geom.edges, &TilingConfig::for_machine(&machine));
+            let tiling = EdgeTiling::build(nv, geom.edges(), &TilingConfig::for_machine(&machine));
             Tiles {
-                geom: TiledGeom::new(&tiling, &geom),
-                tiling,
+                geom: TiledGeom::new(tiling, &geom),
                 mode: TileExec::auto(&machine, nv),
             }
         });
 
         let plan = pool.as_ref().map(|_| {
             let part = if cfg.metis_partition {
-                let graph = fun3d_mesh::Graph::from_edges(nv, &geom.edges);
+                let graph = fun3d_mesh::Graph::from_edges(nv, geom.edges());
                 partition_graph(&graph, cfg.nthreads, &MultilevelConfig::default())
             } else {
                 natural_partition(nv, cfg.nthreads)
             };
-            OwnerWritesPlan::build(&geom.edges, &part, cfg.nthreads)
+            OwnerWritesPlan::build(geom.edges(), &part, cfg.nthreads)
         });
 
         // Schedules depend only on the static factor patterns.
@@ -330,7 +331,7 @@ impl Fun3dApp {
 
         let lsq = cfg
             .use_lsq_gradients
-            .then(|| gradient::LsqGradient::build(&mesh.coords, &geom.edges));
+            .then(|| gradient::LsqGradient::build(&mesh.coords, &adj));
 
         Fun3dApp {
             mesh,
@@ -342,6 +343,7 @@ impl Fun3dApp {
             timers: Rc::new(RefCell::new(PhaseTimers::new())),
             node,
             vol,
+            adj,
             jac,
             jac_slots,
             ilu_pattern,
@@ -434,7 +436,7 @@ impl Fun3dApp {
     /// The edge tiling the residual path resolved to (None when the
     /// scheme resolved to streaming).
     pub fn tiling(&self) -> Option<&EdgeTiling> {
-        self.tiles.as_ref().map(|t| &t.tiling)
+        self.tiles.as_ref().map(|t| t.geom.tiling())
     }
 
     /// The assembled Jacobian (valid after a `build_preconditioner`).
@@ -474,7 +476,9 @@ impl Fun3dApp {
         telemetry::record_kernel(
             "flux",
             match &self.tiles {
-                Some(t) => crate::counts::flux_tiled(self.geom.nedges(), t.tiling.vertex_slots()),
+                Some(t) => {
+                    crate::counts::flux_tiled(self.geom.nedges(), t.geom.tiling().vertex_slots())
+                }
                 None => crate::counts::flux(self.geom.nedges()),
             },
         );
@@ -500,21 +504,13 @@ impl PtcProblem for Fun3dApp {
             let _span = telemetry::span("gradient");
             telemetry::record_kernel(
                 "gradient",
-                match &self.tiles {
-                    Some(t) if self.lsq.is_none() => crate::counts::gradient_tiled(
-                        self.geom.nedges(),
-                        self.node.n,
-                        t.tiling.vertex_slots(),
-                    ),
-                    _ => crate::counts::gradient(self.geom.nedges(), self.node.n),
-                },
+                crate::counts::gradient_gather(self.adj.neighbours().len(), self.adj.rows()),
             );
             if let Some(lsq) = &self.lsq {
-                lsq.evaluate(&mut self.node);
+                lsq.evaluate(&self.adj, &mut self.node);
             } else {
-                let (exec, walk) =
-                    edge_walk(&self.geom, self.pool.as_deref(), &self.plan, &self.tiles);
-                gradient::green_gauss(self.isa, exec, walk, &self.bc, &self.vol, &mut self.node);
+                let exec = self.pool.as_deref().map_or(Exec::Caller, Exec::Pool);
+                gradient::green_gauss(self.isa, exec, &self.adj, &mut self.node);
             }
             if self.cfg.use_limiter {
                 // Venkatakrishnan (smooth) rather than Barth–Jespersen:

@@ -61,16 +61,16 @@ impl BcData {
 
 /// Adds boundary flux contributions to the residual.
 pub fn residual(bc: &BcData, node: &NodeAos, cond: &FlowConditions, res: &mut [f64]) {
-    for i in 0..bc.len() {
-        let v = bc.vertex[i] as usize;
-        let n = [bc.nx[i], bc.ny[i], bc.nz[i]];
+    let normals = bc.nx.iter().zip(&bc.ny).zip(&bc.nz);
+    for ((&v, &tag), ((&nx, &ny), &nz)) in bc.vertex.iter().zip(&bc.tag).zip(normals) {
+        let (v, n) = (v as usize, [nx, ny, nz]);
         let q = node.state(v);
-        let f = match bc.tag[i] {
+        let f = match tag {
             BcTag::SlipWall | BcTag::Symmetry => wall_flux(&q, &n),
             BcTag::FarField => farfield_flux(&q, &cond.qinf, &n, cond.beta),
         };
-        for c in 0..4 {
-            res[v * 4 + c] += f[c];
+        for (r, f) in res[v * 4..v * 4 + 4].iter_mut().zip(f) {
+            *r += f;
         }
     }
 }

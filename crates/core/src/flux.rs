@@ -11,14 +11,25 @@
 //! ½∇q_b·r`. [`run`] is the kernel: a body (rows) on a [`Traversal`]
 //! (columns), each column on either [`Exec`] context.
 //!
+//! A vertex row is stored the way this loop loads it: the gradient row is
+//! the three 4-vectors `∂q/∂x, ∂q/∂y, ∂q/∂z` ([`crate::geom::grad_slot`]),
+//! so an endpoint's reconstruction is three loads, three multiplies by a
+//! broadcast `r` component and two adds *in component lanes*, and only the
+//! two reconstructed states of each edge are transposed into edge lanes —
+//! two 4×4 transposes per batch where a comp-major row needed eight, and
+//! no spills (EXPERIMENTS, "Residual: instructions per batch"). And an
+//! index is checked where it is made: the gathers and the commit use the
+//! traversal's validated endpoints unchecked ([`crate::edge_loop`]).
+//!
 //! | body \ traversal | `Stream` | `Owner` | `Tiled` |
 //! |---|---|---|---|
-//! | lanes (`Some(isa)`): 4-edge SIMD batch, in-register transposes, scalar tail | Fig. 6a's SIMD and SIMD + prefetch rows | the optimized threaded kernel; a rank's kernel | cache-blocked tiles, staged or direct |
+//! | lanes (`Some(isa)`): 4-edge SIMD batch, per-vertex reconstruction, in-register transposes, scalar tail | Fig. 6a's SIMD and SIMD + prefetch rows | the optimized threaded kernel; a rank's kernel | cache-blocked tiles, staged or direct |
 //! | scalar (`None`): one edge at a time | [`serial_aos`] | Fig. 6b's owner-writes rows | scalar tiles |
 //!
 //! The lane body follows the paper's restructuring: the dependency-free
-//! compute runs one edge per lane; the four per-edge fluxes are then
-//! transposed in registers and committed edge by edge, in edge order. It
+//! compute ([`roe_lanes`]) runs one edge per lane; the four per-edge
+//! fluxes are then transposed in registers and committed edge by edge, in
+//! edge order. It
 //! is written once, generic over [`fun3d_simd::Simd`], and runs on the
 //! portable lanes or, behind a `#[target_feature(enable = "avx2")]`
 //! entry, on AVX2 — bitwise identical (no FMA, no reassociation), so
@@ -36,11 +47,12 @@
 use crate::edge_loop::{self, EdgeBody, Reads};
 pub use crate::edge_loop::{Exec, TileExec, Traversal, PREFETCH_DIST};
 use crate::euler;
-use crate::geom::{EdgeGeom, NodeAos, NodeSoa, VertexRows};
-use fun3d_simd::{aos_load_transpose, prefetch_l1, Isa, Simd};
+use crate::geom::{grad_slot, EdgeGeom, NodeAos, NodeSoa, VertexRows};
+use fun3d_simd::{Isa, Simd};
 use fun3d_threads::{AtomicF64View, ThreadPool};
 
-/// Shared per-edge physics, scalar form.
+/// Shared per-edge physics, scalar form; `ga` and `gb` are gradient rows
+/// ([`grad_slot`]).
 #[inline(always)]
 fn edge_flux(
     qa: &[f64; 4],
@@ -54,8 +66,9 @@ fn edge_flux(
     let mut ql = [0.0f64; 4];
     let mut qr = [0.0f64; 4];
     for c in 0..4 {
-        let da = ga[c * 3] * r[0] + ga[c * 3 + 1] * r[1] + ga[c * 3 + 2] * r[2];
-        let db = gb[c * 3] * r[0] + gb[c * 3 + 1] * r[1] + gb[c * 3 + 2] * r[2];
+        let [x, y, z] = [grad_slot(c, 0), grad_slot(c, 1), grad_slot(c, 2)];
+        let da = ga[x] * r[0] + ga[y] * r[1] + ga[z] * r[2];
+        let db = gb[x] * r[0] + gb[y] * r[1] + gb[z] * r[2];
         ql[c] = qa[c] + 0.5 * da;
         qr[c] = qb[c] - 0.5 * db;
     }
@@ -66,14 +79,14 @@ fn edge_flux(
 /// separate gathers per endpoint).
 pub fn serial_soa(geom: &EdgeGeom, node: &NodeSoa, beta: f64, res: &mut [f64]) {
     assert_eq!(res.len(), node.n * 4);
-    for (k, e) in geom.edges.iter().enumerate() {
+    for (k, e) in geom.edges().iter().enumerate() {
         let (a, b) = (e[0] as usize, e[1] as usize);
         let qa = node.state(a);
         let qb = node.state(b);
         let ga = node.gradient(a);
         let gb = node.gradient(b);
-        let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-        let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
+        let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
+        let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
         let f = edge_flux(&qa, &qb, &ga, &gb, &n, &r, beta);
         for c in 0..4 {
             res[a * 4 + c] += f[c];
@@ -86,15 +99,15 @@ pub fn serial_soa(geom: &EdgeGeom, node: &NodeSoa, beta: f64, res: &mut [f64]) {
 /// endpoint's state and gradient).
 pub fn serial_aos(geom: &EdgeGeom, node: &NodeAos, beta: f64, res: &mut [f64]) {
     assert_eq!(res.len(), node.n * 4);
-    for (k, e) in geom.edges.iter().enumerate() {
+    for (k, e) in geom.edges().iter().enumerate() {
         let (a, b) = (e[0] as usize, e[1] as usize);
         let qa = node.state(a);
         let qb = node.state(b);
         let ga = node.gradient(a);
         let gb = node.gradient(b);
-        let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-        let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
-        let f = edge_flux(&qa, &qb, &ga, &gb, &n, &r, beta);
+        let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
+        let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
+        let f = edge_flux(&qa, &qb, ga, gb, &n, &r, beta);
         for c in 0..4 {
             res[a * 4 + c] += f[c];
             res[b * 4 + c] -= f[c];
@@ -132,33 +145,25 @@ fn amul<S: Simd>(
     ]
 }
 
-/// Vectorized per-edge physics: one edge per SIMD lane. Output `[c]` is
-/// flux component `c` of the four edges.
+/// The Roe flux of four edges, one edge per SIMD lane, from their
+/// reconstructed states: `ql[c]`, `qr[c]` hold variable `c` of the four
+/// edges and `n[d]` component `d` of their normals. Output `[c]` is flux
+/// component `c` of the four edges. No FMA, no reassociation: bitwise the
+/// same on every [`Simd`] implementation. (Public for the benches'
+/// reference lane body, which differs from the production one only in how
+/// `ql`/`qr` are gathered.)
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn edge_flux_simd<S: Simd>(
+pub fn roe_lanes<S: Simd>(
     s: S,
-    qa: &[S::V; 4],
-    qb: &[S::V; 4],
-    ga: &[S::V; 12],
-    gb: &[S::V; 12],
+    ql: &[S::V; 4],
+    qr: &[S::V; 4],
     n: &[S::V; 3],
-    r: &[S::V; 3],
     beta: f64,
 ) -> [S::V; 4] {
     let (half, beta) = (s.splat(0.5), s.splat(beta));
-    // reconstruction
-    let mut ql = *qa;
-    let mut qr = *qb;
-    for c in 0..4 {
-        let da = ga[c * 3] * r[0] + ga[c * 3 + 1] * r[1] + ga[c * 3 + 2] * r[2];
-        let db = gb[c * 3] * r[0] + gb[c * 3 + 1] * r[1] + gb[c * 3 + 2] * r[2];
-        ql[c] = qa[c] + da * half;
-        qr[c] = qb[c] - db * half;
-    }
     // fluxes at both sides
-    let fl = flux_of::<S>(n, &ql, beta);
-    let fr = flux_of::<S>(n, &qr, beta);
+    let fl = flux_of::<S>(n, ql, beta);
+    let fr = flux_of::<S>(n, qr, beta);
     // mean state and wave structure
     let qm = [
         (ql[0] + qr[0]) * half,
@@ -191,22 +196,34 @@ fn edge_flux_simd<S: Simd>(
     out
 }
 
-/// One edge-geometry stream at the edges `ks`, one edge per lane.
+/// `q + ½ ∇q·r` (`left`, the edge's `a` side) or `q − ½ ∇q·r` at the row
+/// `i`, in component lanes; `r` is the edge's delta broadcast per
+/// component. The products and their association are the scalar kernel's
+/// (`(g_x r_0 + g_y r_1) + g_z r_2`, then `· ½`, then `±`).
+///
+/// # Safety
+/// `i < src.rows()`.
 #[inline(always)]
-fn edge_lanes<S: Simd>(s: S, f: &[f64], ks: [usize; 4]) -> S::V {
-    if ks[1] == ks[0] + 1 && ks[2] == ks[0] + 2 && ks[3] == ks[0] + 3 {
-        s.load(&f[ks[0]..ks[0] + 4])
-    } else {
-        s.load(&[f[ks[0]], f[ks[1]], f[ks[2]], f[ks[3]]])
-    }
+unsafe fn reconstruct<S: Simd>(s: S, src: Reads, i: usize, r: &[S::V; 3], left: bool) -> S::V {
+    // SAFETY: a row of `src` per the caller's contract.
+    let (q, g) = unsafe { (s.load(src.q(i)), src.grad(i)) };
+    let slope = s.load(&g[grad_slot(0, 0)..]) * r[0]
+        + s.load(&g[grad_slot(0, 1)..]) * r[1]
+        + s.load(&g[grad_slot(0, 2)..]) * r[2];
+    let half = slope * s.splat(0.5);
+    if left { q + half } else { q - half }
 }
 
-/// One SIMD batch over the edges `ks` of `src`: gathers the
-/// endpoints `ia`/`ib` from `src.q`/`src.grad` with in-register
-/// transposes, computes one edge per lane, and returns the flux of edge
-/// `lane` as `rows[lane]`.
+/// One SIMD batch over the edges `ks` of `src`: reconstructs the two
+/// states of each edge from the rows `ia`/`ib` in component lanes,
+/// transposes them into edge lanes, computes one edge per lane, and
+/// returns the flux of edge `lane` as `rows[lane]`.
+///
+/// # Safety
+/// Every `ks[lane] < src.nedges()` and every `ia[lane]`, `ib[lane]` `<
+/// src.rows()`.
 #[inline(always)]
-fn flux_batch<S: Simd>(
+unsafe fn flux_batch<S: Simd>(
     s: S,
     src: Reads,
     ks: [usize; 4],
@@ -214,13 +231,23 @@ fn flux_batch<S: Simd>(
     ib: [usize; 4],
     beta: f64,
 ) -> [S::V; 4] {
-    let qa = aos_load_transpose::<S, 4>(s, src.q, ia);
-    let qb = aos_load_transpose::<S, 4>(s, src.q, ib);
-    let ga = aos_load_transpose::<S, 12>(s, src.grad, ia);
-    let gb = aos_load_transpose::<S, 12>(s, src.grad, ib);
-    let n = [edge_lanes(s, src.n[0], ks), edge_lanes(s, src.n[1], ks), edge_lanes(s, src.n[2], ks)];
-    let r = [edge_lanes(s, src.r[0], ks), edge_lanes(s, src.r[1], ks), edge_lanes(s, src.r[2], ks)];
-    s.transpose(edge_flux_simd(s, &qa, &qb, &ga, &gb, &n, &r, beta))
+    let zero = s.splat(0.0);
+    let (mut ql, mut qr) = ([zero; 4], [zero; 4]);
+    for e in 0..4 {
+        // SAFETY: edges and rows of `src` per the caller's contract.
+        unsafe {
+            let r = src.delta(ks[e]);
+            let r = [s.splat(r[0]), s.splat(r[1]), s.splat(r[2])];
+            ql[e] = reconstruct(s, src, ia[e], &r, true);
+            qr[e] = reconstruct(s, src, ib[e], &r, false);
+        }
+    }
+    let (ql, qr) = (s.transpose(ql), s.transpose(qr));
+    // SAFETY: edges of `src` per the caller's contract.
+    let n = unsafe {
+        [src.normal_lanes(s, 0, ks), src.normal_lanes(s, 1, ks), src.normal_lanes(s, 2, ks)]
+    };
+    s.transpose(roe_lanes(s, &ql, &qr, &n, beta))
 }
 
 /// Commits a batch in edge order (later edges may share vertices with
@@ -228,8 +255,9 @@ fn flux_batch<S: Simd>(
 /// the endpoints the edge's mask selects (bit 0 = `a`, bit 1 = `b`).
 ///
 /// # Safety
-/// The caller has exclusive access to the `res` rows of every selected
-/// endpoint (see [`VertexRows::row`]).
+/// `res` has a row of 4 at every `wa[lane]`, `wb[lane]`, and the caller
+/// has exclusive access to those of every selected endpoint (see
+/// [`VertexRows::row`]).
 #[inline(always)]
 unsafe fn commit<S: Simd>(
     s: S,
@@ -241,12 +269,12 @@ unsafe fn commit<S: Simd>(
 ) {
     for lane in 0..4 {
         if masks[lane] & 1 != 0 {
-            // SAFETY: exclusive per the caller's contract.
+            // SAFETY: in range and exclusive per the caller's contract.
             let ra = unsafe { res.row(wa[lane] * 4, 4) };
             s.store(s.load(ra) + rows[lane], ra);
         }
         if masks[lane] & 2 != 0 {
-            // SAFETY: exclusive per the caller's contract.
+            // SAFETY: in range and exclusive per the caller's contract.
             let rb = unsafe { res.row(wb[lane] * 4, 4) };
             s.store(s.load(rb) - rows[lane], rb);
         }
@@ -276,23 +304,30 @@ impl<const LANES: bool> EdgeBody for Roe<LANES> {
         res: VertexRows,
         mask: u8,
     ) {
-        let (wa, wb) = src.endpoints(k);
-        let qa: [f64; 4] = src.q[ia * 4..ia * 4 + 4].try_into().unwrap();
-        let qb: [f64; 4] = src.q[ib * 4..ib * 4 + 4].try_into().unwrap();
-        let ga = &src.grad[ia * 12..ia * 12 + 12];
-        let gb = &src.grad[ib * 12..ib * 12 + 12];
-        let n = [src.n[0][k], src.n[1][k], src.n[2][k]];
-        let r = [src.r[0][k], src.r[1][k], src.r[2][k]];
+        // SAFETY: an edge and two rows of `src` per the caller's contract.
+        let ((wa, wb), qa, qb, ga, gb, n, r) = unsafe {
+            let (qa, qb) = (src.q(ia), src.q(ib));
+            (
+                src.endpoints(k),
+                [qa[0], qa[1], qa[2], qa[3]],
+                [qb[0], qb[1], qb[2], qb[3]],
+                src.grad(ia),
+                src.grad(ib),
+                src.normal(k),
+                src.delta(k),
+            )
+        };
         let f = edge_flux(&qa, &qb, ga, gb, &n, &r, self.beta);
         if mask & 1 != 0 {
-            // SAFETY: exclusive per the caller's contract.
+            // SAFETY: `res` has a row per endpoint, this one exclusive, per
+            // the caller's contract.
             let ra = unsafe { res.row(wa * 4, 4) };
             for c in 0..4 {
                 ra[c] += f[c];
             }
         }
         if mask & 2 != 0 {
-            // SAFETY: exclusive per the caller's contract.
+            // SAFETY: as above.
             let rb = unsafe { res.row(wb * 4, 4) };
             for c in 0..4 {
                 rb[c] -= f[c];
@@ -310,19 +345,20 @@ impl<const LANES: bool> EdgeBody for Roe<LANES> {
         out: VertexRows,
         masks: [u8; 4],
     ) {
-        let (wa, wb) = src.endpoints4(ks);
-        let rows = flux_batch(s, src, ks, ia, ib, self.beta);
-        // SAFETY: the caller's contract is `commit`'s.
-        unsafe { commit(s, out, wa, wb, masks, rows) };
+        // SAFETY: the caller's contract is `flux_batch`'s and `commit`'s.
+        unsafe {
+            let (wa, wb) = src.endpoints4(ks);
+            let rows = flux_batch(s, src, ks, ia, ib, self.beta);
+            commit(s, out, wa, wb, masks, rows);
+        }
     }
 
     #[inline(always)]
-    fn prefetch(self, src: Reads, k: usize) {
-        let (a, b) = src.endpoints(k);
-        prefetch_l1(src.q, a * 4);
-        prefetch_l1(src.q, b * 4);
-        prefetch_l1(src.grad, a * 12);
-        prefetch_l1(src.grad, b * 12);
+    unsafe fn prefetch(self, src: Reads, k: usize) {
+        // SAFETY: an edge of `src` per the caller's contract.
+        let (a, b) = unsafe { src.endpoints(k) };
+        src.prefetch_rows(a);
+        src.prefetch_rows(b);
     }
 }
 
@@ -338,12 +374,10 @@ pub fn run(
     beta: f64,
     res: &mut [f64],
 ) {
-    assert_eq!(res.len(), node.n * 4);
-    let (q, grad) = (&node.q[..], &node.grad[..]);
     match (lanes, walk) {
-        (Some(isa), _) => edge_loop::run(isa, exec, walk, Roe::<true> { beta }, q, grad, res),
+        (Some(isa), _) => edge_loop::run(isa, exec, walk, Roe::<true> { beta }, node, res),
         (None, Traversal::Stream { geom, .. }) => serial_aos(geom, node, beta, res),
-        (None, _) => edge_loop::run(Isa::portable(), exec, walk, Roe::<false> { beta }, q, grad, res),
+        (None, _) => edge_loop::run(Isa::portable(), exec, walk, Roe::<false> { beta }, node, res),
     }
 }
 
@@ -354,12 +388,12 @@ pub fn atomics(pool: &ThreadPool, geom: &EdgeGeom, node: &NodeAos, beta: f64, re
     let view = AtomicF64View::new(res);
     pool.parallel_for(geom.nedges(), |_tid, range| {
         for k in range {
-            let e = geom.edges[k];
+            let e = geom.edges()[k];
             let (a, b) = (e[0] as usize, e[1] as usize);
             let qa = node.state(a);
             let qb = node.state(b);
-            let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
-            let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
+            let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
+            let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
             let f = edge_flux(&qa, &qb, node.gradient(a), node.gradient(b), &n, &r, beta);
             for c in 0..4 {
                 view.fetch_add(a * 4 + c, f[c]);
@@ -461,7 +495,7 @@ mod tests {
         for nt in [1usize, 2, 5] {
             let pool = ThreadPool::new(nt);
             let part = natural_partition(aos.n, nt);
-            let plan = OwnerWritesPlan::build(&geom.edges, &part, nt);
+            let plan = OwnerWritesPlan::build(geom.edges(), &part, nt);
             let mut r2 = vec![0.0; aos.n * 4];
             run(None, Exec::Pool(&pool), Traversal::owner(&geom, &plan), &aos, 1.0, &mut r2);
             assert_eq!(r1, r2, "owner-writes nt={nt} must be bitwise equal");
@@ -472,10 +506,10 @@ mod tests {
     fn owner_writes_metis_matches_serial_bitwise() {
         let (geom, aos, _) = setup();
         let r1 = run_serial(&geom, &aos);
-        let graph = fun3d_mesh::Graph::from_edges(aos.n, &geom.edges);
+        let graph = fun3d_mesh::Graph::from_edges(aos.n, geom.edges());
         let nt = 4;
         let part = partition_graph(&graph, nt, &MultilevelConfig::default());
-        let plan = OwnerWritesPlan::build(&geom.edges, &part, nt);
+        let plan = OwnerWritesPlan::build(geom.edges(), &part, nt);
         let pool = ThreadPool::new(nt);
         let mut r2 = vec![0.0; aos.n * 4];
         run(None, Exec::Pool(&pool), Traversal::owner(&geom, &plan), &aos, 1.0, &mut r2);
@@ -486,10 +520,10 @@ mod tests {
     fn owner_writes_opt_matches_scalar() {
         let (geom, aos, _) = setup();
         let r1 = run_serial(&geom, &aos);
-        let graph = fun3d_mesh::Graph::from_edges(aos.n, &geom.edges);
+        let graph = fun3d_mesh::Graph::from_edges(aos.n, geom.edges());
         let nt = 3;
         let part = partition_graph(&graph, nt, &MultilevelConfig::default());
-        let plan = OwnerWritesPlan::build(&geom.edges, &part, nt);
+        let plan = OwnerWritesPlan::build(geom.edges(), &part, nt);
         let pool = ThreadPool::new(nt);
         let mut r2 = vec![0.0; aos.n * 4];
         let walk = Traversal::owner(&geom, &plan);
@@ -504,11 +538,11 @@ mod tests {
         for budget in [1usize, 2048, 65536, usize::MAX] {
             let tiling = EdgeTiling::build(
                 aos.n,
-                &geom.edges,
+                geom.edges(),
                 &fun3d_partition::TilingConfig::with_target_bytes(budget),
             );
-            let tg = TiledGeom::new(&tiling, &geom);
-            let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tg, mode };
+            let tg = TiledGeom::new(tiling, &geom);
+            let tiles = |mode| Traversal::Tiled { geom: &tg, mode };
             let isa = Some(Isa::detect());
             let mut r2 = vec![0.0; aos.n * 4];
             run(isa, Exec::Caller, tiles(TileExec::Staged), &aos, 1.0, &mut r2);
@@ -527,11 +561,11 @@ mod tests {
         let (geom, aos, _) = setup();
         let tiling = EdgeTiling::build(
             aos.n,
-            &geom.edges,
+            geom.edges(),
             &fun3d_partition::TilingConfig::with_target_bytes(4096),
         );
-        let tg = TiledGeom::new(&tiling, &geom);
-        let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tg, mode };
+        let tg = TiledGeom::new(tiling, &geom);
+        let tiles = |mode| Traversal::Tiled { geom: &tg, mode };
         let isa = Some(Isa::detect());
         let mut r1 = vec![0.0; aos.n * 4];
         run(isa, Exec::Caller, tiles(TileExec::Staged), &aos, 1.0, &mut r1);
@@ -587,7 +621,7 @@ mod tests {
         // Natural partitioning has high replication but identical output.
         let (geom, aos, _) = setup();
         let nt = 6;
-        let nat = OwnerWritesPlan::build(&geom.edges, &natural_partition(aos.n, nt), nt);
+        let nat = OwnerWritesPlan::build(geom.edges(), &natural_partition(aos.n, nt), nt);
         assert!(nat.replication_overhead() > 0.0);
         let r1 = run_serial(&geom, &aos);
         let pool = ThreadPool::new(nt);

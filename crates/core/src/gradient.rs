@@ -1,106 +1,103 @@
 //! Green-Gauss nodal gradients — the paper's "Grad" kernel (13% of the
-//! baseline profile), an edge-based loop like the flux kernel and run by
-//! the same traversals ([`crate::edge_loop`]) — and the least-squares
-//! alternative.
+//! baseline profile) — and the least-squares alternative, both as
+//! owner-computes vertex loops over the mesh's [`HalfEdges`].
 //!
 //! `∇q_v = (1/V_v) [ Σ_edges ±s_e · ½(q_a + q_b) + Σ_bnd n_b · q_v ]`
 //!
 //! The closure identity `Σ ±s_e + n_b = 0` makes the gradient of a
 //! constant field exactly zero.
+//!
+//! Written as an edge loop, that sum is a chain of read-modify-writes of
+//! `grad[a]` (edges are sorted by `a`, so consecutive edges forward
+//! through the same three stores), a zeroing pass before it and a
+//! closure-and-volume pass after it, and needs a write-conflict strategy
+//! per thread count. Written per vertex it trades the shared face value for
+//! conflict-free accumulation in registers (Sulyok et al., PAPERS.md):
+//! each vertex gathers its neighbours in edge order — the order the edge
+//! loop added them in, so the result is that loop's **bit for bit**, at
+//! any thread count — closes with its boundary entries as half-edges to
+//! itself, scales by `1/V_v` and stores its row once, the way the flux
+//! kernel loads it ([`crate::geom::grad_slot`]). The neighbour ids were
+//! validated when the [`HalfEdges`] were built, so the gathers are
+//! unchecked.
 
-use crate::bc::BcData;
-use crate::edge_loop::{self, EdgeBody, Exec, Reads, Traversal};
-use crate::geom::{NodeAos, VertexRows};
-use fun3d_simd::{Isa, Simd};
+use crate::edge_loop::{self, Exec};
+use crate::geom::{grad_slot, HalfEdges, NodeAos, VertexRows, GRAD_ROW};
+use fun3d_simd::{with_lanes, Isa, Simd};
+use std::ops::Range;
 
-/// The Green-Gauss edge body: `grad[a][c][d] += qf[c]·s[d]` and
-/// `grad[b][c][d] -= qf[c]·s[d]` with `qf = ½(q_a + q_b)`, as three
-/// 4-lane updates of each endpoint's 12 contiguous gradient entries
-/// (entry `3c + d` pairs `qf[c]` with `s[d]`). The same products and sums
-/// as the scalar double loop, so bitwise what it computes — on either
-/// lane instantiation, which is why there is no scalar twin.
-#[derive(Clone, Copy)]
-struct GreenGauss;
-
-impl EdgeBody for GreenGauss {
-    const ROW: usize = 12;
-
-    #[inline(always)]
-    unsafe fn edge<S: Simd>(
-        self,
-        s: S,
-        src: Reads,
-        k: usize,
-        (ia, ib): (usize, usize),
-        grad: VertexRows,
-        mask: u8,
-    ) {
-        let q = src.q;
-        let (wa, wb) = src.endpoints(k);
-        let qf = (s.load(&q[ia * 4..ia * 4 + 4]) + s.load(&q[ib * 4..ib * 4 + 4])) * s.splat(0.5);
-        let qf = s.to_array(qf);
-        let n = [src.n[0][k], src.n[1][k], src.n[2][k]];
-        let w = [
-            s.load(&[qf[0], qf[0], qf[0], qf[1]]) * s.load(&[n[0], n[1], n[2], n[0]]),
-            s.load(&[qf[1], qf[1], qf[2], qf[2]]) * s.load(&[n[1], n[2], n[0], n[1]]),
-            s.load(&[qf[2], qf[3], qf[3], qf[3]]) * s.load(&[n[2], n[0], n[1], n[2]]),
-        ];
-        if mask & 1 != 0 {
-            // SAFETY: exclusive per the caller's contract.
-            let ga = unsafe { grad.row(wa * 12, 12) };
-            for j in 0..3 {
-                s.store(s.load(&ga[4 * j..]) + w[j], &mut ga[4 * j..]);
-            }
-        }
-        if mask & 2 != 0 {
-            // SAFETY: exclusive per the caller's contract.
-            let gb = unsafe { grad.row(wb * 12, 12) };
-            for j in 0..3 {
-                s.store(s.load(&gb[4 * j..]) - w[j], &mut gb[4 * j..]);
-            }
-        }
-    }
+/// Green-Gauss gradients: reads `node.q`, writes the `node.grad` rows of
+/// the vertices `adj` has rows for, on the lanes `isa` names — on the
+/// calling thread, or as one region of a pool over vertex ranges balanced
+/// by half-edge count. Bitwise identical at any thread count and on either
+/// lane instantiation. On a rank, `adj` has rows for the owned vertices
+/// only; ghost rows are not touched, for the halo exchange to fill.
+pub fn green_gauss(isa: Isa, exec: Exec, adj: &HalfEdges, node: &mut NodeAos) {
+    assert_eq!(adj.nvertices(), node.n, "half-edges of another mesh");
+    assert_eq!(node.q.len(), node.n * 4);
+    assert_eq!(node.grad.len(), node.n * GRAD_ROW);
+    let q = &node.q[..];
+    let grad = VertexRows::new(&mut node.grad);
+    edge_loop::row_ranges(exec, adj.offsets(), |rows| {
+        // SAFETY: `q` and `grad` have a row per vertex `adj` can name
+        // (asserted above), `grad` is exclusively borrowed for the region,
+        // and `row_ranges` hands its workers disjoint ranges of `adj`'s
+        // rows.
+        with_lanes!(
+            isa,
+            unsafe gather_rows(adj: &HalfEdges, q: &[f64], rows: Range<usize>, grad: VertexRows)
+        );
+    });
 }
 
-/// Green-Gauss gradients: reads `node.q`, writes `node.grad` (comp-major
-/// 12 per vertex) — the edge loop over `walk` on `exec` on the lanes
-/// `isa` names, then the boundary closure over `bc` and the division by
-/// the dual volumes `vol`. `Stream` and `Owner` are bitwise identical at
-/// any thread count; `Tiled` matches them to rounding (the tile order
-/// permutes each vertex's accumulation). On a single `Owner` share — a
-/// rank — `bc` lists the owner's boundary vertices only, and vertices no
-/// mask selects (ghosts) come out zero, for the halo exchange to fill.
-pub fn green_gauss(
-    isa: Isa,
-    exec: Exec,
-    walk: Traversal,
-    bc: &BcData,
-    vol: &[f64],
-    node: &mut NodeAos,
+/// The gradient rows `rows`: for each vertex, `Σ ½(q_v + q_j)·n` over its
+/// half-edges in order as three 4-lane accumulators (`∂q/∂x`, `∂q/∂y`,
+/// `∂q/∂z`), times `1/V_v`, stored once. Per entry the products and sums
+/// of the scalar edge loop, in its order, from `0.0`.
+///
+/// # Safety
+/// `rows` lies within `adj`'s rows, `q` and `grad` have 4 and
+/// [`GRAD_ROW`] doubles per vertex of `adj.nvertices()`, and nothing else
+/// touches the `grad` rows `rows` meanwhile.
+#[inline(always)]
+unsafe fn gather_rows<S: Simd>(
+    s: S,
+    adj: &HalfEdges,
+    q: &[f64],
+    rows: Range<usize>,
+    grad: VertexRows,
 ) {
-    assert_eq!(vol.len(), node.n);
-    node.grad.iter_mut().for_each(|x| *x = 0.0);
-    edge_loop::run(isa, exec, walk, GreenGauss, &node.q, &[], &mut node.grad);
-    gradient_epilogue(bc, vol, node);
-}
-
-/// Boundary closure + dual-volume division.
-fn gradient_epilogue(bc: &BcData, vol: &[f64], node: &mut NodeAos) {
-    for i in 0..bc.len() {
-        let v = bc.vertex[i] as usize;
-        let nb = [bc.nx[i], bc.ny[i], bc.nz[i]];
-        for c in 0..4 {
-            let qv = node.q[v * 4 + c];
-            for d in 0..3 {
-                node.grad[v * 12 + c * 3 + d] += qv * nb[d];
-            }
+    debug_assert_eq!((q.len(), grad.len()), (adj.nvertices() * 4, adj.nvertices() * GRAD_ROW));
+    let (nbr, normal) = (adj.neighbours(), adj.normals());
+    let offsets = &adj.offsets()[rows.start..rows.end + 1];
+    let inv_vol = &adj.inv_volumes()[rows.clone()];
+    let (half, zero) = (s.splat(0.5), s.splat(0.0));
+    for (v, (row, &inv)) in rows.zip(offsets.windows(2).zip(inv_vol)) {
+        let (lo, hi) = (row[0] as usize, row[1] as usize);
+        // SAFETY: `HalfEdges::try_build` — offsets ascend to the half-edge
+        // count, the length of `nbr` and `normal`, and every neighbour is
+        // a vertex `< adj.nvertices()`, a row of `q` per the caller's
+        // contract, as is `v`, a row of `adj`.
+        let (qv, nbr, normal) = unsafe {
+            (s.load(q.get_unchecked(v * 4..v * 4 + 4)), nbr.get_unchecked(lo..hi), normal.get_unchecked(lo..hi))
+        };
+        let (mut gx, mut gy, mut gz) = (zero, zero, zero);
+        for (&j, n) in nbr.iter().zip(normal) {
+            let j = j as usize;
+            debug_assert!(j < adj.nvertices());
+            // SAFETY: a validated neighbour, as above.
+            let qf = (qv + s.load(unsafe { q.get_unchecked(j * 4..j * 4 + 4) })) * half;
+            gx = gx + qf * s.splat(n[0]);
+            gy = gy + qf * s.splat(n[1]);
+            gz = gz + qf * s.splat(n[2]);
         }
-    }
-    for v in 0..node.n {
-        let inv = 1.0 / vol[v];
-        for f in 0..12 {
-            node.grad[v * 12 + f] *= inv;
-        }
+        let inv = s.splat(inv);
+        // SAFETY: `v < adj.nvertices()` rows of `grad`, and the row is
+        // ours, per the caller's contract.
+        let out = unsafe { grad.row(v * GRAD_ROW, GRAD_ROW) };
+        s.store(gx * inv, &mut out[grad_slot(0, 0)..]);
+        s.store(gy * inv, &mut out[grad_slot(0, 1)..]);
+        s.store(gz * inv, &mut out[grad_slot(0, 2)..]);
     }
 }
 
@@ -110,52 +107,39 @@ fn gradient_epilogue(bc: &BcData, vol: &[f64], node: &mut NodeAos) {
 /// `Σ_j w_j (q_j − q_v − g·d_j)²` over edge neighbors `j`, with
 /// inverse-distance-squared weights. The 3×3 normal matrix depends only
 /// on geometry, so its inverse is precomputed once; each evaluation is
-/// then one weighted sweep over the edges. Unlike edge-midpoint
-/// Green-Gauss, LSQ is exact for linear fields at *every* vertex,
-/// including the boundary.
+/// then one weighted gather over the same [`HalfEdges`] Green-Gauss walks.
+/// Unlike edge-midpoint Green-Gauss, LSQ is exact for linear fields at
+/// *every* vertex, including the boundary.
 pub struct LsqGradient {
-    /// CSR row pointers over vertices.
-    xadj: Vec<usize>,
-    /// Neighbor vertex per entry.
-    nbr: Vec<u32>,
-    /// Per entry: 3 coefficients `c` such that `g_v += c · (q_j − q_v)`.
+    /// Per half-edge of the adjacency it was built for: 3 coefficients `c`
+    /// such that `g_v += c · (q_j − q_v)` (zero for a boundary entry, a
+    /// half-edge to the vertex itself).
     coeff: Vec<[f64; 3]>,
 }
 
 impl LsqGradient {
-    /// Precomputes the LSQ coefficients from the mesh geometry.
+    /// Precomputes the LSQ coefficients from the vertex coordinates, one
+    /// per half-edge of `adj` (which must have a row for every vertex).
     /// Panics if some vertex's neighbors do not span 3D (never the case
     /// for a valid tetrahedral mesh).
-    pub fn build(coords: &[fun3d_mesh::Vec3], edges: &[[u32; 2]]) -> LsqGradient {
-        let n = coords.len();
-        // adjacency
-        let mut degree = vec![0usize; n];
-        for e in edges {
-            degree[e[0] as usize] += 1;
-            degree[e[1] as usize] += 1;
-        }
-        let mut xadj = vec![0usize; n + 1];
-        for v in 0..n {
-            xadj[v + 1] = xadj[v] + degree[v];
-        }
-        let mut nbr = vec![0u32; xadj[n]];
-        let mut cursor = xadj.clone();
-        for e in edges {
-            nbr[cursor[e[0] as usize]] = e[1];
-            cursor[e[0] as usize] += 1;
-            nbr[cursor[e[1] as usize]] = e[0];
-            cursor[e[1] as usize] += 1;
-        }
-        // per-vertex normal matrix and its inverse applied to each d_j
-        let mut coeff = vec![[0.0f64; 3]; xadj[n]];
-        for v in 0..n {
-            let xv = coords[v];
+    pub fn build(coords: &[fun3d_mesh::Vec3], adj: &HalfEdges) -> LsqGradient {
+        assert_eq!((adj.rows(), adj.nvertices()), (coords.len(), coords.len()));
+        let mut coeff = vec![[0.0f64; 3]; adj.neighbours().len()];
+        for (v, row) in adj.offsets().windows(2).enumerate() {
+            let row = row[0] as usize..row[1] as usize;
+            // Neighbour deltas and weights; a boundary entry has neither.
+            let stencil: Vec<Option<([f64; 3], f64)>> = adj.neighbours()[row.clone()]
+                .iter()
+                .map(|&j| {
+                    (j as usize != v).then(|| {
+                        let d = coords[j as usize] - coords[v];
+                        ([d.x, d.y, d.z], 1.0 / d.norm2().max(1e-300))
+                    })
+                })
+                .collect();
             // assemble A = Σ w d dᵀ (symmetric 3×3)
             let mut a = [0.0f64; 9];
-            for k in xadj[v]..xadj[v + 1] {
-                let d = coords[nbr[k] as usize] - xv;
-                let w = 1.0 / d.norm2().max(1e-300);
-                let dv = [d.x, d.y, d.z];
+            for (dv, w) in stencil.iter().flatten() {
                 for i in 0..3 {
                     for j in 0..3 {
                         a[i * 3 + j] += w * dv[i] * dv[j];
@@ -164,33 +148,32 @@ impl LsqGradient {
             }
             let ainv = invert3(&a)
                 .unwrap_or_else(|| panic!("degenerate LSQ stencil at vertex {v}"));
-            for k in xadj[v]..xadj[v + 1] {
-                let d = coords[nbr[k] as usize] - xv;
-                let w = 1.0 / d.norm2().max(1e-300);
-                let dv = [d.x, d.y, d.z];
+            for (c, entry) in coeff[row].iter_mut().zip(&stencil) {
+                let Some((dv, w)) = entry else { continue };
                 for i in 0..3 {
-                    coeff[k][i] =
-                        w * (ainv[i * 3] * dv[0] + ainv[i * 3 + 1] * dv[1] + ainv[i * 3 + 2] * dv[2]);
+                    c[i] = w * (ainv[i * 3] * dv[0] + ainv[i * 3 + 1] * dv[1] + ainv[i * 3 + 2] * dv[2]);
                 }
             }
         }
-        LsqGradient { xadj, nbr, coeff }
+        LsqGradient { coeff }
     }
 
-    /// Computes all nodal gradients of the AoS state into `node.grad`.
-    pub fn evaluate(&self, node: &mut NodeAos) {
-        let n = node.n;
-        assert_eq!(self.xadj.len(), n + 1);
-        node.grad.iter_mut().for_each(|x| *x = 0.0);
-        for v in 0..n {
-            let qv: [f64; 4] = node.q[v * 4..v * 4 + 4].try_into().unwrap();
-            for k in self.xadj[v]..self.xadj[v + 1] {
-                let j = self.nbr[k] as usize;
-                let c = self.coeff[k];
+    /// Computes all nodal gradients of the AoS state into `node.grad`,
+    /// over the adjacency the coefficients were built for.
+    pub fn evaluate(&self, adj: &HalfEdges, node: &mut NodeAos) {
+        assert_eq!((adj.rows(), adj.nvertices()), (node.n, node.n));
+        assert_eq!(adj.neighbours().len(), self.coeff.len(), "another adjacency's coefficients");
+        let q = &node.q;
+        let rows = node.grad.chunks_exact_mut(GRAD_ROW).zip(q.chunks_exact(4));
+        for ((g, qv), row) in rows.zip(adj.offsets().windows(2)) {
+            let row = row[0] as usize..row[1] as usize;
+            g.fill(0.0);
+            for (&j, c) in adj.neighbours()[row.clone()].iter().zip(&self.coeff[row]) {
+                let qj = &q[j as usize * 4..j as usize * 4 + 4];
                 for comp in 0..4 {
-                    let dq = node.q[j * 4 + comp] - qv[comp];
+                    let dq = qj[comp] - qv[comp];
                     for d in 0..3 {
-                        node.grad[v * 12 + comp * 3 + d] += c[d] * dq;
+                        g[grad_slot(comp, d)] += c[d] * dq;
                     }
                 }
             }
@@ -223,33 +206,30 @@ fn invert3(a: &[f64; 9]) -> Option<[f64; 9]> {
 mod tests {
     use super::*;
     use crate::bc::BcData;
-    use crate::edge_loop::TileExec;
-    use crate::geom::{EdgeGeom, TiledGeom};
+    use crate::geom::EdgeGeom;
     use fun3d_mesh::generator::MeshPreset;
-    use fun3d_mesh::DualMesh;
-    use fun3d_partition::{partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan};
+    use fun3d_mesh::{DualMesh, Mesh};
     use fun3d_threads::ThreadPool;
 
-    /// The serial streaming kernel on the detected lanes.
-    fn serial(geom: &EdgeGeom, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
-        green_gauss(Isa::detect(), Exec::Caller, Traversal::stream(geom), bc, vol, node);
+    /// The kernel on the calling thread, on the detected lanes.
+    fn serial(adj: &HalfEdges, node: &mut NodeAos) {
+        green_gauss(Isa::detect(), Exec::Caller, adj, node);
     }
 
-    fn setup() -> (EdgeGeom, BcData, Vec<f64>, NodeAos) {
+    fn setup() -> (Mesh, HalfEdges, NodeAos) {
         let mesh = MeshPreset::Tiny.build();
         let dual = DualMesh::build(&mesh);
         let geom = EdgeGeom::build(&mesh, &dual);
-        let bc = BcData::build(&dual);
-        let vol = dual.vol.clone();
+        let adj = HalfEdges::build(&geom, &BcData::build(&dual), &dual.vol);
         let node = NodeAos::zeros(mesh.nvertices());
-        (geom, bc, vol, node)
+        (mesh, adj, node)
     }
 
     #[test]
     fn constant_field_has_zero_gradient() {
-        let (geom, bc, vol, mut node) = setup();
+        let (_, adj, mut node) = setup();
         node.set_freestream(&[0.7, 1.0, -0.5, 0.25]);
-        serial(&geom, &bc, &vol, &mut node);
+        serial(&adj, &mut node);
         let max = node.grad.iter().map(|x| x.abs()).fold(0.0, f64::max);
         assert!(max < 1e-10, "constant field gradient {max}");
     }
@@ -260,20 +240,12 @@ mod tests {
         // reproduces linear fields at interior vertices (the boundary
         // closure uses the vertex value, so hull vertices are only
         // first-order accurate).
-        let mesh = MeshPreset::Tiny.build();
-        let dual = DualMesh::build(&mesh);
-        let geom = EdgeGeom::build(&mesh, &dual);
-        let bc = BcData::build(&dual);
-        let vol = dual.vol.clone();
-        let mut node = NodeAos::zeros(mesh.nvertices());
+        let (mesh, adj, mut node) = setup();
         // p = 2x − y + 3z, u = x, v = y, w = z
-        for (vtx, c) in mesh.coords.iter().enumerate() {
-            node.q[vtx * 4] = 2.0 * c.x - c.y + 3.0 * c.z;
-            node.q[vtx * 4 + 1] = c.x;
-            node.q[vtx * 4 + 2] = c.y;
-            node.q[vtx * 4 + 3] = c.z;
+        for (q, c) in node.q.chunks_exact_mut(4).zip(&mesh.coords) {
+            q.copy_from_slice(&[2.0 * c.x - c.y + 3.0 * c.z, c.x, c.y, c.z]);
         }
-        serial(&geom, &bc, &vol, &mut node);
+        serial(&adj, &mut node);
         let expect = [
             [2.0, -1.0, 3.0],
             [1.0, 0.0, 0.0],
@@ -291,8 +263,7 @@ mod tests {
             checked += 1;
             for c in 0..4 {
                 for d in 0..3 {
-                    let g = node.grad[v * 12 + c * 3 + d];
-                    worst = worst.max((g - expect[c][d]).abs());
+                    worst = worst.max((node.dq(v, c, d) - expect[c][d]).abs());
                 }
             }
         }
@@ -307,17 +278,12 @@ mod tests {
     fn lsq_exact_for_linear_fields_everywhere() {
         // Including boundary vertices — the property Green-Gauss with
         // edge-midpoint values lacks.
-        let mesh = MeshPreset::Tiny.build();
-        let edges = mesh.edges();
-        let lsq = LsqGradient::build(&mesh.coords, &edges);
-        let mut node = NodeAos::zeros(mesh.nvertices());
-        for (v, c) in mesh.coords.iter().enumerate() {
-            node.q[v * 4] = 2.0 * c.x - c.y + 3.0 * c.z;
-            node.q[v * 4 + 1] = c.x;
-            node.q[v * 4 + 2] = -0.5 * c.y + c.z;
-            node.q[v * 4 + 3] = 7.0;
+        let (mesh, adj, mut node) = setup();
+        let lsq = LsqGradient::build(&mesh.coords, &adj);
+        for (q, c) in node.q.chunks_exact_mut(4).zip(&mesh.coords) {
+            q.copy_from_slice(&[2.0 * c.x - c.y + 3.0 * c.z, c.x, -0.5 * c.y + c.z, 7.0]);
         }
-        lsq.evaluate(&mut node);
+        lsq.evaluate(&adj, &mut node);
         let expect = [
             [2.0, -1.0, 3.0],
             [1.0, 0.0, 0.0],
@@ -327,7 +293,7 @@ mod tests {
         for v in 0..node.n {
             for c in 0..4 {
                 for d in 0..3 {
-                    let g = node.grad[v * 12 + c * 3 + d];
+                    let g = node.dq(v, c, d);
                     assert!(
                         (g - expect[c][d]).abs() < 1e-10,
                         "vertex {v} comp {c} dim {d}: {g} vs {}",
@@ -340,11 +306,10 @@ mod tests {
 
     #[test]
     fn lsq_constant_field_zero_gradient() {
-        let mesh = MeshPreset::Tiny.build();
-        let lsq = LsqGradient::build(&mesh.coords, &mesh.edges());
-        let mut node = NodeAos::zeros(mesh.nvertices());
+        let (mesh, adj, mut node) = setup();
+        let lsq = LsqGradient::build(&mesh.coords, &adj);
         node.set_freestream(&[0.7, 1.0, -0.2, 0.1]);
-        lsq.evaluate(&mut node);
+        lsq.evaluate(&adj, &mut node);
         assert!(node.grad.iter().all(|g| g.abs() < 1e-12));
     }
 
@@ -367,82 +332,18 @@ mod tests {
     }
 
     #[test]
-    fn tiled_matches_serial_to_rounding() {
-        let (geom, bc, vol, mut node) = setup();
-        for (i, x) in node.q.iter_mut().enumerate() {
-            *x = ((i * 53) % 23) as f64 * 0.07 - 0.8;
-        }
-        let mut serial = node.clone();
-        self::serial(&geom, &bc, &vol, &mut serial);
-        for budget in [1usize, 4096, usize::MAX] {
-            let tiling = EdgeTiling::build(
-                node.n,
-                &geom.edges,
-                &fun3d_partition::TilingConfig::with_target_bytes(budget),
-            );
-            let tg = TiledGeom::new(&tiling, &geom);
-            let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tg, mode };
-            let isa = Isa::detect();
-            let mut t = node.clone();
-            green_gauss(isa, Exec::Caller, tiles(TileExec::Staged), &bc, &vol, &mut t);
-            for i in 0..t.grad.len() {
-                assert!(
-                    (t.grad[i] - serial.grad[i]).abs() <= 1e-11 * (1.0 + serial.grad[i].abs()),
-                    "budget {budget} entry {i}: {} vs {}",
-                    t.grad[i],
-                    serial.grad[i]
-                );
-            }
-            // Direct execution skips the scratch pad but runs the same
-            // arithmetic in the same order: bitwise equal to staged.
-            let mut d = node.clone();
-            green_gauss(isa, Exec::Caller, tiles(TileExec::Direct), &bc, &vol, &mut d);
-            assert_eq!(t.grad, d.grad, "budget {budget}: direct vs staged");
-        }
-    }
-
-    #[test]
-    fn tiled_pooled_matches_tiled_bitwise() {
-        let (geom, bc, vol, mut node) = setup();
-        for (i, x) in node.q.iter_mut().enumerate() {
-            *x = ((i * 29) % 17) as f64 * 0.09 - 0.7;
-        }
-        let tiling = EdgeTiling::build(
-            node.n,
-            &geom.edges,
-            &fun3d_partition::TilingConfig::with_target_bytes(4096),
-        );
-        let tg = TiledGeom::new(&tiling, &geom);
-        let tiles = |mode| Traversal::Tiled { tiling: &tiling, geom: &tg, mode };
-        let isa = Isa::detect();
-        let mut serial = node.clone();
-        green_gauss(isa, Exec::Caller, tiles(TileExec::Staged), &bc, &vol, &mut serial);
-        for exec in [TileExec::Staged, TileExec::Direct] {
-            for nt in [1usize, 2, 4] {
-                let pool = ThreadPool::new(nt);
-                let mut par = node.clone();
-                green_gauss(isa, Exec::Pool(&pool), tiles(exec), &bc, &vol, &mut par);
-                assert_eq!(serial.grad, par.grad, "{exec:?} nt={nt}");
-            }
-        }
-    }
-
-    #[test]
     fn threaded_matches_serial_bitwise() {
-        let (geom, bc, vol, mut node) = setup();
+        let (_, adj, mut node) = setup();
         for (i, x) in node.q.iter_mut().enumerate() {
             *x = ((i * 37) % 19) as f64 * 0.1 - 0.9;
         }
         let mut serial = node.clone();
-        self::serial(&geom, &bc, &vol, &mut serial);
-        let graph = fun3d_mesh::Graph::from_edges(node.n, &geom.edges);
-        for nt in [1usize, 3] {
-            let part = partition_graph(&graph, nt, &MultilevelConfig::default());
-            let plan = OwnerWritesPlan::build(&geom.edges, &part, nt);
+        self::serial(&adj, &mut serial);
+        for nt in [1usize, 3, 7] {
             let pool = ThreadPool::new(nt);
             let mut par = node.clone();
-            let walk = Traversal::owner(&geom, &plan);
-            green_gauss(Isa::detect(), Exec::Pool(&pool), walk, &bc, &vol, &mut par);
+            par.grad.fill(f64::NAN);
+            green_gauss(Isa::detect(), Exec::Pool(&pool), &adj, &mut par);
             assert_eq!(serial.grad, par.grad, "nt={nt}");
         }
     }

@@ -70,13 +70,13 @@ pub fn assemble(
     slots: &JacobianSlots,
     jac: &mut Bcsr4,
 ) {
-    assert_eq!(slots.edge.len(), geom.edges.len());
+    assert_eq!(slots.edge.len(), geom.edges().len());
     jac.zero_values();
     let beta = cond.beta;
-    for (k, (e, &[ab, ba])) in geom.edges.iter().zip(&slots.edge).enumerate() {
+    for (k, (e, &[ab, ba])) in geom.edges().iter().zip(&slots.edge).enumerate() {
         let (a, b) = (e[0] as usize, e[1] as usize);
         let (aa, bb) = (slots.diag[a], slots.diag[b]);
-        let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
+        let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
         let qa = node.state(a);
         let qb = node.state(b);
         let lam = euler::spectral_radius(&qa, &n, beta)
@@ -150,8 +150,8 @@ mod tests {
         for x in node.q.iter_mut() {
             *x += rng.range_f64(-0.1, 0.1);
         }
-        let jac = Bcsr4::from_edges(mesh.nvertices(), &geom.edges);
-        let slots = JacobianSlots::new(&jac, &geom.edges);
+        let jac = Bcsr4::from_edges(mesh.nvertices(), geom.edges());
+        let slots = JacobianSlots::new(&jac, geom.edges());
         (geom, bc, node, slots, jac)
     }
 
@@ -161,11 +161,11 @@ mod tests {
         // built for, the reverse, and flipped orientations: every slot
         // must be what `find` returns.
         let (geom, _, _, _, jac) = setup();
-        let mut sorted = geom.edges.clone();
+        let mut sorted = geom.edges().to_vec();
         sorted.sort_unstable();
         let reversed: Vec<[u32; 2]> = sorted.iter().rev().copied().collect();
         let flipped: Vec<[u32; 2]> = sorted.iter().map(|&[a, b]| [b, a]).collect();
-        for edges in [&geom.edges, &sorted, &reversed, &flipped] {
+        for edges in [geom.edges(), &sorted[..], &reversed[..], &flipped[..]] {
             let slots = JacobianSlots::new(&jac, edges);
             for (&[a, b], got) in edges.iter().zip(&slots.edge) {
                 let want = [(a, b), (b, a)].map(|(r, c)| jac.find(r as usize, c).unwrap() as u32);
@@ -190,11 +190,11 @@ mod tests {
 
         // Freeze per-edge and per-boundary-entry λ at the base state.
         let lam_edge: Vec<f64> = geom
-            .edges
+            .edges()
             .iter()
             .enumerate()
             .map(|(k, e)| {
-                let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
+                let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
                 let qa = node.state(e[0] as usize);
                 let qb = node.state(e[1] as usize);
                 euler::spectral_radius(&qa, &n, beta)
@@ -217,9 +217,9 @@ mod tests {
 
         let frozen_residual = |nd: &NodeAos, out: &mut [f64]| {
             out.iter_mut().for_each(|x| *x = 0.0);
-            for (k, e) in geom.edges.iter().enumerate() {
+            for (k, e) in geom.edges().iter().enumerate() {
                 let (a, b) = (e[0] as usize, e[1] as usize);
-                let n = [geom.nx[k], geom.ny[k], geom.nz[k]];
+                let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
                 let qa = nd.state(a);
                 let qb = nd.state(b);
                 let fa = euler::flux(&qa, &n, beta);

@@ -10,8 +10,14 @@
 //!   flux-difference dissipation built from the face eigensystem
 //!   `{Θ, Θ±c}`, `c = √(Θ² + βS²)`;
 //! * [`geom`] — the SoA edge-geometry arrays the kernels stream
-//!   (dual-face normals and across-edge deltas), and both node-data
-//!   layouts (SoA and AoS) of the paper's data-structure study;
+//!   (dual-face normals and across-edge deltas), the per-vertex half-edge
+//!   CSR the gradients gather over, and both node-data layouts (SoA and
+//!   AoS) of the paper's data-structure study. Two rules live here: *a
+//!   vertex row is stored the way its hot loop loads it* (the gradient
+//!   row is dim-major, [`geom::grad_slot`]), and *an index is checked
+//!   where it is made* (the index structures validate in their
+//!   constructors, are read-only afterwards, and the loops use them
+//!   unchecked);
 //! * [`edge_loop`] — how edges are walked: the streaming, owner-writes
 //!   and tiled traversals, each written once, on the calling thread or a
 //!   pool region;
@@ -19,8 +25,10 @@
 //!   (4-edge SIMD batch, portable or AVX2) and scalar bodies those
 //!   traversals run, plus the plain SoA/AoS baselines and the atomics
 //!   variant that stand outside them;
-//! * [`gradient`] — Green-Gauss nodal gradients (edge-based, the paper's
-//!   "Grad" kernel) as a third body, and least-squares gradients;
+//! * [`gradient`] — Green-Gauss nodal gradients (the paper's "Grad"
+//!   kernel) as one owner-computes vertex loop, bitwise the edge loop it
+//!   replaces at any thread count, and least-squares gradients over the
+//!   same adjacency;
 //! * [`jacobian`] — first-order (more diffusive, sparser) flux Jacobian
 //!   assembled into 4×4-block BCSR for the Schwarz/ILU preconditioner;
 //! * [`bc`] — slip-wall, symmetry and far-field boundary fluxes and their
@@ -47,4 +55,4 @@ pub use euler::{FlowConditions, NVARS};
 /// Which lane implementation the edge kernels run on in this process, and
 /// the type their entry points take it as.
 pub use fun3d_simd::{active_isa, Isa};
-pub use geom::{EdgeGeom, NodeAos, NodeSoa, TiledGeom};
+pub use geom::{EdgeGeom, GeomError, HalfEdges, NodeAos, NodeSoa, TiledGeom};

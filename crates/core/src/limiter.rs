@@ -9,7 +9,26 @@
 //! flux-kernel variant (scalar, SIMD, threaded) picks it up without code
 //! changes — and the kernel-equivalence tests keep holding.
 
-use crate::geom::{EdgeGeom, NodeAos};
+use crate::geom::{grad_slot, EdgeGeom, NodeAos, GRAD_ROW};
+
+/// `∇q_c(v) · r`: the reconstruction slope of variable `c` along `r`.
+#[inline]
+fn slope(node: &NodeAos, v: usize, c: usize, r: &[f64; 3]) -> f64 {
+    node.dq(v, c, 0) * r[0] + node.dq(v, c, 1) * r[1] + node.dq(v, c, 2) * r[2]
+}
+
+/// Folds the factors `phi` (4 per vertex) into the gradients.
+fn fold(phi: &[f64], node: &mut NodeAos) {
+    for (g, phi) in node.grad.chunks_exact_mut(GRAD_ROW).zip(phi.chunks_exact(4)) {
+        for (c, &f) in phi.iter().enumerate() {
+            if f < 1.0 {
+                for d in 0..3 {
+                    g[grad_slot(c, d)] *= f;
+                }
+            }
+        }
+    }
+}
 
 /// Computes Barth–Jespersen limiter factors and scales `node.grad` in
 /// place. Returns the per-vertex-per-variable factors (for diagnostics
@@ -20,7 +39,7 @@ pub fn apply_barth_jespersen(geom: &EdgeGeom, node: &mut NodeAos) -> Vec<f64> {
     // admissible range per vertex/variable from edge neighbors
     let mut qmin = node.q.clone();
     let mut qmax = node.q.clone();
-    for e in &geom.edges {
+    for e in geom.edges() {
         let (a, b) = (e[0] as usize, e[1] as usize);
         for c in 0..4 {
             let qa = node.q[a * 4 + c];
@@ -41,14 +60,13 @@ pub fn apply_barth_jespersen(geom: &EdgeGeom, node: &mut NodeAos) -> Vec<f64> {
     }
     // worst-case overshoot of the midpoint reconstruction per vertex
     let mut phi = vec![1.0f64; n * 4];
-    for (k, e) in geom.edges.iter().enumerate() {
+    for (k, e) in geom.edges().iter().enumerate() {
         let (a, b) = (e[0] as usize, e[1] as usize);
-        let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
+        let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
         for c in 0..4 {
             // vertex a reconstructs toward +r/2, vertex b toward -r/2
             for (v, sign) in [(a, 0.5), (b, -0.5)] {
-                let g = &node.grad[v * 12 + c * 3..v * 12 + c * 3 + 3];
-                let dq = sign * (g[0] * r[0] + g[1] * r[1] + g[2] * r[2]);
+                let dq = sign * slope(node, v, c, &r);
                 let q0 = node.q[v * 4 + c];
                 let limit = if dq > 0.0 {
                     let headroom = qmax[v * 4 + c] - q0;
@@ -73,17 +91,7 @@ pub fn apply_barth_jespersen(geom: &EdgeGeom, node: &mut NodeAos) -> Vec<f64> {
             }
         }
     }
-    // fold φ into the gradients
-    for v in 0..n {
-        for c in 0..4 {
-            let f = phi[v * 4 + c];
-            if f < 1.0 {
-                for d in 0..3 {
-                    node.grad[v * 12 + c * 3 + d] *= f;
-                }
-            }
-        }
-    }
+    fold(&phi, node);
     phi
 }
 
@@ -96,7 +104,7 @@ pub fn apply_venkatakrishnan(geom: &EdgeGeom, node: &mut NodeAos, k_eps: f64) ->
     let n = node.n;
     let mut qmin = node.q.clone();
     let mut qmax = node.q.clone();
-    for e in &geom.edges {
+    for e in geom.edges() {
         let (a, b) = (e[0] as usize, e[1] as usize);
         for c in 0..4 {
             let qa = node.q[a * 4 + c];
@@ -120,13 +128,12 @@ pub fn apply_venkatakrishnan(geom: &EdgeGeom, node: &mut NodeAos, k_eps: f64) ->
         }
     }
     let mut phi = vec![1.0f64; n * 4];
-    for (k, e) in geom.edges.iter().enumerate() {
+    for (k, e) in geom.edges().iter().enumerate() {
         let (a, b) = (e[0] as usize, e[1] as usize);
-        let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
+        let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
         for c in 0..4 {
             for (v, sign) in [(a, 0.5), (b, -0.5)] {
-                let g = &node.grad[v * 12 + c * 3..v * 12 + c * 3 + 3];
-                let dq = sign * (g[0] * r[0] + g[1] * r[1] + g[2] * r[2]);
+                let dq = sign * slope(node, v, c, &r);
                 if dq == 0.0 {
                     continue;
                 }
@@ -145,16 +152,7 @@ pub fn apply_venkatakrishnan(geom: &EdgeGeom, node: &mut NodeAos, k_eps: f64) ->
             }
         }
     }
-    for v in 0..n {
-        for c in 0..4 {
-            let f = phi[v * 4 + c];
-            if f < 1.0 {
-                for d in 0..3 {
-                    node.grad[v * 12 + c * 3 + d] *= f;
-                }
-            }
-        }
-    }
+    fold(&phi, node);
     phi
 }
 
@@ -162,38 +160,37 @@ pub fn apply_venkatakrishnan(geom: &EdgeGeom, node: &mut NodeAos, k_eps: f64) ->
 mod tests {
     use super::*;
     use crate::bc::BcData;
-    use crate::edge_loop::{Exec, Traversal};
+    use crate::edge_loop::Exec;
+    use crate::geom::HalfEdges;
     use crate::gradient;
     use fun3d_mesh::generator::MeshPreset;
     use fun3d_mesh::DualMesh;
     use fun3d_simd::Isa;
 
-    fn green_gauss(geom: &EdgeGeom, bc: &BcData, vol: &[f64], node: &mut NodeAos) {
-        let walk = Traversal::stream(geom);
-        gradient::green_gauss(Isa::detect(), Exec::Caller, walk, bc, vol, node);
+    fn green_gauss(adj: &HalfEdges, node: &mut NodeAos) {
+        gradient::green_gauss(Isa::detect(), Exec::Caller, adj, node);
     }
 
-    fn setup() -> (EdgeGeom, BcData, Vec<f64>, NodeAos) {
+    fn setup() -> (EdgeGeom, HalfEdges, NodeAos) {
         let mesh = MeshPreset::Tiny.build();
         let dual = DualMesh::build(&mesh);
         let geom = EdgeGeom::build(&mesh, &dual);
-        let bc = BcData::build(&dual);
-        let vol = dual.vol.clone();
+        let adj = HalfEdges::build(&geom, &BcData::build(&dual), &dual.vol);
         let node = NodeAos::zeros(mesh.nvertices());
-        (geom, bc, vol, node)
+        (geom, adj, node)
     }
 
     #[test]
     fn smooth_field_untouched() {
         // A gently varying field should not trigger the limiter much:
         // all φ close to 1 away from extrema, gradients mostly intact.
-        let (geom, bc, vol, mut node) = setup();
+        let (geom, adj, mut node) = setup();
         for v in 0..node.n {
             node.q[v * 4] = 0.001 * v as f64;
             node.q[v * 4 + 1] = 1.0;
         }
-        green_gauss(&geom, &bc, &vol, &mut node);
-        let before = node.grad.clone();
+        green_gauss(&adj, &mut node);
+        let before = node.clone();
         let phi = apply_barth_jespersen(&geom, &mut node);
         let untouched = phi.iter().filter(|&&p| p >= 1.0 - 1e-12).count();
         assert!(
@@ -206,7 +203,7 @@ mod tests {
             for c in 0..4 {
                 if phi[v * 4 + c] >= 1.0 {
                     for d in 0..3 {
-                        assert_eq!(node.grad[v * 12 + c * 3 + d], before[v * 12 + c * 3 + d]);
+                        assert_eq!(node.dq(v, c, d), before.dq(v, c, d));
                     }
                 }
             }
@@ -215,12 +212,12 @@ mod tests {
 
     #[test]
     fn phi_in_unit_interval() {
-        let (geom, bc, vol, mut node) = setup();
+        let (geom, adj, mut node) = setup();
         let mut rng = fun3d_util::Rng64::new(17);
         for x in node.q.iter_mut() {
             *x = rng.range_f64(-1.0, 1.0);
         }
-        green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&adj, &mut node);
         let phi = apply_barth_jespersen(&geom, &mut node);
         assert!(phi.iter().all(|&p| (0.0..=1.0).contains(&p)));
         // a rough random field must trigger limiting somewhere
@@ -231,19 +228,19 @@ mod tests {
     fn limited_reconstruction_stays_in_range() {
         // The defining property: after limiting, midpoint reconstructions
         // never exceed the neighbor range.
-        let (geom, bc, vol, mut node) = setup();
+        let (geom, adj, mut node) = setup();
         let mut rng = fun3d_util::Rng64::new(23);
         for x in node.q.iter_mut() {
             *x = rng.range_f64(-2.0, 2.0);
         }
-        green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&adj, &mut node);
         apply_barth_jespersen(&geom, &mut node);
 
         // recompute ranges
         let n = node.n;
         let mut qmin = node.q.clone();
         let mut qmax = node.q.clone();
-        for e in &geom.edges {
+        for e in geom.edges() {
             let (a, b) = (e[0] as usize, e[1] as usize);
             for c in 0..4 {
                 qmin[a * 4 + c] = qmin[a * 4 + c].min(node.q[b * 4 + c]);
@@ -253,13 +250,12 @@ mod tests {
             }
         }
         let _ = n;
-        for (k, e) in geom.edges.iter().enumerate() {
+        for (k, e) in geom.edges().iter().enumerate() {
             let (a, b) = (e[0] as usize, e[1] as usize);
-            let r = [geom.rx[k], geom.ry[k], geom.rz[k]];
+            let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
             for c in 0..4 {
                 for (v, sign) in [(a, 0.5), (b, -0.5)] {
-                    let g = &node.grad[v * 12 + c * 3..v * 12 + c * 3 + 3];
-                    let q = node.q[v * 4 + c] + sign * (g[0] * r[0] + g[1] * r[1] + g[2] * r[2]);
+                    let q = node.q[v * 4 + c] + sign * slope(&node, v, c, &r);
                     assert!(
                         q >= qmin[v * 4 + c] - 1e-10 && q <= qmax[v * 4 + c] + 1e-10,
                         "edge {k} vertex {v} comp {c}: {q} outside [{}, {}]",
@@ -273,12 +269,12 @@ mod tests {
 
     #[test]
     fn venkat_phi_in_unit_interval_and_smoother_than_bj() {
-        let (geom, bc, vol, mut node) = setup();
+        let (geom, adj, mut node) = setup();
         let mut rng = fun3d_util::Rng64::new(31);
         for x in node.q.iter_mut() {
             *x = rng.range_f64(-1.0, 1.0);
         }
-        green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&adj, &mut node);
         let mut node_bj = node.clone();
         let phi_v = apply_venkatakrishnan(&geom, &mut node, 0.3);
         let phi_b = apply_barth_jespersen(&geom, &mut node_bj);
@@ -295,12 +291,12 @@ mod tests {
 
     #[test]
     fn venkat_smooth_field_barely_limited() {
-        let (geom, bc, vol, mut node) = setup();
+        let (geom, adj, mut node) = setup();
         for v in 0..node.n {
             node.q[v * 4] = 1e-4 * v as f64;
             node.q[v * 4 + 1] = 1.0;
         }
-        green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&adj, &mut node);
         let phi = apply_venkatakrishnan(&geom, &mut node, 0.3);
         let mean = phi.iter().sum::<f64>() / phi.len() as f64;
         assert!(mean > 0.6, "over-limiting a smooth field: mean φ = {mean}");
@@ -308,9 +304,9 @@ mod tests {
 
     #[test]
     fn constant_field_is_fixed_point() {
-        let (geom, bc, vol, mut node) = setup();
+        let (geom, adj, mut node) = setup();
         node.set_freestream(&[0.3, 1.0, 0.0, 0.0]);
-        green_gauss(&geom, &bc, &vol, &mut node);
+        green_gauss(&adj, &mut node);
         let phi = apply_barth_jespersen(&geom, &mut node);
         // constant field: zero gradients, zero reconstruction deltas —
         // the limiter must not produce NaNs or zero out anything.

@@ -353,6 +353,96 @@ impl EdgeTiling {
         }
     }
 
+    /// Checks everything a kernel that indexes with this tiling unchecked
+    /// and writes colour-parallel relies on, against the edge list it is
+    /// about to be used with — [`EdgeTiling::build`] establishes all of
+    /// it, but the fields are public. `perm` is a permutation of the edge
+    /// ids; tile `t`'s range `tile_start[t] .. + edges.len()` lies inside
+    /// it and holds exactly the tile's edges; every tile vertex is `<
+    /// nvertices`; every scratch slot is `< verts.len()` and stages the
+    /// endpoint it stands for; every tile has exactly one colour and the
+    /// tiles of one colour share no vertex. The error names the tile.
+    pub fn validate(&self, nvertices: usize, edges: &[[u32; 2]]) -> Result<(), String> {
+        let ne = edges.len();
+        if self.nedges != ne || self.perm.len() != ne {
+            return Err(format!(
+                "a tiling of {} edges ({} permuted) for a list of {ne}",
+                self.nedges,
+                self.perm.len()
+            ));
+        }
+        if self.tile_start.len() != self.tiles.len() {
+            return Err(format!(
+                "{} tile starts for {} tiles",
+                self.tile_start.len(),
+                self.tiles.len()
+            ));
+        }
+        let mut seen = vec![false; ne];
+        for (at, &k) in self.perm.iter().enumerate() {
+            match seen.get_mut(k as usize) {
+                None => return Err(format!("position {at} of the permutation: edge id {k} of {ne} edges")),
+                Some(seen) if *seen => return Err(format!("edge {k} occurs twice in the permutation")),
+                Some(seen) => *seen = true,
+            }
+        }
+        for (t, (tile, &start)) in self.tiles.iter().zip(&self.tile_start).enumerate() {
+            let start = start as usize;
+            if tile.local.len() != tile.edges.len() || start + tile.edges.len() > ne {
+                return Err(format!(
+                    "tile {t}: {} edges, {} slot pairs, range from {start} in {ne} edges",
+                    tile.edges.len(),
+                    tile.local.len()
+                ));
+            }
+            if let Some(&v) = tile.verts.iter().find(|&&v| v as usize >= nvertices) {
+                return Err(format!("tile {t}: vertex {v} of {nvertices} vertices"));
+            }
+            for (i, (slots, &eid)) in tile.local.iter().zip(&tile.edges).enumerate() {
+                if self.perm[start + i] != eid {
+                    return Err(format!("tile {t}, edge {i}: not edge {eid} of its range"));
+                }
+                for (&slot, &end) in slots.iter().zip(&edges[eid as usize]) {
+                    match tile.verts.get(slot as usize) {
+                        Some(&v) if v == end => {}
+                        Some(&v) => {
+                            return Err(format!(
+                                "tile {t}, edge {i}: slot {slot} stages vertex {v}, the endpoint is {end}"
+                            ))
+                        }
+                        None => {
+                            return Err(format!(
+                                "tile {t}, edge {i}: slot {slot} is past the tile's pad of {} vertices",
+                                tile.verts.len()
+                            ))
+                        }
+                    }
+                }
+            }
+        }
+        let mut coloured = vec![false; self.tiles.len()];
+        for (colour, class) in self.color_tiles.iter().enumerate() {
+            let mut holder = vec![false; nvertices];
+            for &t in class {
+                let Some(tile) = self.tiles.get(t as usize) else {
+                    return Err(format!("colour {colour}: tile {t} of {}", self.tiles.len()));
+                };
+                if std::mem::replace(&mut coloured[t as usize], true) {
+                    return Err(format!("tile {t} has two colours"));
+                }
+                for &v in &tile.verts {
+                    if std::mem::replace(&mut holder[v as usize], true) {
+                        return Err(format!("colour {colour}: two tiles hold vertex {v}"));
+                    }
+                }
+            }
+        }
+        match coloured.iter().position(|&c| !c) {
+            Some(t) => Err(format!("tile {t} has no colour")),
+            None => Ok(()),
+        }
+    }
+
     /// Number of tiles.
     pub fn ntiles(&self) -> usize {
         self.tiles.len()
@@ -395,6 +485,7 @@ mod tests {
     }
 
     fn check_invariants(nv: usize, edges: &[[u32; 2]], tl: &EdgeTiling) {
+        tl.validate(nv, edges).expect("a built tiling validates against its own edges");
         // Every edge appears in exactly one tile, with a faithful remap.
         let mut seen = vec![false; edges.len()];
         for tile in &tl.tiles {
@@ -516,5 +607,31 @@ mod tests {
         let small = EdgeTiling::build(nv, &edges, &TilingConfig::with_target_bytes(2048));
         let large = EdgeTiling::build(nv, &edges, &TilingConfig::with_target_bytes(32768));
         assert!(large.reuse_factor() > small.reuse_factor());
+    }
+
+    #[test]
+    fn validate_rejects_a_colouring_that_would_race() {
+        let (nv, edges) = tiny_edges();
+        let build = || EdgeTiling::build(nv, &edges, &TilingConfig::with_target_bytes(4096));
+        assert!(build().ncolors() > 1, "premise: several colours");
+        let reject = |hostile: EdgeTiling, what: &str| {
+            let e = hostile.validate(nv, &edges).expect_err(what);
+            assert!(e.contains(what), "{what}: {e}");
+        };
+        // A tile in two colours, a tile in none, two neighbours in one.
+        let mut t = build();
+        let first = t.color_tiles[0][0];
+        t.color_tiles[1].push(first);
+        reject(t, "two colours");
+        let mut t = build();
+        t.color_tiles[0].pop();
+        reject(t, "no colour");
+        let mut t = build();
+        let moved = t.color_tiles[1].pop().unwrap();
+        t.color_tiles[0].push(moved);
+        let e = t.validate(nv, &edges).expect_err("merged colours");
+        assert!(e.contains("two tiles hold vertex") || e.contains("no colour"), "{e}");
+        // And a tiling of some other edge list.
+        assert!(build().validate(nv, &edges[1..]).is_err());
     }
 }

@@ -5,46 +5,46 @@
 //! *is* known ahead of time, so the paper issues explicit prefetches for
 //! the node and edge data of edges a fixed distance ahead, into both L1
 //! and L2 (Section V.A, "Software Prefetching"; 28% execution-time
-//! reduction on the flux kernel). These wrappers compile to
-//! `prefetcht0`/`prefetcht1` on x86-64 and to nothing elsewhere, so
-//! kernels can call them unconditionally.
+//! reduction on the flux kernel). These wrappers compile to one
+//! `prefetcht0`/`prefetcht1` on x86-64 — no compare, no branch — and to
+//! nothing elsewhere, so kernels can call them unconditionally.
 
 /// Prefetches the cache line containing `&data[i]` into L1 (T0 hint).
-/// Out-of-range indices are ignored, which lets kernels prefetch
+/// There is no range check to pay for: the address is formed with
+/// wrapping arithmetic and never dereferenced, and a prefetch of an
+/// unmapped address is dropped by the hardware — so kernels can prefetch
 /// `i + DIST` without guarding the loop tail.
 #[inline(always)]
 pub fn prefetch_l1<T>(data: &[T], i: usize) {
-    if i < data.len() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the pointer is within the slice; prefetch has no memory
-        // effects visible to the program.
-        unsafe {
-            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                data.as_ptr().add(i).cast::<i8>(),
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = &data[i];
-        }
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint with no architectural effect and
+    // cannot fault, whatever the address; `wrapping_add` makes forming an
+    // address outside the slice defined.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+            data.as_ptr().wrapping_add(i).cast::<i8>(),
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (data, i);
     }
 }
 
-/// Prefetches the cache line containing `&data[i]` into L2 (T1 hint).
+/// Prefetches the cache line containing `&data[i]` into L2 (T1 hint);
+/// see [`prefetch_l1`] for out-of-range indices.
 #[inline(always)]
 pub fn prefetch_l2<T>(data: &[T], i: usize) {
-    if i < data.len() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see prefetch_l1.
-        unsafe {
-            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T1 }>(
-                data.as_ptr().add(i).cast::<i8>(),
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = &data[i];
-        }
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: see `prefetch_l1`.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T1 }>(
+            data.as_ptr().wrapping_add(i).cast::<i8>(),
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (data, i);
     }
 }
 

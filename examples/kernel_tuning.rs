@@ -56,7 +56,8 @@ fn main() {
     }
     let bc = fun3d_core::bc::BcData::build(&dual);
     let (isa, stream) = (Isa::detect(), Traversal::stream(&geom));
-    gradient::green_gauss(isa, Exec::Caller, stream, &bc, &dual.vol, &mut node);
+    let adj = fun3d_core::HalfEdges::build(&geom, &bc, &dual.vol);
+    gradient::green_gauss(isa, Exec::Caller, &adj, &mut node);
     let soa = NodeSoa::from_aos(&node);
     let n4 = node.n * 4;
     println!(
@@ -97,7 +98,7 @@ fn main() {
     // these demonstrate correctness, not speed).
     let nt = 2;
     let pool = ThreadPool::new(nt);
-    let nat_plan = OwnerWritesPlan::build(&geom.edges, &natural_partition(node.n, nt), nt);
+    let nat_plan = OwnerWritesPlan::build(geom.edges(), &natural_partition(node.n, nt), nt);
     time_variant(
         "threaded: atomics (natural edge split)",
         Some(&reference),
@@ -117,9 +118,9 @@ fn main() {
         },
         n4,
     );
-    let graph = fun3d_mesh::Graph::from_edges(node.n, &geom.edges);
+    let graph = fun3d_mesh::Graph::from_edges(node.n, geom.edges());
     let ml_plan = OwnerWritesPlan::build(
-        &geom.edges,
+        geom.edges(),
         &partition_graph(&graph, nt, &MultilevelConfig::default()),
         nt,
     );

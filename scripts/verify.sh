@@ -11,8 +11,10 @@
 #     and nowhere in the rank layer; the perf-history stack that
 #     `benchmark/` replaced has not come back; the ILU factors have one
 #     storage format, one block-vector kernel and one forward and one
-#     backward row. Each structural guard is negative-tested on canary
-#     trees.
+#     backward row; the gradient row's layout is spelled in one file, the
+#     gradient is not an edge body and has no tiled model, and unchecked
+#     access in the core sits in four files, each use under a `SAFETY:`.
+#     Each structural guard is negative-tested on canary trees.
 #  2. `cargo build --release` and `cargo test -q`, offline. The root
 #     manifest's default-members make both cover every crate.
 #  3. Model check of the sync substrate: the fun3d-check suite plus the
@@ -24,7 +26,8 @@
 #     regions-per-iteration claim, and the speedup-vs-threads rule on the
 #     rows that fit this host's cores.
 #  7. tiled_flux: tiled kernels equal the serial reference.
-#  8. fig6a --check: SIMD flux speed floor.
+#  8. fig6a --check: SIMD flux speed floors (packed code; rows stored the
+#     way the loop loads them).
 #  9. fig7a --check: in-place ILU floor, factor-storage floor, P2P schedule
 #     bound and canary, measured P2P at T=2.
 # 10. Serve tier: NDJSON smoke, load_gen --check and its negative canary.
@@ -55,7 +58,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in the rank layer, one ledger, one factor format =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in the rank layer, one ledger, one factor format, one gradient layout and kernel, argued unchecked access =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -123,17 +126,52 @@ structure_guard() {
         echo "  factor values kept as f64 outside crates/bench: the factors are stored as f32 (fun3d_sparse::FactorBlock)"
         bad=1
     fi
+    # A vertex row is stored the way its hot loop loads it, and that is
+    # said once: the dim-major gradient index is spelled in one file
+    # (crates/core/src/geom.rs, `grad_slot`); everything else, the rank
+    # layer and the benches included, goes through it.
+    local layout
+    layout=$(grep -rlE 'd \* 4 \+ c\b' "$root"/crates/*/src --include='*.rs' | wc -l)
+    if [ "$layout" -ne 1 ]; then
+        echo "  the gradient row layout (d * 4 + c) is spelled in $layout files of crates/*/src (want exactly one, core/src/geom.rs)"
+        bad=1
+    fi
+    # Green-Gauss is one owner-computes vertex loop: not a body of the
+    # edge-loop driver again, and with no tiled variant to model.
+    if grep -rnE 'impl *EdgeBody *for *(Green|Grad|Lsq)' "$root/crates" --include='*.rs' \
+        || grep -rn 'gradient_tiled' "$root/crates" --include='*.rs'; then
+        echo "  the gradient as an edge body or with a tiled model: it is gradient::green_gauss, one vertex loop"
+        bad=1
+    fi
+    # An index is checked where it is made: unchecked access in the core
+    # lives in the four files that hold the validated structures and the
+    # loops over them, each use within five lines below a SAFETY: comment.
+    local core="$root/crates/core/src" f
+    if grep -rlE 'get_unchecked|from_raw_parts' "$core" \
+        | grep -vE '/(edge_loop|flux|gradient|geom)\.rs$'; then
+        echo "  unchecked access in crates/core/src outside edge_loop.rs, flux.rs, gradient.rs, geom.rs"
+        bad=1
+    fi
+    for f in $(grep -rlE 'get_unchecked|from_raw_parts' "$core"); do
+        if ! awk '/SAFETY:/ { argued = NR }
+            /get_unchecked|from_raw_parts/ && !(argued && NR - argued <= 5) {
+                print "  " FILENAME ":" NR ": unchecked access with no SAFETY: in the five lines above it"; bad = 1 }
+            END { exit bad }' "$f"; then
+            bad=1
+        fi
+    done
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, performance ledger or factor format has been forked"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, performance ledger, factor format or gradient layout has been forked, or an unchecked access is not argued"
     exit 1
 fi
-# Negative canaries: each of the ten forks must trip the guard, and the
-# tree they are planted in must pass without them.
+# Negative canaries: each of the fifteen forks must trip the guard, and
+# the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
-    widening_load_in_a_sweep second_forward_row generic_factors f64_factors; do
+    widening_load_in_a_sweep second_forward_row generic_factors f64_factors \
+    second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src" "$CANARY/scripts"
@@ -143,6 +181,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     printf 'unsafe fn forward_row() { block::factor_matvec(s, a) }\nunsafe fn backward_row() {}\n' > "$CANARY/crates/sparse/src/trsv.rs"
     printf 'pub struct IluFactors {\n    pub dinv: Vec<f32>,\n}\n' > "$CANARY/crates/sparse/src/ilu.rs"
     echo 'struct F64Factors { dinv: Vec<f64> }' > "$CANARY/crates/bench/src/trsv_reference.rs"
+    printf 'pub const fn grad_slot(c: usize, d: usize) -> usize {\n    d * 4 + c\n}\n// SAFETY: in bounds by the caller.\nunsafe { std::slice::from_raw_parts_mut(p, w) }\n' > "$CANARY/crates/core/src/geom.rs"
     case $fork in
         none)
             if ! structure_guard "$CANARY"; then
@@ -160,6 +199,11 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         second_ledger) echo "# judged by: $OLD_LEDGER" > "$CANARY/scripts/snapshot.sh" ;;
         second_edge_loop) echo 'pool.run(|tid| tile_flux(&tiling.tiles[tid]));' > "$CANARY/crates/core/src/flux.rs" ;;
         rank_edge_loop) echo 'for &t in &class[chunk_range(class.len(), nt, tid)] {}' > "$CANARY/crates/cluster/src/fork.rs" ;;
+        second_gradient_layout) echo 'let g = node.grad[v * 12 + d * 4 + c];' > "$CANARY/crates/cluster/src/fork.rs" ;;
+        gradient_edge_body) echo 'impl EdgeBody for GreenGauss {}' > "$CANARY/crates/core/src/gradient.rs" ;;
+        tiled_gradient_model) echo 'pub fn gradient_tiled(ne: usize) {}' > "$CANARY/crates/core/src/counts.rs" ;;
+        unchecked_elsewhere) printf '// SAFETY: trust me.\nlet x = unsafe { *v.get_unchecked(i) };\n' > "$CANARY/crates/core/src/limiter.rs" ;;
+        unargued_unchecked) echo 'let x = unsafe { *v.get_unchecked(i) };' > "$CANARY/crates/core/src/flux.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -167,7 +211,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation or edge loop in crates/cluster/src, one ledger, one factor format and one row kernel; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation or edge loop in crates/cluster/src, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files; canaries rejected"
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.
@@ -285,11 +329,15 @@ echo "== SIMD flux kernel speed floor (fig6a_flux_opts --check) =="
 # The vectorized flux kernel is only worth its name while it compiles
 # to packed code: with AVX2 detected, the lane body on the stream - the
 # generic driver inlined into its AVX2 entry - must be at least 1.3x both
-# the scalar serial_aos and its own portable-lane instantiation (interleaved rounds, per-variant minimum, like the
-# tiled gate above). Without AVX2 the check passes with a notice.
+# the scalar serial_aos and its own portable-lane instantiation, and at
+# least 1.10x the lane body on comp-major gradient rows with checked
+# gathers kept in crates/bench as the reference (interleaved rounds,
+# per-variant minimum, like the tiled gate above): eight transposes per
+# batch, spilled gradient lanes or a bounds check per access coming back
+# fail here. Without AVX2 the check passes with a notice.
 cargo run --release --offline -q -p fun3d-bench --bin fig6a_flux_opts -- \
     --mesh small --reps 20 --check
-echo "ok: SIMD flux kernel clears its speed floor (or runs on portable lanes)"
+echo "ok: SIMD flux kernel clears its speed floors (or runs on portable lanes)"
 
 echo "== recurrence gates: symbolic-once ILU floor, P2P schedule bound (fig7a_recurrence_opts --check) =="
 # Refactoring in place on a structure built once must be at least 2x the

@@ -57,8 +57,8 @@ prop_cases! {
         // every endpoint written exactly once
         let mut writes = vec![[0u8; 2]; edges.len()];
         for t in 0..nthreads {
-            for (k, &eid) in plan.edges_of[t].iter().enumerate() {
-                let mask = plan.writes_of[t][k];
+            for (k, &eid) in plan.edges_of()[t].iter().enumerate() {
+                let mask = plan.writes_of()[t][k];
                 if mask & 1 != 0 { writes[eid as usize][0] += 1; }
                 if mask & 2 != 0 { writes[eid as usize][1] += 1; }
             }

@@ -1,7 +1,7 @@
 //! Property tests for the tiled (cache-blocked) edge-kernel strategy:
-//! on random meshes and random scratch budgets, tiled flux and gradient
-//! agree with the streaming serial kernels to rounding, the pooled
-//! drivers are *bitwise* equal to their serial tiled counterparts at
+//! on random meshes and random scratch budgets, the tiled flux agrees
+//! with the streaming serial kernel to rounding, the pooled driver is
+//! *bitwise* equal to its serial tiled counterpart at
 //! every thread count (inter-tile coloring fixes the accumulation
 //! order), and the two execution modes — scratch-pad `Staged` and
 //! gather-in-place `Direct` — are bitwise interchangeable.
@@ -15,7 +15,7 @@
 //! print a `FUN3D_PROP_SEED` that replays deterministically.
 
 use fun3d_core::flux::TileExec;
-use fun3d_core::geom::{EdgeGeom, NodeAos, NodeSoa};
+use fun3d_core::geom::{EdgeGeom, HalfEdges, NodeAos, NodeSoa};
 use fun3d_core::{flux, gradient, FlowConditions, TiledGeom};
 use fun3d_mesh::generator::ChannelSpec;
 use fun3d_mesh::DualMesh;
@@ -27,8 +27,6 @@ use fun3d_util::{prop_assert, prop_assert_eq, prop_cases};
 struct Fixture {
     geom: EdgeGeom,
     node: NodeAos,
-    bc: fun3d_core::bc::BcData,
-    vol: Vec<f64>,
 }
 
 fn random_fixture(seed: u64, jitter: f64, amp: f64) -> Fixture {
@@ -46,8 +44,9 @@ fn random_fixture(seed: u64, jitter: f64, amp: f64) -> Fixture {
         *x += rng.range_f64(-amp, amp);
     }
     let bc = fun3d_core::bc::BcData::build(&dual);
-    gradient::green_gauss(Isa::detect(), flux::Exec::Caller, flux::Traversal::stream(&geom), &bc, &dual.vol, &mut node);
-    Fixture { geom, node, bc, vol: dual.vol }
+    let adj = HalfEdges::build(&geom, &bc, &dual.vol);
+    gradient::green_gauss(Isa::detect(), flux::Exec::Caller, &adj, &mut node);
+    Fixture { geom, node }
 }
 
 fn close(a: &[f64], b: &[f64], tol: f64) -> Result<(), String> {
@@ -88,21 +87,21 @@ prop_cases! {
 
         let tiling = EdgeTiling::build(
             fix.node.n,
-            &fix.geom.edges,
+            fix.geom.edges(),
             &TilingConfig::with_target_bytes(budget),
         );
-        let tg = TiledGeom::new(&tiling, &fix.geom);
+        let tg = TiledGeom::new(tiling, &fix.geom);
 
         // Serial tiled, staged exec: ULP-level agreement with the
         // streaming reference (edge order is permuted, so not bitwise).
         let mut staged = vec![0.0; n4];
-        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: TileExec::Staged }, &fix.node, 1.0, &mut staged);
+        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Tiled { geom: &tg, mode: TileExec::Staged }, &fix.node, 1.0, &mut staged);
         prop_assert!(close(&reference, &staged, 1e-11).is_ok());
 
         // Direct exec runs the same arithmetic in the same order
         // without the scratch copy: bitwise equal to staged.
         let mut direct = vec![0.0; n4];
-        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: TileExec::Direct }, &fix.node, 1.0, &mut direct);
+        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Tiled { geom: &tg, mode: TileExec::Direct }, &fix.node, 1.0, &mut direct);
         prop_assert_eq!(&staged, &direct, "staged vs direct must be bitwise equal");
 
         // Pooled tiled: the inter-tile coloring pins the accumulation
@@ -110,7 +109,7 @@ prop_cases! {
         let pool = ThreadPool::new(nthreads);
         for exec in [TileExec::Staged, TileExec::Direct] {
             let mut pooled = vec![0.0; n4];
-            flux::run(Some(Isa::detect()), flux::Exec::Pool(&pool), flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: exec }, &fix.node, 1.0, &mut pooled);
+            flux::run(Some(Isa::detect()), flux::Exec::Pool(&pool), flux::Traversal::Tiled { geom: &tg, mode: exec }, &fix.node, 1.0, &mut pooled);
             prop_assert_eq!(&staged, &pooled, "pooled must be bitwise equal to serial");
         }
 
@@ -119,56 +118,8 @@ prop_cases! {
             for isa in [portable, avx2] {
                 for exec in [TileExec::Staged, TileExec::Direct] {
                     let mut r = vec![0.0; n4];
-                    flux::run(Some(isa), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: exec }, &fix.node, 1.0, &mut r);
+                    flux::run(Some(isa), flux::Exec::Caller, flux::Traversal::Tiled { geom: &tg, mode: exec }, &fix.node, 1.0, &mut r);
                     prop_assert_eq!(&staged, &r, "{} lanes, {exec:?}", isa.name());
-                }
-            }
-        }
-    }
-
-    fn tiled_gradient_agrees_with_serial(g, cases = 10) {
-        let seed = g.u64();
-        let jitter = g.f64_range(0.0, 0.3);
-        let amp = g.f64_range(0.0, 0.4);
-        let budget = [1usize, 2048, 64 * 1024, usize::MAX][g.usize_range(0, 4)];
-        let nthreads = g.usize_range(1, 5);
-
-        let fix = random_fixture(seed, jitter, amp);
-        let mut reference = fix.node.clone();
-        gradient::green_gauss(Isa::detect(), flux::Exec::Caller, flux::Traversal::stream(&fix.geom), &fix.bc, &fix.vol, &mut reference);
-
-        let tiling = EdgeTiling::build(
-            fix.node.n,
-            &fix.geom.edges,
-            &TilingConfig::with_target_bytes(budget),
-        );
-        let tg = TiledGeom::new(&tiling, &fix.geom);
-
-        let mut staged = fix.node.clone();
-        gradient::green_gauss(Isa::detect(), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: TileExec::Staged }, &fix.bc, &fix.vol, &mut staged);
-        prop_assert!(close(&reference.grad, &staged.grad, 1e-11).is_ok());
-
-        let mut direct = fix.node.clone();
-        gradient::green_gauss(Isa::detect(), flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: TileExec::Direct }, &fix.bc, &fix.vol, &mut direct);
-        prop_assert_eq!(&staged.grad, &direct.grad, "staged vs direct gradient");
-
-        let pool = ThreadPool::new(nthreads);
-        for exec in [TileExec::Staged, TileExec::Direct] {
-            let mut pooled = fix.node.clone();
-            gradient::green_gauss(
-                Isa::detect(), flux::Exec::Pool(&pool), flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: exec }, &fix.bc, &fix.vol, &mut pooled,
-            );
-            prop_assert_eq!(&staged.grad, &pooled.grad, "pooled gradient bitwise");
-        }
-
-        if let Some((portable, avx2)) = lane_pair() {
-            for isa in [portable, avx2] {
-                for exec in [TileExec::Staged, TileExec::Direct] {
-                    let mut r = fix.node.clone();
-                    gradient::green_gauss(
-                        isa, flux::Exec::Caller, flux::Traversal::Tiled { tiling: &tiling, geom: &tg, mode: exec }, &fix.bc, &fix.vol, &mut r,
-                    );
-                    prop_assert_eq!(&staged.grad, &r.grad, "{} lanes, {exec:?}", isa.name());
                 }
             }
         }
