@@ -18,7 +18,7 @@ use fun3d_mesh::DualMesh;
 use fun3d_partition::{partition_graph, MultilevelConfig};
 use fun3d_solver::vecops;
 use fun3d_sparse::{csr::Csr, ilu, trsv, Bcsr4, TempBuffer};
-use fun3d_util::microbench::{BatchSize, Bench};
+use fun3d_util::microbench::{BatchSize, Bench, Group};
 use fun3d_util::telemetry::{self, KernelCounts, Level};
 use fun3d_util::Rng64;
 
@@ -316,144 +316,51 @@ fn bench_telemetry_overhead(c: &mut Bench) {
     g.finish();
 }
 
-/// Flight-recorder overhead: the always-on claim. The same flux call
-/// emitting one flight event per invocation (a far higher event rate
-/// than the real per-step/per-solve sources) with the recorder enabled
-/// (the default) versus disabled, plus the raw cost of one `emit`. The
-/// on/off pair must stay within measurement noise — the acceptance
-/// criterion `crates/util/tests/flight_overhead.rs` gates.
-fn bench_flight_overhead(c: &mut Bench) {
-    use fun3d_util::telemetry::flight;
+/// The always-on claim of the one gate: the same flux call emitting one
+/// flight event (group `flight`), or recording one histogram sample
+/// (group `metrics`), per invocation — a far higher rate than the real
+/// per-step / per-request sources — at `off` versus the default level,
+/// plus the raw cost of one `emit`, one shard `record` and one full
+/// metrics snapshot (the collector side a `{"cmd":"stats"}` reply pays).
+/// Each off/on pair must stay within measurement noise — the acceptance
+/// criterion `crates/util/tests/{flight,metrics}_overhead.rs` gate.
+fn bench_recorder_overhead(c: &mut Bench) {
+    use fun3d_util::telemetry::{flight, metrics};
     let (geom, _, node, _) = fixture();
     let n4 = node.n * 4;
-    let mut g = c.group("flight");
-    g.sample_size(20);
-    flight::set_enabled(false);
-    g.bench_function("flux_flight_off", |b| {
-        b.iter_batched_ref(
-            || vec![0.0; n4],
-            |res| {
-                flight::emit(flight::EventKind::PtcStep {
-                    step: 1,
-                    res: 1.0,
-                    dt: 2.0,
-                    gmres_iters: 3,
-                });
-                flux::serial_aos(&geom, &node, 1.0, res)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    flight::set_enabled(true);
-    g.bench_function("flux_flight_on", |b| {
-        b.iter_batched_ref(
-            || vec![0.0; n4],
-            |res| {
-                flight::emit(flight::EventKind::PtcStep {
-                    step: 1,
-                    res: 1.0,
-                    dt: 2.0,
-                    gmres_iters: 3,
-                });
-                flux::serial_aos(&geom, &node, 1.0, res)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("emit", |b| {
-        b.iter(|| {
-            flight::emit(flight::EventKind::PtcStep {
-                step: 1,
-                res: 1.0,
-                dt: 2.0,
-                gmres_iters: 3,
-            })
-        })
-    });
-    g.finish();
-}
-
-/// Metrics-plane overhead: the always-on claim for the histogram
-/// record path. The same flux call recording one histogram sample per
-/// invocation (a far higher record rate than the real per-request /
-/// per-step sources) with metrics enabled (the default) versus
-/// disabled, plus the raw cost of one shard `record` and of one full
-/// registry snapshot (the collector side a `{"cmd":"stats"}` reply
-/// pays). The on/off pair must stay within measurement noise — the
-/// acceptance criterion `crates/util/tests/metrics_overhead.rs` gates.
-fn bench_metrics_overhead(c: &mut Bench) {
-    use fun3d_util::telemetry::metrics;
-    let (geom, _, node, _) = fixture();
-    let n4 = node.n * 4;
+    let step = flight::EventKind::PtcStep {
+        step: 1,
+        res: 1.0,
+        dt: 2.0,
+        gmres_iters: 3,
+    };
     let h = metrics::histogram("bench.flux_ns");
-    let mut g = c.group("metrics");
-    g.sample_size(20);
-    metrics::set_enabled(false);
-    g.bench_function("flux_metrics_off", |b| {
-        b.iter_batched_ref(
-            || vec![0.0; n4],
-            |res| {
-                h.record(1_234);
-                flux::serial_aos(&geom, &node, 1.0, res)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    metrics::set_enabled(true);
-    g.bench_function("flux_metrics_on", |b| {
-        b.iter_batched_ref(
-            || vec![0.0; n4],
-            |res| {
-                h.record(1_234);
-                flux::serial_aos(&geom, &node, 1.0, res)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("record", |b| b.iter(|| h.record(std::hint::black_box(1_234))));
-    g.bench_function("snapshot", |b| b.iter(metrics::snapshot));
+    let flux_off_on = |g: &mut Group, group: &str, site: &dyn Fn()| {
+        g.sample_size(20);
+        for (id, level) in [("off", Level::Off), ("on", Level::Counters)] {
+            telemetry::set_level(level);
+            g.bench_function(&format!("flux_{group}_{id}"), |b| {
+                b.iter_batched_ref(
+                    || vec![0.0; n4],
+                    |res| {
+                        site();
+                        flux::serial_aos(&geom, &node, 1.0, res)
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+        }
+    };
+    let mut g = c.group("flight");
+    flux_off_on(&mut g, "flight", &|| flight::emit(step));
+    g.bench_function("emit", |b| b.iter(|| flight::emit(step)));
     g.finish();
-}
-
-fn bench_sampler_overhead(c: &mut Bench) {
-    // The claim behind always-on profiling: the slot publication a span
-    // performs (seqlock push/pop) costs a few uncontended atomic stores,
-    // and a running sampler adds nothing to the instrumented thread.
-    // Compare spans at Full with the sampler off and on.
-    let (geom, _, node, _) = fixture();
-    let n4 = node.n * 4;
-    let mut g = c.group("sampler");
-    g.sample_size(20);
-    telemetry::set_level(Level::Full);
-    g.bench_function("flux_spans_sampler_off", |b| {
-        b.iter_batched_ref(
-            || vec![0.0; n4],
-            |res| {
-                let _span = telemetry::span("flux");
-                flux::serial_aos(&geom, &node, 1.0, res)
-            },
-            BatchSize::LargeInput,
-        )
+    let mut g = c.group("metrics");
+    flux_off_on(&mut g, "metrics", &|| h.record(1_234));
+    g.bench_function("record", |b| {
+        b.iter(|| h.record(std::hint::black_box(1_234)))
     });
-    let sampler = telemetry::Sampler::start(std::time::Duration::from_micros(250));
-    g.bench_function("flux_spans_sampler_on", |b| {
-        b.iter_batched_ref(
-            || vec![0.0; n4],
-            |res| {
-                let _span = telemetry::span("flux");
-                flux::serial_aos(&geom, &node, 1.0, res)
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    let profile = sampler.stop();
-    eprintln!(
-        "# sampler: {} ticks, {} missed, {} busy samples",
-        profile.ticks,
-        profile.missed,
-        profile.busy_samples()
-    );
-    telemetry::set_level(Level::Counters);
+    g.bench_function("snapshot", |b| b.iter(metrics::snapshot));
     g.finish();
 }
 
@@ -480,9 +387,7 @@ fn main() {
     bench_spmv(&mut c);
     bench_vecops(&mut c);
     bench_telemetry_overhead(&mut c);
-    bench_flight_overhead(&mut c);
-    bench_metrics_overhead(&mut c);
-    bench_sampler_overhead(&mut c);
+    bench_recorder_overhead(&mut c);
     bench_partitioner(&mut c);
     c.finish();
 }

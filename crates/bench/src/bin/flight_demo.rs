@@ -19,7 +19,8 @@
 //! `scripts/verify.sh` runs.
 //!
 //! Usage: `flight_demo [--inject none|divergence|panic] [--dir <path>]
-//! [--prefix <stem>]`
+//! [--prefix <stem>]` (dumps are named `<prefix>.<trigger>.json`, prefix
+//! `flight` by default).
 
 use fun3d_solver::precond::{Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem};
@@ -140,7 +141,8 @@ fn config() -> PtcConfig {
 /// Checks that the dump the fault should have produced exists and
 /// passes the strict validator; returns its path.
 fn expect_dump(trigger: flight::Trigger) -> PathBuf {
-    let path = flight::dump_dir().join(format!("{}.{}.json", prefix(), trigger.slug()));
+    let path =
+        flight::dump_dir().join(format!("{}.{}.json", flight::dump_prefix(), trigger.slug()));
     if !path.exists() {
         fail(&format!("expected dump {} was not written", path.display()));
     }
@@ -155,13 +157,8 @@ fn expect_dump(trigger: flight::Trigger) -> PathBuf {
     path
 }
 
-fn prefix() -> String {
-    std::env::var("FUN3D_FLIGHT_PREFIX").unwrap_or_else(|_| "flight".to_string())
-}
-
 fn main() {
     let mut inject = Inject::None;
-    let mut prefix_override: Option<String> = None;
     let args: Vec<String> = std::env::args().collect();
     let mut i = 1;
     while i < args.len() {
@@ -181,7 +178,7 @@ fn main() {
             }
             "--prefix" => {
                 i += 1;
-                prefix_override = Some(args[i].clone());
+                flight::set_dump_prefix(&args[i]);
             }
             "--help" | "-h" => {
                 eprintln!(
@@ -193,11 +190,6 @@ fn main() {
         }
         i += 1;
     }
-    if let Some(p) = prefix_override {
-        std::env::set_var("FUN3D_FLIGHT_PREFIX", &p);
-        flight::set_dump_prefix(p);
-    }
-
     let mut problem = DemoProblem::new(inject);
     let n = problem.dim();
     let mut u = vec![0.0; n];
@@ -243,7 +235,7 @@ fn main() {
                 flight::Trigger::WallBudget,
                 flight::Trigger::Request,
             ] {
-                let path = dir.join(format!("{}.{}.json", prefix(), trigger.slug()));
+                let path = dir.join(format!("{}.{}.json", flight::dump_prefix(), trigger.slug()));
                 if path.exists() {
                     fail(&format!(
                         "clean run left a dump behind: {}",

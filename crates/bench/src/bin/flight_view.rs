@@ -81,30 +81,10 @@ fn detail_of(entry: &Json) -> String {
     let Json::Obj(fields) = entry else {
         return String::new();
     };
-    let mut parts = Vec::new();
-    for (k, v) in fields {
-        if matches!(k.as_str(), "t_ns" | "rank" | "solve" | "event") {
-            continue;
-        }
-        parts.push(format!("{k}={}", render_value(v)));
-    }
-    parts.join("  ")
-}
-
-fn render_value(v: &Json) -> String {
-    match v {
-        Json::Null => "-".to_string(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(x) => {
-            if *x == x.trunc() && x.abs() < 1e15 {
-                format!("{}", *x as i64)
-            } else {
-                format!("{x:.4e}")
-            }
-        }
-        Json::Str(s) => s.clone(),
-        other => other.render(),
-    }
+    let payload = fields
+        .iter()
+        .filter(|(k, _)| !matches!(k.as_str(), "t_ns" | "rank" | "solve" | "event"));
+    flight::detail_line(payload.map(|(k, v)| (k.as_str(), v)))
 }
 
 fn load(path: &str) -> Result<Json, String> {

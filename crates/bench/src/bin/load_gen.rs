@@ -32,7 +32,7 @@ use fun3d_serve::{ServeConfig, Service};
 use fun3d_util::report::{experiments_dir, write_json, Table};
 use fun3d_util::telemetry::flight::json_f64;
 use fun3d_util::telemetry::json::Json;
-use fun3d_util::telemetry::metrics;
+use fun3d_util::telemetry::{self, metrics};
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -274,7 +274,7 @@ fn run_phase(svc: &Service, args: &Args, rate_hz: f64) -> Phase {
     let live_p99_ms = live.quantile(0.99) * 1e-6;
     let p50_ms = metrics::quantile_sorted(&latencies_ms, 0.50);
     let p99_ms = metrics::quantile_sorted(&latencies_ms, 0.99);
-    if completed > 0 && metrics::enabled() {
+    if completed > 0 && telemetry::enabled() {
         assert_eq!(
             live.count, completed as u64,
             "live serve.total_ns delta disagrees with completed count"

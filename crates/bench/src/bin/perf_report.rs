@@ -6,17 +6,24 @@
 //! * a per-kernel profile with analytic bytes/flops, achieved GB/s and
 //!   arithmetic intensity against the machine's STREAM number (the
 //!   Fig. 6 / Table 3 comparison);
+//! * exact self/total time per span, derived from span nesting, and the
+//!   roofline check of each kernel's self time against its traffic
+//!   model;
 //! * a per-thread utilization / load-imbalance table from worker busy
 //!   spans (the shared-memory scaling story);
 //! * the ΨTC convergence history (residual, Δt, GMRES iterations per
-//!   step);
+//!   step) from the solve's `ptc_step` flight events;
 //! * machine-readable artifacts under `target/experiments/`: a JSON run
-//!   summary (`perf_report.json`) and a Chrome trace-event timeline
-//!   (`perf_report.trace.json`) loadable in Perfetto / `chrome://tracing`.
+//!   summary (`perf_report.json`), a Chrome trace-event timeline
+//!   (`perf_report.trace.json`) loadable in Perfetto / `chrome://tracing`,
+//!   and the span profile as folded stacks (`perf_report.folded`) and
+//!   speedscope JSON (`perf_report.speedscope.json`).
 //!
 //! Usage: `perf_report [--mesh <preset>] [--threads <n>] [--check <file>]`
-//! (`--check` parses an existing JSON artifact and exits — used by
-//! `scripts/verify.sh` to keep the artifacts machine-readable).
+//! (`--check` parses an existing artifact and exits — used by
+//! `scripts/verify.sh` to keep the artifacts machine-readable; a summary
+//! of a tiny-mesh run also fails it if any span was lost to ring
+//! wraparound, since the span profile is exact only without losses).
 
 use fun3d_bench::build_mesh;
 use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
@@ -24,11 +31,10 @@ use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::ptc::PtcConfig;
 use fun3d_util::report::{experiments_dir, fmt_g, write_json, Table};
-use fun3d_util::telemetry::profile as profile_fmt;
-use fun3d_util::telemetry::roofline::{self, Deviation, Envelope};
-use fun3d_util::telemetry::sampler::{period_from_env, SampleProfile};
 use fun3d_util::telemetry::flight;
-use fun3d_util::telemetry::{self, json::Json, trace, Level, Sampler, Snapshot};
+use fun3d_util::telemetry::profile::{self as profile_fmt, Profile};
+use fun3d_util::telemetry::roofline::{self, Deviation, Envelope};
+use fun3d_util::telemetry::{self, json::Json, trace, Level, Snapshot};
 
 struct Args {
     mesh: MeshPreset,
@@ -78,7 +84,7 @@ fn check_artifact(path: &str) -> ! {
         std::process::exit(1);
     });
     if path.ends_with(".folded") {
-        // Folded flamegraph text from the sampler.
+        // Folded flamegraph text of the span profile.
         match profile_fmt::check_folded(&text) {
             Ok(n) => {
                 println!("{path}: OK ({n} folded stacks)");
@@ -95,7 +101,7 @@ fn check_artifact(path: &str) -> ! {
         std::process::exit(1);
     });
     if doc.get("$schema").is_some() {
-        // Speedscope profile from the sampler.
+        // Speedscope document of the span profile.
         match profile_fmt::check_speedscope(&doc) {
             Ok(n) => {
                 println!("{path}: OK ({n} speedscope profiles)");
@@ -184,6 +190,16 @@ fn check_artifact(path: &str) -> ! {
             }
         }
     }
+    if let Some(run) = doc.get("run") {
+        // The span profile is exact only when no span was dropped, and
+        // the tiny mesh fits every thread's ring.
+        let dropped = run.get("dropped_spans").and_then(Json::as_f64);
+        if run.get("mesh").and_then(Json::as_str) == Some("tiny") && dropped != Some(0.0) {
+            problems.push(format!(
+                "spans lost to ring wraparound on the tiny mesh ({dropped:?}): the span profile is not exact"
+            ));
+        }
+    }
     if let Some(conv) = doc.get("convergence").and_then(|c| c.get("residual")) {
         if conv.as_arr().map_or(true, |a| a.is_empty()) {
             problems.push("'convergence.residual' is empty".to_string());
@@ -219,26 +235,21 @@ fn main() {
     );
     let nedges = app.geom.nedges();
     let nvertices = app.mesh.nvertices();
-    // At full detail every thread publishes its open-span path, so the
-    // statistical profiler can ride along for free.
-    let sampler = if telemetry::level() == Level::Full {
-        Some(Sampler::start(period_from_env()))
-    } else {
-        None
-    };
     let (_, stats) = app.run(&PtcConfig {
         dt0: 2.0,
         rtol: 1e-8,
         max_steps: 100,
         ..Default::default()
     });
-    let sample_profile: Option<SampleProfile> = sampler.map(Sampler::stop);
     assert!(stats.converged, "run failed to converge");
 
     let prof = app.profile();
     let run_secs = prof.run_seconds();
     let snap = telemetry::snapshot();
     let counters = snap.merged_counters();
+    let span_profile = Profile::from_snapshot(&snap);
+    let times = span_profile.kernel_times();
+    let flog = flight::snapshot();
 
     println!(
         "machine: edge kernels ran on {} lanes; roofline envelope is the modeled {}\n",
@@ -293,96 +304,68 @@ fn main() {
     print!("{}", kernel_table.render());
     println!();
 
-    // ---- (a') statistical profile: top self-time spans ----
-    let mut profile_json: Option<Json> = None;
-    if let Some(sp) = &sample_profile {
-        let times = sp.kernel_times();
-        let busy = sp.busy_samples();
-        let mut profile_table = Table::new(
-            &format!(
-                "perf_report: sampled profile ({} ticks @ {}µs, {} busy samples, {} missed)",
-                sp.ticks,
-                sp.period_ns / 1_000,
-                busy,
-                sp.missed
-            ),
-            &["span", "self s", "total s", "self samples", "% busy"],
-        );
-        let mut kernels = Vec::new();
-        for k in &times {
-            profile_table.row(&[
-                k.name.to_string(),
-                fmt_g(k.self_ns as f64 * 1e-9),
-                fmt_g(k.total_ns as f64 * 1e-9),
-                k.self_samples.to_string(),
-                format!("{:.1}%", 100.0 * k.self_samples as f64 / busy.max(1) as f64),
-            ]);
-            kernels.push(Json::obj(vec![
-                ("name", Json::str(k.name)),
-                ("self_seconds", Json::num(k.self_ns as f64 * 1e-9)),
-                ("total_seconds", Json::num(k.total_ns as f64 * 1e-9)),
-                ("self_samples", Json::num(k.self_samples as f64)),
-            ]));
-        }
-        if times.is_empty() {
-            println!("(sampler caught no busy samples — run too short for the period)\n");
-        } else {
-            print!("{}", profile_table.render());
-            println!();
-        }
-        profile_json = Some(Json::obj(vec![
-            ("period_ns", Json::num(sp.period_ns as f64)),
-            ("ticks", Json::num(sp.ticks as f64)),
-            ("missed", Json::num(sp.missed as f64)),
-            ("truncated", Json::num(sp.truncated as f64)),
-            ("busy_samples", Json::num(busy as f64)),
-            ("kernels", Json::Arr(kernels)),
+    // ---- (a') span profile: exact self/total time per span ----
+    let span_ns: u64 = times.iter().map(|k| k.self_ns).sum();
+    let mut profile_table = Table::new(
+        &format!(
+            "perf_report: span profile (self/total from span nesting, {} spans, {} dropped)",
+            times.iter().map(|k| k.spans).sum::<u64>(),
+            snap.dropped_spans()
+        ),
+        &["span", "self s", "total s", "spans", "% of span time"],
+    );
+    let mut profile_kernels = Vec::new();
+    for k in &times {
+        profile_table.row(&[
+            k.name.to_string(),
+            fmt_g(k.self_ns as f64 * 1e-9),
+            fmt_g(k.total_ns as f64 * 1e-9),
+            k.spans.to_string(),
+            format!("{:.1}%", 100.0 * k.self_ns as f64 / span_ns.max(1) as f64),
+        ]);
+        profile_kernels.push(Json::obj(vec![
+            ("name", Json::str(k.name)),
+            ("self_seconds", Json::num(k.self_ns as f64 * 1e-9)),
+            ("total_seconds", Json::num(k.total_ns as f64 * 1e-9)),
+            ("spans", Json::num(k.spans as f64)),
         ]));
+    }
+    if times.is_empty() {
+        println!("(no spans recorded — run with FUN3D_TELEMETRY=spans or full)\n");
+    } else {
+        print!("{}", profile_table.render());
+        println!();
     }
 
     // ---- (a'') measured-vs-model roofline validation ----
-    // Kernel seconds come from the sampled self-time when the profiler
-    // caught enough samples to trust (statistically exact attribution,
-    // no double-count of nested spans), else from the span timers.
-    const MIN_SELF_SAMPLES: u64 = 5;
+    // A kernel's measured time is its spans' self time (exact, no
+    // double count of nested spans) when it has spans, else its timer.
     let envelope = Envelope {
         stream_gbs: machine.stream_gbs,
         peak_gflops: machine.peak_gflops(),
     };
-    let tolerance = roofline::tolerance_from_env(roofline::DEFAULT_TOLERANCE);
-    let mut roofline_input = Vec::new();
-    let source_of = |name: &str| -> (&'static str, f64) {
-        if let Some(sp) = &sample_profile {
-            if let Some(k) = sp
-                .kernel_times()
-                .into_iter()
-                .find(|k| k.name == name && k.self_samples >= MIN_SELF_SAMPLES)
-            {
-                return ("sampled", k.self_ns as f64 * 1e-9);
-            }
-        }
-        ("timer", prof.seconds(name))
-    };
-    let mut sources: Vec<(String, &'static str)> = Vec::new();
-    for (name, c) in counters.entries() {
-        let (source, secs) = source_of(name);
-        sources.push((name.to_string(), source));
-        roofline_input.push((*name, secs, *c));
-    }
+    let tolerance = roofline::TOLERANCE;
+    let roofline_input: Vec<(&str, f64, _)> = counters
+        .entries()
+        .iter()
+        .map(|&(name, c)| {
+            let secs = match times.iter().find(|k| k.name == name) {
+                Some(k) => k.self_ns as f64 * 1e-9,
+                None => prof.seconds(name),
+            };
+            (name, secs, c)
+        })
+        .collect();
     let rows = roofline::validate(&roofline_input, &envelope, tolerance);
     let mut roofline_table = Table::new(
         &format!(
             "perf_report: measured vs model (ridge {:.1} flop/B, tolerance {tolerance}x)",
             envelope.ridge_flops_per_byte()
         ),
-        &["kernel", "bound", "measured s", "model s", "ratio", "GB/s", "source", "flag"],
+        &["kernel", "bound", "measured s", "model s", "ratio", "GB/s", "flag"],
     );
     let mut roofline_json = Vec::new();
     for r in &rows {
-        let source = sources
-            .iter()
-            .find(|(n, _)| *n == r.name)
-            .map_or("timer", |(_, s)| *s);
         let flag = match r.deviation {
             Some(Deviation::Slow) => "SLOW",
             // Expected on cache-resident verification meshes: the
@@ -397,7 +380,6 @@ fn main() {
             fmt_g(r.model_seconds),
             format!("{:.2}", r.ratio),
             fmt_g(r.achieved_gbs),
-            source.to_string(),
             flag.to_string(),
         ]);
         roofline_json.push(Json::obj(vec![
@@ -408,7 +390,6 @@ fn main() {
             ("ratio", Json::num(r.ratio)),
             ("achieved_gbs", Json::num(r.achieved_gbs)),
             ("achieved_gflops", Json::num(r.achieved_gflops)),
-            ("source", Json::str(source)),
             (
                 "deviation",
                 match r.deviation {
@@ -479,24 +460,14 @@ fn main() {
          crossings, {regions_per_linear:.2} regions per linear iteration\n"
     );
 
-    // ---- (c) convergence history ----
-    let residual = snap.series("ptc.residual");
-    let dts = snap.series("ptc.dt");
-    let gmres_iters = snap.series("ptc.gmres_iters");
+    // ---- (c) convergence history (the solve's ptc_step events) ----
+    let history = flog.convergence(stats.solve_id);
     let mut conv_table = Table::new(
         "perf_report: PTC convergence history",
         &["step", "residual", "dt", "gmres iters"],
     );
-    for (i, (step, res)) in residual.iter().enumerate() {
-        conv_table.row(&[
-            format!("{step:.0}"),
-            fmt_g(*res),
-            dts.get(i).map(|(_, v)| fmt_g(*v)).unwrap_or_default(),
-            gmres_iters
-                .get(i)
-                .map(|(_, v)| format!("{v:.0}"))
-                .unwrap_or_default(),
-        ]);
+    for &(step, res, dt, iters) in &history {
+        conv_table.row(&[step.to_string(), fmt_g(res), fmt_g(dt), iters.to_string()]);
     }
     print!("{}", conv_table.render());
     println!(
@@ -510,7 +481,6 @@ fn main() {
     // (modeled serial/parallel seconds, crossover) and the sync-cost
     // calibration that produced it — the audit trail for WHY that
     // scheme ran, not just which.
-    let flog = flight::snapshot();
     let mut policy_json = Json::Null;
     let mut probe_json = Json::Null;
     for e in &flog.events {
@@ -570,7 +540,7 @@ fn main() {
     // ---- (d) machine-readable artifacts ----
     let dropped = snap.dropped_spans();
     if dropped > 0 {
-        println!("note: {dropped} spans lost to ring wraparound (raise FUN3D_TELEMETRY_RING)");
+        println!("note: {dropped} spans lost to ring wraparound: the span profile is incomplete");
     }
     let summary = Json::obj(vec![
         (
@@ -619,22 +589,28 @@ fn main() {
                 ("rows", Json::Arr(roofline_json)),
             ]),
         ),
-        ("profile", profile_json.unwrap_or(Json::Null)),
+        (
+            "profile",
+            Json::obj(vec![
+                ("dropped_spans", Json::num(dropped as f64)),
+                ("kernels", Json::Arr(profile_kernels)),
+            ]),
+        ),
         ("threads", Json::Arr(threads_json)),
         (
             "convergence",
             Json::obj(vec![
                 (
                     "residual",
-                    Json::Arr(residual.iter().map(|(_, y)| Json::num(*y)).collect()),
+                    Json::Arr(history.iter().map(|h| flight::json_f64(h.1)).collect()),
                 ),
                 (
                     "dt",
-                    Json::Arr(dts.iter().map(|(_, y)| Json::num(*y)).collect()),
+                    Json::Arr(history.iter().map(|h| flight::json_f64(h.2)).collect()),
                 ),
                 (
                     "gmres_iters",
-                    Json::Arr(gmres_iters.iter().map(|(_, y)| Json::num(*y)).collect()),
+                    Json::Arr(history.iter().map(|h| Json::num(h.3 as f64)).collect()),
                 ),
             ]),
         ),
@@ -648,9 +624,9 @@ fn main() {
         Ok(p) => println!("[chrome trace written to {} — open in Perfetto]", p.display()),
         Err(e) => eprintln!("warning: could not write trace: {e}"),
     }
-    if let Some(sp) = &sample_profile {
+    if !span_profile.stacks.is_empty() {
         let folded_path = dir.join("perf_report.folded");
-        match std::fs::write(&folded_path, profile_fmt::folded(sp)) {
+        match std::fs::write(&folded_path, profile_fmt::folded(&span_profile)) {
             Ok(()) => println!(
                 "[folded stacks written to {} — flamegraph.pl/inferno input]",
                 folded_path.display()
@@ -658,7 +634,7 @@ fn main() {
             Err(e) => eprintln!("warning: could not write folded stacks: {e}"),
         }
         let scope = profile_fmt::speedscope(
-            sp,
+            &span_profile,
             &format!("perf_report {} {}t", args.mesh.name(), args.threads),
         );
         match write_json(&dir, "perf_report.speedscope", &scope) {

@@ -5,10 +5,11 @@
 
 use fun3d_cluster::Universe;
 use fun3d_util::telemetry::flight::{self, EventKind};
+use fun3d_util::telemetry::{self, Level};
 
 #[test]
 fn rank_comm_events_merge_into_one_ordered_timeline() {
-    flight::set_enabled(true);
+    telemetry::set_level(Level::Counters);
     // Distinctive payload sizes so this test's events are identifiable
     // even though the process-wide log may hold events from elsewhere.
     const A: usize = 11; // rank 0 -> 1: 88 bytes

@@ -694,7 +694,7 @@ fn record_stage_metrics(
     solve_end_ns: u64,
     reply_ns: u64,
 ) {
-    if !metrics::enabled() {
+    if !telemetry::enabled() {
         return;
     }
     let queue = dispatch_ns.saturating_sub(admit_ns);
@@ -912,7 +912,7 @@ mod tests {
 
     #[test]
     fn stats_json_reports_live_tenant_percentiles() {
-        metrics::set_enabled(true);
+        telemetry::set_level(telemetry::Level::Counters);
         let svc = Service::start(tiny_config());
         for _ in 0..2 {
             svc.submit(quick_req("statsee")).unwrap().wait();
@@ -946,8 +946,7 @@ mod tests {
 
     #[test]
     fn serve_stages_are_monotone_and_tagged() {
-        metrics::set_enabled(true);
-        flight::set_enabled(true);
+        telemetry::set_level(telemetry::Level::Counters);
         let svc = Service::start(tiny_config());
         let reply = svc.submit(quick_req("stager")).unwrap().wait();
         svc.shutdown();

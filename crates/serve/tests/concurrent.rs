@@ -13,7 +13,7 @@ use fun3d_mesh::generator::MeshPreset;
 use fun3d_serve::service::hash_state;
 use fun3d_serve::wire::SolveRequest;
 use fun3d_serve::{tenant_hash, ServeConfig, Service, SolveReply};
-use fun3d_util::telemetry::flight;
+use fun3d_util::telemetry::{self, flight, Level};
 use std::collections::HashMap;
 
 fn tiny_req(tenant: &str) -> SolveRequest {
@@ -103,7 +103,7 @@ fn check_bitwise(
 
 #[test]
 fn concurrent_mixed_load_is_bitwise_identical_and_budgeted() {
-    flight::set_enabled(true);
+    telemetry::set_level(Level::Counters);
 
     // Ground truth per request shape and width (tenant does not affect
     // the solution).

@@ -11,7 +11,7 @@ use fun3d_mesh::generator::MeshPreset;
 use fun3d_serve::wire::SolveRequest;
 use fun3d_serve::{tenant_hash, ServeConfig, Service, SolveReply};
 use fun3d_util::telemetry::json::Json;
-use fun3d_util::telemetry::{flight, metrics, trace};
+use fun3d_util::telemetry::{self, flight, trace, Level};
 use std::collections::HashSet;
 
 fn req(tenant: &str) -> SolveRequest {
@@ -25,8 +25,7 @@ const STAGE_ORDER: [&str; 5] = ["admit", "dispatch", "solve_start", "solve_end",
 
 #[test]
 fn every_reply_assembles_an_isolated_monotone_timeline() {
-    flight::set_enabled(true);
-    metrics::set_enabled(true);
+    telemetry::set_level(Level::Counters);
 
     let svc = Service::start(ServeConfig {
         teams: 2,

@@ -16,7 +16,6 @@ use crate::vecops;
 use fun3d_threads::ThreadPool;
 use fun3d_util::telemetry;
 use fun3d_util::telemetry::flight;
-use fun3d_util::Timer;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -166,6 +165,12 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
     problem.residual(u, &mut r);
     let res0 = reduced_norm2(problem.reducer(), &r);
     let mut res = res0;
+    flight::emit(flight::EventKind::PtcStep {
+        step: 0,
+        res: res0,
+        dt: 0.0,
+        gmres_iters: 0,
+    });
     let mut stats = PtcStats {
         time_steps: 0,
         newton_iters: 0,
@@ -190,9 +195,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         problem.time_diag(dt, &mut shift);
         {
             let _pc_span = telemetry::span("ptc.precond_build");
-            let pc_timer = Timer::start();
             problem.build_preconditioner(u, &shift);
-            telemetry::series_push("ptc.precond_build_s", (step + 1) as f64, pc_timer.seconds());
         }
 
         let mut step_lin_iters = 0usize;
@@ -249,9 +252,6 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         res = reduced_norm2(problem.reducer(), &r);
         stats.time_steps = step + 1;
         stats.res_history.push(res);
-        telemetry::series_push("ptc.residual", (step + 1) as f64, res);
-        telemetry::series_push("ptc.dt", (step + 1) as f64, dt);
-        telemetry::series_push("ptc.gmres_iters", (step + 1) as f64, step_lin_iters as f64);
         telemetry::metrics::record_ns(
             "solver.ptc_step_ns",
             step_t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
@@ -284,7 +284,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
                 value: anomaly.value(),
             });
             stats.anomaly = Some(anomaly);
-            if flight::enabled() {
+            if telemetry::enabled() {
                 let _ = flight::dump(anomaly.trigger());
             }
             break;
@@ -304,7 +304,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         stats.linear_iters as u64,
         res,
     );
-    if flight::enabled() && flight::dump_requested() {
+    if telemetry::enabled() && flight::dump_requested() {
         let _ = flight::dump(flight::Trigger::Request);
     }
     stats
@@ -447,13 +447,16 @@ mod tests {
         let mut u = vec![0.0; p.dim()];
         let stats = solve(&mut p, &mut u, &PtcConfig::default());
         assert!(stats.time_steps >= 1);
-        let snap = telemetry::snapshot();
-        // one residual/dt/gmres_iters point per time step (other tests in
-        // this binary may add more, never fewer)
-        assert!(snap.series("ptc.residual").len() >= stats.time_steps);
-        assert!(snap.series("ptc.dt").len() >= stats.time_steps);
-        assert!(snap.series("ptc.gmres_iters").len() >= stats.time_steps);
-        assert!(snap.series("ptc.precond_build_s").len() >= stats.time_steps);
+        // The solve's ptc_step events, step 0 the initial residual, are
+        // its convergence history bit for bit.
+        let history = flight::snapshot().convergence(stats.solve_id);
+        let steps: Vec<u64> = history.iter().map(|h| h.0).collect();
+        assert_eq!(steps, (0..=stats.time_steps as u64).collect::<Vec<_>>());
+        let res: Vec<u64> = history.iter().map(|h| h.1.to_bits()).collect();
+        let want: Vec<u64> = stats.res_history.iter().map(|r| r.to_bits()).collect();
+        assert_eq!(res, want);
+        let iters: u64 = history.iter().map(|h| h.3).sum();
+        assert_eq!(iters, stats.linear_iters as u64);
     }
 
     #[test]

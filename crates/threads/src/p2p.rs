@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn blocked_waits_are_attributed_and_free_waits_are_not() {
-        metrics::set_enabled(true);
+        fun3d_util::telemetry::set_level(fun3d_util::telemetry::Level::Counters);
         let progress = P2pProgress::new(2, 1).attributed("test.p2p", "t");
         let pool = ThreadPool::new(2);
         let gate = crate::SpinBarrier::new(2);

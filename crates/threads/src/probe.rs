@@ -10,7 +10,7 @@
 
 use crate::{SpinBarrier, ThreadPool};
 use fun3d_util::stats::median;
-use fun3d_util::telemetry::metrics;
+use fun3d_util::telemetry::{self, metrics};
 use std::time::Instant;
 
 /// Measured synchronization costs of a live pool, seconds.
@@ -72,7 +72,7 @@ impl SyncCosts {
     /// Feeds this measurement into the per-pool-size live histograms
     /// that [`SyncCosts::observed`] reads back.
     fn record_observed(&self, pool_size: usize) {
-        if !metrics::enabled() {
+        if !telemetry::enabled() {
             return;
         }
         metrics::histogram(&format!("threads.p{pool_size}.region_launch_ns"))
@@ -86,7 +86,7 @@ impl SyncCosts {
     /// the execution policy consults before paying for a fresh one-shot
     /// probe. `None` until at least one probe of this size has recorded.
     pub fn observed(pool_size: usize) -> Option<SyncCosts> {
-        if !metrics::enabled() {
+        if !telemetry::enabled() {
             return None;
         }
         let snap = metrics::snapshot();
@@ -152,7 +152,7 @@ mod tests {
         assert!(c.barrier_phase_s < 0.05, "phase {}", c.barrier_phase_s);
         // The probe feeds the live histograms, so the observed source now
         // answers for this pool size with a cost of the same decade.
-        if metrics::enabled() {
+        if telemetry::enabled() {
             let o = SyncCosts::observed(pool.size()).expect("probe recorded");
             assert!(o.region_launch_s > 0.0 && o.region_launch_s < 0.05);
             assert!(o.barrier_phase_s > 0.0 && o.barrier_phase_s < 0.05);

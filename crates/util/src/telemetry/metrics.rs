@@ -1,5 +1,6 @@
 //! Live metrics plane: a lock-free registry of counters, gauges, and
-//! log-bucketed latency histograms, always on in production builds.
+//! log-bucketed latency histograms, recording at the default telemetry
+//! level.
 //!
 //! Where spans ([`super::ring`]) and the flight recorder
 //! ([`super::flight`]) reconstruct *what happened* after the fact, this
@@ -11,13 +12,13 @@
 //! ## Publication discipline
 //!
 //! Histograms follow the repo's single-writer publication protocol: each
-//! recording thread owns one [`HistShard`] per histogram and is its only
-//! writer. A record is one relaxed `fetch_add` on a bucket word followed
-//! by a **Release** increment of the shard's record count; a collector
-//! Acquire-loads the count first and then reads the buckets relaxed, so
-//! every bucket increment covered by the count it observed is visible
-//! (`sum(buckets) + overflow >= count`, never less). The protocol is
-//! model-checked under `--cfg fun3d_check`
+//! thread's recorder holds one [`HistShard`] per histogram, and the
+//! thread is its only writer. A record is one relaxed `fetch_add` on a
+//! bucket word followed by a **Release** increment of the shard's record
+//! count; a collector Acquire-loads the count first and then reads the
+//! buckets relaxed, so every bucket increment covered by the count it
+//! observed is visible (`sum(buckets) + overflow >= count`, never
+//! less). The protocol is model-checked under `--cfg fun3d_check`
 //! (`crates/util/tests/model_metrics_shard.rs`), including a
 //! Release→Relaxed mutant the checker must catch. Counters and gauges
 //! are single relaxed RMWs/stores on shared words — monotonic or
@@ -36,64 +37,29 @@
 //!
 //! ## Enablement
 //!
-//! `FUN3D_METRICS=off|0|false|none` disables the plane; every
-//! instrumentation site then costs one relaxed atomic load and a branch
-//! and allocates nothing (asserted by
-//! `crates/util/tests/metrics_overhead.rs`, the PR 2 telemetry
-//! discipline). Default: on.
+//! The plane records whenever the telemetry level is `counters` or above
+//! (the default; see the [module docs](super)). At `off` every
+//! instrumentation site costs one relaxed atomic load and a branch and
+//! allocates nothing (asserted by `crates/util/tests/metrics_overhead.rs`).
+//!
+//! ## Shards live in the recorder
+//!
+//! A thread's histogram shards belong to its telemetry recorder, so when
+//! the next thread adopts an exited thread's recorder it keeps writing the
+//! same shards: a histogram's `count` and `sum_ns` never drop, and the
+//! number of shards is bounded by the peak number of live threads times
+//! the histograms each touched.
 
 use super::json::Json;
-use super::now_ns;
+use super::{enabled, now_ns, recorders, with_local, Local};
 // Shim atomics carry the histogram shard's publication protocol: std
 // atomics in normal builds, fun3d-check's tracked types under
 // `--cfg fun3d_check` so the model tests explore the real orderings.
 use fun3d_check::shim::{AtomicU64, Ordering};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64 as StdAtomicU64, AtomicU8, Ordering as StdOrdering};
+use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-// ---------------------------------------------------------------------
-// Enablement
-// ---------------------------------------------------------------------
-
-const STATE_UNSET: u8 = u8::MAX;
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNSET);
-
-#[cold]
-fn init_state_from_env() -> bool {
-    let on = match std::env::var("FUN3D_METRICS") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "off" | "0" | "false" | "none"
-        ),
-        Err(_) => true, // always-on default
-    };
-    let _ = STATE.compare_exchange(
-        STATE_UNSET,
-        on as u8,
-        StdOrdering::Relaxed,
-        StdOrdering::Relaxed,
-    );
-    STATE.load(StdOrdering::Relaxed) != 0
-}
-
-/// Whether the metrics plane is recording (first call reads
-/// `FUN3D_METRICS`; afterwards one relaxed load).
-#[inline]
-pub fn enabled() -> bool {
-    let v = STATE.load(StdOrdering::Relaxed);
-    if v == STATE_UNSET {
-        init_state_from_env()
-    } else {
-        v != 0
-    }
-}
-
-/// Overrides the enablement (tools and tests; effective immediately on
-/// all threads).
-pub fn set_enabled(on: bool) {
-    STATE.store(on as u8, StdOrdering::Relaxed);
-}
 
 // ---------------------------------------------------------------------
 // Bucket geometry
@@ -165,6 +131,10 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 
 /// One thread's private histogram storage. The owning thread is the
 /// only writer; collectors read concurrently via the count handshake.
+/// Aligned to two cache lines: `count`, `sum` and `max` are written on
+/// every record (every barrier wait), and the shards of threads that ran
+/// one after another are allocated next to each other.
+#[repr(align(128))]
 pub struct HistShard {
     buckets: Box<[AtomicU64]>,
     /// Records published so far. The Release increment here is the
@@ -179,7 +149,7 @@ pub struct HistShard {
 
 impl HistShard {
     /// A shard with the full production bucket array.
-    pub fn new() -> HistShard {
+    fn new() -> HistShard {
         HistShard::with_buckets(BUCKETS)
     }
 
@@ -235,18 +205,6 @@ impl HistShard {
         (c, buckets)
     }
 
-    fn overflow_count(&self) -> u64 {
-        self.overflow.load(StdOrdering::Relaxed)
-    }
-
-    fn sum_value(&self) -> u64 {
-        self.sum.load(StdOrdering::Relaxed)
-    }
-
-    fn max_value(&self) -> u64 {
-        self.max.load(StdOrdering::Relaxed)
-    }
-
     /// Forgets all records. Quiescent points only (the owning writer
     /// must not be recording concurrently).
     pub fn clear(&self) {
@@ -257,12 +215,6 @@ impl HistShard {
         self.max.store(0, StdOrdering::Relaxed);
         self.overflow.store(0, StdOrdering::Relaxed);
         self.count.store(0, Ordering::Release);
-    }
-}
-
-impl Default for HistShard {
-    fn default() -> Self {
-        HistShard::new()
     }
 }
 
@@ -282,13 +234,12 @@ impl Counter {
         }
     }
 
-    /// Adds `n`. One relaxed RMW; free branch when disabled.
+    /// Adds `n`. One relaxed RMW; free branch at level `off`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            self.value.fetch_add(n, StdOrdering::Relaxed);
         }
-        self.value.fetch_add(n, StdOrdering::Relaxed);
     }
 
     /// Adds 1.
@@ -319,10 +270,9 @@ impl Gauge {
     /// Sets the gauge. One relaxed store.
     #[inline]
     pub fn set(&self, v: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            self.value.store(v, StdOrdering::Relaxed);
         }
-        self.value.store(v, StdOrdering::Relaxed);
     }
 
     /// Current value.
@@ -331,20 +281,42 @@ impl Gauge {
     }
 }
 
-/// A log-bucketed latency histogram: per-thread [`HistShard`]s merged
-/// at collection time.
+/// A log-bucketed latency histogram: per-thread [`HistShard`]s, held by
+/// the threads' recorders, merged at collection time.
 pub struct Histogram {
-    /// Process-unique id keying the per-thread shard cache.
+    /// Process-unique id keying each recorder's shard of it.
     id: u64,
-    shards: Mutex<Vec<Arc<HistShard>>>,
 }
 
-thread_local! {
-    /// This thread's shard per histogram id. A small linear-scan vec:
-    /// threads touch a handful of histograms, and a scan of a few
-    /// entries beats hashing on the record path.
-    static SHARDS: std::cell::RefCell<Vec<(u64, Arc<HistShard>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+/// Records `ns` into this thread's shard of histogram `id`, found through
+/// `cache` (keyed by `key`) or, on a miss, in the recorder's own shards —
+/// where a thread that adopted a recorder finds its predecessor's shard
+/// and carries its totals on.
+fn record_local<K: Copy + PartialEq>(
+    cache: impl FnOnce(&Local) -> &RefCell<Vec<(K, Arc<HistShard>)>>,
+    key: K,
+    id: impl FnOnce() -> u64,
+    ns: u64,
+) {
+    with_local(|local| {
+        let mut cache = cache(local).borrow_mut();
+        if let Some((_, shard)) = cache.iter().find(|(k, _)| *k == key) {
+            return shard.record(ns);
+        }
+        let id = id();
+        let shard = {
+            let mut shards = local.recorder().shards.lock().unwrap();
+            match shards.iter().find(|(i, _)| *i == id) {
+                Some((_, shard)) => Arc::clone(shard),
+                None => {
+                    shards.push((id, Arc::new(HistShard::new())));
+                    Arc::clone(&shards.last().unwrap().1)
+                }
+            }
+        };
+        shard.record(ns);
+        cache.push((key, shard));
+    });
 }
 
 impl Histogram {
@@ -352,54 +324,47 @@ impl Histogram {
         static NEXT: StdAtomicU64 = StdAtomicU64::new(1);
         Histogram {
             id: NEXT.fetch_add(1, StdOrdering::Relaxed),
-            shards: Mutex::new(Vec::new()),
         }
     }
 
     /// Records a value in nanoseconds. Lock-free after this thread's
-    /// first record (which registers the thread's shard); a single
-    /// relaxed load and branch when disabled.
+    /// first record (which finds or adds its recorder's shard); a single
+    /// relaxed load and branch at level `off`.
     #[inline]
     pub fn record(&self, ns: u64) {
-        if !enabled() {
-            return;
+        if enabled() {
+            self.record_always(ns);
         }
-        self.record_always(ns);
     }
 
     fn record_always(&self, ns: u64) {
-        SHARDS.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some((_, shard)) = cache.iter().find(|(id, _)| *id == self.id) {
-                shard.record(ns);
-                return;
-            }
-            let shard = Arc::new(HistShard::new());
-            self.shards.lock().unwrap().push(Arc::clone(&shard));
-            shard.record(ns);
-            cache.push((self.id, shard));
-        });
+        record_local(|l| &l.shards, self.id, || self.id, ns);
     }
 
-    /// Records a duration.
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
+    /// Calls `f` on every recorder's shard of this histogram.
+    fn for_each_shard(&self, mut f: impl FnMut(&HistShard)) {
+        for rec in recorders().iter() {
+            for (id, shard) in rec.shards.lock().unwrap().iter() {
+                if *id == self.id {
+                    f(shard);
+                }
+            }
+        }
     }
 
     /// Merges every thread's shard into one [`HistSnapshot`].
     pub fn snapshot(&self, name: &str) -> HistSnapshot {
         let mut buckets = vec![0u64; BUCKETS];
         let (mut overflow, mut sum, mut max) = (0u64, 0u64, 0u64);
-        for shard in self.shards.lock().unwrap().iter() {
+        self.for_each_shard(|shard| {
             let (_count, b) = shard.read();
             for (acc, v) in buckets.iter_mut().zip(&b) {
                 *acc += v;
             }
-            overflow += shard.overflow_count();
-            sum += shard.sum_value();
-            max = max.max(shard.max_value());
-        }
+            overflow += shard.overflow.load(StdOrdering::Relaxed);
+            sum += shard.sum.load(StdOrdering::Relaxed);
+            max = max.max(shard.max.load(StdOrdering::Relaxed));
+        });
         let count = buckets.iter().sum::<u64>() + overflow;
         HistSnapshot {
             name: name.to_string(),
@@ -417,9 +382,7 @@ impl Histogram {
 
     /// Clears every shard. Quiescent points only.
     pub fn clear(&self) {
-        for shard in self.shards.lock().unwrap().iter() {
-            shard.clear();
-        }
+        self.for_each_shard(HistShard::clear);
     }
 }
 
@@ -442,89 +405,53 @@ fn registry() -> &'static Registry {
     })
 }
 
+/// The entry for `name`, created on first use (the name is copied only
+/// then).
+fn entry<T>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str, new: fn() -> T) -> Arc<T> {
+    let mut map = map.lock().unwrap();
+    if let Some(v) = map.get(name) {
+        return Arc::clone(v);
+    }
+    Arc::clone(
+        map.entry(name.to_string())
+            .or_insert_with(|| Arc::new(new())),
+    )
+}
+
 /// The named counter, created on first use. Hold the `Arc` at the call
 /// site; the registry lock is for lookup, never for recording.
 pub fn counter(name: &str) -> Arc<Counter> {
-    Arc::clone(
-        registry()
-            .counters
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Counter::new())),
-    )
+    entry(&registry().counters, name, Counter::new)
 }
 
 /// The named gauge, created on first use.
 pub fn gauge(name: &str) -> Arc<Gauge> {
-    Arc::clone(
-        registry()
-            .gauges
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Gauge::new())),
-    )
+    entry(&registry().gauges, name, Gauge::new)
 }
 
 /// The named histogram, created on first use.
 pub fn histogram(name: &str) -> Arc<Histogram> {
-    Arc::clone(
-        registry()
-            .hists
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new())),
-    )
-}
-
-thread_local! {
-    /// Static-name handle cache for the free-function recorders below,
-    /// so instrumentation sites pay a TL linear scan instead of the
-    /// registry lock per record.
-    static NAMED: std::cell::RefCell<Vec<(&'static str, Arc<Histogram>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-    static NAMED_CTR: std::cell::RefCell<Vec<(&'static str, Arc<Counter>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    entry(&registry().hists, name, Histogram::new)
 }
 
 /// Records `ns` into the named histogram — the one-line instrumentation
-/// entry point for static metric names. A single relaxed load and
-/// branch when disabled.
+/// entry point for static metric names, lock-free after this thread's
+/// first record of `name`. A single relaxed load and branch at level
+/// `off`.
 #[inline]
 pub fn record_ns(name: &'static str, ns: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record_local(|l| &l.named, name, || histogram(name).id, ns);
     }
-    NAMED.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((_, h)) = cache.iter().find(|(n, _)| *n == name) {
-            h.record_always(ns);
-            return;
-        }
-        let h = histogram(name);
-        h.record_always(ns);
-        cache.push((name, h));
-    });
 }
 
-/// Adds `n` to the named counter (static-name fast path).
+/// Adds `n` to the named counter (one registry lookup; per-request
+/// sites only — hot loops hold the [`counter`] handle).
 #[inline]
-pub fn counter_add(name: &'static str, n: u64) {
-    if !enabled() {
-        return;
+pub fn counter_add(name: &str, n: u64) {
+    if enabled() {
+        counter(name).value.fetch_add(n, StdOrdering::Relaxed);
     }
-    NAMED_CTR.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((_, c)) = cache.iter().find(|(nm, _)| *nm == name) {
-            c.value.fetch_add(n, StdOrdering::Relaxed);
-            return;
-        }
-        let c = counter(name);
-        c.value.fetch_add(n, StdOrdering::Relaxed);
-        cache.push((name, c));
-    });
 }
 
 /// Clears every registered metric. Quiescent points only (tests,
@@ -1033,11 +960,9 @@ pub fn check_prometheus(text: &str) -> Result<usize, String> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{set_level, Level, TEST_LOCK};
     use super::*;
     use crate::{prop_assert, prop_cases};
-
-    /// Tests that flip the global gate serialize here and restore it.
-    static GATE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn bucket_mapping_round_trips_and_is_monotone() {
@@ -1136,7 +1061,11 @@ mod tests {
         });
         let snap = h.snapshot("m");
         assert_eq!(snap.count, 4000);
-        assert_eq!(h.shards.lock().unwrap().len(), 4, "one shard per thread");
+        // One shard per recorder: a thread that started after another
+        // exited may have adopted its recorder, and with it the shard.
+        let mut shards = 0;
+        h.for_each_shard(|_| shards += 1);
+        assert!((1..=4).contains(&shards), "{shards} shards for 4 threads");
     }
 
     #[test]
@@ -1177,8 +1106,8 @@ mod tests {
         let h1 = histogram("test.reg.hist");
         let h2 = histogram("test.reg.hist");
         assert!(Arc::ptr_eq(&h1, &h2));
-        let _g = GATE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(true);
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        set_level(Level::Counters);
         c1.add(3);
         c2.add(4);
         assert_eq!(c1.value(), 7);
@@ -1192,8 +1121,8 @@ mod tests {
 
     #[test]
     fn disabled_gate_records_nothing() {
-        let _g = GATE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(false);
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        set_level(Level::Off);
         let c = counter("test.gate.counter");
         let h = histogram("test.gate.hist");
         let gge = gauge("test.gate.gauge");
@@ -1202,7 +1131,7 @@ mod tests {
         gge.set(9);
         record_ns("test.gate.free", 55);
         counter_add("test.gate.free_ctr", 5);
-        set_enabled(true);
+        set_level(Level::Counters);
         let snap = snapshot();
         assert_eq!(snap.counter("test.gate.counter"), 0);
         assert_eq!(snap.gauge("test.gate.gauge"), 0);
@@ -1213,8 +1142,8 @@ mod tests {
 
     #[test]
     fn json_snapshot_round_trips_and_validates() {
-        let _g = GATE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(true);
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        set_level(Level::Counters);
         let h = histogram("test.json.hist");
         for v in [1_000u64, 2_000, 50_000, 1_000_000] {
             h.record_always(v);
@@ -1238,8 +1167,8 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_validates_and_catches_corruption() {
-        let _g = GATE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(true);
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        set_level(Level::Counters);
         let h = histogram("test.prom.hist");
         for v in [500u64, 1500, 2500, 100_000] {
             h.record_always(v);

@@ -1,40 +1,50 @@
 //! Low-overhead run telemetry: per-thread spans, performance-model
-//! counters, convergence series, and machine-readable exporters.
+//! counters, the flight recorder, live metrics, and machine-readable
+//! exporters.
 //!
 //! The paper's argument is measurement-driven — Fig. 5's kernel profile,
 //! Fig. 6's achieved-vs-STREAM bandwidth, Table 3's bytes-per-edge model.
 //! [`PhaseTimers`](crate::PhaseTimers) gives single-threaded wall clocks;
 //! this module adds everything else those figures need:
 //!
-//! * **spans** — named intervals recorded into a per-thread, single-writer
-//!   [`ring::SpanRing`]. A worker thread's push is lock-free and
-//!   allocation-free; rings are merged only at collection time.
+//! * **spans** — named intervals recorded into a per-thread single-writer
+//!   [`ring::Ring`]; [`profile`] derives exact self/total time per span
+//!   name from their nesting.
 //! * **counters** — the [`counters::KernelCounts`] vocabulary (items,
 //!   bytes read/written, flops) from which reports derive arithmetic
 //!   intensity and achieved GB/s against a machine's STREAM number.
-//! * **series** — low-frequency `(x, y)` observations such as the
-//!   per-step residual norm and GMRES iteration counts.
-//! * **exporters** — Chrome `trace_event` JSON ([`trace`]) for
-//!   `chrome://tracing`/Perfetto timelines, and a [`json::Json`] builder
-//!   for the structured run summary.
+//! * **flight events** ([`flight`]) — structured solver decisions and
+//!   observations, including each pseudo-time step's residual, Δt and
+//!   GMRES iterations (the convergence history).
+//! * **metrics** ([`metrics`]) — live counters, gauges and latency
+//!   histograms.
+//! * **exporters** — Chrome `trace_event` JSON ([`trace`]), folded stacks
+//!   and speedscope ([`profile`]), and a [`json::Json`] builder for the
+//!   structured run summary.
 //!
-//! ## Enablement
+//! ## One gate
 //!
-//! The `FUN3D_TELEMETRY` environment variable picks a [`Level`]:
-//! `off`, `counters` (the default), `spans`, or `full`. Every
-//! instrumentation site is gated on one relaxed atomic load and a branch;
-//! at `off` nothing allocates and nothing is recorded. Tools may override
-//! programmatically with [`set_level`].
+//! The `FUN3D_TELEMETRY` environment variable picks a [`Level`]: `off`,
+//! `counters` (the default: counters, flight events and metrics), `spans`
+//! or `full`. Every instrumentation site is gated on one relaxed atomic
+//! load and a branch; at `off` nothing allocates and nothing is recorded.
+//! Tools may override programmatically with [`set_level`]. The only other
+//! telemetry variables place and request flight dumps
+//! (`FUN3D_FLIGHT_DIR`, `FUN3D_FLIGHT_DUMP`).
 //!
-//! ## Threads
+//! ## One recorder per thread, adopted by the next
 //!
-//! Each thread lazily registers one recorder cell in a global registry on
-//! first use; all subsequent writes touch only that thread's cell (the
-//! span ring is written lock-free, counters/series take an uncontended
-//! per-thread mutex at kernel-invocation granularity, not in inner
-//! loops). [`snapshot`] merges every registered cell — including those of
-//! threads that have since exited, so short-lived rank threads still show
-//! up in the trace.
+//! Each thread records into one recorder: its label, its rank and solve
+//! tags, its span ring, its flight ring, its counters and its histogram
+//! shards. The owning thread is the only writer of the rings and shards
+//! (lock-free); counters take an uncontended mutex at kernel-invocation
+//! granularity, never in inner loops. Recorders live in one registry.
+//! When a thread first records, it **adopts** the recorder of a thread
+//! that has exited, if there is one, instead of registering a new one:
+//! the span ring is cleared (a thread's spans must nest), while flight
+//! events, counters and histogram buckets carry on. So an exited thread's
+//! events survive until overwritten, totals never drop, and the registry
+//! holds at most as many recorders as threads were ever alive at once.
 
 pub mod counters;
 pub mod flight;
@@ -43,15 +53,16 @@ pub mod metrics;
 pub mod profile;
 pub mod ring;
 pub mod roofline;
-pub mod sampler;
 pub mod trace;
 
 pub use counters::{CounterMap, KernelCounts};
 pub use ring::SpanEvent;
-pub use sampler::{SampleProfile, Sampler};
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use metrics::HistShard;
+use ring::{Ring, SPAN_WORDS};
+use std::cell::{OnceCell, RefCell};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// How much the telemetry layer records.
@@ -59,10 +70,10 @@ use std::time::Instant;
 pub enum Level {
     /// Record nothing; every site costs one load + branch.
     Off = 0,
-    /// Counters and series only (the default: no per-span clock reads,
-    /// so timing-sensitive tests are unaffected).
+    /// Counters, flight events and metrics (the default: no per-span
+    /// clock reads, so timing-sensitive tests are unaffected).
     Counters = 1,
-    /// Counters plus kernel-level spans.
+    /// Everything above plus kernel-level spans.
     Spans = 2,
     /// Everything, including high-frequency spans such as per-chunk
     /// `parallel_for` intervals.
@@ -129,6 +140,13 @@ pub fn set_level(l: Level) {
     LEVEL.store(l as u8, Ordering::Relaxed);
 }
 
+/// Whether counters, flight events and metrics record (the level is
+/// [`Level::Counters`] or above).
+#[inline]
+pub fn enabled() -> bool {
+    level() >= Level::Counters
+}
+
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Nanoseconds since the process telemetry epoch (the first call).
@@ -137,102 +155,152 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// One `(x, y)` observation of a named series (e.g. the residual norm
-/// per pseudo-time step).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SeriesPoint {
-    /// Series name.
-    pub series: &'static str,
-    /// Abscissa (step number, iteration, …).
-    pub x: f64,
-    /// Observed value.
-    pub y: f64,
-}
+/// Spans each thread's ring holds (newest win).
+pub const SPAN_CAPACITY: usize = 4096;
 
-/// Ring capacity per thread, configurable via `FUN3D_TELEMETRY_RING`.
-fn ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("FUN3D_TELEMETRY_RING")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(4096)
-            .clamp(16, 1 << 22)
-    })
-}
-
-/// One thread's recorder. The owning thread is the only writer of the
-/// ring and (in steady state) the only locker of the mutexes, which are
-/// taken once per kernel invocation — never inside inner loops.
-struct ThreadCell {
+/// One thread's recorder. Its thread is the only writer of the rings, the
+/// tags and the shards (see the module docs); aligned to two cache lines
+/// so recorders that are written on every barrier wait never share one.
+#[repr(align(128))]
+struct Recorder {
     label: Mutex<String>,
-    ring: OnceLock<ring::SpanRing>,
-    /// Continuously-published open-span path, read by the sampler.
-    slot: sampler::SpanSlot,
+    /// Cluster rank tag of this thread's flight events.
+    rank: AtomicU64,
+    /// Solve tag of this thread's flight events (0 = outside any solve).
+    solve: AtomicU64,
+    /// Allocated on the first span (level `spans` and up).
+    spans: OnceLock<Ring<SPAN_WORDS>>,
+    /// Allocated on the first flight event.
+    flight: OnceLock<Ring<{ flight::SLOT_WORDS }>>,
     counters: Mutex<CounterMap>,
-    series: Mutex<Vec<SeriesPoint>>,
+    /// This thread's shard of each histogram it recorded, by histogram id.
+    shards: Mutex<Vec<(u64, Arc<HistShard>)>>,
 }
 
-impl ThreadCell {
-    fn new(label: String) -> ThreadCell {
-        ThreadCell {
+impl Recorder {
+    fn new(label: String) -> Recorder {
+        Recorder {
             label: Mutex::new(label),
-            ring: OnceLock::new(),
-            slot: sampler::SpanSlot::new(),
+            rank: AtomicU64::new(0),
+            solve: AtomicU64::new(0),
+            spans: OnceLock::new(),
+            flight: OnceLock::new(),
             counters: Mutex::new(CounterMap::new()),
-            series: Mutex::new(Vec::new()),
+            shards: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Hands an exited thread's recorder to a new thread: a new label, no
+    /// tags, no spans; flight events, counters and shards carry on.
+    fn adopt(&mut self, label: String) {
+        *self.label.get_mut().unwrap_or_else(|p| p.into_inner()) = label;
+        *self.rank.get_mut() = 0;
+        *self.solve.get_mut() = 0;
+        if let Some(spans) = self.spans.get_mut() {
+            spans.clear();
         }
     }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<ThreadCell>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadCell>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// Every recorder, in registration order.
+fn recorders() -> MutexGuard<'static, Vec<Arc<Recorder>>> {
+    static REGISTRY: Mutex<Vec<Arc<Recorder>>> = Mutex::new(Vec::new());
+    REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The calling thread's recorder: an exited thread's, adopted, when one
+/// is free, else a new one.
+fn register() -> Arc<Recorder> {
+    let thread = std::thread::current();
+    let label = match thread.name() {
+        Some(name) => name.to_string(),
+        None => format!("{:?}", thread.id()),
+    };
+    let mut recs = recorders();
+    // The adoption hand-off. `Arc::get_mut` succeeds only when the
+    // registry holds the last reference — the previous owner's `Local`
+    // has been dropped. That drop is a Release decrement of the count,
+    // sequenced after every store the old thread made to the recorder
+    // (its last ring push, histogram record, counter update), and
+    // `get_mut` reads the count with Acquire: all of those stores
+    // happen-before the adoption, hence before the new owner's first
+    // store, so each ring and shard keeps exactly one writer at a time.
+    // Collectors read recorders only while holding this lock, so none
+    // sees the span ring being cleared.
+    for rec in recs.iter_mut() {
+        if let Some(free) = Arc::get_mut(rec) {
+            free.adopt(label);
+            return Arc::clone(rec);
+        }
+    }
+    let rec = Arc::new(Recorder::new(label));
+    recs.push(Arc::clone(&rec));
+    rec
+}
+
+/// Recorders registered so far: at most the peak number of threads that
+/// recorded at the same time.
+pub fn registered_recorders() -> usize {
+    recorders().len()
+}
+
+/// This thread's recorder, registered on first use, plus the histogram
+/// shard caches that keep the record paths lock-free.
+struct Local {
+    rec: OnceCell<Arc<Recorder>>,
+    /// Histogram id → this recorder's shard.
+    shards: RefCell<Vec<(u64, Arc<HistShard>)>>,
+    /// Static histogram name → this recorder's shard
+    /// ([`metrics::record_ns`]).
+    named: RefCell<Vec<(&'static str, Arc<HistShard>)>>,
+}
+
+impl Local {
+    fn recorder(&self) -> &Recorder {
+        self.rec.get_or_init(register)
+    }
 }
 
 thread_local! {
-    static CELL: std::cell::OnceCell<Arc<ThreadCell>> = const { std::cell::OnceCell::new() };
+    static LOCAL: Local = const {
+        Local {
+            rec: OnceCell::new(),
+            shards: RefCell::new(Vec::new()),
+            named: RefCell::new(Vec::new()),
+        }
+    };
 }
 
-fn with_cell<R>(f: impl FnOnce(&ThreadCell) -> R) -> R {
-    CELL.with(|slot| {
-        let cell = slot.get_or_init(|| {
-            let label = std::thread::current()
-                .name()
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("{:?}", std::thread::current().id()));
-            let cell = Arc::new(ThreadCell::new(label));
-            registry().lock().unwrap().push(Arc::clone(&cell));
-            cell
-        });
-        f(cell)
-    })
+/// Runs `f` on this thread's [`Local`]; `None` once the thread is tearing
+/// its thread-locals down (the record is dropped).
+fn with_local<R>(f: impl FnOnce(&Local) -> R) -> Option<R> {
+    LOCAL.try_with(f).ok()
+}
+
+fn with_recorder<R>(f: impl FnOnce(&Recorder) -> R) -> Option<R> {
+    with_local(|l| f(l.recorder()))
 }
 
 /// Labels the current thread's timeline (worker id, rank id). Reuses the
 /// thread name by default; call this where threads have roles the name
 /// doesn't carry.
 pub fn set_thread_label(label: impl Into<String>) {
-    if level() == Level::Off {
-        return;
+    if enabled() {
+        with_recorder(|r| *r.label.lock().unwrap() = label.into());
     }
-    with_cell(|c| *c.label.lock().unwrap() = label.into());
 }
 
-/// An in-flight span; records into the current thread's ring on drop.
-/// Inactive (and free) below the gating level.
+/// An in-flight span; records into the current thread's span ring on
+/// drop. Inactive (and free) below the gating level.
 ///
-/// While open, an active span is also published in the thread's
-/// [`sampler::SpanSlot`] so the sampling profiler can attribute the
-/// thread's time to it. The slot is single-writer, which is why `Span`
-/// is `!Send`: opening and closing must happen on the same thread.
+/// `!Send`: a span is recorded on the thread that dropped it, and the
+/// profile derives self time from the nesting on each thread's ring, so
+/// opening and closing must happen on the same thread.
 #[must_use = "a span measures the scope it is bound to; bind it to a named guard"]
 pub struct Span {
     name: &'static str,
     start_ns: u64,
     active: bool,
-    /// `!Send`: the drop must run on the opening thread (slot pop and
-    /// ring push are both single-writer).
     _pinned: std::marker::PhantomData<*const ()>,
 }
 
@@ -243,6 +311,15 @@ impl Span {
         active: false,
         _pinned: std::marker::PhantomData,
     };
+
+    fn open(name: &'static str) -> Span {
+        Span {
+            name,
+            start_ns: now_ns(),
+            active: true,
+            _pinned: std::marker::PhantomData,
+        }
+    }
 }
 
 impl Drop for Span {
@@ -250,27 +327,16 @@ impl Drop for Span {
         if !self.active {
             return;
         }
-        let dur_ns = now_ns().saturating_sub(self.start_ns);
-        with_cell(|c| {
-            c.slot.pop();
-            c.ring
-                .get_or_init(|| ring::SpanRing::new(ring_capacity()))
-                .push(SpanEvent {
-                    name: self.name,
-                    start_ns: self.start_ns,
-                    dur_ns,
-                })
+        let ev = SpanEvent {
+            name: self.name,
+            start_ns: self.start_ns,
+            dur_ns: now_ns().saturating_sub(self.start_ns),
+        };
+        with_recorder(|r| {
+            r.spans
+                .get_or_init(|| Ring::new(SPAN_CAPACITY))
+                .push(ev.words())
         });
-    }
-}
-
-fn open_span(name: &'static str) -> Span {
-    with_cell(|c| c.slot.push(name));
-    Span {
-        name,
-        start_ns: now_ns(),
-        active: true,
-        _pinned: std::marker::PhantomData,
     }
 }
 
@@ -280,7 +346,7 @@ pub fn span(name: &'static str) -> Span {
     if level() < Level::Spans {
         return Span::INACTIVE;
     }
-    open_span(name)
+    Span::open(name)
 }
 
 /// Opens a high-frequency span (per-chunk, per-level) recorded only at
@@ -290,7 +356,7 @@ pub fn fine_span(name: &'static str) -> Span {
     if level() < Level::Full {
         return Span::INACTIVE;
     }
-    open_span(name)
+    Span::open(name)
 }
 
 /// Accumulates performance-model counters for a kernel on the current
@@ -298,27 +364,16 @@ pub fn fine_span(name: &'static str) -> Span {
 /// invocation with analytic totals — never from inner loops.
 #[inline]
 pub fn record_kernel(name: &'static str, c: KernelCounts) {
-    if level() < Level::Counters {
-        return;
+    if enabled() {
+        with_recorder(|r| r.counters.lock().unwrap().add(name, c));
     }
-    with_cell(|cell| cell.counters.lock().unwrap().add(name, c));
 }
 
-/// Appends an `(x, y)` observation to a named series (recorded at
-/// [`Level::Counters`] and up).
-#[inline]
-pub fn series_push(series: &'static str, x: f64, y: f64) {
-    if level() < Level::Counters {
-        return;
-    }
-    with_cell(|cell| cell.series.lock().unwrap().push(SeriesPoint { series, x, y }));
-}
-
-/// The current thread's accumulated counters (its own cell only — useful
-/// for per-rank assertions where global state would mix concurrent
-/// actors).
+/// The current thread's recorder's counters (its own only — useful for
+/// per-rank assertions where global state would mix concurrent actors;
+/// an adopted recorder's counters include its previous owners').
 pub fn local_counters() -> CounterMap {
-    with_cell(|cell| cell.counters.lock().unwrap().clone())
+    with_recorder(|r| r.counters.lock().unwrap().clone()).unwrap_or_default()
 }
 
 /// One thread's collected telemetry.
@@ -326,20 +381,18 @@ pub fn local_counters() -> CounterMap {
 pub struct ThreadProfile {
     /// Thread label (name, worker id, or rank id).
     pub label: String,
-    /// Recorded spans, oldest first.
+    /// Recorded spans, in the order they closed.
     pub spans: Vec<SpanEvent>,
     /// Spans lost to ring wraparound.
     pub dropped_spans: u64,
     /// Kernel counters.
     pub counters: CounterMap,
-    /// Series observations.
-    pub series: Vec<SeriesPoint>,
 }
 
-/// A merged view over every registered thread recorder.
+/// A merged view over every recorder.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
-    /// Per-thread profiles in registration order.
+    /// Per-recorder profiles in registration order.
     pub threads: Vec<ThreadProfile>,
 }
 
@@ -351,35 +404,6 @@ impl Snapshot {
             total.merge(&t.counters);
         }
         total
-    }
-
-    /// A series merged across threads, sorted by `x`.
-    pub fn series(&self, name: &str) -> Vec<(f64, f64)> {
-        let mut pts: Vec<(f64, f64)> = self
-            .threads
-            .iter()
-            .flat_map(|t| t.series.iter())
-            .filter(|p| p.series == name)
-            .map(|p| (p.x, p.y))
-            .collect();
-        pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        pts
-    }
-
-    /// `(name, total seconds, count)` over all spans, busiest first.
-    pub fn span_totals(&self) -> Vec<(&'static str, f64, u64)> {
-        let mut acc: Vec<(&'static str, f64, u64)> = Vec::new();
-        for ev in self.threads.iter().flat_map(|t| t.spans.iter()) {
-            match acc.iter_mut().find(|(n, _, _)| *n == ev.name) {
-                Some(e) => {
-                    e.1 += ev.dur_ns as f64 * 1e-9;
-                    e.2 += 1;
-                }
-                None => acc.push((ev.name, ev.dur_ns as f64 * 1e-9, 1)),
-            }
-        }
-        acc.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-        acc
     }
 
     /// Per-thread `(label, busy seconds, span count)` for spans whose
@@ -407,46 +431,53 @@ impl Snapshot {
     }
 }
 
-/// Collects every registered thread recorder into a [`Snapshot`].
+/// Collects every recorder into a [`Snapshot`].
 ///
 /// Safe to call at any time; span rings of still-running threads are
 /// read with the single-writer protocol (in-flight slots are trimmed),
 /// but for complete timelines collect at a quiescent point (pool idle,
 /// ranks joined).
 pub fn snapshot() -> Snapshot {
-    let cells = registry().lock().unwrap();
-    let threads = cells
+    let threads = recorders()
         .iter()
-        .map(|c| {
-            let (spans, dropped_spans) = match c.ring.get() {
-                Some(r) => r.collect(),
+        .map(|r| {
+            let (slots, dropped_spans) = match r.spans.get() {
+                Some(ring) => ring.collect(),
                 None => (Vec::new(), 0),
             };
             ThreadProfile {
-                label: c.label.lock().unwrap().clone(),
-                spans,
+                label: r.label.lock().unwrap().clone(),
+                // SAFETY: span rings only ever receive `SpanEvent::words`,
+                // and these slots came out of `Ring::collect`.
+                spans: slots
+                    .into_iter()
+                    .map(|w| unsafe { SpanEvent::from_words(w) })
+                    .collect(),
                 dropped_spans,
-                counters: c.counters.lock().unwrap().clone(),
-                series: c.series.lock().unwrap().clone(),
+                counters: r.counters.lock().unwrap().clone(),
             }
         })
         .collect();
     Snapshot { threads }
 }
 
-/// Clears all recorded data (rings, counters, series) on every
-/// registered recorder. Labels and registrations survive. Call between
-/// measurement phases of a tool, at quiescent points only.
+/// Clears the spans and counters of every recorder. Labels and
+/// registrations survive. Call between measurement phases of a tool, at
+/// quiescent points only.
 pub fn reset() {
-    let cells = registry().lock().unwrap();
-    for c in cells.iter() {
-        if let Some(r) = c.ring.get() {
-            r.clear();
+    for r in recorders().iter() {
+        if let Some(ring) = r.spans.get() {
+            ring.clear();
         }
-        c.counters.lock().unwrap().clear();
-        c.series.lock().unwrap().clear();
+        r.counters.lock().unwrap().clear();
     }
 }
+
+/// Tests in this crate that change the level, or that record and expect
+/// to find their records, serialize here and leave the level at
+/// `Counters`.
+#[cfg(test)]
+static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -455,13 +486,8 @@ mod tests {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
-    /// Tests that mutate the global level serialize through this lock and
-    /// restore the default, so the rest of the binary's parallel tests
-    /// keep recording under `Counters`.
-    static LEVEL_LOCK: Mutex<()> = Mutex::new(());
-
     fn with_level<R>(l: Level, f: impl FnOnce() -> R) -> R {
-        let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         set_level(l);
         let out = f();
         set_level(Level::Counters);
@@ -496,18 +522,18 @@ mod tests {
     #[test]
     fn off_mode_is_zero_allocation_and_records_nothing() {
         with_level(Level::Off, || {
-            // Warm lazy globals (epoch, level, this thread's cell) before
-            // measuring, then hammer every instrumentation entry point.
+            // Warm lazy globals (epoch, level, this thread's recorder)
+            // before measuring, then hammer every instrumentation entry
+            // point.
             now_ns();
-            record_kernel("warm", KernelCounts::default());
             let before_counters = local_counters();
             let a0 = thread_allocs();
             for i in 0..10_000u64 {
                 let _s = span("flux");
                 let _f = fine_span("chunk");
                 record_kernel("flux", KernelCounts::once(i, 64, 8, 345));
-                series_push("residual", i as f64, 1.0 / (i + 1) as f64);
                 set_thread_label("should-not-stick");
+                flight::set_rank(i);
             }
             let a1 = thread_allocs();
             assert_eq!(a1 - a0, 0, "off-mode instrumentation allocated");
@@ -534,12 +560,6 @@ mod tests {
                 .find(|t| t.label == "span-test-thread")
                 .expect("own thread in snapshot");
             assert!(me.spans.iter().any(|e| e.name == "span-test-kernel"));
-            let totals = snap.span_totals();
-            let k = totals
-                .iter()
-                .find(|(n, _, _)| *n == "span-test-kernel")
-                .unwrap();
-            assert!(k.2 >= 1);
             let per = snap.per_thread_span_seconds("span-test-kernel");
             assert!(per.iter().any(|(l, _, n)| l == "span-test-thread" && *n >= 1));
         });
@@ -577,24 +597,36 @@ mod tests {
 
     #[test]
     fn counters_record_at_default_level_and_series_sort() {
-        // default level (Counters) — no with_level needed, but take the
-        // lock so an Off-mode test can't race us.
-        let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_level(Level::Counters);
-        record_kernel("ctr-test-kernel", KernelCounts::once(10, 100, 20, 500));
-        record_kernel("ctr-test-kernel", KernelCounts::once(10, 100, 20, 500));
-        series_push("ctr-test-series", 2.0, 20.0);
-        series_push("ctr-test-series", 1.0, 10.0);
-        let local = local_counters();
-        let c = local.get("ctr-test-kernel").unwrap();
-        assert_eq!(c.calls, 2);
-        assert_eq!(c.items, 20);
-        assert_eq!(c.bytes(), 240);
-        let snap = snapshot();
-        let pts = snap.series("ctr-test-series");
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0), "series sorted by x");
-        let total = snap.merged_counters();
-        assert!(total.get("ctr-test-kernel").unwrap().calls >= 2);
+        with_level(Level::Counters, || {
+            record_kernel("ctr-test-kernel", KernelCounts::once(10, 100, 20, 500));
+            record_kernel("ctr-test-kernel", KernelCounts::once(10, 100, 20, 500));
+            // The convergence series is the solve's ptc_step events, in
+            // step order whatever order they were emitted in.
+            let id = flight::begin_solve(4, 1);
+            for step in [2, 0, 1] {
+                let res = 1.0 / (step + 1) as f64;
+                flight::emit(flight::EventKind::PtcStep {
+                    step,
+                    res,
+                    dt: 1.0,
+                    gmres_iters: step,
+                });
+            }
+            flight::end_solve(id, true, 2, 3, 1.0 / 3.0);
+            let steps: Vec<u64> = flight::snapshot()
+                .convergence(id.0)
+                .iter()
+                .map(|s| s.0)
+                .collect();
+            assert_eq!(steps, [0, 1, 2]);
+            let local = local_counters();
+            let c = local.get("ctr-test-kernel").unwrap();
+            assert_eq!(c.calls, 2);
+            assert_eq!(c.items, 20);
+            assert_eq!(c.bytes(), 240);
+            let total = snapshot().merged_counters();
+            assert!(total.get("ctr-test-kernel").unwrap().calls >= 2);
+        });
     }
 
     #[test]
@@ -630,7 +662,7 @@ mod tests {
 
             // The worker threads record through the global level: hold it
             // at the default against the Off/Spans tests of this binary.
-            let _g = LEVEL_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+            let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
             set_level(Level::Counters);
 
             // serial reference
@@ -640,9 +672,11 @@ mod tests {
             }
 
             // real threads, each recording its share through the public
-            // API into its own cell; collected via each thread's local
-            // view (the global snapshot would include other tests'
-            // records running concurrently in this binary)
+            // API into its own recorder; collected via each thread's
+            // local view as a delta (an adopted recorder starts with its
+            // previous owner's totals, and the global snapshot would
+            // include other tests' records running concurrently in this
+            // binary)
             let mut merged = CounterMap::new();
             std::thread::scope(|scope| {
                 let mut handles = Vec::new();

@@ -1,25 +1,93 @@
-//! A single-writer ring buffer of span events.
+//! The single-writer ring every per-thread record goes through: spans at
+//! [`SPAN_WORDS`] words per slot, flight events at
+//! [`flight::SLOT_WORDS`](super::flight::SLOT_WORDS).
 //!
-//! Each worker thread owns one ring and is its only writer, so a push is
-//! four relaxed atomic stores plus one release store of the head — no
-//! locks, no CAS loops, no allocation. A collector thread may read
-//! concurrently: it snapshots the head, copies the slots, re-reads the
+//! Each thread's recorder owns its rings and its thread is their only
+//! writer, so a push is `W` relaxed stores plus one Release store of the
+//! head — no locks, no CAS loops, no allocation. A collector may read
+//! concurrently: it Acquire-loads the head, copies the slots, re-reads the
 //! head and discards any slot the writer could have been overwriting in
 //! the meantime (the slot of index `i` is reused by index `i + capacity`,
 //! so after observing head `h` every index `> h - capacity` is stable).
-//! The ring keeps the **newest** events on wraparound; the number of
-//! overwritten (dropped) events is reported alongside.
+//! The ring keeps the **newest** slots on wraparound; the number of
+//! overwritten (dropped) slots is reported alongside. The protocol is
+//! model-checked once, over this type, under `--cfg fun3d_check`
+//! (`crates/util/tests/model_ring.rs`), including the Release→Relaxed
+//! head mutant the checker must catch.
 //!
-//! Slots store the span name as raw `&'static str` parts (pointer and
-//! length) in atomics, which makes concurrent slot reads well-defined;
-//! the name is only reconstructed for indices proven stable above, so a
-//! mixed-up pointer/length pair can never escape.
+//! A span slot stores its name as raw `&'static str` parts (pointer and
+//! length), reconstructed only from slots the stability filter returned,
+//! so a mixed-up pointer/length pair can never escape.
 
-// Shim atomics: std atomics in normal builds; under `--cfg fun3d_check`
-// these are the model checker's tracked atomics, so the seqlock-style
-// publication protocol below is exercised by fun3d-check's schedule
-// exploration (see crates/util/tests/model_ring.rs).
+// Shim atomics: std atomics in normal builds; the model checker's
+// tracked atomics under `--cfg fun3d_check`.
 use fun3d_check::shim::{AtomicU64, Ordering};
+
+/// Fixed-capacity single-writer ring of `W`-word slots.
+pub struct Ring<const W: usize> {
+    slots: Box<[[AtomicU64; W]]>,
+    /// Total slots ever pushed (monotonic; slot index = `head % cap`).
+    head: AtomicU64,
+}
+
+impl<const W: usize> Ring<W> {
+    /// A ring holding up to `capacity` slots (min 2; newest win).
+    pub fn new(capacity: usize) -> Ring<W> {
+        Ring {
+            slots: (0..capacity.max(2))
+                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
+                .collect(),
+            head: AtomicU64::new(0),
+        }
+    }
+
+    /// Appends one slot. Must only be called from the ring's owning
+    /// thread (single-writer invariant; see the module docs).
+    pub fn push(&self, words: [u64; W]) {
+        let h = self.head.load(Ordering::Relaxed);
+        let slot = &self.slots[(h % self.slots.len() as u64) as usize];
+        for (w, v) in slot.iter().zip(words) {
+            w.store(v, Ordering::Relaxed);
+        }
+        // Publish: a collector that acquires `h + 1` sees the slot stores.
+        self.head.store(h + 1, Ordering::Release);
+    }
+
+    /// Copies out the stable slots, oldest first, plus the count of slots
+    /// lost to wraparound (or trimmed as potentially in-flight).
+    pub fn collect(&self) -> (Vec<[u64; W]>, u64) {
+        let cap = self.slots.len() as u64;
+        let h1 = self.head.load(Ordering::Acquire);
+        let lo = h1.saturating_sub(cap);
+        let raw: Vec<(u64, [u64; W])> = (lo..h1)
+            .map(|i| {
+                let slot = &self.slots[(i % cap) as usize];
+                (i, std::array::from_fn(|k| slot[k].load(Ordering::Relaxed)))
+            })
+            .collect();
+        // Index i shares a slot with i + cap, and the writer may already
+        // be filling index h2's slot before publishing h2 + 1: discard
+        // every index that could have been mid-overwrite during the copy.
+        let h2 = self.head.load(Ordering::Acquire);
+        let stable_from = (h2 + 1).saturating_sub(cap);
+        let slots: Vec<[u64; W]> = raw
+            .into_iter()
+            .filter(|(i, _)| *i >= stable_from)
+            .map(|(_, w)| w)
+            .collect();
+        let dropped = h2 - slots.len() as u64;
+        (slots, dropped)
+    }
+
+    /// Forgets every slot (quiescent points only: the writer must not be
+    /// pushing concurrently).
+    pub fn clear(&self) {
+        self.head.store(0, Ordering::Release);
+    }
+}
+
+/// Words per span slot: `[name_ptr, name_len, start_ns, dur_ns]`.
+pub const SPAN_WORDS: usize = 4;
 
 /// One completed span: a named interval on one thread's timeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,109 +100,39 @@ pub struct SpanEvent {
     pub dur_ns: u64,
 }
 
-/// `[name_ptr, name_len, start_ns, dur_ns]`
-type Slot = [AtomicU64; 4];
+impl SpanEvent {
+    /// The slot words this span is pushed as.
+    pub fn words(&self) -> [u64; SPAN_WORDS] {
+        [
+            self.name.as_ptr() as u64,
+            self.name.len() as u64,
+            self.start_ns,
+            self.dur_ns,
+        ]
+    }
 
-/// Fixed-capacity single-writer ring of [`SpanEvent`]s.
-pub struct SpanRing {
-    slots: Box<[Slot]>,
-    /// Total events ever pushed (monotonic; slot index = `head % cap`).
-    head: AtomicU64,
-}
-
-impl SpanRing {
-    /// A ring holding up to `capacity` events (min 2; newest win).
-    pub fn new(capacity: usize) -> SpanRing {
-        let capacity = capacity.max(2);
-        let slots = (0..capacity)
-            .map(|_| {
-                [
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                ]
-            })
-            .collect();
-        SpanRing {
-            slots,
-            head: AtomicU64::new(0),
+    /// Decodes a span slot.
+    ///
+    /// # Safety
+    ///
+    /// `w` must be a slot that [`Ring::collect`] returned from a ring
+    /// into which only [`SpanEvent::words`] were pushed: the stability
+    /// filter then guarantees the slot was completely written by one
+    /// push and not overwritten since, so the first two words are a
+    /// matched pointer/length pair of a real `&'static str`.
+    pub(crate) unsafe fn from_words(w: [u64; SPAN_WORDS]) -> SpanEvent {
+        SpanEvent {
+            // SAFETY: a matched (ptr, len) pair of a `&'static str`, by
+            // this function's contract.
+            name: unsafe {
+                std::str::from_utf8_unchecked(std::slice::from_raw_parts(
+                    w[0] as *const u8,
+                    w[1] as usize,
+                ))
+            },
+            start_ns: w[2],
+            dur_ns: w[3],
         }
-    }
-
-    /// Capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events pushed over the ring's lifetime.
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Appends an event. Must only be called from the ring's owning
-    /// thread (single-writer invariant; see the module docs).
-    pub fn push(&self, ev: SpanEvent) {
-        let h = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(h % self.slots.len() as u64) as usize];
-        slot[0].store(ev.name.as_ptr() as u64, Ordering::Relaxed);
-        slot[1].store(ev.name.len() as u64, Ordering::Relaxed);
-        slot[2].store(ev.start_ns, Ordering::Relaxed);
-        slot[3].store(ev.dur_ns, Ordering::Relaxed);
-        // Publish: a collector that acquires `h + 1` sees the slot stores.
-        self.head.store(h + 1, Ordering::Release);
-    }
-
-    /// Copies out the stable events, oldest first, plus the count of
-    /// events lost to wraparound (or trimmed as potentially in-flight).
-    pub fn collect(&self) -> (Vec<SpanEvent>, u64) {
-        let cap = self.slots.len() as u64;
-        let h1 = self.head.load(Ordering::Acquire);
-        let lo = h1.saturating_sub(cap);
-        let mut raw: Vec<(u64, [u64; 4])> = Vec::with_capacity((h1 - lo) as usize);
-        for i in lo..h1 {
-            let slot = &self.slots[(i % cap) as usize];
-            raw.push((
-                i,
-                [
-                    slot[0].load(Ordering::Relaxed),
-                    slot[1].load(Ordering::Relaxed),
-                    slot[2].load(Ordering::Relaxed),
-                    slot[3].load(Ordering::Relaxed),
-                ],
-            ));
-        }
-        // Any index the writer may have been overwriting during the copy
-        // is unstable: index i shares a slot with i + cap, and the writer
-        // may already be filling index h2's slot before publishing h2+1.
-        let h2 = self.head.load(Ordering::Acquire);
-        let stable_from = (h2 + 1).saturating_sub(cap);
-        let events: Vec<SpanEvent> = raw
-            .into_iter()
-            .filter(|(i, _)| *i >= stable_from)
-            .map(|(_, [ptr, len, start, dur])| SpanEvent {
-                // SAFETY: the index filter above guarantees this slot was
-                // completely written (its publishing head store happened
-                // before our acquire of h1) and not overwritten since, so
-                // ptr/len are a matched pair from a real &'static str.
-                name: unsafe {
-                    std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                        ptr as *const u8,
-                        len as usize,
-                    ))
-                },
-                start_ns: start,
-                dur_ns: dur,
-            })
-            .collect();
-        let dropped = h2 - events.len() as u64;
-        (events, dropped)
-    }
-
-    /// Forgets all recorded events (the slots are simply re-aged out; the
-    /// lifetime push count restarts).
-    pub fn clear(&self) {
-        self.head.store(0, Ordering::Release);
     }
 }
 
@@ -150,21 +148,30 @@ mod tests {
         }
     }
 
+    fn spans(r: &Ring<SPAN_WORDS>) -> (Vec<SpanEvent>, u64) {
+        let (slots, dropped) = r.collect();
+        // SAFETY: these rings only ever receive `SpanEvent::words`.
+        let spans = slots
+            .into_iter()
+            .map(|w| unsafe { SpanEvent::from_words(w) });
+        (spans.collect(), dropped)
+    }
+
     #[test]
     fn empty_ring_collects_nothing() {
-        let r = SpanRing::new(8);
-        let (events, dropped) = r.collect();
+        let r = Ring::<SPAN_WORDS>::new(8);
+        let (events, dropped) = spans(&r);
         assert!(events.is_empty());
         assert_eq!(dropped, 0);
     }
 
     #[test]
     fn collects_in_push_order_below_capacity() {
-        let r = SpanRing::new(8);
+        let r = Ring::<SPAN_WORDS>::new(8);
         for i in 0..5 {
-            r.push(ev("a", i));
+            r.push(ev("a", i).words());
         }
-        let (events, dropped) = r.collect();
+        let (events, dropped) = spans(&r);
         assert_eq!(dropped, 0);
         assert_eq!(events.len(), 5);
         for (i, e) in events.iter().enumerate() {
@@ -176,12 +183,12 @@ mod tests {
     #[test]
     fn wraparound_preserves_newest_events() {
         let cap = 16u64;
-        let r = SpanRing::new(cap as usize);
+        let r = Ring::<SPAN_WORDS>::new(cap as usize);
         let total = cap + 7;
         for i in 0..total {
-            r.push(ev("k", i));
+            r.push(ev("k", i).words());
         }
-        let (events, dropped) = r.collect();
+        let (events, dropped) = spans(&r);
         // quiescent collection keeps the cap-1 newest (the very oldest
         // retained slot is conservatively treated as in-flight)
         assert_eq!(events.len() as u64, cap - 1);
@@ -196,23 +203,22 @@ mod tests {
 
     #[test]
     fn clear_resets() {
-        let r = SpanRing::new(4);
+        let r = Ring::<SPAN_WORDS>::new(4);
         for i in 0..10 {
-            r.push(ev("x", i));
+            r.push(ev("x", i).words());
         }
         r.clear();
-        let (events, dropped) = r.collect();
+        let (events, dropped) = spans(&r);
         assert!(events.is_empty());
         assert_eq!(dropped, 0);
-        assert_eq!(r.pushed(), 0);
     }
 
     #[test]
     fn distinct_names_survive() {
-        let r = SpanRing::new(8);
-        r.push(ev("flux", 0));
-        r.push(ev("gradient", 1));
-        let (events, _) = r.collect();
+        let r = Ring::<SPAN_WORDS>::new(8);
+        r.push(ev("flux", 0).words());
+        r.push(ev("gradient", 1).words());
+        let (events, _) = spans(&r);
         assert_eq!(events[0].name, "flux");
         assert_eq!(events[1].name, "gradient");
     }
@@ -223,7 +229,7 @@ mod tests {
         // surfaced name must be one of the legal labels.
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
-        let ring = Arc::new(SpanRing::new(32));
+        let ring = Arc::new(Ring::<SPAN_WORDS>::new(32));
         let stop = Arc::new(AtomicBool::new(false));
         let names: [&'static str; 3] = ["alpha", "beta-long-name", "g"];
         let writer = {
@@ -232,13 +238,13 @@ mod tests {
             std::thread::spawn(move || {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    ring.push(ev(names[(i % 3) as usize], i));
+                    ring.push(ev(names[(i % 3) as usize], i).words());
                     i += 1;
                 }
             })
         };
         for _ in 0..200 {
-            let (events, _) = ring.collect();
+            let (events, _) = spans(&ring);
             for e in events {
                 assert!(names.contains(&e.name), "torn name: {:?}", e.name);
             }

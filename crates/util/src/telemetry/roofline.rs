@@ -14,7 +14,7 @@
 //! The tolerance is deliberately a band, not a bound — on the tiny
 //! verification meshes everything is cache-resident, so `Fast` flags
 //! are expected and informational; `Slow` flags are the actionable
-//! ones. `FUN3D_ROOFLINE_TOL` overrides the default factor.
+//! ones.
 
 use super::counters::KernelCounts;
 
@@ -95,19 +95,10 @@ pub struct RooflineRow {
     pub deviation: Option<Deviation>,
 }
 
-/// Default tolerance factor: a kernel may run up to 4× off its model
-/// floor in either direction before it is flagged. Wide on purpose —
-/// the meshes the gate runs on fit in cache.
-pub const DEFAULT_TOLERANCE: f64 = 4.0;
-
-/// Tolerance factor from `FUN3D_ROOFLINE_TOL`, else `default`.
-pub fn tolerance_from_env(default: f64) -> f64 {
-    std::env::var("FUN3D_ROOFLINE_TOL")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t >= 1.0)
-        .unwrap_or(default)
-}
+/// Tolerance factor: a kernel may run up to 4× off its model floor in
+/// either direction before it is flagged. Wide on purpose — the meshes
+/// the gate runs on fit in cache.
+pub const TOLERANCE: f64 = 4.0;
 
 /// Joins measured per-kernel seconds with the analytic model and the
 /// machine envelope. Kernels with no modeled traffic/flops (pure
@@ -192,7 +183,7 @@ mod tests {
         // 4 GB moved, 1 Gflop → intensity 0.25, memory bound; model
         // floor 0.1 s at 40 GB/s. Measured exactly on the floor.
         let c = KernelCounts::once(1, 3_000_000_000, 1_000_000_000, 1_000_000_000);
-        let rows = validate(&[("flux", 0.1, c)], &env(), 4.0);
+        let rows = validate(&[("flux", 0.1, c)], &env(), TOLERANCE);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.bound, Bound::Memory);
@@ -245,13 +236,6 @@ mod tests {
         let small = KernelCounts::once(1, 4_000_000, 0, 0);
         let rows = validate(&[("small", 0.1, small), ("big", 0.3, big)], &env(), 100.0);
         assert_eq!(rows[0].name, "big");
-    }
-
-    #[test]
-    fn tolerance_env_parse_guards() {
-        // Whatever the environment holds, the result is a sane factor.
-        let t = tolerance_from_env(4.0);
-        assert!(t >= 1.0 && t.is_finite());
     }
 
     #[test]

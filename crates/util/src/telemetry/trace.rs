@@ -384,7 +384,7 @@ impl RequestTrace {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{SeriesPoint, SpanEvent, ThreadProfile};
+    use super::super::{SpanEvent, ThreadProfile};
     use super::*;
     use crate::telemetry::CounterMap;
 
@@ -407,11 +407,6 @@ mod tests {
                     ],
                     dropped_spans: 0,
                     counters: CounterMap::new(),
-                    series: vec![SeriesPoint {
-                        series: "residual",
-                        x: 1.0,
-                        y: 0.5,
-                    }],
                 },
                 ThreadProfile {
                     label: "fun3d-worker-1".into(),
@@ -422,7 +417,6 @@ mod tests {
                     }],
                     dropped_spans: 3,
                     counters: CounterMap::new(),
-                    series: Vec::new(),
                 },
             ],
         }
@@ -545,7 +539,6 @@ mod tests {
                 ],
                 dropped_spans: 0,
                 counters: CounterMap::new(),
-                series: Vec::new(),
             }],
         };
         let mut h = crate::telemetry::metrics::HistSnapshot::empty("serve.tenant.acme.total_ns");

@@ -12,15 +12,18 @@
 #     `benchmark/` replaced has not come back; the ILU factors have one
 #     storage format, one block-vector kernel and one forward and one
 #     backward row; the gradient row's layout is spelled in one file, the
-#     gradient is not an edge body and has no tiled model, and unchecked
-#     access in the core sits in four files, each use under a `SAFETY:`.
+#     gradient is not an edge body and has no tiled model, unchecked
+#     access in the core sits in four files, each use under a `SAFETY:`,
+#     and telemetry reads three variables, keeps one thread-local and one
+#     ring type, and none of the knobs, sampler or rings it replaced.
 #     Each structural guard is negative-tested on canary trees.
 #  2. `cargo build --release` and `cargo test -q`, offline. The root
 #     manifest's default-members make both cover every crate.
 #  3. Model check of the sync substrate: the fun3d-check suite plus the
 #     protocol models compiled under `--cfg fun3d_check`, under a fixed
 #     schedule budget; a deliberately racy canary must fail the suite.
-#  4. perf_report on the tiny mesh: every telemetry artifact parses.
+#  4. perf_report on the tiny mesh: every telemetry artifact parses, and
+#     no span was lost to ring wraparound (the span profile is exact).
 #  5. Flight recorder: injected faults dump, clean runs do not.
 #  6. sync_ablation on the benchmark mesh: bitwise mode equivalence, the
 #     regions-per-iteration claim, and the speedup-vs-threads rule on the
@@ -58,7 +61,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in the rank layer, one ledger, one factor format, one gradient layout and kernel, argued unchecked access =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in the rank layer, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -66,6 +69,8 @@ echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in
 # benchmark/ is the one ledger: the history stack it replaced is named on
 # the next line and nowhere else under crates/ or scripts/.
 OLD_LEDGER='perfdb\|perf_regress\|FUN3D_PERF_GATE'
+# Telemetry's one gate replaced these seven variables, without aliases.
+OLD_KNOBS='\bFUN3D_(FLIGHT|METRICS|TELEMETRY_RING|FLIGHT_RING|SAMPLER_US|FLIGHT_PREFIX|ROOFLINE_TOL)\b'
 TRAVERSAL='pool\.run\(|SpinBarrier|chunk_range|color_tiles'
 structure_guard() {
     local root=$1 bad=0
@@ -160,21 +165,49 @@ structure_guard() {
             bad=1
         fi
     done
+    # Telemetry has one gate, one recorder per thread behind one
+    # thread-local, and one ring type: it reads FUN3D_TELEMETRY and the two
+    # dump variables and no other, the knobs the gate replaced are gone
+    # from the code and the docs, and the sampler and the flight-only ring
+    # do not come back.
+    local telemetry="$root/crates/util/src/telemetry"
+    if grep -rnoE 'env::var\("FUN3D_[A-Z_]*"' "$telemetry" \
+        | grep -vE '"FUN3D_(TELEMETRY|FLIGHT_DIR|FLIGHT_DUMP)"$'; then
+        echo "  a FUN3D_* variable read under crates/util/src/telemetry beyond FUN3D_TELEMETRY, FUN3D_FLIGHT_DIR, FUN3D_FLIGHT_DUMP: use the level"
+        bad=1
+    fi
+    if grep -rnE "$OLD_KNOBS" "$root/crates" "$root/scripts" "$root/README.md" "$root/DESIGN.md" --exclude=verify.sh; then
+        echo "  a telemetry knob the one gate replaced is named again"
+        bad=1
+    fi
+    local tls
+    tls=$(awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
+        !test && /^[[:space:]]*thread_local!/ { n++ } END { print n + 0 }' "$telemetry"/*.rs)
+    if [ "$tls" -ne 1 ]; then
+        echo "  $tls thread_local! outside tests under crates/util/src/telemetry (want exactly one, the recorder's)"
+        bad=1
+    fi
+    if grep -rnwE 'SpanSlot|Sampler|FlightRing' "$root/crates" "$root/scripts" "$root/README.md" "$root/DESIGN.md" --exclude=verify.sh; then
+        echo "  a sampler slot, a sampler or a second ring type: spans and flight events share ring::Ring"
+        bad=1
+    fi
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, performance ledger, factor format or gradient layout has been forked, or an unchecked access is not argued"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, or an unchecked access is not argued"
     exit 1
 fi
-# Negative canaries: each of the fifteen forks must trip the guard, and
+# Negative canaries: each of the nineteen forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
     widening_load_in_a_sweep second_forward_row generic_factors f64_factors \
-    second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked; do
+    second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked \
+    telemetry_knob_read deleted_knob_named second_thread_local sampler_back; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
-        "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src" "$CANARY/scripts"
+        "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src" "$CANARY/scripts" \
+        "$CANARY/crates/util/src/telemetry"
     echo 'for class in &tiling.color_tiles { pool.run(|tid| chunk_range(class.len(), nt, tid)); }' > "$CANARY/crates/core/src/edge_loop.rs"
     echo 'fn givens(a: f64, b: f64) -> (f64, f64) { (a, b) }' > "$CANARY/crates/solver/src/gmres.rs"
     echo 'pub fn factor_matvec<S: Simd>(s: S, a: &FactorBlock) -> S::V { s.load_f32(&a[0..4]) }' > "$CANARY/crates/sparse/src/block.rs"
@@ -182,6 +215,10 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     printf 'pub struct IluFactors {\n    pub dinv: Vec<f32>,\n}\n' > "$CANARY/crates/sparse/src/ilu.rs"
     echo 'struct F64Factors { dinv: Vec<f64> }' > "$CANARY/crates/bench/src/trsv_reference.rs"
     printf 'pub const fn grad_slot(c: usize, d: usize) -> usize {\n    d * 4 + c\n}\n// SAFETY: in bounds by the caller.\nunsafe { std::slice::from_raw_parts_mut(p, w) }\n' > "$CANARY/crates/core/src/geom.rs"
+    printf 'thread_local! {\n    static LOCAL: Local = const { Local::new() };\n}\nlet l = std::env::var("FUN3D_TELEMETRY");\n#[cfg(test)]\nmod tests {\n    thread_local! { static N: u8 = 0; }\n}\n' \
+        > "$CANARY/crates/util/src/telemetry/mod.rs"
+    echo 'Dumps land in `FUN3D_FLIGHT_DIR`; `FUN3D_FLIGHT_DUMP=1` asks for one at every solve end.' > "$CANARY/README.md"
+    echo '| `crates/util` | one recorder per thread, one ring type |' > "$CANARY/DESIGN.md"
     case $fork in
         none)
             if ! structure_guard "$CANARY"; then
@@ -204,6 +241,10 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         tiled_gradient_model) echo 'pub fn gradient_tiled(ne: usize) {}' > "$CANARY/crates/core/src/counts.rs" ;;
         unchecked_elsewhere) printf '// SAFETY: trust me.\nlet x = unsafe { *v.get_unchecked(i) };\n' > "$CANARY/crates/core/src/limiter.rs" ;;
         unargued_unchecked) echo 'let x = unsafe { *v.get_unchecked(i) };' > "$CANARY/crates/core/src/flux.rs" ;;
+        telemetry_knob_read) echo 'let cap = std::env::var("FUN3D_OBS_RING");' > "$CANARY/crates/util/src/telemetry/ring.rs" ;;
+        deleted_knob_named) echo 'Set `FUN3D_FLIGHT=off` to stop recording.' >> "$CANARY/README.md" ;;
+        second_thread_local) printf 'thread_local! {\n    static SHARDS: u8 = 0;\n}\n' > "$CANARY/crates/util/src/telemetry/metrics.rs" ;;
+        sampler_back) echo 'pub struct SpanSlot { seq: AtomicU64 }' > "$CANARY/crates/util/src/telemetry/profile.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -211,7 +252,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation or edge loop in crates/cluster/src, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation or edge loop in crates/cluster/src, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring; canaries rejected"
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.
@@ -244,12 +285,14 @@ if cargo test -q --offline -p fun3d-check --test checker -- \
 fi
 echo "ok: model checker catches the canary race"
 
-echo "== perf_report on the tiny mesh (telemetry + sampler artifacts) =="
-# Run the telemetry report end to end — at full detail the sampling
-# profiler rides along — then prove every artifact is machine-readable
-# with the binary's own strict parsers (--check): the JSON summary (now
-# including the measured-vs-model roofline table), the Chrome trace, the
-# folded flamegraph text, and the speedscope profile.
+echo "== perf_report on the tiny mesh (telemetry + span profile artifacts) =="
+# Run the telemetry report end to end at full span detail, then prove
+# every artifact is machine-readable with the binary's own strict parsers
+# (--check): the JSON summary (including the measured-vs-model roofline
+# table; on the tiny mesh it also fails if any span was lost to ring
+# wraparound, since the span profile is exact only without losses), the
+# Chrome trace, and the span profile as folded flamegraph text and as
+# speedscope JSON.
 cargo run --release --offline -q -p fun3d-bench --bin perf_report -- --mesh tiny --threads 2
 for artifact in target/experiments/perf_report.json \
                 target/experiments/perf_report.trace.json \
