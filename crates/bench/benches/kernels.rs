@@ -11,7 +11,7 @@
 
 use fun3d_core::geom::NodeSoa;
 use fun3d_core::{
-    flux, gradient, EdgeGeom, Exec, FlowConditions, HalfEdges, Isa, NodeAos, TileExec, Traversal,
+    flux, gradient, EdgeGeom, Exec, FlowConditions, HalfEdges, Isa, NodeAos, Traversal,
 };
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_mesh::DualMesh;
@@ -113,11 +113,9 @@ fn bench_prefetch_dist(c: &mut Bench) {
     g.finish();
 }
 
-/// The tiled (cache-blocked) flux kernel in both execution modes (its
-/// streaming counterparts are the `flux` group): `staged` pays the
-/// scratch-pad copy, `direct` gathers straight from the global arrays in
-/// tile order. The spread between them is the staging overhead this
-/// host's LLC residency makes visible.
+/// The tiled (cache-blocked) flux kernel, gathering straight from the
+/// node arrays in tile order (its streaming counterparts are the `flux`
+/// group).
 fn bench_tiled(c: &mut Bench) {
     let (geom, _, node, _) = fixture();
     let n4 = node.n * 4;
@@ -127,20 +125,13 @@ fn bench_tiled(c: &mut Bench) {
         &fun3d_partition::TilingConfig::for_machine(&fun3d_machine::MachineSpec::host()),
     );
     let tg = fun3d_core::TiledGeom::new(tiling, &geom);
-    let tiles = |mode| Traversal::Tiled { geom: &tg, mode };
+    let tiles = Traversal::Tiled { geom: &tg };
     let mut g = c.group("flux_tiled");
     g.sample_size(20);
     g.bench_function("direct", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::run(lanes(), Exec::Caller, tiles(TileExec::Direct), &node, 1.0, res),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("staged", |b| {
-        b.iter_batched_ref(
-            || vec![0.0; n4],
-            |res| flux::run(lanes(), Exec::Caller, tiles(TileExec::Staged), &node, 1.0, res),
+            |res| flux::run(lanes(), Exec::Caller, tiles, &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });

@@ -25,7 +25,7 @@
 
 use fun3d_bench::flux_reference::{self, CompMajorNode};
 use fun3d_bench::{emit, fmt_x, KernelFixture};
-use fun3d_core::{counts, flux, Exec, TileExec, Traversal};
+use fun3d_core::{counts, flux, Exec, Traversal};
 use fun3d_core::geom::NodeSoa;
 use fun3d_machine::{kernels, EdgeLoopCosts, MachineSpec};
 use fun3d_mesh::generator::MeshPreset;
@@ -62,8 +62,8 @@ fn main() {
     let beta = fix.cond.beta;
     let mut res = vec![0.0; fix.node.n * 4];
 
-    // Tiled scratch-pad staging, sized for this host's L2, running on
-    // the tile-ordered geometry (built once, outside the timed region).
+    // Cache-blocked tiles, sized for this host's L2, running on the
+    // tile-ordered geometry (built once, outside the timed region).
     let tiling = EdgeTiling::build(
         fix.mesh.nvertices(),
         fix.geom.edges(),
@@ -71,11 +71,10 @@ fn main() {
     );
     let tgeom = fun3d_core::TiledGeom::new(tiling, &fix.geom);
     let tiling = tgeom.tiling();
-    let texec = TileExec::auto(&MachineSpec::host(), fix.mesh.nvertices());
     let isa = Isa::detect();
     let stream = Traversal::stream(&fix.geom);
     let ahead = Traversal::Stream { geom: &fix.geom, prefetch: Some(flux::PREFETCH_DIST) };
-    let tiles = Traversal::Tiled { geom: &tgeom, mode: texec };
+    let tiles = Traversal::Tiled { geom: &tgeom };
     let lanes = |isa: Isa, walk, r: &mut [f64]| flux::run(Some(isa), Exec::Caller, walk, &fix.node, beta, r);
 
     // ---- host measurements (serial variants) -----------------------
@@ -146,7 +145,7 @@ fn main() {
         "-".into(),
     ]);
     host.row(&[
-        format!("tiled ({texec:?} exec)"),
+        "tiled".into(),
         fmt_g(t_tiled),
         fmt_x(t_soa / t_tiled),
         "-".into(),
@@ -206,7 +205,7 @@ fn main() {
         let t = kernels::edge_loop_time(&machine, loads, cyc, costs.dram_bytes_per_edge, 0.0);
         model.row(&[name.to_string(), fmt_g(t), fmt_x(t0 / t)]);
     }
-    // Tiled staging: same SIMD batch compute, but DRAM traffic shrunk by
+    // Tiled: same SIMD batch compute, but DRAM traffic shrunk by
     // the tiling's *measured* reuse (ratio of the analytic tiled byte
     // model to the streaming byte model on this mesh).
     let ne = fix.geom.nedges();
@@ -220,7 +219,7 @@ fn main() {
         0.0,
     );
     model.row(&[
-        "+ tiled scratch-pad staging".to_string(),
+        "+ cache-blocked tiles".to_string(),
         fmt_g(t_tl),
         fmt_x(t0 / t_tl),
     ]);

@@ -33,7 +33,7 @@ fn main() {
     let serial =
         kernels::edge_loop_time(&machine, &[ne], costs.scalar_aos, costs.dram_bytes_per_edge, 0.0);
 
-    // Tiled staging: the same tiling serves every core count (tiles are
+    // Tiled: the same tiling serves every core count (tiles are
     // the unit of scheduling); its measured reuse scales the DRAM
     // traffic the model charges per edge.
     let tiling = EdgeTiling::build(
@@ -52,7 +52,7 @@ fn main() {
             "atomics",
             "natural replication",
             "METIS replication",
-            "tiled staging",
+            "tiled",
             "natural repl. %",
             "METIS repl. %",
         ],

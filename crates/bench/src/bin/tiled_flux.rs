@@ -1,5 +1,5 @@
-//! **tiled_flux** — measured ablation for the tiled (scratch-pad
-//! staging) edge-kernel strategy against the streaming strategies.
+//! **tiled_flux** — measured ablation for the tiled (cache-blocked)
+//! edge-kernel strategy against the streaming strategies.
 //!
 //! For each mesh the binary builds the host-L2-sized [`EdgeTiling`],
 //! verifies every timed variant against the serial SoA reference
@@ -29,7 +29,7 @@
 //! [--check <json>]`
 
 use fun3d_bench::{emit, KernelFixture};
-use fun3d_core::{counts, flux, Exec, Isa, TileExec, Traversal};
+use fun3d_core::{counts, flux, Exec, Isa, Traversal};
 use fun3d_core::geom::NodeSoa;
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
@@ -44,7 +44,7 @@ struct Args {
     meshes: Vec<MeshPreset>,
     threads: Vec<usize>,
     reps: usize,
-    /// Tile scratch budget override in KiB (default: half the host L2,
+    /// Tile working-set budget override in KiB (default: half the host L2,
     /// via [`TilingConfig::for_machine`]). Ablation knob.
     budget_kib: Option<usize>,
     check: Option<String>,
@@ -138,8 +138,6 @@ struct MeshReport {
     nedges: usize,
     nvertices: usize,
     quality: TileQuality,
-    /// What `TileExec::auto` picked for this mesh on this host.
-    exec: &'static str,
     rows: Vec<VariantRow>,
 }
 
@@ -149,10 +147,6 @@ enum Variant {
     SerialBest,
     Owner(usize),
     Tiled(usize),
-    /// Forced scratch-pad staging at nt=1 — the ablation row that
-    /// prices the explicit copy against whatever `TileExec::auto`
-    /// picked for this host.
-    TiledStaged,
 }
 
 impl Variant {
@@ -161,12 +155,11 @@ impl Variant {
             Variant::SerialBest => "flux_serial_best",
             Variant::Owner(_) => "flux_owner",
             Variant::Tiled(_) => "flux_tiled",
-            Variant::TiledStaged => "flux_tiled_staged",
         }
     }
     fn threads(self) -> usize {
         match self {
-            Variant::SerialBest | Variant::TiledStaged => 1,
+            Variant::SerialBest => 1,
             Variant::Owner(nt) | Variant::Tiled(nt) => nt,
         }
     }
@@ -185,9 +178,7 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
     };
     let tiling = EdgeTiling::build(nv, fix.geom.edges(), &tcfg);
     let tgeom = fun3d_core::TiledGeom::new(tiling, &fix.geom);
-    let tiling = tgeom.tiling();
-    let texec = TileExec::auto(machine, nv);
-    let quality = TileQuality::of(tiling);
+    let quality = TileQuality::of(tgeom.tiling());
     let graph = fun3d_mesh::Graph::from_edges(nv, fix.geom.edges());
 
     // The Fig. 6 convention: one numerator (streaming-model bytes) for
@@ -211,18 +202,13 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
         })
         .collect();
     let mut variants = vec![Variant::SerialBest, Variant::Tiled(1)];
-    if texec == TileExec::Direct {
-        // auto picked direct gathers (LLC-resident host): also time
-        // forced staging so the copy's cost stays on the record.
-        variants.push(Variant::TiledStaged);
-    }
     for &(nt, _, _) in &pools {
         variants.push(Variant::Owner(nt));
         variants.push(Variant::Tiled(nt));
     }
 
     let mut res = vec![0.0; n4];
-    let tiles = |mode| Traversal::Tiled { geom: &tgeom, mode };
+    let tiles = Traversal::Tiled { geom: &tgeom };
     let pool_of = |nt: usize| pools.iter().find(|p| p.0 == nt).unwrap();
     let exec = |v: Variant, res: &mut [f64]| {
         res.iter_mut().for_each(|x| *x = 0.0);
@@ -235,10 +221,9 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
                 let (_, pool, plan) = pool_of(nt);
                 (Exec::Pool(pool), Traversal::owner(&fix.geom, plan))
             }
-            Variant::Tiled(1) => (Exec::Caller, tiles(texec)),
+            Variant::Tiled(1) => (Exec::Caller, tiles),
             // As the application: the pool only while its barriers can spin.
-            Variant::Tiled(nt) => (Exec::unless_oversubscribed(&pool_of(nt).1), tiles(texec)),
-            Variant::TiledStaged => (Exec::Caller, tiles(TileExec::Staged)),
+            Variant::Tiled(nt) => (Exec::unless_oversubscribed(&pool_of(nt).1), tiles),
         };
         flux::run(Some(Isa::detect()), exec, walk, &fix.node, beta, res);
     };
@@ -287,10 +272,6 @@ fn run_mesh(args: &Args, preset: MeshPreset, machine: &MachineSpec) -> MeshRepor
         nedges: ne,
         nvertices: nv,
         quality,
-        exec: match texec {
-            TileExec::Staged => "staged",
-            TileExec::Direct => "direct",
-        },
         rows,
     }
 }
@@ -402,18 +383,12 @@ fn main() {
                 format!("{:.2}", r.stream_ratio),
             ]);
         }
-        println!(
-            "{}: {} [tile exec: {}]",
-            rep.mesh.name(),
-            rep.quality.summary(),
-            rep.exec
-        );
+        println!("{}: {}", rep.mesh.name(), rep.quality.summary());
         let q = &rep.quality;
         meshes_json.push(Json::obj(vec![
             ("mesh", Json::str(rep.mesh.name())),
             ("nedges", Json::num(rep.nedges as f64)),
             ("nvertices", Json::num(rep.nvertices as f64)),
-            ("tile_exec", Json::str(rep.exec)),
             (
                 "tile_quality",
                 Json::obj(vec![

@@ -14,10 +14,10 @@
 //!   owned vertices' half-edges → halo-exchange gradients →
 //!   [`flux::run`] on the rank's one owner-writes share → local boundary
 //!   fluxes;
-//! * Jacobian: first-order assembly of the *owned rows* (columns span
-//!   owned + ghost), pseudo-time shift, per-rank ILU of the owned-owned
-//!   block (zero-overlap additive Schwarz), refactored in place on a
-//!   structure built once;
+//! * Jacobian: [`jacobian::assemble`] over the local edges (the owned
+//!   rows, columns over owned + ghost, are the ones kept), pseudo-time
+//!   shift, per-rank ILU of the owned-owned block (zero-overlap additive
+//!   Schwarz), refactored in place on a structure built once;
 //! * linear solve: the solver's matrix-free GMRES — the operator action
 //!   finite-differences the distributed residual; inner products
 //!   allreduce through the reducer;
@@ -32,9 +32,10 @@ use crate::comm::Comm;
 use crate::decompose::{Decomposition, Subdomain};
 use crate::dsolve::{halo_exchange, halo_exchange_stride, OwnedBlock};
 use fun3d_core::bc::{self, BcData};
-use fun3d_core::euler::{self, FlowConditions};
+use fun3d_core::euler::FlowConditions;
 use fun3d_core::geom::{EdgeGeom, HalfEdges, NodeAos, GRAD_ROW};
-use fun3d_core::{flux, gradient, jacobian, Exec, Isa, Traversal};
+use fun3d_core::jacobian::{self, JacobianSlots};
+use fun3d_core::{flux, gradient, Exec, Isa, Traversal};
 use fun3d_mesh::{DualMesh, Mesh};
 use fun3d_partition::OwnerWritesPlan;
 use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
@@ -100,11 +101,11 @@ pub struct RankApp<'a> {
     node: NodeAos,
     /// Local residual rows; the owned ones are the result.
     res: Vec<f64>,
-    /// Jacobian rows for owned vertices (local columns).
+    /// The first-order Jacobian over the local vertices (owned, then
+    /// ghosts); its owned rows are the rank's.
     jac: Bcsr4,
-    /// Storage position of each owned row's diagonal block (ghost rows
-    /// have none).
-    diag: Vec<u32>,
+    /// Where assembly adds each local edge's and vertex's blocks.
+    slots: JacobianSlots,
     /// The owned-owned block of `jac` the Schwarz ILU factors.
     block: OwnedBlock,
     /// The static half of every factorization of `block` at one fill
@@ -147,34 +148,13 @@ impl<'a> RankApp<'a> {
         let vol: Vec<f64> = local_gids.map(|&g| setup.dual.vol[g as usize]).collect();
         let adj = HalfEdges::try_build(&geom, &bc, &vol, nowned)
             .unwrap_or_else(|e| panic!("rank {rank}: half-edges: {e}"));
-        // Jacobian pattern: owned rows over their local-edge neighbors;
-        // ghost rows stay empty so that local columns are valid.
-        let mut cols: Vec<Vec<u32>> = (0..nlocal as u32)
-            .map(|v| {
-                if (v as usize) < nowned {
-                    vec![v]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        for (le, &mask) in sub.edges.iter().zip(&sub.write_masks) {
-            let (a, b) = (le[0], le[1]);
-            if mask & 1 != 0 {
-                cols[a as usize].push(b);
-            }
-            if mask & 2 != 0 {
-                cols[b as usize].push(a);
-            }
-        }
-        for c in cols.iter_mut() {
-            c.sort_unstable();
-            c.dedup();
-        }
-        let jac = Bcsr4::from_pattern(&cols);
-        let diag = (0..nowned)
-            .map(|v| jac.find(v, v as u32).expect("diagonal block") as u32)
-            .collect();
+        // Jacobian pattern: every local vertex over its local-edge
+        // neighbours, all of which `jacobian::assemble` writes. Every edge
+        // at an owned vertex is local, so the owned rows come out whole; a
+        // ghost row holds only the halves of cut edges that the ghost's
+        // own rank assembles too, and the owned-owned block drops it.
+        let jac = Bcsr4::from_edges(nlocal, &sub.edges);
+        let slots = JacobianSlots::new(&jac, &sub.edges);
         let block = OwnedBlock::new(&jac, nowned);
 
         RankApp {
@@ -188,7 +168,7 @@ impl<'a> RankApp<'a> {
             node: NodeAos::zeros(nlocal),
             res: vec![0.0; nlocal * 4],
             jac,
-            diag,
+            slots,
             block,
             symbolic: None,
             precond: None,
@@ -226,57 +206,20 @@ impl<'a> RankApp<'a> {
         r.copy_from_slice(&self.res[..n]);
     }
 
-    /// Assembles the first-order Jacobian of the owned rows (columns over
-    /// owned + ghost) at the owned state `u`, adds the pseudo-time
-    /// diagonal, and refreshes the per-rank ILU(`fill`) factors. The
-    /// ghost values are those of the last [`RankApp::residual`], which
-    /// ΨTC always evaluates at this `u` before it rebuilds.
+    /// Assembles the first-order Jacobian at the owned state `u` with
+    /// [`jacobian::assemble`] over the local edges (the owned rows are
+    /// the shared-memory application's, block for block), adds the
+    /// pseudo-time diagonal to the owned rows, and refreshes the per-rank
+    /// ILU(`fill`) factors of the owned-owned block. The ghost values are
+    /// those of the last [`RankApp::residual`], which ΨTC always
+    /// evaluates at this `u` before it rebuilds.
     pub fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64], fill: usize) {
         let n = self.nowned4();
         assert_eq!(time_diag.len(), n);
         self.node.q[..n].copy_from_slice(u);
-        let beta = self.setup.cond.beta;
-        self.jac.zero_values();
-        for (k, (le, &mask)) in self.sub.edges.iter().zip(&self.sub.write_masks).enumerate() {
-            let (a, b) = (le[0] as usize, le[1] as usize);
-            let n = [self.geom.nx()[k], self.geom.ny()[k], self.geom.nz()[k]];
-            let (qa, qb) = (self.node.state(a), self.node.state(b));
-            let lam =
-                euler::spectral_radius(&qa, &n, beta).max(euler::spectral_radius(&qb, &n, beta));
-            let mut da = euler::flux_jacobian(&qa, &n, beta);
-            let mut db = euler::flux_jacobian(&qb, &n, beta);
-            for x in da.iter_mut() {
-                *x *= 0.5;
-            }
-            for x in db.iter_mut() {
-                *x *= 0.5;
-            }
-            for d in 0..4 {
-                da[d * 4 + d] += 0.5 * lam;
-                db[d * 4 + d] -= 0.5 * lam;
-            }
-            if mask & 1 != 0 {
-                self.jac.add_block_at(self.diag[a] as usize, &da);
-                self.jac.add_block(a, b as u32, &db);
-            }
-            if mask & 2 != 0 {
-                self.jac.add_block(b, a as u32, &da.map(|x| -x));
-                self.jac
-                    .add_block_at(self.diag[b] as usize, &db.map(|x| -x));
-            }
-        }
-        bc::jacobian(
-            &self.bc,
-            &self.node,
-            &self.setup.cond,
-            &self.diag,
-            &mut self.jac,
-        );
-        for (v, &k) in self.diag.iter().enumerate() {
-            for d in 0..4 {
-                self.jac.blocks[k as usize * 16 + d * 4 + d] += time_diag[v * 4 + d];
-            }
-        }
+        let cond = &self.setup.cond;
+        jacobian::assemble(&self.geom, &self.bc, &self.node, cond, &self.slots, &mut self.jac);
+        jacobian::add_time_diagonal(&self.slots, &mut self.jac, time_diag);
 
         let block = self.block.refresh(&self.jac);
         if self.symbolic.as_ref().map(|(level, _)| *level) != Some(fill) {
@@ -382,6 +325,22 @@ mod tests {
         global
     }
 
+    /// Free stream plus a fixed random perturbation, global numbering.
+    fn perturbed_state(app: &Fun3dApp) -> Vec<f64> {
+        let mut ug = app.initial_state();
+        let mut rng = fun3d_util::Rng64::new(77);
+        for x in ug.iter_mut() {
+            *x += rng.range_f64(-0.05, 0.05);
+        }
+        ug
+    }
+
+    /// The owned part of a global vector, in the rank's local order.
+    fn owned_part(app: &RankApp, ug: &[f64]) -> Vec<f64> {
+        let owned = app.sub.owned.iter();
+        owned.flat_map(|&g| ug[g as usize * 4..g as usize * 4 + 4].to_vec()).collect()
+    }
+
     #[test]
     fn distributed_residual_matches_serial_residual() {
         // The rank residual, stitched over ranks, is the shared-memory
@@ -391,11 +350,7 @@ mod tests {
         let mesh = reordered_mesh();
         let cond = FlowConditions::default();
         let mut serial = Fun3dApp::new(mesh.clone(), cond, OptConfig::optimized(1));
-        let mut ug = serial.initial_state();
-        let mut rng = fun3d_util::Rng64::new(77);
-        for x in ug.iter_mut() {
-            *x += rng.range_f64(-0.05, 0.05);
-        }
+        let ug = perturbed_state(&serial);
         let mut r_serial = vec![0.0; ug.len()];
         serial.residual(&ug, &mut r_serial);
 
@@ -404,14 +359,10 @@ mod tests {
             let (setup, ug) = (&setup, &ug);
             let parts = Universe::run(nranks, move |comm| {
                 let mut app = RankApp::new(setup, comm.rank());
-                let owned = app.sub.owned.clone();
-                let u: Vec<f64> = owned
-                    .iter()
-                    .flat_map(|&g| ug[g as usize * 4..g as usize * 4 + 4].to_vec())
-                    .collect();
+                let u = owned_part(&app, ug);
                 let mut r = vec![0.0; app.nowned4()];
                 app.residual(&comm, &u, &mut r);
-                (owned, r)
+                (app.sub.owned.clone(), r)
             });
             let r_dist = stitch(mesh.nvertices(), parts);
             if nranks == 1 {
@@ -427,6 +378,62 @@ mod tests {
                     "entry {i}: serial {s} vs dist {d}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn rank_jacobian_is_the_serial_assembly() {
+        // One preconditioner build at one state. A rank assembles with the
+        // core's loop over its local edges, and every edge at an owned
+        // vertex is local and in global order, with the ghosts' state
+        // halo-exchanged by the residual before it: so the owned rows are
+        // the shared-memory application's blocks, bit for bit, on one rank
+        // (the whole matrix) and on three.
+        let mesh = reordered_mesh();
+        let cond = FlowConditions::default();
+        let dt = 3.0;
+        let mut serial = Fun3dApp::new(mesh.clone(), cond, OptConfig::optimized(1));
+        let ug = perturbed_state(&serial);
+        let mut scratch = vec![0.0; ug.len()];
+        serial.residual(&ug, &mut scratch);
+        serial.time_diag(dt, &mut scratch);
+        serial.build_preconditioner(&ug, &scratch);
+        let want = serial.jacobian_matrix();
+
+        for nranks in [1usize, 3] {
+            let setup = GlobalSetup::new(mesh.clone(), cond, nranks);
+            let (setup, ug) = (&setup, &ug);
+            let parts = Universe::run(nranks, move |comm| {
+                let mut app = RankApp::new(setup, comm.rank());
+                let u = owned_part(&app, ug);
+                let mut scratch = vec![0.0; app.nowned4()];
+                app.residual(&comm, &u, &mut scratch);
+                jacobian::time_diagonal(&app.vol, cond.beta, dt, &mut scratch);
+                app.build_preconditioner(&u, &scratch, 1);
+                // Each owned row in global numbering: its columns and the
+                // bits of their blocks.
+                let l2g: Vec<u32> = app.sub.owned.iter().chain(&app.sub.ghosts).copied().collect();
+                let jac = &app.jac;
+                (0..app.sub.nowned())
+                    .map(|lr| {
+                        let blocks = (jac.row_ptr[lr]..jac.row_ptr[lr + 1]).map(|k| {
+                            (l2g[jac.col_idx[k] as usize], jac.block(k).map(f64::to_bits))
+                        });
+                        (l2g[lr] as usize, blocks.collect::<Vec<_>>())
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let mut rows = 0;
+            for (g, blocks) in parts.into_iter().flatten() {
+                rows += 1;
+                assert_eq!(blocks.len(), want.row_ptr[g + 1] - want.row_ptr[g], "P = {nranks}, row {g}");
+                for (col, bits) in blocks {
+                    let k = want.find(g, col).expect("a column of the serial row");
+                    let serial_bits = want.block(k).map(f64::to_bits);
+                    assert_eq!(bits, serial_bits, "P = {nranks}, block ({g}, {col})");
+                }
+            }
+            assert_eq!(rows, want.nrows(), "P = {nranks}: every row owned once");
         }
     }
 

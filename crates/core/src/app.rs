@@ -2,7 +2,7 @@
 //! per-kernel profiling and selectable optimization level.
 
 use crate::bc::{self, BcData};
-use crate::edge_loop::{Exec, TileExec, Traversal, PREFETCH_DIST};
+use crate::edge_loop::{Exec, Traversal, PREFETCH_DIST};
 use crate::euler::FlowConditions;
 use crate::geom::{EdgeGeom, HalfEdges, NodeAos, TiledGeom};
 use crate::{flux, gradient, jacobian};
@@ -51,8 +51,9 @@ pub struct OptConfig {
     pub ilu_fill: usize,
     /// Triangular-solve parallelization.
     pub ilu_parallel: IluParallel,
-    /// Apply the Barth–Jespersen limiter to the reconstruction
-    /// gradients (the "variable-order" part of the paper's Roe scheme).
+    /// Limit the reconstruction gradients with Venkatakrishnan's smooth
+    /// limiter, `K = 0.3` (the "variable-order" part of the paper's Roe
+    /// scheme; Barth–Jespersen's hard clip stalls steady solves).
     pub use_limiter: bool,
     /// Rebuild the ILU factors only every `n` pseudo-time steps
     /// (1 = every step, the paper's default; the paper notes factor
@@ -68,9 +69,8 @@ pub struct OptConfig {
     /// measured sync costs).
     pub exec: ExecMode,
     /// Residual-path edge-kernel scheme: streaming (the paper's
-    /// kernels), cache-blocked tiling with scratch-pad staging, or
-    /// `Auto` (tile when the node working set overflows the private L2
-    /// of the cores in use). `FUN3D_FLUX=stream|tiled|auto` overrides.
+    /// kernels), cache-blocked tiling, or `Auto` (tile when the node
+    /// working set overflows the private L2 of the cores in use).
     pub flux: FluxScheme,
 }
 
@@ -117,13 +117,6 @@ impl OptConfig {
     }
 }
 
-/// A tiling with the geometry permuted for it, and the way its tiles
-/// execute, decided once per application.
-struct Tiles {
-    geom: TiledGeom,
-    mode: TileExec,
-}
-
 /// The flux kernel's edge traversal and where it runs, from what
 /// [`Fun3dApp::with_pool`] resolved: tiles if the scheme is tiled (on the
 /// pool only while its barriers can spin), else the owner-writes plan on
@@ -132,13 +125,12 @@ fn edge_walk<'a>(
     geom: &'a EdgeGeom,
     pool: Option<&'a ThreadPool>,
     plan: &'a Option<OwnerWritesPlan>,
-    tiles: &'a Option<Tiles>,
+    tiles: &'a Option<TiledGeom>,
 ) -> (Exec<'a>, Traversal<'a>) {
     match (tiles, pool, plan) {
-        (Some(Tiles { geom, mode }), pool, _) => (
-            pool.map_or(Exec::Caller, Exec::unless_oversubscribed),
-            Traversal::Tiled { geom, mode: *mode },
-        ),
+        (Some(geom), pool, _) => {
+            (pool.map_or(Exec::Caller, Exec::unless_oversubscribed), Traversal::Tiled { geom })
+        }
         (None, Some(pool), Some(plan)) => (Exec::Pool(pool), Traversal::owner(geom, plan)),
         _ => (Exec::Caller, Traversal::Stream { geom, prefetch: Some(PREFETCH_DIST) }),
     }
@@ -222,7 +214,7 @@ pub struct Fun3dApp {
     pool: Option<Arc<ThreadPool>>,
     plan: Option<OwnerWritesPlan>,
     /// What the residual path walks when its scheme resolved to tiled.
-    tiles: Option<Tiles>,
+    tiles: Option<TiledGeom>,
     /// The lanes the edge kernels run on.
     isa: Isa,
     schedules: Option<P2pSchedules>,
@@ -293,18 +285,13 @@ impl Fun3dApp {
         let ilu_pattern = ilu::symbolic_iluk(&jac, cfg.ilu_fill);
         let ilu_symbolic = IluSymbolic::new(&jac, &ilu_pattern);
 
-        // Residual-path scheme: env override > config; Auto weighs the
-        // node working set against the private L2 of the cores in use.
+        // Residual-path scheme: Auto weighs the node working set against
+        // the private L2 of the cores in use.
         let machine = MachineSpec::host();
-        let scheme = FluxScheme::from_env()
-            .unwrap_or(cfg.flux)
-            .resolve(&machine, nv, cfg.nthreads);
+        let scheme = cfg.flux.resolve(&machine, nv, cfg.nthreads);
         let tiles = (scheme == FluxScheme::Tiled).then(|| {
             let tiling = EdgeTiling::build(nv, geom.edges(), &TilingConfig::for_machine(&machine));
-            Tiles {
-                geom: TiledGeom::new(tiling, &geom),
-                mode: TileExec::auto(&machine, nv),
-            }
+            TiledGeom::new(tiling, &geom)
         });
 
         let plan = pool.as_ref().map(|_| {
@@ -436,7 +423,7 @@ impl Fun3dApp {
     /// The edge tiling the residual path resolved to (None when the
     /// scheme resolved to streaming).
     pub fn tiling(&self) -> Option<&EdgeTiling> {
-        self.tiles.as_ref().map(|t| t.geom.tiling())
+        self.tiles.as_ref().map(TiledGeom::tiling)
     }
 
     /// The assembled Jacobian (valid after a `build_preconditioner`).
@@ -476,9 +463,7 @@ impl Fun3dApp {
         telemetry::record_kernel(
             "flux",
             match &self.tiles {
-                Some(t) => {
-                    crate::counts::flux_tiled(self.geom.nedges(), t.geom.tiling().vertex_slots())
-                }
+                Some(t) => crate::counts::flux_tiled(self.geom.nedges(), t.tiling().vertex_slots()),
                 None => crate::counts::flux(self.geom.nedges()),
             },
         );

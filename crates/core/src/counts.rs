@@ -88,17 +88,16 @@ pub fn gradient_gather(half_edges: usize, rows: usize) -> KernelCounts {
 }
 
 /// Tiled flux model for one evaluation over `nedges` edges with a
-/// tiling that stages `vertex_slots` scratch slots (the tiling's
-/// measured Σ per-tile unique vertices — `vertex_slots = nedges /
-/// reuse_factor`, so the measured reuse parameterizes the model).
+/// tiling of `vertex_slots` vertex slots (the tiling's measured Σ
+/// per-tile unique vertices — `vertex_slots = nedges / reuse_factor`, so
+/// the measured reuse parameterizes the model).
 ///
 /// The edge stream (geometry + endpoint pair) is unchanged, but the
 /// per-edge vertex gathers and residual read-modify-writes of the
-/// streaming model collapse to one stage (state + gradient read) and
-/// one scatter (residual read-modify-write) per *slot*: intra-tile
-/// reuse happens in the scratch pad, which the tiler sized to stay
-/// cache-resident and which therefore never reaches DRAM. The flop
-/// count gains the 4 scatter adds per slot.
+/// streaming model collapse to one load (state + gradient read) and one
+/// residual read-modify-write per *slot*: intra-tile reuse hits the
+/// cache, which the tiler sized the tile's working set for, and never
+/// reaches DRAM. The flop count gains 4 adds per slot.
 pub fn flux_tiled(nedges: usize, vertex_slots: usize) -> KernelCounts {
     let ne = nedges as u64;
     let slots = vertex_slots as u64;

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | `Stream` | all of an [`EdgeGeom`], in order, optional software prefetch | the one thread |
 //! | `Owner` | each share of an [`OwnerWritesPlan`] in the share's order (cut edges on both sides) | the share whose masks select it |
-//! | `Tiled` | a [`TiledGeom`]'s tiles, colour by colour, scratch-staged or direct ([`TileExec`]) | the one tile of the current colour that holds it |
+//! | `Tiled` | a [`TiledGeom`]'s tiles, colour by colour, each tile's edges a contiguous stream gathering straight from the node arrays | the one tile of the current colour that holds it |
 //!
 //! each on an [`Exec`]: the calling thread, or one region of a
 //! [`ThreadPool`] (shares or a colour's tiles chunked over the workers,
@@ -25,7 +25,7 @@
 //! ranges, from here.)
 //!
 //! **An index is checked where it is made.** The loops index with edge
-//! endpoints, share edge ids and tile scratch slots, none of which they
+//! endpoints, share edge ids and tile edge ranges, none of which they
 //! check: [`EdgeGeom`], [`OwnerWritesPlan`] and [`TiledGeom`] validated
 //! them when they were built and cannot be changed afterwards, [`run`]
 //! checks once per call that the arrays it was handed have the lengths
@@ -38,10 +38,9 @@
 //! Per-vertex accumulation order depends on the traversal only: `Stream`
 //! and `Owner` add a vertex's edges in edge order (bitwise equal to each
 //! other at any thread count), `Tiled` in colour-major tile order (bitwise
-//! equal across thread counts, contexts and [`TileExec`] modes).
+//! equal across thread counts and contexts).
 
 use crate::geom::{EdgeGeom, NodeAos, TiledGeom, VertexRows, GRAD_ROW};
-use fun3d_machine::{MachineSpec, RESIDUAL_BYTES_PER_VERTEX};
 use fun3d_partition::{EdgeTiling, OwnerWritesPlan, Tile};
 use fun3d_simd::{prefetch_l1, prefetch_l2, with_lanes, Isa, Simd};
 use fun3d_threads::{available_cores, chunk_range, SpinBarrier, ThreadPool};
@@ -51,33 +50,6 @@ use std::ops::Range;
 /// group sweeps 4/8/16/32 on this host (`target/experiments/microbench.csv`);
 /// 8 and 16 tie within noise, 4 and 32 are measurably worse.
 pub const PREFETCH_DIST: usize = 16;
-
-/// How a tile's vertex data reaches the compute loop. Both modes run the
-/// identical arithmetic over the identical edge order — **bitwise
-/// identical** results — so the choice is purely a traffic trade, made
-/// once per solve by [`TileExec::auto`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TileExec {
-    /// Copy the tile's unique vertices into a dense scratch pad and gather
-    /// through the tile's remap: a copy per staged vertex turns DRAM
-    /// gathers into L1/L2 gathers — the win of tiling where the node
-    /// arrays are far larger than the LLC (the paper's machines).
-    Staged,
-    /// Gather from the global arrays in tile order: a tile's working set
-    /// is L2-sized by construction, so the hardware stages it on first
-    /// touch. The right mode when the node arrays are LLC-resident and an
-    /// explicit copy is pure overhead.
-    Direct,
-}
-
-impl TileExec {
-    /// Staging only pays when the residual path's node working set cannot
-    /// live in the last-level cache.
-    pub fn auto(machine: &MachineSpec, nvertices: usize) -> TileExec {
-        let overflows = nvertices * RESIDUAL_BYTES_PER_VERTEX > machine.llc_bytes;
-        if overflows { TileExec::Staged } else { TileExec::Direct }
-    }
-}
 
 /// Which edges a kernel walks, in what order, and which endpoint rows
 /// each may write. Every variant is made of validated, read-only parts, so
@@ -97,8 +69,13 @@ pub enum Traversal<'a> {
     /// share.
     Owner { geom: &'a EdgeGeom, plan: &'a OwnerWritesPlan },
     /// The tiles of `geom`'s tiling in colour-major order over the
-    /// geometry [`TiledGeom::new`] permuted for it.
-    Tiled { geom: &'a TiledGeom, mode: TileExec },
+    /// geometry [`TiledGeom::new`] permuted for it, gathering from the
+    /// node arrays directly: a tile's working set is L2-sized by
+    /// construction, so the hardware stages it on first touch. (Copying
+    /// each tile's vertices into a scratch pad first, Sulyok et al.'s GPU
+    /// staging, measured slower on every recorded mesh; EXPERIMENTS,
+    /// "Tiled edge kernels".)
+    Tiled { geom: &'a TiledGeom },
 }
 
 impl<'a> Traversal<'a> {
@@ -117,7 +94,7 @@ impl<'a> Traversal<'a> {
     fn geom(self) -> &'a EdgeGeom {
         match self {
             Traversal::Stream { geom, .. } | Traversal::Owner { geom, .. } => geom,
-            Traversal::Tiled { geom, .. } => geom.geom(),
+            Traversal::Tiled { geom } => geom.geom(),
         }
     }
 }
@@ -172,7 +149,7 @@ pub(crate) fn row_ranges(exec: Exec, offsets: &[u32], rows: impl Fn(Range<usize>
 }
 
 /// What a body reads: the arrays of the edges being walked and the
-/// per-vertex arrays it gathers from (global, or a tile's scratch pad).
+/// per-vertex arrays it gathers from.
 /// Slices, not a `&EdgeGeom`: they stay in registers across a loop, where
 /// the `Vec` headers behind a reference are reloaded after every store
 /// through `out`, which the compiler cannot tell apart from them.
@@ -318,12 +295,6 @@ impl<'a> Reads<'a> {
     }
 }
 
-/// The four pairs of a slice of four.
-#[inline(always)]
-fn quad(l: &[[u32; 2]]) -> [[u32; 2]; 4] {
-    [l[0], l[1], l[2], l[3]]
-}
-
 /// The first and the second entries of four index pairs.
 #[inline(always)]
 fn ends4(e: [[u32; 2]; 4]) -> ([usize; 4], [usize; 4]) {
@@ -334,10 +305,9 @@ fn ends4(e: [[u32; 2]; 4]) -> ([usize; 4], [usize; 4]) {
 }
 
 /// What an edge kernel computes at an edge. Edge `k` of `src` has the
-/// endpoints `src.endpoints(k)`, whose `out` rows it updates
-/// where `mask` says so (bit 0 = `a`, bit 1 = `b`); it gathers its
-/// inputs from the rows `at` of `src`, which are the endpoints again
-/// unless the traversal staged a tile.
+/// endpoints `src.endpoints(k)`: it gathers its inputs from their rows of
+/// `src` and updates their `out` rows where `mask` says so (bit 0 = `a`,
+/// bit 1 = `b`).
 pub(crate) trait EdgeBody: Copy + Send + Sync {
     /// Doubles per vertex of `out`.
     const ROW: usize;
@@ -350,19 +320,10 @@ pub(crate) trait EdgeBody: Copy + Send + Sync {
     /// of an edge count modulo 4.
     ///
     /// # Safety
-    /// `k < src.nedges()`, both `at < src.rows()`, `out` has a row of
-    /// [`EdgeBody::ROW`] for every endpoint of `src`, and the caller has
-    /// exclusive access to the `out` rows of the endpoints `mask` selects
-    /// (see [`VertexRows::row`]).
-    unsafe fn edge<S: Simd>(
-        self,
-        s: S,
-        src: Reads,
-        k: usize,
-        at: (usize, usize),
-        out: VertexRows,
-        mask: u8,
-    );
+    /// `k < src.nedges()`, `out` has a row of [`EdgeBody::ROW`] for every
+    /// endpoint of `src`, and the caller has exclusive access to the `out`
+    /// rows of the endpoints `mask` selects (see [`VertexRows::row`]).
+    unsafe fn edge<S: Simd>(self, s: S, src: Reads, k: usize, out: VertexRows, mask: u8);
 
     /// Four edges, computed together and committed in order (later ones
     /// may share vertices with earlier ones). Called iff
@@ -376,7 +337,6 @@ pub(crate) trait EdgeBody: Copy + Send + Sync {
         _s: S,
         _src: Reads,
         _ks: [usize; 4],
-        _at: ([usize; 4], [usize; 4]),
         _out: VertexRows,
         _masks: [u8; 4],
     ) {
@@ -482,11 +442,11 @@ unsafe fn worker<S: Simd, B: EdgeBody>(
                 unsafe { owner(s, body, src, &edges[i], &masks[i], out) };
             }
         }
-        Traversal::Tiled { geom, mode } => {
+        Traversal::Tiled { geom } => {
             // SAFETY: colour classes + barrier — every worker is here with
             // the same tiling (the caller's contract), which
             // `TiledGeom::try_new` validated against the edges of `src`.
-            unsafe { colour_major(s, body, src, geom.tiling(), mode, team, out) };
+            unsafe { colour_major(s, body, src, geom.tiling(), team, out) };
         }
     }
 }
@@ -517,15 +477,13 @@ unsafe fn stream<S: Simd, B: EdgeBody>(
                 prefetch_l2(src.edges, pk);
             }
         }
-        let ks = [k, k + 1, k + 2, k + 3];
-        // SAFETY: `k + 3 < nbatch <= ne`; the edges gather from their own
-        // endpoints, rows of `src` by `Reads::new`; all of `out` is ours
-        // per the caller's contract.
-        unsafe { body.batch(s, src, ks, src.endpoints4(ks), out, [3; 4]) };
+        // SAFETY: `k + 3 < nbatch <= ne`; all of `out` is ours per the
+        // caller's contract.
+        unsafe { body.batch(s, src, [k, k + 1, k + 2, k + 3], out, [3; 4]) };
     }
     for k in nbatch..ne {
         // SAFETY: as above.
-        unsafe { body.edge(s, src, k, src.endpoints(k), out, 3) };
+        unsafe { body.edge(s, src, k, out, 3) };
     }
 }
 
@@ -560,71 +518,28 @@ unsafe fn owner<S: Simd, B: EdgeBody>(
         // SAFETY: `i + 3 < nbatch <= ne`, the length of both lists.
         let (e, m) = unsafe { (edges.get_unchecked(i..i + 4), masks.get_unchecked(i..i + 4)) };
         let ks = [e[0] as usize, e[1] as usize, e[2] as usize, e[3] as usize];
-        // SAFETY: a share's ids are edges of `src`, gathered from at their
-        // own endpoints; the masked rows are ours per the caller's contract.
-        unsafe { body.batch(s, src, ks, src.endpoints4(ks), out, [m[0], m[1], m[2], m[3]]) };
+        // SAFETY: a share's ids are edges of `src`; the masked rows are
+        // ours per the caller's contract.
+        unsafe { body.batch(s, src, ks, out, [m[0], m[1], m[2], m[3]]) };
     }
     for i in nbatch..ne {
         // SAFETY: as above, for `i < ne`.
-        unsafe {
-            let k = *edges.get_unchecked(i) as usize;
-            body.edge(s, src, k, src.endpoints(k), out, *masks.get_unchecked(i));
-        }
-    }
-}
-
-/// A worker's scratch pad for [`TileExec::Staged`], sized to the largest
-/// tile — the reuse-heavy *read* side. The output accumulates in the
-/// global array: the colouring makes the tile's rows exclusive, and they
-/// stay cache-resident for the tile's lifetime.
-struct Pad {
-    q: Vec<f64>,
-    grad: Vec<f64>,
-}
-
-impl Pad {
-    fn new(max_verts: usize) -> Pad {
-        Pad { q: vec![0.0; max_verts * 4], grad: vec![0.0; max_verts * GRAD_ROW] }
-    }
-
-    /// Copies the rows of `verts` into slots `0..`, one contiguous copy
-    /// per vertex (slots are sorted by global id, so the global side is
-    /// quasi-sequential), and returns `src` redirected to the pad.
-    ///
-    /// # Safety
-    /// `verts` are a tile's vertices of the [`TiledGeom`] `src` reads:
-    /// rows of `src`, no more of them than the pad was sized for.
-    #[inline(always)]
-    unsafe fn stage<'a>(&'a mut self, src: Reads<'a>, verts: &[u32]) -> Reads<'a> {
-        debug_assert!(verts.len() * 4 <= self.q.len());
-        let slots = self.q.chunks_exact_mut(4).zip(self.grad.chunks_exact_mut(GRAD_ROW));
-        for ((q, grad), &v) in slots.zip(verts) {
-            // SAFETY: a tile's vertices are rows of `src` per the caller's
-            // contract (`TiledGeom::try_new`).
-            unsafe {
-                q.copy_from_slice(src.q(v as usize));
-                grad.copy_from_slice(src.grad(v as usize));
-            }
-        }
-        Reads { q: &self.q, grad: &self.grad, ..src }
+        unsafe { body.edge(s, src, *edges.get_unchecked(i) as usize, out, *masks.get_unchecked(i)) };
     }
 }
 
 /// One tile: 4-edge batches over the tile's contiguous range of the
 /// tile-ordered edges of `src`, from `start`, so every geometry array is a
-/// pure stream. With a `pad` the tile's vertices are staged and gathered
-/// through its local remap; without one the gathers go to the global
-/// arrays, prefetched [`PREFETCH_DIST`] ahead to cover the first touch.
-/// Staging copies values exactly: the two are bitwise identical.
+/// pure stream, and the gathers go to the node arrays, prefetched
+/// [`PREFETCH_DIST`] ahead within the tile to cover the first touch.
 ///
 /// # Safety
 /// `tile` and `start` are a tile of the [`TiledGeom`] `src` reads and its
 /// range start — so, by [`TiledGeom::try_new`], the `tile.edges.len()`
-/// edges from `start` lie inside the edges of `src` and are exactly
-/// the tile's, and `tile.local` has a pair per edge, each naming
-/// slots `< tile.verts.len()`; a `pad` is sized for that tiling's largest
-/// tile, `out` has a row per vertex of `src`'s geometry, and the caller
-/// has exclusive access to those of this tile's vertices.
+/// edges from `start` lie inside the edges of `src` and are exactly the
+/// tile's, and their endpoints are the tile's vertices; `out` has a row
+/// per vertex of `src`'s geometry, and the caller has exclusive access to
+/// those of this tile's vertices.
 #[inline(always)]
 unsafe fn tile<S: Simd, B: EdgeBody>(
     s: S,
@@ -632,46 +547,25 @@ unsafe fn tile<S: Simd, B: EdgeBody>(
     src: Reads,
     tile: &Tile,
     start: usize,
-    pad: Option<&mut Pad>,
     out: VertexRows,
 ) {
-    let (src, local) = match pad {
-        // SAFETY: the caller's contract is `stage`'s.
-        Some(pad) => (unsafe { pad.stage(src, &tile.verts) }, Some(&tile.local[..])),
-        None => (src, None),
-    };
-    // An edge gathers from its pad slots or, with no pad, its endpoints.
     let ne = tile.edges.len();
     let nbatch = batched::<B>(ne);
     for i in (0..nbatch).step_by(4) {
         let k = start + i;
-        if local.is_none() && i + PREFETCH_DIST + 4 <= ne {
+        if i + PREFETCH_DIST + 4 <= ne {
             for lane in 0..4 {
                 // SAFETY: inside the tile's range, which is inside `src`.
                 unsafe { body.prefetch(src, k + PREFETCH_DIST + lane) };
             }
         }
-        let ks = [k, k + 1, k + 2, k + 3];
         // SAFETY: a validated tile (the function's contract): its range is
-        // inside `src`, `local` has `ne` pairs of slots that are rows of
-        // the staged `src`, and its `out` rows are ours.
-        unsafe {
-            let at = match local {
-                Some(l) => ends4(quad(l.get_unchecked(i..i + 4))),
-                None => src.endpoints4(ks),
-            };
-            body.batch(s, src, ks, at, out, [3; 4]);
-        }
+        // inside `src`, and the `out` rows of its endpoints are ours.
+        unsafe { body.batch(s, src, [k, k + 1, k + 2, k + 3], out, [3; 4]) };
     }
     for i in nbatch..ne {
         // SAFETY: as above.
-        unsafe {
-            let at = match local {
-                Some(l) => (l.get_unchecked(i)[0] as usize, l.get_unchecked(i)[1] as usize),
-                None => src.endpoints(start + i),
-            };
-            body.edge(s, src, start + i, at, out, 3);
-        }
+        unsafe { body.edge(s, src, start + i, out, 3) };
     }
 }
 
@@ -692,18 +586,16 @@ unsafe fn colour_major<S: Simd, B: EdgeBody>(
     body: B,
     src: Reads,
     tiling: &EdgeTiling,
-    mode: TileExec,
     team: Team,
     out: VertexRows,
 ) {
-    let mut pad = (mode == TileExec::Staged).then(|| Pad::new(tiling.max_tile_verts()));
     for class in &tiling.color_tiles {
         for &t in &class[chunk_range(class.len(), team.nt, team.tid)] {
             let (t, start) = (&tiling.tiles[t as usize], tiling.tile_start[t as usize]);
             // SAFETY: a tile of the validated tiling and its start; its
             // vertices are ours until the barrier (see the function's
             // contract).
-            unsafe { tile(s, body, src, t, start as usize, pad.as_mut(), out) };
+            unsafe { tile(s, body, src, t, start as usize, out) };
         }
         if let Some(barrier) = team.barrier {
             barrier.wait();

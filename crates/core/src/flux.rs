@@ -23,7 +23,7 @@
 //!
 //! | body \ traversal | `Stream` | `Owner` | `Tiled` |
 //! |---|---|---|---|
-//! | lanes (`Some(isa)`): 4-edge SIMD batch, per-vertex reconstruction, in-register transposes, scalar tail | Fig. 6a's SIMD and SIMD + prefetch rows | the optimized threaded kernel; a rank's kernel | cache-blocked tiles, staged or direct |
+//! | lanes (`Some(isa)`): 4-edge SIMD batch, per-vertex reconstruction, in-register transposes, scalar tail | Fig. 6a's SIMD and SIMD + prefetch rows | the optimized threaded kernel; a rank's kernel | cache-blocked tiles |
 //! | scalar (`None`): one edge at a time | [`serial_aos`] | Fig. 6b's owner-writes rows | scalar tiles |
 //!
 //! The lane body follows the paper's restructuring: the dependency-free
@@ -45,7 +45,7 @@
 //! is Fig. 6b's other strategy, whose commit primitive is its point.
 
 use crate::edge_loop::{self, EdgeBody, Reads};
-pub use crate::edge_loop::{Exec, TileExec, Traversal, PREFETCH_DIST};
+pub use crate::edge_loop::{Exec, Traversal, PREFETCH_DIST};
 use crate::euler;
 use crate::geom::{grad_slot, EdgeGeom, NodeAos, NodeSoa, VertexRows};
 use fun3d_simd::{Isa, Simd};
@@ -295,24 +295,18 @@ impl<const LANES: bool> EdgeBody for Roe<LANES> {
     const BATCHED: bool = LANES;
 
     #[inline(always)]
-    unsafe fn edge<S: Simd>(
-        self,
-        _s: S,
-        src: Reads,
-        k: usize,
-        (ia, ib): (usize, usize),
-        res: VertexRows,
-        mask: u8,
-    ) {
-        // SAFETY: an edge and two rows of `src` per the caller's contract.
+    unsafe fn edge<S: Simd>(self, _s: S, src: Reads, k: usize, res: VertexRows, mask: u8) {
+        // SAFETY: an edge of `src` per the caller's contract, whose
+        // endpoints are rows of `src` (`Reads::new`).
         let ((wa, wb), qa, qb, ga, gb, n, r) = unsafe {
-            let (qa, qb) = (src.q(ia), src.q(ib));
+            let (a, b) = src.endpoints(k);
+            let (qa, qb) = (src.q(a), src.q(b));
             (
-                src.endpoints(k),
+                (a, b),
                 [qa[0], qa[1], qa[2], qa[3]],
                 [qb[0], qb[1], qb[2], qb[3]],
-                src.grad(ia),
-                src.grad(ib),
+                src.grad(a),
+                src.grad(b),
                 src.normal(k),
                 src.delta(k),
             )
@@ -341,15 +335,15 @@ impl<const LANES: bool> EdgeBody for Roe<LANES> {
         s: S,
         src: Reads,
         ks: [usize; 4],
-        (ia, ib): ([usize; 4], [usize; 4]),
         out: VertexRows,
         masks: [u8; 4],
     ) {
-        // SAFETY: the caller's contract is `flux_batch`'s and `commit`'s.
+        // SAFETY: the caller's contract is `flux_batch`'s and `commit`'s
+        // (the endpoints of edges of `src` are rows of `src`).
         unsafe {
-            let (wa, wb) = src.endpoints4(ks);
-            let rows = flux_batch(s, src, ks, ia, ib, self.beta);
-            commit(s, out, wa, wb, masks, rows);
+            let (a, b) = src.endpoints4(ks);
+            let rows = flux_batch(s, src, ks, a, b, self.beta);
+            commit(s, out, a, b, masks, rows);
         }
     }
 
@@ -542,17 +536,10 @@ mod tests {
                 &fun3d_partition::TilingConfig::with_target_bytes(budget),
             );
             let tg = TiledGeom::new(tiling, &geom);
-            let tiles = |mode| Traversal::Tiled { geom: &tg, mode };
-            let isa = Some(Isa::detect());
             let mut r2 = vec![0.0; aos.n * 4];
-            run(isa, Exec::Caller, tiles(TileExec::Staged), &aos, 1.0, &mut r2);
+            run(Some(Isa::detect()), Exec::Caller, Traversal::Tiled { geom: &tg }, &aos, 1.0, &mut r2);
             // Tiling reorders the edge accumulation: tolerance compare.
             assert_close(&r1, &r2, 1e-11, "tiled");
-            // Direct execution runs the same arithmetic in the same
-            // order without the scratch pad: bitwise equal to staged.
-            let mut r3 = vec![0.0; aos.n * 4];
-            run(isa, Exec::Caller, tiles(TileExec::Direct), &aos, 1.0, &mut r3);
-            assert_eq!(r2, r3, "budget {budget}: direct must match staged bitwise");
         }
     }
 
@@ -565,21 +552,18 @@ mod tests {
             &fun3d_partition::TilingConfig::with_target_bytes(4096),
         );
         let tg = TiledGeom::new(tiling, &geom);
-        let tiles = |mode| Traversal::Tiled { geom: &tg, mode };
+        let tiles = Traversal::Tiled { geom: &tg };
         let isa = Some(Isa::detect());
         let mut r1 = vec![0.0; aos.n * 4];
-        run(isa, Exec::Caller, tiles(TileExec::Staged), &aos, 1.0, &mut r1);
-        for exec in [TileExec::Staged, TileExec::Direct] {
-            for nt in [1usize, 2, 3, 5] {
-                let pool = ThreadPool::new(nt);
-                let mut r2 = vec![0.0; aos.n * 4];
-                // The real region, barriers included, oversubscribed or not.
-                run(isa, Exec::Pool(&pool), tiles(exec), &aos, 1.0, &mut r2);
-                // Color-major order makes the per-vertex accumulation
-                // order thread-count independent, and staged vs direct
-                // is a pure traffic trade: bitwise, not just close.
-                assert_eq!(r1, r2, "tiled_pooled {exec:?} nt={nt} must be bitwise equal");
-            }
+        run(isa, Exec::Caller, tiles, &aos, 1.0, &mut r1);
+        for nt in [1usize, 2, 3, 5] {
+            let pool = ThreadPool::new(nt);
+            let mut r2 = vec![0.0; aos.n * 4];
+            // The real region, barriers included, oversubscribed or not.
+            run(isa, Exec::Pool(&pool), tiles, &aos, 1.0, &mut r2);
+            // Color-major order makes the per-vertex accumulation order
+            // thread-count independent: bitwise, not just close.
+            assert_eq!(r1, r2, "tiled_pooled nt={nt} must be bitwise equal");
         }
     }
 

@@ -225,10 +225,10 @@ impl EdgeGeom {
 /// It owns the tiling it validated, read-only, because the tiled loops
 /// rest on what [`EdgeTiling::validate`] checked: the permutation is one,
 /// every tile's range lies inside the edge list and holds exactly the
-/// tile's edges, a tile's scratch slots are `< verts.len()` and name the
-/// edge's endpoints, its vertices are vertices, and the tiles of one
-/// colour are vertex-disjoint and every tile has one colour (what makes
-/// colour-parallel writes exclusive).
+/// tile's edges, its vertices are vertices and every endpoint of its
+/// edges is one of them, and the tiles of one colour are vertex-disjoint
+/// and every tile has one colour (what makes colour-parallel writes
+/// exclusive).
 #[derive(Clone, Debug)]
 pub struct TiledGeom {
     geom: EdgeGeom,
@@ -645,14 +645,12 @@ mod tests {
             let e = TiledGeom::try_new(hostile, &g).expect_err(what);
             assert!(e.to_string().contains(what), "{what}: {e}");
         };
-        // A scratch slot one past the tile's pad.
+        // A tile edge whose endpoint is not one of the tile's vertices:
+        // the colouring would no longer make its write the tile's own.
         let mut t = build();
-        t.tiles[1].local[0][1] = t.tiles[1].verts.len() as u32;
-        reject(t, "past the tile's pad");
-        // A slot that stages some other vertex than the edge's endpoint.
-        let mut t = build();
-        t.tiles[0].local[0].swap(0, 1);
-        reject(t, "the endpoint is");
+        let end = g.edges()[t.tiles[1].edges[0] as usize][1];
+        t.tiles[1].verts.retain(|&v| v != end);
+        reject(t, &format!("tile 1, edge 0: endpoint {end} is not one of the tile's vertices"));
         // A permutation that repeats an edge, an edge id = ne, a range
         // that runs off the list (the colouring's hostile cases are with
         // `EdgeTiling::validate`'s own tests).

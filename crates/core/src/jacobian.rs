@@ -121,12 +121,13 @@ pub fn time_diagonal(vol: &[f64], beta: f64, dt: f64, out: &mut [f64]) {
 }
 
 /// Adds the pseudo-time term `diag(shift)` (one scalar per unknown) onto
-/// the diagonal blocks.
+/// the diagonal blocks of the rows `shift` covers: all of them, or a
+/// rank's owned prefix.
 pub fn add_time_diagonal(slots: &JacobianSlots, jac: &mut Bcsr4, shift: &[f64]) {
-    assert_eq!(shift.len(), jac.dim());
-    for (r, &k) in slots.diag.iter().enumerate() {
-        for d in 0..4 {
-            jac.blocks[k as usize * 16 + d * 4 + d] += shift[r * 4 + d];
+    assert!(shift.len().is_multiple_of(4) && shift.len() <= jac.dim());
+    for (&k, shift) in slots.diag.iter().zip(shift.chunks_exact(4)) {
+        for (d, &s) in shift.iter().enumerate() {
+            jac.blocks[k as usize * 16 + d * 4 + d] += s;
         }
     }
 }

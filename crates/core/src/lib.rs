@@ -30,7 +30,8 @@
 //!   replaces at any thread count, and least-squares gradients over the
 //!   same adjacency;
 //! * [`jacobian`] — first-order (more diffusive, sparser) flux Jacobian
-//!   assembled into 4×4-block BCSR for the Schwarz/ILU preconditioner;
+//!   assembled into 4×4-block BCSR for the Schwarz/ILU preconditioner:
+//!   the one assembly loop, which a rank runs over its local edges too;
 //! * [`bc`] — slip-wall, symmetry and far-field boundary fluxes and their
 //!   Jacobian contributions;
 //! * [`app`] — [`app::Fun3dApp`]: the full application wiring mesh +
@@ -50,7 +51,7 @@ pub mod jacobian;
 pub mod limiter;
 
 pub use app::{Fun3dApp, OptConfig};
-pub use edge_loop::{Exec, TileExec, Traversal};
+pub use edge_loop::{Exec, Traversal};
 pub use euler::{FlowConditions, NVARS};
 /// Which lane implementation the edge kernels run on in this process, and
 /// the type their entry points take it as.

@@ -1,13 +1,16 @@
-//! Barth–Jespersen slope limiting.
+//! Slope limiting: Venkatakrishnan's limiter, which the application runs
+//! (`OptConfig::use_limiter`, `K = 0.3`), and Barth–Jespersen's, kept
+//! beside it as the hard-clip reference.
 //!
 //! FUN3D's discretization is a *variable-order* flux-difference scheme:
 //! second-order reconstruction with the gradients limited so that no
 //! reconstructed face value exceeds the range of the neighboring cell
-//! averages (Barth & Jespersen). We implement the limiter as a
-//! gradient post-pass: the per-vertex, per-variable factor
-//! `φ ∈ [0, 1]` is folded directly into the stored gradients, so every
-//! flux-kernel variant (scalar, SIMD, threaded) picks it up without code
-//! changes — and the kernel-equivalence tests keep holding.
+//! averages (Barth & Jespersen), or in Venkatakrishnan's smooth form only
+//! approaches it. Both are gradient post-passes: the per-vertex,
+//! per-variable factor `φ ∈ [0, 1]` is folded directly into the stored
+//! gradients, so every flux-kernel variant (scalar, SIMD, threaded) picks
+//! it up without code changes — and the kernel-equivalence tests keep
+//! holding.
 
 use crate::geom::{grad_slot, EdgeGeom, NodeAos, GRAD_ROW};
 

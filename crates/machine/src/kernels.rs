@@ -8,9 +8,9 @@ use crate::spec::MachineSpec;
 
 /// Bytes of node data the residual path keeps live per vertex: 4 state +
 /// 12 gradient + 4 residual doubles (the flux kernel's footprint; the
-/// gradient kernel's is smaller). The one number behind three decisions —
-/// stream or tile (against the private L2), the tile budget (half an L2),
-/// stage or gather in place (against the LLC) — so they cannot drift apart.
+/// gradient kernel's is smaller). The one number behind both tiling
+/// decisions — stream or tile (against the private L2) and the tile
+/// budget (half an L2) — so they cannot drift apart.
 pub const RESIDUAL_BYTES_PER_VERTEX: usize = (4 + 12 + 4) * 8;
 
 /// Single-thread cost constants for the edge-based flux kernel, per code

@@ -32,14 +32,13 @@ pub struct MachineSpec {
     pub barrier_base_ns: f64,
     /// Cost of one P2P flag wait that is already satisfied, nanoseconds.
     pub p2p_wait_ns: f64,
-    /// Per-core private L2 capacity, bytes. The locality tiler sizes its
-    /// scratch-pad working set to stay resident here (L1 is too small for
-    /// a useful tile, L3 is shared and already covered by RCM locality).
+    /// Per-core private L2 capacity, bytes. The locality tiler sizes a
+    /// tile's working set to stay resident here (L1 is too small for a
+    /// useful tile, L3 is shared and already covered by RCM locality).
     pub l2_bytes: usize,
-    /// Shared last-level cache capacity, bytes. The tile-execution
-    /// policy compares the node working set against this: explicit
-    /// scratch-pad staging only pays off when the gathers would
-    /// otherwise miss to DRAM.
+    /// Shared last-level cache capacity, bytes: where a working set
+    /// stops being cache-resident (the benchmark's triad is sized past
+    /// it).
     pub llc_bytes: usize,
 }
 

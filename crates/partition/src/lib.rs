@@ -24,12 +24,11 @@
 //! paper rejects (kept for the ablation study).
 //!
 //! [`tiling`] adds the fourth write-conflict strategy beyond the paper:
-//! cache-blocked edge tiles with scratch-pad staging. Edges are grouped
-//! into tiles whose touched-vertex working set fits in a core's private
-//! L2; a tile's vertex data is gathered once into a dense scratch pad,
-//! all its edges accumulate there with full reuse, and conflicts are
-//! resolved by coloring *across* tiles (not across edges), preserving the
-//! intra-tile locality that per-edge coloring destroys.
+//! cache-blocked edge tiles. Edges are grouped into tiles whose
+//! touched-vertex working set fits in a core's private L2, so a tile's
+//! vertex data is loaded once and all its edges reuse it in cache, and
+//! conflicts are resolved by coloring *across* tiles (not across edges),
+//! preserving the intra-tile locality that per-edge coloring destroys.
 
 pub mod coloring;
 pub mod metrics;

@@ -61,16 +61,16 @@ pub struct TileQuality {
     pub ncolors: usize,
     /// Edges covered.
     pub nedges: usize,
-    /// Total scratch slots (sum of per-tile unique-vertex counts).
+    /// Total vertex slots (sum of per-tile unique-vertex counts).
     pub vertex_slots: usize,
-    /// Aggregate reuse: edges per staged vertex slot.
+    /// Aggregate reuse: edges per vertex slot.
     pub reuse: f64,
     /// Worst tile's reuse (edges / unique vertices).
     pub min_tile_reuse: f64,
     /// Best tile's reuse.
     pub max_tile_reuse: f64,
-    /// Halo fraction: share of scratch slots that are *re*-stages of a
-    /// vertex already staged by another tile. 0 means each vertex lives
+    /// Halo fraction: share of vertex slots that are *re*-loads of a
+    /// vertex another tile loads too. 0 means each vertex lives
     /// in exactly one tile; the tiled kernels pay `(1 + halo)` of the
     /// minimal vertex traffic.
     pub halo_fraction: f64,
@@ -149,7 +149,7 @@ mod tests {
         assert!(q.ntiles >= 1 && q.ncolors >= 1);
         assert!(q.min_color_tiles >= 1, "empty color class");
         assert!(q.max_color_tiles >= q.min_color_tiles);
-        // Reuse: a 3-D mesh tile amortizes each staged vertex over >1
+        // Reuse: a 3-D mesh tile amortizes each of its vertices over >1
         // edge in aggregate, and no tile can exceed the complete-graph
         // bound v*(v-1)/2 / v.
         assert!(q.reuse > 1.0, "aggregate reuse {}", q.reuse);

@@ -6,11 +6,13 @@
 //! gradients from DRAM-resident arrays. Tiling is the next rung
 //! (Sulyok et al., "Locality Optimized Unstructured Mesh Algorithms on
 //! GPUs", adapted here to CPU cache blocking): group edges into *tiles*
-//! whose unique-vertex working set fits a core's private L2, stage that
-//! working set once into a dense scratch pad, let every edge of the tile
-//! read and accumulate in the scratch pad (each staged vertex is reused
-//! by all its intra-tile edges), then scatter the accumulated updates
-//! back. Write conflicts move from the edge level to the tile level:
+//! whose unique-vertex working set fits a core's private L2, so that a
+//! tile's first touches bring its vertices into cache and every other
+//! edge of the tile reuses them there. (The GPU form also copies that
+//! working set into a scratch pad first; on a cache-coherent CPU the
+//! copy measured slower on every recorded mesh, so the kernels gather
+//! from the node arrays directly.) Write conflicts move from the edge
+//! level to the tile level:
 //! tiles sharing a vertex get different colors, and same-color tiles are
 //! vertex-disjoint so a thread pool can run one color's tiles in
 //! parallel with no atomics and no replicated work.
@@ -20,8 +22,8 @@
 //! input ordering) until the vertex budget derived from
 //! [`MachineSpec::l2_bytes`] is reached, then runs a closure sweep that
 //! claims every remaining unassigned edge whose endpoints are *both*
-//! already staged — those edges are free: they add reuse without adding
-//! working set.
+//! already in the tile — those edges are free: they add reuse without
+//! adding working set.
 
 // A tile keeps the residual path's whole per-vertex working set live.
 use fun3d_machine::{MachineSpec, RESIDUAL_BYTES_PER_VERTEX as TILE_BYTES_PER_VERTEX};
@@ -29,10 +31,10 @@ use fun3d_machine::{MachineSpec, RESIDUAL_BYTES_PER_VERTEX as TILE_BYTES_PER_VER
 /// Tiler parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct TilingConfig {
-    /// Scratch-pad budget per tile, bytes. The tile's unique-vertex
+    /// Working-set budget per tile, bytes. The tile's unique-vertex
     /// count is capped at `target_bytes / bytes_per_vertex`.
     pub target_bytes: usize,
-    /// Staged payload per unique vertex, bytes.
+    /// Working set per unique vertex, bytes.
     pub bytes_per_vertex: usize,
 }
 
@@ -63,26 +65,20 @@ impl TilingConfig {
     }
 }
 
-/// One edge tile: a set of edges plus the dense local remap of the
-/// vertices they touch.
+/// One edge tile: a set of edges and the vertices they touch.
 #[derive(Clone, Debug)]
 pub struct Tile {
-    /// Global edge ids, in intra-tile processing order (BFS growth order
-    /// followed by the closure sweep's free edges).
+    /// Global edge ids, in intra-tile processing order (ascending).
     pub edges: Vec<u32>,
-    /// Local-to-global vertex map: scratch slot `l` stages global vertex
-    /// `verts[l]`.
+    /// The tile's vertices: every endpoint of its edges, once each.
     pub verts: Vec<u32>,
-    /// Per tile edge, the endpoints as *local* scratch-slot indices,
-    /// same order as `edges`.
-    pub local: Vec<[u32; 2]>,
 }
 
 impl Tile {
     /// Edges per unique vertex — the locality win of this tile. A
-    /// streaming kernel pays two vertex gathers per edge; a tile pays
-    /// one stage + one scatter per unique vertex, so reuse > 1 means
-    /// the scratch pad is amortized.
+    /// streaming kernel pays two vertex gathers per edge; a tile misses
+    /// cache at most once per unique vertex, so reuse > 1 means its
+    /// vertices are loaded once and reused in cache.
     pub fn reuse_factor(&self) -> f64 {
         self.edges.len() as f64 / self.verts.len().max(1) as f64
     }
@@ -150,7 +146,6 @@ impl EdgeTiling {
 
         // Generation-stamped membership marks (reset-free between tiles).
         let mut vert_stamp = vec![u32::MAX; nvertices];
-        let mut local_of = vec![0u32; nvertices];
         let mut assigned = vec![false; nedges];
         let mut tiles: Vec<Tile> = Vec::new();
 
@@ -162,13 +157,11 @@ impl EdgeTiling {
             let mut tile = Tile {
                 edges: Vec::new(),
                 verts: Vec::new(),
-                local: Vec::new(),
             };
             let mut frontier: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
 
-            // Claims an edge: records it with local endpoint indices,
-            // staging any endpoint not yet in the tile and enqueueing
-            // the newly reachable incident edges.
+            // Claims an edge: records it, adding any endpoint not yet in
+            // the tile and enqueueing the newly reachable incident edges.
             fn take(
                 eid: u32,
                 tid: u32,
@@ -177,17 +170,14 @@ impl EdgeTiling {
                 inc: &[u32],
                 assigned: &mut [bool],
                 vert_stamp: &mut [u32],
-                local_of: &mut [u32],
                 tile: &mut Tile,
                 frontier: &mut std::collections::VecDeque<u32>,
             ) {
                 assigned[eid as usize] = true;
-                let mut loc = [0u32; 2];
-                for (k, &v) in edges[eid as usize].iter().enumerate() {
+                for &v in &edges[eid as usize] {
                     let vu = v as usize;
                     if vert_stamp[vu] != tid {
                         vert_stamp[vu] = tid;
-                        local_of[vu] = tile.verts.len() as u32;
                         tile.verts.push(v);
                         for &ie in &inc[off[vu] as usize..off[vu + 1] as usize] {
                             if !assigned[ie as usize] {
@@ -195,10 +185,8 @@ impl EdgeTiling {
                             }
                         }
                     }
-                    loc[k] = local_of[vu];
                 }
                 tile.edges.push(eid);
-                tile.local.push(loc);
             }
 
             // Seed always fits (max_verts >= 2); grow BFS while the next
@@ -211,7 +199,6 @@ impl EdgeTiling {
                 &inc,
                 &mut assigned,
                 &mut vert_stamp,
-                &mut local_of,
                 &mut tile,
                 &mut frontier,
             );
@@ -235,16 +222,15 @@ impl EdgeTiling {
                     &inc,
                     &mut assigned,
                     &mut vert_stamp,
-                    &mut local_of,
                     &mut tile,
                     &mut frontier,
                 );
             }
 
             // Closure sweep: any unassigned edge with both endpoints
-            // already staged costs no working set — pure extra reuse.
+            // already in the tile costs no working set — pure extra reuse.
             // (BFS already absorbs most of these; this catches edges
-            // skipped while their second endpoint was still unstaged.)
+            // skipped while their second endpoint was still outside.)
             for l in 0..tile.verts.len() {
                 let vu = tile.verts[l] as usize;
                 for ii in off[vu] as usize..off[vu + 1] as usize {
@@ -262,7 +248,6 @@ impl EdgeTiling {
                             &inc,
                             &mut assigned,
                             &mut vert_stamp,
-                            &mut local_of,
                             &mut tile,
                             &mut frontier,
                         );
@@ -271,26 +256,9 @@ impl EdgeTiling {
             }
             // Restore ascending edge order inside the tile (BFS claims
             // edges in frontier order): the compute loop then walks the
-            // geometry arrays in quasi-sequential runs the hardware
-            // prefetcher can follow, instead of BFS-scattered gathers.
-            let mut order: Vec<u32> = (0..tile.edges.len() as u32).collect();
-            order.sort_unstable_by_key(|&i| tile.edges[i as usize]);
-            tile.edges = order.iter().map(|&i| tile.edges[i as usize]).collect();
-            tile.local = order.iter().map(|&i| tile.local[i as usize]).collect();
-            // Same treatment for the scratch slots: ascending global
-            // vertex ids turn the stage loop's reads of the global
-            // q/grad arrays into quasi-sequential runs too.
-            let mut vorder: Vec<u32> = (0..tile.verts.len() as u32).collect();
-            vorder.sort_unstable_by_key(|&i| tile.verts[i as usize]);
-            let mut new_slot = vec![0u32; tile.verts.len()];
-            for (new, &old) in vorder.iter().enumerate() {
-                new_slot[old as usize] = new as u32;
-            }
-            tile.verts = vorder.iter().map(|&i| tile.verts[i as usize]).collect();
-            for l in tile.local.iter_mut() {
-                l[0] = new_slot[l[0] as usize];
-                l[1] = new_slot[l[1] as usize];
-            }
+            // gathers in quasi-sequential runs the hardware prefetcher can
+            // follow, instead of BFS-scattered ones.
+            tile.edges.sort_unstable();
             tiles.push(tile);
         }
 
@@ -359,9 +327,10 @@ impl EdgeTiling {
     /// it, but the fields are public. `perm` is a permutation of the edge
     /// ids; tile `t`'s range `tile_start[t] .. + edges.len()` lies inside
     /// it and holds exactly the tile's edges; every tile vertex is `<
-    /// nvertices`; every scratch slot is `< verts.len()` and stages the
-    /// endpoint it stands for; every tile has exactly one colour and the
-    /// tiles of one colour share no vertex. The error names the tile.
+    /// nvertices`; every endpoint of a tile's edges is one of that tile's
+    /// `verts` (what makes a tile's writes its own); every tile has
+    /// exactly one colour and the tiles of one colour share no vertex. The
+    /// error names the tile.
     pub fn validate(&self, nvertices: usize, edges: &[[u32; 2]]) -> Result<(), String> {
         let ne = edges.len();
         if self.nedges != ne || self.perm.len() != ne {
@@ -386,37 +355,30 @@ impl EdgeTiling {
                 Some(seen) => *seen = true,
             }
         }
+        // `member[v] == t` while tile `t` is checked and holds `v`.
+        let mut member = vec![usize::MAX; nvertices];
         for (t, (tile, &start)) in self.tiles.iter().zip(&self.tile_start).enumerate() {
             let start = start as usize;
-            if tile.local.len() != tile.edges.len() || start + tile.edges.len() > ne {
+            if start + tile.edges.len() > ne {
                 return Err(format!(
-                    "tile {t}: {} edges, {} slot pairs, range from {start} in {ne} edges",
-                    tile.edges.len(),
-                    tile.local.len()
+                    "tile {t}: {} edges, range from {start} in {ne} edges",
+                    tile.edges.len()
                 ));
             }
-            if let Some(&v) = tile.verts.iter().find(|&&v| v as usize >= nvertices) {
-                return Err(format!("tile {t}: vertex {v} of {nvertices} vertices"));
+            for &v in &tile.verts {
+                match member.get_mut(v as usize) {
+                    Some(m) => *m = t,
+                    None => return Err(format!("tile {t}: vertex {v} of {nvertices} vertices")),
+                }
             }
-            for (i, (slots, &eid)) in tile.local.iter().zip(&tile.edges).enumerate() {
+            for (i, &eid) in tile.edges.iter().enumerate() {
                 if self.perm[start + i] != eid {
                     return Err(format!("tile {t}, edge {i}: not edge {eid} of its range"));
                 }
-                for (&slot, &end) in slots.iter().zip(&edges[eid as usize]) {
-                    match tile.verts.get(slot as usize) {
-                        Some(&v) if v == end => {}
-                        Some(&v) => {
-                            return Err(format!(
-                                "tile {t}, edge {i}: slot {slot} stages vertex {v}, the endpoint is {end}"
-                            ))
-                        }
-                        None => {
-                            return Err(format!(
-                                "tile {t}, edge {i}: slot {slot} is past the tile's pad of {} vertices",
-                                tile.verts.len()
-                            ))
-                        }
-                    }
+                if let Some(&end) = edges[eid as usize].iter().find(|&&v| member[v as usize] != t) {
+                    return Err(format!(
+                        "tile {t}, edge {i}: endpoint {end} is not one of the tile's vertices"
+                    ));
                 }
             }
         }
@@ -453,19 +415,15 @@ impl EdgeTiling {
         self.color_tiles.len()
     }
 
-    /// Total scratch-pad slots across all tiles: the sum of per-tile
-    /// unique-vertex counts. Each slot is one stage + one scatter of
-    /// vertex data — the tiled strategy's entire vertex DRAM traffic.
+    /// Vertex slots across all tiles: the sum of per-tile unique-vertex
+    /// counts. Each slot is at most one cache miss for the vertex's reads
+    /// and one for its writes — the tiled strategy's entire vertex DRAM
+    /// traffic.
     pub fn vertex_slots(&self) -> usize {
         self.tiles.iter().map(|t| t.verts.len()).sum()
     }
 
-    /// Largest tile's unique-vertex count (scratch-pad allocation size).
-    pub fn max_tile_verts(&self) -> usize {
-        self.tiles.iter().map(|t| t.verts.len()).max().unwrap_or(0)
-    }
-
-    /// Measured aggregate reuse factor: edges per staged vertex slot.
+    /// Measured aggregate reuse factor: edges per vertex slot.
     /// The streaming kernels gather 2 vertices per edge, so the vertex
     /// traffic shrinks by `2 * reuse_factor()` relative to streaming
     /// (ignoring the cache reuse streaming already gets from RCM).
@@ -486,22 +444,20 @@ mod tests {
 
     fn check_invariants(nv: usize, edges: &[[u32; 2]], tl: &EdgeTiling) {
         tl.validate(nv, edges).expect("a built tiling validates against its own edges");
-        // Every edge appears in exactly one tile, with a faithful remap.
+        // Every edge appears in exactly one tile, whose vertices are its
+        // edges' endpoints, each once.
         let mut seen = vec![false; edges.len()];
         for tile in &tl.tiles {
-            assert_eq!(tile.edges.len(), tile.local.len());
             assert!(!tile.edges.is_empty(), "empty tile");
-            for (k, &eid) in tile.edges.iter().enumerate() {
+            let mut ends = std::collections::HashSet::new();
+            for &eid in &tile.edges {
                 assert!(!seen[eid as usize], "edge {eid} tiled twice");
                 seen[eid as usize] = true;
-                let e = edges[eid as usize];
-                let l = tile.local[k];
-                assert_eq!(tile.verts[l[0] as usize], e[0]);
-                assert_eq!(tile.verts[l[1] as usize], e[1]);
+                ends.extend(edges[eid as usize]);
             }
-            // Local map has no duplicate globals.
-            let uniq: std::collections::HashSet<u32> = tile.verts.iter().copied().collect();
-            assert_eq!(uniq.len(), tile.verts.len());
+            let verts: std::collections::HashSet<u32> = tile.verts.iter().copied().collect();
+            assert_eq!(verts.len(), tile.verts.len(), "a vertex twice in a tile");
+            assert_eq!(verts, ends, "a tile's vertices are its edges' endpoints");
         }
         assert!(seen.iter().all(|&s| s), "uncovered edge");
         // Proper coloring: same-color tiles are vertex-disjoint, and no
@@ -541,7 +497,7 @@ mod tests {
         for tile in &tl.tiles {
             assert!(tile.verts.len() <= 51);
         }
-        // A mesh tile should reuse each staged vertex more than once.
+        // A mesh tile should reuse each of its vertices more than once.
         assert!(tl.reuse_factor() > 1.0, "reuse {}", tl.reuse_factor());
     }
 
@@ -576,7 +532,7 @@ mod tests {
         check_invariants(nv, &edges, &tl);
         assert_eq!(tl.ntiles(), 1);
         assert_eq!(tl.ncolors(), 1);
-        assert_eq!(tl.vertex_slots(), nv); // connected mesh: all staged once
+        assert_eq!(tl.vertex_slots(), nv); // connected mesh: every vertex once
     }
 
     #[test]

@@ -1019,10 +1019,9 @@ mod tests {
             };
             for nt in [1usize, 2, 3, 4, 7] {
                 let pool = std::sync::Arc::new(ThreadPool::new(nt));
-                for precond in ["identity", "levels", "p2p"] {
+                for precond in ["identity", "p2p"] {
                     let m: Box<dyn Preconditioner> = match precond {
                         "identity" => Box::new(IdentityPrecond(n)),
-                        "levels" => Box::new(SerialIlu::new(&a, 0).with_levels(pool.clone())),
                         _ => Box::new(SerialIlu::new(&a, 0).with_p2p(pool.clone())),
                     };
                     let case = format!("nt={nt} {precond} single={single_reduction}");
@@ -1057,7 +1056,7 @@ mod tests {
             ..Default::default()
         };
         let pool = std::sync::Arc::new(ThreadPool::new(2));
-        let ilu = SerialIlu::new(&a, 0).with_levels(pool.clone());
+        let ilu = SerialIlu::new(&a, 0).with_p2p(pool.clone());
         let before = pool.regions_launched();
         let (rt, _) = solve_mode(&a, &ilu, &b, cfg, GmresExec::Team(&pool));
         let regions = pool.regions_launched() - before;

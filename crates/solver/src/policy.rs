@@ -13,10 +13,6 @@
 //! threading launches ~8 regions per iteration where Team launches ~1.25
 //! and never won a recorded run; it survives only as the ablation
 //! reference [`GmresExec::PerOp`](crate::gmres::GmresExec).)
-//!
-//! `FUN3D_EXEC=serial|team|auto` overrides whatever the
-//! application configured (read where the solve is launched, see
-//! [`ExecMode::from_env`]).
 
 use fun3d_machine::{MachineSpec, RESIDUAL_BYTES_PER_VERTEX};
 use fun3d_threads::{SyncCosts, ThreadPool};
@@ -36,32 +32,6 @@ pub enum ExecMode {
     Auto,
 }
 
-impl ExecMode {
-    /// Canonical name (the form [`ExecMode::parse`] accepts).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Serial => "serial",
-            ExecMode::Team => "team",
-            ExecMode::Auto => "auto",
-        }
-    }
-
-    /// Parses `serial|team|auto`.
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "serial" => Some(ExecMode::Serial),
-            "team" => Some(ExecMode::Team),
-            "auto" => Some(ExecMode::Auto),
-            _ => None,
-        }
-    }
-
-    /// The `FUN3D_EXEC` override, if set and valid.
-    pub fn from_env() -> Option<ExecMode> {
-        std::env::var("FUN3D_EXEC").ok().and_then(|v| ExecMode::parse(&v))
-    }
-}
-
 /// Residual-path edge-kernel scheme: how the flux/gradient loops resolve
 /// their write conflicts and schedule their memory traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,8 +39,8 @@ pub enum FluxScheme {
     /// The paper's streaming kernels: serial SIMD+prefetch at one
     /// thread, owner-writes replication on the pool.
     Stream,
-    /// Cache-blocked tiles, scratch-staged or direct, with inter-tile
-    /// coloring (`fun3d_core`'s `Traversal::Tiled`).
+    /// Cache-blocked tiles with inter-tile coloring (`fun3d_core`'s
+    /// `Traversal::Tiled`).
     Tiled,
     /// Resolve Stream vs Tiled per mesh from the machine model (see
     /// [`FluxScheme::resolve`]).
@@ -78,36 +48,12 @@ pub enum FluxScheme {
 }
 
 impl FluxScheme {
-    /// Canonical name (the form [`FluxScheme::parse`] accepts).
-    pub fn name(self) -> &'static str {
-        match self {
-            FluxScheme::Stream => "stream",
-            FluxScheme::Tiled => "tiled",
-            FluxScheme::Auto => "auto",
-        }
-    }
-
-    /// Parses `stream|tiled|auto`.
-    pub fn parse(s: &str) -> Option<FluxScheme> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "stream" => Some(FluxScheme::Stream),
-            "tiled" => Some(FluxScheme::Tiled),
-            "auto" => Some(FluxScheme::Auto),
-            _ => None,
-        }
-    }
-
-    /// The `FUN3D_FLUX` override, if set and valid.
-    pub fn from_env() -> Option<FluxScheme> {
-        std::env::var("FUN3D_FLUX").ok().and_then(|v| FluxScheme::parse(&v))
-    }
-
     /// Resolves `Auto` for a mesh of `nvertices` vertices run on
     /// `nthreads` threads: tile when the residual-path node working set
     /// overflows the private L2 capacity of the cores in use — the
     /// regime where the streaming kernels' per-edge gathers miss cache
-    /// and staging pays for itself. Below it the node arrays are already
-    /// cache-resident and tiling only adds stage/scatter overhead.
+    /// and a tile's reuse pays for itself. Below it the node arrays are
+    /// already cache-resident and tiling only reorders the edges.
     /// `Stream` and `Tiled` return themselves (explicit configuration
     /// wins). Never returns `Auto`.
     pub fn resolve(self, machine: &MachineSpec, nvertices: usize, nthreads: usize) -> FluxScheme {
@@ -375,18 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_names_round_trip() {
-        for m in [ExecMode::Serial, ExecMode::Team, ExecMode::Auto] {
-            assert_eq!(ExecMode::parse(m.name()), Some(m));
-        }
-        assert_eq!(ExecMode::parse(" TEAM "), Some(ExecMode::Team));
-        // Region-per-op threading left production: no spelling selects it.
-        for gone in ["per-op", "perop", "per_op", "nope"] {
-            assert_eq!(ExecMode::parse(gone), None);
-        }
-    }
-
-    #[test]
     fn flux_scheme_resolves_by_working_set() {
         let m = MachineSpec::xeon_e5_2690v2(); // 256 KiB L2/core
         // Tiny fixture (~175 vertices, 28 KB): cache-resident, stream.
@@ -403,15 +337,6 @@ mod tests {
         // Explicit schemes win regardless of size.
         assert_eq!(FluxScheme::Stream.resolve(&m, usize::MAX / 1024, 1), FluxScheme::Stream);
         assert_eq!(FluxScheme::Tiled.resolve(&m, 1, 1), FluxScheme::Tiled);
-    }
-
-    #[test]
-    fn flux_scheme_names_round_trip() {
-        for s in [FluxScheme::Stream, FluxScheme::Tiled, FluxScheme::Auto] {
-            assert_eq!(FluxScheme::parse(s.name()), Some(s));
-        }
-        assert_eq!(FluxScheme::parse(" TILED "), Some(FluxScheme::Tiled));
-        assert_eq!(FluxScheme::parse("nope"), None);
     }
 
     #[test]

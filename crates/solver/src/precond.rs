@@ -4,13 +4,11 @@
 //! The Schwarz preconditioner solves an ILU factorization *per subdomain*
 //! concurrently; the paper notes this also improves flop rates serially
 //! because smaller subdomain blocks stay cache-resident [14]. The ILU
-//! application can run serially, level-scheduled, or with P2P sparsified
-//! synchronization — the three strategies of Fig. 7.
+//! application runs serially or with P2P sparsified synchronization; Fig.
+//! 7's third strategy, a barrier per level, is a modelled row only.
 
-use fun3d_sparse::{
-    ilu, levels, p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pSchedule, Sweep,
-};
-use fun3d_threads::{P2pProgress, SpinBarrier, TeamMember, TeamSlice, ThreadPool};
+use fun3d_sparse::{ilu, p2p, trsv, Bcsr4, IluFactors, P2pSchedule, Sweep};
+use fun3d_threads::{P2pProgress, TeamMember, TeamSlice, ThreadPool};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -72,18 +70,6 @@ impl Preconditioner for IdentityPrecond {
 pub enum IluApply {
     /// Single-threaded sweeps.
     Serial,
-    /// Level-scheduled with a barrier per level.
-    Levels {
-        /// Executing pool.
-        pool: Arc<ThreadPool>,
-        /// Forward-sweep schedule.
-        fwd: Arc<LevelSchedule>,
-        /// Backward-sweep schedule.
-        bwd: Arc<LevelSchedule>,
-        /// The level barrier of the pooled sweeps (team applies use the
-        /// team's own).
-        barrier: SpinBarrier,
-    },
     /// Sparsified point-to-point synchronization.
     P2p {
         /// Executing pool.
@@ -100,17 +86,6 @@ pub enum IluApply {
 }
 
 impl IluApply {
-    /// Level-scheduled application on `pool`.
-    pub fn levels(pool: Arc<ThreadPool>, fwd: Arc<LevelSchedule>, bwd: Arc<LevelSchedule>) -> Self {
-        let barrier = SpinBarrier::new(pool.size());
-        IluApply::Levels {
-            pool,
-            fwd,
-            bwd,
-            barrier,
-        }
-    }
-
     /// P2P-synchronized application on `pool`, whose size the schedules
     /// were built for. Waits that block are counted and timed per thread
     /// and sweep direction (`trsv.p2p.blocked_waits.fwd.t0`, …
@@ -157,14 +132,6 @@ impl SerialIlu {
         }
     }
 
-    /// Upgrades the application strategy to level scheduling.
-    pub fn with_levels(mut self, pool: Arc<ThreadPool>) -> Self {
-        let fwd = Arc::new(LevelSchedule::forward(&self.factors.l));
-        let bwd = Arc::new(LevelSchedule::backward(&self.factors.u));
-        self.apply_mode = IluApply::levels(pool, fwd, bwd);
-        self
-    }
-
     /// Upgrades the application strategy to P2P synchronization.
     pub fn with_p2p(mut self, pool: Arc<ThreadPool>) -> Self {
         let nt = pool.size();
@@ -180,12 +147,6 @@ impl Preconditioner for SerialIlu {
         let (f, scratch) = (&*self.factors, &mut self.scratch.borrow_mut()[..]);
         match &self.apply_mode {
             IluApply::Serial => trsv::solve_into(f, r, scratch, z),
-            IluApply::Levels {
-                pool,
-                fwd,
-                bwd,
-                barrier,
-            } => levels::solve_levels_into(f, r, pool, fwd, bwd, barrier, scratch, z),
             IluApply::P2p {
                 pool,
                 fwd,
@@ -224,18 +185,6 @@ impl Preconditioner for SerialIlu {
                     }
                 }
                 tm.barrier();
-            }
-            // Level-scheduled sweeps inside the caller's region. The
-            // forward solve writes z from r; the backward solve runs in
-            // place z→z (row i's input is read before its output is
-            // stored, so it is bitwise identical to the out-of-place
-            // pooled path). Both sweeps end with a level barrier, so z is
-            // published on return.
-            IluApply::Levels { fwd, bwd, .. } => {
-                let barrier = tm.team().barrier();
-                let f = &self.factors;
-                levels::sweep_levels_team(Sweep::Forward, f, r, z, tid, nt, fwd, barrier);
-                levels::sweep_levels_team(Sweep::Backward, f, z, z, tid, nt, bwd, barrier);
             }
             // P2P sweeps on counters that continue from the last
             // application's. A barrier between the sweeps because forward
@@ -413,7 +362,6 @@ mod tests {
         let n = a.dim();
         let serial = SerialIlu::new(&a, 1);
         let pool = Arc::new(ThreadPool::new(3));
-        let lv = SerialIlu::new(&a, 1).with_levels(pool.clone());
         let pp = SerialIlu::new(&a, 1).with_p2p(pool);
         for pass in 0..2 {
             let r: Vec<f64> = (0..n)
@@ -421,9 +369,6 @@ mod tests {
                 .collect();
             let mut z0 = vec![0.0; n];
             serial.apply(&r, &mut z0);
-            let mut z1 = vec![0.0; n];
-            lv.apply(&r, &mut z1);
-            assert_eq!(z0, z1, "level-scheduled apply differs (pass {pass})");
             let mut z2 = vec![0.0; n];
             pp.apply(&r, &mut z2);
             assert_eq!(z0, z2, "p2p apply differs (pass {pass})");

@@ -53,7 +53,6 @@ pub trait PtcProblem {
     /// operator apply stays between regions, hybrid mode), or
     /// [`ExecMode::Auto`] to pick per solve from the machine model plus
     /// measured sync costs. Ignored without a pool (always serial).
-    /// `FUN3D_EXEC=serial|team|auto` overrides this at run time.
     fn exec_mode(&self) -> ExecMode {
         ExecMode::Team
     }
@@ -143,8 +142,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
     let mut delta = vec![0.0; n];
     let mut gmres = Gmres::new(n, config.gmres);
     let pool = problem.solver_pool();
-    // `FUN3D_EXEC` wins over the application's configuration.
-    let mode = ExecMode::from_env().unwrap_or_else(|| problem.exec_mode());
+    let mode = problem.exec_mode();
 
     let threads = pool.as_deref().map(ThreadPool::size).unwrap_or(1) as u64;
     let solve_id = flight::begin_solve(n as u64, threads);

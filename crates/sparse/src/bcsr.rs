@@ -138,16 +138,9 @@ impl Bcsr4 {
         self.blocks[k * BLOCK_LEN + i * BLOCK_DIM + j] += v;
     }
 
-    /// Adds a whole block into `(row, col)`; the block must exist.
-    pub fn add_block(&mut self, row: usize, col: u32, b: &Block4) {
-        let k = self
-            .find(row, col)
-            .expect("block missing from sparsity pattern");
-        self.add_block_at(k, b);
-    }
-
-    /// Adds a whole block into storage position `k` (as [`Bcsr4::find`]
-    /// returns it) — for callers that looked their positions up once.
+    /// Adds a whole block into storage position `k`, as [`Bcsr4::find`]
+    /// returns it: assembly looks its positions up once
+    /// (`fun3d_core::jacobian::JacobianSlots`).
     #[inline]
     pub fn add_block_at(&mut self, k: usize, b: &Block4) {
         for (dst, src) in self.block_mut(k).iter_mut().zip(b) {
@@ -336,7 +329,7 @@ mod tests {
         assert_eq!(a.block(0)[1 * 4 + 2], 5.0);
         let mut b = ZERO_BLOCK;
         b[0] = 1.0;
-        a.add_block(0, 0, &b);
+        a.add_block_at(0, &b);
         assert_eq!(a.block(0)[0], 1.0);
         a.zero_values();
         assert!(a.blocks.iter().all(|&x| x == 0.0));

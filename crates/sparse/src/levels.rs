@@ -2,17 +2,15 @@
 //!
 //! Rows are grouped into *levels* (wavefronts) of the dependency DAG: a
 //! row's level is one more than the maximum level of the rows it reads
-//! (Anderson & Saad [24], Naumov [25]). Rows in a level are independent
-//! and execute in parallel; a barrier separates consecutive levels. The
-//! paper's observed weaknesses — load imbalance because level widths
-//! shrink rapidly, and one barrier per level on the critical path — are
-//! exactly what [`crate::p2p`] improves on.
+//! (Anderson & Saad [24], Naumov [25]). Rows in a level are independent,
+//! so a level-scheduled sweep runs each level in parallel with a barrier
+//! between consecutive levels. The paper's observed weaknesses — load
+//! imbalance because level widths shrink rapidly, and one barrier per
+//! level on the critical path — are exactly what [`crate::p2p`] improves
+//! on, and the barrier-per-level sweep itself is not kept: the schedule
+//! feeds the P2P row ownership and Fig. 7a's model of the level row.
 
-use crate::ilu::IluFactors;
-use crate::trsv::{self, RowOrder, Sweep};
 use crate::Pattern;
-use fun3d_simd::Isa;
-use fun3d_threads::{chunk_range, SpinBarrier, TeamSlice, ThreadPool};
 
 /// Rows grouped by DAG level.
 #[derive(Clone, Debug)]
@@ -89,91 +87,11 @@ impl LevelSchedule {
     }
 }
 
-/// Thread `tid`'s rows of a level-scheduled sweep: its static chunk of
-/// each level, a barrier after each level.
-struct LevelShare<'a>(&'a LevelSchedule, usize, usize, &'a SpinBarrier);
-
-impl RowOrder for LevelShare<'_> {
-    #[inline(always)]
-    fn each_row(&self, mut row: impl FnMut(usize)) {
-        let &LevelShare(sched, tid, nthreads, barrier) = self;
-        for lvl in &sched.rows {
-            for &i in &lvl[chunk_range(lvl.len(), nthreads, tid)] {
-                row(i as usize);
-            }
-            barrier.wait();
-        }
-    }
-}
-
-/// One sweep's slice for one member of an already-running SPMD region: a
-/// barrier per level, each level's rows chunked statically over the team.
-/// `src` and `dst` may alias (in-place sweep): row `i`'s input is read
-/// before its output is stored, and each row is owned by exactly one
-/// thread.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_levels_team(
-    sweep: Sweep,
-    f: &IluFactors,
-    src: TeamSlice,
-    dst: TeamSlice,
-    tid: usize,
-    nthreads: usize,
-    sched: &LevelSchedule,
-    barrier: &SpinBarrier,
-) {
-    let share = LevelShare(sched, tid, nthreads, barrier);
-    // SAFETY: each row is owned by exactly one thread, and the rows it
-    // reads sit in earlier levels, written before a barrier it crossed.
-    unsafe { trsv::run_rows(Isa::detect(), sweep, f, src, dst, &share) }
-}
-
-/// Full level-scheduled preconditioner application `x = (LU)⁻¹ b` into
-/// caller-provided buffers, as [`crate::trsv::solve_into`]: `scratch`
-/// receives the forward sweep, and `barrier` (one party per pool thread)
-/// is reused by both sweeps, so nothing is allocated per application.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_levels_into(
-    f: &IluFactors,
-    b: &[f64],
-    pool: &ThreadPool,
-    fwd: &LevelSchedule,
-    bwd: &LevelSchedule,
-    barrier: &SpinBarrier,
-    scratch: &mut [f64],
-    x: &mut [f64],
-) {
-    assert_eq!(barrier.parties(), pool.size());
-    let b = trsv::read_only(b);
-    let y = TeamSlice::new(scratch);
-    let x = TeamSlice::new(x);
-    let nt = pool.size();
-    // The forward sweep's last barrier publishes y to the backward one.
-    pool.run(|tid| {
-        sweep_levels_team(Sweep::Forward, f, b, y, tid, nt, fwd, barrier);
-        sweep_levels_team(Sweep::Backward, f, y, x, tid, nt, bwd, barrier);
-    });
-}
-
-/// [`solve_levels_into`] with fresh buffers and a fresh barrier.
-pub fn solve_levels(
-    f: &IluFactors,
-    b: &[f64],
-    pool: &ThreadPool,
-    fwd: &LevelSchedule,
-    bwd: &LevelSchedule,
-) -> Vec<f64> {
-    let barrier = SpinBarrier::new(pool.size());
-    let mut y = vec![0.0; b.len()];
-    let mut x = vec![0.0; b.len()];
-    solve_levels_into(f, b, pool, fwd, bwd, &barrier, &mut y, &mut x);
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ilu, trsv, Bcsr4};
+    use crate::ilu::{self, IluFactors};
+    use crate::Bcsr4;
 
     fn mesh_factors(seed: u64) -> (Bcsr4, IluFactors) {
         let m = fun3d_mesh::generator::MeshPreset::Tiny.build();
@@ -218,22 +136,6 @@ mod tests {
                 let j = f.u.col_idx[k] as usize;
                 assert!(level_of[j] < level_of[i], "row {i} dep {j}");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_solve_matches_serial_bitwise_per_row() {
-        let (_, f) = mesh_factors(33);
-        let n = f.nrows() * 4;
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.41).sin()).collect();
-        let serial = trsv::solve(&f, &b);
-        for nt in [1usize, 2, 4] {
-            let pool = ThreadPool::new(nt);
-            let fwd = LevelSchedule::forward(&f.l);
-            let bwd = LevelSchedule::backward(&f.u);
-            let par = solve_levels(&f, &b, &pool, &fwd, &bwd);
-            // Row-local arithmetic is in identical order => bitwise equal.
-            assert_eq!(serial, par, "nt={nt}");
         }
     }
 

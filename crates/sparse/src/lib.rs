@@ -5,8 +5,7 @@
 //! [2,3] showed is crucial: coalesced loads (a 4×4 f64 block spans exactly
 //! two cache lines), amortized index arithmetic, lower bandwidth pressure.
 //! On top of the storage this crate implements the paper's "sparse,
-//! narrow-band recurrence" kernels and both of their parallelization
-//! strategies:
+//! narrow-band recurrence" kernels and the parallelization that runs them:
 //!
 //! * [`ilu`] — ILU(0) and ILU(k) factorization with the fill pattern
 //!   computed symbolically, diagonal blocks inverted and stored (PETSc's
@@ -18,7 +17,8 @@
 //! * [`trsv`] — block forward/backward substitution: the one forward and
 //!   the one backward row that every sweep below runs;
 //! * [`levels`] — level scheduling (Anderson & Saad [24], Naumov [25]):
-//!   execute the dependency DAG level by level with a barrier per level;
+//!   the dependency DAG's levels, which P2P ownership is built from (the
+//!   barrier-per-level sweep is Fig. 7a's modelled row, not a kernel);
 //! * [`p2p`] — sparsified point-to-point synchronization (Park et al.
 //!   [26]): the levels decide which thread owns a row, an approximate
 //!   transitive reduction of the cross-thread dependency edges decides

@@ -4,16 +4,15 @@
 //! * **bitwise** — single precision is storage only and every kernel fixes
 //!   its order of operations, so every way of computing or applying the
 //!   factors gives the same bits: compressed vs [`TempBuffer::Full`],
-//!   fresh vs in place, serial vs team refactorization, serial vs
-//!   level-scheduled vs P2P sweeps at any thread count, portable vs AVX2
-//!   lanes;
+//!   fresh vs in place, serial vs team refactorization, serial vs P2P
+//!   sweeps at any thread count, portable vs AVX2 lanes;
 //! * **accurate** — where ILU is the exact LU, the solve's residual, taken
 //!   with the `f64` matrix by [`Bcsr4::spmv`] (not by anything that reads
 //!   the factors), is `f32`-storage small.
 
 use crate::ilu::{self, IluFactors, IluSymbolic, TempBuffer};
 use crate::trsv::{self, Sweep};
-use crate::{levels, p2p, Bcsr4, LevelSchedule, P2pSchedule};
+use crate::{p2p, Bcsr4, P2pSchedule};
 use fun3d_simd::Isa;
 use fun3d_threads::{TeamSlice, ThreadPool};
 use fun3d_util::proptest_mini::Gen;
@@ -111,11 +110,6 @@ fn every_path_agrees(a: &Bcsr4, fill: usize) -> Result<(), String> {
         }
         if bits(&p2p::solve_p2p(&kept, &b, &pool, &fwd, &bwd)) != bits(&x) {
             return Err(format!("P2P vs serial sweeps, nt {nt}"));
-        }
-        let lf = LevelSchedule::forward(sym.l_pattern());
-        let lb = LevelSchedule::backward(sym.u_pattern());
-        if bits(&levels::solve_levels(&kept, &b, &pool, &lf, &lb)) != bits(&x) {
-            return Err(format!("level-scheduled vs serial sweeps, nt {nt}"));
         }
     }
     Ok(())

@@ -11,12 +11,12 @@
 //!
 //! **One row kernel.** A sweep is rows in some order, and a row is the
 //! same arithmetic whoever runs it: the forward and the backward row are
-//! written once, here, and the serial sweeps below, the level-scheduled
-//! ([`crate::levels`]) and the P2P ones ([`crate::p2p`]) only say which
-//! rows a caller runs and what it waits for ([`RowOrder`]) — so the three
-//! agree bit for bit, and only this file touches the factors' block
-//! format. The rows run on the detected [`Simd`] lanes (bitwise the
-//! portable ones; measured in EXPERIMENTS, "TRSV bytes per row").
+//! written once, here, and the serial sweeps below and the P2P ones
+//! ([`crate::p2p`]) only say which rows a caller runs and what it waits
+//! for ([`RowOrder`]) — so the two agree bit for bit, and only this file
+//! touches the factors' block format. The rows run on the detected
+//! [`Simd`] lanes (bitwise the portable ones; measured in EXPERIMENTS,
+//! "TRSV bytes per row").
 
 use crate::block;
 use crate::ilu::{IluFactors, Triangle};

@@ -38,22 +38,11 @@ pub struct SpinBarrier {
     last_cross_ns: std::sync::atomic::AtomicU64,
     #[cfg(not(fun3d_check))]
     pace_ns: std::sync::atomic::AtomicU64,
-    #[cfg(not(fun3d_check))]
-    adaptive: bool,
 }
 
 impl SpinBarrier {
-    /// Creates a barrier for `parties` threads (`parties >= 1`), with
-    /// the adaptive nap defaulted from `FUN3D_ADAPTIVE_SPIN`.
+    /// Creates a barrier for `parties` threads (`parties >= 1`).
     pub fn new(parties: usize) -> Self {
-        Self::with_adaptive(parties, crate::adaptive_spin_default())
-    }
-
-    /// Creates a barrier with the adaptive waiter nap explicitly on or
-    /// off (construction-time so tests can compare both in one process).
-    pub fn with_adaptive(parties: usize, adaptive: bool) -> Self {
-        #[cfg(fun3d_check)]
-        let _ = adaptive;
         assert!(parties >= 1);
         SpinBarrier {
             count: AtomicUsize::new(0),
@@ -66,8 +55,6 @@ impl SpinBarrier {
             last_cross_ns: std::sync::atomic::AtomicU64::new(0),
             #[cfg(not(fun3d_check))]
             pace_ns: std::sync::atomic::AtomicU64::new(0),
-            #[cfg(not(fun3d_check))]
-            adaptive,
         }
     }
 
@@ -177,7 +164,7 @@ impl SpinBarrier {
                     // builds only; bounded so a bad pace estimate costs
                     // at most 100 us per wait.
                     #[cfg(not(fun3d_check))]
-                    if self.adaptive && spins >= 256 {
+                    if spins >= 256 {
                         let pace = self.pace_ns.load(Ordering::Relaxed);
                         if pace > 0 {
                             let nap = (pace / 8).clamp(1_000, 100_000);

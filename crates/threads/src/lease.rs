@@ -43,11 +43,21 @@ pub struct PoolLease<'a> {
 }
 
 impl PoolSet {
-    /// Builds one pool per entry of `sizes` (workers each). An empty
-    /// list is a valid set on which every checkout fails.
+    /// Builds one pool per entry of `sizes` (workers each), the pools on
+    /// consecutive core ranges: worker `t` of pool `i` is pinned to core
+    /// `(sizes[..i].sum() + t) mod ncores`, so pools that run side by side
+    /// share a core only once the set has more workers than the host has
+    /// cores. An empty list is a valid set on which every checkout fails.
     pub fn new(sizes: &[usize]) -> PoolSet {
-        let pools: Vec<Arc<ThreadPool>> =
-            sizes.iter().map(|&n| Arc::new(ThreadPool::new(n))).collect();
+        let mut first_core = 0;
+        let pools: Vec<Arc<ThreadPool>> = sizes
+            .iter()
+            .map(|&n| {
+                let pool = ThreadPool::spawn(n, true, first_core);
+                first_core += n;
+                Arc::new(pool)
+            })
+            .collect();
         let free = (0..pools.len()).collect();
         PoolSet {
             pools,
@@ -204,6 +214,22 @@ mod tests {
         let b = set.checkout(3).unwrap();
         assert_eq!(b.pool().size(), 4);
         assert_eq!(set.high_water(), 6);
+    }
+
+    #[test]
+    fn pools_of_a_set_pin_to_consecutive_cores() {
+        let set = PoolSet::new(&[2, 2, 3]);
+        let cores = |ncores| -> Vec<Vec<usize>> {
+            let pool_cores = |p: &Arc<ThreadPool>| (0..p.size()).map(|t| p.core_of(t, ncores)).collect();
+            set.pools.iter().map(pool_cores).collect()
+        };
+        // Enough cores: every worker of the set on a core of its own.
+        assert_eq!(cores(8), [vec![0, 1], vec![2, 3], vec![4, 5, 6]]);
+        // Fewer: the ranges wrap around the host, still consecutive.
+        assert_eq!(cores(4), [vec![0, 1], vec![2, 3], vec![0, 1, 2]]);
+        // A pool on its own starts at core 0.
+        let pool = ThreadPool::new(3);
+        assert_eq!((0..3).map(|t| pool.core_of(t, 2)).collect::<Vec<_>>(), [0, 1, 0]);
     }
 
     #[test]

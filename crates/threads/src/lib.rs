@@ -38,7 +38,7 @@ pub use atomicf64::AtomicF64View;
 pub use barrier::SpinBarrier;
 pub use lease::{PoolLease, PoolSet};
 pub use p2p::{P2pProgress, P2pSweep};
-pub use pool::{adaptive_spin_default, Bell, JobPtr, ThreadPool};
+pub use pool::{Bell, JobPtr, ThreadPool};
 pub use probe::SyncCosts;
 pub use team::{Team, TeamMember, TeamSlice, TreeReduce};
 

@@ -13,7 +13,17 @@
 //! region boundary for every kernel it runs (the fork-join cost the
 //! paper's persistent-region restructuring attacks). Workers are created
 //! once; on Linux each is best-effort pinned to a core (the paper's runs
-//! use `KMP_AFFINITY=compact`), disable with `FUN3D_PIN=off`.
+//! use `KMP_AFFINITY=compact`): a pool's workers on consecutive cores, and
+//! the pools of one [`crate::PoolSet`] on consecutive ranges, so teams
+//! running side by side do not share cores.
+//!
+//! `FUN3D_PIN=off` disables the pinning, and it is the one environment
+//! knob the runtime reads: where the process runs is the deployment's
+//! call (a container that shares its cores, or a launcher that pins
+//! ranks itself, must be able to say no), not something any run of the
+//! code could decide better. The wait ladder has no knob: its adaptive
+//! form is the only production one ([`ThreadPool::with_adaptive`] keeps
+//! the fixed ladder as the reference its test compares against).
 
 use crate::sync_shim::{spin_hint, yield_now, AtomicBool, AtomicUsize, Ordering, ShimCell};
 use fun3d_util::telemetry;
@@ -59,9 +69,9 @@ pub struct Bell {
     /// spin budget actually spent.
     idle_yields: AtomicU64,
     idle_naps: AtomicU64,
-    /// Scale the wait ladder to `pace_ns` (default; `FUN3D_ADAPTIVE_SPIN=off`
-    /// pins the pre-adaptive fixed ladder). Only consulted by the real
-    /// ladder, hence unused in model builds.
+    /// Scale the wait ladder to `pace_ns` (the production ladder; off, the
+    /// pre-adaptive fixed one). Only consulted by the real ladder, hence
+    /// unused in model builds.
     #[cfg_attr(fun3d_check, allow(dead_code))]
     adaptive: bool,
 }
@@ -75,9 +85,9 @@ unsafe impl Send for Bell {}
 
 impl Bell {
     /// A doorbell coordinating one launcher with `size` workers, with
-    /// the adaptive backoff default taken from `FUN3D_ADAPTIVE_SPIN`.
+    /// the adaptive backoff.
     pub fn new(size: usize) -> Bell {
-        Bell::with_adaptive(size, adaptive_spin_default())
+        Bell::with_adaptive(size, true)
     }
 
     /// A doorbell with the adaptive backoff explicitly on or off
@@ -301,55 +311,58 @@ pub struct ThreadPool {
     bell: Arc<Bell>,
     regions: AtomicU64,
     size: usize,
-}
-
-/// `FUN3D_ADAPTIVE_SPIN=off` (or `0`/`no`) pins the fixed pre-adaptive
-/// wait ladder; anything else (including unset) scales the ladder to the
-/// observed region pace.
-pub fn adaptive_spin_default() -> bool {
-    match std::env::var("FUN3D_ADAPTIVE_SPIN") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "off" | "0" | "no"),
-        Err(_) => true,
-    }
+    /// The core worker 0 is pinned to; worker `t` goes on the `t`-th
+    /// core after it.
+    first_core: usize,
 }
 
 impl ThreadPool {
-    /// Spawns a pool with `size` workers (`size >= 1`), adaptive backoff
-    /// defaulted from `FUN3D_ADAPTIVE_SPIN`.
+    /// Spawns a pool with `size` workers (`size >= 1`) pinned from core 0
+    /// on, with the adaptive wait ladder.
     pub fn new(size: usize) -> Self {
-        Self::with_adaptive(size, adaptive_spin_default())
+        Self::spawn(size, true, 0)
     }
 
     /// Spawns a pool with the adaptive wait ladder explicitly on or off.
     pub fn with_adaptive(size: usize, adaptive: bool) -> Self {
+        Self::spawn(size, adaptive, 0)
+    }
+
+    /// Spawns `size` workers pinned to the cores from `first_core` on.
+    pub(crate) fn spawn(size: usize, adaptive: bool, first_core: usize) -> Self {
         assert!(size >= 1, "thread pool needs at least one worker");
         let bell = Arc::new(Bell::with_adaptive(size, adaptive));
         let pin = pinning_enabled();
-        let ncores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut handles = Vec::with_capacity(size);
+        let ncores = crate::available_cores();
+        let mut pool = ThreadPool {
+            handles: Vec::with_capacity(size),
+            bell,
+            regions: AtomicU64::new(0),
+            size,
+            first_core,
+        };
         for tid in 0..size {
-            let bell = Arc::clone(&bell);
-            handles.push(
+            let bell = Arc::clone(&pool.bell);
+            let core = pool.core_of(tid, ncores);
+            pool.handles.push(
                 std::thread::Builder::new()
                     .name(format!("fun3d-worker-{tid}"))
                     .spawn(move || {
                         if pin {
-                            // Compact affinity: worker t on core t mod P.
-                            let _ = affinity::pin_to_cpu(tid % ncores);
+                            let _ = affinity::pin_to_cpu(core);
                         }
                         worker_loop(&bell, tid);
                     })
                     .expect("spawn pool worker"),
             );
         }
-        ThreadPool {
-            handles,
-            bell,
-            regions: AtomicU64::new(0),
-            size,
-        }
+        pool
+    }
+
+    /// The core worker `tid` is pinned to on a host of `ncores` cores:
+    /// compact affinity from the pool's first core, wrapping around.
+    pub(crate) fn core_of(&self, tid: usize, ncores: usize) -> usize {
+        (self.first_core + tid) % ncores
     }
 
     /// Number of workers.

@@ -140,7 +140,7 @@ tags! {
     /// Concrete execution scheme recorded on [`EventKind::Gmres`] /
     /// [`EventKind::PolicyDecision`] events (a flight-local mirror of
     /// `fun3d_solver::ExecMode`, kept here so `fun3d_util` stays at the
-    /// bottom of the dependency graph; names match `ExecMode::name()`).
+    /// bottom of the dependency graph; names match `PtcStats::exec`).
     ExecTag::name {
         /// Single-threaded vector ops.
         Serial = "serial",

@@ -14,8 +14,11 @@
 #     backward row; the gradient row's layout is spelled in one file, the
 #     gradient is not an edge body and has no tiled model, unchecked
 #     access in the core sits in four files, each use under a `SAFETY:`,
-#     and telemetry reads three variables, keeps one thread-local and one
-#     ring type, and none of the knobs, sampler or rings it replaced.
+#     telemetry reads three variables, keeps one thread-local and one
+#     ring type, and none of the knobs, sampler or rings it replaced; the
+#     rank layer assembles no Jacobian of its own, no kernel has a second
+#     path nothing runs (tile staging, the barrier-per-level TRSV), and the
+#     execution, flux-scheme and spin knobs stay deleted.
 #     Each structural guard is negative-tested on canary trees.
 #  2. `cargo build --release` and `cargo test -q`, offline. The root
 #     manifest's default-members make both cover every crate.
@@ -61,7 +64,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in the rank layer, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -71,6 +74,11 @@ echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel in
 OLD_LEDGER='perfdb\|perf_regress\|FUN3D_PERF_GATE'
 # Telemetry's one gate replaced these seven variables, without aliases.
 OLD_KNOBS='\bFUN3D_(FLIGHT|METRICS|TELEMETRY_RING|FLIGHT_RING|SAMPLER_US|FLIGHT_PREFIX|ROOFLINE_TOL)\b'
+# Knobs no workload or gate read, deleted without aliases: FUN3D_PIN is
+# the one threading knob left.
+UNREAD_KNOBS='\bFUN3D_(EXEC|FLUX|ADAPTIVE_SPIN)\b'
+# Second paths of a kernel that no host selected, deleted.
+DEAD_PATHS='TileExec|solve_levels|sweep_levels_team|IluApply::Levels|with_levels'
 TRAVERSAL='pool\.run\(|SpinBarrier|chunk_range|color_tiles'
 structure_guard() {
     local root=$1 bad=0
@@ -191,19 +199,37 @@ structure_guard() {
         echo "  a sampler slot, a sampler or a second ring type: spans and flight events share ring::Ring"
         bad=1
     fi
+    # One path per kernel: a rank assembles its Jacobian through
+    # fun3d_core::jacobian over its local edges, not with a loop of its own
+    # or a block search per entry; tiles are walked direct only and the
+    # triangular solves run serial or P2P; and the knobs nothing read stay
+    # gone from the code and the docs.
+    if grep -rnE 'flux_jacobian|spectral_radius|add_block\(' "$root/crates/cluster/src"; then
+        echo "  crates/cluster/src assembles a Jacobian itself: call jacobian::assemble with the rank's JacobianSlots"
+        bad=1
+    fi
+    if grep -rnE "$DEAD_PATHS" "$root/crates"; then
+        echo "  a deleted second kernel path (tile staging, the barrier-per-level TRSV) is back under crates/"
+        bad=1
+    fi
+    if grep -rnE "$UNREAD_KNOBS" "$root/crates" "$root/scripts" "$root/README.md" "$root/DESIGN.md" --exclude=verify.sh; then
+        echo "  a deleted knob (FUN3D_EXEC, FUN3D_FLUX, FUN3D_ADAPTIVE_SPIN) is read or named again"
+        bad=1
+    fi
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, or an unchecked access is not argued"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob is back, or an unchecked access is not argued"
     exit 1
 fi
-# Negative canaries: each of the nineteen forks must trip the guard, and
+# Negative canaries: each of the twenty-two forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
     widening_load_in_a_sweep second_forward_row generic_factors f64_factors \
     second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked \
-    telemetry_knob_read deleted_knob_named second_thread_local sampler_back; do
+    telemetry_knob_read deleted_knob_named second_thread_local sampler_back \
+    rank_jacobian_loop dead_kernel_path unread_knob_back; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src" "$CANARY/scripts" \
@@ -245,6 +271,9 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         deleted_knob_named) echo 'Set `FUN3D_FLIGHT=off` to stop recording.' >> "$CANARY/README.md" ;;
         second_thread_local) printf 'thread_local! {\n    static SHARDS: u8 = 0;\n}\n' > "$CANARY/crates/util/src/telemetry/metrics.rs" ;;
         sampler_back) echo 'pub struct SpanSlot { seq: AtomicU64 }' > "$CANARY/crates/util/src/telemetry/profile.rs" ;;
+        rank_jacobian_loop) echo 'self.jac.add_block(b, a as u32, &da);' > "$CANARY/crates/cluster/src/fork.rs" ;;
+        dead_kernel_path) echo 'Traversal::Tiled { geom, mode: TileExec::Staged }' > "$CANARY/crates/core/src/flux.rs" ;;
+        unread_knob_back) echo 'Override with `FUN3D_EXEC=serial|team|auto`.' >> "$CANARY/README.md" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -252,7 +281,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation or edge loop in crates/cluster/src, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob; canaries rejected"
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.
@@ -354,9 +383,9 @@ echo "ok: sync ablation modes agree bitwise; threads beat serial where the cores
 
 echo "== tiled edge kernels (locality tiling gate) =="
 # The tiled strategy's standing proof: the binary verifies every timed
-# variant (tiled serial + pooled, both exec modes via the staged
-# ablation row, owner-writes) against the serial SoA reference *before*
-# timing — an equivalence miss exits nonzero here. --check then
+# variant (tiled serial + pooled, owner-writes) against the serial SoA
+# reference *before* timing — an equivalence miss exits nonzero here.
+# --check then
 # validates the artifact shape: tile-quality invariants (reuse >= 0.5,
 # >= 1 tile/color) and finite positive timings for every variant row.
 cargo run --release --offline -q -p fun3d-bench --bin tiled_flux -- \

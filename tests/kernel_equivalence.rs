@@ -18,7 +18,7 @@ use fun3d_core::bc::BcData;
 use fun3d_core::{flux, gradient, FlowConditions};
 use fun3d_mesh::generator::ChannelSpec;
 use fun3d_mesh::DualMesh;
-use fun3d_core::{euler, Exec, TileExec, TiledGeom, Traversal};
+use fun3d_core::{euler, Exec, TiledGeom, Traversal};
 use fun3d_partition::{natural_partition, partition_graph, MultilevelConfig, OwnerWritesPlan};
 use fun3d_partition::{EdgeTiling, TilingConfig};
 use fun3d_simd::{with_lanes, Isa, Simd};
@@ -230,7 +230,7 @@ impl Row<'_> {
 
 /// The flux kernel's traversal table, which both the determinism matrix
 /// and the conservation oracle run through: traversal in {stream, stream + prefetch, owner on
-/// a natural plan, owner on a multilevel plan, tiled staged, tiled direct}
+/// a natural plan, owner on a multilevel plan, tiled}
 /// x lanes in {portable, avx2 when detected} x nt in {1, 2, 3, 4, 7}.
 /// The first row of each family is its (portable, one thread) row. Pool
 /// rows run the real region — barrier path included — at every nt,
@@ -244,8 +244,7 @@ fn each_row(
     let lanes: Vec<Isa> = std::iter::once(Isa::portable()).chain(Isa::avx2()).collect();
     let tiling = EdgeTiling::build(nv, geom.edges(), &TilingConfig::with_target_bytes(budget));
     let tg = TiledGeom::new(tiling, geom);
-    let tiled = |mode| Traversal::Tiled { geom: &tg, mode };
-    let modes = [TileExec::Staged, TileExec::Direct];
+    let tiled = Traversal::Tiled { geom: &tg };
     let graph = fun3d_mesh::Graph::from_edges(nv, geom.edges());
     for &isa in &lanes {
         for prefetch in [None, Some(flux::PREFETCH_DIST)] {
@@ -253,10 +252,8 @@ fn each_row(
             let (lists, name) = ("all edges".to_string(), format!("stream, prefetch {prefetch:?}"));
             check(&Row { family: "edge order", lists, name, isa, exec: Exec::Caller, walk })?;
         }
-        for mode in modes {
-            let (lists, name) = (String::new(), format!("tiled {mode:?}, calling thread"));
-            check(&Row { family: "tiled", lists, name, isa, exec: Exec::Caller, walk: tiled(mode) })?;
-        }
+        let (lists, name) = (String::new(), "tiled, calling thread".to_string());
+        check(&Row { family: "tiled", lists, name, isa, exec: Exec::Caller, walk: tiled })?;
     }
     for nt in [1usize, 2, 3, 4, 7] {
         let pool = ThreadPool::new(nt);
@@ -274,10 +271,8 @@ fn each_row(
             }
         }
         for &isa in &lanes {
-            for mode in modes {
-                let (lists, name) = (String::new(), format!("tiled {mode:?}, pool nt={nt}"));
-                check(&Row { family: "tiled", lists, name, isa, exec, walk: tiled(mode) })?;
-            }
+            let (lists, name) = (String::new(), format!("tiled, pool nt={nt}"));
+            check(&Row { family: "tiled", lists, name, isa, exec, walk: tiled })?;
         }
     }
     Ok(())
@@ -549,7 +544,7 @@ prop_cases! {
         let seed = g.u64();
         let nthreads = g.usize_range(1, 5);
 
-        use fun3d_sparse::{ilu, trsv, levels, p2p, Bcsr4, LevelSchedule, P2pSchedule};
+        use fun3d_sparse::{ilu, trsv, p2p, Bcsr4, P2pSchedule};
         let mut spec = ChannelSpec::with_resolution(5, 4, 4);
         spec.seed = seed;
         let mesh = spec.build();
@@ -561,11 +556,6 @@ prop_cases! {
         let serial = trsv::solve(&f, &b);
 
         let pool = ThreadPool::new(nthreads);
-        let lf = LevelSchedule::forward(&f.l);
-        let lb = LevelSchedule::backward(&f.u);
-        let x = levels::solve_levels(&f, &b, &pool, &lf, &lb);
-        prop_assert_eq!(&serial, &x, "level-scheduled differs");
-
         let pf = P2pSchedule::forward(&f.l, nthreads);
         let pb = P2pSchedule::backward(&f.u, nthreads);
         let x = p2p::solve_p2p(&f, &b, &pool, &pf, &pb);

@@ -1,20 +1,17 @@
 //! Property tests for the tiled (cache-blocked) edge-kernel strategy:
 //! on random meshes and random scratch budgets, the tiled flux agrees
-//! with the streaming serial kernel to rounding, the pooled driver is
-//! *bitwise* equal to its serial tiled counterpart at
-//! every thread count (inter-tile coloring fixes the accumulation
-//! order), and the two execution modes — scratch-pad `Staged` and
-//! gather-in-place `Direct` — are bitwise interchangeable.
+//! with the streaming serial kernel to rounding, and the pooled driver is
+//! *bitwise* equal to its serial tiled counterpart at every thread count
+//! (inter-tile coloring fixes the accumulation order).
 //!
 //! Both lane instantiations of the tile bodies, `Portable` and `Avx2`,
-//! are run in both execution modes and must agree bit for bit (skipped
-//! with a notice where AVX2 is not detected); the random budgets make
-//! tile edge counts of every residue modulo the 4-edge batch.
+//! must agree bit for bit (skipped with a notice where AVX2 is not
+//! detected); the random budgets make tile edge counts of every residue
+//! modulo the 4-edge batch.
 //!
 //! Runs on the in-tree `fun3d_util::proptest_mini` harness; failures
 //! print a `FUN3D_PROP_SEED` that replays deterministically.
 
-use fun3d_core::flux::TileExec;
 use fun3d_core::geom::{EdgeGeom, HalfEdges, NodeAos, NodeSoa};
 use fun3d_core::{flux, gradient, FlowConditions, TiledGeom};
 use fun3d_mesh::generator::ChannelSpec;
@@ -92,35 +89,27 @@ prop_cases! {
         );
         let tg = TiledGeom::new(tiling, &fix.geom);
 
-        // Serial tiled, staged exec: ULP-level agreement with the
-        // streaming reference (edge order is permuted, so not bitwise).
-        let mut staged = vec![0.0; n4];
-        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Tiled { geom: &tg, mode: TileExec::Staged }, &fix.node, 1.0, &mut staged);
-        prop_assert!(close(&reference, &staged, 1e-11).is_ok());
+        let tiles = flux::Traversal::Tiled { geom: &tg };
 
-        // Direct exec runs the same arithmetic in the same order
-        // without the scratch copy: bitwise equal to staged.
-        let mut direct = vec![0.0; n4];
-        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Tiled { geom: &tg, mode: TileExec::Direct }, &fix.node, 1.0, &mut direct);
-        prop_assert_eq!(&staged, &direct, "staged vs direct must be bitwise equal");
+        // Serial tiled: ULP-level agreement with the streaming reference
+        // (edge order is permuted, so not bitwise).
+        let mut serial = vec![0.0; n4];
+        flux::run(Some(Isa::detect()), flux::Exec::Caller, tiles, &fix.node, 1.0, &mut serial);
+        prop_assert!(close(&reference, &serial, 1e-11).is_ok());
 
         // Pooled tiled: the inter-tile coloring pins the accumulation
         // order, so any thread count is bitwise equal to serial tiled.
         let pool = ThreadPool::new(nthreads);
-        for exec in [TileExec::Staged, TileExec::Direct] {
-            let mut pooled = vec![0.0; n4];
-            flux::run(Some(Isa::detect()), flux::Exec::Pool(&pool), flux::Traversal::Tiled { geom: &tg, mode: exec }, &fix.node, 1.0, &mut pooled);
-            prop_assert_eq!(&staged, &pooled, "pooled must be bitwise equal to serial");
-        }
+        let mut pooled = vec![0.0; n4];
+        flux::run(Some(Isa::detect()), flux::Exec::Pool(&pool), tiles, &fix.node, 1.0, &mut pooled);
+        prop_assert_eq!(&serial, &pooled, "pooled must be bitwise equal to serial");
 
-        // Portable and Avx2 lanes, either exec mode: the same bits.
+        // Portable and Avx2 lanes: the same bits.
         if let Some((portable, avx2)) = lane_pair() {
             for isa in [portable, avx2] {
-                for exec in [TileExec::Staged, TileExec::Direct] {
-                    let mut r = vec![0.0; n4];
-                    flux::run(Some(isa), flux::Exec::Caller, flux::Traversal::Tiled { geom: &tg, mode: exec }, &fix.node, 1.0, &mut r);
-                    prop_assert_eq!(&staged, &r, "{} lanes, {exec:?}", isa.name());
-                }
+                let mut r = vec![0.0; n4];
+                flux::run(Some(isa), flux::Exec::Caller, tiles, &fix.node, 1.0, &mut r);
+                prop_assert_eq!(&serial, &r, "{} lanes", isa.name());
             }
         }
     }
