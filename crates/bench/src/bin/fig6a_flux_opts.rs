@@ -11,7 +11,9 @@
 //!   implementation that ran (`avx2` or `portable`), and the portable
 //!   lanes and the lane body on comp-major gradient rows
 //!   (`fun3d_bench::flux_reference`, what ran before rows were stored the
-//!   way the loop loads them) are timed beside it;
+//!   way the loop loads them) are timed beside it, as is the locality the
+//!   stack starts from: the lane body on the mesh as generated (no RCM)
+//!   and on the edge list in shuffled order;
 //! * **modeled (paper machine)** — the cumulative stack on the modeled
 //!   10-core Xeon E5-2690v2, with threading effects from the *real*
 //!   owner-writes plan (20-thread METIS partition of this mesh).
@@ -34,6 +36,7 @@ use fun3d_partition::{
 };
 use fun3d_simd::Isa;
 use fun3d_util::report::{fmt_g, Table};
+use fun3d_util::Rng64;
 
 /// `--check` floor: on AVX2 lanes the SIMD kernel must beat both the
 /// scalar AoS kernel and its own portable-lane instantiation by this
@@ -76,14 +79,21 @@ fn main() {
     let ahead = Traversal::Stream { geom: &fix.geom, prefetch: Some(flux::PREFETCH_DIST) };
     let tiles = Traversal::Tiled { geom: &tgeom };
     let lanes = |isa: Isa, walk, r: &mut [f64]| flux::run(Some(isa), Exec::Caller, walk, &fix.node, beta, r);
+    // The locality the stack starts from: the mesh as generated (vertices
+    // scrambled, no RCM), and the RCM mesh's edges in shuffled order.
+    let scrambled = KernelFixture::on(cli.mesh.build());
+    let perm: Vec<u32> =
+        Rng64::new(99).permutation(fix.geom.nedges()).into_iter().map(|i| i as u32).collect();
+    let shuffled = fix.geom.try_select(&perm).expect("a permutation of the edge ids");
 
     // ---- host measurements (serial variants) -----------------------
     // One sample of every variant per round and the per-variant minimum
-    // over the rounds (as `tiled_flux` does): load drift on a shared host
-    // only ever adds time, and interleaving gives every variant the same
-    // shot at the quiet windows.
+    // over the rounds (as `fun3d_bench::best_of`, with the output zeroed
+    // outside the timer): load drift on a shared host only ever adds
+    // time, and interleaving gives every variant the same shot at the
+    // quiet windows.
     type Variant<'a> = Box<dyn Fn(&mut [f64]) + 'a>;
-    let variants: [Variant; 7] = [
+    let variants: [Variant; 9] = [
         Box::new(|r| flux::serial_soa(&fix.geom, &soa, beta, r)),
         Box::new(|r| flux::serial_aos(&fix.geom, &fix.node, beta, r)),
         Box::new(|r| lanes(Isa::portable(), stream, r)),
@@ -91,8 +101,13 @@ fn main() {
         Box::new(|r| lanes(isa, ahead, r)),
         Box::new(|r| lanes(isa, tiles, r)),
         Box::new(|r| flux_reference::stream(isa, &fix.geom, &comp_major, beta, r)),
+        Box::new(|r| {
+            let walk = Traversal::stream(&scrambled.geom);
+            flux::run(Some(isa), Exec::Caller, walk, &scrambled.node, beta, r)
+        }),
+        Box::new(|r| lanes(isa, Traversal::stream(&shuffled), r)),
     ];
-    let mut best = [f64::INFINITY; 7];
+    let mut best = [f64::INFINITY; 9];
     for round in 0..=cli.reps {
         for (t_min, run) in best.iter_mut().zip(&variants) {
             res.iter_mut().for_each(|x| *x = 0.0);
@@ -104,7 +119,7 @@ fn main() {
             }
         }
     }
-    let [t_soa, t_aos, t_portable, t_simd, t_pref, t_tiled, t_comp_major] = best;
+    let [t_soa, t_aos, t_portable, t_simd, t_pref, t_tiled, t_comp_major, t_scrambled, t_shuffled] = best;
 
     let mut host = Table::new(
         &format!(
@@ -150,8 +165,18 @@ fn main() {
         fmt_x(t_soa / t_tiled),
         "-".into(),
     ]);
+    for (name, t) in [("vertices as generated (no RCM)", t_scrambled), ("edges shuffled", t_shuffled)] {
+        host.row(&[format!("SIMD batch, {name}"), fmt_g(t), fmt_x(t_soa / t), "-".into()]);
+    }
     emit("fig6a_flux_opts_host", &host);
     println!("tile quality: {}", TileQuality::of(tiling).summary());
+    println!(
+        "locality: RCM order is {:.2}x the generated order (bandwidth {} -> {}), sorted edges {:.2}x shuffled",
+        t_scrambled / t_simd,
+        scrambled.mesh.vertex_graph().bandwidth(),
+        fix.mesh.vertex_graph().bandwidth(),
+        t_shuffled / t_simd
+    );
 
     if check {
         // The rot guard run by scripts/verify.sh: packed lanes that do

@@ -38,7 +38,7 @@
 
 use fun3d_bench::model::{p2p_sweep_time, RecurrenceBlocks};
 use fun3d_bench::trsv_reference::{F64Factors, Layout};
-use fun3d_bench::{emit, fmt_x, jacobian_fixture, KernelFixture};
+use fun3d_bench::{best_of, emit, fmt_x, jacobian_fixture, KernelFixture};
 use fun3d_machine::{kernels, MachineSpec, RecurrenceCosts};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_sparse::ilu::{self, IluSymbolic};
@@ -60,22 +60,6 @@ const SCHEDULE_BOUND_FLOOR: f64 = 1.5;
 /// row-major `f64` reference: 1.8–2.0× measured on Small (1.3× of it
 /// layout), 2.3–2.4× on Medium.
 const STORAGE_SPEEDUP_FLOOR: f64 = 1.25;
-
-/// Per-variant minimum over `reps` rounds of one sample each, after a
-/// warm-up round (as fig6a does): drift on a shared host only adds time.
-fn best_of<const N: usize>(reps: usize, mut variants: [Box<dyn FnMut() + '_>; N]) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
-    for round in 0..=reps {
-        for (t_min, run) in best.iter_mut().zip(variants.iter_mut()) {
-            let t0 = std::time::Instant::now();
-            run();
-            if round > 0 {
-                *t_min = t_min.min(t0.elapsed().as_secs_f64());
-            }
-        }
-    }
-    best
-}
 
 /// The `--check` schedule test: both sweeps' bounds against the floor.
 fn bounds_clear_floor(sweeps: [(&P2pSchedule, &[usize]); 2]) -> Result<[f64; 2], [f64; 2]> {

@@ -9,15 +9,19 @@
 //! parallelism is the paper's flops-over-critical-path metric computed
 //! on the real factors; 10-core times combine each run's host-measured
 //! serial profile with the modeled per-kernel speedups at that fill.
+//! Beside them, each fill is solved again with the factors lagged four
+//! pseudo-time steps (`OptConfig::ilu_lag`, the reuse the paper calls
+//! worth pursuing): fewer factorizations for more iterations.
 
 use fun3d_bench::model::model_speedups_fill;
 use fun3d_bench::{build_mesh, emit, KernelFixture};
-use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
+use fun3d_core::{FlowConditions, Fun3dApp, OptConfig};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_solver::ptc::PtcConfig;
+use fun3d_solver::ptc::{PtcConfig, PtcStats};
 use fun3d_sparse::{ilu, DagStats, TempBuffer};
 use fun3d_util::report::{fmt_g, Table};
+use fun3d_util::timer::PhaseTimers;
 
 struct FillCase {
     parallelism: f64,
@@ -26,20 +30,28 @@ struct FillCase {
     ten_core_s: f64,
 }
 
-fn run_case(preset: MeshPreset, fill: usize) -> FillCase {
-    // real solve at this fill level
-    let mesh = build_mesh(preset);
+/// A real serial solve's statistics and phase profile.
+type Solve = (PtcStats, PhaseTimers);
+
+/// A real serial solve at this fill, the factors refreshed every `lag`
+/// pseudo-time steps.
+fn solve(preset: MeshPreset, fill: usize, lag: usize) -> Solve {
     let mut cfg = OptConfig::baseline();
     cfg.ilu_fill = fill;
-    let mut app = Fun3dApp::new(mesh, FlowConditions::default(), cfg);
+    cfg.ilu_lag = lag;
+    let mut app = Fun3dApp::new(build_mesh(preset), FlowConditions::default(), cfg);
     let (_, stats) = app.run(&PtcConfig {
         dt0: 2.0,
         rtol: 1e-8,
         max_steps: 100,
         ..Default::default()
     });
-    assert!(stats.converged, "fill={fill} run failed");
-    let prof = app.profile();
+    assert!(stats.converged, "fill={fill} lag={lag} run failed");
+    (stats, app.profile())
+}
+
+/// The Table II column of `fill` from its unlagged solve.
+fn run_case(preset: MeshPreset, fill: usize, (stats, prof): &Solve) -> FillCase {
     let total = prof.seconds("total");
 
     // DAG parallelism on the real factors
@@ -81,8 +93,11 @@ fn run_case(preset: MeshPreset, fill: usize) -> FillCase {
 
 fn main() {
     let cli = fun3d_bench::Cli::parse(MeshPreset::Medium);
-    let c0 = run_case(cli.mesh, 0);
-    let c1 = run_case(cli.mesh, 1);
+    // Per fill, the solve with the factors refreshed every step and the
+    // one with them lagged four steps.
+    let solves = [0, 1].map(|fill| [1, 4].map(|lag| solve(cli.mesh, fill, lag)));
+    let c0 = run_case(cli.mesh, 0, &solves[0][0]);
+    let c1 = run_case(cli.mesh, 1, &solves[1][0]);
 
     let mut table = Table::new(
         "Table II: ILU-0 vs ILU-1 (host-measured serial runs + modeled 10-core)",
@@ -123,6 +138,17 @@ fn main() {
         "6.9x".into(),
         "3.5x".into(),
     ]);
+    type Quantity = fn(&Solve) -> String;
+    let rows: [(&str, Quantity); 3] = [
+        ("linear iterations", |(s, _)| s.linear_iters.to_string()),
+        ("factorizations", |(_, p)| p.calls("ilu").to_string()),
+        ("serial time (s)", |(_, p)| fmt_g(p.seconds("total"))),
+    ];
+    for (quantity, value) in rows {
+        let cell = |[lag1, lag4]: &[Solve; 2]| format!("{} / {}", value(lag1), value(lag4));
+        let name = format!("{quantity}, ILU lag 1 / 4");
+        table.row(&[name, cell(&solves[0]), cell(&solves[1]), "-".into(), "-".into()]);
+    }
     emit("table2_ilu_fill", &table);
     println!(
         "\nILU-0 vs ILU-1 at 10 cores: {:.2}x (paper: ~1.3x in ILU-0's favor)",

@@ -31,6 +31,8 @@ pub struct Cli {
     pub reps: usize,
 }
 
+const USAGE: &str = "options: --mesh <tiny|small|medium|large|mesh-c|mesh-d> --reps <n>";
+
 impl Cli {
     /// Parses `std::env::args`, with a per-experiment default preset.
     pub fn parse(default_mesh: MeshPreset) -> Cli {
@@ -38,34 +40,40 @@ impl Cli {
     }
 
     /// [`Cli::parse`] over an explicit argument list (program name
-    /// first), for binaries that strip their own flags beforehand.
+    /// first), for binaries that strip their own flags beforehand. A
+    /// malformed command line prints what is wrong and exits with status 2.
     pub fn parse_from(default_mesh: MeshPreset, args: impl Iterator<Item = String>) -> Cli {
+        Cli::try_parse(default_mesh, args).unwrap_or_else(|e| {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    fn try_parse(default_mesh: MeshPreset, args: impl Iterator<Item = String>) -> Result<Cli, String> {
         let mut cli = Cli {
             mesh: default_mesh,
             reps: 3,
         };
-        let args: Vec<String> = args.collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.skip(1);
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+            match arg.as_str() {
                 "--mesh" => {
-                    i += 1;
-                    cli.mesh = MeshPreset::parse(&args[i])
-                        .unwrap_or_else(|| panic!("unknown mesh preset '{}'", args[i]));
+                    let v = value()?;
+                    cli.mesh = MeshPreset::parse(&v).ok_or(format!("--mesh: unknown preset '{v}'"))?;
                 }
                 "--reps" => {
-                    i += 1;
-                    cli.reps = args[i].parse().expect("--reps takes an integer");
+                    let v = value()?;
+                    cli.reps = v.parse().map_err(|_| format!("--reps takes an integer, not '{v}'"))?;
                 }
                 "--help" | "-h" => {
-                    eprintln!("options: --mesh <tiny|small|medium|large|mesh-c|mesh-d> --reps <n>");
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => panic!("unknown argument '{other}'"),
+                _ => return Err(format!("unknown argument '{arg}'")),
             }
-            i += 1;
         }
-        cli
+        Ok(cli)
     }
 }
 
@@ -96,9 +104,13 @@ pub struct KernelFixture {
 }
 
 impl KernelFixture {
-    /// Builds the fixture for a preset.
+    /// Builds the fixture for a preset, RCM-reordered.
     pub fn new(preset: MeshPreset) -> KernelFixture {
-        let mesh = build_mesh(preset);
+        KernelFixture::on(build_mesh(preset))
+    }
+
+    /// Builds the fixture on `mesh` as numbered.
+    pub fn on(mesh: Mesh) -> KernelFixture {
         let dual = DualMesh::build(&mesh);
         let geom = fun3d_core::EdgeGeom::build(&mesh, &dual);
         let cond = FlowConditions::default();
@@ -149,9 +161,22 @@ pub fn jacobian_fixture(fix: &KernelFixture, dt: f64) -> fun3d_sparse::Bcsr4 {
     jac
 }
 
-/// Median seconds of `reps` measured runs of `f` (after one warm-up).
-pub fn measure(reps: usize, f: impl FnMut()) -> f64 {
-    fun3d_util::stats::median(&fun3d_util::stats::measure_secs(reps, f))
+/// Per-variant minimum seconds over `reps` rounds of one sample of each
+/// variant, after a warm-up round: load drift on a shared host only ever
+/// adds time, and interleaving gives every variant the same shot at the
+/// quiet windows.
+pub fn best_of<const N: usize>(reps: usize, mut variants: [Box<dyn FnMut() + '_>; N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for round in 0..=reps {
+        for (t_min, run) in best.iter_mut().zip(variants.iter_mut()) {
+            let t0 = std::time::Instant::now();
+            run();
+            if round > 0 {
+                *t_min = t_min.min(t0.elapsed().as_secs_f64());
+            }
+        }
+    }
+    best
 }
 
 /// Prints the table and writes `<name>.csv` under `target/experiments`.
@@ -177,6 +202,26 @@ mod tests {
     use super::*;
 
     #[test]
+    fn malformed_command_lines_name_the_flag() {
+        let parse = |args: &[&str]| {
+            let args = std::iter::once("bin").chain(args.iter().copied()).map(String::from);
+            Cli::try_parse(MeshPreset::Medium, args)
+        };
+        let cli = parse(&["--mesh", "tiny", "--reps", "7"]).unwrap();
+        assert_eq!((cli.mesh, cli.reps), (MeshPreset::Tiny, 7));
+        for (args, flag) in [
+            (&["--mesh"][..], "--mesh"),
+            (&["--reps", "2", "--reps"][..], "--reps"),
+            (&["--mesh", "huge"][..], "--mesh"),
+            (&["--reps", "many"][..], "--reps"),
+            (&["--meshes"][..], "--meshes"),
+        ] {
+            let err = parse(args).expect_err("a malformed command line is an error");
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
     fn fixture_builds_and_has_gradients() {
         let fix = KernelFixture::new(MeshPreset::Tiny);
         assert!(fix.geom.nedges() > 0);
@@ -190,13 +235,5 @@ mod tests {
         let jac = jacobian_fixture(&fix, 1.0);
         let f = fun3d_sparse::ilu::ilu0(&jac);
         assert_eq!(f.nrows(), jac.nrows());
-    }
-
-    #[test]
-    fn measure_returns_positive() {
-        let t = measure(2, || {
-            std::hint::black_box((0..10_000).sum::<u64>());
-        });
-        assert!(t >= 0.0);
     }
 }

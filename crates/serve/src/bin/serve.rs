@@ -29,7 +29,7 @@
 //! * `--metrics-socket PATH` serves the metrics plane out-of-band: a
 //!   client connects, sends one line (`prom` for Prometheus text
 //!   exposition, anything else for the JSON snapshot), and reads the
-//!   payload until EOF. `metrics_view --socket PATH` renders it.
+//!   payload until EOF (`tests/metrics_socket.rs` drives both).
 
 use fun3d_serve::wire::{self, SolveRequest};
 use fun3d_serve::{ServeConfig, Service};
@@ -85,12 +85,13 @@ fn main() {
     }
 
     eprintln!(
-        "fun3d-serve: {} team(s) x {} thread(s), queue cap {} (per tenant {}), cache {}",
+        "fun3d-serve: {} team(s) x {} thread(s), queue cap {} (per tenant {}), cache {} app(s) per team + {} factor(s)",
         cfg.teams,
         cfg.team_threads,
         cfg.queue_cap,
         cfg.tenant_queue_cap,
-        if cfg.cache { "on" } else { "off" }
+        cfg.app_cache_per_team,
+        cfg.factor_cache_cap
     );
     let svc = Service::start(cfg);
     if let Some(path) = metrics_socket {

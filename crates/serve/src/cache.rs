@@ -18,9 +18,9 @@
 //!   requests.
 //!
 //! All counters aggregate into one [`CacheCounters`] so the service can
-//! report hit rates over all teams, and `FUN3D_SERVE_CACHE=off` turns
-//! both layers into always-miss caches (capacity 0) for the `load_gen`
-//! cold/warm ablation.
+//! report hit rates over all teams. A capacity of 0 makes a layer an
+//! always-miss cache (`ServeConfig::{app_cache_per_team,
+//! factor_cache_cap}`).
 
 use fun3d_core::Fun3dApp;
 use fun3d_solver::factor_cache::{CacheStats, KeyedCache};
@@ -74,8 +74,8 @@ pub struct CacheSnapshot {
 }
 
 impl CacheSnapshot {
-    /// Hit rate over both layers' lookups combined — the headline
-    /// `cache_hit_rate` metric `load_gen` reports.
+    /// Hit rate over both layers' lookups combined — the
+    /// `cache_hit_rate` of the `stats` reply.
     pub fn combined_hit_rate(&self) -> f64 {
         let hits = self.app.hits + self.factor.hits;
         let total = hits + self.app.misses + self.factor.misses;

@@ -186,12 +186,10 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-tenant queued-job bound.
     pub tenant_queue_cap: usize,
-    /// Prepared-app LRU entries per team.
+    /// Prepared-app LRU entries per team (0 disables the layer).
     pub app_cache_per_team: usize,
-    /// Shared first-factor cache entries.
+    /// Shared first-factor cache entries (0 disables the layer).
     pub factor_cache_cap: usize,
-    /// Master cache switch (`FUN3D_SERVE_CACHE=off` clears it).
-    pub cache: bool,
     /// Tenant → weighted-round-robin weight (unlisted tenants get 1).
     pub tenant_weights: Vec<(String, u32)>,
 }
@@ -199,8 +197,7 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Sizing derived from [`MachineSpec::host`]: teams × team_threads
     /// ≤ cores, parallel teams only where the core budget supports
-    /// them. The cache switch honours `FUN3D_SERVE_CACHE` (`off`/`0`/
-    /// `false` disable — the `load_gen` cold-cache ablation).
+    /// them.
     pub fn host_default() -> ServeConfig {
         let cores = MachineSpec::host().cores;
         // Prefer team parallelism once there are enough cores that a
@@ -215,10 +212,6 @@ impl ServeConfig {
             tenant_queue_cap: 32,
             app_cache_per_team: 4,
             factor_cache_cap: 32,
-            cache: !matches!(
-                std::env::var("FUN3D_SERVE_CACHE").as_deref(),
-                Ok("off") | Ok("0") | Ok("false")
-            ),
             tenant_weights: Vec::new(),
         }
     }
@@ -356,11 +349,7 @@ impl Service {
     pub fn start(cfg: ServeConfig) -> Service {
         assert!(cfg.teams >= 1, "need at least one team");
         assert!(cfg.team_threads >= 1, "team_threads counts workers, min 1");
-        let counters = Arc::new(CacheCounters::new(if cfg.cache {
-            cfg.factor_cache_cap
-        } else {
-            0
-        }));
+        let counters = Arc::new(CacheCounters::new(cfg.factor_cache_cap));
         // Serial teams run on the dispatcher thread itself; only
         // parallel teams own doorbell pools.
         let pools = (cfg.team_threads > 1)
@@ -532,11 +521,7 @@ fn dispatcher_loop(
     pool: Option<Arc<ThreadPool>>,
     counters: Arc<CacheCounters>,
 ) {
-    let mut app_cache = TeamAppCache::new(if shared.cfg.cache {
-        shared.cfg.app_cache_per_team
-    } else {
-        0
-    });
+    let mut app_cache = TeamAppCache::new(shared.cfg.app_cache_per_team);
     loop {
         let job = {
             let mut st = shared.state.lock().unwrap();
@@ -560,7 +545,7 @@ fn dispatcher_loop(
             job,
             &mut app_cache,
             &counters,
-            shared.cfg.cache,
+            shared.cfg.factor_cache_cap > 0,
         );
         // A submitter that gave up (dropped the handle) is not an error.
         let _ = reply_tx.send(reply);
@@ -578,14 +563,16 @@ fn dispatcher_loop(
 }
 
 /// Runs one job on this team: artifact-cache lookups, the solve, the
-/// flight/telemetry tagging, and the reply.
+/// flight/telemetry tagging, and the reply. Without a factor layer
+/// (`factors_cached` false) the solve neither looks up nor captures its
+/// first factors, so it refactors in place.
 fn execute(
     team: usize,
     pool: Option<&Arc<ThreadPool>>,
     job: Job,
     app_cache: &mut TeamAppCache,
     counters: &CacheCounters,
-    cache_on: bool,
+    factors_cached: bool,
 ) -> SolveReply {
     let _span = telemetry::span("serve_job");
     let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
@@ -616,7 +603,7 @@ fn execute(
 
     let factor_key = req.factor_key();
     let mut factor_hit = false;
-    if cache_on {
+    if factors_cached {
         app.capture_first_factors(true);
         if let Some(seed) = counters.factors.get(factor_key) {
             app.set_factor_seed(Some(seed));
@@ -628,7 +615,7 @@ fn execute(
     let (u, stats) = app.run(&req.ptc_config());
     let solve_end_ns = telemetry::now_ns();
 
-    if cache_on && !factor_hit {
+    if factors_cached && !factor_hit {
         if let Some(f) = app.first_factors() {
             counters.factors.insert(factor_key, f);
         }
@@ -795,7 +782,6 @@ mod tests {
             tenant_queue_cap: 4,
             app_cache_per_team: 2,
             factor_cache_cap: 8,
-            cache: true,
             tenant_weights: Vec::new(),
         }
     }
@@ -831,7 +817,8 @@ mod tests {
     #[test]
     fn cache_off_stays_cold() {
         let mut cfg = tiny_config();
-        cfg.cache = false;
+        cfg.app_cache_per_team = 0;
+        cfg.factor_cache_cap = 0;
         let svc = Service::start(cfg);
         for _ in 0..2 {
             let r = svc.submit(quick_req("t")).unwrap().wait();

@@ -1,11 +1,10 @@
 //! Newline-delimited JSON request/reply codec.
 //!
 //! One request per line in, one reply per line out — the transport the
-//! `fun3d-serve` binary speaks over stdin/stdout and Unix sockets, and
-//! the schema `load_gen` emits. Parsing is strict: unknown mesh names
-//! and malformed JSON become structured `bad_request` rejections, never
-//! panics, because admission control is the first consumer of the
-//! result.
+//! `fun3d-serve` binary speaks over stdin/stdout and Unix sockets.
+//! Parsing is strict: unknown mesh names and malformed JSON become
+//! structured `bad_request` rejections, never panics, because admission
+//! control is the first consumer of the result.
 //!
 //! u64 values that must survive the wire exactly (tenant hashes, state
 //! checksums) travel as fixed-width hex strings: the in-tree `Json`
@@ -179,8 +178,7 @@ impl SolveRequest {
         Ok(req)
     }
 
-    /// Renders the request as one NDJSON line (the `load_gen` emitter
-    /// and the round-trip tests).
+    /// Renders the request as one NDJSON line (the round-trip tests).
     pub fn render(&self) -> String {
         Json::obj(vec![
             ("tenant", Json::str(&self.tenant)),
@@ -258,8 +256,8 @@ pub fn render_reject(r: &Rejected) -> String {
     .render()
 }
 
-/// Parses a reply line back into `(ok, object)` — used by `load_gen`
-/// and the transport tests to validate the protocol strictly.
+/// Parses a reply line back into `(ok, object)` — used by the transport
+/// tests to validate the protocol strictly.
 pub fn parse_reply(line: &str) -> Result<(bool, Json), String> {
     let v = Json::parse(line).map_err(|e| format!("malformed reply: {e}"))?;
     match v.get("ok") {

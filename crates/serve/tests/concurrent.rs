@@ -48,7 +48,6 @@ fn cfg(team_threads: usize) -> ServeConfig {
         tenant_queue_cap: 32,
         app_cache_per_team: 2,
         factor_cache_cap: 8,
-        cache: true,
         tenant_weights: vec![("alpha".into(), 2)],
     }
 }

@@ -67,7 +67,7 @@ struct Entry<V> {
 
 impl<V> KeyedCache<V> {
     /// A cache holding at most `capacity` values (`capacity == 0` is a
-    /// valid always-miss cache — how `FUN3D_SERVE_CACHE=off` is wired).
+    /// valid always-miss cache).
     pub fn new(capacity: usize) -> KeyedCache<V> {
         KeyedCache {
             inner: Mutex::new(Inner {

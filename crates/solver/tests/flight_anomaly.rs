@@ -3,7 +3,7 @@
 //! in `PtcStats::anomaly`, and leave (exactly) the matching validated
 //! dump artifact — while a clean convergent solve leaves none.
 //!
-//! The dump directory/prefix are process globals, so every test takes
+//! The dump directory is a process global, so every test takes
 //! `DUMP_LOCK` and points the recorder at its own directory before
 //! solving.
 
@@ -26,7 +26,6 @@ fn dump_dir(test: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     flight::set_dump_dir(&dir);
-    flight::set_dump_prefix("flight");
     dir
 }
 

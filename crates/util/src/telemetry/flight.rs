@@ -39,8 +39,8 @@
 //! anomaly detector in `fun3d_solver::anomaly` (divergence / stagnation /
 //! wall-budget overrun), or an explicit `FUN3D_FLIGHT_DUMP=1` request
 //! honoured at solve end. Dumps land in `FUN3D_FLIGHT_DIR` (default
-//! `target/experiments`) unless [`set_dump_dir`] overrides it.
-//! `flight_view` (fun3d-bench) renders a dump.
+//! `target/experiments`) unless [`set_dump_dir`] overrides it, as
+//! `flight.<trigger>.json` beside its `.txt` rendering.
 
 use super::json::Json;
 use super::ring::Ring;
@@ -48,7 +48,7 @@ use super::{enabled, now_ns};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, PoisonError};
 
 /// Payload words per event (beyond kind / time / rank / solve).
 pub const PAYLOAD_WORDS: usize = 6;
@@ -421,9 +421,19 @@ event_kinds! {
 
 impl EventKind {
     /// One-line human rendering for the text dump: every field as
-    /// `key=value`, the same form `flight_view` prints.
+    /// `key=value`, joined by two spaces — integers as integers, other
+    /// numbers as `{:.4e}`, `null` as `-`.
     pub fn detail(&self) -> String {
-        detail_line(self.fields().iter().map(|(k, v)| (*k, v)))
+        let value = |v: &Json| match v {
+            Json::Null => "-".to_string(),
+            Json::Bool(b) => b.to_string(),
+            Json::Num(x) if *x == x.trunc() && x.abs() < 1e15 => format!("{}", *x as i64),
+            Json::Num(x) => format!("{x:.4e}"),
+            Json::Str(s) => s.clone(),
+            other => other.render(),
+        };
+        let parts: Vec<String> = self.fields().iter().map(|(k, v)| format!("{k}={}", value(v))).collect();
+        parts.join("  ")
     }
 }
 
@@ -451,21 +461,6 @@ pub fn json_f64(x: f64) -> Json {
     } else {
         Json::str(format!("{x}"))
     }
-}
-
-/// `key=value` pairs joined by two spaces: integers as integers, other
-/// numbers as `{:.4e}`, `null` as `-`.
-pub fn detail_line<'a>(fields: impl Iterator<Item = (&'a str, &'a Json)>) -> String {
-    let value = |v: &Json| match v {
-        Json::Null => "-".to_string(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(x) if *x == x.trunc() && x.abs() < 1e15 => format!("{}", *x as i64),
-        Json::Num(x) => format!("{x:.4e}"),
-        Json::Str(s) => s.clone(),
-        other => other.render(),
-    };
-    let parts: Vec<String> = fields.map(|(k, v)| format!("{k}={}", value(v))).collect();
-    parts.join("  ")
 }
 
 // ---------------------------------------------------------------------
@@ -665,42 +660,25 @@ pub fn reset() {
 // Dumps
 // ---------------------------------------------------------------------
 
-#[derive(Default)]
-struct DumpConfig {
-    dir: Option<PathBuf>,
-    prefix: Option<String>,
-}
-
-fn dump_config() -> &'static Mutex<DumpConfig> {
-    static CONFIG: OnceLock<Mutex<DumpConfig>> = OnceLock::new();
-    CONFIG.get_or_init(|| Mutex::new(DumpConfig::default()))
-}
+/// [`set_dump_dir`]'s override. Every update is one assignment, so a
+/// poisoned lock still holds a valid value and is recovered, never
+/// propagated into a dump.
+static DUMP_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 /// Overrides the dump directory (wins over `FUN3D_FLIGHT_DIR`).
 pub fn set_dump_dir(dir: impl Into<PathBuf>) {
-    dump_config().lock().unwrap().dir = Some(dir.into());
-}
-
-/// Sets the dump file prefix (default `flight`).
-pub fn set_dump_prefix(prefix: impl Into<String>) {
-    dump_config().lock().unwrap().prefix = Some(prefix.into());
+    *DUMP_DIR.lock().unwrap_or_else(PoisonError::into_inner) = Some(dir.into());
 }
 
 /// The directory dumps land in: programmatic override, else
 /// `FUN3D_FLIGHT_DIR`, else `target/experiments`.
 pub fn dump_dir() -> PathBuf {
-    if let Some(d) = dump_config().lock().unwrap().dir.clone() {
+    if let Some(d) = DUMP_DIR.lock().unwrap_or_else(PoisonError::into_inner).clone() {
         return d;
     }
     std::env::var("FUN3D_FLIGHT_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("target/experiments"))
-}
-
-/// The dump file prefix: [`set_dump_prefix`]'s, else `flight`.
-pub fn dump_prefix() -> String {
-    let prefix = dump_config().lock().unwrap().prefix.clone();
-    prefix.unwrap_or_else(|| "flight".to_string())
 }
 
 /// Whether `FUN3D_FLIGHT_DUMP` requests a dump at every solve end.
@@ -761,14 +739,14 @@ pub fn render_text(log: &FlightLog, trigger: Trigger) -> String {
     out
 }
 
-/// Snapshots every ring and writes `<dir>/<prefix>.<trigger>.json` (the
+/// Snapshots every ring and writes `<dir>/flight.<trigger>.json` (the
 /// strict artifact) and the matching `.txt` timeline. Returns the JSON
 /// path. The directory is created if missing.
 pub fn dump(trigger: Trigger) -> std::io::Result<PathBuf> {
     let log = snapshot();
     let dir = dump_dir();
     std::fs::create_dir_all(&dir)?;
-    let stem = format!("{}.{}", dump_prefix(), trigger.slug());
+    let stem = format!("flight.{}", trigger.slug());
     let json_path = dir.join(format!("{stem}.json"));
     let mut f = std::fs::File::create(&json_path)?;
     f.write_all(to_json(&log, trigger).render_pretty().as_bytes())?;
@@ -802,7 +780,7 @@ pub fn note_region_panic(pool_size: usize) {
 /// event count consistency, and — on every timeline entry — the
 /// `(t_ns, rank, solve)` tags, a known event name with every field its
 /// kind declares, and global time ordering. Returns the event count.
-/// Shared by `flight_view --check` and the test suites.
+/// What the test suites hold every dump to.
 pub fn check_dump(doc: &Json) -> Result<usize, String> {
     let schema = doc
         .get("schema")
@@ -1136,7 +1114,6 @@ mod tests {
         let dir = PathBuf::from("target/test-flight-dump");
         let _ = std::fs::remove_dir_all(&dir);
         set_dump_dir(&dir);
-        set_dump_prefix("unit");
         let id = begin_solve(32, 1);
         emit(EventKind::Anomaly {
             trigger: Trigger::Divergence,
@@ -1145,19 +1122,19 @@ mod tests {
         });
         end_solve(id, false, 4, 9, f64::NAN);
         let path = dump(Trigger::Divergence).expect("dump writes");
-        assert_eq!(path, dir.join("unit.divergence.json"));
+        assert_eq!(path, dir.join("flight.divergence.json"));
         let n = check_dump_file(&path).expect("artifact validates");
         assert!(n >= 3);
         // The text rendering exists and names the trigger.
-        let txt = std::fs::read_to_string(dir.join("unit.divergence.txt")).unwrap();
+        let txt = std::fs::read_to_string(dir.join("flight.divergence.txt")).unwrap();
         assert!(txt.contains("trigger: divergence"));
         assert!(txt.contains("anomaly"));
         assert!(
             txt.contains("trigger=divergence  step=4  value=inf"),
             "{txt}"
         );
-        // Reset the global config for other tests.
-        *dump_config().lock().unwrap() = DumpConfig::default();
+        // Reset the global override for other tests.
+        *DUMP_DIR.lock().unwrap() = None;
     }
 
     #[test]

@@ -102,30 +102,6 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 }
 
 // ---------------------------------------------------------------------
-// Shared quantile helper
-// ---------------------------------------------------------------------
-
-/// Nearest-rank quantile of an **ascending-sorted** slice.
-///
-/// The single quantile definition shared by the histogram extraction
-/// below and `load_gen`'s exact sorted-vector percentiles, so the two
-/// can be cross-checked within bucket error. Edge behavior (the
-/// `load_gen::percentile` fixes): an empty slice yields `NaN` instead
-/// of panicking, a single sample is every quantile of itself, `q` is
-/// clamped to `[0, 1]`, and `q = 1.0` indexes the last element exactly
-/// (no float-rounding indexing).
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let n = sorted.len();
-    // Nearest rank: smallest k with k/n >= q, clamped to [1, n].
-    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
-}
-
-// ---------------------------------------------------------------------
 // Histogram shard (the model-checked protocol)
 // ---------------------------------------------------------------------
 
@@ -505,9 +481,9 @@ impl HistSnapshot {
     }
 
     /// Nearest-rank quantile in nanoseconds (bucket midpoint; exact max
-    /// for ranks landing in overflow). `NaN` when empty. Matches
-    /// [`quantile_sorted`]'s rank definition, so the two agree within
-    /// one bucket width.
+    /// for ranks landing in overflow). `NaN` when empty; `q` is clamped
+    /// to `[0, 1]`. Within one bucket width of the exact nearest-rank
+    /// quantile of the recorded values (`quantiles_bounded_error`).
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return f64::NAN;
@@ -547,29 +523,6 @@ impl HistSnapshot {
             *merged.entry(i).or_insert(0) += c;
         }
         self.buckets = merged.into_iter().collect();
-    }
-
-    /// The records added since `earlier` (a per-phase delta). `earlier`
-    /// must be a snapshot of the same histogram taken before `self`.
-    pub fn delta_from(&self, earlier: &HistSnapshot) -> HistSnapshot {
-        let earlier_by_idx: BTreeMap<usize, u64> = earlier.buckets.iter().copied().collect();
-        let buckets: Vec<(usize, u64)> = self
-            .buckets
-            .iter()
-            .map(|&(i, c)| (i, c.saturating_sub(earlier_by_idx.get(&i).copied().unwrap_or(0))))
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        let overflow = self.overflow.saturating_sub(earlier.overflow);
-        HistSnapshot {
-            name: self.name.clone(),
-            count: buckets.iter().map(|&(_, c)| c).sum::<u64>() + overflow,
-            sum_ns: self.sum_ns.saturating_sub(earlier.sum_ns),
-            // The delta's max is unknowable from endpoints; the lifetime
-            // max is a correct upper bound.
-            max_ns: self.max_ns,
-            overflow,
-            buckets,
-        }
     }
 }
 
@@ -679,8 +632,8 @@ pub fn hist_json(h: &HistSnapshot) -> Json {
     ])
 }
 
-/// Renders a snapshot as the strict-JSON artifact `metrics_view` and
-/// the `--metrics-socket` endpoint serve (validated by
+/// Renders a snapshot as the strict-JSON artifact the serve `stats`
+/// reply and `--metrics-socket` endpoint carry (validated by
 /// [`check_snapshot`]).
 pub fn snapshot_json(snap: &MetricsSnapshot) -> Json {
     let counters = snap
@@ -964,6 +917,20 @@ mod tests {
     use super::*;
     use crate::{prop_assert, prop_cases};
 
+    /// Exact nearest-rank quantile of an ascending-sorted slice: the
+    /// reference [`HistSnapshot::quantile`] is held to. An empty slice
+    /// yields `NaN`, a single sample is every quantile of itself, `q` is
+    /// clamped to `[0, 1]`, and `q = 1.0` indexes the last element exactly.
+    fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+        if sorted.is_empty() {
+            return f64::NAN;
+        }
+        let n = sorted.len();
+        // Nearest rank: smallest k with k/n >= q, clamped to [1, n].
+        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+        sorted[rank - 1]
+    }
+
     #[test]
     fn bucket_mapping_round_trips_and_is_monotone() {
         // Exhaustive low range + sampled high range: every value lands in
@@ -996,7 +963,7 @@ mod tests {
 
     #[test]
     fn quantile_sorted_edges() {
-        // The satellite-task contract: no panic on empty, sane single
+        // The reference's contract: no panic on empty, sane single
         // sample, exact p=0/p=1 indexing.
         assert!(quantile_sorted(&[], 0.5).is_nan());
         assert_eq!(quantile_sorted(&[7.0], 0.0), 7.0);
@@ -1069,7 +1036,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_and_delta() {
+    fn snapshot_merge_sums_counts_and_keeps_the_max() {
         let a = {
             let h = Histogram::new();
             for v in [100u64, 200, 300] {
@@ -1089,13 +1056,6 @@ mod tests {
         assert_eq!(m.count, 5);
         assert_eq!(m.sum_ns, 1500);
         assert_eq!(m.max_ns, 500);
-        let d = m.delta_from(&a);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum_ns, 900);
-        // Delta of identical snapshots is empty.
-        let z = m.delta_from(&m);
-        assert_eq!(z.count, 0);
-        assert!(z.buckets.is_empty());
     }
 
     #[test]

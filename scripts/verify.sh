@@ -2,42 +2,44 @@
 # Verification for the hermetic workspace, top to bottom with no section
 # run by hand. Numbers are recorded and judged in one place only,
 # `benchmark/` (see benchmark/README.md); the gates here are structural,
-# bitwise, or ratios measured inside one run of one binary.
+# bitwise, or ratios measured inside one run of one binary. The sections,
+# in order, each announced by its `== ... ==` line:
 #
-#  1. Guards, before cargo runs: every dependency in every manifest is an
-#     in-tree path dependency (an offline build needs nothing else); the
-#     rank layer holds no copy of the solver's Krylov control flow or of
-#     the core's edge physics; edges are walked in one file of the core
-#     and nowhere in the rank layer; the perf-history stack that
-#     `benchmark/` replaced has not come back; the ILU factors have one
-#     storage format, one block-vector kernel and one forward and one
-#     backward row; the gradient row's layout is spelled in one file, the
-#     gradient is not an edge body and has no tiled model, unchecked
-#     access in the core sits in four files, each use under a `SAFETY:`,
-#     telemetry reads three variables, keeps one thread-local and one
-#     ring type, and none of the knobs, sampler or rings it replaced; the
-#     rank layer assembles no Jacobian of its own, no kernel has a second
-#     path nothing runs (tile staging, the barrier-per-level TRSV), and the
-#     execution, flux-scheme and spin knobs stay deleted.
-#     Each structural guard is negative-tested on canary trees.
-#  2. `cargo build --release` and `cargo test -q`, offline. The root
-#     manifest's default-members make both cover every crate.
-#  3. Model check of the sync substrate: the fun3d-check suite plus the
-#     protocol models compiled under `--cfg fun3d_check`, under a fixed
-#     schedule budget; a deliberately racy canary must fail the suite.
-#  4. perf_report on the tiny mesh: every telemetry artifact parses, and
-#     no span was lost to ring wraparound (the span profile is exact).
-#  5. Flight recorder: injected faults dump, clean runs do not.
-#  6. sync_ablation on the benchmark mesh: bitwise mode equivalence, the
-#     regions-per-iteration claim, and the speedup-vs-threads rule on the
-#     rows that fit this host's cores.
-#  7. tiled_flux: tiled kernels equal the serial reference.
-#  8. fig6a --check: SIMD flux speed floors (packed code; rows stored the
-#     way the loop loads them).
-#  9. fig7a --check: in-place ILU floor, factor-storage floor, P2P schedule
-#     bound and canary, measured P2P at T=2.
-# 10. Serve tier: NDJSON smoke, load_gen --check and its negative canary.
-# 11. Live metrics plane: stats command, metrics socket, metrics_view.
+#  * guards, before cargo runs: every dependency in every manifest is an
+#    in-tree path dependency (an offline build needs nothing else); the
+#    rank layer holds no copy of the solver's Krylov control flow or of
+#    the core's edge physics; edges are walked in one file of the core
+#    and nowhere in the rank layer; the perf-history stack that
+#    `benchmark/` replaced has not come back; the ILU factors have one
+#    storage format, one block-vector kernel and one forward and one
+#    backward row; the gradient row's layout is spelled in one file, the
+#    gradient is not an edge body and has no tiled model, unchecked
+#    access in the core sits in four files, each use under a `SAFETY:`,
+#    telemetry reads three variables, keeps one thread-local and one
+#    ring type, and none of the knobs, sampler or rings it replaced; the
+#    rank layer assembles no Jacobian of its own, no kernel has a second
+#    path nothing runs (tile staging, the barrier-per-level TRSV), the
+#    execution, flux-scheme and spin knobs, the serve cache switch and
+#    the flight dump prefix stay deleted, and crates/bench/src/bin holds
+#    the figure and table binaries and nothing else. Each structural
+#    guard is negative-tested on canary trees.
+#  * `cargo build --release` and `cargo test -q`, offline. The root
+#    manifest's default-members make both cover every crate (the flight
+#    dumps, the metrics socket and the serve wire are tests there).
+#  * model check of the sync substrate: the fun3d-check suite plus the
+#    protocol models compiled under `--cfg fun3d_check`, under a fixed
+#    schedule budget; a deliberately racy canary must fail the suite.
+#  * perf_report on the tiny mesh: every telemetry artifact parses, and
+#    no span was lost to ring wraparound (the span profile is exact).
+#  * sync_ablation on the benchmark mesh: bitwise mode equivalence, the
+#    regions-per-iteration claim, and the speedup-vs-threads rule on the
+#    rows that fit this host's cores.
+#  * SIMD flux kernel speed floor (fig6a --check): packed code, rows
+#    stored the way the loop loads them.
+#  * recurrence gates (fig7a --check): in-place ILU floor, factor-storage
+#    floor, P2P schedule bound and canary, measured P2P at T=2.
+#  * serve tier and serve stats command: the NDJSON stdin smoke and the
+#    in-band stats reply.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,7 +66,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob or switch, one bench binary per figure =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -79,6 +81,14 @@ OLD_KNOBS='\bFUN3D_(FLIGHT|METRICS|TELEMETRY_RING|FLIGHT_RING|SAMPLER_US|FLIGHT_
 UNREAD_KNOBS='\bFUN3D_(EXEC|FLUX|ADAPTIVE_SPIN)\b'
 # Second paths of a kernel that no host selected, deleted.
 DEAD_PATHS='TileExec|solve_levels|sweep_levels_team|IluApply::Levels|with_levels'
+# Switches only deleted bench binaries set: a capacity of 0 disables a
+# serve cache layer, and a flight dump is always flight.<trigger>.
+REMOVED_SWITCHES='\bFUN3D_SERVE_CACHE\b|\bset_dump_prefix\b'
+# One binary per paper figure or table, the sync ablation and the
+# telemetry report: what benchmark/ or a test already covers is not a bin.
+BENCH_BINS='fig5_profile fig6a_flux_opts fig6b_flux_scaling fig7a_recurrence_opts fig7b_recurrence_bw
+    fig8a_app_speedup fig8b_kernel_speedups fig9_multinode_scaling fig10_comm_overheads fig11_hybrid
+    table1_baseline table2_ilu_fill sync_ablation perf_report'
 TRAVERSAL='pool\.run\(|SpinBarrier|chunk_range|color_tiles'
 structure_guard() {
     local root=$1 bad=0
@@ -216,24 +226,38 @@ structure_guard() {
         echo "  a deleted knob (FUN3D_EXEC, FUN3D_FLUX, FUN3D_ADAPTIVE_SPIN) is read or named again"
         bad=1
     fi
+    if grep -rnE "$REMOVED_SWITCHES" "$root/crates" "$root/scripts" "$root/README.md" "$root/DESIGN.md" --exclude=verify.sh; then
+        echo "  the serve cache switch or the flight dump prefix is back: size a cache layer to 0, dumps are flight.<trigger>"
+        bad=1
+    fi
+    local bin
+    for bin in "$root"/crates/bench/src/bin/*.rs; do
+        [ -e "$bin" ] || continue
+        if ! grep -qw "$(basename "$bin" .rs)" <<<"$BENCH_BINS"; then
+            echo "  $bin: crates/bench/src/bin holds one binary per paper figure or table (plus sync_ablation, perf_report)"
+            bad=1
+        fi
+    done
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob is back, or an unchecked access is not argued"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, or an unchecked access is not argued"
     exit 1
 fi
-# Negative canaries: each of the twenty-two forks must trip the guard, and
+# Negative canaries: each of the twenty-four forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
     widening_load_in_a_sweep second_forward_row generic_factors f64_factors \
     second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked \
     telemetry_knob_read deleted_knob_named second_thread_local sampler_back \
-    rank_jacobian_loop dead_kernel_path unread_knob_back; do
+    rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
-        "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src" "$CANARY/scripts" \
-        "$CANARY/crates/util/src/telemetry"
+        "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src/bin" "$CANARY/scripts" \
+        "$CANARY/crates/util/src/telemetry" "$CANARY/crates/serve/src"
+    echo 'fn main() { fun3d_bench::emit("table2_ilu_fill", &table) }' > "$CANARY/crates/bench/src/bin/table2_ilu_fill.rs"
+    echo 'factor_cache_cap: 32,' > "$CANARY/crates/serve/src/service.rs"
     echo 'for class in &tiling.color_tiles { pool.run(|tid| chunk_range(class.len(), nt, tid)); }' > "$CANARY/crates/core/src/edge_loop.rs"
     echo 'fn givens(a: f64, b: f64) -> (f64, f64) { (a, b) }' > "$CANARY/crates/solver/src/gmres.rs"
     echo 'pub fn factor_matvec<S: Simd>(s: S, a: &FactorBlock) -> S::V { s.load_f32(&a[0..4]) }' > "$CANARY/crates/sparse/src/block.rs"
@@ -274,6 +298,8 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         rank_jacobian_loop) echo 'self.jac.add_block(b, a as u32, &da);' > "$CANARY/crates/cluster/src/fork.rs" ;;
         dead_kernel_path) echo 'Traversal::Tiled { geom, mode: TileExec::Staged }' > "$CANARY/crates/core/src/flux.rs" ;;
         unread_knob_back) echo 'Override with `FUN3D_EXEC=serial|team|auto`.' >> "$CANARY/README.md" ;;
+        extra_bench_bin) echo 'fn main() { run_ablation(&parse_args()) }' > "$CANARY/crates/bench/src/bin/load_gen.rs" ;;
+        serve_cache_knob) echo 'cache: !matches!(std::env::var("FUN3D_SERVE_CACHE").as_deref(), Ok("off")),' >> "$CANARY/crates/serve/src/service.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -281,7 +307,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob or switch, one bench binary per figure; canaries rejected"
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.
@@ -335,31 +361,6 @@ for artifact in target/experiments/perf_report.json \
 done
 echo "ok: telemetry artifacts present and parsable"
 
-echo "== flight recorder: injected faults must dump, clean runs must not =="
-# The black-box contract, negative canary first: a clean convergent
-# solve must leave no dump. Then two injected failures — a NaN residual
-# (anomaly detector) and a worker panic inside a pool region (launcher
-# hook) — must each leave a dump that survives the strict validator and
-# renders. flight_demo itself exits nonzero if a dump is missing,
-# malformed, or unexpectedly present; the explicit --check below proves
-# the artifacts validate through the standalone viewer too.
-FLIGHT_DIR=target/experiments/verify_flight
-rm -rf "$FLIGHT_DIR"
-cargo run --release --offline -q -p fun3d-bench --bin flight_demo -- --inject none --dir "$FLIGHT_DIR"
-cargo run --release --offline -q -p fun3d-bench --bin flight_demo -- --inject divergence --dir "$FLIGHT_DIR"
-# The injected panic's backtrace is expected noise, not a failure.
-cargo run --release --offline -q -p fun3d-bench --bin flight_demo -- --inject panic --dir "$FLIGHT_DIR" 2>/dev/null
-for trigger in divergence region_panic; do
-    artifact="$FLIGHT_DIR/flight.$trigger.json"
-    if [ ! -f "$artifact" ]; then
-        echo "FAIL: missing flight dump $artifact"
-        exit 1
-    fi
-    cargo run --release --offline -q -p fun3d-bench --bin flight_view -- --check "$artifact"
-    cargo run --release --offline -q -p fun3d-bench --bin flight_view -- "$artifact" >/dev/null
-done
-echo "ok: flight dumps provoked, validated, and renderable; clean run left none"
-
 echo "== sync_ablation on the benchmark mesh (execution-policy ablation, thread-scaling rule) =="
 # Serial / persistent-region / adaptive GMRES, plus the region-per-op
 # reference, over the P2P preconditioner the application runs, measured
@@ -381,22 +382,6 @@ fi
 cargo run --release --offline -q -p fun3d-bench --bin sync_ablation -- --check target/experiments/sync_ablation.json
 echo "ok: sync ablation modes agree bitwise; threads beat serial where the cores exist"
 
-echo "== tiled edge kernels (locality tiling gate) =="
-# The tiled strategy's standing proof: the binary verifies every timed
-# variant (tiled serial + pooled, owner-writes) against the serial SoA
-# reference *before* timing — an equivalence miss exits nonzero here.
-# --check then
-# validates the artifact shape: tile-quality invariants (reuse >= 0.5,
-# >= 1 tile/color) and finite positive timings for every variant row.
-cargo run --release --offline -q -p fun3d-bench --bin tiled_flux -- \
-    --meshes tiny,small --threads 1,2 --reps 3
-if [ ! -f target/experiments/tiled_flux.json ]; then
-    echo "FAIL: missing tiled_flux artifact"
-    exit 1
-fi
-cargo run --release --offline -q -p fun3d-bench --bin tiled_flux -- --check target/experiments/tiled_flux.json
-echo "ok: tiled kernels agree with the serial reference; artifact parsable"
-
 echo "== SIMD flux kernel speed floor (fig6a_flux_opts --check) =="
 # The vectorized flux kernel is only worth its name while it compiles
 # to packed code: with AVX2 detected, the lane body on the stream - the
@@ -404,7 +389,7 @@ echo "== SIMD flux kernel speed floor (fig6a_flux_opts --check) =="
 # the scalar serial_aos and its own portable-lane instantiation, and at
 # least 1.10x the lane body on comp-major gradient rows with checked
 # gathers kept in crates/bench as the reference (interleaved rounds,
-# per-variant minimum, like the tiled gate above): eight transposes per
+# per-variant minimum): eight transposes per
 # batch, spilled gradient lanes or a bounds check per access coming back
 # fail here. Without AVX2 the check passes with a notice.
 cargo run --release --offline -q -p fun3d-bench --bin fig6a_flux_opts -- \
@@ -430,7 +415,7 @@ cargo run --release --offline -q -p fun3d-bench --bin fig7a_recurrence_opts -- \
     --mesh small --reps 20 --check
 echo "ok: in-place numeric ILU and the factor storage clear their floors; the P2P schedule runs in parallel and its canary is caught"
 
-echo "== serve tier (fun3d-serve + load_gen) =="
+echo "== serve tier (fun3d-serve NDJSON smoke) =="
 # Service smoke over the NDJSON stdin transport: two good requests (the
 # second must be an artifact-cache hit) and one malformed request that
 # must come back as a structured bad_request rejection, not a crash.
@@ -448,43 +433,17 @@ for needle in '"ok":true' '"cache":"app+factor"' '"reason":"bad_request"'; do
 done
 echo "ok: serve NDJSON transport answers, caches repeats, rejects bad requests"
 
-# Load benchmark smoke: open-loop phases must all succeed at the lowest
-# rate, the reject probe must observe at least one forced admission
-# reject, and the artifact's cache ablation must clear the 2x floor —
-# all enforced by the strict --check validator.
-cargo run --release --offline -q -p fun3d-bench --bin load_gen -- \
-    --requests 12 --rates 4,8 --repeats 4
-if [ ! -f target/experiments/load_gen.json ]; then
-    echo "FAIL: missing load_gen artifact"
-    exit 1
-fi
-cargo run --release --offline -q -p fun3d-bench --bin load_gen -- --check target/experiments/load_gen.json
-# Negative canary for the validator: a load_gen artifact whose cache
-# speedup is below the floor must FAIL the check.
-sed 's/"speedup": *[0-9.]*/"speedup": 1.1/' target/experiments/load_gen.json \
-    > target/experiments/load_gen_bad.json
-if cargo run --release --offline -q -p fun3d-bench --bin load_gen -- \
-    --check target/experiments/load_gen_bad.json >/dev/null 2>&1; then
-    echo "FAIL: load_gen --check accepted a sub-2x cache speedup"
-    exit 1
-fi
-rm -f target/experiments/load_gen_bad.json
-echo "ok: serve load benchmark gated (2x cache floor, forced reject)"
-
-echo "== live metrics plane (stats command, metrics socket, metrics_view) =="
+echo "== serve stats command =="
 # In-band stats: a solve followed by {"cmd":"stats"} must answer one
-# stats line whose embedded snapshot validates strictly, with live
-# per-tenant percentiles for the tenant just served.
-METRICS_DIR=target/experiments/verify_metrics
-rm -rf "$METRICS_DIR"
-mkdir -p "$METRICS_DIR"
+# stats line carrying the metrics snapshot. The one-shot pipe races stats
+# against the solve, so this smoke checks structure only; the live
+# per-tenant percentiles are service::tests::stats_json_reports_live_tenant_percentiles,
+# and the --metrics-socket endpoint is crates/serve/tests/metrics_socket.rs
+# (both expositions validated, a corrupted snapshot rejected), both tier-1.
 STATS_OUT=$(printf '%s\n' \
     '{"tenant":"verify","mesh":"tiny","max_steps":2,"rtol":1e-2}' \
     '{"cmd":"stats"}' \
     | cargo run --release --offline -q -p fun3d-serve --bin serve -- --teams 1 --team-threads 1 2>/dev/null)
-# The one-shot pipe races stats against the solve, so this smoke checks
-# structure only; the live per-tenant numbers are asserted on the
-# fifo-held service below, where ordering is controlled.
 for needle in '"kind":"stats"' '"schema":"fun3d.metrics.v1"'; do
     if ! grep -qF "$needle" <<<"$STATS_OUT"; then
         echo "FAIL: stats reply missing $needle"
@@ -492,82 +451,6 @@ for needle in '"kind":"stats"' '"schema":"fun3d.metrics.v1"'; do
         exit 1
     fi
 done
-
-# Out-of-band metrics socket: hold a serve process open on a fifo, let
-# it finish one solve, then fetch + strictly validate both expositions
-# through metrics_view, and keep the JSON snapshot for the canary.
-METRICS_SOCK=$METRICS_DIR/metrics.sock
-FIFO=$METRICS_DIR/stdin.fifo
-mkfifo "$FIFO"
-cargo run --release --offline -q -p fun3d-serve --bin serve -- \
-    --metrics-socket "$METRICS_SOCK" --teams 1 --team-threads 1 \
-    < "$FIFO" > "$METRICS_DIR/serve.out" 2>/dev/null &
-SERVE_PID=$!
-exec 9> "$FIFO"
-printf '%s\n' '{"tenant":"verify","mesh":"tiny","max_steps":2,"rtol":1e-2}' >&9
-# Wait for the solve's reply so the snapshot below has live data.
-for _ in $(seq 1 100); do
-    grep -q '"ok":true' "$METRICS_DIR/serve.out" 2>/dev/null && break
-    sleep 0.2
-done
-# Now the solve is done: an in-band stats request must answer with live
-# per-tenant p50/p99 and the stage histograms (the acceptance claim).
-printf '%s\n' '{"cmd":"stats"}' >&9
-for _ in $(seq 1 100); do
-    grep -q '"kind":"stats"' "$METRICS_DIR/serve.out" 2>/dev/null && break
-    sleep 0.2
-done
-LIVE_STATS=$(grep '"kind":"stats"' "$METRICS_DIR/serve.out")
-for needle in '"verify":{"count":1' '"p50_ms":' '"p99_ms":' '"cache_hit_rate":' 'serve.total_ns'; do
-    if ! grep -qF "$needle" <<<"$LIVE_STATS"; then
-        echo "FAIL: live stats reply missing $needle"
-        echo "$LIVE_STATS"
-        exit 1
-    fi
-done
-cargo run --release --offline -q -p fun3d-bench --bin metrics_view -- --socket "$METRICS_SOCK" --check
-cargo run --release --offline -q -p fun3d-bench --bin metrics_view -- --socket "$METRICS_SOCK" --prom --check
-cargo run --release --offline -q -p fun3d-bench --bin metrics_view -- --socket "$METRICS_SOCK" \
-    > "$METRICS_DIR/rendered.txt"
-if ! grep -q 'serve\.tenant\.verify\.total_ns' "$METRICS_DIR/rendered.txt"; then
-    echo "FAIL: live snapshot missing the per-tenant stage histogram"
-    exit 1
-fi
-# Save the JSON snapshot, close the service, and validate the file path.
-python3 - "$METRICS_SOCK" "$METRICS_DIR/snapshot.json" <<'EOF' 2>/dev/null || \
-    SNAP_FALLBACK=1
-import socket, sys
-s = socket.socket(socket.AF_UNIX)
-s.connect(sys.argv[1])
-s.sendall(b"json\n")
-buf = b""
-while True:
-    chunk = s.recv(65536)
-    if not chunk:
-        break
-    buf += chunk
-open(sys.argv[2], "wb").write(buf)
-EOF
-if [ "${SNAP_FALLBACK:-0}" = "1" ]; then
-    # No python3 in the container: the stats command's embedded snapshot
-    # is the same artifact.
-    grep '"kind":"stats"' <<<"$STATS_OUT" | sed 's/.*"metrics"://; s/}}$/}/' \
-        > "$METRICS_DIR/snapshot.json"
-fi
-exec 9>&-
-wait "$SERVE_PID"
-rm -f "$FIFO"
-cargo run --release --offline -q -p fun3d-bench --bin metrics_view -- --check "$METRICS_DIR/snapshot.json"
-# Negative canary: corrupt the snapshot (a bucket count goes negative)
-# and the strict validator must reject it.
-sed 's/"count":[0-9]*/"count":-3/' "$METRICS_DIR/snapshot.json" \
-    > "$METRICS_DIR/snapshot_bad.json"
-if cargo run --release --offline -q -p fun3d-bench --bin metrics_view -- \
-    --check "$METRICS_DIR/snapshot_bad.json" >/dev/null 2>&1; then
-    echo "FAIL: metrics_view --check accepted a corrupted snapshot"
-    exit 1
-fi
-rm -f "$METRICS_DIR/snapshot_bad.json"
-echo "ok: live metrics plane answers, validates, and rejects corruption"
+echo "ok: the stats command answers with the metrics snapshot"
 
 echo "verify: OK"
