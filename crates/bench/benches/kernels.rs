@@ -1,9 +1,9 @@
 //! Microbenchmarks backing the figure harnesses: flux-kernel variants,
-//! TRSV/ILU strategies, SpMV (BCSR vs scalar CSR), vector primitives and
-//! the partitioner. Runs on the in-tree `fun3d_util::microbench` runner
-//! (`harness = false`), so `cargo bench -p fun3d-bench` works offline
-//! with zero external crates; pass a substring to filter, e.g.
-//! `cargo bench -p fun3d-bench -- flux`.
+//! TRSV/ILU strategies, SpMV (BCSR vs scalar CSR), vector primitives, the
+//! partitioner and set-up stage by stage. Runs on the in-tree
+//! `fun3d_util::microbench` runner (`harness = false`), so `cargo bench
+//! -p fun3d-bench` works offline with zero external crates; pass a
+//! substring to filter, e.g. `cargo bench -p fun3d-bench -- flux`.
 //!
 //! Sizes are deliberately small (the container has one core); the
 //! statistically robust *ratios* between variants are what matters —
@@ -14,7 +14,7 @@ use fun3d_core::{
     flux, gradient, EdgeGeom, Exec, FlowConditions, HalfEdges, Isa, NodeAos, Traversal,
 };
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_mesh::DualMesh;
+use fun3d_mesh::{reorder, DualMesh};
 use fun3d_partition::{partition_graph, MultilevelConfig};
 use fun3d_solver::vecops;
 use fun3d_sparse::{csr::Csr, ilu, trsv, Bcsr4, TempBuffer};
@@ -368,6 +368,35 @@ fn bench_partitioner(c: &mut Bench) {
     g.finish();
 }
 
+/// Set-up, stage by stage, on Small: what every steady operation pays
+/// before its solve (generation, RCM, the median dual, the matrix and
+/// ILU(1) patterns, the two-way partition the owner-writes plan needs),
+/// each stage on the previous stage's output. `rcm` includes building
+/// the vertex graph and `dual` its own edge list, so both contain an
+/// `edges` pass.
+fn bench_setup(c: &mut Bench) {
+    let spec = MeshPreset::Small.spec();
+    let scrambled = spec.build();
+    let mut mesh = scrambled.clone();
+    fun3d_core::Fun3dApp::rcm_reorder(&mut mesh);
+    let dual = DualMesh::build(&mesh);
+    let nv = mesh.nvertices();
+    let jac = Bcsr4::from_edges(nv, &dual.edges);
+    let graph = mesh.vertex_graph();
+    let mut g = c.group("setup");
+    g.sample_size(15);
+    g.bench_function("build", |b| b.iter(|| spec.build()));
+    g.bench_function("edges", |b| b.iter(|| scrambled.edges()));
+    g.bench_function("rcm", |b| b.iter(|| reorder::rcm(&scrambled.vertex_graph())));
+    g.bench_function("dual", |b| b.iter(|| DualMesh::build(&mesh)));
+    g.bench_function("symbolic_iluk1", |b| b.iter(|| ilu::symbolic_iluk(&jac, 1)));
+    g.bench_function("bcsr_pattern", |b| b.iter(|| Bcsr4::from_edges(nv, &dual.edges)));
+    g.bench_function("partition2", |b| {
+        b.iter(|| partition_graph(&graph, 2, &MultilevelConfig::default()))
+    });
+    g.finish();
+}
+
 fn main() {
     let mut c = Bench::from_args();
     bench_flux(&mut c);
@@ -380,5 +409,6 @@ fn main() {
     bench_telemetry_overhead(&mut c);
     bench_recorder_overhead(&mut c);
     bench_partitioner(&mut c);
+    bench_setup(&mut c);
     c.finish();
 }

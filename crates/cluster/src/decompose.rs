@@ -76,19 +76,26 @@ impl Decomposition {
             let graph = Graph::from_edges(nvertices, edges);
             partition_graph(&graph, nranks, &MultilevelConfig::default())
         };
+        // One global → local map serves every rank in turn: a rank reads
+        // only the entries of its own owned and ghost vertices, which it
+        // writes first.
+        let mut g2l = vec![0u32; nvertices];
         let subdomains = (0..nranks)
-            .map(|r| build_subdomain(r, nvertices, edges, &part))
+            .map(|r| build_subdomain(r, edges, &part, &mut g2l))
             .collect();
         Decomposition { part, subdomains }
     }
 }
 
+/// Builds rank `rank`'s subdomain, with `g2l` (one entry per global
+/// vertex) as the scratch space of its global → local map.
 fn build_subdomain(
     rank: usize,
-    nvertices: usize,
     edges: &[[u32; 2]],
     part: &Partition,
+    g2l: &mut [u32],
 ) -> Subdomain {
+    let nvertices = part.len();
     let r = rank as u32;
     let owned: Vec<u32> = (0..nvertices as u32).filter(|&v| part[v as usize] == r).collect();
 
@@ -106,13 +113,8 @@ fn build_subdomain(
     ghost_set.sort_unstable();
     ghost_set.dedup();
 
-    // global -> local map
-    let mut g2l = std::collections::HashMap::with_capacity(owned.len() + ghost_set.len());
-    for (l, &g) in owned.iter().enumerate() {
-        g2l.insert(g, l as u32);
-    }
-    for (l, &g) in ghost_set.iter().enumerate() {
-        g2l.insert(g, (owned.len() + l) as u32);
+    for (l, &g) in owned.iter().chain(&ghost_set).enumerate() {
+        g2l[g as usize] = l as u32;
     }
 
     // Local edges: any edge with ≥1 owned endpoint.
@@ -125,7 +127,7 @@ fn build_subdomain(
         if p0 != r && p1 != r {
             continue;
         }
-        local_edges.push([g2l[&e[0]], g2l[&e[1]]]);
+        local_edges.push([g2l[e[0] as usize], g2l[e[1] as usize]]);
         edge_gids.push(eid as u32);
         masks.push(u8::from(p0 == r) | (u8::from(p1 == r) << 1));
     }
@@ -157,7 +159,7 @@ fn build_subdomain(
         .map(|(nbr, mut globals)| {
             globals.sort_unstable();
             globals.dedup();
-            (nbr, globals.into_iter().map(|g| g2l[&g]).collect())
+            (nbr, globals.into_iter().map(|g| g2l[g as usize]).collect())
         })
         .collect();
     let recv_lists: Vec<(usize, Vec<u32>)> = recv_by.into_iter().collect();

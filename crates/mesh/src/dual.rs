@@ -19,6 +19,7 @@
 //! `Σ_out s_e − Σ_in s_e + n_bnd(v) = 0`. Free-stream preservation of the
 //! flux scheme is a corollary, and the property tests below enforce it.
 
+use crate::bucket::Buckets;
 use crate::{BcTag, Mesh, Vec3};
 
 /// Signed volume of the tet `(a, b, c, d)`; positive when `d` lies on the
@@ -195,30 +196,98 @@ impl EdgeIndex {
     }
 }
 
+/// Sums each boundary triangle's third of its directed area into its
+/// three vertices, one normal per (vertex, tag), sorted by vertex then
+/// tag. The triangles are grouped by vertex in one counting-sort pass,
+/// which keeps them in mesh order, so every normal is summed in the
+/// order the triangles are listed.
 fn aggregate_boundary(mesh: &Mesh) -> Vec<BoundaryNormal> {
-    use std::collections::HashMap;
-    let mut acc: HashMap<(u32, BcTag), Vec3> = HashMap::new();
-    for tri in &mesh.boundary {
-        let a = mesh.coords[tri.verts[0] as usize];
-        let b = mesh.coords[tri.verts[1] as usize];
-        let c = mesh.coords[tri.verts[2] as usize];
-        let third = tri_area_vec(a, b, c) / 3.0;
-        for &v in &tri.verts {
-            *acc.entry((v, tri.tag)).or_insert(Vec3::ZERO) += third;
+    let thirds: Vec<Vec3> = mesh
+        .boundary
+        .iter()
+        .map(|tri| {
+            let [a, b, c] = tri.verts.map(|v| mesh.coords[v as usize]);
+            tri_area_vec(a, b, c) / 3.0
+        })
+        .collect();
+    let by_vertex = Buckets::new(
+        mesh.nvertices(),
+        mesh.boundary
+            .iter()
+            .enumerate()
+            .flat_map(|(i, tri)| tri.verts.map(|v| (v, i as u32))),
+    );
+    let mut out = Vec::new();
+    for vertex in 0..by_vertex.nkeys() {
+        let mut sums: [Option<Vec3>; TAGS.len()] = [None; TAGS.len()];
+        for &i in by_vertex.get(vertex) {
+            let sum = sums[mesh.boundary[i as usize].tag as usize].get_or_insert(Vec3::ZERO);
+            *sum += thirds[i as usize];
+        }
+        for (tag, sum) in TAGS.into_iter().zip(sums) {
+            if let Some(normal) = sum {
+                out.push(BoundaryNormal { vertex: vertex as u32, normal, tag });
+            }
         }
     }
-    let mut out: Vec<BoundaryNormal> = acc
-        .into_iter()
-        .map(|((vertex, tag), normal)| BoundaryNormal { vertex, normal, tag })
-        .collect();
-    out.sort_by_key(|b| (b.vertex, b.tag as u8));
     out
 }
+
+/// Every boundary tag, in the order of its discriminant.
+const TAGS: [BcTag; 3] = [BcTag::FarField, BcTag::SlipWall, BcTag::Symmetry];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::single_tet;
+    use crate::{single_tet, BoundaryTri};
+
+    /// Boundary normals as they were first summed: one hash-map entry per
+    /// (vertex, tag). The oracle for the bucketed pass, bit for bit.
+    fn reference_boundary(mesh: &Mesh) -> Vec<BoundaryNormal> {
+        let mut acc: std::collections::HashMap<(u32, BcTag), Vec3> = Default::default();
+        for tri in &mesh.boundary {
+            let [a, b, c] = tri.verts.map(|v| mesh.coords[v as usize]);
+            let third = tri_area_vec(a, b, c) / 3.0;
+            for &v in &tri.verts {
+                *acc.entry((v, tri.tag)).or_insert(Vec3::ZERO) += third;
+            }
+        }
+        let mut out: Vec<BoundaryNormal> = acc
+            .into_iter()
+            .map(|((vertex, tag), normal)| BoundaryNormal { vertex, normal, tag })
+            .collect();
+        out.sort_by_key(|b| (b.vertex, b.tag as u8));
+        out
+    }
+
+    fn bits(normals: &[BoundaryNormal]) -> Vec<(u32, BcTag, [u64; 3])> {
+        normals
+            .iter()
+            .map(|b| (b.vertex, b.tag, [b.normal.x, b.normal.y, b.normal.z].map(f64::to_bits)))
+            .collect()
+    }
+
+    fun3d_util::prop_cases! {
+        fn bucketed_boundary_normals_are_the_hash_map_oracle(g, cases = 64) {
+            // A tet soup's triangles under random tags; repeats and a
+            // vertex on several tags included.
+            let mut m = crate::tet_soup(g);
+            let ntris = g.usize_range(0, 40);
+            for _ in 0..ntris {
+                let verts = [0; 3].map(|_| g.usize_range(0, m.nvertices()) as u32);
+                let tag = TAGS[g.usize_range(0, TAGS.len())];
+                m.boundary.push(BoundaryTri { verts, tag });
+            }
+            fun3d_util::prop_assert_eq!(bits(&aggregate_boundary(&m)), bits(&reference_boundary(&m)));
+        }
+    }
+
+    #[test]
+    fn tags_are_listed_in_discriminant_order() {
+        for (i, tag) in TAGS.into_iter().enumerate() {
+            assert_eq!(tag as usize, i);
+        }
+    }
 
     #[test]
     fn tet_volume_reference() {

@@ -15,9 +15,9 @@
 //! vertex, matching the paper's meshes (2.40e6 edges / 3.58e5 vertices ≈
 //! 6.7).
 
+use crate::bucket::Buckets;
 use crate::{BcTag, BoundaryTri, Mesh, Vec3};
 use fun3d_util::Rng64;
-use std::collections::HashMap;
 
 /// Geometry and resolution of the synthetic channel-with-wing mesh.
 #[derive(Clone, Copy, Debug)]
@@ -271,44 +271,77 @@ fn extract_boundary(
     tets: &[[u32; 4]],
     classify: impl Fn(u32) -> PlaneSet,
 ) -> Vec<BoundaryTri> {
-    // face key (sorted triple) -> (count, one (face, opposite) instance)
-    let mut faces: HashMap<[u32; 3], (u32, [u32; 3], u32)> =
-        HashMap::with_capacity(tets.len() * 2);
-    for t in tets {
-        for (f, opp) in [
-            ([t[0], t[1], t[2]], t[3]),
-            ([t[0], t[1], t[3]], t[2]),
-            ([t[0], t[2], t[3]], t[1]),
-            ([t[1], t[2], t[3]], t[0]),
-        ] {
-            let mut key = f;
-            key.sort_unstable();
-            faces
-                .entry(key)
-                .and_modify(|e| e.0 += 1)
-                .or_insert((1, f, opp));
-        }
-    }
+    boundary_faces(coords, tets)
+        .into_iter()
+        .map(|verts| {
+            let [a, b, c] = verts.map(&classify);
+            BoundaryTri { verts, tag: a.intersect(b).intersect(c).tag() }
+        })
+        .collect()
+}
+
+/// The four faces of a tet in local indices, each with the vertex
+/// opposite it.
+const TET_FACES: [([usize; 3], usize); 4] =
+    [([0, 1, 2], 3), ([0, 1, 3], 2), ([0, 2, 3], 1), ([1, 2, 3], 0)];
+
+/// One tet face as the boundary pass groups it: the two larger vertices
+/// of its sorted key (the smallest is the group), the face as the tet
+/// lists it, and the tet's fourth vertex.
+#[derive(Clone, Copy, Default)]
+struct FaceRec {
+    rest: [u32; 2],
+    face: [u32; 3],
+    opp: u32,
+}
+
+/// The faces that occur in exactly one tet, wound so the normal points
+/// away from that tet, sorted by their wound vertex triple. A face shared
+/// by three or more tets is not a manifold mesh and panics, naming it.
+///
+/// The 4 × ntets faces are grouped by their smallest vertex in one
+/// counting-sort pass; each group (a few dozen faces) is sorted on its
+/// other two vertices, so equal faces sit together and are counted.
+fn boundary_faces(coords: &[Vec3], tets: &[[u32; 4]]) -> Vec<[u32; 3]> {
+    let mut by_min = Buckets::new(
+        coords.len(),
+        tets.iter().flat_map(|t| {
+            TET_FACES.iter().map(move |&([a, b, c], opp)| {
+                let face = [t[a], t[b], t[c]];
+                let mut key = face;
+                key.sort_unstable();
+                (key[0], FaceRec { rest: [key[1], key[2]], face, opp: t[opp] })
+            })
+        }),
+    );
     let mut out = Vec::new();
-    for (_, (count, f, opp)) in faces {
-        if count != 1 {
-            debug_assert_eq!(count, 2, "non-manifold face");
-            continue;
+    for lo in 0..by_min.nkeys() {
+        let group = by_min.get_mut(lo);
+        group.sort_unstable_by_key(|f| f.rest);
+        for run in group.chunk_by(|x, y| x.rest == y.rest) {
+            let count = run.len();
+            assert!(
+                count <= 2,
+                "non-manifold face [{lo}, {}, {}] is shared by {count} tets",
+                run[0].rest[0],
+                run[0].rest[1]
+            );
+            if count == 2 {
+                continue;
+            }
+            // Outward winding: the opposite vertex must lie on the
+            // *negative* side of the triangle.
+            let FaceRec { face: [a, b, c], opp, .. } = run[0];
+            let vol = crate::dual::tet_volume(
+                coords[a as usize],
+                coords[b as usize],
+                coords[c as usize],
+                coords[opp as usize],
+            );
+            out.push(if vol > 0.0 { [a, c, b] } else { [a, b, c] });
         }
-        // Outward winding: the opposite vertex must lie on the *negative*
-        // side of the triangle.
-        let (a, b, c) = (f[0], f[1], f[2]);
-        let vol = crate::dual::tet_volume(
-            coords[a as usize],
-            coords[b as usize],
-            coords[c as usize],
-            coords[opp as usize],
-        );
-        let verts = if vol > 0.0 { [a, c, b] } else { [a, b, c] };
-        let planes = classify(a).intersect(classify(b)).intersect(classify(c));
-        out.push(BoundaryTri { verts, tag: planes.tag() });
     }
-    out.sort_by_key(|t| t.verts);
+    out.sort_unstable();
     out
 }
 
@@ -384,6 +417,67 @@ impl MeshPreset {
 mod tests {
     use super::*;
     use crate::DualMesh;
+    use std::collections::HashMap;
+
+    /// The boundary pass as it was first written: every face counted in a
+    /// hash map keyed by its sorted triple. The oracle for the bucketed
+    /// pass; `None` when some face is shared by three or more tets.
+    fn reference_boundary_faces(coords: &[Vec3], tets: &[[u32; 4]]) -> Option<Vec<[u32; 3]>> {
+        let mut faces: HashMap<[u32; 3], (u32, [u32; 3], u32)> = HashMap::new();
+        for t in tets {
+            for (f, opp) in [
+                ([t[0], t[1], t[2]], t[3]),
+                ([t[0], t[1], t[3]], t[2]),
+                ([t[0], t[2], t[3]], t[1]),
+                ([t[1], t[2], t[3]], t[0]),
+            ] {
+                let mut key = f;
+                key.sort_unstable();
+                faces.entry(key).and_modify(|e| e.0 += 1).or_insert((1, f, opp));
+            }
+        }
+        let mut out = Vec::new();
+        for (_, (count, [a, b, c], opp)) in faces {
+            match count {
+                1 => {}
+                2 => continue,
+                _ => return None,
+            }
+            let vol = crate::dual::tet_volume(
+                coords[a as usize],
+                coords[b as usize],
+                coords[c as usize],
+                coords[opp as usize],
+            );
+            out.push(if vol > 0.0 { [a, c, b] } else { [a, b, c] });
+        }
+        out.sort_by_key(|&f| f);
+        Some(out)
+    }
+
+    fun3d_util::prop_cases! {
+        fn bucketed_boundary_is_the_hash_map_oracle(g, cases = 64) {
+            let m = crate::tet_soup(g);
+            let got = std::panic::catch_unwind(|| boundary_faces(&m.coords, &m.tets)).ok();
+            fun3d_util::prop_assert_eq!(got, reference_boundary_faces(&m.coords, &m.tets));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-manifold face [1, 2, 3] is shared by 3 tets")]
+    fn a_face_shared_by_three_tets_is_rejected() {
+        // Two tets glued on face (1, 2, 3), and the first one again: that
+        // face now borders three tets, which no manifold mesh allows.
+        let coords = vec![
+            Vec3::new(0.0, 0.0, 0.0),
+            Vec3::new(1.0, 0.0, 0.0),
+            Vec3::new(0.0, 1.0, 0.0),
+            Vec3::new(0.0, 0.0, 1.0),
+            Vec3::new(1.0, 1.0, 1.0),
+        ];
+        let tets = [[0, 1, 2, 3], [1, 2, 3, 4], [0, 1, 2, 3]];
+        boundary_faces(&coords, &tets);
+    }
 
     #[test]
     fn tiny_mesh_counts() {

@@ -23,6 +23,7 @@
 //! Reverse Cuthill-McKee and the edge sorting the paper applies for
 //! locality.
 
+mod bucket;
 pub mod dual;
 pub mod generator;
 pub mod graph;
@@ -35,6 +36,11 @@ pub use dual::DualMesh;
 pub use generator::{ChannelSpec, MeshPreset};
 pub use graph::Graph;
 pub use vec3::Vec3;
+
+use bucket::Buckets;
+
+/// The six edges of a tet as pairs of local vertex indices.
+const TET_EDGE_ENDS: [(usize, usize); 6] = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
 
 /// Boundary-condition tag for a boundary face.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -84,16 +90,32 @@ impl Mesh {
     /// `[lo, hi]` with `lo < hi`, sorted lexicographically — the paper's
     /// "vertices at one end of each edge are sorted in an increasing
     /// order" normalization.
+    ///
+    /// One counting-sort pass groups the six edges of every tet by their
+    /// low vertex. Each group (a few dozen entries, most of them repeats)
+    /// is deduplicated through a marker row and only its distinct high
+    /// ends are sorted, so the whole list is never compared.
     pub fn edges(&self) -> Vec<[u32; 2]> {
-        let mut edges: Vec<[u32; 2]> = Vec::with_capacity(self.tets.len() * 6);
-        for t in &self.tets {
-            for (a, b) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)] {
-                let (u, v) = (t[a], t[b]);
-                edges.push(if u < v { [u, v] } else { [v, u] });
+        let n = self.nvertices();
+        let by_lo = Buckets::new(
+            n,
+            self.tets.iter().flat_map(|t| {
+                TET_EDGE_ENDS.iter().map(move |&(a, b)| (t[a].min(t[b]), t[a].max(t[b])))
+            }),
+        );
+        // `last_lo[hi] == lo` once edge (lo, hi) is in the list.
+        let mut last_lo = vec![u32::MAX; n];
+        let mut edges = Vec::with_capacity(by_lo.len() / 4);
+        for lo in 0..n {
+            let first = edges.len();
+            for &hi in by_lo.get(lo) {
+                if last_lo[hi as usize] != lo as u32 {
+                    last_lo[hi as usize] = lo as u32;
+                    edges.push([lo as u32, hi]);
+                }
             }
+            edges[first..].sort_unstable();
         }
-        edges.sort_unstable();
-        edges.dedup();
         edges
     }
 
@@ -104,10 +126,21 @@ impl Mesh {
 
     /// Applies a vertex renumbering: vertex `v` becomes `perm[v]`.
     /// Tets and boundary faces are rewritten; coordinates are moved.
+    ///
+    /// Panics, leaving the mesh as it was, unless `perm` is a bijection
+    /// on `0..nvertices`: the message names the first target that is out
+    /// of range or repeated.
     pub fn renumber(&mut self, perm: &[usize]) {
-        assert_eq!(perm.len(), self.nvertices());
-        let mut coords = vec![Vec3::ZERO; self.coords.len()];
+        let n = self.nvertices();
+        assert_eq!(perm.len(), n, "renumber: permutation length != vertex count");
+        let mut coords = vec![Vec3::ZERO; n];
+        let mut taken = vec![false; n];
         for (old, &new) in perm.iter().enumerate() {
+            assert!(new < n, "renumber: vertex {old} maps to {new}, out of range 0..{n}");
+            assert!(
+                !std::mem::replace(&mut taken[new], true),
+                "renumber: vertex {old} maps to {new}, which an earlier vertex already took"
+            );
             coords[new] = self.coords[old];
         }
         self.coords = coords;
@@ -161,9 +194,94 @@ pub(crate) fn single_tet() -> Mesh {
     }
 }
 
+/// A random tet soup for the property tests of set-up's grouping passes:
+/// up to 40 vertices with random coordinates (some used by no tet), up to
+/// 30 tets of four distinct vertices each listed in a random order (so
+/// either orientation), and, now and then, a tet repeated from earlier in
+/// the list. No tets at all is one of the cases.
+#[cfg(test)]
+pub(crate) fn tet_soup(g: &mut fun3d_util::proptest_mini::Gen) -> Mesh {
+    let nv = g.usize_range(4, 40);
+    let coords = (0..nv)
+        .map(|_| Vec3::new(g.f64_range(-1.0, 1.0), g.f64_range(-1.0, 1.0), g.f64_range(-1.0, 1.0)))
+        .collect();
+    let ntets = g.usize_range(0, 30);
+    let mut tets: Vec<[u32; 4]> = Vec::with_capacity(ntets);
+    for _ in 0..ntets {
+        if !tets.is_empty() && g.usize_range(0, 8) == 0 {
+            let again = tets[g.usize_range(0, tets.len())];
+            tets.push(again);
+            continue;
+        }
+        let mut t = [0u32; 4];
+        for i in 0..4 {
+            t[i] = loop {
+                let v = g.usize_range(0, nv) as u32;
+                if !t[..i].contains(&v) {
+                    break v;
+                }
+            };
+        }
+        tets.push(t);
+    }
+    Mesh { coords, tets, boundary: vec![] }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The edge list as it was first written: all 6 × ntets pairs, one
+    /// comparison sort, one dedup. The oracle for the bucketed pass.
+    fn reference_edges(mesh: &Mesh) -> Vec<[u32; 2]> {
+        let mut edges: Vec<[u32; 2]> = Vec::with_capacity(mesh.tets.len() * 6);
+        for t in &mesh.tets {
+            for (a, b) in TET_EDGE_ENDS {
+                let (u, v) = (t[a], t[b]);
+                edges.push(if u < v { [u, v] } else { [v, u] });
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+
+    fun3d_util::prop_cases! {
+        fn bucketed_edges_are_the_sorted_dedup_oracle(g, cases = 64) {
+            let mesh = tet_soup(g);
+            fun3d_util::prop_assert_eq!(mesh.edges(), reference_edges(&mesh));
+        }
+    }
+
+    #[test]
+    fn no_tets_no_edges() {
+        let mut m = single_tet();
+        m.tets.clear();
+        assert!(m.edges().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 2 maps to 1, which an earlier vertex already took")]
+    fn renumber_rejects_a_repeated_target() {
+        let mut m = single_tet();
+        m.renumber(&[0, 1, 1, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex 1 maps to 4, out of range 0..4")]
+    fn renumber_rejects_a_target_out_of_range() {
+        let mut m = single_tet();
+        m.renumber(&[0, 4, 1, 2]);
+    }
+
+    #[test]
+    fn a_rejected_renumbering_leaves_the_mesh_alone() {
+        let mut m = single_tet();
+        let before = m.clone();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.renumber(&[3, 3, 1, 0])));
+        assert!(caught.is_err());
+        assert_eq!((m.coords, m.tets), (before.coords, before.tets));
+    }
 
     #[test]
     fn single_tet_edges() {

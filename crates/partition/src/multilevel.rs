@@ -218,31 +218,46 @@ fn coarsen(wg: &WGraph, rng: &mut Rng64) -> (WGraph, Vec<u32>) {
         map[m] = nc; // m == v for singles
         nc += 1;
     }
-    // Build coarse adjacency by aggregating fine edges.
+    // Build the coarse adjacency one coarse vertex at a time: its one or
+    // two fine members' edges are summed through a dense marker row
+    // (`slot[cu]` is the position of `cu` in the row being built, valid
+    // while `owner[cu]` is this coarse vertex), then the row is sorted.
+    // Weights are integers, so the order of the sums does not matter.
     let nc = nc as usize;
-    let mut agg: Vec<std::collections::HashMap<u32, u64>> =
-        vec![std::collections::HashMap::new(); nc];
-    let mut vwgt = vec![0u64; nc];
+    let mut members = vec![[u32::MAX; 2]; nc];
     for v in 0..n {
-        let cv = map[v];
-        vwgt[cv as usize] += wg.vwgt[v];
-        for (u, w) in wg.neighbors(v) {
-            let cu = map[u as usize];
-            if cu != cv {
-                *agg[cv as usize].entry(cu).or_insert(0) += w;
-            }
-        }
+        let m = &mut members[map[v] as usize];
+        m[usize::from(m[0] != u32::MAX)] = v as u32;
     }
-    // Note: vwgt accumulation counts each vertex once; pairs sum both.
-    // Edge weights were accumulated from both directions symmetrically.
+    let mut owner = vec![u32::MAX; nc];
+    let mut slot = vec![0usize; nc];
+    let mut vwgt = vec![0u64; nc];
     let mut xadj = Vec::with_capacity(nc + 1);
     xadj.push(0usize);
-    let mut adj = Vec::new();
-    let mut ewgt = Vec::new();
-    for cv in 0..nc {
-        let mut items: Vec<(u32, u64)> = agg[cv].iter().map(|(&u, &w)| (u, w)).collect();
-        items.sort_unstable();
-        for (u, w) in items {
+    let mut row: Vec<(u32, u64)> = Vec::new();
+    let mut adj = Vec::with_capacity(wg.adj.len() / 2);
+    let mut ewgt = Vec::with_capacity(wg.adj.len() / 2);
+    for (cv, pair) in members.iter().enumerate() {
+        row.clear();
+        for &v in pair.iter().filter(|&&v| v != u32::MAX) {
+            let v = v as usize;
+            vwgt[cv] += wg.vwgt[v];
+            for (u, w) in wg.neighbors(v) {
+                let cu = map[u as usize];
+                if cu as usize == cv {
+                    continue;
+                }
+                if owner[cu as usize] == cv as u32 {
+                    row[slot[cu as usize]].1 += w;
+                } else {
+                    owner[cu as usize] = cv as u32;
+                    slot[cu as usize] = row.len();
+                    row.push((cu, w));
+                }
+            }
+        }
+        row.sort_unstable();
+        for &(u, w) in &row {
             adj.push(u);
             ewgt.push(w);
         }
@@ -321,70 +336,73 @@ fn cut_weight(wg: &WGraph, side: &[bool]) -> u64 {
 /// Fiduccia–Mattheyses refinement with rollback: repeatedly move the
 /// best-gain movable boundary vertex (balance permitting), lock it, and at
 /// the end of the pass keep the best prefix of moves.
+///
+/// Every vertex's gain is computed once per pass and kept current as its
+/// neighbours move. The candidates sit in a [`GainHeap`], one entry per
+/// vertex keyed by its current `(gain, vertex)`: a vertex enters it when
+/// it starts the pass on the boundary or a neighbour moves, and leaves it
+/// when it is taken. Ties go to the higher vertex id.
 fn fm_refine(wg: &WGraph, side: &mut [bool], frac: f64, cfg: &MultilevelConfig) {
     let n = wg.n();
     let total = wg.total_vwgt() as f64;
     let target_left = total * frac;
     let max_left = (target_left * cfg.balance_tol) as u64;
     let min_left = (target_left * (2.0 - cfg.balance_tol)) as u64;
+    let mut heap = GainHeap::new(n);
+    let mut locked = vec![false; n];
 
     for _pass in 0..cfg.fm_passes {
         let mut weight_left: u64 = (0..n).filter(|&v| !side[v]).map(|v| wg.vwgt[v]).sum();
-        // gain[v] = cut reduction if v switches sides
-        let gain = |v: usize, side: &[bool]| -> i64 {
-            let mut g = 0i64;
+        // gain[v] = cut reduction if v switches sides; a vertex is on the
+        // boundary when some neighbour sits on the other side.
+        heap.clear();
+        for v in 0..n {
+            let (mut g, mut boundary) = (0i64, false);
             for (u, w) in wg.neighbors(v) {
                 if side[u as usize] != side[v] {
                     g += w as i64;
+                    boundary = true;
                 } else {
                     g -= w as i64;
                 }
             }
-            g
-        };
-        let mut locked = vec![false; n];
-        // max-heap of (gain, v); lazily invalidated
-        let mut heap: std::collections::BinaryHeap<(i64, u32)> = (0..n)
-            .filter(|&v| is_boundary(wg, side, v))
-            .map(|v| (gain(v, side), v as u32))
-            .collect();
+            heap.gain[v] = g;
+            if boundary {
+                heap.insert(v);
+            }
+        }
+        locked.fill(false);
         let mut moves: Vec<u32> = Vec::new();
         let mut cum: i64 = 0;
         let mut best_cum: i64 = 0;
         let mut best_len: usize = 0;
 
-        while let Some((g, v)) = heap.pop() {
-            let v = v as usize;
-            if locked[v] || g != gain(v, side) {
-                if !locked[v] {
-                    heap.push((gain(v, side), v as u32));
-                }
-                continue;
-            }
+        while let Some(v) = heap.pop() {
             // balance check for moving v
             let new_left = if side[v] {
                 weight_left + wg.vwgt[v]
             } else {
                 weight_left.saturating_sub(wg.vwgt[v])
             };
+            locked[v] = true; // moved or not, v is done for this pass
             if new_left > max_left || new_left < min_left {
-                locked[v] = true; // can't move this pass
                 continue;
             }
-            // apply move
+            // apply move: a neighbour that shared v's old side gains the
+            // edge's weight twice over, one across from it loses it.
             side[v] = !side[v];
             weight_left = new_left;
-            locked[v] = true;
             moves.push(v as u32);
-            cum += g;
+            cum += heap.gain[v];
             if cum > best_cum {
                 best_cum = cum;
                 best_len = moves.len();
             }
-            for (u, _) in wg.neighbors(v) {
+            for (u, w) in wg.neighbors(v) {
                 let u = u as usize;
                 if !locked[u] {
-                    heap.push((gain(u, side), u as u32));
+                    let delta = if side[u] == side[v] { -2 * w as i64 } else { 2 * w as i64 };
+                    heap.add(u, delta);
                 }
             }
             // Bound pass length to avoid O(n log n) churn on huge graphs.
@@ -402,8 +420,102 @@ fn fm_refine(wg: &WGraph, side: &mut [bool], frac: f64, cfg: &MultilevelConfig) 
     }
 }
 
-fn is_boundary(wg: &WGraph, side: &[bool], v: usize) -> bool {
-    wg.neighbors(v).any(|(u, _)| side[u as usize] != side[v])
+/// A binary max-heap of vertices keyed by `(gain[v], v)` that knows where
+/// each vertex sits, so a gain changes in place instead of leaving a
+/// stale copy behind.
+struct GainHeap {
+    /// Every vertex's gain, in the heap or not.
+    gain: Vec<i64>,
+    heap: Vec<u32>,
+    /// `pos[v]`: `v`'s index in `heap`, or [`GainHeap::ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl GainHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    fn new(n: usize) -> GainHeap {
+        GainHeap { gain: vec![0; n], heap: Vec::with_capacity(n), pos: vec![Self::ABSENT; n] }
+    }
+
+    fn clear(&mut self) {
+        for &v in &self.heap {
+            self.pos[v as usize] = Self::ABSENT;
+        }
+        self.heap.clear();
+    }
+
+    fn above(&self, a: u32, b: u32) -> bool {
+        (self.gain[a as usize], a) > (self.gain[b as usize], b)
+    }
+
+    /// Adds `v` at its current gain; it must not be in the heap.
+    fn insert(&mut self, v: usize) {
+        debug_assert_eq!(self.pos[v], Self::ABSENT);
+        self.heap.push(v as u32);
+        self.pos[v] = (self.heap.len() - 1) as u32;
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Changes `v`'s gain by `delta` and makes it a candidate, in the
+    /// heap already or not.
+    fn add(&mut self, v: usize, delta: i64) {
+        self.gain[v] += delta;
+        match self.pos[v] {
+            Self::ABSENT => self.insert(v),
+            i if delta > 0 => self.sift_up(i as usize),
+            i => self.sift_down(i as usize),
+        }
+    }
+
+    /// Takes the vertex of the highest `(gain, vertex)`.
+    fn pop(&mut self) -> Option<usize> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().unwrap();
+        self.pos[top as usize] = Self::ABSENT;
+        if last != top {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0);
+        }
+        Some(top as usize)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.above(v, self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let v = self.heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len() && self.above(self.heap[child + 1], self.heap[child]) {
+                child += 1;
+            }
+            if !self.above(self.heap[child], v) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
 }
 
 #[cfg(test)]
@@ -411,6 +523,188 @@ mod tests {
     use super::*;
     use crate::metrics::PartitionQuality;
     use fun3d_mesh::generator::MeshPreset;
+    use fun3d_util::proptest_mini::Gen;
+    use std::collections::HashMap;
+
+    /// Coarsening as it was first written, aggregating the coarse rows
+    /// through one hash map per coarse vertex: the oracle for the marker
+    /// row.
+    fn reference_coarsen(wg: &WGraph, rng: &mut Rng64) -> (WGraph, Vec<u32>) {
+        let n = wg.n();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        rng.shuffle(&mut order);
+        let mut mate = vec![u32::MAX; n];
+        for &v in &order {
+            let v = v as usize;
+            if mate[v] != u32::MAX {
+                continue;
+            }
+            let mut best: Option<(u32, u64)> = None;
+            for (u, w) in wg.neighbors(v) {
+                let free = u as usize != v && mate[u as usize] == u32::MAX;
+                if free && best.is_none_or(|(_, bw)| w > bw) {
+                    best = Some((u, w));
+                }
+            }
+            match best {
+                Some((u, _)) => {
+                    mate[v] = u;
+                    mate[u as usize] = v as u32;
+                }
+                None => mate[v] = v as u32,
+            }
+        }
+        let mut map = vec![u32::MAX; n];
+        let mut nc = 0u32;
+        for v in 0..n {
+            if map[v] != u32::MAX {
+                continue;
+            }
+            map[v] = nc;
+            map[mate[v] as usize] = nc;
+            nc += 1;
+        }
+        let nc = nc as usize;
+        let mut agg: Vec<HashMap<u32, u64>> = vec![HashMap::new(); nc];
+        let mut vwgt = vec![0u64; nc];
+        for v in 0..n {
+            let cv = map[v];
+            vwgt[cv as usize] += wg.vwgt[v];
+            for (u, w) in wg.neighbors(v) {
+                let cu = map[u as usize];
+                if cu != cv {
+                    *agg[cv as usize].entry(cu).or_insert(0) += w;
+                }
+            }
+        }
+        let (mut xadj, mut adj, mut ewgt) = (vec![0usize], Vec::new(), Vec::new());
+        for row in &agg {
+            let mut items: Vec<(u32, u64)> = row.iter().map(|(&u, &w)| (u, w)).collect();
+            items.sort_unstable();
+            for (u, w) in items {
+                adj.push(u);
+                ewgt.push(w);
+            }
+            xadj.push(adj.len());
+        }
+        (WGraph { xadj, adj, ewgt, vwgt }, map)
+    }
+
+    /// FM as it was first written: a lazily invalidated heap of `(gain,
+    /// vertex)` copies, each gain recounted from the neighbours on every
+    /// pop. The oracle for the position-tracking heap.
+    fn reference_fm_refine(wg: &WGraph, side: &mut [bool], frac: f64, cfg: &MultilevelConfig) {
+        let n = wg.n();
+        let target_left = wg.total_vwgt() as f64 * frac;
+        let max_left = (target_left * cfg.balance_tol) as u64;
+        let min_left = (target_left * (2.0 - cfg.balance_tol)) as u64;
+        let gain = |v: usize, side: &[bool]| -> i64 {
+            wg.neighbors(v)
+                .map(|(u, w)| if side[u as usize] != side[v] { w as i64 } else { -(w as i64) })
+                .sum()
+        };
+        let is_boundary = |v: usize, side: &[bool]| wg.neighbors(v).any(|(u, _)| side[u as usize] != side[v]);
+        for _pass in 0..cfg.fm_passes {
+            let mut weight_left: u64 = (0..n).filter(|&v| !side[v]).map(|v| wg.vwgt[v]).sum();
+            let mut locked = vec![false; n];
+            let mut heap: std::collections::BinaryHeap<(i64, u32)> = (0..n)
+                .filter(|&v| is_boundary(v, side))
+                .map(|v| (gain(v, side), v as u32))
+                .collect();
+            let (mut moves, mut cum, mut best_cum, mut best_len) = (Vec::new(), 0i64, 0i64, 0usize);
+            while let Some((g, v)) = heap.pop() {
+                let v = v as usize;
+                if locked[v] || g != gain(v, side) {
+                    if !locked[v] {
+                        heap.push((gain(v, side), v as u32));
+                    }
+                    continue;
+                }
+                let new_left =
+                    if side[v] { weight_left + wg.vwgt[v] } else { weight_left.saturating_sub(wg.vwgt[v]) };
+                if new_left > max_left || new_left < min_left {
+                    locked[v] = true;
+                    continue;
+                }
+                side[v] = !side[v];
+                weight_left = new_left;
+                locked[v] = true;
+                moves.push(v as u32);
+                cum += g;
+                if cum > best_cum {
+                    best_cum = cum;
+                    best_len = moves.len();
+                }
+                for (u, _) in wg.neighbors(v) {
+                    if !locked[u as usize] {
+                        heap.push((gain(u as usize, side), u));
+                    }
+                }
+                if moves.len() > n.min(4096) {
+                    break;
+                }
+            }
+            for &v in &moves[best_len..] {
+                side[v as usize] = !side[v as usize];
+            }
+            if best_cum == 0 {
+                break;
+            }
+        }
+    }
+
+    /// A random weighted graph: up to 60 vertices, distinct undirected
+    /// edges of weight 1..=5, vertex weights 1..=3, sorted CSR rows.
+    fn random_wgraph(g: &mut Gen) -> WGraph {
+        let n = g.usize_range(2, 60);
+        let mut edges = std::collections::BTreeMap::new();
+        for _ in 0..g.usize_range(0, 4 * n) {
+            let (a, b) = (g.usize_range(0, n) as u32, g.usize_range(0, n) as u32);
+            if a != b {
+                edges.insert((a.min(b), a.max(b)), g.usize_range(1, 6) as u64);
+            }
+        }
+        let mut rows: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+        for (&(a, b), &w) in &edges {
+            rows[a as usize].push((b, w));
+            rows[b as usize].push((a, w));
+        }
+        let (mut xadj, mut adj, mut ewgt) = (vec![0usize], Vec::new(), Vec::new());
+        for row in &mut rows {
+            row.sort_unstable();
+            adj.extend(row.iter().map(|&(u, _)| u));
+            ewgt.extend(row.iter().map(|&(_, w)| w));
+            xadj.push(adj.len());
+        }
+        let vwgt = (0..n).map(|_| g.usize_range(1, 4) as u64).collect();
+        WGraph { xadj, adj, ewgt, vwgt }
+    }
+
+    fn parts(wg: &WGraph) -> (&[usize], &[u32], &[u64], &[u64]) {
+        (&wg.xadj, &wg.adj, &wg.ewgt, &wg.vwgt)
+    }
+
+    fun3d_util::prop_cases! {
+        fn marker_row_coarsening_is_the_hash_map_oracle(g, cases = 64) {
+            let wg = random_wgraph(g);
+            let seed = g.u64();
+            let (coarse, map) = coarsen(&wg, &mut Rng64::new(seed));
+            let (want, want_map) = reference_coarsen(&wg, &mut Rng64::new(seed));
+            fun3d_util::prop_assert_eq!(map, want_map);
+            fun3d_util::prop_assert_eq!(parts(&coarse), parts(&want));
+        }
+
+        fn tracked_gain_fm_is_the_lazy_heap_oracle(g, cases = 64) {
+            let wg = random_wgraph(g);
+            let start: Vec<bool> = (0..wg.n()).map(|_| g.bool()).collect();
+            let frac = [0.5, 1.0 / 3.0, 0.25][g.usize_range(0, 3)];
+            let cfg = MultilevelConfig::default();
+            let (mut got, mut want) = (start.clone(), start);
+            fm_refine(&wg, &mut got, frac, &cfg);
+            reference_fm_refine(&wg, &mut want, frac, &cfg);
+            fun3d_util::prop_assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn partitions_cover_all_parts() {

@@ -76,17 +76,56 @@ impl Bcsr4 {
 
     /// Builds the vertex-neighbor pattern of a mesh: every row holds its
     /// diagonal plus one block per incident edge.
+    ///
+    /// The rows are built in place in one `col_idx`: counted, scattered,
+    /// then each sorted and deduplicated where it lies, compacting toward
+    /// the front when an edge repeats.
     pub fn from_edges(nvertices: usize, edges: &[[u32; 2]]) -> Self {
-        let mut cols: Vec<Vec<u32>> = (0..nvertices).map(|v| vec![v as u32]).collect();
+        let mut row_ptr = vec![1usize; nvertices + 1];
+        row_ptr[0] = 0;
         for e in edges {
-            cols[e[0] as usize].push(e[1]);
-            cols[e[1] as usize].push(e[0]);
+            row_ptr[e[0] as usize + 1] += 1;
+            row_ptr[e[1] as usize + 1] += 1;
         }
-        for c in &mut cols {
-            c.sort_unstable();
-            c.dedup();
+        for r in 0..nvertices {
+            row_ptr[r + 1] += row_ptr[r];
         }
-        Self::from_pattern(&cols)
+        let mut col_idx = vec![0u32; row_ptr[nvertices]];
+        let mut cursor = row_ptr[..nvertices].to_vec();
+        for (r, c) in cursor.iter_mut().enumerate() {
+            col_idx[*c] = r as u32;
+            *c += 1;
+        }
+        for e in edges {
+            for (row, col) in [(e[0], e[1]), (e[1], e[0])] {
+                let c = &mut cursor[row as usize];
+                col_idx[*c] = col;
+                *c += 1;
+            }
+        }
+        // Sort and deduplicate each row, writing it back at `kept`, which
+        // never passes the start of the row being read.
+        let mut kept = 0;
+        for r in 0..nvertices {
+            let (start, end) = (row_ptr[r], row_ptr[r + 1]);
+            col_idx[start..end].sort_unstable();
+            row_ptr[r] = kept;
+            for k in start..end {
+                let c = col_idx[k];
+                if kept == row_ptr[r] || col_idx[kept - 1] != c {
+                    col_idx[kept] = c;
+                    kept += 1;
+                }
+            }
+        }
+        row_ptr[nvertices] = kept;
+        col_idx.truncate(kept);
+        let blocks = vec![0.0; kept * BLOCK_LEN];
+        Bcsr4 {
+            row_ptr,
+            col_idx,
+            blocks,
+        }
     }
 
     /// Number of block rows.
@@ -267,6 +306,17 @@ mod tests {
         let mut a = Bcsr4::from_pattern(&[vec![0, 1], vec![0, 1, 2], vec![1, 2]]);
         a.fill_diag_dominant(42);
         a
+    }
+
+    #[test]
+    fn from_edges_sorts_and_merges_repeated_edges() {
+        // Both orientations of one edge, a repeat, and a self-loop land
+        // on the pattern of the plain edge list.
+        let a = Bcsr4::from_edges(4, &[[2, 0], [0, 2], [1, 3], [0, 2], [3, 3]]);
+        let b = Bcsr4::from_pattern(&[vec![0, 2], vec![1, 3], vec![0, 2], vec![1, 3]]);
+        assert_eq!((&a.row_ptr, &a.col_idx), (&b.row_ptr, &b.col_idx));
+        assert_eq!(a.blocks.len(), b.blocks.len());
+        assert!(Bcsr4::from_edges(0, &[]).col_idx.is_empty());
     }
 
     #[test]

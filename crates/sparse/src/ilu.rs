@@ -178,23 +178,25 @@ impl IluFactors {
 /// are kept.
 pub fn symbolic_iluk(a: &Bcsr4, fill: usize) -> Vec<Vec<u32>> {
     let n = a.nrows();
-    // Per processed row we keep its upper part (cols > row) with levels,
-    // needed by later rows.
-    let mut upper: Vec<Vec<(u32, u8)>> = Vec::with_capacity(n);
+    // The upper part (cols > row) of every processed row with its levels,
+    // rows back to back: later rows eliminate with it.
+    let mut upper_ptr: Vec<usize> = Vec::with_capacity(n + 1);
+    upper_ptr.push(0);
+    let mut upper: Vec<(u32, u8)> = Vec::with_capacity(a.col_idx.len());
     let mut pattern: Vec<Vec<u32>> = Vec::with_capacity(n);
     let cap = u8::try_from(fill.min(254)).unwrap();
 
-    // Working row: level per column, epoch-tagged.
+    // Working row: its columns, kept sorted ascending as fill arrives, and
+    // a level per column, epoch-tagged; all three reused from row to row.
+    let mut cols: Vec<u32> = Vec::new();
     let mut lev = vec![u8::MAX; n];
     let mut stamp = vec![0u32; n];
     let mut epoch = 0u32;
 
     for i in 0..n {
         epoch += 1;
-        // cols of the working row, kept sorted ascending as we go
-        let mut cols: Vec<u32> = Vec::with_capacity(a.row_ptr[i + 1] - a.row_ptr[i] + 8);
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            let c = a.col_idx[k];
+        cols.clear();
+        for &c in &a.col_idx[a.row_ptr[i]..a.row_ptr[i + 1]] {
             cols.push(c);
             lev[c as usize] = 0;
             stamp[c as usize] = epoch;
@@ -210,7 +212,10 @@ pub fn symbolic_iluk(a: &Bcsr4, fill: usize) -> Vec<Vec<u32>> {
             }
             let lik = lev[k as usize];
             debug_assert!(lik <= cap, "kept entries never exceed the fill cap");
-            for &(j, lkj) in &upper[k as usize] {
+            if lik >= cap {
+                continue; // every update through k would exceed the cap
+            }
+            for &(j, lkj) in &upper[upper_ptr[k as usize]..upper_ptr[k as usize + 1]] {
                 let newlev = lik.saturating_add(lkj).saturating_add(1);
                 if newlev > cap {
                     continue;
@@ -233,14 +238,14 @@ pub fn symbolic_iluk(a: &Bcsr4, fill: usize) -> Vec<Vec<u32>> {
                 }
             }
         }
-        cols.sort_unstable();
-        upper.push(
+        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {i} left unsorted");
+        upper.extend(
             cols.iter()
                 .filter(|&&c| (c as usize) > i)
-                .map(|&c| (c, lev[c as usize]))
-                .collect(),
+                .map(|&c| (c, lev[c as usize])),
         );
-        pattern.push(cols);
+        upper_ptr.push(upper.len());
+        pattern.push(cols.clone());
     }
     pattern
 }

@@ -20,9 +20,11 @@
 #    rank layer assembles no Jacobian of its own, no kernel has a second
 #    path nothing runs (tile staging, the barrier-per-level TRSV), the
 #    execution, flux-scheme and spin knobs, the serve cache switch and
-#    the flight dump prefix stay deleted, and crates/bench/src/bin holds
-#    the figure and table binaries and nothing else. Each structural
-#    guard is negative-tested on canary trees.
+#    the flight dump prefix stay deleted, crates/bench/src/bin holds the
+#    figure and table binaries and nothing else, and set-up (the mesh
+#    passes, coarsening, the rank decomposition) groups by vertex id
+#    rather than through a hash map. Each structural guard is
+#    negative-tested on canary trees.
 #  * `cargo build --release` and `cargo test -q`, offline. The root
 #    manifest's default-members make both cover every crate (the flight
 #    dumps, the metrics socket and the serve wire are tests there).
@@ -66,7 +68,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob or switch, one bench binary per figure =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob or switch, one bench binary per figure, hash-free set-up =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -90,6 +92,11 @@ BENCH_BINS='fig5_profile fig6a_flux_opts fig6b_flux_scaling fig7a_recurrence_opt
     fig8a_app_speedup fig8b_kernel_speedups fig9_multinode_scaling fig10_comm_overheads fig11_hybrid
     table1_baseline table2_ilu_fill sync_ablation perf_report'
 TRAVERSAL='pool\.run\(|SpinBarrier|chunk_range|color_tiles'
+# Set-up runs in time linear in the mesh: these files group by vertex id
+# (counting sort, marker rows, dense maps), never through a hash map. The
+# reference implementations their test modules keep may hash.
+SETUP_FILES='crates/mesh/src/lib.rs crates/mesh/src/generator.rs crates/mesh/src/dual.rs
+    crates/partition/src/multilevel.rs crates/cluster/src/decompose.rs'
 structure_guard() {
     local root=$1 bad=0
     if grep -rn 'roe_flux' "$root/crates/cluster/src"; then
@@ -238,26 +245,36 @@ structure_guard() {
             bad=1
         fi
     done
+    for f in $SETUP_FILES; do
+        [ -e "$root/$f" ] || continue
+        if awk '/#\[cfg\(test\)\]/ { exit } /HashMap/ { print "  " FILENAME ":" NR ": " $0; found = 1 }
+            END { exit !found }' "$root/$f"; then
+            echo "  a HashMap in set-up code ($f): group by vertex id (counting sort, a marker row, a dense map)"
+            bad=1
+        fi
+    done
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, or an unchecked access is not argued"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, or set-up hashes"
     exit 1
 fi
-# Negative canaries: each of the twenty-four forks must trip the guard, and
+# Negative canaries: each of the twenty-five forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
     widening_load_in_a_sweep second_forward_row generic_factors f64_factors \
     second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked \
     telemetry_knob_read deleted_knob_named second_thread_local sampler_back \
-    rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob; do
+    rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src/bin" "$CANARY/scripts" \
-        "$CANARY/crates/util/src/telemetry" "$CANARY/crates/serve/src"
+        "$CANARY/crates/util/src/telemetry" "$CANARY/crates/serve/src" "$CANARY/crates/mesh/src"
     echo 'fn main() { fun3d_bench::emit("table2_ilu_fill", &table) }' > "$CANARY/crates/bench/src/bin/table2_ilu_fill.rs"
     echo 'factor_cache_cap: 32,' > "$CANARY/crates/serve/src/service.rs"
+    printf 'let mut by_min = Buckets::new(n, faces);\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n' \
+        > "$CANARY/crates/mesh/src/generator.rs"
     echo 'for class in &tiling.color_tiles { pool.run(|tid| chunk_range(class.len(), nt, tid)); }' > "$CANARY/crates/core/src/edge_loop.rs"
     echo 'fn givens(a: f64, b: f64) -> (f64, f64) { (a, b) }' > "$CANARY/crates/solver/src/gmres.rs"
     echo 'pub fn factor_matvec<S: Simd>(s: S, a: &FactorBlock) -> S::V { s.load_f32(&a[0..4]) }' > "$CANARY/crates/sparse/src/block.rs"
@@ -300,6 +317,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         unread_knob_back) echo 'Override with `FUN3D_EXEC=serial|team|auto`.' >> "$CANARY/README.md" ;;
         extra_bench_bin) echo 'fn main() { run_ablation(&parse_args()) }' > "$CANARY/crates/bench/src/bin/load_gen.rs" ;;
         serve_cache_knob) echo 'cache: !matches!(std::env::var("FUN3D_SERVE_CACHE").as_deref(), Ok("off")),' >> "$CANARY/crates/serve/src/service.rs" ;;
+        setup_hash_map) echo 'let mut g2l = std::collections::HashMap::with_capacity(owned.len());' > "$CANARY/crates/cluster/src/decompose.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -307,7 +325,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob or switch, one bench binary per figure; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob or switch, one bench binary per figure, hash-free set-up; canaries rejected"
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.
