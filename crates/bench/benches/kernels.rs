@@ -9,7 +9,8 @@
 //! statistically robust *ratios* between variants are what matters —
 //! hence median/MAD rather than mean/stddev.
 
-use fun3d_core::geom::NodeSoa;
+use fun3d_bench::csr::Csr;
+use fun3d_bench::flux_reference::{self, NodeSoa};
 use fun3d_core::{
     flux, gradient, EdgeGeom, Exec, FlowConditions, HalfEdges, Isa, NodeAos, Traversal,
 };
@@ -17,7 +18,7 @@ use fun3d_mesh::generator::MeshPreset;
 use fun3d_mesh::{reorder, DualMesh};
 use fun3d_partition::{partition_graph, MultilevelConfig};
 use fun3d_solver::vecops;
-use fun3d_sparse::{csr::Csr, ilu, trsv, Bcsr4, TempBuffer};
+use fun3d_sparse::{ilu, trsv, Bcsr4, TempBuffer};
 use fun3d_util::microbench::{BatchSize, Bench, Group};
 use fun3d_util::telemetry::{self, KernelCounts, Level};
 use fun3d_util::Rng64;
@@ -64,7 +65,7 @@ fn bench_flux(c: &mut Bench) {
     g.bench_function("serial_soa", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::serial_soa(&geom, &soa, 1.0, res),
+            |res| flux_reference::serial_soa(&geom, &soa, 1.0, res),
             BatchSize::LargeInput,
         )
     });

@@ -9,8 +9,9 @@
 
 use fun3d_bench::emit;
 use fun3d_bench::multinode as fig9;
-use fun3d_cluster::scaling::{simulate_point, ExecStyle, ScalingConfig};
-use fun3d_machine::{MachineSpec, NetworkSpec};
+use fun3d_bench::network::NetworkSpec;
+use fun3d_bench::scaling::{simulate_point, ExecStyle, ScalingConfig};
+use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_util::report::{fmt_g, Table};
 

@@ -25,11 +25,11 @@
 //! runs, so the vectorized kernel can neither silently fall back to
 //! scalarized code nor get its transposes, spills and index checks back).
 
-use fun3d_bench::flux_reference::{self, CompMajorNode};
+use fun3d_bench::flux_reference::{self, CompMajorNode, NodeSoa};
+use fun3d_bench::kernels::{self, EdgeLoopCosts};
 use fun3d_bench::{emit, fmt_x, KernelFixture};
 use fun3d_core::{counts, flux, Exec, Traversal};
-use fun3d_core::geom::NodeSoa;
-use fun3d_machine::{kernels, EdgeLoopCosts, MachineSpec};
+use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_partition::{
     partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan, TileQuality, TilingConfig,
@@ -94,7 +94,7 @@ fn main() {
     // quiet windows.
     type Variant<'a> = Box<dyn Fn(&mut [f64]) + 'a>;
     let variants: [Variant; 9] = [
-        Box::new(|r| flux::serial_soa(&fix.geom, &soa, beta, r)),
+        Box::new(|r| flux_reference::serial_soa(&fix.geom, &soa, beta, r)),
         Box::new(|r| flux::serial_aos(&fix.geom, &fix.node, beta, r)),
         Box::new(|r| lanes(Isa::portable(), stream, r)),
         Box::new(|r| lanes(isa, stream, r)),

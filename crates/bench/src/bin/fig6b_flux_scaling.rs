@@ -20,11 +20,12 @@
 //! [`fun3d_bench::best_of`]). Effective GB/s divides the streaming-model
 //! bytes ([`counts::flux`]) by the wall, the Fig. 6 convention.
 
+use fun3d_bench::kernels::{self, EdgeLoopCosts};
 use fun3d_bench::{best_of, emit, fmt_x, KernelFixture, THREAD_SWEEP};
 use fun3d_core::{counts, flux, Exec, Isa, TiledGeom, Traversal};
-use fun3d_machine::{kernels, EdgeLoopCosts, MachineSpec};
-use fun3d_mesh::generator::MeshPreset;
+use fun3d_machine::MachineSpec;
 use fun3d_mesh::Graph;
+use fun3d_mesh::generator::MeshPreset;
 use fun3d_partition::{
     natural_partition, partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan, TileQuality,
     TilingConfig,

@@ -36,10 +36,11 @@
 //!   row-major `f64` reference (the factors are no longer stored the way
 //!   the sweeps load them, or no longer in single precision).
 
+use fun3d_bench::kernels::{self, RecurrenceCosts};
 use fun3d_bench::model::{p2p_sweep_time, RecurrenceBlocks};
 use fun3d_bench::trsv_reference::{F64Factors, Layout};
 use fun3d_bench::{best_of, emit, fmt_x, jacobian_fixture, KernelFixture};
-use fun3d_machine::{kernels, MachineSpec, RecurrenceCosts};
+use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_sparse::ilu::{self, IluSymbolic};
 use fun3d_sparse::{p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pSchedule, Pattern, TempBuffer};

@@ -5,9 +5,10 @@
 //! around 4 cores; ILU scales to ~8 cores and achieves lower efficiency
 //! (irregular access); level scheduling trails P2P everywhere.
 
+use fun3d_bench::kernels::{self, RecurrenceCosts};
 use fun3d_bench::model::{p2p_sweep_time, RecurrenceBlocks};
 use fun3d_bench::{emit, jacobian_fixture, KernelFixture, THREAD_SWEEP};
-use fun3d_machine::{kernels, MachineSpec, RecurrenceCosts};
+use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_sparse::{ilu, LevelSchedule, P2pSchedule, TempBuffer};
 use fun3d_util::report::Table;

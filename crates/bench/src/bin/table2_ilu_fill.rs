@@ -13,13 +13,14 @@
 //! pseudo-time steps (`OptConfig::ilu_lag`, the reuse the paper calls
 //! worth pursuing): fewer factorizations for more iterations.
 
+use fun3d_bench::dag::DagStats;
 use fun3d_bench::model::model_speedups_fill;
 use fun3d_bench::{build_mesh, emit, KernelFixture};
 use fun3d_core::{FlowConditions, Fun3dApp, OptConfig};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::ptc::{PtcConfig, PtcStats};
-use fun3d_sparse::{ilu, DagStats, TempBuffer};
+use fun3d_sparse::{ilu, TempBuffer};
 use fun3d_util::report::{fmt_g, Table};
 use fun3d_util::timer::PhaseTimers;
 

@@ -10,10 +10,23 @@
 //!
 //! prints an aligned table to stdout and mirrors it to
 //! `target/experiments/<name>.csv`.
+//!
+//! Besides that plumbing, the crate holds what only the figures run, apart
+//! from the application it measures: the paper's "before" kernels
+//! ([`flux_reference`], [`trsv_reference`], the scalar [`csr`]), Table
+//! II's available-parallelism metric ([`dag`]), and the cost models of
+//! Figs. 6, 7 and 9–11 ([`kernels`], [`network`], [`scaling`], [`model`],
+//! [`multinode`]) — labelled models of the paper's machines, not
+//! measurements.
 
+pub mod csr;
+pub mod dag;
 pub mod flux_reference;
+pub mod kernels;
 pub mod model;
 pub mod multinode;
+pub mod network;
+pub mod scaling;
 pub mod trsv_reference;
 
 use fun3d_core::{Fun3dApp, FlowConditions};

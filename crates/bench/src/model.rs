@@ -2,8 +2,9 @@
 //! (Figs. 8a/8b, Table II): each kernel class's speedup at a given core
 //! count, from real plans and schedules charged to the paper machine.
 
+use crate::kernels::{self, EdgeLoopCosts, RecurrenceCosts};
 use crate::{jacobian_fixture, KernelFixture};
-use fun3d_machine::{kernels, EdgeLoopCosts, MachineSpec, RecurrenceCosts};
+use fun3d_machine::MachineSpec;
 use fun3d_partition::{partition_graph, MultilevelConfig, OwnerWritesPlan};
 use fun3d_sparse::{ilu, IluFactors, P2pSchedule, Pattern, TempBuffer};
 

@@ -1,6 +1,6 @@
 //! Shared helpers for the multi-node figure binaries (Figs. 9-11).
 
-use fun3d_cluster::scaling::{ScalingConfig, SurfaceModel, Workload};
+use crate::scaling::{ScalingConfig, SurfaceModel, Workload};
 use fun3d_mesh::generator::MeshPreset;
 
 /// Node counts of the paper's sweep.

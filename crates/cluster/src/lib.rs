@@ -1,30 +1,20 @@
 //! Multi-node substrate: an in-process message-passing runtime, domain
-//! decomposition, a genuinely distributed Krylov solve, and the
-//! strong-scaling simulator behind Figs. 9–11.
+//! decomposition and a genuinely distributed Krylov solve.
 //!
-//! There is no InfiniBand cluster here (nor even a second core), so the
-//! multi-node experiments are reproduced in two cooperating layers:
-//!
-//! 1. **Correctness layer** — [`comm`] runs R "ranks" as OS threads with
-//!    MPI-like semantics (send/recv, allreduce, barrier); [`decompose`]
-//!    performs the Schwarz domain decomposition (owned + ghost vertices,
-//!    halo exchange lists); [`dsolve`] runs a real distributed
-//!    GMRES/block-Jacobi-ILU solve through those code paths and is tested
-//!    to agree with the serial solver.
-//! 2. **Performance layer** — [`scaling`] extracts each rank's real
-//!    workload (edges incl. replication, factor rows, halo sizes,
-//!    neighbor counts) from the same decomposition and charges hardware
-//!    costs from [`fun3d_machine`]: Stampede node kernels plus the FDR
-//!    fat-tree network model, with the Krylov allreduce count taken from
-//!    the solver's actual algorithm (one `VecMDot` + one `VecNorm` per
-//!    iteration).
+//! There is no InfiniBand cluster here (nor even a second core): [`comm`]
+//! runs R "ranks" as OS threads with MPI-like semantics (send/recv,
+//! allreduce, barrier); [`decompose`] performs the Schwarz domain
+//! decomposition (owned + ghost vertices, halo exchange lists); [`dsolve`]
+//! and [`dapp`] run a real distributed GMRES/block-Jacobi-ILU solve
+//! through those code paths and are tested to agree with the serial
+//! solver. The strong-scaling model behind Figs. 9–11, which charges the
+//! same decompositions to the paper's Stampede nodes and FDR network,
+//! lives in `crates/bench`.
 
 pub mod comm;
 pub mod dapp;
 pub mod decompose;
 pub mod dsolve;
-pub mod scaling;
 
 pub use comm::{Comm, Universe};
 pub use decompose::{Decomposition, Subdomain};
-pub use scaling::{ScalingConfig, ScalingPoint};

@@ -9,8 +9,7 @@ use crate::{flux, gradient, jacobian};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::{reorder, DualMesh, Mesh};
 use fun3d_partition::{
-    natural_partition, partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan,
-    TilingConfig,
+    partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan, TilingConfig,
 };
 use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
@@ -24,19 +23,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// How the ILU recurrences — the triangular solves and the numeric
-/// refactorization — are parallelized.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IluParallel {
-    /// Serial sweeps (the baseline).
-    Serial,
-    /// Level-interleaved row ownership with sparsified point-to-point
-    /// synchronization.
-    P2p,
-}
-
 /// The optimization configuration of a run — the knobs the paper's
-/// "baseline" vs "optimized" comparison turns.
+/// "baseline" vs "optimized" comparison turns. With more than one thread
+/// the owner-writes plan partitions the vertices with the multilevel
+/// (METIS-like) partitioner, and the ILU recurrences — the triangular
+/// solves and the numeric refactorization — run on level-interleaved row
+/// ownership with sparsified point-to-point synchronization (P2P),
+/// bitwise the serial sweeps.
 #[derive(Clone, Copy, Debug)]
 pub struct OptConfig {
     /// Worker threads (1 = serial execution everywhere).
@@ -44,13 +37,8 @@ pub struct OptConfig {
     /// Run the flux kernel's lane body (4-edge SIMD batches, with software
     /// prefetch where the traversal streams) instead of the scalar one.
     pub use_simd: bool,
-    /// Partition vertices with the multilevel (METIS-like) partitioner
-    /// instead of natural contiguous ranges.
-    pub metis_partition: bool,
     /// ILU fill level (PETSc-FUN3D default is 1).
     pub ilu_fill: usize,
-    /// Triangular-solve parallelization.
-    pub ilu_parallel: IluParallel,
     /// Limit the reconstruction gradients with Venkatakrishnan's smooth
     /// limiter, `K = 0.3` (the "variable-order" part of the paper's Roe
     /// scheme; Barth–Jespersen's hard clip stalls steady solves).
@@ -80,9 +68,7 @@ impl OptConfig {
         OptConfig {
             nthreads: 1,
             use_simd: false,
-            metis_partition: false,
             ilu_fill: 1,
-            ilu_parallel: IluParallel::Serial,
             use_limiter: false,
             ilu_lag: 1,
             use_lsq_gradients: false,
@@ -96,13 +82,7 @@ impl OptConfig {
         OptConfig {
             nthreads,
             use_simd: true,
-            metis_partition: true,
             ilu_fill: 1,
-            ilu_parallel: if nthreads > 1 {
-                IluParallel::P2p
-            } else {
-                IluParallel::Serial
-            },
             use_limiter: false,
             ilu_lag: 1,
             use_lsq_gradients: false,
@@ -136,9 +116,9 @@ fn edge_walk<'a>(
     }
 }
 
-/// What `IluParallel::P2p` runs on, built once per application from the
-/// factor patterns: every preconditioner of every solve shares the sweep
-/// schedules, and every refactorization runs the forward one.
+/// What the P2P recurrences run on at T ≥ 2, built once per application
+/// from the factor patterns: every preconditioner of every solve shares
+/// the sweep schedules, and every refactorization runs the forward one.
 struct P2pSchedules {
     fwd: Arc<P2pSchedule>,
     bwd: Arc<P2pSchedule>,
@@ -295,18 +275,13 @@ impl Fun3dApp {
         });
 
         let plan = pool.as_ref().map(|_| {
-            let part = if cfg.metis_partition {
-                let graph = fun3d_mesh::Graph::from_edges(nv, geom.edges());
-                partition_graph(&graph, cfg.nthreads, &MultilevelConfig::default())
-            } else {
-                natural_partition(nv, cfg.nthreads)
-            };
+            let graph = fun3d_mesh::Graph::from_edges(nv, geom.edges());
+            let part = partition_graph(&graph, cfg.nthreads, &MultilevelConfig::default());
             OwnerWritesPlan::build(geom.edges(), &part, cfg.nthreads)
         });
 
         // Schedules depend only on the static factor patterns.
-        let schedules = (cfg.ilu_parallel == IluParallel::P2p).then(|| {
-            assert!(pool.is_some(), "a threaded triangular solve needs threads");
+        let schedules = pool.as_ref().map(|_| {
             let fwd = P2pSchedule::forward(ilu_symbolic.l_pattern(), cfg.nthreads);
             let bwd = P2pSchedule::backward(ilu_symbolic.u_pattern(), cfg.nthreads);
             P2pSchedules {
@@ -866,44 +841,5 @@ mod tests {
             fresh_factor_calls,
             "the seeded first build must skip exactly one factorization"
         );
-    }
-
-    #[test]
-    fn team_solve_is_independent_of_the_recurrence_schedule() {
-        // P2P sweeps are bitwise the serial sweep, the team
-        // refactorization is bitwise the serial one, and the vector
-        // kernels depend on the thread count only: the whole nonlinear
-        // solve in persistent regions is bitwise reproducible across the
-        // serial and the threaded preconditioner paths.
-        let run = |ilu_parallel: IluParallel| {
-            let mut cfg = OptConfig::optimized(2);
-            cfg.ilu_parallel = ilu_parallel;
-            cfg.exec = ExecMode::Team;
-            let mut app = build(cfg);
-            app.run(&solve_config())
-        };
-        let (u_serial, s_serial) = run(IluParallel::Serial);
-        let (u_p2p, s_p2p) = run(IluParallel::P2p);
-        assert!(s_serial.converged && s_p2p.converged);
-        assert_eq!(s_p2p.exec, "team");
-        assert_eq!(s_serial.res_history, s_p2p.res_history);
-        assert_eq!(u_serial, u_p2p);
-        assert_eq!(s_serial.linear_iters, s_p2p.linear_iters);
-        // The P2P run registered where its blocked waits are counted:
-        // per sweep direction and thread for the applications, per thread
-        // for the refactorization.
-        let names: Vec<String> = telemetry::metrics::snapshot()
-            .counters
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect();
-        for counter in [
-            "trsv.p2p.blocked_waits.fwd.t0",
-            "trsv.p2p.blocked_ns.bwd.t1",
-            "ilu.p2p.blocked_waits.t1",
-            "ilu.p2p.blocked_ns.t0",
-        ] {
-            assert!(names.iter().any(|n| n == counter), "{counter} not registered");
-        }
     }
 }

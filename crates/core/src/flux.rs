@@ -38,23 +38,25 @@
 //! body agrees with it to rounding, and with itself bitwise per set of
 //! edge lists (a list's leftover edges get the scalar arithmetic).
 //!
-//! Three loops stand outside the grid on purpose. [`serial_soa`] and
-//! [`serial_aos`] are the plain scalar loops of Table I / Fig. 6a: the
-//! oracle of every equivalence suite and what `OptConfig::baseline()`
-//! runs, so they share nothing with the driver they check. [`atomics`]
-//! is Fig. 6b's other strategy, whose commit primitive is its point.
+//! One loop stands outside the grid on purpose. [`serial_aos`] is the
+//! plain scalar loop of Table I / Fig. 6a: the oracle of every
+//! equivalence suite and what `OptConfig::baseline()` runs, so it shares
+//! nothing with the driver it checks but [`edge_flux`]. The paper's other
+//! "before" rows — the SoA loop and Fig. 6b's atomics — live with the
+//! benches (`crates/bench/src/flux_reference.rs`).
 
 use crate::edge_loop::{self, EdgeBody, Reads};
 pub use crate::edge_loop::{Exec, Traversal, PREFETCH_DIST};
 use crate::euler;
-use crate::geom::{grad_slot, EdgeGeom, NodeAos, NodeSoa, VertexRows};
+use crate::geom::{grad_slot, EdgeGeom, NodeAos, VertexRows};
 use fun3d_simd::{Isa, Simd};
-use fun3d_threads::{AtomicF64View, ThreadPool};
 
-/// Shared per-edge physics, scalar form; `ga` and `gb` are gradient rows
-/// ([`grad_slot`]).
+/// Shared per-edge physics, scalar form: the Roe flux of edge `(a, b)`
+/// from the states `qa`, `qb`, the gradient rows `ga`, `gb`
+/// ([`grad_slot`]), the normal `n` and the delta `r`. Every scalar loop
+/// calls it, the benches' paper-figure references included.
 #[inline(always)]
-fn edge_flux(
+pub fn edge_flux(
     qa: &[f64; 4],
     qb: &[f64; 4],
     ga: &[f64],
@@ -73,26 +75,6 @@ fn edge_flux(
         qr[c] = qb[c] - 0.5 * db;
     }
     euler::roe_flux(&ql, &qr, n, beta)
-}
-
-/// Baseline: serial scalar loop over edges, SoA node data (4 + 12
-/// separate gathers per endpoint).
-pub fn serial_soa(geom: &EdgeGeom, node: &NodeSoa, beta: f64, res: &mut [f64]) {
-    assert_eq!(res.len(), node.n * 4);
-    for (k, e) in geom.edges().iter().enumerate() {
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        let qa = node.state(a);
-        let qb = node.state(b);
-        let ga = node.gradient(a);
-        let gb = node.gradient(b);
-        let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
-        let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
-        let f = edge_flux(&qa, &qb, &ga, &gb, &n, &r, beta);
-        for c in 0..4 {
-            res[a * 4 + c] += f[c];
-            res[b * 4 + c] -= f[c];
-        }
-    }
 }
 
 /// Serial scalar loop with AoS node data (one contiguous load per
@@ -375,29 +357,6 @@ pub fn run(
     }
 }
 
-/// "Basic partitioning with atomics": edges split in natural contiguous
-/// ranges over threads; every vertex update is an atomic CAS add.
-pub fn atomics(pool: &ThreadPool, geom: &EdgeGeom, node: &NodeAos, beta: f64, res: &mut [f64]) {
-    assert_eq!(res.len(), node.n * 4);
-    let view = AtomicF64View::new(res);
-    pool.parallel_for(geom.nedges(), |_tid, range| {
-        for k in range {
-            let e = geom.edges()[k];
-            let (a, b) = (e[0] as usize, e[1] as usize);
-            let qa = node.state(a);
-            let qb = node.state(b);
-            let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
-            let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
-            let f = edge_flux(&qa, &qb, node.gradient(a), node.gradient(b), &n, &r, beta);
-            for c in 0..4 {
-                view.fetch_add(a * 4 + c, f[c]);
-                view.fetch_add(b * 4 + c, -f[c]);
-            }
-        }
-    });
-}
-
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,9 +366,10 @@ mod tests {
     use fun3d_partition::{
         natural_partition, partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan,
     };
+    use fun3d_threads::ThreadPool;
     use fun3d_util::Rng64;
 
-    fn setup() -> (EdgeGeom, NodeAos, NodeSoa) {
+    fn setup() -> (EdgeGeom, NodeAos) {
         let mesh = MeshPreset::Tiny.build();
         let dual = DualMesh::build(&mesh);
         let geom = EdgeGeom::build(&mesh, &dual);
@@ -421,8 +381,7 @@ mod tests {
         for x in aos.grad.iter_mut() {
             *x = rng.range_f64(-0.2, 0.2);
         }
-        let soa = NodeSoa::from_aos(&aos);
-        (geom, aos, soa)
+        (geom, aos)
     }
 
     fn run_serial(geom: &EdgeGeom, aos: &NodeAos) -> Vec<f64> {
@@ -444,17 +403,8 @@ mod tests {
     }
 
     #[test]
-    fn soa_matches_aos_exactly() {
-        let (geom, aos, soa) = setup();
-        let r1 = run_serial(&geom, &aos);
-        let mut r2 = vec![0.0; aos.n * 4];
-        serial_soa(&geom, &soa, 1.0, &mut r2);
-        assert_eq!(r1, r2, "layouts must not change results");
-    }
-
-    #[test]
     fn simd_matches_scalar() {
-        let (geom, aos, _) = setup();
+        let (geom, aos) = setup();
         let r1 = run_serial(&geom, &aos);
         let mut r2 = vec![0.0; aos.n * 4];
         run(Some(Isa::detect()), Exec::Caller, Traversal::stream(&geom), &aos, 1.0, &mut r2);
@@ -463,7 +413,7 @@ mod tests {
 
     #[test]
     fn prefetch_matches_scalar() {
-        let (geom, aos, _) = setup();
+        let (geom, aos) = setup();
         let r1 = run_serial(&geom, &aos);
         let mut r2 = vec![0.0; aos.n * 4];
         let walk = Traversal::Stream { geom: &geom, prefetch: Some(PREFETCH_DIST) };
@@ -472,19 +422,8 @@ mod tests {
     }
 
     #[test]
-    fn atomics_matches_scalar() {
-        let (geom, aos, _) = setup();
-        let r1 = run_serial(&geom, &aos);
-        let pool = ThreadPool::new(4);
-        let mut r2 = vec![0.0; aos.n * 4];
-        atomics(&pool, &geom, &aos, 1.0, &mut r2);
-        // atomic accumulation order is nondeterministic: tolerance only
-        assert_close(&r1, &r2, 1e-11, "atomics");
-    }
-
-    #[test]
     fn owner_writes_natural_matches_serial_bitwise() {
-        let (geom, aos, _) = setup();
+        let (geom, aos) = setup();
         let r1 = run_serial(&geom, &aos);
         for nt in [1usize, 2, 5] {
             let pool = ThreadPool::new(nt);
@@ -498,7 +437,7 @@ mod tests {
 
     #[test]
     fn owner_writes_metis_matches_serial_bitwise() {
-        let (geom, aos, _) = setup();
+        let (geom, aos) = setup();
         let r1 = run_serial(&geom, &aos);
         let graph = fun3d_mesh::Graph::from_edges(aos.n, geom.edges());
         let nt = 4;
@@ -512,7 +451,7 @@ mod tests {
 
     #[test]
     fn owner_writes_opt_matches_scalar() {
-        let (geom, aos, _) = setup();
+        let (geom, aos) = setup();
         let r1 = run_serial(&geom, &aos);
         let graph = fun3d_mesh::Graph::from_edges(aos.n, geom.edges());
         let nt = 3;
@@ -527,7 +466,7 @@ mod tests {
 
     #[test]
     fn tiled_matches_scalar() {
-        let (geom, aos, _) = setup();
+        let (geom, aos) = setup();
         let r1 = run_serial(&geom, &aos);
         for budget in [1usize, 2048, 65536, usize::MAX] {
             let tiling = EdgeTiling::build(
@@ -545,7 +484,7 @@ mod tests {
 
     #[test]
     fn tiled_pooled_matches_tiled_bitwise() {
-        let (geom, aos, _) = setup();
+        let (geom, aos) = setup();
         let tiling = EdgeTiling::build(
             aos.n,
             geom.edges(),
@@ -603,7 +542,7 @@ mod tests {
     #[test]
     fn replication_overhead_shows_in_plan_not_result() {
         // Natural partitioning has high replication but identical output.
-        let (geom, aos, _) = setup();
+        let (geom, aos) = setup();
         let nt = 6;
         let nat = OwnerWritesPlan::build(geom.edges(), &natural_partition(aos.n, nt), nt);
         assert!(nat.replication_overhead() > 0.0);

@@ -6,8 +6,8 @@
 //!   optimization stores it AoS — all 4 state variables of a vertex
 //!   contiguous (`nVertices × 4`), the 12 gradient entries contiguous
 //!   (`nVertices × 3 × 4`) — so one vector load per vertex replaces four
-//!   gathers. Both layouts are provided; converting between them is
-//!   allowed only outside timed regions.
+//!   gathers. The SoA layout it replaces is Fig. 6a's reference row and
+//!   lives with the benches.
 //!
 //! Two rules hold for everything here. **A vertex row is stored the way
 //! its hot loop loads it**: the gradient row is the three 4-vectors
@@ -434,75 +434,6 @@ impl<'a> VertexRows<'a> {
     }
 }
 
-/// SoA node state: one array per variable (the baseline layout).
-#[derive(Clone, Debug)]
-pub struct NodeSoa {
-    /// Pressure per vertex.
-    pub p: Vec<f64>,
-    /// x-velocity per vertex.
-    pub u: Vec<f64>,
-    /// y-velocity per vertex.
-    pub v: Vec<f64>,
-    /// z-velocity per vertex.
-    pub w: Vec<f64>,
-    /// Gradients: `grad[(comp*3 + dim)][vertex]`, 12 arrays flattened
-    /// into one buffer field-major: `grad[f * n + v]`, `f = comp*3 + dim`.
-    pub grad: Vec<f64>,
-    /// Vertex count.
-    pub n: usize,
-}
-
-impl NodeSoa {
-    /// Zero state for `n` vertices.
-    pub fn zeros(n: usize) -> NodeSoa {
-        NodeSoa {
-            p: vec![0.0; n],
-            u: vec![0.0; n],
-            v: vec![0.0; n],
-            w: vec![0.0; n],
-            grad: vec![0.0; 12 * n],
-            n,
-        }
-    }
-
-    /// Builds from an AoS layout.
-    pub fn from_aos(aos: &NodeAos) -> NodeSoa {
-        let n = aos.n;
-        let mut s = NodeSoa::zeros(n);
-        for v in 0..n {
-            s.p[v] = aos.q[v * 4];
-            s.u[v] = aos.q[v * 4 + 1];
-            s.v[v] = aos.q[v * 4 + 2];
-            s.w[v] = aos.q[v * 4 + 3];
-            for c in 0..4 {
-                for d in 0..3 {
-                    s.grad[(c * 3 + d) * n + v] = aos.dq(v, c, d);
-                }
-            }
-        }
-        s
-    }
-
-    /// Gathers the 4 state variables of vertex `i`.
-    #[inline]
-    pub fn state(&self, i: usize) -> [f64; 4] {
-        [self.p[i], self.u[i], self.v[i], self.w[i]]
-    }
-
-    /// Gathers the 12 gradient entries of vertex `i` into a row laid out
-    /// like [`NodeAos::gradient`]'s ([`grad_slot`]).
-    #[inline]
-    pub fn gradient(&self, i: usize) -> [f64; GRAD_ROW] {
-        let mut g = [0.0; GRAD_ROW];
-        for c in 0..4 {
-            for d in 0..3 {
-                g[grad_slot(c, d)] = self.grad[(c * 3 + d) * self.n + i];
-            }
-        }
-        g
-    }
-}
-
 /// Doubles per vertex of [`NodeAos::grad`].
 pub const GRAD_ROW: usize = 12;
 
@@ -711,28 +642,6 @@ mod tests {
         let mut ragged = bc.clone();
         ragged.nz.pop();
         assert!(HalfEdges::try_build(&g, &ragged, &d.vol, g.nvertices()).is_err());
-    }
-
-    #[test]
-    fn layout_conversion_roundtrip() {
-        let n = 13;
-        let mut aos = NodeAos::zeros(n);
-        for (i, x) in aos.q.iter_mut().enumerate() {
-            *x = i as f64 * 0.5;
-        }
-        for (i, x) in aos.grad.iter_mut().enumerate() {
-            *x = i as f64 * -0.25;
-        }
-        let soa = NodeSoa::from_aos(&aos);
-        for v in 0..n {
-            assert_eq!(soa.state(v), aos.state(v));
-            assert_eq!(soa.gradient(v), aos.gradient(v));
-            for c in 0..4 {
-                for d in 0..3 {
-                    assert_eq!(soa.grad[(c * 3 + d) * n + v], aos.dq(v, c, d));
-                }
-            }
-        }
     }
 
     #[test]

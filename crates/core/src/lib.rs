@@ -11,8 +11,8 @@
 //!   `{Θ, Θ±c}`, `c = √(Θ² + βS²)`;
 //! * [`geom`] — the SoA edge-geometry arrays the kernels stream
 //!   (dual-face normals and across-edge deltas), the per-vertex half-edge
-//!   CSR the gradients gather over, and both node-data layouts (SoA and
-//!   AoS) of the paper's data-structure study. Two rules live here: *a
+//!   CSR the gradients gather over, and the AoS node data the paper's
+//!   data-structure study arrives at. Two rules live here: *a
 //!   vertex row is stored the way its hot loop loads it* (the gradient
 //!   row is dim-major, [`geom::grad_slot`]), and *an index is checked
 //!   where it is made* (the index structures validate in their
@@ -23,8 +23,9 @@
 //!   pool region;
 //! * [`flux`] — the edge-based flux kernel: the Roe flux as the lane
 //!   (4-edge SIMD batch, portable or AVX2) and scalar bodies those
-//!   traversals run, plus the plain SoA/AoS baselines and the atomics
-//!   variant that stand outside them;
+//!   traversals run, plus the plain scalar AoS loop that stands outside
+//!   them as their oracle (the SoA and atomics rows of Fig. 6 live in
+//!   `crates/bench`);
 //! * [`gradient`] — Green-Gauss nodal gradients (the paper's "Grad"
 //!   kernel) as one owner-computes vertex loop, bitwise the edge loop it
 //!   replaces at any thread count, and least-squares gradients over the
@@ -56,4 +57,4 @@ pub use euler::{FlowConditions, NVARS};
 /// Which lane implementation the edge kernels run on in this process, and
 /// the type their entry points take it as.
 pub use fun3d_simd::{active_isa, Isa};
-pub use geom::{EdgeGeom, GeomError, HalfEdges, NodeAos, NodeSoa, TiledGeom};
+pub use geom::{EdgeGeom, GeomError, HalfEdges, NodeAos, TiledGeom};

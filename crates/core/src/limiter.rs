@@ -1,16 +1,15 @@
 //! Slope limiting: Venkatakrishnan's limiter, which the application runs
-//! (`OptConfig::use_limiter`, `K = 0.3`), and Barth–Jespersen's, kept
-//! beside it as the hard-clip reference.
+//! (`OptConfig::use_limiter`, `K = 0.3`).
 //!
 //! FUN3D's discretization is a *variable-order* flux-difference scheme:
-//! second-order reconstruction with the gradients limited so that no
-//! reconstructed face value exceeds the range of the neighboring cell
-//! averages (Barth & Jespersen), or in Venkatakrishnan's smooth form only
-//! approaches it. Both are gradient post-passes: the per-vertex,
-//! per-variable factor `φ ∈ [0, 1]` is folded directly into the stored
-//! gradients, so every flux-kernel variant (scalar, SIMD, threaded) picks
-//! it up without code changes — and the kernel-equivalence tests keep
-//! holding.
+//! second-order reconstruction with the gradients limited so that a
+//! reconstructed face value approaches, but does not cross, the range of
+//! the neighboring vertex values — Barth & Jespersen's clip made smooth,
+//! because the hard clip produces limit cycles in steady solvers. The
+//! limiter is a gradient post-pass: the per-vertex, per-variable factor
+//! `φ ∈ [0, 1]` is folded directly into the stored gradients, so every
+//! flux-kernel variant (scalar, SIMD, threaded) picks it up without code
+//! changes — and the kernel-equivalence tests keep holding.
 
 use crate::geom::{grad_slot, EdgeGeom, NodeAos, GRAD_ROW};
 
@@ -33,76 +32,14 @@ fn fold(phi: &[f64], node: &mut NodeAos) {
     }
 }
 
-/// Computes Barth–Jespersen limiter factors and scales `node.grad` in
-/// place. Returns the per-vertex-per-variable factors (for diagnostics
-/// and tests). One edge sweep finds each vertex's admissible range; a
-/// second sweep finds the worst reconstruction overshoot.
-pub fn apply_barth_jespersen(geom: &EdgeGeom, node: &mut NodeAos) -> Vec<f64> {
-    let n = node.n;
-    // admissible range per vertex/variable from edge neighbors
-    let mut qmin = node.q.clone();
-    let mut qmax = node.q.clone();
-    for e in geom.edges() {
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        for c in 0..4 {
-            let qa = node.q[a * 4 + c];
-            let qb = node.q[b * 4 + c];
-            if qb < qmin[a * 4 + c] {
-                qmin[a * 4 + c] = qb;
-            }
-            if qb > qmax[a * 4 + c] {
-                qmax[a * 4 + c] = qb;
-            }
-            if qa < qmin[b * 4 + c] {
-                qmin[b * 4 + c] = qa;
-            }
-            if qa > qmax[b * 4 + c] {
-                qmax[b * 4 + c] = qa;
-            }
-        }
-    }
-    // worst-case overshoot of the midpoint reconstruction per vertex
-    let mut phi = vec![1.0f64; n * 4];
-    for (k, e) in geom.edges().iter().enumerate() {
-        let (a, b) = (e[0] as usize, e[1] as usize);
-        let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
-        for c in 0..4 {
-            // vertex a reconstructs toward +r/2, vertex b toward -r/2
-            for (v, sign) in [(a, 0.5), (b, -0.5)] {
-                let dq = sign * slope(node, v, c, &r);
-                let q0 = node.q[v * 4 + c];
-                let limit = if dq > 0.0 {
-                    let headroom = qmax[v * 4 + c] - q0;
-                    if dq > headroom {
-                        headroom / dq
-                    } else {
-                        1.0
-                    }
-                } else if dq < 0.0 {
-                    let headroom = qmin[v * 4 + c] - q0; // ≤ 0
-                    if dq < headroom {
-                        headroom / dq
-                    } else {
-                        1.0
-                    }
-                } else {
-                    1.0
-                };
-                if limit < phi[v * 4 + c] {
-                    phi[v * 4 + c] = limit;
-                }
-            }
-        }
-    }
-    fold(&phi, node);
-    phi
-}
-
-/// Venkatakrishnan's smooth limiter: like Barth–Jespersen but with a
-/// differentiable clip, which avoids the limit-cycle convergence stall
-/// BJ exhibits in steady-state solvers. `k_eps` controls how much
-/// overshoot is tolerated in smooth regions (larger = less limiting);
-/// the classic value is O(0.1–5) scaled by the local solution range.
+/// Venkatakrishnan's smooth limiter: computes the factors, scales
+/// `node.grad` in place and returns them (4 per vertex, for diagnostics
+/// and tests). One edge sweep finds each vertex's admissible range from
+/// its neighbours; a second finds the strongest limiting any of its
+/// midpoint reconstructions needs. `k_eps` controls how much overshoot is
+/// tolerated in smooth regions (larger = less limiting); the classic
+/// value is O(0.1–5) scaled by the local solution range, and with
+/// `k_eps = 0` the reconstructions stay in range up to a `1e-7` floor.
 pub fn apply_venkatakrishnan(geom: &EdgeGeom, node: &mut NodeAos, k_eps: f64) -> Vec<f64> {
     let n = node.n;
     let mut qmin = node.q.clone();
@@ -186,7 +123,7 @@ mod tests {
     #[test]
     fn smooth_field_untouched() {
         // A gently varying field should not trigger the limiter much:
-        // all φ close to 1 away from extrema, gradients mostly intact.
+        // all φ = 1 away from extrema, gradients mostly intact.
         let (geom, adj, mut node) = setup();
         for v in 0..node.n {
             node.q[v * 4] = 0.001 * v as f64;
@@ -194,8 +131,8 @@ mod tests {
         }
         green_gauss(&adj, &mut node);
         let before = node.clone();
-        let phi = apply_barth_jespersen(&geom, &mut node);
-        let untouched = phi.iter().filter(|&&p| p >= 1.0 - 1e-12).count();
+        let phi = apply_venkatakrishnan(&geom, &mut node, 0.3);
+        let untouched = phi.iter().filter(|&&p| p >= 1.0).count();
         assert!(
             untouched * 2 > phi.len(),
             "limiter fired on most of a smooth field: {untouched}/{}",
@@ -221,7 +158,7 @@ mod tests {
             *x = rng.range_f64(-1.0, 1.0);
         }
         green_gauss(&adj, &mut node);
-        let phi = apply_barth_jespersen(&geom, &mut node);
+        let phi = apply_venkatakrishnan(&geom, &mut node, 0.3);
         assert!(phi.iter().all(|&p| (0.0..=1.0).contains(&p)));
         // a rough random field must trigger limiting somewhere
         assert!(phi.iter().any(|&p| p < 1.0));
@@ -229,18 +166,17 @@ mod tests {
 
     #[test]
     fn limited_reconstruction_stays_in_range() {
-        // The defining property: after limiting, midpoint reconstructions
-        // never exceed the neighbor range.
+        // With no smooth-region allowance (`k_eps = 0`) the limiter keeps
+        // every midpoint reconstruction inside the neighbour range, up to
+        // the `ε = 1e-7` floor that keeps its ramp differentiable.
         let (geom, adj, mut node) = setup();
         let mut rng = fun3d_util::Rng64::new(23);
         for x in node.q.iter_mut() {
             *x = rng.range_f64(-2.0, 2.0);
         }
         green_gauss(&adj, &mut node);
-        apply_barth_jespersen(&geom, &mut node);
+        apply_venkatakrishnan(&geom, &mut node, 0.0);
 
-        // recompute ranges
-        let n = node.n;
         let mut qmin = node.q.clone();
         let mut qmax = node.q.clone();
         for e in geom.edges() {
@@ -252,7 +188,6 @@ mod tests {
                 qmax[b * 4 + c] = qmax[b * 4 + c].max(node.q[a * 4 + c]);
             }
         }
-        let _ = n;
         for (k, e) in geom.edges().iter().enumerate() {
             let (a, b) = (e[0] as usize, e[1] as usize);
             let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
@@ -260,7 +195,7 @@ mod tests {
                 for (v, sign) in [(a, 0.5), (b, -0.5)] {
                     let q = node.q[v * 4 + c] + sign * slope(&node, v, c, &r);
                     assert!(
-                        q >= qmin[v * 4 + c] - 1e-10 && q <= qmax[v * 4 + c] + 1e-10,
+                        q >= qmin[v * 4 + c] - 1e-7 && q <= qmax[v * 4 + c] + 1e-7,
                         "edge {k} vertex {v} comp {c}: {q} outside [{}, {}]",
                         qmin[v * 4 + c],
                         qmax[v * 4 + c]
@@ -268,28 +203,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn venkat_phi_in_unit_interval_and_smoother_than_bj() {
-        let (geom, adj, mut node) = setup();
-        let mut rng = fun3d_util::Rng64::new(31);
-        for x in node.q.iter_mut() {
-            *x = rng.range_f64(-1.0, 1.0);
-        }
-        green_gauss(&adj, &mut node);
-        let mut node_bj = node.clone();
-        let phi_v = apply_venkatakrishnan(&geom, &mut node, 0.3);
-        let phi_b = apply_barth_jespersen(&geom, &mut node_bj);
-        assert!(phi_v.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        // Venkat limits less aggressively on average (smooth ramp).
-        let mean = |p: &[f64]| p.iter().sum::<f64>() / p.len() as f64;
-        assert!(
-            mean(&phi_v) >= mean(&phi_b) - 1e-12,
-            "venkat {} vs bj {}",
-            mean(&phi_v),
-            mean(&phi_b)
-        );
     }
 
     #[test]
@@ -307,13 +220,19 @@ mod tests {
 
     #[test]
     fn constant_field_is_fixed_point() {
+        // Constant field, zero gradients: zero reconstruction deltas, so
+        // every factor is exactly 1 and every gradient bit stays put.
         let (geom, adj, mut node) = setup();
         node.set_freestream(&[0.3, 1.0, 0.0, 0.0]);
+        let phi = apply_venkatakrishnan(&geom, &mut node, 0.3);
+        assert!(phi.iter().all(|&p| p == 1.0));
+        assert!(node.grad.iter().all(|&g| g == 0.0));
+        // Green-Gauss leaves rounding-level gradients (~1e-14) on a
+        // constant field: the limiter must not produce NaNs or zero out
+        // anything, and may move a factor by rounding only.
         green_gauss(&adj, &mut node);
-        let phi = apply_barth_jespersen(&geom, &mut node);
-        // constant field: zero gradients, zero reconstruction deltas —
-        // the limiter must not produce NaNs or zero out anything.
-        assert!(phi.iter().all(|p| p.is_finite()));
+        let phi = apply_venkatakrishnan(&geom, &mut node, 0.3);
+        assert!(phi.iter().all(|&p| p.is_finite() && p >= 1.0 - 1e-12));
         assert!(node.grad.iter().all(|g| g.abs() < 1e-10));
     }
 }

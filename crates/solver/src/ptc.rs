@@ -78,10 +78,9 @@ pub struct PtcConfig {
     pub rtol: f64,
     /// Stop when ‖f(u)‖ ≤ atol.
     pub atol: f64,
-    /// Maximum pseudo-time steps.
+    /// Maximum pseudo-time steps (one Newton iteration each, as in
+    /// PETSc-FUN3D).
     pub max_steps: usize,
-    /// Newton iterations per time step (PETSc-FUN3D uses 1).
-    pub newton_per_step: usize,
     /// Linear solver settings.
     pub gmres: GmresConfig,
     /// Residual anomaly detection thresholds (flight-dump triggers).
@@ -97,7 +96,6 @@ impl Default for PtcConfig {
             rtol: 1e-8,
             atol: 1e-300,
             max_steps: 200,
-            newton_per_step: 1,
             gmres: GmresConfig {
                 rtol: 1e-3, // inexact Newton: loose inner tolerance
                 ..Default::default()
@@ -110,10 +108,8 @@ impl Default for PtcConfig {
 /// Convergence record of a ΨTC solve.
 #[derive(Clone, Debug)]
 pub struct PtcStats {
-    /// Pseudo-time steps taken.
+    /// Pseudo-time steps taken (one Newton iteration each).
     pub time_steps: usize,
-    /// Total Newton iterations.
-    pub newton_iters: usize,
     /// Total linear (GMRES) iterations — the paper's "linear iterations".
     pub linear_iters: usize,
     /// ‖f(u)‖ after each time step.
@@ -171,7 +167,6 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
     });
     let mut stats = PtcStats {
         time_steps: 0,
-        newton_iters: 0,
         linear_iters: 0,
         res_history: vec![res0],
         converged: res0 <= config.atol,
@@ -196,56 +191,50 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
             problem.build_preconditioner(u, &shift);
         }
 
-        let mut step_lin_iters = 0usize;
-        for _ in 0..config.newton_per_step {
-            // Solve (diag(shift) + J) δ = −f(u), matrix-free.
-            for i in 0..n {
-                rhs[i] = -r[i];
-            }
-            delta.iter_mut().for_each(|d| *d = 0.0);
-            let lin = {
-                // Borrow problem immutably for the residual closure: we
-                // copy the state into the jacobian via a local closure
-                // around a RefCell-free trick — residual needs &mut self,
-                // so evaluate through a raw pointer with care.
-                let prob_ptr: *mut dyn PtcProblem = problem;
-                let residual_fn = move |x: &[f64], out: &mut [f64]| {
-                    // SAFETY: FdJacobian::apply is only invoked from
-                    // gmres.solve below, while no other borrow of
-                    // `problem` is live; calls are strictly sequential.
-                    unsafe { (*prob_ptr).residual(x, out) };
-                };
-                let jac = FdJacobian::new(residual_fn, u, &r, &shift, problem.reducer());
-                let _gmres_span = telemetry::span("ptc.gmres");
-                let exec = match (pool.as_deref(), mode) {
-                    (None, _) | (Some(_), ExecMode::Serial) => GmresExec::Serial,
-                    (Some(p), ExecMode::Team) => GmresExec::Team(p),
-                    (Some(p), ExecMode::Auto) => GmresExec::Auto(p),
-                };
-                let gmres_t0 = Instant::now();
-                let lin =
-                    gmres.solve_with(&jac, problem.preconditioner(), &rhs, &mut delta, exec);
-                telemetry::metrics::record_ns(
-                    "solver.gmres_ns",
-                    gmres_t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                );
-                lin
-            };
-            stats.linear_iters += lin.iterations;
-            step_lin_iters += lin.iterations;
-            stats.newton_iters += 1;
-            stats.exec = lin.exec;
-            if let Some(tag) = flight::ExecTag::parse(lin.exec) {
-                flight::emit(flight::EventKind::Gmres {
-                    exec: tag,
-                    iterations: lin.iterations as u64,
-                    residual: lin.residual,
-                    reductions: lin.reductions as u64,
-                });
-            }
-            vecops::axpy(u, 1.0, &delta);
-            problem.residual(u, &mut r);
+        // Solve (diag(shift) + J) δ = −f(u), matrix-free.
+        for i in 0..n {
+            rhs[i] = -r[i];
         }
+        delta.iter_mut().for_each(|d| *d = 0.0);
+        let lin = {
+            // Borrow problem immutably for the residual closure: we
+            // copy the state into the jacobian via a local closure
+            // around a RefCell-free trick — residual needs &mut self,
+            // so evaluate through a raw pointer with care.
+            let prob_ptr: *mut dyn PtcProblem = problem;
+            let residual_fn = move |x: &[f64], out: &mut [f64]| {
+                // SAFETY: FdJacobian::apply is only invoked from
+                // gmres.solve below, while no other borrow of
+                // `problem` is live; calls are strictly sequential.
+                unsafe { (*prob_ptr).residual(x, out) };
+            };
+            let jac = FdJacobian::new(residual_fn, u, &r, &shift, problem.reducer());
+            let _gmres_span = telemetry::span("ptc.gmres");
+            let exec = match (pool.as_deref(), mode) {
+                (None, _) | (Some(_), ExecMode::Serial) => GmresExec::Serial,
+                (Some(p), ExecMode::Team) => GmresExec::Team(p),
+                (Some(p), ExecMode::Auto) => GmresExec::Auto(p),
+            };
+            let gmres_t0 = Instant::now();
+            let lin = gmres.solve_with(&jac, problem.preconditioner(), &rhs, &mut delta, exec);
+            telemetry::metrics::record_ns(
+                "solver.gmres_ns",
+                gmres_t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            );
+            lin
+        };
+        stats.linear_iters += lin.iterations;
+        stats.exec = lin.exec;
+        if let Some(tag) = flight::ExecTag::parse(lin.exec) {
+            flight::emit(flight::EventKind::Gmres {
+                exec: tag,
+                iterations: lin.iterations as u64,
+                residual: lin.residual,
+                reductions: lin.reductions as u64,
+            });
+        }
+        vecops::axpy(u, 1.0, &delta);
+        problem.residual(u, &mut r);
 
         res = reduced_norm2(problem.reducer(), &r);
         stats.time_steps = step + 1;
@@ -258,7 +247,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
             step: (step + 1) as u64,
             res,
             dt,
-            gmres_iters: step_lin_iters as u64,
+            gmres_iters: lin.iterations as u64,
         });
         problem.on_step(step + 1, res, dt);
 
@@ -462,8 +451,8 @@ mod tests {
         let mut p = LinearProblem::new(84);
         let mut u = vec![0.0; p.dim()];
         let stats = solve(&mut p, &mut u, &PtcConfig::default());
-        assert!(stats.linear_iters >= stats.newton_iters);
-        assert_eq!(stats.newton_iters, stats.time_steps);
+        assert!(stats.time_steps >= 1);
+        assert!(stats.linear_iters >= stats.time_steps);
     }
 
     /// A genuinely nonlinear scalar-ish problem: f(u)_i = u_i + u_i^3 − c_i.

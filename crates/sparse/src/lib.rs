@@ -24,15 +24,13 @@
 //!   transitive reduction of the cross-thread dependency edges decides
 //!   which rows wait, and the waits are on per-thread progress counters
 //!   instead of barriers; drives the triangular sweeps and the numeric
-//!   ILU refactorization;
-//! * [`dag`] — the paper's *available parallelism* metric: total flops
-//!   divided by flops along the critical path (Table II: 248× for ILU-0
-//!   vs 60× for ILU-1 on Mesh-C).
+//!   ILU refactorization.
+//!
+//! The scalar CSR of the blocking ablation and the DAG metric of Table II
+//! are paper-figure tools and live in `crates/bench`.
 
 pub mod bcsr;
 pub mod block;
-pub mod csr;
-pub mod dag;
 pub mod ilu;
 pub mod levels;
 pub mod p2p;
@@ -42,7 +40,6 @@ pub mod trsv;
 
 pub use bcsr::{Bcsr4, Pattern};
 pub use block::{Block4, FactorBlock, BLOCK_DIM, BLOCK_LEN, FACTOR_BLOCK_BYTES};
-pub use dag::DagStats;
 pub use ilu::{IluFactors, IluSymbolic, TempBuffer, Triangle};
 pub use levels::LevelSchedule;
 pub use p2p::P2pSchedule;

@@ -21,10 +21,11 @@
 #    path nothing runs (tile staging, the barrier-per-level TRSV), the
 #    execution, flux-scheme and spin knobs, the serve cache switch and
 #    the flight dump prefix stay deleted, crates/bench/src/bin holds the
-#    figure and table binaries and nothing else, and set-up (the mesh
+#    figure and table binaries and nothing else, set-up (the mesh
 #    passes, coarsening, the rank decomposition) groups by vertex id
-#    rather than through a hash map. Each structural guard is
-#    negative-tested on canary trees.
+#    rather than through a hash map, the paper's "before" kernels and
+#    cost models stay in crates/bench, and the single-value knobs stay
+#    deleted. Each structural guard is negative-tested on canary trees.
 #  * `cargo build --release` and `cargo test -q`, offline. The root
 #    manifest's default-members make both cover every crate (the flight
 #    dumps, the metrics socket and the serve wire are tests there).
@@ -68,7 +69,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob or switch, one bench binary per figure, hash-free set-up =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -97,6 +98,14 @@ TRAVERSAL='pool\.run\(|SpinBarrier|chunk_range|color_tiles'
 # reference implementations their test modules keep may hash.
 SETUP_FILES='crates/mesh/src/lib.rs crates/mesh/src/generator.rs crates/mesh/src/dual.rs
     crates/partition/src/multilevel.rs crates/cluster/src/decompose.rs'
+# Production crates hold what production runs: the paper's "before"
+# kernels, the scalar CSR, Table II's DAG metric, the Fig. 6/7/9-11 cost
+# models and the hard-clip limiter are crates/bench's, or gone.
+BENCH_ONLY='serial_soa|NodeSoa|fn atomics|struct Csr\b|DagStats|EdgeLoopCosts|RecurrenceCosts|NetworkSpec|simulate_point|apply_barth_jespersen'
+# Knobs no caller set to a second value, deleted without aliases: P2P runs
+# exactly when there is a pool, the pool's plan is always multilevel, and
+# a pseudo-time step is one Newton iteration.
+SINGLE_VALUE_KNOBS='IluParallel|metis_partition|newton_per_step'
 structure_guard() {
     local root=$1 bad=0
     if grep -rn 'roe_flux' "$root/crates/cluster/src"; then
@@ -104,8 +113,8 @@ structure_guard() {
         bad=1
     fi
     # How edges are walked - regions, barriers, chunking, colour classes -
-    # is crates/core/src/edge_loop.rs and nothing else (atomics is a
-    # parallel_for and stays its own function); the rank layer calls it.
+    # is crates/core/src/edge_loop.rs and nothing else; the rank layer
+    # calls it.
     if grep -rnE "$TRAVERSAL" "$root/crates/core/src" "$root/crates/cluster/src" --exclude=edge_loop.rs; then
         echo "  traversal control flow outside crates/core/src/edge_loop.rs: add a Traversal there, not a loop here"
         bad=1
@@ -253,20 +262,33 @@ structure_guard() {
             bad=1
         fi
     done
+    local src
+    for src in "$root"/crates/*/src; do
+        [ "$src" = "$root/crates/bench/src" ] && continue
+        if grep -rnE "$BENCH_ONLY" "$src"; then
+            echo "  a paper-figure reference kernel, cost model or the hard-clip limiter under $src: it lives in crates/bench"
+            bad=1
+        fi
+    done
+    if grep -rnE "$SINGLE_VALUE_KNOBS" "$root/crates" "$root/README.md" "$root/DESIGN.md"; then
+        echo "  a deleted single-value knob (IluParallel, metis_partition, newton_per_step) is back"
+        bad=1
+    fi
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, or set-up hashes"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, or a bench-only kernel or model is in a production crate"
     exit 1
 fi
-# Negative canaries: each of the twenty-five forks must trip the guard, and
+# Negative canaries: each of the twenty-seven forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
     widening_load_in_a_sweep second_forward_row generic_factors f64_factors \
     second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked \
     telemetry_knob_read deleted_knob_named second_thread_local sampler_back \
-    rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map; do
+    rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map \
+    bench_only_in_production single_value_knob_back; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src/bin" "$CANARY/scripts" \
@@ -281,6 +303,8 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     printf 'unsafe fn forward_row() { block::factor_matvec(s, a) }\nunsafe fn backward_row() {}\n' > "$CANARY/crates/sparse/src/trsv.rs"
     printf 'pub struct IluFactors {\n    pub dinv: Vec<f32>,\n}\n' > "$CANARY/crates/sparse/src/ilu.rs"
     echo 'struct F64Factors { dinv: Vec<f64> }' > "$CANARY/crates/bench/src/trsv_reference.rs"
+    echo 'pub fn serial_soa(geom: &EdgeGeom, node: &NodeSoa, beta: f64, res: &mut [f64]) {}' \
+        > "$CANARY/crates/bench/src/flux_reference.rs"
     printf 'pub const fn grad_slot(c: usize, d: usize) -> usize {\n    d * 4 + c\n}\n// SAFETY: in bounds by the caller.\nunsafe { std::slice::from_raw_parts_mut(p, w) }\n' > "$CANARY/crates/core/src/geom.rs"
     printf 'thread_local! {\n    static LOCAL: Local = const { Local::new() };\n}\nlet l = std::env::var("FUN3D_TELEMETRY");\n#[cfg(test)]\nmod tests {\n    thread_local! { static N: u8 = 0; }\n}\n' \
         > "$CANARY/crates/util/src/telemetry/mod.rs"
@@ -318,6 +342,8 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         extra_bench_bin) echo 'fn main() { run_ablation(&parse_args()) }' > "$CANARY/crates/bench/src/bin/load_gen.rs" ;;
         serve_cache_knob) echo 'cache: !matches!(std::env::var("FUN3D_SERVE_CACHE").as_deref(), Ok("off")),' >> "$CANARY/crates/serve/src/service.rs" ;;
         setup_hash_map) echo 'let mut g2l = std::collections::HashMap::with_capacity(owned.len());' > "$CANARY/crates/cluster/src/decompose.rs" ;;
+        bench_only_in_production) echo 'pub struct Csr { pub values: Vec<f64> }' > "$CANARY/crates/sparse/src/csr.rs" ;;
+        single_value_knob_back) echo '    ilu_parallel: if nthreads > 1 { IluParallel::P2p } else { IluParallel::Serial },' > "$CANARY/crates/core/src/app.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -325,7 +351,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob or switch, one bench binary per figure, hash-free set-up; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob; canaries rejected"
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.

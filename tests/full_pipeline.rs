@@ -1,7 +1,7 @@
 //! End-to-end integration: mesh generation → reordering → solver →
 //! profile, across optimization configurations.
 
-use fun3d_core::{app::IluParallel, Fun3dApp, FlowConditions, OptConfig};
+use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::ptc::PtcConfig;
 
@@ -36,15 +36,9 @@ fn every_configuration_converges_to_the_same_flow() {
         ("optimized-2t", OptConfig::optimized(2)),
         ("optimized-4t", OptConfig::optimized(4)),
     ];
-    let mut serial_trsv = OptConfig::optimized(2);
-    serial_trsv.ilu_parallel = IluParallel::Serial;
-    configs.push(("serial-trsv-2t", serial_trsv));
     let mut serial_simd = OptConfig::baseline();
     serial_simd.use_simd = true;
     configs.push(("serial+simd", serial_simd));
-    let mut natural = OptConfig::optimized(3);
-    natural.metis_partition = false;
-    configs.push(("natural-partition", natural));
 
     for (name, cfg) in configs {
         let (u, stats) = solve(cfg);
@@ -151,7 +145,9 @@ fn residual_path_bits_are_pinned() {
     // streaming kernels (T = 1) and through the owner-writes flux with the
     // pooled gradient (T = 2) reproduces, bit for bit, the residual
     // history and the final state of the commit before that change, whose
-    // numbers these are. The linear solve is serial in all three, so only
+    // numbers these are. The Krylov solve is serial in all three, and at
+    // T = 2 the ILU refactorization and triangular solves run the P2P
+    // schedules, bitwise the serial sweeps the pins were taken with: only
     // the residual path distinguishes the rows.
     use fun3d_solver::{ExecMode, FluxScheme};
     let stream_history: [u64; 6] = [
@@ -177,7 +173,6 @@ fn residual_path_bits_are_pinned() {
     for (name, nt, flux, state, history) in rows {
         let mut cfg = OptConfig::optimized(nt);
         cfg.exec = ExecMode::Serial;
-        cfg.ilu_parallel = IluParallel::Serial;
         cfg.flux = flux;
         let (u, stats) = solve(cfg);
         assert!(stats.converged, "{name}");
@@ -186,6 +181,22 @@ fn residual_path_bits_are_pinned() {
         assert_eq!(got, history, "{name}: residual history moved");
         assert_eq!(fnv1a(&u), state, "{name}: final state moved");
         states.push(u);
+    }
+    // The T = 2 solve registered where its P2P blocked waits are counted:
+    // per sweep direction and thread for the applications, per thread for
+    // the refactorization.
+    let names: Vec<String> = fun3d_util::telemetry::metrics::snapshot()
+        .counters
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    for counter in [
+        "trsv.p2p.blocked_waits.fwd.t0",
+        "trsv.p2p.blocked_ns.bwd.t1",
+        "ilu.p2p.blocked_waits.t1",
+        "ilu.p2p.blocked_ns.t0",
+    ] {
+        assert!(names.iter().any(|n| n == counter), "{counter} not registered");
     }
     // And the tiled solve agrees with the stream solve to the tolerance
     // `tiled_residual_path_converges_and_matches` uses, whatever the tiles.

@@ -13,7 +13,7 @@
 //! seeded, failures shrink by halving the drawn inputs, and the report
 //! prints a `FUN3D_PROP_SEED` that replays the case deterministically.
 
-use fun3d_core::geom::{grad_slot, EdgeGeom, HalfEdges, NodeAos, NodeSoa, GRAD_ROW};
+use fun3d_core::geom::{grad_slot, EdgeGeom, HalfEdges, NodeAos, GRAD_ROW};
 use fun3d_core::bc::BcData;
 use fun3d_core::{flux, gradient, FlowConditions};
 use fun3d_mesh::generator::ChannelSpec;
@@ -293,12 +293,6 @@ prop_cases! {
         let reference = scalar_reference(&geom, &node);
         let n4 = node.n * 4;
 
-        // SoA layout
-        let soa = NodeSoa::from_aos(&node);
-        let mut r = vec![0.0; n4];
-        flux::serial_soa(&geom, &soa, 1.0, &mut r);
-        prop_assert_eq!(&reference, &r, "SoA must be bitwise identical");
-
         // SIMD batching
         let mut r = vec![0.0; n4];
         flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::stream(&geom), &node, 1.0, &mut r);
@@ -311,10 +305,6 @@ prop_cases! {
 
         // threaded variants
         let pool = ThreadPool::new(nthreads);
-        let mut r = vec![0.0; n4];
-        flux::atomics(&pool, &geom, &node, 1.0, &mut r);
-        prop_assert!(close(&reference, &r, 1e-11).is_ok());
-
         let nat = OwnerWritesPlan::build(geom.edges(), &natural_partition(node.n, nthreads), nthreads);
         let mut r = vec![0.0; n4];
         flux::run(None, flux::Exec::Pool(&pool), flux::Traversal::owner(&geom, &nat), &node, 1.0, &mut r);

@@ -12,7 +12,7 @@
 //! Runs on the in-tree `fun3d_util::proptest_mini` harness; failures
 //! print a `FUN3D_PROP_SEED` that replays deterministically.
 
-use fun3d_core::geom::{EdgeGeom, HalfEdges, NodeAos, NodeSoa};
+use fun3d_core::geom::{EdgeGeom, HalfEdges, NodeAos};
 use fun3d_core::{flux, gradient, FlowConditions, TiledGeom};
 use fun3d_mesh::generator::ChannelSpec;
 use fun3d_mesh::DualMesh;
@@ -78,9 +78,8 @@ prop_cases! {
 
         let fix = random_fixture(seed, jitter, amp);
         let n4 = fix.node.n * 4;
-        let soa = NodeSoa::from_aos(&fix.node);
         let mut reference = vec![0.0; n4];
-        flux::serial_soa(&fix.geom, &soa, 1.0, &mut reference);
+        flux::serial_aos(&fix.geom, &fix.node, 1.0, &mut reference);
 
         let tiling = EdgeTiling::build(
             fix.node.n,
