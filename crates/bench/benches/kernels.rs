@@ -1,7 +1,7 @@
 //! Microbenchmarks backing the figure harnesses: flux-kernel variants,
 //! TRSV/ILU strategies, SpMV (BCSR vs scalar CSR), vector primitives, the
 //! partitioner and set-up stage by stage. Runs on the in-tree
-//! `fun3d_util::microbench` runner (`harness = false`), so `cargo bench
+//! `fun3d_bench::microbench` runner (`harness = false`), so `cargo bench
 //! -p fun3d-bench` works offline with zero external crates; pass a
 //! substring to filter, e.g. `cargo bench -p fun3d-bench -- flux`.
 //!
@@ -11,15 +11,16 @@
 
 use fun3d_bench::csr::Csr;
 use fun3d_bench::flux_reference::{self, NodeSoa};
+use fun3d_bench::microbench::{BatchSize, Bench, Group};
 use fun3d_core::{
-    flux, gradient, EdgeGeom, Exec, FlowConditions, HalfEdges, Isa, NodeAos, Traversal,
+    flux_run, flux_serial_aos, EdgeGeom, Exec, FlowConditions, HalfEdges, Isa, NodeAos, Traversal,
+    PREFETCH_DIST,
 };
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_mesh::{reorder, DualMesh};
+use fun3d_mesh::{rcm, DualMesh};
 use fun3d_partition::{partition_graph, MultilevelConfig};
-use fun3d_solver::vecops;
-use fun3d_sparse::{ilu, trsv, Bcsr4, TempBuffer};
-use fun3d_util::microbench::{BatchSize, Bench, Group};
+use fun3d_solver::{dot, maxpy, mdot, norm2};
+use fun3d_sparse::{ilu, trsv_solve, Bcsr4, TempBuffer};
 use fun3d_util::telemetry::{self, KernelCounts, Level};
 use fun3d_util::Rng64;
 
@@ -35,7 +36,7 @@ fn stream_ahead(geom: &EdgeGeom, dist: usize) -> Traversal<'_> {
 
 /// Green-Gauss on this thread.
 fn green_gauss(adj: &HalfEdges, node: &mut NodeAos) {
-    gradient::green_gauss(Isa::detect(), Exec::Caller, adj, node);
+    fun3d_core::green_gauss(Isa::detect(), Exec::Caller, adj, node);
 }
 
 fn fixture() -> (EdgeGeom, HalfEdges, NodeAos, NodeSoa) {
@@ -50,7 +51,7 @@ fn fixture() -> (EdgeGeom, HalfEdges, NodeAos, NodeSoa) {
     for x in node.q.iter_mut() {
         *x += rng.range_f64(-0.05, 0.05);
     }
-    let bc = fun3d_core::bc::BcData::build(&dual);
+    let bc = fun3d_core::BcData::build(&dual);
     let adj = HalfEdges::build(&geom, &bc, &dual.vol);
     green_gauss(&adj, &mut node);
     let soa = NodeSoa::from_aos(&node);
@@ -72,21 +73,21 @@ fn bench_flux(c: &mut Bench) {
     g.bench_function("serial_aos", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::serial_aos(&geom, &node, 1.0, res),
+            |res| flux_serial_aos(&geom, &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });
     g.bench_function("serial_aos_simd", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::run(lanes(), Exec::Caller, Traversal::stream(&geom), &node, 1.0, res),
+            |res| flux_run(lanes(), Exec::Caller, Traversal::stream(&geom), &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });
     g.bench_function("serial_aos_simd_prefetch", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::run(lanes(), Exec::Caller, stream_ahead(&geom, flux::PREFETCH_DIST), &node, 1.0, res),
+            |res| flux_run(lanes(), Exec::Caller, stream_ahead(&geom, PREFETCH_DIST), &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });
@@ -95,7 +96,7 @@ fn bench_flux(c: &mut Bench) {
 
 /// Prefetch-distance ablation: the same SIMD+prefetch flux kernel with
 /// the lookahead swept across 4/8/16/32 edges. 16 is the shipped
-/// [`flux::PREFETCH_DIST`]; the sweep documents how flat (or not) the
+/// [`PREFETCH_DIST`]; the sweep documents how flat (or not) the
 /// optimum is on this host.
 fn bench_prefetch_dist(c: &mut Bench) {
     let (geom, _, node, _) = fixture();
@@ -106,7 +107,7 @@ fn bench_prefetch_dist(c: &mut Bench) {
         g.bench_function(&format!("dist_{dist}"), |b| {
             b.iter_batched_ref(
                 || vec![0.0; n4],
-                |res| flux::run(lanes(), Exec::Caller, stream_ahead(&geom, dist), &node, 1.0, res),
+                |res| flux_run(lanes(), Exec::Caller, stream_ahead(&geom, dist), &node, 1.0, res),
                 BatchSize::LargeInput,
             )
         });
@@ -132,7 +133,7 @@ fn bench_tiled(c: &mut Bench) {
     g.bench_function("direct", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::run(lanes(), Exec::Caller, tiles, &node, 1.0, res),
+            |res| flux_run(lanes(), Exec::Caller, tiles, &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });
@@ -178,7 +179,7 @@ fn bench_recurrences(c: &mut Bench) {
     });
     g.bench_function("ilu0", |bch| bch.iter(|| std::hint::black_box(ilu::ilu0(&a))));
     g.bench_function("trsv", |bch| {
-        bch.iter(|| std::hint::black_box(trsv::solve(&factors, &b)))
+        bch.iter(|| std::hint::black_box(trsv_solve(&factors, &b)))
     });
     g.finish();
 }
@@ -227,18 +228,18 @@ fn bench_vecops(c: &mut Bench) {
     });
     vectors_moved.push(3);
     g.bench_function("dot", |b| {
-        b.iter(|| std::hint::black_box(vecops::dot(&x, &ys[0])))
+        b.iter(|| std::hint::black_box(dot(&x, &ys[0])))
     });
     vectors_moved.push(2);
-    g.bench_function("norm2", |b| b.iter(|| std::hint::black_box(vecops::norm2(&x))));
+    g.bench_function("norm2", |b| b.iter(|| std::hint::black_box(norm2(&x))));
     vectors_moved.push(1);
     for k in [1usize, 8, 30] {
         g.bench_function(&format!("mdot{k}"), |b| {
-            b.iter(|| vecops::mdot(&x, &ys[..k], &mut out[..k]))
+            b.iter(|| mdot(&x, &ys[..k], &mut out[..k]))
         });
         vectors_moved.push(k + 1);
         g.bench_function(&format!("maxpy{k}"), |b| {
-            b.iter(|| vecops::maxpy(&mut w, &alpha[..k], &ys[..k]))
+            b.iter(|| maxpy(&mut w, &alpha[..k], &ys[..k]))
         });
         vectors_moved.push(k + 2);
     }
@@ -271,7 +272,7 @@ fn bench_telemetry_overhead(c: &mut Bench) {
     g.bench_function("flux_uninstrumented", |b| {
         b.iter_batched_ref(
             || vec![0.0; n4],
-            |res| flux::serial_aos(&geom, &node, 1.0, res),
+            |res| flux_serial_aos(&geom, &node, 1.0, res),
             BatchSize::LargeInput,
         )
     });
@@ -285,7 +286,7 @@ fn bench_telemetry_overhead(c: &mut Bench) {
                     "flux",
                     KernelCounts::once(nedges as u64, 0, 0, 0),
                 );
-                flux::serial_aos(&geom, &node, 1.0, res)
+                flux_serial_aos(&geom, &node, 1.0, res)
             },
             BatchSize::LargeInput,
         )
@@ -300,7 +301,7 @@ fn bench_telemetry_overhead(c: &mut Bench) {
                     "flux",
                     KernelCounts::once(nedges as u64, 0, 0, 0),
                 );
-                flux::serial_aos(&geom, &node, 1.0, res)
+                flux_serial_aos(&geom, &node, 1.0, res)
             },
             BatchSize::LargeInput,
         )
@@ -317,10 +318,10 @@ fn bench_telemetry_overhead(c: &mut Bench) {
 /// Each off/on pair must stay within measurement noise — the acceptance
 /// criterion `crates/util/tests/{flight,metrics}_overhead.rs` gate.
 fn bench_recorder_overhead(c: &mut Bench) {
-    use fun3d_util::telemetry::{flight, metrics};
+    use fun3d_util::telemetry::metrics;
     let (geom, _, node, _) = fixture();
     let n4 = node.n * 4;
-    let step = flight::EventKind::PtcStep {
+    let step = telemetry::EventKind::PtcStep {
         step: 1,
         res: 1.0,
         dt: 2.0,
@@ -336,7 +337,7 @@ fn bench_recorder_overhead(c: &mut Bench) {
                     || vec![0.0; n4],
                     |res| {
                         site();
-                        flux::serial_aos(&geom, &node, 1.0, res)
+                        flux_serial_aos(&geom, &node, 1.0, res)
                     },
                     BatchSize::LargeInput,
                 )
@@ -344,8 +345,8 @@ fn bench_recorder_overhead(c: &mut Bench) {
         }
     };
     let mut g = c.group("flight");
-    flux_off_on(&mut g, "flight", &|| flight::emit(step));
-    g.bench_function("emit", |b| b.iter(|| flight::emit(step)));
+    flux_off_on(&mut g, "flight", &|| telemetry::emit(step));
+    g.bench_function("emit", |b| b.iter(|| telemetry::emit(step)));
     g.finish();
     let mut g = c.group("metrics");
     flux_off_on(&mut g, "metrics", &|| h.record(1_234));
@@ -388,7 +389,7 @@ fn bench_setup(c: &mut Bench) {
     g.sample_size(15);
     g.bench_function("build", |b| b.iter(|| spec.build()));
     g.bench_function("edges", |b| b.iter(|| scrambled.edges()));
-    g.bench_function("rcm", |b| b.iter(|| reorder::rcm(&scrambled.vertex_graph())));
+    g.bench_function("rcm", |b| b.iter(|| rcm(&scrambled.vertex_graph())));
     g.bench_function("dual", |b| b.iter(|| DualMesh::build(&mesh)));
     g.bench_function("symbolic_iluk1", |b| b.iter(|| ilu::symbolic_iluk(&jac, 1)));
     g.bench_function("bcsr_pattern", |b| b.iter(|| Bcsr4::from_edges(nv, &dual.edges)));

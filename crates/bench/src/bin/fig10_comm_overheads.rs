@@ -7,14 +7,13 @@
 use fun3d_bench::emit;
 use fun3d_bench::multinode as fig9;
 use fun3d_bench::network::NetworkSpec;
+use fun3d_bench::report::Table;
 use fun3d_bench::scaling::{simulate_point, ExecStyle, ScalingConfig};
-use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_util::report::Table;
 
 fn main() {
     let cli = fun3d_bench::Cli::parse(MeshPreset::Medium);
-    let machine = MachineSpec::xeon_e5_2680();
+    let machine = fun3d_bench::scaling::xeon_e5_2680();
     let net = NetworkSpec::stampede_fdr();
     let sm = fig9::calibrate(&cli.mesh);
     let cfg = ScalingConfig::mesh_d(ExecStyle::Optimized);

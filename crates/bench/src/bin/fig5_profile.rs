@@ -3,11 +3,11 @@
 //! Paper shares on Mesh-C: flux 42%, TRSV (MatSolve) 17%, ILU 16%,
 //! gradient 13%, Jacobian construction 7% — together 95%, rest 5%.
 
+use fun3d_bench::report::{fmt_g, Table};
 use fun3d_bench::{build_mesh, emit};
 use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::ptc::PtcConfig;
-use fun3d_util::report::{fmt_g, Table};
 
 fn main() {
     let cli = fun3d_bench::Cli::parse(MeshPreset::Medium);

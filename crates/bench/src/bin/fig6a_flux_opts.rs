@@ -27,15 +27,15 @@
 
 use fun3d_bench::flux_reference::{self, CompMajorNode, NodeSoa};
 use fun3d_bench::kernels::{self, EdgeLoopCosts};
+use fun3d_bench::report::{fmt_g, Table};
 use fun3d_bench::{emit, fmt_x, KernelFixture};
-use fun3d_core::{counts, flux, Exec, Traversal};
+use fun3d_core::{counts, flux_run, flux_serial_aos, Exec, Traversal, PREFETCH_DIST};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_partition::{
     partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan, TileQuality, TilingConfig,
 };
 use fun3d_simd::Isa;
-use fun3d_util::report::{fmt_g, Table};
 use fun3d_util::Rng64;
 
 /// `--check` floor: on AVX2 lanes the SIMD kernel must beat both the
@@ -76,9 +76,9 @@ fn main() {
     let tiling = tgeom.tiling();
     let isa = Isa::detect();
     let stream = Traversal::stream(&fix.geom);
-    let ahead = Traversal::Stream { geom: &fix.geom, prefetch: Some(flux::PREFETCH_DIST) };
+    let ahead = Traversal::Stream { geom: &fix.geom, prefetch: Some(PREFETCH_DIST) };
     let tiles = Traversal::Tiled { geom: &tgeom };
-    let lanes = |isa: Isa, walk, r: &mut [f64]| flux::run(Some(isa), Exec::Caller, walk, &fix.node, beta, r);
+    let lanes = |isa: Isa, walk, r: &mut [f64]| flux_run(Some(isa), Exec::Caller, walk, &fix.node, beta, r);
     // The locality the stack starts from: the mesh as generated (vertices
     // scrambled, no RCM), and the RCM mesh's edges in shuffled order.
     let scrambled = KernelFixture::on(cli.mesh.build());
@@ -95,7 +95,7 @@ fn main() {
     type Variant<'a> = Box<dyn Fn(&mut [f64]) + 'a>;
     let variants: [Variant; 9] = [
         Box::new(|r| flux_reference::serial_soa(&fix.geom, &soa, beta, r)),
-        Box::new(|r| flux::serial_aos(&fix.geom, &fix.node, beta, r)),
+        Box::new(|r| flux_serial_aos(&fix.geom, &fix.node, beta, r)),
         Box::new(|r| lanes(Isa::portable(), stream, r)),
         Box::new(|r| lanes(isa, stream, r)),
         Box::new(|r| lanes(isa, ahead, r)),
@@ -103,7 +103,7 @@ fn main() {
         Box::new(|r| flux_reference::stream(isa, &fix.geom, &comp_major, beta, r)),
         Box::new(|r| {
             let walk = Traversal::stream(&scrambled.geom);
-            flux::run(Some(isa), Exec::Caller, walk, &scrambled.node, beta, r)
+            flux_run(Some(isa), Exec::Caller, walk, &scrambled.node, beta, r)
         }),
         Box::new(|r| lanes(isa, Traversal::stream(&shuffled), r)),
     ];

@@ -21,23 +21,23 @@
 //! bytes ([`counts::flux`]) by the wall, the Fig. 6 convention.
 
 use fun3d_bench::kernels::{self, EdgeLoopCosts};
+use fun3d_bench::report::Table;
 use fun3d_bench::{best_of, emit, fmt_x, KernelFixture, THREAD_SWEEP};
-use fun3d_core::{counts, flux, Exec, Isa, TiledGeom, Traversal};
+use fun3d_core::{counts, flux_run, Exec, Isa, TiledGeom, Traversal, PREFETCH_DIST};
 use fun3d_machine::MachineSpec;
-use fun3d_mesh::Graph;
 use fun3d_mesh::generator::MeshPreset;
+use fun3d_mesh::Graph;
 use fun3d_partition::{
     natural_partition, partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan, TileQuality,
     TilingConfig,
 };
 use fun3d_threads::{available_cores, ThreadPool};
-use fun3d_util::report::Table;
 
 /// One timed variant: the lane body on `walk` in `exec`, into an output
 /// of its own.
 fn variant<'a>(fix: &'a KernelFixture, exec: Exec<'a>, walk: Traversal<'a>) -> Box<dyn FnMut() + 'a> {
     let (isa, mut res) = (Isa::detect(), vec![0.0; fix.node.n * 4]);
-    Box::new(move || flux::run(Some(isa), exec, walk, &fix.node, fix.cond.beta, &mut res))
+    Box::new(move || flux_run(Some(isa), exec, walk, &fix.node, fix.cond.beta, &mut res))
 }
 
 fn host_table(fix: &KernelFixture, graph: &Graph, reps: usize) -> Table {
@@ -52,7 +52,7 @@ fn host_table(fix: &KernelFixture, graph: &Graph, reps: usize) -> Table {
         &format!("Fig. 6b (host-measured, {} lanes): flux effective GB/s per strategy", Isa::detect().name()),
         &["threads", "stream, 1 thr", "METIS owner-writes", "tiled", "owner vs stream", "tiled vs stream"],
     );
-    let ahead = Traversal::Stream { geom: &fix.geom, prefetch: Some(flux::PREFETCH_DIST) };
+    let ahead = Traversal::Stream { geom: &fix.geom, prefetch: Some(PREFETCH_DIST) };
     for nt in THREAD_SWEEP.into_iter().filter(|&nt| nt <= available_cores()) {
         let part = partition_graph(graph, nt, &MultilevelConfig::default());
         let plan = OwnerWritesPlan::build(fix.geom.edges(), &part, nt);

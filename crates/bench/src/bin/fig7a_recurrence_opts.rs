@@ -38,14 +38,17 @@
 
 use fun3d_bench::kernels::{self, RecurrenceCosts};
 use fun3d_bench::model::{p2p_sweep_time, RecurrenceBlocks};
+use fun3d_bench::report::{fmt_g, Table};
 use fun3d_bench::trsv_reference::{F64Factors, Layout};
 use fun3d_bench::{best_of, emit, fmt_x, jacobian_fixture, KernelFixture};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_sparse::ilu::{self, IluSymbolic};
-use fun3d_sparse::{p2p, trsv, Bcsr4, IluFactors, LevelSchedule, P2pSchedule, Pattern, TempBuffer};
+use fun3d_sparse::{
+    solve_p2p_into, trsv_solve, trsv_solve_into, Bcsr4, IluFactors, LevelSchedule, P2pSchedule,
+    Pattern, TempBuffer,
+};
 use fun3d_threads::{available_cores, ThreadPool};
-use fun3d_util::report::{fmt_g, Table};
 
 /// `--check` floor for the in-place numeric core over the full-buffer
 /// reference. The parent's compressed factorization sat at ≈ 1× (it
@@ -121,10 +124,8 @@ fn measure_team(
     let times = best_of(
         reps,
         [
-            burst(|| trsv::solve_into(factors, b, &mut ys, &mut xs)),
-            burst(|| {
-                p2p::solve_p2p_into(factors, b, &pool, (&fwd, &fp), (&bwd, &bp), &mut y, &mut x)
-            }),
+            burst(|| trsv_solve_into(factors, b, &mut ys, &mut xs)),
+            burst(|| solve_p2p_into(factors, b, &pool, (&fwd, &fp), (&bwd, &bp), &mut y, &mut x)),
             burst(|| sym.refactor(jac, &mut serial_f)),
             burst(|| sym.refactor_team(jac, &mut team_f, &pool, &fwd, &ip)),
         ],
@@ -174,7 +175,7 @@ fn main() {
             Box::new(|| drop(std::hint::black_box(IluSymbolic::new(&jac, &pattern)))),
             Box::new(|| drop(std::hint::black_box(sym.factor(&jac)))),
             Box::new(|| sym.refactor(&jac, std::hint::black_box(&mut reused))),
-            Box::new(|| drop(std::hint::black_box(trsv::solve(&factors, &b)))),
+            Box::new(|| drop(std::hint::black_box(trsv_solve(&factors, &b)))),
         ],
     );
     let [t_full, t_oneshot, t_structure, t_fresh, t_inplace, t_trsv] = best;
@@ -220,7 +221,7 @@ fn main() {
         [
             burst(|| row_major.solve_into(&b, &mut y_rm, &mut x_rm)),
             burst(|| column_major.solve_into(&b, &mut y_cm, &mut x_cm)),
-            burst(|| trsv::solve_into(&factors, &b, &mut y, &mut x)),
+            burst(|| trsv_solve_into(&factors, &b, &mut y, &mut x)),
         ],
     )
     .map(|t| t / BURST as f64);

@@ -7,11 +7,11 @@
 
 use fun3d_bench::kernels::{self, RecurrenceCosts};
 use fun3d_bench::model::{p2p_sweep_time, RecurrenceBlocks};
+use fun3d_bench::report::Table;
 use fun3d_bench::{emit, jacobian_fixture, KernelFixture, THREAD_SWEEP};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_sparse::{ilu, LevelSchedule, P2pSchedule, TempBuffer};
-use fun3d_util::report::Table;
 
 fn main() {
     let cli = fun3d_bench::Cli::parse(MeshPreset::Medium);

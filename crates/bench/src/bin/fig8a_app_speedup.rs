@@ -11,12 +11,12 @@
 //! Fig. 5 shares (for direct comparison against the paper's 6.9×).
 
 use fun3d_bench::model::{model_speedups, KernelSpeedups};
+use fun3d_bench::report::Table;
 use fun3d_bench::{build_mesh, emit, KernelFixture, THREAD_SWEEP};
 use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::ptc::PtcConfig;
-use fun3d_util::report::Table;
 
 fn main() {
     let cli = fun3d_bench::Cli::parse(MeshPreset::Medium);

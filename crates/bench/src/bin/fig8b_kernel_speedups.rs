@@ -5,10 +5,10 @@
 //! TRSV 3.2× (bandwidth-bound), vector primitives in between.
 
 use fun3d_bench::model::model_speedups;
+use fun3d_bench::report::Table;
 use fun3d_bench::{emit, KernelFixture};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_util::report::Table;
 
 fn main() {
     let cli = fun3d_bench::Cli::parse(MeshPreset::Medium);

@@ -26,15 +26,12 @@
 //! wraparound, since the span profile is exact only without losses).
 
 use fun3d_bench::build_mesh;
+use fun3d_bench::report::{experiments_dir, fmt_g, write_json, Table};
 use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::ptc::PtcConfig;
-use fun3d_util::report::{experiments_dir, fmt_g, write_json, Table};
-use fun3d_util::telemetry::flight;
-use fun3d_util::telemetry::profile::{self as profile_fmt, Profile};
-use fun3d_util::telemetry::roofline::{self, Deviation, Envelope};
-use fun3d_util::telemetry::{self, json::Json, trace, Level, Snapshot};
+use fun3d_util::telemetry::{self, Deviation, Envelope, Json, Level, Profile, Snapshot};
 
 struct Args {
     mesh: MeshPreset,
@@ -85,7 +82,7 @@ fn check_artifact(path: &str) -> ! {
     });
     if path.ends_with(".folded") {
         // Folded flamegraph text of the span profile.
-        match profile_fmt::check_folded(&text) {
+        match telemetry::check_folded(&text) {
             Ok(n) => {
                 println!("{path}: OK ({n} folded stacks)");
                 std::process::exit(0);
@@ -102,7 +99,7 @@ fn check_artifact(path: &str) -> ! {
     });
     if doc.get("$schema").is_some() {
         // Speedscope document of the span profile.
-        match profile_fmt::check_speedscope(&doc) {
+        match telemetry::check_speedscope(&doc) {
             Ok(n) => {
                 println!("{path}: OK ({n} speedscope profiles)");
                 std::process::exit(0);
@@ -249,7 +246,7 @@ fn main() {
     let counters = snap.merged_counters();
     let span_profile = Profile::from_snapshot(&snap);
     let times = span_profile.kernel_times();
-    let flog = flight::snapshot();
+    let flog = telemetry::flight_log();
 
     println!(
         "machine: edge kernels ran on {} lanes; roofline envelope is the modeled {}\n",
@@ -344,7 +341,7 @@ fn main() {
         stream_gbs: machine.stream_gbs,
         peak_gflops: machine.peak_gflops(),
     };
-    let tolerance = roofline::TOLERANCE;
+    let tolerance = telemetry::ROOFLINE_TOLERANCE;
     let roofline_input: Vec<(&str, f64, _)> = counters
         .entries()
         .iter()
@@ -356,7 +353,7 @@ fn main() {
             (name, secs, c)
         })
         .collect();
-    let rows = roofline::validate(&roofline_input, &envelope, tolerance);
+    let rows = telemetry::validate_roofline(&roofline_input, &envelope, tolerance);
     let mut roofline_table = Table::new(
         &format!(
             "perf_report: measured vs model (ridge {:.1} flop/B, tolerance {tolerance}x)",
@@ -485,7 +482,7 @@ fn main() {
     let mut probe_json = Json::Null;
     for e in &flog.events {
         match e.kind {
-            flight::EventKind::PolicyDecision {
+            telemetry::EventKind::PolicyDecision {
                 chosen,
                 unknowns,
                 nt,
@@ -497,11 +494,11 @@ fn main() {
                     ("chosen", Json::str(chosen.name())),
                     ("unknowns", Json::num(unknowns as f64)),
                     ("nt", Json::num(nt as f64)),
-                    ("serial_s", flight::json_f64(serial_s)),
-                    ("parallel_s", flight::json_f64(parallel_s)),
+                    ("serial_s", telemetry::json_f64(serial_s)),
+                    ("parallel_s", telemetry::json_f64(parallel_s)),
                     (
                         "crossover_unknowns",
-                        if crossover == flight::NO_CROSSOVER {
+                        if crossover == telemetry::NO_CROSSOVER {
                             Json::Null
                         } else {
                             Json::num(crossover as f64)
@@ -509,15 +506,15 @@ fn main() {
                     ),
                 ]);
             }
-            flight::EventKind::SyncProbe {
+            telemetry::EventKind::SyncProbe {
                 pool_size,
                 region_launch_s,
                 barrier_phase_s,
             } => {
                 probe_json = Json::obj(vec![
                     ("pool_size", Json::num(pool_size as f64)),
-                    ("region_launch_s", flight::json_f64(region_launch_s)),
-                    ("barrier_phase_s", flight::json_f64(barrier_phase_s)),
+                    ("region_launch_s", telemetry::json_f64(region_launch_s)),
+                    ("barrier_phase_s", telemetry::json_f64(barrier_phase_s)),
                 ]);
             }
             _ => {}
@@ -602,11 +599,11 @@ fn main() {
             Json::obj(vec![
                 (
                     "residual",
-                    Json::Arr(history.iter().map(|h| flight::json_f64(h.1)).collect()),
+                    Json::Arr(history.iter().map(|h| telemetry::json_f64(h.1)).collect()),
                 ),
                 (
                     "dt",
-                    Json::Arr(history.iter().map(|h| flight::json_f64(h.2)).collect()),
+                    Json::Arr(history.iter().map(|h| telemetry::json_f64(h.2)).collect()),
                 ),
                 (
                     "gmres_iters",
@@ -626,14 +623,14 @@ fn main() {
     }
     if !span_profile.stacks.is_empty() {
         let folded_path = dir.join("perf_report.folded");
-        match std::fs::write(&folded_path, profile_fmt::folded(&span_profile)) {
+        match std::fs::write(&folded_path, telemetry::folded(&span_profile)) {
             Ok(()) => println!(
                 "[folded stacks written to {} — flamegraph.pl/inferno input]",
                 folded_path.display()
             ),
             Err(e) => eprintln!("warning: could not write folded stacks: {e}"),
         }
-        let scope = profile_fmt::speedscope(
+        let scope = telemetry::speedscope(
             &span_profile,
             &format!("perf_report {} {}t", args.mesh.name(), args.threads),
         );
@@ -647,6 +644,6 @@ fn main() {
 fn write_trace(dir: &std::path::Path, snap: &Snapshot) -> std::io::Result<std::path::PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join("perf_report.trace.json");
-    std::fs::write(&path, trace::render_chrome_trace(snap))?;
+    std::fs::write(&path, telemetry::render_chrome_trace(snap))?;
     Ok(path)
 }

@@ -50,13 +50,12 @@
 //! Usage: `sync_ablation [--meshes a,b,c] [--threads 1,2,4] [--reps n]
 //! [--check <file>]`
 
+use fun3d_bench::report::{experiments_dir, fmt_g, write_json, Table};
 use fun3d_bench::{jacobian_fixture, KernelFixture};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::{AutoPolicy, Gmres, GmresConfig, GmresExec, SerialIlu};
 use fun3d_threads::ThreadPool;
-use fun3d_util::report::{experiments_dir, fmt_g, write_json, Table};
-use fun3d_util::stats::{mad, median};
-use fun3d_util::telemetry::json::Json;
+use fun3d_util::{mad, median, telemetry::Json};
 use std::sync::Arc;
 
 struct Args {

@@ -10,12 +10,12 @@
 //! serial time column projects the measured per-edge/per-row work onto
 //! the paper's Xeon E5-2690v2 at Mesh-C/Mesh-D scale.
 
+use fun3d_bench::report::{fmt_g, Table};
 use fun3d_bench::{build_mesh, emit};
 use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_mesh::stats::MeshStats;
+use fun3d_mesh::MeshStats;
 use fun3d_solver::ptc::PtcConfig;
-use fun3d_util::report::{fmt_g, Table};
 use fun3d_util::Timer;
 
 fn run_case(preset: MeshPreset, table: &mut Table) {

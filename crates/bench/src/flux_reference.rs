@@ -2,15 +2,15 @@
 //! application so that Fig. 6's tables can time them against it:
 //!
 //! * [`serial_soa`] over [`NodeSoa`] — Fig. 6a's baseline: the scalar
-//!   loop on one array per variable, bitwise `flux::serial_aos`;
+//!   loop on one array per variable, bitwise `flux_serial_aos`;
 //! * [`atomics`] — Fig. 6b's "basic partitioning with atomics": natural
 //!   edge ranges over threads, every vertex update an atomic CAS add
-//!   (equal to `flux::serial_aos` to rounding only: the accumulation
+//!   (equal to `flux_serial_aos` to rounding only: the accumulation
 //!   order is the race's);
 //! * [`stream`] over [`CompMajorNode`], described below.
 //!
-//! All three take their arithmetic from `fun3d_core` (`flux::edge_flux`,
-//! `flux::roe_lanes`, `euler::roe_flux`), so a row differs from production
+//! All three take their arithmetic from `fun3d_core` (`edge_flux`,
+//! `roe_lanes`, `roe_flux`), so a row differs from production
 //! only in how it loads and commits.
 //!
 //! [`stream`] is the streamed flux lane body as it was while a vertex's
@@ -26,14 +26,13 @@
 //! reconstructed states: two), keeps 38 vectors live across the
 //! reconstruction (the AVX2 register file holds 16), and checks every
 //! index it forms. The arithmetic per element is the production body's —
-//! it calls the same [`flux::roe_lanes`] — so the two agree **bit for
+//! it calls the same [`roe_lanes`] — so the two agree **bit for
 //! bit**, and the table times the same flux on two row layouts.
 //! Comp-major gradient rows exist nowhere outside this module
 //! (`scripts/verify.sh` holds the dim-major index to one file of
 //! `crates/*/src`).
 
-use fun3d_core::geom::{grad_slot, GRAD_ROW};
-use fun3d_core::{euler, flux, EdgeGeom, NodeAos};
+use fun3d_core::{edge_flux, grad_slot, roe_flux, roe_lanes, EdgeGeom, NodeAos, GRAD_ROW};
 use fun3d_simd::{aos_load_transpose, with_lanes, Isa, Simd};
 use fun3d_threads::{AtomicF64View, ThreadPool};
 
@@ -110,7 +109,7 @@ pub fn serial_soa(geom: &EdgeGeom, node: &NodeSoa, beta: f64, res: &mut [f64]) {
         let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
         let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
         let (ga, gb) = (node.gradient(a), node.gradient(b));
-        let f = flux::edge_flux(&node.state(a), &node.state(b), &ga, &gb, &n, &r, beta);
+        let f = edge_flux(&node.state(a), &node.state(b), &ga, &gb, &n, &r, beta);
         for c in 0..4 {
             res[a * 4 + c] += f[c];
             res[b * 4 + c] -= f[c];
@@ -130,7 +129,7 @@ pub fn atomics(pool: &ThreadPool, geom: &EdgeGeom, node: &NodeAos, beta: f64, re
             let n = [geom.nx()[k], geom.ny()[k], geom.nz()[k]];
             let r = [geom.rx()[k], geom.ry()[k], geom.rz()[k]];
             let (qa, qb) = (node.state(a), node.state(b));
-            let f = flux::edge_flux(&qa, &qb, node.gradient(a), node.gradient(b), &n, &r, beta);
+            let f = edge_flux(&qa, &qb, node.gradient(a), node.gradient(b), &n, &r, beta);
             for c in 0..4 {
                 view.fetch_add(a * 4 + c, f[c]);
                 view.fetch_add(b * 4 + c, -f[c]);
@@ -204,7 +203,7 @@ unsafe fn stream_body<S: Simd>(
             ql[c] = qa[c] + da * half;
             qr[c] = qb[c] - db * half;
         }
-        let rows = s.transpose(flux::roe_lanes(s, &ql, &qr, &nk, beta));
+        let rows = s.transpose(roe_lanes(s, &ql, &qr, &nk, beta));
         for lane in 0..4 {
             let ra = &mut res[ia[lane] * 4..ia[lane] * 4 + 4];
             s.store(s.load(ra) + rows[lane], ra);
@@ -220,7 +219,7 @@ unsafe fn stream_body<S: Simd>(
             ql[c] = q[a * 4 + c] + 0.5 * slope(&grad[a * 12..a * 12 + 12]);
             qr[c] = q[b * 4 + c] - 0.5 * slope(&grad[b * 12..b * 12 + 12]);
         }
-        let f = euler::roe_flux(&ql, &qr, &[n[0][k], n[1][k], n[2][k]], beta);
+        let f = roe_flux(&ql, &qr, &[n[0][k], n[1][k], n[2][k]], beta);
         for c in 0..4 {
             res[a * 4 + c] += f[c];
             res[b * 4 + c] -= f[c];
@@ -232,11 +231,12 @@ unsafe fn stream_body<S: Simd>(
 mod tests {
     use super::*;
     use crate::KernelFixture;
-    use fun3d_core::bc::BcData;
-    use fun3d_core::{gradient, Exec, FlowConditions, HalfEdges, Traversal};
+    use fun3d_core::{
+        flux_run, flux_serial_aos, green_gauss, BcData, Exec, FlowConditions, HalfEdges, Traversal,
+    };
     use fun3d_mesh::generator::{ChannelSpec, MeshPreset};
     use fun3d_mesh::DualMesh;
-    use fun3d_util::proptest_mini::Gen;
+    use fun3d_util::Gen;
     use fun3d_util::{prop_assert, prop_assert_eq, prop_cases, Rng64};
 
     /// A random channel mesh and a random state around free stream, its
@@ -256,13 +256,13 @@ mod tests {
             *x += rng.range_f64(-amp, amp);
         }
         let adj = HalfEdges::build(&geom, &BcData::build(&dual), &dual.vol);
-        gradient::green_gauss(Isa::detect(), Exec::Caller, &adj, &mut node);
+        green_gauss(Isa::detect(), Exec::Caller, &adj, &mut node);
         (geom, node)
     }
 
     fn serial_aos(geom: &EdgeGeom, node: &NodeAos) -> Vec<f64> {
         let mut res = vec![0.0; node.n * 4];
-        flux::serial_aos(geom, node, 1.0, &mut res);
+        flux_serial_aos(geom, node, 1.0, &mut res);
         res
     }
 
@@ -319,7 +319,7 @@ mod tests {
         let node = CompMajorNode::from_node(&fix.node);
         for isa in std::iter::once(Isa::portable()).chain(Isa::avx2()) {
             let mut want = vec![0.0; fix.node.n * 4];
-            flux::run(Some(isa), Exec::Caller, Traversal::stream(&fix.geom), &fix.node, 1.0, &mut want);
+            flux_run(Some(isa), Exec::Caller, Traversal::stream(&fix.geom), &fix.node, 1.0, &mut want);
             let mut got = vec![0.0; fix.node.n * 4];
             stream(isa, &fix.geom, &node, 1.0, &mut got);
             assert_eq!(want, got, "{} lanes", isa.name());

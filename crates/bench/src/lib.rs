@@ -17,22 +17,26 @@
 //! II's available-parallelism metric ([`dag`]), and the cost models of
 //! Figs. 6, 7 and 9–11 ([`kernels`], [`network`], [`scaling`], [`model`],
 //! [`multinode`]) — labelled models of the paper's machines, not
-//! measurements.
+//! measurements — plus the figures' own tools: the micro-benchmark runner
+//! ([`microbench`], behind `cargo bench`) and the table/CSV/JSON writers
+//! ([`report`]).
 
 pub mod csr;
 pub mod dag;
 pub mod flux_reference;
 pub mod kernels;
+pub mod microbench;
 pub mod model;
 pub mod multinode;
 pub mod network;
+pub mod report;
 pub mod scaling;
 pub mod trsv_reference;
 
+use crate::report::{experiments_dir, Table};
 use fun3d_core::{Fun3dApp, FlowConditions};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_mesh::{DualMesh, Mesh};
-use fun3d_util::report::{experiments_dir, Table};
 use fun3d_util::Rng64;
 
 /// Parsed common CLI options.
@@ -134,10 +138,10 @@ impl KernelFixture {
             *x += rng.range_f64(-0.05, 0.05);
         }
         // realistic gradients via one Green-Gauss pass
-        let bc = fun3d_core::bc::BcData::build(&dual);
+        let bc = fun3d_core::BcData::build(&dual);
         let adj = fun3d_core::HalfEdges::build(&geom, &bc, &dual.vol);
         let (isa, exec) = (fun3d_core::Isa::detect(), fun3d_core::Exec::Caller);
-        fun3d_core::gradient::green_gauss(isa, exec, &adj, &mut node);
+        fun3d_core::green_gauss(isa, exec, &adj, &mut node);
         KernelFixture {
             mesh,
             dual,
@@ -149,8 +153,8 @@ impl KernelFixture {
     }
 
     /// The boundary table (rebuilt on demand).
-    pub fn bc(&self) -> fun3d_core::bc::BcData {
-        fun3d_core::bc::BcData::build(&self.dual)
+    pub fn bc(&self) -> fun3d_core::BcData {
+        fun3d_core::BcData::build(&self.dual)
     }
 }
 
@@ -159,8 +163,8 @@ impl KernelFixture {
 pub fn jacobian_fixture(fix: &KernelFixture, dt: f64) -> fun3d_sparse::Bcsr4 {
     let bc = fix.bc();
     let mut jac = fun3d_sparse::Bcsr4::from_edges(fix.mesh.nvertices(), fix.geom.edges());
-    let slots = fun3d_core::jacobian::JacobianSlots::new(&jac, fix.geom.edges());
-    fun3d_core::jacobian::assemble(&fix.geom, &bc, &fix.node, &fix.cond, &slots, &mut jac);
+    let slots = fun3d_core::JacobianSlots::new(&jac, fix.geom.edges());
+    fun3d_core::jacobian_assemble(&fix.geom, &bc, &fix.node, &fix.cond, &slots, &mut jac);
     let n = jac.dim();
     let mut shift = vec![0.0; n];
     for v in 0..fix.mesh.nvertices() {
@@ -170,7 +174,7 @@ pub fn jacobian_fixture(fix: &KernelFixture, dt: f64) -> fun3d_sparse::Bcsr4 {
             shift[v * 4 + c] = vdt;
         }
     }
-    fun3d_core::jacobian::add_time_diagonal(&slots, &mut jac, &shift);
+    fun3d_core::add_time_diagonal(&slots, &mut jac, &shift);
     jac
 }
 

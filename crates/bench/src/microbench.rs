@@ -20,7 +20,7 @@
 //! `iter` / `iter_batched_ref`), so porting a bench is mechanical.
 
 use crate::report::{experiments_dir, fmt_g, Table};
-use crate::stats::{mad, median};
+use fun3d_util::{mad, median};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 

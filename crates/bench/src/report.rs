@@ -130,7 +130,7 @@ pub fn experiments_dir() -> PathBuf {
 pub fn write_json(
     dir: &Path,
     name: &str,
-    doc: &crate::telemetry::json::Json,
+    doc: &fun3d_util::telemetry::Json,
 ) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn write_json_creates_parsable_file() {
-        use crate::telemetry::json::Json;
+        use fun3d_util::telemetry::Json;
         let dir = std::env::temp_dir().join("fun3d_util_report_json_test");
         let doc = Json::obj(vec![("kernel", Json::str("flux")), ("gbs", Json::num(20.5))]);
         let path = write_json(&dir, "summary", &doc).unwrap();

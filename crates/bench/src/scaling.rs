@@ -44,6 +44,28 @@ pub struct RankLoad {
     pub neighbors: f64,
 }
 
+/// One socket of a TACC Stampede node: Xeon E5-2680, 8 cores @ 2.7
+/// GHz (the scaling studies run 16 MPI ranks per 2-socket node).
+pub fn xeon_e5_2680() -> MachineSpec {
+    MachineSpec {
+        name: "Xeon E5-2680 (8c @ 2.7 GHz)",
+        cores: 8,
+        smt: 1, // hyper-threading disabled on Stampede
+        freq_ghz: 2.7,
+        simd_width: 4,
+        flops_per_cycle: 8.0,
+        stream_gbs: 38.0, // per-socket share of node STREAM
+        peak_bw_gbs: 51.2,
+        bw_saturation_cores: 4.0,
+        smt_yield: 1.0, // hyper-threading disabled on Stampede
+        atomic_ns: 20.0,
+        barrier_base_ns: 280.0,
+        p2p_wait_ns: 40.0,
+        l2_bytes: 256 * 1024, // Sandy Bridge EP: 256 KiB private L2/core
+        llc_bytes: 20 * 1024 * 1024, // 20 MiB shared L3
+    }
+}
+
 /// The workload of every rank plus global iteration statistics.
 #[derive(Clone, Debug)]
 pub struct Workload {
@@ -425,7 +447,7 @@ mod tests {
 
     #[test]
     fn compute_shrinks_with_nodes() {
-        let machine = MachineSpec::xeon_e5_2680();
+        let machine = xeon_e5_2680();
         let net = NetworkSpec::stampede_fdr();
         let cfg = ScalingConfig::mesh_d(ExecStyle::Optimized);
         let p1 = simulate_point(&machine, &net, &cfg, 1, &small_workload(1, &cfg));
@@ -435,7 +457,7 @@ mod tests {
 
     #[test]
     fn comm_fraction_grows_with_nodes() {
-        let machine = MachineSpec::xeon_e5_2680();
+        let machine = xeon_e5_2680();
         let net = NetworkSpec::stampede_fdr();
         let cfg = ScalingConfig::mesh_d(ExecStyle::Optimized);
         let p1 = simulate_point(&machine, &net, &cfg, 1, &small_workload(1, &cfg));
@@ -445,7 +467,7 @@ mod tests {
 
     #[test]
     fn optimized_beats_baseline_at_all_scales() {
-        let machine = MachineSpec::xeon_e5_2680();
+        let machine = xeon_e5_2680();
         let net = NetworkSpec::stampede_fdr();
         for nodes in [1usize, 2, 4] {
             let cb = ScalingConfig::mesh_d(ExecStyle::Baseline);
@@ -466,7 +488,7 @@ mod tests {
         // Realistic regime: Mesh-D-scale per-rank workloads synthesized
         // through the calibrated surface model (a raw decomposition of
         // the tiny test mesh over 64 ranks would be degenerate).
-        let machine = MachineSpec::xeon_e5_2680();
+        let machine = xeon_e5_2680();
         let net = NetworkSpec::stampede_fdr();
         let m = MeshPreset::Small.build();
         let sm = SurfaceModel::calibrate(m.nvertices(), &m.edges(), 8);
@@ -499,7 +521,7 @@ mod tests {
     #[test]
     fn iterations_grow_with_ranks() {
         let cfg = ScalingConfig::mesh_d(ExecStyle::Optimized);
-        let machine = MachineSpec::xeon_e5_2680();
+        let machine = xeon_e5_2680();
         let net = NetworkSpec::stampede_fdr();
         let p1 = simulate_point(&machine, &net, &cfg, 1, &small_workload(1, &cfg));
         let p8 = simulate_point(&machine, &net, &cfg, 8, &small_workload(8, &cfg));

@@ -17,7 +17,7 @@
 //! factor blocks as `f64` (`scripts/verify.sh` holds that).
 
 use fun3d_simd::{with_lanes, F64x4, Isa, Portable, Simd};
-use fun3d_sparse::{block, IluFactors, Triangle};
+use fun3d_sparse::{widen, IluFactors, Triangle};
 
 /// How a reference copy stores its 4×4 `f64` blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,7 +45,7 @@ impl<'a> F64Factors<'a> {
                 .chunks_exact(16)
                 .map(|b| b.try_into().expect("16 values"));
             match layout {
-                Layout::RowMajor => blocks.flat_map(block::widen).collect(),
+                Layout::RowMajor => blocks.flat_map(widen).collect(),
                 Layout::ColumnMajor => blocks.flat_map(|b: &[f32; 16]| b.map(f64::from)).collect(),
             }
         };
@@ -66,7 +66,7 @@ impl<'a> F64Factors<'a> {
     }
 
     /// `x = (LU)⁻¹ b` into caller-provided buffers, as
-    /// `fun3d_sparse::trsv::solve_into`.
+    /// `fun3d_sparse::trsv_solve_into`.
     pub fn solve_into(&self, b: &[f64], scratch: &mut [f64], x: &mut [f64]) {
         let f = self;
         match self.layout {
@@ -171,7 +171,7 @@ unsafe fn column_major_sweeps<S: Simd>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fun3d_sparse::{ilu, trsv, Bcsr4};
+    use fun3d_sparse::{ilu, trsv_solve, Bcsr4};
 
     #[test]
     fn reference_variants_solve_to_the_production_bits() {
@@ -182,7 +182,7 @@ mod tests {
         let b: Vec<f64> = (0..a.dim())
             .map(|i| (i as f64 * 0.3).sin() * 100.0)
             .collect();
-        let want = trsv::solve(&f, &b);
+        let want = trsv_solve(&f, &b);
         for layout in [Layout::RowMajor, Layout::ColumnMajor] {
             let reference = F64Factors::of(&f, layout);
             let (mut y, mut x) = (vec![0.0; b.len()], vec![0.0; b.len()]);

@@ -5,13 +5,13 @@
 
 mod overhead;
 
-use fun3d_util::telemetry::{self, flight, KernelCounts, Level};
+use fun3d_util::telemetry::{self, KernelCounts, Level};
 
 #[test]
 fn always_on_recording_stays_within_kernel_noise() {
     let _l = overhead::level_lock();
     overhead::assert_recording_within_noise("flight_overhead", || {
-        flight::emit(flight::EventKind::PtcStep {
+        telemetry::emit(telemetry::EventKind::PtcStep {
             step: 1,
             res: 1.0,
             dt: 2.0,
@@ -24,9 +24,9 @@ fn always_on_recording_stays_within_kernel_noise() {
 fn disabled_emit_is_a_single_gate_load() {
     let _l = overhead::level_lock();
     telemetry::set_level(Level::Counters);
-    flight::emit(flight::EventKind::RegionPanic { pool_size: 0 });
+    telemetry::emit(telemetry::EventKind::RegionPanic { pool_size: 0 });
     telemetry::now_ns();
-    let events = flight::snapshot().events.len();
+    let events = telemetry::flight_log().events.len();
     let counters = telemetry::local_counters().entries().len();
 
     let grew = overhead::allocations_at_off(|i| {
@@ -34,22 +34,22 @@ fn disabled_emit_is_a_single_gate_load() {
         let _f = telemetry::fine_span("chunk");
         telemetry::record_kernel("off_probe", KernelCounts::once(i, 64, 8, 345));
         telemetry::set_thread_label("should-not-stick");
-        let id = flight::begin_solve(i, 1);
-        flight::set_rank(i);
-        flight::emit(flight::EventKind::CommSend { peer: 1, bytes: i });
-        flight::emit_tagged(
+        let id = telemetry::begin_solve(i, 1);
+        telemetry::set_rank(i);
+        telemetry::emit(telemetry::EventKind::CommSend { peer: 1, bytes: i });
+        telemetry::emit_tagged(
             id.0,
-            flight::EventKind::RegionSummary {
+            telemetry::EventKind::RegionSummary {
                 regions: i,
                 barriers: i,
             },
         );
-        flight::end_solve(id, true, 1, 1, 0.5);
+        telemetry::end_solve(id, true, 1, 1, 0.5);
     });
 
     assert_eq!(grew, 0, "instrumentation at off allocated {grew} times");
     assert_eq!(
-        flight::snapshot().events.len(),
+        telemetry::flight_log().events.len(),
         events,
         "flight event landed"
     );

@@ -15,7 +15,7 @@
 //! with a counting allocator. The matching CSV rows come from the
 //! `flight` and `metrics` groups in `crates/bench/benches/kernels.rs`.
 
-use fun3d_util::microbench::{Bench, SampleConfig};
+use fun3d_bench::microbench::{Bench, SampleConfig};
 use fun3d_util::telemetry::{self, Level};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -73,7 +73,7 @@ impl Universe {
                     // Flight events from this thread carry the rank, so a
                     // dump merges all ranks into one causally-ordered
                     // record (ranks share the process telemetry epoch).
-                    telemetry::flight::set_rank(rank as u64);
+                    telemetry::set_rank(rank as u64);
                     f(Comm::new(rank, shared))
                 }));
             }
@@ -118,11 +118,6 @@ impl Comm {
         self.rank
     }
 
-    /// Communicator size.
-    pub fn size(&self) -> usize {
-        self.shared.size
-    }
-
     /// Sends `data` to `dst` with a tag. Non-blocking (buffered).
     pub fn send(&self, dst: usize, tag: u32, data: Vec<f64>) {
         self.shared.p2p_msgs.fetch_add(1, Ordering::Relaxed);
@@ -131,7 +126,7 @@ impl Comm {
         // Same counter vocabulary as the compute kernels: one message is
         // one item; the payload counts as bytes written by this rank.
         telemetry::record_kernel("comm.send", telemetry::KernelCounts::once(1, 0, bytes, 0));
-        telemetry::flight::emit(telemetry::flight::EventKind::CommSend {
+        telemetry::emit(telemetry::EventKind::CommSend {
             peer: dst as u64,
             bytes,
         });
@@ -170,7 +165,7 @@ impl Comm {
             "comm.recv",
             telemetry::KernelCounts::once(1, (msg.data.len() * 8) as u64, 0, 0),
         );
-        telemetry::flight::emit(telemetry::flight::EventKind::CommRecv {
+        telemetry::emit(telemetry::EventKind::CommRecv {
             peer: src as u64,
             bytes: (msg.data.len() * 8) as u64,
         });
@@ -184,19 +179,9 @@ impl Comm {
 
     /// Sum-allreduce: every rank passes equal-length slices; all receive
     /// the elementwise sum (deterministic rank order).
-    pub fn allreduce_sum(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn allreduce_sum(&self, x: &[f64]) -> Vec<f64> {
         self.shared.collectives.fetch_add(1, Ordering::Relaxed);
         self.reduce(x, |acc, v| *acc += v)
-    }
-
-    /// Max-allreduce.
-    pub fn allreduce_max(&self, x: &[f64]) -> Vec<f64> {
-        self.shared.collectives.fetch_add(1, Ordering::Relaxed);
-        self.reduce(x, |acc, v| {
-            if v > *acc {
-                *acc = v;
-            }
-        })
     }
 
     fn reduce(&self, x: &[f64], combine: impl Fn(&mut f64, f64)) -> Vec<f64> {
@@ -261,8 +246,8 @@ mod tests {
     #[test]
     fn ring_send_recv() {
         let out = Universe::run(4, |comm| {
-            let next = (comm.rank() + 1) % comm.size();
-            let prev = (comm.rank() + comm.size() - 1) % comm.size();
+            let next = (comm.rank() + 1) % 4;
+            let prev = (comm.rank() + 3) % 4;
             comm.send(next, 7, vec![comm.rank() as f64]);
             let got = comm.recv(prev, 7);
             got[0]
@@ -278,16 +263,6 @@ mod tests {
         }
         let b = Universe::run(5, |comm| comm.allreduce_sum(&[comm.rank() as f64 + 0.5]));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn allreduce_max() {
-        let out = Universe::run(3, |comm| {
-            comm.allreduce_max(&[-(comm.rank() as f64), comm.rank() as f64])
-        });
-        for v in out {
-            assert_eq!(v, vec![0.0, 2.0]);
-        }
     }
 
     #[test]

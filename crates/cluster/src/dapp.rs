@@ -10,11 +10,11 @@
 //! [`reducer`](PtcProblem::reducer) is the communicator, so
 //! [`fun3d_solver::ptc::solve`] drives it like any other:
 //!
-//! * residual: halo-exchange state → [`gradient::green_gauss`] over the
+//! * residual: halo-exchange state → [`green_gauss`] over the
 //!   owned vertices' half-edges → halo-exchange gradients →
-//!   [`flux::run`] on the rank's one owner-writes share → local boundary
+//!   [`flux_run`] on the rank's one owner-writes share → local boundary
 //!   fluxes;
-//! * Jacobian: [`jacobian::assemble`] over the local edges (the owned
+//! * Jacobian: [`jacobian_assemble`] over the local edges (the owned
 //!   rows, columns over owned + ghost, are the ones kept), pseudo-time
 //!   shift, per-rank ILU of the owned-owned block (zero-overlap additive
 //!   Schwarz), refactored in place on a structure built once;
@@ -31,11 +31,11 @@
 use crate::comm::Comm;
 use crate::decompose::{Decomposition, Subdomain};
 use crate::dsolve::{halo_exchange, halo_exchange_stride, OwnedBlock};
-use fun3d_core::bc::{self, BcData};
-use fun3d_core::euler::FlowConditions;
-use fun3d_core::geom::{EdgeGeom, HalfEdges, NodeAos, GRAD_ROW};
-use fun3d_core::jacobian::{self, JacobianSlots};
-use fun3d_core::{flux, gradient, Exec, Isa, Traversal};
+use fun3d_core::{
+    add_time_diagonal, bc_residual, flux_run, green_gauss, jacobian_assemble, time_diagonal,
+    BcData, EdgeGeom, Exec, FlowConditions, HalfEdges, Isa, JacobianSlots, NodeAos, Traversal,
+    GRAD_ROW,
+};
 use fun3d_mesh::{DualMesh, Mesh};
 use fun3d_partition::OwnerWritesPlan;
 use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
@@ -149,7 +149,7 @@ impl<'a> RankApp<'a> {
         let adj = HalfEdges::try_build(&geom, &bc, &vol, nowned)
             .unwrap_or_else(|e| panic!("rank {rank}: half-edges: {e}"));
         // Jacobian pattern: every local vertex over its local-edge
-        // neighbours, all of which `jacobian::assemble` writes. Every edge
+        // neighbours, all of which `jacobian_assemble` writes. Every edge
         // at an owned vertex is local, so the owned rows come out whole; a
         // ghost row holds only the halves of cut edges that the ghost's
         // own rank assembles too, and the owned-owned block drops it.
@@ -176,19 +176,19 @@ impl<'a> RankApp<'a> {
     }
 
     /// Owned scalar unknowns.
-    pub fn nowned4(&self) -> usize {
+    pub(crate) fn nowned4(&self) -> usize {
         self.sub.nowned() * 4
     }
 
     /// Free-stream state of the owned unknowns.
-    pub fn initial_state(&self) -> Vec<f64> {
+    pub(crate) fn initial_state(&self) -> Vec<f64> {
         self.setup.cond.qinf.repeat(self.sub.nowned())
     }
 
     /// Distributed residual of the owned state `u`, into the owned
     /// residual `r`: the shared-memory kernels between two halo
     /// exchanges.
-    pub fn residual(&mut self, comm: &Comm, u: &[f64], r: &mut [f64]) {
+    pub(crate) fn residual(&mut self, comm: &Comm, u: &[f64], r: &mut [f64]) {
         let n = self.nowned4();
         assert_eq!(u.len(), n);
         assert_eq!(r.len(), n);
@@ -197,29 +197,29 @@ impl<'a> RankApp<'a> {
         let isa = Isa::detect();
         self.node.q[..n].copy_from_slice(u);
         halo_exchange(comm, &self.sub, &mut self.node.q);
-        gradient::green_gauss(isa, Exec::Caller, &self.adj, &mut self.node);
+        green_gauss(isa, Exec::Caller, &self.adj, &mut self.node);
         halo_exchange_stride(comm, &self.sub, &mut self.node.grad, GRAD_ROW);
         self.res.fill(0.0);
         let beta = self.setup.cond.beta;
-        flux::run(Some(isa), Exec::Caller, walk, &self.node, beta, &mut self.res);
-        bc::residual(&self.bc, &self.node, &self.setup.cond, &mut self.res);
+        flux_run(Some(isa), Exec::Caller, walk, &self.node, beta, &mut self.res);
+        bc_residual(&self.bc, &self.node, &self.setup.cond, &mut self.res);
         r.copy_from_slice(&self.res[..n]);
     }
 
     /// Assembles the first-order Jacobian at the owned state `u` with
-    /// [`jacobian::assemble`] over the local edges (the owned rows are
+    /// [`jacobian_assemble`] over the local edges (the owned rows are
     /// the shared-memory application's, block for block), adds the
     /// pseudo-time diagonal to the owned rows, and refreshes the per-rank
     /// ILU(`fill`) factors of the owned-owned block. The ghost values are
     /// those of the last [`RankApp::residual`], which ΨTC always
     /// evaluates at this `u` before it rebuilds.
-    pub fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64], fill: usize) {
+    pub(crate) fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64], fill: usize) {
         let n = self.nowned4();
         assert_eq!(time_diag.len(), n);
         self.node.q[..n].copy_from_slice(u);
         let cond = &self.setup.cond;
-        jacobian::assemble(&self.geom, &self.bc, &self.node, cond, &self.slots, &mut self.jac);
-        jacobian::add_time_diagonal(&self.slots, &mut self.jac, time_diag);
+        jacobian_assemble(&self.geom, &self.bc, &self.node, cond, &self.slots, &mut self.jac);
+        add_time_diagonal(&self.slots, &mut self.jac, time_diag);
 
         let block = self.block.refresh(&self.jac);
         if self.symbolic.as_ref().map(|(level, _)| *level) != Some(fill) {
@@ -258,7 +258,7 @@ impl PtcProblem for OnComm<'_, '_> {
     }
 
     fn time_diag(&self, dt: f64, out: &mut [f64]) {
-        jacobian::time_diagonal(&self.app.vol, self.app.setup.cond.beta, dt, out);
+        time_diagonal(&self.app.vol, self.app.setup.cond.beta, dt, out);
     }
 
     fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64]) {
@@ -408,7 +408,7 @@ mod tests {
                 let u = owned_part(&app, ug);
                 let mut scratch = vec![0.0; app.nowned4()];
                 app.residual(&comm, &u, &mut scratch);
-                jacobian::time_diagonal(&app.vol, cond.beta, dt, &mut scratch);
+                time_diagonal(&app.vol, cond.beta, dt, &mut scratch);
                 app.build_preconditioner(&u, &scratch, 1);
                 // Each owned row in global numbering: its columns and the
                 // bits of their blocks.

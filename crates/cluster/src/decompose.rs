@@ -43,7 +43,7 @@ impl Subdomain {
     }
 
     /// Total local vertices (owned + ghost).
-    pub fn nlocal(&self) -> usize {
+    pub(crate) fn nlocal(&self) -> usize {
         self.owned.len() + self.ghosts.len()
     }
 

@@ -25,7 +25,7 @@ use std::cell::RefCell;
 
 /// Halo exchange with an arbitrary per-vertex stride: sends owned
 /// boundary values, fills ghost slots.
-pub fn halo_exchange_stride(comm: &Comm, sub: &Subdomain, x: &mut [f64], stride: usize) {
+pub(crate) fn halo_exchange_stride(comm: &Comm, sub: &Subdomain, x: &mut [f64], stride: usize) {
     assert_eq!(x.len(), sub.nlocal() * stride);
     const TAG: u32 = 11;
     for (nbr, list) in &sub.send_lists {
@@ -46,14 +46,14 @@ pub fn halo_exchange_stride(comm: &Comm, sub: &Subdomain, x: &mut [f64], stride:
 }
 
 /// Halo exchange of a 4-vars-per-vertex vector (the state layout).
-pub fn halo_exchange(comm: &Comm, sub: &Subdomain, x: &mut [f64]) {
+pub(crate) fn halo_exchange(comm: &Comm, sub: &Subdomain, x: &mut [f64]) {
     halo_exchange_stride(comm, sub, x, 4);
 }
 
 /// Extracts the local block rows of a global BCSR matrix: rows for owned
 /// vertices (local row ids), columns remapped to local (owned + ghost)
 /// ids; ghost rows are left empty.
-pub fn localize_matrix(aglob: &Bcsr4, sub: &Subdomain) -> Bcsr4 {
+pub(crate) fn localize_matrix(aglob: &Bcsr4, sub: &Subdomain) -> Bcsr4 {
     let nlocal = sub.nlocal();
     let mut g2l = std::collections::HashMap::with_capacity(nlocal);
     for (l, &g) in sub.owned.iter().enumerate() {
@@ -92,7 +92,7 @@ pub fn localize_matrix(aglob: &Bcsr4, sub: &Subdomain) -> Bcsr4 {
 /// Schwarz ILU factors. The pattern and the position each block is
 /// copied from are found once; [`OwnedBlock::refresh`] then only copies
 /// values.
-pub struct OwnedBlock {
+pub(crate) struct OwnedBlock {
     diag: Bcsr4,
     /// Storage position in the local matrix of each block of `diag`.
     src: Vec<usize>,
@@ -101,7 +101,7 @@ pub struct OwnedBlock {
 impl OwnedBlock {
     /// Finds the blocks of `local`'s first `nowned` rows whose column is
     /// owned too.
-    pub fn new(local: &Bcsr4, nowned: usize) -> OwnedBlock {
+    pub(crate) fn new(local: &Bcsr4, nowned: usize) -> OwnedBlock {
         // `from_pattern` stores each row's columns in the order given, so
         // block `i` of the pattern is the `i`-th position pushed here.
         let mut src = Vec::new();
@@ -120,7 +120,7 @@ impl OwnedBlock {
     }
 
     /// The block with `local`'s current values.
-    pub fn refresh(&mut self, local: &Bcsr4) -> &Bcsr4 {
+    pub(crate) fn refresh(&mut self, local: &Bcsr4) -> &Bcsr4 {
         for (dst, &k) in self.diag.blocks.chunks_exact_mut(16).zip(&self.src) {
             dst.copy_from_slice(&local.blocks[k * 16..(k + 1) * 16]);
         }

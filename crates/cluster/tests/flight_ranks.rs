@@ -4,7 +4,7 @@
 //!-ordered timeline — the multi-rank half of the black-box story.
 
 use fun3d_cluster::Universe;
-use fun3d_util::telemetry::flight::{self, EventKind};
+use fun3d_util::telemetry::EventKind;
 use fun3d_util::telemetry::{self, Level};
 
 #[test]
@@ -26,7 +26,7 @@ fn rank_comm_events_merge_into_one_ordered_timeline() {
         }
     });
 
-    let log = flight::snapshot();
+    let log = telemetry::flight_log();
     // The merge is globally time-ordered (ties broken by rank).
     for w in log.events.windows(2) {
         assert!(

@@ -7,13 +7,13 @@ use crate::euler::FlowConditions;
 use crate::geom::{EdgeGeom, HalfEdges, NodeAos, TiledGeom};
 use crate::{flux, gradient, jacobian};
 use fun3d_machine::MachineSpec;
-use fun3d_mesh::{reorder, DualMesh, Mesh};
+use fun3d_mesh::{rcm, DualMesh, Mesh};
 use fun3d_partition::{
     partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan, TilingConfig,
 };
+use fun3d_simd::Isa;
 use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
-use fun3d_simd::Isa;
 use fun3d_solver::{ExecMode, FluxScheme};
 use fun3d_sparse::{ilu, Bcsr4, IluFactors, IluSymbolic, P2pSchedule};
 use fun3d_threads::{P2pProgress, TeamMember, TeamSlice, ThreadPool};
@@ -224,7 +224,7 @@ impl Fun3dApp {
     /// numbering plus sorted edges (the generator scrambles on purpose).
     pub fn rcm_reorder(mesh: &mut Mesh) {
         let graph = mesh.vertex_graph();
-        let perm = reorder::rcm(&graph);
+        let perm = rcm(&graph);
         mesh.renumber(&perm);
     }
 
@@ -361,7 +361,7 @@ impl Fun3dApp {
     }
 
     /// Number of scalar unknowns.
-    pub fn nunknowns(&self) -> usize {
+    pub(crate) fn nunknowns(&self) -> usize {
         self.node.n * 4
     }
 
@@ -393,12 +393,6 @@ impl Fun3dApp {
     /// The owner-writes plan (None when single-threaded).
     pub fn plan(&self) -> Option<&OwnerWritesPlan> {
         self.plan.as_ref()
-    }
-
-    /// The edge tiling the residual path resolved to (None when the
-    /// scheme resolved to streaming).
-    pub fn tiling(&self) -> Option<&EdgeTiling> {
-        self.tiles.as_ref().map(TiledGeom::tiling)
     }
 
     /// The assembled Jacobian (valid after a `build_preconditioner`).
@@ -673,7 +667,7 @@ mod tests {
         // Auto scheme must keep the streaming kernels (and the solver
         // tests above keep their bitwise histories).
         let app = build(OptConfig::optimized(2));
-        assert!(app.tiling().is_none(), "tiny mesh must resolve to streaming");
+        assert!(app.tiles.is_none(), "tiny mesh must resolve to streaming");
     }
 
     #[test]
@@ -686,7 +680,7 @@ mod tests {
             let mut cfg = OptConfig::optimized(nt);
             cfg.flux = FluxScheme::Tiled;
             let mut app = build(cfg);
-            assert!(app.tiling().is_some(), "explicit tiled must build a tiling");
+            assert!(app.tiles.is_some(), "explicit tiled must build a tiling");
             let (uo, so) = app.run(&solve_config());
             assert!(so.converged, "nt={nt} history: {:?}", so.res_history);
             let diff: f64 = ub

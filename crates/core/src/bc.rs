@@ -49,13 +49,10 @@ impl BcData {
     }
 
     /// Number of (vertex, tag) boundary entries.
+    // No caller asks for emptiness, so there is no `is_empty` to pair with.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.vertex.len()
-    }
-
-    /// True when there is no boundary.
-    pub fn is_empty(&self) -> bool {
-        self.vertex.is_empty()
     }
 }
 
@@ -77,13 +74,13 @@ pub fn residual(bc: &BcData, node: &NodeAos, cond: &FlowConditions, res: &mut [f
 
 /// Slip-wall flux: no mass flux through the face, pressure only.
 #[inline]
-pub fn wall_flux(q: &[f64; 4], n: &[f64; 3]) -> [f64; 4] {
+pub(crate) fn wall_flux(q: &[f64; 4], n: &[f64; 3]) -> [f64; 4] {
     [0.0, n[0] * q[0], n[1] * q[0], n[2] * q[0]]
 }
 
 /// Far-field flux: Rusanov between the interior state and free stream.
 #[inline]
-pub fn farfield_flux(q: &[f64; 4], qinf: &[f64; 4], n: &[f64; 3], beta: f64) -> [f64; 4] {
+pub(crate) fn farfield_flux(q: &[f64; 4], qinf: &[f64; 4], n: &[f64; 3], beta: f64) -> [f64; 4] {
     let fi = euler::flux(q, n, beta);
     let finf = euler::flux(qinf, n, beta);
     let qm = [
@@ -103,7 +100,13 @@ pub fn farfield_flux(q: &[f64; 4], qinf: &[f64; 4], n: &[f64; 3], beta: f64) -> 
 /// Adds the boundary flux Jacobian `∂F_bnd/∂q_v` into the diagonal blocks
 /// of the assembled (first-order) Jacobian; `diag[v]` is the storage
 /// position of row `v`'s diagonal block.
-pub fn jacobian(bc: &BcData, node: &NodeAos, cond: &FlowConditions, diag: &[u32], jac: &mut Bcsr4) {
+pub(crate) fn jacobian(
+    bc: &BcData,
+    node: &NodeAos,
+    cond: &FlowConditions,
+    diag: &[u32],
+    jac: &mut Bcsr4,
+) {
     for i in 0..bc.len() {
         let v = bc.vertex[i] as usize;
         let n = [bc.nx[i], bc.ny[i], bc.nz[i]];
@@ -152,7 +155,7 @@ mod tests {
         let d = DualMesh::build(&m);
         let bc = BcData::build(&d);
         assert_eq!(bc.len(), d.boundary.len());
-        assert!(!bc.is_empty());
+        assert_ne!(bc.len(), 0);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn gradient(nedges: usize, nvertices: usize) -> KernelCounts {
 ///
 /// This is what telemetry records for `"gradient"`. [`gradient`] stays the
 /// edge-loop model the benchmark's `core.residual_gbps` is defined by.
-pub fn gradient_gather(half_edges: usize, rows: usize) -> KernelCounts {
+pub(crate) fn gradient_gather(half_edges: usize, rows: usize) -> KernelCounts {
     let (nh, nv) = (half_edges as u64, rows as u64);
     let reads = nh * (4 + 3 * 8 + STATE_BYTES) + nv * 8;
     let writes = nv * GRAD_BYTES;
@@ -113,7 +113,7 @@ pub fn flux_tiled(nedges: usize, vertex_slots: usize) -> KernelCounts {
 /// (~2× the flux flops once for each sign of the perturbation) and
 /// read-modify-write four 4×4 blocks (aa, ab, ba, bb); per block row:
 /// the time-diagonal update touches the diagonal block.
-pub fn jacobian(nedges: usize, nrows: usize) -> KernelCounts {
+pub(crate) fn jacobian(nedges: usize, nrows: usize) -> KernelCounts {
     let ne = nedges as u64;
     let nr = nrows as u64;
     let reads = ne * (6 * 8 + 8 + 2 * STATE_BYTES + 4 * BLOCK_BYTES) + nr * (BLOCK_BYTES + 4 * 8);
@@ -130,7 +130,7 @@ pub fn jacobian(nedges: usize, nrows: usize) -> KernelCounts {
 /// every stored block a small constant number of times: the matrix block
 /// that seeds it (`f64`) and one finished factor block read, then the
 /// stored block written.
-pub fn ilu_factor(f: &IluFactors) -> KernelCounts {
+pub(crate) fn ilu_factor(f: &IluFactors) -> KernelCounts {
     let nblocks = (f.l.nblocks() + f.u.nblocks()) as u64;
     let nrows = f.nrows() as u64;
     let reads = nblocks * (BLOCK_BYTES + FACTOR_BYTES) + nrows * BLOCK_BYTES;
@@ -145,7 +145,7 @@ pub fn ilu_factor(f: &IluFactors) -> KernelCounts {
 /// ([`IluFactors::sweep_bytes`]) plus the right-hand side in and the
 /// solution out; each off-diagonal block costs one 4×4 block-vector
 /// multiply (32 flops), each row one inverse-diagonal multiply.
-pub fn trsv(f: &IluFactors) -> KernelCounts {
+pub(crate) fn trsv(f: &IluFactors) -> KernelCounts {
     let nrows = f.nrows() as u64;
     let nblocks = (f.l.nblocks() + f.u.nblocks()) as u64;
     let reads = f.sweep_bytes() as u64 + nrows * STATE_BYTES;

@@ -113,7 +113,7 @@ impl<'a> Exec<'a> {
     /// pool, unless it has more workers than there are schedulable cores —
     /// then every barrier would cost scheduler round-trips instead of
     /// spins, and the caller alone computes the same bits faster.
-    pub fn unless_oversubscribed(pool: &'a ThreadPool) -> Self {
+    pub(crate) fn unless_oversubscribed(pool: &'a ThreadPool) -> Self {
         if pool.size() > available_cores() { Exec::Caller } else { Exec::Pool(pool) }
     }
 
@@ -186,13 +186,13 @@ impl<'a> Reads<'a> {
 
     /// Edges walked.
     #[inline(always)]
-    pub fn nedges(&self) -> usize {
+    pub(crate) fn nedges(&self) -> usize {
         self.edges.len()
     }
 
     /// Rows of the per-vertex arrays gathered from.
     #[inline(always)]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.q.len() / 4
     }
 
@@ -201,7 +201,7 @@ impl<'a> Reads<'a> {
     /// # Safety
     /// `k < self.nedges()`.
     #[inline(always)]
-    pub unsafe fn endpoints(&self, k: usize) -> (usize, usize) {
+    pub(crate) unsafe fn endpoints(&self, k: usize) -> (usize, usize) {
         debug_assert!(k < self.edges.len());
         // SAFETY: in range per the caller's contract.
         let e = unsafe { self.edges.get_unchecked(k) };
@@ -213,7 +213,7 @@ impl<'a> Reads<'a> {
     /// # Safety
     /// Every `ks[lane] < self.nedges()`.
     #[inline(always)]
-    pub unsafe fn endpoints4(&self, ks: [usize; 4]) -> ([usize; 4], [usize; 4]) {
+    pub(crate) unsafe fn endpoints4(&self, ks: [usize; 4]) -> ([usize; 4], [usize; 4]) {
         debug_assert!(ks.iter().all(|&k| k < self.edges.len()));
         let e = self.edges;
         // SAFETY: in range per the caller's contract.
@@ -227,7 +227,7 @@ impl<'a> Reads<'a> {
     /// # Safety
     /// `i < self.rows()`.
     #[inline(always)]
-    pub unsafe fn q(&self, i: usize) -> &'a [f64] {
+    pub(crate) unsafe fn q(&self, i: usize) -> &'a [f64] {
         debug_assert!(i < self.rows());
         // SAFETY: `q` holds `rows()` rows of 4.
         unsafe { self.q.get_unchecked(i * 4..i * 4 + 4) }
@@ -238,7 +238,7 @@ impl<'a> Reads<'a> {
     /// # Safety
     /// `i < self.rows()`.
     #[inline(always)]
-    pub unsafe fn grad(&self, i: usize) -> &'a [f64] {
+    pub(crate) unsafe fn grad(&self, i: usize) -> &'a [f64] {
         debug_assert!(i < self.rows());
         // SAFETY: `grad` holds `rows()` rows of `GRAD_ROW`.
         unsafe { self.grad.get_unchecked(i * GRAD_ROW..(i + 1) * GRAD_ROW) }
@@ -247,7 +247,7 @@ impl<'a> Reads<'a> {
     /// Requests the state and gradient rows of row `i` into L1. Any `i`
     /// will do: a prefetch checks nothing and cannot fault.
     #[inline(always)]
-    pub fn prefetch_rows(&self, i: usize) {
+    pub(crate) fn prefetch_rows(&self, i: usize) {
         prefetch_l1(self.q, i * 4);
         prefetch_l1(self.grad, i * GRAD_ROW);
     }
@@ -257,7 +257,7 @@ impl<'a> Reads<'a> {
     /// # Safety
     /// `k < self.nedges()`.
     #[inline(always)]
-    pub unsafe fn normal(&self, k: usize) -> [f64; 3] {
+    pub(crate) unsafe fn normal(&self, k: usize) -> [f64; 3] {
         debug_assert!(k < self.edges.len());
         // SAFETY: the normal streams are as long as `edges`.
         unsafe { [*self.n[0].get_unchecked(k), *self.n[1].get_unchecked(k), *self.n[2].get_unchecked(k)] }
@@ -268,7 +268,7 @@ impl<'a> Reads<'a> {
     /// # Safety
     /// `k < self.nedges()`.
     #[inline(always)]
-    pub unsafe fn delta(&self, k: usize) -> [f64; 3] {
+    pub(crate) unsafe fn delta(&self, k: usize) -> [f64; 3] {
         debug_assert!(k < self.edges.len());
         // SAFETY: the delta streams are as long as `edges`.
         unsafe { [*self.r[0].get_unchecked(k), *self.r[1].get_unchecked(k), *self.r[2].get_unchecked(k)] }
@@ -280,7 +280,7 @@ impl<'a> Reads<'a> {
     /// # Safety
     /// Every `ks[lane] < self.nedges()`.
     #[inline(always)]
-    pub unsafe fn normal_lanes<S: Simd>(&self, s: S, d: usize, ks: [usize; 4]) -> S::V {
+    pub(crate) unsafe fn normal_lanes<S: Simd>(&self, s: S, d: usize, ks: [usize; 4]) -> S::V {
         debug_assert!(ks.iter().all(|&k| k < self.edges.len()));
         let f = self.n[d];
         if ks[1] == ks[0] + 1 && ks[2] == ks[0] + 2 && ks[3] == ks[0] + 3 {

@@ -10,9 +10,6 @@
 //! `|λ|` on the three distinct eigenvalues (exact for the diagonalizable
 //! flux Jacobian, and cheap: three 4×4 matvecs per face).
 
-/// Unknowns per vertex.
-pub const NVARS: usize = 4;
-
 /// Free-stream / solver physical parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct FlowConditions {
@@ -35,7 +32,7 @@ impl Default for FlowConditions {
 /// Inviscid flux through area-weighted normal `n`:
 /// `F = (βΘ, uΘ + nₓp, vΘ + n_y p, wΘ + n_z p)`, `Θ = n·(u,v,w)`.
 #[inline]
-pub fn flux(q: &[f64; 4], n: &[f64; 3], beta: f64) -> [f64; 4] {
+pub(crate) fn flux(q: &[f64; 4], n: &[f64; 3], beta: f64) -> [f64; 4] {
     let theta = n[0] * q[1] + n[1] * q[2] + n[2] * q[3];
     [
         beta * theta,
@@ -47,7 +44,7 @@ pub fn flux(q: &[f64; 4], n: &[f64; 3], beta: f64) -> [f64; 4] {
 
 /// The flux Jacobian `A = ∂(F·n)/∂q` at state `q` (row-major 4×4).
 #[inline]
-pub fn flux_jacobian(q: &[f64; 4], n: &[f64; 3], beta: f64) -> [f64; 16] {
+pub(crate) fn flux_jacobian(q: &[f64; 4], n: &[f64; 3], beta: f64) -> [f64; 16] {
     let theta = n[0] * q[1] + n[1] * q[2] + n[2] * q[3];
     [
         0.0,
@@ -71,7 +68,7 @@ pub fn flux_jacobian(q: &[f64; 4], n: &[f64; 3], beta: f64) -> [f64; 16] {
 
 /// Face speeds: returns `(Θ, c)` with `c = sqrt(Θ² + β S²)`, `S = |n|`.
 #[inline]
-pub fn wave_speeds(q: &[f64; 4], n: &[f64; 3], beta: f64) -> (f64, f64) {
+pub(crate) fn wave_speeds(q: &[f64; 4], n: &[f64; 3], beta: f64) -> (f64, f64) {
     let theta = n[0] * q[1] + n[1] * q[2] + n[2] * q[3];
     let s2 = n[0] * n[0] + n[1] * n[1] + n[2] * n[2];
     (theta, (theta * theta + beta * s2).sqrt())
@@ -79,7 +76,7 @@ pub fn wave_speeds(q: &[f64; 4], n: &[f64; 3], beta: f64) -> (f64, f64) {
 
 /// Spectral radius of the face Jacobian: `|Θ| + c`.
 #[inline]
-pub fn spectral_radius(q: &[f64; 4], n: &[f64; 3], beta: f64) -> f64 {
+pub(crate) fn spectral_radius(q: &[f64; 4], n: &[f64; 3], beta: f64) -> f64 {
     let (theta, c) = wave_speeds(q, n, beta);
     theta.abs() + c
 }
@@ -89,7 +86,7 @@ pub fn spectral_radius(q: &[f64; 4], n: &[f64; 3], beta: f64) -> f64 {
 /// `{Θ, Θ+c, Θ−c}`. Because the Jacobian is diagonalizable with exactly
 /// these eigenvalues, `|A| = p(A)` exactly.
 #[inline]
-pub fn abs_poly_coeffs(theta: f64, c: f64) -> (f64, f64, f64) {
+pub(crate) fn abs_poly_coeffs(theta: f64, c: f64) -> (f64, f64, f64) {
     // Lagrange interpolation of f(x)=|x| at m1=Θ, m2=Θ+c, m3=Θ−c.
     let (m1, m2, m3) = (theta, theta + c, theta - c);
     let (f1, f2, f3) = (m1.abs(), m2.abs(), m3.abs());

@@ -45,8 +45,7 @@
 //! "before" rows — the SoA loop and Fig. 6b's atomics — live with the
 //! benches (`crates/bench/src/flux_reference.rs`).
 
-use crate::edge_loop::{self, EdgeBody, Reads};
-pub use crate::edge_loop::{Exec, Traversal, PREFETCH_DIST};
+use crate::edge_loop::{self, EdgeBody, Exec, Reads, Traversal};
 use crate::euler;
 use crate::geom::{grad_slot, EdgeGeom, NodeAos, VertexRows};
 use fun3d_simd::{Isa, Simd};
@@ -360,9 +359,10 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge_loop::PREFETCH_DIST;
+    use crate::geom::TiledGeom;
     use fun3d_mesh::generator::MeshPreset;
     use fun3d_mesh::DualMesh;
-    use crate::geom::TiledGeom;
     use fun3d_partition::{
         natural_partition, partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan,
     };

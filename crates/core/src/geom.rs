@@ -98,7 +98,7 @@ impl EdgeGeom {
 
     /// Extracts edge geometry from a mesh and its dual metrics; fails on
     /// dual metrics that do not belong to the mesh.
-    pub fn try_build(mesh: &Mesh, dual: &DualMesh) -> Result<EdgeGeom, GeomError> {
+    pub(crate) fn try_build(mesh: &Mesh, dual: &DualMesh) -> Result<EdgeGeom, GeomError> {
         if dual.edge_normal.len() != dual.edges.len() {
             return err(format!(
                 "{} edge normals for {} edges",
@@ -154,7 +154,7 @@ impl EdgeGeom {
     }
 
     /// Number of vertices every endpoint is below.
-    pub fn nvertices(&self) -> usize {
+    pub(crate) fn nvertices(&self) -> usize {
         self.nvertices
     }
 
@@ -206,12 +206,13 @@ impl EdgeGeom {
 
     /// Flops per edge of the optimized Roe flux kernel (counted once,
     /// used by the machine model's roofline).
-    pub const FLUX_FLOPS_PER_EDGE: f64 = 345.0;
+    pub(crate) const FLUX_FLOPS_PER_EDGE: f64 = 345.0;
 
     /// Bytes streamed/gathered per edge by the flux kernel: 6 edge
     /// doubles + 2 endpoints (u32) + two gathered nodes (4 state + 12
     /// gradient doubles each) + two residual read-modify-writes.
-    pub const FLUX_BYTES_PER_EDGE: f64 = (6.0 * 8.0) + 8.0 + 2.0 * 16.0 * 8.0 + 2.0 * 2.0 * 32.0;
+    pub(crate) const FLUX_BYTES_PER_EDGE: f64 =
+        (6.0 * 8.0) + 8.0 + 2.0 * 16.0 * 8.0 + 2.0 * 2.0 * 32.0;
 }
 
 /// An [`EdgeTiling`] together with the edge geometry permuted into its
@@ -238,7 +239,7 @@ pub struct TiledGeom {
 impl TiledGeom {
     /// Validates `tiling` against `geom` ([`EdgeTiling::validate`]) and
     /// permutes `geom` into its tile order.
-    pub fn try_new(tiling: EdgeTiling, geom: &EdgeGeom) -> Result<TiledGeom, GeomError> {
+    pub(crate) fn try_new(tiling: EdgeTiling, geom: &EdgeGeom) -> Result<TiledGeom, GeomError> {
         tiling.validate(geom.nvertices(), geom.edges()).map_err(GeomError)?;
         Ok(TiledGeom { geom: geom.try_select(&tiling.perm)?, tiling })
     }
@@ -251,7 +252,7 @@ impl TiledGeom {
 
     /// The permuted geometry (tile-range order).
     #[inline]
-    pub fn geom(&self) -> &EdgeGeom {
+    pub(crate) fn geom(&self) -> &EdgeGeom {
         &self.geom
     }
 
@@ -352,34 +353,34 @@ impl HalfEdges {
     }
 
     /// Vertices with a row.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.inv_vol.len()
     }
 
     /// Vertices a neighbour can name (the length of the arrays gathered
     /// from).
-    pub fn nvertices(&self) -> usize {
+    pub(crate) fn nvertices(&self) -> usize {
         self.nvertices
     }
 
     /// Row offsets: row `v` is `offsets()[v] .. offsets()[v + 1]`.
-    pub fn offsets(&self) -> &[u32] {
+    pub(crate) fn offsets(&self) -> &[u32] {
         &self.start
     }
 
     /// The other endpoint of each half-edge (the row's own vertex for a
     /// boundary entry).
-    pub fn neighbours(&self) -> &[u32] {
+    pub(crate) fn neighbours(&self) -> &[u32] {
         &self.nbr
     }
 
     /// Each half-edge's normal, oriented out of its row's vertex.
-    pub fn normals(&self) -> &[[f64; 3]] {
+    pub(crate) fn normals(&self) -> &[[f64; 3]] {
         &self.normal
     }
 
     /// `1 / V_v` per row.
-    pub fn inv_volumes(&self) -> &[f64] {
+    pub(crate) fn inv_volumes(&self) -> &[f64] {
         &self.inv_vol
     }
 }
@@ -492,12 +493,6 @@ impl NodeAos {
     #[inline]
     pub fn dq(&self, v: usize, c: usize, d: usize) -> f64 {
         self.grad[v * GRAD_ROW + grad_slot(c, d)]
-    }
-
-    /// `∂q_c/∂x_d` at vertex `v`, to assign.
-    #[inline]
-    pub fn dq_mut(&mut self, v: usize, c: usize, d: usize) -> &mut f64 {
-        &mut self.grad[v * GRAD_ROW + grad_slot(c, d)]
     }
 }
 
@@ -648,9 +643,8 @@ mod tests {
     fn gradient_rows_are_dim_major() {
         // `∂q/∂x_d` of a vertex is four contiguous doubles, `d` apart by 4.
         let mut aos = NodeAos::zeros(3);
-        *aos.dq_mut(2, 1, 2) = 7.0;
+        aos.grad[2 * GRAD_ROW + 9] = 7.0;
         assert_eq!(aos.gradient(2)[grad_slot(0, 2) + 1], 7.0);
-        assert_eq!(aos.grad[2 * GRAD_ROW + 9], 7.0);
         assert_eq!(aos.dq(2, 1, 2), 7.0);
     }
 

@@ -110,7 +110,7 @@ unsafe fn gather_rows<S: Simd>(
 /// then one weighted gather over the same [`HalfEdges`] Green-Gauss walks.
 /// Unlike edge-midpoint Green-Gauss, LSQ is exact for linear fields at
 /// *every* vertex, including the boundary.
-pub struct LsqGradient {
+pub(crate) struct LsqGradient {
     /// Per half-edge of the adjacency it was built for: 3 coefficients `c`
     /// such that `g_v += c · (q_j − q_v)` (zero for a boundary entry, a
     /// half-edge to the vertex itself).
@@ -122,7 +122,7 @@ impl LsqGradient {
     /// per half-edge of `adj` (which must have a row for every vertex).
     /// Panics if some vertex's neighbors do not span 3D (never the case
     /// for a valid tetrahedral mesh).
-    pub fn build(coords: &[fun3d_mesh::Vec3], adj: &HalfEdges) -> LsqGradient {
+    pub(crate) fn build(coords: &[fun3d_mesh::Vec3], adj: &HalfEdges) -> LsqGradient {
         assert_eq!((adj.rows(), adj.nvertices()), (coords.len(), coords.len()));
         let mut coeff = vec![[0.0f64; 3]; adj.neighbours().len()];
         for (v, row) in adj.offsets().windows(2).enumerate() {
@@ -160,7 +160,7 @@ impl LsqGradient {
 
     /// Computes all nodal gradients of the AoS state into `node.grad`,
     /// over the adjacency the coefficients were built for.
-    pub fn evaluate(&self, adj: &HalfEdges, node: &mut NodeAos) {
+    pub(crate) fn evaluate(&self, adj: &HalfEdges, node: &mut NodeAos) {
         assert_eq!((adj.rows(), adj.nvertices()), (node.n, node.n));
         assert_eq!(adj.neighbours().len(), self.coeff.len(), "another adjacency's coefficients");
         let q = &node.q;

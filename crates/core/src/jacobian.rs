@@ -51,11 +51,6 @@ impl JacobianSlots {
         let edge = edges.iter().map(|&[a, b]| [slot(a, b), slot(b, a)]).collect();
         JacobianSlots { edge, diag }
     }
-
-    /// Storage position of each row's diagonal block.
-    pub fn diag(&self) -> &[u32] {
-        &self.diag
-    }
 }
 
 /// Assembles the first-order Jacobian of the spatial residual, including
@@ -172,7 +167,7 @@ mod tests {
                 let want = [(a, b), (b, a)].map(|(r, c)| jac.find(r as usize, c).unwrap() as u32);
                 assert_eq!(*got, want, "edge ({a}, {b})");
             }
-            for (r, &k) in slots.diag().iter().enumerate() {
+            for (r, &k) in slots.diag.iter().enumerate() {
                 assert_eq!(jac.find(r, r as u32), Some(k as usize));
             }
         }

@@ -40,7 +40,7 @@ fn fold(phi: &[f64], node: &mut NodeAos) {
 /// tolerated in smooth regions (larger = less limiting); the classic
 /// value is O(0.1–5) scaled by the local solution range, and with
 /// `k_eps = 0` the reconstructions stay in range up to a `1e-7` floor.
-pub fn apply_venkatakrishnan(geom: &EdgeGeom, node: &mut NodeAos, k_eps: f64) -> Vec<f64> {
+pub(crate) fn apply_venkatakrishnan(geom: &EdgeGeom, node: &mut NodeAos, k_eps: f64) -> Vec<f64> {
     let n = node.n;
     let mut qmin = node.q.clone();
     let mut qmax = node.q.clone();

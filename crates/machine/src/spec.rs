@@ -65,28 +65,6 @@ impl MachineSpec {
         }
     }
 
-    /// One socket of a TACC Stampede node: Xeon E5-2680, 8 cores @ 2.7
-    /// GHz (the scaling studies run 16 MPI ranks per 2-socket node).
-    pub fn xeon_e5_2680() -> MachineSpec {
-        MachineSpec {
-            name: "Xeon E5-2680 (8c @ 2.7 GHz)",
-            cores: 8,
-            smt: 1, // hyper-threading disabled on Stampede
-            freq_ghz: 2.7,
-            simd_width: 4,
-            flops_per_cycle: 8.0,
-            stream_gbs: 38.0, // per-socket share of node STREAM
-            peak_bw_gbs: 51.2,
-            bw_saturation_cores: 4.0,
-            smt_yield: 1.0, // hyper-threading disabled on Stampede
-            atomic_ns: 20.0,
-            barrier_base_ns: 280.0,
-            p2p_wait_ns: 40.0,
-            l2_bytes: 256 * 1024, // Sandy Bridge EP: 256 KiB private L2/core
-            llc_bytes: 20 * 1024 * 1024, // 20 MiB shared L3
-        }
-    }
-
     /// A best-effort description of the machine the process is running
     /// on: core count from the scheduler (`available_parallelism`, which
     /// respects affinity masks and cgroup quotas), the remaining
@@ -131,13 +109,6 @@ impl MachineSpec {
     /// Peak DP Gflop/s of the whole socket.
     pub fn peak_gflops(&self) -> f64 {
         self.cores as f64 * self.freq_ghz * self.flops_per_cycle
-    }
-
-    /// Machine balance: the roofline ridge point in flop/byte. Kernels
-    /// with lower arithmetic intensity are memory-bound on this socket,
-    /// higher are compute-bound.
-    pub fn balance_flops_per_byte(&self) -> f64 {
-        self.peak_gflops() / self.stream_gbs
     }
 
     /// Sustainable bandwidth available when `threads` cores are active
@@ -225,16 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn balance_is_ridge_point() {
-        let m = MachineSpec::xeon_e5_2690v2();
-        // 240 Gflop/s over 34.8 GB/s STREAM: deeply memory-starved, as
-        // the paper argues for the unstructured kernels.
-        let b = m.balance_flops_per_byte();
-        assert!((b - 240.0 / 34.8).abs() < 1e-9);
-        assert!(b > 5.0);
-    }
-
-    #[test]
     fn bandwidth_saturates() {
         let m = MachineSpec::xeon_e5_2690v2();
         assert!(m.bandwidth_at(1) < m.stream_gbs);
@@ -288,11 +249,7 @@ mod tests {
     fn l2_capacity_present() {
         // The tiler divides by this; it must be a plausible per-core L2
         // on every preset (64 KiB..4 MiB covers everything we model).
-        for m in [
-            MachineSpec::xeon_e5_2690v2(),
-            MachineSpec::xeon_e5_2680(),
-            MachineSpec::host(),
-        ] {
+        for m in [MachineSpec::xeon_e5_2690v2(), MachineSpec::host()] {
             assert!(m.l2_bytes >= 64 * 1024, "{}: l2 too small", m.name);
             assert!(m.l2_bytes <= 4 * 1024 * 1024, "{}: l2 too big", m.name);
             assert!(m.llc_bytes >= m.l2_bytes, "{}: llc below l2", m.name);

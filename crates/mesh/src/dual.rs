@@ -25,14 +25,14 @@ use crate::{BcTag, Mesh, Vec3};
 /// Signed volume of the tet `(a, b, c, d)`; positive when `d` lies on the
 /// positive side of triangle `(a, b, c)`.
 #[inline]
-pub fn tet_volume(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> f64 {
+pub(crate) fn tet_volume(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> f64 {
     (b - a).cross(c - a).dot(d - a) / 6.0
 }
 
 /// Directed area of triangle `(a, b, c)` (right-hand rule, magnitude =
 /// area).
 #[inline]
-pub fn tri_area_vec(a: Vec3, b: Vec3, c: Vec3) -> Vec3 {
+pub(crate) fn tri_area_vec(a: Vec3, b: Vec3, c: Vec3) -> Vec3 {
     (b - a).cross(c - a) * 0.5
 }
 
@@ -133,7 +133,7 @@ impl DualMesh {
     }
 
     /// Number of vertices.
-    pub fn nvertices(&self) -> usize {
+    pub(crate) fn nvertices(&self) -> usize {
         self.vol.len()
     }
 

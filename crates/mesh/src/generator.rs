@@ -80,13 +80,8 @@ impl ChannelSpec {
         }
     }
 
-    /// Number of vertices the spec will produce.
-    pub fn nvertices(&self) -> usize {
-        self.ni * self.nj * self.nk
-    }
-
     /// Height of the channel floor (bump) at `(x, y)`.
-    pub fn floor(&self, x: f64, y: f64) -> f64 {
+    pub(crate) fn floor(&self, x: f64, y: f64) -> f64 {
         if y >= self.span {
             return 0.0;
         }
@@ -380,13 +375,6 @@ impl MeshPreset {
         self.spec().build()
     }
 
-    /// Number of solver unknowns (4 conserved variables per vertex)
-    /// without building the mesh — used for size-aware bench budgeting
-    /// and by the execution-policy chooser.
-    pub fn unknowns(self) -> usize {
-        self.spec().nvertices() * 4
-    }
-
     /// The canonical preset name (the form [`MeshPreset::parse`] accepts).
     pub fn name(self) -> &'static str {
         match self {
@@ -601,16 +589,6 @@ mod tests {
         assert!(spec.floor(mid, 0.0) > 0.5 * spec.thickness);
         // Beyond the span the floor is flat.
         assert_eq!(spec.floor(mid, spec.span + 0.1), 0.0);
-    }
-
-    #[test]
-    fn preset_unknowns_without_build() {
-        let m = MeshPreset::Tiny.build();
-        assert_eq!(MeshPreset::Tiny.unknowns(), m.nvertices() * 4);
-        // The estimate must be exact for every preset spec (structured
-        // grids: ni*nj*nk vertices survive generation unchanged).
-        assert_eq!(MeshPreset::Medium.unknowns(), 41 * 25 * 25 * 4);
-        assert!(MeshPreset::MeshC.unknowns() > 1_000_000);
     }
 
     #[test]

@@ -46,25 +46,20 @@ impl Graph {
         self.xadj.len() - 1
     }
 
-    /// Number of undirected edges.
-    pub fn nedges(&self) -> usize {
-        self.adj.len() / 2
-    }
-
     /// Sorted neighbor list of `v`.
     #[inline]
-    pub fn neighbors(&self, v: usize) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: usize) -> &[u32] {
         &self.adj[self.xadj[v]..self.xadj[v + 1]]
     }
 
     /// Degree of `v`.
     #[inline]
-    pub fn degree(&self, v: usize) -> usize {
+    pub(crate) fn degree(&self, v: usize) -> usize {
         self.xadj[v + 1] - self.xadj[v]
     }
 
     /// Maximum degree over all vertices (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
+    pub(crate) fn max_degree(&self) -> usize {
         (0..self.nvertices()).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
@@ -78,12 +73,6 @@ impl Graph {
             }
         }
         bw
-    }
-
-    /// Induced subgraph renumbering helper: true if `u` and `v` are
-    /// adjacent (binary search on the sorted neighbor list).
-    pub fn connected(&self, u: usize, v: usize) -> bool {
-        self.neighbors(u).binary_search(&(v as u32)).is_ok()
     }
 }
 
@@ -99,7 +88,7 @@ mod tests {
     fn csr_structure() {
         let g = path4();
         assert_eq!(g.nvertices(), 4);
-        assert_eq!(g.nedges(), 3);
+        assert_eq!(g.adj.len(), 2 * 3, "each edge stored at both ends");
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.neighbors(2), &[1, 3]);
@@ -121,17 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn connected_queries() {
-        let g = path4();
-        assert!(g.connected(0, 1));
-        assert!(g.connected(1, 0));
-        assert!(!g.connected(0, 2));
-    }
-
-    #[test]
     fn isolated_vertices_allowed() {
         let g = Graph::from_edges(3, &[]);
-        assert_eq!(g.nedges(), 0);
+        assert!(g.adj.is_empty());
         assert_eq!(g.degree(1), 0);
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.bandwidth(), 0);

@@ -17,24 +17,27 @@
 //! — the same path a genuinely unstructured mesh takes. The resulting
 //! edge-per-vertex ratio (~6.7) matches the paper's meshes.
 //!
-//! [`dual`] computes the median-dual metrics (edge dual-face area vectors,
-//! vertex dual volumes, boundary vertex normals) and the discrete closure
-//! identities the flux discretization relies on. [`reorder`] implements
-//! Reverse Cuthill-McKee and the edge sorting the paper applies for
-//! locality.
+//! [`DualMesh`] computes the median-dual metrics (edge dual-face area
+//! vectors, vertex dual volumes, boundary vertex normals) and the discrete
+//! closure identities the flux discretization relies on. [`rcm`]
+//! implements Reverse Cuthill-McKee, and [`Mesh::edges`] the edge sorting
+//! the paper applies for locality.
+
+#![deny(unreachable_pub)]
 
 mod bucket;
-pub mod dual;
+mod dual;
 pub mod generator;
-pub mod graph;
-pub mod io;
-pub mod reorder;
-pub mod stats;
-pub mod vec3;
+mod graph;
+mod reorder;
+mod stats;
+mod vec3;
 
-pub use dual::DualMesh;
+pub use dual::{BoundaryNormal, DualMesh};
 pub use generator::{ChannelSpec, MeshPreset};
 pub use graph::Graph;
+pub use reorder::rcm;
+pub use stats::MeshStats;
 pub use vec3::Vec3;
 
 use bucket::Buckets;
@@ -82,7 +85,7 @@ impl Mesh {
     }
 
     /// Number of tetrahedra.
-    pub fn ntets(&self) -> usize {
+    pub(crate) fn ntets(&self) -> usize {
         self.tets.len()
     }
 
@@ -200,7 +203,7 @@ pub(crate) fn single_tet() -> Mesh {
 /// either orientation), and, now and then, a tet repeated from earlier in
 /// the list. No tets at all is one of the cases.
 #[cfg(test)]
-pub(crate) fn tet_soup(g: &mut fun3d_util::proptest_mini::Gen) -> Mesh {
+pub(crate) fn tet_soup(g: &mut fun3d_util::Gen) -> Mesh {
     let nv = g.usize_range(4, 40);
     let coords = (0..nv)
         .map(|_| Vec3::new(g.f64_range(-1.0, 1.0), g.f64_range(-1.0, 1.0), g.f64_range(-1.0, 1.0)))

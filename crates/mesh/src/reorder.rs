@@ -1,9 +1,9 @@
 //! Locality-restoring orderings.
 //!
 //! The paper reorders vertex numbering with Reverse Cuthill-McKee [22] to
-//! improve locality of the edge loops and narrow the Jacobian band, and
-//! additionally sorts each edge's endpoints and the edge list itself so
-//! accesses stream in increasing vertex order.
+//! improve locality of the edge loops and narrow the Jacobian band; the
+//! edge list [`Mesh::edges`](crate::Mesh::edges) returns is already sorted
+//! by endpoint, so accesses stream in increasing vertex order.
 
 use crate::Graph;
 
@@ -110,26 +110,6 @@ fn bfs_levels(
     (level, max_level)
 }
 
-/// Normalizes an edge list for streaming access: endpoints ordered
-/// `lo < hi` and edges sorted lexicographically. Returns the sorted list.
-pub fn sort_edges(edges: &[[u32; 2]]) -> Vec<[u32; 2]> {
-    let mut out: Vec<[u32; 2]> = edges
-        .iter()
-        .map(|&[a, b]| if a < b { [a, b] } else { [b, a] })
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-/// The inverse of a permutation: `inv[perm[i]] = i`.
-pub fn invert_permutation(perm: &[usize]) -> Vec<usize> {
-    let mut inv = vec![0usize; perm.len()];
-    for (i, &p) in perm.iter().enumerate() {
-        inv[p] = i;
-    }
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,22 +184,5 @@ mod tests {
     fn rcm_empty_graph() {
         let g = Graph::from_edges(0, &[]);
         assert!(rcm(&g).is_empty());
-    }
-
-    #[test]
-    fn sort_edges_normalizes() {
-        let edges = [[3u32, 1], [0, 2], [2, 0], [1, 3]];
-        let sorted = sort_edges(&edges);
-        assert_eq!(sorted, vec![[0, 2], [0, 2], [1, 3], [1, 3]]);
-    }
-
-    #[test]
-    fn invert_permutation_roundtrip() {
-        let p = vec![2usize, 0, 3, 1];
-        let inv = invert_permutation(&p);
-        for i in 0..p.len() {
-            assert_eq!(inv[p[i]], i);
-            assert_eq!(p[inv[i]], i);
-        }
     }
 }

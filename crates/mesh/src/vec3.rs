@@ -19,19 +19,19 @@ impl Vec3 {
 
     /// Constructs from components.
     #[inline]
-    pub const fn new(x: f64, y: f64, z: f64) -> Self {
+    pub(crate) const fn new(x: f64, y: f64, z: f64) -> Self {
         Vec3 { x, y, z }
     }
 
     /// Dot product.
     #[inline]
-    pub fn dot(self, o: Vec3) -> f64 {
+    pub(crate) fn dot(self, o: Vec3) -> f64 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
 
     /// Cross product.
     #[inline]
-    pub fn cross(self, o: Vec3) -> Vec3 {
+    pub(crate) fn cross(self, o: Vec3) -> Vec3 {
         Vec3 {
             x: self.y * o.z - self.z * o.y,
             y: self.z * o.x - self.x * o.z,
@@ -49,25 +49,6 @@ impl Vec3 {
     #[inline]
     pub fn norm2(self) -> f64 {
         self.dot(self)
-    }
-
-    /// Unit vector in the same direction; panics on the zero vector in
-    /// debug builds, returns zero in release (callers check area first).
-    #[inline]
-    pub fn normalized(self) -> Vec3 {
-        let n = self.norm();
-        debug_assert!(n > 0.0, "normalizing the zero vector");
-        if n > 0.0 {
-            self / n
-        } else {
-            Vec3::ZERO
-        }
-    }
-
-    /// Component array `[x, y, z]`.
-    #[inline]
-    pub fn to_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
     }
 }
 
@@ -164,12 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn norm_and_normalized() {
+    fn norm_and_norm2() {
         let v = Vec3::new(3.0, 4.0, 0.0);
         assert_eq!(v.norm(), 5.0);
         assert_eq!(v.norm2(), 25.0);
-        let u = v.normalized();
-        assert!((u.norm() - 1.0).abs() < 1e-15);
     }
 
     #[test]
@@ -190,6 +169,6 @@ mod tests {
     #[test]
     fn conversions() {
         let v = Vec3::from([1.0, 2.0, 3.0]);
-        assert_eq!(v.to_array(), [1.0, 2.0, 3.0]);
+        assert_eq!(v, Vec3::new(1.0, 2.0, 3.0));
     }
 }

@@ -15,29 +15,30 @@
 //!    quality multilevel partition, which balances the work and shrinks
 //!    the replication to ~4%.
 //!
-//! METIS itself is not available, so [`multilevel`] implements the same
+//! METIS itself is not available, so [`partition_graph`] implements the same
 //! algorithm family from scratch: heavy-edge-matching coarsening, greedy
 //! graph growing at the coarsest level, Fiduccia–Mattheyses boundary
-//! refinement, recursive bisection to k parts. [`replication`] turns a
-//! vertex partition into per-thread edge work lists with replication
-//! accounting, and [`coloring`] provides the edge-coloring alternative the
-//! paper rejects (kept for the ablation study).
+//! refinement, recursive bisection to k parts. [`OwnerWritesPlan`] turns
+//! a vertex partition into per-thread edge work lists with replication
+//! accounting. The paper's global edge coloring is not implemented: as
+//! Sulyok et al. put it, it leaves "virtually no data reuse".
 //!
-//! [`tiling`] adds the fourth write-conflict strategy beyond the paper:
+//! [`EdgeTiling`] adds the fourth write-conflict strategy beyond the paper:
 //! cache-blocked edge tiles. Edges are grouped into tiles whose
 //! touched-vertex working set fits in a core's private L2, so a tile's
 //! vertex data is loaded once and all its edges reuse it in cache, and
 //! conflicts are resolved by coloring *across* tiles (not across edges),
 //! preserving the intra-tile locality that per-edge coloring destroys.
 
-pub mod coloring;
-pub mod metrics;
-pub mod multilevel;
-pub mod natural;
-pub mod replication;
-pub mod tiling;
+#![deny(unreachable_pub)]
 
-pub use metrics::{cut_edges, imbalance, PartitionQuality, TileQuality};
+mod metrics;
+mod multilevel;
+mod natural;
+mod replication;
+mod tiling;
+
+pub use metrics::TileQuality;
 pub use multilevel::{partition_graph, MultilevelConfig};
 pub use natural::natural_partition;
 pub use replication::OwnerWritesPlan;

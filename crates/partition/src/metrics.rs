@@ -1,55 +1,7 @@
-//! Partition quality metrics: edge cut, balance, and tile quality.
+//! Tile quality, plus the edge-cut and balance oracles the partitioner's
+//! tests hold it to.
 
 use crate::tiling::EdgeTiling;
-use crate::Partition;
-
-/// Number of edges whose endpoints lie in different parts.
-pub fn cut_edges(edges: &[[u32; 2]], part: &Partition) -> usize {
-    edges
-        .iter()
-        .filter(|e| part[e[0] as usize] != part[e[1] as usize])
-        .count()
-}
-
-/// Load imbalance of the vertex counts: `max_part_size / ideal` (1.0 is
-/// perfect). Empty parts count as size 0.
-pub fn imbalance(part: &Partition, nparts: usize) -> f64 {
-    if part.is_empty() {
-        return 1.0;
-    }
-    let mut sizes = vec![0usize; nparts];
-    for &p in part.iter() {
-        sizes[p as usize] += 1;
-    }
-    let ideal = part.len() as f64 / nparts as f64;
-    *sizes.iter().max().unwrap() as f64 / ideal
-}
-
-/// Combined quality report for a partition.
-#[derive(Clone, Copy, Debug)]
-pub struct PartitionQuality {
-    /// Parts requested.
-    pub nparts: usize,
-    /// Edges cut by the partition.
-    pub cut: usize,
-    /// Fraction of all edges cut.
-    pub cut_fraction: f64,
-    /// Vertex-count imbalance (1.0 = perfect).
-    pub imbalance: f64,
-}
-
-impl PartitionQuality {
-    /// Evaluates a partition against its edge list.
-    pub fn of(edges: &[[u32; 2]], part: &Partition, nparts: usize) -> Self {
-        let cut = cut_edges(edges, part);
-        PartitionQuality {
-            nparts,
-            cut,
-            cut_fraction: cut as f64 / edges.len().max(1) as f64,
-            imbalance: imbalance(part, nparts),
-        }
-    }
-}
 
 /// Quality report for an [`EdgeTiling`]: how much locality the tiles
 /// capture and how much parallelism the coloring leaves.
@@ -130,6 +82,55 @@ impl TileQuality {
             self.max_tile_reuse,
             self.halo_fraction * 100.0
         )
+    }
+}
+
+/// Number of edges whose endpoints lie in different parts.
+#[cfg(test)]
+pub(crate) fn cut_edges(edges: &[[u32; 2]], part: &crate::Partition) -> usize {
+    edges
+        .iter()
+        .filter(|e| part[e[0] as usize] != part[e[1] as usize])
+        .count()
+}
+
+/// Load imbalance of the vertex counts: `max_part_size / ideal` (1.0 is
+/// perfect). Empty parts count as size 0.
+#[cfg(test)]
+pub(crate) fn imbalance(part: &crate::Partition, nparts: usize) -> f64 {
+    if part.is_empty() {
+        return 1.0;
+    }
+    let mut sizes = vec![0usize; nparts];
+    for &p in part.iter() {
+        sizes[p as usize] += 1;
+    }
+    let ideal = part.len() as f64 / nparts as f64;
+    *sizes.iter().max().unwrap() as f64 / ideal
+}
+
+/// Combined quality report for a partition.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PartitionQuality {
+    /// Edges cut by the partition.
+    pub cut: usize,
+    /// Fraction of all edges cut.
+    pub cut_fraction: f64,
+    /// Vertex-count imbalance (1.0 = perfect).
+    pub imbalance: f64,
+}
+
+#[cfg(test)]
+impl PartitionQuality {
+    /// Evaluates a partition against its edge list.
+    pub(crate) fn of(edges: &[[u32; 2]], part: &crate::Partition, nparts: usize) -> Self {
+        let cut = cut_edges(edges, part);
+        PartitionQuality {
+            cut,
+            cut_fraction: cut as f64 / edges.len().max(1) as f64,
+            imbalance: imbalance(part, nparts),
+        }
     }
 }
 

@@ -523,7 +523,7 @@ mod tests {
     use super::*;
     use crate::metrics::PartitionQuality;
     use fun3d_mesh::generator::MeshPreset;
-    use fun3d_util::proptest_mini::Gen;
+    use fun3d_util::Gen;
     use std::collections::HashMap;
 
     /// Coarsening as it was first written, aggregating the coarse rows
@@ -745,8 +745,8 @@ mod tests {
         let k = 8;
         let ml = partition_graph(&g, k, &MultilevelConfig::default());
         let nat = crate::natural_partition(g.nvertices(), k);
-        let cut_ml = crate::cut_edges(&edges, &ml);
-        let cut_nat = crate::cut_edges(&edges, &nat);
+        let cut_ml = crate::metrics::cut_edges(&edges, &ml);
+        let cut_nat = crate::metrics::cut_edges(&edges, &nat);
         assert!(
             (cut_ml as f64) < 0.5 * cut_nat as f64,
             "multilevel cut {cut_ml} vs natural {cut_nat}"

@@ -119,18 +119,13 @@ impl OwnerWritesPlan {
         &self.writes_of
     }
 
-    /// Total number of (edge, thread) processings.
-    pub fn processed(&self) -> usize {
-        self.processed
-    }
-
     /// Number of unique edges of the list the plan was made for.
     pub fn nedges(&self) -> usize {
         self.nedges
     }
 
     /// Number of threads in the plan.
-    pub fn nthreads(&self) -> usize {
+    pub(crate) fn nthreads(&self) -> usize {
         self.edges_of.len()
     }
 
@@ -150,13 +145,12 @@ impl OwnerWritesPlan {
         if self.processed == 0 {
             return 1.0;
         }
-        let max = self.edges_of.iter().map(Vec::len).max().unwrap_or(0);
-        max as f64 * self.nthreads() as f64 / self.processed as f64
+        self.max_thread_edges() as f64 * self.nthreads() as f64 / self.processed as f64
     }
 
     /// Edge count processed by the busiest thread (the parallel critical
     /// path of the edge loop under this plan).
-    pub fn max_thread_edges(&self) -> usize {
+    pub(crate) fn max_thread_edges(&self) -> usize {
         self.edges_of.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
@@ -174,7 +168,7 @@ mod tests {
         let edges = [[0u32, 1], [2, 3], [1, 2]];
         let part = vec![0, 0, 1, 1];
         let plan = OwnerWritesPlan::build(&edges, &part, 2);
-        assert_eq!(plan.processed(), 4);
+        assert_eq!(plan.processed, 4);
         assert_eq!(plan.edges_of()[0], vec![0, 2]);
         assert_eq!(plan.edges_of()[1], vec![1, 2]);
         assert!((plan.replication_overhead() - 1.0 / 3.0).abs() < 1e-12);
@@ -262,7 +256,7 @@ mod tests {
             vec![vec![0b11, 0b01], vec![0b11, 0b10]],
         )
         .expect("the plan `build` makes for this cut");
-        assert_eq!((good.processed(), good.nedges()), (4, 3));
+        assert_eq!((good.processed, good.nedges()), (4, 3));
         let err = |ids: Vec<Vec<u32>>, masks: Vec<Vec<u8>>| {
             OwnerWritesPlan::try_from_shares(&edges, ids, masks).expect_err("hostile shares")
         };

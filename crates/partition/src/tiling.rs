@@ -60,7 +60,7 @@ impl TilingConfig {
     /// Unique-vertex cap per tile. Clamped to 2 so a single edge always
     /// fits: a budget smaller than one edge's endpoint pair degenerates
     /// to one-edge tiles rather than an unbuildable tiling.
-    pub fn max_tile_vertices(&self) -> usize {
+    pub(crate) fn max_tile_vertices(&self) -> usize {
         (self.target_bytes / self.bytes_per_vertex.max(1)).max(2)
     }
 }
@@ -79,7 +79,7 @@ impl Tile {
     /// streaming kernel pays two vertex gathers per edge; a tile misses
     /// cache at most once per unique vertex, so reuse > 1 means its
     /// vertices are loaded once and reused in cache.
-    pub fn reuse_factor(&self) -> f64 {
+    pub(crate) fn reuse_factor(&self) -> f64 {
         self.edges.len() as f64 / self.verts.len().max(1) as f64
     }
 }
@@ -263,9 +263,9 @@ impl EdgeTiling {
         }
 
         // First-fit inter-tile coloring: a tile's free colors are those
-        // unused by every vertex it touches (same bitmask idiom as
-        // `coloring::color_edges`, but over tiles — tiles per vertex is
-        // bounded by vertex degree, so 512 colors is far beyond need).
+        // unused by every vertex it touches, one bitmask per vertex
+        // (tiles per vertex is bounded by vertex degree, so 512 colors is
+        // far beyond need).
         const WORDS: usize = 8;
         let mut used = vec![[0u64; WORDS]; nvertices];
         let mut tile_color = vec![0u32; tiles.len()];
@@ -427,7 +427,7 @@ impl EdgeTiling {
     /// The streaming kernels gather 2 vertices per edge, so the vertex
     /// traffic shrinks by `2 * reuse_factor()` relative to streaming
     /// (ignoring the cache reuse streaming already gets from RCM).
-    pub fn reuse_factor(&self) -> f64 {
+    pub(crate) fn reuse_factor(&self) -> f64 {
         self.nedges as f64 / self.vertex_slots().max(1) as f64
     }
 }

@@ -15,8 +15,8 @@
 //!                    [--stats]
 //! ```
 //!
-//! Replies are [`fun3d_serve::wire::render_reply`] lines (`"ok":true`)
-//! or [`fun3d_serve::wire::render_reject`] lines (`"ok":false` with a
+//! Replies are [`fun3d_serve::render_reply`] lines (`"ok":true`)
+//! or [`fun3d_serve::render_reject`] lines (`"ok":false` with a
 //! structured reason) — admission rejects answer on the wire instead of
 //! closing the connection, so load generators can count shed requests.
 //!
@@ -31,10 +31,10 @@
 //!   exposition, anything else for the JSON snapshot), and reads the
 //!   payload until EOF (`tests/metrics_socket.rs` drives both).
 
-use fun3d_serve::wire::{self, SolveRequest};
+use fun3d_serve::{bad_request_line, render_reject, render_reply, SolveRequest};
 use fun3d_serve::{ServeConfig, Service};
-use fun3d_util::telemetry::json::Json;
 use fun3d_util::telemetry::metrics;
+use fun3d_util::telemetry::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -268,7 +268,7 @@ fn dispatch_line(
                     let _ = tx.send(svc.stats_json().render());
                 }
                 other => {
-                    let _ = tx.send(wire::bad_request_line(&format!("unknown cmd {other:?}")));
+                    let _ = tx.send(bad_request_line(&format!("unknown cmd {other:?}")));
                 }
             }
             return None;
@@ -277,17 +277,17 @@ fn dispatch_line(
     let req = match SolveRequest::parse(line) {
         Ok(r) => r,
         Err(e) => {
-            let _ = tx.send(wire::bad_request_line(&e));
+            let _ = tx.send(bad_request_line(&e));
             return None;
         }
     };
     match svc.submit(req) {
         Ok(handle) => Some(std::thread::spawn(move || {
             let reply = handle.wait();
-            let _ = tx.send(wire::render_reply(&reply));
+            let _ = tx.send(render_reply(&reply));
         })),
         Err(reject) => {
-            let _ = tx.send(wire::render_reject(&reject));
+            let _ = tx.send(render_reject(&reject));
             None
         }
     }

@@ -23,7 +23,7 @@
 //! factor_cache_cap}`).
 
 use fun3d_core::Fun3dApp;
-use fun3d_solver::factor_cache::{CacheStats, KeyedCache};
+use fun3d_solver::{CacheStats, KeyedCache};
 use fun3d_sparse::IluFactors;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,7 +40,7 @@ pub struct CacheCounters {
 
 impl CacheCounters {
     /// Counters plus a factor cache bounded to `factor_cap` entries.
-    pub fn new(factor_cap: usize) -> CacheCounters {
+    pub(crate) fn new(factor_cap: usize) -> CacheCounters {
         CacheCounters {
             app_hits: AtomicU64::new(0),
             app_misses: AtomicU64::new(0),
@@ -51,7 +51,7 @@ impl CacheCounters {
     }
 
     /// Aggregated snapshot of both layers.
-    pub fn snapshot(&self) -> CacheSnapshot {
+    pub(crate) fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
             app: CacheStats {
                 hits: self.app_hits.load(Ordering::Relaxed),
@@ -91,7 +91,7 @@ impl CacheSnapshot {
 /// Entries are *taken out* while a job runs (the job holds `&mut` on
 /// the app) and put back afterwards, so the cache never aliases a live
 /// solve.
-pub struct TeamAppCache {
+pub(crate) struct TeamAppCache {
     entries: Vec<Entry>,
     capacity: usize,
     clock: u64,
@@ -105,7 +105,7 @@ struct Entry {
 
 impl TeamAppCache {
     /// A cache holding at most `capacity` prepared apps (0 disables).
-    pub fn new(capacity: usize) -> TeamAppCache {
+    pub(crate) fn new(capacity: usize) -> TeamAppCache {
         TeamAppCache {
             entries: Vec::new(),
             capacity,
@@ -115,7 +115,7 @@ impl TeamAppCache {
 
     /// Removes and returns the app for `key`, counting hit/miss into
     /// the shared counters.
-    pub fn take(&mut self, key: u64, counters: &CacheCounters) -> Option<Fun3dApp> {
+    pub(crate) fn take(&mut self, key: u64, counters: &CacheCounters) -> Option<Fun3dApp> {
         match self.entries.iter().position(|e| e.key == key) {
             Some(pos) => {
                 counters.app_hits.fetch_add(1, Ordering::Relaxed);
@@ -130,7 +130,7 @@ impl TeamAppCache {
 
     /// Returns an app to the cache (or stores a freshly built one),
     /// evicting the least-recently-used entry past capacity.
-    pub fn put(&mut self, key: u64, app: Fun3dApp, counters: &CacheCounters) {
+    pub(crate) fn put(&mut self, key: u64, app: Fun3dApp, counters: &CacheCounters) {
         if self.capacity == 0 {
             return;
         }
@@ -159,21 +159,15 @@ impl TeamAppCache {
     }
 
     /// Prepared apps currently resident.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fun3d_core::app::OptConfig;
-    use fun3d_core::euler::FlowConditions;
+    use fun3d_core::{FlowConditions, OptConfig};
     use fun3d_mesh::generator::MeshPreset;
 
     fn tiny_app() -> Fun3dApp {
@@ -189,7 +183,7 @@ mod tests {
         assert!(cache.take(1, &counters).is_none());
         cache.put(1, tiny_app(), &counters);
         let app = cache.take(1, &counters).expect("hit");
-        assert!(cache.is_empty(), "taken apps leave the cache");
+        assert_eq!(cache.len(), 0, "taken apps leave the cache");
         cache.put(1, app, &counters);
         cache.put(2, tiny_app(), &counters); // evicts key 1
         assert!(cache.take(1, &counters).is_none());

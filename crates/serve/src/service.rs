@@ -13,7 +13,7 @@
 //!
 //! Observability: admission emits `serve_admit`/`serve_reject` flight
 //! events on the submitting thread; completion emits `serve_job` tagged
-//! with the solve's own `SolveId` (via `flight::emit_tagged`), tying
+//! with the solve's own `SolveId` (via `telemetry::emit_tagged`), tying
 //! tenant → request → solver events in one dump. Execution is wrapped
 //! in a `serve_job` telemetry span.
 
@@ -22,15 +22,14 @@ use crate::tenant_hash;
 use crate::wire::SolveRequest;
 use fun3d_core::{FlowConditions, Fun3dApp};
 use fun3d_machine::MachineSpec;
-use fun3d_solver::factor_cache::{fnv1a, fnv1a_word};
+use fun3d_solver::{fnv1a, fnv1a_word};
 use fun3d_threads::{PoolSet, ThreadPool};
-use fun3d_util::telemetry::json::Json;
-use fun3d_util::telemetry::{self, flight, metrics};
+use fun3d_util::telemetry::{self, metrics, Json};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a request was shed instead of queued.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,8 +46,8 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Flight-recorder payload code (decoded by
-    /// [`flight::reject_reason_slug`]).
-    pub fn code(self) -> u64 {
+    /// [`telemetry::reject_reason_slug`]).
+    pub(crate) fn code(self) -> u64 {
         match self {
             RejectReason::QueueFull => 1,
             RejectReason::TenantQueueFull => 2,
@@ -58,8 +57,8 @@ impl RejectReason {
     }
 
     /// Stable wire slug (identical to the flight decoding).
-    pub fn slug(self) -> &'static str {
-        flight::reject_reason_slug(self.code())
+    pub(crate) fn slug(self) -> &'static str {
+        telemetry::reject_reason_slug(self.code())
     }
 }
 
@@ -100,7 +99,7 @@ impl CacheOutcome {
     }
 
     /// Stable wire slug.
-    pub fn slug(self) -> &'static str {
+    pub(crate) fn slug(self) -> &'static str {
         match self {
             CacheOutcome::Cold => "cold",
             CacheOutcome::App => "app",
@@ -161,17 +160,6 @@ impl JobHandle {
     /// so this only happens on a dispatcher panic).
     pub fn wait(self) -> SolveReply {
         self.rx.recv().expect("serve dispatcher dropped the job")
-    }
-
-    /// [`JobHandle::wait`] with a timeout; `Err` returns the handle.
-    pub fn wait_timeout(self, d: Duration) -> Result<SolveReply, JobHandle> {
-        match self.rx.recv_timeout(d) {
-            Ok(r) => Ok(r),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(self),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                panic!("serve dispatcher dropped the job")
-            }
-        }
     }
 }
 
@@ -421,7 +409,7 @@ impl Service {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
             metrics::counter_add("serve.shed", 1);
             metrics::counter(&format!("serve.shed.{}", reason.slug())).incr();
-            flight::emit(flight::EventKind::ServeReject {
+            telemetry::emit(telemetry::EventKind::ServeReject {
                 tenant: thash,
                 reason: reason.code(),
                 queue_depth: depth as u64,
@@ -456,19 +444,11 @@ impl Service {
         self.shared.work.notify_one();
         metrics::counter_add("serve.admitted", 1);
         gauges().queue_depth.set(depth as u64);
-        flight::emit(flight::EventKind::ServeAdmit {
+        telemetry::emit(telemetry::EventKind::ServeAdmit {
             tenant: thash,
             queue_depth: depth as u64,
         });
         Ok(JobHandle { rx })
-    }
-
-    /// Blocks until every queued job has been executed and delivered.
-    pub fn drain(&self) {
-        let mut st = self.shared.state.lock().unwrap();
-        while st.queued > 0 || st.active > 0 {
-            st = self.shared.idle.wait(st).unwrap();
-        }
     }
 
     /// Point-in-time statistics.
@@ -626,20 +606,20 @@ fn execute(
     let state_fnv = hash_state(&u);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let reply_ns = telemetry::now_ns();
-    flight::emit_tagged(
+    telemetry::emit_tagged(
         stats.solve_id,
-        flight::EventKind::ServeJob {
+        telemetry::EventKind::ServeJob {
             tenant: tenant_hash(&req.tenant),
             queue_ns,
             cache_hits: cache.hits(),
             cache_misses: 2 - cache.hits(),
         },
     );
-    // Full stage record for `trace::assemble`: every boundary of this
+    // Full stage record for `telemetry::assemble_trace`: every boundary of this
     // request on the shared telemetry clock, tagged with its SolveId.
-    flight::emit_tagged(
+    telemetry::emit_tagged(
         stats.solve_id,
-        flight::EventKind::ServeStages {
+        telemetry::EventKind::ServeStages {
             tenant: tenant_hash(&req.tenant),
             admit_ns,
             dispatch_ns,
@@ -731,8 +711,8 @@ impl Service {
                     name.to_string(),
                     Json::obj(vec![
                         ("count", Json::num(h.count as f64)),
-                        ("p50_ms", flight::json_f64(h.quantile(0.50) / 1e6)),
-                        ("p99_ms", flight::json_f64(h.quantile(0.99) / 1e6)),
+                        ("p50_ms", telemetry::json_f64(h.quantile(0.50) / 1e6)),
+                        ("p99_ms", telemetry::json_f64(h.quantile(0.99) / 1e6)),
                         ("max_ms", Json::num(h.max_ns as f64 / 1e6)),
                     ]),
                 ))
@@ -748,7 +728,7 @@ impl Service {
             ("inflight", Json::num(snap.gauge("serve.inflight") as f64)),
             (
                 "cache_hit_rate",
-                flight::json_f64(stats.cache.combined_hit_rate()),
+                telemetry::json_f64(stats.cache.combined_hit_rate()),
             ),
             ("tenants", Json::Obj(tenants)),
             ("metrics", metrics::snapshot_json(&snap)),
@@ -766,6 +746,16 @@ pub fn hash_state(u: &[f64]) -> u64 {
 mod tests {
     use super::*;
     use fun3d_mesh::generator::MeshPreset;
+
+    impl Service {
+        /// Blocks until every queued job has been executed and delivered.
+        fn drain(&self) {
+            let mut st = self.shared.state.lock().unwrap();
+            while st.queued > 0 || st.active > 0 {
+                st = self.shared.idle.wait(st).unwrap();
+            }
+        }
+    }
 
     fn quick_req(tenant: &str) -> SolveRequest {
         let mut req = SolveRequest::new(tenant, MeshPreset::Tiny);
@@ -937,12 +927,12 @@ mod tests {
         let svc = Service::start(tiny_config());
         let reply = svc.submit(quick_req("stager")).unwrap().wait();
         svc.shutdown();
-        let log = flight::snapshot();
+        let log = telemetry::flight_log();
         let stages = log
             .solve(reply.solve_id)
             .into_iter()
             .find_map(|e| match e.kind {
-                flight::EventKind::ServeStages {
+                telemetry::EventKind::ServeStages {
                     tenant,
                     admit_ns,
                     dispatch_ns,

@@ -11,11 +11,11 @@
 //! number is an `f64`, which would silently round them.
 
 use crate::service::{RejectReason, Rejected, SolveReply};
-use fun3d_core::app::OptConfig;
+use fun3d_core::OptConfig;
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_solver::factor_cache::{fnv1a, fnv1a_word};
 use fun3d_solver::ptc::PtcConfig;
-use fun3d_util::telemetry::json::Json;
+use fun3d_solver::{fnv1a, fnv1a_word};
+use fun3d_util::telemetry::Json;
 
 /// One solve request: a mesh preset plus the `OptConfig`/ΨTC knobs a
 /// tenant may turn. Everything else (execution scheme, partitioning,
@@ -97,7 +97,7 @@ impl SolveRequest {
     /// requests with equal prep keys can share one `Fun3dApp` instance
     /// bitwise-safely; ΨTC knobs (`rtol`, `max_steps`, `dt0`) are per
     /// solve and deliberately excluded.
-    pub fn prep_key(&self, nt: usize) -> u64 {
+    pub(crate) fn prep_key(&self, nt: usize) -> u64 {
         let mut h = fnv1a(self.mesh.name().as_bytes());
         h = fnv1a_word(h, nt as u64);
         h = fnv1a_word(h, self.ilu_fill as u64);
@@ -113,7 +113,7 @@ impl SolveRequest {
     /// are a pure function of (discretization, `dt0`) — independent of
     /// the team's thread count. The key extends [`SolveRequest::prep_key`]
     /// at `nt = 0` (a sentinel no team uses) with the `dt0` bits.
-    pub fn factor_key(&self) -> u64 {
+    pub(crate) fn factor_key(&self) -> u64 {
         fnv1a_word(self.prep_key(0), self.dt0.to_bits())
     }
 
@@ -176,23 +176,6 @@ impl SolveRequest {
             req.use_lsq_gradients = b;
         }
         Ok(req)
-    }
-
-    /// Renders the request as one NDJSON line (the round-trip tests).
-    pub fn render(&self) -> String {
-        Json::obj(vec![
-            ("tenant", Json::str(&self.tenant)),
-            ("mesh", Json::str(self.mesh.name())),
-            ("rtol", Json::num(self.rtol)),
-            ("max_steps", Json::num(self.max_steps as f64)),
-            ("dt0", Json::num(self.dt0)),
-            ("ilu_fill", Json::num(self.ilu_fill as f64)),
-            ("ilu_lag", Json::num(self.ilu_lag as f64)),
-            ("max_linear_iters", Json::num(self.max_linear_iters as f64)),
-            ("limiter", Json::Bool(self.use_limiter)),
-            ("lsq_gradients", Json::Bool(self.use_lsq_gradients)),
-        ])
-        .render()
     }
 }
 
@@ -280,6 +263,25 @@ pub fn bad_request_line(detail: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SolveRequest {
+        /// Renders the request as one NDJSON line.
+        fn render(&self) -> String {
+            Json::obj(vec![
+                ("tenant", Json::str(&self.tenant)),
+                ("mesh", Json::str(self.mesh.name())),
+                ("rtol", Json::num(self.rtol)),
+                ("max_steps", Json::num(self.max_steps as f64)),
+                ("dt0", Json::num(self.dt0)),
+                ("ilu_fill", Json::num(self.ilu_fill as f64)),
+                ("ilu_lag", Json::num(self.ilu_lag as f64)),
+                ("max_linear_iters", Json::num(self.max_linear_iters as f64)),
+                ("limiter", Json::Bool(self.use_limiter)),
+                ("lsq_gradients", Json::Bool(self.use_lsq_gradients)),
+            ])
+            .render()
+        }
+    }
 
     #[test]
     fn request_round_trips() {

@@ -10,10 +10,9 @@
 
 use fun3d_core::{FlowConditions, Fun3dApp};
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_serve::service::hash_state;
-use fun3d_serve::wire::SolveRequest;
+use fun3d_serve::{hash_state, SolveRequest};
 use fun3d_serve::{tenant_hash, ServeConfig, Service, SolveReply};
-use fun3d_util::telemetry::{self, flight, Level};
+use fun3d_util::telemetry::{self, Level};
 use std::collections::HashMap;
 
 fn tiny_req(tenant: &str) -> SolveRequest {
@@ -136,10 +135,10 @@ fn concurrent_mixed_load_is_bitwise_identical_and_budgeted() {
     ids.dedup();
     assert_eq!(ids.len(), total, "solve ids must be distinct per job");
 
-    let log = flight::snapshot();
+    let log = telemetry::flight_log();
     let mut tagged: HashMap<u64, u64> = HashMap::new();
     for ev in &log.events {
-        if let flight::EventKind::ServeJob { tenant, .. } = ev.kind {
+        if let telemetry::EventKind::ServeJob { tenant, .. } = ev.kind {
             tagged.insert(ev.solve, tenant);
         }
     }
@@ -154,7 +153,7 @@ fn concurrent_mixed_load_is_bitwise_identical_and_budgeted() {
     assert!(log
         .events
         .iter()
-        .any(|e| matches!(e.kind, flight::EventKind::ServeAdmit { .. })));
+        .any(|e| matches!(e.kind, telemetry::EventKind::ServeAdmit { .. })));
 
     // (c) The scheduler never leased more workers than configured.
     let stats = svc.shutdown();

@@ -3,8 +3,8 @@
 //! carry the tenant's stage histogram, and a corrupted snapshot is
 //! rejected.
 
-use fun3d_util::telemetry::json::Json;
 use fun3d_util::telemetry::metrics;
+use fun3d_util::telemetry::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::process::{Command, Stdio};

@@ -2,8 +2,8 @@
 //! process: a request the parser refuses must come back as a structured
 //! rejection and leave the dispatcher serving.
 
-use fun3d_serve::wire::parse_reply;
-use fun3d_util::telemetry::json::Json;
+use fun3d_serve::parse_reply;
+use fun3d_util::telemetry::Json;
 use std::io::Write;
 use std::process::{Command, Stdio};
 

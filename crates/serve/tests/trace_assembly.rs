@@ -1,5 +1,5 @@
 //! Per-request trace assembly acceptance test: a 2-team service under
-//! concurrent multi-tenant load, then [`trace::assemble`] for every
+//! concurrent multi-tenant load, then [`telemetry::assemble_trace`] for every
 //! reply. Each assembled timeline must carry the full five-stage
 //! admit→dispatch→solve→reply ladder in monotone order, resolve the
 //! right tenant (hash *and* name, via the per-tenant live histograms),
@@ -8,10 +8,9 @@
 //! latency complaint while the service keeps running others.
 
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_serve::wire::SolveRequest;
+use fun3d_serve::SolveRequest;
 use fun3d_serve::{tenant_hash, ServeConfig, Service, SolveReply};
-use fun3d_util::telemetry::json::Json;
-use fun3d_util::telemetry::{self, flight, trace, Level};
+use fun3d_util::telemetry::{self, Json, Level};
 use std::collections::HashSet;
 
 fn req(tenant: &str) -> SolveRequest {
@@ -62,7 +61,7 @@ fn every_reply_assembles_an_isolated_monotone_timeline() {
     assert_eq!(all_ids.len(), 6, "solve ids must be distinct");
 
     for (tenant, reply) in &replies {
-        let t = trace::assemble(flight::SolveId(reply.solve_id))
+        let t = telemetry::assemble_trace(telemetry::SolveId(reply.solve_id))
             .unwrap_or_else(|| panic!("no trace for solve {}", reply.solve_id));
         assert_eq!(t.solve, reply.solve_id);
 
@@ -113,7 +112,7 @@ fn every_reply_assembles_an_isolated_monotone_timeline() {
         let doc = Json::parse(&t.to_json().render()).expect("trace JSON parses");
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
-            Some(trace::TRACE_SCHEMA)
+            Some(telemetry::TRACE_SCHEMA)
         );
         let text = t.render_text();
         for s in STAGE_ORDER {

@@ -111,7 +111,7 @@ mod avx2 {
     impl Avx2 {
         /// `Some` iff this CPU executes AVX2 (the check is cached by std).
         #[inline]
-        pub fn detect() -> Option<Avx2> {
+        pub(crate) fn detect() -> Option<Avx2> {
             is_x86_feature_detected!("avx2").then_some(Avx2(()))
         }
     }

@@ -1,4 +1,4 @@
-//! AoS gather and AoS / SoA conversion helpers for vertex data.
+//! The AoS gather-and-transpose for vertex data.
 //!
 //! The paper's data-structure study (Section V.A, "Data structures"): edge
 //! data is streamed and therefore kept as Structure-of-Arrays, while *node*
@@ -40,37 +40,6 @@ pub fn aos_load_transpose<S: Simd, const N: usize>(
     out
 }
 
-/// Converts an SoA set of `nf` field slices (each `n` long) into a single
-/// AoS buffer of stride `nf`.
-pub fn soa_to_aos(fields: &[&[f64]]) -> Vec<f64> {
-    let nf = fields.len();
-    if nf == 0 {
-        return Vec::new();
-    }
-    let n = fields[0].len();
-    assert!(fields.iter().all(|f| f.len() == n), "ragged SoA fields");
-    let mut out = vec![0.0; n * nf];
-    for (fi, field) in fields.iter().enumerate() {
-        for (vi, &x) in field.iter().enumerate() {
-            out[vi * nf + fi] = x;
-        }
-    }
-    out
-}
-
-/// Converts an AoS buffer with the given stride into per-field SoA vectors.
-pub fn aos_to_soa(data: &[f64], stride: usize) -> Vec<Vec<f64>> {
-    assert!(stride > 0 && data.len() % stride == 0);
-    let n = data.len() / stride;
-    let mut out = vec![vec![0.0; n]; stride];
-    for vi in 0..n {
-        for fi in 0..stride {
-            out[fi][vi] = data[vi * stride + fi];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,22 +54,5 @@ mod tests {
         for f in 0..8 {
             assert_eq!(t[f].0, idx.map(|v| d[v * 8 + f]), "field {f}");
         }
-    }
-
-    #[test]
-    fn soa_aos_roundtrip() {
-        let a: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let soa = aos_to_soa(&a, 4);
-        let refs: Vec<&[f64]> = soa.iter().map(|v| v.as_slice()).collect();
-        let back = soa_to_aos(&refs);
-        assert_eq!(back, a);
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_soa_panics() {
-        let a = [1.0, 2.0];
-        let b = [1.0];
-        soa_to_aos(&[&a, &b]);
     }
 }

@@ -10,21 +10,21 @@
 //! ([`F64x4`] array code, the fallback and the tests' reference) and for
 //! [`Avx2`] (`std::arch` intrinsics), picked per call by
 //! [`Isa::detect`]. No build flag, feature or environment variable is
-//! involved, and the two agree bit for bit (see [`isa`]'s determinism
+//! involved, and the two agree bit for bit (see the `isa` module's determinism
 //! rule: no FMA, no reassociation). The same kernels written against
 //! `f64` are the scalar baselines.
 
-pub mod isa;
-pub mod layout;
-pub mod prefetch;
-pub mod vec4;
+#![deny(unreachable_pub)]
+
+mod isa;
+mod layout;
+mod prefetch;
+mod vec4;
 
 #[cfg(target_arch = "x86_64")]
 pub use isa::{Avx2, M256d};
 pub use isa::{active_isa, Isa, Portable, Simd};
 pub use layout::aos_load_transpose;
 pub use prefetch::{prefetch_l1, prefetch_l2};
+// `Portable`'s lane type: it appears in every `Simd for Portable` signature.
 pub use vec4::F64x4;
-
-/// Number of lanes in the SIMD value type, matching 256-bit AVX doubles.
-pub const LANES: usize = 4;

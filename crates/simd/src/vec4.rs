@@ -14,34 +14,6 @@ use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, MulAssign, Neg, Sub, S
 #[repr(C, align(32))]
 pub struct F64x4(pub [f64; 4]);
 
-impl F64x4 {
-    /// Lane-wise maximum.
-    #[inline]
-    pub fn max(self, o: F64x4) -> F64x4 {
-        let mut out = [0.0; 4];
-        for i in 0..4 {
-            out[i] = self.0[i].max(o.0[i]);
-        }
-        F64x4(out)
-    }
-
-    /// Lane-wise minimum.
-    #[inline]
-    pub fn min(self, o: F64x4) -> F64x4 {
-        let mut out = [0.0; 4];
-        for i in 0..4 {
-            out[i] = self.0[i].min(o.0[i]);
-        }
-        F64x4(out)
-    }
-
-    /// Horizontal sum of the four lanes.
-    #[inline]
-    pub fn hsum(self) -> f64 {
-        (self.0[0] + self.0[1]) + (self.0[2] + self.0[3])
-    }
-}
-
 macro_rules! impl_binop {
     ($trait:ident, $method:ident, $op:tt) => {
         impl $trait for F64x4 {
@@ -132,14 +104,6 @@ mod tests {
         assert_eq!((b / a).0, [10.0, 10.0, 10.0, 10.0]);
         assert_eq!((a * 2.0).0, [2.0, 4.0, 6.0, 8.0]);
         assert_eq!((-a).0, [-1.0, -2.0, -3.0, -4.0]);
-    }
-
-    #[test]
-    fn minmax_hsum() {
-        let b = F64x4([-1.0, 2.0, -3.0, 4.0]);
-        assert_eq!(b.max(F64x4::default()).0, [0.0, 2.0, 0.0, 4.0]);
-        assert_eq!(b.min(F64x4::default()).0, [-1.0, 0.0, -3.0, 0.0]);
-        assert_eq!(F64x4([1.0, 2.0, 3.0, 4.0]).hsum(), 10.0);
     }
 
     #[test]

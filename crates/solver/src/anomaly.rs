@@ -1,7 +1,7 @@
 //! Residual anomaly detection for the ΨTC driver.
 //!
 //! A production solve fails in a handful of recognizable ways, and the
-//! flight recorder ([`fun3d_util::telemetry::flight`]) wants to dump the
+//! flight recorder ([`fun3d_util::telemetry::emit`]) wants to dump the
 //! event log *at the moment of failure*, not after the process is gone:
 //!
 //! * **divergence** — the residual goes NaN/Inf, or blows up by
@@ -19,7 +19,7 @@
 //! flight-dump trigger. Convergence is checked *before* the detector, so
 //! a solve that meets its tolerance can never be flagged.
 
-use fun3d_util::telemetry::flight::Trigger;
+use fun3d_util::telemetry::Trigger;
 
 /// Detection thresholds. The defaults are deliberately loose — the
 /// detector's job is flagging runs that are *clearly* wrong, not tuning
@@ -80,7 +80,7 @@ pub enum Anomaly {
 
 impl Anomaly {
     /// The flight-dump trigger this anomaly maps to.
-    pub fn trigger(&self) -> Trigger {
+    pub(crate) fn trigger(&self) -> Trigger {
         match self {
             Anomaly::Divergence { .. } => Trigger::Divergence,
             Anomaly::Stagnation { .. } => Trigger::Stagnation,
@@ -88,13 +88,8 @@ impl Anomaly {
         }
     }
 
-    /// Stable slug (the trigger's), recorded in `PtcStats::anomaly`.
-    pub fn slug(&self) -> &'static str {
-        self.trigger().slug()
-    }
-
     /// The step at which the anomaly fired.
-    pub fn step(&self) -> usize {
+    pub(crate) fn step(&self) -> usize {
         match *self {
             Anomaly::Divergence { step, .. }
             | Anomaly::Stagnation { step, .. }
@@ -104,7 +99,7 @@ impl Anomaly {
 
     /// The offending value (residual, or elapsed seconds for a budget
     /// overrun) — what the flight event records.
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         match *self {
             Anomaly::Divergence { res, .. } => res,
             Anomaly::Stagnation { res, .. } => res,
@@ -116,7 +111,7 @@ impl Anomaly {
 /// Streaming detector: feed one `(step, res, elapsed)` observation per
 /// pseudo-time step via [`AnomalyDetector::observe`].
 #[derive(Clone, Debug)]
-pub struct AnomalyDetector {
+pub(crate) struct AnomalyDetector {
     config: AnomalyConfig,
     /// Best (smallest) residual seen, the divergence baseline.
     best: f64,
@@ -126,7 +121,7 @@ pub struct AnomalyDetector {
 
 impl AnomalyDetector {
     /// A fresh detector with the given thresholds.
-    pub fn new(config: AnomalyConfig) -> AnomalyDetector {
+    pub(crate) fn new(config: AnomalyConfig) -> AnomalyDetector {
         AnomalyDetector {
             config,
             best: f64::INFINITY,
@@ -137,7 +132,7 @@ impl AnomalyDetector {
     /// Observes the residual after pseudo-time step `step` (1-based) at
     /// `elapsed_s` seconds into the solve. Returns the first anomaly the
     /// history establishes, if any. Call only for non-converged steps.
-    pub fn observe(&mut self, step: usize, res: f64, elapsed_s: f64) -> Option<Anomaly> {
+    pub(crate) fn observe(&mut self, step: usize, res: f64, elapsed_s: f64) -> Option<Anomaly> {
         // Divergence dominates: a NaN residual poisons every later test.
         if !res.is_finite() {
             return Some(Anomaly::Divergence { step, res });
@@ -193,7 +188,7 @@ mod tests {
             match d.observe(2, bad, 0.0) {
                 Some(a @ Anomaly::Divergence { step: 2, .. }) => {
                     assert_eq!(a.trigger(), Trigger::Divergence);
-                    assert_eq!(a.slug(), "divergence");
+                    assert_eq!(a.trigger().slug(), "divergence");
                 }
                 other => panic!("want divergence for {bad}, got {other:?}"),
             }

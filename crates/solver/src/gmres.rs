@@ -252,8 +252,12 @@ struct LeastSquares {
 
 impl Gmres {
     /// Creates a solver for vectors of length `n`.
+    ///
+    /// Panics if `config.restart` is 0: no Arnoldi step would ever run,
+    /// so the iteration cap could never end the solve.
     pub fn new(n: usize, config: GmresConfig) -> Self {
         let restart = config.restart;
+        assert!(restart > 0, "GmresConfig::restart must be at least 1, got 0");
         Gmres {
             config,
             basis: (0..restart + 1).map(|_| vec![0.0; n]).collect(),
@@ -786,6 +790,12 @@ mod tests {
             .sqrt();
         let bnorm: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(res < tol * bnorm, "true residual {res} vs bnorm {bnorm}");
+    }
+
+    #[test]
+    #[should_panic(expected = "GmresConfig::restart must be at least 1, got 0")]
+    fn zero_restart_is_rejected_at_construction() {
+        Gmres::new(8, GmresConfig { restart: 0, ..GmresConfig::default() });
     }
 
     #[test]

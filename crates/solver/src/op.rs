@@ -104,7 +104,7 @@ impl LinearOperator for Bcsr4 {
 ///
 /// An optional per-unknown diagonal shift models the pseudo-transient
 /// term `V/Δt`, so the operator applied is `diag(shift) + ∂F/∂u`.
-pub struct FdJacobian<'a, F: Fn(&[f64], &mut [f64])> {
+pub(crate) struct FdJacobian<'a, F: Fn(&[f64], &mut [f64])> {
     residual: F,
     /// Base state `u`.
     u: &'a [f64],
@@ -122,7 +122,7 @@ pub struct FdJacobian<'a, F: Fn(&[f64], &mut [f64])> {
 impl<'a, F: Fn(&[f64], &mut [f64])> FdJacobian<'a, F> {
     /// Creates the operator. `shift` must be empty or `u.len()` long;
     /// `reduce` is the reduction of the space `u` lives in.
-    pub fn new(
+    pub(crate) fn new(
         residual: F,
         u: &'a [f64],
         r0: &'a [f64],
@@ -146,7 +146,7 @@ impl<'a, F: Fn(&[f64], &mut [f64])> FdJacobian<'a, F> {
 
     /// Number of residual evaluations performed so far is not tracked
     /// here; the application layer counts them in its profiler.
-    pub fn epsilon(&self, vnorm: f64) -> f64 {
+    pub(crate) fn epsilon(&self, vnorm: f64) -> f64 {
         let sqrt_eps = f64::EPSILON.sqrt();
         sqrt_eps * (1.0 + self.unorm) / vnorm.max(1e-300)
     }
@@ -187,53 +187,6 @@ impl<F: Fn(&[f64], &mut [f64])> LinearOperator for FdJacobian<'_, F> {
         } else {
             for i in 0..n {
                 y[i] = (rp[i] - self.r0[i]) * inv_eps + self.shift[i] * v[i];
-            }
-        }
-    }
-}
-
-/// An assembled operator plus a diagonal shift: `(diag(s) + A) x`.
-/// Used in tests and as the "assembled Jacobian" path.
-pub struct ShiftedOperator<'a> {
-    /// The assembled matrix.
-    pub a: &'a Bcsr4,
-    /// Per-unknown diagonal shift.
-    pub shift: &'a [f64],
-}
-
-impl LinearOperator for ShiftedOperator<'_> {
-    fn dim(&self) -> usize {
-        self.a.dim()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.a.spmv(x, y);
-        if !self.shift.is_empty() {
-            for i in 0..y.len() {
-                y[i] += self.shift[i] * x[i];
-            }
-        }
-    }
-
-    fn team_capable(&self) -> bool {
-        true
-    }
-
-    unsafe fn apply_team(&self, tm: &TeamMember, x: TeamSlice, y: TeamSlice) {
-        let (tid, nt) = (tm.tid(), tm.nthreads());
-        // SAFETY: x published per the trait contract.
-        let xs = unsafe { x.slice(0..x.len()) };
-        self.a.spmv_team(tid, nt, xs, y);
-        if !self.shift.is_empty() {
-            // Shift over the scalar span of this thread's *row* chunk, so
-            // every element touched here was just written by this thread
-            // (no barrier needed between SpMV and shift).
-            let rows = fun3d_threads::chunk_range(self.a.nrows(), nt, tid);
-            // SAFETY: disjoint per-thread spans.
-            unsafe {
-                for i in rows.start * 4..rows.end * 4 {
-                    y.set(i, y.get(i) + self.shift[i] * x.get(i));
-                }
             }
         }
     }
@@ -336,23 +289,5 @@ mod tests {
         let mut jv = vec![1.0; n];
         jac.apply(&v, &mut jv);
         assert!(jv.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn shifted_operator_matches_manual() {
-        let a = small_matrix();
-        let n = a.dim();
-        let shift: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let op = ShiftedOperator { a: &a, shift: &shift };
-        assert_eq!(op.dim(), n);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let mut y = vec![0.0; n];
-        op.apply(&x, &mut y);
-        let mut want = vec![0.0; n];
-        a.spmv(&x, &mut want);
-        for i in 0..n {
-            want[i] += shift[i] * x[i];
-            assert!((y[i] - want[i]).abs() < 1e-14);
-        }
     }
 }

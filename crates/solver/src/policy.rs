@@ -16,7 +16,7 @@
 
 use fun3d_machine::{MachineSpec, RESIDUAL_BYTES_PER_VERTEX};
 use fun3d_threads::{SyncCosts, ThreadPool};
-use fun3d_util::telemetry::flight;
+use fun3d_util::telemetry;
 use std::sync::Mutex;
 
 /// Solver execution scheme, as configured (Auto resolves to one of the
@@ -74,18 +74,18 @@ impl FluxScheme {
 
 /// Regions a persistent-region iteration launches (one per Arnoldi step
 /// plus the amortized cycle-start and solution-update regions).
-pub const TEAM_REGIONS_PER_ITER: f64 = 1.25;
+pub(crate) const TEAM_REGIONS_PER_ITER: f64 = 1.25;
 /// Barrier phases inside one persistent-region Arnoldi iteration
 /// (operator, preconditioner, reduction, and basis-update phases).
-pub const TEAM_BARRIERS_PER_ITER: f64 = 6.0;
+pub(crate) const TEAM_BARRIERS_PER_ITER: f64 = 6.0;
 /// Default memory traffic per unknown per GMRES iteration, bytes:
 /// basis-vector reads in CGS plus SpMV/preconditioner sweeps. Calibrated
 /// against the medium-mesh ablation (37 ms/iter at ~102k unknowns on a
 /// ~3.5 GB/s single-core share); override the field for other kernels.
-pub const WORK_BYTES_PER_UNKNOWN: f64 = 1200.0;
+pub(crate) const WORK_BYTES_PER_UNKNOWN: f64 = 1200.0;
 /// A parallel scheme must beat serial by this factor to be chosen
 /// (hysteresis: near the crossover, prefer the simple scheme).
-pub const PARALLEL_MARGIN: f64 = 1.1;
+pub(crate) const PARALLEL_MARGIN: f64 = 1.1;
 
 /// The decision function: machine model + measured sync costs.
 #[derive(Clone, Copy, Debug)]
@@ -106,7 +106,7 @@ pub struct AutoPolicy {
 impl AutoPolicy {
     /// A policy from explicit parts (tests drive this with synthetic
     /// machines and sync costs).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         machine: MachineSpec,
         region_launch_s: f64,
         barrier_phase_s: f64,
@@ -150,7 +150,7 @@ impl AutoPolicy {
 
     /// [`AutoPolicy::choose`] with the modeled inputs attached — what the
     /// flight recorder logs so a dump explains *why* a scheme ran.
-    pub fn decision(&self, unknowns: usize, nt: usize) -> Decision {
+    pub(crate) fn decision(&self, unknowns: usize, nt: usize) -> Decision {
         let serial_s = self.work_s(unknowns, 1);
         let nt_eff = nt.min(self.effective_cores);
         if nt <= 1 || nt_eff <= 1 {
@@ -203,7 +203,7 @@ impl AutoPolicy {
 
 /// A resolved policy choice with the modeled costs that produced it.
 #[derive(Clone, Copy, Debug)]
-pub struct Decision {
+pub(crate) struct Decision {
     /// The concrete scheme (never [`ExecMode::Auto`]).
     pub mode: ExecMode,
     /// Modeled serial iteration seconds.
@@ -218,12 +218,12 @@ pub struct Decision {
 impl Decision {
     /// Records this decision on the flight log (the dump's
     /// `policy_decision` row).
-    pub fn record(&self, unknowns: usize, nt: usize) {
+    pub(crate) fn record(&self, unknowns: usize, nt: usize) {
         let chosen = match self.mode {
-            ExecMode::Serial => flight::ExecTag::Serial,
-            ExecMode::Team | ExecMode::Auto => flight::ExecTag::Team,
+            ExecMode::Serial => telemetry::ExecTag::Serial,
+            ExecMode::Team | ExecMode::Auto => telemetry::ExecTag::Team,
         };
-        flight::emit(flight::EventKind::PolicyDecision {
+        telemetry::emit(telemetry::EventKind::PolicyDecision {
             chosen,
             unknowns: unknowns as u64,
             nt: nt as u64,
@@ -232,7 +232,7 @@ impl Decision {
             crossover: self
                 .crossover
                 .map(|c| c as u64)
-                .unwrap_or(flight::NO_CROSSOVER),
+                .unwrap_or(telemetry::NO_CROSSOVER),
         });
     }
 }
@@ -251,7 +251,7 @@ fn cached_sync_costs(pool: &ThreadPool) -> SyncCosts {
     let c = SyncCosts::observed(pool.size()).unwrap_or_else(|| SyncCosts::measure(pool));
     // Calibrations are rare (once per pool size per process) and exactly
     // what a post-hoc dump reader needs to audit policy decisions.
-    flight::emit(flight::EventKind::SyncProbe {
+    telemetry::emit(telemetry::EventKind::SyncProbe {
         pool_size: pool.size() as u64,
         region_launch_s: c.region_launch_s,
         barrier_phase_s: c.barrier_phase_s,

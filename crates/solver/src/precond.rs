@@ -1,13 +1,12 @@
-//! Preconditioners: identity, global ILU, and block-Jacobi (zero-overlap
-//! additive Schwarz) ILU.
+//! Preconditioners: identity and global ILU.
 //!
-//! The Schwarz preconditioner solves an ILU factorization *per subdomain*
-//! concurrently; the paper notes this also improves flop rates serially
-//! because smaller subdomain blocks stay cache-resident [14]. The ILU
-//! application runs serially or with P2P sparsified synchronization; Fig.
-//! 7's third strategy, a barrier per level, is a modelled row only.
+//! The ILU application runs serially or with P2P sparsified
+//! synchronization; Fig. 7's third strategy, a barrier per level, is a
+//! modelled row only.
 
-use fun3d_sparse::{ilu, p2p, trsv, Bcsr4, IluFactors, P2pSchedule, Sweep};
+use fun3d_sparse::{
+    ilu, solve_p2p_into, sweep_p2p_team, trsv_solve_into, Bcsr4, IluFactors, P2pSchedule, Sweep,
+};
 use fun3d_threads::{P2pProgress, TeamMember, TeamSlice, ThreadPool};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -146,14 +145,14 @@ impl Preconditioner for SerialIlu {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         let (f, scratch) = (&*self.factors, &mut self.scratch.borrow_mut()[..]);
         match &self.apply_mode {
-            IluApply::Serial => trsv::solve_into(f, r, scratch, z),
+            IluApply::Serial => trsv_solve_into(f, r, scratch, z),
             IluApply::P2p {
                 pool,
                 fwd,
                 bwd,
                 fwd_progress,
                 bwd_progress,
-            } => p2p::solve_p2p_into(
+            } => solve_p2p_into(
                 f,
                 r,
                 pool,
@@ -198,90 +197,12 @@ impl Preconditioner for SerialIlu {
                 ..
             } => {
                 assert_eq!(nt, fwd.nthreads());
-                p2p::sweep_p2p_team(Sweep::Forward, &self.factors, r, z, tid, fwd, fwd_progress);
+                sweep_p2p_team(Sweep::Forward, &self.factors, r, z, tid, fwd, fwd_progress);
                 tm.barrier();
-                p2p::sweep_p2p_team(Sweep::Backward, &self.factors, z, z, tid, bwd, bwd_progress);
+                sweep_p2p_team(Sweep::Backward, &self.factors, z, z, tid, bwd, bwd_progress);
                 tm.barrier();
             }
         }
-    }
-}
-
-/// Block-Jacobi / zero-overlap additive Schwarz: the matrix rows are
-/// grouped into subdomains; each subdomain's diagonal block is factored
-/// with ILU and solved independently (couplings between subdomains are
-/// dropped from the preconditioner, as in PETSc's `PCBJACOBI` + `PCILU`).
-pub struct BlockJacobiIlu {
-    /// Per-subdomain factors of the local diagonal block.
-    pub locals: Vec<IluFactors>,
-    /// Block-row ranges of each subdomain (contiguous after reordering).
-    pub ranges: Vec<std::ops::Range<usize>>,
-    dim: usize,
-}
-
-impl BlockJacobiIlu {
-    /// Builds from a matrix and a list of contiguous block-row ranges
-    /// covering `0..a.nrows()`.
-    pub fn new(a: &Bcsr4, ranges: Vec<std::ops::Range<usize>>, fill: usize) -> Self {
-        let mut locals = Vec::with_capacity(ranges.len());
-        for r in &ranges {
-            let local = extract_diagonal_block(a, r.clone());
-            locals.push(ilu::iluk(&local, fill));
-        }
-        BlockJacobiIlu {
-            locals,
-            ranges,
-            dim: a.dim(),
-        }
-    }
-
-    /// Splits `nrows` into `k` near-equal contiguous subdomains.
-    pub fn even_ranges(nrows: usize, k: usize) -> Vec<std::ops::Range<usize>> {
-        (0..k).map(|t| fun3d_threads::chunk_range(nrows, k, t)).collect()
-    }
-}
-
-/// Extracts the square diagonal sub-block of `a` for the given contiguous
-/// block-row range, renumbering columns locally.
-fn extract_diagonal_block(a: &Bcsr4, range: std::ops::Range<usize>) -> Bcsr4 {
-    let lo = range.start as u32;
-    let hi = range.end as u32;
-    let cols: Vec<Vec<u32>> = range
-        .clone()
-        .map(|r| {
-            a.col_idx[a.row_ptr[r]..a.row_ptr[r + 1]]
-                .iter()
-                .copied()
-                .filter(|&c| c >= lo && c < hi)
-                .map(|c| c - lo)
-                .collect()
-        })
-        .collect();
-    let mut local = Bcsr4::from_pattern(&cols);
-    for (lr, r) in range.clone().enumerate() {
-        for k in a.row_ptr[r]..a.row_ptr[r + 1] {
-            let c = a.col_idx[k];
-            if c >= lo && c < hi {
-                let lk = local.find(lr, c - lo).unwrap();
-                local.blocks[lk * 16..(lk + 1) * 16]
-                    .copy_from_slice(&a.blocks[k * 16..(k + 1) * 16]);
-            }
-        }
-    }
-    local
-}
-
-impl Preconditioner for BlockJacobiIlu {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        for (local, range) in self.locals.iter().zip(&self.ranges) {
-            let s = range.start * 4..range.end * 4;
-            let x = trsv::solve(local, &r[s.clone()]);
-            z[s].copy_from_slice(&x);
-        }
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
     }
 }
 
@@ -340,20 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn block_jacobi_weaker_than_global_but_usable() {
-        let a = mesh_matrix(63);
-        let global = residual_reduction(&a, &SerialIlu::new(&a, 0));
-        let ranges = BlockJacobiIlu::even_ranges(a.nrows(), 4);
-        let bj = BlockJacobiIlu::new(&a, ranges, 0);
-        let blocked = residual_reduction(&a, &bj);
-        assert!(blocked < 0.9, "block-Jacobi too weak: {blocked}");
-        assert!(
-            blocked >= global * 0.5,
-            "sanity: dropping couplings should not *improve* much"
-        );
-    }
-
-    #[test]
     fn threaded_applications_match_serial() {
         // Twice through each preconditioner: the second application runs
         // on the scratch, the barrier and the progress counters where the
@@ -372,27 +279,6 @@ mod tests {
             let mut z2 = vec![0.0; n];
             pp.apply(&r, &mut z2);
             assert_eq!(z0, z2, "p2p apply differs (pass {pass})");
-        }
-    }
-
-    #[test]
-    fn even_ranges_cover() {
-        let ranges = BlockJacobiIlu::even_ranges(10, 3);
-        assert_eq!(ranges.len(), 3);
-        assert_eq!(ranges[0].start, 0);
-        assert_eq!(ranges.last().unwrap().end, 10);
-    }
-
-    #[test]
-    fn extract_diagonal_block_values() {
-        let a = mesh_matrix(65);
-        let sub = extract_diagonal_block(&a, 2..5);
-        assert_eq!(sub.nrows(), 3);
-        // diagonal blocks must match the original
-        for (lr, r) in (2..5).enumerate() {
-            let orig = a.find(r, r as u32).unwrap();
-            let loc = sub.find(lr, lr as u32).unwrap();
-            assert_eq!(a.block(orig), sub.block(loc));
         }
     }
 }

@@ -15,7 +15,6 @@ use crate::precond::Preconditioner;
 use crate::vecops;
 use fun3d_threads::ThreadPool;
 use fun3d_util::telemetry;
-use fun3d_util::telemetry::flight;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -141,7 +140,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
     let mode = problem.exec_mode();
 
     let threads = pool.as_deref().map(ThreadPool::size).unwrap_or(1) as u64;
-    let solve_id = flight::begin_solve(n as u64, threads);
+    let solve_id = telemetry::begin_solve(n as u64, threads);
     let t0 = Instant::now();
     let mut detector = {
         let mut acfg = config.anomaly;
@@ -154,12 +153,12 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         AnomalyDetector::new(acfg)
     };
     let regions0 = pool.as_deref().map(ThreadPool::regions_launched);
-    let barriers0 = fun3d_threads::barrier::total_crossings();
+    let barriers0 = fun3d_threads::total_crossings();
 
     problem.residual(u, &mut r);
     let res0 = reduced_norm2(problem.reducer(), &r);
     let mut res = res0;
-    flight::emit(flight::EventKind::PtcStep {
+    telemetry::emit(telemetry::EventKind::PtcStep {
         step: 0,
         res: res0,
         dt: 0.0,
@@ -176,7 +175,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
     };
     if stats.converged || res0 == 0.0 {
         stats.converged = true;
-        flight::end_solve(solve_id, true, 0, 0, res0);
+        telemetry::end_solve(solve_id, true, 0, 0, res0);
         return stats;
     }
 
@@ -225,8 +224,8 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         };
         stats.linear_iters += lin.iterations;
         stats.exec = lin.exec;
-        if let Some(tag) = flight::ExecTag::parse(lin.exec) {
-            flight::emit(flight::EventKind::Gmres {
+        if let Some(tag) = telemetry::ExecTag::parse(lin.exec) {
+            telemetry::emit(telemetry::EventKind::Gmres {
                 exec: tag,
                 iterations: lin.iterations as u64,
                 residual: lin.residual,
@@ -243,7 +242,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
             "solver.ptc_step_ns",
             step_t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
         );
-        flight::emit(flight::EventKind::PtcStep {
+        telemetry::emit(telemetry::EventKind::PtcStep {
             step: (step + 1) as u64,
             res,
             dt,
@@ -265,34 +264,34 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         let mut elapsed = [t0.elapsed().as_secs_f64()];
         reduce_sum(problem.reducer(), &mut elapsed);
         if let Some(anomaly) = detector.observe(step + 1, res, elapsed[0]) {
-            flight::emit(flight::EventKind::Anomaly {
+            telemetry::emit(telemetry::EventKind::Anomaly {
                 trigger: anomaly.trigger(),
                 step: anomaly.step() as u64,
                 value: anomaly.value(),
             });
             stats.anomaly = Some(anomaly);
             if telemetry::enabled() {
-                let _ = flight::dump(anomaly.trigger());
+                let _ = telemetry::dump(anomaly.trigger());
             }
             break;
         }
     }
 
     if let (Some(p), Some(r0)) = (pool.as_deref(), regions0) {
-        flight::emit(flight::EventKind::RegionSummary {
+        telemetry::emit(telemetry::EventKind::RegionSummary {
             regions: p.regions_launched() - r0,
-            barriers: fun3d_threads::barrier::total_crossings() - barriers0,
+            barriers: fun3d_threads::total_crossings() - barriers0,
         });
     }
-    flight::end_solve(
+    telemetry::end_solve(
         solve_id,
         stats.converged,
         stats.time_steps as u64,
         stats.linear_iters as u64,
         res,
     );
-    if telemetry::enabled() && flight::dump_requested() {
-        let _ = flight::dump(flight::Trigger::Request);
+    if telemetry::enabled() && telemetry::dump_requested() {
+        let _ = telemetry::dump(telemetry::Trigger::Request);
     }
     stats
 }
@@ -436,7 +435,7 @@ mod tests {
         assert!(stats.time_steps >= 1);
         // The solve's ptc_step events, step 0 the initial residual, are
         // its convergence history bit for bit.
-        let history = flight::snapshot().convergence(stats.solve_id);
+        let history = telemetry::flight_log().convergence(stats.solve_id);
         let steps: Vec<u64> = history.iter().map(|h| h.0).collect();
         assert_eq!(steps, (0..=stats.time_steps as u64).collect::<Vec<_>>());
         let res: Vec<u64> = history.iter().map(|h| h.1.to_bits()).collect();

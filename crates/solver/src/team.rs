@@ -56,7 +56,7 @@ unsafe fn chunk_mut<'a>(tm: &TeamMember, v: &'a TeamSlice) -> &'a mut [f64] {
 /// Team `<x, y>`: chunk-local partial + deterministic thread-order
 /// combine. Returns the same bits on every thread; synchronizes (2
 /// barrier phases).
-pub fn dot(tm: &TeamMember, x: TeamSlice, y: TeamSlice) -> f64 {
+pub(crate) fn dot(tm: &TeamMember, x: TeamSlice, y: TeamSlice) -> f64 {
     assert_eq!(x.len(), y.len());
     // SAFETY: reads of both vectors; caller ordered all writes before
     // this call (barrier), and no thread writes during it.
@@ -65,7 +65,7 @@ pub fn dot(tm: &TeamMember, x: TeamSlice, y: TeamSlice) -> f64 {
 }
 
 /// Team 2-norm (synchronizes; identical on every thread).
-pub fn norm2(tm: &TeamMember, x: TeamSlice) -> f64 {
+pub(crate) fn norm2(tm: &TeamMember, x: TeamSlice) -> f64 {
     dot(tm, x, x).sqrt()
 }
 
@@ -74,7 +74,7 @@ pub fn norm2(tm: &TeamMember, x: TeamSlice) -> f64 {
 /// all components (2 barrier phases total). `out` is thread-local
 /// storage, sized as for [`vecops::mdot`] and no wider than the team's
 /// reduction width; after the call every thread holds identical values.
-pub fn mdot(tm: &TeamMember, x: TeamSlice, ys: &[Vec<f64>], out: &mut [f64]) {
+pub(crate) fn mdot(tm: &TeamMember, x: TeamSlice, ys: &[Vec<f64>], out: &mut [f64]) {
     if out.is_empty() {
         return;
     }
@@ -88,7 +88,7 @@ pub fn mdot(tm: &TeamMember, x: TeamSlice, ys: &[Vec<f64>], out: &mut [f64]) {
 
 /// Team `y += Σ_k alpha[k]·xs[k]` on this thread's chunk, `y` traversed
 /// once. No barrier.
-pub fn maxpy(tm: &TeamMember, y: TeamSlice, alpha: &[f64], xs: &[Vec<f64>]) {
+pub(crate) fn maxpy(tm: &TeamMember, y: TeamSlice, alpha: &[f64], xs: &[Vec<f64>]) {
     vecops::assert_lens(y.len(), xs);
     let lo = tm.chunk(y.len()).start;
     // SAFETY: chunk-disjoint writes; reads ordered by caller.
@@ -97,7 +97,7 @@ pub fn maxpy(tm: &TeamMember, y: TeamSlice, alpha: &[f64], xs: &[Vec<f64>]) {
 }
 
 /// Team `w = b - w` in place on this thread's chunk. No barrier.
-pub fn bsub(tm: &TeamMember, w: TeamSlice, b: TeamSlice) {
+pub(crate) fn bsub(tm: &TeamMember, w: TeamSlice, b: TeamSlice) {
     assert_eq!(w.len(), b.len());
     // SAFETY: chunk-disjoint read-modify-write.
     unsafe { vecops::bsub(chunk_mut(tm, &w), chunk(tm, &b)) }
@@ -106,14 +106,14 @@ pub fn bsub(tm: &TeamMember, w: TeamSlice, b: TeamSlice) {
 /// Team `dst = src / s` elementwise on this thread's chunk (division,
 /// not reciprocal-multiply, to round identically to the serial path).
 /// No barrier.
-pub fn div_into(tm: &TeamMember, dst: TeamSlice, src: TeamSlice, s: f64) {
+pub(crate) fn div_into(tm: &TeamMember, dst: TeamSlice, src: TeamSlice, s: f64) {
     assert_eq!(dst.len(), src.len());
     // SAFETY: chunk-disjoint writes.
     unsafe { vecops::div_into(chunk_mut(tm, &dst), chunk(tm, &src), s) }
 }
 
 /// Team copy `dst = src` on this thread's chunk. No barrier.
-pub fn copy(tm: &TeamMember, dst: TeamSlice, src: TeamSlice) {
+pub(crate) fn copy(tm: &TeamMember, dst: TeamSlice, src: TeamSlice) {
     assert_eq!(dst.len(), src.len());
     // SAFETY: chunk-disjoint writes; reads ordered by caller.
     unsafe { chunk_mut(tm, &dst).copy_from_slice(chunk(tm, &src)) }

@@ -53,7 +53,7 @@
 use fun3d_simd::{with_lanes, Isa, Simd};
 
 /// `y += a*x` (PETSc `VecAXPY`).
-pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
+pub(crate) fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     assert_eq!(y.len(), x.len());
     for i in 0..y.len() {
         y[i] += a * x[i];
@@ -77,7 +77,7 @@ pub fn mdot(x: &[f64], ys: &[Vec<f64>], out: &mut [f64]) {
 }
 
 /// `w = b - w` in place (residual formation step).
-pub fn bsub(w: &mut [f64], b: &[f64]) {
+pub(crate) fn bsub(w: &mut [f64], b: &[f64]) {
     assert_eq!(w.len(), b.len());
     for i in 0..w.len() {
         w[i] = b[i] - w[i];
@@ -86,7 +86,7 @@ pub fn bsub(w: &mut [f64], b: &[f64]) {
 
 /// `dst = src / s` elementwise (basis normalization; kept as a division
 /// so all execution paths round identically).
-pub fn div_into(dst: &mut [f64], src: &[f64], s: f64) {
+pub(crate) fn div_into(dst: &mut [f64], src: &[f64], s: f64) {
     assert_eq!(dst.len(), src.len());
     for i in 0..dst.len() {
         dst[i] = src[i] / s;
@@ -101,29 +101,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// 2-norm (PETSc `VecNorm` with `NORM_2`).
 pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
-}
-
-/// `x *= a` (PETSc `VecScale`).
-pub fn scale(x: &mut [f64], a: f64) {
-    for v in x {
-        *v *= a;
-    }
-}
-
-/// Gather: `dst[k] = src[idx[k]]` (one half of PETSc `VecScatter`).
-pub fn gather(src: &[f64], idx: &[u32], dst: &mut [f64]) {
-    assert_eq!(idx.len(), dst.len());
-    for (d, &i) in dst.iter_mut().zip(idx) {
-        *d = src[i as usize];
-    }
-}
-
-/// Scatter-add: `dst[idx[k]] += src[k]` (the other half of `VecScatter`).
-pub fn scatter_add(dst: &mut [f64], idx: &[u32], src: &[f64]) {
-    assert_eq!(idx.len(), src.len());
-    for (&i, &s) in idx.iter().zip(src) {
-        dst[i as usize] += s;
-    }
 }
 
 /// Every vector of a multi-vector op must be as long as the first operand.
@@ -356,15 +333,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
+    fn axpy_adds_a_multiple() {
         let (x, _) = vecs(9);
         let mut y = vec![1.0; 9];
         axpy(&mut y, 3.0, &x);
         for i in 0..9 {
             assert!((y[i] - (1.0 + 3.0 * x[i])).abs() < 1e-15);
         }
-        scale(&mut y, 0.0);
-        assert!(y.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -392,18 +367,6 @@ pub(crate) mod tests {
         // the optional extra component is <x, x>, with the bits of a
         // listed copy of x
         assert_eq!(out[2].to_bits(), out[0].to_bits());
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip() {
-        let src = vec![10.0, 20.0, 30.0, 40.0];
-        let idx = vec![3u32, 0, 2];
-        let mut buf = vec![0.0; 3];
-        gather(&src, &idx, &mut buf);
-        assert_eq!(buf, vec![40.0, 10.0, 30.0]);
-        let mut dst = vec![0.0; 4];
-        scatter_add(&mut dst, &idx, &buf);
-        assert_eq!(dst, vec![10.0, 0.0, 30.0, 40.0]);
     }
 
     prop_cases! {

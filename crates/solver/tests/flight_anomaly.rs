@@ -11,8 +11,7 @@ use fun3d_solver::precond::{IdentityPrecond, Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem};
 use fun3d_solver::{Anomaly, AnomalyConfig};
 use fun3d_sparse::Bcsr4;
-use fun3d_util::telemetry::flight;
-use fun3d_util::telemetry::json::Json;
+use fun3d_util::telemetry::{self, Json};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -25,16 +24,16 @@ fn dump_dir(test: &str) -> PathBuf {
         .join(test);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    flight::set_dump_dir(&dir);
+    telemetry::set_dump_dir(&dir);
     dir
 }
 
 /// Asserts the dump for `trigger` exists, validates strictly, and
 /// carries a matching `anomaly` event in its timeline; returns the doc.
-fn expect_dump(dir: &PathBuf, trigger: flight::Trigger) -> Json {
+fn expect_dump(dir: &PathBuf, trigger: telemetry::Trigger) -> Json {
     let path = dir.join(format!("flight.{}.json", trigger.slug()));
     assert!(path.exists(), "expected dump {} missing", path.display());
-    let events = flight::check_dump_file(&path).expect("dump must validate strictly");
+    let events = telemetry::check_dump_file(&path).expect("dump must validate strictly");
     assert!(events > 0);
     let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(doc.get("trigger").and_then(Json::as_str), Some(trigger.slug()));
@@ -182,7 +181,7 @@ fn nan_residual_dumps_a_divergence_artifact() {
         ref other => panic!("expected divergence, got {other:?}"),
     };
     assert!(step >= 1);
-    let doc = expect_dump(&dir, flight::Trigger::Divergence);
+    let doc = expect_dump(&dir, telemetry::Trigger::Divergence);
     // The poisoned residual must survive the strict artifact verbatim
     // (non-finite floats degrade to strings, never to null).
     let timeline = doc.get("timeline").and_then(Json::as_arr).unwrap();
@@ -214,7 +213,7 @@ fn flat_residual_dumps_a_stagnation_artifact() {
     assert!(matches!(stats.anomaly, Some(Anomaly::Stagnation { .. })));
     // Must fire right after the window fills, not at max_steps.
     assert!(stats.time_steps <= 10, "fired too late: {}", stats.time_steps);
-    expect_dump(&dir, flight::Trigger::Stagnation);
+    expect_dump(&dir, telemetry::Trigger::Stagnation);
 }
 
 #[test]
@@ -244,7 +243,7 @@ fn exhausted_wall_budget_dumps_an_artifact() {
         ref other => panic!("expected wall-budget overrun, got {other:?}"),
     };
     assert!(elapsed > 0.0);
-    expect_dump(&dir, flight::Trigger::WallBudget);
+    expect_dump(&dir, telemetry::Trigger::WallBudget);
 }
 
 #[test]
@@ -260,7 +259,7 @@ fn explicit_request_dumps_at_solve_end() {
     assert!(stats.anomaly.is_none());
     let path = dir.join("flight.request.json");
     assert!(path.exists());
-    flight::check_dump_file(&path).expect("request dump must validate");
+    telemetry::check_dump_file(&path).expect("request dump must validate");
     let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(doc.get("trigger").and_then(Json::as_str), Some("request"));
     // A completed solve's dump carries its bracketing events, tagged

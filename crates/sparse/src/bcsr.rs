@@ -1,6 +1,6 @@
 //! Block compressed sparse row storage (4×4 blocks).
 
-use crate::block::{self, Block4, BLOCK_DIM, BLOCK_LEN, ZERO_BLOCK};
+use crate::block::{self, Block4, BLOCK_DIM, BLOCK_LEN};
 use fun3d_threads::TeamSlice;
 
 /// A square block-sparse matrix with 4×4 blocks (PETSc's BAIJ/"BCSR").
@@ -153,7 +153,7 @@ impl Bcsr4 {
 
     /// Mutable view of block `k`.
     #[inline]
-    pub fn block_mut(&mut self, k: usize) -> &mut Block4 {
+    pub(crate) fn block_mut(&mut self, k: usize) -> &mut Block4 {
         (&mut self.blocks[k * BLOCK_LEN..(k + 1) * BLOCK_LEN])
             .try_into()
             .unwrap()
@@ -168,18 +168,9 @@ impl Bcsr4 {
             .map(|k| r.start + k)
     }
 
-    /// Adds `v` into scalar entry `(i, j)` of block `(row, col)`; the
-    /// block must exist in the pattern.
-    pub fn add_entry(&mut self, row: usize, col: u32, i: usize, j: usize, v: f64) {
-        let k = self
-            .find(row, col)
-            .expect("block missing from sparsity pattern");
-        self.blocks[k * BLOCK_LEN + i * BLOCK_DIM + j] += v;
-    }
-
     /// Adds a whole block into storage position `k`, as [`Bcsr4::find`]
     /// returns it: assembly looks its positions up once
-    /// (`fun3d_core::jacobian::JacobianSlots`).
+    /// (`fun3d_core::JacobianSlots`).
     #[inline]
     pub fn add_block_at(&mut self, k: usize, b: &Block4) {
         for (dst, src) in self.block_mut(k).iter_mut().zip(b) {
@@ -239,6 +230,7 @@ impl Bcsr4 {
     }
 
     /// Extracts the dense equivalent (for small test matrices only).
+    // Public for `fun3d_core`'s Jacobian tests; no production caller.
     pub fn to_dense(&self) -> Vec<f64> {
         let n = self.dim();
         let mut d = vec![0.0; n * n];
@@ -283,22 +275,12 @@ impl Bcsr4 {
             }
         }
     }
-
-    /// Bytes touched by one full sweep over the stored blocks plus the
-    /// solution/rhs vectors — the traffic estimate used for the bandwidth
-    /// figures (Fig. 7b).
-    pub fn sweep_bytes(&self) -> usize {
-        // blocks + col indices + x and y vectors once each
-        self.blocks.len() * 8 + self.col_idx.len() * 4 + 2 * self.dim() * 8
-    }
 }
-
-/// Zero block constant re-exported for pattern builders.
-pub const EMPTY_BLOCK: Block4 = ZERO_BLOCK;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::ZERO_BLOCK;
     use crate::dense;
 
     fn tiny_matrix() -> Bcsr4 {
@@ -373,23 +355,14 @@ mod tests {
     }
 
     #[test]
-    fn add_entry_and_block() {
+    fn add_block_at_and_zero_values() {
         let mut a = Bcsr4::from_pattern(&[vec![0]]);
-        a.add_entry(0, 0, 1, 2, 5.0);
-        assert_eq!(a.block(0)[1 * 4 + 2], 5.0);
         let mut b = ZERO_BLOCK;
         b[0] = 1.0;
         a.add_block_at(0, &b);
         assert_eq!(a.block(0)[0], 1.0);
         a.zero_values();
         assert!(a.blocks.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "block missing")]
-    fn add_outside_pattern_panics() {
-        let mut a = Bcsr4::from_pattern(&[vec![0], vec![1]]);
-        a.add_entry(0, 1, 0, 0, 1.0);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 use fun3d_simd::Simd;
 
 /// Block dimension: 4 unknowns per vertex (p, u, v, w).
-pub const BLOCK_DIM: usize = 4;
+pub(crate) const BLOCK_DIM: usize = 4;
 /// Values per block.
-pub const BLOCK_LEN: usize = BLOCK_DIM * BLOCK_DIM;
+pub(crate) const BLOCK_LEN: usize = BLOCK_DIM * BLOCK_DIM;
 
 /// A 4×4 block of `f64`: row-major in a matrix ([`crate::Bcsr4`]),
 /// column-major as a working block of the factorization.
@@ -40,10 +40,10 @@ pub type FactorBlock = [f32; BLOCK_LEN];
 pub const FACTOR_BLOCK_BYTES: usize = BLOCK_LEN * std::mem::size_of::<f32>();
 
 /// The zero block.
-pub const ZERO_BLOCK: Block4 = [0.0; BLOCK_LEN];
+pub(crate) const ZERO_BLOCK: Block4 = [0.0; BLOCK_LEN];
 
 /// The identity block.
-pub fn identity() -> Block4 {
+pub(crate) fn identity() -> Block4 {
     let mut b = ZERO_BLOCK;
     for i in 0..BLOCK_DIM {
         b[i * BLOCK_DIM + i] = 1.0;
@@ -53,7 +53,7 @@ pub fn identity() -> Block4 {
 
 /// `y += a * x` for a row-major matrix block.
 #[inline]
-pub fn matvec_acc(a: &Block4, x: &[f64; 4], y: &mut [f64; 4]) {
+pub(crate) fn matvec_acc(a: &Block4, x: &[f64; 4], y: &mut [f64; 4]) {
     for r in 0..4 {
         let row = &a[r * 4..r * 4 + 4];
         y[r] += row[0] * x[0] + row[1] * x[1] + row[2] * x[2] + row[3] * x[3];
@@ -63,7 +63,7 @@ pub fn matvec_acc(a: &Block4, x: &[f64; 4], y: &mut [f64; 4]) {
 /// `a · x` for a stored factor block, the four row results in one vector:
 /// entry `r` is `((a_r0·x_0 + a_r1·x_1) + a_r2·x_2) + a_r3·x_3`.
 #[inline(always)]
-pub fn factor_matvec<S: Simd>(s: S, a: &FactorBlock, x: &[f64; 4]) -> S::V {
+pub(crate) fn factor_matvec<S: Simd>(s: S, a: &FactorBlock, x: &[f64; 4]) -> S::V {
     let col = |c: usize| s.load_f32(&a[c * 4..c * 4 + 4]) * s.splat(x[c]);
     col(0) + col(1) + col(2) + col(3)
 }
@@ -106,7 +106,7 @@ fn fold_products<S: Simd>(
 /// `c = a · b`: entry `(i, j)` sums `a[i][k]·b[k][j]` for `k` ascending
 /// from `+0.0`.
 #[inline(always)]
-pub fn factor_matmul<S: Simd>(s: S, a: &Block4, b: &FactorBlock, c: &mut Block4) {
+pub(crate) fn factor_matmul<S: Simd>(s: S, a: &Block4, b: &FactorBlock, c: &mut Block4) {
     *c = ZERO_BLOCK;
     fold_products(s, a, b, c, |acc, product| acc + product);
 }
@@ -114,27 +114,27 @@ pub fn factor_matmul<S: Simd>(s: S, a: &Block4, b: &FactorBlock, c: &mut Block4)
 /// `c -= a · b`: entry `(i, j)` subtracts `a[i][k]·b[k][j]` for `k`
 /// ascending.
 #[inline(always)]
-pub fn factor_matmul_sub<S: Simd>(s: S, a: &Block4, b: &FactorBlock, c: &mut Block4) {
+pub(crate) fn factor_matmul_sub<S: Simd>(s: S, a: &Block4, b: &FactorBlock, c: &mut Block4) {
     fold_products(s, a, b, c, |acc, product| acc - product);
 }
 
 /// The transpose: row-major to column-major and back.
 #[inline]
-pub fn transpose(a: &Block4) -> Block4 {
+pub(crate) fn transpose(a: &Block4) -> Block4 {
     std::array::from_fn(|at| a[(at % 4) * 4 + at / 4])
 }
 
 /// Whether every value survives [`narrow`] as a finite `f32`: false for a
 /// NaN, an infinity, or a finite `f64` beyond the `f32` range.
 #[inline]
-pub fn narrows(values: &[f64]) -> bool {
+pub(crate) fn narrows(values: &[f64]) -> bool {
     values.iter().all(|&v| (v as f32).is_finite())
 }
 
 /// Rounds `src` to `f32` into `dst`, element by element (to nearest, as
 /// `as` does) — the one place a factor value loses precision.
 #[inline]
-pub fn narrow(src: &[f64], dst: &mut [f32]) {
+pub(crate) fn narrow(src: &[f64], dst: &mut [f32]) {
     for (d, &v) in dst.iter_mut().zip(src) {
         *d = v as f32;
     }
@@ -149,7 +149,7 @@ pub fn widen(a: &FactorBlock) -> Block4 {
 /// `c = a * b` for row-major blocks: entry `(i, j)` sums `a[i][k]·b[k][j]`
 /// for `k` ascending from `+0.0` — [`factor_matmul`]'s order, in scalar code.
 #[inline]
-pub fn matmul(a: &Block4, b: &Block4) -> Block4 {
+pub(crate) fn matmul(a: &Block4, b: &Block4) -> Block4 {
     let mut c = ZERO_BLOCK;
     for i in 0..4 {
         for k in 0..4 {
@@ -164,7 +164,7 @@ pub fn matmul(a: &Block4, b: &Block4) -> Block4 {
 
 /// Inverts a 4×4 block by Gauss-Jordan with partial pivoting.
 /// Returns `None` when the block is numerically singular.
-pub fn invert(a: &Block4) -> Option<Block4> {
+pub(crate) fn invert(a: &Block4) -> Option<Block4> {
     let mut m = *a;
     let mut inv = identity();
     for col in 0..4 {

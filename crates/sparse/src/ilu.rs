@@ -113,7 +113,7 @@ impl Triangle {
 
     /// Block `k` (position in `col_idx`).
     #[inline]
-    pub fn block(&self, k: usize) -> &FactorBlock {
+    pub(crate) fn block(&self, k: usize) -> &FactorBlock {
         factor_block_at(&self.blocks, k)
     }
 }
@@ -156,7 +156,7 @@ impl IluFactors {
 
     /// The inverted diagonal block of row `r`.
     #[inline]
-    pub fn dinv_block(&self, r: usize) -> &FactorBlock {
+    pub(crate) fn dinv_block(&self, r: usize) -> &FactorBlock {
         factor_block_at(&self.dinv, r)
     }
 
@@ -345,7 +345,7 @@ impl IluSymbolic {
     }
 
     /// Number of block rows.
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.l_row_ptr.len() - 1
     }
 
@@ -399,7 +399,7 @@ impl IluSymbolic {
 
     /// [`IluSymbolic::refactor`] on a chosen lane implementation (they
     /// agree bit for bit; the tests hold them against each other).
-    pub fn refactor_on(&self, isa: Isa, a: &Bcsr4, f: &mut IluFactors) {
+    pub(crate) fn refactor_on(&self, isa: Isa, a: &Bcsr4, f: &mut IluFactors) {
         let (sym, out) = (self, self.values_of(a, f));
         // SAFETY: `out` points into `f`, which this call borrows
         // exclusively and `values_of` has checked against the structure;
@@ -428,7 +428,7 @@ impl IluSymbolic {
     }
 
     /// [`IluSymbolic::refactor_team`] on a chosen lane implementation.
-    pub fn refactor_team_on(
+    pub(crate) fn refactor_team_on(
         &self,
         isa: Isa,
         a: &Bcsr4,

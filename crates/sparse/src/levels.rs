@@ -71,7 +71,7 @@ impl LevelSchedule {
     }
 
     /// Total rows scheduled.
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.rows.iter().map(Vec::len).sum()
     }
 
@@ -79,11 +79,6 @@ impl LevelSchedule {
     /// execution can actually use.
     pub fn avg_width(&self) -> f64 {
         self.nrows() as f64 / self.nlevels().max(1) as f64
-    }
-
-    /// Maximum level width.
-    pub fn max_width(&self) -> usize {
-        self.rows.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -144,7 +139,6 @@ mod tests {
         let (_, f) = mesh_factors(34);
         let sched = LevelSchedule::forward(&f.l);
         assert!(sched.nlevels() > 1);
-        assert!(sched.max_width() >= sched.avg_width() as usize);
         assert!(sched.avg_width() >= 1.0);
     }
 

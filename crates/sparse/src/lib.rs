@@ -12,14 +12,14 @@
 //!   layout optimization [17]), the paper's compressed-temporary-buffer
 //!   optimization, a static structure built once per pattern that every
 //!   numeric refactorization streams over, and the factors stored the way
-//!   the sweeps load them: column-major `f32` blocks ([`block`]'s layout
+//!   the sweeps load them: column-major `f32` blocks (`block`'s layout
 //!   rule — single precision is storage only, all arithmetic is `f64`);
-//! * [`trsv`] — block forward/backward substitution: the one forward and
+//! * `trsv` — block forward/backward substitution: the one forward and
 //!   the one backward row that every sweep below runs;
-//! * [`levels`] — level scheduling (Anderson & Saad [24], Naumov [25]):
+//! * `levels` — level scheduling (Anderson & Saad [24], Naumov [25]):
 //!   the dependency DAG's levels, which P2P ownership is built from (the
 //!   barrier-per-level sweep is Fig. 7a's modelled row, not a kernel);
-//! * [`p2p`] — sparsified point-to-point synchronization (Park et al.
+//! * `p2p` — sparsified point-to-point synchronization (Park et al.
 //!   [26]): the levels decide which thread owns a row, an approximate
 //!   transitive reduction of the cross-thread dependency edges decides
 //!   which rows wait, and the waits are on per-thread progress counters
@@ -29,28 +29,30 @@
 //! The scalar CSR of the blocking ablation and the DAG metric of Table II
 //! are paper-figure tools and live in `crates/bench`.
 
-pub mod bcsr;
-pub mod block;
+#![deny(unreachable_pub)]
+
+mod bcsr;
+mod block;
 pub mod ilu;
-pub mod levels;
-pub mod p2p;
+mod levels;
+mod p2p;
 #[cfg(test)]
 mod storage_tests;
-pub mod trsv;
+mod trsv;
 
 pub use bcsr::{Bcsr4, Pattern};
-pub use block::{Block4, FactorBlock, BLOCK_DIM, BLOCK_LEN, FACTOR_BLOCK_BYTES};
+pub use block::{widen, Block4, FactorBlock, FACTOR_BLOCK_BYTES};
 pub use ilu::{IluFactors, IluSymbolic, TempBuffer, Triangle};
 pub use levels::LevelSchedule;
-pub use p2p::P2pSchedule;
-pub use trsv::Sweep;
+pub use p2p::{solve_p2p, solve_p2p_into, sweep_p2p_team, P2pSchedule};
+pub use trsv::{solve as trsv_solve, solve_into as trsv_solve_into, Sweep};
 
-/// Dense helpers shared by tests in this crate and by the solver crate's
-/// reference checks.
-pub mod dense {
+/// The unit tests' dense reference solver.
+#[cfg(test)]
+mod dense {
     /// Solves the dense system `a x = b` (n×n row-major) by Gaussian
     /// elimination with partial pivoting. Panics on singular input.
-    pub fn solve(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
+    pub(crate) fn solve(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
         assert_eq!(a.len(), n * n);
         assert_eq!(b.len(), n);
         let mut m = a.to_vec();
@@ -91,7 +93,6 @@ pub mod dense {
         x
     }
 
-    #[cfg(test)]
     mod tests {
         use super::*;
 

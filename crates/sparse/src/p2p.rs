@@ -343,12 +343,12 @@ mod tests {
     use crate::storage_tests::factor_bits;
     use crate::{trsv, Bcsr4};
     use fun3d_mesh::generator::{ChannelSpec, MeshPreset};
-    use fun3d_mesh::{reorder, Mesh};
+    use fun3d_mesh::{rcm, Mesh};
     use fun3d_simd::Isa;
 
     /// A diagonally dominant matrix on the mesh's RCM-ordered pattern.
     fn rcm_matrix(mut mesh: Mesh, seed: u64) -> Bcsr4 {
-        let perm = reorder::rcm(&mesh.vertex_graph());
+        let perm = rcm(&mesh.vertex_graph());
         mesh.renumber(&perm);
         let mut a = Bcsr4::from_edges(mesh.nvertices(), &mesh.edges());
         a.fill_diag_dominant(seed);

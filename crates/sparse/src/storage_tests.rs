@@ -15,7 +15,7 @@ use crate::trsv::{self, Sweep};
 use crate::{p2p, Bcsr4, P2pSchedule};
 use fun3d_simd::Isa;
 use fun3d_threads::{TeamSlice, ThreadPool};
-use fun3d_util::proptest_mini::Gen;
+use fun3d_util::Gen;
 
 const THREADS: [usize; 5] = [1, 2, 3, 4, 7];
 

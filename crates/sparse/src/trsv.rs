@@ -147,7 +147,7 @@ pub(crate) fn read_only(v: &[f64]) -> TeamSlice {
 }
 
 /// Serial forward substitution: `y = L⁻¹ b` (unit diagonal).
-pub fn forward(f: &IluFactors, b: &[f64], y: &mut [f64]) {
+pub(crate) fn forward(f: &IluFactors, b: &[f64], y: &mut [f64]) {
     let rows = 0..f.nrows();
     // SAFETY: two distinct borrows, one thread, rows ascending: the rows
     // a row reads came before it.
@@ -155,7 +155,7 @@ pub fn forward(f: &IluFactors, b: &[f64], y: &mut [f64]) {
 }
 
 /// Serial backward substitution: `x = U⁻¹ y`, using the stored `D⁻¹`.
-pub fn backward(f: &IluFactors, y: &[f64], x: &mut [f64]) {
+pub(crate) fn backward(f: &IluFactors, y: &[f64], x: &mut [f64]) {
     let rows = (0..f.nrows()).rev();
     // SAFETY: as in `forward`, rows descending.
     unsafe { run_rows(Isa::detect(), Sweep::Backward, f, read_only(y), TeamSlice::new(x), &rows) }

@@ -84,16 +84,6 @@ impl<'a> AtomicF64View<'a> {
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Atomically `x[i] += v` via a CAS loop. Returns the number of CAS
     /// retries (0 when uncontended), which the machine model uses to
     /// account for contention.
@@ -132,19 +122,6 @@ impl<'a> AtomicF64View<'a> {
         // Relaxed: the caller orders cross-thread write→read pairs with
         // region joins / flags; the atomicity is all this read needs.
         f64::from_bits(self.cells[i].load(Ordering::Relaxed))
-    }
-
-    /// Atomic store of element `i`.
-    #[inline]
-    pub fn store(&self, i: usize, v: f64) {
-        // Relaxed: same contract as `load` — values, not publication.
-        self.cells[i].store(f64::to_bits(v), Ordering::Relaxed);
-    }
-
-    /// Total CAS retries observed so far (Relaxed read; exact once the
-    /// region has joined).
-    pub fn retries(&self) -> u64 {
-        self.retries.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -193,16 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn store_and_len() {
-        let mut xs = vec![0.0; 3];
-        let view = AtomicF64View::new(&mut xs);
-        view.store(2, 7.0);
-        assert_eq!(view.load(2), 7.0);
-        assert_eq!(view.len(), 3);
-        assert!(!view.is_empty());
-    }
-
-    #[test]
     fn concurrent_adds_sum_exactly() {
         // Adding integers (exactly representable) from many threads must
         // lose nothing: atomicity check.
@@ -221,13 +188,6 @@ mod tests {
         for &x in &xs {
             assert_eq!(x, 500.0);
         }
-    }
-
-    #[test]
-    fn empty_view() {
-        let mut xs: Vec<f64> = Vec::new();
-        let view = AtomicF64View::new(&mut xs);
-        assert!(view.is_empty());
     }
 
     #[test]
@@ -250,7 +210,7 @@ mod tests {
             // Seed the counters as a real contended run would.
             view.retries.fetch_add(3, std::sync::atomic::Ordering::Relaxed);
             view.contended.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-            assert_eq!(view.retries(), 3);
+            assert_eq!(view.retries.load(std::sync::atomic::Ordering::Relaxed), 3);
         }
         let after = telemetry::local_counters()
             .get("atomicf64.retries")

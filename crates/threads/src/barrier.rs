@@ -58,19 +58,6 @@ impl SpinBarrier {
         }
     }
 
-    /// Current inter-crossing pace estimate, ns (0 = none yet; model
-    /// builds always report 0).
-    pub fn pace_ns(&self) -> u64 {
-        #[cfg(not(fun3d_check))]
-        {
-            self.pace_ns.load(Ordering::Relaxed)
-        }
-        #[cfg(fun3d_check)]
-        {
-            0
-        }
-    }
-
     /// Leader-only: fold the interval since the previous crossing into
     /// the pace estimate. No-op in model builds.
     #[cfg(not(fun3d_check))]
@@ -95,11 +82,6 @@ impl SpinBarrier {
     }
     #[cfg(fun3d_check)]
     fn note_crossing(&self) {}
-
-    /// Number of participating threads.
-    pub fn parties(&self) -> usize {
-        self.parties
-    }
 
     /// Completed barrier phases over this barrier's lifetime — together
     /// with `ThreadPool::regions_launched` this quantifies the

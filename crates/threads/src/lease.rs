@@ -35,13 +35,6 @@ struct FreeState {
     high_water: usize,
 }
 
-/// An exclusive borrow of one pool from a [`PoolSet`]; checks the pool
-/// back in (and wakes one blocked borrower) on drop.
-pub struct PoolLease<'a> {
-    set: &'a PoolSet,
-    idx: usize,
-}
-
 impl PoolSet {
     /// Builds one pool per entry of `sizes` (workers each), the pools on
     /// consecutive core ranges: worker `t` of pool `i` is pinned to core
@@ -70,28 +63,13 @@ impl PoolSet {
         }
     }
 
-    /// Number of pools in the set.
-    pub fn len(&self) -> usize {
-        self.pools.len()
-    }
-
-    /// True when the set holds no pools at all.
-    pub fn is_empty(&self) -> bool {
-        self.pools.is_empty()
-    }
-
-    /// Sum of workers across all pools — the configured worker budget.
-    pub fn total_workers(&self) -> usize {
-        self.pools.iter().map(|p| p.size()).sum()
-    }
-
     /// Largest single pool in the set.
-    pub fn max_pool_size(&self) -> usize {
+    pub(crate) fn max_pool_size(&self) -> usize {
         self.pools.iter().map(|p| p.size()).max().unwrap_or(0)
     }
 
     /// Maximum number of workers that were ever leased out
-    /// simultaneously. Can never exceed [`PoolSet::total_workers`]; a
+    /// simultaneously. Can never exceed the sum of the pool sizes; a
     /// scheduler asserts this against its budget after a load run.
     pub fn high_water(&self) -> usize {
         self.state.lock().unwrap().high_water
@@ -99,8 +77,11 @@ impl PoolSet {
 
     /// Checks out a free pool with at least `min(want, largest)`
     /// workers, blocking until one is returned. Returns `None` only on
-    /// an empty set (nothing could ever satisfy the request).
-    pub fn checkout(&self, want: usize) -> Option<PoolLease<'_>> {
+    /// an empty set (nothing could ever satisfy the request). The lease
+    /// owns an `Arc` of the set, so it may outlive the scope holding the
+    /// set (a service's dispatcher threads each check a pool out once at
+    /// startup and keep it for the thread's lifetime).
+    pub fn checkout_owned(self: &Arc<Self>, want: usize) -> Option<OwnedPoolLease> {
         if self.pools.is_empty() {
             return None;
         }
@@ -108,34 +89,16 @@ impl PoolSet {
         let mut st = self.state.lock().unwrap();
         loop {
             if let Some(pos) = self.pick(&st, want) {
-                return Some(self.take(&mut st, pos));
+                let idx = st.free.swap_remove(pos);
+                st.leased_workers += self.pools[idx].size();
+                st.high_water = st.high_water.max(st.leased_workers);
+                return Some(OwnedPoolLease {
+                    set: Arc::clone(self),
+                    idx,
+                });
             }
             st = self.available.wait(st).unwrap();
         }
-    }
-
-    /// Non-blocking [`PoolSet::checkout`]: `None` when no free pool is
-    /// big enough right now.
-    pub fn try_checkout(&self, want: usize) -> Option<PoolLease<'_>> {
-        if self.pools.is_empty() {
-            return None;
-        }
-        let want = want.min(self.max_pool_size());
-        let mut st = self.state.lock().unwrap();
-        let pos = self.pick(&st, want)?;
-        Some(self.take(&mut st, pos))
-    }
-
-    /// [`PoolSet::checkout`] returning a lease that owns the set (for
-    /// `'static` borrowers such as spawned dispatcher threads).
-    pub fn checkout_owned(self: &Arc<Self>, want: usize) -> Option<OwnedPoolLease> {
-        let lease = self.checkout(want)?;
-        let idx = lease.idx;
-        std::mem::forget(lease);
-        Some(OwnedPoolLease {
-            set: Arc::clone(self),
-            idx,
-        })
     }
 
     /// Position in `free` of the best satisfying pool: the *smallest*
@@ -149,32 +112,10 @@ impl PoolSet {
             .min_by_key(|&(_, &idx)| self.pools[idx].size())
             .map(|(pos, _)| pos)
     }
-
-    fn take(&self, st: &mut FreeState, pos: usize) -> PoolLease<'_> {
-        let idx = st.free.swap_remove(pos);
-        st.leased_workers += self.pools[idx].size();
-        st.high_water = st.high_water.max(st.leased_workers);
-        PoolLease { set: self, idx }
-    }
 }
 
-impl PoolLease<'_> {
-    /// The leased pool. The lease guarantees exclusive `run` access.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.set.pools[self.idx]
-    }
-}
-
-impl Drop for PoolLease<'_> {
-    fn drop(&mut self) {
-        checkin(self.set, self.idx);
-    }
-}
-
-/// A [`PoolLease`] that owns its `Arc<PoolSet>` — for borrowers that
-/// outlive the scope holding the set, like a service's dispatcher
-/// threads, each of which checks a pool out once at startup and keeps
-/// it for the thread's lifetime.
+/// An exclusive borrow of one pool from a [`PoolSet`]; checks the pool
+/// back in (and wakes one blocked borrower) on drop.
 pub struct OwnedPoolLease {
     set: Arc<PoolSet>,
     idx: usize,
@@ -208,10 +149,10 @@ mod tests {
 
     #[test]
     fn checkout_prefers_smallest_satisfying_pool() {
-        let set = PoolSet::new(&[4, 2, 2]);
-        let a = set.checkout(1).unwrap();
+        let set = Arc::new(PoolSet::new(&[4, 2, 2]));
+        let a = set.checkout_owned(1).unwrap();
         assert_eq!(a.pool().size(), 2);
-        let b = set.checkout(3).unwrap();
+        let b = set.checkout_owned(3).unwrap();
         assert_eq!(b.pool().size(), 4);
         assert_eq!(set.high_water(), 6);
     }
@@ -234,10 +175,10 @@ mod tests {
 
     #[test]
     fn oversized_requests_clamp_to_largest_pool() {
-        let set = PoolSet::new(&[2]);
-        let lease = set.checkout(64).unwrap();
+        let set = Arc::new(PoolSet::new(&[2]));
+        let lease = set.checkout_owned(64).unwrap();
         assert_eq!(lease.pool().size(), 2);
-        assert!(set.try_checkout(1).is_none());
+        assert!(set.state.lock().unwrap().free.is_empty());
     }
 
     #[test]
@@ -249,15 +190,19 @@ mod tests {
             drop(lease);
         });
         h.join().unwrap();
-        assert!(set.try_checkout(2).is_some(), "pool must be back in the free list");
+        assert_eq!(
+            set.state.lock().unwrap().free,
+            [0],
+            "pool must be back in the free list"
+        );
         assert_eq!(set.high_water(), 2);
     }
 
     #[test]
     fn empty_set_refuses() {
-        let set = PoolSet::new(&[]);
-        assert!(set.checkout(1).is_none());
-        assert_eq!(set.total_workers(), 0);
+        let set = Arc::new(PoolSet::new(&[]));
+        assert!(set.checkout_owned(1).is_none());
+        assert_eq!(set.high_water(), 0);
     }
 
     #[test]
@@ -270,7 +215,7 @@ mod tests {
                 let (set, peak, live) = (set.clone(), peak.clone(), live.clone());
                 std::thread::spawn(move || {
                     for _ in 0..5 {
-                        let lease = set.checkout(2).unwrap();
+                        let lease = set.checkout_owned(2).unwrap();
                         let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                         peak.fetch_max(now, Ordering::SeqCst);
                         lease.pool().run(&|_tid| {
@@ -288,7 +233,6 @@ mod tests {
         // Two pools -> at most two concurrent borrowers, and the set's
         // own high-water mark stays within the configured budget.
         assert!(peak.load(Ordering::SeqCst) <= 2);
-        assert!(set.high_water() <= set.total_workers());
-        assert_eq!(set.high_water(), 4);
+        assert_eq!(set.high_water(), 4, "two pools of two workers");
     }
 }

@@ -6,40 +6,44 @@
 //! * a persistent [`ThreadPool`] whose workers execute SPMD regions
 //!   (`f(tid)` on every thread, like an `omp parallel` region), launched
 //!   through a spin-doorbell so a region costs a few atomic ops,
-//! * a [`Team`] context ([`team`]) — barrier, per-thread scratch, and a
-//!   deterministic [`TreeReduce`] — so whole solver iterations run
-//!   inside one region separated by barrier phases,
-//! * a [`PoolSet`] checkout/checkin free-list ([`lease`]) handing those
-//!   persistent pools across concurrent jobs (one exclusive launcher at
-//!   a time, no pool churn) with a budget high-water mark,
+//! * a [`Team`] context — barrier and a deterministic [`TreeReduce`] —
+//!   so whole solver iterations run inside one region separated by
+//!   barrier phases,
+//! * a [`PoolSet`] checkout/checkin free-list handing those persistent
+//!   pools across concurrent jobs (one exclusive launcher at a time, no
+//!   pool churn) with a budget high-water mark,
 //! * static range chunking ([`chunk_range`]) for "basic partitioning",
 //! * a spinning sense-reversing [`SpinBarrier`] for level-scheduled sparse
 //!   recurrences (barrier after each level),
 //! * per-thread progress counters ([`P2pProgress`]) — the one hand-off
 //!   primitive of the sparsified-synchronization TRSV/ILU of Park et al.
 //!   [26]: single-writer, one cache line each, never reset,
-//! * atomic `f64` accumulation ([`atomicf64`]) for the
+//! * atomic `f64` accumulation ([`AtomicF64View`]) for the
 //!   "basic partitioning with atomics" edge-loop strategy,
-//! * a cfg-switched synchronization shim ([`sync_shim`]) — std atomics
+//! * a cfg-switched synchronization shim (`sync_shim`) — std atomics
 //!   in normal builds, `fun3d-check`'s tracked atomics under
 //!   `--cfg fun3d_check` — so every protocol above runs unmodified
 //!   beneath the deterministic model checker.
 
-pub mod atomicf64;
-pub mod barrier;
-pub mod lease;
-pub mod p2p;
-pub mod pool;
-pub mod probe;
-pub mod sync_shim;
-pub mod team;
+#![deny(unreachable_pub)]
 
+mod atomicf64;
+mod barrier;
+mod lease;
+mod p2p;
+mod pool;
+mod probe;
+mod sync_shim;
+mod team;
+
+// No production loop uses `AtomicF64View`: `tests/model_check.rs`
+// model-checks it and the atomics row of the bench's flux table runs it.
 pub use atomicf64::AtomicF64View;
-pub use barrier::SpinBarrier;
-pub use lease::{PoolLease, PoolSet};
+pub use barrier::{total_crossings, SpinBarrier};
+pub use lease::{OwnedPoolLease, PoolSet};
 pub use p2p::{P2pProgress, P2pSweep};
 pub use pool::{Bell, JobPtr, ThreadPool};
-pub use probe::SyncCosts;
+pub use probe::{process_cpu_time_ns, SyncCosts};
 pub use team::{Team, TeamMember, TeamSlice, TreeReduce};
 
 /// Schedulable cores as the OS reports them (`available_parallelism`,

@@ -87,7 +87,7 @@ impl P2pProgress {
     }
 
     /// Number of producer threads.
-    pub fn nthreads(&self) -> usize {
+    pub(crate) fn nthreads(&self) -> usize {
         self.slots.len()
     }
 

@@ -64,11 +64,9 @@ pub struct Bell {
     /// statistic that only tunes backoff, never part of the protocol the
     /// model checker explores.
     pace_ns: AtomicU64,
-    /// Idle-wait statistics (yields / naps burned in `worker_wait`),
-    /// exposed so the adaptive-backoff regression test can observe the
-    /// spin budget actually spent.
+    /// Yields burned in `worker_wait`, exposed so the adaptive-backoff
+    /// regression test can observe the spin budget actually spent.
     idle_yields: AtomicU64,
-    idle_naps: AtomicU64,
     /// Scale the wait ladder to `pace_ns` (the production ladder; off, the
     /// pre-adaptive fixed one). Only consulted by the real ladder, hence
     /// unused in model builds.
@@ -92,7 +90,7 @@ impl Bell {
 
     /// A doorbell with the adaptive backoff explicitly on or off
     /// (construction-time so tests can compare both in one process).
-    pub fn with_adaptive(size: usize, adaptive: bool) -> Bell {
+    pub(crate) fn with_adaptive(size: usize, adaptive: bool) -> Bell {
         assert!(size >= 1);
         Bell {
             epoch: AtomicUsize::new(0),
@@ -104,14 +102,13 @@ impl Bell {
             size,
             pace_ns: AtomicU64::new(0),
             idle_yields: AtomicU64::new(0),
-            idle_naps: AtomicU64::new(0),
             adaptive,
         }
     }
 
     /// Launcher: folds an observed region wall duration into the pace
     /// estimate that sizes the workers' wait ladder.
-    pub fn note_region_ns(&self, ns: u64) {
+    pub(crate) fn note_region_ns(&self, ns: u64) {
         // Relaxed: single-writer statistic (the launcher), racy readers
         // only use it to pick a backoff tier.
         let old = self.pace_ns.load(Ordering::Relaxed);
@@ -120,23 +117,13 @@ impl Bell {
     }
 
     /// Current region-pace estimate, nanoseconds (0 = none yet).
-    pub fn pace_ns(&self) -> u64 {
+    pub(crate) fn pace_ns(&self) -> u64 {
         self.pace_ns.load(Ordering::Relaxed)
     }
 
     /// Yields burned by workers waiting for a doorbell ring.
-    pub fn idle_yields(&self) -> u64 {
+    pub(crate) fn idle_yields(&self) -> u64 {
         self.idle_yields.load(Ordering::Relaxed)
-    }
-
-    /// Naps taken by workers waiting for a doorbell ring.
-    pub fn idle_naps(&self) -> u64 {
-        self.idle_naps.load(Ordering::Relaxed)
-    }
-
-    /// Worker count this bell coordinates.
-    pub fn size(&self) -> usize {
-        self.size
     }
 
     /// Launcher: publishes `job` and rings the doorbell.
@@ -245,7 +232,6 @@ impl Bell {
                 self.idle_yields.fetch_add(1, Ordering::Relaxed);
                 std::thread::yield_now();
             } else {
-                self.idle_naps.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(std::time::Duration::from_micros(100));
             }
             return;
@@ -264,7 +250,6 @@ impl Bell {
         // latency) and double toward 1 ms for long idle gaps.
         let base = (pace / 8).clamp(2_000, 100_000);
         let nap = (base << (waits - budget).min(8)).min(1_000_000);
-        self.idle_naps.fetch_add(1, Ordering::Relaxed);
         std::thread::sleep(std::time::Duration::from_nanos(nap));
     }
 
@@ -282,7 +267,7 @@ impl Bell {
     }
 
     /// Worker: records a panic inside the current region.
-    pub fn note_panic(&self) {
+    pub(crate) fn note_panic(&self) {
         // Relaxed: ordered before the launcher's read by this worker's
         // Release `done` increment + the launcher's Acquire spin.
         self.panicked.store(true, Ordering::Relaxed);
@@ -324,6 +309,8 @@ impl ThreadPool {
     }
 
     /// Spawns a pool with the adaptive wait ladder explicitly on or off.
+    // Public for `tests/adaptive_backoff.rs`, whose reference is the fixed
+    // ladder; production pools are always adaptive.
     pub fn with_adaptive(size: usize, adaptive: bool) -> Self {
         Self::spawn(size, adaptive, 0)
     }
@@ -383,11 +370,6 @@ impl ThreadPool {
         self.bell.idle_yields()
     }
 
-    /// Naps workers took waiting for regions (see [`Bell::idle_naps`]).
-    pub fn idle_naps(&self) -> u64 {
-        self.bell.idle_naps()
-    }
-
     /// Current region-pace estimate driving the wait ladder, ns.
     pub fn pace_ns(&self) -> u64 {
         self.bell.pace_ns()
@@ -431,7 +413,7 @@ impl ThreadPool {
             // Black-box moment: the launcher still has the solve context
             // (rank/solve tags live on this thread), so record the event
             // and dump the flight log *before* the panic unwinds it away.
-            telemetry::flight::note_region_panic(self.size);
+            telemetry::note_region_panic(self.size);
             panic!("a pool worker panicked inside ThreadPool::run");
         }
     }
@@ -502,7 +484,7 @@ fn pinning_enabled() -> bool {
 /// other target is a no-op.
 mod affinity {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub fn pin_to_cpu(cpu: usize) -> bool {
+    pub(super) fn pin_to_cpu(cpu: usize) -> bool {
         // cpu_set_t as a flat bitmask; 1024 bits matches glibc's default.
         let mut mask = [0u64; 16];
         let word = (cpu / 64) % mask.len();
@@ -526,7 +508,7 @@ mod affinity {
     }
 
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    pub fn pin_to_cpu(_cpu: usize) -> bool {
+    pub(super) fn pin_to_cpu(_cpu: usize) -> bool {
         false
     }
 }

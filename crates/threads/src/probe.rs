@@ -9,7 +9,7 @@
 //! measure-then-choose loop FASTEST-3D runs at node level).
 
 use crate::{SpinBarrier, ThreadPool};
-use fun3d_util::stats::median;
+use fun3d_util::median;
 use fun3d_util::telemetry::{self, metrics};
 use std::time::Instant;
 

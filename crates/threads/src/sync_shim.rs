@@ -12,4 +12,4 @@
 //! See `crates/check/src/shim.rs` for the exact surface and the
 //! model-mode semantics (including the documented under-approximations).
 
-pub use fun3d_check::shim::*;
+pub(crate) use fun3d_check::shim::*;

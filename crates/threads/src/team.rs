@@ -2,8 +2,7 @@
 //!
 //! A [`Team`] gives the threads of one pool region the collective
 //! machinery an OpenMP parallel region would have: a shared
-//! [`SpinBarrier`], per-thread cache-padded scratch slots, a leader
-//! broadcast cell, and a deterministic [`TreeReduce`] combining
+//! [`SpinBarrier`] and a deterministic [`TreeReduce`] combining
 //! primitive. With these, an entire GMRES iteration (SpMV → triangular
 //! solves → orthogonalization → update) runs inside **one**
 //! `ThreadPool::run`, separated by barrier phases instead of region
@@ -12,9 +11,9 @@
 //!
 //! Reductions are **bitwise reproducible at a fixed thread count**: each
 //! thread deposits its partial into its own slot, the fan-in combines the
-//! slots in thread order (0, 1, …, nt−1), and the result is fanned out
-//! through a broadcast cell. The combine order never depends on arrival
-//! order, so repeated runs agree bit-for-bit, whichever region a
+//! slots in thread order (0, 1, …, nt−1), and the leader's result slots
+//! fan it out. The combine order never depends on arrival order, so
+//! repeated runs agree bit-for-bit, whichever region a
 //! reduction runs in — which is what makes the persistent-region solver
 //! path and its region-per-op reference produce identical histories.
 
@@ -64,13 +63,10 @@ impl TeamSlice {
     }
 
     /// Element count.
+    // No caller asks for emptiness, so there is no `is_empty` to pair with.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Raw base pointer.
@@ -155,7 +151,7 @@ unsafe impl Sync for TreeReduce {}
 
 impl TreeReduce {
     /// A reducer for `nt` threads combining up to `width` values at once.
-    pub fn new(nt: usize, width: usize) -> TreeReduce {
+    pub(crate) fn new(nt: usize, width: usize) -> TreeReduce {
         assert!(nt >= 1 && width >= 1);
         let stride = padded(width);
         TreeReduce {
@@ -169,26 +165,13 @@ impl TreeReduce {
         }
     }
 
-    /// Maximum values combined per call.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Combines `partials` (one set per thread, `partials.len() <= width`)
-    /// into thread-order sums visible to every thread in `out`.
+    /// Combines this thread's partials in `vals` into thread-order sums
+    /// visible to every thread: `vals` goes in holding the partials and
+    /// comes out holding the sums.
     ///
-    /// Every thread of the team must call this with the same `k =
-    /// partials.len()`; the call synchronizes through `barrier` twice.
-    pub fn combine(&self, tid: usize, barrier: &SpinBarrier, partials: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), partials.len());
-        out.copy_from_slice(partials);
-        self.combine_in_place(tid, barrier, out);
-    }
-
-    /// [`TreeReduce::combine`] with the partials replaced by the sums:
-    /// `vals` goes in holding this thread's partials and comes out
-    /// holding the thread-order sums.
-    pub fn combine_in_place(&self, tid: usize, barrier: &SpinBarrier, vals: &mut [f64]) {
+    /// Every thread of the team must call this with the same
+    /// `vals.len()`; the call synchronizes through `barrier` twice.
+    pub(crate) fn combine_in_place(&self, tid: usize, barrier: &SpinBarrier, vals: &mut [f64]) {
         let k = vals.len();
         assert!(k <= self.width, "combine of {k} > width {}", self.width);
         assert!(tid < self.nt);
@@ -226,11 +209,11 @@ impl TreeReduce {
         });
     }
 
-    /// Scalar convenience form of [`TreeReduce::combine`].
-    pub fn combine1(&self, tid: usize, barrier: &SpinBarrier, partial: f64) -> f64 {
-        let mut out = [0.0];
-        self.combine(tid, barrier, &[partial], &mut out);
-        out[0]
+    /// Scalar form of [`TreeReduce::combine_in_place`].
+    pub(crate) fn combine1(&self, tid: usize, barrier: &SpinBarrier, partial: f64) -> f64 {
+        let mut v = [partial];
+        self.combine_in_place(tid, barrier, &mut v);
+        v[0]
     }
 }
 
@@ -239,54 +222,24 @@ pub struct Team {
     nthreads: usize,
     barrier: SpinBarrier,
     reduce: TreeReduce,
-    scratch_stride: usize,
-    scratch: UnsafeCell<Box<[f64]>>,
-    /// Tracked cell: model builds race-check the root-write /
-    /// barrier / all-read broadcast protocol.
-    bcast: ShimCell<f64>,
 }
 
-// SAFETY: scratch slot `tid` is only handed to thread `tid` (member
-// contract below); `bcast` is written by one root thread and read after a
-// barrier.
-unsafe impl Sync for Team {}
-
 impl Team {
-    /// A team of `nthreads` with `scratch` f64s of per-thread scratch and
-    /// reductions up to `scratch.max(1)` wide.
-    pub fn new(nthreads: usize, scratch: usize) -> Team {
-        let width = scratch.max(1);
+    /// A team of `nthreads` with reductions up to `width.max(1)` wide.
+    pub fn new(nthreads: usize, width: usize) -> Team {
         Team {
             nthreads,
             barrier: SpinBarrier::new(nthreads),
-            reduce: TreeReduce::new(nthreads, width),
-            scratch_stride: padded(width),
-            scratch: UnsafeCell::new(vec![0.0; nthreads * padded(width)].into_boxed_slice()),
-            bcast: ShimCell::new(0.0),
+            reduce: TreeReduce::new(nthreads, width.max(1)),
         }
-    }
-
-    /// Team size.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
-    }
-
-    /// The team barrier.
-    pub fn barrier(&self) -> &SpinBarrier {
-        &self.barrier
-    }
-
-    /// The reduction primitive.
-    pub fn reduce(&self) -> &TreeReduce {
-        &self.reduce
     }
 
     /// This thread's view of the team.
     ///
     /// # Safety
-    /// At most one live member per `tid`: the per-thread scratch slot is
-    /// exclusive to the member, so two members with the same `tid` would
-    /// alias mutable state.
+    /// At most one live member per `tid`: reduction slot `tid` is written
+    /// by member `tid` alone, so two members with the same `tid` would
+    /// race on it.
     pub unsafe fn member(&self, tid: usize) -> TeamMember<'_> {
         assert!(tid < self.nthreads, "tid {tid} out of team of {}", self.nthreads);
         TeamMember { team: self, tid }
@@ -310,11 +263,6 @@ impl<'a> TeamMember<'a> {
         self.team.nthreads
     }
 
-    /// The underlying team.
-    pub fn team(&self) -> &'a Team {
-        self.team
-    }
-
     /// This thread's static chunk of `0..n`.
     pub fn chunk(&self, n: usize) -> std::ops::Range<usize> {
         crate::chunk_range(n, self.team.nthreads, self.tid)
@@ -331,45 +279,12 @@ impl<'a> TeamMember<'a> {
     }
 
     /// Deterministic k-way sum of per-thread partials (two barrier
-    /// phases for the whole batch).
-    pub fn sums(&self, partials: &[f64], out: &mut [f64]) {
-        self.team
-            .reduce
-            .combine(self.tid, &self.team.barrier, partials, out)
-    }
-
-    /// [`TeamMember::sums`] in place: `vals` goes in holding this
-    /// thread's partials and comes out holding the sums.
+    /// phases for the whole batch): `vals` goes in holding this thread's
+    /// partials and comes out holding the sums.
     pub fn sums_in_place(&self, vals: &mut [f64]) {
         self.team
             .reduce
             .combine_in_place(self.tid, &self.team.barrier, vals)
-    }
-
-    /// Broadcasts `value` from thread `root` to every thread (two
-    /// barrier phases).
-    pub fn broadcast(&self, root: usize, value: f64) -> f64 {
-        if self.tid == root {
-            // SAFETY: only the root writes, before the barrier.
-            self.team.bcast.with_mut(|p| unsafe { *p = value });
-        }
-        self.barrier();
-        // SAFETY: write ordered before the barrier; the next write to the
-        // cell is ordered after every thread passes the closing barrier.
-        let v = self.team.bcast.with(|p| unsafe { *p });
-        self.barrier();
-        v
-    }
-
-    /// This thread's exclusive scratch slot (cache-line padded).
-    pub fn scratch(&mut self) -> &mut [f64] {
-        let stride = self.team.scratch_stride;
-        // SAFETY: slot `tid` belongs to this member alone (Team::member
-        // contract) and `&mut self` prevents overlapping borrows.
-        unsafe {
-            let all = &mut *self.team.scratch.get();
-            &mut all[self.tid * stride..(self.tid + 1) * stride]
-        }
     }
 }
 
@@ -387,8 +302,8 @@ mod tests {
         pool.run(|tid| {
             let tm = unsafe { team.member(tid) };
             let partials = [tid as f64 + 0.5, (tid * tid) as f64, -(tid as f64)];
-            let mut out = vec![0.0; 3];
-            tm.sums(&partials, &mut out);
+            let mut out = partials.to_vec();
+            tm.sums_in_place(&mut out);
             outs.lock().unwrap()[tid] = out;
         });
         let want = [
@@ -423,42 +338,6 @@ mod tests {
         }
         // All threads see the identical bit pattern.
         assert!(a.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn broadcast_reaches_all_threads() {
-        let nt = 4;
-        let pool = ThreadPool::new(nt);
-        let team = Team::new(nt, 1);
-        let got = std::sync::Mutex::new(vec![0.0; nt]);
-        pool.run(|tid| {
-            let tm = unsafe { team.member(tid) };
-            for round in 0..5 {
-                let root = round % nt;
-                let v = tm.broadcast(root, if tid == root { root as f64 + 7.0 } else { -1.0 });
-                if round == 4 {
-                    got.lock().unwrap()[tid] = v;
-                }
-            }
-        });
-        assert!(got.lock().unwrap().iter().all(|&v| v == (4 % nt) as f64 + 7.0));
-    }
-
-    #[test]
-    fn scratch_slots_are_disjoint() {
-        let nt = 4;
-        let pool = ThreadPool::new(nt);
-        let team = Team::new(nt, 5);
-        pool.run(|tid| {
-            let mut tm = unsafe { team.member(tid) };
-            for (i, s) in tm.scratch().iter_mut().enumerate() {
-                *s = (tid * 100 + i) as f64;
-            }
-            tm.barrier();
-            for (i, s) in tm.scratch().iter().enumerate().take(5) {
-                assert_eq!(*s, (tid * 100 + i) as f64, "scratch overlap at tid {tid}");
-            }
-        });
     }
 
     #[test]

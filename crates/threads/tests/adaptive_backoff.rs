@@ -13,7 +13,7 @@
 //! meaningful under `--cfg fun3d_check`.
 #![cfg(not(fun3d_check))]
 
-use fun3d_threads::probe::process_cpu_time_ns;
+use fun3d_threads::process_cpu_time_ns;
 use fun3d_threads::ThreadPool;
 use std::time::{Duration, Instant};
 

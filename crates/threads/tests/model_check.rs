@@ -1,7 +1,7 @@
 //! Model checks for the threads crate's lock-free protocols, driven by
 //! fun3d-check virtual threads. Compiled only under `--cfg fun3d_check`
-//! (see `scripts/verify.sh`), where `fun3d_threads::sync_shim` resolves
-//! to the checker's tracked atomics — so these tests explore *schedules*,
+//! (see `scripts/verify.sh`), where the threads crate's `sync_shim`
+//! resolves to the checker's tracked atomics — so these tests explore *schedules*,
 //! not wall-clock luck.
 //!
 //! Each protocol gets two tests:
@@ -14,10 +14,8 @@
 //!   real code uses are load-bearing, not cargo-culted.
 #![cfg(fun3d_check)]
 
+use fun3d_check::shim::{spin_hint, AtomicBool, AtomicUsize, Ordering, ShimCell};
 use fun3d_check::{explore, thread, Config, FailureKind};
-use fun3d_threads::sync_shim::{
-    spin_hint, AtomicBool, AtomicU64, AtomicUsize, Ordering, ShimCell,
-};
 use fun3d_threads::{AtomicF64View, Bell, P2pProgress, SpinBarrier, Team};
 use std::sync::Arc;
 
@@ -382,23 +380,4 @@ fn atomicf64_contended_adds_are_exact_and_retry() {
         total_retries.load(std::sync::atomic::Ordering::Relaxed) > 0,
         "exhaustive exploration must include a losing-CAS schedule"
     );
-}
-
-// ---- team broadcast rides the same barrier edges ----
-
-#[test]
-fn team_broadcast_is_race_free() {
-    let report = explore(&cfg(), || {
-        let team = Arc::new(Team::new(2, 1));
-        let t2 = Arc::clone(&team);
-        let t = thread::spawn(move || {
-            // SAFETY: unique tid per member.
-            let m = unsafe { t2.member(1) };
-            assert_eq!(m.broadcast(0, -1.0), 9.0);
-        });
-        let m = unsafe { team.member(0) };
-        assert_eq!(m.broadcast(0, 9.0), 9.0);
-        t.join();
-    });
-    assert_clean(report);
 }

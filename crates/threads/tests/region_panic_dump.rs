@@ -3,8 +3,7 @@
 //! Its own test binary, because a process dumps for a region panic once.
 
 use fun3d_threads::ThreadPool;
-use fun3d_util::telemetry::json::Json;
-use fun3d_util::telemetry::{self, flight, Level};
+use fun3d_util::telemetry::{self, Json, Level};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -13,7 +12,7 @@ fn worker_panic_in_a_region_dumps_a_validating_artifact() {
     telemetry::set_level(Level::Counters);
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("region-panic-dump");
     let _ = std::fs::remove_dir_all(&dir);
-    flight::set_dump_dir(&dir);
+    telemetry::set_dump_dir(&dir);
 
     let pool = ThreadPool::new(2);
     let result = catch_unwind(AssertUnwindSafe(|| {
@@ -29,7 +28,7 @@ fn worker_panic_in_a_region_dumps_a_validating_artifact() {
     );
 
     let json = dir.join("flight.region_panic.json");
-    flight::check_dump_file(&json).expect("the dump validates strictly");
+    telemetry::check_dump_file(&json).expect("the dump validates strictly");
     assert!(dir.join("flight.region_panic.txt").exists());
     let doc = Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
     let timeline = doc.get("timeline").and_then(Json::as_arr).unwrap();

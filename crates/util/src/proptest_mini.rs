@@ -40,7 +40,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// One recorded input drawn by a property body. Ranges are kept so the
 /// shrinker knows each value's lower bound.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Draw {
+pub(crate) enum Draw {
     /// An unconstrained `u64` (shrinks toward 0).
     U64 { val: u64 },
     /// A `f64` uniform in `[lo, hi)` (shrinks toward `lo`).
@@ -105,29 +105,17 @@ impl std::fmt::Display for Draw {
 /// selected lanes overridden by smaller candidates.
 pub struct Gen {
     rng: Rng64,
-    seed: u64,
     draws: Vec<Draw>,
     overrides: Vec<Draw>,
 }
 
 impl Gen {
-    /// Fresh generator for one case.
-    pub fn from_seed(seed: u64) -> Gen {
-        Gen::with_overrides(seed, Vec::new())
-    }
-
     fn with_overrides(seed: u64, overrides: Vec<Draw>) -> Gen {
         Gen {
             rng: Rng64::new(seed),
-            seed,
             draws: Vec::new(),
             overrides,
         }
-    }
-
-    /// The case seed (printed in failure reports).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// An unconstrained `u64`.
@@ -350,10 +338,10 @@ macro_rules! prop_cases {
             $(#[$attr])*
             #[test]
             fn $name() {
-                $crate::proptest_mini::check(
+                $crate::prop_check(
                     stringify!($name),
                     $cases,
-                    |$g: &mut $crate::proptest_mini::Gen| {
+                    |$g: &mut $crate::Gen| {
                         $body
                         #[allow(unreachable_code)]
                         Ok(())
@@ -395,8 +383,8 @@ macro_rules! prop_assert_eq {
                 "assertion failed: `left == right` ({}:{})\n  left: {}\n right: {}",
                 file!(),
                 line!(),
-                $crate::proptest_mini::debug_short(lhs),
-                $crate::proptest_mini::debug_short(rhs)
+                $crate::prop_debug_short(lhs),
+                $crate::prop_debug_short(rhs)
             ));
         }
     }};
@@ -406,8 +394,8 @@ macro_rules! prop_assert_eq {
             return Err(format!(
                 "{}\n  left: {}\n right: {}",
                 format!($($fmt)+),
-                $crate::proptest_mini::debug_short(lhs),
-                $crate::proptest_mini::debug_short(rhs)
+                $crate::prop_debug_short(lhs),
+                $crate::prop_debug_short(rhs)
             ));
         }
     }};
@@ -423,7 +411,7 @@ macro_rules! prop_assert_ne {
                 "assertion failed: `left != right` ({}:{})\n  both: {}",
                 file!(),
                 line!(),
-                $crate::proptest_mini::debug_short(lhs)
+                $crate::prop_debug_short(lhs)
             ));
         }
     }};
@@ -443,8 +431,8 @@ mod tests {
                 g.bool(),
             )
         };
-        let mut a = Gen::from_seed(0xDEADBEEF);
-        let mut b = Gen::from_seed(0xDEADBEEF);
+        let mut a = Gen::with_overrides(0xDEADBEEF, Vec::new());
+        let mut b = Gen::with_overrides(0xDEADBEEF, Vec::new());
         for _ in 0..100 {
             assert_eq!(draw_all(&mut a), draw_all(&mut b));
         }
@@ -452,7 +440,7 @@ mod tests {
 
     #[test]
     fn draws_respect_ranges() {
-        let mut g = Gen::from_seed(7);
+        let mut g = Gen::with_overrides(7, Vec::new());
         for _ in 0..1000 {
             let x = g.f64_range(1.5, 2.5);
             assert!((1.5..2.5).contains(&x));

@@ -42,7 +42,7 @@ impl Rng64 {
 
     /// Next raw 64-bit output.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0]
             .wrapping_add(s[3])

@@ -64,7 +64,7 @@ impl KernelCounts {
     }
 
     /// Achieved flop rate in Gflop/s given the measured wall time.
-    pub fn achieved_gflops(&self, seconds: f64) -> f64 {
+    pub(crate) fn achieved_gflops(&self, seconds: f64) -> f64 {
         if seconds <= 0.0 {
             0.0
         } else {
@@ -73,7 +73,7 @@ impl KernelCounts {
     }
 
     /// Accumulates another record into this one.
-    pub fn add(&mut self, other: &KernelCounts) {
+    pub(crate) fn add(&mut self, other: &KernelCounts) {
         self.calls += other.calls;
         self.items += other.items;
         self.bytes_read += other.bytes_read;
@@ -117,22 +117,12 @@ impl CounterMap {
         &self.entries
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Merges another map into this one (used to combine per-thread
     /// recorders into the run total).
-    pub fn merge(&mut self, other: &CounterMap) {
+    pub(crate) fn merge(&mut self, other: &CounterMap) {
         for (name, c) in &other.entries {
             self.add(name, *c);
         }
-    }
-
-    /// Drops all entries.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 

@@ -51,11 +51,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Payload words per event (beyond kind / time / rank / solve).
-pub const PAYLOAD_WORDS: usize = 6;
+pub(crate) const PAYLOAD_WORDS: usize = 6;
 /// Words per flight ring slot: `[kind, t_ns, rank, solve, payload…]`.
-pub const SLOT_WORDS: usize = 4 + PAYLOAD_WORDS;
+pub(crate) const SLOT_WORDS: usize = 4 + PAYLOAD_WORDS;
 /// Events each thread's flight ring holds (newest win).
-pub const CAPACITY: usize = 4096;
+pub(crate) const CAPACITY: usize = 4096;
 
 /// Sentinel for "no crossover exists" in [`EventKind::PolicyDecision`].
 pub const NO_CROSSOVER: u64 = u64::MAX;
@@ -220,11 +220,11 @@ macro_rules! event_kinds {
         impl EventKind {
             /// Every kind's artifact name with its field keys, in code
             /// order (dump validation).
-            pub const KINDS: &'static [(&'static str, &'static [&'static str])] =
+            pub(crate) const KINDS: &'static [(&'static str, &'static [&'static str])] =
                 &[$(($name, &[$(stringify!($field)),+]),)+];
 
             /// Stable artifact name for this kind.
-            pub fn name(&self) -> &'static str {
+            pub(crate) fn name(&self) -> &'static str {
                 match self {
                     $(EventKind::$kind { .. } => $name,)+
                 }
@@ -254,7 +254,7 @@ macro_rules! event_kinds {
             }
 
             /// `(key, value)` payload fields for the JSON artifact.
-            pub fn fields(&self) -> Vec<(&'static str, Json)> {
+            pub(crate) fn fields(&self) -> Vec<(&'static str, Json)> {
                 match *self {
                     $(EventKind::$kind { $($field),+ } => {
                         vec![$((stringify!($field), ($json)($field)),)+]
@@ -401,7 +401,7 @@ event_kinds! {
     /// End-to-end stage boundaries for one serve request (emitted under
     /// the job's solve tag once the reply is written). Timestamps are
     /// nanoseconds on the process telemetry epoch — the same clock as
-    /// `t_ns` — so `trace::assemble` can interleave them with solver
+    /// `t_ns` — so `assemble_trace` can interleave them with solver
     /// events causally.
     15 => ServeStages "serve_stages" {
         /// FNV-64 hash of the tenant name.
@@ -423,7 +423,7 @@ impl EventKind {
     /// One-line human rendering for the text dump: every field as
     /// `key=value`, joined by two spaces — integers as integers, other
     /// numbers as `{:.4e}`, `null` as `-`.
-    pub fn detail(&self) -> String {
+    pub(crate) fn detail(&self) -> String {
         let value = |v: &Json| match v {
             Json::Null => "-".to_string(),
             Json::Bool(b) => b.to_string(),
@@ -630,7 +630,7 @@ impl FlightLog {
 /// Collects every recorder's flight ring into a merged, time-ordered
 /// [`FlightLog`]. Safe at any time (single-writer collection protocol);
 /// complete timelines require a quiescent point.
-pub fn snapshot() -> FlightLog {
+pub fn flight_log() -> FlightLog {
     let mut log = FlightLog::default();
     for rec in super::recorders().iter() {
         if let Some(ring) = rec.flight.get() {
@@ -645,15 +645,6 @@ pub fn snapshot() -> FlightLog {
     log.events
         .sort_by(|a, b| a.t_ns.cmp(&b.t_ns).then(a.rank.cmp(&b.rank)));
     log
-}
-
-/// Clears every flight ring (tests and tools; quiescent points only).
-pub fn reset() {
-    for rec in super::recorders().iter() {
-        if let Some(ring) = rec.flight.get() {
-            ring.clear();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -672,7 +663,7 @@ pub fn set_dump_dir(dir: impl Into<PathBuf>) {
 
 /// The directory dumps land in: programmatic override, else
 /// `FUN3D_FLIGHT_DIR`, else `target/experiments`.
-pub fn dump_dir() -> PathBuf {
+pub(crate) fn dump_dir() -> PathBuf {
     if let Some(d) = DUMP_DIR.lock().unwrap_or_else(PoisonError::into_inner).clone() {
         return d;
     }
@@ -690,7 +681,7 @@ pub fn dump_requested() -> bool {
 }
 
 /// Renders a snapshot as the strict dump artifact.
-pub fn to_json(log: &FlightLog, trigger: Trigger) -> Json {
+pub(crate) fn to_json(log: &FlightLog, trigger: Trigger) -> Json {
     let timeline: Vec<Json> = log
         .events
         .iter()
@@ -716,10 +707,10 @@ pub fn to_json(log: &FlightLog, trigger: Trigger) -> Json {
 }
 
 /// Artifact schema tag ([`check_dump`] requires it verbatim).
-pub const SCHEMA: &str = "fun3d.flight.v1";
+pub(crate) const SCHEMA: &str = "fun3d.flight.v1";
 
 /// Renders a snapshot as the human-readable text timeline.
-pub fn render_text(log: &FlightLog, trigger: Trigger) -> String {
+pub(crate) fn render_text(log: &FlightLog, trigger: Trigger) -> String {
     let mut out = format!(
         "flight dump — trigger: {} — {} events ({} dropped)\n",
         trigger.slug(),
@@ -743,7 +734,7 @@ pub fn render_text(log: &FlightLog, trigger: Trigger) -> String {
 /// strict artifact) and the matching `.txt` timeline. Returns the JSON
 /// path. The directory is created if missing.
 pub fn dump(trigger: Trigger) -> std::io::Result<PathBuf> {
-    let log = snapshot();
+    let log = flight_log();
     let dir = dump_dir();
     std::fs::create_dir_all(&dir)?;
     let stem = format!("flight.{}", trigger.slug());
@@ -781,7 +772,7 @@ pub fn note_region_panic(pool_size: usize) {
 /// `(t_ns, rank, solve)` tags, a known event name with every field its
 /// kind declares, and global time ordering. Returns the event count.
 /// What the test suites hold every dump to.
-pub fn check_dump(doc: &Json) -> Result<usize, String> {
+pub(crate) fn check_dump(doc: &Json) -> Result<usize, String> {
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
@@ -1030,7 +1021,7 @@ mod tests {
             gmres_iters: 3,
         });
         end_solve(id, true, 1, 3, 1e-10);
-        let log = snapshot();
+        let log = flight_log();
         let mine = log.solve(id.0);
         assert_eq!(mine.len(), 3, "start + step + end");
         assert!(matches!(mine[0].kind, EventKind::SolveStart { .. }));
@@ -1047,7 +1038,7 @@ mod tests {
             region_launch_s: 1e-6,
             barrier_phase_s: 1e-7,
         });
-        let log = snapshot();
+        let log = flight_log();
         assert!(log
             .events
             .iter()
@@ -1083,7 +1074,7 @@ mod tests {
             gmres_iters: 1,
         });
         end_solve(id, false, 1, 1, 0.1);
-        let log = snapshot();
+        let log = flight_log();
         let mine = log.solve(id.0);
         assert!(mine.iter().any(|e| e.rank == 5));
         assert!(mine.iter().any(|e| e.rank == 0));
@@ -1096,14 +1087,14 @@ mod tests {
     fn disabled_recorder_emits_nothing() {
         let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         set_level(Level::Off);
-        let before = snapshot().events.len() + snapshot().dropped as usize;
+        let before = flight_log().events.len() + flight_log().dropped as usize;
         for _ in 0..100 {
             emit(EventKind::RegionSummary {
                 regions: 1,
                 barriers: 1,
             });
         }
-        let after = snapshot().events.len() + snapshot().dropped as usize;
+        let after = flight_log().events.len() + flight_log().dropped as usize;
         set_level(Level::Counters);
         assert_eq!(before, after, "off-mode emit recorded something");
     }

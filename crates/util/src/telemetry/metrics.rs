@@ -66,17 +66,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 // ---------------------------------------------------------------------
 
 /// log2 of the sub-bucket count per power-of-two range.
-pub const SUB_BITS: u32 = 6;
+pub(crate) const SUB_BITS: u32 = 6;
 const SUB: usize = 1 << SUB_BITS; // 64
 /// Highest power-of-two range start covered: values below
 /// `2^(MAX_EXP + 1)` ns (~2.4 h) are bucketed, larger ones overflow.
 const MAX_EXP: u32 = 42;
 /// Total bucket count: 64 exact + 64 per range for ranges 2^6..=2^42.
-pub const BUCKETS: usize = SUB + (MAX_EXP - SUB_BITS + 1) as usize * SUB;
+pub(crate) const BUCKETS: usize = SUB + (MAX_EXP - SUB_BITS + 1) as usize * SUB;
 
 /// Bucket index for a value, or `None` when it exceeds the top range.
 #[inline]
-pub fn bucket_of(v: u64) -> Option<usize> {
+pub(crate) fn bucket_of(v: u64) -> Option<usize> {
     if v < SUB as u64 {
         return Some(v as usize);
     }
@@ -89,7 +89,7 @@ pub fn bucket_of(v: u64) -> Option<usize> {
 }
 
 /// Half-open value range `[lo, hi)` covered by bucket `i`.
-pub fn bucket_bounds(i: usize) -> (u64, u64) {
+pub(crate) fn bucket_bounds(i: usize) -> (u64, u64) {
     assert!(i < BUCKETS, "bucket index {i} out of range");
     if i < SUB {
         return (i as u64, i as u64 + 1);
@@ -144,7 +144,7 @@ impl HistShard {
 
     /// Writer: records a value in nanoseconds. Single-writer only.
     #[inline]
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         match bucket_of(v) {
             Some(i) if i < self.buckets.len() => {
                 // Relaxed payload store; the Release count below orders it.
@@ -179,18 +179,6 @@ impl HistShard {
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         (c, buckets)
-    }
-
-    /// Forgets all records. Quiescent points only (the owning writer
-    /// must not be recording concurrently).
-    pub fn clear(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, StdOrdering::Relaxed);
-        self.max.store(0, StdOrdering::Relaxed);
-        self.overflow.store(0, StdOrdering::Relaxed);
-        self.count.store(0, Ordering::Release);
     }
 }
 
@@ -329,7 +317,7 @@ impl Histogram {
     }
 
     /// Merges every thread's shard into one [`HistSnapshot`].
-    pub fn snapshot(&self, name: &str) -> HistSnapshot {
+    pub(crate) fn snapshot(&self, name: &str) -> HistSnapshot {
         let mut buckets = vec![0u64; BUCKETS];
         let (mut overflow, mut sum, mut max) = (0u64, 0u64, 0u64);
         self.for_each_shard(|shard| {
@@ -354,11 +342,6 @@ impl Histogram {
                 .filter(|&(_, c)| c > 0)
                 .collect(),
         }
-    }
-
-    /// Clears every shard. Quiescent points only.
-    pub fn clear(&self) {
-        self.for_each_shard(HistShard::clear);
     }
 }
 
@@ -430,27 +413,11 @@ pub fn counter_add(name: &str, n: u64) {
     }
 }
 
-/// Clears every registered metric. Quiescent points only (tests,
-/// bench phase boundaries).
-pub fn reset() {
-    let reg = registry();
-    for c in reg.counters.lock().unwrap().values() {
-        c.value.store(0, StdOrdering::Relaxed);
-    }
-    for g in reg.gauges.lock().unwrap().values() {
-        g.value.store(0, StdOrdering::Relaxed);
-    }
-    for h in reg.hists.lock().unwrap().values() {
-        h.clear();
-    }
-}
-
 // ---------------------------------------------------------------------
 // Snapshots
 // ---------------------------------------------------------------------
 
-/// Merged view of one histogram at a point in time. Mergeable (ranks /
-/// teams aggregate) and subtractable (per-phase deltas).
+/// Merged view of one histogram at a point in time.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistSnapshot {
     /// Registry name.
@@ -468,17 +435,6 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// An empty snapshot (merge identity).
-    pub fn empty(name: &str) -> HistSnapshot {
-        HistSnapshot {
-            name: name.to_string(),
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-            overflow: 0,
-            buckets: Vec::new(),
-        }
-    }
 
     /// Nearest-rank quantile in nanoseconds (bucket midpoint; exact max
     /// for ranks landing in overflow). `NaN` when empty; `q` is clamped
@@ -502,28 +458,6 @@ impl HistSnapshot {
         // (and an upper-bound-correct) answer.
         self.max_ns as f64
     }
-
-    /// Arithmetic mean in nanoseconds (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Folds another snapshot in (rank/team aggregation).
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.overflow += other.overflow;
-        let mut merged: BTreeMap<usize, u64> = self.buckets.iter().copied().collect();
-        for &(i, c) in &other.buckets {
-            *merged.entry(i).or_insert(0) += c;
-        }
-        self.buckets = merged.into_iter().collect();
-    }
 }
 
 /// Every registered metric at a point in time, names sorted.
@@ -540,15 +474,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The named counter's value (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
     /// The named gauge's value (0 when absent).
     pub fn gauge(&self, name: &str) -> u64 {
         self.gauges
@@ -602,12 +527,12 @@ pub fn snapshot() -> MetricsSnapshot {
 // ---------------------------------------------------------------------
 
 /// Schema tag on every JSON metrics snapshot.
-pub const SCHEMA: &str = "fun3d.metrics.v1";
+pub(crate) const SCHEMA: &str = "fun3d.metrics.v1";
 
 /// Renders one histogram as its JSON snapshot object (the per-name
 /// value inside [`snapshot_json`]'s `histograms` map; also embedded by
-/// `trace::assemble` as per-request stage context).
-pub fn hist_json(h: &HistSnapshot) -> Json {
+/// `assemble_trace` as per-request stage context).
+pub(crate) fn hist_json(h: &HistSnapshot) -> Json {
     let buckets = h
         .buckets
         .iter()
@@ -664,6 +589,7 @@ pub fn snapshot_json(snap: &MetricsSnapshot) -> Json {
 /// numeric counters/gauges, and per histogram — required keys, ordered
 /// disjoint bucket bounds, bucket-count/overflow/count consistency, and
 /// quantile ordering. Returns the number of metrics validated.
+// Public as the validator of `crates/serve/tests/metrics_socket.rs`.
 pub fn check_snapshot(doc: &Json) -> Result<usize, String> {
     let schema = doc
         .get("schema")
@@ -811,6 +737,7 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
 /// value; histogram `le` bounds strictly increase with non-decreasing
 /// cumulative counts, end at `+Inf`, and the `+Inf` count equals the
 /// family's `_count` sample. Returns the number of samples.
+// Public as the validator of `crates/serve/tests/metrics_socket.rs`.
 pub fn check_prometheus(text: &str) -> Result<usize, String> {
     let mut samples = 0usize;
     // Per histogram family: (last le, last cum, +Inf count).
@@ -916,6 +843,17 @@ mod tests {
     use super::super::{set_level, Level, TEST_LOCK};
     use super::*;
     use crate::{prop_assert, prop_cases};
+
+    impl MetricsSnapshot {
+        /// The named counter's value (0 when absent).
+        fn counter(&self, name: &str) -> u64 {
+            self.counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|&(_, v)| v)
+                .unwrap_or(0)
+        }
+    }
 
     /// Exact nearest-rank quantile of an ascending-sorted slice: the
     /// reference [`HistSnapshot::quantile`] is held to. An empty slice
@@ -1033,29 +971,6 @@ mod tests {
         let mut shards = 0;
         h.for_each_shard(|_| shards += 1);
         assert!((1..=4).contains(&shards), "{shards} shards for 4 threads");
-    }
-
-    #[test]
-    fn snapshot_merge_sums_counts_and_keeps_the_max() {
-        let a = {
-            let h = Histogram::new();
-            for v in [100u64, 200, 300] {
-                h.record_always(v);
-            }
-            h.snapshot("x")
-        };
-        let b = {
-            let h = Histogram::new();
-            for v in [400u64, 500] {
-                h.record_always(v);
-            }
-            h.snapshot("x")
-        };
-        let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(m.count, 5);
-        assert_eq!(m.sum_ns, 1500);
-        assert_eq!(m.max_ns, 500);
     }
 
     #[test]

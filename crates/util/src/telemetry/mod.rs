@@ -8,19 +8,19 @@
 //! this module adds everything else those figures need:
 //!
 //! * **spans** — named intervals recorded into a per-thread single-writer
-//!   [`ring::Ring`]; [`profile`] derives exact self/total time per span
-//!   name from their nesting.
-//! * **counters** — the [`counters::KernelCounts`] vocabulary (items,
-//!   bytes read/written, flops) from which reports derive arithmetic
-//!   intensity and achieved GB/s against a machine's STREAM number.
-//! * **flight events** ([`flight`]) — structured solver decisions and
-//!   observations, including each pseudo-time step's residual, Δt and
-//!   GMRES iterations (the convergence history).
+//!   [`Ring`]; [`Profile`] derives exact self/total time per span name
+//!   from their nesting.
+//! * **counters** — the [`KernelCounts`] vocabulary (items, bytes
+//!   read/written, flops) from which reports derive arithmetic intensity
+//!   and achieved GB/s against a machine's STREAM number.
+//! * **flight events** ([`emit`], [`flight_log`]) — structured solver
+//!   decisions and observations, including each pseudo-time step's
+//!   residual, Δt and GMRES iterations (the convergence history).
 //! * **metrics** ([`metrics`]) — live counters, gauges and latency
 //!   histograms.
-//! * **exporters** — Chrome `trace_event` JSON ([`trace`]), folded stacks
-//!   and speedscope ([`profile`]), and a [`json::Json`] builder for the
-//!   structured run summary.
+//! * **exporters** — Chrome `trace_event` JSON ([`render_chrome_trace`]),
+//!   folded stacks and speedscope ([`folded`], [`speedscope`]), and a
+//!   [`Json`] builder for the structured run summary.
 //!
 //! ## One gate
 //!
@@ -46,20 +46,32 @@
 //! events survive until overwritten, totals never drop, and the registry
 //! holds at most as many recorders as threads were ever alive at once.
 
-pub mod counters;
-pub mod flight;
-pub mod json;
+mod counters;
+mod flight;
+mod json;
 pub mod metrics;
-pub mod profile;
-pub mod ring;
-pub mod roofline;
-pub mod trace;
+mod profile;
+mod ring;
+mod roofline;
+mod trace;
 
 pub use counters::{CounterMap, KernelCounts};
-pub use ring::SpanEvent;
+// `check_dump_file` validates dumps for the integration tests.
+pub use flight::{
+    begin_solve, check_dump_file, dump, dump_requested, emit, emit_tagged, end_solve, flight_log,
+    json_f64, note_region_panic, reject_reason_slug, set_dump_dir, set_rank, EventKind, ExecTag,
+    FlightEvent, FlightLog, SolveId, Trigger, NO_CROSSOVER,
+};
+pub use json::Json;
+pub use profile::{check_folded, check_speedscope, folded, speedscope, Profile};
+// `Ring` is exported for its model test, `crates/util/tests/model_ring.rs`.
+pub use ring::{Ring, SpanEvent};
+pub use roofline::{validate_roofline, Deviation, Envelope, ROOFLINE_TOLERANCE};
+// `assemble_trace` has one caller, `crates/serve/tests/trace_assembly.rs`.
+pub use trace::{assemble_trace, render_chrome_trace, TRACE_SCHEMA};
 
 use metrics::HistShard;
-use ring::{Ring, SPAN_WORDS};
+use ring::SPAN_WORDS;
 use std::cell::{OnceCell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -83,7 +95,7 @@ pub enum Level {
 impl Level {
     /// Parses the `FUN3D_TELEMETRY` value (unknown strings fall back to
     /// the default so a typo can't turn a run into a panic).
-    pub fn parse(s: &str) -> Option<Level> {
+    pub(crate) fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "none" => Some(Level::Off),
             "counters" | "on" | "1" => Some(Level::Counters),
@@ -156,7 +168,7 @@ pub fn now_ns() -> u64 {
 }
 
 /// Spans each thread's ring holds (newest win).
-pub const SPAN_CAPACITY: usize = 4096;
+pub(crate) const SPAN_CAPACITY: usize = 4096;
 
 /// One thread's recorder. Its thread is the only writer of the rings, the
 /// tags and the shards (see the module docs); aligned to two cache lines
@@ -461,18 +473,6 @@ pub fn snapshot() -> Snapshot {
     Snapshot { threads }
 }
 
-/// Clears the spans and counters of every recorder. Labels and
-/// registrations survive. Call between measurement phases of a tool, at
-/// quiescent points only.
-pub fn reset() {
-    for r in recorders().iter() {
-        if let Some(ring) = r.spans.get() {
-            ring.clear();
-        }
-        r.counters.lock().unwrap().clear();
-    }
-}
-
 /// Tests in this crate that change the level, or that record and expect
 /// to find their records, serialize here and leave the level at
 /// `Counters`.
@@ -613,7 +613,7 @@ mod tests {
                 });
             }
             flight::end_solve(id, true, 2, 3, 1.0 / 3.0);
-            let steps: Vec<u64> = flight::snapshot()
+            let steps: Vec<u64> = flight::flight_log()
                 .convergence(id.0)
                 .iter()
                 .map(|s| s.0)
@@ -683,7 +683,7 @@ mod tests {
                 for t in 0..nthreads {
                     let recs = &recs;
                     handles.push(scope.spawn(move || {
-                        let mut base = local_counters();
+                        let base = local_counters();
                         for (i, (n, c)) in recs.iter().enumerate() {
                             if i % nthreads == t {
                                 record_kernel(n, *c);
@@ -705,7 +705,6 @@ mod tests {
                                 delta.add(name, d);
                             }
                         }
-                        base.clear();
                         delta
                     }));
                 }

@@ -81,13 +81,13 @@ impl<const W: usize> Ring<W> {
 
     /// Forgets every slot (quiescent points only: the writer must not be
     /// pushing concurrently).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.head.store(0, Ordering::Release);
     }
 }
 
 /// Words per span slot: `[name_ptr, name_len, start_ns, dur_ns]`.
-pub const SPAN_WORDS: usize = 4;
+pub(crate) const SPAN_WORDS: usize = 4;
 
 /// One completed span: a named interval on one thread's timeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,7 +102,7 @@ pub struct SpanEvent {
 
 impl SpanEvent {
     /// The slot words this span is pushed as.
-    pub fn words(&self) -> [u64; SPAN_WORDS] {
+    pub(crate) fn words(&self) -> [u64; SPAN_WORDS] {
         [
             self.name.as_ptr() as u64,
             self.name.len() as u64,

@@ -8,7 +8,7 @@
 //! something the model doesn't capture (latency, imbalance, false
 //! sharing); a kernel far *above* it means the compulsory-traffic model
 //! overcounts (cache residency). This module automates that reading:
-//! [`validate`] joins per-kernel seconds with the analytic counts and
+//! [`validate_roofline`] joins per-kernel seconds with the analytic counts and
 //! flags deviations beyond a tolerance band.
 //!
 //! The tolerance is deliberately a band, not a bound — on the tiny
@@ -98,13 +98,13 @@ pub struct RooflineRow {
 /// Tolerance factor: a kernel may run up to 4× off its model floor in
 /// either direction before it is flagged. Wide on purpose — the meshes
 /// the gate runs on fit in cache.
-pub const TOLERANCE: f64 = 4.0;
+pub const ROOFLINE_TOLERANCE: f64 = 4.0;
 
 /// Joins measured per-kernel seconds with the analytic model and the
 /// machine envelope. Kernels with no modeled traffic/flops (pure
 /// bookkeeping counters) or no measured time are skipped — there is
 /// nothing to compare.
-pub fn validate(
+pub fn validate_roofline(
     kernels: &[(&str, f64, KernelCounts)],
     env: &Envelope,
     tolerance: f64,
@@ -183,7 +183,7 @@ mod tests {
         // 4 GB moved, 1 Gflop → intensity 0.25, memory bound; model
         // floor 0.1 s at 40 GB/s. Measured exactly on the floor.
         let c = KernelCounts::once(1, 3_000_000_000, 1_000_000_000, 1_000_000_000);
-        let rows = validate(&[("flux", 0.1, c)], &env(), TOLERANCE);
+        let rows = validate_roofline(&[("flux", 0.1, c)], &env(), ROOFLINE_TOLERANCE);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.bound, Bound::Memory);
@@ -198,7 +198,7 @@ mod tests {
         // 1 MB moved, 100 Gflop → intensity ≫ ridge → compute bound,
         // floor 0.5 s at 200 Gflop/s.
         let c = KernelCounts::once(1, 1_000_000, 0, 100_000_000_000);
-        let rows = validate(&[("dense", 0.5, c)], &env(), 4.0);
+        let rows = validate_roofline(&[("dense", 0.5, c)], &env(), 4.0);
         assert_eq!(rows[0].bound, Bound::Compute);
         assert!((rows[0].model_seconds - 0.5).abs() < 1e-12);
         assert_eq!(rows[0].deviation, None);
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn slow_and_fast_deviations_flagged() {
         let c = KernelCounts::once(1, 4_000_000_000, 0, 0); // floor 0.1 s
-        let rows = validate(
+        let rows = validate_roofline(
             &[("slow", 0.5, c), ("fast", 0.01, c), ("ok", 0.2, c)],
             &env(),
             4.0,
@@ -222,7 +222,7 @@ mod tests {
     fn bookkeeping_counters_and_zero_time_are_skipped() {
         let none = KernelCounts::once(5, 0, 0, 0); // e.g. pool.launch
         let real = KernelCounts::once(1, 1_000_000, 0, 1_000);
-        let rows = validate(
+        let rows = validate_roofline(
             &[("pool.launch", 1.0, none), ("unmeasured", 0.0, real)],
             &env(),
             4.0,
@@ -234,7 +234,7 @@ mod tests {
     fn rows_sorted_by_model_weight() {
         let big = KernelCounts::once(1, 8_000_000_000, 0, 0);
         let small = KernelCounts::once(1, 4_000_000, 0, 0);
-        let rows = validate(&[("small", 0.1, small), ("big", 0.3, big)], &env(), 100.0);
+        let rows = validate_roofline(&[("small", 0.1, small), ("big", 0.3, big)], &env(), 100.0);
         assert_eq!(rows[0].name, "big");
     }
 

@@ -24,7 +24,7 @@ use super::Snapshot;
 /// Threads are numbered `tid = 1..` in snapshot order and labeled with
 /// their telemetry labels via `thread_name` metadata events. All span
 /// events live in `pid = 1`.
-pub fn chrome_trace(snap: &Snapshot) -> Json {
+pub(crate) fn chrome_trace(snap: &Snapshot) -> Json {
     let mut events: Vec<Json> = Vec::new();
     for (idx, t) in snap.threads.iter().enumerate() {
         let tid = (idx + 1) as f64;
@@ -71,7 +71,7 @@ pub const TRACE_SCHEMA: &str = "fun3d.trace.v1";
 /// FNV-1a over a tenant name — the same tag `fun3d-serve` stamps on
 /// flight events, recomputed here so hash → name resolution works
 /// without a dependency on the serve crate.
-pub fn fnv64(s: &str) -> u64 {
+pub(crate) fn fnv64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in s.as_bytes() {
         h ^= b as u64;
@@ -131,9 +131,9 @@ pub struct RequestTrace {
 /// Assembles the per-request trace for `solve` from the live global
 /// telemetry state. `None` when no flight event carries the tag (the
 /// request never existed, or the ring already wrapped past it).
-pub fn assemble(solve: flight::SolveId) -> Option<RequestTrace> {
+pub fn assemble_trace(solve: flight::SolveId) -> Option<RequestTrace> {
     assemble_from(
-        &flight::snapshot(),
+        &flight::flight_log(),
         &super::snapshot(),
         &metrics::snapshot(),
         solve.0,
@@ -141,7 +141,7 @@ pub fn assemble(solve: flight::SolveId) -> Option<RequestTrace> {
 }
 
 /// Pure join over explicit snapshots (testable without global state).
-pub fn assemble_from(
+pub(crate) fn assemble_from(
     log: &FlightLog,
     spans: &Snapshot,
     live: &MetricsSnapshot,
@@ -541,14 +541,22 @@ mod tests {
                 counters: CounterMap::new(),
             }],
         };
-        let mut h = crate::telemetry::metrics::HistSnapshot::empty("serve.tenant.acme.total_ns");
-        h.count = 3;
-        h.sum_ns = 9_000;
-        h.max_ns = 4_000;
-        h.buckets = vec![(40, 3)];
-        let mut other = crate::telemetry::metrics::HistSnapshot::empty("serve.tenant.rival.total_ns");
-        other.count = 1;
-        other.buckets = vec![(10, 1)];
+        let h = HistSnapshot {
+            name: "serve.tenant.acme.total_ns".to_string(),
+            count: 3,
+            sum_ns: 9_000,
+            max_ns: 4_000,
+            overflow: 0,
+            buckets: vec![(40, 3)],
+        };
+        let other = HistSnapshot {
+            name: "serve.tenant.rival.total_ns".to_string(),
+            count: 1,
+            sum_ns: 0,
+            max_ns: 0,
+            overflow: 0,
+            buckets: vec![(10, 1)],
+        };
         let live = MetricsSnapshot {
             t_ns: 10_000,
             counters: Vec::new(),

@@ -25,7 +25,7 @@ impl Timer {
     }
 
     /// Elapsed time since [`Timer::start`].
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
@@ -57,20 +57,6 @@ pub struct PhaseTimers {
     buckets: HashMap<&'static str, Bucket>,
 }
 
-/// RAII guard returned by [`PhaseTimers::scope`]; not `Copy` on purpose —
-/// dropping it stops the clock.
-pub struct PhaseGuard<'a> {
-    timers: &'a mut PhaseTimers,
-    name: &'static str,
-    start: Instant,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        self.timers.add(self.name, self.start.elapsed());
-    }
-}
-
 impl PhaseTimers {
     /// An empty profile.
     pub fn new() -> Self {
@@ -82,24 +68,6 @@ impl PhaseTimers {
         let b = self.buckets.entry(name).or_default();
         b.total += dur;
         b.calls += 1;
-    }
-
-    /// Times the closure and accumulates into `name`, passing through its
-    /// return value.
-    pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        let t = Instant::now();
-        let out = f();
-        self.add(name, t.elapsed());
-        out
-    }
-
-    /// Starts a scope that stops when the returned guard is dropped.
-    pub fn scope(&mut self, name: &'static str) -> PhaseGuard<'_> {
-        PhaseGuard {
-            name,
-            start: Instant::now(),
-            timers: self,
-        }
     }
 
     /// Total seconds accumulated in `name` (0 if absent).
@@ -115,16 +83,9 @@ impl PhaseTimers {
         self.buckets.get(name).map(|b| b.calls).unwrap_or(0)
     }
 
-    /// Sum of all buckets, in seconds. Note this includes envelope
-    /// buckets such as `"total"`; use [`PhaseTimers::run_seconds`] as a
-    /// percentage denominator.
-    pub fn total_seconds(&self) -> f64 {
-        self.buckets.values().map(|b| b.total.as_secs_f64()).sum()
-    }
-
     /// Sum of the kernel buckets only, excluding envelope buckets that
     /// wrap the whole run (`"total"`).
-    pub fn kernel_seconds(&self) -> f64 {
+    pub(crate) fn kernel_seconds(&self) -> f64 {
         self.buckets
             .iter()
             .filter(|(&k, _)| !Self::is_envelope(k))
@@ -147,12 +108,12 @@ impl PhaseTimers {
 
     /// True for buckets that envelope the whole run rather than time one
     /// kernel.
-    pub fn is_envelope(name: &str) -> bool {
+    pub(crate) fn is_envelope(name: &str) -> bool {
         name == "total"
     }
 
     /// `(name, seconds, calls)` sorted by descending time.
-    pub fn entries(&self) -> Vec<(&'static str, f64, u64)> {
+    pub(crate) fn entries(&self) -> Vec<(&'static str, f64, u64)> {
         let mut v: Vec<_> = self
             .buckets
             .iter()
@@ -160,16 +121,6 @@ impl PhaseTimers {
             .collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
         v
-    }
-
-    /// Merges another profile into this one (used to combine per-thread or
-    /// per-rank profiles).
-    pub fn merge(&mut self, other: &PhaseTimers) {
-        for (&k, b) in &other.buckets {
-            let mine = self.buckets.entry(k).or_default();
-            mine.total += b.total;
-            mine.calls += b.calls;
-        }
     }
 
     /// Renders a profile table: name, seconds, % of run, calls. The
@@ -182,7 +133,7 @@ impl PhaseTimers {
 
     /// Renders the profile table with an explicit percentage denominator
     /// (seconds), for callers whose wall clock lives outside the profile.
-    pub fn report_against(&self, denominator_seconds: f64) -> String {
+    pub(crate) fn report_against(&self, denominator_seconds: f64) -> String {
         let total = denominator_seconds.max(1e-300);
         let mut out = String::new();
         out.push_str(&format!(
@@ -215,25 +166,7 @@ mod tests {
         assert_eq!(p.calls("flux"), 2);
         assert_eq!(p.calls("trsv"), 1);
         assert!((p.seconds("flux") - 0.05).abs() < 1e-9);
-        assert!((p.total_seconds() - 0.10).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_closure_returns_value() {
-        let mut p = PhaseTimers::new();
-        let x = p.time("work", || 41 + 1);
-        assert_eq!(x, 42);
-        assert_eq!(p.calls("work"), 1);
-    }
-
-    #[test]
-    fn scope_guard_records_on_drop() {
-        let mut p = PhaseTimers::new();
-        {
-            let _g = p.scope("scoped");
-            std::hint::black_box(());
-        }
-        assert_eq!(p.calls("scoped"), 1);
+        assert!((p.kernel_seconds() - 0.10).abs() < 1e-9);
     }
 
     #[test]
@@ -244,19 +177,6 @@ mod tests {
         p.add("c", Duration::from_millis(2));
         let names: Vec<_> = p.entries().iter().map(|e| e.0).collect();
         assert_eq!(names, vec!["b", "c", "a"]);
-    }
-
-    #[test]
-    fn merge_combines_buckets() {
-        let mut p = PhaseTimers::new();
-        p.add("x", Duration::from_millis(5));
-        let mut q = PhaseTimers::new();
-        q.add("x", Duration::from_millis(5));
-        q.add("y", Duration::from_millis(1));
-        p.merge(&q);
-        assert_eq!(p.calls("x"), 2);
-        assert!((p.seconds("x") - 0.010).abs() < 1e-9);
-        assert_eq!(p.calls("y"), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use fun3d_check::shim::{spin_hint, AtomicU64, Ordering};
 use fun3d_check::{explore, thread, Config, FailureKind};
-use fun3d_util::telemetry::ring::Ring;
+use fun3d_util::telemetry::Ring;
 use std::sync::Arc;
 
 fn cfg() -> Config {

@@ -6,7 +6,7 @@
 //! One test in its own binary, so no other test's threads are alive to
 //! blur the bound.
 
-use fun3d_util::telemetry::{self, flight, metrics, CounterMap, KernelCounts, Level};
+use fun3d_util::telemetry::{self, metrics, CounterMap, KernelCounts, Level};
 
 #[test]
 fn sixty_four_short_lived_threads_share_at_most_three_recorders() {
@@ -20,9 +20,9 @@ fn sixty_four_short_lived_threads_share_at_most_three_recorders() {
         named_sum += 10 * t;
         std::thread::spawn(move || {
             telemetry::set_thread_label(format!("short-{t}"));
-            flight::set_rank(t);
+            telemetry::set_rank(t);
             let _s = telemetry::span("adoption.span");
-            flight::emit(flight::EventKind::CommSend { peer: t, bytes: 8 });
+            telemetry::emit(telemetry::EventKind::CommSend { peer: t, bytes: 8 });
             metrics::histogram("adoption.hist_ns").record(t + 1);
             metrics::record_ns("adoption.named_ns", 10 * t);
             telemetry::record_kernel("adoption.kernel", c);
@@ -47,24 +47,24 @@ fn sixty_four_short_lived_threads_share_at_most_three_recorders() {
 
     // Every exited thread's flight event is still there, tagged with the
     // rank that thread set (tags start over on adoption).
-    let log = flight::snapshot();
+    let log = telemetry::flight_log();
     for t in 0..64u64 {
         let ev = log
             .events
             .iter()
-            .find(|e| e.kind == flight::EventKind::CommSend { peer: t, bytes: 8 })
+            .find(|e| e.kind == telemetry::EventKind::CommSend { peer: t, bytes: 8 })
             .unwrap_or_else(|| panic!("thread {t}'s event lost"));
         assert_eq!(ev.rank, t);
     }
     let rank = std::thread::spawn(|| {
-        flight::emit(flight::EventKind::CommRecv { peer: 99, bytes: 8 });
+        telemetry::emit(telemetry::EventKind::CommRecv { peer: 99, bytes: 8 });
     });
     rank.join().unwrap();
-    let log = flight::snapshot();
+    let log = telemetry::flight_log();
     let late = log
         .events
         .iter()
-        .find(|e| e.kind == flight::EventKind::CommRecv { peer: 99, bytes: 8 })
+        .find(|e| e.kind == telemetry::EventKind::CommRecv { peer: 99, bytes: 8 })
         .unwrap();
     assert_eq!(late.rank, 0, "an adopted recorder's rank tag starts over");
 

@@ -6,8 +6,7 @@
 //! cargo run --release --example distributed_solve
 //! ```
 
-use fun3d_cluster::dsolve::{gmres, DistSystem};
-use fun3d_cluster::{Decomposition, Universe};
+use fun3d_cluster::{dsolve_gmres, Decomposition, DistSystem, Universe};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_sparse::Bcsr4;
 
@@ -42,7 +41,7 @@ fn main() {
                 .flat_map(|&g| b_ref[g as usize * 4..g as usize * 4 + 4].to_vec())
                 .collect();
             let mut x = vec![0.0; sys.nowned()];
-            let res = gmres(&comm, &sys, &blocal, &mut x, 30, 1e-10, 1000);
+            let res = dsolve_gmres(&comm, &sys, &blocal, &mut x, 30, 1e-10, 1000);
             (sys.sub.owned.clone(), x, res.iterations, halo)
         });
 

@@ -6,7 +6,7 @@
 
 use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_mesh::stats::MeshStats;
+use fun3d_mesh::MeshStats;
 use fun3d_solver::ptc::PtcConfig;
 
 fn main() {

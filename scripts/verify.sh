@@ -24,8 +24,14 @@
 #    figure and table binaries and nothing else, set-up (the mesh
 #    passes, coarsening, the rank decomposition) groups by vertex id
 #    rather than through a hash map, the paper's "before" kernels and
-#    cost models stay in crates/bench, and the single-value knobs stay
-#    deleted. Each structural guard is negative-tested on canary trees.
+#    cost models stay in crates/bench, the single-value knobs stay
+#    deleted, a production crate's modules are private but for eight
+#    that benchmark/ names, and no production code allows dead code or
+#    an unreachable `pub`. Each structural guard is negative-tested on
+#    canary trees.
+#  * warnings are errors: `cargo check --workspace --all-targets` with
+#    `-D warnings`, and the same for the model-checked crates under
+#    `--cfg fun3d_check`, each in its own target dir.
 #  * `cargo build --release` and `cargo test -q`, offline. The root
 #    manifest's default-members make both cover every crate (the flight
 #    dumps, the metrics socket and the serve wire are tests there).
@@ -69,7 +75,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -106,10 +112,15 @@ BENCH_ONLY='serial_soa|NodeSoa|fn atomics|struct Csr\b|DagStats|EdgeLoopCosts|Re
 # exactly when there is a pool, the pool's plan is always multilevel, and
 # a pseudo-time step is one Newton iteration.
 SINGLE_VALUE_KNOBS='IluParallel|metis_partition|newton_per_step'
+# A production crate's public surface is its lib.rs: its modules are
+# private, save the eight whose paths benchmark/ names (it is frozen), so
+# `unreachable_pub` and `dead_code` see every item. `parent:module` pairs.
+PUB_MODS='solver:ptc solver:precond mesh:generator util:telemetry telemetry:metrics sparse:ilu cluster:dapp core:counts'
+PRODUCTION_CRATES='util simd threads mesh partition sparse solver machine core cluster serve'
 structure_guard() {
     local root=$1 bad=0
     if grep -rn 'roe_flux' "$root/crates/cluster/src"; then
-        echo "  crates/cluster/src calls the Roe flux: use fun3d_core::flux::run on the rank's Owner share"
+        echo "  crates/cluster/src calls the Roe flux: use fun3d_core::flux_run on the rank's Owner share"
         bad=1
     fi
     # How edges are walked - regions, barriers, chunking, colour classes -
@@ -274,13 +285,34 @@ structure_guard() {
         echo "  a deleted single-value knob (IluParallel, metis_partition, newton_per_step) is back"
         bad=1
     fi
+    local krate lib parent line mod
+    for krate in $PRODUCTION_CRATES; do
+        [ -d "$root/crates/$krate/src" ] || continue
+        for lib in "$root/crates/$krate/src/lib.rs" "$root/crates/$krate/src/telemetry/mod.rs"; do
+            [ -e "$lib" ] || continue
+            parent=$krate
+            [ "$(basename "$lib")" = mod.rs ] && parent=telemetry
+            while IFS= read -r line; do
+                mod=$(sed -E 's/^[[:space:]]*pub mod ([a-z_0-9]+).*/\1/' <<<"$line")
+                if ! grep -qw "$parent:$mod" <<<"$PUB_MODS"; then
+                    echo "  $lib: pub mod $mod: keep the module private and re-export what callers name from lib.rs"
+                    bad=1
+                fi
+            done < <(grep -E '^[[:space:]]*pub mod [a-z_0-9]+' "$lib")
+        done
+        if grep -rnE 'allow\((.*[, ])?(dead_code|unreachable_pub)\b' "$root/crates/$krate/src" \
+            | grep -v 'crates/threads/src/pool.rs:.*cfg_attr(fun3d_check, allow(dead_code))'; then
+            echo "  allow(dead_code) or allow(unreachable_pub) in crates/$krate/src: delete the item, move it to crates/bench or make it #[cfg(test)]"
+            bad=1
+        fi
+    done
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, or a bench-only kernel or model is in a production crate"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
     exit 1
 fi
-# Negative canaries: each of the twenty-seven forks must trip the guard, and
+# Negative canaries: each of the twenty-nine forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
@@ -288,7 +320,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked \
     telemetry_knob_read deleted_knob_named second_thread_local sampler_back \
     rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map \
-    bench_only_in_production single_value_knob_back; do
+    bench_only_in_production single_value_knob_back pub_mod_back dead_code_allowed; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src/bin" "$CANARY/scripts" \
@@ -310,6 +342,10 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         > "$CANARY/crates/util/src/telemetry/mod.rs"
     echo 'Dumps land in `FUN3D_FLIGHT_DIR`; `FUN3D_FLIGHT_DUMP=1` asks for one at every solve end.' > "$CANARY/README.md"
     echo '| `crates/util` | one recorder per thread, one ring type |' > "$CANARY/DESIGN.md"
+    printf '#![deny(unreachable_pub)]\n\nmod gmres;\npub mod precond;\npub mod ptc;\n' > "$CANARY/crates/solver/src/lib.rs"
+    printf 'mod counters;\npub mod metrics;\n' >> "$CANARY/crates/util/src/telemetry/mod.rs"
+    mkdir -p "$CANARY/crates/threads/src"
+    printf '    #[cfg_attr(fun3d_check, allow(dead_code))]\n    adaptive: bool,\n' > "$CANARY/crates/threads/src/pool.rs"
     case $fork in
         none)
             if ! structure_guard "$CANARY"; then
@@ -344,6 +380,8 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         setup_hash_map) echo 'let mut g2l = std::collections::HashMap::with_capacity(owned.len());' > "$CANARY/crates/cluster/src/decompose.rs" ;;
         bench_only_in_production) echo 'pub struct Csr { pub values: Vec<f64> }' > "$CANARY/crates/sparse/src/csr.rs" ;;
         single_value_knob_back) echo '    ilu_parallel: if nthreads > 1 { IluParallel::P2p } else { IluParallel::Serial },' > "$CANARY/crates/core/src/app.rs" ;;
+        pub_mod_back) echo 'pub mod gmres;' >> "$CANARY/crates/solver/src/lib.rs" ;;
+        dead_code_allowed) printf '#[allow(dead_code)]\nfn unused() {}\n' > "$CANARY/crates/threads/src/team.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -351,7 +389,17 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
+
+# Warnings are errors, on every target of the workspace and on the
+# model-checked crates under their cfg. Own target dirs: the flags change
+# every crate's fingerprint, and the release cache below must survive.
+echo "== cargo check -D warnings: the workspace, all targets =="
+RUSTFLAGS="-D warnings" CARGO_TARGET_DIR=target/lint \
+    cargo check --workspace --all-targets --offline
+echo "== cargo check -D warnings: fun3d-check, fun3d-threads, fun3d-util under --cfg fun3d_check =="
+RUSTFLAGS="--cfg fun3d_check -D warnings" CARGO_TARGET_DIR=target/lint-check \
+    cargo check --offline --all-targets -p fun3d-check -p fun3d-threads -p fun3d-util
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.

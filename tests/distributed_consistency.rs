@@ -1,11 +1,10 @@
 //! Cross-crate integration: the distributed (rank-parallel) solve path
 //! must agree with the serial solver stack on the same system.
 
-use fun3d_cluster::dsolve::{gmres, DistSystem};
-use fun3d_cluster::{Decomposition, Universe};
+use fun3d_cluster::{dsolve_gmres, Decomposition, DistSystem, Universe};
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_solver::gmres::{Gmres, GmresConfig, GmresOutcome};
 use fun3d_solver::precond::{IdentityPrecond, SerialIlu};
+use fun3d_solver::{Gmres, GmresConfig, GmresOutcome};
 use fun3d_sparse::Bcsr4;
 
 fn system() -> (usize, Vec<[u32; 2]>, Bcsr4, Vec<f64>) {
@@ -68,7 +67,7 @@ fn distributed_gmres_agrees_with_serial_gmres() {
         let results = Universe::run(nranks, move |comm| {
             let sys = DistSystem::new(a, subs[comm.rank()].clone(), 0);
             let mut x = vec![0.0; sys.nowned()];
-            let r = gmres(&comm, &sys, &owned_part(&sys, b), &mut x, 30, 1e-10, 500);
+            let r = dsolve_gmres(&comm, &sys, &owned_part(&sys, b), &mut x, 30, 1e-10, 500);
             assert!(r.converged);
             ((sys.sub.owned.clone(), x), r)
         });
@@ -160,7 +159,7 @@ fn distributed_results_independent_of_rank_count() {
         let parts = Universe::run(nranks, move |comm| {
             let sys = DistSystem::new(a, subs[comm.rank()].clone(), 0);
             let mut x = vec![0.0; sys.nowned()];
-            gmres(&comm, &sys, &owned_part(&sys, b), &mut x, 30, 1e-11, 800);
+            dsolve_gmres(&comm, &sys, &owned_part(&sys, b), &mut x, 30, 1e-11, 800);
             (sys.sub.owned.clone(), x)
         });
         solutions.push(stitch(n, parts));

@@ -13,14 +13,14 @@
 //! seeded, failures shrink by halving the drawn inputs, and the report
 //! prints a `FUN3D_PROP_SEED` that replays the case deterministically.
 
-use fun3d_core::geom::{grad_slot, EdgeGeom, HalfEdges, NodeAos, GRAD_ROW};
-use fun3d_core::bc::BcData;
-use fun3d_core::{flux, gradient, FlowConditions};
+use fun3d_core::{
+    flux_run, flux_serial_aos, grad_slot, green_gauss, roe_flux, BcData, EdgeGeom, Exec,
+    FlowConditions, HalfEdges, NodeAos, TiledGeom, Traversal, GRAD_ROW, PREFETCH_DIST,
+};
 use fun3d_mesh::generator::ChannelSpec;
 use fun3d_mesh::DualMesh;
-use fun3d_core::{euler, Exec, TiledGeom, Traversal};
-use fun3d_partition::{natural_partition, partition_graph, MultilevelConfig, OwnerWritesPlan};
 use fun3d_partition::{EdgeTiling, TilingConfig};
+use fun3d_partition::{natural_partition, partition_graph, MultilevelConfig, OwnerWritesPlan};
 use fun3d_simd::{with_lanes, Isa, Simd};
 use fun3d_threads::ThreadPool;
 use fun3d_util::{prop_assert, prop_assert_eq, prop_cases};
@@ -61,7 +61,7 @@ fn random_fixture(seed: u64, jitter: f64, amp: f64, drop: usize) -> Fixture {
         *x += rng.range_f64(-amp, amp);
     }
     let mut fix = Fixture::new(geom, node, BcData::build(&dual), dual.vol);
-    gradient::green_gauss(Isa::detect(), Exec::Caller, &fix.adj, &mut fix.node);
+    green_gauss(Isa::detect(), Exec::Caller, &fix.adj, &mut fix.node);
     fix
 }
 
@@ -112,7 +112,7 @@ fn each_gradient_row(
         // Whatever the rows held must not show: the kernel stores, it
         // does not accumulate.
         out.grad.fill(f64::NAN);
-        gradient::green_gauss(isa, exec, adj, &mut out);
+        green_gauss(isa, exec, adj, &mut out);
         out.grad
     };
     for &isa in &lanes {
@@ -185,7 +185,7 @@ unsafe fn every_op<S: Simd>(s: S, x: &[[f64; 4]; 4], out: &mut Vec<[u64; 4]>) {
 
 fn scalar_reference(geom: &EdgeGeom, node: &NodeAos) -> Vec<f64> {
     let mut r = vec![0.0; node.n * 4];
-    flux::serial_aos(geom, node, 1.0, &mut r);
+    flux_serial_aos(geom, node, 1.0, &mut r);
     r
 }
 
@@ -223,7 +223,7 @@ impl Row<'_> {
     /// The flux kernel's accumulated edge fluxes, before any boundary term.
     fn flux(&self, lanes: bool, node: &NodeAos) -> Vec<f64> {
         let mut r = vec![0.0; node.n * 4];
-        flux::run(lanes.then_some(self.isa), self.exec, self.walk, node, 1.0, &mut r);
+        flux_run(lanes.then_some(self.isa), self.exec, self.walk, node, 1.0, &mut r);
         r
     }
 }
@@ -247,7 +247,7 @@ fn each_row(
     let tiled = Traversal::Tiled { geom: &tg };
     let graph = fun3d_mesh::Graph::from_edges(nv, geom.edges());
     for &isa in &lanes {
-        for prefetch in [None, Some(flux::PREFETCH_DIST)] {
+        for prefetch in [None, Some(PREFETCH_DIST)] {
             let walk = Traversal::Stream { geom, prefetch };
             let (lists, name) = ("all edges".to_string(), format!("stream, prefetch {prefetch:?}"));
             check(&Row { family: "edge order", lists, name, isa, exec: Exec::Caller, walk })?;
@@ -295,19 +295,19 @@ prop_cases! {
 
         // SIMD batching
         let mut r = vec![0.0; n4];
-        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::stream(&geom), &node, 1.0, &mut r);
+        flux_run(Some(Isa::detect()), Exec::Caller, Traversal::stream(&geom), &node, 1.0, &mut r);
         prop_assert!(close(&reference, &r, 1e-12).is_ok());
 
         // SIMD + prefetch
         let mut r = vec![0.0; n4];
-        flux::run(Some(Isa::detect()), flux::Exec::Caller, flux::Traversal::Stream { geom: &geom, prefetch: Some(flux::PREFETCH_DIST) }, &node, 1.0, &mut r);
+        flux_run(Some(Isa::detect()), Exec::Caller, Traversal::Stream { geom: &geom, prefetch: Some(PREFETCH_DIST) }, &node, 1.0, &mut r);
         prop_assert!(close(&reference, &r, 1e-12).is_ok());
 
         // threaded variants
         let pool = ThreadPool::new(nthreads);
         let nat = OwnerWritesPlan::build(geom.edges(), &natural_partition(node.n, nthreads), nthreads);
         let mut r = vec![0.0; n4];
-        flux::run(None, flux::Exec::Pool(&pool), flux::Traversal::owner(&geom, &nat), &node, 1.0, &mut r);
+        flux_run(None, Exec::Pool(&pool), Traversal::owner(&geom, &nat), &node, 1.0, &mut r);
         prop_assert_eq!(&reference, &r, "owner-writes must be bitwise identical");
 
         let graph = fun3d_mesh::Graph::from_edges(node.n, geom.edges());
@@ -317,7 +317,7 @@ prop_cases! {
             nthreads,
         );
         let mut r = vec![0.0; n4];
-        flux::run(Some(Isa::detect()), flux::Exec::Pool(&pool), flux::Traversal::owner(&geom, &ml), &node, 1.0, &mut r);
+        flux_run(Some(Isa::detect()), Exec::Pool(&pool), Traversal::owner(&geom, &ml), &node, 1.0, &mut r);
         prop_assert!(close(&reference, &r, 1e-12).is_ok());
     }
 
@@ -356,16 +356,16 @@ prop_cases! {
         let oracle = scalar_green_gauss(geom, &fix.bc, &fix.vol, &node.q);
         for isa in [portable, avx2] {
             let mut out = node.clone();
-            gradient::green_gauss(isa, Exec::Caller, &fix.adj, &mut out);
+            green_gauss(isa, Exec::Caller, &fix.adj, &mut out);
             prop_assert_eq!(&oracle, &out.grad, "{} Green-Gauss vs the scalar loop", isa.name());
         }
 
         // Serial flux, without and with prefetch.
         let mut serial = vec![0.0; n4];
-        flux::run(Some(portable), flux::Exec::Caller, flux::Traversal::stream(geom), node, 1.0, &mut serial);
-        for prefetch in [None, Some(flux::PREFETCH_DIST)] {
+        flux_run(Some(portable), Exec::Caller, Traversal::stream(geom), node, 1.0, &mut serial);
+        for prefetch in [None, Some(PREFETCH_DIST)] {
             let mut r = vec![0.0; n4];
-            flux::run(Some(avx2), flux::Exec::Caller, flux::Traversal::Stream { geom, prefetch }, node, 1.0, &mut r);
+            flux_run(Some(avx2), Exec::Caller, Traversal::Stream { geom, prefetch }, node, 1.0, &mut r);
             prop_assert_eq!(&serial, &r, "serial flux, {} edges, prefetch {prefetch:?}", geom.nedges());
         }
 
@@ -379,13 +379,13 @@ prop_cases! {
                 nt,
             );
             let mut want = vec![0.0; n4];
-            flux::run(Some(portable), flux::Exec::Pool(&pool), flux::Traversal::owner(geom, &plan), node, 1.0, &mut want);
+            flux_run(Some(portable), Exec::Pool(&pool), Traversal::owner(geom, &plan), node, 1.0, &mut want);
             let mut got = vec![0.0; n4];
-            flux::run(Some(avx2), flux::Exec::Pool(&pool), flux::Traversal::owner(geom, &plan), node, 1.0, &mut got);
+            flux_run(Some(avx2), Exec::Pool(&pool), Traversal::owner(geom, &plan), node, 1.0, &mut got);
             prop_assert_eq!(&want, &got, "owner-writes flux nt={nt}");
             for isa in [portable, avx2] {
                 let mut out = node.clone();
-                gradient::green_gauss(isa, Exec::Pool(&pool), &fix.adj, &mut out);
+                green_gauss(isa, Exec::Pool(&pool), &fix.adj, &mut out);
                 prop_assert_eq!(&oracle, &out.grad, "{} pooled gradient nt={nt}", isa.name());
             }
         }
@@ -441,7 +441,7 @@ prop_cases! {
         let oracle = scalar_green_gauss(&fix.geom, &fix.bc, &fix.vol, &fix.node.q);
         let kernel = |adj: &HalfEdges| {
             let mut out = fix.node.clone();
-            gradient::green_gauss(Isa::detect(), Exec::Caller, adj, &mut out);
+            green_gauss(Isa::detect(), Exec::Caller, adj, &mut out);
             out.grad
         };
         prop_assert_eq!(&oracle, &kernel(&fix.adj), "premise: the kernel reproduces the oracle");
@@ -487,7 +487,7 @@ prop_cases! {
                 ql[c] += 0.5 * slope(a);
                 qr[c] -= 0.5 * slope(b);
             }
-            let f = euler::roe_flux(&ql, &qr, &[geom.nx()[k], geom.ny()[k], geom.nz()[k]], 1.0);
+            let f = roe_flux(&ql, &qr, &[geom.nx()[k], geom.ny()[k], geom.nz()[k]], 1.0);
             for c in 0..4 {
                 added[c] += 2.0 * f[c].abs();
             }
@@ -534,7 +534,7 @@ prop_cases! {
         let seed = g.u64();
         let nthreads = g.usize_range(1, 5);
 
-        use fun3d_sparse::{ilu, trsv, p2p, Bcsr4, P2pSchedule};
+        use fun3d_sparse::{ilu, solve_p2p, trsv_solve, Bcsr4, P2pSchedule};
         let mut spec = ChannelSpec::with_resolution(5, 4, 4);
         spec.seed = seed;
         let mesh = spec.build();
@@ -543,12 +543,12 @@ prop_cases! {
         let f = ilu::iluk(&a, 1);
         let n = a.dim();
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
-        let serial = trsv::solve(&f, &b);
+        let serial = trsv_solve(&f, &b);
 
         let pool = ThreadPool::new(nthreads);
         let pf = P2pSchedule::forward(&f.l, nthreads);
         let pb = P2pSchedule::backward(&f.u, nthreads);
-        let x = p2p::solve_p2p(&f, &b, &pool, &pf, &pb);
+        let x = solve_p2p(&f, &b, &pool, &pf, &pb);
         prop_assert_eq!(&serial, &x, "p2p differs");
     }
 }

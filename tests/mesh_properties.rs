@@ -7,8 +7,8 @@
 use fun3d_mesh::generator::ChannelSpec;
 use fun3d_mesh::DualMesh;
 use fun3d_partition::{partition_graph, MultilevelConfig, OwnerWritesPlan};
-use fun3d_sparse::{ilu, trsv, Bcsr4};
-use fun3d_util::proptest_mini::Gen;
+use fun3d_sparse::{ilu, trsv_solve, Bcsr4};
+use fun3d_util::Gen;
 use fun3d_util::{prop_assert, prop_cases};
 
 /// Draws a small random channel mesh with varying geometry (the port of
@@ -80,7 +80,7 @@ prop_cases! {
         let xref: Vec<f64> = (0..n).map(|i| ((i * 29 % 17) as f64 - 8.0) * 0.1).collect();
         let mut b = vec![0.0; n];
         a.spmv(&xref, &mut b);
-        let x = trsv::solve(&f, &b);
+        let x = trsv_solve(&f, &b);
         // one application of (LU)^-1 A must contract toward the solution
         let err: f64 = x.iter().zip(&xref).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt();
         let norm: f64 = xref.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -91,7 +91,7 @@ prop_cases! {
         let spec = mesh_spec(g);
         let mut mesh = spec.build();
         let before = mesh.vertex_graph().bandwidth();
-        let perm = fun3d_mesh::reorder::rcm(&mesh.vertex_graph());
+        let perm = fun3d_mesh::rcm(&mesh.vertex_graph());
         mesh.renumber(&perm);
         let after = mesh.vertex_graph().bandwidth();
         prop_assert!(after <= before, "RCM worsened bandwidth: {before} -> {after}");

@@ -12,9 +12,9 @@
 //! T = 1 and T = 2 are pinned too, so a set-up change that moved
 //! anything the tests above miss still shows.
 
-use fun3d_cluster::decompose::Decomposition;
+use fun3d_cluster::Decomposition;
 use fun3d_core::{FlowConditions, Fun3dApp, OptConfig};
-use fun3d_mesh::{generator::MeshPreset, reorder, ChannelSpec, DualMesh, Mesh};
+use fun3d_mesh::{generator::MeshPreset, rcm, ChannelSpec, DualMesh, Mesh};
 use fun3d_partition::{partition_graph, MultilevelConfig};
 use fun3d_solver::ptc::PtcConfig;
 use fun3d_solver::ExecMode;
@@ -81,7 +81,7 @@ fn artifacts(spec: ChannelSpec) -> [(&'static str, u64); 9] {
             [a as u64, b as u64, c as u64, t.tag as u64]
         }))
         .0;
-    let perm = reorder::rcm(&mesh.vertex_graph());
+    let perm = rcm(&mesh.vertex_graph());
     let rcm = Fnv::new().words(perm.iter().map(|&p| p as u64)).0;
     mesh.renumber(&perm);
 

@@ -12,8 +12,10 @@
 //! Runs on the in-tree `fun3d_util::proptest_mini` harness; failures
 //! print a `FUN3D_PROP_SEED` that replays deterministically.
 
-use fun3d_core::geom::{EdgeGeom, HalfEdges, NodeAos};
-use fun3d_core::{flux, gradient, FlowConditions, TiledGeom};
+use fun3d_core::{
+    flux_run, flux_serial_aos, green_gauss, EdgeGeom, Exec, FlowConditions, HalfEdges, NodeAos,
+    TiledGeom, Traversal,
+};
 use fun3d_mesh::generator::ChannelSpec;
 use fun3d_mesh::DualMesh;
 use fun3d_partition::{EdgeTiling, TilingConfig};
@@ -40,9 +42,9 @@ fn random_fixture(seed: u64, jitter: f64, amp: f64) -> Fixture {
     for x in node.q.iter_mut() {
         *x += rng.range_f64(-amp, amp);
     }
-    let bc = fun3d_core::bc::BcData::build(&dual);
+    let bc = fun3d_core::BcData::build(&dual);
     let adj = HalfEdges::build(&geom, &bc, &dual.vol);
-    gradient::green_gauss(Isa::detect(), flux::Exec::Caller, &adj, &mut node);
+    green_gauss(Isa::detect(), Exec::Caller, &adj, &mut node);
     Fixture { geom, node }
 }
 
@@ -79,7 +81,7 @@ prop_cases! {
         let fix = random_fixture(seed, jitter, amp);
         let n4 = fix.node.n * 4;
         let mut reference = vec![0.0; n4];
-        flux::serial_aos(&fix.geom, &fix.node, 1.0, &mut reference);
+        flux_serial_aos(&fix.geom, &fix.node, 1.0, &mut reference);
 
         let tiling = EdgeTiling::build(
             fix.node.n,
@@ -88,26 +90,26 @@ prop_cases! {
         );
         let tg = TiledGeom::new(tiling, &fix.geom);
 
-        let tiles = flux::Traversal::Tiled { geom: &tg };
+        let tiles = Traversal::Tiled { geom: &tg };
 
         // Serial tiled: ULP-level agreement with the streaming reference
         // (edge order is permuted, so not bitwise).
         let mut serial = vec![0.0; n4];
-        flux::run(Some(Isa::detect()), flux::Exec::Caller, tiles, &fix.node, 1.0, &mut serial);
+        flux_run(Some(Isa::detect()), Exec::Caller, tiles, &fix.node, 1.0, &mut serial);
         prop_assert!(close(&reference, &serial, 1e-11).is_ok());
 
         // Pooled tiled: the inter-tile coloring pins the accumulation
         // order, so any thread count is bitwise equal to serial tiled.
         let pool = ThreadPool::new(nthreads);
         let mut pooled = vec![0.0; n4];
-        flux::run(Some(Isa::detect()), flux::Exec::Pool(&pool), tiles, &fix.node, 1.0, &mut pooled);
+        flux_run(Some(Isa::detect()), Exec::Pool(&pool), tiles, &fix.node, 1.0, &mut pooled);
         prop_assert_eq!(&serial, &pooled, "pooled must be bitwise equal to serial");
 
         // Portable and Avx2 lanes: the same bits.
         if let Some((portable, avx2)) = lane_pair() {
             for isa in [portable, avx2] {
                 let mut r = vec![0.0; n4];
-                flux::run(Some(isa), flux::Exec::Caller, tiles, &fix.node, 1.0, &mut r);
+                flux_run(Some(isa), Exec::Caller, tiles, &fix.node, 1.0, &mut r);
                 prop_assert_eq!(&serial, &r, "{} lanes", isa.name());
             }
         }
