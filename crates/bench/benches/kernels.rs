@@ -326,6 +326,7 @@ fn bench_recorder_overhead(c: &mut Bench) {
         res: 1.0,
         dt: 2.0,
         gmres_iters: 3,
+        eta: 0.1,
     };
     let h = metrics::histogram("bench.flux_ns");
     let flux_off_on = |g: &mut Group, group: &str, site: &dyn Fn()| {

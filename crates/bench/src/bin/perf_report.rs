@@ -11,8 +11,8 @@
 //!   model;
 //! * a per-thread utilization / load-imbalance table from worker busy
 //!   spans (the shared-memory scaling story);
-//! * the ΨTC convergence history (residual, Δt, GMRES iterations per
-//!   step) from the solve's `ptc_step` flight events;
+//! * the ΨTC convergence history (residual, Δt, forcing term η, GMRES
+//!   iterations per step) from the solve's `ptc_step` flight events;
 //! * machine-readable artifacts under `target/experiments/`: a JSON run
 //!   summary (`perf_report.json`), a Chrome trace-event timeline
 //!   (`perf_report.trace.json`) loadable in Perfetto / `chrome://tracing`,
@@ -461,10 +461,16 @@ fn main() {
     let history = flog.convergence(stats.solve_id);
     let mut conv_table = Table::new(
         "perf_report: PTC convergence history",
-        &["step", "residual", "dt", "gmres iters"],
+        &["step", "residual", "dt", "eta", "gmres iters"],
     );
-    for &(step, res, dt, iters) in &history {
-        conv_table.row(&[step.to_string(), fmt_g(res), fmt_g(dt), iters.to_string()]);
+    for &(step, res, dt, iters, eta) in &history {
+        conv_table.row(&[
+            step.to_string(),
+            fmt_g(res),
+            fmt_g(dt),
+            fmt_g(eta),
+            iters.to_string(),
+        ]);
     }
     print!("{}", conv_table.render());
     println!(
@@ -604,6 +610,10 @@ fn main() {
                 (
                     "dt",
                     Json::Arr(history.iter().map(|h| telemetry::json_f64(h.2)).collect()),
+                ),
+                (
+                    "eta",
+                    Json::Arr(history.iter().map(|h| telemetry::json_f64(h.4)).collect()),
                 ),
                 (
                     "gmres_iters",

@@ -16,6 +16,7 @@ fn always_on_recording_stays_within_kernel_noise() {
             res: 1.0,
             dt: 2.0,
             gmres_iters: 3,
+            eta: 0.1,
         })
     });
 }

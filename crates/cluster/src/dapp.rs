@@ -290,9 +290,8 @@ pub fn solve(
         rtol,
         max_steps,
         gmres: GmresConfig {
-            rtol: 1e-3,
             max_iters: 200,
-            ..Default::default()
+            ..PtcConfig::default().gmres
         },
         ..Default::default()
     };
@@ -453,12 +452,23 @@ mod tests {
         for nranks in [1usize, 3] {
             let setup = GlobalSetup::new(mesh.clone(), cond, nranks);
             let setup = &setup;
-            let parts = Universe::run(nranks, move |comm| {
+            let runs = Universe::run(nranks, move |comm| {
                 let mut app = RankApp::new(setup, comm.rank());
                 let (u, stats) = solve(&comm, &mut app, 2.0, 1e-8, 80, 1);
                 assert!(stats.converged, "rank {} diverged", comm.rank());
-                (app.sub.owned.clone(), u)
+                ((app.sub.owned.clone(), u), stats)
             });
+            // Every rank steps identically: the forcing term and every
+            // stopping decision come from reduced norms.
+            let bits = |s: &PtcStats| s.res_history.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            let (_, first) = &runs[0];
+            for (rank, (_, s)) in runs.iter().enumerate() {
+                let at = format!("P = {nranks}, rank {rank}");
+                assert_eq!(s.time_steps, first.time_steps, "{at}: time_steps");
+                assert_eq!(s.linear_iters, first.linear_iters, "{at}: linear_iters");
+                assert_eq!(bits(s), bits(first), "{at}: res_history");
+            }
+            let parts = runs.into_iter().map(|(part, _)| part).collect();
             let u_dist = stitch(mesh.nvertices(), parts);
             let diff: f64 = u_serial
                 .iter()

@@ -97,7 +97,9 @@ impl SolveRequest {
     /// requests with equal prep keys can share one `Fun3dApp` instance
     /// bitwise-safely; ΨTC knobs (`rtol`, `max_steps`, `dt0`) are per
     /// solve and deliberately excluded.
-    pub(crate) fn prep_key(&self, nt: usize) -> u64 {
+    // Public for the benchmark's `serve` tests, which check that its
+    // request classes hit the app cache they are meant to.
+    pub fn prep_key(&self, nt: usize) -> u64 {
         let mut h = fnv1a(self.mesh.name().as_bytes());
         h = fnv1a_word(h, nt as u64);
         h = fnv1a_word(h, self.ilu_fill as u64);
@@ -115,6 +117,26 @@ impl SolveRequest {
     /// at `nt = 0` (a sentinel no team uses) with the `dt0` bits.
     pub(crate) fn factor_key(&self) -> u64 {
         fnv1a_word(self.prep_key(0), self.dt0.to_bits())
+    }
+
+    /// Renders the request as one NDJSON line ([`SolveRequest::parse`]'s
+    /// inverse).
+    // Public for the benchmark's `serve` tests, which compare rendered
+    // request streams; the service itself only parses requests.
+    pub fn render(&self) -> String {
+        Json::obj(vec![
+            ("tenant", Json::str(&self.tenant)),
+            ("mesh", Json::str(self.mesh.name())),
+            ("rtol", Json::num(self.rtol)),
+            ("max_steps", Json::num(self.max_steps as f64)),
+            ("dt0", Json::num(self.dt0)),
+            ("ilu_fill", Json::num(self.ilu_fill as f64)),
+            ("ilu_lag", Json::num(self.ilu_lag as f64)),
+            ("max_linear_iters", Json::num(self.max_linear_iters as f64)),
+            ("limiter", Json::Bool(self.use_limiter)),
+            ("lsq_gradients", Json::Bool(self.use_lsq_gradients)),
+        ])
+        .render()
     }
 
     /// Parses one NDJSON request line. The error is the rejection the
@@ -263,25 +285,6 @@ pub fn bad_request_line(detail: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl SolveRequest {
-        /// Renders the request as one NDJSON line.
-        fn render(&self) -> String {
-            Json::obj(vec![
-                ("tenant", Json::str(&self.tenant)),
-                ("mesh", Json::str(self.mesh.name())),
-                ("rtol", Json::num(self.rtol)),
-                ("max_steps", Json::num(self.max_steps as f64)),
-                ("dt0", Json::num(self.dt0)),
-                ("ilu_fill", Json::num(self.ilu_fill as f64)),
-                ("ilu_lag", Json::num(self.ilu_lag as f64)),
-                ("max_linear_iters", Json::num(self.max_linear_iters as f64)),
-                ("limiter", Json::Bool(self.use_limiter)),
-                ("lsq_gradients", Json::Bool(self.use_lsq_gradients)),
-            ])
-            .render()
-        }
-    }
 
     #[test]
     fn request_round_trips() {

@@ -6,6 +6,11 @@
 //! follows **switched evolution relaxation**: `Δt_l = Δt_0 · ‖f(u_0)‖ /
 //! ‖f(u_{l−1})‖` (capped), so the method behaves like time marching far
 //! from the solution and like Newton near it.
+//!
+//! Each step's linear solve is inexact on purpose: its relative
+//! tolerance is the Eisenstat–Walker forcing term (`forcing`), loose
+//! while the residual falls slowly and tight once Newton's fast local
+//! convergence sets in, so early steps are not over-solved.
 
 use crate::anomaly::{Anomaly, AnomalyConfig, AnomalyDetector};
 use crate::gmres::{Gmres, GmresConfig, GmresExec};
@@ -80,7 +85,9 @@ pub struct PtcConfig {
     /// Maximum pseudo-time steps (one Newton iteration each, as in
     /// PETSc-FUN3D).
     pub max_steps: usize,
-    /// Linear solver settings.
+    /// Linear solver settings. `gmres.rtol` is η_max, the cap of the
+    /// per-step Eisenstat–Walker forcing term that replaces it before
+    /// each linear solve.
     pub gmres: GmresConfig,
     /// Residual anomaly detection thresholds (flight-dump triggers).
     /// `FUN3D_WALL_BUDGET=<seconds>` overrides the wall budget.
@@ -96,7 +103,7 @@ impl Default for PtcConfig {
             atol: 1e-300,
             max_steps: 200,
             gmres: GmresConfig {
-                rtol: 1e-3, // inexact Newton: loose inner tolerance
+                rtol: 0.1, // η_max of the forcing term
                 ..Default::default()
             },
             anomaly: AnomalyConfig::default(),
@@ -125,6 +132,37 @@ pub struct PtcStats {
     /// The anomaly that aborted the solve, if any (a flight dump with
     /// the matching trigger was written when the recorder is enabled).
     pub anomaly: Option<Anomaly>,
+}
+
+/// γ of Eisenstat and Walker's "choice 2" forcing term ("Choosing the
+/// forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17,
+/// 1996).
+const EW_GAMMA: f64 = 0.9;
+/// α of the same choice 2: the observed residual ratio is squared.
+const EW_ALPHA: f64 = 2.0;
+/// Eisenstat and Walker's safeguard threshold: while `γ ηₖ₋₁^α` exceeds
+/// it, the forcing term may not drop below it in one step.
+const EW_SAFEGUARD: f64 = 0.1;
+/// Floor of the forcing term: no step solves tighter than this.
+const ETA_MIN: f64 = 1e-4;
+
+/// The inner relative tolerance ηₖ for step `k`'s linear solve: η₀ =
+/// `cap`; after that Eisenstat and Walker's choice 2, `γ (‖fₖ‖ /
+/// ‖fₖ₋₁‖)^α`, kept at or above `γ ηₖ₋₁^α` while that exceeds
+/// [`EW_SAFEGUARD`], at or above [`ETA_MIN`], at or above `0.5 · rtol ·
+/// ‖f₀‖ / ‖fₖ‖` (the last step solves no tighter than the outer
+/// tolerance needs), and never above `cap`. `prev` is `(ηₖ₋₁, ‖fₖ₋₁‖)`,
+/// `None` at step 0.
+fn forcing(cap: f64, prev: Option<(f64, f64)>, res: f64, res0: f64, rtol: f64) -> f64 {
+    let Some((eta_prev, res_prev)) = prev else {
+        return cap;
+    };
+    let mut eta = EW_GAMMA * (res / res_prev).powf(EW_ALPHA);
+    let safeguard = EW_GAMMA * eta_prev.powf(EW_ALPHA);
+    if safeguard > EW_SAFEGUARD {
+        eta = eta.max(safeguard);
+    }
+    eta.max(ETA_MIN).max(0.5 * rtol * res0 / res).min(cap)
 }
 
 /// Runs ΨTC on `problem`, updating `u` in place.
@@ -163,6 +201,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         res: res0,
         dt: 0.0,
         gmres_iters: 0,
+        eta: 0.0,
     });
     let mut stats = PtcStats {
         time_steps: 0,
@@ -179,9 +218,15 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         return stats;
     }
 
+    // (ηₖ₋₁, ‖fₖ₋₁‖) of the last linear solve. Both come from reduced
+    // norms, so every process picks the same tolerance.
+    let mut prev: Option<(f64, f64)> = None;
     for step in 0..config.max_steps {
         let _step_span = telemetry::span("ptc.step");
         let step_t0 = Instant::now();
+        let eta = forcing(config.gmres.rtol, prev, res, res0, config.rtol);
+        gmres.config.rtol = eta;
+        prev = Some((eta, res));
         // SER time step growth.
         let dt = (config.dt0 * res0 / res).min(config.dt_max);
         problem.time_diag(dt, &mut shift);
@@ -247,6 +292,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
             res,
             dt,
             gmres_iters: lin.iterations as u64,
+            eta,
         });
         problem.on_step(step + 1, res, dt);
 
@@ -443,6 +489,9 @@ mod tests {
         assert_eq!(res, want);
         let iters: u64 = history.iter().map(|h| h.3).sum();
         assert_eq!(iters, stats.linear_iters as u64);
+        // The forcing term: none before the first solve, the cap for it.
+        assert_eq!(history[0].4, 0.0);
+        assert_eq!(history[1].4, PtcConfig::default().gmres.rtol);
     }
 
     #[test]
@@ -452,6 +501,67 @@ mod tests {
         let stats = solve(&mut p, &mut u, &PtcConfig::default());
         assert!(stats.time_steps >= 1);
         assert!(stats.linear_iters >= stats.time_steps);
+    }
+
+    #[test]
+    fn forcing_starts_at_the_cap() {
+        assert_eq!(forcing(0.1, None, 3.0, 3.0, 1e-8), 0.1);
+        assert_eq!(forcing(0.5, None, 3.0, 3.0, 1e-8), 0.5);
+    }
+
+    #[test]
+    fn forcing_is_gamma_times_the_squared_residual_ratio() {
+        // ‖fₖ‖/‖fₖ₋₁‖ = 0.25 → 0.9 · 0.0625; the previous η is small
+        // enough that its safeguard (0.9 · 0.01² = 9e-5) stays off.
+        let eta = forcing(0.1, Some((0.01, 4.0)), 1.0, 4.0, 1e-8);
+        assert_eq!(eta, EW_GAMMA * 0.0625);
+    }
+
+    #[test]
+    fn forcing_falls_no_faster_than_the_safeguard() {
+        // A sudden drop asks for 0.9 · 1e-6, but γηₖ₋₁^α = 0.9 · 0.5² =
+        // 0.225 > 0.1 holds η there.
+        let eta = forcing(1.0, Some((0.5, 1.0)), 1e-3, 1.0, 1e-8);
+        assert_eq!(eta, EW_GAMMA * 0.25);
+        // Below the threshold (0.9 · 0.3² = 0.081) the safeguard is off.
+        let eta = forcing(1.0, Some((0.3, 1.0)), 1e-3, 1.0, 1e-8);
+        assert_eq!(eta, ETA_MIN);
+    }
+
+    #[test]
+    fn forcing_never_drops_below_the_floor() {
+        let eta = forcing(0.1, Some((1e-3, 1.0)), 1e-6, 1.0, 1e-12);
+        assert_eq!(eta, ETA_MIN);
+    }
+
+    #[test]
+    fn forcing_does_not_over_solve_the_last_step() {
+        // ‖fₖ‖ = 1e-6 · ‖f₀‖ with outer rtol 1e-8: the step need only
+        // reach 1e-8 · ‖f₀‖, so η ≥ 0.5 · 1e-8 / 1e-6 = 5e-3.
+        let eta = forcing(0.1, Some((1e-3, 1e-4)), 1e-6, 1.0, 1e-8);
+        assert_eq!(eta, 0.5 * 1e-8 * 1.0 / 1e-6);
+        // Above both the 1e-4 floor and the EW value 0.9 · 0.01² = 9e-5.
+        assert!(eta > ETA_MIN);
+    }
+
+    #[test]
+    fn forcing_never_exceeds_the_cap() {
+        // A residual that grew asks for 0.9 · 4 = 3.6; the final-step
+        // floor asks for more still.
+        assert_eq!(forcing(0.1, Some((0.1, 1.0)), 2.0, 1.0, 1e-8), 0.1);
+        assert_eq!(forcing(0.1, Some((0.1, 1.0)), 1e-12, 1.0, 1e-8), 0.1);
+    }
+
+    #[test]
+    fn a_cap_at_or_below_the_floor_is_used_every_step() {
+        for cap in [1e-4, 1e-6] {
+            let mut prev = None;
+            for (res, res0) in [(1.0, 1.0), (0.5, 1.0), (1e-3, 1.0), (1e-9, 1.0)] {
+                let eta = forcing(cap, prev, res, res0, 1e-8);
+                assert_eq!(eta, cap);
+                prev = Some((eta, res));
+            }
+        }
     }
 
     /// A genuinely nonlinear scalar-ish problem: f(u)_i = u_i + u_i^3 − c_i.

@@ -296,6 +296,9 @@ event_kinds! {
         dt: f64 = json_f64,
         /// Linear iterations this step.
         gmres_iters: u64 = num,
+        /// Forcing term: the relative tolerance this step's linear solve
+        /// was given (0 at step 0).
+        eta: f64 = json_f64,
     }
     /// One linear solve completed, with the scheme that actually ran.
     4 => Gmres "gmres" {
@@ -605,11 +608,11 @@ impl FlightLog {
     }
 
     /// One solve's convergence history from its `ptc_step` events:
-    /// `(step, res, dt, gmres_iters)`, in step order. Starts at step 0,
+    /// `(step, res, dt, gmres_iters, eta)`, in step order. Starts at step 0,
     /// the initial residual, so the residuals are exactly
     /// `PtcStats::res_history` when no event was lost.
-    pub fn convergence(&self, id: u64) -> Vec<(u64, f64, f64, u64)> {
-        let mut steps: Vec<(u64, f64, f64, u64)> = self
+    pub fn convergence(&self, id: u64) -> Vec<(u64, f64, f64, u64, f64)> {
+        let mut steps: Vec<(u64, f64, f64, u64, f64)> = self
             .solve(id)
             .into_iter()
             .filter_map(|e| match e.kind {
@@ -618,7 +621,8 @@ impl FlightLog {
                     res,
                     dt,
                     gmres_iters,
-                } => Some((step, res, dt, gmres_iters)),
+                    eta,
+                } => Some((step, res, dt, gmres_iters, eta)),
                 _ => None,
             })
             .collect();
@@ -866,6 +870,7 @@ mod tests {
                 res: 0.25,
                 dt: 4.0,
                 gmres_iters: 5,
+                eta: 0.03125,
             },
             EventKind::Gmres {
                 exec: ExecTag::Team,
@@ -1019,6 +1024,7 @@ mod tests {
             res: 0.5,
             dt: 2.0,
             gmres_iters: 3,
+            eta: 0.1,
         });
         end_solve(id, true, 1, 3, 1e-10);
         let log = flight_log();
@@ -1031,7 +1037,7 @@ mod tests {
             assert_eq!(e.rank, 0);
             assert_eq!(e.solve, id.0);
         }
-        assert_eq!(log.convergence(id.0), [(1, 0.5, 2.0, 3)]);
+        assert_eq!(log.convergence(id.0), [(1, 0.5, 2.0, 3, 0.1)]);
         // After end_solve, new events are outside any solve.
         emit(EventKind::SyncProbe {
             pool_size: 2,
@@ -1072,6 +1078,7 @@ mod tests {
             res: 0.1,
             dt: 1.0,
             gmres_iters: 1,
+            eta: 0.1,
         });
         end_solve(id, false, 1, 1, 0.1);
         let log = flight_log();
@@ -1183,6 +1190,7 @@ mod tests {
                     res: f64::NAN,
                     dt: f64::INFINITY,
                     gmres_iters: 0,
+                    eta: 0.0,
                 },
             }],
             dropped: 0,

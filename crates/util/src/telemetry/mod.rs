@@ -610,6 +610,7 @@ mod tests {
                     res,
                     dt: 1.0,
                     gmres_iters: step,
+                    eta: 0.1,
                 });
             }
             flight::end_solve(id, true, 2, 3, 1.0 / 3.0);

@@ -32,6 +32,9 @@
 #  * warnings are errors: `cargo check --workspace --all-targets` with
 #    `-D warnings`, and the same for the model-checked crates under
 #    `--cfg fun3d_check`, each in its own target dir.
+#  * the benchmark's self-tests: `benchmark/` (a package of its own)
+#    compiles against the production crates' public surface, so a change
+#    to a crate's exports cannot break its tests unseen.
 #  * `cargo build --release` and `cargo test -q`, offline. The root
 #    manifest's default-members make both cover every crate (the flight
 #    dumps, the metrics socket and the serve wire are tests there).
@@ -400,6 +403,21 @@ RUSTFLAGS="-D warnings" CARGO_TARGET_DIR=target/lint \
 echo "== cargo check -D warnings: fun3d-check, fun3d-threads, fun3d-util under --cfg fun3d_check =="
 RUSTFLAGS="--cfg fun3d_check -D warnings" CARGO_TARGET_DIR=target/lint-check \
     cargo check --offline --all-targets -p fun3d-check -p fun3d-threads -p fun3d-util
+
+# The benchmark is its own package with its own lock file, which cargo
+# rewrites when a path dependency's manifest changed; the committed one
+# is put back whatever the outcome.
+echo "== benchmark self-tests (cargo test --manifest-path benchmark/Cargo.toml) =="
+BENCH_LOCK=$(mktemp)
+cp benchmark/Cargo.lock "$BENCH_LOCK"
+bench_status=0
+cargo test -q --offline --manifest-path benchmark/Cargo.toml || bench_status=$?
+cp "$BENCH_LOCK" benchmark/Cargo.lock
+rm -f "$BENCH_LOCK"
+if [ "$bench_status" -ne 0 ]; then
+    echo "FAIL: the benchmark's self-tests"
+    exit 1
+fi
 
 # default-members in the root manifest make both commands cover every
 # crate of the workspace, not only the root package.

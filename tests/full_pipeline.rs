@@ -99,14 +99,14 @@ fn ilu0_vs_ilu1_tradeoff_runs() {
 }
 
 #[test]
-fn single_precision_factor_storage_keeps_the_iteration_counts() {
-    // The factors are stored in `f32` (arithmetic stays `f64`); what that
-    // rounding costs the Krylov solver is recorded, not assumed. The
-    // counts on the right are what the last commit with `f64` factors
-    // produced for the same solves (Tiny mesh, `rtol = 1e-8`, `dt0 = 2`);
-    // the solve must converge in as many time steps and within ±10 % of
-    // the linear iterations.
-    for (fill, f64_steps, f64_iters) in [(0usize, 5usize, 113usize), (1, 5, 101)] {
+fn single_precision_factor_iteration_counts_are_pinned() {
+    // The factors are stored in `f32` (arithmetic stays `f64`), and each
+    // step's Krylov tolerance is the Eisenstat–Walker forcing term. The
+    // counts on the right are what those solves took when the forcing
+    // term came in (Tiny mesh, `rtol = 1e-8`, `dt0 = 2`); a change to the
+    // factor storage or the forcing term must keep the time steps exactly
+    // and the linear iterations within ±10 %.
+    for (fill, want_steps, want_iters) in [(0usize, 5usize, 80usize), (1, 5, 69)] {
         let mut cfg = OptConfig::baseline();
         cfg.ilu_fill = fill;
         let mut mesh = MeshPreset::Tiny.build();
@@ -118,11 +118,11 @@ fn single_precision_factor_storage_keeps_the_iteration_counts() {
         });
         assert!(stats.converged, "ILU({fill}) did not converge");
         println!("ILU({fill}): {} steps, {} linear iterations", stats.time_steps, stats.linear_iters);
-        assert_eq!(stats.time_steps, f64_steps, "ILU({fill}) time steps");
-        let (lo, hi) = (f64_iters * 9 / 10, f64_iters * 11 / 10);
+        assert_eq!(stats.time_steps, want_steps, "ILU({fill}) time steps");
+        let (lo, hi) = (want_iters * 9 / 10, want_iters * 11 / 10);
         assert!(
             (lo..=hi).contains(&stats.linear_iters),
-            "ILU({fill}): {} linear iterations, {f64_iters} with f64 factors",
+            "ILU({fill}): {} linear iterations, {want_iters} pinned",
             stats.linear_iters
         );
     }
@@ -143,31 +143,32 @@ fn residual_path_bits_are_pinned() {
     // dim-major, Green-Gauss as a vertex gather, indices validated once)
     // without changing what is computed: the Tiny solve through the
     // streaming kernels (T = 1) and through the owner-writes flux with the
-    // pooled gradient (T = 2) reproduces, bit for bit, the residual
-    // history and the final state of the commit before that change, whose
-    // numbers these are. The Krylov solve is serial in all three, and at
-    // T = 2 the ILU refactorization and triangular solves run the P2P
+    // pooled gradient (T = 2) reproduced, bit for bit, the residual
+    // history and the final state of the commit before that change. The
+    // values are retaken under the Eisenstat–Walker forcing term, which
+    // moves every history. The Krylov solve is serial in all three, and
+    // at T = 2 the ILU refactorization and triangular solves run the P2P
     // schedules, bitwise the serial sweeps the pins were taken with: only
     // the residual path distinguishes the rows.
     use fun3d_solver::{ExecMode, FluxScheme};
     let stream_history: [u64; 6] = [
-        0x3fa30c90b5b7566e, 0x3f77e041aab498f2, 0x3f390263a9934579,
-        0x3ec8d38ec7e9657c, 0x3e3cc13350c866e0, 0x3d9aebf19ba1414b,
+        0x3fa30c90b5b7566e, 0x3f800d8b0a77ee06, 0x3f4cc5c236fcdf5a,
+        0x3ef36cb877eaadf2, 0x3e492a35ccb919da, 0x3e169644e7caeac6,
     ];
     let owner_history: [u64; 6] = [
-        0x3fa30c90b5b7566e, 0x3f77e041aab498f2, 0x3f390263a9559f92,
-        0x3ec8d38e2927b092, 0x3e3cc12bc821b17e, 0x3d9aec0468f7fb9b,
+        0x3fa30c90b5b7566e, 0x3f800d8b0a77ee06, 0x3f4cc5c236f0adcd,
+        0x3ef36cb88ced584d, 0x3e492a34dfa49122, 0x3e16963c55cd8ecf,
     ];
     let rows = [
-        ("stream, T=1", 1usize, FluxScheme::Stream, 0xda7131ed4601d692u64, stream_history),
-        ("owner, T=2", 2, FluxScheme::Stream, 0xe4c0842727262a78, owner_history),
+        ("stream, T=1", 1usize, FluxScheme::Stream, 0x4b672a2795d5434au64, stream_history),
+        ("owner, T=2", 2, FluxScheme::Stream, 0x02d9a159fc5caecd, owner_history),
         // Forced tiling is the one place bits may legitimately move: the
         // flux still accumulates in tile order, the gradient now in edge
         // order (it has no tiled form). On Tiny the host's half-L2 budget
         // makes one tile, whose order is the edge order, so the tiled
         // solve was the stream solve before the change and still is; the
         // pin is its value now.
-        ("tiled, T=1", 1, FluxScheme::Tiled, 0xda7131ed4601d692, stream_history),
+        ("tiled, T=1", 1, FluxScheme::Tiled, 0x4b672a2795d5434a, stream_history),
     ];
     let mut states = Vec::new();
     for (name, nt, flux, state, history) in rows {
@@ -176,7 +177,7 @@ fn residual_path_bits_are_pinned() {
         cfg.flux = flux;
         let (u, stats) = solve(cfg);
         assert!(stats.converged, "{name}");
-        assert_eq!((stats.time_steps, stats.linear_iters), (5, 101), "{name}");
+        assert_eq!((stats.time_steps, stats.linear_iters), (5, 62), "{name}");
         let got: Vec<u64> = stats.res_history.iter().map(|r| r.to_bits()).collect();
         assert_eq!(got, history, "{name}: residual history moved");
         assert_eq!(fnv1a(&u), state, "{name}: final state moved");

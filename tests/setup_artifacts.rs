@@ -204,8 +204,8 @@ fn converged_tiny_solves_are_pinned() {
     // GMRES over the partitioned owner-writes flux and the P2P sweeps at
     // T = 2.
     let rows = [
-        (1usize, ExecMode::Serial, 0xa81bc670ab704238u64, 101usize),
-        (2, ExecMode::Team, 0x656b73bf1df2ccd8, 101),
+        (1usize, ExecMode::Serial, 0x2535bdbd61253900u64, 62usize),
+        (2, ExecMode::Team, 0x7d02fc1855f991a1, 62),
     ];
     for (nt, exec, state, iters) in rows {
         let mut mesh = MeshPreset::Tiny.build();
