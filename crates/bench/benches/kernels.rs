@@ -21,7 +21,7 @@ use fun3d_mesh::{rcm, DualMesh};
 use fun3d_partition::{partition_graph, MultilevelConfig};
 use fun3d_solver::{dot, maxpy, mdot, norm2};
 use fun3d_sparse::{ilu, trsv_solve, Bcsr4, TempBuffer};
-use fun3d_util::telemetry::{self, KernelCounts, Level};
+use fun3d_util::telemetry::{self, Level};
 use fun3d_util::Rng64;
 
 /// The flux kernel's lane body on the detected lanes.
@@ -259,7 +259,7 @@ fn bench_vecops(c: &mut Bench) {
 }
 
 /// Telemetry overhead on the flux kernel: the same instrumented call
-/// (one `span` + one `record_kernel` per invocation, exactly what
+/// (one `telemetry::kernel` guard per invocation, exactly what
 /// `Fun3dApp::run_flux` does) at `off` versus an uninstrumented baseline
 /// and versus the default `counters` level. The off/uninstrumented pair
 /// is the <2% acceptance claim; compare their medians in the CSV.
@@ -281,11 +281,7 @@ fn bench_telemetry_overhead(c: &mut Bench) {
         b.iter_batched_ref(
             || vec![0.0; n4],
             |res| {
-                let _span = telemetry::span("flux");
-                telemetry::record_kernel(
-                    "flux",
-                    KernelCounts::once(nedges as u64, 0, 0, 0),
-                );
+                let _k = telemetry::kernel("flux", fun3d_core::counts::flux(nedges));
                 flux_serial_aos(&geom, &node, 1.0, res)
             },
             BatchSize::LargeInput,
@@ -296,11 +292,7 @@ fn bench_telemetry_overhead(c: &mut Bench) {
         b.iter_batched_ref(
             || vec![0.0; n4],
             |res| {
-                let _span = telemetry::span("flux");
-                telemetry::record_kernel(
-                    "flux",
-                    KernelCounts::once(nedges as u64, 0, 0, 0),
-                );
+                let _k = telemetry::kernel("flux", fun3d_core::counts::flux(nedges));
                 flux_serial_aos(&geom, &node, 1.0, res)
             },
             BatchSize::LargeInput,

@@ -4,30 +4,19 @@
 //! gradient 13%, Jacobian construction 7% — together 95%, rest 5%.
 
 use fun3d_bench::report::{fmt_g, Table};
-use fun3d_bench::{build_mesh, emit};
-use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
+use fun3d_bench::{emit, profiled_solve};
+use fun3d_core::OptConfig;
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_solver::ptc::PtcConfig;
 
 fn main() {
     let cli = fun3d_bench::Cli::parse(MeshPreset::Medium);
-    let mesh = build_mesh(cli.mesh);
-    let mut app = Fun3dApp::new(mesh, FlowConditions::default(), OptConfig::baseline());
-    let (_, stats) = app.run(&PtcConfig {
-        dt0: 2.0,
-        rtol: 1e-8,
-        max_steps: 100,
-        ..Default::default()
-    });
-    assert!(stats.converged, "baseline run failed to converge");
+    let run = profiled_solve(cli.mesh, OptConfig::baseline());
 
-    let prof = app.profile();
-    // percentage denominator: the "total" envelope bucket (run_seconds
-    // falls back to the kernel sum if the envelope is ever absent)
-    let total = prof.run_seconds();
+    // percentage denominator: the solve's wall time
+    let total = run.wall_s;
     let tracked: f64 = ["flux", "trsv", "ilu", "gradient", "jacobian"]
         .iter()
-        .map(|k| prof.seconds(k))
+        .map(|k| run.kernels.seconds(k))
         .sum();
 
     let mut table = Table::new(
@@ -42,7 +31,7 @@ fn main() {
         ("jacobian", 7.0),
     ];
     for (kernel, paper_pct) in paper {
-        let secs = prof.seconds(kernel);
+        let secs = run.kernels.seconds(kernel);
         table.row(&[
             kernel.to_string(),
             fmt_g(secs),
@@ -65,6 +54,6 @@ fn main() {
     emit("fig5_profile", &table);
     println!(
         "\nrun: {} time steps, {} linear iterations",
-        stats.time_steps, stats.linear_iters
+        run.stats.time_steps, run.stats.linear_iters
     );
 }

@@ -12,11 +12,10 @@
 
 use fun3d_bench::model::{model_speedups, KernelSpeedups};
 use fun3d_bench::report::Table;
-use fun3d_bench::{build_mesh, emit, KernelFixture, THREAD_SWEEP};
-use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
+use fun3d_bench::{emit, profiled_solve, KernelFixture, THREAD_SWEEP};
+use fun3d_core::OptConfig;
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_solver::ptc::PtcConfig;
 
 fn main() {
     let cli = fun3d_bench::Cli::parse(MeshPreset::Medium);
@@ -24,28 +23,19 @@ fn main() {
     let machine = MachineSpec::xeon_e5_2690v2();
 
     // Real baseline run for the host profile.
-    let mesh = build_mesh(cli.mesh);
-    let mut app = Fun3dApp::new(mesh, FlowConditions::default(), OptConfig::baseline());
-    let (_, stats) = app.run(&PtcConfig {
-        dt0: 2.0,
-        rtol: 1e-8,
-        max_steps: 100,
-        ..Default::default()
-    });
-    assert!(stats.converged);
-    let prof = app.profile();
-    let total = prof.seconds("total");
+    let run = profiled_solve(cli.mesh, OptConfig::baseline());
+    let (kernels, total) = (&run.kernels, run.wall_s);
     let shares_host: Vec<(&str, f64)> = {
         let tracked: f64 = ["flux", "trsv", "ilu", "gradient", "jacobian"]
             .iter()
-            .map(|k| prof.seconds(k))
+            .map(|k| kernels.seconds(k))
             .sum();
         vec![
-            ("flux", prof.seconds("flux") / total),
-            ("trsv", prof.seconds("trsv") / total),
-            ("ilu", prof.seconds("ilu") / total),
-            ("gradient", prof.seconds("gradient") / total),
-            ("jacobian", prof.seconds("jacobian") / total),
+            ("flux", kernels.seconds("flux") / total),
+            ("trsv", kernels.seconds("trsv") / total),
+            ("ilu", kernels.seconds("ilu") / total),
+            ("gradient", kernels.seconds("gradient") / total),
+            ("jacobian", kernels.seconds("jacobian") / total),
             ("other", (total - tracked) / total),
         ]
     };
@@ -95,7 +85,7 @@ fn main() {
     emit("fig8a_app_speedup", &table);
     println!(
         "\nhost baseline run: {} steps, {} linear iterations, {:.3} s total",
-        stats.time_steps, stats.linear_iters, total
+        run.stats.time_steps, run.stats.linear_iters, total
     );
     println!("paper: 6.9x at 10 cores (parallel efficiency limited by bandwidth-bound TRSV)");
 }

@@ -3,12 +3,12 @@
 //! Runs the ΨNKS solve with telemetry at full detail and emits, in one
 //! invocation, the evidence the paper's figures are built from:
 //!
-//! * a per-kernel profile with analytic bytes/flops, achieved GB/s and
-//!   arithmetic intensity against the machine's STREAM number (the
-//!   Fig. 6 / Table 3 comparison);
-//! * exact self/total time per span, derived from span nesting, and the
-//!   roofline check of each kernel's self time against its traffic
-//!   model;
+//! * a per-kernel profile — measured time, analytic bytes/flops, achieved
+//!   GB/s and arithmetic intensity against the machine's STREAM number
+//!   (the Fig. 6 / Table 3 comparison), all from each kernel's one
+//!   counter record — and the roofline check of each kernel's time
+//!   against its traffic model;
+//! * exact self/total time per span, derived from span nesting;
 //! * a per-thread utilization / load-imbalance table from worker busy
 //!   spans (the shared-memory scaling story);
 //! * the ΨTC convergence history (residual, Δt, forcing term η, GMRES
@@ -232,16 +232,16 @@ fn main() {
     );
     let nedges = app.geom.nedges();
     let nvertices = app.mesh.nvertices();
+    let t = std::time::Instant::now();
     let (_, stats) = app.run(&PtcConfig {
         dt0: 2.0,
         rtol: 1e-8,
         max_steps: 100,
         ..Default::default()
     });
+    let run_secs = t.elapsed().as_secs_f64();
     assert!(stats.converged, "run failed to converge");
 
-    let prof = app.profile();
-    let run_secs = prof.run_seconds();
     let snap = telemetry::snapshot();
     let counters = snap.merged_counters();
     let span_profile = Profile::from_snapshot(&snap);
@@ -269,8 +269,8 @@ fn main() {
     );
     let mut kernels_json = Vec::new();
     for (name, c) in counters.entries() {
-        let secs = prof.seconds(name);
-        let gbs = c.achieved_gbs(secs);
+        let secs = c.seconds();
+        let gbs = c.achieved_gbs();
         kernel_table.row(&[
             name.to_string(),
             fmt_g(secs),
@@ -335,25 +335,12 @@ fn main() {
     }
 
     // ---- (a'') measured-vs-model roofline validation ----
-    // A kernel's measured time is its spans' self time (exact, no
-    // double count of nested spans) when it has spans, else its timer.
     let envelope = Envelope {
         stream_gbs: machine.stream_gbs,
         peak_gflops: machine.peak_gflops(),
     };
     let tolerance = telemetry::ROOFLINE_TOLERANCE;
-    let roofline_input: Vec<(&str, f64, _)> = counters
-        .entries()
-        .iter()
-        .map(|&(name, c)| {
-            let secs = match times.iter().find(|k| k.name == name) {
-                Some(k) => k.self_ns as f64 * 1e-9,
-                None => prof.seconds(name),
-            };
-            (name, secs, c)
-        })
-        .collect();
-    let rows = telemetry::validate_roofline(&roofline_input, &envelope, tolerance);
+    let rows = telemetry::validate_roofline(counters.entries(), &envelope, tolerance);
     let mut roofline_table = Table::new(
         &format!(
             "perf_report: measured vs model (ridge {:.1} flop/B, tolerance {tolerance}x)",

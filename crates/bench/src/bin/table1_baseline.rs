@@ -16,20 +16,20 @@ use fun3d_core::{Fun3dApp, FlowConditions, OptConfig};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_mesh::MeshStats;
 use fun3d_solver::ptc::PtcConfig;
-use fun3d_util::Timer;
+use std::time::Instant;
 
 fn run_case(preset: MeshPreset, table: &mut Table) {
     let mesh = build_mesh(preset);
     let stats = MeshStats::of(&mesh);
     let mut app = Fun3dApp::new(mesh, FlowConditions::default(), OptConfig::baseline());
-    let t = Timer::start();
+    let t = Instant::now();
     let (_, solve) = app.run(&PtcConfig {
         dt0: 2.0,
         rtol: 1e-8,
         max_steps: 100,
         ..Default::default()
     });
-    let secs = t.seconds();
+    let secs = t.elapsed().as_secs_f64();
     table.row(&[
         format!("{preset:?}"),
         stats.nvertices.to_string(),

@@ -16,13 +16,11 @@
 use fun3d_bench::dag::DagStats;
 use fun3d_bench::model::model_speedups_fill;
 use fun3d_bench::report::{fmt_g, Table};
-use fun3d_bench::{build_mesh, emit, KernelFixture};
-use fun3d_core::{FlowConditions, Fun3dApp, OptConfig};
+use fun3d_bench::{emit, profiled_solve, KernelFixture, ProfiledSolve};
+use fun3d_core::OptConfig;
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_solver::ptc::{PtcConfig, PtcStats};
 use fun3d_sparse::{ilu, TempBuffer};
-use fun3d_util::PhaseTimers;
 
 struct FillCase {
     parallelism: f64,
@@ -31,29 +29,18 @@ struct FillCase {
     ten_core_s: f64,
 }
 
-/// A real serial solve's statistics and phase profile.
-type Solve = (PtcStats, PhaseTimers);
-
 /// A real serial solve at this fill, the factors refreshed every `lag`
 /// pseudo-time steps.
-fn solve(preset: MeshPreset, fill: usize, lag: usize) -> Solve {
+fn solve(preset: MeshPreset, fill: usize, lag: usize) -> ProfiledSolve {
     let mut cfg = OptConfig::baseline();
     cfg.ilu_fill = fill;
     cfg.ilu_lag = lag;
-    let mut app = Fun3dApp::new(build_mesh(preset), FlowConditions::default(), cfg);
-    let (_, stats) = app.run(&PtcConfig {
-        dt0: 2.0,
-        rtol: 1e-8,
-        max_steps: 100,
-        ..Default::default()
-    });
-    assert!(stats.converged, "fill={fill} lag={lag} run failed");
-    (stats, app.profile())
+    profiled_solve(preset, cfg)
 }
 
 /// The Table II column of `fill` from its unlagged solve.
-fn run_case(preset: MeshPreset, fill: usize, (stats, prof): &Solve) -> FillCase {
-    let total = prof.seconds("total");
+fn run_case(preset: MeshPreset, fill: usize, run: &ProfiledSolve) -> FillCase {
+    let (prof, total) = (&run.kernels, run.wall_s);
 
     // DAG parallelism on the real factors
     let fix = KernelFixture::new(preset);
@@ -86,7 +73,7 @@ fn run_case(preset: MeshPreset, fill: usize, (stats, prof): &Solve) -> FillCase 
 
     FillCase {
         parallelism: dag.parallelism(),
-        linear_iters: stats.linear_iters,
+        linear_iters: run.stats.linear_iters,
         serial_s: total,
         ten_core_s,
     }
@@ -139,14 +126,16 @@ fn main() {
         "6.9x".into(),
         "3.5x".into(),
     ]);
-    type Quantity = fn(&Solve) -> String;
+    type Quantity = fn(&ProfiledSolve) -> String;
     let rows: [(&str, Quantity); 3] = [
-        ("linear iterations", |(s, _)| s.linear_iters.to_string()),
-        ("factorizations", |(_, p)| p.calls("ilu").to_string()),
-        ("serial time (s)", |(_, p)| fmt_g(p.seconds("total"))),
+        ("linear iterations", |r| r.stats.linear_iters.to_string()),
+        ("factorizations", |r| {
+            r.kernels.get("ilu").map_or(0, |c| c.calls).to_string()
+        }),
+        ("serial time (s)", |r| fmt_g(r.wall_s)),
     ];
     for (quantity, value) in rows {
-        let cell = |[lag1, lag4]: &[Solve; 2]| format!("{} / {}", value(lag1), value(lag4));
+        let cell = |[lag1, lag4]: &[ProfiledSolve; 2]| format!("{} / {}", value(lag1), value(lag4));
         let name = format!("{quantity}, ILU lag 1 / 4");
         table.row(&[name, cell(&solves[0]), cell(&solves[1]), "-".into(), "-".into()]);
     }

@@ -34,10 +34,13 @@ pub mod scaling;
 pub mod trsv_reference;
 
 use crate::report::{experiments_dir, Table};
-use fun3d_core::{Fun3dApp, FlowConditions};
+use fun3d_core::{FlowConditions, Fun3dApp, OptConfig};
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_mesh::{DualMesh, Mesh};
+use fun3d_solver::ptc::{PtcConfig, PtcStats};
+use fun3d_util::telemetry::{self, CounterMap, Level};
 use fun3d_util::Rng64;
+use std::time::Instant;
 
 /// Parsed common CLI options.
 #[derive(Clone, Copy, Debug)]
@@ -100,6 +103,45 @@ pub fn build_mesh(preset: MeshPreset) -> Mesh {
     let mut mesh = preset.build();
     Fun3dApp::rcm_reorder(&mut mesh);
     mesh
+}
+
+/// A serial application solve as the profile figures read it.
+pub struct ProfiledSolve {
+    /// The solve's statistics.
+    pub stats: PtcStats,
+    /// Wall seconds of the whole solve.
+    pub wall_s: f64,
+    /// What each kernel recorded during the solve: calls, traffic and
+    /// measured time.
+    pub kernels: CounterMap,
+}
+
+/// Builds the application for `cfg` (serial) on the preset's mesh and
+/// solves it to `rtol = 1e-8` from `Δt0 = 2`, timing the solve and reading
+/// each kernel's time off the telemetry counters it added on this thread
+/// (a serial application runs every kernel here). The counters record at
+/// [`Level::Counters`] unless `FUN3D_TELEMETRY` chose a level.
+pub fn profiled_solve(preset: MeshPreset, cfg: OptConfig) -> ProfiledSolve {
+    assert_eq!(cfg.nthreads, 1, "a profiled solve reads this thread's counters");
+    if std::env::var_os("FUN3D_TELEMETRY").is_none() {
+        telemetry::set_level(Level::Counters);
+    }
+    let mut app = Fun3dApp::new(build_mesh(preset), FlowConditions::default(), cfg);
+    let before = telemetry::local_counters();
+    let t = Instant::now();
+    let (_, stats) = app.run(&PtcConfig {
+        dt0: 2.0,
+        rtol: 1e-8,
+        max_steps: 100,
+        ..Default::default()
+    });
+    let wall_s = t.elapsed().as_secs_f64();
+    assert!(stats.converged, "{cfg:?}: the solve did not converge");
+    ProfiledSolve {
+        stats,
+        wall_s,
+        kernels: telemetry::local_counters().since(&before),
+    }
 }
 
 /// A kernel-level fixture: mesh, dual metrics, edge geometry, randomized
@@ -186,7 +228,7 @@ pub fn best_of<const N: usize>(reps: usize, mut variants: [Box<dyn FnMut() + '_>
     let mut best = [f64::INFINITY; N];
     for round in 0..=reps {
         for (t_min, run) in best.iter_mut().zip(variants.iter_mut()) {
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             run();
             if round > 0 {
                 *t_min = t_min.min(t0.elapsed().as_secs_f64());

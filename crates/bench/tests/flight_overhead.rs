@@ -1,5 +1,6 @@
-//! Overhead guard for the recorder's ring-backed entry points — flight
-//! events, spans and kernel counters — behind the one telemetry gate.
+//! Overhead guard for the recorder's entry points — flight events, spans,
+//! and the kernel guard that times a kernel into its counters — behind
+//! the one telemetry gate.
 //! The harness and the contract are in `overhead/mod.rs`;
 //! `metrics_overhead.rs` is the same guard for the metrics plane.
 
@@ -22,6 +23,16 @@ fn always_on_recording_stays_within_kernel_noise() {
 }
 
 #[test]
+fn kernel_guard_stays_within_kernel_noise() {
+    let _l = overhead::level_lock();
+    // Two clock reads and one counter add per call, what every kernel
+    // invocation of the application pays at the default level.
+    overhead::assert_recording_within_noise("kernel_guard_overhead", || {
+        let _k = telemetry::kernel("probe", KernelCounts::once(1, 64, 8, 345));
+    });
+}
+
+#[test]
 fn disabled_emit_is_a_single_gate_load() {
     let _l = overhead::level_lock();
     telemetry::set_level(Level::Counters);
@@ -31,6 +42,7 @@ fn disabled_emit_is_a_single_gate_load() {
     let counters = telemetry::local_counters().entries().len();
 
     let grew = overhead::allocations_at_off(|i| {
+        let _k = telemetry::kernel("off_probe", KernelCounts::once(i, 64, 8, 345));
         let _s = telemetry::span("flux");
         let _f = telemetry::fine_span("chunk");
         telemetry::record_kernel("off_probe", KernelCounts::once(i, 64, 8, 345));

@@ -4,9 +4,10 @@
 //!
 //! The contract is "on by default and free": at the default level
 //! (`counters`) a flight `emit` is a handful of relaxed stores plus one
-//! release store into this thread's ring, and a histogram record a bucket
-//! index plus four uncontended RMWs on this thread's shard; at `off`
-//! every entry point is one relaxed load of the gate and nothing else.
+//! release store into this thread's ring, a kernel guard two clock reads
+//! and one uncontended counter add, and a histogram record a bucket index
+//! plus four uncontended RMWs on this thread's shard; at `off` every entry
+//! point is one relaxed load of the gate and nothing else.
 //! [`assert_recording_within_noise`] measures a streaming kernel that
 //! records once per invocation — a far higher rate than the real
 //! per-step / per-request sources — at `off` and at `counters`, and fails

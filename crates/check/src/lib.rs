@@ -43,6 +43,9 @@ pub const SEED_ENV: &str = "FUN3D_CHECK_SEED";
 
 /// FNV-1a, used to derive a stable per-model base seed from the model
 /// name — the same idiom `proptest_mini` uses for `FUN3D_PROP_SEED`.
+/// The workspace's FNV-1a is `fun3d_util::fnv1a`; this copy stays because
+/// the checker sits beneath `fun3d-util` (which it model-checks) and has
+/// no dependencies.
 pub fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {

@@ -1,5 +1,6 @@
 //! The full PETSc-FUN3D application: mesh + kernels + ΨNKS solver with
-//! per-kernel profiling and selectable optimization level.
+//! per-kernel telemetry counters (time, bytes, flops) and selectable
+//! optimization level.
 
 use crate::bc::{self, BcData};
 use crate::edge_loop::{Exec, Traversal, PREFETCH_DIST};
@@ -18,9 +19,6 @@ use fun3d_solver::{ExecMode, FluxScheme};
 use fun3d_sparse::{ilu, Bcsr4, IluFactors, IluSymbolic, P2pSchedule};
 use fun3d_threads::{P2pProgress, TeamMember, TeamSlice, ThreadPool};
 use fun3d_util::telemetry;
-use fun3d_util::PhaseTimers;
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// The optimization configuration of a run — the knobs the paper's
@@ -126,23 +124,19 @@ struct P2pSchedules {
     ilu_progress: P2pProgress,
 }
 
-/// The application's preconditioner: the solver's ILU preconditioner
-/// under the per-kernel timers and telemetry of the profile.
+/// The application's preconditioner: the solver's ILU preconditioner,
+/// each application recorded as one `trsv` kernel call.
 struct AppPrecond {
     /// Its factors are shared with the serve tier's cross-request factor
     /// cache: a seeded or captured first build is the same allocation,
     /// never a copy.
     ilu: SerialIlu,
-    timers: Rc<RefCell<PhaseTimers>>,
 }
 
 impl Preconditioner for AppPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let t = std::time::Instant::now();
-        let _span = telemetry::span("trsv");
-        telemetry::record_kernel("trsv", crate::counts::trsv(&self.ilu.factors));
+        let _k = telemetry::kernel("trsv", crate::counts::trsv(&self.ilu.factors));
         self.ilu.apply(r, z);
-        self.timers.borrow_mut().add("trsv", t.elapsed());
     }
 
     fn dim(&self) -> usize {
@@ -150,18 +144,11 @@ impl Preconditioner for AppPrecond {
     }
 
     unsafe fn apply_team(&self, tm: &TeamMember, r: TeamSlice, z: TeamSlice) {
-        // Timers/telemetry are leader-only: the main thread is parked in
-        // `pool.run` while the region executes, so the leader has
-        // exclusive use of the (non-Sync) Rc/RefCell state.
-        let t = (tm.tid() == 0).then(|| {
-            telemetry::record_kernel("trsv", crate::counts::trsv(&self.ilu.factors));
-            (std::time::Instant::now(), telemetry::span("trsv"))
-        });
+        // Leader-only: one record per application, like the serial sweep.
+        let _k = (tm.tid() == 0)
+            .then(|| telemetry::kernel("trsv", crate::counts::trsv(&self.ilu.factors)));
         // SAFETY: the caller's contract is passed through unchanged.
         unsafe { self.ilu.apply_team(tm, r, z) };
-        if let Some((t, _span)) = t {
-            self.timers.borrow_mut().add("trsv", t.elapsed());
-        }
     }
 }
 
@@ -179,8 +166,6 @@ pub struct Fun3dApp {
     pub cond: FlowConditions,
     /// Optimization configuration.
     pub cfg: OptConfig,
-    /// Per-kernel timers (shared with the preconditioner wrapper).
-    pub timers: Rc<RefCell<PhaseTimers>>,
     node: NodeAos,
     vol: Vec<f64>,
     /// What the gradient kernels gather over.
@@ -218,6 +203,13 @@ pub struct Fun3dApp {
     first_factors: Option<Arc<IluFactors>>,
     capture_first: bool,
 }
+
+// An application can move to another thread: its kernels record into
+// the per-thread telemetry counters and share nothing thread-bound.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Fun3dApp>();
+};
 
 impl Fun3dApp {
     /// Reorders a mesh the way the paper's optimized runs do: RCM vertex
@@ -302,7 +294,6 @@ impl Fun3dApp {
             bc,
             cond,
             cfg,
-            timers: Rc::new(RefCell::new(PhaseTimers::new())),
             node,
             vol,
             adj,
@@ -328,17 +319,16 @@ impl Fun3dApp {
     /// Clears per-solve state so the instance can serve another request
     /// with bitwise-identical results to a fresh build: drops the stale
     /// preconditioner (a lagged `ilu_lag > 1` config would otherwise
-    /// reuse last request's factors), zeroes the counters, and resets
-    /// the timers. The expensive immutable artifacts — reordered mesh,
-    /// dual metrics, partitions, tilings, ILU pattern, schedules, pool —
-    /// are exactly what stays.
+    /// reuse last request's factors) and zeroes the counters. The
+    /// expensive immutable artifacts — reordered mesh, dual metrics,
+    /// partitions, tilings, ILU pattern, schedules, pool — are exactly
+    /// what stays.
     pub fn reset_for_reuse(&mut self) {
         self.precond = None;
         self.precond_age = 0;
         self.residual_evals = 0;
         self.factor_seed = None;
         self.first_factors = None;
-        *self.timers.borrow_mut() = PhaseTimers::new();
     }
 
     /// Seeds the next solve's first preconditioner build (see the field
@@ -375,19 +365,12 @@ impl Fun3dApp {
     }
 
     /// Runs the full pseudo-transient solve from free stream. Returns the
-    /// converged state and statistics. Wall-clock is recorded in the
-    /// `total` timer bucket; per-kernel buckets accumulate inside.
+    /// converged state and statistics; each kernel call adds its time and
+    /// traffic to the telemetry counters (`telemetry::kernel`).
     pub fn run(&mut self, ptc_cfg: &PtcConfig) -> (Vec<f64>, PtcStats) {
         let mut u = self.initial_state();
-        let t = std::time::Instant::now();
         let stats = ptc::solve(self, &mut u, ptc_cfg);
-        self.timers.borrow_mut().add("total", t.elapsed());
         (u, stats)
-    }
-
-    /// A copy of the current profile.
-    pub fn profile(&self) -> PhaseTimers {
-        self.timers.borrow().clone()
     }
 
     /// The owner-writes plan (None when single-threaded).
@@ -422,14 +405,11 @@ impl Fun3dApp {
         };
         self.precond = Some(AppPrecond {
             ilu: SerialIlu::from_factors(factors, mode),
-            timers: Rc::clone(&self.timers),
         });
     }
 
     fn run_flux(&mut self, r: &mut [f64]) {
-        let t = std::time::Instant::now();
-        let _span = telemetry::span("flux");
-        telemetry::record_kernel(
+        let _k = telemetry::kernel(
             "flux",
             match &self.tiles {
                 Some(t) => crate::counts::flux_tiled(self.geom.nedges(), t.tiling().vertex_slots()),
@@ -441,7 +421,6 @@ impl Fun3dApp {
         let lanes = self.cfg.use_simd.then_some(self.isa);
         flux::run(lanes, exec, walk, &self.node, self.cond.beta, r);
         bc::residual(&self.bc, &self.node, &self.cond, r);
-        self.timers.borrow_mut().add("flux", t.elapsed());
     }
 }
 
@@ -454,9 +433,7 @@ impl PtcProblem for Fun3dApp {
         self.residual_evals += 1;
         self.node.q.copy_from_slice(u);
         {
-            let t = std::time::Instant::now();
-            let _span = telemetry::span("gradient");
-            telemetry::record_kernel(
+            let _k = telemetry::kernel(
                 "gradient",
                 crate::counts::gradient_gather(self.adj.neighbours().len(), self.adj.rows()),
             );
@@ -471,7 +448,6 @@ impl PtcProblem for Fun3dApp {
                 // BJ's hard clip produces limit cycles in steady solvers.
                 crate::limiter::apply_venkatakrishnan(&self.geom, &mut self.node, 0.3);
             }
-            self.timers.borrow_mut().add("gradient", t.elapsed());
         }
         self.run_flux(r);
     }
@@ -507,9 +483,7 @@ impl PtcProblem for Fun3dApp {
         }
         self.node.q.copy_from_slice(u);
         {
-            let t = std::time::Instant::now();
-            let _span = telemetry::span("jacobian");
-            telemetry::record_kernel(
+            let _k = telemetry::kernel(
                 "jacobian",
                 crate::counts::jacobian(self.geom.nedges(), self.node.n),
             );
@@ -522,10 +496,8 @@ impl PtcProblem for Fun3dApp {
                 &mut self.jac,
             );
             jacobian::add_time_diagonal(&self.jac_slots, &mut self.jac, time_diag);
-            self.timers.borrow_mut().add("jacobian", t.elapsed());
         }
-        let t = std::time::Instant::now();
-        let _span = telemetry::span("ilu");
+        let _k = telemetry::kernel("ilu", crate::counts::ilu_factor(&self.ilu_symbolic));
         // Refactor into the factors the preconditioner already owns when
         // nobody else holds them. A seed adopted from, or a first build
         // captured for, the serve factor cache is shared — the cache must
@@ -554,14 +526,6 @@ impl PtcProblem for Fun3dApp {
                 self.install_factors(f);
             }
         }
-        let f = &self
-            .precond
-            .as_ref()
-            .expect("factors installed above")
-            .ilu
-            .factors;
-        telemetry::record_kernel("ilu", crate::counts::ilu_factor(f));
-        self.timers.borrow_mut().add("ilu", t.elapsed());
     }
 
     fn preconditioner(&self) -> &dyn Preconditioner {
@@ -585,6 +549,21 @@ impl PtcProblem for Fun3dApp {
 mod tests {
     use super::*;
     use fun3d_mesh::generator::MeshPreset;
+    use fun3d_util::telemetry::CounterMap;
+
+    /// The kernel counters a serial solve recorded: every kernel of a
+    /// serial app runs on the calling thread, so the delta of this
+    /// thread's counters is the solve's, whatever other tests record.
+    fn counted(app: &mut Fun3dApp, cfg: &PtcConfig) -> (Vec<f64>, PtcStats, CounterMap) {
+        telemetry::set_level(telemetry::Level::Counters);
+        let before = telemetry::local_counters();
+        let (u, stats) = app.run(cfg);
+        (u, stats, telemetry::local_counters().since(&before))
+    }
+
+    fn calls(kernels: &CounterMap, name: &str) -> u64 {
+        kernels.get(name).map_or(0, |c| c.calls)
+    }
 
     fn solve_config() -> PtcConfig {
         PtcConfig {
@@ -604,16 +583,16 @@ mod tests {
     #[test]
     fn baseline_converges() {
         let mut app = build(OptConfig::baseline());
-        let (_, stats) = app.run(&solve_config());
+        let (_, stats, kernels) = counted(&mut app, &solve_config());
         assert!(
             stats.converged,
             "residual history: {:?}",
             stats.res_history
         );
         assert!(stats.linear_iters > 0);
-        let prof = app.profile();
-        for phase in ["flux", "gradient", "jacobian", "ilu", "trsv", "total"] {
-            assert!(prof.calls(phase) > 0, "missing phase {phase}");
+        for kernel in ["flux", "gradient", "jacobian", "ilu", "trsv"] {
+            assert!(calls(&kernels, kernel) > 0, "missing kernel {kernel}");
+            assert!(kernels.seconds(kernel) > 0.0, "untimed kernel {kernel}");
         }
     }
 
@@ -749,9 +728,9 @@ mod tests {
         let mut cfg = OptConfig::baseline();
         cfg.ilu_lag = 3;
         let mut app = build(cfg);
-        let (_, stats) = app.run(&solve_config());
+        let (_, stats, kernels) = counted(&mut app, &solve_config());
         assert!(stats.converged);
-        let factorizations = app.profile().calls("ilu");
+        let factorizations = calls(&kernels, "ilu");
         assert!(
             (factorizations as usize) < stats.time_steps,
             "lagging must skip factorizations: {factorizations} vs {} steps",
@@ -777,9 +756,9 @@ mod tests {
         // previous run's captured factors skips one assembly+factor
         // without changing a single bit of the solution or history.
         let mut fresh = build(OptConfig::baseline());
-        let (u_ref, s_ref) = fresh.run(&solve_config());
+        let (u_ref, s_ref, kernels) = counted(&mut fresh, &solve_config());
         assert!(s_ref.converged);
-        let fresh_factor_calls = fresh.profile().calls("ilu");
+        let fresh_factor_calls = calls(&kernels, "ilu");
 
         let mut app = build(OptConfig::baseline());
         app.capture_first_factors(true);
@@ -802,12 +781,15 @@ mod tests {
         };
         let mut one_step = build(OptConfig::baseline());
         one_step.capture_first_factors(true);
-        one_step.run(&PtcConfig {
-            max_steps: 1,
-            ..solve_config()
-        });
+        let (_, _, kernels) = counted(
+            &mut one_step,
+            &PtcConfig {
+                max_steps: 1,
+                ..solve_config()
+            },
+        );
         let first_only = one_step.first_factors().expect("first factors captured");
-        assert_eq!(one_step.profile().calls("ilu"), 1);
+        assert_eq!(calls(&kernels, "ilu"), 1);
         assert_eq!(
             bits(&seed),
             bits(&first_only),
@@ -816,7 +798,7 @@ mod tests {
 
         app.reset_for_reuse();
         app.set_factor_seed(Some(Arc::clone(&seed)));
-        let (u2, s2) = app.run(&solve_config());
+        let (u2, s2, kernels) = counted(&mut app, &solve_config());
         assert_eq!(u2, u_ref, "seeded reuse must be bitwise identical");
         assert_eq!(s2.res_history, s_ref.res_history);
         // (4) Nor may a seeded solve's rebuilds touch the seed it adopted.
@@ -831,7 +813,7 @@ mod tests {
         assert!(!Arc::ptr_eq(last, &seed));
         assert_eq!(Arc::strong_count(last), 1);
         assert_eq!(
-            app.profile().calls("ilu") + 1,
+            calls(&kernels, "ilu") + 1,
             fresh_factor_calls,
             "the seeded first build must skip exactly one factorization"
         );

@@ -14,7 +14,7 @@
 //! GB/s" above STREAM indicates cache residency, not a broken model.
 
 use crate::geom::EdgeGeom;
-use fun3d_sparse::{IluFactors, FACTOR_BLOCK_BYTES};
+use fun3d_sparse::{IluFactors, IluSymbolic, FACTOR_BLOCK_BYTES};
 use fun3d_util::telemetry::KernelCounts;
 
 /// Bytes of a 4-component state block.
@@ -122,17 +122,18 @@ pub(crate) fn jacobian(nedges: usize, nrows: usize) -> KernelCounts {
     KernelCounts::once(ne, reads, writes, flops)
 }
 
-/// ILU(k) numeric factorization model for one rebuild over factors with
-/// the given block populations.
+/// ILU(k) numeric factorization model for one rebuild into the factor
+/// structure `sym` (its block populations).
 ///
 /// Each L block triggers one 4×4 inverse-diagonal multiply (~128 flops)
 /// plus a row-combine pass over the matching U row; modeled as touching
 /// every stored block a small constant number of times: the matrix block
 /// that seeds it (`f64`) and one finished factor block read, then the
 /// stored block written.
-pub(crate) fn ilu_factor(f: &IluFactors) -> KernelCounts {
-    let nblocks = (f.l.nblocks() + f.u.nblocks()) as u64;
-    let nrows = f.nrows() as u64;
+pub(crate) fn ilu_factor(sym: &IluSymbolic) -> KernelCounts {
+    let (l, u) = (sym.l_pattern(), sym.u_pattern());
+    let nblocks = (l.col_idx.len() + u.col_idx.len()) as u64;
+    let nrows = l.nrows() as u64;
     let reads = nblocks * (BLOCK_BYTES + FACTOR_BYTES) + nrows * BLOCK_BYTES;
     let writes = (nblocks + nrows) * FACTOR_BYTES;
     // block-block multiply-accumulate: 4×4×4 fused multiply-adds
@@ -215,8 +216,9 @@ mod tests {
         let m = fun3d_mesh::generator::MeshPreset::Tiny.build();
         let mut a = Bcsr4::from_edges(m.nvertices(), &m.edges());
         a.fill_diag_dominant(7);
-        let f = ilu::ilu0(&a);
-        let fac = ilu_factor(&f);
+        let sym = IluSymbolic::new(&a, &ilu::symbolic_iluk(&a, 0));
+        let f = sym.factor(&a);
+        let fac = ilu_factor(&sym);
         let sweep = trsv(&f);
         assert_eq!(fac.items, f.nrows() as u64);
         assert!(fac.bytes() > sweep.bytes(), "factorization moves more than a sweep");

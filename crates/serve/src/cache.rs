@@ -5,10 +5,11 @@
 //! * **Prepared apps** ([`TeamAppCache`], one per dispatcher team):
 //!   a complete `Fun3dApp` — reordered mesh, dual metrics, owner-writes
 //!   partitions, tilings, symbolic ILU pattern, level/P2P schedules —
-//!   keyed by [`crate::SolveRequest::prep_key`]. `Fun3dApp` is `!Send`
-//!   (it shares `Rc` timers with its preconditioner), so instances
-//!   never migrate: each team caches the apps it built, and the bounded
-//!   LRU keeps a team's resident set small. Reuse is bitwise-identical
+//!   keyed by [`crate::SolveRequest::prep_key`]. An app is built on its
+//!   team's persistent pool (`Fun3dApp::with_pool`) and its owner-writes
+//!   plan and P2P schedules are sized to that team, so instances never
+//!   migrate: each team caches the apps it built, and the bounded LRU
+//!   keeps a team's resident set small. Reuse is bitwise-identical
 //!   to a fresh build (pinned by `fun3d-core`'s
 //!   `reuse_and_factor_seed_are_bitwise_identical` test).
 //! * **First ILU factors** (a process-wide

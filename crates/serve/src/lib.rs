@@ -44,5 +44,5 @@ pub use wire::{bad_request_line, parse_reply, render_reject, render_reply, Solve
 
 /// FNV-64 tenant tag as carried on flight-recorder serve events.
 pub fn tenant_hash(tenant: &str) -> u64 {
-    fun3d_solver::fnv1a(tenant.as_bytes())
+    fun3d_util::fnv1a(tenant.as_bytes())
 }

@@ -22,7 +22,7 @@ use crate::tenant_hash;
 use crate::wire::SolveRequest;
 use fun3d_core::{FlowConditions, Fun3dApp};
 use fun3d_machine::MachineSpec;
-use fun3d_solver::{fnv1a, fnv1a_word};
+use fun3d_util::{fnv1a, fnv1a_word};
 use fun3d_threads::{PoolSet, ThreadPool};
 use fun3d_util::telemetry::{self, metrics, Json};
 use std::collections::{HashMap, VecDeque};

@@ -14,7 +14,7 @@ use crate::service::{RejectReason, Rejected, SolveReply};
 use fun3d_core::OptConfig;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::ptc::PtcConfig;
-use fun3d_solver::{fnv1a, fnv1a_word};
+use fun3d_util::{fnv1a, fnv1a_word};
 use fun3d_util::telemetry::Json;
 
 /// One solve request: a mesh preset plus the `OptConfig`/ΨTC knobs a

@@ -131,28 +131,6 @@ impl<V> KeyedCache<V> {
     }
 }
 
-/// FNV-1a, the repo's standing checksum/key hash (matches the flight
-/// recorder's tenant tags so cache keys and flight events correlate).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Extends an FNV-1a hash with one little-endian `u64` word — for
-/// building request keys out of mixed string/scalar fields without
-/// allocating an intermediate buffer.
-pub fn fnv1a_word(mut h: u64, word: u64) -> u64 {
-    for &b in &word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,15 +177,5 @@ mod tests {
         assert_eq!(*cache.get(1).unwrap(), 2);
         assert_eq!(cache.stats().insertions, 2);
         assert_eq!(cache.stats().evictions, 0);
-    }
-
-    #[test]
-    fn fnv_keys_are_stable_and_order_sensitive() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"tiny"), fnv1a(b"small"));
-        let a = fnv1a_word(fnv1a(b"k"), 1);
-        let b = fnv1a_word(fnv1a(b"k"), 2);
-        assert_ne!(a, b);
-        assert_ne!(fnv1a_word(fnv1a_word(0, 1), 2), fnv1a_word(fnv1a_word(0, 2), 1));
     }
 }

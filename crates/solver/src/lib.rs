@@ -42,7 +42,7 @@ mod team;
 mod vecops;
 
 pub use anomaly::{Anomaly, AnomalyConfig};
-pub use factor_cache::{fnv1a, fnv1a_word, CacheStats, KeyedCache};
+pub use factor_cache::{CacheStats, KeyedCache};
 pub use gmres::{Gmres, GmresConfig, GmresExec, GmresOutcome, GmresResult};
 pub use op::{LinearOperator, Reducer, SumReduce};
 pub use policy::{AutoPolicy, ExecMode, FluxScheme};

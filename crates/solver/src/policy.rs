@@ -238,17 +238,15 @@ impl Decision {
 }
 
 /// Calibration-probe results, cached per pool size: sync costs depend on
-/// the worker count (and the machine), not on the specific pool.
+/// the worker count (and the machine), not on the specific pool, so each
+/// size is measured once per process whatever the telemetry level.
 fn cached_sync_costs(pool: &ThreadPool) -> SyncCosts {
     static CACHE: Mutex<Vec<(usize, SyncCosts)>> = Mutex::new(Vec::new());
     let mut cache = CACHE.lock().unwrap();
     if let Some((_, c)) = cache.iter().find(|(sz, _)| *sz == pool.size()) {
         return *c;
     }
-    // Observed-first: the live `threads.p{N}.*` histograms (fed by every
-    // probe run in this process) answer without a fresh one-shot probe;
-    // only a size nobody has measured yet pays for a calibration.
-    let c = SyncCosts::observed(pool.size()).unwrap_or_else(|| SyncCosts::measure(pool));
+    let c = SyncCosts::measure(pool);
     // Calibrations are rare (once per pool size per process) and exactly
     // what a post-hoc dump reader needs to audit policy decisions.
     telemetry::emit(telemetry::EventKind::SyncProbe {

@@ -143,9 +143,7 @@ impl Drop for AtomicF64View<'_> {
                 telemetry::KernelCounts {
                     calls: self.contended.load(std::sync::atomic::Ordering::Relaxed),
                     items: retries,
-                    bytes_read: 0,
-                    bytes_written: 0,
-                    flops: 0,
+                    ..Default::default()
                 },
             );
         }

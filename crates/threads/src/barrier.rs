@@ -73,8 +73,8 @@ impl SpinBarrier {
         if d > 10_000_000 {
             return;
         }
-        // Live inter-crossing distribution, same outlier filter as the
-        // pace EWMA — the observed barrier cost AutoPolicy consults.
+        // Live inter-crossing distribution (the metrics snapshot), same
+        // outlier filter as the pace EWMA.
         telemetry::metrics::record_ns("threads.barrier_wait_ns", d);
         let old = self.pace_ns.load(Ordering::Relaxed);
         let new = if old == 0 { d } else { (3 * old + d) / 4 };

@@ -406,8 +406,7 @@ impl ThreadPool {
         // wait ladder for the *next* region.
         let region_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         bell.note_region_ns(region_ns);
-        // Live distribution of region walls: the *observed* sync-cost
-        // source AutoPolicy consults before paying for a one-shot probe.
+        // Live distribution of region walls (the metrics snapshot).
         telemetry::metrics::record_ns("threads.region_ns", region_ns);
         if bell.retire() {
             // Black-box moment: the launcher still has the solve context

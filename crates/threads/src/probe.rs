@@ -10,7 +10,6 @@
 
 use crate::{SpinBarrier, ThreadPool};
 use fun3d_util::median;
-use fun3d_util::telemetry::{self, metrics};
 use std::time::Instant;
 
 /// Measured synchronization costs of a live pool, seconds.
@@ -64,41 +63,7 @@ impl SyncCosts {
         let gross_phase = median(&phase);
         let barrier_phase_s =
             (gross_phase - region_launch_s / PHASES as f64).max(1e-9);
-        let costs = SyncCosts { region_launch_s, barrier_phase_s };
-        costs.record_observed(pool.size());
-        costs
-    }
-
-    /// Feeds this measurement into the per-pool-size live histograms
-    /// that [`SyncCosts::observed`] reads back.
-    fn record_observed(&self, pool_size: usize) {
-        if !telemetry::enabled() {
-            return;
-        }
-        metrics::histogram(&format!("threads.p{pool_size}.region_launch_ns"))
-            .record((self.region_launch_s * 1e9) as u64);
-        metrics::histogram(&format!("threads.p{pool_size}.barrier_phase_ns"))
-            .record((self.barrier_phase_s * 1e9) as u64);
-    }
-
-    /// The *observed* sync costs for a pool size, from the live metrics
-    /// histograms every probe run feeds — the distribution-backed source
-    /// the execution policy consults before paying for a fresh one-shot
-    /// probe. `None` until at least one probe of this size has recorded.
-    pub fn observed(pool_size: usize) -> Option<SyncCosts> {
-        if !telemetry::enabled() {
-            return None;
-        }
-        let snap = metrics::snapshot();
-        let launch = snap.hist(&format!("threads.p{pool_size}.region_launch_ns"))?;
-        let phase = snap.hist(&format!("threads.p{pool_size}.barrier_phase_ns"))?;
-        if launch.count == 0 || phase.count == 0 {
-            return None;
-        }
-        Some(SyncCosts {
-            region_launch_s: (launch.quantile(0.5) / 1e9).max(1e-9),
-            barrier_phase_s: (phase.quantile(0.5) / 1e9).max(1e-9),
-        })
+        SyncCosts { region_launch_s, barrier_phase_s }
     }
 }
 
@@ -150,15 +115,6 @@ mod tests {
         // both must be microsecond-scale, not millisecond-scale stalls.
         assert!(c.region_launch_s < 0.05, "launch {}", c.region_launch_s);
         assert!(c.barrier_phase_s < 0.05, "phase {}", c.barrier_phase_s);
-        // The probe feeds the live histograms, so the observed source now
-        // answers for this pool size with a cost of the same decade.
-        if telemetry::enabled() {
-            let o = SyncCosts::observed(pool.size()).expect("probe recorded");
-            assert!(o.region_launch_s > 0.0 && o.region_launch_s < 0.05);
-            assert!(o.barrier_phase_s > 0.0 && o.barrier_phase_s < 0.05);
-        }
-        // A size never probed has no observed costs.
-        assert!(SyncCosts::observed(63).is_none());
     }
 
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

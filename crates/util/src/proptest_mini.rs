@@ -246,17 +246,6 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-/// FNV-1a, used to derive a per-property base seed from its name so
-/// different properties exercise different streams.
-fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn report(name: &str, seed: u64, case: Option<usize>, cases: usize, fail: &Failure) -> String {
     let mut out = String::new();
     match case {
@@ -298,7 +287,9 @@ where
             }
         }
     }
-    let mut seeder = Rng64::new(fnv1a(name));
+    // The base seed is FNV-1a of the name, so different properties
+    // exercise different streams.
+    let mut seeder = Rng64::new(crate::fnv1a(name.as_bytes()));
     for case in 0..cases {
         let seed = seeder.next_u64();
         if let Some(fail) = run_with(seed, &f, &[]) {

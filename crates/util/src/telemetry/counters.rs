@@ -1,14 +1,15 @@
 //! The counter vocabulary of the performance model.
 //!
-//! The paper's analysis (Fig. 6's achieved-vs-STREAM bandwidth, Table 3's
-//! bytes-per-edge model) needs, per kernel: how many items it processed
-//! (edges, block rows, messages), how many bytes it moved, and how many
-//! floating-point operations it performed. [`KernelCounts`] is that
-//! record; instrumentation sites accumulate one per kernel name, and the
-//! report layer derives arithmetic intensity (flop/byte) and achieved
-//! bandwidth (GB/s over a measured wall time) from the totals, which are
-//! then compared against a machine's STREAM number
-//! (`fun3d_machine::MachineSpec::stream_gbs`).
+//! The paper's analysis (Fig. 5's kernel profile, Fig. 6's
+//! achieved-vs-STREAM bandwidth, Table 3's bytes-per-edge model) needs,
+//! per kernel: how long it ran, how many items it processed (edges, block
+//! rows, messages), how many bytes it moved, and how many floating-point
+//! operations it performed. [`KernelCounts`] is that record, one per
+//! kernel name: a kernel guard ([`super::kernel`]) adds its counts and its
+//! measured wall time in one step, and the report layer derives
+//! arithmetic intensity (flop/byte) and achieved bandwidth (GB/s over that
+//! time) from the totals, which are then compared against a machine's
+//! STREAM number (`fun3d_machine::MachineSpec::stream_gbs`).
 
 /// Monotonic counters for one kernel (or one communication class).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,6 +26,8 @@ pub struct KernelCounts {
     pub bytes_written: u64,
     /// Floating-point operations.
     pub flops: u64,
+    /// Measured wall time, nanoseconds (0 for count-only records).
+    pub ns: u64,
 }
 
 impl KernelCounts {
@@ -36,7 +39,13 @@ impl KernelCounts {
             bytes_read,
             bytes_written,
             flops,
+            ns: 0,
         }
+    }
+
+    /// Measured wall time in seconds.
+    pub fn seconds(&self) -> f64 {
+        self.ns as f64 * 1e-9
     }
 
     /// Total bytes moved.
@@ -54,21 +63,22 @@ impl KernelCounts {
         }
     }
 
-    /// Achieved bandwidth in GB/s given the kernel's measured wall time.
-    pub fn achieved_gbs(&self, seconds: f64) -> f64 {
-        if seconds <= 0.0 {
+    /// Achieved bandwidth in GB/s over the measured wall time (0 when
+    /// none was measured).
+    pub fn achieved_gbs(&self) -> f64 {
+        if self.ns == 0 {
             0.0
         } else {
-            self.bytes() as f64 / 1e9 / seconds
+            self.bytes() as f64 / self.ns as f64
         }
     }
 
-    /// Achieved flop rate in Gflop/s given the measured wall time.
-    pub(crate) fn achieved_gflops(&self, seconds: f64) -> f64 {
-        if seconds <= 0.0 {
+    /// Achieved flop rate in Gflop/s over the measured wall time.
+    pub(crate) fn achieved_gflops(&self) -> f64 {
+        if self.ns == 0 {
             0.0
         } else {
-            self.flops as f64 / 1e9 / seconds
+            self.flops as f64 / self.ns as f64
         }
     }
 
@@ -79,6 +89,7 @@ impl KernelCounts {
         self.bytes_read += other.bytes_read;
         self.bytes_written += other.bytes_written;
         self.flops += other.flops;
+        self.ns += other.ns;
     }
 }
 
@@ -117,12 +128,41 @@ impl CounterMap {
         &self.entries
     }
 
+    /// Seconds measured for `name` (0 if absent or count-only).
+    pub fn seconds(&self, name: &str) -> f64 {
+        self.get(name).map_or(0.0, KernelCounts::seconds)
+    }
+
     /// Merges another map into this one (used to combine per-thread
     /// recorders into the run total).
     pub(crate) fn merge(&mut self, other: &CounterMap) {
         for (name, c) in &other.entries {
             self.add(name, *c);
         }
+    }
+
+    /// What was recorded after `before` was read from the same recorders:
+    /// each kernel's counters minus its counters in `before`. Kernels with
+    /// no new calls are left out.
+    pub fn since(&self, before: &CounterMap) -> CounterMap {
+        let mut delta = CounterMap::new();
+        for &(name, c) in &self.entries {
+            let b = before.get(name).copied().unwrap_or_default();
+            if c.calls > b.calls {
+                delta.entries.push((
+                    name,
+                    KernelCounts {
+                        calls: c.calls - b.calls,
+                        items: c.items - b.items,
+                        bytes_read: c.bytes_read - b.bytes_read,
+                        bytes_written: c.bytes_written - b.bytes_written,
+                        flops: c.flops - b.flops,
+                        ns: c.ns - b.ns,
+                    },
+                ));
+            }
+        }
+        delta
     }
 }
 
@@ -132,19 +172,24 @@ mod tests {
 
     #[test]
     fn derived_metrics() {
-        let c = KernelCounts::once(1000, 6_000_000, 2_000_000, 4_000_000);
+        let c = KernelCounts {
+            ns: 1_000_000,
+            ..KernelCounts::once(1000, 6_000_000, 2_000_000, 4_000_000)
+        };
         assert_eq!(c.bytes(), 8_000_000);
         assert!((c.arithmetic_intensity() - 0.5).abs() < 1e-12);
-        assert!((c.achieved_gbs(0.001) - 8.0).abs() < 1e-12);
-        assert!((c.achieved_gflops(0.001) - 4.0).abs() < 1e-12);
+        assert!((c.seconds() - 0.001).abs() < 1e-15);
+        assert!((c.achieved_gbs() - 8.0).abs() < 1e-12);
+        assert!((c.achieved_gflops() - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_traffic_and_zero_time_are_safe() {
         let c = KernelCounts::default();
         assert_eq!(c.arithmetic_intensity(), 0.0);
-        assert_eq!(c.achieved_gbs(0.0), 0.0);
-        assert_eq!(c.achieved_gflops(-1.0), 0.0);
+        assert_eq!(c.achieved_gbs(), 0.0);
+        let untimed = KernelCounts::once(1, 64, 8, 100);
+        assert_eq!(untimed.achieved_gflops(), 0.0);
     }
 
     #[test]
@@ -184,5 +229,8 @@ mod tests {
         merged.merge(&a);
         merged.merge(&b);
         assert_eq!(merged.entries(), serial.entries());
+        // The delta of the merged map over one part is the other part.
+        assert_eq!(merged.since(&a).entries(), b.entries());
+        assert!(merged.since(&merged).entries().is_empty());
     }
 }

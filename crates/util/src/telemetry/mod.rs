@@ -4,15 +4,16 @@
 //!
 //! The paper's argument is measurement-driven — Fig. 5's kernel profile,
 //! Fig. 6's achieved-vs-STREAM bandwidth, Table 3's bytes-per-edge model.
-//! [`PhaseTimers`](crate::PhaseTimers) gives single-threaded wall clocks;
-//! this module adds everything else those figures need:
+//! This module records what those figures need:
 //!
+//! * **counters** — the [`KernelCounts`] vocabulary (wall time, items,
+//!   bytes read/written, flops) from which reports derive each kernel's
+//!   time, arithmetic intensity and achieved GB/s against a machine's
+//!   STREAM number. A kernel call records through one guard, [`kernel`],
+//!   which reads the clock once at each end.
 //! * **spans** — named intervals recorded into a per-thread single-writer
 //!   [`Ring`]; [`Profile`] derives exact self/total time per span name
 //!   from their nesting.
-//! * **counters** — the [`KernelCounts`] vocabulary (items, bytes
-//!   read/written, flops) from which reports derive arithmetic intensity
-//!   and achieved GB/s against a machine's STREAM number.
 //! * **flight events** ([`emit`], [`flight_log`]) — structured solver
 //!   decisions and observations, including each pseudo-time step's
 //!   residual, Δt and GMRES iterations (the convergence history).
@@ -82,8 +83,8 @@ use std::time::Instant;
 pub enum Level {
     /// Record nothing; every site costs one load + branch.
     Off = 0,
-    /// Counters, flight events and metrics (the default: no per-span
-    /// clock reads, so timing-sensitive tests are unaffected).
+    /// Counters (with each kernel guard's wall time), flight events and
+    /// metrics — the default; no spans.
     Counters = 1,
     /// Everything above plus kernel-level spans.
     Spans = 2,
@@ -200,6 +201,12 @@ impl Recorder {
             counters: Mutex::new(CounterMap::new()),
             shards: Mutex::new(Vec::new()),
         }
+    }
+
+    fn push_span(&self, ev: SpanEvent) {
+        self.spans
+            .get_or_init(|| Ring::new(SPAN_CAPACITY))
+            .push(ev.words())
     }
 
     /// Hands an exited thread's recorder to a new thread: a new label, no
@@ -344,11 +351,7 @@ impl Drop for Span {
             start_ns: self.start_ns,
             dur_ns: now_ns().saturating_sub(self.start_ns),
         };
-        with_recorder(|r| {
-            r.spans
-                .get_or_init(|| Ring::new(SPAN_CAPACITY))
-                .push(ev.words())
-        });
+        with_recorder(|r| r.push_span(ev));
     }
 }
 
@@ -371,9 +374,64 @@ pub fn fine_span(name: &'static str) -> Span {
     Span::open(name)
 }
 
-/// Accumulates performance-model counters for a kernel on the current
-/// thread (recorded at [`Level::Counters`] and up). Call once per kernel
+/// An in-flight kernel call, opened by [`kernel`]. Inert at
+/// [`Level::Off`].
+///
+/// `!Send`, like [`Span`]: its span must close on the thread that opened
+/// it.
+#[must_use = "a kernel guard times the scope it is bound to; bind it to a named guard"]
+pub struct Kernel {
+    name: &'static str,
+    counts: KernelCounts,
+    start_ns: u64,
+    /// The level when the guard opened.
+    level: Level,
+    _pinned: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for Kernel {
+    fn drop(&mut self) {
+        if self.level < Level::Counters {
+            return;
+        }
+        let dur_ns = now_ns().saturating_sub(self.start_ns);
+        let counts = KernelCounts {
+            ns: dur_ns,
+            ..self.counts
+        };
+        with_recorder(|r| {
+            r.counters.lock().unwrap().add(self.name, counts);
+            if self.level >= Level::Spans {
+                r.push_span(SpanEvent {
+                    name: self.name,
+                    start_ns: self.start_ns,
+                    dur_ns,
+                });
+            }
+        });
+    }
+}
+
+/// Opens one kernel call: the clock is read here and when the guard
+/// drops, which adds `counts` and the elapsed ns to this thread's counters
+/// under `name` (at [`Level::Counters`] and up) and, at [`Level::Spans`]
+/// and up, records a span over the same interval. Call once per kernel
 /// invocation with analytic totals — never from inner loops.
+#[inline]
+pub fn kernel(name: &'static str, counts: KernelCounts) -> Kernel {
+    let level = level();
+    Kernel {
+        name,
+        counts,
+        start_ns: if level >= Level::Counters { now_ns() } else { 0 },
+        level,
+        _pinned: std::marker::PhantomData,
+    }
+}
+
+/// Accumulates count-only performance-model counters (no time) on the
+/// current thread, at [`Level::Counters`] and up: region launches,
+/// barrier phases, messages. A kernel call records through [`kernel`].
 #[inline]
 pub fn record_kernel(name: &'static str, c: KernelCounts) {
     if enabled() {
@@ -529,6 +587,7 @@ mod tests {
             let before_counters = local_counters();
             let a0 = thread_allocs();
             for i in 0..10_000u64 {
+                let _k = kernel("flux", KernelCounts::once(i, 64, 8, 345));
                 let _s = span("flux");
                 let _f = fine_span("chunk");
                 record_kernel("flux", KernelCounts::once(i, 64, 8, 345));
@@ -562,6 +621,42 @@ mod tests {
             assert!(me.spans.iter().any(|e| e.name == "span-test-kernel"));
             let per = snap.per_thread_span_seconds("span-test-kernel");
             assert!(per.iter().any(|(l, _, n)| l == "span-test-thread" && *n >= 1));
+        });
+    }
+
+    #[test]
+    fn kernel_guard_records_time_with_counts_and_one_span() {
+        let counts = KernelCounts::once(7, 70, 7, 700);
+        let find = |snap: &Snapshot| -> Vec<SpanEvent> {
+            snap.threads
+                .iter()
+                .filter(|t| t.label == "kernel-guard-thread")
+                .flat_map(|t| t.spans.iter().filter(|e| e.name == "kernel-guard").copied())
+                .collect()
+        };
+        with_level(Level::Counters, || {
+            set_thread_label("kernel-guard-thread");
+            let before = local_counters();
+            {
+                let _k = kernel("kernel-guard", counts);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let d = local_counters().since(&before);
+            let c = d.get("kernel-guard").expect("guard recorded");
+            assert_eq!(KernelCounts { ns: 0, ..*c }, counts);
+            assert!(c.ns >= 1_000_000, "guard measured {} ns over a 1 ms sleep", c.ns);
+            assert!(find(&snapshot()).is_empty(), "no span below Spans");
+        });
+        with_level(Level::Spans, || {
+            let before = local_counters();
+            {
+                let _k = kernel("kernel-guard", counts);
+            }
+            let d = local_counters().since(&before);
+            let spans = find(&snapshot());
+            assert_eq!(spans.len(), 1);
+            // The span and the counters share the guard's two clock reads.
+            assert_eq!(spans[0].dur_ns, d.get("kernel-guard").unwrap().ns);
         });
     }
 
@@ -691,22 +786,7 @@ mod tests {
                             }
                         }
                         // delta = what this thread just recorded
-                        let now = local_counters();
-                        let mut delta = CounterMap::new();
-                        for (name, c) in now.entries() {
-                            let mut d = *c;
-                            if let Some(b) = base.get(name) {
-                                d.calls -= b.calls;
-                                d.items -= b.items;
-                                d.bytes_read -= b.bytes_read;
-                                d.bytes_written -= b.bytes_written;
-                                d.flops -= b.flops;
-                            }
-                            if d.calls > 0 {
-                                delta.add(name, d);
-                            }
-                        }
-                        delta
+                        local_counters().since(&base)
                     }));
                 }
                 for h in handles {

@@ -8,8 +8,9 @@
 //! something the model doesn't capture (latency, imbalance, false
 //! sharing); a kernel far *above* it means the compulsory-traffic model
 //! overcounts (cache residency). This module automates that reading:
-//! [`validate_roofline`] joins per-kernel seconds with the analytic counts and
-//! flags deviations beyond a tolerance band.
+//! [`validate_roofline`] reads each kernel's measured time and analytic
+//! counts off its one [`KernelCounts`] record and flags deviations beyond
+//! a tolerance band.
 //!
 //! The tolerance is deliberately a band, not a bound — on the tiny
 //! verification meshes everything is cache-resident, so `Fast` flags
@@ -75,9 +76,9 @@ pub enum Deviation {
 pub struct RooflineRow {
     /// Kernel name.
     pub name: String,
-    /// Measured seconds attributed to the kernel.
+    /// Measured seconds of the kernel.
     pub seconds: f64,
-    /// Analytic counts the model side is computed from.
+    /// Measured time and analytic counts of the kernel.
     pub counts: KernelCounts,
     /// Which roof applies at this kernel's intensity.
     pub bound: Bound,
@@ -100,18 +101,19 @@ pub struct RooflineRow {
 /// the gate runs on fit in cache.
 pub const ROOFLINE_TOLERANCE: f64 = 4.0;
 
-/// Joins measured per-kernel seconds with the analytic model and the
+/// Compares each kernel's measured time with its analytic model on the
 /// machine envelope. Kernels with no modeled traffic/flops (pure
 /// bookkeeping counters) or no measured time are skipped — there is
 /// nothing to compare.
 pub fn validate_roofline(
-    kernels: &[(&str, f64, KernelCounts)],
+    kernels: &[(&str, KernelCounts)],
     env: &Envelope,
     tolerance: f64,
 ) -> Vec<RooflineRow> {
     assert!(tolerance >= 1.0, "tolerance is a factor >= 1");
     let mut rows = Vec::new();
-    for &(name, seconds, counts) in kernels {
+    for &(name, counts) in kernels {
+        let seconds = counts.seconds();
         let bytes = counts.bytes() as f64;
         let flops = counts.flops as f64;
         if (bytes <= 0.0 && flops <= 0.0) || seconds <= 0.0 {
@@ -150,8 +152,8 @@ pub fn validate_roofline(
             bound,
             model_seconds,
             ratio,
-            achieved_gbs: counts.achieved_gbs(seconds),
-            achieved_gflops: counts.achieved_gflops(seconds),
+            achieved_gbs: counts.achieved_gbs(),
+            achieved_gflops: counts.achieved_gflops(),
             deviation,
         });
     }
@@ -173,6 +175,14 @@ mod tests {
         }
     }
 
+    /// `counts` measured at `seconds`.
+    fn timed(seconds: f64, counts: KernelCounts) -> KernelCounts {
+        KernelCounts {
+            ns: (seconds * 1e9).round() as u64,
+            ..counts
+        }
+    }
+
     #[test]
     fn ridge_point() {
         assert!((env().ridge_flops_per_byte() - 5.0).abs() < 1e-12);
@@ -183,7 +193,7 @@ mod tests {
         // 4 GB moved, 1 Gflop → intensity 0.25, memory bound; model
         // floor 0.1 s at 40 GB/s. Measured exactly on the floor.
         let c = KernelCounts::once(1, 3_000_000_000, 1_000_000_000, 1_000_000_000);
-        let rows = validate_roofline(&[("flux", 0.1, c)], &env(), ROOFLINE_TOLERANCE);
+        let rows = validate_roofline(&[("flux", timed(0.1, c))], &env(), ROOFLINE_TOLERANCE);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.bound, Bound::Memory);
@@ -198,7 +208,7 @@ mod tests {
         // 1 MB moved, 100 Gflop → intensity ≫ ridge → compute bound,
         // floor 0.5 s at 200 Gflop/s.
         let c = KernelCounts::once(1, 1_000_000, 0, 100_000_000_000);
-        let rows = validate_roofline(&[("dense", 0.5, c)], &env(), 4.0);
+        let rows = validate_roofline(&[("dense", timed(0.5, c))], &env(), 4.0);
         assert_eq!(rows[0].bound, Bound::Compute);
         assert!((rows[0].model_seconds - 0.5).abs() < 1e-12);
         assert_eq!(rows[0].deviation, None);
@@ -208,7 +218,11 @@ mod tests {
     fn slow_and_fast_deviations_flagged() {
         let c = KernelCounts::once(1, 4_000_000_000, 0, 0); // floor 0.1 s
         let rows = validate_roofline(
-            &[("slow", 0.5, c), ("fast", 0.01, c), ("ok", 0.2, c)],
+            &[
+                ("slow", timed(0.5, c)),
+                ("fast", timed(0.01, c)),
+                ("ok", timed(0.2, c)),
+            ],
             &env(),
             4.0,
         );
@@ -223,7 +237,7 @@ mod tests {
         let none = KernelCounts::once(5, 0, 0, 0); // e.g. pool.launch
         let real = KernelCounts::once(1, 1_000_000, 0, 1_000);
         let rows = validate_roofline(
-            &[("pool.launch", 1.0, none), ("unmeasured", 0.0, real)],
+            &[("pool.launch", timed(1.0, none)), ("unmeasured", real)],
             &env(),
             4.0,
         );
@@ -234,7 +248,11 @@ mod tests {
     fn rows_sorted_by_model_weight() {
         let big = KernelCounts::once(1, 8_000_000_000, 0, 0);
         let small = KernelCounts::once(1, 4_000_000, 0, 0);
-        let rows = validate_roofline(&[("small", 0.1, small), ("big", 0.3, big)], &env(), 100.0);
+        let rows = validate_roofline(
+            &[("small", timed(0.1, small)), ("big", timed(0.3, big))],
+            &env(),
+            100.0,
+        );
         assert_eq!(rows[0].name, "big");
     }
 

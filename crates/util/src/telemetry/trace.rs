@@ -68,18 +68,6 @@ pub fn render_chrome_trace(snap: &Snapshot) -> String {
 /// Schema tag on every assembled request-trace JSON document.
 pub const TRACE_SCHEMA: &str = "fun3d.trace.v1";
 
-/// FNV-1a over a tenant name — the same tag `fun3d-serve` stamps on
-/// flight events, recomputed here so hash → name resolution works
-/// without a dependency on the serve crate.
-pub(crate) fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One named point on a request's lifecycle (admit, dispatch, …), on
 /// the process telemetry clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,12 +208,13 @@ pub(crate) fn assemble_from(
     trace_spans.sort_by_key(|s| (s.start_ns, s.dur_ns));
 
     // Distributional context: the tenant's own stage histograms
-    // (resolved by hashing the name segment of `serve.tenant.<name>.*`)
-    // plus solver-wide latency histograms.
+    // (resolved by hashing the name segment of `serve.tenant.<name>.*`
+    // with the FNV-1a tag `fun3d-serve` stamps on flight events) plus
+    // solver-wide latency histograms.
     let tenant_name = tenant.and_then(|h| {
         live.hists.iter().find_map(|hist| {
             let name = tenant_segment(&hist.name)?;
-            (fnv64(name) == h).then(|| name.to_string())
+            (crate::fnv1a(name.as_bytes()) == h).then(|| name.to_string())
         })
     });
     let hists: Vec<HistSnapshot> = live
@@ -474,7 +463,7 @@ mod tests {
 
     #[test]
     fn assemble_joins_events_stages_spans_and_histograms() {
-        let tenant = fnv64("acme");
+        let tenant = crate::fnv1a(b"acme");
         let log = FlightLog {
             events: vec![
                 FlightEvent {

@@ -16,7 +16,10 @@
 #    gradient is not an edge body and has no tiled model, unchecked
 #    access in the core sits in four files, each use under a `SAFETY:`,
 #    telemetry reads three variables, keeps one thread-local and one
-#    ring type, and none of the knobs, sampler or rings it replaced; the
+#    ring type, and none of the knobs, sampler or rings it replaced; a
+#    kernel call is timed once, by its telemetry guard, so the
+#    application reads no clock of its own and the phase-timer map stays
+#    deleted; the
 #    rank layer assembles no Jacobian of its own, no kernel has a second
 #    path nothing runs (tile staging, the barrier-per-level TRSV), the
 #    execution, flux-scheme and spin knobs, the serve cache switch and
@@ -78,7 +81,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -239,6 +242,15 @@ structure_guard() {
         echo "  a sampler slot, a sampler or a second ring type: spans and flight events share ring::Ring"
         bad=1
     fi
+    # One clock per kernel: a kernel call opens telemetry::kernel, whose
+    # counters carry the call's time beside its traffic; the application
+    # reads no clock of its own and no phase-timer map comes back.
+    local app="$root/crates/core/src/app.rs"
+    if { [ -e "$app" ] && grep -nE 'PhaseTimers|timers\.borrow_mut|Instant::now' "$app"; } \
+        || grep -rnw 'PhaseTimers' "$root/crates" "$root/README.md" "$root/DESIGN.md"; then
+        echo "  a second kernel clock: time a kernel call with telemetry::kernel, whose KernelCounts carry its ns"
+        bad=1
+    fi
     # One path per kernel: a rank assembles its Jacobian through
     # fun3d_core::jacobian over its local edges, not with a loop of its own
     # or a block search per entry; tiles are walked direct only and the
@@ -312,16 +324,16 @@ structure_guard() {
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate or recorder has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
     exit 1
 fi
-# Negative canaries: each of the twenty-nine forks must trip the guard, and
+# Negative canaries: each of the thirty forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
     widening_load_in_a_sweep second_forward_row generic_factors f64_factors \
     second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked \
-    telemetry_knob_read deleted_knob_named second_thread_local sampler_back \
+    telemetry_knob_read deleted_knob_named second_thread_local sampler_back second_kernel_clock \
     rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map \
     bench_only_in_production single_value_knob_back pub_mod_back dead_code_allowed; do
     rm -rf "$CANARY"
@@ -375,6 +387,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         deleted_knob_named) echo 'Set `FUN3D_FLIGHT=off` to stop recording.' >> "$CANARY/README.md" ;;
         second_thread_local) printf 'thread_local! {\n    static SHARDS: u8 = 0;\n}\n' > "$CANARY/crates/util/src/telemetry/metrics.rs" ;;
         sampler_back) echo 'pub struct SpanSlot { seq: AtomicU64 }' > "$CANARY/crates/util/src/telemetry/profile.rs" ;;
+        second_kernel_clock) echo 'let t = std::time::Instant::now();' > "$CANARY/crates/core/src/app.rs" ;;
         rank_jacobian_loop) echo 'self.jac.add_block(b, a as u32, &da);' > "$CANARY/crates/cluster/src/fork.rs" ;;
         dead_kernel_path) echo 'Traversal::Tiled { geom, mode: TileExec::Staged }' > "$CANARY/crates/core/src/flux.rs" ;;
         unread_knob_back) echo 'Override with `FUN3D_EXEC=serial|team|auto`.' >> "$CANARY/README.md" ;;
@@ -392,7 +405,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
 
 # Warnings are errors, on every target of the workspace and on the
 # model-checked crates under their cfg. Own target dirs: the flags change

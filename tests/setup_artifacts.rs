@@ -19,20 +19,18 @@ use fun3d_partition::{partition_graph, MultilevelConfig};
 use fun3d_solver::ptc::PtcConfig;
 use fun3d_solver::ExecMode;
 use fun3d_sparse::{ilu, Bcsr4};
+use fun3d_util::{fnv1a, fnv1a_word};
 
 /// FNV-1a over little-endian words.
 struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(fnv1a(&[]))
     }
 
     fn word(&mut self, w: u64) -> &mut Fnv {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a_word(self.0, w);
         self
     }
 
