@@ -26,7 +26,9 @@ fn main() {
     let run = profiled_solve(cli.mesh, OptConfig::baseline());
     let (kernels, total) = (&run.kernels, run.wall_s);
     let shares_host: Vec<(&str, f64)> = {
-        let tracked: f64 = ["flux", "trsv", "ilu", "gradient", "jacobian"]
+        // The host's `ilu` includes the Jacobian's rows: the
+        // factorization computes each one when it reaches it.
+        let tracked: f64 = ["flux", "trsv", "ilu", "gradient"]
             .iter()
             .map(|k| kernels.seconds(k))
             .sum();
@@ -35,7 +37,6 @@ fn main() {
             ("trsv", kernels.seconds("trsv") / total),
             ("ilu", kernels.seconds("ilu") / total),
             ("gradient", kernels.seconds("gradient") / total),
-            ("jacobian", kernels.seconds("jacobian") / total),
             ("other", (total - tracked) / total),
         ]
     };

@@ -200,24 +200,15 @@ impl KernelFixture {
     }
 }
 
-/// Builds the assembled first-order Jacobian with a pseudo-time shift —
-/// the matrix the ILU/TRSV experiments factor.
+/// The first-order Jacobian with a pseudo-time shift, every row assembled
+/// into a matrix — the matrix the ILU/TRSV experiments factor.
 pub fn jacobian_fixture(fix: &KernelFixture, dt: f64) -> fun3d_sparse::Bcsr4 {
     let bc = fix.bc();
-    let mut jac = fun3d_sparse::Bcsr4::from_edges(fix.mesh.nvertices(), fix.geom.edges());
-    let slots = fun3d_core::JacobianSlots::new(&jac, fix.geom.edges());
-    fun3d_core::jacobian_assemble(&fix.geom, &bc, &fix.node, &fix.cond, &slots, &mut jac);
-    let n = jac.dim();
-    let mut shift = vec![0.0; n];
-    for v in 0..fix.mesh.nvertices() {
-        let vdt = fix.dual.vol[v] / dt;
-        shift[v * 4] = vdt / fix.cond.beta;
-        for c in 1..4 {
-            shift[v * 4 + c] = vdt;
-        }
-    }
-    fun3d_core::add_time_diagonal(&slots, &mut jac, &shift);
-    jac
+    let nv = fix.mesh.nvertices();
+    let rows = fun3d_core::JacobianRows::new(&fix.adj, &bc, nv);
+    let mut shift = vec![0.0; nv * 4];
+    fun3d_core::time_diagonal(&fix.dual.vol, fix.cond.beta, dt, &mut shift);
+    fun3d_core::JacobianAt::new(&rows, &fix.adj, &bc, &fix.cond, &fix.node.q, &shift).assemble()
 }
 
 /// Per-variant minimum seconds over `reps` rounds of one sample of each

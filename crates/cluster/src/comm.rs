@@ -14,8 +14,9 @@
 
 use fun3d_util::telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// A tagged message.
 struct Msg {
@@ -33,6 +34,33 @@ struct Shared {
     p2p_msgs: AtomicU64,
     p2p_bytes: AtomicU64,
     collectives: AtomicU64,
+}
+
+/// How long a receive polls before it blocks. A halo partner is usually
+/// microseconds behind; blocking costs a futex sleep on this rank and a
+/// wake-up on the sender's, which left in-process ranks waiting for half
+/// their time.
+const RECV_POLL: Duration = Duration::from_micros(200);
+
+/// Polls spun before a receive starts yielding its core.
+const RECV_SPINS: u32 = 64;
+
+/// The next message on `rx`: polled — spinning, then yielding so that a
+/// peer sharing the core can run and send it — for [`RECV_POLL`], then
+/// waited for blocked. The poll is bounded in time, so ranks outnumbering
+/// the cores cannot livelock.
+fn next_message(rx: &Receiver<Msg>) -> Result<Msg, RecvError> {
+    let start = Instant::now();
+    for polls in 0u32.. {
+        match rx.try_recv() {
+            Ok(msg) => return Ok(msg),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) if polls < RECV_SPINS => std::hint::spin_loop(),
+            Err(TryRecvError::Empty) if start.elapsed() < RECV_POLL => std::thread::yield_now(),
+            Err(TryRecvError::Empty) => break,
+        }
+    }
+    rx.recv()
 }
 
 /// The launcher: spins up `size` rank threads and joins them.
@@ -152,7 +180,7 @@ impl Comm {
         let rx = self.shared.receivers[src * self.shared.size + self.rank]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let msg = rx.recv().expect("sender alive");
+        let msg = next_message(&rx).expect("sender alive");
         self.recv_bytes.record((msg.data.len() * 8) as u64);
         self.recv_ns
             .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
@@ -295,6 +323,24 @@ mod tests {
         });
         assert_eq!(msgs[0].0, 1);
         assert_eq!(msgs[0].1, 16);
+    }
+
+    #[test]
+    fn five_ranks_on_fewer_cores_complete() {
+        // More ranks than this host has cores: every receive polls, yields
+        // and then blocks, and 300 rounds of ring exchanges and
+        // allreduces still finish with the right values.
+        let out = Universe::run(5, |comm| {
+            let (next, prev) = ((comm.rank() + 1) % 5, (comm.rank() + 4) % 5);
+            let mut sum = 0.0;
+            for round in 0..300 {
+                comm.send(next, round, vec![comm.rank() as f64]);
+                assert_eq!(comm.recv(prev, round), vec![prev as f64]);
+                sum += comm.allreduce_sum(&[1.0])[0];
+            }
+            sum
+        });
+        assert_eq!(out, vec![1500.0; 5]);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!   owned vertices' half-edges → halo-exchange gradients →
 //!   [`flux_run`] on the rank's one owner-writes share → local boundary
 //!   fluxes;
-//! * Jacobian: [`jacobian_assemble`] over the local edges (the owned
-//!   rows, columns over owned + ghost, are the ones kept), pseudo-time
-//!   shift, per-rank ILU of the owned-owned block (zero-overlap additive
-//!   Schwarz), refactored in place on a structure built once;
+//! * Jacobian: per-rank ILU of the owned-owned block (zero-overlap
+//!   additive Schwarz), refactored in place on a structure built once,
+//!   taking each owned row from the core's Jacobian row kernel
+//!   ([`JacobianAt`]) over the owned vertex's half-edges, ghost columns
+//!   skipped — no rank stores its Jacobian;
 //! * linear solve: the solver's matrix-free GMRES — the operator action
 //!   finite-differences the distributed residual; inner products
 //!   allreduce through the reducer;
@@ -30,18 +31,17 @@
 
 use crate::comm::Comm;
 use crate::decompose::{Decomposition, Subdomain};
-use crate::dsolve::{halo_exchange, halo_exchange_stride, OwnedBlock};
+use crate::dsolve::{halo_exchange, halo_exchange_stride};
 use fun3d_core::{
-    add_time_diagonal, bc_residual, flux_run, green_gauss, jacobian_assemble, time_diagonal,
-    BcData, EdgeGeom, Exec, FlowConditions, HalfEdges, Isa, JacobianSlots, NodeAos, Traversal,
-    GRAD_ROW,
+    bc_residual, flux_run, green_gauss, time_diagonal, BcData, EdgeGeom, Exec, FlowConditions,
+    HalfEdges, Isa, JacobianAt, JacobianRows, NodeAos, Traversal, GRAD_ROW,
 };
 use fun3d_mesh::{DualMesh, Mesh};
 use fun3d_partition::OwnerWritesPlan;
 use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
 use fun3d_solver::{GmresConfig, Reducer};
-use fun3d_sparse::{ilu, Bcsr4, IluSymbolic};
+use fun3d_sparse::{ilu, IluSymbolic};
 use std::sync::Arc;
 
 /// Immutable global inputs shared (read-only) by all ranks.
@@ -91,7 +91,7 @@ pub struct RankApp<'a> {
     /// order under the subdomain's write masks.
     plan: OwnerWritesPlan,
     /// The half-edges of the owned vertices (ghost gradients arrive by
-    /// halo exchange).
+    /// halo exchange); the Jacobian's row kernel walks them too.
     adj: HalfEdges,
     /// Boundary entries of owned vertices, local numbering.
     bc: BcData,
@@ -101,14 +101,10 @@ pub struct RankApp<'a> {
     node: NodeAos,
     /// Local residual rows; the owned ones are the result.
     res: Vec<f64>,
-    /// The first-order Jacobian over the local vertices (owned, then
-    /// ghosts); its owned rows are the rank's.
-    jac: Bcsr4,
-    /// Where assembly adds each local edge's and vertex's blocks.
-    slots: JacobianSlots,
-    /// The owned-owned block of `jac` the Schwarz ILU factors.
-    block: OwnedBlock,
-    /// The static half of every factorization of `block` at one fill
+    /// The owned rows of the Jacobian over the owned columns: the block
+    /// the Schwarz ILU factors.
+    jac_rows: JacobianRows,
+    /// The static half of every factorization of that block at one fill
     /// level, built when the first solve names the level.
     symbolic: Option<(usize, IluSymbolic)>,
     precond: Option<SerialIlu>,
@@ -148,14 +144,10 @@ impl<'a> RankApp<'a> {
         let vol: Vec<f64> = local_gids.map(|&g| setup.dual.vol[g as usize]).collect();
         let adj = HalfEdges::try_build(&geom, &bc, &vol, nowned)
             .unwrap_or_else(|e| panic!("rank {rank}: half-edges: {e}"));
-        // Jacobian pattern: every local vertex over its local-edge
-        // neighbours, all of which `jacobian_assemble` writes. Every edge
-        // at an owned vertex is local, so the owned rows come out whole; a
-        // ghost row holds only the halves of cut edges that the ghost's
-        // own rank assembles too, and the owned-owned block drops it.
-        let jac = Bcsr4::from_edges(nlocal, &sub.edges);
-        let slots = JacobianSlots::new(&jac, &sub.edges);
-        let block = OwnedBlock::new(&jac, nowned);
+        // Every edge at an owned vertex is local, so an owned row's
+        // half-edges are all there: its diagonal block is the serial one,
+        // and its ghost columns are skipped.
+        let jac_rows = JacobianRows::new(&adj, &bc, nowned);
 
         RankApp {
             setup,
@@ -167,9 +159,7 @@ impl<'a> RankApp<'a> {
             vol,
             node: NodeAos::zeros(nlocal),
             res: vec![0.0; nlocal * 4],
-            jac,
-            slots,
-            block,
+            jac_rows,
             symbolic: None,
             precond: None,
         }
@@ -206,35 +196,38 @@ impl<'a> RankApp<'a> {
         r.copy_from_slice(&self.res[..n]);
     }
 
-    /// Assembles the first-order Jacobian at the owned state `u` with
-    /// [`jacobian_assemble`] over the local edges (the owned rows are
-    /// the shared-memory application's, block for block), adds the
-    /// pseudo-time diagonal to the owned rows, and refreshes the per-rank
-    /// ILU(`fill`) factors of the owned-owned block. The ghost values are
-    /// those of the last [`RankApp::residual`], which ΨTC always
-    /// evaluates at this `u` before it rebuilds.
+    /// Refreshes the per-rank ILU(`fill`) factors of the owned-owned
+    /// block of the first-order Jacobian at the owned state `u`, plus the
+    /// pseudo-time diagonal: the factorization takes each owned row from
+    /// the row kernel (the shared-memory application's row, block for
+    /// block, without its ghost columns). The ghost values are those of
+    /// the last [`RankApp::residual`], which ΨTC always evaluates at this
+    /// `u` before it rebuilds.
     pub(crate) fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64], fill: usize) {
         let n = self.nowned4();
-        assert_eq!(time_diag.len(), n);
         self.node.q[..n].copy_from_slice(u);
-        let cond = &self.setup.cond;
-        jacobian_assemble(&self.geom, &self.bc, &self.node, cond, &self.slots, &mut self.jac);
-        add_time_diagonal(&self.slots, &mut self.jac, time_diag);
-
-        let block = self.block.refresh(&self.jac);
+        let pattern = self.jac_rows.pattern();
         if self.symbolic.as_ref().map(|(level, _)| *level) != Some(fill) {
-            let symbolic = IluSymbolic::new(block, &ilu::symbolic_iluk(block, fill));
+            let symbolic = IluSymbolic::new(pattern, &ilu::symbolic_iluk(pattern, fill));
             self.symbolic = Some((fill, symbolic));
             self.precond = None;
         }
         let (_, symbolic) = self.symbolic.as_ref().expect("built above");
+        let jac = JacobianAt::new(
+            &self.jac_rows,
+            &self.adj,
+            &self.bc,
+            &self.setup.cond,
+            &self.node.q,
+            time_diag,
+        );
         match &mut self.precond {
             Some(p) => {
                 let factors = Arc::get_mut(&mut p.factors).expect("factors never shared");
-                symbolic.refactor(block, factors);
+                symbolic.refactor(&jac, factors);
             }
             None => {
-                let factors = Arc::new(symbolic.factor(block));
+                let factors = Arc::new(symbolic.factor(&jac));
                 self.precond = Some(SerialIlu::from_factors(factors, IluApply::Serial));
             }
         }
@@ -382,12 +375,12 @@ mod tests {
 
     #[test]
     fn rank_jacobian_is_the_serial_assembly() {
-        // One preconditioner build at one state. A rank assembles with the
-        // core's loop over its local edges, and every edge at an owned
+        // One preconditioner build at one state. A rank's row kernel walks
+        // its owned vertices' half-edges, and every edge at an owned
         // vertex is local and in global order, with the ghosts' state
-        // halo-exchanged by the residual before it: so the owned rows are
-        // the shared-memory application's blocks, bit for bit, on one rank
-        // (the whole matrix) and on three.
+        // halo-exchanged by the residual before it: so the rank's owned
+        // rows over its owned columns are the shared-memory application's
+        // blocks, bit for bit, on one rank (the whole matrix) and on three.
         let mesh = reordered_mesh();
         let cond = FlowConditions::default();
         let dt = 3.0;
@@ -409,23 +402,26 @@ mod tests {
                 app.residual(&comm, &u, &mut scratch);
                 time_diagonal(&app.vol, cond.beta, dt, &mut scratch);
                 app.build_preconditioner(&u, &scratch, 1);
-                // Each owned row in global numbering: its columns and the
-                // bits of their blocks.
-                let l2g: Vec<u32> = app.sub.owned.iter().chain(&app.sub.ghosts).copied().collect();
-                let jac = &app.jac;
+                // The block the rank factored, each owned row in global
+                // numbering: its columns and the bits of their blocks.
+                let (rows, q) = (&app.jac_rows, &app.node.q);
+                let jac = JacobianAt::new(rows, &app.adj, &app.bc, &cond, q, &scratch).assemble();
+                let owned = &app.sub.owned;
                 (0..app.sub.nowned())
                     .map(|lr| {
                         let blocks = (jac.row_ptr[lr]..jac.row_ptr[lr + 1]).map(|k| {
-                            (l2g[jac.col_idx[k] as usize], jac.block(k).map(f64::to_bits))
+                            (owned[jac.col_idx[k] as usize], jac.block(k).map(f64::to_bits))
                         });
-                        (l2g[lr] as usize, blocks.collect::<Vec<_>>())
+                        (owned[lr] as usize, blocks.collect::<Vec<_>>(), owned.clone())
                     })
                     .collect::<Vec<_>>()
             });
             let mut rows = 0;
-            for (g, blocks) in parts.into_iter().flatten() {
+            for (g, blocks, owned) in parts.into_iter().flatten() {
                 rows += 1;
-                assert_eq!(blocks.len(), want.row_ptr[g + 1] - want.row_ptr[g], "P = {nranks}, row {g}");
+                let owned_cols = (want.row_ptr[g]..want.row_ptr[g + 1])
+                    .filter(|&k| owned.binary_search(&want.col_idx[k]).is_ok());
+                assert_eq!(blocks.len(), owned_cols.count(), "P = {nranks}, row {g}");
                 for (col, bits) in blocks {
                     let k = want.find(g, col).expect("a column of the serial row");
                     let serial_bits = want.block(k).map(f64::to_bits);

@@ -89,43 +89,23 @@ pub(crate) fn localize_matrix(aglob: &Bcsr4, sub: &Subdomain) -> Bcsr4 {
 }
 
 /// The owned-owned diagonal block of a rank's local rows — what its
-/// Schwarz ILU factors. The pattern and the position each block is
-/// copied from are found once; [`OwnedBlock::refresh`] then only copies
-/// values.
-pub(crate) struct OwnedBlock {
-    diag: Bcsr4,
-    /// Storage position in the local matrix of each block of `diag`.
-    src: Vec<usize>,
-}
-
-impl OwnedBlock {
-    /// Finds the blocks of `local`'s first `nowned` rows whose column is
-    /// owned too.
-    pub(crate) fn new(local: &Bcsr4, nowned: usize) -> OwnedBlock {
-        // `from_pattern` stores each row's columns in the order given, so
-        // block `i` of the pattern is the `i`-th position pushed here.
-        let mut src = Vec::new();
-        let cols: Vec<Vec<u32>> = (0..nowned)
-            .map(|r| {
-                let first = src.len();
-                src.extend(
-                    (local.row_ptr[r]..local.row_ptr[r + 1])
-                        .filter(|&k| (local.col_idx[k] as usize) < nowned),
-                );
-                src[first..].iter().map(|&k| local.col_idx[k]).collect()
-            })
-            .collect();
-        let diag = Bcsr4::from_pattern(&cols);
-        OwnedBlock { diag, src }
-    }
-
-    /// The block with `local`'s current values.
-    pub(crate) fn refresh(&mut self, local: &Bcsr4) -> &Bcsr4 {
-        for (dst, &k) in self.diag.blocks.chunks_exact_mut(16).zip(&self.src) {
-            dst.copy_from_slice(&local.blocks[k * 16..(k + 1) * 16]);
+/// Schwarz ILU factors: the blocks of `local`'s first `nowned` rows whose
+/// column is owned too.
+fn owned_block(local: &Bcsr4, nowned: usize) -> Bcsr4 {
+    let mut block = Bcsr4 {
+        row_ptr: vec![0],
+        col_idx: Vec::new(),
+        blocks: Vec::new(),
+    };
+    for r in 0..nowned {
+        let owned = |&k: &usize| (local.col_idx[k] as usize) < nowned;
+        for k in (local.row_ptr[r]..local.row_ptr[r + 1]).filter(owned) {
+            block.col_idx.push(local.col_idx[k]);
+            block.blocks.extend_from_slice(local.block(k));
         }
-        &self.diag
+        block.row_ptr.push(block.col_idx.len());
     }
+    block
 }
 
 /// One rank's distributed linear-system context.
@@ -142,7 +122,7 @@ impl DistSystem {
     /// Builds from the global matrix and a subdomain.
     pub fn new(aglob: &Bcsr4, sub: Subdomain, fill: usize) -> DistSystem {
         let a = localize_matrix(aglob, &sub);
-        let precond = SerialIlu::new(OwnedBlock::new(&a, sub.nowned()).refresh(&a), fill);
+        let precond = SerialIlu::new(&owned_block(&a, sub.nowned()), fill);
         DistSystem { sub, a, precond }
     }
 

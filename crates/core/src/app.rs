@@ -6,7 +6,8 @@ use crate::bc::{self, BcData};
 use crate::edge_loop::{Exec, Traversal, PREFETCH_DIST};
 use crate::euler::FlowConditions;
 use crate::geom::{EdgeGeom, HalfEdges, NodeAos, TiledGeom};
-use crate::{flux, gradient, jacobian};
+use crate::jacobian::{self, JacobianAt, JacobianRows, LastBuild};
+use crate::{flux, gradient};
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::{rcm, DualMesh, Mesh};
 use fun3d_partition::{
@@ -19,7 +20,7 @@ use fun3d_solver::{ExecMode, FluxScheme};
 use fun3d_sparse::{ilu, Bcsr4, IluFactors, IluSymbolic, P2pSchedule};
 use fun3d_threads::{P2pProgress, TeamMember, TeamSlice, ThreadPool};
 use fun3d_util::telemetry;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The optimization configuration of a run — the knobs the paper's
 /// "baseline" vs "optimized" comparison turns. With more than one thread
@@ -168,13 +169,16 @@ pub struct Fun3dApp {
     pub cfg: OptConfig,
     node: NodeAos,
     vol: Vec<f64>,
-    /// What the gradient kernels gather over.
+    /// What the gradient kernels gather over, and the Jacobian's row
+    /// kernel too.
     adj: HalfEdges,
-    jac: Bcsr4,
-    /// Where `jacobian::assemble` adds each edge's and vertex's blocks.
-    jac_slots: jacobian::JacobianSlots,
-    ilu_pattern: Vec<Vec<u32>>,
-    /// The static half of every factorization of `jac` on `ilu_pattern`.
+    /// The Jacobian's pattern and where each half-edge writes in its row.
+    jac_rows: JacobianRows,
+    /// What [`Fun3dApp::jacobian_matrix`] assembles from.
+    last_build: LastBuild,
+    /// The ILU fill pattern, computed when first asked for.
+    ilu_pattern: OnceLock<Vec<Vec<u32>>>,
+    /// The static half of every factorization of the Jacobian.
     ilu_symbolic: IluSymbolic,
     pool: Option<Arc<ThreadPool>>,
     plan: Option<OwnerWritesPlan>,
@@ -252,10 +256,11 @@ impl Fun3dApp {
         let node = NodeAos::zeros(nv);
         let vol = dual.vol.clone();
         let adj = HalfEdges::build(&geom, &bc, &vol);
-        let jac = Bcsr4::from_edges(nv, geom.edges());
-        let jac_slots = jacobian::JacobianSlots::new(&jac, geom.edges());
-        let ilu_pattern = ilu::symbolic_iluk(&jac, cfg.ilu_fill);
-        let ilu_symbolic = IluSymbolic::new(&jac, &ilu_pattern);
+        let jac_rows = JacobianRows::new(&adj, &bc, nv);
+        let ilu_symbolic = IluSymbolic::new(
+            jac_rows.pattern(),
+            &ilu::symbolic_iluk(jac_rows.pattern(), cfg.ilu_fill),
+        );
 
         // Residual-path scheme: Auto weighs the node working set against
         // the private L2 of the cores in use.
@@ -297,9 +302,9 @@ impl Fun3dApp {
             node,
             vol,
             adj,
-            jac,
-            jac_slots,
-            ilu_pattern,
+            jac_rows,
+            last_build: LastBuild::new(nv * 4),
+            ilu_pattern: OnceLock::new(),
             ilu_symbolic,
             pool,
             plan,
@@ -378,14 +383,18 @@ impl Fun3dApp {
         self.plan.as_ref()
     }
 
-    /// The assembled Jacobian (valid after a `build_preconditioner`).
+    /// The Jacobian the last preconditioner build factored (valid after
+    /// a `build_preconditioner` that was not seeded). No build stores it:
+    /// the first call after a build assembles it from the build's state
+    /// and pseudo-time shift, which the app keeps.
     pub fn jacobian_matrix(&self) -> &Bcsr4 {
-        &self.jac
+        self.last_build.matrix(&self.jac_rows, &self.adj, &self.bc, &self.cond)
     }
 
-    /// The cached ILU fill pattern.
+    /// The ILU fill pattern (computed on the first call).
     pub fn ilu_pattern(&self) -> &[Vec<u32>] {
-        &self.ilu_pattern
+        self.ilu_pattern
+            .get_or_init(|| ilu::symbolic_iluk(self.jac_rows.pattern(), self.cfg.ilu_fill))
     }
 
     /// Points the preconditioner at `factors`, building its schedule
@@ -481,23 +490,14 @@ impl PtcProblem for Fun3dApp {
             self.install_factors(seed);
             return;
         }
-        self.node.q.copy_from_slice(u);
-        {
-            let _k = telemetry::kernel(
-                "jacobian",
-                crate::counts::jacobian(self.geom.nedges(), self.node.n),
-            );
-            jacobian::assemble(
-                &self.geom,
-                &self.bc,
-                &self.node,
-                &self.cond,
-                &self.jac_slots,
-                &mut self.jac,
-            );
-            jacobian::add_time_diagonal(&self.jac_slots, &mut self.jac, time_diag);
-        }
-        let _k = telemetry::kernel("ilu", crate::counts::ilu_factor(&self.ilu_symbolic));
+        self.last_build.record(u, time_diag);
+        // One kernel: the factorization takes each row of the Jacobian
+        // from the row kernel when it reaches the row.
+        let _k = telemetry::kernel(
+            "ilu",
+            crate::counts::ilu_build(&self.ilu_symbolic, self.geom.nedges()),
+        );
+        let jac = JacobianAt::new(&self.jac_rows, &self.adj, &self.bc, &self.cond, u, time_diag);
         // Refactor into the factors the preconditioner already owns when
         // nobody else holds them. A seed adopted from, or a first build
         // captured for, the serve factor cache is shared — the cache must
@@ -507,12 +507,13 @@ impl PtcProblem for Fun3dApp {
             .as_mut()
             .and_then(|p| Arc::get_mut(&mut p.ilu.factors));
         // With P2P schedules the team factors, each thread the rows of its
-        // forward-sweep program: the same factors, bit for bit.
-        let (sym, jac) = (&self.ilu_symbolic, &self.jac);
+        // forward-sweep program, which it also computes: the same factors,
+        // bit for bit.
+        let sym = &self.ilu_symbolic;
         let team = self.schedules.as_ref().zip(self.pool.as_deref());
         let refactor = |f: &mut IluFactors| match team {
-            Some((s, pool)) => sym.refactor_team(jac, f, pool, &s.fwd, &s.ilu_progress),
-            None => sym.refactor(jac, f),
+            Some((s, pool)) => sym.refactor_team(&jac, f, pool, &s.fwd, &s.ilu_progress),
+            None => sym.refactor(&jac, f),
         };
         match owned {
             Some(f) => refactor(f),
@@ -548,6 +549,7 @@ impl PtcProblem for Fun3dApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jacobian::tests::scatter_oracle;
     use fun3d_mesh::generator::MeshPreset;
     use fun3d_util::telemetry::CounterMap;
 
@@ -590,9 +592,30 @@ mod tests {
             stats.res_history
         );
         assert!(stats.linear_iters > 0);
-        for kernel in ["flux", "gradient", "jacobian", "ilu", "trsv"] {
+        for kernel in ["flux", "gradient", "ilu", "trsv"] {
             assert!(calls(&kernels, kernel) > 0, "missing kernel {kernel}");
             assert!(kernels.seconds(kernel) > 0.0, "untimed kernel {kernel}");
+        }
+    }
+
+    #[test]
+    fn jacobian_matrix_is_the_oracle_at_the_last_build() {
+        // No build stores the Jacobian; asked for it, the app assembles
+        // the one its last build factored, bit for bit the edge scatter's
+        // at that build's state and shift — and a later build moves it.
+        let mut app = build(OptConfig::baseline());
+        let mut u = app.initial_state();
+        let mut rng = fun3d_util::Rng64::new(31);
+        let mut shift = vec![0.0; u.len()];
+        for dt in [2.0, 0.5] {
+            u.iter_mut().for_each(|x| *x += rng.range_f64(-0.05, 0.05));
+            app.time_diag(dt, &mut shift);
+            app.build_preconditioner(&u, &shift);
+            let want = scatter_oracle(&app.geom, &app.bc, &u, &app.cond, &shift);
+            let got = app.jacobian_matrix();
+            assert_eq!((&got.row_ptr, &got.col_idx), (&want.row_ptr, &want.col_idx));
+            let bits = |m: &Bcsr4| m.blocks.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "dt = {dt}");
         }
     }
 

@@ -9,7 +9,6 @@
 use crate::euler::{self, FlowConditions};
 use crate::geom::NodeAos;
 use fun3d_mesh::{BcTag, DualMesh};
-use fun3d_sparse::Bcsr4;
 
 /// SoA per-(vertex, tag) boundary data: the aggregated outward normals
 /// from the dual metrics.
@@ -97,49 +96,42 @@ pub(crate) fn farfield_flux(q: &[f64; 4], qinf: &[f64; 4], n: &[f64; 3], beta: f
     f
 }
 
-/// Adds the boundary flux Jacobian `∂F_bnd/∂q_v` into the diagonal blocks
-/// of the assembled (first-order) Jacobian; `diag[v]` is the storage
-/// position of row `v`'s diagonal block.
-pub(crate) fn jacobian(
-    bc: &BcData,
-    node: &NodeAos,
+/// The boundary flux Jacobian `∂F_bnd/∂q_v` of one boundary entry of
+/// kind `tag` with outward normal `n` at its vertex's state `q`: the block
+/// the entry adds onto its vertex's diagonal.
+pub(crate) fn jacobian_block(
+    tag: BcTag,
+    n: &[f64; 3],
+    q: &[f64; 4],
     cond: &FlowConditions,
-    diag: &[u32],
-    jac: &mut Bcsr4,
-) {
-    for i in 0..bc.len() {
-        let v = bc.vertex[i] as usize;
-        let n = [bc.nx[i], bc.ny[i], bc.nz[i]];
-        let block = match bc.tag[i] {
-            BcTag::SlipWall | BcTag::Symmetry => {
-                // dF/dq: only the pressure column is nonzero.
-                let mut b = [0.0f64; 16];
-                b[1 * 4] = n[0];
-                b[2 * 4] = n[1];
-                b[3 * 4] = n[2];
-                b
+) -> [f64; 16] {
+    match tag {
+        BcTag::SlipWall | BcTag::Symmetry => {
+            // dF/dq: only the pressure column is nonzero.
+            let mut b = [0.0f64; 16];
+            b[1 * 4] = n[0];
+            b[2 * 4] = n[1];
+            b[3 * 4] = n[2];
+            b
+        }
+        BcTag::FarField => {
+            // d/dq [½(F(q)+F(q∞)) − ½λ(q∞−q)] ≈ ½A(q) + ½λI (λ frozen).
+            let qm = [
+                0.5 * (q[0] + cond.qinf[0]),
+                0.5 * (q[1] + cond.qinf[1]),
+                0.5 * (q[2] + cond.qinf[2]),
+                0.5 * (q[3] + cond.qinf[3]),
+            ];
+            let lam = euler::spectral_radius(&qm, n, cond.beta);
+            let mut b = euler::flux_jacobian(q, n, cond.beta);
+            for x in b.iter_mut() {
+                *x *= 0.5;
             }
-            BcTag::FarField => {
-                // d/dq [½(F(q)+F(q∞)) − ½λ(q∞−q)] ≈ ½A(q) + ½λI (λ frozen).
-                let q = node.state(v);
-                let qm = [
-                    0.5 * (q[0] + cond.qinf[0]),
-                    0.5 * (q[1] + cond.qinf[1]),
-                    0.5 * (q[2] + cond.qinf[2]),
-                    0.5 * (q[3] + cond.qinf[3]),
-                ];
-                let lam = euler::spectral_radius(&qm, &n, cond.beta);
-                let mut b = euler::flux_jacobian(&q, &n, cond.beta);
-                for x in b.iter_mut() {
-                    *x *= 0.5;
-                }
-                for d in 0..4 {
-                    b[d * 4 + d] += 0.5 * lam;
-                }
-                b
+            for d in 0..4 {
+                b[d * 4 + d] += 0.5 * lam;
             }
-        };
-        jac.add_block_at(diag[v] as usize, &block);
+            b
+        }
     }
 }
 
@@ -210,18 +202,7 @@ mod tests {
         let n = [0.5, 0.1, -0.2];
         // numeric dF/dq with λ frozen is approximated by the analytic
         // block up to the dλ/dq term; use a loose tolerance.
-        let mut jac = Bcsr4::from_pattern(&[vec![0]]);
-        let mut node = NodeAos::zeros(1);
-        node.q[..4].copy_from_slice(&q);
-        let bc = BcData {
-            vertex: vec![0],
-            nx: vec![n[0]],
-            ny: vec![n[1]],
-            nz: vec![n[2]],
-            tag: vec![BcTag::FarField],
-        };
-        jacobian(&bc, &node, &cond, &[0], &mut jac);
-        let b = jac.block(0);
+        let b = jacobian_block(BcTag::FarField, &n, &q, &cond);
         let f0 = farfield_flux(&q, &cond.qinf, &n, cond.beta);
         let h = 1e-6;
         for j in 0..4 {

@@ -107,19 +107,34 @@ pub fn flux_tiled(nedges: usize, vertex_slots: usize) -> KernelCounts {
     KernelCounts::once(ne, reads, writes, flops)
 }
 
-/// First-order Jacobian assembly model for one rebuild.
+/// First-order Jacobian model for one rebuild: the row kernel over
+/// `nedges` edges and `nrows` rows ([`crate::jacobian`]).
 ///
-/// Per edge: read geometry and both states, linearize the Roe flux
-/// (~2× the flux flops once for each sign of the perturbation) and
-/// read-modify-write four 4×4 blocks (aa, ab, ba, bb); per block row:
-/// the time-diagonal update touches the diagonal block.
+/// Per edge, its two half-edges: each reads its 4 B neighbour id, 24 B
+/// normal, 4 B slot and the neighbour's 32 B state, and linearizes the
+/// flux at both ends (modelled, as the edge scatter was, at ~2× the flux
+/// flops plus the four block updates); per row: the row's own state and
+/// its 32 B pseudo-time shift. The blocks go to the factorization's row
+/// buffer, not to memory, so nothing is written.
 pub(crate) fn jacobian(nedges: usize, nrows: usize) -> KernelCounts {
     let ne = nedges as u64;
     let nr = nrows as u64;
-    let reads = ne * (6 * 8 + 8 + 2 * STATE_BYTES + 4 * BLOCK_BYTES) + nr * (BLOCK_BYTES + 4 * 8);
-    let writes = ne * 4 * BLOCK_BYTES + nr * BLOCK_BYTES;
+    let reads = ne * 2 * (4 + 3 * 8 + 4 + STATE_BYTES) + nr * (STATE_BYTES + 4 * 8);
     let flops = ne * (2 * EdgeGeom::FLUX_FLOPS_PER_EDGE as u64 + 4 * 16) + nr * 4;
-    KernelCounts::once(ne, reads, writes, flops)
+    KernelCounts::once(ne, reads, 0, flops)
+}
+
+/// The preconditioner build as it runs, one kernel: the factorization
+/// into `sym`'s structure ([`ilu_factor`]) taking every row of the
+/// Jacobian from the row kernel over `nedges` edges ([`jacobian`]).
+pub(crate) fn ilu_build(sym: &IluSymbolic, nedges: usize) -> KernelCounts {
+    let (f, j) = (ilu_factor(sym), jacobian(nedges, sym.l_pattern().nrows()));
+    KernelCounts {
+        bytes_read: f.bytes_read + j.bytes_read,
+        bytes_written: f.bytes_written + j.bytes_written,
+        flops: f.flops + j.flops,
+        ..f
+    }
 }
 
 /// ILU(k) numeric factorization model for one rebuild into the factor

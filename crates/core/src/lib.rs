@@ -30,9 +30,11 @@
 //!   kernel) as one owner-computes vertex loop, bitwise the edge loop it
 //!   replaces at any thread count, and least-squares gradients over the
 //!   same adjacency;
-//! * `jacobian` — first-order (more diffusive, sparser) flux Jacobian
-//!   assembled into 4×4-block BCSR for the Schwarz/ILU preconditioner:
-//!   the one assembly loop, which a rank runs over its local edges too;
+//! * `jacobian` — first-order (more diffusive, sparser) flux Jacobian of
+//!   the Schwarz/ILU preconditioner as one row kernel over a vertex's
+//!   half-edges: the factorization takes each 4×4-block row from it when
+//!   it reaches that row, so the matrix is never stored (a rank runs the
+//!   same kernel over its owned rows);
 //! * `bc` — slip-wall, symmetry and far-field boundary fluxes and their
 //!   Jacobian contributions;
 //! * `app` — [`Fun3dApp`]: the full application wiring mesh +
@@ -63,6 +65,4 @@ pub use flux::{edge_flux, roe_lanes, run as flux_run, serial_aos as flux_serial_
 pub use fun3d_simd::{active_isa, Isa};
 pub use geom::{grad_slot, EdgeGeom, GeomError, HalfEdges, NodeAos, TiledGeom, GRAD_ROW};
 pub use gradient::green_gauss;
-pub use jacobian::{
-    add_time_diagonal, assemble as jacobian_assemble, time_diagonal, JacobianSlots,
-};
+pub use jacobian::{time_diagonal, JacobianAt, JacobianRows};

@@ -8,9 +8,11 @@
 //!   keyed by [`crate::SolveRequest::prep_key`]. An app is built on its
 //!   team's persistent pool (`Fun3dApp::with_pool`) and its owner-writes
 //!   plan and P2P schedules are sized to that team, so instances never
-//!   migrate: each team caches the apps it built, and the bounded LRU
-//!   keeps a team's resident set small. Reuse is bitwise-identical
-//!   to a fresh build (pinned by `fun3d-core`'s
+//!   migrate: each team caches the apps it built, and the bounded,
+//!   scan-resistant LRU keeps a team's resident set small — an app never
+//!   reused goes before any reused one, so a stream of one-off requests
+//!   cycles through one slot instead of evicting the hot set. Reuse is
+//!   bitwise-identical to a fresh build (pinned by `fun3d-core`'s
 //!   `reuse_and_factor_seed_are_bitwise_identical` test).
 //! * **First ILU factors** (a process-wide
 //!   [`KeyedCache`]`<IluFactors>`): factors are plain `Send + Sync`
@@ -88,9 +90,9 @@ impl CacheSnapshot {
     }
 }
 
-/// Bounded LRU of prepared apps, owned by one dispatcher thread.
-/// Entries are *taken out* while a job runs (the job holds `&mut` on
-/// the app) and put back afterwards, so the cache never aliases a live
+/// Bounded, scan-resistant LRU of prepared apps, owned by one dispatcher
+/// thread. Entries are *taken out* while a job runs (the job holds `&mut`
+/// on the app) and put back afterwards, so the cache never aliases a live
 /// solve.
 pub(crate) struct TeamAppCache {
     entries: Vec<Entry>,
@@ -102,6 +104,8 @@ struct Entry {
     key: u64,
     app: Fun3dApp,
     last_used: u64,
+    /// The app has served a request since it was built.
+    reused: bool,
 }
 
 impl TeamAppCache {
@@ -129,9 +133,11 @@ impl TeamAppCache {
         }
     }
 
-    /// Returns an app to the cache (or stores a freshly built one),
-    /// evicting the least-recently-used entry past capacity.
-    pub(crate) fn put(&mut self, key: u64, app: Fun3dApp, counters: &CacheCounters) {
+    /// Returns an app to the cache — `reused` if it came from
+    /// [`TeamAppCache::take`] — or stores a freshly built one. Past
+    /// capacity it evicts the least-recently-used app that was never
+    /// reused, and only if every app was, the least-recently-used one.
+    pub(crate) fn put(&mut self, key: u64, app: Fun3dApp, reused: bool, counters: &CacheCounters) {
         if self.capacity == 0 {
             return;
         }
@@ -144,7 +150,7 @@ impl TeamAppCache {
                 .entries
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
+                .min_by_key(|(_, e)| (e.reused, e.last_used))
                 .map(|(pos, _)| pos)
             {
                 self.entries.swap_remove(pos);
@@ -155,6 +161,7 @@ impl TeamAppCache {
             key,
             app,
             last_used: self.clock,
+            reused,
         });
         counters.app_insertions.fetch_add(1, Ordering::Relaxed);
     }
@@ -182,11 +189,11 @@ mod tests {
         let counters = CacheCounters::new(4);
         let mut cache = TeamAppCache::new(1);
         assert!(cache.take(1, &counters).is_none());
-        cache.put(1, tiny_app(), &counters);
+        cache.put(1, tiny_app(), false, &counters);
         let app = cache.take(1, &counters).expect("hit");
         assert_eq!(cache.len(), 0, "taken apps leave the cache");
-        cache.put(1, app, &counters);
-        cache.put(2, tiny_app(), &counters); // evicts key 1
+        cache.put(1, app, true, &counters);
+        cache.put(2, tiny_app(), false, &counters); // evicts key 1, the only one
         assert!(cache.take(1, &counters).is_none());
         assert!(cache.take(2, &counters).is_some());
         let s = counters.snapshot().app;
@@ -195,10 +202,35 @@ mod tests {
     }
 
     #[test]
+    fn one_off_apps_are_evicted_before_reused_ones() {
+        // A hot set of two reused apps and a stream of one-off apps
+        // through a cache of three: each one-off evicts the one before
+        // it, never a hot app — even the least recently used one.
+        let counters = CacheCounters::new(4);
+        let mut cache = TeamAppCache::new(3);
+        for key in [1, 2] {
+            cache.put(key, tiny_app(), false, &counters);
+            let app = cache.take(key, &counters).expect("just stored");
+            cache.put(key, app, true, &counters);
+        }
+        for cold in 10..14 {
+            cache.put(cold, tiny_app(), false, &counters);
+            assert_eq!(cache.len(), 3);
+        }
+        for key in [1, 2, 13] {
+            assert!(
+                cache.take(key, &counters).is_some(),
+                "key {key} was evicted"
+            );
+        }
+        assert_eq!(counters.snapshot().app.evictions, 3);
+    }
+
+    #[test]
     fn zero_capacity_disables_the_layer() {
         let counters = CacheCounters::new(0);
         let mut cache = TeamAppCache::new(0);
-        cache.put(1, tiny_app(), &counters);
+        cache.put(1, tiny_app(), false, &counters);
         assert!(cache.take(1, &counters).is_none());
         assert_eq!(counters.snapshot().app.insertions, 0);
     }
@@ -208,7 +240,7 @@ mod tests {
         let counters = CacheCounters::new(4);
         let mut cache = TeamAppCache::new(2);
         cache.take(9, &counters); // app miss
-        cache.put(9, tiny_app(), &counters);
+        cache.put(9, tiny_app(), false, &counters);
         cache.take(9, &counters); // app hit
         counters.factors.get(1); // factor miss
         let snap = counters.snapshot();

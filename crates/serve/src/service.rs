@@ -601,7 +601,7 @@ fn execute(
         }
     }
     let cache = CacheOutcome::new(app_hit, factor_hit);
-    app_cache.put(prep_key, app, counters);
+    app_cache.put(prep_key, app, app_hit, counters);
 
     let state_fnv = hash_state(&u);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -251,13 +251,18 @@ struct LeastSquares {
 }
 
 impl Gmres {
-    /// Creates a solver for vectors of length `n`.
+    /// Creates a solver for vectors of length `n`. A cycle never runs
+    /// past the iteration cap, so the restart length is clamped to
+    /// `max_iters` (at least 1) and the basis holds `min(restart,
+    /// max_iters) + 1` vectors: a probe capped at 4 iterations allocates
+    /// 5, not 31. The iterations are the same either way.
     ///
     /// Panics if `config.restart` is 0: no Arnoldi step would ever run,
     /// so the iteration cap could never end the solve.
-    pub fn new(n: usize, config: GmresConfig) -> Self {
+    pub fn new(n: usize, mut config: GmresConfig) -> Self {
+        assert!(config.restart > 0, "GmresConfig::restart must be at least 1, got 0");
+        config.restart = config.restart.min(config.max_iters.max(1));
         let restart = config.restart;
-        assert!(restart > 0, "GmresConfig::restart must be at least 1, got 0");
         Gmres {
             config,
             basis: (0..restart + 1).map(|_| vec![0.0; n]).collect(),
@@ -845,6 +850,32 @@ mod tests {
             r1.iterations
         );
         check_solution(&a, &b, &x2, 1e-6);
+    }
+
+    #[test]
+    fn basis_is_sized_to_the_iteration_cap_bitwise() {
+        // A probe-shaped solve (restart 30, capped at 4 iterations) holds
+        // five basis vectors and is the solve on a full 31-vector basis
+        // bit for bit: the same iterate, history and counts.
+        let a = mesh_matrix(74);
+        let n = a.dim();
+        let b: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();
+        let ilu = SerialIlu::new(&a, 0);
+        let probe = GmresConfig { max_iters: 4, rtol: 1e-14, ..GmresConfig::default() };
+        let mut sized = Gmres::new(n, probe);
+        assert_eq!((sized.basis.len(), sized.config.restart), (5, 4));
+        let mut full = Gmres::new(n, GmresConfig { max_iters: 1000, ..probe });
+        full.config.max_iters = 4;
+        assert_eq!(full.basis.len(), 31);
+        let (mut x1, mut x2) = (vec![0.0; n], vec![0.0; n]);
+        let r1 = sized.solve(&a, &ilu, &b, &mut x1);
+        let r2 = full.solve(&a, &ilu, &b, &mut x2);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x1), bits(&x2));
+        assert_eq!(bits(&r1.history), bits(&r2.history));
+        assert_eq!((r1.iterations, r1.reductions), (4, r2.reductions));
+        let capped = |o| matches!(o, GmresOutcome::MaxIterations);
+        assert!(capped(r1.outcome) && capped(r2.outcome));
     }
 
     #[test]

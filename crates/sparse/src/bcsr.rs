@@ -168,21 +168,6 @@ impl Bcsr4 {
             .map(|k| r.start + k)
     }
 
-    /// Adds a whole block into storage position `k`, as [`Bcsr4::find`]
-    /// returns it: assembly looks its positions up once
-    /// (`fun3d_core::JacobianSlots`).
-    #[inline]
-    pub fn add_block_at(&mut self, k: usize, b: &Block4) {
-        for (dst, src) in self.block_mut(k).iter_mut().zip(b) {
-            *dst += src;
-        }
-    }
-
-    /// Zeroes all values (pattern preserved).
-    pub fn zero_values(&mut self) {
-        self.blocks.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// Serial block SpMV: `y = A x`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.dim());
@@ -280,7 +265,6 @@ impl Bcsr4 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::ZERO_BLOCK;
     use crate::dense;
 
     fn tiny_matrix() -> Bcsr4 {
@@ -352,17 +336,6 @@ mod tests {
             fun3d_threads::ThreadPool::new(nt).run(|tid| a.spmv_team(tid, nt, &x, view));
             assert_eq!(y1, y2, "team SpMV must be bitwise identical at nt={nt}");
         }
-    }
-
-    #[test]
-    fn add_block_at_and_zero_values() {
-        let mut a = Bcsr4::from_pattern(&[vec![0]]);
-        let mut b = ZERO_BLOCK;
-        b[0] = 1.0;
-        a.add_block_at(0, &b);
-        assert_eq!(a.block(0)[0], 1.0);
-        a.zero_values();
-        assert!(a.blocks.iter().all(|&x| x == 0.0));
     }
 
     #[test]

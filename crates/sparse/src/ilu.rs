@@ -35,12 +35,13 @@
 //!
 //! * [`IluSymbolic`] is everything that depends only on the pair
 //!   (pattern of A, ILU pattern): the L and U `row_ptr`/`col_idx`, and for
-//!   every pattern slot the block of A that seeds it (or none, for
-//!   fill). It is built by merging the two sorted rows — never by
+//!   every pattern slot the position in its row of A of the block that
+//!   seeds it (or none, for fill). It is built by merging the two sorted rows — never by
 //!   search — and it is where a malformed pattern panics, naming the row
 //!   and the fault.
-//! * The numeric core streams over that structure: scatter the A row into
-//!   the packed row buffer, eliminate, narrow the L and U slots out. The
+//! * The numeric core streams over that structure: take row `i` of A from
+//!   its [`BlockRows`] source, scatter it into the packed row buffer,
+//!   eliminate, narrow the L and U slots out. The
 //!   4×4 multiply and multiply-subtract run on [`fun3d_simd::Simd`] lanes
 //!   picked by [`Isa::detect`], in the per-entry operation order of the
 //!   [`TempBuffer::Full`] reference and without fused multiply-add, so
@@ -55,6 +56,17 @@
 //!   names, which is the forward sweep's dependency DAG. A row's
 //!   arithmetic does not depend on which loop or thread runs it, so the
 //!   team's factors are the serial ones bit for bit at any thread count.
+//!   A team thread takes each of its rows of A from the source *before*
+//!   it waits on the rows that row depends on, so a source that computes
+//!   its rows (the application's Jacobian) runs in parallel off the
+//!   critical path.
+//!
+//! A is read only through [`BlockRows`]: one row at a time, when the
+//! factorization reaches it. A stored [`Bcsr4`] is one source; a kernel
+//! that computes row `i` into a per-row buffer is another, and then A is
+//! never stored at all (PETSc assembles the whole matrix first and factors
+//! it second; here the producer feeds the consumer row by row, as OP2's
+//! loop fusion keeps an intermediate array out of memory).
 //!
 //! [`factor`] keeps the one-shot form (structure, then numeric, into fresh
 //! storage); [`TempBuffer::Full`] keeps the structure-per-call,
@@ -76,7 +88,6 @@
 use crate::bcsr::{Bcsr4, Pattern};
 use crate::block::{self, Block4, FactorBlock, BLOCK_LEN, FACTOR_BLOCK_BYTES, ZERO_BLOCK};
 use crate::p2p::{P2pSchedule, Program};
-use crate::trsv::RowOrder;
 use fun3d_simd::{with_lanes, Isa, Simd};
 use fun3d_threads::{P2pProgress, ThreadPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -169,14 +180,43 @@ impl IluFactors {
     }
 }
 
-/// Computes the ILU(`fill`) pattern of a matrix: for each row, the sorted
-/// block columns retained. `fill = 0` returns A's own pattern.
+/// Where a factorization takes the blocks of A from: one row at a time,
+/// when the factorization reaches it. A stored [`Bcsr4`] lends its own
+/// rows; a source that computes its rows writes each into the buffer it
+/// is handed, so A never exists as a whole.
+///
+/// `Sync` because the team factorization asks for rows from every thread
+/// of its pool at once.
+pub trait BlockRows: Sync {
+    /// A's pattern: the block columns of every row, ascending.
+    fn pattern(&self) -> Pattern<'_>;
+
+    /// Row `i`'s blocks, 16 row-major `f64` each, in the pattern's column
+    /// order: either written into `buf` (which holds the longest row) and
+    /// returned, or borrowed from the source's own storage.
+    fn row<'s>(&'s self, i: usize, buf: &'s mut [f64]) -> &'s [f64];
+}
+
+impl BlockRows for Bcsr4 {
+    fn pattern(&self) -> Pattern<'_> {
+        self.into()
+    }
+
+    #[inline]
+    fn row<'s>(&'s self, i: usize, _buf: &'s mut [f64]) -> &'s [f64] {
+        &self.blocks[self.row_ptr[i] * BLOCK_LEN..self.row_ptr[i + 1] * BLOCK_LEN]
+    }
+}
+
+/// Computes the ILU(`fill`) pattern of a matrix pattern: for each row, the
+/// sorted block columns retained. `fill = 0` returns A's own pattern.
 ///
 /// Standard level-of-fill recurrence: `lev(i,j) = 0` for original
 /// entries, and fill entry levels satisfy
 /// `lev(i,j) = min_k lev(i,k) + lev(k,j) + 1`; entries with level ≤ fill
 /// are kept.
-pub fn symbolic_iluk(a: &Bcsr4, fill: usize) -> Vec<Vec<u32>> {
+pub fn symbolic_iluk<'a>(a: impl Into<Pattern<'a>>, fill: usize) -> Vec<Vec<u32>> {
+    let a: Pattern<'a> = a.into();
     let n = a.nrows();
     // The upper part (cols > row) of every processed row with its levels,
     // rows back to back: later rows eliminate with it.
@@ -196,7 +236,7 @@ pub fn symbolic_iluk(a: &Bcsr4, fill: usize) -> Vec<Vec<u32>> {
     for i in 0..n {
         epoch += 1;
         cols.clear();
-        for &c in &a.col_idx[a.row_ptr[i]..a.row_ptr[i + 1]] {
+        for &c in a.row(i) {
             cols.push(c);
             lev[c as usize] = 0;
             stamp[c as usize] = epoch;
@@ -265,24 +305,27 @@ pub struct IluSymbolic {
     l_col_idx: Vec<u32>,
     u_row_ptr: Vec<usize>,
     u_col_idx: Vec<u32>,
-    /// Per pattern slot, rows back to back, the block of A that seeds
-    /// it, or [`NO_SEED`].
+    /// Per pattern slot, rows back to back, the position within its row
+    /// of A of the block that seeds it, or [`NO_SEED`].
     seed: Vec<u32>,
-    /// Block count of the A pattern the seeds index into.
-    a_nblocks: usize,
+    /// Row pointers of the A pattern the seeds index into.
+    a_row_ptr: Vec<usize>,
     /// Longest pattern row: the size of the packed row buffer.
     max_row: usize,
+    /// Longest row of A: the size of a source's row buffer.
+    a_max_row: usize,
 }
 
 impl IluSymbolic {
-    /// Builds the structure for factoring matrices with `a`'s pattern on
+    /// Builds the structure for factoring matrices with A's pattern `a` on
     /// `pattern` (from [`symbolic_iluk`], or A's own rows for ILU(0)).
     ///
     /// # Panics
     /// Naming the row and the fault, when a pattern row is not strictly
     /// ascending, reaches past the matrix, lacks the diagonal, or lacks a
     /// column of A.
-    pub fn new(a: &Bcsr4, pattern: &[Vec<u32>]) -> IluSymbolic {
+    pub fn new<'a>(a: impl Into<Pattern<'a>>, pattern: &[Vec<u32>]) -> IluSymbolic {
+        let a: Pattern<'a> = a.into();
         let n = a.nrows();
         assert_eq!(
             pattern.len(),
@@ -290,10 +333,8 @@ impl IluSymbolic {
             "ILU pattern has {} rows, A has {n}",
             pattern.len()
         );
-        assert!(
-            a.nblocks() < NO_SEED as usize,
-            "A has too many blocks for u32 seeds"
-        );
+        let a_max_row = (0..n).map(|i| a.row(i).len()).max().unwrap_or(0);
+        assert!(a_max_row < NO_SEED as usize, "A has too many blocks in a row for u32 seeds");
         let slots: usize = pattern.iter().map(Vec::len).sum();
         let mut sym = IluSymbolic {
             l_row_ptr: Vec::with_capacity(n + 1),
@@ -301,8 +342,9 @@ impl IluSymbolic {
             u_row_ptr: Vec::with_capacity(n + 1),
             u_col_idx: Vec::with_capacity(slots / 2),
             seed: Vec::with_capacity(slots),
-            a_nblocks: a.nblocks(),
+            a_row_ptr: a.row_ptr.to_vec(),
             max_row: 0,
+            a_max_row,
         };
         sym.l_row_ptr.push(0);
         sym.u_row_ptr.push(0);
@@ -315,14 +357,14 @@ impl IluSymbolic {
                 row.last().is_none_or(|&c| (c as usize) < n),
                 "ILU pattern row {i} reaches past the matrix"
             );
-            let a_cols = &a.col_idx[a.row_ptr[i]..a.row_ptr[i + 1]];
+            let a_cols = a.row(i);
             let (mut ak, mut has_diagonal) = (0, false);
             for &c in row {
                 if let Some(&missing) = a_cols.get(ak).filter(|&&ac| ac < c) {
                     panic!("ILU pattern row {i} lacks column {missing} of A");
                 }
                 if a_cols.get(ak) == Some(&c) {
-                    sym.seed.push((a.row_ptr[i] + ak) as u32);
+                    sym.seed.push(ak as u32);
                     ak += 1;
                 } else {
                     sym.seed.push(NO_SEED);
@@ -384,7 +426,7 @@ impl IluSymbolic {
     }
 
     /// Factors `a` into freshly allocated storage.
-    pub fn factor(&self, a: &Bcsr4) -> IluFactors {
+    pub fn factor(&self, a: &dyn BlockRows) -> IluFactors {
         let mut f = self.allocate();
         self.refactor(a, &mut f);
         f
@@ -393,32 +435,33 @@ impl IluSymbolic {
     /// Factors `a` into `f`, overwriting every value it holds; `f` must
     /// come from this structure's [`IluSymbolic::factor`]. The result does
     /// not depend on what `f` held before.
-    pub fn refactor(&self, a: &Bcsr4, f: &mut IluFactors) {
+    pub fn refactor(&self, a: &dyn BlockRows, f: &mut IluFactors) {
         self.refactor_on(Isa::detect(), a, f);
     }
 
     /// [`IluSymbolic::refactor`] on a chosen lane implementation (they
     /// agree bit for bit; the tests hold them against each other).
-    pub(crate) fn refactor_on(&self, isa: Isa, a: &Bcsr4, f: &mut IluFactors) {
+    pub(crate) fn refactor_on(&self, isa: Isa, a: &dyn BlockRows, f: &mut IluFactors) {
         let (sym, out) = (self, self.values_of(a, f));
         // SAFETY: `out` points into `f`, which this call borrows
         // exclusively and `values_of` has checked against the structure;
         // the serial loop finishes every row before the next one reads it.
-        with_lanes!(isa, unsafe numeric(sym: &IluSymbolic, a: &Bcsr4, out: FactorValues));
+        with_lanes!(isa, unsafe numeric(sym: &IluSymbolic, a: &dyn BlockRows, out: FactorValues));
     }
 
     /// [`IluSymbolic::refactor`] by the threads of `pool`: every thread
     /// factors the rows of its program in `forward` — the forward sweep's
     /// schedule, built from [`IluSymbolic::l_pattern`] for `pool.size()`
     /// threads — and waits where that schedule waits, since row `i` of the
-    /// factorization reads exactly the rows its `L` pattern names. Each
+    /// factorization reads exactly the rows its `L` pattern names. A
+    /// thread takes each of its rows of `a` before that row's waits. Each
     /// row's arithmetic is the serial loop's, so the factors are
     /// [`IluSymbolic::refactor`]'s bit for bit at any thread count.
     /// `progress` comes from `forward.progress()` and is kept between
     /// calls.
     pub fn refactor_team(
         &self,
-        a: &Bcsr4,
+        a: &dyn BlockRows,
         f: &mut IluFactors,
         pool: &ThreadPool,
         forward: &P2pSchedule,
@@ -431,7 +474,7 @@ impl IluSymbolic {
     pub(crate) fn refactor_team_on(
         &self,
         isa: Isa,
-        a: &Bcsr4,
+        a: &dyn BlockRows,
         f: &mut IluFactors,
         pool: &ThreadPool,
         forward: &P2pSchedule,
@@ -453,7 +496,7 @@ impl IluSymbolic {
             // its L pattern names (`P2pSchedule::from_programs`), and
             // after the rows of its own program it reads.
             with_lanes!(isa, unsafe numeric_team(
-                sym: &IluSymbolic, a: &Bcsr4, out: FactorValues, tid: usize,
+                sym: &IluSymbolic, a: &dyn BlockRows, out: FactorValues, tid: usize,
                 forward: &P2pSchedule, progress: &P2pProgress, singular: &AtomicUsize
             ));
         });
@@ -463,9 +506,9 @@ impl IluSymbolic {
 
     /// Checks `a` and `f` against this structure and returns where `f`'s
     /// values live.
-    fn values_of(&self, a: &Bcsr4, f: &mut IluFactors) -> FactorValues {
+    fn values_of(&self, a: &dyn BlockRows, f: &mut IluFactors) -> FactorValues {
         assert!(
-            a.nrows() == self.nrows() && a.nblocks() == self.a_nblocks,
+            a.pattern().row_ptr == self.a_row_ptr,
             "matrix does not have the pattern this structure was built for"
         );
         assert!(
@@ -526,15 +569,52 @@ fn block_at_mut(blocks: &mut [f64], k: usize) -> &mut Block4 {
         .expect("a block is BLOCK_LEN doubles")
 }
 
-/// The numeric core, one row of it: row `i` is eliminated in `packed`, a
-/// buffer with one column-major `f64` block per pattern slot, so the L
-/// slots and the U slots leave it as two narrowing copies and the inverted
-/// diagonal as a third; the only matrix-wide scratch is `slot_of`, one
-/// `u32` per column (all [`NO_SEED`] between rows) mapping the current
-/// row's columns to their packed slots. Returns whether the row could be
-/// stored — its pivot block inverted and every value of its `L`, `U` and
-/// `D⁻¹` finite as an `f32`; if not, the row's stored values are left as
-/// they were.
+/// The per-thread scratch of the numeric core: the packed row buffer, one
+/// column-major `f64` block per pattern slot of the row being eliminated;
+/// `slot_of`, one `u32` per column (all [`NO_SEED`] between rows) mapping
+/// that row's columns to their packed slots; and the buffer a source
+/// writes a row of A into.
+struct RowScratch {
+    packed: Vec<f64>,
+    slot_of: Vec<u32>,
+    a_row: Vec<f64>,
+}
+
+impl RowScratch {
+    fn new(sym: &IluSymbolic) -> RowScratch {
+        RowScratch {
+            packed: vec![0.0; sym.max_row * BLOCK_LEN],
+            slot_of: vec![NO_SEED; sym.nrows()],
+            a_row: vec![0.0; sym.a_max_row * BLOCK_LEN],
+        }
+    }
+}
+
+/// The numeric core's first half for row `i`: takes the row of A from its
+/// source and seeds the packed buffer with it, transposed, zero in the
+/// fill slots. Reads nothing another row writes, so the team loop runs it
+/// before the row's waits.
+#[inline(always)]
+fn load_row(sym: &IluSymbolic, a: &dyn BlockRows, i: usize, scratch: &mut RowScratch) {
+    let RowScratch { packed, a_row, .. } = scratch;
+    let first_slot = sym.l_row_ptr[i] + sym.u_row_ptr[i] + i;
+    let slots = sym.l_row_ptr[i + 1] + sym.u_row_ptr[i + 1] + i + 1 - first_slot;
+    let row = a.row(i, a_row);
+    let w = &mut packed[..slots * BLOCK_LEN];
+    for (dst, &seed) in w.chunks_exact_mut(BLOCK_LEN).zip(&sym.seed[first_slot..]) {
+        match seed {
+            NO_SEED => dst.fill(0.0),
+            k => dst.copy_from_slice(&block::transpose(block_at(row, k as usize))),
+        }
+    }
+}
+
+/// The numeric core's second half for row `i`, after [`load_row`]: the
+/// row is eliminated in the packed buffer, so the L slots and the U slots
+/// leave it as two narrowing copies and the inverted diagonal as a third.
+/// Returns whether the row could be stored — its pivot block inverted and
+/// every value of its `L`, `U` and `D⁻¹` finite as an `f32`; if not, the
+/// row's stored values are left as they were.
 ///
 /// Arithmetic order is that of the [`TempBuffer::Full`] reference, entry
 /// by entry: `L_ik = w_k·D_k⁻¹` sums k ascending from zero, every update
@@ -549,14 +629,12 @@ fn block_at_mut(blocks: &mut [f64], k: usize) -> &mut Block4 {
 /// diagonal, and the U blocks and inverted diagonal of every row that `L`
 /// row `i` names are finished, visible to this thread, and not written.
 #[inline(always)]
-unsafe fn factor_row<S: Simd>(
+unsafe fn eliminate_row<S: Simd>(
     s: S,
     sym: &IluSymbolic,
-    a: &Bcsr4,
     out: FactorValues,
     i: usize,
-    packed: &mut [f64],
-    slot_of: &mut [u32],
+    scratch: &mut RowScratch,
 ) -> bool {
     // SAFETY (all three): in bounds by `values_of`'s checks; the caller
     // vouches for the aliasing.
@@ -567,19 +645,13 @@ unsafe fn factor_row<S: Simd>(
         block::narrow(src, dst)
     };
 
+    let RowScratch { packed, slot_of, .. } = scratch;
     let (l_lo, u_lo) = (sym.l_row_ptr[i], sym.u_row_ptr[i]);
     let pivots = &sym.l_col_idx[l_lo..sym.l_row_ptr[i + 1]];
     let upper = &sym.u_col_idx[u_lo..sym.u_row_ptr[i + 1]];
     let (nlower, diagonal) = (pivots.len(), i as u32);
     let columns = || pivots.iter().chain([&diagonal]).chain(upper);
-    let first_slot = l_lo + u_lo + i;
     let w = &mut packed[..(nlower + 1 + upper.len()) * BLOCK_LEN];
-    for (dst, &seed) in w.chunks_exact_mut(BLOCK_LEN).zip(&sym.seed[first_slot..]) {
-        match seed {
-            NO_SEED => dst.fill(0.0),
-            k => dst.copy_from_slice(&block::transpose(a.block(k as usize))),
-        }
-    }
     for (slot, &c) in columns().enumerate() {
         slot_of[c as usize] = slot as u32;
     }
@@ -618,29 +690,26 @@ fn invert_column_major(d: &Block4) -> Option<Block4> {
     block::narrows(&inverse).then(|| block::transpose(&inverse))
 }
 
-/// The scratch of [`factor_row`]: the packed row buffer and `slot_of`.
-fn row_scratch(sym: &IluSymbolic) -> (Vec<f64>, Vec<u32>) {
-    (vec![0.0; sym.max_row * BLOCK_LEN], vec![NO_SEED; sym.nrows()])
-}
-
 /// The serial numeric core: every row in order.
 ///
 /// # Safety
 /// `out` holds the value arrays of factors with `sym`'s patterns, which
 /// nobody else accesses during the call.
 #[inline(always)]
-unsafe fn numeric<S: Simd>(s: S, sym: &IluSymbolic, a: &Bcsr4, out: FactorValues) {
-    let (mut packed, mut slot_of) = row_scratch(sym);
+unsafe fn numeric<S: Simd>(s: S, sym: &IluSymbolic, a: &dyn BlockRows, out: FactorValues) {
+    let mut scratch = RowScratch::new(sym);
     for i in 0..sym.nrows() {
+        load_row(sym, a, i, &mut scratch);
         // SAFETY: the caller's exclusivity; rows below i are finished.
-        let stored = unsafe { factor_row(s, sym, a, out, i, &mut packed, &mut slot_of) };
+        let stored = unsafe { eliminate_row(s, sym, out, i, &mut scratch) };
         assert!(stored, "{SINGULAR_PIVOT} (row {i})");
     }
 }
 
 /// One thread's share of the team numeric core: the rows of program `tid`
-/// of the forward schedule, each after its waits, on scratch of its own.
-/// The smallest row that could not be stored is left in `singular`.
+/// of the forward schedule, each loaded before its waits and eliminated
+/// after them, on scratch of its own. The smallest row that could not be
+/// stored is left in `singular`.
 ///
 /// # Safety
 /// `out` as for [`numeric`], shared with the team's other threads only:
@@ -651,22 +720,25 @@ unsafe fn numeric<S: Simd>(s: S, sym: &IluSymbolic, a: &Bcsr4, out: FactorValues
 unsafe fn numeric_team<S: Simd>(
     s: S,
     sym: &IluSymbolic,
-    a: &Bcsr4,
+    a: &dyn BlockRows,
     out: FactorValues,
     tid: usize,
     forward: &P2pSchedule,
     progress: &P2pProgress,
     singular: &AtomicUsize,
 ) {
-    let (mut packed, mut slot_of) = row_scratch(sym);
-    Program(forward, tid, progress).each_row(|i| {
-        // SAFETY: row i is this program's alone, and the rows its L
-        // pattern names were published before the waits returned (or
-        // ran earlier in this program).
-        if !unsafe { factor_row(s, sym, a, out, i, &mut packed, &mut slot_of) } {
-            singular.fetch_min(i, Ordering::Relaxed);
-        }
-    });
+    Program(forward, tid, progress).each_row_loaded(
+        &mut RowScratch::new(sym),
+        |scratch, i| load_row(sym, a, i, scratch),
+        |scratch, i| {
+            // SAFETY: row i is this program's alone, and the rows its L
+            // pattern names were published before the waits returned (or
+            // ran earlier in this program).
+            if !unsafe { eliminate_row(s, sym, out, i, scratch) } {
+                singular.fetch_min(i, Ordering::Relaxed);
+            }
+        },
+    );
 }
 
 /// Numeric block ILU factorization on the given pattern (use

@@ -42,7 +42,7 @@ mod trsv;
 
 pub use bcsr::{Bcsr4, Pattern};
 pub use block::{widen, Block4, FactorBlock, FACTOR_BLOCK_BYTES};
-pub use ilu::{IluFactors, IluSymbolic, TempBuffer, Triangle};
+pub use ilu::{BlockRows, IluFactors, IluSymbolic, TempBuffer, Triangle};
 pub use levels::LevelSchedule;
 pub use p2p::{solve_p2p, solve_p2p_into, sweep_p2p_team, P2pSchedule};
 pub use trsv::{solve as trsv_solve, solve_into as trsv_solve_into, Sweep};

@@ -264,18 +264,36 @@ fn level_interleaved(
 /// each row after its waits, published when `row` returns.
 pub(crate) struct Program<'a>(pub &'a P2pSchedule, pub usize, pub &'a P2pProgress);
 
-impl RowOrder for Program<'_> {
+impl Program<'_> {
+    /// The sweep with a second step per row: `load(state, i)` runs before
+    /// row `i`'s waits, `row(state, i)` after them. What `load` does
+    /// overlaps the wait, so it must read nothing another thread's rows
+    /// write.
     #[inline(always)]
-    fn each_row(&self, mut row: impl FnMut(usize)) {
+    pub(crate) fn each_row_loaded<T>(
+        &self,
+        state: &mut T,
+        mut load: impl FnMut(&mut T, usize),
+        mut row: impl FnMut(&mut T, usize),
+    ) {
         let &Program(sched, tid, progress) = self;
         let mut sweep = progress.begin(tid);
         for s in sched.prog_ptr[tid]..sched.prog_ptr[tid + 1] {
+            let i = sched.rows[s] as usize;
+            load(state, i);
             for &(pt, pos) in sched.waits_of_slot(s) {
                 sweep.wait(pt as usize, pos as usize);
             }
-            row(sched.rows[s] as usize);
+            row(state, i);
             sweep.publish();
         }
+    }
+}
+
+impl RowOrder for Program<'_> {
+    #[inline(always)]
+    fn each_row(&self, mut row: impl FnMut(usize)) {
+        self.each_row_loaded(&mut (), |_, _| {}, |_, i| row(i));
     }
 }
 

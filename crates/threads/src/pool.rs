@@ -3,7 +3,10 @@
 //! [`ThreadPool::run`] executes one closure on every worker, passing the
 //! worker id, and returns when all workers have finished — the same
 //! execution model as an OpenMP `parallel` region, which is what all of
-//! the paper's threading strategies are written against.
+//! the paper's threading strategies are written against. As in OpenMP,
+//! the calling thread is worker 0: a pool of `T` spawns `T − 1` threads,
+//! so a region keeps exactly `T` threads busy instead of `T` workers plus
+//! a launcher spinning beside them.
 //!
 //! Dispatch is an epoch/generation **doorbell**: the launcher publishes a
 //! raw pointer to the region closure and bumps a generation counter;
@@ -12,10 +15,11 @@
 //! condvar wake — which matters because the solver hot loop crosses a
 //! region boundary for every kernel it runs (the fork-join cost the
 //! paper's persistent-region restructuring attacks). Workers are created
-//! once; on Linux each is best-effort pinned to a core (the paper's runs
-//! use `KMP_AFFINITY=compact`): a pool's workers on consecutive cores, and
-//! the pools of one [`crate::PoolSet`] on consecutive ranges, so teams
-//! running side by side do not share cores.
+//! once; on Linux each spawned one is best-effort pinned to a core (the
+//! paper's runs use `KMP_AFFINITY=compact`): worker `t` on the `t`-th core
+//! of the pool's range, and the pools of one [`crate::PoolSet`] on
+//! consecutive ranges, so teams running side by side do not share cores.
+//! The calling thread is the caller's, and is not pinned.
 //!
 //! `FUN3D_PIN=off` disables the pinning, and it is the one environment
 //! knob the runtime reads: where the process runs is the deployment's
@@ -82,8 +86,8 @@ unsafe impl Sync for Bell {}
 unsafe impl Send for Bell {}
 
 impl Bell {
-    /// A doorbell coordinating one launcher with `size` workers, with
-    /// the adaptive backoff.
+    /// A doorbell coordinating one launcher with `size` workers besides
+    /// it, with the adaptive backoff.
     pub fn new(size: usize) -> Bell {
         Bell::with_adaptive(size, true)
     }
@@ -91,7 +95,6 @@ impl Bell {
     /// A doorbell with the adaptive backoff explicitly on or off
     /// (construction-time so tests can compare both in one process).
     pub(crate) fn with_adaptive(size: usize, adaptive: bool) -> Bell {
-        assert!(size >= 1);
         Bell {
             epoch: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
@@ -296,14 +299,15 @@ pub struct ThreadPool {
     bell: Arc<Bell>,
     regions: AtomicU64,
     size: usize,
-    /// The core worker 0 is pinned to; worker `t` goes on the `t`-th
-    /// core after it.
+    /// The first core of the pool's range: worker `t ≥ 1` goes on the
+    /// `t`-th core after it.
     first_core: usize,
 }
 
 impl ThreadPool {
-    /// Spawns a pool with `size` workers (`size >= 1`) pinned from core 0
-    /// on, with the adaptive wait ladder.
+    /// A pool of `size` workers (`size >= 1`): the calling thread of each
+    /// region and `size − 1` threads pinned from core 1 on, with the
+    /// adaptive wait ladder.
     pub fn new(size: usize) -> Self {
         Self::spawn(size, true, 0)
     }
@@ -315,20 +319,21 @@ impl ThreadPool {
         Self::spawn(size, adaptive, 0)
     }
 
-    /// Spawns `size` workers pinned to the cores from `first_core` on.
+    /// Spawns workers `1..size`, worker `t` pinned to the `t`-th core from
+    /// `first_core` on; worker 0 is whoever calls [`ThreadPool::run`].
     pub(crate) fn spawn(size: usize, adaptive: bool, first_core: usize) -> Self {
         assert!(size >= 1, "thread pool needs at least one worker");
-        let bell = Arc::new(Bell::with_adaptive(size, adaptive));
+        let bell = Arc::new(Bell::with_adaptive(size - 1, adaptive));
         let pin = pinning_enabled();
         let ncores = crate::available_cores();
         let mut pool = ThreadPool {
-            handles: Vec::with_capacity(size),
+            handles: Vec::with_capacity(size - 1),
             bell,
             regions: AtomicU64::new(0),
             size,
             first_core,
         };
-        for tid in 0..size {
+        for tid in 1..size {
             let bell = Arc::clone(&pool.bell);
             let core = pool.core_of(tid, ncores);
             pool.handles.push(
@@ -375,15 +380,19 @@ impl ThreadPool {
         self.bell.pace_ns()
     }
 
-    /// Runs `f(tid)` on every worker and blocks until all have returned.
+    /// Runs `f(tid)` on every worker — `f(0)` on the calling thread — and
+    /// blocks until all have returned.
     ///
     /// The closure may borrow stack data: `run` does not return until
     /// every worker has finished executing it, so the borrow cannot
-    /// outlive the data (the same argument scoped threads rely on).
+    /// outlive the data (the same argument scoped threads rely on). For
+    /// the same reason a panic in `f(0)` is caught and re-raised only
+    /// after the spawned workers have finished.
     ///
     /// # Panics
     /// Panics (after all workers finished the region) if any worker
-    /// panicked inside `f`, and on nested `run` from inside a region.
+    /// panicked inside `f` — with `f(0)`'s own payload if it was worker 0
+    /// — and on nested `run` from inside a region.
     pub fn run<'env, F>(&self, f: F)
     where
         F: Fn(usize) + Send + Sync + 'env,
@@ -401,6 +410,10 @@ impl ThreadPool {
         let job: JobPtr = unsafe { std::mem::transmute(wide) };
         let t0 = std::time::Instant::now();
         bell.post(job);
+        let own = catch_unwind(AssertUnwindSafe(|| {
+            let _busy = telemetry::span("pool.region");
+            f(0)
+        }));
         bell.wait_workers();
         // Launch-to-retire wall time is the pace that sizes the workers'
         // wait ladder for the *next* region.
@@ -408,11 +421,17 @@ impl ThreadPool {
         bell.note_region_ns(region_ns);
         // Live distribution of region walls (the metrics snapshot).
         telemetry::metrics::record_ns("threads.region_ns", region_ns);
-        if bell.retire() {
+        let worker_panicked = bell.retire();
+        if own.is_err() || worker_panicked {
             // Black-box moment: the launcher still has the solve context
             // (rank/solve tags live on this thread), so record the event
             // and dump the flight log *before* the panic unwinds it away.
             telemetry::note_region_panic(self.size);
+        }
+        if let Err(payload) = own {
+            std::panic::resume_unwind(payload);
+        }
+        if worker_panicked {
             panic!("a pool worker panicked inside ThreadPool::run");
         }
     }
@@ -612,6 +631,49 @@ mod tests {
             ok.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ok.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero() {
+        // tid 0 runs on the thread that calls `run`; the others on the
+        // pool's own threads, one each.
+        let pool = ThreadPool::new(3);
+        let caller = std::thread::current().id();
+        let ids = std::sync::Mutex::new(vec![None; 3]);
+        pool.run(|tid| {
+            ids.lock().unwrap()[tid] = Some(std::thread::current().id());
+        });
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids[0], Some(caller));
+        assert!(ids[1].is_some() && ids[2].is_some() && ids[1] != ids[2]);
+        assert!(ids[1] != Some(caller) && ids[2] != Some(caller));
+        assert_eq!(pool.handles.len(), 2, "a pool of 3 spawns 2 threads");
+        assert!(ThreadPool::new(1).handles.is_empty(), "a pool of 1 spawns none");
+    }
+
+    #[test]
+    fn a_panic_in_worker_zero_waits_for_the_workers() {
+        // The closure borrows this frame: tid 0's panic must not unwind
+        // past `run` while a spawned worker still runs it.
+        let pool = ThreadPool::new(3);
+        let finished = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run(|tid| {
+                if tid == 0 {
+                    panic!("worker zero");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }));
+        let payload = result.expect_err("tid 0's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker zero"), "with its own payload");
+        assert_eq!(finished.load(Ordering::SeqCst), 2, "after both workers finished");
+        let ok = AtomicUsize::new(0);
+        pool.run(|_| {
+            ok.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(ok.load(Ordering::SeqCst), 3, "the pool is usable after it");
     }
 
     #[test]

@@ -20,7 +20,8 @@
 #    kernel call is timed once, by its telemetry guard, so the
 #    application reads no clock of its own and the phase-timer map stays
 #    deleted; the
-#    rank layer assembles no Jacobian of its own, no kernel has a second
+#    rank layer assembles no Jacobian of its own, neither the app nor a
+#    rank stores the first-order Jacobian, no kernel has a second
 #    path nothing runs (tile staging, the barrier-per-level TRSV), the
 #    execution, flux-scheme and spin knobs, the serve cache switch and
 #    the flight dump prefix stay deleted, crates/bench/src/bin holds the
@@ -81,7 +82,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, no stored Jacobian, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -251,15 +252,26 @@ structure_guard() {
         echo "  a second kernel clock: time a kernel call with telemetry::kernel, whose KernelCounts carry its ns"
         bad=1
     fi
-    # One path per kernel: a rank assembles its Jacobian through
-    # fun3d_core::jacobian over its local edges, not with a loop of its own
+    # One path per kernel: a rank takes its Jacobian rows from
+    # fun3d_core::JacobianAt over its owned half-edges, not from a loop of its own
     # or a block search per entry; tiles are walked direct only and the
     # triangular solves run serial or P2P; and the knobs nothing read stay
     # gone from the code and the docs.
     if grep -rnE 'flux_jacobian|spectral_radius|add_block\(' "$root/crates/cluster/src"; then
-        echo "  crates/cluster/src assembles a Jacobian itself: call jacobian::assemble with the rank's JacobianSlots"
+        echo "  crates/cluster/src assembles a Jacobian itself: factor from fun3d_core::JacobianAt, the row kernel"
         bad=1
     fi
+    # The first-order Jacobian is never stored: each factorization takes
+    # its rows from the row kernel as it reaches them. No field of the app
+    # or a rank holds a Bcsr4 (jacobian_matrix() assembles one on demand
+    # inside jacobian::LastBuild, which no build writes).
+    local holder
+    for holder in "$root/crates/core/src/app.rs" "$root/crates/cluster/src/dapp.rs"; do
+        if [ -e "$holder" ] && grep -nE '^[[:space:]]*(pub(\([a-z]+\))? )?[a-z_]+: [A-Za-z_:<]*Bcsr4\b|JacobianSlots|OwnedBlock' "$holder"; then
+            echo "  $holder stores the first-order Jacobian again: factor from JacobianAt, the row kernel"
+            bad=1
+        fi
+    done
     if grep -rnE "$DEAD_PATHS" "$root/crates"; then
         echo "  a deleted second kernel path (tile staging, the barrier-per-level TRSV) is back under crates/"
         bad=1
@@ -324,10 +336,10 @@ structure_guard() {
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly or stored Jacobian, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
     exit 1
 fi
-# Negative canaries: each of the thirty forks must trip the guard, and
+# Negative canaries: each of the thirty-one forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
@@ -335,7 +347,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked \
     telemetry_knob_read deleted_knob_named second_thread_local sampler_back second_kernel_clock \
     rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map \
-    bench_only_in_production single_value_knob_back pub_mod_back dead_code_allowed; do
+    bench_only_in_production single_value_knob_back pub_mod_back dead_code_allowed stored_jacobian; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src/bin" "$CANARY/scripts" \
@@ -398,6 +410,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         single_value_knob_back) echo '    ilu_parallel: if nthreads > 1 { IluParallel::P2p } else { IluParallel::Serial },' > "$CANARY/crates/core/src/app.rs" ;;
         pub_mod_back) echo 'pub mod gmres;' >> "$CANARY/crates/solver/src/lib.rs" ;;
         dead_code_allowed) printf '#[allow(dead_code)]\nfn unused() {}\n' > "$CANARY/crates/threads/src/team.rs" ;;
+        stored_jacobian) printf '    adj: HalfEdges,\n    jac: OnceLock<Bcsr4>,\n' > "$CANARY/crates/core/src/app.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -405,7 +418,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, no stored Jacobian in the app or a rank, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
 
 # Warnings are errors, on every target of the workspace and on the
 # model-checked crates under their cfg. Own target dirs: the flags change
