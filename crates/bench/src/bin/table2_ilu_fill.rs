@@ -10,8 +10,10 @@
 //! on the real factors; 10-core times combine each run's host-measured
 //! serial profile with the modeled per-kernel speedups at that fill.
 //! Beside them, each fill is solved again with the factors lagged four
-//! pseudo-time steps (`OptConfig::ilu_lag`, the reuse the paper calls
-//! worth pursuing): fewer factorizations for more iterations.
+//! pseudo-time steps and at the default age cap of ten
+//! (`OptConfig::ilu_lag`, the cap of the solver's one reuse rule; the
+//! reuse the paper calls worth pursuing): fewer factorizations for more
+//! iterations.
 
 use fun3d_bench::dag::DagStats;
 use fun3d_bench::model::model_speedups_fill;
@@ -20,6 +22,7 @@ use fun3d_bench::{emit, profiled_solve, KernelFixture, ProfiledSolve};
 use fun3d_core::OptConfig;
 use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
+use fun3d_solver::FACTOR_AGE_CAP;
 use fun3d_sparse::{ilu, TempBuffer};
 
 struct FillCase {
@@ -82,9 +85,10 @@ fn run_case(preset: MeshPreset, fill: usize, run: &ProfiledSolve) -> FillCase {
 
 fn main() {
     let cli = fun3d_bench::Cli::parse(MeshPreset::Medium);
-    // Per fill, the solve with the factors refreshed every step and the
-    // one with them lagged four steps.
-    let solves = [0, 1].map(|fill| [1, 4].map(|lag| solve(cli.mesh, fill, lag)));
+    // Per fill, the solve with the factors refreshed every step, the one
+    // with them lagged four steps and the one at the default cap.
+    let lags = [1, 4, FACTOR_AGE_CAP];
+    let solves = [0, 1].map(|fill| lags.map(|lag| solve(cli.mesh, fill, lag)));
     let c0 = run_case(cli.mesh, 0, &solves[0][0]);
     let c1 = run_case(cli.mesh, 1, &solves[1][0]);
 
@@ -136,8 +140,10 @@ fn main() {
         ("serial time (s)", |r| fmt_g(r.wall_s)),
     ];
     for (quantity, value) in rows {
-        let cell = |[lag1, lag4]: &[ProfiledSolve; 2]| format!("{} / {}", value(lag1), value(lag4));
-        let name = format!("{quantity}, ILU lag 1 / 4");
+        let cell = |[lag1, lag4, cap]: &[ProfiledSolve; 3]| {
+            format!("{} / {} / {}", value(lag1), value(lag4), value(cap))
+        };
+        let name = format!("{quantity}, ILU lag 1 / 4 / {FACTOR_AGE_CAP}");
         table.row(&[name, cell(&solves[0]), cell(&solves[1]), "-".into(), "-".into()]);
     }
     emit("table2_ilu_fill", &table);

@@ -15,10 +15,12 @@
 //!   [`flux_run`] on the rank's one owner-writes share → local boundary
 //!   fluxes;
 //! * Jacobian: per-rank ILU of the owned-owned block (zero-overlap
-//!   additive Schwarz), refactored in place on a structure built once,
-//!   taking each owned row from the core's Jacobian row kernel
-//!   ([`JacobianAt`]) over the owned vertex's half-edges, ghost columns
-//!   skipped — no rank stores its Jacobian;
+//!   additive Schwarz), refactored in place on a structure built once
+//!   when the shared-memory application's reuse rule says so
+//!   ([`FactorAge`], capped at [`FACTOR_AGE_CAP`] steps), taking each
+//!   owned row from the core's Jacobian row kernel ([`JacobianAt`]) over
+//!   the owned vertex's half-edges, ghost columns skipped — no rank
+//!   stores its Jacobian;
 //! * linear solve: the solver's matrix-free GMRES — the operator action
 //!   finite-differences the distributed residual; inner products
 //!   allreduce through the reducer;
@@ -33,15 +35,16 @@ use crate::comm::Comm;
 use crate::decompose::{Decomposition, Subdomain};
 use crate::dsolve::{halo_exchange, halo_exchange_stride};
 use fun3d_core::{
-    bc_residual, flux_run, green_gauss, time_diagonal, BcData, EdgeGeom, Exec, FlowConditions,
-    HalfEdges, Isa, JacobianAt, JacobianRows, NodeAos, Traversal, GRAD_ROW,
+    bc_residual, counts, flux_run, green_gauss, time_diagonal, BcData, EdgeGeom, Exec,
+    FlowConditions, HalfEdges, Isa, JacobianAt, JacobianRows, NodeAos, Traversal, GRAD_ROW,
 };
 use fun3d_mesh::{DualMesh, Mesh};
 use fun3d_partition::OwnerWritesPlan;
-use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
+use fun3d_solver::precond::{FactorAge, IluApply, Preconditioner, SerialIlu, FACTOR_AGE_CAP};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
 use fun3d_solver::{GmresConfig, Reducer};
 use fun3d_sparse::{ilu, IluSymbolic};
+use fun3d_util::telemetry;
 use std::sync::Arc;
 
 /// Immutable global inputs shared (read-only) by all ranks.
@@ -108,6 +111,9 @@ pub struct RankApp<'a> {
     /// level, built when the first solve names the level.
     symbolic: Option<(usize, IluSymbolic)>,
     precond: Option<SerialIlu>,
+    /// When the factors are rebuilt: the application's reuse rule and
+    /// cap. Every rank decides alike, from step counts and reduced norms.
+    factor_age: FactorAge,
 }
 
 impl<'a> RankApp<'a> {
@@ -162,6 +168,7 @@ impl<'a> RankApp<'a> {
             jac_rows,
             symbolic: None,
             precond: None,
+            factor_age: FactorAge::new(FACTOR_AGE_CAP),
         }
     }
 
@@ -198,21 +205,29 @@ impl<'a> RankApp<'a> {
 
     /// Refreshes the per-rank ILU(`fill`) factors of the owned-owned
     /// block of the first-order Jacobian at the owned state `u`, plus the
-    /// pseudo-time diagonal: the factorization takes each owned row from
-    /// the row kernel (the shared-memory application's row, block for
-    /// block, without its ghost columns). The ghost values are those of
-    /// the last [`RankApp::residual`], which ΨTC always evaluates at this
-    /// `u` before it rebuilds.
+    /// pseudo-time diagonal, when the reuse rule says so (a new fill level
+    /// always does): the factorization takes each owned row from the row
+    /// kernel (the shared-memory application's row, block for block,
+    /// without its ghost columns). The ghost values are those of the last
+    /// [`RankApp::residual`], which ΨTC always evaluates at this `u`
+    /// before it rebuilds.
     pub(crate) fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64], fill: usize) {
-        let n = self.nowned4();
-        self.node.q[..n].copy_from_slice(u);
         let pattern = self.jac_rows.pattern();
         if self.symbolic.as_ref().map(|(level, _)| *level) != Some(fill) {
             let symbolic = IluSymbolic::new(pattern, &ilu::symbolic_iluk(pattern, fill));
             self.symbolic = Some((fill, symbolic));
             self.precond = None;
+            self.factor_age.reset();
         }
+        if !self.factor_age.refactor_now() {
+            return;
+        }
+        let n = self.nowned4();
+        self.node.q[..n].copy_from_slice(u);
         let (_, symbolic) = self.symbolic.as_ref().expect("built above");
+        // One kernel, as in the application: the factorization takes each
+        // owned row from the row kernel when it reaches the row.
+        let _k = telemetry::kernel("ilu", counts::ilu_build(symbolic, self.geom.nedges()));
         let jac = JacobianAt::new(
             &self.jac_rows,
             &self.adj,
@@ -260,6 +275,10 @@ impl PtcProblem for OnComm<'_, '_> {
 
     fn preconditioner(&self) -> &dyn Preconditioner {
         self.app.precond.as_ref().expect("preconditioner not built")
+    }
+
+    fn on_step(&mut self, step: usize, res_norm: f64, _dt: f64) {
+        self.app.factor_age.on_step(step, res_norm);
     }
 
     fn reducer(&self) -> Reducer<'_> {
@@ -429,6 +448,36 @@ mod tests {
                 }
             }
             assert_eq!(rows, want.nrows(), "P = {nranks}: every row owned once");
+        }
+    }
+
+    #[test]
+    fn a_rank_solve_factors_once_per_rank() {
+        // Every rank asks the one reuse rule with the same step counts and
+        // reduced norms: at the default cap each factors once, and the
+        // ranks step identically.
+        telemetry::set_level(telemetry::Level::Counters);
+        let mesh = reordered_mesh();
+        for nranks in [2usize, 3] {
+            let setup = GlobalSetup::new(mesh.clone(), FlowConditions::default(), nranks);
+            let setup = &setup;
+            let runs = Universe::run(nranks, move |comm| {
+                let mut app = RankApp::new(setup, comm.rank());
+                // A rank's kernels record on its own thread.
+                let before = telemetry::local_counters();
+                let (_, stats) = solve(&comm, &mut app, 2.0, 1e-8, 80, 1);
+                let kernels = telemetry::local_counters().since(&before);
+                (stats, kernels.get("ilu").map_or(0, |c| c.calls))
+            });
+            let bits = |s: &PtcStats| s.res_history.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            let (first, _) = &runs[0];
+            for (rank, (s, factorizations)) in runs.iter().enumerate() {
+                let at = format!("P = {nranks}, rank {rank}");
+                assert!(s.converged && s.time_steps > 1, "{at}: {:?}", s.res_history);
+                assert_eq!(*factorizations, 1, "{at}: factorizations");
+                assert_eq!(bits(s), bits(first), "{at}: res_history");
+                assert_eq!(s.linear_iters, first.linear_iters, "{at}: linear_iters");
+            }
         }
     }
 

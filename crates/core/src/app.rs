@@ -14,7 +14,7 @@ use fun3d_partition::{
     partition_graph, EdgeTiling, MultilevelConfig, OwnerWritesPlan, TilingConfig,
 };
 use fun3d_simd::Isa;
-use fun3d_solver::precond::{IluApply, Preconditioner, SerialIlu};
+use fun3d_solver::precond::{FactorAge, IluApply, Preconditioner, SerialIlu, FACTOR_AGE_CAP};
 use fun3d_solver::ptc::{self, PtcConfig, PtcProblem, PtcStats};
 use fun3d_solver::{ExecMode, FluxScheme};
 use fun3d_sparse::{ilu, Bcsr4, IluFactors, IluSymbolic, P2pSchedule};
@@ -42,10 +42,13 @@ pub struct OptConfig {
     /// limiter, `K = 0.3` (the "variable-order" part of the paper's Roe
     /// scheme; Barth–Jespersen's hard clip stalls steady solves).
     pub use_limiter: bool,
-    /// Rebuild the ILU factors only every `n` pseudo-time steps
-    /// (1 = every step, the paper's default; the paper notes factor
-    /// reuse "is a problem-dependent optimization that is worth
-    /// pursuing").
+    /// The most pseudo-time steps one ILU factorization serves: the age
+    /// cap of the solver's one reuse rule ([`FactorAge`]), which also
+    /// refactors on a solve's first step and after a step whose residual
+    /// did not fall. 1 refactors every step, the paper's configuration
+    /// (`baseline`); `optimized` uses KINSOL's [`FACTOR_AGE_CAP`] of 10.
+    /// The paper notes factor reuse "is a problem-dependent optimization
+    /// that is worth pursuing".
     pub ilu_lag: usize,
     /// Use weighted least-squares nodal gradients (FUN3D's production
     /// scheme; exact for linear fields at all vertices) instead of
@@ -83,7 +86,7 @@ impl OptConfig {
             use_simd: true,
             ilu_fill: 1,
             use_limiter: false,
-            ilu_lag: 1,
+            ilu_lag: FACTOR_AGE_CAP,
             use_lsq_gradients: false,
             // Let the policy model pick serial/team per solve:
             // hard-coding team mode here is exactly the thread-scaling
@@ -191,8 +194,9 @@ pub struct Fun3dApp {
     lsq: Option<gradient::LsqGradient>,
     /// Residual evaluations performed (flux kernel invocations).
     pub residual_evals: usize,
-    /// Pseudo-time steps since the factors were last rebuilt.
-    precond_age: usize,
+    /// When the factors are rebuilt: the solver's one reuse rule, capped
+    /// at `cfg.ilu_lag` steps.
+    factor_age: FactorAge,
     /// Factors to seed the *first* preconditioner build of the next
     /// solve with, skipping its Jacobian assembly + factorization. Only
     /// bitwise-safe when the seed came from an identical problem: ΨTC's
@@ -314,7 +318,7 @@ impl Fun3dApp {
             precond: None,
             lsq,
             residual_evals: 0,
-            precond_age: 0,
+            factor_age: FactorAge::new(cfg.ilu_lag),
             factor_seed: None,
             first_factors: None,
             capture_first: false,
@@ -322,15 +326,17 @@ impl Fun3dApp {
     }
 
     /// Clears per-solve state so the instance can serve another request
-    /// with bitwise-identical results to a fresh build: drops the stale
-    /// preconditioner (a lagged `ilu_lag > 1` config would otherwise
-    /// reuse last request's factors) and zeroes the counters. The
+    /// with bitwise-identical results to a fresh build: drops the last
+    /// request's preconditioner, seed and captured factors, resets the
+    /// reuse rule and zeroes the counters. (A solve's first step
+    /// refactors whatever the rule held, so an app that skips this also
+    /// re-solves bit for bit; the reset releases the factors early.) The
     /// expensive immutable artifacts — reordered mesh, dual metrics,
     /// partitions, tilings, ILU pattern, schedules, pool — are exactly
     /// what stays.
     pub fn reset_for_reuse(&mut self) {
         self.precond = None;
-        self.precond_age = 0;
+        self.factor_age.reset();
         self.residual_evals = 0;
         self.factor_seed = None;
         self.first_factors = None;
@@ -466,17 +472,13 @@ impl PtcProblem for Fun3dApp {
     }
 
     fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64]) {
-        // Lagged preconditioner: reuse the existing factors for
-        // `ilu_lag - 1` further steps (the Δt shift goes stale too, which
-        // is the accepted trade of factor reuse).
-        if self.precond.is_some() && self.cfg.ilu_lag > 1 {
-            self.precond_age += 1;
-            if self.precond_age < self.cfg.ilu_lag {
-                return;
-            }
+        // Between the rule's rebuilds the factors and their Δt shift go
+        // stale, the accepted trade of factor reuse. A seeded first build
+        // counts as a factorization.
+        let first_build = self.factor_age.first_build();
+        if !self.factor_age.refactor_now() {
+            return;
         }
-        self.precond_age = 0;
-        let first_build = self.precond.is_none();
         let seed = if first_build { self.factor_seed.take() } else { None };
         if let Some(seed) = seed {
             // Seeded first build: the factors are a pure function of the
@@ -531,6 +533,10 @@ impl PtcProblem for Fun3dApp {
 
     fn preconditioner(&self) -> &dyn Preconditioner {
         self.precond.as_ref().expect("preconditioner not built")
+    }
+
+    fn on_step(&mut self, step: usize, res_norm: f64, _dt: f64) {
+        self.factor_age.on_step(step, res_norm);
     }
 
     fn solver_pool(&self) -> Option<Arc<ThreadPool>> {
@@ -748,17 +754,107 @@ mod tests {
 
     #[test]
     fn lagged_ilu_converges_with_fewer_factorizations() {
-        let mut cfg = OptConfig::baseline();
-        cfg.ilu_lag = 3;
-        let mut app = build(cfg);
-        let (_, stats, kernels) = counted(&mut app, &solve_config());
-        assert!(stats.converged);
-        let factorizations = calls(&kernels, "ilu");
-        assert!(
-            (factorizations as usize) < stats.time_steps,
-            "lagging must skip factorizations: {factorizations} vs {} steps",
-            stats.time_steps
-        );
+        // While the residual falls every step, the reuse rule refactors
+        // every `ilu_lag`-th step only.
+        for lag in [2, 3] {
+            let mut cfg = OptConfig::baseline();
+            cfg.ilu_lag = lag;
+            let mut app = build(cfg);
+            let (_, stats, kernels) = counted(&mut app, &solve_config());
+            assert!(stats.converged);
+            let h = &stats.res_history;
+            assert!(h.windows(2).all(|w| w[1] < w[0]), "lag {lag}: a refresh fired: {h:?}");
+            let factorizations = calls(&kernels, "ilu") as usize;
+            assert_eq!(factorizations, stats.time_steps.div_ceil(lag), "lag {lag}");
+            assert!(
+                factorizations < stats.time_steps,
+                "lagging must skip factorizations: {factorizations} vs {} steps",
+                stats.time_steps
+            );
+        }
+    }
+
+    #[test]
+    fn a_default_solve_factors_once() {
+        // The one reuse rule at its default cap: the first factors serve
+        // the whole solve, on Tiny and on the benchmark's Small mesh.
+        for preset in [MeshPreset::Tiny, MeshPreset::Small] {
+            let mut mesh = preset.build();
+            Fun3dApp::rcm_reorder(&mut mesh);
+            let mut app = Fun3dApp::new(mesh, FlowConditions::default(), OptConfig::optimized(1));
+            let (_, stats, kernels) = counted(&mut app, &solve_config());
+            assert!(stats.converged, "{preset:?}: {:?}", stats.res_history);
+            let at = format!("{preset:?}: {} steps", stats.time_steps);
+            assert!(stats.time_steps > 1, "{at}");
+            assert_eq!(calls(&kernels, "ilu"), 1, "{at}");
+        }
+    }
+
+    #[test]
+    fn a_second_solve_without_a_reset_is_a_fresh_solve() {
+        // Step 0 refactors whatever factors the last solve left, so an
+        // app that is not reset re-solves bit for bit like a fresh one.
+        for lag in [1, FACTOR_AGE_CAP] {
+            let mut cfg = OptConfig::optimized(1);
+            cfg.ilu_lag = lag;
+            let (u_ref, s_ref) = build(cfg).run(&solve_config());
+            let mut app = build(cfg);
+            app.run(&solve_config());
+            let (u, s, kernels) = counted(&mut app, &solve_config());
+            assert_eq!(u, u_ref, "lag {lag}: state");
+            assert_eq!(s.res_history, s_ref.res_history, "lag {lag}: history");
+            assert_eq!(s.linear_iters, s_ref.linear_iters, "lag {lag}: iterations");
+            let builds = s.time_steps.div_ceil(lag) as u64;
+            assert_eq!(calls(&kernels, "ilu"), builds, "lag {lag}: factorizations");
+        }
+    }
+
+    /// Stands in for the app the way a tracing decorator does: it
+    /// forwards the trait methods that existed before the app decided its
+    /// own factor reuse, and nothing else.
+    struct Forwarding(Fun3dApp);
+
+    impl PtcProblem for Forwarding {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn residual(&mut self, u: &[f64], r: &mut [f64]) {
+            self.0.residual(u, r);
+        }
+        fn time_diag(&self, dt: f64, out: &mut [f64]) {
+            self.0.time_diag(dt, out);
+        }
+        fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64]) {
+            self.0.build_preconditioner(u, time_diag);
+        }
+        fn preconditioner(&self) -> &dyn Preconditioner {
+            self.0.preconditioner()
+        }
+        fn on_step(&mut self, step: usize, res_norm: f64, dt: f64) {
+            self.0.on_step(step, res_norm, dt);
+        }
+        fn solver_pool(&self) -> Option<Arc<ThreadPool>> {
+            self.0.solver_pool()
+        }
+        fn exec_mode(&self) -> ExecMode {
+            self.0.exec_mode()
+        }
+    }
+
+    #[test]
+    fn a_forwarding_decorator_solves_bitwise_like_the_app() {
+        for (nt, exec) in [(1, ExecMode::Serial), (2, ExecMode::Team)] {
+            let mut cfg = OptConfig::optimized(nt);
+            cfg.exec = exec;
+            let (u_ref, s_ref) = build(cfg).run(&solve_config());
+            let mut decorated = Forwarding(build(cfg));
+            let mut u = decorated.0.initial_state();
+            let s = ptc::solve(&mut decorated, &mut u, &solve_config());
+            assert!(s.converged, "T = {nt}");
+            assert_eq!(u, u_ref, "T = {nt}: state");
+            assert_eq!(s.res_history, s_ref.res_history, "T = {nt}: history");
+            assert_eq!(s.linear_iters, s_ref.linear_iters, "T = {nt}: iterations");
+        }
     }
 
     #[test]

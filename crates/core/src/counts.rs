@@ -127,7 +127,7 @@ pub(crate) fn jacobian(nedges: usize, nrows: usize) -> KernelCounts {
 /// The preconditioner build as it runs, one kernel: the factorization
 /// into `sym`'s structure ([`ilu_factor`]) taking every row of the
 /// Jacobian from the row kernel over `nedges` edges ([`jacobian`]).
-pub(crate) fn ilu_build(sym: &IluSymbolic, nedges: usize) -> KernelCounts {
+pub fn ilu_build(sym: &IluSymbolic, nedges: usize) -> KernelCounts {
     let (f, j) = (ilu_factor(sym), jacobian(nedges, sym.l_pattern().nrows()));
     KernelCounts {
         bytes_read: f.bytes_read + j.bytes_read,

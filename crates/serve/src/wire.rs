@@ -14,6 +14,7 @@ use crate::service::{RejectReason, Rejected, SolveReply};
 use fun3d_core::OptConfig;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::ptc::PtcConfig;
+use fun3d_solver::FACTOR_AGE_CAP;
 use fun3d_util::{fnv1a, fnv1a_word};
 use fun3d_util::telemetry::Json;
 
@@ -34,7 +35,8 @@ pub struct SolveRequest {
     pub dt0: f64,
     /// ILU fill level.
     pub ilu_fill: usize,
-    /// Rebuild the ILU factors only every `n` steps.
+    /// The most pseudo-time steps one ILU factorization serves
+    /// ([`OptConfig::ilu_lag`]); default [`FACTOR_AGE_CAP`].
     pub ilu_lag: usize,
     /// Venkatakrishnan limiter on the reconstruction gradients.
     pub use_limiter: bool,
@@ -57,7 +59,7 @@ impl SolveRequest {
             max_steps: 60,
             dt0: 2.0,
             ilu_fill: 1,
-            ilu_lag: 1,
+            ilu_lag: FACTOR_AGE_CAP,
             use_limiter: false,
             use_lsq_gradients: false,
             max_linear_iters: 0,

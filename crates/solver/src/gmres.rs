@@ -53,13 +53,6 @@ pub struct GmresConfig {
     pub atol: f64,
     /// Iteration cap across restarts.
     pub max_iters: usize,
-    /// Fuse the Gram-Schmidt coefficients and the new basis vector's norm
-    /// into a single reduction per iteration ("l1-GMRES", the direction of
-    /// Ghysels et al. [28] the paper lists as future work): `‖w⊥‖² =
-    /// ‖w‖² − Σᵢ hᵢ²` by Pythagoras, so the separate norm reduction
-    /// disappears. Halves the allreduce count at a small numerical-
-    /// robustness cost (guarded by a re-normalization fallback).
-    pub single_reduction: bool,
 }
 
 impl Default for GmresConfig {
@@ -69,7 +62,6 @@ impl Default for GmresConfig {
             rtol: 1e-6,
             atol: 1e-50,
             max_iters: 1000,
-            single_reduction: false,
         }
     }
 }
@@ -119,8 +111,9 @@ pub struct GmresResult {
     /// Initial preconditioned residual norm.
     pub residual0: f64,
     /// Global reductions performed (dot-product/norm rounds — what an
-    /// `MPI_Allreduce` is in the distributed setting). Standard
-    /// CGS-GMRES performs 2 per iteration; single-reduction mode 1.
+    /// `MPI_Allreduce` is in the distributed setting): one per cycle
+    /// start and 2 per iteration, the Gram-Schmidt products and the new
+    /// vector's norm.
     pub reductions: usize,
     /// Per-iteration Givens residual norms, in iteration order across
     /// restarts. Execution-path equivalence is asserted on this.
@@ -157,25 +150,6 @@ fn breakdown(hkk: f64, res: f64) -> bool {
     hkk <= 1e-14 * res.max(1.0)
 }
 
-/// `h_{k+1,k} = ‖w⊥‖` and whether it cost a reduction of its own beyond
-/// the fused one. Unfused (`None`) it is the direct norm, `direct_sq`
-/// being `<w⊥, w⊥>`. Fused, `(‖w‖², Σᵢ hᵢ²)` give it by Pythagoras —
-/// which holds only as far as the basis is orthonormal, and one-pass CGS
-/// loses orthogonality exactly when the update cancels strongly, so
-/// whenever less than 1% of `‖w‖²` survives it falls back to the direct
-/// norm (one extra reduction on those iterations — still fewer on net).
-fn next_norm(fused: Option<(f64, f64)>, direct_sq: impl FnOnce() -> f64) -> (f64, bool) {
-    let Some((ww, h2)) = fused else {
-        return (direct_sq().sqrt(), false);
-    };
-    let mut hkk2 = ww - h2;
-    let extra = hkk2 < 1e-2 * ww;
-    if extra {
-        hkk2 = direct_sq();
-    }
-    (hkk2.max(0.0).sqrt(), extra)
-}
-
 /// The vector-sized steps of a GMRES cycle: what an execution scheme
 /// implements and [`drive`] sequences. The basis `v_0..` and the iterate
 /// `x` live behind the implementation.
@@ -190,10 +164,10 @@ trait Steps {
 
     /// Arnoldi step `k`: `w = M⁻¹ A v_k`, orthogonalized against
     /// `v_0..=v_k` by classical Gram-Schmidt. Writes the `k + 1`
-    /// coefficients to `h[..=k]` and returns [`next_norm`]'s pair for
-    /// `w⊥`; unless that norm is a [`breakdown`] against the current
-    /// residual norm `res`, leaves `v_{k+1} = w⊥/‖w⊥‖`.
-    fn arnoldi(&mut self, k: usize, res: f64, h: &mut [f64]) -> (f64, bool);
+    /// coefficients to `h[..=k]` and returns `‖w⊥‖`; unless that norm is
+    /// a [`breakdown`] against the current residual norm `res`, leaves
+    /// `v_{k+1} = w⊥/‖w⊥‖`.
+    fn arnoldi(&mut self, k: usize, res: f64, h: &mut [f64]) -> f64;
 
     /// Solution update `x += Σⱼ y[j]·v_j`.
     fn update(&mut self, y: &[f64]);
@@ -279,12 +253,11 @@ impl Gmres {
         }
     }
 
-    /// Width of one thread's slot: the Gram-Schmidt products (`restart +
-    /// 1` coefficients plus the fused `<w, w>`), their negations for the
-    /// update, and the step's two scalar results, rounded up to whole
-    /// cache lines.
+    /// Width of one thread's slot: the Gram-Schmidt products (at most
+    /// `restart` coefficients), their negations for the update, and the
+    /// step's scalar result, rounded up to whole cache lines.
     fn slot_len(restart: usize) -> usize {
-        (2 * (restart + 2) + 2).div_ceil(8) * 8
+        (2 * restart + 1).div_ceil(8) * 8
     }
 
     /// Solves `A x = b` with left preconditioning, starting from the
@@ -360,7 +333,7 @@ impl Gmres {
                 // between them.
                 let regions = Regions {
                     pool,
-                    team: Team::new(pool.size(), config.restart + 2),
+                    team: Team::new(pool.size(), config.restart),
                     per_op,
                     a: AssertTeamSafe(a),
                     m: AssertTeamSafe(m),
@@ -417,9 +390,9 @@ fn drive(config: &GmresConfig, ls: &mut LeastSquares, steps: &mut impl Steps) ->
             }
             out.iterations += 1;
             let col = &mut h[k * ld..(k + 1) * ld];
-            let (hkk, extra) = steps.arnoldi(k, out.residual, col);
-            // The fused products, plus the norm's own round unless fused.
-            out.reductions += 1 + usize::from(extra || !config.single_reduction);
+            let hkk = steps.arnoldi(k, out.residual, col);
+            // The Gram-Schmidt products, then the norm.
+            out.reductions += 2;
             col[k + 1] = hkk;
             kk = k + 1;
             if breakdown(hkk, out.residual) {
@@ -499,28 +472,22 @@ impl Steps for SerialSteps<'_> {
         beta
     }
 
-    fn arnoldi(&mut self, k: usize, res: f64, h: &mut [f64]) -> (f64, bool) {
+    fn arnoldi(&mut self, k: usize, res: f64, h: &mut [f64]) -> f64 {
         self.a.apply(&self.basis[k], self.work);
         self.m.apply(self.work, self.work2);
-        // h[0..=k] = V^T w, w -= V h. In single-reduction mode <w, w>
-        // joins the same fused mdot.
-        let single = self.config.single_reduction;
+        // h[0..=k] = V^T w, w -= V h.
         let (basis, next) = self.basis.split_at_mut(k + 1);
-        let out = &mut self.slot[..k + 1 + usize::from(single)];
-        vecops::mdot(self.work2, basis, out);
-        reduce_sum(self.a.reducer(), out);
-        let ww = out[k + usize::from(single)];
-        let coeffs = &mut out[..k + 1];
+        let coeffs = &mut self.slot[..k + 1];
+        vecops::mdot(self.work2, basis, coeffs);
+        reduce_sum(self.a.reducer(), coeffs);
         h[..k + 1].copy_from_slice(coeffs);
-        let h2: f64 = coeffs.iter().map(|c| c * c).sum();
         coeffs.iter_mut().for_each(|c| *c = -*c);
         vecops::maxpy(self.work2, coeffs, basis);
-        let direct_sq = || reduced_dot(self.a.reducer(), self.work2, self.work2);
-        let (hkk, extra) = next_norm(single.then_some((ww, h2)), direct_sq);
+        let hkk = reduced_dot(self.a.reducer(), self.work2, self.work2).sqrt();
         if !breakdown(hkk, res) {
             vecops::div_into(&mut next[0], self.work2, hkk);
         }
-        (hkk, extra)
+        hkk
     }
 
     fn update(&mut self, y: &[f64]) {
@@ -543,16 +510,14 @@ enum Op<'s> {
     /// `β = ‖work2‖`, and `dst = work2/β` unless `β` already meets the
     /// tolerances against `residual0`.
     Beta { residual0: f64, dst: TeamSlice },
-    /// The products of `work2` with the basis vectors given (and with
-    /// itself, when fused) into the thread's slot, and their negations
-    /// beside them.
+    /// The products of `work2` with the basis vectors given into the
+    /// thread's slot, and their negations beside them.
     Mdot(&'s [Vec<f64>]),
     /// `work2 −= Σⱼ slot[j]·vⱼ` over the basis vectors given.
     Maxpy(&'s [Vec<f64>]),
-    /// [`next_norm`] of `work2` after step `k`'s update, into the slot,
-    /// and `dst = work2/‖work2‖` unless that is a breakdown against
-    /// `res`.
-    Hkk { k: usize, res: f64, dst: TeamSlice },
+    /// `‖work2‖` after the step's update, into the slot, and `dst =
+    /// work2/‖work2‖` unless that is a breakdown against `res`.
+    Hkk { res: f64, dst: TeamSlice },
     /// `x += Σⱼ y[j]·vⱼ`.
     Update(&'s [f64], &'s [Vec<f64>]),
 }
@@ -560,8 +525,8 @@ enum Op<'s> {
 /// The threaded step backend's shared state: the pool, the team, and the
 /// persistent buffers as views every thread of a region may hold.
 ///
-/// A thread's slot is `[products | negated products | β or h_{k+1,k} |
-/// extra-reduction flag]`; reductions leave identical values in every
+/// A thread's slot is `[products | negated products | β or h_{k+1,k}]`;
+/// reductions leave identical values in every
 /// thread's slot, and between regions the calling thread reads slot 0.
 struct Regions<'a> {
     pool: &'a ThreadPool,
@@ -583,13 +548,12 @@ struct Regions<'a> {
 impl Regions<'_> {
     /// Offset of the negated products in a slot.
     fn negated(&self) -> usize {
-        self.config.restart + 2
+        self.config.restart
     }
 
-    /// Offset of the step's scalar result (`β` or `h_{k+1,k}`) in a slot;
-    /// the extra-reduction flag follows it.
+    /// Offset of the step's scalar result (`β` or `h_{k+1,k}`) in a slot.
     fn scalar(&self) -> usize {
-        2 * (self.config.restart + 2)
+        2 * self.config.restart
     }
 
     /// Runs `ops` in every thread of the pool: one region for all of
@@ -660,9 +624,8 @@ impl Regions<'_> {
                 }
             }
             Op::Mdot(basis) => {
-                let len = basis.len() + usize::from(self.config.single_reduction);
                 let (out, negated) = slot.split_at_mut(self.negated());
-                team_ops::mdot(tm, work2, basis, &mut out[..len]);
+                team_ops::mdot(tm, work2, basis, &mut out[..basis.len()]);
                 for (n, c) in negated.iter_mut().zip(&out[..basis.len()]) {
                     *n = -*c;
                 }
@@ -671,14 +634,9 @@ impl Regions<'_> {
                 let coeffs = &slot[self.negated()..][..basis.len()];
                 team_ops::maxpy(tm, work2, coeffs, basis);
             }
-            Op::Hkk { k, res, dst } => {
-                let fused = self.config.single_reduction.then(|| {
-                    let h2: f64 = slot[..k + 1].iter().map(|c| c * c).sum();
-                    (slot[k + 1], h2)
-                });
-                let (hkk, extra) = next_norm(fused, || team_ops::dot(tm, work2, work2));
+            Op::Hkk { res, dst } => {
+                let hkk = team_ops::dot(tm, work2, work2).sqrt();
                 slot[self.scalar()] = hkk;
-                slot[self.scalar() + 1] = f64::from(u8::from(extra));
                 if !breakdown(hkk, res) {
                     team_ops::div_into(tm, dst, work2, hkk);
                 }
@@ -723,7 +681,7 @@ impl Steps for TeamSteps<'_> {
         r.results()[r.scalar()]
     }
 
-    fn arnoldi(&mut self, k: usize, res: f64, h: &mut [f64]) -> (f64, bool) {
+    fn arnoldi(&mut self, k: usize, res: f64, h: &mut [f64]) -> f64 {
         let r = &self.regions;
         // The region borrows the vectors it reads and erases only the
         // one it writes.
@@ -735,12 +693,12 @@ impl Steps for TeamSteps<'_> {
             Op::Precondition,
             Op::Mdot(basis),
             Op::Maxpy(basis),
-            Op::Hkk { k, res, dst },
+            Op::Hkk { res, dst },
         ];
         r.run(&ops[r.apply_between_regions(v_k)..]);
         let slot = r.results();
         h[..k + 1].copy_from_slice(&slot[..k + 1]);
-        (slot[r.scalar()], slot[r.scalar() + 1] != 0.0)
+        slot[r.scalar()]
     }
 
     fn update(&mut self, y: &[f64]) {
@@ -939,63 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn single_reduction_matches_standard() {
-        let a = mesh_matrix(76);
-        let n = a.dim();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin()).collect();
-        let cfg = GmresConfig {
-            rtol: 1e-9,
-            max_iters: 800,
-            ..Default::default()
-        };
-        let mut x1 = vec![0.0; n];
-        let ilu = SerialIlu::new(&a, 0);
-        let r1 = Gmres::new(n, cfg).solve(&a, &ilu, &b, &mut x1);
-        let mut cfg2 = cfg;
-        cfg2.single_reduction = true;
-        let mut x2 = vec![0.0; n];
-        let r2 = Gmres::new(n, cfg2).solve(&a, &ilu, &b, &mut x2);
-        // identical mathematics, different rounding: iterations within 1.
-        assert!(
-            (r1.iterations as i64 - r2.iterations as i64).abs() <= 1,
-            "{} vs {}",
-            r1.iterations,
-            r2.iterations
-        );
-        check_solution(&a, &b, &x2, 1e-6);
-    }
-
-    #[test]
-    fn single_reduction_reduces_reductions_when_convergence_is_slow() {
-        // The fused reduction pays off when the Arnoldi update does not
-        // cancel severely — i.e. in the slowly-converging regime where
-        // collectives dominate in the first place; with a strong
-        // preconditioner the robustness guard falls back to a direct
-        // norm (correctness over savings). Use the unpreconditioned
-        // system to exercise the winning regime.
-        let a = mesh_matrix(77);
-        let n = a.dim();
-        let b: Vec<f64> = (0..n).map(|i| ((i % 9) as f64) - 4.0).collect();
-        let cfg = GmresConfig {
-            rtol: 1e-6,
-            max_iters: 600,
-            ..Default::default()
-        };
-        let r_std = Gmres::new(n, cfg).solve(&a, &IdentityPrecond(n), &b, &mut vec![0.0; n]);
-        let mut cfg1 = cfg;
-        cfg1.single_reduction = true;
-        let r_one =
-            Gmres::new(n, cfg1).solve(&a, &IdentityPrecond(n), &b, &mut vec![0.0; n]);
-        let per_std = r_std.reductions as f64 / r_std.iterations.max(1) as f64;
-        let per_one = r_one.reductions as f64 / r_one.iterations.max(1) as f64;
-        assert!(per_std > 1.8, "standard CGS should do ~2/iter: {per_std}");
-        assert!(
-            per_one < 1.35,
-            "single-reduction should do ~1/iter here: {per_one}"
-        );
-    }
-
-    #[test]
     fn residual_monotone_triangle() {
         // within a cycle the Givens residual is non-increasing; test via
         // two solves at different tolerances.
@@ -1042,7 +943,7 @@ mod tests {
 
     #[test]
     fn team_matches_per_op_reference_and_serial_at_one_thread() {
-        // One table: thread count × preconditioner × reduction mode. The
+        // One table: thread count × preconditioner. The
         // persistent regions must reproduce, bit for bit, the same
         // operations run one region each — and at one thread both are the
         // serial solve. Histories, iterates and reduction counts.
@@ -1051,39 +952,35 @@ mod tests {
         let b: Vec<f64> = (0..n)
             .map(|i| ((i % 11) as f64) - 5.0 + (i as f64 * 0.31).sin())
             .collect();
-        for single_reduction in [false, true] {
-            let cfg = GmresConfig {
-                rtol: 1e-9,
-                max_iters: 400,
-                single_reduction,
-                ..Default::default()
-            };
-            for nt in [1usize, 2, 3, 4, 7] {
-                let pool = std::sync::Arc::new(ThreadPool::new(nt));
-                for precond in ["identity", "p2p"] {
-                    let m: Box<dyn Preconditioner> = match precond {
-                        "identity" => Box::new(IdentityPrecond(n)),
-                        _ => Box::new(SerialIlu::new(&a, 0).with_p2p(pool.clone())),
-                    };
-                    let case = format!("nt={nt} {precond} single={single_reduction}");
-                    let (rt, xt) = solve_mode(&a, &*m, &b, cfg, GmresExec::Team(&pool));
-                    let mut references = vec![GmresExec::PerOp(&pool)];
-                    if nt == 1 {
-                        references.push(GmresExec::Serial);
-                    }
-                    for reference in references {
-                        let (rr, xr) = solve_mode(&a, &*m, &b, cfg, reference);
-                        assert_eq!(rr.history, rt.history, "{case} vs {}", rr.exec);
-                        assert_eq!(xr, xt, "{case} vs {}: iterates", rr.exec);
-                        assert_eq!(rr.iterations, rt.iterations, "{case} vs {}", rr.exec);
-                        assert_eq!(rr.reductions, rt.reductions, "{case} vs {}", rr.exec);
-                        assert_eq!(rr.outcome, rt.outcome, "{case} vs {}", rr.exec);
-                    }
+        let cfg = GmresConfig {
+            rtol: 1e-9,
+            max_iters: 400,
+            ..Default::default()
+        };
+        for nt in [1usize, 2, 3, 4, 7] {
+            let pool = std::sync::Arc::new(ThreadPool::new(nt));
+            for precond in ["identity", "p2p"] {
+                let m: Box<dyn Preconditioner> = match precond {
+                    "identity" => Box::new(IdentityPrecond(n)),
+                    _ => Box::new(SerialIlu::new(&a, 0).with_p2p(pool.clone())),
+                };
+                let case = format!("nt={nt} {precond}");
+                let (rt, xt) = solve_mode(&a, &*m, &b, cfg, GmresExec::Team(&pool));
+                let mut references = vec![GmresExec::PerOp(&pool)];
+                if nt == 1 {
+                    references.push(GmresExec::Serial);
+                }
+                for reference in references {
+                    let (rr, xr) = solve_mode(&a, &*m, &b, cfg, reference);
+                    assert_eq!(rr.history, rt.history, "{case} vs {}", rr.exec);
+                    assert_eq!(xr, xt, "{case} vs {}: iterates", rr.exec);
+                    assert_eq!(rr.iterations, rt.iterations, "{case} vs {}", rr.exec);
+                    assert_eq!(rr.reductions, rt.reductions, "{case} vs {}", rr.exec);
+                    assert_eq!(rr.outcome, rt.outcome, "{case} vs {}", rr.exec);
                 }
             }
         }
     }
-
     #[test]
     fn team_one_region_per_iteration() {
         // Single restart cycle: regions = 1 (cycle start) + iterations

@@ -46,6 +46,6 @@ pub use factor_cache::{CacheStats, KeyedCache};
 pub use gmres::{Gmres, GmresConfig, GmresExec, GmresOutcome, GmresResult};
 pub use op::{LinearOperator, Reducer, SumReduce};
 pub use policy::{AutoPolicy, ExecMode, FluxScheme};
-pub use precond::{IdentityPrecond, IluApply, Preconditioner, SerialIlu};
+pub use precond::{FactorAge, IdentityPrecond, IluApply, Preconditioner, SerialIlu, FACTOR_AGE_CAP};
 pub use ptc::{PtcConfig, PtcProblem, PtcStats};
 pub use vecops::{dot, maxpy, mdot, norm2};

@@ -206,6 +206,80 @@ impl Preconditioner for SerialIlu {
     }
 }
 
+/// The most pseudo-time steps one set of factors serves: KINSOL's default
+/// `msbset`, the number of nonlinear iterations between preconditioner
+/// set-ups (Hindmarsh et al., "SUNDIALS: Suite of nonlinear and
+/// differential/algebraic equation solvers", ACM TOMS 31, 2005). Newton–
+/// Krylov codes lag the preconditioner by default (Knoll and Keyes,
+/// "Jacobian-free Newton–Krylov methods", J. Comput. Phys. 193, 2004).
+pub const FACTOR_AGE_CAP: usize = 10;
+
+/// The one factor-reuse rule of a ΨTC problem that factors its own
+/// preconditioner: asked once per `build_preconditioner`, fed by the
+/// problem's [`PtcProblem::on_step`](crate::ptc::PtcProblem::on_step). It
+/// says refactor when
+/// * the solve has no factors yet (`ptc::solve` reports step 0 before
+///   its first step);
+/// * the factors have served `cap` steps;
+/// * the last step's residual norm did not fall — KINSOL's re-setup after
+///   a failed step on stale data.
+///
+/// Every input is a step count or a reduced residual norm, so the ranks
+/// of a distributed solve decide alike.
+#[derive(Clone, Copy, Debug)]
+pub struct FactorAge {
+    cap: usize,
+    /// Steps the current factors have served in this solve; `None` before
+    /// the solve's first build.
+    age: Option<usize>,
+    /// The residual norm of the last step reported.
+    last_res: f64,
+    /// That step's residual norm did not fall below the one before.
+    stalled: bool,
+}
+
+impl FactorAge {
+    /// Refactors at least every `cap` steps (0 reads as 1: every step).
+    pub fn new(cap: usize) -> FactorAge {
+        FactorAge {
+            cap: cap.max(1),
+            age: None,
+            last_res: f64::INFINITY,
+            stalled: false,
+        }
+    }
+
+    /// Records a step's residual norm; step 0, the initial residual,
+    /// begins a solve, which has no factors yet.
+    pub fn on_step(&mut self, step: usize, res_norm: f64) {
+        if step == 0 {
+            self.age = None;
+        }
+        self.stalled = step > 0 && !(res_norm < self.last_res);
+        self.last_res = res_norm;
+    }
+
+    /// Forgets the factors: the next build refactors.
+    pub fn reset(&mut self) {
+        self.age = None;
+    }
+
+    /// The next build is the solve's first.
+    pub fn first_build(&self) -> bool {
+        self.age.is_none()
+    }
+
+    /// Whether this step's build refactors; counts the step either way.
+    pub fn refactor_now(&mut self) -> bool {
+        let (due, age) = match self.age {
+            Some(age) if age < self.cap && !self.stalled => (false, age + 1),
+            _ => (true, 1),
+        };
+        self.age = Some(age);
+        due
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,5 +354,59 @@ mod tests {
             pp.apply(&r, &mut z2);
             assert_eq!(z0, z2, "p2p apply differs (pass {pass})");
         }
+    }
+
+    /// The steps at which `rule` refactors over a residual history, step
+    /// 0 the initial residual.
+    fn refactor_steps(mut rule: FactorAge, history: &[f64]) -> Vec<usize> {
+        rule.on_step(0, history[0]);
+        let mut steps = Vec::new();
+        for (step, &res) in history[1..].iter().enumerate() {
+            if rule.refactor_now() {
+                steps.push(step);
+            }
+            rule.on_step(step + 1, res);
+        }
+        steps
+    }
+
+    #[test]
+    fn factors_are_rebuilt_at_the_age_cap() {
+        let falling: Vec<f64> = (0..12).map(|k| 0.5f64.powi(k)).collect();
+        let all: Vec<usize> = (0..11).collect();
+        assert_eq!(refactor_steps(FactorAge::new(1), &falling), all);
+        assert_eq!(refactor_steps(FactorAge::new(0), &falling), all);
+        assert_eq!(refactor_steps(FactorAge::new(4), &falling), [0, 4, 8]);
+        assert_eq!(
+            refactor_steps(FactorAge::new(FACTOR_AGE_CAP), &falling),
+            [0, 10]
+        );
+    }
+
+    #[test]
+    fn a_residual_that_does_not_fall_rebuilds_the_factors() {
+        // Steps 1 and 4 end no lower than they started: steps 2 and 5
+        // refactor, and the age counts from there.
+        let history = [1.0, 0.5, 0.6, 0.3, 0.2, 0.2, 0.1, 0.05];
+        assert_eq!(refactor_steps(FactorAge::new(10), &history), [0, 2, 5]);
+        assert_eq!(refactor_steps(FactorAge::new(2), &history), [0, 2, 4, 5]);
+    }
+
+    #[test]
+    fn step_zero_begins_a_solve_without_factors() {
+        let mut rule = FactorAge::new(10);
+        assert!(rule.first_build());
+        assert!(rule.refactor_now());
+        assert!(!rule.first_build());
+        rule.on_step(1, 0.5);
+        assert!(!rule.refactor_now());
+        // A second solve: its step 0 is larger than the last step's
+        // residual, but the rule refactors because the solve is new.
+        rule.on_step(0, 1.0);
+        assert!(rule.first_build());
+        assert!(rule.refactor_now());
+        rule.on_step(1, 0.5);
+        rule.reset();
+        assert!(rule.refactor_now());
     }
 }

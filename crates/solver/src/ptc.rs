@@ -41,8 +41,11 @@ pub trait PtcProblem {
     /// The preconditioner built by the last `build_preconditioner` call.
     fn preconditioner(&self) -> &dyn Preconditioner;
 
-    /// Hook called once per time step with the current residual norm
-    /// (used by the application's progress logging). Default: no-op.
+    /// Reports the reduced residual norm: step 0 with the initial
+    /// residual before the first step (so a problem knows a solve has
+    /// begun; `dt` is 0), then step `k` after the `k`-th step with the Δt
+    /// it took. A problem that lags its preconditioner feeds this to its
+    /// [`FactorAge`](crate::precond::FactorAge). Default: no-op.
     fn on_step(&mut self, _step: usize, _res_norm: f64, _dt: f64) {}
 
     /// Thread pool for the linear solver's vector ops, or `None` for
@@ -203,6 +206,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         gmres_iters: 0,
         eta: 0.0,
     });
+    problem.on_step(0, res0, 0.0);
     let mut stats = PtcStats {
         time_steps: 0,
         linear_iters: 0,
@@ -345,7 +349,7 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{IdentityPrecond, SerialIlu};
+    use crate::precond::{FactorAge, IdentityPrecond, SerialIlu};
     use fun3d_sparse::Bcsr4;
 
     /// Linear test problem: f(u) = A u − b. Steady state solves A u = b.
@@ -562,6 +566,71 @@ mod tests {
                 prev = Some((eta, res));
             }
         }
+    }
+
+    /// The linear problem lagging its ILU(0) by the one reuse rule, its
+    /// residual scaled tenfold from the third build on, so that step 2
+    /// ends above where it started.
+    struct Planted {
+        inner: LinearProblem,
+        rule: FactorAge,
+        builds: usize,
+        refactored: Vec<usize>,
+        scale: f64,
+    }
+
+    impl PtcProblem for Planted {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn residual(&mut self, u: &[f64], r: &mut [f64]) {
+            self.inner.residual(u, r);
+            r.iter_mut().for_each(|x| *x *= self.scale);
+        }
+        fn time_diag(&self, dt: f64, out: &mut [f64]) {
+            self.inner.time_diag(dt, out);
+        }
+        fn build_preconditioner(&mut self, _u: &[f64], _time_diag: &[f64]) {
+            if self.builds == 2 {
+                self.scale = 10.0;
+            }
+            if self.rule.refactor_now() {
+                self.refactored.push(self.builds);
+                self.inner.precond = Some(SerialIlu::new(&self.inner.a, 0));
+            }
+            self.builds += 1;
+        }
+        fn preconditioner(&self) -> &dyn Preconditioner {
+            self.inner.preconditioner()
+        }
+        fn on_step(&mut self, step: usize, res_norm: f64, _dt: f64) {
+            self.rule.on_step(step, res_norm);
+        }
+    }
+
+    #[test]
+    fn a_step_whose_residual_rose_refactors_the_next() {
+        let mut p = Planted {
+            inner: LinearProblem::new(86),
+            rule: FactorAge::new(crate::precond::FACTOR_AGE_CAP),
+            builds: 0,
+            refactored: Vec::new(),
+            scale: 1.0,
+        };
+        let mut u = vec![0.0; p.dim()];
+        let config = PtcConfig {
+            dt0: 10.0,
+            rtol: 1e-6,
+            ..Default::default()
+        };
+        let stats = solve(&mut p, &mut u, &config);
+        let h = &stats.res_history;
+        assert!(
+            h[3] > h[2] && h[1] > h[2],
+            "premise: only step 2 rose: {h:?}"
+        );
+        assert_eq!(p.refactored, [0, 3], "{h:?}");
+        assert!(stats.converged && stats.time_steps < 13, "{h:?}");
     }
 
     /// A genuinely nonlinear scalar-ish problem: f(u)_i = u_i + u_i^3 − c_i.

@@ -136,10 +136,9 @@ mod tests {
     prop_cases! {
         fn team_reductions_are_thread_order_sums_of_chunk_kernels(g, cases = 12) {
             // At every thread count dot, norm2 and mdot (every
-            // vector-count residue, with and without the fused <x, x>)
-            // are the chunk kernels' partials added in thread order from
-            // +0.0, identical on every thread; at one thread that is the
-            // serial result. maxpy is the serial result at every count.
+            // vector-count residue) are the chunk kernels' partials added
+            // in thread order from +0.0, identical on every thread; at one
+            // thread that is the serial result. maxpy is the serial result at every count.
             let seed = g.u64();
             let n = g.usize_range(0, 1100);
             let isa = Isa::detect();
@@ -153,29 +152,27 @@ mod tests {
                 let (xs, y_s) = (TeamSlice::new(&mut rest[0]), TeamSlice::new(&mut rest[1]));
 
                 for k in VECTOR_COUNTS {
-                    for fused in [0, 1] {
-                        let mut want = vec![0.0; k + fused];
-                        for r in &chunks {
-                            let mut partial = vec![0.0; k + fused];
-                            vecops::mdot_chunk(isa, &x[r.clone()], &ys[..k], r.start, &mut partial);
-                            want.iter_mut().zip(&partial).for_each(|(w, p)| *w += p);
-                        }
-                        let got = Mutex::new(vec![Vec::new(); nt]);
-                        pool.run(|tid| {
-                            // SAFETY: one member per tid per region.
-                            let tm = unsafe { team.member(tid) };
-                            let mut out = vec![0.0; k + fused];
-                            mdot(&tm, xs, &ys[..k], &mut out);
-                            got.lock().unwrap()[tid] = out;
-                        });
-                        for out in got.lock().unwrap().iter() {
-                            prop_assert!(same(out, &want), "mdot nt={nt} n={n} k={k} fused={fused}");
-                        }
-                        if nt == 1 {
-                            let mut serial = vec![0.0; k + fused];
-                            vecops::mdot(x, &ys[..k], &mut serial);
-                            prop_assert!(same(&serial, &want), "serial mdot n={n} k={k} fused={fused}");
-                        }
+                    let mut want = vec![0.0; k];
+                    for r in &chunks {
+                        let mut partial = vec![0.0; k];
+                        vecops::mdot_chunk(isa, &x[r.clone()], &ys[..k], r.start, &mut partial);
+                        want.iter_mut().zip(&partial).for_each(|(w, p)| *w += p);
+                    }
+                    let got = Mutex::new(vec![Vec::new(); nt]);
+                    pool.run(|tid| {
+                        // SAFETY: one member per tid per region.
+                        let tm = unsafe { team.member(tid) };
+                        let mut out = vec![0.0; k];
+                        mdot(&tm, xs, &ys[..k], &mut out);
+                        got.lock().unwrap()[tid] = out;
+                    });
+                    for out in got.lock().unwrap().iter() {
+                        prop_assert!(same(out, &want), "mdot nt={nt} n={n} k={k}");
+                    }
+                    if nt == 1 {
+                        let mut serial = vec![0.0; k];
+                        vecops::mdot(x, &ys[..k], &mut serial);
+                        prop_assert!(same(&serial, &want), "serial mdot n={n} k={k}");
                     }
                     let alpha = &random_vectors(seed ^ 1, 1, k, 0)[0];
                     let mut want = y.clone();

@@ -68,9 +68,7 @@ pub fn maxpy(y: &mut [f64], alpha: &[f64], xs: &[Vec<f64>]) {
 }
 
 /// `out[j] = <x, ys[j]>` (PETSc `VecMDot`): `x` is read once per block of
-/// four vectors. `out` may be one longer than `ys`; the extra last
-/// component is then `<x, x>` (the norm single-reduction GMRES fuses into
-/// the same reduction).
+/// four vectors.
 pub fn mdot(x: &[f64], ys: &[Vec<f64>], out: &mut [f64]) {
     assert_lens(x.len(), ys);
     mdot_chunk(Isa::detect(), x, ys, 0, out);
@@ -160,21 +158,14 @@ pub(crate) fn dot_chunk(isa: Isa, x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// The `mdot` chunk kernel: `out[j] = <x, ys[j][lo..lo + x.len()]>`, with
-/// `x` already cut to the chunk, in the order the module docs fix. When
-/// `out` is one longer than `ys`, the last component is `<x, x>`.
+/// `x` already cut to the chunk, in the order the module docs fix.
 pub(crate) fn mdot_chunk(isa: Isa, x: &[f64], ys: &[Vec<f64>], lo: usize, out: &mut [f64]) {
     /// # Safety
     /// None; `with_lanes!` takes kernel bodies, which are unsafe.
     #[inline(always)]
     unsafe fn body<S: Simd>(s: S, x: &[f64], ys: &[Vec<f64>], lo: usize, out: &mut [f64]) {
         let m4 = x.len() / 4 * 4;
-        let vector = |j: usize| {
-            if j < ys.len() {
-                &ys[j][lo..lo + x.len()]
-            } else {
-                x
-            }
-        };
+        let vector = |j: usize| &ys[j][lo..lo + x.len()];
         for (b, out) in out.chunks_mut(MDOT_BLOCK).enumerate() {
             // A short last block repeats its last vector; the surplus
             // accumulators are dropped, so no component sees the padding.
@@ -196,12 +187,7 @@ pub(crate) fn mdot_chunk(isa: Isa, x: &[f64], ys: &[Vec<f64>], lo: usize, out: &
             }
         }
     }
-    assert!(
-        out.len() == ys.len() || out.len() == ys.len() + 1,
-        "mdot: {} results for {} vectors",
-        out.len(),
-        ys.len()
-    );
+    assert_eq!(out.len(), ys.len(), "mdot: one result per vector");
     // SAFETY: `body` has no contract of its own (it is all safe code).
     with_lanes!(
         isa,
@@ -359,14 +345,11 @@ pub(crate) mod tests {
     #[test]
     fn mdot_and_norm() {
         let (x, y) = vecs(11);
-        let mut out = [0.0; 3];
+        let mut out = [0.0; 2];
         mdot(&x, &[x.clone(), y.clone()], &mut out);
         assert!((out[0] - dot(&x, &x)).abs() < 1e-14);
         assert!((out[1] - dot(&x, &y)).abs() < 1e-14);
         assert!((norm2(&x) - out[0].sqrt()).abs() < 1e-14);
-        // the optional extra component is <x, x>, with the bits of a
-        // listed copy of x
-        assert_eq!(out[2].to_bits(), out[0].to_bits());
     }
 
     prop_cases! {
@@ -386,14 +369,12 @@ pub(crate) mod tests {
                     let d = [Isa::portable(), avx2].map(|isa| dot_chunk(isa, x, &vs[0][lo..lo + n]));
                     prop_assert!(same(&d[..1], &d[1..]), "dot n={n} special={special}: {d:?}");
                     for k in VECTOR_COUNTS {
-                        for fused in [0, 1] {
-                            let out = [Isa::portable(), avx2].map(|isa| {
-                                let mut out = vec![0.0; k + fused];
-                                mdot_chunk(isa, x, &vs[..k], lo, &mut out);
-                                out
-                            });
-                            prop_assert!(same(&out[0], &out[1]), "mdot n={n} k={k} fused={fused} special={special}");
-                        }
+                        let out = [Isa::portable(), avx2].map(|isa| {
+                            let mut out = vec![0.0; k];
+                            mdot_chunk(isa, x, &vs[..k], lo, &mut out);
+                            out
+                        });
+                        prop_assert!(same(&out[0], &out[1]), "mdot n={n} k={k} special={special}");
                         let y = [Isa::portable(), avx2].map(|isa| {
                             let mut y = y0[..n].to_vec();
                             maxpy_chunk(isa, &mut y, lo, &alpha[..k], &vs[..k]);
@@ -438,9 +419,9 @@ pub(crate) mod tests {
             }
             let reference = sum + comp;
             let bound = n as f64 * f64::EPSILON * abs_sum;
-            let mut fused = [0.0; 2];
-            mdot(&vs[0], &vs[1..], &mut fused);
-            for got in [dot(&vs[0], &vs[1]), fused[0]] {
+            let mut products = [0.0; 1];
+            mdot(&vs[0], &vs[1..], &mut products);
+            for got in [dot(&vs[0], &vs[1]), products[0]] {
                 prop_assert!((got - reference).abs() <= bound, "n={n}: {got} vs {reference} (bound {bound:e})");
             }
         }

@@ -21,7 +21,8 @@
 #    application reads no clock of its own and the phase-timer map stays
 #    deleted; the
 #    rank layer assembles no Jacobian of its own, neither the app nor a
-#    rank stores the first-order Jacobian, no kernel has a second
+#    rank stores the first-order Jacobian or decides its own factor reuse
+#    (one rule, fun3d_solver's FactorAge), no kernel has a second
 #    path nothing runs (tile staging, the barrier-per-level TRSV), the
 #    execution, flux-scheme and spin knobs, the serve cache switch and
 #    the flight dump prefix stay deleted, crates/bench/src/bin holds the
@@ -82,7 +83,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, no stored Jacobian, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, no stored Jacobian, one factor-reuse rule, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -119,6 +120,9 @@ BENCH_ONLY='serial_soa|NodeSoa|fn atomics|struct Csr\b|DagStats|EdgeLoopCosts|Re
 # exactly when there is a pool, the pool's plan is always multilevel, and
 # a pseudo-time step is one Newton iteration.
 SINGLE_VALUE_KNOBS='IluParallel|metis_partition|newton_per_step'
+# One factor-reuse rule: the app and a rank ask fun3d_solver's FactorAge
+# whether to refactor, and compare no age or lag of their own.
+AGE_COMPARISON='(ilu_lag|\bage\b|_age\b|\blag\b)[[:space:]]*([<>%]|[<>=!]=)|([<>%]|[<>=!]=)[[:space:]]*[a-z_.]*(ilu_lag|\bage\b|_age\b|\blag\b)'
 # A production crate's public surface is its lib.rs: its modules are
 # private, save the eight whose paths benchmark/ names (it is frozen), so
 # `unreachable_pub` and `dead_code` see every item. `parent:module` pairs.
@@ -271,6 +275,12 @@ structure_guard() {
             echo "  $holder stores the first-order Jacobian again: factor from JacobianAt, the row kernel"
             bad=1
         fi
+        # Above the tests, an age or lag comparison is a second reuse rule.
+        if [ -e "$holder" ] && sed '/#\[cfg(test)\]/q' "$holder" | grep -nE "$AGE_COMPARISON" \
+            | grep -vE '^[0-9]+:[[:space:]]*//'; then
+            echo "  $holder decides its own factor reuse: ask fun3d_solver::FactorAge, the one reuse rule"
+            bad=1
+        fi
     done
     if grep -rnE "$DEAD_PATHS" "$root/crates"; then
         echo "  a deleted second kernel path (tile staging, the barrier-per-level TRSV) is back under crates/"
@@ -336,10 +346,10 @@ structure_guard() {
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly or stored Jacobian, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly or stored Jacobian, factor-reuse rule, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
     exit 1
 fi
-# Negative canaries: each of the thirty-one forks must trip the guard, and
+# Negative canaries: each of the thirty-two forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
@@ -347,7 +357,8 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     second_gradient_layout gradient_edge_body tiled_gradient_model unchecked_elsewhere unargued_unchecked \
     telemetry_knob_read deleted_knob_named second_thread_local sampler_back second_kernel_clock \
     rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map \
-    bench_only_in_production single_value_knob_back pub_mod_back dead_code_allowed stored_jacobian; do
+    bench_only_in_production single_value_knob_back pub_mod_back dead_code_allowed stored_jacobian \
+    one_reuse_rule; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src/bin" "$CANARY/scripts" \
@@ -411,6 +422,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         pub_mod_back) echo 'pub mod gmres;' >> "$CANARY/crates/solver/src/lib.rs" ;;
         dead_code_allowed) printf '#[allow(dead_code)]\nfn unused() {}\n' > "$CANARY/crates/threads/src/team.rs" ;;
         stored_jacobian) printf '    adj: HalfEdges,\n    jac: OnceLock<Bcsr4>,\n' > "$CANARY/crates/core/src/app.rs" ;;
+        one_reuse_rule) printf '        if self.precond.is_some() && self.cfg.ilu_lag > 1 {\n' > "$CANARY/crates/cluster/src/dapp.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -418,7 +430,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, no stored Jacobian in the app or a rank, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, no stored Jacobian in the app or a rank, one factor-reuse rule, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
 
 # Warnings are errors, on every target of the workspace and on the
 # model-checked crates under their cfg. Own target dirs: the flags change

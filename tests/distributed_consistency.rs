@@ -96,56 +96,39 @@ fn distributed_gmres_agrees_with_serial_gmres() {
 }
 
 #[test]
-fn single_reduction_halves_the_collectives_of_a_distributed_solve() {
-    // The allreduce-halving mode is reachable from the layer that does the
-    // allreduces: `Gmres` driven directly on a rank's rows, with the
-    // communicator as its reducer. Unpreconditioned, the regime where the
-    // fused reduction holds (see the solver's own single-reduction test).
+fn distributed_gmres_makes_one_collective_per_reported_reduction() {
+    // `Gmres` driven directly on a rank's rows, with the communicator as
+    // its reducer: every reduction it reports is one allreduce, two per
+    // iteration (the Gram-Schmidt products, then the norm) plus one per
+    // cycle start.
     let (nv, edges, a, b) = system();
     let decomp = Decomposition::build(nv, &edges, 2);
     let (subs, a, b) = (&decomp.subdomains, &a, &b);
-    let run = |single_reduction: bool| {
-        let results = Universe::run(2, move |comm| {
-            let sys = DistSystem::new(a, subs[comm.rank()].clone(), 0);
-            let n = sys.nowned();
-            let config = GmresConfig {
-                rtol: 1e-8,
-                max_iters: 2000,
-                single_reduction,
-                ..Default::default()
-            };
-            let mut x = vec![0.0; n];
-            let r = Gmres::new(n, config).solve(
-                &sys.on(&comm),
-                &IdentityPrecond(n),
-                &owned_part(&sys, b),
-                &mut x,
-            );
-            comm.barrier();
-            (r, comm.stat_collectives())
-        });
-        results.into_iter().next().expect("rank 0")
-    };
-    let (standard, standard_collectives) = run(false);
-    let (single, single_collectives) = run(true);
-    for r in [&standard, &single] {
-        assert_eq!(r.outcome, GmresOutcome::ConvergedRtol);
-        assert!(r.residual <= 1e-8 * r.residual0);
-    }
-    // `Comm` counts a collective once per participant, and GMRES makes
-    // no collective beyond the reductions it reports.
-    assert_eq!(standard_collectives, 2 * standard.reductions as u64);
-    assert_eq!(single_collectives, 2 * single.reductions as u64);
-    assert!(single_collectives < standard_collectives);
-    let per_iter = |c: u64, r: &fun3d_solver::GmresResult| c as f64 / 2.0 / r.iterations as f64;
-    assert!(per_iter(standard_collectives, &standard) > 1.8);
-    assert!(
-        per_iter(single_collectives, &single) < 1.35,
-        "single-reduction GMRES made {single_collectives} collectives in {} iterations, \
-         standard {standard_collectives} in {}",
-        single.iterations,
-        standard.iterations
-    );
+    let results = Universe::run(2, move |comm| {
+        let sys = DistSystem::new(a, subs[comm.rank()].clone(), 0);
+        let n = sys.nowned();
+        let config = GmresConfig {
+            rtol: 1e-8,
+            max_iters: 2000,
+            ..Default::default()
+        };
+        let mut x = vec![0.0; n];
+        let r = Gmres::new(n, config).solve(
+            &sys.on(&comm),
+            &IdentityPrecond(n),
+            &owned_part(&sys, b),
+            &mut x,
+        );
+        comm.barrier();
+        (r, comm.stat_collectives())
+    });
+    let (r, collectives) = results.into_iter().next().expect("rank 0");
+    assert_eq!(r.outcome, GmresOutcome::ConvergedRtol);
+    assert!(r.residual <= 1e-8 * r.residual0);
+    // `Comm` counts a collective once per participant.
+    assert_eq!(collectives, 2 * r.reductions as u64);
+    let cycles = r.iterations.div_ceil(GmresConfig::default().restart);
+    assert_eq!(r.reductions, 2 * r.iterations + cycles);
 }
 
 #[test]

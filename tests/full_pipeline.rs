@@ -156,8 +156,11 @@ fn residual_path_bits_are_pinned() {
     // moves every history. The Krylov solve is serial in all three, and
     // at T = 2 the ILU refactorization and triangular solves run the P2P
     // schedules, bitwise the serial sweeps the pins were taken with: only
-    // the residual path distinguishes the rows.
-    use fun3d_solver::{ExecMode, FluxScheme};
+    // the residual path distinguishes the rows. They refactor every step
+    // (`ilu_lag = 1`), which is the path the pins were taken on; the last
+    // row is the stream solve at the default age cap, where the first
+    // factors serve the whole solve.
+    use fun3d_solver::{ExecMode, FluxScheme, FACTOR_AGE_CAP};
     let stream_history: [u64; 6] = [
         0x3fa30c90b5b7566e, 0x3f800d8b0a77ee06, 0x3f4cc5c236fcdf5a,
         0x3ef36cb877eaadf2, 0x3e492a35ccb919da, 0x3e169644e7caeac6,
@@ -166,25 +169,33 @@ fn residual_path_bits_are_pinned() {
         0x3fa30c90b5b7566e, 0x3f800d8b0a77ee06, 0x3f4cc5c236f0adcd,
         0x3ef36cb88ced584d, 0x3e492a34dfa49122, 0x3e16963c55cd8ecf,
     ];
-    let rows = [
-        ("stream, T=1", 1usize, FluxScheme::Stream, 0x4b672a2795d5434au64, stream_history),
-        ("owner, T=2", 2, FluxScheme::Stream, 0x02d9a159fc5caecd, owner_history),
+    let reused_history: [u64; 6] = [
+        0x3fa30c90b5b7566e, 0x3f800d8b0a77ee06, 0x3f4b6dc98494c437,
+        0x3eecb39551227fbd, 0x3e37e334b02c59ad, 0x3e0515db25b2cc2c,
+    ];
+    let every_step = (1, 5, 62);
+    let rows: [(&str, usize, FluxScheme, (usize, usize, usize), u64, &[u64]); 4] = [
+        ("stream, T=1", 1, FluxScheme::Stream, every_step, 0x4b672a2795d5434a, &stream_history),
+        ("owner, T=2", 2, FluxScheme::Stream, every_step, 0x02d9a159fc5caecd, &owner_history),
         // Forced tiling is the one place bits may legitimately move: the
         // flux still accumulates in tile order, the gradient now in edge
         // order (it has no tiled form). On Tiny the host's half-L2 budget
         // makes one tile, whose order is the edge order, so the tiled
         // solve was the stream solve before the change and still is; the
         // pin is its value now.
-        ("tiled, T=1", 1, FluxScheme::Tiled, 0x4b672a2795d5434a, stream_history),
+        ("tiled, T=1", 1, FluxScheme::Tiled, every_step, 0x4b672a2795d5434a, &stream_history),
+        ("stream, T=1, default cap", 1, FluxScheme::Stream, (FACTOR_AGE_CAP, 5, 69),
+            0x0a03526083d83390, &reused_history),
     ];
     let mut states = Vec::new();
-    for (name, nt, flux, state, history) in rows {
+    for (name, nt, flux, (lag, steps, iters), state, history) in rows {
         let mut cfg = OptConfig::optimized(nt);
         cfg.exec = ExecMode::Serial;
         cfg.flux = flux;
+        cfg.ilu_lag = lag;
         let (u, stats) = solve(cfg);
         assert!(stats.converged, "{name}");
-        assert_eq!((stats.time_steps, stats.linear_iters), (5, 62), "{name}");
+        assert_eq!((stats.time_steps, stats.linear_iters), (steps, iters), "{name}");
         let got: Vec<u64> = stats.res_history.iter().map(|r| r.to_bits()).collect();
         assert_eq!(got, history, "{name}: residual history moved");
         assert_eq!(fnv1a(&u), state, "{name}: final state moved");

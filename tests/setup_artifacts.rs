@@ -17,7 +17,7 @@ use fun3d_core::{FlowConditions, Fun3dApp, OptConfig};
 use fun3d_mesh::{generator::MeshPreset, rcm, ChannelSpec, DualMesh, Mesh};
 use fun3d_partition::{partition_graph, MultilevelConfig};
 use fun3d_solver::ptc::PtcConfig;
-use fun3d_solver::ExecMode;
+use fun3d_solver::{ExecMode, FACTOR_AGE_CAP};
 use fun3d_sparse::{ilu, Bcsr4};
 use fun3d_util::{fnv1a, fnv1a_word};
 
@@ -201,23 +201,27 @@ fn converged_tiny_solves_are_pinned() {
     // choice rests on a timed calibration: serial GMRES at T = 1, team
     // GMRES over the partitioned owner-writes flux and the P2P sweeps at
     // T = 2.
+    // The first two rows refactor every step (`ilu_lag = 1`), the path
+    // their pins were taken on; the last is T = 1 at the default age cap.
     let rows = [
-        (1usize, ExecMode::Serial, 0x2535bdbd61253900u64, 62usize),
-        (2, ExecMode::Team, 0x7d02fc1855f991a1, 62),
+        (1usize, ExecMode::Serial, 1, 0x2535bdbd61253900u64, 62usize),
+        (2, ExecMode::Team, 1, 0x7d02fc1855f991a1, 62),
+        (1, ExecMode::Serial, FACTOR_AGE_CAP, 0x4b7d05059f64f662, 69),
     ];
-    for (nt, exec, state, iters) in rows {
+    for (nt, exec, lag, state, iters) in rows {
         let mut mesh = MeshPreset::Tiny.build();
         Fun3dApp::rcm_reorder(&mut mesh);
         let mut cfg = OptConfig::optimized(nt);
         cfg.exec = exec;
+        cfg.ilu_lag = lag;
         let mut app = Fun3dApp::new(mesh, FlowConditions::default(), cfg);
         let (u, stats) = app.run(&ptc);
-        assert!(stats.converged, "T = {nt}");
+        assert!(stats.converged, "T = {nt}, lag {lag}");
         let got = Fnv::new().words(u.iter().map(|x| x.to_bits())).0;
         assert_eq!(
             (got, stats.linear_iters),
             (state, iters),
-            "T = {nt}: converged state {got:#018x}, {} linear iterations",
+            "T = {nt}, lag {lag}: converged state {got:#018x}, {} linear iterations",
             stats.linear_iters
         );
     }
