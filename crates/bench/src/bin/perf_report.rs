@@ -13,16 +13,15 @@
 //!   spans (the shared-memory scaling story);
 //! * the ΨTC convergence history (residual, Δt, forcing term η, GMRES
 //!   iterations per step) from the solve's `ptc_step` flight events;
-//! * machine-readable artifacts under `target/experiments/`: a JSON run
-//!   summary (`perf_report.json`), a Chrome trace-event timeline
-//!   (`perf_report.trace.json`) loadable in Perfetto / `chrome://tracing`,
-//!   and the span profile as folded stacks (`perf_report.folded`) and
-//!   speedscope JSON (`perf_report.speedscope.json`).
+//! * two machine-readable artifacts under `target/experiments/`: a JSON
+//!   run summary (`perf_report.json`) and a Chrome trace-event timeline
+//!   (`perf_report.trace.json`, spans beside the flight events as
+//!   instants) loadable in Perfetto / `chrome://tracing`.
 //!
 //! Usage: `perf_report [--mesh <preset>] [--threads <n>] [--check <file>]`
 //! (`--check` parses an existing artifact and exits — used by
 //! `scripts/verify.sh` to keep the artifacts machine-readable; a summary
-//! of a tiny-mesh run also fails it if any span was lost to ring
+//! of a tiny-mesh run also fails it if any ring slot was lost to
 //! wraparound, since the span profile is exact only without losses).
 
 use fun3d_bench::build_mesh;
@@ -80,47 +79,24 @@ fn check_artifact(path: &str) -> ! {
         eprintln!("check failed: cannot read {path}: {e}");
         std::process::exit(1);
     });
-    if path.ends_with(".folded") {
-        // Folded flamegraph text of the span profile.
-        match telemetry::check_folded(&text) {
-            Ok(n) => {
-                println!("{path}: OK ({n} folded stacks)");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("check failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     let doc = Json::parse(&text).unwrap_or_else(|e| {
         eprintln!("check failed: {path} is not valid JSON: {e}");
         std::process::exit(1);
     });
-    if doc.get("$schema").is_some() {
-        // Speedscope document of the span profile.
-        match telemetry::check_speedscope(&doc) {
-            Ok(n) => {
-                println!("{path}: OK ({n} speedscope profiles)");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("check failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     let mut problems = Vec::new();
     if let Some(events) = doc.get("traceEvents") {
-        // Chrome trace form: every event needs a name, phase, pid, tid.
+        // Chrome trace form: every event needs a name, phase, pid, tid;
+        // a span ("X") and a flight event's instant ("i") also a time.
         match events.as_arr() {
             None => problems.push("'traceEvents' is not an array".to_string()),
             Some(evs) => {
                 for e in evs {
+                    let ph = e.get("ph").and_then(Json::as_str);
                     if e.get("name").and_then(Json::as_str).is_none()
-                        || e.get("ph").and_then(Json::as_str).is_none()
+                        || ph.is_none()
                         || e.get("pid").and_then(Json::as_f64).is_none()
                         || e.get("tid").and_then(Json::as_f64).is_none()
+                        || (matches!(ph, Some("X" | "i")) && e.get("ts").and_then(Json::as_f64).is_none())
                     {
                         problems.push("malformed trace event".to_string());
                         break;
@@ -129,7 +105,9 @@ fn check_artifact(path: &str) -> ! {
             }
         }
         if problems.is_empty() {
-            println!("{path}: OK ({} trace events)", doc.get("traceEvents").and_then(Json::as_arr).map_or(0, <[Json]>::len));
+            let evs = events.as_arr().unwrap_or_default();
+            let instants = evs.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("i")).count();
+            println!("{path}: OK ({} trace events, {instants} of them flight-event instants)", evs.len());
             std::process::exit(0);
         }
         for p in &problems {
@@ -188,12 +166,12 @@ fn check_artifact(path: &str) -> ! {
         }
     }
     if let Some(run) = doc.get("run") {
-        // The span profile is exact only when no span was dropped, and
-        // the tiny mesh fits every thread's ring.
+        // The span profile is exact only when no ring slot was dropped,
+        // and the tiny mesh fits every thread's ring.
         let dropped = run.get("dropped_spans").and_then(Json::as_f64);
         if run.get("mesh").and_then(Json::as_str) == Some("tiny") && dropped != Some(0.0) {
             problems.push(format!(
-                "spans lost to ring wraparound on the tiny mesh ({dropped:?}): the span profile is not exact"
+                "ring slots lost to wraparound on the tiny mesh ({dropped:?}): the span profile is not exact"
             ));
         }
     }
@@ -244,8 +222,7 @@ fn main() {
 
     let snap = telemetry::snapshot();
     let counters = snap.merged_counters();
-    let span_profile = Profile::from_snapshot(&snap);
-    let times = span_profile.kernel_times();
+    let times = Profile::from_snapshot(&snap).kernels;
     let flog = telemetry::flight_log();
 
     println!(
@@ -307,7 +284,7 @@ fn main() {
         &format!(
             "perf_report: span profile (self/total from span nesting, {} spans, {} dropped)",
             times.iter().map(|k| k.spans).sum::<u64>(),
-            snap.dropped_spans()
+            snap.dropped()
         ),
         &["span", "self s", "total s", "spans", "% of span time"],
     );
@@ -528,9 +505,9 @@ fn main() {
     ]);
 
     // ---- (d) machine-readable artifacts ----
-    let dropped = snap.dropped_spans();
+    let dropped = snap.dropped();
     if dropped > 0 {
-        println!("note: {dropped} spans lost to ring wraparound: the span profile is incomplete");
+        println!("note: {dropped} ring slots lost to wraparound: the span profile is incomplete");
     }
     let summary = Json::obj(vec![
         (
@@ -617,24 +594,6 @@ fn main() {
     match write_trace(&dir, &snap) {
         Ok(p) => println!("[chrome trace written to {} — open in Perfetto]", p.display()),
         Err(e) => eprintln!("warning: could not write trace: {e}"),
-    }
-    if !span_profile.stacks.is_empty() {
-        let folded_path = dir.join("perf_report.folded");
-        match std::fs::write(&folded_path, telemetry::folded(&span_profile)) {
-            Ok(()) => println!(
-                "[folded stacks written to {} — flamegraph.pl/inferno input]",
-                folded_path.display()
-            ),
-            Err(e) => eprintln!("warning: could not write folded stacks: {e}"),
-        }
-        let scope = telemetry::speedscope(
-            &span_profile,
-            &format!("perf_report {} {}t", args.mesh.name(), args.threads),
-        );
-        match write_json(&dir, "perf_report.speedscope", &scope) {
-            Ok(p) => println!("[speedscope profile written to {} — open at speedscope.app]", p.display()),
-            Err(e) => eprintln!("warning: could not write speedscope profile: {e}"),
-        }
     }
 }
 

@@ -13,7 +13,9 @@
 //! pseudo-time steps and at the default age cap of ten
 //! (`OptConfig::ilu_lag`, the cap of the solver's one reuse rule; the
 //! reuse the paper calls worth pursuing): fewer factorizations for more
-//! iterations.
+//! iterations. Every cell is solved three times: a "serial time" cell is
+//! the median wall time with the min–max beside it, since one solve's
+//! wall time spreads by more than the lags' differences on this host.
 
 use fun3d_bench::dag::DagStats;
 use fun3d_bench::model::model_speedups_fill;
@@ -24,25 +26,43 @@ use fun3d_machine::MachineSpec;
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::FACTOR_AGE_CAP;
 use fun3d_sparse::{ilu, TempBuffer};
+use fun3d_util::median;
+
+/// Solves per cell; a cell's serial time is their median.
+const REPEATS: usize = 3;
 
 struct FillCase {
     parallelism: f64,
     linear_iters: usize,
     serial_s: f64,
+    serial_cell: String,
     ten_core_s: f64,
 }
 
-/// A real serial solve at this fill, the factors refreshed every `lag`
-/// pseudo-time steps.
-fn solve(preset: MeshPreset, fill: usize, lag: usize) -> ProfiledSolve {
+/// [`REPEATS`] real serial solves at this fill, the factors refreshed
+/// every `lag` pseudo-time steps, quickest first: the middle one is the
+/// median.
+fn solve(preset: MeshPreset, fill: usize, lag: usize) -> Vec<ProfiledSolve> {
     let mut cfg = OptConfig::baseline();
     cfg.ilu_fill = fill;
     cfg.ilu_lag = lag;
-    profiled_solve(preset, cfg)
+    let mut runs: Vec<ProfiledSolve> = (0..REPEATS).map(|_| profiled_solve(preset, cfg)).collect();
+    runs.sort_by(|a, b| a.wall_s.total_cmp(&b.wall_s));
+    runs
 }
 
-/// The Table II column of `fill` from its unlagged solve.
-fn run_case(preset: MeshPreset, fill: usize, run: &ProfiledSolve) -> FillCase {
+/// A "serial time" cell: the median wall time of a cell's solves, with
+/// their min–max beside it.
+fn serial_time(runs: &[ProfiledSolve]) -> String {
+    let walls: Vec<f64> = runs.iter().map(|r| r.wall_s).collect();
+    let (lo, hi) = (walls[0], walls[walls.len() - 1]);
+    format!("{} ({}–{})", fmt_g(median(&walls)), fmt_g(lo), fmt_g(hi))
+}
+
+/// The Table II column of `fill` from its unlagged solves: the median
+/// one's profile and wall time.
+fn run_case(preset: MeshPreset, fill: usize, runs: &[ProfiledSolve]) -> FillCase {
+    let run = &runs[REPEATS / 2];
     let (prof, total) = (&run.kernels, run.wall_s);
 
     // DAG parallelism on the real factors
@@ -79,6 +99,7 @@ fn run_case(preset: MeshPreset, fill: usize, run: &ProfiledSolve) -> FillCase {
         parallelism: dag.parallelism(),
         linear_iters: run.stats.linear_iters,
         serial_s: total,
+        serial_cell: serial_time(runs),
         ten_core_s,
     }
 }
@@ -111,9 +132,9 @@ fn main() {
         "383".into(),
     ]);
     table.row(&[
-        "serial time (s)".into(),
-        fmt_g(c0.serial_s),
-        fmt_g(c1.serial_s),
+        "serial time (s, median (min–max) of 3)".into(),
+        c0.serial_cell.clone(),
+        c1.serial_cell.clone(),
         "430".into(),
         "282".into(),
     ]);
@@ -131,16 +152,16 @@ fn main() {
         "6.9x".into(),
         "3.5x".into(),
     ]);
-    type Quantity = fn(&ProfiledSolve) -> String;
+    type Quantity = fn(&[ProfiledSolve]) -> String;
     let rows: [(&str, Quantity); 3] = [
-        ("linear iterations", |r| r.stats.linear_iters.to_string()),
+        ("linear iterations", |r| r[0].stats.linear_iters.to_string()),
         ("factorizations", |r| {
-            r.kernels.get("ilu").map_or(0, |c| c.calls).to_string()
+            r[0].kernels.get("ilu").map_or(0, |c| c.calls).to_string()
         }),
-        ("serial time (s)", |r| fmt_g(r.wall_s)),
+        ("serial time (s, median (min–max) of 3)", serial_time),
     ];
     for (quantity, value) in rows {
-        let cell = |[lag1, lag4, cap]: &[ProfiledSolve; 3]| {
+        let cell = |[lag1, lag4, cap]: &[Vec<ProfiledSolve>; 3]| {
             format!("{} / {} / {}", value(lag1), value(lag4), value(cap))
         };
         let name = format!("{quantity}, ILU lag 1 / 4 / {FACTOR_AGE_CAP}");

@@ -471,10 +471,18 @@ mod tests {
             });
             let bits = |s: &PtcStats| s.res_history.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
             let (first, _) = &runs[0];
+            let log = telemetry::flight_log();
             for (rank, (s, factorizations)) in runs.iter().enumerate() {
                 let at = format!("P = {nranks}, rank {rank}");
                 assert!(s.converged && s.time_steps > 1, "{at}: {:?}", s.res_history);
                 assert_eq!(*factorizations, 1, "{at}: factorizations");
+                let logged: Vec<_> = log
+                    .solve(s.solve_id)
+                    .into_iter()
+                    .filter(|e| matches!(e.kind, telemetry::EventKind::IluRefactor { .. }))
+                    .collect();
+                assert_eq!(logged.len(), 1, "{at}: ilu_refactor events");
+                assert_eq!(logged[0].rank, rank as u64, "{at}: the rank tag");
                 assert_eq!(bits(s), bits(first), "{at}: res_history");
                 assert_eq!(s.linear_iters, first.linear_iters, "{at}: linear_iters");
             }

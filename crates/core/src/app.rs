@@ -573,6 +573,15 @@ mod tests {
         kernels.get(name).map_or(0, |c| c.calls)
     }
 
+    /// The `ilu_refactor` flight events a solve logged.
+    fn refactor_events(solve_id: u64) -> usize {
+        telemetry::flight_log()
+            .solve(solve_id)
+            .iter()
+            .filter(|e| matches!(e.kind, telemetry::EventKind::IluRefactor { .. }))
+            .count()
+    }
+
     fn solve_config() -> PtcConfig {
         PtcConfig {
             dt0: 2.0,
@@ -766,6 +775,7 @@ mod tests {
             assert!(h.windows(2).all(|w| w[1] < w[0]), "lag {lag}: a refresh fired: {h:?}");
             let factorizations = calls(&kernels, "ilu") as usize;
             assert_eq!(factorizations, stats.time_steps.div_ceil(lag), "lag {lag}");
+            assert_eq!(refactor_events(stats.solve_id), factorizations, "lag {lag}: logged");
             assert!(
                 factorizations < stats.time_steps,
                 "lagging must skip factorizations: {factorizations} vs {} steps",
@@ -787,6 +797,7 @@ mod tests {
             let at = format!("{preset:?}: {} steps", stats.time_steps);
             assert!(stats.time_steps > 1, "{at}");
             assert_eq!(calls(&kernels, "ilu"), 1, "{at}");
+            assert_eq!(refactor_events(stats.solve_id), 1, "{at}: logged");
         }
     }
 

@@ -27,9 +27,9 @@
 //!   `portable`), live per-tenant latency percentiles, queue/inflight
 //!   gauges, cache hit rate, and the full metrics snapshot;
 //! * `--metrics-socket PATH` serves the metrics plane out-of-band: a
-//!   client connects, sends one line (`prom` for Prometheus text
-//!   exposition, anything else for the JSON snapshot), and reads the
-//!   payload until EOF (`tests/metrics_socket.rs` drives both).
+//!   client connects, sends one line (conventionally `json`; its content
+//!   is ignored), and reads the strict-JSON metrics snapshot until EOF
+//!   (`tests/metrics_socket.rs` drives it).
 
 use fun3d_serve::{bad_request_line, render_reject, render_reply, SolveRequest};
 use fun3d_serve::{ServeConfig, Service};
@@ -104,9 +104,9 @@ fn main() {
 }
 
 /// Out-of-band metrics plane: a daemon listener that answers each
-/// connection with one snapshot and closes. The client speaks first —
-/// one line, `prom` for Prometheus text exposition, anything else
-/// (conventionally `json`) for the strict-JSON snapshot.
+/// connection with one strict-JSON snapshot and closes. The client speaks
+/// first — one line of any content (conventionally `json`) — so that its
+/// write never races the close.
 fn serve_metrics_socket(path: String) {
     let _ = std::fs::remove_file(&path);
     let listener = UnixListener::bind(&path)
@@ -126,14 +126,8 @@ fn serve_metrics_socket(path: String) {
             if reader.read_line(&mut first).is_err() {
                 continue;
             }
-            let snap = metrics::snapshot();
-            let payload = if first.trim() == "prom" {
-                metrics::render_prometheus(&snap)
-            } else {
-                let mut s = metrics::snapshot_json(&snap).render();
-                s.push('\n');
-                s
-            };
+            let mut payload = metrics::snapshot_json(&metrics::snapshot()).render();
+            payload.push('\n');
             let _ = stream.write_all(payload.as_bytes());
         }
     });

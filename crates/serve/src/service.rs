@@ -615,7 +615,7 @@ fn execute(
             cache_misses: 2 - cache.hits(),
         },
     );
-    // Full stage record for `telemetry::assemble_trace`: every boundary of this
+    // Full stage record for `flight_log().solve(id)`: every boundary of this
     // request on the shared telemetry clock, tagged with its SolveId.
     telemetry::emit_tagged(
         stats.solve_id,

@@ -1,16 +1,15 @@
-//! Per-request trace assembly acceptance test: a 2-team service under
-//! concurrent multi-tenant load, then [`telemetry::assemble_trace`] for every
-//! reply. Each assembled timeline must carry the full five-stage
-//! admit→dispatch→solve→reply ladder in monotone order, resolve the
-//! right tenant (hash *and* name, via the per-tenant live histograms),
-//! and contain no flight events borrowed from any other request — the
-//! isolation that makes a trace trustworthy evidence for one tenant's
+//! One request's story under load: a 2-team service under concurrent
+//! multi-tenant load, then `flight_log().solve(id)` for every reply. Each
+//! timeline must carry the five-stage admit→dispatch→solve→reply ladder
+//! of its `serve_stages` event in monotone order, the right tenant hash,
+//! and no flight event borrowed from any other request — the isolation
+//! that makes a request's events trustworthy evidence for one tenant's
 //! latency complaint while the service keeps running others.
 
 use fun3d_mesh::generator::MeshPreset;
 use fun3d_serve::SolveRequest;
 use fun3d_serve::{tenant_hash, ServeConfig, Service, SolveReply};
-use fun3d_util::telemetry::{self, Json, Level};
+use fun3d_util::telemetry::{self, EventKind, Level};
 use std::collections::HashSet;
 
 fn req(tenant: &str) -> SolveRequest {
@@ -19,8 +18,6 @@ fn req(tenant: &str) -> SolveRequest {
     req.rtol = 1e-3;
     req
 }
-
-const STAGE_ORDER: [&str; 5] = ["admit", "dispatch", "solve_start", "solve_end", "reply"];
 
 #[test]
 fn every_reply_assembles_an_isolated_monotone_timeline() {
@@ -60,64 +57,51 @@ fn every_reply_assembles_an_isolated_monotone_timeline() {
     let all_ids: HashSet<u64> = replies.iter().map(|(_, r)| r.solve_id).collect();
     assert_eq!(all_ids.len(), 6, "solve ids must be distinct");
 
+    let log = telemetry::flight_log();
     for (tenant, reply) in &replies {
-        let t = telemetry::assemble_trace(telemetry::SolveId(reply.solve_id))
-            .unwrap_or_else(|| panic!("no trace for solve {}", reply.solve_id));
-        assert_eq!(t.solve, reply.solve_id);
+        let events = log.solve(reply.solve_id);
+        let ladders: Vec<(u64, [u64; 5])> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ServeStages {
+                    tenant,
+                    admit_ns,
+                    dispatch_ns,
+                    solve_start_ns,
+                    solve_end_ns,
+                    reply_ns,
+                } => Some((tenant, [admit_ns, dispatch_ns, solve_start_ns, solve_end_ns, reply_ns])),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ladders.len(), 1, "solve {}: one serve_stages event", reply.solve_id);
+        let (hash, stages) = ladders[0];
 
-        // The full stage ladder, in order, with monotone timestamps.
-        let names: Vec<&str> = t.stages.iter().map(|s| s.name).collect();
-        assert_eq!(names, STAGE_ORDER, "solve {} stage ladder", reply.solve_id);
-        for w in t.stages.windows(2) {
-            assert!(
-                w[0].t_ns <= w[1].t_ns,
-                "solve {}: stage {} at {} after {} at {}",
-                reply.solve_id,
-                w[0].name,
-                w[0].t_ns,
-                w[1].name,
-                w[1].t_ns
-            );
-        }
-
-        // Tenant resolution: the flight-carried hash and the name
-        // recovered from the per-tenant live histograms.
-        assert_eq!(t.tenant, Some(tenant_hash(tenant)));
-        assert_eq!(t.tenant_name.as_deref(), Some(tenant.as_str()));
-
-        // Isolation: not one event borrowed from another request.
-        assert!(!t.events.is_empty(), "trace should carry flight events");
-        for e in &t.events {
-            assert_eq!(
-                e.solve, reply.solve_id,
-                "event {:?} from solve {} leaked into solve {}",
-                e.kind, e.solve, reply.solve_id
-            );
-        }
-
-        // This tenant's stage histograms rode along; the other
-        // tenant's did not.
-        let other = tenants.iter().find(|t2| *t2 != tenant).unwrap();
+        // The full stage ladder, admit → dispatch → solve start → solve
+        // end → reply, with monotone timestamps.
         assert!(
-            t.hists.iter().any(|h| h.name.contains(tenant.as_str())),
-            "trace missing {tenant}'s stage histograms"
+            stages.windows(2).all(|w| w[0] <= w[1]),
+            "solve {}: stage ladder {stages:?} is not monotone",
+            reply.solve_id
         );
-        assert!(
-            !t.hists.iter().any(|h| h.name.contains(other)),
-            "trace for {tenant} carries {other}'s histograms"
-        );
+        assert!(stages[0] > 0, "solve {}: no admission time", reply.solve_id);
 
-        // Both renderings hold together: the JSON round-trips with the
-        // schema tag, the text timeline names every stage.
-        let doc = Json::parse(&t.to_json().render()).expect("trace JSON parses");
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some(telemetry::TRACE_SCHEMA)
+        // The flight-carried tenant hash.
+        assert_eq!(hash, tenant_hash(tenant));
+
+        // Isolation: exactly one solve's events carry this id — one
+        // start, one end, one job, of this tenant — so no event of
+        // another request (another team's solve, the other tenant's job)
+        // shares it.
+        let count = |f: fn(&EventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
+        let at = format!("solve {}", reply.solve_id);
+        assert_eq!(count(|k| matches!(k, EventKind::SolveStart { .. })), 1, "{at}");
+        assert_eq!(count(|k| matches!(k, EventKind::SolveEnd { .. })), 1, "{at}");
+        assert_eq!(count(|k| matches!(k, EventKind::ServeJob { .. })), 1, "{at}");
+        assert!(
+            events.iter().all(|e| !matches!(e.kind, EventKind::ServeJob { tenant: t, .. } if t != hash)),
+            "{at}: another tenant's job"
         );
-        let text = t.render_text();
-        for s in STAGE_ORDER {
-            assert!(text.contains(s), "text timeline missing stage {s}");
-        }
     }
 
     svc.shutdown();

@@ -8,6 +8,7 @@ use fun3d_sparse::{
     ilu, solve_p2p_into, sweep_p2p_team, trsv_solve_into, Bcsr4, IluFactors, P2pSchedule, Sweep,
 };
 use fun3d_threads::{P2pProgress, TeamMember, TeamSlice, ThreadPool};
+use fun3d_util::telemetry;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -270,11 +271,19 @@ impl FactorAge {
     }
 
     /// Whether this step's build refactors; counts the step either way.
+    /// A yes is logged as an `ilu_refactor` flight event with the age of
+    /// the factors it replaces.
     pub fn refactor_now(&mut self) -> bool {
         let (due, age) = match self.age {
             Some(age) if age < self.cap && !self.stalled => (false, age + 1),
             _ => (true, 1),
         };
+        if due {
+            telemetry::emit(telemetry::EventKind::IluRefactor {
+                age: self.age.unwrap_or(0) as u64,
+                stalled: self.stalled,
+            });
+        }
         self.age = Some(age);
         due
     }

@@ -631,6 +631,18 @@ mod tests {
         );
         assert_eq!(p.refactored, [0, 3], "{h:?}");
         assert!(stats.converged && stats.time_steps < 13, "{h:?}");
+        // Each refactorization is logged under the solve's id: the first
+        // replaces no factors, the second replaces three-step-old ones
+        // after the residual rose.
+        let logged: Vec<(u64, bool)> = telemetry::flight_log()
+            .solve(stats.solve_id)
+            .iter()
+            .filter_map(|e| match e.kind {
+                telemetry::EventKind::IluRefactor { age, stalled } => Some((age, stalled)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(logged, [(0, false), (3, true)]);
     }
 
     /// A genuinely nonlinear scalar-ish problem: f(u)_i = u_i + u_i^3 − c_i.

@@ -1,24 +1,25 @@
-//! Black-box flight recorder: an on-by-default, fixed-capacity, lock-free
-//! per-thread ring of **structured solver events**, plus anomaly-triggered
-//! dumps of the merged, time-ordered record.
+//! Black-box flight recorder: an on-by-default record of **structured
+//! solver events** in each thread's ring, plus anomaly-triggered dumps of
+//! the merged, time-ordered record.
 //!
 //! Where spans answer "where did the time go", the flight log answers
 //! "what did the solver *decide* and *observe*": solve start/end with a
-//! [`SolveId`], per-step residual/Δt, which execution scheme each GMRES
-//! solve actually ran, the `AutoPolicy` decision with its modeled costs,
-//! sync-probe calibrations, region/barrier summaries, and per-rank comm
-//! traffic. Events are compact ([`SLOT_WORDS`] `u64`s, no allocation on
-//! the hot path) and record whenever the telemetry level is `counters` or
-//! above — the default — so the record already exists when something goes
-//! wrong, like an aircraft's flight data recorder.
+//! [`SolveId`], per-step residual/Δt, each preconditioner refactorization,
+//! which execution scheme each GMRES solve actually ran, the `AutoPolicy`
+//! decision with its modeled costs, sync-probe calibrations,
+//! region/barrier summaries, and per-rank comm traffic. Events are compact
+//! (one [`SLOT_WORDS`]-word ring slot, no allocation on the hot path) and
+//! record whenever the telemetry level is `counters` or above — the
+//! default — so the record already exists when something goes wrong, like
+//! an aircraft's flight data recorder.
 //!
 //! ## Recording
 //!
-//! Each event is pushed into the flight [`Ring`] of the emitting thread's
-//! recorder (see the [module docs](super)), tagged with the recorder's
-//! `(rank, solve)`. A thread that adopts an exited thread's recorder keeps
-//! appending to its flight ring, so an exited rank's events stay in the
-//! next dump until they are overwritten.
+//! Each event is pushed into the one ring of the emitting thread's
+//! recorder (see the [module docs](super)), beside its spans, tagged with
+//! the recorder's `(rank, solve)`. A thread that adopts an exited thread's
+//! recorder keeps appending to its ring, so an exited rank's events stay
+//! in the next dump until they are overwritten.
 //!
 //! ## Event kinds
 //!
@@ -26,36 +27,30 @@
 //! code, artifact name and typed fields; its encoding into the six
 //! payload words, its decoding, its JSON fields, its text rendering and
 //! the dump validator's per-kind key check are all derived from that one
-//! declaration.
+//! declaration. A span is the ring's one other slot code; the dump lists
+//! it as a `"span"` entry with its `name` and `dur_ns`.
 //!
 //! ## Dumps
 //!
-//! [`dump`] snapshots every ring, merges the events into one time-ordered
-//! timeline tagged `(rank, SolveId)` — `fun3d_cluster` ranks are threads
-//! of this process sharing the telemetry epoch, so cross-rank ordering is
-//! meaningful — and writes a strict [`super::json`] artifact plus a
-//! human-readable text rendering. Triggers: a panic inside a pool region
-//! ([`note_region_panic`], wired into `ThreadPool::run`), the residual
-//! anomaly detector in `fun3d_solver::anomaly` (divergence / stagnation /
-//! wall-budget overrun), or an explicit `FUN3D_FLIGHT_DUMP=1` request
-//! honoured at solve end. Dumps land in `FUN3D_FLIGHT_DIR` (default
-//! `target/experiments`) unless [`set_dump_dir`] overrides it, as
+//! [`dump`] snapshots every ring, merges the events and spans into one
+//! time-ordered timeline tagged `(rank, SolveId)` — `fun3d_cluster` ranks
+//! are threads of this process sharing the telemetry epoch, so cross-rank
+//! ordering is meaningful — and writes a strict [`super::json`] artifact
+//! plus a human-readable text rendering. Triggers: a panic inside a pool
+//! region ([`note_region_panic`], wired into `ThreadPool::run`), the
+//! residual anomaly detector in `fun3d_solver::anomaly` (divergence /
+//! stagnation / wall-budget overrun), or an explicit `FUN3D_FLIGHT_DUMP=1`
+//! request honoured at solve end. Dumps land in `FUN3D_FLIGHT_DIR`
+//! (default `target/experiments`) unless [`set_dump_dir`] overrides it, as
 //! `flight.<trigger>.json` beside its `.txt` rendering.
 
 use super::json::Json;
-use super::ring::Ring;
-use super::{enabled, now_ns};
+use super::ring::{SpanEvent, PAYLOAD_WORDS, SLOT_WORDS};
+use super::{enabled, now_ns, Snapshot};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-
-/// Payload words per event (beyond kind / time / rank / solve).
-pub(crate) const PAYLOAD_WORDS: usize = 6;
-/// Words per flight ring slot: `[kind, t_ns, rank, solve, payload…]`.
-pub(crate) const SLOT_WORDS: usize = 4 + PAYLOAD_WORDS;
-/// Events each thread's flight ring holds (newest win).
-pub(crate) const CAPACITY: usize = 4096;
 
 /// Sentinel for "no crossover exists" in [`EventKind::PolicyDecision`].
 pub const NO_CROSSOVER: u64 = u64::MAX;
@@ -404,8 +399,7 @@ event_kinds! {
     /// End-to-end stage boundaries for one serve request (emitted under
     /// the job's solve tag once the reply is written). Timestamps are
     /// nanoseconds on the process telemetry epoch — the same clock as
-    /// `t_ns` — so `assemble_trace` can interleave them with solver
-    /// events causally.
+    /// `t_ns` — so they interleave with the solve's events causally.
     15 => ServeStages "serve_stages" {
         /// FNV-64 hash of the tenant name.
         tenant: u64 = hex,
@@ -420,24 +414,30 @@ event_kinds! {
         /// When the reply was handed to the writer.
         reply_ns: u64 = num,
     }
+    /// The factor-reuse rule (`fun3d_solver::FactorAge`) refactors the
+    /// preconditioner at this step's build.
+    16 => IluRefactor "ilu_refactor" {
+        /// Steps the replaced factors served (0: the solve had none).
+        age: u64 = num,
+        /// The last step's residual norm did not fall.
+        stalled: bool = Json::Bool,
+    }
 }
 
-impl EventKind {
-    /// One-line human rendering for the text dump: every field as
-    /// `key=value`, joined by two spaces — integers as integers, other
-    /// numbers as `{:.4e}`, `null` as `-`.
-    pub(crate) fn detail(&self) -> String {
-        let value = |v: &Json| match v {
-            Json::Null => "-".to_string(),
-            Json::Bool(b) => b.to_string(),
-            Json::Num(x) if *x == x.trunc() && x.abs() < 1e15 => format!("{}", *x as i64),
-            Json::Num(x) => format!("{x:.4e}"),
-            Json::Str(s) => s.clone(),
-            other => other.render(),
-        };
-        let parts: Vec<String> = self.fields().iter().map(|(k, v)| format!("{k}={}", value(v))).collect();
-        parts.join("  ")
-    }
+/// One-line human rendering of a timeline entry's fields for the text
+/// dump: every field as `key=value`, joined by two spaces — integers as
+/// integers, other numbers as `{:.4e}`, `null` as `-`.
+fn detail(fields: &[(&'static str, Json)]) -> String {
+    let value = |v: &Json| match v {
+        Json::Null => "-".to_string(),
+        Json::Bool(b) => b.to_string(),
+        Json::Num(x) if *x == x.trunc() && x.abs() < 1e15 => format!("{}", *x as i64),
+        Json::Num(x) => format!("{x:.4e}"),
+        Json::Str(s) => s.clone(),
+        other => other.render(),
+    };
+    let parts: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={}", value(v))).collect();
+    parts.join("  ")
 }
 
 /// Human slug for a [`EventKind::ServeReject`] reason code. The codes
@@ -485,7 +485,7 @@ pub struct FlightEvent {
 }
 
 impl FlightEvent {
-    fn words(&self) -> [u64; SLOT_WORDS] {
+    pub(crate) fn words(&self) -> [u64; SLOT_WORDS] {
         let (code, payload) = self.kind.encode();
         let mut w = [0; SLOT_WORDS];
         w[..4].copy_from_slice(&[code, self.t_ns, self.rank, self.solve]);
@@ -496,7 +496,7 @@ impl FlightEvent {
     /// `None` for an unknown kind code or a field word no value encodes
     /// to: all slot words are plain integers, so nothing worse than a
     /// skipped event can come out of a slot.
-    fn from_words(w: [u64; SLOT_WORDS]) -> Option<FlightEvent> {
+    pub(crate) fn from_words(w: [u64; SLOT_WORDS]) -> Option<FlightEvent> {
         Some(FlightEvent {
             t_ns: w[1],
             rank: w[2],
@@ -566,9 +566,9 @@ pub fn emit_tagged(solve: u64, kind: EventKind) {
     swap_solve(prev);
 }
 
-/// Records one event on the current thread's flight ring, tagged with
-/// the thread's `(rank, solve)`. Allocation-free after the thread's first
-/// emit; one relaxed load + branch at level `off`.
+/// Records one event on the current thread's ring, tagged with the
+/// thread's `(rank, solve)`. Allocation-free after the thread's first
+/// record; one relaxed load + branch at level `off`.
 #[inline]
 pub fn emit(kind: EventKind) {
     if !enabled() {
@@ -576,15 +576,8 @@ pub fn emit(kind: EventKind) {
     }
     let t_ns = now_ns();
     super::with_recorder(|r| {
-        let ev = FlightEvent {
-            t_ns,
-            rank: r.rank.load(Ordering::Relaxed),
-            solve: r.solve.load(Ordering::Relaxed),
-            kind,
-        };
-        r.flight
-            .get_or_init(|| Ring::new(CAPACITY))
-            .push(ev.words());
+        let (rank, solve) = r.tags();
+        r.push(FlightEvent { t_ns, rank, solve, kind }.words());
     });
 }
 
@@ -592,16 +585,33 @@ pub fn emit(kind: EventKind) {
 // Snapshot / merge
 // ---------------------------------------------------------------------
 
-/// A merged, time-ordered snapshot of every thread's flight ring.
+/// A merged, time-ordered snapshot of every thread's ring.
 #[derive(Clone, Debug, Default)]
 pub struct FlightLog {
     /// Events sorted by `(t_ns, rank)`; per-thread order preserved on ties.
     pub events: Vec<FlightEvent>,
-    /// Events lost to ring wraparound across all threads.
+    /// Spans sorted by `(start_ns, rank)` (none below level `spans`).
+    pub spans: Vec<SpanEvent>,
+    /// Slots (events or spans) lost to ring wraparound across all threads.
     pub dropped: u64,
 }
 
 impl FlightLog {
+    /// Merges a snapshot's threads into one timeline. Stable sorts:
+    /// cross-thread order by time then rank, per-thread (causal) order
+    /// preserved on equal keys.
+    pub(crate) fn merge(snap: &Snapshot) -> FlightLog {
+        let mut log = FlightLog::default();
+        for t in &snap.threads {
+            log.events.extend_from_slice(&t.events);
+            log.spans.extend_from_slice(&t.spans);
+            log.dropped += t.dropped;
+        }
+        log.events.sort_by_key(|e| (e.t_ns, e.rank));
+        log.spans.sort_by_key(|s| (s.start_ns, s.rank));
+        log
+    }
+
     /// Events of one solve, in timeline order.
     pub fn solve(&self, id: u64) -> Vec<&FlightEvent> {
         self.events.iter().filter(|e| e.solve == id).collect()
@@ -631,24 +641,11 @@ impl FlightLog {
     }
 }
 
-/// Collects every recorder's flight ring into a merged, time-ordered
-/// [`FlightLog`]. Safe at any time (single-writer collection protocol);
-/// complete timelines require a quiescent point.
+/// Collects every recorder's ring ([`super::snapshot`]) into a merged,
+/// time-ordered [`FlightLog`]. Safe at any time (single-writer collection
+/// protocol); complete timelines require a quiescent point.
 pub fn flight_log() -> FlightLog {
-    let mut log = FlightLog::default();
-    for rec in super::recorders().iter() {
-        if let Some(ring) = rec.flight.get() {
-            let (slots, dropped) = ring.collect();
-            log.dropped += dropped;
-            log.events
-                .extend(slots.into_iter().filter_map(FlightEvent::from_words));
-        }
-    }
-    // Stable sort: cross-thread order by time then rank, per-thread
-    // (causal) order preserved on equal keys.
-    log.events
-        .sort_by(|a, b| a.t_ns.cmp(&b.t_ns).then(a.rank.cmp(&b.rank)));
-    log
+    FlightLog::merge(&super::snapshot())
 }
 
 // ---------------------------------------------------------------------
@@ -684,19 +681,51 @@ pub fn dump_requested() -> bool {
     }
 }
 
+/// The keys of a span entry in the dump's timeline.
+const SPAN_FIELDS: [&str; 2] = ["name", "dur_ns"];
+
+/// One timeline entry of a dump: an event or a span.
+struct Entry {
+    t_ns: u64,
+    rank: u64,
+    solve: u64,
+    name: &'static str,
+    fields: Vec<(&'static str, Json)>,
+}
+
+/// Every event and span of a log as one time-ordered timeline.
+fn timeline(log: &FlightLog) -> Vec<Entry> {
+    let events = log.events.iter().map(|e| Entry {
+        t_ns: e.t_ns,
+        rank: e.rank,
+        solve: e.solve,
+        name: e.kind.name(),
+        fields: e.kind.fields(),
+    });
+    let spans = log.spans.iter().map(|s| Entry {
+        t_ns: s.start_ns,
+        rank: s.rank,
+        solve: s.solve,
+        name: "span",
+        fields: vec![(SPAN_FIELDS[0], Json::str(s.name)), (SPAN_FIELDS[1], num(s.dur_ns))],
+    });
+    let mut entries: Vec<Entry> = events.chain(spans).collect();
+    entries.sort_by_key(|e| (e.t_ns, e.rank));
+    entries
+}
+
 /// Renders a snapshot as the strict dump artifact.
 pub(crate) fn to_json(log: &FlightLog, trigger: Trigger) -> Json {
-    let timeline: Vec<Json> = log
-        .events
-        .iter()
+    let timeline: Vec<Json> = timeline(log)
+        .into_iter()
         .map(|e| {
             let mut fields = vec![
-                ("t_ns", Json::num(e.t_ns as f64)),
-                ("rank", Json::num(e.rank as f64)),
-                ("solve", Json::num(e.solve as f64)),
-                ("event", Json::str(e.kind.name())),
+                ("t_ns", num(e.t_ns)),
+                ("rank", num(e.rank)),
+                ("solve", num(e.solve)),
+                ("event", Json::str(e.name)),
             ];
-            fields.extend(e.kind.fields());
+            fields.extend(e.fields);
             Json::obj(fields)
         })
         .collect();
@@ -704,7 +733,7 @@ pub(crate) fn to_json(log: &FlightLog, trigger: Trigger) -> Json {
         ("schema", Json::str(SCHEMA)),
         ("trigger", Json::str(trigger.slug())),
         ("generated_ns", Json::num(now_ns() as f64)),
-        ("events", Json::num(log.events.len() as f64)),
+        ("events", Json::num(timeline.len() as f64)),
         ("dropped", Json::num(log.dropped as f64)),
         ("timeline", Json::Arr(timeline)),
     ])
@@ -715,20 +744,21 @@ pub(crate) const SCHEMA: &str = "fun3d.flight.v1";
 
 /// Renders a snapshot as the human-readable text timeline.
 pub(crate) fn render_text(log: &FlightLog, trigger: Trigger) -> String {
+    let timeline = timeline(log);
     let mut out = format!(
         "flight dump — trigger: {} — {} events ({} dropped)\n",
         trigger.slug(),
-        log.events.len(),
+        timeline.len(),
         log.dropped
     );
-    for e in &log.events {
+    for e in &timeline {
         out.push_str(&format!(
             "{:>12.3} ms  rank {}  solve {:>3}  {:<15} {}\n",
             e.t_ns as f64 * 1e-6,
             e.rank,
             e.solve,
-            e.kind.name(),
-            e.kind.detail()
+            e.name,
+            detail(&e.fields)
         ));
     }
     out
@@ -772,10 +802,10 @@ pub fn note_region_panic(pool_size: usize) {
 // ---------------------------------------------------------------------
 
 /// Strictly validates a parsed dump artifact: schema tag, known trigger,
-/// event count consistency, and — on every timeline entry — the
-/// `(t_ns, rank, solve)` tags, a known event name with every field its
-/// kind declares, and global time ordering. Returns the event count.
-/// What the test suites hold every dump to.
+/// entry count consistency, and — on every timeline entry — the
+/// `(t_ns, rank, solve)` tags, a known event name (a declared kind or
+/// `span`) with every field it declares, and global time ordering.
+/// Returns the entry count. What the test suites hold every dump to.
 pub(crate) fn check_dump(doc: &Json) -> Result<usize, String> {
     let schema = doc
         .get("schema")
@@ -824,10 +854,11 @@ pub(crate) fn check_dump(doc: &Json) -> Result<usize, String> {
             .get("event")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("timeline[{i}]: missing event"))?;
-        let (_, fields) = EventKind::KINDS
-            .iter()
-            .find(|(n, _)| *n == name)
-            .ok_or_else(|| format!("timeline[{i}]: unknown event {name:?}"))?;
+        let fields: &[&str] = match EventKind::KINDS.iter().find(|(n, _)| *n == name) {
+            Some((_, fields)) => fields,
+            None if name == "span" => &SPAN_FIELDS,
+            None => return Err(format!("timeline[{i}]: unknown event {name:?}")),
+        };
         if let Some(f) = fields.iter().find(|f| entry.get(f).is_none()) {
             return Err(format!("timeline[{i}]: {name} without {f}"));
         }
@@ -842,6 +873,8 @@ pub(crate) fn check_dump(doc: &Json) -> Result<usize, String> {
 }
 
 /// Reads, parses, and [`check_dump`]-validates an artifact from disk.
+/// Public because the solver's and the threads' integration tests
+/// validate the dumps their runs wrote.
 pub fn check_dump_file(path: &Path) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("parse {path:?}: {e}"))?;
@@ -850,6 +883,7 @@ pub fn check_dump_file(path: &Path) -> Result<usize, String> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::ring::Ring;
     use super::super::{set_level, Level, TEST_LOCK};
     use super::*;
 
@@ -939,6 +973,10 @@ mod tests {
                 solve_start_ns: 3_000,
                 solve_end_ns: 9_000,
                 reply_ns: 9_500,
+            },
+            EventKind::IluRefactor {
+                age: 10,
+                stalled: false,
             },
         ]
     }
@@ -1147,11 +1185,21 @@ mod tests {
                     kind,
                 })
                 .collect(),
+            spans: vec![SpanEvent {
+                name: "ptc.step",
+                start_ns: 4,
+                dur_ns: 3,
+                rank: 0,
+                solve: 1,
+            }],
             dropped: 0,
         };
         let panic_at = |t| (t, EventKind::RegionPanic { pool_size: 2 });
         let ok = to_json(&log(vec![panic_at(5)]), Trigger::RegionPanic);
-        assert_eq!(check_dump(&ok), Ok(1));
+        assert_eq!(check_dump(&ok), Ok(2), "the span and the event");
+        let timeline = ok.get("timeline").and_then(Json::as_arr).unwrap();
+        assert_eq!(timeline[0].get("event").and_then(Json::as_str), Some("span"));
+        assert_eq!(timeline[0].get("name").and_then(Json::as_str), Some("ptc.step"));
 
         let reject = |doc: &Json, why: &str| {
             assert!(check_dump(doc).is_err(), "accepted artifact with {why}");
@@ -1169,13 +1217,13 @@ mod tests {
             &edited(r#""trigger":"region_panic""#, r#""trigger":"meteor_strike""#),
             "unknown trigger",
         );
-        reject(&edited(r#""events":1"#, r#""events":7"#), "wrong event count");
+        reject(&edited(r#""events":2"#, r#""events":7"#), "wrong event count");
+        reject(&edited(r#","dur_ns":3"#, ""), "a span without its duration");
         reject(
             &edited(r#","pool_size":2"#, ""),
             "an event without a field its kind declares",
         );
-        let unordered = to_json(&log(vec![panic_at(10), panic_at(3)]), Trigger::RegionPanic);
-        reject(&unordered, "time-disordered timeline");
+        reject(&edited(r#""t_ns":4"#, r#""t_ns":9"#), "a time-disordered timeline");
     }
 
     #[test]
@@ -1193,6 +1241,7 @@ mod tests {
                     eta: 0.0,
                 },
             }],
+            spans: Vec::new(),
             dropped: 0,
         };
         let doc = to_json(&log, Trigger::Divergence);

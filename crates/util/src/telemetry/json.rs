@@ -77,7 +77,7 @@ impl Json {
     /// Renders compact JSON (no insignificant whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out, None);
         out
     }
 
@@ -85,73 +85,46 @@ impl Json {
     /// these files too).
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.render_pretty_into(&mut out, 0);
+        self.render_into(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => render_num(*x, out),
-            Json::Str(s) => render_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_str(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn render_pretty_into(&self, out: &mut String, depth: usize) {
-        let pad = |out: &mut String, d: usize| {
-            for _ in 0..d {
-                out.push_str("  ");
+    /// The one renderer: compact when `depth` is `None`, else each item of
+    /// a non-empty array or object on its own line, indented two spaces
+    /// per level below `depth`.
+    fn render_into(&self, out: &mut String, depth: Option<usize>) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) => return render_num(*x, out),
+            Json::Str(s) => return render_str(s, out),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(pairs) => ('{', '}', pairs.iter().map(|(k, v)| (Some(k.as_str()), v)).collect()),
+        };
+        let line_break = |out: &mut String, depth: Option<usize>| {
+            if let Some(d) = depth {
+                out.push('\n');
+                out.push_str(&"  ".repeat(d));
             }
         };
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    pad(out, depth + 1);
-                    v.render_pretty_into(out, depth + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                pad(out, depth);
-                out.push(']');
+        let inner = depth.map(|d| d + 1);
+        out.push(open);
+        for (i, (key, v)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    pad(out, depth + 1);
-                    render_str(k, out);
-                    out.push_str(": ");
-                    v.render_pretty_into(out, depth + 1);
-                    out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-                }
-                pad(out, depth);
-                out.push('}');
+            line_break(out, inner);
+            if let Some(k) = key {
+                render_str(k, out);
+                out.push_str(if depth.is_some() { ": " } else { ":" });
             }
-            other => other.render_into(out),
+            v.render_into(out, inner);
         }
+        if !items.is_empty() {
+            line_break(out, depth);
+        }
+        out.push(close);
     }
 
     /// Parses a complete JSON document (trailing non-whitespace is an
@@ -422,6 +395,18 @@ mod tests {
             let back = Json::parse(&text).unwrap();
             assert_eq!(back, v, "failed roundtrip of {text}");
         }
+    }
+
+    #[test]
+    fn pretty_layout_is_pinned() {
+        let v = Json::obj(vec![
+            ("a", Json::Arr(vec![Json::num(1.0), Json::obj(vec![])])),
+            ("b", Json::obj(vec![("c", Json::Arr(vec![]))])),
+            ("d", Json::str("x")),
+        ]);
+        let want = "{\n  \"a\": [\n    1,\n    {}\n  ],\n  \"b\": {\n    \"c\": []\n  },\n  \"d\": \"x\"\n}\n";
+        assert_eq!(v.render_pretty(), want);
+        assert_eq!(v.render(), r#"{"a":[1,{}],"b":{"c":[]},"d":"x"}"#);
     }
 
     #[test]

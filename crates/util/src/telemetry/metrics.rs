@@ -1,13 +1,15 @@
 //! Live metrics plane: a lock-free registry of counters, gauges, and
 //! log-bucketed latency histograms, recording at the default telemetry
-//! level.
+//! level, and its one rendering, a strict-JSON snapshot
+//! ([`snapshot_json`], validated by [`check_snapshot`]) that serve's
+//! `stats` reply and `--metrics-socket` carry.
 //!
-//! Where spans ([`super::ring`]) and the flight recorder
-//! ([`super::flight`]) reconstruct *what happened* after the fact, this
-//! module answers "what are your p99 and hit rate **right now**" — the
-//! continuous-measurement loop the paper's methodology (Fig. 5–8
-//! profiles on live hardware) depends on, promoted from bench-time
-//! sorted vectors to an in-process, queryable plane.
+//! Where spans and the flight recorder ([`super::flight`]) reconstruct
+//! *what happened* after the fact, this module answers "what are your p99
+//! and hit rate **right now**" — the continuous-measurement loop the
+//! paper's methodology (Fig. 5–8 profiles on live hardware) depends on,
+//! promoted from bench-time sorted vectors to an in-process, queryable
+//! plane.
 //!
 //! ## Publication discipline
 //!
@@ -18,9 +20,9 @@
 //! count; a collector Acquire-loads the count first and then reads the
 //! buckets relaxed, so every bucket increment covered by the count it
 //! observed is visible (`sum(buckets) + overflow >= count`, never
-//! less). The protocol is model-checked under `--cfg fun3d_check`
-//! (`crates/util/tests/model_metrics_shard.rs`), including a
-//! Release→Relaxed mutant the checker must catch. Counters and gauges
+//! less). The protocol is model-checked under `--cfg fun3d_check` (the
+//! `model` tests below), including a Release→Relaxed mutant the checker
+//! must catch. Counters and gauges
 //! are single relaxed RMWs/stores on shared words — monotonic or
 //! last-write-wins statistics with no multi-word invariant to protect.
 //!
@@ -111,7 +113,7 @@ pub(crate) fn bucket_bounds(i: usize) -> (u64, u64) {
 /// every record (every barrier wait), and the shards of threads that ran
 /// one after another are allocated next to each other.
 #[repr(align(128))]
-pub struct HistShard {
+pub(crate) struct HistShard {
     buckets: Box<[AtomicU64]>,
     /// Records published so far. The Release increment here is the
     /// publication edge a collector's Acquire load pairs with.
@@ -132,7 +134,7 @@ impl HistShard {
     /// A shard with a reduced bucket array — the model tests drive the
     /// publication protocol over a handful of tracked atomics instead
     /// of 2432.
-    pub fn with_buckets(n: usize) -> HistShard {
+    fn with_buckets(n: usize) -> HistShard {
         HistShard {
             buckets: (0..n).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
@@ -161,17 +163,10 @@ impl HistShard {
         self.count.fetch_add(1, Ordering::Release);
     }
 
-    /// Writer (model tests): records directly into bucket `i`, the
-    /// protocol skeleton without the value→bucket mapping.
-    pub fn record_bucket(&self, i: usize) {
-        self.buckets[i].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Release);
-    }
-
     /// Collector: `(published count, bucket counts)`. The count is
     /// loaded first (Acquire), so the returned buckets account for at
     /// least that many records: `sum(buckets) >= count - overflow`.
-    pub fn read(&self) -> (u64, Vec<u64>) {
+    pub(crate) fn read(&self) -> (u64, Vec<u64>) {
         let c = self.count.load(Ordering::Acquire);
         let buckets = self
             .buckets
@@ -530,9 +525,8 @@ pub fn snapshot() -> MetricsSnapshot {
 pub(crate) const SCHEMA: &str = "fun3d.metrics.v1";
 
 /// Renders one histogram as its JSON snapshot object (the per-name
-/// value inside [`snapshot_json`]'s `histograms` map; also embedded by
-/// `assemble_trace` as per-request stage context).
-pub(crate) fn hist_json(h: &HistSnapshot) -> Json {
+/// value inside [`snapshot_json`]'s `histograms` map).
+fn hist_json(h: &HistSnapshot) -> Json {
     let buckets = h
         .buckets
         .iter()
@@ -683,159 +677,6 @@ pub fn check_snapshot(doc: &Json) -> Result<usize, String> {
         metrics += 1;
     }
     Ok(metrics)
-}
-
-// ---------------------------------------------------------------------
-// Exposition: Prometheus text format
-// ---------------------------------------------------------------------
-
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 6);
-    out.push_str("fun3d_");
-    for ch in name.chars() {
-        if ch.is_ascii_alphanumeric() || ch == '_' || ch == ':' {
-            out.push(ch);
-        } else {
-            out.push('_');
-        }
-    }
-    out
-}
-
-/// Renders a snapshot in the Prometheus text exposition format:
-/// counters as `counter`, gauges as `gauge`, histograms as cumulative
-/// `_bucket{le=...}` series (nanosecond bounds, sparse nonzero buckets
-/// plus `+Inf`) with `_sum` / `_count`.
-pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, v) in &snap.counters {
-        let n = prom_name(name);
-        out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-    }
-    for (name, v) in &snap.gauges {
-        let n = prom_name(name);
-        out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-    }
-    for h in &snap.hists {
-        let n = prom_name(&h.name);
-        out.push_str(&format!("# TYPE {n} histogram\n"));
-        let mut cum = 0u64;
-        for &(i, c) in &h.buckets {
-            cum += c;
-            let (_, hi) = bucket_bounds(i);
-            out.push_str(&format!("{n}_bucket{{le=\"{hi}\"}} {cum}\n"));
-        }
-        out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-        out.push_str(&format!("{n}_sum {}\n", h.sum_ns));
-        out.push_str(&format!("{n}_count {}\n", h.count));
-    }
-    out
-}
-
-/// Validates Prometheus text exposition: every line is a `# TYPE` /
-/// `# HELP` comment or a `name[{labels}] value` sample with a finite
-/// value; histogram `le` bounds strictly increase with non-decreasing
-/// cumulative counts, end at `+Inf`, and the `+Inf` count equals the
-/// family's `_count` sample. Returns the number of samples.
-// Public as the validator of `crates/serve/tests/metrics_socket.rs`.
-pub fn check_prometheus(text: &str) -> Result<usize, String> {
-    let mut samples = 0usize;
-    // Per histogram family: (last le, last cum, +Inf count).
-    let mut cur_hist: Option<(String, f64, f64, Option<f64>)> = None;
-    let mut counts: BTreeMap<String, f64> = BTreeMap::new();
-    let mut infs: BTreeMap<String, f64> = BTreeMap::new();
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# ") {
-            let mut parts = rest.splitn(3, ' ');
-            let kw = parts.next().unwrap_or("");
-            if kw != "TYPE" && kw != "HELP" {
-                return Err(format!("line {}: unknown comment {line:?}", ln + 1));
-            }
-            if kw == "TYPE" {
-                let name = parts.next().ok_or(format!("line {}: TYPE without name", ln + 1))?;
-                let ty = parts.next().ok_or(format!("line {}: TYPE without type", ln + 1))?;
-                if !matches!(ty, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
-                    return Err(format!("line {}: unknown metric type {ty:?}", ln + 1));
-                }
-                cur_hist = (ty == "histogram")
-                    .then(|| (name.to_string(), f64::NEG_INFINITY, 0.0, None));
-            }
-            continue;
-        }
-        // Sample line: name[{labels}] value
-        let (name_part, value_part) = match line.find(' ') {
-            Some(sp) => (&line[..sp], line[sp + 1..].trim()),
-            None => return Err(format!("line {}: sample without value: {line:?}", ln + 1)),
-        };
-        let value: f64 = value_part
-            .parse()
-            .map_err(|_| format!("line {}: bad sample value {value_part:?}", ln + 1))?;
-        if !value.is_finite() {
-            return Err(format!("line {}: non-finite sample value", ln + 1));
-        }
-        samples += 1;
-        let (name, labels) = match name_part.find('{') {
-            Some(b) => {
-                if !name_part.ends_with('}') {
-                    return Err(format!("line {}: unterminated labels: {line:?}", ln + 1));
-                }
-                (&name_part[..b], &name_part[b + 1..name_part.len() - 1])
-            }
-            None => (name_part, ""),
-        };
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        {
-            return Err(format!("line {}: bad metric name {name:?}", ln + 1));
-        }
-        if let Some(stripped) = name.strip_suffix("_count") {
-            counts.insert(stripped.to_string(), value);
-        }
-        if let Some((fam, last_le, last_cum, inf)) = cur_hist.as_mut() {
-            if name == format!("{fam}_bucket") {
-                let le = labels
-                    .strip_prefix("le=\"")
-                    .and_then(|s| s.strip_suffix('"'))
-                    .ok_or(format!("line {}: bucket without le label", ln + 1))?;
-                let bound = if le == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    le.parse::<f64>()
-                        .map_err(|_| format!("line {}: bad le bound {le:?}", ln + 1))?
-                };
-                if bound <= *last_le {
-                    return Err(format!("line {}: le bounds not increasing", ln + 1));
-                }
-                if value < *last_cum {
-                    return Err(format!("line {}: bucket counts not cumulative", ln + 1));
-                }
-                *last_le = bound;
-                *last_cum = value;
-                if bound.is_infinite() {
-                    *inf = Some(value);
-                    infs.insert(fam.clone(), value);
-                }
-            }
-        }
-    }
-    for (fam, inf) in &infs {
-        match counts.get(fam) {
-            Some(c) if (c - inf).abs() < 0.5 => {}
-            Some(c) => {
-                return Err(format!(
-                    "histogram {fam}: +Inf bucket {inf} != _count {c}"
-                ))
-            }
-            None => return Err(format!("histogram {fam}: missing _count sample")),
-        }
-    }
-    Ok(samples)
 }
 
 #[cfg(test)]
@@ -1040,29 +881,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prometheus_exposition_validates_and_catches_corruption() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_level(Level::Counters);
-        let h = histogram("test.prom.hist");
-        for v in [500u64, 1500, 2500, 100_000] {
-            h.record_always(v);
-        }
-        counter("test.prom.ctr").add(2);
-        let text = render_prometheus(&snapshot());
-        let samples = check_prometheus(&text).expect("exposition validates");
-        assert!(samples >= 5);
-        assert!(text.contains("# TYPE fun3d_test_prom_hist histogram"));
-        assert!(text.contains("fun3d_test_prom_hist_bucket{le=\"+Inf\"}"));
-        // Corrupt the +Inf bucket: cumulative consistency must fail.
-        let bad = text.replace("le=\"+Inf\"} 4", "le=\"+Inf\"} 400");
-        if bad != text {
-            assert!(check_prometheus(&bad).is_err());
-        }
-        assert!(check_prometheus("bogus line without value\n").is_err());
-        assert!(check_prometheus("# WAT comment\n").is_err());
-    }
-
     prop_cases! {
         /// The acceptance-criteria property: histogram quantiles agree
         /// with exact sorted percentiles within one log-bucket width,
@@ -1092,5 +910,140 @@ mod tests {
                 );
             }
         }
+    }
+}
+
+/// Model check for the metrics histogram shard's single-writer
+/// publication protocol. Compiled only under `--cfg fun3d_check`,
+/// where [`HistShard`]'s bucket and count atomics are fun3d-check's
+/// tracked types.
+///
+/// The shard inverts the telemetry ring's discipline: relaxed bucket
+/// increments, one Release count increment, and a collector that
+/// Acquire-loads the count *first*, then the buckets relaxed. The
+/// invariant a live `{"cmd":"stats"}` reply rests on is that the
+/// buckets account for at least every published record — a collector
+/// can over-read (racing increments it never Acquired), never
+/// under-read. The positive model lets the checker try every
+/// interleaving of a writer/collector pair; the mutant downgrades the
+/// count publication to `Relaxed` and the checker must find the
+/// schedule where the Acquire handshake is satisfied but the bucket
+/// store is not yet visible — a live quantile computed from a record
+/// that is not there.
+#[cfg(all(test, fun3d_check))]
+mod model {
+    use super::HistShard;
+    use fun3d_check::shim::{spin_hint, AtomicU64, Ordering};
+    use fun3d_check::{explore, thread, Config, FailureKind};
+    use std::sync::Arc;
+
+    impl HistShard {
+        /// Writer: records directly into bucket `i`, the protocol
+        /// skeleton without the value→bucket mapping.
+        fn record_bucket(&self, i: usize) {
+            self.buckets[i].fetch_add(1, Ordering::Relaxed);
+            self.count.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    fn cfg() -> Config {
+        Config {
+            max_threads: 4,
+            preemption_bound: Some(2),
+            max_schedules: 400_000,
+            history: 3,
+        }
+    }
+
+    #[test]
+    fn concurrent_read_never_undercounts_published_records() {
+        // Writer records into two buckets while the collector reads
+        // concurrently; afterwards a quiescent (join-ordered) read checks
+        // the totals exactly. Mid-flight, whatever count the collector
+        // Acquired must already be covered by the bucket sums it then
+        // loads: `sum(buckets) >= count` is what makes a snapshot's
+        // quantile ranks real records rather than speculation.
+        let report = explore(&cfg(), || {
+            let shard = Arc::new(HistShard::with_buckets(2));
+            let s2 = Arc::clone(&shard);
+            let writer = thread::spawn(move || {
+                s2.record_bucket(0);
+                s2.record_bucket(1);
+                s2.record_bucket(0);
+            });
+            let (count, buckets) = shard.read();
+            let total: u64 = buckets.iter().sum();
+            assert!(
+                total >= count,
+                "collector undercounted: count {count}, buckets sum {total}"
+            );
+            assert!(count <= 3 && total <= 3);
+            writer.join();
+            let (count, buckets) = shard.read();
+            assert_eq!(count, 3);
+            assert_eq!(buckets, vec![2, 1]);
+        });
+        eprintln!(
+            "explored {} schedules (exhaustive: {})",
+            report.schedules, report.exhaustive
+        );
+        assert!(report.failure.is_none(), "{:?}", report.failure);
+        assert!(report.exhaustive, "budget too small: {}", report.schedules);
+        assert!(report.schedules >= 2);
+    }
+
+    #[test]
+    fn two_collectors_agree_with_one_writer() {
+        // The stats endpoint and the metrics socket can snapshot the same
+        // shard at once: two concurrent readers, one writer. Each reader
+        // independently must see buckets covering its Acquired count.
+        let report = explore(&cfg(), || {
+            let shard = Arc::new(HistShard::with_buckets(1));
+            let s2 = Arc::clone(&shard);
+            let writer = thread::spawn(move || {
+                s2.record_bucket(0);
+                s2.record_bucket(0);
+            });
+            let s3 = Arc::clone(&shard);
+            let reader = thread::spawn(move || {
+                let (count, buckets) = s3.read();
+                assert!(buckets[0] >= count, "reader 2 undercounted");
+            });
+            let (count, buckets) = shard.read();
+            assert!(buckets[0] >= count, "reader 1 undercounted");
+            writer.join();
+            reader.join();
+            let (count, buckets) = shard.read();
+            assert_eq!((count, buckets[0]), (2, 2));
+        });
+        assert!(report.failure.is_none(), "{:?}", report.failure);
+        assert!(report.exhaustive, "budget too small: {}", report.schedules);
+    }
+
+    #[test]
+    fn relaxed_count_publication_is_caught() {
+        // Mutant skeleton of `HistShard::record` with the count increment
+        // downgraded to Relaxed: one bucket word stands in for the 2432.
+        // The checker must find the schedule where the collector's Acquire
+        // count load observes the increment but the relaxed bucket store
+        // is not yet visible — the undercount the Release edge forbids.
+        let report = explore(&cfg(), || {
+            let bucket = Arc::new(AtomicU64::new(0));
+            let count = Arc::new(AtomicU64::new(0));
+            let (b2, c2) = (Arc::clone(&bucket), Arc::clone(&count));
+            let writer = thread::spawn(move || {
+                b2.fetch_add(1, Ordering::Relaxed);
+                c2.fetch_add(1, Ordering::Relaxed); // BUG: record() uses Release
+            });
+            while count.load(Ordering::Acquire) != 1 {
+                spin_hint();
+            }
+            let b = bucket.load(Ordering::Relaxed);
+            assert!(b >= 1, "collector saw published count without its record");
+            writer.join();
+        });
+        let f = report.failure.expect("checker must catch the relaxed count");
+        assert_eq!(f.kind, FailureKind::Panic, "{}", f.message);
+        assert!(!f.schedule.is_empty());
     }
 }

@@ -1,6 +1,5 @@
 //! Low-overhead run telemetry: per-thread spans, performance-model
-//! counters, the flight recorder, live metrics, and machine-readable
-//! exporters.
+//! counters, the flight recorder, live metrics, and one export per plane.
 //!
 //! The paper's argument is measurement-driven — Fig. 5's kernel profile,
 //! Fig. 6's achieved-vs-STREAM bandwidth, Table 3's bytes-per-edge model.
@@ -11,17 +10,18 @@
 //!   time, arithmetic intensity and achieved GB/s against a machine's
 //!   STREAM number. A kernel call records through one guard, [`kernel`],
 //!   which reads the clock once at each end.
-//! * **spans** — named intervals recorded into a per-thread single-writer
-//!   [`Ring`]; [`Profile`] derives exact self/total time per span name
-//!   from their nesting.
-//! * **flight events** ([`emit`], [`flight_log`]) — structured solver
-//!   decisions and observations, including each pseudo-time step's
-//!   residual, Δt and GMRES iterations (the convergence history).
+//! * **spans** and **flight events** ([`emit`], [`flight_log`]) — named
+//!   intervals and structured solver decisions and observations (each
+//!   pseudo-time step's residual, Δt and GMRES iterations: the
+//!   convergence history), recorded into one single-writer ring per
+//!   thread; [`Profile`] derives exact self/total time per span name from
+//!   the spans' nesting.
 //! * **metrics** ([`metrics`]) — live counters, gauges and latency
-//!   histograms.
-//! * **exporters** — Chrome `trace_event` JSON ([`render_chrome_trace`]),
-//!   folded stacks and speedscope ([`folded`], [`speedscope`]), and a
-//!   [`Json`] builder for the structured run summary.
+//!   histograms, rendered as one strict-JSON snapshot.
+//! * **exporters** — Chrome `trace_event` JSON ([`render_chrome_trace`]:
+//!   spans as complete events, flight events as instants on the same
+//!   timeline), the flight dump, and a [`Json`] builder for the
+//!   structured run summary.
 //!
 //! ## One gate
 //!
@@ -36,16 +36,18 @@
 //! ## One recorder per thread, adopted by the next
 //!
 //! Each thread records into one recorder: its label, its rank and solve
-//! tags, its span ring, its flight ring, its counters and its histogram
-//! shards. The owning thread is the only writer of the rings and shards
-//! (lock-free); counters take an uncontended mutex at kernel-invocation
-//! granularity, never in inner loops. Recorders live in one registry.
-//! When a thread first records, it **adopts** the recorder of a thread
-//! that has exited, if there is one, instead of registering a new one:
-//! the span ring is cleared (a thread's spans must nest), while flight
-//! events, counters and histogram buckets carry on. So an exited thread's
-//! events survive until overwritten, totals never drop, and the registry
-//! holds at most as many recorders as threads were ever alive at once.
+//! tags, its ring (spans and flight events), its counters and its
+//! histogram shards. The owning thread is the only writer of the ring and
+//! the shards (lock-free); counters take an uncontended mutex at
+//! kernel-invocation granularity, never in inner loops. Recorders live in
+//! one registry. When a thread first records, it **adopts** the recorder
+//! of a thread that has exited, if there is one, instead of registering a
+//! new one: the label and the tags start over, while the ring, the
+//! counters and the histogram buckets carry on. An exited thread's spans
+//! all closed before its successor's first one opened, so they never
+//! overlap and the profile's nesting stays exact; its events survive until
+//! overwritten, totals never drop, and the registry holds at most as many
+//! recorders as threads were ever alive at once.
 
 mod counters;
 mod flight;
@@ -64,15 +66,13 @@ pub use flight::{
     FlightEvent, FlightLog, SolveId, Trigger, NO_CROSSOVER,
 };
 pub use json::Json;
-pub use profile::{check_folded, check_speedscope, folded, speedscope, Profile};
-// `Ring` is exported for its model test, `crates/util/tests/model_ring.rs`.
-pub use ring::{Ring, SpanEvent};
+pub use profile::{KernelTime, Profile};
+pub use ring::SpanEvent;
 pub use roofline::{validate_roofline, Deviation, Envelope, ROOFLINE_TOLERANCE};
-// `assemble_trace` has one caller, `crates/serve/tests/trace_assembly.rs`.
-pub use trace::{assemble_trace, render_chrome_trace, TRACE_SCHEMA};
+pub use trace::render_chrome_trace;
 
 use metrics::HistShard;
-use ring::SPAN_WORDS;
+use ring::{Ring, CAPACITY, SLOT_WORDS, SPAN_CODE};
 use std::cell::{OnceCell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -168,23 +168,19 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Spans each thread's ring holds (newest win).
-pub(crate) const SPAN_CAPACITY: usize = 4096;
-
-/// One thread's recorder. Its thread is the only writer of the rings, the
+/// One thread's recorder. Its thread is the only writer of the ring, the
 /// tags and the shards (see the module docs); aligned to two cache lines
 /// so recorders that are written on every barrier wait never share one.
 #[repr(align(128))]
 struct Recorder {
     label: Mutex<String>,
-    /// Cluster rank tag of this thread's flight events.
+    /// Cluster rank tag of this thread's spans and flight events.
     rank: AtomicU64,
-    /// Solve tag of this thread's flight events (0 = outside any solve).
+    /// Solve tag of this thread's spans and flight events (0 = outside
+    /// any solve).
     solve: AtomicU64,
-    /// Allocated on the first span (level `spans` and up).
-    spans: OnceLock<Ring<SPAN_WORDS>>,
-    /// Allocated on the first flight event.
-    flight: OnceLock<Ring<{ flight::SLOT_WORDS }>>,
+    /// Spans and flight events; allocated on the first of either.
+    ring: OnceLock<Ring<SLOT_WORDS>>,
     counters: Mutex<CounterMap>,
     /// This thread's shard of each histogram it recorded, by histogram id.
     shards: Mutex<Vec<(u64, Arc<HistShard>)>>,
@@ -196,28 +192,44 @@ impl Recorder {
             label: Mutex::new(label),
             rank: AtomicU64::new(0),
             solve: AtomicU64::new(0),
-            spans: OnceLock::new(),
-            flight: OnceLock::new(),
+            ring: OnceLock::new(),
             counters: Mutex::new(CounterMap::new()),
             shards: Mutex::new(Vec::new()),
         }
     }
 
-    fn push_span(&self, ev: SpanEvent) {
-        self.spans
-            .get_or_init(|| Ring::new(SPAN_CAPACITY))
-            .push(ev.words())
+    /// This thread's `(rank, solve)` tags.
+    fn tags(&self) -> (u64, u64) {
+        (
+            self.rank.load(Ordering::Relaxed),
+            self.solve.load(Ordering::Relaxed),
+        )
     }
 
-    /// Hands an exited thread's recorder to a new thread: a new label, no
-    /// tags, no spans; flight events, counters and shards carry on.
+    fn push(&self, words: [u64; SLOT_WORDS]) {
+        self.ring.get_or_init(|| Ring::new(CAPACITY)).push(words)
+    }
+
+    fn push_span(&self, name: &'static str, start_ns: u64, dur_ns: u64) {
+        let (rank, solve) = self.tags();
+        self.push(
+            SpanEvent {
+                name,
+                start_ns,
+                dur_ns,
+                rank,
+                solve,
+            }
+            .words(),
+        )
+    }
+
+    /// Hands an exited thread's recorder to a new thread: a new label and
+    /// no tags; the ring, counters and shards carry on.
     fn adopt(&mut self, label: String) {
         *self.label.get_mut().unwrap_or_else(|p| p.into_inner()) = label;
         *self.rank.get_mut() = 0;
         *self.solve.get_mut() = 0;
-        if let Some(spans) = self.spans.get_mut() {
-            spans.clear();
-        }
     }
 }
 
@@ -244,8 +256,6 @@ fn register() -> Arc<Recorder> {
     // `get_mut` reads the count with Acquire: all of those stores
     // happen-before the adoption, hence before the new owner's first
     // store, so each ring and shard keeps exactly one writer at a time.
-    // Collectors read recorders only while holding this lock, so none
-    // sees the span ring being cleared.
     for rec in recs.iter_mut() {
         if let Some(free) = Arc::get_mut(rec) {
             free.adopt(label);
@@ -309,8 +319,7 @@ pub fn set_thread_label(label: impl Into<String>) {
     }
 }
 
-/// An in-flight span; records into the current thread's span ring on
-/// drop. Inactive (and free) below the gating level.
+/// An in-flight span; records into the current thread's ring on drop. Inactive (and free) below the gating level.
 ///
 /// `!Send`: a span is recorded on the thread that dropped it, and the
 /// profile derives self time from the nesting on each thread's ring, so
@@ -346,12 +355,8 @@ impl Drop for Span {
         if !self.active {
             return;
         }
-        let ev = SpanEvent {
-            name: self.name,
-            start_ns: self.start_ns,
-            dur_ns: now_ns().saturating_sub(self.start_ns),
-        };
-        with_recorder(|r| r.push_span(ev));
+        let dur_ns = now_ns().saturating_sub(self.start_ns);
+        with_recorder(|r| r.push_span(self.name, self.start_ns, dur_ns));
     }
 }
 
@@ -402,11 +407,7 @@ impl Drop for Kernel {
         with_recorder(|r| {
             r.counters.lock().unwrap().add(self.name, counts);
             if self.level >= Level::Spans {
-                r.push_span(SpanEvent {
-                    name: self.name,
-                    start_ns: self.start_ns,
-                    dur_ns,
-                });
+                r.push_span(self.name, self.start_ns, dur_ns);
             }
         });
     }
@@ -453,8 +454,11 @@ pub struct ThreadProfile {
     pub label: String,
     /// Recorded spans, in the order they closed.
     pub spans: Vec<SpanEvent>,
-    /// Spans lost to ring wraparound.
-    pub dropped_spans: u64,
+    /// Recorded flight events, in the order they were emitted.
+    pub events: Vec<FlightEvent>,
+    /// Slots (spans or events) lost to ring wraparound: the span profile
+    /// is exact when no slot was lost.
+    pub dropped: u64,
     /// Kernel counters.
     pub counters: CounterMap,
 }
@@ -495,35 +499,39 @@ impl Snapshot {
             .collect()
     }
 
-    /// Total spans lost to ring wraparound across threads.
-    pub fn dropped_spans(&self) -> u64 {
-        self.threads.iter().map(|t| t.dropped_spans).sum()
+    /// Total slots lost to ring wraparound across threads.
+    pub fn dropped(&self) -> u64 {
+        self.threads.iter().map(|t| t.dropped).sum()
     }
 }
 
-/// Collects every recorder into a [`Snapshot`].
+/// Collects every recorder into a [`Snapshot`]: the one collection pass
+/// over the rings, which [`flight_log`] merges into one timeline.
 ///
-/// Safe to call at any time; span rings of still-running threads are
-/// read with the single-writer protocol (in-flight slots are trimmed),
-/// but for complete timelines collect at a quiescent point (pool idle,
-/// ranks joined).
+/// Safe to call at any time; rings of still-running threads are read with
+/// the single-writer protocol (in-flight slots are trimmed), but for
+/// complete timelines collect at a quiescent point (pool idle, ranks
+/// joined).
 pub fn snapshot() -> Snapshot {
     let threads = recorders()
         .iter()
         .map(|r| {
-            let (slots, dropped_spans) = match r.spans.get() {
-                Some(ring) => ring.collect(),
-                None => (Vec::new(), 0),
-            };
+            let (slots, dropped) = r.ring.get().map_or_else(|| (Vec::new(), 0), Ring::collect);
+            let (mut spans, mut events) = (Vec::new(), Vec::new());
+            for w in slots {
+                if w[0] == SPAN_CODE {
+                    // SAFETY: a slot `Ring::collect` returned under the
+                    // span code, which only `SpanEvent::words` writes.
+                    spans.push(unsafe { SpanEvent::from_words(w) });
+                } else {
+                    events.extend(FlightEvent::from_words(w));
+                }
+            }
             ThreadProfile {
                 label: r.label.lock().unwrap().clone(),
-                // SAFETY: span rings only ever receive `SpanEvent::words`,
-                // and these slots came out of `Ring::collect`.
-                spans: slots
-                    .into_iter()
-                    .map(|w| unsafe { SpanEvent::from_words(w) })
-                    .collect(),
-                dropped_spans,
+                spans,
+                events,
+                dropped,
                 counters: r.counters.lock().unwrap().clone(),
             }
         })

@@ -1,7 +1,7 @@
 //! One recorder per live thread: a thread that starts after another
 //! exited adopts its recorder, so a process that keeps starting threads
 //! holds as many recorders as threads were ever alive at once — and loses
-//! no totals and no flight events doing so.
+//! no totals, no flight events and no spans doing so.
 //!
 //! One test in its own binary, so no other test's threads are alive to
 //! blur the bound.
@@ -68,12 +68,27 @@ fn sixty_four_short_lived_threads_share_at_most_three_recorders() {
         .unwrap();
     assert_eq!(late.rank, 0, "an adopted recorder's rank tag starts over");
 
-    // Spans do not carry over: each adoption cleared the ring, so no
-    // recorder holds more than its last owner's span.
-    let spans = telemetry::snapshot();
-    for t in &spans.threads {
-        let n = t.spans.iter().filter(|s| s.name == "adoption.span").count();
-        assert!(n <= 1, "{} holds {n} spans of earlier owners", t.label);
-    }
+    // The ring carries on: every earlier owner's span survives beside its
+    // successors', and since an owner exits before the next one adopts,
+    // no two of them overlap, so the profile nests none inside another.
+    let snap = telemetry::snapshot();
+    let spans: Vec<_> = snap
+        .threads
+        .iter()
+        .flat_map(|t| t.spans.iter().filter(|s| s.name == "adoption.span"))
+        .collect();
+    assert_eq!(spans.len(), 64, "an earlier owner's spans were lost");
+    let total: u64 = spans.iter().map(|s| s.dur_ns).sum();
+    let profile = telemetry::Profile::from_snapshot(&snap);
+    let k = profile
+        .kernels
+        .iter()
+        .find(|k| k.name == "adoption.span")
+        .unwrap();
+    assert_eq!(
+        (k.spans, k.self_ns, k.total_ns),
+        (64, total, total),
+        "spans nested"
+    );
     telemetry::set_level(Level::Counters);
 }

@@ -15,8 +15,10 @@
 #    backward row; the gradient row's layout is spelled in one file, the
 #    gradient is not an edge body and has no tiled model, unchecked
 #    access in the core sits in four files, each use under a `SAFETY:`,
-#    telemetry reads three variables, keeps one thread-local and one
-#    ring type, and none of the knobs, sampler or rings it replaced; a
+#    telemetry reads three variables, keeps one thread-local, one ring
+#    type and one ring per recorder, and none of the knobs, sampler or
+#    rings it replaced, and renders each plane in one format (no
+#    Prometheus text, folded stacks, speedscope or trace assembler); a
 #    kernel call is timed once, by its telemetry guard, so the
 #    application reads no clock of its own and the phase-timer map stays
 #    deleted; the
@@ -46,8 +48,9 @@
 #  * model check of the sync substrate: the fun3d-check suite plus the
 #    protocol models compiled under `--cfg fun3d_check`, under a fixed
 #    schedule budget; a deliberately racy canary must fail the suite.
-#  * perf_report on the tiny mesh: every telemetry artifact parses, and
-#    no span was lost to ring wraparound (the span profile is exact).
+#  * perf_report on the tiny mesh: both telemetry artifacts (the JSON
+#    summary and the Chrome trace) parse, and no ring slot was lost to
+#    wraparound (the span profile is exact).
 #  * sync_ablation on the benchmark mesh: bitwise mode equivalence, the
 #    regions-per-iteration claim, and the speedup-vs-threads rule on the
 #    rows that fit this host's cores.
@@ -83,7 +86,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, no stored Jacobian, one factor-reuse rule, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, no stored Jacobian, one factor-reuse rule, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, one format per telemetry plane, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -247,6 +250,21 @@ structure_guard() {
         echo "  a sampler slot, a sampler or a second ring type: spans and flight events share ring::Ring"
         bad=1
     fi
+    # One format per plane: metrics render as one JSON snapshot, the
+    # timeline exports as one Chrome trace, a request's story is its solve
+    # id's events, and a recorder keeps one ring for spans and flight
+    # events alike.
+    if grep -rnE 'render_prometheus|check_prometheus|fn folded|speedscope|assemble_trace' "$root"/crates/*/src; then
+        echo "  a second telemetry format (Prometheus text, folded stacks, speedscope, a trace assembler): one JSON snapshot, one Chrome trace"
+        bad=1
+    fi
+    local rings
+    rings=$(awk '/^[[:space:]]*(pub(\([a-z]+\))? )?struct Recorder[[:space:]]*\{/ { inside = 1 }
+        inside && /Ring</ { n++ } inside && /^}/ { inside = 0 } END { print n + 0 }' "$telemetry"/*.rs 2>/dev/null)
+    if [ "${rings:-0}" -gt 1 ]; then
+        echo "  $rings Ring fields in telemetry's Recorder (want one: spans and flight events share the ring)"
+        bad=1
+    fi
     # One clock per kernel: a kernel call opens telemetry::kernel, whose
     # counters carry the call's time beside its traffic; the application
     # reads no clock of its own and no phase-timer map comes back.
@@ -346,10 +364,10 @@ structure_guard() {
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly or stored Jacobian, factor-reuse rule, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly or stored Jacobian, factor-reuse rule, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder, ring, telemetry format or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
     exit 1
 fi
-# Negative canaries: each of the thirty-two forks must trip the guard, and
+# Negative canaries: each of the thirty-three forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
@@ -358,7 +376,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     telemetry_knob_read deleted_knob_named second_thread_local sampler_back second_kernel_clock \
     rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map \
     bench_only_in_production single_value_knob_back pub_mod_back dead_code_allowed stored_jacobian \
-    one_reuse_rule; do
+    one_reuse_rule one_format_per_plane; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src/bin" "$CANARY/scripts" \
@@ -381,7 +399,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     echo 'Dumps land in `FUN3D_FLIGHT_DIR`; `FUN3D_FLIGHT_DUMP=1` asks for one at every solve end.' > "$CANARY/README.md"
     echo '| `crates/util` | one recorder per thread, one ring type |' > "$CANARY/DESIGN.md"
     printf '#![deny(unreachable_pub)]\n\nmod gmres;\npub mod precond;\npub mod ptc;\n' > "$CANARY/crates/solver/src/lib.rs"
-    printf 'mod counters;\npub mod metrics;\n' >> "$CANARY/crates/util/src/telemetry/mod.rs"
+    printf 'mod counters;\npub mod metrics;\nstruct Recorder {\n    ring: OnceLock<Ring<SLOT_WORDS>>,\n}\n' >> "$CANARY/crates/util/src/telemetry/mod.rs"
     mkdir -p "$CANARY/crates/threads/src"
     printf '    #[cfg_attr(fun3d_check, allow(dead_code))]\n    adaptive: bool,\n' > "$CANARY/crates/threads/src/pool.rs"
     case $fork in
@@ -423,6 +441,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         dead_code_allowed) printf '#[allow(dead_code)]\nfn unused() {}\n' > "$CANARY/crates/threads/src/team.rs" ;;
         stored_jacobian) printf '    adj: HalfEdges,\n    jac: OnceLock<Bcsr4>,\n' > "$CANARY/crates/core/src/app.rs" ;;
         one_reuse_rule) printf '        if self.precond.is_some() && self.cfg.ilu_lag > 1 {\n' > "$CANARY/crates/cluster/src/dapp.rs" ;;
+        one_format_per_plane) printf 'struct Recorder {\n    spans: OnceLock<Ring<4>>,\n    ring: OnceLock<Ring<SLOT_WORDS>>,\n}\n' >> "$CANARY/crates/util/src/telemetry/mod.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -430,7 +449,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, no stored Jacobian in the app or a rank, one factor-reuse rule, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, no stored Jacobian in the app or a rank, one factor-reuse rule, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one format per telemetry plane, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
 
 # Warnings are errors, on every target of the workspace and on the
 # model-checked crates under their cfg. Own target dirs: the flags change
@@ -490,17 +509,14 @@ echo "ok: model checker catches the canary race"
 
 echo "== perf_report on the tiny mesh (telemetry + span profile artifacts) =="
 # Run the telemetry report end to end at full span detail, then prove
-# every artifact is machine-readable with the binary's own strict parsers
+# both artifacts are machine-readable with the binary's own strict parsers
 # (--check): the JSON summary (including the measured-vs-model roofline
-# table; on the tiny mesh it also fails if any span was lost to ring
-# wraparound, since the span profile is exact only without losses), the
-# Chrome trace, and the span profile as folded flamegraph text and as
-# speedscope JSON.
+# table; on the tiny mesh it also fails if any ring slot was lost to
+# wraparound, since the span profile is exact only without losses) and
+# the Chrome trace (spans and flight-event instants alike).
 cargo run --release --offline -q -p fun3d-bench --bin perf_report -- --mesh tiny --threads 2
 for artifact in target/experiments/perf_report.json \
-                target/experiments/perf_report.trace.json \
-                target/experiments/perf_report.folded \
-                target/experiments/perf_report.speedscope.json; do
+                target/experiments/perf_report.trace.json; do
     if [ ! -f "$artifact" ]; then
         echo "FAIL: missing telemetry artifact $artifact"
         exit 1
@@ -587,7 +603,7 @@ echo "== serve stats command =="
 # against the solve, so this smoke checks structure only; the live
 # per-tenant percentiles are service::tests::stats_json_reports_live_tenant_percentiles,
 # and the --metrics-socket endpoint is crates/serve/tests/metrics_socket.rs
-# (both expositions validated, a corrupted snapshot rejected), both tier-1.
+# (its JSON snapshot validated, a corrupted one rejected), both tier-1.
 STATS_OUT=$(printf '%s\n' \
     '{"tenant":"verify","mesh":"tiny","max_steps":2,"rtol":1e-2}' \
     '{"cmd":"stats"}' \
