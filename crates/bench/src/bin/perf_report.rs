@@ -376,9 +376,20 @@ fn main() {
 
     // ---- (b) per-thread utilization / load imbalance ----
     let busy = snap.per_thread_span_seconds("pool.region");
+    // A thread's time blocked in P2P hand-offs: its recorder's
+    // `*.p2p_wait*` kernel counters (TRSV sweeps, ILU refactorization).
+    let p2p_wait_s = |label: &str| -> f64 {
+        snap.threads
+            .iter()
+            .filter(|t| t.label == label)
+            .flat_map(|t| t.counters.entries())
+            .filter(|(name, _)| name.contains(".p2p_wait"))
+            .map(|(_, c)| c.seconds())
+            .sum()
+    };
     let mut thread_table = Table::new(
-        "perf_report: worker utilization (pool.region busy spans)",
-        &["thread", "busy s", "utilization", "regions"],
+        "perf_report: worker utilization (pool.region busy spans, P2P waits)",
+        &["thread", "busy s", "utilization", "regions", "P2P wait s"],
     );
     let mut threads_json = Vec::new();
     let max_busy = busy.iter().map(|(_, s, _)| *s).fold(0.0f64, f64::max);
@@ -388,16 +399,19 @@ fn main() {
         busy.iter().map(|(_, s, _)| *s).sum::<f64>() / busy.len() as f64
     };
     for (label, secs, n) in &busy {
+        let wait = p2p_wait_s(label);
         thread_table.row(&[
             label.clone(),
             fmt_g(*secs),
             format!("{:.1}%", 100.0 * secs / run_secs.max(1e-300)),
             n.to_string(),
+            fmt_g(wait),
         ]);
         threads_json.push(Json::obj(vec![
             ("label", Json::str(label.as_str())),
             ("busy_seconds", Json::num(*secs)),
             ("regions", Json::num(*n as f64)),
+            ("p2p_wait_seconds", Json::num(wait)),
         ]));
     }
     // load imbalance: max/mean busy time across workers (1.0 = perfect)

@@ -53,7 +53,7 @@
 use fun3d_bench::report::{experiments_dir, fmt_g, write_json, Table};
 use fun3d_bench::{jacobian_fixture, KernelFixture};
 use fun3d_mesh::generator::MeshPreset;
-use fun3d_solver::{AutoPolicy, Gmres, GmresConfig, GmresExec, SerialIlu};
+use fun3d_solver::{AutoPolicy, ExecMode, Gmres, GmresConfig, GmresExec, SerialIlu};
 use fun3d_threads::ThreadPool;
 use fun3d_util::{mad, median, telemetry::Json};
 use std::sync::Arc;
@@ -190,7 +190,11 @@ fn run_mesh(mesh: MeshPreset, threads: &[usize], reps: usize) -> MeshReport {
             ("serial", _) | (_, None) => GmresExec::Serial,
             ("per-op", Some(p)) => GmresExec::PerOp(p),
             ("team", Some(p)) => GmresExec::Team(p),
-            (_, Some(p)) => GmresExec::Auto(p),
+            // Auto, resolved as `ptc::solve` resolves it once per solve.
+            (_, Some(p)) => match AutoPolicy::for_pool(p).choose(n, p.size()) {
+                ExecMode::Serial => GmresExec::Serial,
+                _ => GmresExec::Team(p),
+            },
         };
         let regions_before = pool.map_or(0, |p| p.regions_launched());
         let t = std::time::Instant::now();
@@ -214,7 +218,7 @@ fn run_mesh(mesh: MeshPreset, threads: &[usize], reps: usize) -> MeshReport {
         // resolves to serial, the pooled preconditioner is dropped too
         // (P2P and serial sweeps are bitwise identical, so the cross-mode
         // history checks still hold).
-        let auto_ilu = if policy.choose(n, nt) == fun3d_solver::ExecMode::Serial {
+        let auto_ilu = if policy.choose(n, nt) == ExecMode::Serial {
             &serial_ilu
         } else {
             &ilu

@@ -1,5 +1,5 @@
-//! Overhead guard for the metrics plane — histograms, counters and
-//! gauges — behind the one telemetry gate. The harness and the contract
+//! Overhead guard for the metrics plane — its histograms — behind the
+//! one telemetry gate. The harness and the contract
 //! are in `overhead/mod.rs`; `flight_overhead.rs` is the same guard for
 //! the recorder's flight events, spans and kernel counters.
 
@@ -19,8 +19,6 @@ fn disabled_record_is_one_relaxed_load_and_zero_alloc() {
     let _l = overhead::level_lock();
     telemetry::set_level(Level::Counters);
     let h = metrics::histogram("metrics_overhead.off_probe_ns");
-    let c = metrics::counter("metrics_overhead.off_probe_count");
-    let g = metrics::gauge("metrics_overhead.off_probe_gauge");
     h.record(1);
     metrics::record_ns("metrics_overhead.off_named_ns", 1);
     let hist = |name: &str| metrics::snapshot().hist(name).map_or(0, |h| h.count);
@@ -32,9 +30,6 @@ fn disabled_record_is_one_relaxed_load_and_zero_alloc() {
     let grew = overhead::allocations_at_off(|i| {
         h.record(i);
         metrics::record_ns("metrics_overhead.off_named_ns", i);
-        c.incr();
-        g.set(i);
-        metrics::counter_add("metrics_overhead.off_probe_count", 1);
     });
 
     assert_eq!(grew, 0, "metrics at off allocated {grew} times");
@@ -48,6 +43,4 @@ fn disabled_record_is_one_relaxed_load_and_zero_alloc() {
         warm_named,
         "named record landed"
     );
-    assert_eq!(c.value(), 0, "counter moved");
-    assert_eq!(g.value(), 0, "gauge moved");
 }

@@ -6,6 +6,11 @@
 //! and barrier. Statistics (message and byte counts per op class) are
 //! recorded for the communication-overhead accounting of Fig. 10.
 //!
+//! A message is recorded once per plane: the `comm.send` / `comm.recv`
+//! kernel counters and flight events of the rank that sent or received
+//! it, the receiving rank's wait in the `cluster.rank<r>.recv_ns`
+//! histogram, and the universe-wide `stat_*` totals.
+//!
 //! Built entirely on `std::sync` (mpsc channels + `Mutex`) so the
 //! workspace stays hermetic. `std::sync::mpsc` gives exactly the FIFO
 //! per-(src,dst) ordering MPI guarantees for a single tag in flight, and
@@ -117,27 +122,18 @@ impl Universe {
 pub struct Comm {
     rank: usize,
     shared: Arc<Shared>,
-    // Per-rank live histograms (size + latency per direction), handles
-    // resolved once at rank startup so the record path never takes the
-    // registry lock.
-    send_bytes: Arc<telemetry::metrics::Histogram>,
-    send_ns: Arc<telemetry::metrics::Histogram>,
-    recv_bytes: Arc<telemetry::metrics::Histogram>,
+    /// This rank's receive waits (`cluster.rank<r>.recv_ns`), resolved
+    /// once at rank startup so the record path never takes the registry
+    /// lock.
     recv_ns: Arc<telemetry::metrics::Histogram>,
 }
 
 impl Comm {
     fn new(rank: usize, shared: Arc<Shared>) -> Comm {
-        let hist = |dir: &str, what: &str| {
-            telemetry::metrics::histogram(&format!("cluster.rank{rank}.{dir}_{what}"))
-        };
         Comm {
             rank,
             shared,
-            send_bytes: hist("send", "bytes"),
-            send_ns: hist("send", "ns"),
-            recv_bytes: hist("recv", "bytes"),
-            recv_ns: hist("recv", "ns"),
+            recv_ns: telemetry::metrics::histogram(&format!("cluster.rank{rank}.recv_ns")),
         }
     }
 
@@ -158,13 +154,9 @@ impl Comm {
             peer: dst as u64,
             bytes,
         });
-        let t0 = std::time::Instant::now();
         self.shared.senders[self.rank * self.shared.size + dst]
             .send(Msg { tag, data })
             .expect("receiver alive");
-        self.send_bytes.record(bytes);
-        self.send_ns
-            .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Receives the next message from `src`; its tag must match
@@ -181,7 +173,6 @@ impl Comm {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let msg = next_message(&rx).expect("sender alive");
-        self.recv_bytes.record((msg.data.len() * 8) as u64);
         self.recv_ns
             .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         assert_eq!(
@@ -189,13 +180,11 @@ impl Comm {
             "out-of-order tag between ranks {src}->{}",
             self.rank
         );
-        telemetry::record_kernel(
-            "comm.recv",
-            telemetry::KernelCounts::once(1, (msg.data.len() * 8) as u64, 0, 0),
-        );
+        let bytes = (msg.data.len() * 8) as u64;
+        telemetry::record_kernel("comm.recv", telemetry::KernelCounts::once(1, bytes, 0, 0));
         telemetry::emit(telemetry::EventKind::CommRecv {
             peer: src as u64,
-            bytes: (msg.data.len() * 8) as u64,
+            bytes,
         });
         msg.data
     }

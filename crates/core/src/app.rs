@@ -124,7 +124,8 @@ fn edge_walk<'a>(
 struct P2pSchedules {
     fwd: Arc<P2pSchedule>,
     bwd: Arc<P2pSchedule>,
-    /// The refactorization's progress counters (`ilu.p2p.blocked_*.t0`, …).
+    /// The refactorization's progress counters, each thread's sweeps
+    /// recorded under the kernel counter `ilu.p2p_wait`.
     ilu_progress: P2pProgress,
 }
 
@@ -286,7 +287,7 @@ impl Fun3dApp {
             let fwd = P2pSchedule::forward(ilu_symbolic.l_pattern(), cfg.nthreads);
             let bwd = P2pSchedule::backward(ilu_symbolic.u_pattern(), cfg.nthreads);
             P2pSchedules {
-                ilu_progress: fwd.progress().attributed("ilu.p2p", "t"),
+                ilu_progress: fwd.progress().attributed("ilu.p2p_wait"),
                 fwd: Arc::new(fwd),
                 bwd: Arc::new(bwd),
             }

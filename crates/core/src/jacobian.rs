@@ -768,12 +768,23 @@ pub(crate) mod tests {
         // dominant (this is what makes early PTC steps easy to solve).
         let f = setup();
         let jac = f.assemble(&vec![1e3; f.node.q.len()]);
-        let n = jac.dim();
-        let d = jac.to_dense();
-        for i in 0..n {
-            let diag = d[i * n + i].abs();
-            let off: f64 = (0..n).filter(|&j| j != i).map(|j| d[i * n + j].abs()).sum();
-            assert!(diag > off, "row {i} not dominant: {diag} vs {off}");
+        for r in 0..jac.nrows() {
+            for i in 0..4 {
+                let (mut diag, mut off) = (0.0, 0.0);
+                for k in jac.row_ptr[r]..jac.row_ptr[r + 1] {
+                    let on_diag = jac.col_idx[k] as usize == r;
+                    for j in 0..4 {
+                        let v = jac.block(k)[i * 4 + j].abs();
+                        if on_diag && i == j {
+                            diag = v;
+                        } else {
+                            off += v;
+                        }
+                    }
+                }
+                let row = r * 4 + i;
+                assert!(diag > off, "row {row} not dominant: {diag} vs {off}");
+            }
         }
     }
 }

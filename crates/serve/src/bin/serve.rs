@@ -10,9 +10,8 @@
 //!   connection.
 //!
 //! ```text
-//! usage: fun3d-serve [--socket PATH] [--metrics-socket PATH] [--teams N]
-//!                    [--team-threads N] [--queue-cap N] [--tenant-cap N]
-//!                    [--stats]
+//! usage: fun3d-serve [--socket PATH] [--teams N] [--team-threads N]
+//!                    [--queue-cap N] [--tenant-cap N] [--stats]
 //! ```
 //!
 //! Replies are [`fun3d_serve::render_reply`] lines (`"ok":true`)
@@ -20,20 +19,16 @@
 //! structured reason) — admission rejects answer on the wire instead of
 //! closing the connection, so load generators can count shed requests.
 //!
-//! Live observability (either transport):
-//!
-//! * the in-band request `{"cmd":"stats"}` answers one JSON line with
-//!   the lane implementation the edge kernels run on (`"isa"`: `avx2` or
-//!   `portable`), live per-tenant latency percentiles, queue/inflight
-//!   gauges, cache hit rate, and the full metrics snapshot;
-//! * `--metrics-socket PATH` serves the metrics plane out-of-band: a
-//!   client connects, sends one line (conventionally `json`; its content
-//!   is ignored), and reads the strict-JSON metrics snapshot until EOF
-//!   (`tests/metrics_socket.rs` drives it).
+//! Live observability (either transport): the request `{"cmd":"stats"}`
+//! answers one JSON line with the lane implementation the edge kernels
+//! run on (`"isa"`: `avx2` or `portable`), live per-tenant latency
+//! percentiles, the queue depth and jobs in flight, cache hit rate, and
+//! the full metrics snapshot. It is answered on the connection's own
+//! thread, never queued behind a solve; over `--socket` a process other
+//! than the one driving the requests can ask it on its own connection.
 
 use fun3d_serve::{bad_request_line, render_reject, render_reply, SolveRequest};
 use fun3d_serve::{ServeConfig, Service};
-use fun3d_util::telemetry::metrics;
 use fun3d_util::telemetry::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -44,7 +39,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ServeConfig::host_default();
     let mut socket: Option<String> = None;
-    let mut metrics_socket: Option<String> = None;
     let mut stats = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -61,13 +55,6 @@ fn main() {
                         .clone(),
                 )
             }
-            "--metrics-socket" => {
-                metrics_socket = Some(
-                    it.next()
-                        .unwrap_or_else(|| fail("--metrics-socket needs a path"))
-                        .clone(),
-                )
-            }
             "--teams" => cfg.teams = num("--teams").max(1),
             "--team-threads" => cfg.team_threads = num("--team-threads").max(1),
             "--queue-cap" => cfg.queue_cap = num("--queue-cap").max(1),
@@ -75,8 +62,8 @@ fn main() {
             "--stats" => stats = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: fun3d-serve [--socket PATH] [--metrics-socket PATH] [--teams N] \
-                     [--team-threads N] [--queue-cap N] [--tenant-cap N] [--stats]"
+                    "usage: fun3d-serve [--socket PATH] [--teams N] [--team-threads N] \
+                     [--queue-cap N] [--tenant-cap N] [--stats]"
                 );
                 return;
             }
@@ -94,43 +81,10 @@ fn main() {
         cfg.factor_cache_cap
     );
     let svc = Service::start(cfg);
-    if let Some(path) = metrics_socket {
-        serve_metrics_socket(path);
-    }
     match socket {
         Some(path) => serve_socket(svc, &path, stats),
         None => serve_stdio(svc, stats),
     }
-}
-
-/// Out-of-band metrics plane: a daemon listener that answers each
-/// connection with one strict-JSON snapshot and closes. The client speaks
-/// first — one line of any content (conventionally `json`) — so that its
-/// write never races the close.
-fn serve_metrics_socket(path: String) {
-    let _ = std::fs::remove_file(&path);
-    let listener = UnixListener::bind(&path)
-        .unwrap_or_else(|e| fail(&format!("cannot bind metrics socket {path}: {e}")));
-    eprintln!("fun3d-serve: metrics on {path}");
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let mut stream = match stream {
-                Ok(s) => s,
-                Err(_) => break,
-            };
-            let mut first = String::new();
-            let mut reader = BufReader::new(match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => continue,
-            });
-            if reader.read_line(&mut first).is_err() {
-                continue;
-            }
-            let mut payload = metrics::snapshot_json(&metrics::snapshot()).render();
-            payload.push('\n');
-            let _ = stream.write_all(payload.as_bytes());
-        }
-    });
 }
 
 fn fail(msg: &str) -> ! {

@@ -165,11 +165,6 @@ impl TeamAppCache {
         });
         counters.app_insertions.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Prepared apps currently resident.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -177,6 +172,13 @@ mod tests {
     use super::*;
     use fun3d_core::{FlowConditions, OptConfig};
     use fun3d_mesh::generator::MeshPreset;
+
+    impl TeamAppCache {
+        /// Prepared apps currently resident.
+        fn len(&self) -> usize {
+            self.entries.len()
+        }
+    }
 
     fn tiny_app() -> Fun3dApp {
         let mut mesh = MeshPreset::Tiny.build();

@@ -11,9 +11,9 @@
 //!   [`fun3d_threads::ThreadPool`] checked out of a
 //!   [`fun3d_threads::PoolSet`] at startup (no pool churn between
 //!   requests; the set's high-water mark proves the worker budget was
-//!   never exceeded). Per-job thread choice rides the PR 6
-//!   `AutoPolicy`: apps run `ExecMode::Auto`, so each solve resolves
-//!   serial vs team from the machine model + measured sync costs.
+//!   never exceeded). Per-job thread choice rides `AutoPolicy`: apps
+//!   run `ExecMode::Auto`, so each solve resolves serial vs team once,
+//!   from the machine model + measured sync costs.
 //! * the `cache` module — the cross-request artifact cache: per-team
 //!   prepared [`fun3d_core::Fun3dApp`] bundles (reordered mesh, dual
 //!   metrics, partitions, tilings, ILU patterns, schedules) and a
@@ -28,7 +28,12 @@
 //! (`serve_admit` / `serve_job` / `serve_reject` events carrying FNV-64
 //! tenant hashes and the job's `SolveId`) and wrapped in a telemetry
 //! span, so one load run correlates service-level latency with
-//! solver-level behaviour.
+//! solver-level behaviour. Each fact is recorded once: counts of
+//! completed and shed requests, the queue depth and the jobs in flight
+//! are the service's own state ([`ServeStats`]), cache hits are
+//! [`CacheCounters`], the reason a request was shed is its
+//! `serve_reject` event, and the metrics plane holds the stage latency
+//! histograms only.
 
 #![deny(unreachable_pub)]
 

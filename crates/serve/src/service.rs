@@ -7,9 +7,9 @@
 //! layer), and dispatchers pull jobs by weighted round-robin across
 //! tenants, so one chatty tenant cannot starve the rest. Each job is
 //! executed on the team's cached-or-fresh `Fun3dApp` with
-//! `ExecMode::Auto`, which resolves serial vs parallel per solve from
-//! the PR 6 cost model — the per-job thread choice without any pool
-//! churn.
+//! `ExecMode::Auto`, which `AutoPolicy` resolves to serial or team once
+//! per solve from its cost model — the per-job thread choice without any
+//! pool churn.
 //!
 //! Observability: admission emits `serve_admit`/`serve_reject` flight
 //! events on the submitting thread; completion emits `serve_job` tagged
@@ -232,6 +232,10 @@ pub struct ServeStats {
     pub pool_high_water: usize,
     /// Deepest the global queue ever got.
     pub queue_high_water: usize,
+    /// Jobs queued now.
+    pub queue_depth: usize,
+    /// Jobs executing now.
+    pub inflight: usize,
     /// Cache counters (both layers).
     pub cache: CacheSnapshot,
 }
@@ -292,25 +296,6 @@ impl SchedState {
         }
         None
     }
-}
-
-/// Process-wide serve gauges, resolved once (the registry lock is paid
-/// at first use, not per request).
-struct ServeGauges {
-    queue_depth: Arc<metrics::Gauge>,
-    inflight: Arc<metrics::Gauge>,
-    cache_apps: Arc<metrics::Gauge>,
-    cache_factors: Arc<metrics::Gauge>,
-}
-
-fn gauges() -> &'static ServeGauges {
-    static GAUGES: std::sync::OnceLock<ServeGauges> = std::sync::OnceLock::new();
-    GAUGES.get_or_init(|| ServeGauges {
-        queue_depth: metrics::gauge("serve.queue_depth"),
-        inflight: metrics::gauge("serve.inflight"),
-        cache_apps: metrics::gauge("serve.cache.apps"),
-        cache_factors: metrics::gauge("serve.cache.factors"),
-    })
 }
 
 struct Shared {
@@ -407,8 +392,6 @@ impl Service {
             let depth = st.queued;
             drop(st);
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            metrics::counter_add("serve.shed", 1);
-            metrics::counter(&format!("serve.shed.{}", reason.slug())).incr();
             telemetry::emit(telemetry::EventKind::ServeReject {
                 tenant: thash,
                 reason: reason.code(),
@@ -442,8 +425,6 @@ impl Service {
         let depth = st.queued;
         drop(st);
         self.shared.work.notify_one();
-        metrics::counter_add("serve.admitted", 1);
-        gauges().queue_depth.set(depth as u64);
         telemetry::emit(telemetry::EventKind::ServeAdmit {
             tenant: thash,
             queue_depth: depth as u64,
@@ -460,6 +441,8 @@ impl Service {
             worker_budget: self.shared.cfg.worker_budget(),
             pool_high_water: self.pools.as_ref().map_or(0, |p| p.high_water()),
             queue_high_water: st.queue_high_water,
+            queue_depth: st.queued,
+            inflight: st.active,
             cache: self.counters.snapshot(),
         }
     }
@@ -508,8 +491,6 @@ fn dispatcher_loop(
             loop {
                 if let Some(job) = st.next_job() {
                     st.active += 1;
-                    gauges().queue_depth.set(st.queued as u64);
-                    gauges().inflight.set(st.active as u64);
                     break job;
                 }
                 if st.shutdown {
@@ -530,14 +511,7 @@ fn dispatcher_loop(
         // A submitter that gave up (dropped the handle) is not an error.
         let _ = reply_tx.send(reply);
         shared.completed.fetch_add(1, Ordering::Relaxed);
-        metrics::counter_add("serve.completed", 1);
-        gauges().cache_apps.set(app_cache.len() as u64);
-        gauges().cache_factors.set(counters.factors.len() as u64);
-        {
-            let mut st = shared.state.lock().unwrap();
-            st.active -= 1;
-            gauges().inflight.set(st.active as u64);
-        }
+        shared.state.lock().unwrap().active -= 1;
         shared.idle.notify_all();
     }
 }
@@ -629,8 +603,6 @@ fn execute(
         },
     );
     record_stage_metrics(&req.tenant, admit_ns, dispatch_ns, solve_start_ns, solve_end_ns, reply_ns);
-    metrics::counter_add("serve.cache.hits", cache.hits());
-    metrics::counter_add("serve.cache.misses", 2 - cache.hits());
     SolveReply {
         tenant: req.tenant,
         solve_id: stats.solve_id,
@@ -694,8 +666,10 @@ impl Service {
     /// request: the lane implementation the edge kernels run on
     /// (`"avx2"` | `"portable"` — a latency difference between two hosts
     /// should name its cause), service counters, per-tenant live p50/p99
-    /// (from the in-process histograms, not a bench log), cache hit rate,
-    /// and the full `fun3d.metrics.v1` snapshot for machine consumers.
+    /// (from the in-process histograms, not a bench log), the queue depth
+    /// and jobs in flight (read from the scheduler under its lock), cache
+    /// hit rate, and the full `fun3d.metrics.v2` snapshot for machine
+    /// consumers.
     pub fn stats_json(&self) -> Json {
         let stats = self.stats();
         let snap = metrics::snapshot();
@@ -724,8 +698,8 @@ impl Service {
             ("isa", Json::str(fun3d_core::active_isa())),
             ("completed", Json::num(stats.completed as f64)),
             ("rejected", Json::num(stats.rejected as f64)),
-            ("queue_depth", Json::num(snap.gauge("serve.queue_depth") as f64)),
-            ("inflight", Json::num(snap.gauge("serve.inflight") as f64)),
+            ("queue_depth", Json::num(stats.queue_depth as f64)),
+            ("inflight", Json::num(stats.inflight as f64)),
             (
                 "cache_hit_rate",
                 telemetry::json_f64(stats.cache.combined_hit_rate()),
@@ -915,9 +889,16 @@ mod tests {
         let p99 = tenant.get("p99_ms").and_then(Json::as_f64).unwrap();
         assert!(p50 > 0.0 && p99 >= p50, "p50={p50} p99={p99}");
         assert!(parsed.get("cache_hit_rate").and_then(Json::as_f64).is_some());
-        // The embedded metrics snapshot is itself schema-valid.
+        // Drained: nothing queued, nothing running.
+        assert_eq!(parsed.get("queue_depth").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(parsed.get("inflight").and_then(Json::as_f64), Some(0.0));
+        // The embedded metrics snapshot is itself schema-valid, and holds
+        // histograms only.
         let m = parsed.get("metrics").expect("metrics subdocument");
         metrics::check_snapshot(m).expect("embedded snapshot validates");
+        let schema = m.get("schema").and_then(Json::as_str);
+        assert_eq!(schema, Some("fun3d.metrics.v2"));
+        assert!(m.get("counters").is_none() && m.get("gauges").is_none());
         svc.shutdown();
     }
 

@@ -68,8 +68,8 @@ impl SolveRequest {
 
     /// The solver configuration a dispatcher team with `nt` workers
     /// runs this request under: the paper's optimized kernels with
-    /// `ExecMode::Auto`, so the PR 6 cost model picks serial vs team
-    /// per solve, plus the tenant's discretization knobs.
+    /// `ExecMode::Auto`, so `AutoPolicy`'s cost model picks serial vs
+    /// team once per solve, plus the tenant's discretization knobs.
     pub fn opt_config(&self, nt: usize) -> OptConfig {
         let mut cfg = OptConfig::optimized(nt);
         cfg.ilu_fill = self.ilu_fill;

@@ -74,12 +74,6 @@ pub enum GmresExec<'p> {
     /// Persistent SPMD regions on the given pool: one region per Arnoldi
     /// iteration.
     Team(&'p ThreadPool),
-    /// Pick Serial / Team per solve from the machine model plus the
-    /// measured sync costs of this pool
-    /// ([`AutoPolicy`](crate::policy::AutoPolicy)): serial below the
-    /// size where the pool's threads can amortize region-launch and
-    /// barrier cost, team above it.
-    Auto(&'p ThreadPool),
     /// The Team backend with one region per operation: the fork-join
     /// reference of the synchronization ablation and of the bitwise
     /// tests, not a production mode.
@@ -118,9 +112,8 @@ pub struct GmresResult {
     /// Per-iteration Givens residual norms, in iteration order across
     /// restarts. Execution-path equivalence is asserted on this.
     pub history: Vec<f64>,
-    /// The concrete execution scheme that ran (`"serial"`, `"team"`, or
-    /// `"per-op"` for the ablation reference) — for [`GmresExec::Auto`],
-    /// whichever the policy chose.
+    /// The execution scheme that ran (`"serial"`, `"team"`, or
+    /// `"per-op"` for the ablation reference).
     pub exec: &'static str,
 }
 
@@ -289,12 +282,6 @@ impl Gmres {
             GmresExec::Serial => (None, false),
             GmresExec::Team(pool) => (Some(pool), false),
             GmresExec::PerOp(pool) => (Some(pool), true),
-            GmresExec::Auto(pool) => {
-                let decision = crate::policy::AutoPolicy::for_pool(pool).decision(n, pool.size());
-                decision.record(n, pool.size());
-                let team = decision.mode != crate::policy::ExecMode::Serial;
-                (team.then_some(pool), false)
-            }
         };
         let config = self.config;
         let Gmres {
@@ -1053,53 +1040,6 @@ mod tests {
         assert_eq!(r.exec, "per-op");
         let (r, _) = solve_mode(&a, &m, &b, cfg, GmresExec::Team(&pool));
         assert_eq!(r.exec, "team");
-    }
-
-    #[test]
-    fn auto_matches_its_selected_mode_bitwise() {
-        // Whatever concrete scheme the policy picks on this machine,
-        // Auto must be indistinguishable from running that scheme
-        // directly: same residual history, bitwise-identical iterates.
-        let a = mesh_matrix(88);
-        let n = a.dim();
-        let b: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) - 6.0).collect();
-        let cfg = GmresConfig {
-            rtol: 1e-8,
-            max_iters: 300,
-            ..Default::default()
-        };
-        for nt in [1usize, 2] {
-            let pool = ThreadPool::new(nt);
-            let m = IdentityPrecond(n);
-            let (ra, xa) = solve_mode(&a, &m, &b, cfg, GmresExec::Auto(&pool));
-            let concrete = match ra.exec {
-                "serial" => GmresExec::Serial,
-                "team" => GmresExec::Team(&pool),
-                other => panic!("Auto reported unknown exec {other:?}"),
-            };
-            let (rc, xc) = solve_mode(&a, &m, &b, cfg, concrete);
-            assert_eq!(rc.exec, ra.exec, "nt={nt}");
-            assert_eq!(ra.history, rc.history, "nt={nt}");
-            assert_eq!(xa, xc, "nt={nt}");
-            assert_eq!(ra.reductions, rc.reductions, "nt={nt}");
-        }
-    }
-
-    #[test]
-    fn auto_on_single_worker_pool_is_serial() {
-        // An nt=1 pool can never amortize sync cost: the policy must
-        // resolve Auto to the serial path regardless of problem size.
-        let a = mesh_matrix(89);
-        let n = a.dim();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-        let cfg = GmresConfig {
-            rtol: 1e-6,
-            max_iters: 200,
-            ..Default::default()
-        };
-        let pool = ThreadPool::new(1);
-        let (r, _) = solve_mode(&a, &IdentityPrecond(n), &b, cfg, GmresExec::Auto(&pool));
-        assert_eq!(r.exec, "serial");
     }
 
     #[test]

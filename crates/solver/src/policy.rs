@@ -338,6 +338,17 @@ mod tests {
     }
 
     #[test]
+    fn auto_on_single_worker_pool_is_serial() {
+        // An nt=1 pool can never amortize sync cost: the policy resolves
+        // Auto to the serial path regardless of problem size.
+        let pool = ThreadPool::new(1);
+        let p = AutoPolicy::for_pool(&pool);
+        for n in [700, 14_196, 10_000_000] {
+            assert_eq!(p.decision(n, pool.size()).mode, ExecMode::Serial, "n={n}");
+        }
+    }
+
+    #[test]
     fn for_pool_measures_and_caches() {
         let pool = ThreadPool::new(2);
         let p1 = AutoPolicy::for_pool(&pool);

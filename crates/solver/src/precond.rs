@@ -87,16 +87,16 @@ pub enum IluApply {
 
 impl IluApply {
     /// P2P-synchronized application on `pool`, whose size the schedules
-    /// were built for. Waits that block are counted and timed per thread
-    /// and sweep direction (`trsv.p2p.blocked_waits.fwd.t0`, …
-    /// `trsv.p2p.blocked_ns.bwd.t1`, …).
+    /// were built for. Each thread's sweeps record their blocked waits
+    /// under the kernel counters `trsv.p2p_wait.fwd` and
+    /// `trsv.p2p_wait.bwd`.
     pub fn p2p(pool: Arc<ThreadPool>, fwd: Arc<P2pSchedule>, bwd: Arc<P2pSchedule>) -> Self {
         let nt = pool.size();
         assert_eq!(nt, fwd.nthreads());
         assert_eq!(nt, bwd.nthreads());
         IluApply::P2p {
-            fwd_progress: fwd.progress().attributed("trsv.p2p", "fwd.t"),
-            bwd_progress: bwd.progress().attributed("trsv.p2p", "bwd.t"),
+            fwd_progress: fwd.progress().attributed("trsv.p2p_wait.fwd"),
+            bwd_progress: bwd.progress().attributed("trsv.p2p_wait.bwd"),
             pool,
             fwd,
             bwd,

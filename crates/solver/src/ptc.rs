@@ -15,7 +15,7 @@
 use crate::anomaly::{Anomaly, AnomalyConfig, AnomalyDetector};
 use crate::gmres::{Gmres, GmresConfig, GmresExec};
 use crate::op::{reduce_sum, reduced_norm2, FdJacobian, Reducer};
-use crate::policy::ExecMode;
+use crate::policy::{AutoPolicy, ExecMode};
 use crate::precond::Preconditioner;
 use crate::vecops;
 use fun3d_threads::ThreadPool;
@@ -58,8 +58,8 @@ pub trait PtcProblem {
     /// in persistent SPMD regions (one region per Arnoldi iteration — the
     /// FD Jacobian is matrix-free and launches its own regions, so the
     /// operator apply stays between regions, hybrid mode), or
-    /// [`ExecMode::Auto`] to pick per solve from the machine model plus
-    /// measured sync costs. Ignored without a pool (always serial).
+    /// [`ExecMode::Auto`] to pick once per solve from the machine model
+    /// plus measured sync costs. Ignored without a pool (always serial).
     fn exec_mode(&self) -> ExecMode {
         ExecMode::Team
     }
@@ -222,6 +222,23 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
         return stats;
     }
 
+    // The scheme every linear solve of this solve runs. `Auto` is
+    // resolved here, once: the decision depends only on the size, the
+    // thread count and the pool's sync costs, which are probed once per
+    // pool size.
+    let exec = match (pool.as_deref(), mode) {
+        (None, _) | (Some(_), ExecMode::Serial) => GmresExec::Serial,
+        (Some(p), ExecMode::Team) => GmresExec::Team(p),
+        (Some(p), ExecMode::Auto) => {
+            let decision = AutoPolicy::for_pool(p).decision(n, p.size());
+            decision.record(n, p.size());
+            match decision.mode {
+                ExecMode::Serial => GmresExec::Serial,
+                ExecMode::Team | ExecMode::Auto => GmresExec::Team(p),
+            }
+        }
+    };
+
     // (ηₖ₋₁, ‖fₖ₋₁‖) of the last linear solve. Both come from reduced
     // norms, so every process picks the same tolerance.
     let mut prev: Option<(f64, f64)> = None;
@@ -258,11 +275,6 @@ pub fn solve(problem: &mut dyn PtcProblem, u: &mut [f64], config: &PtcConfig) ->
             };
             let jac = FdJacobian::new(residual_fn, u, &r, &shift, problem.reducer());
             let _gmres_span = telemetry::span("ptc.gmres");
-            let exec = match (pool.as_deref(), mode) {
-                (None, _) | (Some(_), ExecMode::Serial) => GmresExec::Serial,
-                (Some(p), ExecMode::Team) => GmresExec::Team(p),
-                (Some(p), ExecMode::Auto) => GmresExec::Auto(p),
-            };
             let gmres_t0 = Instant::now();
             let lin = gmres.solve_with(&jac, problem.preconditioner(), &rhs, &mut delta, exec);
             telemetry::metrics::record_ns(
@@ -358,6 +370,8 @@ mod tests {
         b: Vec<f64>,
         precond: Option<SerialIlu>,
         vol: Vec<f64>,
+        /// The linear solver's pool and scheme (none: serial).
+        pool: Option<(Arc<ThreadPool>, ExecMode)>,
     }
 
     impl LinearProblem {
@@ -373,6 +387,7 @@ mod tests {
                 b,
                 precond: None,
                 vol,
+                pool: None,
             }
         }
     }
@@ -401,6 +416,12 @@ mod tests {
         }
         fn preconditioner(&self) -> &dyn Preconditioner {
             self.precond.as_ref().unwrap()
+        }
+        fn solver_pool(&self) -> Option<Arc<ThreadPool>> {
+            self.pool.as_ref().map(|(p, _)| Arc::clone(p))
+        }
+        fn exec_mode(&self) -> ExecMode {
+            self.pool.as_ref().map_or(ExecMode::Serial, |&(_, m)| m)
         }
     }
 
@@ -496,6 +517,52 @@ mod tests {
         // The forcing term: none before the first solve, the cap for it.
         assert_eq!(history[0].4, 0.0);
         assert_eq!(history[1].4, PtcConfig::default().gmres.rtol);
+    }
+
+    #[test]
+    fn auto_matches_its_selected_mode_bitwise() {
+        // `Auto` is resolved once per solve, before the first step: one
+        // `policy_decision` event, and every linear solve runs the chosen
+        // scheme, indistinguishable from asking for it directly.
+        telemetry::set_level(telemetry::Level::Counters);
+        let run = |pool: &Arc<ThreadPool>, mode| {
+            let mut p = LinearProblem::new(86);
+            p.pool = Some((Arc::clone(pool), mode));
+            let mut u = vec![0.0; p.dim()];
+            let stats = solve(&mut p, &mut u, &PtcConfig::default());
+            assert!(stats.converged && stats.time_steps >= 2);
+            (stats, u)
+        };
+        for nt in [1usize, 2] {
+            let pool = Arc::new(ThreadPool::new(nt));
+            let (auto, ua) = run(&pool, ExecMode::Auto);
+            let decisions: Vec<_> = telemetry::flight_log()
+                .solve(auto.solve_id)
+                .into_iter()
+                .filter_map(|e| match e.kind {
+                    telemetry::EventKind::PolicyDecision { chosen, nt, .. } => Some((chosen, nt)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(decisions.len(), 1, "nt={nt}: one decision per solve");
+            assert_eq!(decisions[0].1, nt as u64);
+            assert_eq!(telemetry::ExecTag::parse(auto.exec), Some(decisions[0].0));
+            let mode = match auto.exec {
+                "serial" => ExecMode::Serial,
+                "team" => ExecMode::Team,
+                other => panic!("Auto ran {other:?}"),
+            };
+            let (concrete, uc) = run(&pool, mode);
+            assert_eq!(concrete.exec, auto.exec, "nt={nt}");
+            assert_eq!(concrete.linear_iters, auto.linear_iters, "nt={nt}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&concrete.res_history),
+                bits(&auto.res_history),
+                "nt={nt}"
+            );
+            assert_eq!(bits(&uc), bits(&ua), "nt={nt}");
+        }
     }
 
     #[test]

@@ -214,25 +214,6 @@ impl Bcsr4 {
         unsafe { self.spmv_rows(range, x, y.as_ptr()) };
     }
 
-    /// Extracts the dense equivalent (for small test matrices only).
-    // Public for `fun3d_core`'s Jacobian tests; no production caller.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let n = self.dim();
-        let mut d = vec![0.0; n * n];
-        for r in 0..self.nrows() {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k] as usize;
-                let b = self.block(k);
-                for i in 0..4 {
-                    for j in 0..4 {
-                        d[(r * 4 + i) * n + (c * 4 + j)] = b[i * 4 + j];
-                    }
-                }
-            }
-        }
-        d
-    }
-
     /// Fills values to make the matrix block diagonally dominant with
     /// deterministic pseudo-random off-diagonals — the synthetic stand-in
     /// for an assembled Jacobian in kernel-level experiments.
@@ -266,6 +247,27 @@ impl Bcsr4 {
 mod tests {
     use super::*;
     use crate::dense;
+
+    impl Bcsr4 {
+        /// Extracts the dense equivalent (for small test matrices only;
+        /// the crate's tests solve it with `dense::solve`).
+        pub(crate) fn to_dense(&self) -> Vec<f64> {
+            let n = self.dim();
+            let mut d = vec![0.0; n * n];
+            for r in 0..self.nrows() {
+                for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                    let c = self.col_idx[k] as usize;
+                    let b = self.block(k);
+                    for i in 0..4 {
+                        for j in 0..4 {
+                            d[(r * 4 + i) * n + (c * 4 + j)] = b[i * 4 + j];
+                        }
+                    }
+                }
+            }
+            d
+        }
+    }
 
     fn tiny_matrix() -> Bcsr4 {
         // 3 block rows, tridiagonal pattern.

@@ -23,12 +23,13 @@
 //!   load.** One that blocks re-reads for a bounded number of turns (a
 //!   hand-off between two running threads lands within that), then pauses
 //!   between reads, then yields the core — on an oversubscribed host the
-//!   producer may need it. Only blocked waits are counted and timed
-//!   ([`P2pProgress::attributed`]).
+//!   producer may need it. Only blocked waits are counted and timed: an
+//!   [attributed](P2pProgress::attributed) progress records each sweep as
+//!   one call of a kernel counter on the sweeping thread's own recorder
+//!   (`items` = blocked waits, `ns` = their time).
 
 use crate::sync_shim::{spin_hint, yield_now, AtomicUsize, Ordering};
-use fun3d_util::telemetry::metrics::{self, Counter};
-use std::sync::Arc;
+use fun3d_util::telemetry::{self, KernelCounts};
 
 /// Re-reads of a blocked wait before it starts pausing between reads.
 /// Model builds skip this tier: there every read is a scheduling point
@@ -46,18 +47,13 @@ struct Slot {
     done: AtomicUsize,
 }
 
-/// The registry counters one thread's blocked waits are flushed into.
-struct Blocked {
-    waits: Arc<Counter>,
-    ns: Arc<Counter>,
-}
-
 /// Per-thread progress counters for programs of at most `stride` rows per
 /// thread and sweep, reusable for any number of sweeps without a reset.
 pub struct P2pProgress {
     slots: Box<[Slot]>,
     stride: usize,
-    blocked: Option<Box<[Blocked]>>,
+    /// The kernel counter each sweep is recorded under, if any.
+    attributed: Option<&'static str>,
 }
 
 impl P2pProgress {
@@ -70,25 +66,16 @@ impl P2pProgress {
         P2pProgress {
             slots: (0..nthreads).map(|_| slot()).collect(),
             stride: stride.max(1),
-            blocked: None,
+            attributed: None,
         }
     }
 
-    /// Flushes every sweep's blocked waits into the metrics registry as
-    /// the counters `{family}.blocked_waits.{lane}{tid}` and
-    /// `{family}.blocked_ns.{lane}{tid}` (e.g. `trsv.p2p.blocked_ns.fwd.t1`).
-    pub fn attributed(mut self, family: &str, lane: &str) -> P2pProgress {
-        let blocked = |tid| Blocked {
-            waits: metrics::counter(&format!("{family}.blocked_waits.{lane}{tid}")),
-            ns: metrics::counter(&format!("{family}.blocked_ns.{lane}{tid}")),
-        };
-        self.blocked = Some((0..self.nthreads()).map(blocked).collect());
+    /// Records every sweep, blocked or not, as one call of the kernel
+    /// counter `name` on the sweeping thread's recorder: `items` counts
+    /// its blocked waits and `ns` their time (e.g. `trsv.p2p_wait.fwd`).
+    pub fn attributed(mut self, name: &'static str) -> P2pProgress {
+        self.attributed = Some(name);
         self
-    }
-
-    /// Number of producer threads.
-    pub(crate) fn nthreads(&self) -> usize {
-        self.slots.len()
     }
 
     /// Starts thread `tid`'s part of a sweep. Every thread of the team
@@ -177,9 +164,16 @@ impl Drop for P2pSweep<'_> {
         p.slots[self.tid]
             .done
             .store(self.base + p.stride, Ordering::Release);
-        if let (Some(blocked), true) = (&p.blocked, self.blocked_waits > 0) {
-            blocked[self.tid].waits.add(self.blocked_waits);
-            blocked[self.tid].ns.add(self.blocked_ns);
+        // A sweep dropped while unwinding records nothing: the record
+        // takes the recorder's lock.
+        if let (Some(name), false) = (p.attributed, std::thread::panicking()) {
+            let counts = KernelCounts {
+                calls: 1,
+                items: self.blocked_waits,
+                ns: self.blocked_ns,
+                ..KernelCounts::default()
+            };
+            telemetry::record_kernel(name, counts);
         }
     }
 }
@@ -243,10 +237,25 @@ mod tests {
 
     #[test]
     fn blocked_waits_are_attributed_and_free_waits_are_not() {
-        fun3d_util::telemetry::set_level(fun3d_util::telemetry::Level::Counters);
-        let progress = P2pProgress::new(2, 1).attributed("test.p2p", "t");
+        use fun3d_util::telemetry::{local_counters, set_level, Level};
+        set_level(Level::Counters);
+        let progress = P2pProgress::new(2, 1).attributed("test.p2p_wait");
         let pool = ThreadPool::new(2);
         let gate = crate::SpinBarrier::new(2);
+        // Each thread's `(calls, items, ns)` of the counter: thread 0 is
+        // the caller, thread 1 a pool worker, each with its own recorder.
+        let read = || {
+            let out = [(); 2].map(|_| std::sync::Mutex::new((0, 0, 0)));
+            pool.run(|tid| {
+                let c = local_counters()
+                    .get("test.p2p_wait")
+                    .copied()
+                    .unwrap_or_default();
+                *out[tid].lock().unwrap() = (c.calls, c.items, c.ns);
+            });
+            out.map(|m| m.into_inner().unwrap())
+        };
+        let before = read();
         // The slow path, entered directly so that the test does not hinge
         // on thread 1 losing a race: one blocked wait, however long.
         pool.run(|tid| {
@@ -269,9 +278,25 @@ mod tests {
                 sweep.wait(0, 0);
             }
         });
-        let value = |name: &str| metrics::counter(name).value();
-        assert_eq!(value("test.p2p.blocked_waits.t1"), 1);
-        assert!(value("test.p2p.blocked_ns.t1") > 0);
-        assert_eq!(value("test.p2p.blocked_waits.t0"), 0);
+        let after = read();
+        let delta = |t: usize| {
+            let (a, b) = (after[t], before[t]);
+            (a.0 - b.0, a.1 - b.1, a.2 - b.2)
+        };
+        // Every sweep is one call; only thread 1's first sweep blocked.
+        let (calls, waits, ns) = delta(1);
+        assert_eq!((calls, waits), (2, 1));
+        assert!(ns > 0);
+        assert_eq!(delta(0), (2, 0, 0));
+    }
+
+    #[test]
+    fn an_unattributed_progress_records_nothing() {
+        use fun3d_util::telemetry::{local_counters, set_level, Level};
+        set_level(Level::Counters);
+        let progress = P2pProgress::new(1, 1);
+        let before = local_counters();
+        progress.begin(0).publish();
+        assert!(local_counters().since(&before).entries().is_empty());
     }
 }

@@ -314,7 +314,9 @@ impl ThreadPool {
 
     /// Spawns a pool with the adaptive wait ladder explicitly on or off.
     // Public for `tests/adaptive_backoff.rs`, whose reference is the fixed
-    // ladder; production pools are always adaptive.
+    // ladder; production pools are always adaptive. That test stays an
+    // integration test, alone in its binary, because it reads the
+    // process's CPU time, which any other test's threads would add to.
     pub fn with_adaptive(size: usize, adaptive: bool) -> Self {
         Self::spawn(size, adaptive, 0)
     }

@@ -1,15 +1,16 @@
-//! Live metrics plane: a lock-free registry of counters, gauges, and
-//! log-bucketed latency histograms, recording at the default telemetry
-//! level, and its one rendering, a strict-JSON snapshot
-//! ([`snapshot_json`], validated by [`check_snapshot`]) that serve's
-//! `stats` reply and `--metrics-socket` carry.
+//! Live metrics plane: a registry of log-bucketed latency histograms,
+//! recording at the default telemetry level, and its one rendering, a
+//! strict-JSON snapshot ([`snapshot_json`], validated by
+//! [`check_snapshot`]) that serve's `stats` reply carries.
 //!
 //! Where spans and the flight recorder ([`super::flight`]) reconstruct
-//! *what happened* after the fact, this module answers "what are your p99
-//! and hit rate **right now**" — the continuous-measurement loop the
-//! paper's methodology (Fig. 5–8 profiles on live hardware) depends on,
-//! promoted from bench-time sorted vectors to an in-process, queryable
-//! plane.
+//! *what happened* after the fact, this module answers "what is your p99
+//! **right now**" — the continuous-measurement loop the paper's
+//! methodology (Fig. 5–8 profiles on live hardware) depends on, promoted
+//! from bench-time sorted vectors to an in-process, queryable plane.
+//! Counts and totals are not metrics: they are kernel counters
+//! ([`super::record_kernel`]) or the owning subsystem's own state (serve's
+//! `ServeStats`), so each fact is recorded once.
 //!
 //! ## Publication discipline
 //!
@@ -22,9 +23,7 @@
 //! observed is visible (`sum(buckets) + overflow >= count`, never
 //! less). The protocol is model-checked under `--cfg fun3d_check` (the
 //! `model` tests below), including a Release→Relaxed mutant the checker
-//! must catch. Counters and gauges
-//! are single relaxed RMWs/stores on shared words — monotonic or
-//! last-write-wins statistics with no multi-word invariant to protect.
+//! must catch.
 //!
 //! ## Bucket layout (HDR-style)
 //!
@@ -42,7 +41,7 @@
 //! The plane records whenever the telemetry level is `counters` or above
 //! (the default; see the [module docs](super)). At `off` every
 //! instrumentation site costs one relaxed atomic load and a branch and
-//! allocates nothing (asserted by `crates/util/tests/metrics_overhead.rs`).
+//! allocates nothing (asserted by `crates/bench/tests/metrics_overhead.rs`).
 //!
 //! ## Shards live in the recorder
 //!
@@ -61,7 +60,7 @@ use fun3d_check::shim::{AtomicU64, Ordering};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------
 // Bucket geometry
@@ -178,67 +177,8 @@ impl HistShard {
 }
 
 // ---------------------------------------------------------------------
-// Metric types
+// Histogram
 // ---------------------------------------------------------------------
-
-/// A monotonic counter (requests served, sheds, cache hits).
-pub struct Counter {
-    value: StdAtomicU64,
-}
-
-impl Counter {
-    fn new() -> Counter {
-        Counter {
-            value: StdAtomicU64::new(0),
-        }
-    }
-
-    /// Adds `n`. One relaxed RMW; free branch at level `off`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if enabled() {
-            self.value.fetch_add(n, StdOrdering::Relaxed);
-        }
-    }
-
-    /// Adds 1.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value.load(StdOrdering::Relaxed)
-    }
-}
-
-/// A last-write-wins gauge (queue depth, inflight jobs, cache
-/// occupancy).
-pub struct Gauge {
-    value: StdAtomicU64,
-}
-
-impl Gauge {
-    fn new() -> Gauge {
-        Gauge {
-            value: StdAtomicU64::new(0),
-        }
-    }
-
-    /// Sets the gauge. One relaxed store.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if enabled() {
-            self.value.store(v, StdOrdering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value.load(StdOrdering::Relaxed)
-    }
-}
 
 /// A log-bucketed latency histogram: per-thread [`HistShard`]s, held by
 /// the threads' recorders, merged at collection time.
@@ -344,48 +284,19 @@ impl Histogram {
 // Registry
 // ---------------------------------------------------------------------
 
-struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    hists: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        counters: Mutex::new(BTreeMap::new()),
-        gauges: Mutex::new(BTreeMap::new()),
-        hists: Mutex::new(BTreeMap::new()),
-    })
-}
-
-/// The entry for `name`, created on first use (the name is copied only
-/// then).
-fn entry<T>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str, new: fn() -> T) -> Arc<T> {
-    let mut map = map.lock().unwrap();
-    if let Some(v) = map.get(name) {
-        return Arc::clone(v);
-    }
-    Arc::clone(
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(new())),
-    )
-}
-
-/// The named counter, created on first use. Hold the `Arc` at the call
-/// site; the registry lock is for lookup, never for recording.
-pub fn counter(name: &str) -> Arc<Counter> {
-    entry(&registry().counters, name, Counter::new)
-}
-
-/// The named gauge, created on first use.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    entry(&registry().gauges, name, Gauge::new)
-}
+/// Every histogram by name.
+static REGISTRY: Mutex<BTreeMap<String, Arc<Histogram>>> = Mutex::new(BTreeMap::new());
 
 /// The named histogram, created on first use.
 pub fn histogram(name: &str) -> Arc<Histogram> {
-    entry(&registry().hists, name, Histogram::new)
+    let mut map = REGISTRY.lock().unwrap();
+    if let Some(h) = map.get(name) {
+        return Arc::clone(h);
+    }
+    Arc::clone(
+        map.entry(name.to_string())
+            .or_insert_with(|| Arc::new(Histogram::new())),
+    )
 }
 
 /// Records `ns` into the named histogram — the one-line instrumentation
@@ -396,15 +307,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
 pub fn record_ns(name: &'static str, ns: u64) {
     if enabled() {
         record_local(|l| &l.named, name, || histogram(name).id, ns);
-    }
-}
-
-/// Adds `n` to the named counter (one registry lookup; per-request
-/// sites only — hot loops hold the [`counter`] handle).
-#[inline]
-pub fn counter_add(name: &str, n: u64) {
-    if enabled() {
-        counter(name).value.fetch_add(n, StdOrdering::Relaxed);
     }
 }
 
@@ -455,55 +357,26 @@ impl HistSnapshot {
     }
 }
 
-/// Every registered metric at a point in time, names sorted.
+/// Every histogram at a point in time, names sorted.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Nanoseconds since the telemetry epoch at collection.
     pub t_ns: u64,
-    /// `(name, value)` for every counter.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge.
-    pub gauges: Vec<(String, u64)>,
     /// One merged snapshot per histogram.
     pub hists: Vec<HistSnapshot>,
 }
 
 impl MetricsSnapshot {
-    /// The named gauge's value (0 when absent).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    }
-
     /// The named histogram, if present.
     pub fn hist(&self, name: &str) -> Option<&HistSnapshot> {
         self.hists.iter().find(|h| h.name == name)
     }
 }
 
-/// Collects every registered metric into a [`MetricsSnapshot`]. Safe at
-/// any time (the shard protocol tolerates concurrent writers).
+/// Collects every histogram into a [`MetricsSnapshot`]. Safe at any time
+/// (the shard protocol tolerates concurrent writers).
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = registry();
-    let counters = reg
-        .counters
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(n, c)| (n.clone(), c.value()))
-        .collect();
-    let gauges = reg
-        .gauges
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(n, g)| (n.clone(), g.value()))
-        .collect();
-    let hists = reg
-        .hists
+    let hists = REGISTRY
         .lock()
         .unwrap()
         .iter()
@@ -511,8 +384,6 @@ pub fn snapshot() -> MetricsSnapshot {
         .collect();
     MetricsSnapshot {
         t_ns: now_ns(),
-        counters,
-        gauges,
         hists,
     }
 }
@@ -522,7 +393,7 @@ pub fn snapshot() -> MetricsSnapshot {
 // ---------------------------------------------------------------------
 
 /// Schema tag on every JSON metrics snapshot.
-pub(crate) const SCHEMA: &str = "fun3d.metrics.v1";
+pub(crate) const SCHEMA: &str = "fun3d.metrics.v2";
 
 /// Renders one histogram as its JSON snapshot object (the per-name
 /// value inside [`snapshot_json`]'s `histograms` map).
@@ -552,19 +423,8 @@ fn hist_json(h: &HistSnapshot) -> Json {
 }
 
 /// Renders a snapshot as the strict-JSON artifact the serve `stats`
-/// reply and `--metrics-socket` endpoint carry (validated by
-/// [`check_snapshot`]).
+/// reply carries (validated by [`check_snapshot`]).
 pub fn snapshot_json(snap: &MetricsSnapshot) -> Json {
-    let counters = snap
-        .counters
-        .iter()
-        .map(|(n, v)| (n.as_str(), Json::num(*v as f64)))
-        .collect::<Vec<_>>();
-    let gauges = snap
-        .gauges
-        .iter()
-        .map(|(n, v)| (n.as_str(), Json::num(*v as f64)))
-        .collect::<Vec<_>>();
     let hists = snap
         .hists
         .iter()
@@ -573,17 +433,15 @@ pub fn snapshot_json(snap: &MetricsSnapshot) -> Json {
     Json::obj(vec![
         ("schema", Json::str(SCHEMA)),
         ("t_ns", Json::num(snap.t_ns as f64)),
-        ("counters", Json::obj(counters)),
-        ("gauges", Json::obj(gauges)),
         ("histograms", Json::obj(hists)),
     ])
 }
 
-/// Strictly validates a JSON metrics snapshot: schema tag, non-negative
-/// numeric counters/gauges, and per histogram — required keys, ordered
-/// disjoint bucket bounds, bucket-count/overflow/count consistency, and
-/// quantile ordering. Returns the number of metrics validated.
-// Public as the validator of `crates/serve/tests/metrics_socket.rs`.
+/// Strictly validates a JSON metrics snapshot: schema tag, and per
+/// histogram — required keys, ordered disjoint bucket bounds,
+/// bucket-count/overflow/count consistency, and quantile ordering.
+/// Returns the number of histograms validated.
+// Public as the validator of serve's `stats` reply tests.
 pub fn check_snapshot(doc: &Json) -> Result<usize, String> {
     let schema = doc
         .get("schema")
@@ -596,21 +454,6 @@ pub fn check_snapshot(doc: &Json) -> Result<usize, String> {
         .and_then(Json::as_f64)
         .ok_or("missing t_ns")?;
     let mut metrics = 0usize;
-    for section in ["counters", "gauges"] {
-        let Json::Obj(entries) = doc.get(section).ok_or_else(|| format!("missing {section}"))?
-        else {
-            return Err(format!("{section} is not an object"));
-        };
-        for (name, v) in entries {
-            let x = v
-                .as_f64()
-                .ok_or_else(|| format!("{section}.{name}: not a number"))?;
-            if !(x >= 0.0) {
-                return Err(format!("{section}.{name}: negative or NaN value {x}"));
-            }
-            metrics += 1;
-        }
-    }
     let Json::Obj(hists) = doc.get("histograms").ok_or("missing histograms")? else {
         return Err("histograms is not an object".to_string());
     };
@@ -684,17 +527,6 @@ mod tests {
     use super::super::{set_level, Level, TEST_LOCK};
     use super::*;
     use crate::{prop_assert, prop_cases};
-
-    impl MetricsSnapshot {
-        /// The named counter's value (0 when absent).
-        fn counter(&self, name: &str) -> u64 {
-            self.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, v)| v)
-                .unwrap_or(0)
-        }
-    }
 
     /// Exact nearest-rank quantile of an ascending-sorted slice: the
     /// reference [`HistSnapshot::quantile`] is held to. An empty slice
@@ -816,44 +648,30 @@ mod tests {
 
     #[test]
     fn registry_returns_same_metric_for_same_name() {
-        let c1 = counter("test.reg.counter");
-        let c2 = counter("test.reg.counter");
-        assert!(Arc::ptr_eq(&c1, &c2));
         let h1 = histogram("test.reg.hist");
         let h2 = histogram("test.reg.hist");
         assert!(Arc::ptr_eq(&h1, &h2));
         let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         set_level(Level::Counters);
-        c1.add(3);
-        c2.add(4);
-        assert_eq!(c1.value(), 7);
-        let g1 = gauge("test.reg.gauge");
-        g1.set(42);
-        assert_eq!(gauge("test.reg.gauge").value(), 42);
+        h1.record(3);
+        h2.record(4);
+        record_ns("test.reg.hist", 5);
         let snap = snapshot();
-        assert_eq!(snap.counter("test.reg.counter"), 7);
-        assert_eq!(snap.gauge("test.reg.gauge"), 42);
+        let h = snap.hist("test.reg.hist").expect("registered");
+        assert_eq!((h.count, h.sum_ns), (3, 12));
     }
 
     #[test]
     fn disabled_gate_records_nothing() {
         let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         set_level(Level::Off);
-        let c = counter("test.gate.counter");
         let h = histogram("test.gate.hist");
-        let gge = gauge("test.gate.gauge");
-        c.add(10);
         h.record(123);
-        gge.set(9);
         record_ns("test.gate.free", 55);
-        counter_add("test.gate.free_ctr", 5);
         set_level(Level::Counters);
         let snap = snapshot();
-        assert_eq!(snap.counter("test.gate.counter"), 0);
-        assert_eq!(snap.gauge("test.gate.gauge"), 0);
         assert_eq!(snap.hist("test.gate.hist").map(|h| h.count), Some(0));
         assert_eq!(snap.hist("test.gate.free").map(|h| h.count).unwrap_or(0), 0);
-        assert_eq!(snap.counter("test.gate.free_ctr"), 0);
     }
 
     #[test]
@@ -864,21 +682,33 @@ mod tests {
         for v in [1_000u64, 2_000, 50_000, 1_000_000] {
             h.record_always(v);
         }
-        counter("test.json.ctr").add(5);
-        gauge("test.json.gauge").set(17);
         let snap = snapshot();
         let doc = snapshot_json(&snap);
         let rendered = doc.render();
         let parsed = Json::parse(&rendered).expect("snapshot renders to valid JSON");
         let n = check_snapshot(&parsed).expect("snapshot validates");
-        assert!(n >= 3);
-        // Corruptions must fail: schema, and a count inconsistency.
-        let bad_schema = rendered.replace(SCHEMA, "fun3d.metrics.v0");
+        assert!(n >= 1);
+        assert_eq!(
+            parsed
+                .get("histograms")
+                .and_then(|h| h.get("test.json.hist"))
+                .and_then(|h| h.get("count"))
+                .and_then(Json::as_f64),
+            Some(4.0)
+        );
+        // Corruptions must fail: schema, a count inconsistency, and a
+        // negative bucket count.
+        let bad_schema = rendered.replace(SCHEMA, "fun3d.metrics.v1");
         assert!(check_snapshot(&Json::parse(&bad_schema).unwrap()).is_err());
         let bad_count = rendered.replace("\"count\":4", "\"count\":40");
-        if bad_count != rendered {
-            assert!(check_snapshot(&Json::parse(&bad_count).unwrap()).is_err());
-        }
+        assert_ne!(bad_count, rendered);
+        assert!(check_snapshot(&Json::parse(&bad_count).unwrap()).is_err());
+        let (lo, hi) = bucket_bounds(bucket_of(1_000).unwrap());
+        let bucket = format!("[{lo},{hi},1]");
+        assert!(rendered.contains(&bucket), "{bucket} in {rendered}");
+        let negative = rendered.replace(&bucket, &format!("[{lo},{hi},-1]"));
+        let err = check_snapshot(&Json::parse(&negative).unwrap()).expect_err("a negative count");
+        assert!(err.contains("not positive"), "{err}");
     }
 
     prop_cases! {
@@ -994,8 +824,8 @@ mod model {
 
     #[test]
     fn two_collectors_agree_with_one_writer() {
-        // The stats endpoint and the metrics socket can snapshot the same
-        // shard at once: two concurrent readers, one writer. Each reader
+        // Two connections' `stats` requests can snapshot the same shard
+        // at once: two concurrent readers, one writer. Each reader
         // independently must see buckets covering its Acquired count.
         let report = explore(&cfg(), || {
             let shard = Arc::new(HistShard::with_buckets(1));

@@ -16,8 +16,10 @@
 //!   convergence history), recorded into one single-writer ring per
 //!   thread; [`Profile`] derives exact self/total time per span name from
 //!   the spans' nesting.
-//! * **metrics** ([`metrics`]) — live counters, gauges and latency
-//!   histograms, rendered as one strict-JSON snapshot.
+//! * **metrics** ([`metrics`]) — live latency histograms, rendered as
+//!   one strict-JSON snapshot. A count is a kernel counter (count-only
+//!   records go through [`record_kernel`]: region launches, messages,
+//!   P2P waits), so each fact is recorded once.
 //! * **exporters** — Chrome `trace_event` JSON ([`render_chrome_trace`]:
 //!   spans as complete events, flight events as instants on the same
 //!   timeline), the flight dump, and a [`Json`] builder for the

@@ -18,7 +18,9 @@
 #    telemetry reads three variables, keeps one thread-local, one ring
 #    type and one ring per recorder, and none of the knobs, sampler or
 #    rings it replaced, and renders each plane in one format (no
-#    Prometheus text, folded stacks, speedscope or trace assembler); a
+#    Prometheus text, folded stacks, speedscope or trace assembler); the
+#    metrics plane keeps histograms only (no counter, gauge or metrics
+#    socket); a
 #    kernel call is timed once, by its telemetry guard, so the
 #    application reads no clock of its own and the phase-timer map stays
 #    deleted; the
@@ -44,7 +46,7 @@
 #    to a crate's exports cannot break its tests unseen.
 #  * `cargo build --release` and `cargo test -q`, offline. The root
 #    manifest's default-members make both cover every crate (the flight
-#    dumps, the metrics socket and the serve wire are tests there).
+#    dumps and the serve wire are tests there).
 #  * model check of the sync substrate: the fun3d-check suite plus the
 #    protocol models compiled under `--cfg fun3d_check`, under a fixed
 #    schedule budget; a deliberately racy canary must fail the suite.
@@ -265,6 +267,13 @@ structure_guard() {
         echo "  $rings Ring fields in telemetry's Recorder (want one: spans and flight events share the ring)"
         bad=1
     fi
+    # Histograms only: a count is a kernel counter or its owner's own
+    # state, so the metrics plane keeps no counter or gauge, and serve's
+    # in-band stats reply is its one transport.
+    if grep -rnE 'struct (Counter|Gauge)\b|metrics::(counter|gauge)\b|counter_add|metrics-socket' "$root"/crates/*/src; then
+        echo "  a metric counter or gauge, or the metrics socket, is back: counts are kernel counters or their owner's state, the metrics plane keeps histograms, and {\"cmd\":\"stats\"} carries them"
+        bad=1
+    fi
     # One clock per kernel: a kernel call opens telemetry::kernel, whose
     # counters carry the call's time beside its traffic; the application
     # reads no clock of its own and no phase-timer map comes back.
@@ -364,10 +373,10 @@ structure_guard() {
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly or stored Jacobian, factor-reuse rule, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder, ring, telemetry format or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly or stored Jacobian, factor-reuse rule, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder, ring, telemetry format, metric primitive or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
     exit 1
 fi
-# Negative canaries: each of the thirty-three forks must trip the guard, and
+# Negative canaries: each of the thirty-four forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
@@ -376,7 +385,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     telemetry_knob_read deleted_knob_named second_thread_local sampler_back second_kernel_clock \
     rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map \
     bench_only_in_production single_value_knob_back pub_mod_back dead_code_allowed stored_jacobian \
-    one_reuse_rule one_format_per_plane; do
+    one_reuse_rule one_format_per_plane histograms_only; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src/bin" "$CANARY/scripts" \
@@ -442,6 +451,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         stored_jacobian) printf '    adj: HalfEdges,\n    jac: OnceLock<Bcsr4>,\n' > "$CANARY/crates/core/src/app.rs" ;;
         one_reuse_rule) printf '        if self.precond.is_some() && self.cfg.ilu_lag > 1 {\n' > "$CANARY/crates/cluster/src/dapp.rs" ;;
         one_format_per_plane) printf 'struct Recorder {\n    spans: OnceLock<Ring<4>>,\n    ring: OnceLock<Ring<SLOT_WORDS>>,\n}\n' >> "$CANARY/crates/util/src/telemetry/mod.rs" ;;
+        histograms_only) printf 'pub struct Gauge {\n    value: AtomicU64,\n}\n' > "$CANARY/crates/util/src/telemetry/metrics.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -449,7 +459,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, no stored Jacobian in the app or a rank, one factor-reuse rule, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one format per telemetry plane, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, no stored Jacobian in the app or a rank, one factor-reuse rule, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one format per telemetry plane, histograms only in the metrics plane, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
 
 # Warnings are errors, on every target of the workspace and on the
 # model-checked crates under their cfg. Own target dirs: the flags change
@@ -601,14 +611,14 @@ echo "== serve stats command =="
 # In-band stats: a solve followed by {"cmd":"stats"} must answer one
 # stats line carrying the metrics snapshot. The one-shot pipe races stats
 # against the solve, so this smoke checks structure only; the live
-# per-tenant percentiles are service::tests::stats_json_reports_live_tenant_percentiles,
-# and the --metrics-socket endpoint is crates/serve/tests/metrics_socket.rs
-# (its JSON snapshot validated, a corrupted one rejected), both tier-1.
+# per-tenant percentiles, the queue depth and jobs in flight, and the
+# validated snapshot are service::tests::stats_json_reports_live_tenant_percentiles
+# (tier-1), and the validator's rejections are metrics::tests.
 STATS_OUT=$(printf '%s\n' \
     '{"tenant":"verify","mesh":"tiny","max_steps":2,"rtol":1e-2}' \
     '{"cmd":"stats"}' \
     | cargo run --release --offline -q -p fun3d-serve --bin serve -- --teams 1 --team-threads 1 2>/dev/null)
-for needle in '"kind":"stats"' '"schema":"fun3d.metrics.v1"'; do
+for needle in '"kind":"stats"' '"schema":"fun3d.metrics.v2"'; do
     if ! grep -qF "$needle" <<<"$STATS_OUT"; then
         echo "FAIL: stats reply missing $needle"
         echo "$STATS_OUT"

@@ -83,6 +83,56 @@ fn profile_covers_all_paper_kernels() {
 }
 
 #[test]
+fn a_team_solve_records_its_p2p_waits_on_each_thread() {
+    // Every P2P sweep is one call of its wait counter on the sweeping
+    // thread's own recorder: a forward and a backward TRSV sweep per
+    // preconditioner application, one ILU sweep per factorization. A
+    // T = 1 solve runs no sweep and records none.
+    use fun3d_threads::ThreadPool;
+    use fun3d_util::telemetry::CounterMap;
+    use std::sync::{Arc, Mutex};
+    const WAITS: [&str; 3] = ["trsv.p2p_wait.fwd", "trsv.p2p_wait.bwd", "ilu.p2p_wait"];
+    telemetry::set_level(telemetry::Level::Counters);
+    let calls = |k: &CounterMap, name: &str| k.get(name).map_or(0, |c| c.calls);
+    let app = |nt: usize, pool: Option<Arc<ThreadPool>>| {
+        let mut mesh = MeshPreset::Tiny.build();
+        Fun3dApp::rcm_reorder(&mut mesh);
+        let cfg = OptConfig::optimized(nt);
+        Fun3dApp::with_pool(mesh, FlowConditions::default(), cfg, pool)
+    };
+    let before = telemetry::local_counters();
+    let (_, stats) = app(1, None).run(&ptc());
+    let serial = telemetry::local_counters().since(&before);
+    assert!(stats.converged);
+    for name in WAITS {
+        assert_eq!(calls(&serial, name), 0, "a T = 1 solve recorded {name}");
+    }
+
+    // Each thread's counters, read on that thread: thread 0 is this one,
+    // thread 1 the pool's worker.
+    let pool = Arc::new(ThreadPool::new(2));
+    let per_thread = || {
+        let out = [(); 2].map(|_| Mutex::new(CounterMap::new()));
+        pool.run(|tid| *out[tid].lock().unwrap() = telemetry::local_counters());
+        out.map(|m| m.into_inner().unwrap())
+    };
+    let mut team = app(2, Some(Arc::clone(&pool)));
+    let before = per_thread();
+    let (_, stats) = team.run(&ptc());
+    let after = per_thread();
+    assert!(stats.converged);
+    let delta = |tid: usize| after[tid].since(&before[tid]);
+    // This thread's `trsv` and `ilu` calls count the preconditioner
+    // applications and the factorizations.
+    let (applies, builds) = (calls(&delta(0), "trsv"), calls(&delta(0), "ilu"));
+    assert!(applies > 0 && builds > 0);
+    for tid in 0..2 {
+        let sweeps: Vec<u64> = WAITS.iter().map(|name| calls(&delta(tid), name)).collect();
+        assert_eq!(sweeps, [applies, applies, builds], "thread {tid}");
+    }
+}
+
+#[test]
 fn solver_is_deterministic_serially() {
     let (a, sa) = solve(OptConfig::baseline());
     let (b, sb) = solve(OptConfig::baseline());
@@ -188,34 +238,28 @@ fn residual_path_bits_are_pinned() {
             0x0a03526083d83390, &reused_history),
     ];
     let mut states = Vec::new();
+    telemetry::set_level(telemetry::Level::Counters);
     for (name, nt, flux, (lag, steps, iters), state, history) in rows {
         let mut cfg = OptConfig::optimized(nt);
         cfg.exec = ExecMode::Serial;
         cfg.flux = flux;
         cfg.ilu_lag = lag;
+        let before = telemetry::local_counters();
         let (u, stats) = solve(cfg);
+        // The T = 2 solve records its P2P waits as kernel counters on each
+        // sweeping thread, this one (thread 0) included: per sweep
+        // direction for the applications, and for the refactorization.
+        let kernels = telemetry::local_counters().since(&before);
+        for wait in ["trsv.p2p_wait.fwd", "trsv.p2p_wait.bwd", "ilu.p2p_wait"] {
+            let calls = kernels.get(wait).map_or(0, |c| c.calls);
+            assert_eq!(calls > 0, nt == 2, "{name}: {wait} recorded {calls} calls");
+        }
         assert!(stats.converged, "{name}");
         assert_eq!((stats.time_steps, stats.linear_iters), (steps, iters), "{name}");
         let got: Vec<u64> = stats.res_history.iter().map(|r| r.to_bits()).collect();
         assert_eq!(got, history, "{name}: residual history moved");
         assert_eq!(fnv1a(&u), state, "{name}: final state moved");
         states.push(u);
-    }
-    // The T = 2 solve registered where its P2P blocked waits are counted:
-    // per sweep direction and thread for the applications, per thread for
-    // the refactorization.
-    let names: Vec<String> = fun3d_util::telemetry::metrics::snapshot()
-        .counters
-        .into_iter()
-        .map(|(name, _)| name)
-        .collect();
-    for counter in [
-        "trsv.p2p.blocked_waits.fwd.t0",
-        "trsv.p2p.blocked_ns.bwd.t1",
-        "ilu.p2p.blocked_waits.t1",
-        "ilu.p2p.blocked_ns.t0",
-    ] {
-        assert!(names.iter().any(|n| n == counter), "{counter} not registered");
     }
     // And the tiled solve agrees with the stream solve to the tolerance
     // `tiled_residual_path_converges_and_matches` uses, whatever the tiles.
