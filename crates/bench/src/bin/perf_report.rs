@@ -208,7 +208,7 @@ fn main() {
         FlowConditions::default(),
         OptConfig::optimized(args.threads),
     );
-    let nedges = app.geom.nedges();
+    let nedges = app.mesh_artifacts().geom.nedges();
     let nvertices = app.mesh.nvertices();
     let t = std::time::Instant::now();
     let (_, stats) = app.run(&PtcConfig {

@@ -157,27 +157,56 @@ impl Preconditioner for AppPrecond {
     }
 }
 
-/// The assembled FUN3D application.
-pub struct Fun3dApp {
-    /// The (reordered) mesh.
-    pub mesh: Mesh,
-    /// Median-dual metrics.
+/// What a mesh alone decides: the dual metrics, the streaming edge
+/// geometry, the boundary table, the half-edges the gradient and
+/// Jacobian row kernels gather over, and the Jacobian's pattern. None of
+/// it reads the configuration, the flow conditions or the state, so
+/// every application on one mesh can share one copy
+/// ([`Fun3dApp::sharing_mesh`]); the serve tier shares it between the
+/// apps a team holds on one mesh.
+pub struct MeshArtifacts {
+    /// Median-dual metrics (its `vol` is the control volumes).
     pub dual: DualMesh,
     /// Streaming edge geometry.
     pub geom: EdgeGeom,
     /// Boundary table.
     pub bc: BcData,
-    /// Flow conditions.
-    pub cond: FlowConditions,
-    /// Optimization configuration.
-    pub cfg: OptConfig,
-    node: NodeAos,
-    vol: Vec<f64>,
     /// What the gradient kernels gather over, and the Jacobian's row
     /// kernel too.
     adj: HalfEdges,
     /// The Jacobian's pattern and where each half-edge writes in its row.
     jac_rows: JacobianRows,
+}
+
+impl MeshArtifacts {
+    fn build(mesh: &Mesh) -> MeshArtifacts {
+        let dual = DualMesh::build(mesh);
+        let geom = EdgeGeom::build(mesh, &dual);
+        let bc = BcData::build(&dual);
+        let adj = HalfEdges::build(&geom, &bc, &dual.vol);
+        let jac_rows = JacobianRows::new(&adj, &bc, mesh.nvertices());
+        MeshArtifacts {
+            dual,
+            geom,
+            bc,
+            adj,
+            jac_rows,
+        }
+    }
+}
+
+/// The assembled FUN3D application.
+pub struct Fun3dApp {
+    /// The (reordered) mesh.
+    pub mesh: Mesh,
+    /// What the mesh alone decides, possibly shared with other apps on
+    /// the same mesh.
+    shared: Arc<MeshArtifacts>,
+    /// Flow conditions.
+    pub cond: FlowConditions,
+    /// Optimization configuration.
+    pub cfg: OptConfig,
+    node: NodeAos,
     /// What [`Fun3dApp::jacobian_matrix`] assembles from.
     last_build: LastBuild,
     /// The ILU fill pattern, computed when first asked for.
@@ -200,12 +229,14 @@ pub struct Fun3dApp {
     factor_age: FactorAge,
     /// Factors to seed the *first* preconditioner build of the next
     /// solve with, skipping its Jacobian assembly + factorization. Only
-    /// bitwise-safe when the seed came from an identical problem: ΨTC's
+    /// bitwise-safe when the seed came from the same first build: ΨTC's
     /// first build always happens at `dt = dt0` on the free-stream
-    /// state, so the first factors are a pure function of (mesh, cfg,
-    /// conditions, dt0) — the serve tier keys its factor cache on
-    /// exactly that. The solve's operator is matrix-free (`FdJacobian`),
-    /// so the skipped assembled matrix feeds nothing else.
+    /// state, and [`JacobianAt`] reads neither the limiter, the LSQ
+    /// weights nor the lag, so the first factors are a pure function of
+    /// (mesh, `ilu_fill`, conditions, dt0) — the serve tier keys its
+    /// factor cache on exactly that. The solve's operator is
+    /// matrix-free (`FdJacobian`), so the skipped assembled matrix feeds
+    /// nothing else.
     factor_seed: Option<Arc<IluFactors>>,
     /// First-build factors captured for the cross-request cache
     /// (`None` unless [`Fun3dApp::capture_first_factors`] is on).
@@ -246,6 +277,34 @@ impl Fun3dApp {
         cfg: OptConfig,
         pool: Option<Arc<ThreadPool>>,
     ) -> Fun3dApp {
+        let shared = Arc::new(MeshArtifacts::build(&mesh));
+        Fun3dApp::assemble(mesh, shared, cond, cfg, pool)
+    }
+
+    /// [`Fun3dApp::with_pool`] on `donor`'s mesh: a clone of its mesh and
+    /// its [`MeshArtifacts`] themselves, shared, so only what `cfg`
+    /// shapes is built. Bit for bit the app a fresh build on that mesh
+    /// gives.
+    pub fn sharing_mesh(
+        donor: &Fun3dApp,
+        cond: FlowConditions,
+        cfg: OptConfig,
+        pool: Option<Arc<ThreadPool>>,
+    ) -> Fun3dApp {
+        let mesh = donor.mesh.clone();
+        Fun3dApp::assemble(mesh, Arc::clone(&donor.shared), cond, cfg, pool)
+    }
+
+    /// The one constructor body: builds everything `cfg` shapes — the ILU
+    /// structure, the LSQ weights, the owner-writes plan, the tiles and
+    /// the P2P schedules — over `shared`, the artifacts of `mesh`.
+    fn assemble(
+        mesh: Mesh,
+        shared: Arc<MeshArtifacts>,
+        cond: FlowConditions,
+        cfg: OptConfig,
+        pool: Option<Arc<ThreadPool>>,
+    ) -> Fun3dApp {
         match &pool {
             Some(p) => assert_eq!(
                 p.size(),
@@ -254,14 +313,9 @@ impl Fun3dApp {
             ),
             None => assert_eq!(cfg.nthreads, 1, "threaded config needs a pool"),
         }
-        let dual = DualMesh::build(&mesh);
-        let geom = EdgeGeom::build(&mesh, &dual);
-        let bc = BcData::build(&dual);
+        let MeshArtifacts { geom, adj, jac_rows, .. } = &*shared;
         let nv = mesh.nvertices();
         let node = NodeAos::zeros(nv);
-        let vol = dual.vol.clone();
-        let adj = HalfEdges::build(&geom, &bc, &vol);
-        let jac_rows = JacobianRows::new(&adj, &bc, nv);
         let ilu_symbolic = IluSymbolic::new(
             jac_rows.pattern(),
             &ilu::symbolic_iluk(jac_rows.pattern(), cfg.ilu_fill),
@@ -273,7 +327,7 @@ impl Fun3dApp {
         let scheme = cfg.flux.resolve(&machine, nv, cfg.nthreads);
         let tiles = (scheme == FluxScheme::Tiled).then(|| {
             let tiling = EdgeTiling::build(nv, geom.edges(), &TilingConfig::for_machine(&machine));
-            TiledGeom::new(tiling, &geom)
+            TiledGeom::new(tiling, geom)
         });
 
         let plan = pool.as_ref().map(|_| {
@@ -295,19 +349,14 @@ impl Fun3dApp {
 
         let lsq = cfg
             .use_lsq_gradients
-            .then(|| gradient::LsqGradient::build(&mesh.coords, &adj));
+            .then(|| gradient::LsqGradient::build(&mesh.coords, adj));
 
         Fun3dApp {
             mesh,
-            dual,
-            geom,
-            bc,
+            shared,
             cond,
             cfg,
             node,
-            vol,
-            adj,
-            jac_rows,
             last_build: LastBuild::new(nv * 4),
             ilu_pattern: OnceLock::new(),
             ilu_symbolic,
@@ -326,15 +375,22 @@ impl Fun3dApp {
         }
     }
 
+    /// What the mesh alone decides: one allocation for this app and
+    /// every app [`Fun3dApp::sharing_mesh`] built from it or it from.
+    pub fn mesh_artifacts(&self) -> &Arc<MeshArtifacts> {
+        &self.shared
+    }
+
     /// Clears per-solve state so the instance can serve another request
     /// with bitwise-identical results to a fresh build: drops the last
     /// request's preconditioner, seed and captured factors, resets the
     /// reuse rule and zeroes the counters. (A solve's first step
     /// refactors whatever the rule held, so an app that skips this also
     /// re-solves bit for bit; the reset releases the factors early.) The
-    /// expensive immutable artifacts — reordered mesh, dual metrics,
-    /// partitions, tilings, ILU pattern, schedules, pool — are exactly
-    /// what stays.
+    /// expensive immutable artifacts stay: the reordered mesh, the
+    /// [`MeshArtifacts`] (shared or not), and what the configuration
+    /// shaped — ILU structure, LSQ weights, partitions, tilings,
+    /// schedules, pool.
     pub fn reset_for_reuse(&mut self) {
         self.precond = None;
         self.factor_age.reset();
@@ -395,13 +451,14 @@ impl Fun3dApp {
     /// the first call after a build assembles it from the build's state
     /// and pseudo-time shift, which the app keeps.
     pub fn jacobian_matrix(&self) -> &Bcsr4 {
-        self.last_build.matrix(&self.jac_rows, &self.adj, &self.bc, &self.cond)
+        let m = &*self.shared;
+        self.last_build.matrix(&m.jac_rows, &m.adj, &m.bc, &self.cond)
     }
 
     /// The ILU fill pattern (computed on the first call).
     pub fn ilu_pattern(&self) -> &[Vec<u32>] {
         self.ilu_pattern
-            .get_or_init(|| ilu::symbolic_iluk(self.jac_rows.pattern(), self.cfg.ilu_fill))
+            .get_or_init(|| ilu::symbolic_iluk(self.shared.jac_rows.pattern(), self.cfg.ilu_fill))
     }
 
     /// Points the preconditioner at `factors`, building its schedule
@@ -425,18 +482,19 @@ impl Fun3dApp {
     }
 
     fn run_flux(&mut self, r: &mut [f64]) {
+        let m = &*self.shared;
         let _k = telemetry::kernel(
             "flux",
             match &self.tiles {
-                Some(t) => crate::counts::flux_tiled(self.geom.nedges(), t.tiling().vertex_slots()),
-                None => crate::counts::flux(self.geom.nedges()),
+                Some(t) => crate::counts::flux_tiled(m.geom.nedges(), t.tiling().vertex_slots()),
+                None => crate::counts::flux(m.geom.nedges()),
             },
         );
         r.iter_mut().for_each(|x| *x = 0.0);
-        let (exec, walk) = edge_walk(&self.geom, self.pool.as_deref(), &self.plan, &self.tiles);
+        let (exec, walk) = edge_walk(&m.geom, self.pool.as_deref(), &self.plan, &self.tiles);
         let lanes = self.cfg.use_simd.then_some(self.isa);
         flux::run(lanes, exec, walk, &self.node, self.cond.beta, r);
-        bc::residual(&self.bc, &self.node, &self.cond, r);
+        bc::residual(&m.bc, &self.node, &self.cond, r);
     }
 }
 
@@ -449,27 +507,28 @@ impl PtcProblem for Fun3dApp {
         self.residual_evals += 1;
         self.node.q.copy_from_slice(u);
         {
+            let m = &*self.shared;
             let _k = telemetry::kernel(
                 "gradient",
-                crate::counts::gradient_gather(self.adj.neighbours().len(), self.adj.rows()),
+                crate::counts::gradient_gather(m.adj.neighbours().len(), m.adj.rows()),
             );
             if let Some(lsq) = &self.lsq {
-                lsq.evaluate(&self.adj, &mut self.node);
+                lsq.evaluate(&m.adj, &mut self.node);
             } else {
                 let exec = self.pool.as_deref().map_or(Exec::Caller, Exec::Pool);
-                gradient::green_gauss(self.isa, exec, &self.adj, &mut self.node);
+                gradient::green_gauss(self.isa, exec, &m.adj, &mut self.node);
             }
             if self.cfg.use_limiter {
                 // Venkatakrishnan (smooth) rather than Barth–Jespersen:
                 // BJ's hard clip produces limit cycles in steady solvers.
-                crate::limiter::apply_venkatakrishnan(&self.geom, &mut self.node, 0.3);
+                crate::limiter::apply_venkatakrishnan(&m.geom, &mut self.node, 0.3);
             }
         }
         self.run_flux(r);
     }
 
     fn time_diag(&self, dt: f64, out: &mut [f64]) {
-        jacobian::time_diagonal(&self.vol, self.cond.beta, dt, out);
+        jacobian::time_diagonal(&self.shared.dual.vol, self.cond.beta, dt, out);
     }
 
     fn build_preconditioner(&mut self, u: &[f64], time_diag: &[f64]) {
@@ -494,13 +553,14 @@ impl PtcProblem for Fun3dApp {
             return;
         }
         self.last_build.record(u, time_diag);
+        let m = &*self.shared;
         // One kernel: the factorization takes each row of the Jacobian
         // from the row kernel when it reaches the row.
         let _k = telemetry::kernel(
             "ilu",
-            crate::counts::ilu_build(&self.ilu_symbolic, self.geom.nedges()),
+            crate::counts::ilu_build(&self.ilu_symbolic, m.geom.nedges()),
         );
-        let jac = JacobianAt::new(&self.jac_rows, &self.adj, &self.bc, &self.cond, u, time_diag);
+        let jac = JacobianAt::new(&m.jac_rows, &m.adj, &m.bc, &self.cond, u, time_diag);
         // Refactor into the factors the preconditioner already owns when
         // nobody else holds them. A seed adopted from, or a first build
         // captured for, the serve factor cache is shared — the cache must
@@ -627,7 +687,7 @@ mod tests {
             u.iter_mut().for_each(|x| *x += rng.range_f64(-0.05, 0.05));
             app.time_diag(dt, &mut shift);
             app.build_preconditioner(&u, &shift);
-            let want = scatter_oracle(&app.geom, &app.bc, &u, &app.cond, &shift);
+            let want = scatter_oracle(&app.shared.geom, &app.shared.bc, &u, &app.cond, &shift);
             let got = app.jacobian_matrix();
             assert_eq!((&got.row_ptr, &got.col_idx), (&want.row_ptr, &want.col_idx));
             let bits = |m: &Bcsr4| m.blocks.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -647,7 +707,7 @@ mod tests {
         assert!(stats.converged);
         let after = telemetry::local_counters().get("flux").copied().unwrap_or_default();
         let evals = app.residual_evals as u64;
-        let nedges = app.geom.nedges() as u64;
+        let nedges = app.shared.geom.nedges() as u64;
         assert_eq!(after.calls - before.calls, evals);
         assert_eq!(after.items - before.items, evals * nedges);
         assert_eq!(
@@ -877,6 +937,61 @@ mod tests {
         let (u, stats) = app.run(&solve_config());
         assert!(stats.converged, "history: {:?}", stats.res_history);
         assert!(u.iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn first_factors_depend_only_on_mesh_fill_and_dt0() {
+        // The serve tier's factor key: the first build factors the
+        // Jacobian at the free stream and the dt0 shift, which reads
+        // neither the limiter, the LSQ weights nor the lag.
+        let first = |cfg: OptConfig, dt0: f64| -> Vec<u32> {
+            let mut app = build(cfg);
+            app.capture_first_factors(true);
+            app.run(&PtcConfig {
+                dt0,
+                max_steps: 1,
+                ..solve_config()
+            });
+            let f = app.first_factors().expect("first factors captured");
+            let values = f.l.blocks.iter().chain(&f.u.blocks).chain(&f.dinv);
+            values.map(|x| x.to_bits()).collect()
+        };
+        let base = OptConfig::optimized(1);
+        let want = first(base, 2.0);
+        let variants: [(&str, fn(&mut OptConfig)); 3] = [
+            ("limiter", |c| c.use_limiter = true),
+            ("lsq", |c| c.use_lsq_gradients = true),
+            ("lag", |c| c.ilu_lag = 1),
+        ];
+        for (name, turn) in variants {
+            let mut cfg = base;
+            turn(&mut cfg);
+            assert_eq!(first(cfg, 2.0), want, "{name} moved the first factors");
+        }
+        let mut fill0 = base;
+        fill0.ilu_fill = 0;
+        assert_ne!(first(fill0, 2.0), want, "fill shapes the factors");
+        assert_ne!(first(base, 4.0), want, "dt0 shifts the factors");
+    }
+
+    #[test]
+    fn an_app_sharing_mesh_artifacts_solves_like_a_fresh_one() {
+        // Shared artifacts are the ones a fresh build makes: an app built
+        // on a donor's mesh re-solves bit for bit, serial and on a team.
+        let donor = build(OptConfig::baseline());
+        for nt in [1, 2] {
+            let mut cfg = OptConfig::optimized(nt);
+            cfg.use_limiter = true;
+            let (u_ref, s_ref) = build(cfg).run(&solve_config());
+            let pool = (nt > 1).then(|| Arc::new(ThreadPool::new(nt)));
+            let mut app = Fun3dApp::sharing_mesh(&donor, FlowConditions::default(), cfg, pool);
+            assert!(Arc::ptr_eq(app.mesh_artifacts(), donor.mesh_artifacts()));
+            let (u, s) = app.run(&solve_config());
+            assert!(s.converged, "T = {nt}");
+            assert_eq!(u, u_ref, "T = {nt}: state");
+            assert_eq!(s.res_history, s_ref.res_history, "T = {nt}: history");
+            assert_eq!(s.linear_iters, s_ref.linear_iters, "T = {nt}: iterations");
+        }
     }
 
     #[test]

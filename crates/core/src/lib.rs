@@ -55,7 +55,7 @@ mod gradient;
 mod jacobian;
 mod limiter;
 
-pub use app::{Fun3dApp, OptConfig};
+pub use app::{Fun3dApp, MeshArtifacts, OptConfig};
 pub use bc::{residual as bc_residual, BcData};
 pub use edge_loop::{Exec, Traversal, PREFETCH_DIST};
 pub use euler::{roe_flux, FlowConditions};

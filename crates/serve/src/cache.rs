@@ -1,24 +1,37 @@
 //! Cross-request artifact caching.
 //!
-//! Two layers, split by what can safely cross threads:
+//! Each artifact is keyed by what it depends on, and stored once for
+//! every app that depends on the same thing:
 //!
 //! * **Prepared apps** ([`TeamAppCache`], one per dispatcher team):
-//!   a complete `Fun3dApp` — reordered mesh, dual metrics, owner-writes
-//!   partitions, tilings, symbolic ILU pattern, level/P2P schedules —
-//!   keyed by [`crate::SolveRequest::prep_key`]. An app is built on its
-//!   team's persistent pool (`Fun3dApp::with_pool`) and its owner-writes
-//!   plan and P2P schedules are sized to that team, so instances never
-//!   migrate: each team caches the apps it built, and the bounded,
-//!   scan-resistant LRU keeps a team's resident set small — an app never
-//!   reused goes before any reused one, so a stream of one-off requests
-//!   cycles through one slot instead of evicting the hot set. Reuse is
-//!   bitwise-identical to a fresh build (pinned by `fun3d-core`'s
-//!   `reuse_and_factor_seed_are_bitwise_identical` test).
+//!   a complete `Fun3dApp` — owner-writes partitions, tilings, ILU
+//!   structure, LSQ weights, P2P schedules — keyed by
+//!   [`crate::SolveRequest::prep_key`] (mesh, team size, ILU fill, lag,
+//!   limiter, LSQ). An app is built on its team's persistent pool
+//!   (`Fun3dApp::with_pool`) and its owner-writes plan and P2P
+//!   schedules are sized to that team, so instances never migrate:
+//!   each team caches the apps it built, and the bounded,
+//!   scan-resistant LRU keeps a team's resident set small — an app
+//!   never reused goes before any reused one, so a stream of one-off
+//!   requests cycles through one slot instead of evicting the hot set.
+//!   Reuse is bitwise-identical to a fresh build (pinned by
+//!   `fun3d-core`'s `reuse_and_factor_seed_are_bitwise_identical`
+//!   test).
+//! * **Mesh artifacts** (`fun3d_core::MeshArtifacts`: dual metrics,
+//!   edge geometry, boundary table, volumes, half-edges, Jacobian
+//!   pattern) live in the apps, not in a cache of their own. A cold app
+//!   on a mesh that one of its team's resident apps already uses shares
+//!   that app's artifacts through an `Arc`
+//!   ([`TeamAppCache::resident_on`], `Fun3dApp::sharing_mesh`) and
+//!   builds only its shape's own parts; the artifacts live exactly as
+//!   long as some cached app holds them.
 //! * **First ILU factors** (a process-wide
 //!   [`KeyedCache`]`<IluFactors>`): factors are plain `Send + Sync`
 //!   data, so every team shares one cache keyed by
-//!   [`crate::SolveRequest::factor_key`] — `ilu_lag` generalized across
-//!   requests.
+//!   [`crate::SolveRequest::factor_key`] — mesh, ILU fill and `dt0`,
+//!   what the first build reads — so one entry serves every shape that
+//!   differs only in limiter, gradients or lag: `ilu_lag` generalized
+//!   across requests.
 //!
 //! All counters aggregate into one [`CacheCounters`] so the service can
 //! report hit rates over all teams. A capacity of 0 makes a layer an
@@ -26,6 +39,7 @@
 //! factor_cache_cap}`).
 
 use fun3d_core::Fun3dApp;
+use fun3d_mesh::generator::MeshPreset;
 use fun3d_solver::{CacheStats, KeyedCache};
 use fun3d_sparse::IluFactors;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,6 +116,8 @@ pub(crate) struct TeamAppCache {
 
 struct Entry {
     key: u64,
+    /// The mesh the app was built on.
+    mesh: MeshPreset,
     app: Fun3dApp,
     last_used: u64,
     /// The app has served a request since it was built.
@@ -133,11 +149,25 @@ impl TeamAppCache {
         }
     }
 
-    /// Returns an app to the cache — `reused` if it came from
-    /// [`TeamAppCache::take`] — or stores a freshly built one. Past
+    /// A resident app on `mesh`, whose mesh artifacts a cold app on the
+    /// same mesh can share (`Fun3dApp::sharing_mesh`). Looking counts
+    /// nothing: it is part of an app miss.
+    pub(crate) fn resident_on(&self, mesh: MeshPreset) -> Option<&Fun3dApp> {
+        self.entries.iter().find(|e| e.mesh == mesh).map(|e| &e.app)
+    }
+
+    /// Returns an app built on `mesh` to the cache — `reused` if it came
+    /// from [`TeamAppCache::take`] — or stores a freshly built one. Past
     /// capacity it evicts the least-recently-used app that was never
     /// reused, and only if every app was, the least-recently-used one.
-    pub(crate) fn put(&mut self, key: u64, app: Fun3dApp, reused: bool, counters: &CacheCounters) {
+    pub(crate) fn put(
+        &mut self,
+        key: u64,
+        mesh: MeshPreset,
+        app: Fun3dApp,
+        reused: bool,
+        counters: &CacheCounters,
+    ) {
         if self.capacity == 0 {
             return;
         }
@@ -159,6 +189,7 @@ impl TeamAppCache {
         }
         self.entries.push(Entry {
             key,
+            mesh,
             app,
             last_used: self.clock,
             reused,
@@ -171,12 +202,16 @@ impl TeamAppCache {
 mod tests {
     use super::*;
     use fun3d_core::{FlowConditions, OptConfig};
-    use fun3d_mesh::generator::MeshPreset;
 
     impl TeamAppCache {
         /// Prepared apps currently resident.
         fn len(&self) -> usize {
             self.entries.len()
+        }
+
+        /// The resident app for `key`, without counting a lookup.
+        pub(crate) fn peek(&self, key: u64) -> Option<&Fun3dApp> {
+            self.entries.iter().find(|e| e.key == key).map(|e| &e.app)
         }
     }
 
@@ -191,11 +226,11 @@ mod tests {
         let counters = CacheCounters::new(4);
         let mut cache = TeamAppCache::new(1);
         assert!(cache.take(1, &counters).is_none());
-        cache.put(1, tiny_app(), false, &counters);
+        cache.put(1, MeshPreset::Tiny, tiny_app(), false, &counters);
         let app = cache.take(1, &counters).expect("hit");
         assert_eq!(cache.len(), 0, "taken apps leave the cache");
-        cache.put(1, app, true, &counters);
-        cache.put(2, tiny_app(), false, &counters); // evicts key 1, the only one
+        cache.put(1, MeshPreset::Tiny, app, true, &counters);
+        cache.put(2, MeshPreset::Tiny, tiny_app(), false, &counters); // evicts key 1, the only one
         assert!(cache.take(1, &counters).is_none());
         assert!(cache.take(2, &counters).is_some());
         let s = counters.snapshot().app;
@@ -211,12 +246,12 @@ mod tests {
         let counters = CacheCounters::new(4);
         let mut cache = TeamAppCache::new(3);
         for key in [1, 2] {
-            cache.put(key, tiny_app(), false, &counters);
+            cache.put(key, MeshPreset::Tiny, tiny_app(), false, &counters);
             let app = cache.take(key, &counters).expect("just stored");
-            cache.put(key, app, true, &counters);
+            cache.put(key, MeshPreset::Tiny, app, true, &counters);
         }
         for cold in 10..14 {
-            cache.put(cold, tiny_app(), false, &counters);
+            cache.put(cold, MeshPreset::Tiny, tiny_app(), false, &counters);
             assert_eq!(cache.len(), 3);
         }
         for key in [1, 2, 13] {
@@ -232,7 +267,7 @@ mod tests {
     fn zero_capacity_disables_the_layer() {
         let counters = CacheCounters::new(0);
         let mut cache = TeamAppCache::new(0);
-        cache.put(1, tiny_app(), false, &counters);
+        cache.put(1, MeshPreset::Tiny, tiny_app(), false, &counters);
         assert!(cache.take(1, &counters).is_none());
         assert_eq!(counters.snapshot().app.insertions, 0);
     }
@@ -242,7 +277,7 @@ mod tests {
         let counters = CacheCounters::new(4);
         let mut cache = TeamAppCache::new(2);
         cache.take(9, &counters); // app miss
-        cache.put(9, tiny_app(), false, &counters);
+        cache.put(9, MeshPreset::Tiny, tiny_app(), false, &counters);
         cache.take(9, &counters); // app hit
         counters.factors.get(1); // factor miss
         let snap = counters.snapshot();

@@ -14,11 +14,13 @@
 //!   never exceeded). Per-job thread choice rides `AutoPolicy`: apps
 //!   run `ExecMode::Auto`, so each solve resolves serial vs team once,
 //!   from the machine model + measured sync costs.
-//! * the `cache` module — the cross-request artifact cache: per-team
-//!   prepared [`fun3d_core::Fun3dApp`] bundles (reordered mesh, dual
-//!   metrics, partitions, tilings, ILU patterns, schedules) and a
-//!   process-wide first-factor cache (`OptConfig::ilu_lag` generalized
-//!   across requests, bitwise-identically — see
+//! * the `cache` module — the cross-request artifact cache, each
+//!   artifact keyed by what it depends on: per-team prepared
+//!   [`fun3d_core::Fun3dApp`] bundles per request shape (partitions,
+//!   tilings, ILU structure, schedules), which share one set of
+//!   [`fun3d_core::MeshArtifacts`] per mesh, and a process-wide
+//!   first-factor cache per (mesh, ILU fill, `dt0`) (`OptConfig::ilu_lag`
+//!   generalized across requests, bitwise-identically — see
 //!   [`fun3d_core::Fun3dApp::set_factor_seed`]).
 //! * the `wire` module — a newline-delimited-JSON request/reply codec
 //!   served over stdin/stdout or a Unix socket by the `fun3d-serve`

@@ -78,11 +78,14 @@ pub struct Rejected {
 /// How much of the artifact cache a completed job could reuse.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Neither layer hit: full mesh build + setup + factorization.
+    /// Neither layer hit: the app was built — on the mesh artifacts of
+    /// a resident app on the same mesh when the team holds one, else
+    /// from a fresh mesh — and its first factors computed.
     Cold,
     /// Prepared app reused, factors rebuilt.
     App,
-    /// Fresh app build, but the first factors were seeded.
+    /// Fresh app build (sharing mesh artifacts as under `Cold`), but the
+    /// first factors were seeded.
     Factor,
     /// Both layers hit: reset, seed, solve.
     AppAndFactor,
@@ -543,14 +546,17 @@ fn execute(
             (app, true)
         }
         None => {
-            let mut mesh = req.mesh.build();
-            Fun3dApp::rcm_reorder(&mut mesh);
-            let app = Fun3dApp::with_pool(
-                mesh,
-                FlowConditions::default(),
-                req.opt_config(nt),
-                pool.cloned(),
-            );
+            let (cond, cfg, pool) = (FlowConditions::default(), req.opt_config(nt), pool.cloned());
+            // A resident app on the same mesh lends its mesh artifacts, so
+            // only what this request's shape decides is built.
+            let app = match app_cache.resident_on(req.mesh) {
+                Some(donor) => Fun3dApp::sharing_mesh(donor, cond, cfg, pool),
+                None => {
+                    let mut mesh = req.mesh.build();
+                    Fun3dApp::rcm_reorder(&mut mesh);
+                    Fun3dApp::with_pool(mesh, cond, cfg, pool)
+                }
+            };
             (app, false)
         }
     };
@@ -575,7 +581,7 @@ fn execute(
         }
     }
     let cache = CacheOutcome::new(app_hit, factor_hit);
-    app_cache.put(prep_key, app, app_hit, counters);
+    app_cache.put(prep_key, req.mesh, app, app_hit, counters);
 
     let state_fnv = hash_state(&u);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -776,6 +782,64 @@ mod tests {
         assert_eq!(first.res_history, second.res_history);
         let stats = svc.shutdown();
         assert!(stats.cache.app.hits >= 1 && stats.cache.factor.hits >= 1);
+    }
+
+    /// One serial team's cache layers, driven on the test's thread.
+    struct SerialTeam {
+        apps: TeamAppCache,
+        counters: CacheCounters,
+    }
+
+    impl SerialTeam {
+        fn new(apps: usize) -> SerialTeam {
+            SerialTeam {
+                apps: TeamAppCache::new(apps),
+                counters: CacheCounters::new(8),
+            }
+        }
+
+        fn run(&mut self, req: SolveRequest) -> SolveReply {
+            let (reply, _rx) = mpsc::channel();
+            let job = Job {
+                req,
+                enqueued: Instant::now(),
+                admit_ns: telemetry::now_ns(),
+                reply,
+            };
+            execute(0, None, job, &mut self.apps, &self.counters, true)
+        }
+    }
+
+    #[test]
+    fn shapes_on_one_mesh_share_mesh_artifacts_and_first_factors() {
+        let probe = |limiter: bool| {
+            let mut req = SolveRequest::new("t", MeshPreset::Small);
+            (req.max_steps, req.rtol, req.use_limiter) = (2, 1e-2, limiter);
+            req
+        };
+        let outcome = |r: &SolveReply| (r.state_fnv, r.steps, r.linear_iters);
+        let mut team = SerialTeam::new(2);
+        assert_eq!(team.run(probe(false)).cache, CacheOutcome::Cold);
+        // The limiter does not move the first factors, so a fresh app on
+        // the default shape's mesh artifacts adopts its factors.
+        let shared = team.run(probe(true));
+        assert_eq!(shared.cache, CacheOutcome::Factor);
+        let app = |limiter| team.apps.peek(probe(limiter).prep_key(1)).expect("resident");
+        let artifacts = app(true).mesh_artifacts();
+        assert!(Arc::ptr_eq(app(false).mesh_artifacts(), artifacts));
+        assert_eq!(team.counters.factors.len(), 1, "one factor entry for both");
+        let alone = SerialTeam::new(2).run(probe(true));
+        assert_eq!(alone.cache, CacheOutcome::Cold);
+        assert_eq!(outcome(&shared), outcome(&alone), "sharing must be bitwise identical");
+
+        // The artifacts live as long as some cached app holds them.
+        let artifacts = Arc::downgrade(artifacts);
+        let mut tiny = quick_req("t");
+        team.run(tiny.clone());
+        assert!(artifacts.upgrade().is_some(), "one Small app is still resident");
+        tiny.ilu_fill = 0;
+        team.run(tiny);
+        assert!(artifacts.upgrade().is_none(), "no Small app is resident");
     }
 
     #[test]

@@ -111,14 +111,16 @@ impl SolveRequest {
         h
     }
 
-    /// Cache key of the *first ILU factors* of this request's solve.
-    /// ΨTC's first preconditioner build happens at `dt = dt0` on the
-    /// free-stream state, and factorization is serial, so the factors
-    /// are a pure function of (discretization, `dt0`) — independent of
-    /// the team's thread count. The key extends [`SolveRequest::prep_key`]
-    /// at `nt = 0` (a sentinel no team uses) with the `dt0` bits.
+    /// Cache key of the *first ILU factors* of this request's solve: the
+    /// mesh preset, `ilu_fill` and `dt0`. ΨTC's first preconditioner
+    /// build factors the Jacobian at the free stream and the `dt0`
+    /// shift over the fill-`ilu_fill` pattern, and the Jacobian reads
+    /// neither the limiter, the LSQ weights nor the lag; a team
+    /// factors bit for bit like the serial sweep, so the thread count
+    /// is not part of the key either.
     pub(crate) fn factor_key(&self) -> u64 {
-        fnv1a_word(self.prep_key(0), self.dt0.to_bits())
+        let h = fnv1a_word(fnv1a(self.mesh.name().as_bytes()), self.ilu_fill as u64);
+        fnv1a_word(h, self.dt0.to_bits())
     }
 
     /// Renders the request as one NDJSON line ([`SolveRequest::parse`]'s
@@ -336,6 +338,24 @@ mod tests {
         assert_eq!(a.prep_key(1), c.prep_key(1), "dt0 is per-solve");
         assert_ne!(a.factor_key(), c.factor_key(), "dt0 shifts the factors");
         assert_ne!(a.prep_key(1), a.prep_key(2), "nt shapes partitions");
+        let mut d = a.clone();
+        d.mesh = MeshPreset::Small;
+        assert_ne!(a.prep_key(1), d.prep_key(1), "the mesh shapes everything");
+        assert_ne!(a.factor_key(), d.factor_key());
+        // The first factors read neither the limiter, the LSQ weights nor
+        // the lag, so those share one factor entry; each still needs an
+        // app of its own.
+        let turns: [fn(&mut SolveRequest); 3] = [
+            |r| r.use_limiter = true,
+            |r| r.use_lsq_gradients = true,
+            |r| r.ilu_lag = 1,
+        ];
+        for turn in turns {
+            let mut e = a.clone();
+            turn(&mut e);
+            assert_eq!(a.factor_key(), e.factor_key(), "{e:?}");
+            assert_ne!(a.prep_key(1), e.prep_key(1), "{e:?}");
+        }
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! `OptConfig::ilu_lag` already amortizes ILU factorization *within* one
 //! solve by freezing the preconditioner for several pseudo-time steps.
 //! This module generalizes the idea *across* solves: the first ILU
-//! factors of a ΨTC run are fully determined by the problem key (mesh +
-//! discretization + solver knobs — the first build always happens at
-//! `dt = dt0` on the free-stream state), so a repeated request can seed
-//! its preconditioner from a previous run's factors bitwise-identically
-//! instead of re-assembling and re-factoring.
+//! factors of a ΨTC run are fully determined by what the first build
+//! reads — the mesh, the ILU fill and `dt0`, since that build always
+//! happens at `dt = dt0` on the free-stream state and the Jacobian reads
+//! neither the limiter, the gradients nor the lag — so a later request
+//! with the same three can seed its preconditioner from a previous run's
+//! factors bitwise-identically instead of re-assembling and re-factoring.
 //!
-//! [`KeyedCache`] itself is artifact-agnostic (the serve tier also keys
-//! whole prepared-app bundles with it); values travel as `Arc<V>` so a
-//! hit is a pointer clone, and hit/miss/insert/evict counters are
+//! [`KeyedCache`] itself is artifact-agnostic; values travel as `Arc<V>`
+//! so a hit is a pointer clone, and hit/miss/insert/evict counters are
 //! atomics readable while other threads keep using the cache.
 
 use std::collections::HashMap;

@@ -591,21 +591,25 @@ echo "ok: in-place numeric ILU and the factor storage clear their floors; the P2
 
 echo "== serve tier (fun3d-serve NDJSON smoke) =="
 # Service smoke over the NDJSON stdin transport: two good requests (the
-# second must be an artifact-cache hit) and one malformed request that
-# must come back as a structured bad_request rejection, not a crash.
+# second must be an artifact-cache hit), a third on the limiter shape
+# (a fresh app, on the resident app's mesh artifacts, whose first factors
+# the factor layer seeds: the limiter does not move them) and one
+# malformed request that must come back as a structured bad_request
+# rejection, not a crash.
 SERVE_OUT=$(printf '%s\n' \
     '{"tenant":"verify","mesh":"tiny","max_steps":2,"rtol":1e-2}' \
     '{"tenant":"verify","mesh":"tiny","max_steps":2,"rtol":1e-2}' \
+    '{"tenant":"verify","mesh":"tiny","max_steps":2,"rtol":1e-2,"limiter":true}' \
     '{"tenant":"verify","mesh":"not-a-mesh"}' \
     | cargo run --release --offline -q -p fun3d-serve --bin serve -- --teams 1 --team-threads 1 2>/dev/null)
-for needle in '"ok":true' '"cache":"app+factor"' '"reason":"bad_request"'; do
+for needle in '"ok":true' '"cache":"app+factor"' '"cache":"factor"' '"reason":"bad_request"'; do
     if ! grep -qF "$needle" <<<"$SERVE_OUT"; then
         echo "FAIL: serve stdin smoke missing $needle"
         echo "$SERVE_OUT"
         exit 1
     fi
 done
-echo "ok: serve NDJSON transport answers, caches repeats, rejects bad requests"
+echo "ok: serve NDJSON transport answers, caches repeats, seeds a new shape's first factors, rejects bad requests"
 
 echo "== serve stats command =="
 # In-band stats: a solve followed by {"cmd":"stats"} must answer one
