@@ -245,11 +245,10 @@ fn finish(svc: Service, stats: bool) {
     let s = svc.shutdown();
     if stats {
         eprintln!(
-            "fun3d-serve: completed {} rejected {} | pool high-water {}/{} | \
+            "fun3d-serve: completed {} rejected {} | workers {} | \
              cache hit rate {:.3} (app {}/{}, factor {}/{})",
             s.completed,
             s.rejected,
-            s.pool_high_water,
             s.worker_budget,
             s.cache.combined_hit_rate(),
             s.cache.app.hits,

@@ -5,17 +5,18 @@
 //! not one giant one. This crate turns the repo's node-level machinery
 //! into a request-level worker tier:
 //!
-//! * [`Service`] — an in-process job queue with per-tenant weighted
-//!   round-robin fairness and bounded-depth admission control, executed
-//!   by a fixed set of dispatcher *teams*, each owning one persistent
-//!   [`fun3d_threads::ThreadPool`] checked out of a
-//!   [`fun3d_threads::PoolSet`] at startup (no pool churn between
-//!   requests; the set's high-water mark proves the worker budget was
-//!   never exceeded). Per-job thread choice rides `AutoPolicy`: apps
-//!   run `ExecMode::Auto`, so each solve resolves serial vs team once,
-//!   from the machine model + measured sync costs.
-//! * the `cache` module — the cross-request artifact cache, each
-//!   artifact keyed by what it depends on: per-team prepared
+//! * [`Service`] — an in-process job queue with per-tenant round-robin
+//!   fairness and bounded-depth admission control, executed by a fixed
+//!   set of dispatcher *teams*, each owning one persistent
+//!   [`fun3d_threads::ThreadPool`] of `team_threads` workers built at
+//!   startup on a core range of its own (no pool churn between
+//!   requests, and never more workers than `teams × team_threads`).
+//!   Per-job thread choice rides `AutoPolicy`: apps run
+//!   `ExecMode::Auto`, so each solve resolves serial vs team once, from
+//!   the machine model + measured sync costs.
+//! * the `cache` module — the cross-request artifact cache, one bounded
+//!   cache type for both of its layers, each artifact keyed by what it
+//!   depends on: per-team prepared
 //!   [`fun3d_core::Fun3dApp`] bundles per request shape (partitions,
 //!   tilings, ILU structure, schedules), which share one set of
 //!   [`fun3d_core::MeshArtifacts`] per mesh, and a process-wide
@@ -32,8 +33,8 @@
 //! span, so one load run correlates service-level latency with
 //! solver-level behaviour. Each fact is recorded once: counts of
 //! completed and shed requests, the queue depth and the jobs in flight
-//! are the service's own state ([`ServeStats`]), cache hits are
-//! [`CacheCounters`], the reason a request was shed is its
+//! are the service's own state ([`ServeStats`]), cache hits are its
+//! cache layers' counters ([`CacheSnapshot`]), the reason a request was shed is its
 //! `serve_reject` event, and the metrics plane holds the stage latency
 //! histograms only.
 
@@ -43,7 +44,7 @@ mod cache;
 mod service;
 mod wire;
 
-pub use cache::{CacheCounters, CacheSnapshot};
+pub use cache::{CacheSnapshot, CacheStats};
 pub use service::{
     hash_state, JobHandle, RejectReason, Rejected, ServeConfig, ServeStats, Service, SolveReply,
 };

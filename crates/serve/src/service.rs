@@ -1,11 +1,12 @@
 //! The job queue, scheduler, and admission control.
 //!
-//! Shape of the machine: `teams` dispatcher threads, each permanently
-//! holding one persistent [`ThreadPool`] checked out of a shared
-//! [`PoolSet`] at startup. Requests are admitted into per-tenant FIFO
-//! queues under bounded depth (global and per tenant — the load-shedding
-//! layer), and dispatchers pull jobs by weighted round-robin across
-//! tenants, so one chatty tenant cannot starve the rest. Each job is
+//! Shape of the machine: `teams` dispatcher threads, each owning one
+//! persistent [`ThreadPool`] of `team_threads` workers, built at startup
+//! on the core range after the previous team's (serial teams own none).
+//! Requests are admitted into per-tenant FIFO queues under bounded depth
+//! (global and per tenant — the load-shedding layer), and dispatchers
+//! pull jobs round-robin across tenants, one job per non-empty queue in
+//! turn, so one chatty tenant cannot starve the rest. Each job is
 //! executed on the team's cached-or-fresh `Fun3dApp` with
 //! `ExecMode::Auto`, which `AutoPolicy` resolves to serial or team once
 //! per solve from its cost model — the per-job thread choice without any
@@ -21,10 +22,9 @@ use crate::cache::{CacheCounters, CacheSnapshot, TeamAppCache};
 use crate::tenant_hash;
 use crate::wire::SolveRequest;
 use fun3d_core::{FlowConditions, Fun3dApp};
-use fun3d_machine::MachineSpec;
-use fun3d_util::{fnv1a, fnv1a_word};
-use fun3d_threads::{PoolSet, ThreadPool};
+use fun3d_threads::{available_cores, ThreadPool};
 use fun3d_util::telemetry::{self, metrics, Json};
+use fun3d_util::{fnv1a, fnv1a_word};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -181,16 +181,14 @@ pub struct ServeConfig {
     pub app_cache_per_team: usize,
     /// Shared first-factor cache entries (0 disables the layer).
     pub factor_cache_cap: usize,
-    /// Tenant → weighted-round-robin weight (unlisted tenants get 1).
-    pub tenant_weights: Vec<(String, u32)>,
 }
 
 impl ServeConfig {
-    /// Sizing derived from [`MachineSpec::host`]: teams × team_threads
-    /// ≤ cores, parallel teams only where the core budget supports
-    /// them.
+    /// Sizing derived from the schedulable cores
+    /// ([`fun3d_threads::available_cores`]): teams × team_threads ≤
+    /// cores, parallel teams only where the core budget supports them.
     pub fn host_default() -> ServeConfig {
-        let cores = MachineSpec::host().cores;
+        let cores = available_cores();
         // Prefer team parallelism once there are enough cores that a
         // 2-wide team still leaves ≥ 2 teams; the AutoPolicy decides
         // per job whether those workers actually pay.
@@ -203,21 +201,12 @@ impl ServeConfig {
             tenant_queue_cap: 32,
             app_cache_per_team: 4,
             factor_cache_cap: 32,
-            tenant_weights: Vec::new(),
         }
     }
 
     /// The worker budget this configuration is allowed to occupy.
     pub fn worker_budget(&self) -> usize {
         self.teams * self.team_threads
-    }
-
-    fn weight_of(&self, tenant: &str) -> u32 {
-        self.tenant_weights
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map(|&(_, w)| w.max(1))
-            .unwrap_or(1)
     }
 }
 
@@ -228,11 +217,9 @@ pub struct ServeStats {
     pub completed: u64,
     /// Requests shed by admission control.
     pub rejected: u64,
-    /// Configured worker budget (`teams * team_threads`).
+    /// Configured worker budget (`teams * team_threads`): each team owns
+    /// one pool of `team_threads` workers, so the service never runs more.
     pub worker_budget: usize,
-    /// Most pool workers ever leased simultaneously — must never
-    /// exceed `worker_budget`.
-    pub pool_high_water: usize,
     /// Deepest the global queue ever got.
     pub queue_high_water: usize,
     /// Jobs queued now.
@@ -245,22 +232,16 @@ pub struct ServeStats {
 
 struct Job {
     req: SolveRequest,
-    enqueued: Instant,
     /// Admission time on the telemetry clock (the flight/metrics epoch),
     /// so `ServeStages` timestamps interleave with solver events.
     admit_ns: u64,
     reply: mpsc::Sender<SolveReply>,
 }
 
-struct RrSlot {
-    tenant: String,
-    weight: u32,
-    credit: u32,
-}
-
 struct SchedState {
     queues: HashMap<String, VecDeque<Job>>,
-    rr: Vec<RrSlot>,
+    /// Tenants in the order they first submitted: the round-robin ring.
+    rr: Vec<String>,
     cursor: usize,
     queued: usize,
     queue_high_water: usize,
@@ -269,32 +250,15 @@ struct SchedState {
 }
 
 impl SchedState {
-    /// Weighted round-robin: serve up to `weight` consecutive jobs from
-    /// the cursor tenant before advancing, skipping empty queues.
+    /// Round-robin: one job from the cursor tenant's queue, the cursor
+    /// moving on past it whether or not the queue had one.
     fn next_job(&mut self) -> Option<Job> {
-        if self.rr.is_empty() {
-            return None;
-        }
         for _ in 0..self.rr.len() {
-            let slot = &mut self.rr[self.cursor];
-            let job = self
-                .queues
-                .get_mut(&slot.tenant)
-                .and_then(VecDeque::pop_front);
-            match job {
-                Some(job) => {
-                    self.queued -= 1;
-                    slot.credit = slot.credit.saturating_sub(1);
-                    if slot.credit == 0 {
-                        slot.credit = slot.weight;
-                        self.cursor = (self.cursor + 1) % self.rr.len();
-                    }
-                    return Some(job);
-                }
-                None => {
-                    slot.credit = slot.weight;
-                    self.cursor = (self.cursor + 1) % self.rr.len();
-                }
+            let tenant = &self.rr[self.cursor];
+            self.cursor = (self.cursor + 1) % self.rr.len();
+            if let Some(job) = self.queues.get_mut(tenant).and_then(VecDeque::pop_front) {
+                self.queued -= 1;
+                return Some(job);
             }
         }
         None
@@ -315,7 +279,6 @@ struct Shared {
 /// The running service: admission in front, dispatcher teams behind.
 pub struct Service {
     shared: Arc<Shared>,
-    pools: Option<Arc<PoolSet>>,
     counters: Arc<CacheCounters>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -326,10 +289,6 @@ impl Service {
         assert!(cfg.teams >= 1, "need at least one team");
         assert!(cfg.team_threads >= 1, "team_threads counts workers, min 1");
         let counters = Arc::new(CacheCounters::new(cfg.factor_cache_cap));
-        // Serial teams run on the dispatcher thread itself; only
-        // parallel teams own doorbell pools.
-        let pools = (cfg.team_threads > 1)
-            .then(|| Arc::new(PoolSet::new(&vec![cfg.team_threads; cfg.teams])));
         let shared = Arc::new(Shared {
             cfg: cfg.clone(),
             state: Mutex::new(SchedState {
@@ -350,23 +309,23 @@ impl Service {
             .map(|team| {
                 let shared = Arc::clone(&shared);
                 let counters = Arc::clone(&counters);
-                let lease = pools
-                    .as_ref()
-                    .map(|set| set.checkout_owned(cfg.team_threads).expect("pool per team"));
+                // Serial teams run on the dispatcher thread itself; a
+                // parallel team owns a pool on the cores after the
+                // previous team's.
+                let first_core = team * cfg.team_threads;
+                let pool = (cfg.team_threads > 1)
+                    .then(|| Arc::new(ThreadPool::with_first_core(cfg.team_threads, first_core)));
                 std::thread::Builder::new()
                     .name(format!("serve-team{team}"))
                     .spawn(move || {
                         telemetry::set_thread_label(format!("serve-team{team}"));
-                        let pool = lease.as_ref().map(|l| Arc::clone(l.pool()));
                         dispatcher_loop(team, shared, pool, counters);
-                        drop(lease);
                     })
                     .expect("spawn dispatcher")
             })
             .collect();
         Service {
             shared,
-            pools,
             counters,
             workers,
         }
@@ -410,16 +369,10 @@ impl Service {
         let (tx, rx) = mpsc::channel();
         if !st.queues.contains_key(&tenant) {
             st.queues.insert(tenant.clone(), VecDeque::new());
-            let weight = self.shared.cfg.weight_of(&tenant);
-            st.rr.push(RrSlot {
-                tenant: tenant.clone(),
-                weight,
-                credit: weight,
-            });
+            st.rr.push(tenant.clone());
         }
         st.queues.get_mut(&tenant).unwrap().push_back(Job {
             req,
-            enqueued: Instant::now(),
             admit_ns: telemetry::now_ns(),
             reply: tx,
         });
@@ -442,7 +395,6 @@ impl Service {
             completed: self.shared.completed.load(Ordering::Relaxed),
             rejected: self.shared.rejected.load(Ordering::Relaxed),
             worker_budget: self.shared.cfg.worker_budget(),
-            pool_high_water: self.pools.as_ref().map_or(0, |p| p.high_water()),
             queue_high_water: st.queue_high_water,
             queue_depth: st.queued,
             inflight: st.active,
@@ -532,7 +484,6 @@ fn execute(
     factors_cached: bool,
 ) -> SolveReply {
     let _span = telemetry::span("serve_job");
-    let queue_ns = job.enqueued.elapsed().as_nanos() as u64;
     let admit_ns = job.admit_ns;
     let dispatch_ns = telemetry::now_ns();
     let req = job.req;
@@ -540,8 +491,8 @@ fn execute(
     let t0 = Instant::now();
 
     let prep_key = req.prep_key(nt);
-    let (mut app, app_hit) = match app_cache.take(prep_key, counters) {
-        Some(mut app) => {
+    let (mut app, app_hit) = match app_cache.take(prep_key, &counters.apps) {
+        Some((_, mut app)) => {
             app.reset_for_reuse();
             (app, true)
         }
@@ -565,7 +516,7 @@ fn execute(
     let mut factor_hit = false;
     if factors_cached {
         app.capture_first_factors(true);
-        if let Some(seed) = counters.factors.get(factor_key) {
+        if let Some(seed) = counters.first_factors(factor_key) {
             app.set_factor_seed(Some(seed));
             factor_hit = true;
         }
@@ -577,11 +528,11 @@ fn execute(
 
     if factors_cached && !factor_hit {
         if let Some(f) = app.first_factors() {
-            counters.factors.insert(factor_key, f);
+            counters.insert_first_factors(factor_key, f);
         }
     }
     let cache = CacheOutcome::new(app_hit, factor_hit);
-    app_cache.put(prep_key, req.mesh, app, app_hit, counters);
+    app_cache.put(prep_key, (req.mesh, app), app_hit, &counters.apps);
 
     let state_fnv = hash_state(&u);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -590,9 +541,7 @@ fn execute(
         stats.solve_id,
         telemetry::EventKind::ServeJob {
             tenant: tenant_hash(&req.tenant),
-            queue_ns,
             cache_hits: cache.hits(),
-            cache_misses: 2 - cache.hits(),
         },
     );
     // Full stage record for `flight_log().solve(id)`: every boundary of this
@@ -621,7 +570,7 @@ fn execute(
         res_history: stats.res_history,
         exec: stats.exec,
         cache,
-        queue_ms: queue_ns as f64 / 1e6,
+        queue_ms: dispatch_ns.saturating_sub(admit_ns) as f64 / 1e6,
         wall_ms,
         state_fnv,
     }
@@ -752,8 +701,14 @@ mod tests {
             tenant_queue_cap: 4,
             app_cache_per_team: 2,
             factor_cache_cap: 8,
-            tenant_weights: Vec::new(),
         }
+    }
+
+    #[test]
+    fn host_default_stays_within_the_cores() {
+        let cfg = ServeConfig::host_default();
+        assert!(cfg.teams >= 1 && cfg.team_threads >= 1);
+        assert!(cfg.worker_budget() <= available_cores().max(1), "{cfg:?}");
     }
 
     #[test]
@@ -802,7 +757,6 @@ mod tests {
             let (reply, _rx) = mpsc::channel();
             let job = Job {
                 req,
-                enqueued: Instant::now(),
                 admit_ns: telemetry::now_ns(),
                 reply,
             };
@@ -827,7 +781,8 @@ mod tests {
         let app = |limiter| team.apps.peek(probe(limiter).prep_key(1)).expect("resident");
         let artifacts = app(true).mesh_artifacts();
         assert!(Arc::ptr_eq(app(false).mesh_artifacts(), artifacts));
-        assert_eq!(team.counters.factors.len(), 1, "one factor entry for both");
+        let factor_entries = team.counters.factors.lock().unwrap().len();
+        assert_eq!(factor_entries, 1, "one factor entry for both");
         let alone = SerialTeam::new(2).run(probe(true));
         assert_eq!(alone.cache, CacheOutcome::Cold);
         assert_eq!(outcome(&shared), outcome(&alone), "sharing must be bitwise identical");
@@ -994,12 +949,16 @@ mod tests {
             "stage boundaries must be monotone: {:?}",
             stages.1
         );
+        // The reply's queueing time is the same two stamps' difference.
+        let [admit_ns, dispatch_ns, ..] = stages.1;
+        assert_eq!(reply.queue_ms, (dispatch_ns - admit_ns) as f64 / 1e6);
     }
 
     #[test]
-    fn weighted_round_robin_interleaves_tenants() {
-        // Two tenants, heavy at weight 2: a full drain order of
-        // h h l h h l … — verify the scheduler state machine directly.
+    fn round_robin_takes_one_job_per_tenant_in_turn() {
+        // A heavy tenant with six queued jobs beside two light ones: the
+        // drain order serves one job per non-empty queue in turn, skips
+        // emptied queues, and starves nobody.
         let mut st = SchedState {
             queues: HashMap::new(),
             rr: Vec::new(),
@@ -1009,29 +968,25 @@ mod tests {
             active: 0,
             shutdown: false,
         };
+        assert!(st.next_job().is_none(), "no tenant yet");
         let (tx, _rx) = mpsc::channel();
-        let push = |st: &mut SchedState, tenant: &str, weight: u32| {
+        let push = |st: &mut SchedState, tenant: &str| {
             if !st.queues.contains_key(tenant) {
                 st.queues.insert(tenant.to_string(), VecDeque::new());
-                st.rr.push(RrSlot {
-                    tenant: tenant.to_string(),
-                    weight,
-                    credit: weight,
-                });
+                st.rr.push(tenant.to_string());
             }
             st.queues.get_mut(tenant).unwrap().push_back(Job {
                 req: quick_req(tenant),
-                enqueued: Instant::now(),
                 admit_ns: telemetry::now_ns(),
                 reply: tx.clone(),
             });
             st.queued += 1;
         };
         for _ in 0..6 {
-            push(&mut st, "heavy", 2);
+            push(&mut st, "heavy");
         }
-        for _ in 0..3 {
-            push(&mut st, "light", 1);
+        for tenant in ["light", "light", "rare"] {
+            push(&mut st, tenant);
         }
         let mut order = Vec::new();
         while let Some(job) = st.next_job() {
@@ -1039,8 +994,8 @@ mod tests {
         }
         assert_eq!(
             order,
-            vec!["heavy", "heavy", "light", "heavy", "heavy", "light", "heavy", "heavy", "light"],
-            "weight-2 tenant gets two slots per round, and nobody starves"
+            ["heavy", "light", "rare", "heavy", "light", "heavy", "heavy", "heavy", "heavy"],
+            "one job per non-empty queue per round"
         );
         assert_eq!(st.queued, 0);
     }

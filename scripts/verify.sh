@@ -35,9 +35,10 @@
 #    rather than through a hash map, the paper's "before" kernels and
 #    cost models stay in crates/bench, the single-value knobs stay
 #    deleted, a production crate's modules are private but for eight
-#    that benchmark/ names, and no production code allows dead code or
-#    an unreachable `pub`. Each structural guard is negative-tested on
-#    canary trees.
+#    that benchmark/ names, no production code allows dead code or
+#    an unreachable `pub`, and the serve tier keeps one cache type (in
+#    crates/serve/src/cache.rs) and no pool free-list. Each structural
+#    guard is negative-tested on canary trees.
 #  * warnings are errors: `cargo check --workspace --all-targets` with
 #    `-D warnings`, and the same for the model-checked crates under
 #    `--cfg fun3d_check`, each in its own target dir.
@@ -88,7 +89,7 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ok: all dependencies are workspace-path crates"
 
-echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, no stored Jacobian, one factor-reuse rule, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, one format per telemetry plane, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code =="
+echo "== guard: one Krylov control flow, one edge-loop driver, no edge kernel or Jacobian loop in the rank layer, no stored Jacobian, one factor-reuse rule, one path per kernel, one ledger, one factor format, one gradient layout and kernel, argued unchecked access, one telemetry gate and recorder, one format per telemetry plane, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only code in crates/bench, no single-value knob, private modules but eight, no allowed dead code, one serve cache type and no pool free-list =="
 # The rank layer solves through fun3d_solver and computes through
 # fun3d_core; a copy of either creeping back in fails here, before cargo
 # runs. The argument is the root of the tree to check, so the guard can be
@@ -128,6 +129,10 @@ SINGLE_VALUE_KNOBS='IluParallel|metis_partition|newton_per_step'
 # One factor-reuse rule: the app and a rank ask fun3d_solver's FactorAge
 # whether to refactor, and compare no age or lag of their own.
 AGE_COMPARISON='(ilu_lag|\bage\b|_age\b|\blag\b)[[:space:]]*([<>%]|[<>=!]=)|([<>%]|[<>=!]=)[[:space:]]*[a-z_.]*(ilu_lag|\bage\b|_age\b|\blag\b)'
+# The serve tier runs one pool per team and one bounded cache type with
+# one eviction rule, crates/serve/src/cache.rs: recency bookkeeping, the
+# plain-LRU cache or the pool free-list anywhere else is a second copy.
+SECOND_CACHE='\blast_used\b|struct KeyedCache\b|\bPoolSet\b'
 # A production crate's public surface is its lib.rs: its modules are
 # private, save the eight whose paths benchmark/ names (it is frozen), so
 # `unreachable_pub` and `dead_code` see every item. `parent:module` pairs.
@@ -369,14 +374,18 @@ structure_guard() {
             echo "  allow(dead_code) or allow(unreachable_pub) in crates/$krate/src: delete the item, move it to crates/bench or make it #[cfg(test)]"
             bad=1
         fi
+        if grep -rnE "$SECOND_CACHE" "$root/crates/$krate/src" | grep -v "^$root/crates/serve/src/cache\.rs:"; then
+            echo "  a second cache, eviction rule or pool free-list in crates/$krate/src: use crates/serve/src/cache.rs's Cache, and give each team its own ThreadPool"
+            bad=1
+        fi
     done
     return $bad
 }
 if ! structure_guard .; then
-    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly or stored Jacobian, factor-reuse rule, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder, ring, telemetry format, metric primitive or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, or dead code is allowed"
+    echo "FAIL: a second Krylov loop, edge loop, edge kernel, Jacobian assembly or stored Jacobian, factor-reuse rule, kernel path, performance ledger, factor format, gradient layout, telemetry gate, recorder, ring, telemetry format, metric primitive or kernel clock has been forked, a deleted knob or switch is back, a bench binary is not a paper figure, an unchecked access is not argued, set-up hashes, a bench-only kernel or model is in a production crate, a production module is public beyond the eight, dead code is allowed, or the serve tier has a second cache type or a pool free-list"
     exit 1
 fi
-# Negative canaries: each of the thirty-four forks must trip the guard, and
+# Negative canaries: each of the thirty-five forks must trip the guard, and
 # the tree they are planted in must pass without them.
 CANARY=target/verify_guard
 for fork in none roe_flux rotation second_givens second_ledger second_edge_loop rank_edge_loop \
@@ -385,13 +394,14 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     telemetry_knob_read deleted_knob_named second_thread_local sampler_back second_kernel_clock \
     rank_jacobian_loop dead_kernel_path unread_knob_back extra_bench_bin serve_cache_knob setup_hash_map \
     bench_only_in_production single_value_knob_back pub_mod_back dead_code_allowed stored_jacobian \
-    one_reuse_rule one_format_per_plane histograms_only; do
+    one_reuse_rule one_format_per_plane histograms_only second_cache; do
     rm -rf "$CANARY"
     mkdir -p "$CANARY/crates/cluster/src" "$CANARY/crates/solver/src" "$CANARY/crates/core/src" \
         "$CANARY/crates/sparse/src" "$CANARY/crates/bench/src/bin" "$CANARY/scripts" \
         "$CANARY/crates/util/src/telemetry" "$CANARY/crates/serve/src" "$CANARY/crates/mesh/src"
     echo 'fn main() { fun3d_bench::emit("table2_ilu_fill", &table) }' > "$CANARY/crates/bench/src/bin/table2_ilu_fill.rs"
     echo 'factor_cache_cap: 32,' > "$CANARY/crates/serve/src/service.rs"
+    echo '    last_used: u64,' > "$CANARY/crates/serve/src/cache.rs"
     printf 'let mut by_min = Buckets::new(n, faces);\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n' \
         > "$CANARY/crates/mesh/src/generator.rs"
     echo 'for class in &tiling.color_tiles { pool.run(|tid| chunk_range(class.len(), nt, tid)); }' > "$CANARY/crates/core/src/edge_loop.rs"
@@ -452,6 +462,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
         one_reuse_rule) printf '        if self.precond.is_some() && self.cfg.ilu_lag > 1 {\n' > "$CANARY/crates/cluster/src/dapp.rs" ;;
         one_format_per_plane) printf 'struct Recorder {\n    spans: OnceLock<Ring<4>>,\n    ring: OnceLock<Ring<SLOT_WORDS>>,\n}\n' >> "$CANARY/crates/util/src/telemetry/mod.rs" ;;
         histograms_only) printf 'pub struct Gauge {\n    value: AtomicU64,\n}\n' > "$CANARY/crates/util/src/telemetry/metrics.rs" ;;
+        second_cache) printf 'struct Entry<V> {\n    value: Arc<V>,\n    last_used: u64,\n}\n' > "$CANARY/crates/solver/src/factor_cache.rs" ;;
     esac
     if structure_guard "$CANARY" >/dev/null; then
         echo "FAIL: the structure guard accepted a forked $fork"
@@ -459,7 +470,7 @@ for fork in none roe_flux rotation second_givens second_ledger second_edge_loop 
     fi
 done
 rm -rf "$CANARY"
-echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, no stored Jacobian in the app or a rank, one factor-reuse rule, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one format per telemetry plane, histograms only in the metrics plane, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed; canaries rejected"
+echo "ok: one fn givens, one edge-loop driver, no Roe flux, rotation, edge loop or Jacobian loop in crates/cluster/src, no stored Jacobian in the app or a rank, one factor-reuse rule, one path per kernel, one ledger, one factor format and one row kernel, one gradient layout and kernel, unchecked access argued in four files, one telemetry gate, thread-local and ring, one format per telemetry plane, histograms only in the metrics plane, one clock per kernel, no deleted knob or switch, one bench binary per figure, hash-free set-up, bench-only kernels and models in crates/bench, no single-value knob, private modules but eight, no dead code allowed, one serve cache type and no pool free-list; canaries rejected"
 
 # Warnings are errors, on every target of the workspace and on the
 # model-checked crates under their cfg. Own target dirs: the flags change
